@@ -106,9 +106,9 @@ type EnrollerConfig struct {
 const DefaultHeartbeatInterval = 3 * time.Second
 
 // Enroller enrolls this process into a script served by one or more remote
-// Hosts. Per host it keeps a pool of idle connections (sequential
-// enrollments reuse one connection, concurrent enrollments each get their
-// own) and a circuit breaker. The host set is either fixed
+// Hosts. Per host it keeps a pool of conversations (each multiplexing up to
+// MaxStreamsPerConn concurrent enrollments on a v2 connection, one at a time
+// on a v1 connection) and a circuit breaker. The host set is either fixed
 // (NewEnrollerMulti) or follows a registry subscription
 // (NewEnrollerRegistry); each attempt picks a host by composing breaker
 // state, recent-shed demotion, and the configured Balancer.
@@ -136,19 +136,12 @@ type Enroller struct {
 	closed bool
 }
 
-// hostState is one host's address, connection pools (v1 idle connections
-// and v2 multiplexed connections), breaker, and last known load digest.
+// hostState is one host's address, pool of conversations, breaker, and
+// last known load digest.
 type hostState struct {
 	addr string
 	brk  breaker
 
-	mu   sync.Mutex
-	idle []*clientConn
-
-	// proto caches the host's negotiated protocol (0 unknown, else the wire
-	// version the last handshake settled on); a host that answered v1 is
-	// not re-probed for v2.
-	proto atomic.Int32
 	// dialMu serializes dials so a concurrent burst of enrollments shares
 	// the first dial's stream capacity instead of stampeding.
 	dialMu sync.Mutex
@@ -223,9 +216,9 @@ func NewEnrollerMulti(addrs []string, cfg EnrollerConfig) *Enroller {
 
 // NewEnrollerRegistry creates an enroller whose host set follows a registry
 // subscription for cfg.Script: hosts announced to the registry join the
-// candidate set, evicted or withdrawn hosts leave it (idle pooled
-// connections are closed; enrollments in flight keep theirs and drain
-// out), and announced load digests feed the balancer.
+// candidate set, evicted or withdrawn hosts leave it (pooled connections
+// are retired: idle ones close, enrollments in flight keep theirs and
+// drain out), and announced load digests feed the balancer.
 // cfg.Balancer defaults to NewLeastLoaded. The registry is not closed by
 // Enroller.Close; it may back any number of enrollers.
 func NewEnrollerRegistry(reg registry.Registry, cfg EnrollerConfig) *Enroller {
@@ -314,8 +307,8 @@ func (e *Enroller) hostList() []*hostState {
 }
 
 // applyEndpoints replaces the host set with the registry's view, keeping
-// the state (breaker, pools, load history) of hosts that persist and
-// closing the pooled connections of hosts that left.
+// the state (breaker, pool, load history) of hosts that persist and
+// retiring the pooled connections of hosts that left.
 func (e *Enroller) applyEndpoints(eps []registry.Endpoint) {
 	now := time.Now()
 	e.hostsMu.Lock()
@@ -345,13 +338,6 @@ func (e *Enroller) applyEndpoints(eps []registry.Endpoint) {
 	// a healthy host).
 	for _, hs := range old {
 		hostsRemoved.Inc()
-		hs.mu.Lock()
-		idle := hs.idle
-		hs.idle = nil
-		hs.mu.Unlock()
-		for _, cc := range idle {
-			cc.close()
-		}
 		hs.retireMuxes()
 	}
 }
@@ -408,13 +394,6 @@ func (e *Enroller) Close() error {
 		e.unsub()
 	}
 	for _, hs := range e.hostList() {
-		hs.mu.Lock()
-		idle := hs.idle
-		hs.idle = nil
-		hs.mu.Unlock()
-		for _, cc := range idle {
-			cc.close()
-		}
 		hs.retireMuxes()
 	}
 	return nil
@@ -621,8 +600,8 @@ func (e *Enroller) noHostErr() error {
 // must be supplied in enr.Body, because the definition lives in the serving
 // process. The body runs in *this* process, against a Ctx whose operations
 // are proxied over the connection; ctx cancellation withdraws a pending
-// offer (and, mid-performance, severs the connection, aborting the
-// performance host-side with this role as culprit).
+// offer (and, mid-performance, aborts the performance host-side with this
+// role as culprit).
 //
 // Failures that reject the offer before any assignment (see Retryable) are
 // re-offered under cfg.Retry, rotating across hosts as circuit breakers
@@ -841,178 +820,15 @@ func (e *Enroller) enrollPinned(ctx context.Context, hs *hostState, enr core.Enr
 	}
 }
 
-// enrollOnce runs one offer against one host, start to release,
-// dispatching between the v2 multiplexed path and the v1 lock-step path
-// according to what the host negotiates.
+// enrollOnce runs one offer against one host, start to release: claim a
+// stream slot on a pooled conversation (dialing when none has room), then
+// run the enrollment conversation on it.
 func (e *Enroller) enrollOnce(ctx context.Context, hs *hostState, enr core.Enrollment) (core.Result, error) {
-	e.mu.Lock()
-	closed := e.closed
-	e.mu.Unlock()
-	if closed {
-		return core.Result{}, core.ErrClosed
+	mc, err := e.acquireMux(ctx, hs)
+	if err != nil {
+		return core.Result{}, err
 	}
-	if e.maxProto() >= 2 {
-		res, err, ok, cc := e.muxEnroll(ctx, hs, enr)
-		if ok {
-			return res, err
-		}
-		if cc != nil {
-			// The dial negotiated v1; spend the connection on the v1 path.
-			return e.enrollOnceV1(ctx, hs, enr, cc)
-		}
-	}
-	return e.enrollOnceV1(ctx, hs, enr, nil)
-}
-
-// enrollOnceV1 runs one offer over a dedicated v1 lock-step connection:
-// dialed if cc is nil, else the (freshly handshaken) connection handed in.
-func (e *Enroller) enrollOnceV1(ctx context.Context, hs *hostState, enr core.Enrollment, cc *clientConn) (core.Result, error) {
-	if cc == nil {
-		var err error
-		cc, err = e.conn(ctx, hs)
-		if err != nil {
-			return core.Result{}, err
-		}
-	}
-	healthy := false
-	defer func() {
-		if healthy {
-			e.putIdle(hs, cc)
-		} else {
-			cc.close()
-		}
-	}()
-
-	// The withdraw path: context cancellation severs the connection, which
-	// fails whatever read or write the enrollment is blocked in. The host
-	// maps it to an offer withdrawal (pending) or an abort (performing).
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	go func() {
-		select {
-		case <-ctx.Done():
-			cc.close()
-		case <-watchDone:
-		}
-	}()
-	wrapErr := func(err error) error {
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		return fmt.Errorf("%w: %v", ErrConnLost, err)
-	}
-
-	msg := wire.Enroll{
-		PID:     string(enr.PID),
-		Role:    enr.Role.String(),
-		Args:    enr.Args,
-		With:    wire.EncodeWith(enr.With),
-		TraceID: enr.TraceID.String(),
-	}
-	if !enr.Deadline.IsZero() {
-		msg.DeadlineMS = enr.Deadline.UnixMilli()
-	}
-	if err := cc.c.WriteMsg(wire.MsgEnroll, msg); err != nil {
-		return core.Result{}, wrapErr(err)
-	}
-
-	// Await assignment (or rejection).
-	var ack wire.OfferAck
-await:
-	for {
-		t, payload, err := cc.c.ReadMsg()
-		if err != nil {
-			return core.Result{}, wrapErr(err)
-		}
-		switch t {
-		case wire.MsgOfferAck:
-			if err := wire.Decode(payload, &ack); err != nil {
-				return core.Result{}, wrapErr(err)
-			}
-			break await
-		case wire.MsgDrain:
-			// The host is draining; its network side is going away, so the
-			// connection is not worth pooling.
-			return core.Result{}, core.ErrDraining
-		case wire.MsgComplete:
-			// Rejected before any performance: unknown role, closed, shed by
-			// admission control (ErrOverloaded), ...
-			var cm wire.Complete
-			if err := wire.Decode(payload, &cm); err != nil {
-				return core.Result{}, wrapErr(err)
-			}
-			if cm.Err != nil {
-				// The host stays healthy and lock-step: rejection is a clean
-				// exchange, so the connection is reusable.
-				healthy = true
-				return core.Result{}, cm.Err.Err()
-			}
-			return core.Result{}, fmt.Errorf("%w: COMPLETE before OFFER-ACK", ErrConnLost)
-		case wire.MsgError:
-			var pe wire.ProtoError
-			_ = wire.Decode(payload, &pe)
-			return core.Result{}, fmt.Errorf("script/remote: host error: %s", pe.Msg)
-		default:
-			return core.Result{}, fmt.Errorf("script/remote: unexpected %s awaiting offer", t)
-		}
-	}
-
-	role := enr.Role
-	if r, err := wire.DecodeRoleRef(ack.Role); err == nil {
-		role = r
-	}
-	rctx := &remoteCtx{
-		ParamBag: core.ParamBag{In: enr.Args},
-		ctx:      ctx,
-		cc:       cc,
-		faults:   e.cfg.Faults,
-		role:     role,
-		pid:      enr.PID,
-		perf:     ack.Performance,
-	}
-	e.bindTrace(rctx, ack.TraceID, enr.TraceID)
-	rctx.trace(trace.Event{Kind: trace.KindStart})
-	bodyErr := runClientBody(enr.Body, rctx)
-	rctx.trace(trace.Event{Kind: trace.KindFinish})
-	if err := cc.c.WriteMsg(wire.MsgBodyDone, wire.BodyDone{
-		Results: rctx.Out,
-		Err:     wire.EncodeError(bodyErr),
-	}); err != nil {
-		return core.Result{}, wrapErr(err)
-	}
-
-	// Await release.
-	for {
-		t, payload, err := cc.c.ReadMsg()
-		if err != nil {
-			return core.Result{}, wrapErr(err)
-		}
-		switch t {
-		case wire.MsgAbort:
-			continue // already reflected in the COMPLETE to come
-		case wire.MsgComplete:
-			var cm wire.Complete
-			if err := wire.Decode(payload, &cm); err != nil {
-				return core.Result{}, wrapErr(err)
-			}
-			if cm.Err != nil {
-				healthy = true
-				return core.Result{}, cm.Err.Err()
-			}
-			res := core.Result{Performance: cm.Performance, Role: role, Values: cm.Values, TraceID: rctx.tid}
-			if r, err := wire.DecodeRoleRef(cm.Role); err == nil {
-				res.Role = r
-			}
-			healthy = true
-			return res, nil
-		case wire.MsgError:
-			var pe wire.ProtoError
-			_ = wire.Decode(payload, &pe)
-			return core.Result{}, fmt.Errorf("script/remote: host error: %s", pe.Msg)
-		default:
-			return core.Result{}, fmt.Errorf("script/remote: unexpected %s awaiting release", t)
-		}
-	}
+	return e.enrollMux(ctx, mc, enr)
 }
 
 // runClientBody runs the body with the same panic containment the local
@@ -1025,67 +841,6 @@ func runClientBody(body core.RoleBody, rc core.Ctx) (err error) {
 		}
 	}()
 	return body(rc)
-}
-
-// conn pops an idle connection (reclaiming it from its idle watcher) or
-// dials a fresh one.
-func (e *Enroller) conn(ctx context.Context, hs *hostState) (*clientConn, error) {
-	e.mu.Lock()
-	closed := e.closed
-	e.mu.Unlock()
-	if closed {
-		return nil, core.ErrClosed
-	}
-	for {
-		hs.mu.Lock()
-		if len(hs.idle) == 0 {
-			hs.mu.Unlock()
-			break
-		}
-		cc := hs.idle[len(hs.idle)-1]
-		hs.idle = hs.idle[:len(hs.idle)-1]
-		hs.mu.Unlock()
-		if cc.claimIdle() {
-			return cc, nil
-		}
-		cc.close()
-	}
-	return e.dial(ctx, hs.addr)
-}
-
-// putIdle returns a connection to its host's pool and posts an idle watcher
-// on it, so a host-side close is noticed (and the heartbeat pump stopped)
-// the moment it happens rather than at the next checkout.
-func (e *Enroller) putIdle(hs *hostState, cc *clientConn) {
-	if cc.dead.Load() || hs.gone.Load() {
-		cc.close()
-		return
-	}
-	e.mu.Lock()
-	closed := e.closed
-	e.mu.Unlock()
-	hs.mu.Lock()
-	if closed {
-		hs.mu.Unlock()
-		cc.close()
-		return
-	}
-	cc.startIdleWatch()
-	hs.idle = append(hs.idle, cc)
-	hs.mu.Unlock()
-}
-
-// dial establishes and handshakes one dedicated v1 connection with its
-// heartbeat pump. The version is pinned to 1: pooled lock-step connections
-// must never negotiate v2 (the v2 pool is hostState.muxes).
-func (e *Enroller) dial(ctx context.Context, addr string) (*clientConn, error) {
-	c, ack, err := e.dialRaw(ctx, addr, 1)
-	if err != nil {
-		return nil, err
-	}
-	cc := &clientConn{c: c, stop: make(chan struct{})}
-	go cc.heartbeat(effectiveHeartbeat(e.cfg.HeartbeatInterval, ack.HeartbeatTimeoutMS), e.cfg.Faults)
-	return cc, nil
 }
 
 // effectiveHeartbeat guards against the classic config footgun: a client
@@ -1141,113 +896,17 @@ func (e *Enroller) dialRaw(ctx context.Context, addr string, maxVer int) (*wire.
 	return c, ack, nil
 }
 
-// clientConn is one pooled connection with its heartbeat pump and, while
-// idle in the pool, an idle watcher.
-type clientConn struct {
-	c    *wire.Conn
-	stop chan struct{}
-	once sync.Once
-	dead atomic.Bool
-
-	idleMu      sync.Mutex
-	idleClaimed bool
-	idleDone    chan struct{} // non-nil while an idle watcher runs
-}
-
-func (cc *clientConn) close() {
-	cc.dead.Store(true)
-	cc.once.Do(func() { close(cc.stop) })
-	cc.c.Close()
-}
-
-// startIdleWatch posts a goroutine that blocks reading the idle connection.
-// The host never sends unsolicited frames, so the read resolving means the
-// connection is finished: EOF or reset when the host closes it (the watcher
-// then close()s the conn, stopping the heartbeat pump deterministically),
-// or a deadline error when claimIdle reclaims the conn for the next
-// enrollment.
-func (cc *clientConn) startIdleWatch() {
-	done := make(chan struct{})
-	cc.idleMu.Lock()
-	cc.idleClaimed = false
-	cc.idleDone = done
-	cc.idleMu.Unlock()
-	go func() {
-		defer close(done)
-		_, _, err := cc.c.ReadMsg()
-		cc.idleMu.Lock()
-		claimed := cc.idleClaimed
-		cc.idleMu.Unlock()
-		var ne net.Error
-		if claimed && errors.As(err, &ne) && ne.Timeout() && cc.c.Buffered() == 0 {
-			// Cleanly reclaimed: the deadline broke the read between frames,
-			// nothing was half-consumed, the connection is reusable.
-			return
-		}
-		// Host-side close, an unexpected frame (err == nil), or a reclaim
-		// that caught a partial frame: the connection is done for.
-		cc.close()
-	}()
-}
-
-// claimIdle reclaims the connection from its idle watcher and reports
-// whether it is still usable.
-func (cc *clientConn) claimIdle() bool {
-	cc.idleMu.Lock()
-	done := cc.idleDone
-	cc.idleDone = nil
-	cc.idleClaimed = true
-	cc.idleMu.Unlock()
-	if done != nil {
-		cc.c.BreakRead()
-		<-done
-		cc.c.UnbreakRead()
-	}
-	return !cc.dead.Load()
-}
-
-// heartbeat keeps the host's silence clock from expiring while the body
-// computes between operations. Frame writes are serialized with the body's
-// by the connection's write lock. It exits when the connection is closed
-// (cc.stop) or a write fails.
-func (cc *clientConn) heartbeat(interval time.Duration, faults NetFaults) {
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-cc.stop:
-			return
-		case <-t.C:
-			if faults != nil {
-				if d := faults.StallHeartbeat(); d > 0 {
-					select {
-					case <-cc.stop:
-						return
-					case <-time.After(d):
-					}
-				}
-			}
-			if cc.c.WriteMsg(wire.MsgHeartbeat, wire.Heartbeat{}) != nil {
-				cc.dead.Store(true)
-				return
-			}
-		}
-	}
-}
-
 // remoteCtx is the client-side Ctx: the body's view of a performance whose
 // coordination state lives in the serving process. Every communication and
 // predicate is one request/response exchange; data parameters and results
 // stay local (they cross the wire at ENROLL and BODY-DONE).
 type remoteCtx struct {
 	core.ParamBag
-	ctx    context.Context
-	cc     *clientConn // v1 lock-step transport (nil on v2)
-	st     *muxStream  // v2 pipelined stream (nil on v1)
-	faults NetFaults   // v1 only: chaos cut injection (v2 consults the mux)
-	role   ids.RoleRef
-	pid    ids.PID
-	perf   int
+	ctx  context.Context
+	st   *muxStream
+	role ids.RoleRef
+	pid  ids.PID
+	perf int
 	// abortErr, once set, fails every subsequent operation locally: the
 	// host told us (via ABORT or an operation result) that the performance
 	// was aborted. Mirrors the local semantics — the body keeps running,
@@ -1300,10 +959,9 @@ func (r *remoteCtx) Index() int               { return r.role.Index }
 func (r *remoteCtx) PID() ids.PID             { return r.pid }
 func (r *remoteCtx) Performance() int         { return r.perf }
 
-// op runs one operation exchange: on a v2 stream a pipelined
-// sequence-matched request, on v1 a lock-step request/response where the
-// host answers every operation with exactly one OP-RESULT, possibly
-// preceded by an ABORT notification.
+// op runs one operation exchange on the enrollment's stream — a
+// sequence-matched request the host answers with exactly one OP-RESULT —
+// mapping the outcome onto the local runtime's abort/cancel semantics.
 func (r *remoteCtx) op(t wire.MsgType, req any) (wire.OpResult, error) {
 	if r.abortErr != nil {
 		return wire.OpResult{}, r.abortErr
@@ -1311,57 +969,6 @@ func (r *remoteCtx) op(t wire.MsgType, req any) (wire.OpResult, error) {
 	if err := r.ctx.Err(); err != nil {
 		return wire.OpResult{}, err
 	}
-	if r.st != nil {
-		return r.opMux(t, req)
-	}
-	if r.faults != nil && r.faults.CutConn() {
-		// Injected client-side blip. v1 has no resumption, so the cut must
-		// surface as today's ErrConnLost abort taxonomy.
-		r.cc.close()
-	}
-	if err := r.cc.c.WriteMsg(t, req); err != nil {
-		return wire.OpResult{}, r.netErr(err)
-	}
-	for {
-		mt, payload, err := r.cc.c.ReadMsg()
-		if err != nil {
-			return wire.OpResult{}, r.netErr(err)
-		}
-		switch mt {
-		case wire.MsgAbort:
-			var a wire.Abort
-			if err := wire.Decode(payload, &a); err == nil {
-				r.abortErr = (&wire.ErrInfo{
-					Code:        wire.CodeAborted,
-					Performance: a.Performance,
-					Culprit:     a.Culprit,
-					Reason:      a.Reason,
-				}).Err()
-			}
-			continue
-		case wire.MsgOpResult:
-			var res wire.OpResult
-			if err := wire.Decode(payload, &res); err != nil {
-				return wire.OpResult{}, r.netErr(err)
-			}
-			if res.Err != nil {
-				opErr := res.Err.Err()
-				if errors.Is(opErr, core.ErrPerformanceAborted) {
-					r.abortErr = opErr
-				}
-				return wire.OpResult{}, opErr
-			}
-			return res, nil
-		default:
-			r.cc.dead.Store(true)
-			return wire.OpResult{}, fmt.Errorf("script/remote: unexpected %s awaiting OP-RESULT", mt)
-		}
-	}
-}
-
-// opMux runs one op on the v2 stream, mapping the outcome onto the same
-// abort/cancel semantics as the lock-step path.
-func (r *remoteCtx) opMux(t wire.MsgType, req any) (wire.OpResult, error) {
 	if aerr := r.st.abortError(); aerr != nil {
 		r.abortErr = aerr
 		return wire.OpResult{}, aerr
@@ -1386,14 +993,6 @@ func (r *remoteCtx) opMux(t wire.MsgType, req any) (wire.OpResult, error) {
 		return wire.OpResult{}, opErr
 	}
 	return res, nil
-}
-
-func (r *remoteCtx) netErr(err error) error {
-	r.cc.dead.Store(true)
-	if cerr := r.ctx.Err(); cerr != nil {
-		return cerr
-	}
-	return fmt.Errorf("%w: %v", ErrConnLost, err)
 }
 
 func (r *remoteCtx) Send(to ids.RoleRef, v any) error { return r.SendTag(to, "", v) }

@@ -131,13 +131,13 @@ type Host struct {
 	shedConns   atomic.Uint64
 	shedEnrolls atomic.Uint64
 	// connsV1/connsV2 count accepted connections by negotiated protocol
-	// version; activeStreams counts currently-open v2 multiplexed streams.
+	// version; activeStreams counts live enrollment conversations.
 	connsV1       atomic.Uint64
 	connsV2       atomic.Uint64
 	activeStreams atomic.Int64
 
 	connWG   sync.WaitGroup // connection handlers
-	enrollWG sync.WaitGroup // in-flight handleEnroll calls (Drain waits on it)
+	enrollWG sync.WaitGroup // admitted serveStream calls (Drain waits on it)
 }
 
 // HostStats is a snapshot of the host's admission-control and connection
@@ -152,8 +152,9 @@ type HostStats struct {
 	ShedConns uint64
 	// ShedEnrollments counts enrollments shed with ErrOverloaded.
 	ShedEnrollments uint64
-	// ActiveStreams is the number of currently-open v2 multiplexed streams
-	// (concurrent enrollment conversations across all v2 connections).
+	// ActiveStreams is the number of live enrollment conversations across
+	// all connections: every stream of a v2 connection, and the one
+	// conversation a v1 connection carries at a time.
 	ActiveStreams int
 	// ConnsV1 / ConnsV2 count connections accepted since the host started,
 	// by negotiated wire protocol version.
@@ -396,22 +397,14 @@ func (h *Host) untrack(c *wire.Conn) {
 	h.mu.Unlock()
 }
 
-// frame is one message pulled off a v1 connection by its reader.
-type frame struct {
-	typ     wire.MsgType
-	payload []byte
-}
-
-// hostOp is one decoded client operation, the unit both protocol paths
-// feed to the bridge: m is the concrete message struct (decoded before
-// routing, so v2's reused read buffer is never retained), seq the v2
-// pipelining sequence the OP-RESULT must echo (0 on v1), and err a decode
-// failure to be answered in-band.
+// hostOp is one decoded client operation, the bridge's unit of work: m is
+// the concrete message struct (decoded before routing, so the connection's
+// reused read buffer is never retained) and seq the pipelining sequence the
+// OP-RESULT must echo (always 0 on a v1 connection).
 type hostOp struct {
 	typ wire.MsgType
 	seq uint64
 	m   any
-	err error
 }
 
 // maxProto is the newest protocol version the host negotiates.
@@ -422,11 +415,10 @@ func (h *Host) maxProto() int {
 	return wire.MaxVersion
 }
 
-// serveConn runs one client connection: handshake, then enrollments —
-// sequential on a v1 connection, multiplexed streams on v2. A dedicated
-// reader (the v1 reader goroutine; the v2 loop itself) pulls frames under
-// the heartbeat read deadline so a silent or severed connection is noticed
-// even while a bridge body is blocked inside the fabric.
+// serveConn runs one client connection: admission, handshake, then the
+// session read loop (see hostmux.go), which pulls frames under the heartbeat
+// read deadline so a silent or severed connection is noticed even while a
+// bridge body is blocked inside the fabric.
 func (h *Host) serveConn(nc net.Conn) {
 	defer h.connWG.Done()
 	c := wire.NewConn(nc)
@@ -482,42 +474,7 @@ func (h *Host) serveConn(nc net.Conn) {
 		h.logf("remote: %s: handshake: %v", c.RemoteAddr(), err)
 		return
 	}
-	if c.Version() >= 2 {
-		h.connsV2.Add(1)
-		h.serveConnV2(c, resumeToken)
-		return
-	}
-	h.connsV1.Add(1)
-
-	frames := make(chan frame, 4)
-	go func() {
-		defer close(frames)
-		for {
-			t, payload, err := c.ReadMsg()
-			if err != nil {
-				return
-			}
-			if t == wire.MsgHeartbeat {
-				continue
-			}
-			if h.cfg.Faults != nil && h.cfg.Faults.DropConn() {
-				c.Close()
-				return
-			}
-			frames <- frame{t, payload}
-		}
-	}()
-
-	for fr := range frames {
-		if fr.typ != wire.MsgEnroll {
-			h.logf("remote: %s: protocol violation: %s outside an enrollment", c.RemoteAddr(), fr.typ)
-			_ = c.WriteMsg(wire.MsgError, wire.ProtoError{Msg: fmt.Sprintf("expected ENROLL, got %s", fr.typ)})
-			return
-		}
-		if !h.handleEnroll(c, frames, fr.payload) {
-			return
-		}
-	}
+	h.serveSession(c, resumeToken)
 }
 
 // enrollVerdict is the admission decision for one ENROLL frame.
@@ -560,143 +517,16 @@ func (h *Host) admitEnroll() (enrollVerdict, string) {
 	return enrollAdmit, ""
 }
 
-// handleEnroll runs one enrollment conversation. It returns false when the
-// connection is no longer usable.
-func (h *Host) handleEnroll(c *wire.Conn, frames <-chan frame, payload []byte) bool {
-	var m wire.Enroll
-	if err := wire.Decode(payload, &m); err != nil {
-		_ = c.WriteMsg(wire.MsgError, wire.ProtoError{Msg: "malformed ENROLL"})
-		return false
-	}
-	role, err := wire.DecodeRoleRef(m.Role)
-	if err != nil {
-		return h.complete(c, ids.RoleRef{}, core.Result{}, fmt.Errorf("%w: %s", core.ErrUnknownRole, m.Role))
-	}
-	switch verdict, reason := h.admitEnroll(); verdict {
-	case enrollClosed:
-		return false
-	case enrollDrain:
-		return c.WriteMsg(wire.MsgDrain, wire.Drain{}) == nil
-	case enrollShed:
-		h.shedEnrolls.Add(1)
-		shedEnrollsTotal.Inc()
-		h.logf("remote: %s: shedding ENROLL for %s: %s", c.RemoteAddr(), role, reason)
-		return h.complete(c, role, core.Result{}, &core.OverloadError{
-			Script:     h.script,
-			RetryAfter: h.retryAfterHint(),
-			Reason:     reason,
-		})
-	}
-	defer h.enrollWG.Done()
-	defer h.enrolling.Add(-1)
-
-	with, err := wire.DecodeWith(m.With)
-	if err != nil {
-		return h.complete(c, role, core.Result{}, err)
-	}
-
-	b := &bridge{conn: c, opCh: make(chan hostOp, 4), quit: make(chan struct{})}
-	e := core.Enrollment{
-		PID:  ids.PID(m.PID),
-		Role: role,
-		Args: m.Args,
-		With: with,
-		Body: b.run,
-	}
-	if m.DeadlineMS > 0 {
-		e.Deadline = time.UnixMilli(m.DeadlineMS)
-	}
-	// A malformed client trace ID is not worth failing the call over — the
-	// enrollment just runs without the client's timeline.
-	e.TraceID, _ = trace.ParseTraceID(m.TraceID)
-
-	ctx, cancel := context.WithCancel(h.baseCtx)
-	defer cancel()
-	type enrollRes struct {
-		res core.Result
-		err error
-	}
-	resCh := make(chan enrollRes, 1)
-	go func() {
-		res, err := h.target.Enroll(ctx, e)
-		resCh <- enrollRes{res, err}
-	}()
-
-	for {
-		select {
-		case r := <-resCh:
-			return h.complete(c, role, r.res, r.err)
-		case fr, ok := <-frames:
-			if !ok {
-				// The connection died (read error or heartbeat silence):
-				// reclaim the performance, blaming the vanished enroller,
-				// and withdraw a still-pending offer.
-				h.logf("remote: %s: enroller for %s disconnected", c.RemoteAddr(), role)
-				b.disconnect("remote enroller disconnected")
-				cancel()
-				<-resCh
-				return false
-			}
-			select {
-			case b.opCh <- decodeOpV1(fr):
-			default:
-				// Lock-step protocol: more than a few outstanding frames
-				// means a misbehaving client.
-				b.disconnect("protocol violation: operation flood")
-				cancel()
-				<-resCh
-				_ = c.WriteMsg(wire.MsgError, wire.ProtoError{Msg: "operation flood"})
-				return false
-			}
-		}
-	}
-}
-
-// complete reports the enrollment's outcome to the client. It returns
-// false when the connection is no longer usable.
-func (h *Host) complete(c *wire.Conn, role ids.RoleRef, res core.Result, err error) bool {
-	if errors.Is(err, core.ErrDraining) {
-		return c.WriteMsg(wire.MsgDrain, wire.Drain{}) == nil
-	}
-	msg := wire.Complete{
-		Performance: res.Performance,
-		Role:        role.String(),
-		Values:      res.Values,
-		Err:         wire.EncodeError(err),
-	}
-	if res.Role.Name != "" {
-		msg.Role = res.Role.String()
-	}
-	return c.WriteMsg(wire.MsgComplete, msg) == nil
-}
-
-// decodeOpV1 decodes one v1 op frame into the bridge's unit of work. Op
-// types the v1 codec knows are decoded here (a failure travels in-band via
-// hostOp.err); anything else passes through for serveOp's unexpected-type
-// answer.
-func decodeOpV1(fr frame) hostOp {
-	switch fr.typ {
-	case wire.MsgSend, wire.MsgSendAll, wire.MsgRecv, wire.MsgRecvAny,
-		wire.MsgSelect, wire.MsgQuery, wire.MsgBodyDone:
-		_, _, m, err := wire.ParsePayload(1, fr.typ, fr.payload)
-		return hostOp{typ: fr.typ, m: m, err: err}
-	default:
-		return hostOp{typ: fr.typ}
-	}
-}
-
 // bridge is the server-side stand-in for a remote role body: it is
 // installed as the Enrollment.Body override, so the scheduler runs it on
 // the enroller's behalf. It relays the client's operation frames into the
-// real RoleCtx (and so into the shared fabric) and the results back out.
-// On a v2 connection it writes stream-addressed frames (streamID) and
-// echoes each op's sequence ID on its OP-RESULT.
+// real RoleCtx (and so into the shared fabric) and the results back out,
+// addressed to its stream and echoing each op's sequence ID on its
+// OP-RESULT.
 type bridge struct {
-	conn     *wire.Conn  // v1 only: the lock-step connection
-	fw       frameWriter // v2 only: the session (resumable) or bare conn
+	fw       frameWriter // the session (resumable) or the bare connection
 	opCh     chan hostOp
 	quit     chan struct{}
-	v2       bool
 	streamID uint64
 
 	once sync.Once
@@ -707,20 +537,16 @@ type bridge struct {
 	finished bool
 }
 
-// frameWriter is where a v2 bridge's frames go: the bare connection, or a
+// frameWriter is where a bridge's frames go: the bare connection, or a
 // wire.Session that retains them for replay across reconnects — in which
 // case a transient transport loss never surfaces as a write error here.
 type frameWriter interface {
 	WriteFrame(t wire.MsgType, stream, seq uint64, m any) error
 }
 
-// write sends one frame to the bridge's enroller with the connection's
-// negotiated codec.
+// write sends one frame to the bridge's enroller on its stream.
 func (b *bridge) write(t wire.MsgType, seq uint64, m any) error {
-	if b.v2 {
-		return b.fw.WriteFrame(t, b.streamID, seq, m)
-	}
-	return b.conn.WriteMsg(t, m)
+	return b.fw.WriteFrame(t, b.streamID, seq, m)
 }
 
 var errEnrollerLost = fmt.Errorf("%w: enroller disconnected mid-performance", ErrConnLost)
@@ -778,21 +604,11 @@ func (b *bridge) run(rc core.Ctx) error {
 			}
 		case op := <-b.opCh:
 			if op.typ == wire.MsgBodyDone {
-				if op.err != nil {
-					b.abortVia(rc, "malformed BODY-DONE")
-					return fmt.Errorf("remote: malformed BODY-DONE: %v", op.err)
-				}
 				bd := op.m.(*wire.BodyDone)
 				rc.Return(bd.Results...)
 				return bd.Err.Err()
 			}
-			var res wire.OpResult
-			if op.err != nil {
-				res = wire.OpResult{Err: wire.EncodeError(op.err)}
-			} else {
-				res = serveOp(rc, op)
-			}
-			if err := b.write(wire.MsgOpResult, op.seq, res); err != nil {
+			if err := b.write(wire.MsgOpResult, op.seq, serveOp(rc, op)); err != nil {
 				// The client cannot learn this op's outcome; the
 				// enrollment is unrecoverable.
 				b.abortVia(rc, "write failure delivering operation result")

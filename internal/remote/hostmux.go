@@ -15,25 +15,25 @@ import (
 	"github.com/scriptabs/goscript/internal/wire"
 )
 
-// This file is the host side of SCRW v2 connection multiplexing and session
-// resumption: one connection carries many concurrent enrollments, each on
-// its own stream ID, and — when HostConfig.ResumeWindow is set — the
-// conversation survives the connection. The per-conversation state lives in
-// a hostSession, which outlives any one transport: a connection death with
-// live streams *parks* the session for the grace window instead of aborting
-// its performances, and a client redialing with the session token within
-// the window re-attaches via a RESUME/RESUME-ACK exchange that replays the
-// frames the blip swallowed. With resumption off (the default) a session
-// dies with its only connection, which is exactly the pre-resumption
-// behavior. Compare serveConn's v1 path in host.go, where one connection
-// serves exactly one enrollment conversation at a time and every loss is an
-// abort.
+// This file is the host side of every handshaken connection, whichever
+// protocol version it negotiated: one connection carries concurrent
+// enrollments, each on its own stream ID, and — when HostConfig.ResumeWindow
+// is set — the conversation survives the connection. The per-conversation
+// state lives in a hostSession, which outlives any one transport: a
+// connection death with live streams *parks* the session for the grace
+// window instead of aborting its performances, and a client redialing with
+// the session token within the window re-attaches via a RESUME/RESUME-ACK
+// exchange that replays the frames the blip swallowed. With resumption off
+// (the default) a session dies with its only connection, which is exactly
+// the pre-resumption behavior. A v1 connection is the degenerate case: its
+// frames carry no stream/seq envelope, so it has the one stream 0, ops one
+// at a time, and never a resumable session.
 
-// streamOpBacklog bounds undrained ops buffered per stream. The client
-// pipelines ops without awaiting results, so the backlog is deeper than
-// v1's lock-step window; a client exceeding it is flooding. (Kept modest:
-// the channel is allocated per enrollment, so its capacity is hot-path
-// garbage.)
+// streamOpBacklog bounds undrained ops buffered per stream, on either
+// protocol. A v2 client pipelines ops without awaiting results, so the
+// backlog is deeper than a lock-step conversation needs; a client exceeding
+// it is flooding. (Kept modest: the channel is allocated per enrollment, so
+// its capacity is hot-path garbage.)
 const streamOpBacklog = 16
 
 // hostStream is the session's handle on one in-flight enrollment.
@@ -53,7 +53,7 @@ type streamTask struct {
 	m      *wire.Enroll
 }
 
-// hostSession owns the server side of one v2 conversation across however
+// hostSession owns the server side of one conversation across however
 // many transport connections it takes to finish it. Its lifecycle:
 // attached (cur serves it) → broken → parked (resumable, grace timer
 // running) or torn down; a RESUME within the grace window re-attaches it.
@@ -63,6 +63,9 @@ type hostSession struct {
 	h     *Host
 	token string        // "" when resumption was not negotiated
 	sess  *wire.Session // nil iff token == ""
+	// lockstep marks a v1 conversation: its frames have no envelope, so its
+	// one stream is stream 0 (reserved for control traffic on v2).
+	lockstep bool
 
 	smu     sync.Mutex
 	cur     *wire.Conn // connection currently serving; nil while parked
@@ -80,13 +83,14 @@ type hostSession struct {
 	tasks chan streamTask
 }
 
-func newHostSession(h *Host, c *wire.Conn, token string) *hostSession {
+func newHostSession(h *Host, c *wire.Conn, token string, lockstep bool) *hostSession {
 	s := &hostSession{
-		h:       h,
-		token:   token,
-		cur:     c,
-		streams: make(map[uint64]*hostStream),
-		tasks:   make(chan streamTask),
+		h:        h,
+		token:    token,
+		lockstep: lockstep,
+		cur:      c,
+		streams:  make(map[uint64]*hostStream),
+		tasks:    make(chan streamTask),
 	}
 	if token != "" {
 		s.sess = wire.NewSession(c, token, h.cfg.ResumeBufBytes)
@@ -129,29 +133,33 @@ func (h *Host) unregisterSession(s *hostSession) {
 	h.mu.Unlock()
 }
 
-// serveConnV2 serves one v2 multiplexed connection until it dies. The first
-// frame decides what the connection is: a RESUME re-attaches an existing
-// session (parked, or live on a connection whose death the client noticed
-// first); anything else starts a fresh session with that frame as its first
-// traffic.
-func (h *Host) serveConnV2(c *wire.Conn, token string) {
+// serveSession serves one handshaken connection until it dies. The first
+// frame decides what the connection is: on v2, a RESUME re-attaches an
+// existing session (parked, or live on a connection whose death the client
+// noticed first); anything else starts a fresh session with that frame as
+// its first traffic.
+func (h *Host) serveSession(c *wire.Conn, token string) {
 	t, stream, seq, m, err := c.ReadFrame()
 	if err != nil {
 		return
 	}
-	if t == wire.MsgResume {
-		s := h.adoptSession(c, m.(*wire.Resume))
-		if s == nil {
+	lockstep := c.Version() < 2
+	if lockstep {
+		h.connsV1.Add(1)
+	} else {
+		h.connsV2.Add(1)
+		if t == wire.MsgResume {
+			if s := h.adoptSession(c, m.(*wire.Resume)); s != nil {
+				h.runConn(s, c, nil)
+			}
 			return
 		}
-		h.runConnV2(s, c, nil)
-		return
 	}
-	s := newHostSession(h, c, token)
+	s := newHostSession(h, c, token, lockstep)
 	if token != "" {
 		h.registerSession(s)
 	}
-	h.runConnV2(s, c, &preRead{t: t, stream: stream, seq: seq, m: m})
+	h.runConn(s, c, &preRead{t: t, stream: stream, seq: seq, m: m})
 }
 
 // adoptSession re-attaches the session named by a RESUME to a freshly
@@ -273,8 +281,9 @@ func (s *hostSession) expire() {
 }
 
 // teardown ends the session for good: every live stream lost its enroller —
-// reclaim performances exactly like a v1 disconnect, then wait out the
-// stream workers. Idempotent; safe from any goroutine.
+// reclaim its performance, blaming the vanished role, and withdraw a
+// still-pending offer — then wait out the stream workers. Idempotent; safe
+// from any goroutine.
 func (s *hostSession) teardown() {
 	s.smu.Lock()
 	if s.done {
@@ -311,29 +320,40 @@ func (s *hostSession) teardown() {
 // work runs one enrollment to completion on a stream-worker goroutine.
 func (s *hostSession) work(t streamTask) {
 	s.h.activeStreams.Add(1)
-	s.h.serveStream(t.st.ctx, t.remote, t.stream, t.st, t.m)
+	s.serveStream(t)
 	s.h.activeStreams.Add(-1)
-	s.smu.Lock()
-	delete(s.streams, t.stream)
-	if s.cur != nil {
-		s.cur.SetWriteBatching(len(s.streams) > 1)
-	}
-	s.smu.Unlock()
+	s.release(t)
 	t.st.cancel()
 }
 
-// preRead carries serveConnV2's already-read first frame into the loop.
+// release frees the stream's slot. complete calls it *before* writing the
+// terminal frame: a lock-step client may send its next ENROLL the moment it
+// reads COMPLETE, and that ENROLL must find stream 0 free rather than be
+// taken for a reuse of a live stream. Idempotent, and keyed on the stream's
+// identity so a late call never evicts a successor on the same ID.
+func (s *hostSession) release(t streamTask) {
+	s.smu.Lock()
+	if s.streams[t.stream] == t.st {
+		delete(s.streams, t.stream)
+		if s.cur != nil {
+			s.cur.SetWriteBatching(len(s.streams) > 1)
+		}
+	}
+	s.smu.Unlock()
+}
+
+// preRead carries serveSession's already-read first frame into the loop.
 type preRead struct {
 	t           wire.MsgType
 	stream, seq uint64
 	m           any
 }
 
-// runConnV2 runs the read loop binding one transport connection to its
+// runConn runs the read loop binding one transport connection to its
 // session. It returns when the transport is unusable; the deferred exit
 // routes to park-or-teardown for transport failures and straight to
 // teardown for protocol violations (a violating client is not a blip).
-func (h *Host) runConnV2(s *hostSession, c *wire.Conn, first *preRead) {
+func (h *Host) runConn(s *hostSession, c *wire.Conn, first *preRead) {
 	fatal := false
 	defer func() {
 		if fatal {
@@ -381,7 +401,7 @@ func (h *Host) runConnV2(s *hostSession, c *wire.Conn, first *preRead) {
 			violate("RESUME after session establishment")
 			return false
 		case wire.MsgEnroll:
-			if stream == 0 {
+			if stream == 0 && !s.lockstep {
 				fatal = true
 				violate("ENROLL on reserved stream 0")
 				return false
@@ -392,7 +412,6 @@ func (h *Host) runConnV2(s *hostSession, c *wire.Conn, first *preRead) {
 					fw:       s.writer(),
 					opCh:     make(chan hostOp, streamOpBacklog),
 					quit:     make(chan struct{}),
-					v2:       true,
 					streamID: stream,
 				},
 				ctx:    ctx,
@@ -454,7 +473,7 @@ func (h *Host) runConnV2(s *hostSession, c *wire.Conn, first *preRead) {
 			default:
 				st.b.disconnect("protocol violation: operation flood")
 				fatal = true
-				violate("operation flood on stream %d", stream)
+				violate("operation flood")
 				return false
 			}
 		default:
@@ -481,27 +500,27 @@ func (h *Host) runConnV2(s *hostSession, c *wire.Conn, first *preRead) {
 
 // serveStream runs one enrollment conversation on its stream: admission,
 // target enrollment (the bridge body relays ops meanwhile), terminal
-// COMPLETE/DRAIN. It is handleEnroll's multiplexed sibling; disconnect
-// detection lives with the session instead of a frames select. All frames
-// go through the stream's bridge writer, so they survive reconnects on a
-// resumable session.
-func (h *Host) serveStream(ctx context.Context, remote string, stream uint64, st *hostStream, m *wire.Enroll) {
+// COMPLETE/DRAIN. Disconnect detection lives with the session's read loop.
+// All frames go through the stream's bridge writer, so they survive
+// reconnects on a resumable session.
+func (s *hostSession) serveStream(t streamTask) {
+	h, m := s.h, t.m
 	role, err := wire.DecodeRoleRef(m.Role)
 	if err != nil {
-		h.completeV2(st.b.fw, stream, ids.RoleRef{}, core.Result{}, fmt.Errorf("%w: %s", core.ErrUnknownRole, m.Role))
+		s.complete(t, ids.RoleRef{}, core.Result{}, fmt.Errorf("%w: %s", core.ErrUnknownRole, m.Role))
 		return
 	}
 	switch verdict, reason := h.admitEnroll(); verdict {
 	case enrollClosed:
 		return
 	case enrollDrain:
-		_ = st.b.fw.WriteFrame(wire.MsgDrain, stream, 0, wire.Drain{})
+		s.complete(t, role, core.Result{}, core.ErrDraining)
 		return
 	case enrollShed:
 		h.shedEnrolls.Add(1)
 		shedEnrollsTotal.Inc()
-		h.logf("remote: %s: shedding ENROLL for %s: %s", remote, role, reason)
-		h.completeV2(st.b.fw, stream, role, core.Result{}, &core.OverloadError{
+		h.logf("remote: %s: shedding ENROLL for %s: %s", t.remote, role, reason)
+		s.complete(t, role, core.Result{}, &core.OverloadError{
 			Script:     h.script,
 			RetryAfter: h.retryAfterHint(),
 			Reason:     reason,
@@ -513,7 +532,7 @@ func (h *Host) serveStream(ctx context.Context, remote string, stream uint64, st
 
 	with, err := wire.DecodeWith(m.With)
 	if err != nil {
-		h.completeV2(st.b.fw, stream, role, core.Result{}, err)
+		s.complete(t, role, core.Result{}, err)
 		return
 	}
 	e := core.Enrollment{
@@ -521,25 +540,27 @@ func (h *Host) serveStream(ctx context.Context, remote string, stream uint64, st
 		Role: role,
 		Args: m.Args,
 		With: with,
-		Body: st.b.run,
+		Body: t.st.b.run,
 	}
 	if m.DeadlineMS > 0 {
 		e.Deadline = time.UnixMilli(m.DeadlineMS)
 	}
-	// As in handleEnroll: a malformed client trace ID degrades to an
-	// untraced call rather than an error.
+	// A malformed client trace ID is not worth failing the call over — the
+	// enrollment just runs without the client's timeline.
 	e.TraceID, _ = trace.ParseTraceID(m.TraceID)
-	res, err := h.target.Enroll(ctx, e)
-	h.completeV2(st.b.fw, stream, role, res, err)
+	res, err := h.target.Enroll(t.st.ctx, e)
+	s.complete(t, role, res, err)
 }
 
-// completeV2 reports an enrollment's outcome on its stream. A write
-// failure means the connection died; the session's read loop notices on
-// its next read (and on a resumable session the frame is retained and
-// replayed, so the outcome is never lost to a blip).
-func (h *Host) completeV2(fw frameWriter, stream uint64, role ids.RoleRef, res core.Result, err error) {
+// complete releases the stream's slot and then reports the enrollment's
+// outcome on it. A write failure means the connection died; the session's
+// read loop notices on its next read (and on a resumable session the frame
+// is retained and replayed, so the outcome is never lost to a blip).
+func (s *hostSession) complete(t streamTask, role ids.RoleRef, res core.Result, err error) {
+	s.release(t)
+	fw := t.st.b.fw
 	if errors.Is(err, core.ErrDraining) {
-		_ = fw.WriteFrame(wire.MsgDrain, stream, 0, wire.Drain{})
+		_ = fw.WriteFrame(wire.MsgDrain, t.stream, 0, wire.Drain{})
 		return
 	}
 	msg := wire.Complete{
@@ -551,5 +572,5 @@ func (h *Host) completeV2(fw frameWriter, stream uint64, role ids.RoleRef, res c
 	if res.Role.Name != "" {
 		msg.Role = res.Role.String()
 	}
-	_ = fw.WriteFrame(wire.MsgComplete, stream, 0, msg)
+	_ = fw.WriteFrame(wire.MsgComplete, t.stream, 0, msg)
 }

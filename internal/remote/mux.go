@@ -13,12 +13,12 @@ import (
 	"github.com/scriptabs/goscript/internal/wire"
 )
 
-// This file is the client side of SCRW v2 connection multiplexing: many
-// concurrent enrollments share one pooled connection, each on its own
-// stream ID with its own op-pipelining sequence space, under a single
-// heartbeat pump. Compare enrollOnce in enroller.go — the v1 path, where
-// every concurrent enrollment needs a dedicated connection because the v1
-// conversation is lock-step per connection.
+// This file is the client side of every connection to a host: concurrent
+// enrollments share one pooled connection, each on its own stream ID with
+// its own op-pipelining sequence space, under a single reader and a single
+// heartbeat pump. A connection that negotiated v1 is the same machinery at
+// its smallest — one stream at a time, one op at a time — so concurrent
+// enrollments against a v1 host each take a connection of their own.
 
 // DefaultMaxStreamsPerConn is the per-connection stream cap when
 // EnrollerConfig.MaxStreamsPerConn is zero.
@@ -28,14 +28,13 @@ const DefaultMaxStreamsPerConn = 32
 // conversation loop (as opposed to op results, which are matched to their
 // waiting op by sequence ID). err non-nil means the connection died.
 type streamEvent struct {
-	typ wire.MsgType // MsgOfferAck | MsgDrain | MsgComplete | MsgError
+	typ wire.MsgType // MsgOfferAck | MsgDrain | MsgComplete
 	ack wire.OfferAck
 	cm  wire.Complete
-	msg string // ProtoError text
 	err error
 }
 
-// muxConn is one v2 *conversation* shared by up to maxStreams concurrent
+// muxConn is one *conversation* shared by up to maxStreams concurrent
 // enrollments. A dedicated reader goroutine demuxes frames to streams; the
 // heartbeat pump is shared by all of them. Without resumption (sess nil)
 // the conversation is bound to one transport connection and dies with it.
@@ -51,6 +50,12 @@ type muxConn struct {
 	once sync.Once
 
 	maxStreams int
+	// lockstep marks a conversation that negotiated v1, whose frames carry
+	// no stream/seq envelope: it runs one stream at a time (maxStreams 1) as
+	// stream 0 with every op as seq 0, so writes have nothing to strip and
+	// the ordinary lookups attribute each inbound frame to the sole stream
+	// and its sole pending op.
+	lockstep bool
 
 	// Resumption state, fixed at creation: nil sess means the handshake did
 	// not negotiate resumption and every transport failure is fatal, exactly
@@ -97,6 +102,25 @@ func (mc *muxConn) cut() {
 	}
 }
 
+// withdraw tells the host that st's enrollment context ended. On a shared
+// connection that is a stream-addressed CANCEL, which the host answers with
+// the stream's terminal frame; the connection stays up for its other
+// streams. A lock-step conversation has no such frame and withdraws the way
+// v1 always has, by severing its dedicated connection — unless the stream
+// already finished, when the connection may be serving a successor.
+func (mc *muxConn) withdraw(st *muxStream) {
+	if !mc.lockstep {
+		_ = mc.write(wire.MsgCancel, st.id, 0, wire.Cancel{})
+		return
+	}
+	mc.mu.Lock()
+	live := mc.streams[st.id] == st
+	mc.mu.Unlock()
+	if live {
+		mc.fail(fmt.Errorf("%w: enrollment withdrawn", ErrConnLost))
+	}
+}
+
 // muxStream is one enrollment's lane on a muxConn: its op-pipelining state
 // (pending results keyed by sequence ID) and its control-event channel.
 type muxStream struct {
@@ -133,8 +157,9 @@ func (mc *muxConn) tryReserve() bool {
 }
 
 // openStream converts a reservation into a live stream. Stream IDs are
-// never reused on a connection, so frames racing a completed stream cannot
-// be misdelivered to a successor.
+// never reused on a multiplexed connection, so frames racing a completed
+// stream cannot be misdelivered to a successor. (A lock-step conversation
+// reuses stream 0, safely: nothing follows a stream's terminal frame.)
 func (mc *muxConn) openStream() (*muxStream, error) {
 	mc.mu.Lock()
 	defer mc.mu.Unlock()
@@ -142,7 +167,9 @@ func (mc *muxConn) openStream() (*muxStream, error) {
 	if mc.dead {
 		return nil, mc.deadErr
 	}
-	mc.nextID++
+	if !mc.lockstep {
+		mc.nextID++
+	}
 	st := &muxStream{
 		id:      mc.nextID,
 		mc:      mc,
@@ -174,9 +201,8 @@ func (mc *muxConn) closeStream(st *muxStream) {
 
 // retire drains the connection out: no new stream reservations are
 // accepted, and the connection is failed once its last stream closes. A
-// connection with no active streams fails immediately. This is the v2
-// counterpart of the v1 idle-only cleanup — enrollments in flight keep
-// their streams and finish (or fail) on their own.
+// connection with no active streams fails immediately; enrollments in
+// flight keep their streams and finish (or fail) on their own.
 func (mc *muxConn) retire() {
 	mc.mu.Lock()
 	mc.retired = true
@@ -382,8 +408,11 @@ func (mc *muxConn) readLoop(c *wire.Conn) {
 				if mc.sess != nil {
 					mc.sess.PeerAck(m.(*wire.Ack).Count)
 				}
+				continue
 			}
-			continue
+			if !mc.lockstep {
+				continue
+			}
 		}
 		if mc.sess != nil {
 			// Count (and on cadence ack) every stream frame received: this
@@ -477,11 +506,6 @@ func (st *muxStream) deliver(t wire.MsgType, seq uint64, m any) {
 	case wire.MsgDrain:
 		st.failPending(core.ErrDraining)
 		st.event(streamEvent{typ: t})
-	case wire.MsgError:
-		pe := m.(*wire.ProtoError)
-		err := fmt.Errorf("script/remote: host error: %s", pe.Msg)
-		st.failPending(err)
-		st.event(streamEvent{typ: t, msg: pe.Msg})
 	}
 }
 
@@ -541,7 +565,9 @@ func (st *muxStream) op(ctx context.Context, t wire.MsgType, req any) (wire.OpRe
 		st.mu.Unlock()
 		return wire.OpResult{}, err
 	}
-	st.nextSeq++
+	if !st.mc.lockstep {
+		st.nextSeq++
+	}
 	seq := st.nextSeq
 	ch := make(chan opOutcome, 1)
 	st.pending[seq] = ch
@@ -627,11 +653,11 @@ func (hs *hostState) removeMux(mc *muxConn) {
 	hs.muxMu.Unlock()
 }
 
-// retireMuxes drains every pooled multiplexed connection: idle ones are
-// failed immediately, ones with enrollments in flight are failed when
-// their last stream closes. Used when a host leaves the registry view and
-// by Enroller.Close — both promise that in-flight enrollments keep their
-// connections, mirroring the v1 path's idle-only cleanup.
+// retireMuxes drains every pooled connection: idle ones are failed
+// immediately, ones with enrollments in flight are failed when their last
+// stream closes. Used when a host leaves the registry view and by
+// Enroller.Close — both promise that in-flight enrollments keep their
+// connections.
 func (hs *hostState) retireMuxes() {
 	hs.gone.Store(true)
 	hs.muxMu.Lock()
@@ -642,51 +668,43 @@ func (hs *hostState) retireMuxes() {
 	}
 }
 
-// muxEnroll attempts the v2 multiplexed path against hs. ok reports
-// whether the attempt was v2 at all: false (with a nil error) means the
-// host negotiated v1 and the caller should take the v1 path — the dialed
-// v1 connection, if any, is handed back via cc.
-func (e *Enroller) muxEnroll(ctx context.Context, hs *hostState, enr core.Enrollment) (res core.Result, err error, ok bool, cc *clientConn) {
+// acquireMux claims a stream slot against hs: on a pooled conversation with
+// room, else on a freshly dialed one, whichever protocol version the host
+// negotiates.
+func (e *Enroller) acquireMux(ctx context.Context, hs *hostState) (*muxConn, error) {
+	e.mu.Lock()
+	closed := e.closed
+	e.mu.Unlock()
+	if closed {
+		return nil, core.ErrClosed
+	}
 	// Existing capacity first: no dial, no lock beyond the pool scan.
 	if mc := hs.reserveMux(); mc != nil {
-		res, err := e.enrollMux(ctx, mc, enr)
-		return res, err, true, nil
-	}
-	if hs.proto.Load() == 1 {
-		// The host answered v1 last time we asked; don't re-dial v2.
-		return core.Result{}, nil, false, nil
+		return mc, nil
 	}
 	// Serialize dials per host: a concurrent burst of enrollments (a
 	// 64-role cast) must not each dial — the first dial provides stream
 	// capacity the rest share.
 	hs.dialMu.Lock()
+	defer hs.dialMu.Unlock()
 	if mc := hs.reserveMux(); mc != nil {
-		hs.dialMu.Unlock()
-		res, err := e.enrollMux(ctx, mc, enr)
-		return res, err, true, nil
+		return mc, nil
 	}
 	c, ack, err := e.dialRaw(ctx, hs.addr, e.maxProto())
 	if err != nil {
-		hs.dialMu.Unlock()
-		return core.Result{}, err, true, nil
+		return nil, err
 	}
-	hb := effectiveHeartbeat(e.cfg.HeartbeatInterval, ack.HeartbeatTimeoutMS)
-	if c.Version() < 2 {
-		// v1 host: remember, and hand the connection to the v1 path.
-		hs.proto.Store(1)
-		hs.dialMu.Unlock()
-		cc := &clientConn{c: c, stop: make(chan struct{})}
-		go cc.heartbeat(hb, e.cfg.Faults)
-		return core.Result{}, nil, false, cc
-	}
-	hs.proto.Store(2)
 	mc := &muxConn{
 		c:          c,
 		hs:         hs,
 		stop:       make(chan struct{}),
 		maxStreams: e.maxStreams(),
+		lockstep:   c.Version() < 2,
 		streams:    make(map[uint64]*muxStream),
 		faults:     e.cfg.Faults,
+	}
+	if mc.lockstep {
+		mc.maxStreams = 1
 	}
 	if ack.ResumeToken != "" && ack.ResumeWindowMS > 0 {
 		// The host granted resumption: wrap the transport in a session and
@@ -708,29 +726,28 @@ func (e *Enroller) muxEnroll(ctx context.Context, hs *hostState, enr core.Enroll
 	}
 	mc.reserved++ // the dialing enrollment's own slot
 	hs.addMux(mc)
-	hs.dialMu.Unlock()
 	go mc.readLoop(c)
-	go mc.heartbeat(hb, e.cfg.Faults)
-	res, err = e.enrollMux(ctx, mc, enr)
-	return res, err, true, nil
+	go mc.heartbeat(effectiveHeartbeat(e.cfg.HeartbeatInterval, ack.HeartbeatTimeoutMS), e.cfg.Faults)
+	return mc, nil
 }
 
-// enrollMux runs one offer on a reserved mux slot and applies the
-// withdraw-retirement policy: a v1 client's withdrawal severs its
-// dedicated connection (freeing the host's connection slot); the v2
-// equivalent is to retire the shared connection once the withdrawn
-// enrollment was its last user, so caps and observable connection counts
-// behave identically across protocols.
+// enrollMux runs one offer on a reserved stream slot and applies the
+// withdraw-retirement policy: a connection is retired once a withdrawn
+// enrollment was its last user, so a withdrawn enroller never pins a host
+// connection slot (caps and observable connection counts then behave
+// identically whether or not the connection was shared).
 func (e *Enroller) enrollMux(ctx context.Context, mc *muxConn, enr core.Enrollment) (core.Result, error) {
-	res, err := e.enrollOnceV2(ctx, mc, enr)
+	res, err := e.converse(ctx, mc, enr)
 	if err != nil && ctx.Err() != nil && mc.active() == 0 {
 		mc.fail(fmt.Errorf("%w: connection retired after withdrawal", ErrConnLost))
 	}
 	return res, err
 }
 
-// enrollOnceV2 runs one offer on a reserved mux slot, start to release.
-func (e *Enroller) enrollOnceV2(ctx context.Context, mc *muxConn, enr core.Enrollment) (core.Result, error) {
+// converse runs one enrollment conversation on a reserved stream slot, start
+// to release: ENROLL, await OFFER-ACK, run the body here with its ops
+// proxied over the stream, BODY-DONE, await COMPLETE.
+func (e *Enroller) converse(ctx context.Context, mc *muxConn, enr core.Enrollment) (core.Result, error) {
 	st, err := mc.openStream()
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
@@ -765,19 +782,12 @@ func (e *Enroller) enrollOnceV2(ctx context.Context, mc *muxConn, enr core.Enrol
 		return core.Result{}, wrapErr(err)
 	}
 
-	// The withdraw path: unlike v1 — where cancellation severs the
-	// dedicated connection — a shared connection must stay up, so the
-	// watchdog sends a stream-addressed CANCEL instead. The host answers
-	// with the stream's terminal frame.
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	go func() {
-		select {
-		case <-ctx.Done():
-			_ = mc.write(wire.MsgCancel, st.id, 0, wire.Cancel{})
-		case <-watchDone:
-		}
-	}()
+	// The withdraw path. AfterFunc runs the withdraw whenever ctx ends before
+	// stop — including a ctx that was already done when the ENROLL went out,
+	// which must still be withdrawn or the host keeps a pending offer with
+	// no client behind it.
+	stop := context.AfterFunc(ctx, func() { mc.withdraw(st) })
+	defer stop()
 
 	// Await assignment (or rejection).
 	var ack wire.OfferAck
@@ -803,8 +813,6 @@ await:
 					return core.Result{}, ev.cm.Err.Err()
 				}
 				return core.Result{}, fmt.Errorf("%w: COMPLETE before OFFER-ACK", ErrConnLost)
-			case ev.typ == wire.MsgError:
-				return core.Result{}, fmt.Errorf("script/remote: host error: %s", ev.msg)
 			}
 		}
 	}
@@ -854,8 +862,6 @@ await:
 					res.Role = r
 				}
 				return res, nil
-			case ev.typ == wire.MsgError:
-				return core.Result{}, fmt.Errorf("script/remote: host error: %s", ev.msg)
 			}
 		}
 	}

@@ -34,6 +34,15 @@ func startHost(t *testing.T, target remote.Target, cfg remote.HostConfig) (*remo
 	return h, h.Addr().String()
 }
 
+// forEachProto runs a behaviour test once per wire protocol an enroller can
+// end up speaking — proto 0 is the default (v2, multiplexed), proto 1 pins
+// EnrollerConfig.MaxProtocolVersion to the v1 lock-step wire. Both ride the
+// same conversation state machine, so the assertions are the same.
+func forEachProto(t *testing.T, fn func(t *testing.T, proto int)) {
+	t.Run("default", func(t *testing.T) { fn(t, 0) })
+	t.Run("v1", func(t *testing.T) { fn(t, 1) })
+}
+
 func recipientBody(i int) core.RoleBody {
 	return func(rc core.Ctx) error {
 		v, err := rc.Recv(ids.Role(patterns.RoleSender))
@@ -132,7 +141,9 @@ func TestRemoteStarBroadcast(t *testing.T) {
 // TestRemoteSelectAndQueries drives the rest of the Ctx surface over the
 // wire: tagged sends, guarded Select with original-index mapping, RecvAny,
 // and the Terminated/Filled/FamilySize predicates.
-func TestRemoteSelectAndQueries(t *testing.T) {
+func TestRemoteSelectAndQueries(t *testing.T) { forEachProto(t, testRemoteSelectAndQueries) }
+
+func testRemoteSelectAndQueries(t *testing.T, proto int) {
 	def := core.NewScript("pair").
 		Role("a", func(rc core.Ctx) error { return errors.New("local body must not run") }).
 		Role("b", func(rc core.Ctx) error { return errors.New("local body must not run") }).
@@ -142,7 +153,7 @@ func TestRemoteSelectAndQueries(t *testing.T) {
 	in := core.NewInstance(def)
 	defer in.Close()
 	_, addr := startHost(t, in, remote.HostConfig{})
-	enr := remote.NewEnroller(addr, remote.EnrollerConfig{})
+	enr := remote.NewEnroller(addr, remote.EnrollerConfig{MaxProtocolVersion: proto})
 	defer enr.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -383,11 +394,13 @@ func TestRemoteDrainRejection(t *testing.T) {
 // TestRemoteHostDrain checks the graceful path end to end: a drain started
 // mid-performance lets the performance finish and delivers its COMPLETE
 // frames before the network side comes down.
-func TestRemoteHostDrain(t *testing.T) {
+func TestRemoteHostDrain(t *testing.T) { forEachProto(t, testRemoteHostDrain) }
+
+func testRemoteHostDrain(t *testing.T, proto int) {
 	in := core.NewInstance(patterns.StarBroadcast(1))
 	defer in.Close()
 	h, addr := startHost(t, in, remote.HostConfig{})
-	enr := remote.NewEnroller(addr, remote.EnrollerConfig{})
+	enr := remote.NewEnroller(addr, remote.EnrollerConfig{MaxProtocolVersion: proto})
 	defer enr.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -443,11 +456,13 @@ func TestRemoteHostDrain(t *testing.T) {
 
 // TestRemoteRoleError maps a failing client body onto *RoleError, exactly
 // as a failing local body would be.
-func TestRemoteRoleError(t *testing.T) {
+func TestRemoteRoleError(t *testing.T) { forEachProto(t, testRemoteRoleError) }
+
+func testRemoteRoleError(t *testing.T, proto int) {
 	in := core.NewInstance(patterns.StarBroadcast(1))
 	defer in.Close()
 	_, addr := startHost(t, in, remote.HostConfig{})
-	enr := remote.NewEnroller(addr, remote.EnrollerConfig{})
+	enr := remote.NewEnroller(addr, remote.EnrollerConfig{MaxProtocolVersion: proto})
 	defer enr.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -485,7 +500,9 @@ func TestRemoteRoleError(t *testing.T) {
 // TestRemoteAbortWhileIdle pins the ABORT notification: when a performance
 // deadline fires while the remote body idles between operations, its next
 // operation fails with the abort instead of hanging.
-func TestRemoteAbortWhileIdle(t *testing.T) {
+func TestRemoteAbortWhileIdle(t *testing.T) { forEachProto(t, testRemoteAbortWhileIdle) }
+
+func testRemoteAbortWhileIdle(t *testing.T, proto int) {
 	def := core.NewScript("idletrio").
 		Role("a", func(rc core.Ctx) error { return errors.New("local body must not run") }).
 		Role("b", func(rc core.Ctx) error { return errors.New("local body must not run") }).
@@ -496,7 +513,7 @@ func TestRemoteAbortWhileIdle(t *testing.T) {
 	in := core.NewInstance(def, core.WithPerformanceDeadline(200*time.Millisecond))
 	defer in.Close()
 	_, addr := startHost(t, in, remote.HostConfig{})
-	enr := remote.NewEnroller(addr, remote.EnrollerConfig{HeartbeatInterval: 50 * time.Millisecond})
+	enr := remote.NewEnroller(addr, remote.EnrollerConfig{HeartbeatInterval: 50 * time.Millisecond, MaxProtocolVersion: proto})
 	defer enr.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -555,11 +572,13 @@ func TestRemoteAbortWhileIdle(t *testing.T) {
 // TestRemoteWithdrawPendingOffer checks ctx cancellation on a pending
 // (unassigned) offer: the client returns the context error and the host
 // withdraws the offer, leaving the instance clean for the next cast.
-func TestRemoteWithdrawPendingOffer(t *testing.T) {
+func TestRemoteWithdrawPendingOffer(t *testing.T) { forEachProto(t, testRemoteWithdrawPendingOffer) }
+
+func testRemoteWithdrawPendingOffer(t *testing.T, proto int) {
 	in := core.NewInstance(patterns.StarBroadcast(1))
 	defer in.Close()
 	_, addr := startHost(t, in, remote.HostConfig{})
-	enr := remote.NewEnroller(addr, remote.EnrollerConfig{})
+	enr := remote.NewEnroller(addr, remote.EnrollerConfig{MaxProtocolVersion: proto})
 	defer enr.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())

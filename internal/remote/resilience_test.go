@@ -247,6 +247,10 @@ func TestConnectionCapShedsHandshake(t *testing.T) {
 // must be answered with DRAIN at once — not sit queued against a target
 // that is busy draining until the heartbeat timeout reaps it.
 func TestDrainShedsUnadmittedEnrollImmediately(t *testing.T) {
+	forEachProto(t, testDrainShedsUnadmittedEnrollImmediately)
+}
+
+func testDrainShedsUnadmittedEnrollImmediately(t *testing.T, proto int) {
 	in := core.NewInstance(patterns.StarBroadcast(1))
 	defer in.Close()
 	h, addr := startHost(t, in, remote.HostConfig{HeartbeatTimeout: 10 * time.Second})
@@ -255,7 +259,7 @@ func TestDrainShedsUnadmittedEnrollImmediately(t *testing.T) {
 	defer cancel()
 
 	// Pool an idle connection for the mid-drain probe.
-	prober := remote.NewEnroller(addr, remote.EnrollerConfig{})
+	prober := remote.NewEnroller(addr, remote.EnrollerConfig{MaxProtocolVersion: proto})
 	defer prober.Close()
 	warm := make(chan error, 1)
 	go func() { warm <- enrollRecipient(ctx, prober, "warmup") }()
@@ -270,7 +274,7 @@ func TestDrainShedsUnadmittedEnrollImmediately(t *testing.T) {
 	// Start an in-flight performance that holds the drain open.
 	started := make(chan struct{})
 	release := make(chan struct{})
-	blocker := remote.NewEnroller(addr, remote.EnrollerConfig{})
+	blocker := remote.NewEnroller(addr, remote.EnrollerConfig{MaxProtocolVersion: proto})
 	defer blocker.Close()
 	blocked := make(chan error, 1)
 	go func() {
@@ -466,23 +470,27 @@ func TestHalfOpenProbeRestoresHost(t *testing.T) {
 // TestHeartbeatPumpStopsOnHostClose is the goroutine-leak regression test
 // for the client heartbeat pump: with a pooled idle connection and an
 // hour-long heartbeat interval, the host closing the connection must stop
-// the pump (and the idle watcher) promptly. The old pump only exited when
-// a *write* failed — with nothing prompting a write for an hour, it
+// the pump (and the connection's reader) promptly. The old pump only exited
+// when a *write* failed — with nothing prompting a write for an hour, it
 // leaked.
 func TestHeartbeatPumpStopsOnHostClose(t *testing.T) {
+	forEachProto(t, testHeartbeatPumpStopsOnHostClose)
+}
+
+func testHeartbeatPumpStopsOnHostClose(t *testing.T, proto int) {
 	in := core.NewInstance(patterns.StarBroadcast(1))
 	defer in.Close()
 	h, addr := startHost(t, in, remote.HostConfig{})
 
 	base := runtime.NumGoroutine()
 
-	enr := remote.NewEnroller(addr, remote.EnrollerConfig{HeartbeatInterval: time.Hour})
+	enr := remote.NewEnroller(addr, remote.EnrollerConfig{HeartbeatInterval: time.Hour, MaxProtocolVersion: proto})
 	defer enr.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
 	// One full performance leaves the connection idle in the pool, its
-	// heartbeat pump and idle watcher running.
+	// heartbeat pump and reader running.
 	done := make(chan error, 1)
 	go func() { done <- enrollRecipient(ctx, enr, "leakcheck") }()
 	waitCond(t, "offer to go pending", func() bool { return in.PendingOffers() == 1 })

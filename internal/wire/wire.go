@@ -572,8 +572,8 @@ type Conn struct {
 	// syscalls. flushErr latches the first flush failure; every later
 	// WriteFrame returns it. All four fields are guarded by wmu except
 	// flushReq/quit, which are safe channels. The flusher starts lazily on
-	// the first WriteFrame (v1 connections never pay for it) and exits on
-	// Close.
+	// the first WriteFrame (a connection shed at the handshake never pays
+	// for it) and exits on Close.
 	dirty       bool
 	flushErr    error
 	flushReq    chan struct{}
@@ -592,10 +592,10 @@ type Conn struct {
 	// a handshake says otherwise). It selects the payload codec used by
 	// WriteFrame/ReadFrame.
 	version int
-	// rbuf is ReadFrame's reused frame buffer: each v2 frame is decoded
-	// (fully copied into its message struct) before the next read, so one
-	// buffer per connection suffices. v1's ReadMsg must NOT use it — v1
-	// callers retain raw payloads across reads.
+	// rbuf is ReadFrame's reused frame buffer: each frame is decoded (fully
+	// copied into its message struct) before the next read, so one buffer
+	// per connection suffices. ReadMsg must NOT use it — its callers retain
+	// raw payloads across reads.
 	rbuf []byte
 
 	readTimeout  time.Duration
@@ -646,21 +646,6 @@ func (c *Conn) SetFrameDelay(fn func() time.Duration) { c.frameDelay = fn }
 
 // RemoteAddr returns the peer's network address.
 func (c *Conn) RemoteAddr() net.Addr { return c.nc.RemoteAddr() }
-
-// BreakRead forces a concurrently blocked ReadMsg to return with a timeout
-// error by setting an already-expired read deadline. The enroller's idle
-// watcher uses it to reclaim a pooled connection from its watch read; pair
-// with UnbreakRead once the blocked read has returned.
-func (c *Conn) BreakRead() { _ = c.nc.SetReadDeadline(time.Unix(1, 0)) }
-
-// UnbreakRead clears a deadline installed by BreakRead. (A Conn with a
-// read timeout re-arms its deadline on every ReadMsg anyway.)
-func (c *Conn) UnbreakRead() { _ = c.nc.SetReadDeadline(time.Time{}) }
-
-// Buffered reports bytes received but not yet consumed by ReadMsg. A
-// connection reclaimed from an idle watch with buffered bytes was mid-frame
-// and must be treated as unusable.
-func (c *Conn) Buffered() int { return c.br.Buffered() }
 
 // Close closes the underlying connection after a bounded best-effort
 // flush of any frames still buffered (a protocol-error frame written just
