@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,7 +14,6 @@ import (
 	"github.com/scriptabs/goscript/internal/metrics"
 	"github.com/scriptabs/goscript/internal/registry"
 	"github.com/scriptabs/goscript/internal/trace"
-	"github.com/scriptabs/goscript/internal/wire"
 )
 
 var (
@@ -829,277 +827,4 @@ func (e *Enroller) enrollOnce(ctx context.Context, hs *hostState, enr core.Enrol
 		return core.Result{}, err
 	}
 	return e.enrollMux(ctx, mc, enr)
-}
-
-// runClientBody runs the body with the same panic containment the local
-// scheduler applies: a panicking body surfaces as an error, not a crash of
-// the enrolling process's runtime.
-func runClientBody(body core.RoleBody, rc core.Ctx) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("script: role body panicked: %v", r)
-		}
-	}()
-	return body(rc)
-}
-
-// effectiveHeartbeat guards against the classic config footgun: a client
-// heartbeat interval at or above the host's silence bound makes every
-// healthy idle connection look severed. The host advertises its timeout in
-// the handshake (0 = host predates the advert, negative = timeout
-// disabled); a too-slow interval is clamped to a third of it, so one
-// lost-in-transit heartbeat never costs the connection.
-func effectiveHeartbeat(interval time.Duration, hostTimeoutMS int64) time.Duration {
-	if hostTimeoutMS <= 0 {
-		return interval
-	}
-	timeout := time.Duration(hostTimeoutMS) * time.Millisecond
-	if interval < timeout {
-		return interval
-	}
-	if clamped := timeout / 3; clamped > 0 {
-		return clamped
-	}
-	return time.Millisecond
-}
-
-// dialRaw establishes and handshakes one connection, negotiating up to
-// maxVer; v2-capable dials ask for session resumption (granted in the ack
-// only when the host has a resume window configured). Failures wrap
-// ErrDialFailed — except an overload rejection of the handshake itself
-// (the host's connection cap), which surfaces as the *core.OverloadError
-// it is.
-func (e *Enroller) dialRaw(ctx context.Context, addr string, maxVer int) (*wire.Conn, wire.HelloAck, error) {
-	d := net.Dialer{Timeout: e.cfg.DialTimeout}
-	nc, err := d.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, wire.HelloAck{}, cerr
-		}
-		return nil, wire.HelloAck{}, fmt.Errorf("%w: %s: %v", ErrDialFailed, addr, err)
-	}
-	c := wire.NewConn(nc)
-	if e.cfg.Faults != nil {
-		c.SetFrameDelay(e.cfg.Faults.FrameDelay)
-	}
-	ack, err := wire.ClientHandshakeResume(c, e.cfg.Script, maxVer, maxVer >= 2)
-	if err != nil {
-		c.Close()
-		if errors.Is(err, core.ErrOverloaded) {
-			return nil, wire.HelloAck{}, err
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, wire.HelloAck{}, cerr
-		}
-		return nil, wire.HelloAck{}, fmt.Errorf("%w: %s: %v", ErrDialFailed, addr, err)
-	}
-	return c, ack, nil
-}
-
-// remoteCtx is the client-side Ctx: the body's view of a performance whose
-// coordination state lives in the serving process. Every communication and
-// predicate is one request/response exchange; data parameters and results
-// stay local (they cross the wire at ENROLL and BODY-DONE).
-type remoteCtx struct {
-	core.ParamBag
-	ctx  context.Context
-	st   *muxStream
-	role ids.RoleRef
-	pid  ids.PID
-	perf int
-	// abortErr, once set, fails every subsequent operation locally: the
-	// host told us (via ABORT or an operation result) that the performance
-	// was aborted. Mirrors the local semantics — the body keeps running,
-	// its communications fail.
-	abortErr error
-	// tid is the performance's trace ID (echoed by the host's OFFER-ACK, or
-	// the client-minted one against a pre-tracing host); tr and script feed
-	// the client-side event recording of traced calls. All zero/nil when
-	// the call is untraced.
-	tid    trace.TraceID
-	tr     trace.Tracer
-	script string
-}
-
-// bindTrace wires the client-side tracing of one assigned enrollment: the
-// host's echoed trace ID wins (it is the performance's canonical ID), the
-// client-minted one is the fallback against hosts that predate tracing.
-func (e *Enroller) bindTrace(r *remoteCtx, ackID string, minted trace.TraceID) {
-	r.tid, _ = trace.ParseTraceID(ackID)
-	if r.tid == 0 {
-		r.tid = minted
-	}
-	r.tr = e.cfg.Tracer
-	r.script = e.cfg.Script
-}
-
-// trace records a client-side event of a traced call, stamping the shared
-// performance identity; a no-op when the call is untraced or no Tracer is
-// configured.
-func (r *remoteCtx) trace(e trace.Event) {
-	if r.tr == nil || r.tid == 0 {
-		return
-	}
-	e.TraceID = r.tid
-	e.Script = r.script
-	e.Performance = r.perf
-	e.Role = r.role
-	e.PID = r.pid
-	r.tr.Record(e)
-}
-
-// TraceID returns the performance's trace ID (zero when untraced).
-func (r *remoteCtx) TraceID() trace.TraceID { return r.tid }
-
-var _ core.Ctx = (*remoteCtx)(nil)
-
-func (r *remoteCtx) Context() context.Context { return r.ctx }
-func (r *remoteCtx) Role() ids.RoleRef        { return r.role }
-func (r *remoteCtx) Index() int               { return r.role.Index }
-func (r *remoteCtx) PID() ids.PID             { return r.pid }
-func (r *remoteCtx) Performance() int         { return r.perf }
-
-// op runs one operation exchange on the enrollment's stream — a
-// sequence-matched request the host answers with exactly one OP-RESULT —
-// mapping the outcome onto the local runtime's abort/cancel semantics.
-func (r *remoteCtx) op(t wire.MsgType, req any) (wire.OpResult, error) {
-	if r.abortErr != nil {
-		return wire.OpResult{}, r.abortErr
-	}
-	if err := r.ctx.Err(); err != nil {
-		return wire.OpResult{}, err
-	}
-	if aerr := r.st.abortError(); aerr != nil {
-		r.abortErr = aerr
-		return wire.OpResult{}, aerr
-	}
-	res, err := r.st.op(r.ctx, t, req)
-	if err != nil {
-		if errors.Is(err, ErrConnLost) {
-			if cerr := r.ctx.Err(); cerr != nil {
-				return wire.OpResult{}, cerr
-			}
-		}
-		if errors.Is(err, core.ErrPerformanceAborted) {
-			r.abortErr = err
-		}
-		return wire.OpResult{}, err
-	}
-	if res.Err != nil {
-		opErr := res.Err.Err()
-		if errors.Is(opErr, core.ErrPerformanceAborted) {
-			r.abortErr = opErr
-		}
-		return wire.OpResult{}, opErr
-	}
-	return res, nil
-}
-
-func (r *remoteCtx) Send(to ids.RoleRef, v any) error { return r.SendTag(to, "", v) }
-
-func (r *remoteCtx) SendTag(to ids.RoleRef, tag string, v any) error {
-	_, err := r.op(wire.MsgSend, wire.Send{To: to.String(), Tag: tag, Val: v})
-	if err == nil {
-		r.trace(trace.Event{Kind: trace.KindSend, Peer: to, Detail: tag})
-	}
-	return err
-}
-
-func (r *remoteCtx) SendAll(tos []ids.RoleRef, v any) error {
-	if len(tos) == 0 {
-		return nil
-	}
-	wtos := make([]string, len(tos))
-	for i, to := range tos {
-		wtos[i] = to.String()
-	}
-	_, err := r.op(wire.MsgSendAll, wire.SendAll{Tos: wtos, Val: v})
-	if err == nil {
-		for _, to := range tos {
-			r.trace(trace.Event{Kind: trace.KindSend, Peer: to})
-		}
-	}
-	return err
-}
-
-func (r *remoteCtx) Recv(from ids.RoleRef) (any, error) { return r.RecvTag(from, "") }
-
-func (r *remoteCtx) RecvTag(from ids.RoleRef, tag string) (any, error) {
-	res, err := r.op(wire.MsgRecv, wire.Recv{From: from.String(), Tag: tag})
-	if err != nil {
-		return nil, err
-	}
-	r.trace(trace.Event{Kind: trace.KindRecv, Peer: from, Detail: tag})
-	return res.Val, nil
-}
-
-func (r *remoteCtx) RecvAny() (ids.RoleRef, string, any, error) {
-	res, err := r.op(wire.MsgRecvAny, wire.Recv{})
-	if err != nil {
-		return ids.RoleRef{}, "", nil, err
-	}
-	from, perr := wire.DecodeRoleRef(res.Peer)
-	if perr != nil {
-		return ids.RoleRef{}, "", nil, fmt.Errorf("script/remote: bad peer %q: %v", res.Peer, perr)
-	}
-	r.trace(trace.Event{Kind: trace.KindRecv, Peer: from, Detail: res.Tag})
-	return from, res.Tag, res.Val, nil
-}
-
-func (r *remoteCtx) Select(branches ...core.SelectBranch) (core.Selected, error) {
-	wbs := make([]wire.SelectBranch, 0, len(branches))
-	for i, b := range branches {
-		if !b.Enabled() {
-			continue
-		}
-		peer, anyPeer := b.BranchPeer()
-		wb := wire.SelectBranch{
-			Send:    b.IsSend(),
-			AnyPeer: anyPeer,
-			Tag:     b.BranchTag(),
-			Val:     b.BranchValue(),
-			Index:   i,
-		}
-		if !anyPeer {
-			wb.Peer = peer.String()
-		}
-		wbs = append(wbs, wb)
-	}
-	// All guards false is decided locally, as in the local runtime: no
-	// round trip, no fabric involvement.
-	if len(wbs) == 0 {
-		return core.Selected{}, core.ErrNoBranches
-	}
-	res, err := r.op(wire.MsgSelect, wire.Select{Branches: wbs})
-	if err != nil {
-		return core.Selected{}, err
-	}
-	peer, perr := wire.DecodeRoleRef(res.Peer)
-	if perr != nil {
-		return core.Selected{}, fmt.Errorf("script/remote: bad peer %q: %v", res.Peer, perr)
-	}
-	kind := trace.KindRecv
-	if res.Index >= 0 && res.Index < len(branches) && branches[res.Index].IsSend() {
-		kind = trace.KindSend
-	}
-	r.trace(trace.Event{Kind: kind, Peer: peer, Detail: res.Tag})
-	return core.Selected{Index: res.Index, Peer: peer, Tag: res.Tag, Val: res.Val}, nil
-}
-
-func (r *remoteCtx) Terminated(role ids.RoleRef) bool {
-	res, err := r.op(wire.MsgQuery, wire.Query{Kind: wire.QueryTerminated, Role: role.String()})
-	return err == nil && res.Bool
-}
-
-func (r *remoteCtx) Filled(role ids.RoleRef) bool {
-	res, err := r.op(wire.MsgQuery, wire.Query{Kind: wire.QueryFilled, Role: role.String()})
-	return err == nil && res.Bool
-}
-
-func (r *remoteCtx) FamilySize(name string) int {
-	res, err := r.op(wire.MsgQuery, wire.Query{Kind: wire.QueryFamilySize, Name: name})
-	if err != nil {
-		return 0
-	}
-	return res.N
 }

@@ -5,11 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"net"
 	"sync"
 	"time"
 
 	"github.com/scriptabs/goscript/internal/core"
-	"github.com/scriptabs/goscript/internal/trace"
 	"github.com/scriptabs/goscript/internal/wire"
 )
 
@@ -731,138 +731,55 @@ func (e *Enroller) acquireMux(ctx context.Context, hs *hostState) (*muxConn, err
 	return mc, nil
 }
 
-// enrollMux runs one offer on a reserved stream slot and applies the
-// withdraw-retirement policy: a connection is retired once a withdrawn
-// enrollment was its last user, so a withdrawn enroller never pins a host
-// connection slot (caps and observable connection counts then behave
-// identically whether or not the connection was shared).
-func (e *Enroller) enrollMux(ctx context.Context, mc *muxConn, enr core.Enrollment) (core.Result, error) {
-	res, err := e.converse(ctx, mc, enr)
-	if err != nil && ctx.Err() != nil && mc.active() == 0 {
-		mc.fail(fmt.Errorf("%w: connection retired after withdrawal", ErrConnLost))
+// effectiveHeartbeat guards against the classic config footgun: a client
+// heartbeat interval at or above the host's silence bound makes every
+// healthy idle connection look severed. The host advertises its timeout in
+// the handshake (0 = host predates the advert, negative = timeout
+// disabled); a too-slow interval is clamped to a third of it, so one
+// lost-in-transit heartbeat never costs the connection.
+func effectiveHeartbeat(interval time.Duration, hostTimeoutMS int64) time.Duration {
+	if hostTimeoutMS <= 0 {
+		return interval
 	}
-	return res, err
+	timeout := time.Duration(hostTimeoutMS) * time.Millisecond
+	if interval < timeout {
+		return interval
+	}
+	if clamped := timeout / 3; clamped > 0 {
+		return clamped
+	}
+	return time.Millisecond
 }
 
-// converse runs one enrollment conversation on a reserved stream slot, start
-// to release: ENROLL, await OFFER-ACK, run the body here with its ops
-// proxied over the stream, BODY-DONE, await COMPLETE.
-func (e *Enroller) converse(ctx context.Context, mc *muxConn, enr core.Enrollment) (core.Result, error) {
-	st, err := mc.openStream()
+// dialRaw establishes and handshakes one connection, negotiating up to
+// maxVer; v2-capable dials ask for session resumption (granted in the ack
+// only when the host has a resume window configured). Failures wrap
+// ErrDialFailed — except an overload rejection of the handshake itself
+// (the host's connection cap), which surfaces as the *core.OverloadError
+// it is.
+func (e *Enroller) dialRaw(ctx context.Context, addr string, maxVer int) (*wire.Conn, wire.HelloAck, error) {
+	d := net.Dialer{Timeout: e.cfg.DialTimeout}
+	nc, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
-			return core.Result{}, cerr
+			return nil, wire.HelloAck{}, cerr
 		}
-		return core.Result{}, err
+		return nil, wire.HelloAck{}, fmt.Errorf("%w: %s: %v", ErrDialFailed, addr, err)
 	}
-	defer mc.closeStream(st)
-
-	wrapErr := func(err error) error {
+	c := wire.NewConn(nc)
+	if e.cfg.Faults != nil {
+		c.SetFrameDelay(e.cfg.Faults.FrameDelay)
+	}
+	ack, err := wire.ClientHandshakeResume(c, e.cfg.Script, maxVer, maxVer >= 2)
+	if err != nil {
+		c.Close()
+		if errors.Is(err, core.ErrOverloaded) {
+			return nil, wire.HelloAck{}, err
+		}
 		if cerr := ctx.Err(); cerr != nil {
-			return cerr
+			return nil, wire.HelloAck{}, cerr
 		}
-		if errors.Is(err, ErrConnLost) {
-			return err
-		}
-		return fmt.Errorf("%w: %v", ErrConnLost, err)
+		return nil, wire.HelloAck{}, fmt.Errorf("%w: %s: %v", ErrDialFailed, addr, err)
 	}
-
-	msg := wire.Enroll{
-		PID:     string(enr.PID),
-		Role:    enr.Role.String(),
-		Args:    enr.Args,
-		With:    wire.EncodeWith(enr.With),
-		TraceID: enr.TraceID.String(),
-	}
-	if !enr.Deadline.IsZero() {
-		msg.DeadlineMS = enr.Deadline.UnixMilli()
-	}
-	if err := mc.write(wire.MsgEnroll, st.id, 0, msg); err != nil {
-		mc.fail(fmt.Errorf("%w: %v", ErrConnLost, err))
-		return core.Result{}, wrapErr(err)
-	}
-
-	// The withdraw path. AfterFunc runs the withdraw whenever ctx ends before
-	// stop — including a ctx that was already done when the ENROLL went out,
-	// which must still be withdrawn or the host keeps a pending offer with
-	// no client behind it.
-	stop := context.AfterFunc(ctx, func() { mc.withdraw(st) })
-	defer stop()
-
-	// Await assignment (or rejection).
-	var ack wire.OfferAck
-await:
-	for {
-		select {
-		case <-ctx.Done():
-			return core.Result{}, ctx.Err()
-		case ev := <-st.events:
-			switch {
-			case ev.err != nil:
-				return core.Result{}, wrapErr(ev.err)
-			case ev.typ == wire.MsgOfferAck:
-				ack = ev.ack
-				break await
-			case ev.typ == wire.MsgDrain:
-				return core.Result{}, core.ErrDraining
-			case ev.typ == wire.MsgComplete:
-				if ev.cm.Err != nil {
-					if cerr := ctx.Err(); cerr != nil {
-						return core.Result{}, cerr
-					}
-					return core.Result{}, ev.cm.Err.Err()
-				}
-				return core.Result{}, fmt.Errorf("%w: COMPLETE before OFFER-ACK", ErrConnLost)
-			}
-		}
-	}
-
-	role := enr.Role
-	if r, err := wire.DecodeRoleRef(ack.Role); err == nil {
-		role = r
-	}
-	rctx := &remoteCtx{
-		ParamBag: core.ParamBag{In: enr.Args},
-		ctx:      ctx,
-		st:       st,
-		role:     role,
-		pid:      enr.PID,
-		perf:     ack.Performance,
-	}
-	e.bindTrace(rctx, ack.TraceID, enr.TraceID)
-	rctx.trace(trace.Event{Kind: trace.KindStart})
-	bodyErr := runClientBody(enr.Body, rctx)
-	rctx.trace(trace.Event{Kind: trace.KindFinish})
-	if err := mc.write(wire.MsgBodyDone, st.id, 0, wire.BodyDone{
-		Results: rctx.Out,
-		Err:     wire.EncodeError(bodyErr),
-	}); err != nil {
-		mc.fail(fmt.Errorf("%w: %v", ErrConnLost, err))
-		return core.Result{}, wrapErr(err)
-	}
-
-	// Await release.
-	for {
-		select {
-		case <-ctx.Done():
-			return core.Result{}, ctx.Err()
-		case ev := <-st.events:
-			switch {
-			case ev.err != nil:
-				return core.Result{}, wrapErr(ev.err)
-			case ev.typ == wire.MsgComplete:
-				if ev.cm.Err != nil {
-					if cerr := ctx.Err(); cerr != nil {
-						return core.Result{}, cerr
-					}
-					return core.Result{}, ev.cm.Err.Err()
-				}
-				res := core.Result{Performance: ev.cm.Performance, Role: role, Values: ev.cm.Values, TraceID: rctx.tid}
-				if r, err := wire.DecodeRoleRef(ev.cm.Role); err == nil {
-					res.Role = r
-				}
-				return res, nil
-			}
-		}
-	}
+	return c, ack, nil
 }
