@@ -121,7 +121,7 @@ type rawClient struct {
 	proto int
 }
 
-func dialRaw(t *testing.T, addr, script string, proto int) *rawClient {
+func dialRawClient(t *testing.T, addr, script string, proto int) *rawClient {
 	t.Helper()
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -199,7 +199,7 @@ func TestOperationFlood(t *testing.T) {
 				aErr <- err
 			}()
 
-			b := dialRaw(t, addr, "flood", proto)
+			b := dialRawClient(t, addr, "flood", proto)
 			b.write(wire.MsgEnroll, 1, 0, wire.Enroll{PID: "B", Role: "b"})
 			b.await(wire.MsgOfferAck)
 			recv := wire.Recv{From: "a"}

@@ -591,6 +591,13 @@ func (st *muxStream) op(ctx context.Context, t wire.MsgType, req any) (wire.OpRe
 	}
 }
 
+// isClosed reports whether Close has been called.
+func (e *Enroller) isClosed() bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.closed
+}
+
 // maxStreams is the per-connection stream cap.
 func (e *Enroller) maxStreams() int {
 	if e.cfg.MaxStreamsPerConn > 0 {
@@ -672,10 +679,7 @@ func (hs *hostState) retireMuxes() {
 // room, else on a freshly dialed one, whichever protocol version the host
 // negotiates.
 func (e *Enroller) acquireMux(ctx context.Context, hs *hostState) (*muxConn, error) {
-	e.mu.Lock()
-	closed := e.closed
-	e.mu.Unlock()
-	if closed {
+	if e.isClosed() {
 		return nil, core.ErrClosed
 	}
 	// Existing capacity first: no dial, no lock beyond the pool scan.
@@ -714,10 +718,7 @@ func (e *Enroller) acquireMux(ctx context.Context, hs *hostState) (*muxConn, err
 		mc.sess = wire.NewSession(c, ack.ResumeToken, 0)
 		mc.resumeWindow = time.Duration(ack.ResumeWindowMS) * time.Millisecond
 		mc.redial = func(rctx context.Context) (*wire.Conn, error) {
-			e.mu.Lock()
-			closed := e.closed
-			e.mu.Unlock()
-			if closed {
+			if e.isClosed() {
 				return nil, core.ErrClosed
 			}
 			rc, _, rerr := e.dialRaw(rctx, hs.addr, e.maxProto())
