@@ -27,7 +27,6 @@ import (
 	"fmt"
 
 	"github.com/scriptabs/goscript/internal/ids"
-	"github.com/scriptabs/goscript/internal/match"
 )
 
 // Initiation selects when a performance begins (Section II).
@@ -289,35 +288,6 @@ func (d Definition) closedRoles() ids.RoleSet {
 		}
 	}
 	return s
-}
-
-// matchProblem assembles the matching problem for the pending offers.
-func (d Definition) matchProblem(offers []match.Offer, fairness match.Fairness, seed int64) match.Problem {
-	universe := d.closedRoles()
-	for _, o := range offers {
-		universe.Add(o.Role) // admit open-family members on offer
-	}
-	return match.Problem{
-		Roles:        universe,
-		CriticalSets: d.criticalSets,
-		Offers:       offers,
-		Fairness:     fairness,
-		Seed:         seed,
-	}
-}
-
-// covered reports whether the filled set satisfies a critical set (or the
-// default whole-collection criterion).
-func (d Definition) covered(filled ids.RoleSet) bool {
-	if len(d.criticalSets) == 0 {
-		return d.closedRoles().SubsetOf(filled)
-	}
-	for _, cs := range d.criticalSets {
-		if cs.SubsetOf(filled) {
-			return true
-		}
-	}
-	return false
 }
 
 // bodyFor returns the body of the role r; checkRole must have succeeded.

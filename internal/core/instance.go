@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -166,10 +167,25 @@ type Instance struct {
 	// cancellations (WithFaultInjection; see internal/chaos).
 	faults FaultInjector
 
+	// Formation tables: what forming a cast needs and the definition fixes,
+	// computed once by NewInstance instead of once per performance. The
+	// definition is immutable after Build and the tables are only read
+	// (match.Find reads universe too), so every performance shares them.
+	//
+	// roles is the closed role universe — scalar roles and the members of
+	// fixed-size families — in ids order; a role's index in it is its slot.
+	// universe is the same as a set, addrs[slot] the role's fabric address,
+	// base maps a role or family name to the slot of the scalar or of member
+	// 1 (open families have no entry: their members have no slot).
+	roles    []ids.RoleRef
+	universe ids.RoleSet
+	addrs    []rendezvous.Addr
+	base     map[string]int
 	// critSets are the effective critical sets: the declared ones, or the
-	// statically-known role universe when none were declared. Used for the
-	// cheap match-viability precheck.
+	// closed universe when none were declared — open families never take
+	// part in the default. critOf[slot] lists the sets role slot belongs to.
 	critSets []ids.RoleSet
+	critOf   [][]int
 
 	// load counts enrollments in flight (pending, playing, or held), for
 	// Pool dispatch. Kept outside mu so Load() never contends.
@@ -196,20 +212,27 @@ type Instance struct {
 	active    *performance
 	perfCount int
 
-	// pendingByRole counts pending offers per role, maintained on every
-	// pending-set mutation; the delayed-initiation matcher consults it to
-	// skip match.Find when no critical set can possibly be covered.
-	pendingByRole map[ids.RoleRef]int
+	// pendingBySlot counts pending offers per closed role and pendingOpen
+	// per offered open-family member, maintained on every pending-set
+	// mutation; critMissing[i] is the number of roles of critSets[i] with no
+	// pending offer. The delayed-initiation matcher skips match.Find unless
+	// some critMissing is zero — no critical set can be covered otherwise.
+	pendingBySlot []int
+	pendingOpen   map[ids.RoleRef]int
+	critMissing   []int
+	// offerBuf and castBuf are scratch lists reused across match attempts
+	// (match.Find copies what it returns) and performance starts.
+	offerBuf []match.Offer
+	castBuf  []*enrollState
 	// offersDirty records whether the pending set changed since the last
 	// failed match attempt; when false, re-running match.Find is pointless
 	// (match existence depends only on the offer set).
 	offersDirty bool
-	// Admission-order cache (immediate initiation): valid while the pending
-	// set is unchanged and the performance number matches (Arbitrary
-	// fairness shuffles once per performance).
-	admitOrder []*enrollState
-	admitDirty bool
-	admitPerf  int
+	// critUnfilled[i] is the number of roles of critSets[i] the active
+	// open-membership performance (immediate initiation) has yet to fill;
+	// membership closes when one reaches zero. Per instance, because an
+	// instance runs one performance at a time.
+	critUnfilled []int
 }
 
 type enrollPhase int
@@ -222,13 +245,14 @@ const (
 
 type enrollState struct {
 	offer    match.Offer
+	slot     int // the role's slot in Instance.roles, -1 for an open-family member
 	args     []any
 	ctx      context.Context
 	deadline time.Time     // Enrollment.Deadline; zero = none
 	traceID  trace.TraceID // Enrollment.TraceID; zero = none
 	phase    enrollPhase
 	perf     *performance
-	rc       *RoleCtx
+	rc       RoleCtx // filled in when the offer is assigned
 	// wake receives exactly one signal, when the offer is assigned to a
 	// performance. Withdrawal and instance closure are observed through
 	// ctx.Done and the instance's closedCh instead.
@@ -239,19 +263,22 @@ type enrollState struct {
 type performance struct {
 	number   int
 	fabric   *rendezvous.Fabric
-	ctx      context.Context
-	cancel   context.CancelFunc
 	assigned match.Assignment
 	finished ids.RoleSet
-	absent   ids.RoleSet
 	// membershipClosed is set when the filled roles cover a critical set
 	// (immediate initiation) or at the atomic match (delayed initiation).
 	membershipClosed bool
-	done             bool
+	// While membership is open (immediate initiation): admitSeen is the ID
+	// of the last offer an admission pass has considered, and constrained
+	// records whether any member carries a partner constraint.
+	admitSeen   uint64
+	constrained bool
+	done        bool
 	// doneCh is closed when the performance ends; delayed-termination
 	// holders wait on it.
 	doneCh chan struct{}
-	// openMax tracks, per open-ended family, the largest enrolled index.
+	// openMax tracks, per open-ended family, the largest enrolled index;
+	// nil until a member of one is assigned.
 	openMax map[string]int
 	// deadline is the earliest abort deadline in force (instance-level
 	// performance deadline or an assigned enrollment's deadline); zero =
@@ -276,18 +303,40 @@ var fabricPool = sync.Pool{New: func() any { return rendezvous.New() }}
 // NewInstance creates an instance of def.
 func NewInstance(def Definition, opts ...Option) *Instance {
 	in := &Instance{
-		def:           def,
-		tracer:        trace.Nop{},
-		nopTrace:      true,
-		fairness:      match.FIFO,
-		closedCh:      make(chan struct{}),
-		drainCh:       make(chan struct{}),
-		pendingByRole: make(map[ids.RoleRef]int),
+		def:         def,
+		tracer:      trace.Nop{},
+		nopTrace:    true,
+		fairness:    match.FIFO,
+		closedCh:    make(chan struct{}),
+		drainCh:     make(chan struct{}),
+		universe:    def.closedRoles(),
+		base:        make(map[string]int),
+		pendingOpen: make(map[ids.RoleRef]int),
+	}
+	in.roles = in.universe.Sorted()
+	in.addrs = make([]rendezvous.Addr, len(in.roles))
+	for slot, r := range in.roles {
+		in.addrs[slot] = rendezvous.Addr(r.String())
+		if _, seen := in.base[r.Name]; !seen {
+			in.base[r.Name] = slot // the scalar, or member 1: ids order is by index
+		}
 	}
 	in.critSets = def.criticalSets
 	if len(in.critSets) == 0 {
-		in.critSets = []ids.RoleSet{def.closedRoles()}
+		in.critSets = []ids.RoleSet{in.universe}
 	}
+	in.critOf = make([][]int, len(in.roles))
+	in.critMissing = make([]int, len(in.critSets))
+	in.critUnfilled = make([]int, len(in.critSets))
+	for i, cs := range in.critSets {
+		in.critMissing[i] = len(cs)
+		for r := range cs {
+			if slot := in.slotOf(r); slot >= 0 {
+				in.critOf[slot] = append(in.critOf[slot], i)
+			}
+		}
+	}
+	in.pendingBySlot = make([]int, len(in.roles))
 	for _, o := range opts {
 		o(in)
 	}
@@ -348,7 +397,6 @@ func (in *Instance) Close() {
 			in.active.timer.Stop()
 			in.active.timer = nil
 		}
-		in.active.cancel()
 		in.active.fabric.Close()
 	}
 	close(in.closedCh)
@@ -471,6 +519,7 @@ func (in *Instance) Enroll(ctx context.Context, e Enrollment) (Result, error) {
 	in.nextOffer++
 	st := &enrollState{
 		offer:    match.Offer{ID: in.nextOffer, PID: e.PID, Role: e.Role, With: clonePartners(e.With)},
+		slot:     in.slotOf(e.Role),
 		args:     append([]any(nil), e.Args...),
 		ctx:      ctx,
 		deadline: e.Deadline,
@@ -516,7 +565,7 @@ func (in *Instance) Enroll(ctx context.Context, e Enrollment) (Result, error) {
 			return Result{}, err
 		}
 	}
-	perf, rc := st.perf, st.rc
+	perf, rc := st.perf, &st.rc
 	in.mu.Unlock()
 
 	body := in.def.bodyFor(e.Role)
@@ -532,7 +581,7 @@ func (in *Instance) Enroll(ctx context.Context, e Enrollment) (Result, error) {
 	})
 	perf.finished.Add(e.Role)
 	if perf.fabric != nil {
-		perf.fabric.Terminate(addrOf(e.Role))
+		perf.fabric.Terminate(rc.addr)
 	}
 	if perf.membershipClosed && perf.finished.Len() == len(perf.assigned) {
 		in.finishPerformanceLocked(perf)
@@ -591,19 +640,22 @@ func runBody(body RoleBody, rc *RoleCtx) (err error) {
 	return body(rc)
 }
 
+// clonePartners copies an enrollment's partner constraints, dropping nil
+// sets: a nil set is no constraint (ids.PIDSet.Contains, and the wire
+// encoding, which cannot carry one), so an offer is constrained exactly when
+// its With is non-empty.
 func clonePartners(w map[ids.RoleRef]ids.PIDSet) map[ids.RoleRef]ids.PIDSet {
-	if len(w) == 0 {
-		return nil
-	}
-	out := make(map[ids.RoleRef]ids.PIDSet, len(w))
+	var out map[ids.RoleRef]ids.PIDSet
 	for r, s := range w {
 		if s == nil {
-			out[r] = nil
 			continue
 		}
 		cs := make(ids.PIDSet, len(s))
 		for p := range s {
 			cs[p] = struct{}{}
+		}
+		if out == nil {
+			out = make(map[ids.RoleRef]ids.PIDSet, len(w))
 		}
 		out[r] = cs
 	}
@@ -655,9 +707,8 @@ func (in *Instance) advanceLocked() {
 // tryMatchLocked runs the delayed-initiation matcher incrementally: only
 // when the offer set changed since the last failed attempt (withdrawals and
 // spurious wakeups cannot create a match), and only when every role of some
-// critical set has at least one pending offer (a cheap, allocation-free
-// necessary condition maintained in pendingByRole). It reports whether a
-// performance was started.
+// critical set has at least one pending offer (a necessary condition, kept
+// up to date in critMissing). It reports whether a performance was started.
 func (in *Instance) tryMatchLocked() bool {
 	if !in.offersDirty {
 		return false
@@ -666,15 +717,32 @@ func (in *Instance) tryMatchLocked() bool {
 	if !in.matchViableLocked() {
 		return false
 	}
-	offers := make([]match.Offer, 0, len(in.pending))
+	// The role collection is the closed universe, shared and never written,
+	// and "no critical set declared" then means what match.Find takes it to
+	// mean. Only an attempt that is actually offered an open-family member
+	// pays for a widened copy, and names the effective critical sets with
+	// it: an offered open member is never critical by default.
+	offers, universe, crit := in.offerBuf[:0], in.universe, in.def.criticalSets
 	for _, st := range in.pending {
 		if st.ctx.Err() != nil {
 			continue // being withdrawn by its enroller
 		}
 		offers = append(offers, st.offer)
+		if st.slot < 0 {
+			if len(universe) == len(in.universe) {
+				universe, crit = universe.Clone(), in.critSets
+			}
+			universe.Add(st.offer.Role)
+		}
 	}
-	p := in.def.matchProblem(offers, in.fairness, in.seed+int64(in.perfCount))
-	asg, ok := match.Find(p)
+	in.offerBuf = offers[:0]
+	asg, ok := match.Find(match.Problem{
+		Roles:        universe,
+		CriticalSets: crit,
+		Offers:       offers,
+		Fairness:     in.fairness,
+		Seed:         in.seed + int64(in.perfCount),
+	})
 	if !ok {
 		return false
 	}
@@ -684,21 +752,9 @@ func (in *Instance) tryMatchLocked() bool {
 
 // matchViableLocked reports whether some critical set has every role covered
 // by at least one pending offer — a necessary condition for match.Find to
-// succeed, checked without allocating.
+// succeed.
 func (in *Instance) matchViableLocked() bool {
-	for _, cs := range in.critSets {
-		ok := true
-		for r := range cs {
-			if in.pendingByRole[r] == 0 {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(in.critMissing, 0)
 }
 
 // startPerformanceLocked opens performance number perfCount+1. asg is the
@@ -706,7 +762,6 @@ func (in *Instance) matchViableLocked() bool {
 // or nil for immediate initiation (membership stays open for admission).
 func (in *Instance) startPerformanceLocked(asg match.Assignment) {
 	in.perfCount++
-	ctx, cancel := context.WithCancel(context.Background())
 	fab := fabricPool.Get().(*rendezvous.Fabric)
 	if ff, ok := in.faults.(rendezvous.FastFaults); ok && in.faults != nil {
 		// The fault injector also covers fast-lane handoffs (chaos soak):
@@ -716,54 +771,67 @@ func (in *Instance) startPerformanceLocked(asg match.Assignment) {
 	p := &performance{
 		number:   in.perfCount,
 		fabric:   fab,
-		ctx:      ctx,
-		cancel:   cancel,
-		assigned: make(match.Assignment),
-		finished: ids.NewRoleSet(),
-		absent:   ids.NewRoleSet(),
+		assigned: asg, // a matched cast is adopted as match.Find returned it
+		finished: make(ids.RoleSet, len(asg)),
 		doneCh:   make(chan struct{}),
-		openMax:  make(map[string]int),
 	}
 	in.active = p
 	perfStartedTotal.Inc()
-	in.samplePerfLocked(p, asg)
+	// cast lists who may lend the performance a trace ID: the matched
+	// offers, found in one pass over the pending ones, or — under immediate
+	// initiation, where the cast is not known yet — every pending offer.
+	cast := in.pending
+	if asg == nil {
+		p.assigned = make(match.Assignment)
+		for i, cs := range in.critSets {
+			in.critUnfilled[i] = len(cs)
+		}
+	} else {
+		cast = in.castBuf[:0]
+		for _, st := range in.pending {
+			if o, ok := asg[st.offer.Role]; ok && o.ID == st.offer.ID {
+				cast = append(cast, st)
+			}
+		}
+	}
+	in.samplePerfLocked(p, cast)
 	in.recordPerf(p, trace.Event{Kind: trace.KindPerfStart, Script: in.def.name, Performance: p.number})
 	if in.perfDeadline > 0 {
 		in.armDeadlineLocked(p, time.Now().Add(in.perfDeadline))
 	}
-	for _, r := range rolesSorted(asg) {
-		in.assignLocked(p, asg[r])
+	if asg == nil {
+		return // membership stays open; admitLocked fills the cast
 	}
-	if asg != nil {
-		in.closeMembershipLocked(p)
+	// Assigning in role order keeps the order of wake-ups and of trace
+	// events a function of the cast alone.
+	slices.SortFunc(cast, func(a, b *enrollState) int { return a.offer.Role.Compare(b.offer.Role) })
+	for _, st := range cast {
+		in.assignLocked(p, st)
 	}
+	clear(cast)
+	in.castBuf = cast[:0]
+	in.dropAssignedLocked()
+	in.closeMembershipLocked(p)
 }
 
 // samplePerfLocked makes the once-per-performance tracing decision at
 // initiation. An enrollment that arrived with its own trace ID wins (the
 // remote side already sampled the call and both ends must share a timeline):
 // for delayed initiation only the matched offers are consulted, for immediate
-// initiation any pending offer (the cast is not yet known). Otherwise the
+// initiation any pending offer (the cast is not yet known); cast is that
+// list, in order of arrival. Otherwise the
 // instance's sampler decides; with no sampler every performance is traced
 // and, when a real tracer is attached, gets a freshly minted ID so even
 // record-everything setups produce stitchable timelines. A sampled ID is
 // retained in the bounded live-trace table; when the table is full the
 // performance runs untraced.
-func (in *Instance) samplePerfLocked(p *performance, asg match.Assignment) {
+func (in *Instance) samplePerfLocked(p *performance, cast []*enrollState) {
 	var adopted trace.TraceID
-	var member map[uint64]bool
-	if asg != nil {
-		member = make(map[uint64]bool, len(asg))
-		for _, o := range asg {
-			member[o.ID] = true
+	for _, st := range cast {
+		if st.traceID != 0 {
+			adopted = st.traceID
+			break
 		}
-	}
-	for _, st := range in.pending {
-		if st.traceID == 0 || (member != nil && !member[st.offer.ID]) {
-			continue
-		}
-		adopted = st.traceID
-		break
 	}
 	switch {
 	case adopted != 0:
@@ -856,7 +924,7 @@ func (in *Instance) abortAsLocked(p *performance, culprit ids.RoleRef, reason st
 			}
 		}
 		for _, r := range unfinished {
-			if !parked[addrOf(r)] {
+			if !parked[in.addrOf(r)] {
 				culprit = r
 				break
 			}
@@ -876,7 +944,6 @@ func (in *Instance) abortAsLocked(p *performance, culprit ids.RoleRef, reason st
 		p.timer = nil
 	}
 	p.done = true
-	p.cancel()
 	p.fabric.Abort(p.abortErr)
 	perfAbortedTotal.Inc()
 	in.recordPerf(p, trace.Event{
@@ -893,32 +960,32 @@ func (in *Instance) abortAsLocked(p *performance, culprit ids.RoleRef, reason st
 	in.notifyDrainLocked()
 }
 
-// rolesSorted returns asg's roles in deterministic order.
-func rolesSorted(asg match.Assignment) []ids.RoleRef {
-	return asg.Roles().Sorted()
-}
-
-// assignLocked binds offer's enrollment into performance p and wakes exactly
-// that enroller.
-func (in *Instance) assignLocked(p *performance, offer match.Offer) {
-	st := in.takePendingLocked(offer.ID)
-	if st == nil {
-		return // withdrawn concurrently; cannot happen for freshly matched offers
-	}
-	r := offer.Role
-	p.assigned[r] = offer
-	if decl := in.def.decls[r.Name]; decl.family && decl.size == 0 && r.Index > p.openMax[r.Name] {
-		p.openMax[r.Name] = r.Index
-	}
+// assignLocked binds the pending enrollment st, whose offer p.assigned
+// already holds, into performance p and wakes exactly that enroller. st
+// stays in the pending list, no longer pending; the caller follows its
+// assignments with one dropAssignedLocked.
+func (in *Instance) assignLocked(p *performance, st *enrollState) {
+	r := st.offer.Role
 	st.phase = phaseAssigned
 	st.perf = p
-	st.rc = &RoleCtx{
+	st.rc = RoleCtx{
 		inst: in,
 		perf: p,
 		role: r,
-		pid:  offer.PID,
+		pid:  st.offer.PID,
 		ctx:  st.ctx,
 		args: st.args,
+	}
+	if st.slot >= 0 {
+		st.rc.addr = in.addrs[st.slot]
+	} else { // a member of an open family
+		st.rc.addr = rendezvous.Addr(r.String())
+		if r.Index > p.openMax[r.Name] {
+			if p.openMax == nil {
+				p.openMax = make(map[string]int)
+			}
+			p.openMax[r.Name] = r.Index
+		}
 	}
 	in.armDeadlineLocked(p, st.deadline)
 	woken := false
@@ -945,7 +1012,7 @@ func (in *Instance) assignLocked(p *performance, offer match.Offer) {
 	}
 	in.recordPerf(p, trace.Event{
 		Kind: trace.KindStart, Script: in.def.name,
-		Performance: p.number, Role: r, PID: offer.PID,
+		Performance: p.number, Role: r, PID: st.offer.PID,
 	})
 }
 
@@ -953,45 +1020,48 @@ func (in *Instance) assignLocked(p *performance, offer match.Offer) {
 // (immediate initiation): every pending offer that can join does, in
 // fairness order; then, if the filled roles cover a critical set,
 // membership closes ("admit then close").
+//
+// A pass considers only the offers that arrived since the previous one —
+// every pending offer when the performance starts, the one new offer after
+// that. An offer a pass turned down stays turned down while the performance
+// lasts: a role once filled stays filled, and a growing cast only adds
+// constraints. So a pass costs what its new offers cost, not the backlog
+// waiting for the next performance.
 func (in *Instance) admitLocked(p *performance) {
-	for _, st := range in.admissionOrderLocked() {
-		if st.phase != phasePending {
-			continue
-		}
+	first := len(in.pending) // pending is in ID order
+	for first > 0 && in.pending[first-1].offer.ID > p.admitSeen {
+		first--
+	}
+	p.admitSeen = in.nextOffer
+	batch := in.pending[first:]
+	if in.fairness == match.Arbitrary && len(batch) > 1 {
+		batch = slices.Clone(batch)
+		rng := newSeededRNG(in.seed + int64(in.perfCount))
+		rng.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
+	}
+	for _, st := range batch {
 		if st.ctx.Err() != nil {
 			continue // being withdrawn by its enroller
 		}
-		r := st.offer.Role
-		if p.finished.Contains(r) {
-			continue // role already played this performance; wait for next
+		if _, filled := p.assigned[st.offer.Role]; filled {
+			continue // filled, or already played: wait for the next performance
 		}
-		if !match.CanJoin(p.assigned, st.offer) {
+		// With no constraint on either side a free role is all joining takes.
+		constrained := len(st.offer.With) > 0
+		if (constrained || p.constrained) && !match.CanJoin(p.assigned, st.offer) {
 			continue
 		}
-		in.assignLocked(p, st.offer)
+		p.assigned[st.offer.Role] = st.offer
+		p.constrained = p.constrained || constrained
+		for _, i := range in.critSetsOf(st) {
+			in.critUnfilled[i]--
+		}
+		in.assignLocked(p, st)
 	}
-	if in.def.covered(p.assigned.Roles()) {
+	in.dropAssignedLocked()
+	if slices.Contains(in.critUnfilled, 0) {
 		in.closeMembershipLocked(p)
 	}
-}
-
-// admissionOrderLocked returns pending offers in the fairness order. The
-// order is cached and reused until the pending set changes or a new
-// performance begins (Arbitrary fairness re-shuffles once per performance,
-// not once per admission pass).
-func (in *Instance) admissionOrderLocked() []*enrollState {
-	if !in.admitDirty && in.admitPerf == in.perfCount {
-		return in.admitOrder
-	}
-	out := append(in.admitOrder[:0], in.pending...)
-	if in.fairness == match.Arbitrary {
-		rng := newSeededRNG(in.seed + int64(in.perfCount))
-		rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
-	}
-	in.admitOrder = out
-	in.admitDirty = false
-	in.admitPerf = in.perfCount
-	return out
 }
 
 // closeMembershipLocked freezes the performance's membership: declared
@@ -1003,21 +1073,22 @@ func (in *Instance) closeMembershipLocked(p *performance) {
 		return
 	}
 	p.membershipClosed = true
-	for r := range in.def.closedRoles() {
+	for slot, r := range in.roles {
 		if _, filled := p.assigned[r]; !filled {
-			p.absent.Add(r)
 			in.recordPerf(p, trace.Event{
 				Kind: trace.KindAbsent, Script: in.def.name,
 				Performance: p.number, Role: r,
 			})
-			p.fabric.Terminate(addrOf(r))
+			p.fabric.Terminate(in.addrs[slot])
 		}
 	}
-	live := make(map[rendezvous.Addr]bool, len(p.assigned))
-	for r := range p.assigned {
-		live[addrOf(r)] = true
-	}
-	p.fabric.TerminateAbsent(func(a rendezvous.Addr) bool { return live[a] })
+	// The fabric asks only about addresses some blocked operation targets —
+	// none at all when membership closes before any body has run.
+	p.fabric.TerminateAbsent(func(a rendezvous.Addr) bool {
+		r, err := ids.ParseRoleRef(string(a))
+		_, filled := p.assigned[r]
+		return err == nil && filled
+	})
 	// A performance whose members all finished before membership closed
 	// (possible when the closing cover arrives last) completes here.
 	if p.finished.Len() == len(p.assigned) {
@@ -1037,7 +1108,6 @@ func (in *Instance) finishPerformanceLocked(p *performance) {
 		p.timer = nil
 	}
 	p.done = true
-	p.cancel()
 	p.fabric.Close()
 	perfCompletedTotal.Inc()
 	in.recordPerf(p, trace.Event{Kind: trace.KindPerfEnd, Script: in.def.name, Performance: p.number})
@@ -1058,43 +1128,78 @@ func (in *Instance) finishPerformanceLocked(p *performance) {
 // matcher and admission caches.
 func (in *Instance) addPendingLocked(st *enrollState) {
 	in.pending = append(in.pending, st)
-	in.pendingCount.Store(int64(len(in.pending)))
-	in.pendingByRole[st.offer.Role]++
-	in.offersDirty = true
-	in.admitDirty = true
+	in.countOfferLocked(st, 1)
+	in.pendingChangedLocked()
 }
 
-func (in *Instance) takePendingLocked(offerID uint64) *enrollState {
-	for i, st := range in.pending {
-		if st.offer.ID == offerID {
-			in.pending = append(in.pending[:i], in.pending[i+1:]...)
-			in.pendingRemovedLocked(st)
-			return st
+// dropAssignedLocked removes from the pending list, in one pass, the
+// enrollments assignLocked has bound to a performance since the last call.
+func (in *Instance) dropAssignedLocked() {
+	kept := in.pending[:0]
+	for _, st := range in.pending {
+		if st.phase == phasePending {
+			kept = append(kept, st)
+		} else {
+			in.countOfferLocked(st, -1)
 		}
 	}
-	return nil
+	if len(kept) == len(in.pending) {
+		return
+	}
+	clear(in.pending[len(kept):])
+	in.pending = kept
+	in.pendingChangedLocked()
 }
 
+// removePendingLocked withdraws the pending enrollment st.
 func (in *Instance) removePendingLocked(st *enrollState) {
-	for i, s := range in.pending {
-		if s == st {
-			in.pending = append(in.pending[:i], in.pending[i+1:]...)
-			in.pendingRemovedLocked(st)
-			break
-		}
+	if i := slices.Index(in.pending, st); i >= 0 {
+		in.pending = slices.Delete(in.pending, i, i+1)
+		in.countOfferLocked(st, -1)
+		in.pendingChangedLocked()
 	}
 	st.phase = phaseWithdrawn
 }
 
-func (in *Instance) pendingRemovedLocked(st *enrollState) {
-	in.pendingCount.Store(int64(len(in.pending)))
-	if n := in.pendingByRole[st.offer.Role]; n <= 1 {
-		delete(in.pendingByRole, st.offer.Role)
+// countOfferLocked adds d (±1) to the pending-offer count of st's role and
+// keeps critMissing in step when the role gains its first offer or loses its
+// last.
+func (in *Instance) countOfferLocked(st *enrollState, d int) {
+	r := st.offer.Role
+	var n int
+	if st.slot >= 0 {
+		in.pendingBySlot[st.slot] += d
+		n = in.pendingBySlot[st.slot]
+	} else if n = in.pendingOpen[r] + d; n == 0 {
+		delete(in.pendingOpen, r)
 	} else {
-		in.pendingByRole[st.offer.Role] = n - 1
+		in.pendingOpen[r] = n
 	}
+	if (n == 0) != (n-d == 0) {
+		for _, i := range in.critSetsOf(st) {
+			in.critMissing[i] -= d
+		}
+	}
+}
+
+// critSetsOf lists the critical sets st's role belongs to.
+func (in *Instance) critSetsOf(st *enrollState) []int {
+	if st.slot >= 0 {
+		return in.critOf[st.slot]
+	}
+	var sets []int // a declared set may name a member of an open family
+	for i, cs := range in.critSets {
+		if cs.Contains(st.offer.Role) {
+			sets = append(sets, i)
+		}
+	}
+	return sets
+}
+
+// pendingChangedLocked invalidates what was derived from the pending list.
+func (in *Instance) pendingChangedLocked() {
+	in.pendingCount.Store(int64(len(in.pending)))
 	in.offersDirty = true
-	in.admitDirty = true
 	in.notifyDrainLocked()
 }
 
@@ -1116,4 +1221,25 @@ func (in *Instance) recordPerf(p *performance, e trace.Event) {
 	in.record(e)
 }
 
-func addrOf(r ids.RoleRef) rendezvous.Addr { return rendezvous.Addr(r.String()) }
+// slotOf returns r's index in in.roles, or -1 when r is not a closed role:
+// a member of an open family, or no role of the script at all.
+func (in *Instance) slotOf(r ids.RoleRef) int {
+	if i, ok := in.base[r.Name]; ok {
+		if r.Index > 0 {
+			i += r.Index - 1
+		}
+		if i < len(in.roles) && in.roles[i] == r {
+			return i
+		}
+	}
+	return -1
+}
+
+// addrOf returns role r's address in a performance's fabric: the role's
+// name in the paper's notation, from the table for a closed role.
+func (in *Instance) addrOf(r ids.RoleRef) rendezvous.Addr {
+	if slot := in.slotOf(r); slot >= 0 {
+		return in.addrs[slot]
+	}
+	return rendezvous.Addr(r.String())
+}

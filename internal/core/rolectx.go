@@ -24,6 +24,7 @@ type RoleCtx struct {
 	inst    *Instance
 	perf    *performance
 	role    ids.RoleRef
+	addr    rendezvous.Addr // role's address in the performance's fabric
 	pid     ids.PID
 	ctx     context.Context
 	args    []any
@@ -88,7 +89,7 @@ func (rc *RoleCtx) SendTag(to ids.RoleRef, tag string, v any) error {
 	if cancel != nil {
 		defer cancel()
 	}
-	err := rc.perf.fabric.Send(ctx, addrOf(rc.role), addrOf(to), rendezvous.Tag(tag), v)
+	err := rc.perf.fabric.Send(ctx, rc.addr, rc.inst.addrOf(to), rendezvous.Tag(tag), v)
 	if err != nil {
 		return rc.mapCommErr(to, err)
 	}
@@ -115,13 +116,13 @@ func (rc *RoleCtx) SendAll(tos []ids.RoleRef, v any) error {
 		if err := rc.precheck(to); err != nil {
 			return err
 		}
-		targets[i] = addrOf(to)
+		targets[i] = rc.inst.addrOf(to)
 	}
 	ctx, cancel := rc.inst.opContext(rc.ctx)
 	if cancel != nil {
 		defer cancel()
 	}
-	if err := rc.perf.fabric.Scatter(ctx, addrOf(rc.role), "", targets, []any{v}); err != nil {
+	if err := rc.perf.fabric.Scatter(ctx, rc.addr, "", targets, []any{v}); err != nil {
 		return rc.mapCommErr(ids.RoleRef{}, err)
 	}
 	for _, to := range tos {
@@ -145,7 +146,7 @@ func (rc *RoleCtx) RecvTag(from ids.RoleRef, tag string) (any, error) {
 	if cancel != nil {
 		defer cancel()
 	}
-	v, err := rc.perf.fabric.Recv(ctx, addrOf(rc.role), addrOf(from), rendezvous.Tag(tag))
+	v, err := rc.perf.fabric.Recv(ctx, rc.addr, rc.inst.addrOf(from), rendezvous.Tag(tag))
 	if err != nil {
 		return nil, rc.mapCommErr(from, err)
 	}
@@ -165,7 +166,7 @@ func (rc *RoleCtx) RecvAny() (ids.RoleRef, string, any, error) {
 	if cancel != nil {
 		defer cancel()
 	}
-	out, err := rc.perf.fabric.RecvAny(ctx, addrOf(rc.role))
+	out, err := rc.perf.fabric.RecvAny(ctx, rc.addr)
 	if err != nil {
 		return ids.RoleRef{}, "", nil, rc.mapCommErr(ids.RoleRef{}, err)
 	}
@@ -289,7 +290,7 @@ func (rc *RoleCtx) Select(branches ...SelectBranch) (Selected, error) {
 			}
 		}
 		enabled = append(enabled, mapping{orig: i, br: rendezvous.Branch{
-			Dir: b.dir, Peer: addrOf(b.peer), AnyPeer: b.anyPeer,
+			Dir: b.dir, Peer: rc.inst.addrOf(b.peer), AnyPeer: b.anyPeer,
 			Tag: rendezvous.Tag(b.tag), Val: b.val,
 		}})
 	}
@@ -310,7 +311,7 @@ func (rc *RoleCtx) Select(branches ...SelectBranch) (Selected, error) {
 	if cancel != nil {
 		defer cancel()
 	}
-	out, err := rc.perf.fabric.Do(ctx, addrOf(rc.role), fabricBranches)
+	out, err := rc.perf.fabric.Do(ctx, rc.addr, fabricBranches)
 	if err != nil {
 		return Selected{}, rc.mapCommErr(ids.RoleRef{}, err)
 	}

@@ -85,7 +85,7 @@ func E07CSPTranslation(ctx context.Context) Table {
 	)
 	const n, rounds = 4, 30
 
-	nativeElapsed, _, err := runBroadcastRounds(ctx, patterns.StarBroadcast(n), n, rounds)
+	nativeElapsed, _, err := runBroadcastRounds(ctx, patterns.StarBroadcast(n), n, rounds, false)
 	if err != nil {
 		return errTable(id, title, claim, err)
 	}
@@ -209,7 +209,7 @@ func E09AdaTranslation(ctx context.Context) Table {
 	)
 	const n, rounds = 4, 30
 
-	nativeElapsed, _, err := runBroadcastRounds(ctx, patterns.StarBroadcast(n), n, rounds)
+	nativeElapsed, _, err := runBroadcastRounds(ctx, patterns.StarBroadcast(n), n, rounds, false)
 	if err != nil {
 		return errTable(id, title, claim, err)
 	}

@@ -9,6 +9,7 @@
 package ids
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"strconv"
@@ -86,11 +87,16 @@ func ParseRoleRef(s string) (RoleRef, error) {
 
 // Less imposes a total order on role references: by name, then by index.
 // Scalar roles order before any family member of the same name.
-func (r RoleRef) Less(other RoleRef) bool {
-	if r.Name != other.Name {
-		return r.Name < other.Name
+func (r RoleRef) Less(other RoleRef) bool { return r.Compare(other) < 0 }
+
+// Compare is the three-way form of Less, for slices.SortFunc and
+// slices.BinarySearchFunc: negative when r orders before other, zero when
+// they are the same role, positive otherwise.
+func (r RoleRef) Compare(other RoleRef) int {
+	if c := cmp.Compare(r.Name, other.Name); c != 0 {
+		return c
 	}
-	return r.Index < other.Index
+	return cmp.Compare(r.Index, other.Index)
 }
 
 // RoleSet is a set of role references. The zero value is an empty set ready

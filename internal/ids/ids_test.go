@@ -115,6 +115,9 @@ func TestRoleRefLessIsTotalOrder(t *testing.T) {
 			if a != b && a.Less(b) && b.Less(a) {
 				t.Errorf("Less not asymmetric for %v, %v", a, b)
 			}
+			if c := a.Compare(b); c != -b.Compare(a) || (c == 0) != (a == b) || (c < 0) != a.Less(b) {
+				t.Errorf("%v.Compare(%v) = %d disagrees with Less or equality", a, b, c)
+			}
 		}
 	}
 }

@@ -69,3 +69,60 @@ func BenchmarkFindWithConstraints(b *testing.B) {
 		}
 	}
 }
+
+// starProblem and lockProblem are the two problems benchmark/layers.go
+// times as match.find_star25_us and match.find_lock_us, so the layer
+// metrics have an in-tree twin.
+func starProblem(n int) Problem {
+	roles := ids.NewRoleSet(ids.Role("sender"))
+	var offers []Offer
+	for i, r := range ids.FamilyMembers("recipient", n) {
+		roles.Add(r)
+		offers = append(offers, Offer{ID: uint64(i + 1), PID: ids.PID(fmt.Sprintf("R%d", i+1)), Role: r})
+	}
+	offers = append(offers, Offer{ID: uint64(n + 1), PID: "T0", Role: ids.Role("sender")})
+	return Problem{Roles: roles, Offers: offers, Fairness: FIFO}
+}
+
+func lockProblem(k int) Problem {
+	managers := ids.FamilyMembers("manager", k)
+	reader, writer := ids.Role("reader"), ids.Role("writer")
+	roles := ids.NewRoleSet(append(append([]ids.RoleRef{}, managers...), reader, writer)...)
+	var offers []Offer
+	for i, r := range managers {
+		offers = append(offers, Offer{ID: uint64(i + 1), PID: ids.PID(fmt.Sprintf("M%d", i+1)), Role: r})
+	}
+	offers = append(offers, Offer{ID: uint64(k + 1), PID: "C0", Role: reader})
+	return Problem{
+		Roles: roles,
+		CriticalSets: []ids.RoleSet{
+			ids.NewRoleSet(append(append([]ids.RoleRef{}, managers...), reader)...),
+			ids.NewRoleSet(append(append([]ids.RoleRef{}, managers...), writer)...),
+		},
+		Offers:   offers,
+		Fairness: FIFO,
+	}
+}
+
+// BenchmarkFindStar25 is the cast a 24-recipient star broadcast forms.
+func BenchmarkFindStar25(b *testing.B) {
+	p := starProblem(24)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if asg, ok := Find(p); !ok || len(asg) != 25 {
+			b.Fatal("no full match")
+		}
+	}
+}
+
+// BenchmarkFindLock is the lock manager's reader-only cast: three managers
+// and a reader pending, two critical sets.
+func BenchmarkFindLock(b *testing.B) {
+	p := lockProblem(3)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if asg, ok := Find(p); !ok || len(asg) != 4 {
+			b.Fatal("no match")
+		}
+	}
+}

@@ -19,9 +19,10 @@
 package match
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"github.com/scriptabs/goscript/internal/ids"
 )
@@ -86,19 +87,14 @@ func (a Assignment) Roles() ids.RoleSet {
 	return s
 }
 
-// criticalSets returns the problem's critical sets, defaulting to the whole
-// role collection.
-func (p *Problem) criticalSets() []ids.RoleSet {
-	if len(p.CriticalSets) > 0 {
-		return p.CriticalSets
-	}
-	return []ids.RoleSet{p.Roles.Clone()}
-}
-
 // Covered reports whether the filled role set satisfies at least one
-// critical set of the problem.
+// critical set of the problem — the whole role collection when none is
+// declared.
 func (p *Problem) Covered(filled ids.RoleSet) bool {
-	for _, cs := range p.criticalSets() {
+	if len(p.CriticalSets) == 0 {
+		return p.Roles.SubsetOf(filled)
+	}
+	for _, cs := range p.CriticalSets {
 		if cs.SubsetOf(filled) {
 			return true
 		}
@@ -110,16 +106,24 @@ func (p *Problem) Covered(filled ids.RoleSet) bool {
 // The returned assignment is maximal under single-offer extension: no
 // further pending offer can be added without violating consistency. One
 // process fills at most one role (the paper's 1–1 rule for delayed
-// initiation). Find returns false when no performance can start.
+// initiation). Find returns false when no performance can start. The
+// result depends only on (Roles, CriticalSets, Offers, Fairness, Seed).
 //
 // Consistency of an assignment A:
 //
 //   - each role is filled by at most one offer, each process fills at most
 //     one role;
-//   - for every chosen offer o and constraint (q → S) in o.With: q is
-//     filled and A[q].PID ∈ S (constraints bind filled roles; a named
-//     partner must actually be present);
+//   - for every chosen offer o and constraint (q → S) in o.With with S
+//     non-nil: q is filled and A[q].PID ∈ S (constraints bind filled roles;
+//     a named partner must actually be present);
 //   - the filled roles cover at least one critical set.
+//
+// Cost: one sort of the offers by role (linear when they already arrive in
+// role order), then, when no offer carries a constraint — the paper's
+// partners-unnamed common case — a single pass over the roles, since every
+// constraint check is vacuous and is skipped. With constraints each
+// candidate is checked against the partial cast, and the fill/skip search
+// may backtrack.
 //
 // Limitation (documented): the post-pass extension adds offers one at a
 // time, so a pair of non-critical offers that each name the other would not
@@ -127,215 +131,250 @@ func (p *Problem) Covered(filled ids.RoleSet) bool {
 // provide it so that, e.g., a reader and a writer both pending when the
 // lock-manager performance forms are both admitted.
 func Find(p Problem) (Assignment, bool) {
-	offersByRole := p.offersByRole()
-	roleOrder := p.Roles.Sorted()
-
-	// Fast infeasibility check and search pruning: a critical set is viable
-	// only if every one of its roles has at least one pending offer. This
-	// matters because enrollments usually accumulate one at a time — the
-	// no-match case must be cheap, and an unpruned skip/fill search is
-	// exponential precisely when no match exists.
-	viable := p.viableCriticalSets(offersByRole)
-	if len(viable) == 0 {
-		return nil, false
-	}
-
-	// Try to build a consistent core covering some critical set, searching
-	// roles in a fixed order with "fill with offer k" and "leave unfilled"
-	// branches. Preferring fills makes the first solution greedy-maximal.
-	asg := make(Assignment, len(roleOrder))
-	used := make(map[ids.PID]bool, len(p.Offers))
-	st := &searchState{
-		viable:    viable,
-		deadCount: make([]int, len(viable)),
-		alive:     len(viable),
-	}
-	if !p.search(roleOrder, 0, asg, used, offersByRole, st) {
+	s := newSearch(&p)
+	if s == nil || !s.fill(0) {
 		return nil, false
 	}
 	// Extension fixpoint: admit any further consistent offers.
 	for changed := true; changed; {
 		changed = false
-		for _, r := range roleOrder {
-			if _, ok := asg[r]; ok {
+		for r := range s.roles {
+			if s.chosen[r] >= 0 {
 				continue
 			}
-			for _, o := range offersByRole[r] {
-				if used[o.PID] {
-					continue
+			for _, k := range s.order[s.lo[r]:s.hi[r]] {
+				if !s.used[s.pid[k]] && (!s.constrained || s.satisfied(&s.offers[k])) {
+					s.chosen[r], s.used[s.pid[k]], changed = k, true, true
+					break
 				}
-				if !consistentWith(asg, o) {
-					continue
-				}
-				asg[r] = o
-				used[o.PID] = true
-				changed = true
-				break
 			}
+		}
+	}
+	asg := make(Assignment, len(s.roles))
+	for r, k := range s.chosen {
+		if k >= 0 {
+			asg[s.roles[r]] = s.offers[k]
 		}
 	}
 	return asg, true
 }
 
-// viableCriticalSets returns the critical sets whose every role has at
-// least one pending offer.
-func (p *Problem) viableCriticalSets(offersByRole map[ids.RoleRef][]Offer) []ids.RoleSet {
-	var out []ids.RoleSet
-	for _, cs := range p.criticalSets() {
-		ok := true
-		for r := range cs {
-			if len(offersByRole[r]) == 0 {
-				ok = false
+// search is the state of one Find. Roles and offers are dense indices: role
+// r is roles[r], offer k is offers[k], and everything kept per role or per
+// offer is a slice indexed by one of them.
+type search struct {
+	offers []Offer
+	roles  []ids.RoleRef // the distinct offered roles, in Less order
+	order  []int32       // offers grouped by role, each group in fairness order
+	lo, hi []int32       // order[lo[r]:hi[r]] are the candidates for role r
+	chosen []int32       // the offer filling role r, or -1
+	pid    []int32       // pid[k] numbers offer k's process; equal PIDs share a number
+	used   []bool        // used[pid]: that process already fills a role
+	// constrained is set when some offer carries a partner constraint;
+	// otherwise allows, satisfied and closed are vacuously true and skipped.
+	constrained bool
+	// The viable critical sets — those whose every role has a candidate —
+	// as rows of a membership matrix, inSet[i*len(roles)+r]. dead[i] counts
+	// the roles of set i the current path left unfilled; alive counts the
+	// sets with dead[i] == 0. A path is pruned when alive reaches 0, so a
+	// complete path always covers a critical set.
+	inSet []bool
+	dead  []int32
+	alive int
+}
+
+// newSearch buckets the offers by role in fairness order and finds the
+// viable critical sets; it returns nil when there is none, which keeps the
+// no-match case — the usual one while enrollments accumulate — cheap and
+// the fill/skip search, exponential exactly when no match exists, pruned.
+func newSearch(p *Problem) *search {
+	n, nsets := len(p.Offers), max(1, len(p.CriticalSets))
+	ints := make([]int32, 5*n+nsets)
+	s := &search{
+		offers: p.Offers,
+		roles:  make([]ids.RoleRef, 0, n),
+		order:  ints[:n], lo: ints[n : 2*n], hi: ints[2*n : 3*n],
+		chosen: ints[3*n : 4*n], pid: ints[4*n : 5*n],
+	}
+	pids := make(map[ids.PID]int32, n)
+	for k := range p.Offers {
+		o := &p.Offers[k]
+		s.order[k], s.chosen[k] = int32(k), -1
+		s.constrained = s.constrained || len(o.With) > 0
+		id, ok := pids[o.PID]
+		if !ok {
+			id = int32(len(pids))
+			pids[o.PID] = id
+		}
+		s.pid[k] = id
+	}
+	// One sort by (role, arrival) replaces a map of per-role lists; FIFO
+	// arrival is the ID, Arbitrary shuffles each role's offers as offered.
+	fifo := p.Fairness != Arbitrary
+	slices.SortFunc(s.order, func(a, b int32) int {
+		oa, ob := &p.Offers[a], &p.Offers[b]
+		if c := oa.Role.Compare(ob.Role); c != 0 {
+			return c
+		}
+		if fifo && oa.ID != ob.ID {
+			return cmp.Compare(oa.ID, ob.ID)
+		}
+		return cmp.Compare(a, b)
+	})
+	for i, k := range s.order {
+		r := len(s.roles) - 1
+		if r < 0 || s.roles[r] != p.Offers[k].Role {
+			s.roles = append(s.roles, p.Offers[k].Role)
+			r++
+			s.lo[r] = int32(i)
+		}
+		s.hi[r] = int32(i + 1)
+	}
+	s.chosen = s.chosen[:len(s.roles)]
+	if !fifo {
+		rng := rand.New(rand.NewSource(p.Seed))
+		for r := range s.roles {
+			list := s.order[s.lo[r]:s.hi[r]]
+			rng.Shuffle(len(list), func(i, j int) { list[i], list[j] = list[j], list[i] })
+		}
+	}
+	// An offer for a role outside the collection is never a candidate.
+	offered := 0
+	for r, role := range s.roles {
+		if p.Roles.Contains(role) {
+			offered++
+		} else {
+			s.hi[r] = s.lo[r]
+		}
+	}
+
+	nr := len(s.roles)
+	bools := make([]bool, len(pids)+nsets*nr)
+	s.used, s.inSet = bools[:len(pids)], bools[len(pids):]
+	if len(p.CriticalSets) == 0 && offered == len(p.Roles) {
+		for r := range s.roles {
+			s.inSet[r] = s.hi[r] > s.lo[r]
+		}
+		s.alive = 1
+	}
+	for _, cs := range p.CriticalSets {
+		row := s.inSet[s.alive*nr : (s.alive+1)*nr]
+		viable := true
+		for role := range cs {
+			r, ok := s.index(role)
+			if viable = ok && s.hi[r] > s.lo[r]; !viable {
+				clear(row)
 				break
 			}
+			row[r] = true
 		}
-		if ok {
-			out = append(out, cs)
-		}
-	}
-	return out
-}
-
-// searchState tracks which viable critical sets are still coverable along
-// the current search path: skipping a role kills every set containing it.
-type searchState struct {
-	viable    []ids.RoleSet
-	deadCount []int // number of skipped roles per set; >0 means dead
-	alive     int   // sets with deadCount == 0
-}
-
-// skip marks r skipped; it returns false when no critical set remains
-// coverable (the branch can be pruned).
-func (st *searchState) skip(r ids.RoleRef) bool {
-	for i, cs := range st.viable {
-		if cs.Contains(r) {
-			if st.deadCount[i] == 0 {
-				st.alive--
-			}
-			st.deadCount[i]++
+		if viable {
+			s.alive++
 		}
 	}
-	return st.alive > 0
+	if s.alive == 0 {
+		return nil
+	}
+	s.dead = ints[5*n : 5*n+s.alive]
+	return s
 }
 
-// unskip undoes skip(r).
-func (st *searchState) unskip(r ids.RoleRef) {
-	for i, cs := range st.viable {
-		if cs.Contains(r) {
-			st.deadCount[i]--
-			if st.deadCount[i] == 0 {
-				st.alive++
-			}
-		}
-	}
+// index returns the dense index of role, if any offer names it.
+func (s *search) index(role ids.RoleRef) (int, bool) {
+	return slices.BinarySearchFunc(s.roles, role, ids.RoleRef.Compare)
 }
 
-// search assigns roles roleOrder[i:] and reports whether a consistent,
-// critical-set-covering assignment was reached. asg and used are mutated in
-// place and restored on backtrack.
-func (p *Problem) search(roleOrder []ids.RoleRef, i int, asg Assignment, used map[ids.PID]bool, offersByRole map[ids.RoleRef][]Offer, st *searchState) bool {
-	if i == len(roleOrder) {
-		return p.Covered(asg.Roles()) && closed(asg)
+// fill assigns roles r and up — each with its first admissible candidate,
+// so the first solution is greedy-maximal, or left unfilled — and reports
+// whether a consistent assignment covering a critical set was reached.
+// State is restored on backtrack.
+func (s *search) fill(r int) bool {
+	if r == len(s.roles) {
+		return !s.constrained || s.closed()
 	}
-	r := roleOrder[i]
-	for _, o := range offersByRole[r] {
-		if used[o.PID] {
+	for _, k := range s.order[s.lo[r]:s.hi[r]] {
+		if s.used[s.pid[k]] || (s.constrained && !s.allows(&s.offers[k])) {
 			continue
 		}
-		if !partnersAllow(asg, o) {
-			continue
-		}
-		asg[r] = o
-		used[o.PID] = true
-		if p.search(roleOrder, i+1, asg, used, offersByRole, st) {
+		s.chosen[r], s.used[s.pid[k]] = k, true
+		if s.fill(r + 1) {
 			return true
 		}
-		delete(asg, r)
-		delete(used, o.PID)
+		s.chosen[r], s.used[s.pid[k]] = -1, false
 	}
 	// Leave r unfilled — viable only if some critical set survives.
-	ok := false
-	if st.skip(r) {
-		ok = p.search(roleOrder, i+1, asg, used, offersByRole, st)
+	ok := s.skip(r, 1) && s.fill(r+1)
+	if !ok {
+		s.skip(r, -1)
 	}
-	st.unskip(r)
 	return ok
 }
 
-// partnersAllow checks the mutual constraints that can be evaluated while
-// the assignment is still partial: no already-chosen offer excludes o from
-// its role, and o excludes no already-chosen offer from its role.
-func partnersAllow(asg Assignment, o Offer) bool {
-	for r, chosen := range asg {
-		if s, ok := chosen.With[o.Role]; ok && !s.Contains(o.PID) {
+// skip marks role r unfilled (d = 1) or undoes that (d = -1), and reports
+// whether a critical set remains coverable.
+func (s *search) skip(r int, d int32) bool {
+	for i := range s.dead {
+		if s.inSet[i*len(s.roles)+r] {
+			if s.dead[i] == 0 {
+				s.alive--
+			}
+			if s.dead[i] += d; s.dead[i] == 0 {
+				s.alive++
+			}
+		}
+	}
+	return s.alive > 0
+}
+
+// allows checks the mutual constraints that can be evaluated while the
+// assignment is still partial: no chosen offer excludes o from its role,
+// and o excludes no chosen offer from its role. If o is itself chosen the
+// self-comparison is harmless: a constraint on one's own role must still
+// admit one's own PID.
+func (s *search) allows(o *Offer) bool {
+	for r, k := range s.chosen {
+		if k < 0 {
+			continue
+		}
+		c := &s.offers[k]
+		if set, ok := c.With[o.Role]; ok && !set.Contains(o.PID) {
 			return false
 		}
-		if s, ok := o.With[r]; ok && !s.Contains(chosen.PID) {
+		if set, ok := o.With[s.roles[r]]; ok && !set.Contains(c.PID) {
 			return false
 		}
 	}
 	return true
 }
 
-// closed checks the constraints that require completeness: every constraint
-// of every chosen offer references a filled role with an acceptable player.
-func closed(asg Assignment) bool {
-	for _, o := range asg {
-		if !consistentWith(asg, o) {
-			return false
-		}
-	}
-	return true
-}
-
-// consistentWith reports whether offer o's constraints are fully satisfied
-// by asg, and no member of asg excludes o. Used both by closed (where o is a
-// member) and by the extension pass (where o is a candidate).
-func consistentWith(asg Assignment, o Offer) bool {
-	if !partnersAllow(asg, o) {
-		// partnersAllow treats o's own entry (if present) as a partner;
-		// self-comparison is harmless because a constraint on one's own
-		// role must still admit one's own PID.
+// satisfied reports whether the assignment allows o and fills every role o
+// constrains with an acceptable process. It serves the leaf check (o a
+// member) and the extension pass (o a candidate).
+func (s *search) satisfied(o *Offer) bool {
+	if !s.allows(o) {
 		return false
 	}
-	for q, s := range o.With {
-		chosen, ok := asg[q]
-		if !ok {
-			return false // named partner role is unfilled
+	for q, set := range o.With {
+		if set == nil {
+			continue // no constraint, as everywhere else
 		}
-		if !s.Contains(chosen.PID) {
+		r, ok := s.index(q)
+		if !ok || s.chosen[r] < 0 || !set.Contains(s.offers[s.chosen[r]].PID) {
 			return false
 		}
 	}
 	return true
 }
 
-// offersByRole indexes pending offers by role in fairness order.
-func (p *Problem) offersByRole() map[ids.RoleRef][]Offer {
-	m := make(map[ids.RoleRef][]Offer)
-	for _, o := range p.Offers {
-		m[o.Role] = append(m[o.Role], o)
-	}
-	switch p.Fairness {
-	case Arbitrary:
-		rng := rand.New(rand.NewSource(p.Seed))
-		// Shuffle deterministically per role, iterating roles in sorted
-		// order so the result depends only on (offers, seed).
-		roles := make([]ids.RoleRef, 0, len(m))
-		for r := range m {
-			roles = append(roles, r)
-		}
-		sort.Slice(roles, func(i, j int) bool { return roles[i].Less(roles[j]) })
-		for _, r := range roles {
-			list := m[r]
-			rng.Shuffle(len(list), func(i, j int) { list[i], list[j] = list[j], list[i] })
-		}
-	default: // FIFO
-		for _, list := range m {
-			sort.Slice(list, func(i, j int) bool { return list[i].ID < list[j].ID })
+// closed checks the constraints that require completeness: every chosen
+// offer is satisfied.
+func (s *search) closed() bool {
+	for _, k := range s.chosen {
+		if k >= 0 && !s.satisfied(&s.offers[k]) {
+			return false
 		}
 	}
-	return m
+	return true
 }
 
 // CanJoin decides admission of an offer into a performance that is already

@@ -149,6 +149,28 @@ func TestFindNamedPartnerMustBePresent(t *testing.T) {
 	}
 }
 
+func TestFindNilSetIsNoConstraint(t *testing.T) {
+	// With{q: nil} means "any process, or none, in q" — what Offer's doc,
+	// PIDSet.Contains and the wire encoding all say — so it must not
+	// require q to be filled.
+	p := Problem{
+		Roles:        roles(sender, rcpt1),
+		CriticalSets: []ids.RoleSet{roles(sender)},
+		Offers: []Offer{
+			{ID: 1, PID: "T", Role: sender, With: map[ids.RoleRef]ids.PIDSet{rcpt1: nil}},
+		},
+	}
+	asg, ok := Find(p)
+	if !ok || len(asg) != 1 || asg[sender].PID != "T" {
+		t.Fatalf("a nil partner set blocked the match: ok=%v asg=%v", ok, asg)
+	}
+	// An empty non-nil set still admits nobody.
+	p.Offers[0].With[rcpt1] = ids.NewPIDSet()
+	if asg, ok := Find(p); ok {
+		t.Fatalf("an empty partner set matched: %v", asg)
+	}
+}
+
 func TestFindCriticalSubsetsReaderOrWriter(t *testing.T) {
 	// Database shape: managers m1,m2 plus reader and/or writer.
 	m1, m2 := ids.Member("manager", 1), ids.Member("manager", 2)
@@ -381,6 +403,17 @@ func TestFindPropertyConsistency(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestFindAllocs gates the allocation count of the unconstrained common
+// case: the 25-offer cast of a 24-recipient star broadcast (80 before the
+// search ran on dense indices). What is left is the returned map, the PID
+// numbering and the search's three backing slices.
+func TestFindAllocs(t *testing.T) {
+	p := starProblem(24)
+	if got := testing.AllocsPerRun(100, func() { Find(p) }); got > 16 {
+		t.Fatalf("Find(star25) allocates %v objects per call, want <= 16", got)
 	}
 }
 

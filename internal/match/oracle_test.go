@@ -47,6 +47,9 @@ func oracleFind(p Problem) bool {
 func oracleConsistent(asg Assignment) bool {
 	for _, o := range asg {
 		for q, s := range o.With {
+			if s == nil {
+				continue // a nil set is no constraint
+			}
 			chosen, ok := asg[q]
 			if !ok || !s.Contains(chosen.PID) {
 				return false

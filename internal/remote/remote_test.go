@@ -610,6 +610,38 @@ func testRemoteWithdrawPendingOffer(t *testing.T, proto int) {
 	}
 }
 
+// TestNilPartnerSetParity: an enrollment whose partner constraint is a nil
+// set — "anyone, or no one, in that role" — forms the same cast whether it
+// is offered to the instance directly or through the wire, which drops nil
+// sets. Role b stays unfilled both times; only a is critical.
+func TestNilPartnerSetParity(t *testing.T) {
+	nop := func(core.Ctx) error { return nil }
+	in := core.NewInstance(core.NewScript("ab").Role("a", nop).Role("b", nop).
+		CriticalSet(ids.Role("a")).MustBuild())
+	defer in.Close()
+	_, addr := startHost(t, in, remote.HostConfig{})
+	enr := remote.NewEnroller(addr, remote.EnrollerConfig{Script: "ab"})
+	defer enr.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	e := core.Enrollment{
+		PID: "A", Role: ids.Role("a"), Body: nop,
+		With: map[ids.RoleRef]ids.PIDSet{ids.Role("b"): nil},
+	}
+	local, err := in.Enroll(ctx, e)
+	if err != nil {
+		t.Fatalf("local: a nil partner set blocked the cast: %v", err)
+	}
+	far, err := enr.Enroll(ctx, e)
+	if err != nil {
+		t.Fatalf("remote: %v", err)
+	}
+	if local.Performance != 1 || far.Performance != 2 {
+		t.Fatalf("performances = %d, %d; want 1, 2", local.Performance, far.Performance)
+	}
+}
+
 // TestRemoteScriptNameAssertion rejects a client that names a different
 // script than the host serves.
 func TestRemoteScriptNameAssertion(t *testing.T) {
