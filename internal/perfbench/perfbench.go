@@ -1201,12 +1201,12 @@ func runPingPong(pairs int, forceSlow bool) testing.BenchmarkResult {
 // the binary codec with its pooled-buffer append API (the benchmark
 // reuses one buffer exactly as wire.Conn's write path does).
 func runCodec(ver int) testing.BenchmarkResult {
-	send := wire.Send{
+	send := &wire.Send{
 		To:  "recipient[7]",
 		Tag: "update",
 		Val: map[string]any{"seq": 42, "payload": "0123456789abcdef0123456789abcdef"},
 	}
-	reply := wire.OpResult{Val: []any{"ack", 42}, Peer: "recipient[7]", Tag: "update"}
+	reply := &wire.OpResult{Val: []any{"ack", 42}, Peer: "recipient[7]", Tag: "update"}
 	var stream, seq uint64
 	if ver >= 2 {
 		stream, seq = 3, 17

@@ -52,7 +52,7 @@ func (e *Enroller) converse(ctx context.Context, mc *muxConn, enr core.Enrollmen
 		return fmt.Errorf("%w: %v", ErrConnLost, err)
 	}
 
-	msg := wire.Enroll{
+	msg := &wire.Enroll{
 		PID:     string(enr.PID),
 		Role:    enr.Role.String(),
 		Args:    enr.Args,
@@ -118,7 +118,7 @@ await:
 	rctx.trace(trace.Event{Kind: trace.KindStart})
 	bodyErr := runClientBody(enr.Body, rctx)
 	rctx.trace(trace.Event{Kind: trace.KindFinish})
-	if err := mc.write(wire.MsgBodyDone, st.id, 0, wire.BodyDone{
+	if err := mc.write(wire.MsgBodyDone, st.id, 0, &wire.BodyDone{
 		Results: rctx.Out,
 		Err:     wire.EncodeError(bodyErr),
 	}); err != nil {
@@ -266,7 +266,7 @@ func (r *remoteCtx) op(t wire.MsgType, req any) (wire.OpResult, error) {
 func (r *remoteCtx) Send(to ids.RoleRef, v any) error { return r.SendTag(to, "", v) }
 
 func (r *remoteCtx) SendTag(to ids.RoleRef, tag string, v any) error {
-	_, err := r.op(wire.MsgSend, wire.Send{To: to.String(), Tag: tag, Val: v})
+	_, err := r.op(wire.MsgSend, &wire.Send{To: to.String(), Tag: tag, Val: v})
 	if err == nil {
 		r.trace(trace.Event{Kind: trace.KindSend, Peer: to, Detail: tag})
 	}
@@ -281,7 +281,7 @@ func (r *remoteCtx) SendAll(tos []ids.RoleRef, v any) error {
 	for i, to := range tos {
 		wtos[i] = to.String()
 	}
-	_, err := r.op(wire.MsgSendAll, wire.SendAll{Tos: wtos, Val: v})
+	_, err := r.op(wire.MsgSendAll, &wire.SendAll{Tos: wtos, Val: v})
 	if err == nil {
 		for _, to := range tos {
 			r.trace(trace.Event{Kind: trace.KindSend, Peer: to})
@@ -293,7 +293,7 @@ func (r *remoteCtx) SendAll(tos []ids.RoleRef, v any) error {
 func (r *remoteCtx) Recv(from ids.RoleRef) (any, error) { return r.RecvTag(from, "") }
 
 func (r *remoteCtx) RecvTag(from ids.RoleRef, tag string) (any, error) {
-	res, err := r.op(wire.MsgRecv, wire.Recv{From: from.String(), Tag: tag})
+	res, err := r.op(wire.MsgRecv, &wire.Recv{From: from.String(), Tag: tag})
 	if err != nil {
 		return nil, err
 	}
@@ -302,7 +302,7 @@ func (r *remoteCtx) RecvTag(from ids.RoleRef, tag string) (any, error) {
 }
 
 func (r *remoteCtx) RecvAny() (ids.RoleRef, string, any, error) {
-	res, err := r.op(wire.MsgRecvAny, wire.Recv{})
+	res, err := r.op(wire.MsgRecvAny, &wire.Recv{})
 	if err != nil {
 		return ids.RoleRef{}, "", nil, err
 	}
@@ -338,7 +338,7 @@ func (r *remoteCtx) Select(branches ...core.SelectBranch) (core.Selected, error)
 	if len(wbs) == 0 {
 		return core.Selected{}, core.ErrNoBranches
 	}
-	res, err := r.op(wire.MsgSelect, wire.Select{Branches: wbs})
+	res, err := r.op(wire.MsgSelect, &wire.Select{Branches: wbs})
 	if err != nil {
 		return core.Selected{}, err
 	}
@@ -355,17 +355,17 @@ func (r *remoteCtx) Select(branches ...core.SelectBranch) (core.Selected, error)
 }
 
 func (r *remoteCtx) Terminated(role ids.RoleRef) bool {
-	res, err := r.op(wire.MsgQuery, wire.Query{Kind: wire.QueryTerminated, Role: role.String()})
+	res, err := r.op(wire.MsgQuery, &wire.Query{Kind: wire.QueryTerminated, Role: role.String()})
 	return err == nil && res.Bool
 }
 
 func (r *remoteCtx) Filled(role ids.RoleRef) bool {
-	res, err := r.op(wire.MsgQuery, wire.Query{Kind: wire.QueryFilled, Role: role.String()})
+	res, err := r.op(wire.MsgQuery, &wire.Query{Kind: wire.QueryFilled, Role: role.String()})
 	return err == nil && res.Bool
 }
 
 func (r *remoteCtx) FamilySize(name string) int {
-	res, err := r.op(wire.MsgQuery, wire.Query{Kind: wire.QueryFamilySize, Name: name})
+	res, err := r.op(wire.MsgQuery, &wire.Query{Kind: wire.QueryFamilySize, Name: name})
 	if err != nil {
 		return 0
 	}

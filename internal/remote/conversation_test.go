@@ -200,9 +200,9 @@ func TestOperationFlood(t *testing.T) {
 			}()
 
 			b := dialRawClient(t, addr, "flood", proto)
-			b.write(wire.MsgEnroll, 1, 0, wire.Enroll{PID: "B", Role: "b"})
+			b.write(wire.MsgEnroll, 1, 0, &wire.Enroll{PID: "B", Role: "b"})
 			b.await(wire.MsgOfferAck)
-			recv := wire.Recv{From: "a"}
+			recv := &wire.Recv{From: "a"}
 			b.write(wire.MsgRecv, 1, 1, recv)
 			time.Sleep(50 * time.Millisecond) // let the bridge take it and block
 			for i := 0; i < streamOpBacklog+1; i++ {
@@ -301,7 +301,7 @@ func TestLockstepOpResultReachesPendingOp(t *testing.T) {
 	for round, want := range []string{"first", "second"} {
 		got := make(chan opOutcome, 1)
 		go func() {
-			res, err := st.op(context.Background(), wire.MsgRecv, wire.Recv{From: "a"})
+			res, err := st.op(context.Background(), wire.MsgRecv, &wire.Recv{From: "a"})
 			got <- opOutcome{res, err}
 		}()
 		eventually(t, "the op to be pending", func() bool {

@@ -436,7 +436,7 @@ func (h *Host) serveConn(nc net.Conn) {
 		if h.cfg.WriteTimeout > 0 {
 			c.SetWriteTimeout(h.cfg.WriteTimeout)
 		}
-		_ = c.WriteMsg(wire.MsgOverloaded, wire.Overloaded{
+		_ = c.WriteSync(wire.MsgOverloaded, &wire.Overloaded{
 			RetryAfterMS: h.retryAfterHint().Milliseconds(),
 			Msg:          "connection cap reached",
 		})
@@ -461,7 +461,7 @@ func (h *Host) serveConn(nc net.Conn) {
 	// v2 clients that did not set Hello.Resume see neither field and keep
 	// exact pre-resumption semantics.
 	var resumeToken string
-	if _, err := wire.ServerHandshakeVExt(c, h.script, h.maxProto(), func(hl wire.Hello, ack *wire.HelloAck) {
+	if _, err := wire.ServerHandshakeV(c, h.script, h.maxProto(), func(hl wire.Hello, ack *wire.HelloAck) {
 		ack.HeartbeatTimeoutMS = h.cfg.HeartbeatTimeout.Milliseconds()
 		if ack.Version >= 2 && hl.Resume && h.cfg.ResumeWindow > 0 {
 			resumeToken = mintSessionToken()
@@ -564,7 +564,7 @@ func (b *bridge) run(rc core.Ctx) error {
 		b.mu.Unlock()
 	}()
 
-	ack := wire.OfferAck{
+	ack := &wire.OfferAck{
 		Performance: rc.Performance(),
 		Role:        rc.Role().String(),
 	}
@@ -595,7 +595,7 @@ func (b *bridge) run(rc core.Ctx) error {
 			donech = nil
 			if po, ok := rc.(perfObserver); ok {
 				if ae, ok := po.AbortErr().(*core.AbortError); ok && ae != nil {
-					_ = b.write(wire.MsgAbort, 0, wire.Abort{
+					_ = b.write(wire.MsgAbort, 0, &wire.Abort{
 						Performance: ae.Performance,
 						Culprit:     ae.Culprit.String(),
 						Reason:      ae.Reason,
@@ -608,7 +608,8 @@ func (b *bridge) run(rc core.Ctx) error {
 				rc.Return(bd.Results...)
 				return bd.Err.Err()
 			}
-			if err := b.write(wire.MsgOpResult, op.seq, serveOp(rc, op)); err != nil {
+			res := serveOp(rc, op)
+			if err := b.write(wire.MsgOpResult, op.seq, &res); err != nil {
 				// The client cannot learn this op's outcome; the
 				// enrollment is unrecoverable.
 				b.abortVia(rc, "write failure delivering operation result")

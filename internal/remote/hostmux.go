@@ -172,7 +172,7 @@ func (h *Host) serveSession(c *wire.Conn, token string) {
 func (h *Host) adoptSession(c *wire.Conn, r *wire.Resume) *hostSession {
 	refuse := func(msg string) {
 		h.logf("remote: %s: refusing RESUME: %s", c.RemoteAddr(), msg)
-		_ = c.WriteFrame(wire.MsgError, 0, 0, wire.ProtoError{Msg: "RESUME refused: " + msg})
+		_ = c.WriteFrame(wire.MsgError, 0, 0, &wire.ProtoError{Msg: "RESUME refused: " + msg})
 	}
 	h.mu.Lock()
 	s := h.sessions[r.Token]
@@ -212,7 +212,7 @@ func (s *hostSession) adopt(c *wire.Conn, r *wire.Resume, refuse func(string)) b
 	// RESUME-ACK strictly before the replayed suffix (both from this
 	// goroutine, through the conn's ordered writer): the enroller reads the
 	// ack synchronously before releasing its own writers onto the wire.
-	if err := c.WriteFrame(wire.MsgResumeAck, 0, 0, wire.ResumeAck{RecvCount: s.sess.RecvCount()}); err != nil {
+	if err := c.WriteFrame(wire.MsgResumeAck, 0, 0, &wire.ResumeAck{RecvCount: s.sess.RecvCount()}); err != nil {
 		s.connBroken(c) // fresh transport died instantly: park again
 		return false
 	}
@@ -366,7 +366,7 @@ func (h *Host) runConn(s *hostSession, c *wire.Conn, first *preRead) {
 	violate := func(format string, args ...any) {
 		msg := fmt.Sprintf(format, args...)
 		h.logf("remote: %s: protocol violation: %s", c.RemoteAddr(), msg)
-		_ = c.WriteFrame(wire.MsgError, 0, 0, wire.ProtoError{Msg: msg})
+		_ = c.WriteFrame(wire.MsgError, 0, 0, &wire.ProtoError{Msg: msg})
 	}
 
 	handle := func(t wire.MsgType, stream, seq uint64, m any) bool {
@@ -560,10 +560,10 @@ func (s *hostSession) complete(t streamTask, role ids.RoleRef, res core.Result, 
 	s.release(t)
 	fw := t.st.b.fw
 	if errors.Is(err, core.ErrDraining) {
-		_ = fw.WriteFrame(wire.MsgDrain, t.stream, 0, wire.Drain{})
+		_ = fw.WriteFrame(wire.MsgDrain, t.stream, 0, &wire.Drain{})
 		return
 	}
-	msg := wire.Complete{
+	msg := &wire.Complete{
 		Performance: res.Performance,
 		Role:        role.String(),
 		Values:      res.Values,

@@ -110,7 +110,7 @@ func (mc *muxConn) cut() {
 // already finished, when the connection may be serving a successor.
 func (mc *muxConn) withdraw(st *muxStream) {
 	if !mc.lockstep {
-		_ = mc.write(wire.MsgCancel, st.id, 0, wire.Cancel{})
+		_ = mc.write(wire.MsgCancel, st.id, 0, &wire.Cancel{})
 		return
 	}
 	mc.mu.Lock()
@@ -242,7 +242,7 @@ func (mc *muxConn) fail(err error) {
 		if mc.sess != nil {
 			mc.sess.Detach()
 			if c != nil {
-				_ = c.WriteFrame(wire.MsgBye, 0, 0, wire.Bye{})
+				_ = c.WriteFrame(wire.MsgBye, 0, 0, &wire.Bye{})
 			}
 		}
 		if c != nil {
@@ -339,7 +339,7 @@ func (mc *muxConn) resume(c *wire.Conn, origErr error) (done bool) {
 		mc.fail(origErr)
 		return true
 	}
-	if err := c.WriteFrame(wire.MsgResume, 0, 0, wire.Resume{
+	if err := c.WriteFrame(wire.MsgResume, 0, 0, &wire.Resume{
 		Token:     mc.sess.Token(),
 		RecvCount: mc.sess.RecvCount(),
 	}); err != nil {
@@ -454,7 +454,7 @@ func (mc *muxConn) heartbeat(interval time.Duration, faults NetFaults) {
 			if c == nil {
 				continue // detached; the reconnect goroutine is on it
 			}
-			if c.WriteFrame(wire.MsgHeartbeat, 0, 0, wire.Heartbeat{}) != nil {
+			if c.WriteFrame(wire.MsgHeartbeat, 0, 0, &wire.Heartbeat{}) != nil {
 				mc.lost(c, fmt.Errorf("%w: heartbeat write failed", ErrConnLost))
 				if mc.sess == nil {
 					return
@@ -754,33 +754,42 @@ func effectiveHeartbeat(interval time.Duration, hostTimeoutMS int64) time.Durati
 
 // dialRaw establishes and handshakes one connection, negotiating up to
 // maxVer; v2-capable dials ask for session resumption (granted in the ack
-// only when the host has a resume window configured). Failures wrap
-// ErrDialFailed — except an overload rejection of the handshake itself
-// (the host's connection cap), which surfaces as the *core.OverloadError
-// it is.
+// only when the host has a resume window configured). DialTimeout bounds
+// the TCP connect and the handshake together, and ctx ending closes the
+// socket under either: a host that accepts and then says nothing must not
+// hold the caller — and hostState.dialMu, so every other enrollment to that
+// host — past its bounds. Failures wrap ErrDialFailed — except an overload
+// rejection of the handshake itself (the host's connection cap), which
+// surfaces as the *core.OverloadError it is.
 func (e *Enroller) dialRaw(ctx context.Context, addr string, maxVer int) (*wire.Conn, wire.HelloAck, error) {
-	d := net.Dialer{Timeout: e.cfg.DialTimeout}
-	nc, err := d.DialContext(ctx, "tcp", addr)
-	if err != nil {
+	fail := func(err error) (*wire.Conn, wire.HelloAck, error) {
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, wire.HelloAck{}, cerr
 		}
 		return nil, wire.HelloAck{}, fmt.Errorf("%w: %s: %v", ErrDialFailed, addr, err)
 	}
+	d := net.Dialer{Deadline: time.Now().Add(e.cfg.DialTimeout)}
+	nc, err := d.DialContext(ctx, "tcp", addr)
+	if err != nil {
+		return fail(err)
+	}
+	stop := context.AfterFunc(ctx, func() { nc.Close() })
+	_ = nc.SetDeadline(d.Deadline) // fails only on a socket already closed, which the handshake then reports
 	c := wire.NewConn(nc)
 	if e.cfg.Faults != nil {
 		c.SetFrameDelay(e.cfg.Faults.FrameDelay)
 	}
-	ack, err := wire.ClientHandshakeResume(c, e.cfg.Script, maxVer, maxVer >= 2)
+	ack, err := wire.ClientHandshakeV(c, e.cfg.Script, maxVer)
+	if !stop() && err == nil {
+		err = ctx.Err() // ctx ended as the ack arrived, and its AfterFunc closed the socket
+	}
 	if err != nil {
 		c.Close()
 		if errors.Is(err, core.ErrOverloaded) {
 			return nil, wire.HelloAck{}, err
 		}
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, wire.HelloAck{}, cerr
-		}
-		return nil, wire.HelloAck{}, fmt.Errorf("%w: %s: %v", ErrDialFailed, addr, err)
+		return fail(err)
 	}
+	_ = nc.SetDeadline(time.Time{}) // likewise: the read loop finds a dead socket
 	return c, ack, nil
 }

@@ -239,7 +239,9 @@ func testRemoteSelectAndQueries(t *testing.T, proto int) {
 }
 
 // rawEnroll drives the wire protocol by hand up to OFFER-ACK, so tests can
-// then misbehave (vanish, fall silent) in controlled ways.
+// then misbehave (vanish, fall silent) in controlled ways. It speaks as a
+// pre-v2 client does: its HELLO carries no max_version, so the host must
+// ack v1 and serve the connection lock-step.
 func rawEnroll(t *testing.T, addr, script, pid, role string) *wire.Conn {
 	t.Helper()
 	nc, err := net.Dial("tcp", addr)
@@ -247,14 +249,19 @@ func rawEnroll(t *testing.T, addr, script, pid, role string) *wire.Conn {
 		t.Fatalf("dial: %v", err)
 	}
 	c := wire.NewConn(nc)
-	if _, err := wire.ClientHandshake(c, script); err != nil {
-		t.Fatalf("handshake: %v", err)
+	c.SetReadTimeout(10 * time.Second)
+	if err := c.WriteSync(wire.MsgHello, &wire.Hello{Magic: wire.Magic, Version: 1, Script: script}); err != nil {
+		t.Fatalf("hello: %v", err)
 	}
-	if err := c.WriteMsg(wire.MsgEnroll, wire.Enroll{PID: pid, Role: role}); err != nil {
+	if _, _, _, m, err := c.ReadFrame(); err != nil {
+		t.Fatalf("handshake: %v", err)
+	} else if ack, ok := m.(*wire.HelloAck); !ok || ack.Version != 1 || ack.ResumeToken != "" {
+		t.Fatalf("pre-v2 HELLO answered with %+v, want a bare v1 HELLO-ACK", m)
+	}
+	if err := c.WriteFrame(wire.MsgEnroll, 0, 0, &wire.Enroll{PID: pid, Role: role}); err != nil {
 		t.Fatalf("enroll: %v", err)
 	}
-	c.SetReadTimeout(10 * time.Second)
-	typ, _, err := c.ReadMsg()
+	typ, _, _, _, err := c.ReadFrame()
 	if err != nil || typ != wire.MsgOfferAck {
 		t.Fatalf("await offer: %v %v", typ, err)
 	}

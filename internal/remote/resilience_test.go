@@ -558,3 +558,59 @@ func TestRetryHonorsRetryAfterHint(t *testing.T) {
 		t.Fatalf("ShedEnrollments = %d, want 1", got)
 	}
 }
+
+// TestSilentHostBoundsEnroll pins the dial bound on a host that accepts
+// the TCP connection and then never answers the HELLO: DialTimeout (and
+// the enrollment's context) cover the handshake as well as the connect,
+// and since the dial holds the per-host dial lock, a second enrollment to
+// the same host must not be stuck behind the first either.
+func TestSilentHostBoundsEnroll(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var held []net.Conn // accepted and left silent until the test ends
+	go func() {
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			held = append(held, nc)
+			mu.Unlock()
+		}
+	}()
+	defer func() {
+		ln.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, nc := range held {
+			nc.Close()
+		}
+	}()
+
+	enr := remote.NewEnroller(ln.Addr().String(), remote.EnrollerConfig{DialTimeout: 200 * time.Millisecond})
+	defer enr.Close()
+	errs := make(chan error, 2) // one per enrollment
+	for i := 0; i < 2; i++ {
+		pid := fmt.Sprintf("p%d", i)
+		go func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
+			defer cancel()
+			errs <- enrollRecipient(ctx, enr, pid)
+		}()
+	}
+	timeout := time.After(3 * time.Second)
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-errs:
+			if !errors.Is(err, remote.ErrDialFailed) && !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("enrollment against a silent host = %v, want ErrDialFailed or the context's error", err)
+			}
+		case <-timeout:
+			t.Fatalf("%d of 2 enrollments still blocked 3s into a 200ms dial bound and a 500ms context", 2-i)
+		}
+	}
+}

@@ -98,6 +98,16 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
+// appendStrings is the encode side of cursor.strings: a count, then each
+// string.
+func appendStrings(b []byte, ss []string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(ss)))
+	for _, s := range ss {
+		b = appendString(b, s)
+	}
+	return b
+}
+
 func appendBytes(b, p []byte) []byte {
 	b = binary.AppendUvarint(b, uint64(len(p)))
 	return append(b, p...)
@@ -216,70 +226,49 @@ func appendErrInfo(b []byte, e *ErrInfo) []byte {
 }
 
 // appendBody appends m's v2 body (everything after the stream/seq envelope).
+// m must be the pointer form ParsePayload returns; the handshake messages
+// (HELLO, HELLO-ACK, OVERLOADED) are exchanged before a version is agreed
+// and have no v2 body.
 func appendBody(b []byte, t MsgType, m any) ([]byte, error) {
 	switch m := m.(type) {
-	case Enroll:
-		return appendEnroll(b, &m)
 	case *Enroll:
-		return appendEnroll(b, m)
-	case *OfferAck:
-		return appendBody(b, t, *m)
-	case *Send:
-		return appendBody(b, t, *m)
-	case *SendAll:
-		return appendBody(b, t, *m)
-	case *Recv:
-		return appendBody(b, t, *m)
-	case *Select:
-		return appendBody(b, t, *m)
-	case *Query:
-		return appendBody(b, t, *m)
-	case *BodyDone:
-		return appendBody(b, t, *m)
-	case *OpResult:
-		return appendBody(b, t, *m)
-	case *Complete:
-		return appendBody(b, t, *m)
-	case *Abort:
-		return appendBody(b, t, *m)
-	case *Drain:
-		return b, nil
-	case *Heartbeat:
-		return b, nil
-	case *Cancel:
-		return b, nil
-	case *Resume:
-		return appendBody(b, t, *m)
-	case *ResumeAck:
-		return appendBody(b, t, *m)
-	case *Ack:
-		return appendBody(b, t, *m)
-	case *Bye:
-		return b, nil
-	case *ProtoError:
-		return appendBody(b, t, *m)
-	case OfferAck:
-		b = binary.AppendUvarint(b, uint64(m.Performance))
+		b = appendString(b, m.PID)
 		b = appendString(b, m.Role)
-		// TraceID is an optional trailing field (see appendEnroll).
+		b = binary.AppendUvarint(b, uint64(m.DeadlineMS))
+		b, err := appendValues(b, m.Args)
+		if err != nil {
+			return nil, err
+		}
+		b = binary.AppendUvarint(b, uint64(len(m.With)))
+		for role, pids := range m.With {
+			b = appendStrings(appendString(b, role), pids)
+		}
+		// TraceID rides as an optional trailing field: appended only when
+		// set, parsed only when bytes remain. An empty ID keeps the original
+		// frame layout byte-for-byte, so pre-tracing peers and the fuzz
+		// corpus stay compatible.
 		if m.TraceID != "" {
 			b = appendString(b, m.TraceID)
 		}
 		return b, nil
-	case Send:
+	case *OfferAck:
+		b = binary.AppendUvarint(b, uint64(m.Performance))
+		b = appendString(b, m.Role)
+		// TraceID is an optional trailing field (see *Enroll).
+		if m.TraceID != "" {
+			b = appendString(b, m.TraceID)
+		}
+		return b, nil
+	case *Send:
 		b = appendString(b, m.To)
 		b = appendString(b, m.Tag)
 		return appendValue(b, m.Val)
-	case SendAll:
-		b = binary.AppendUvarint(b, uint64(len(m.Tos)))
-		for _, to := range m.Tos {
-			b = appendString(b, to)
-		}
-		return appendValue(b, m.Val)
-	case Recv:
+	case *SendAll:
+		return appendValue(appendStrings(b, m.Tos), m.Val)
+	case *Recv:
 		b = appendString(b, m.From)
 		return appendString(b, m.Tag), nil
-	case Select:
+	case *Select:
 		b = binary.AppendUvarint(b, uint64(len(m.Branches)))
 		var err error
 		for _, br := range m.Branches {
@@ -301,17 +290,17 @@ func appendBody(b []byte, t MsgType, m any) ([]byte, error) {
 			}
 		}
 		return b, nil
-	case Query:
+	case *Query:
 		b = appendString(b, m.Kind)
 		b = appendString(b, m.Role)
 		return appendString(b, m.Name), nil
-	case BodyDone:
+	case *BodyDone:
 		b, err := appendValues(b, m.Results)
 		if err != nil {
 			return nil, err
 		}
 		return appendErrInfo(b, m.Err), nil
-	case OpResult:
+	case *OpResult:
 		b, err := appendValue(b, m.Val)
 		if err != nil {
 			return nil, err
@@ -322,7 +311,7 @@ func appendBody(b []byte, t MsgType, m any) ([]byte, error) {
 		b = binary.AppendUvarint(b, uint64(m.N))
 		b = appendBool(b, m.Bool)
 		return appendErrInfo(b, m.Err), nil
-	case Complete:
+	case *Complete:
 		b = binary.AppendUvarint(b, uint64(m.Performance))
 		b = appendString(b, m.Role)
 		b, err := appendValues(b, m.Values)
@@ -330,55 +319,30 @@ func appendBody(b []byte, t MsgType, m any) ([]byte, error) {
 			return nil, err
 		}
 		return appendErrInfo(b, m.Err), nil
-	case Abort:
+	case *Abort:
 		b = binary.AppendUvarint(b, uint64(m.Performance))
 		b = appendString(b, m.Culprit)
 		return appendString(b, m.Reason), nil
-	case Drain, Heartbeat, Cancel, Bye:
+	case *Drain, *Heartbeat, *Cancel, *Bye:
 		return b, nil
-	case Resume:
+	case *Resume:
 		b = appendString(b, m.Token)
 		return binary.AppendUvarint(b, m.RecvCount), nil
-	case ResumeAck:
+	case *ResumeAck:
 		return binary.AppendUvarint(b, m.RecvCount), nil
-	case Ack:
+	case *Ack:
 		return binary.AppendUvarint(b, m.Count), nil
-	case ProtoError:
+	case *ProtoError:
 		return appendString(b, m.Msg), nil
 	default:
-		return nil, fmt.Errorf("wire: %s has no v2 encoding", t)
+		return nil, fmt.Errorf("wire: %s as %T has no v2 encoding", t, m)
 	}
-}
-
-func appendEnroll(b []byte, m *Enroll) ([]byte, error) {
-	b = appendString(b, m.PID)
-	b = appendString(b, m.Role)
-	b = binary.AppendUvarint(b, uint64(m.DeadlineMS))
-	b, err := appendValues(b, m.Args)
-	if err != nil {
-		return nil, err
-	}
-	b = binary.AppendUvarint(b, uint64(len(m.With)))
-	for role, pids := range m.With {
-		b = appendString(b, role)
-		b = binary.AppendUvarint(b, uint64(len(pids)))
-		for _, pid := range pids {
-			b = appendString(b, pid)
-		}
-	}
-	// TraceID rides as an optional trailing field: appended only when set,
-	// parsed only when bytes remain. An empty ID keeps the original frame
-	// layout byte-for-byte, so pre-tracing peers and the fuzz corpus stay
-	// compatible.
-	if m.TraceID != "" {
-		b = appendString(b, m.TraceID)
-	}
-	return b, nil
 }
 
 // AppendPayload appends one frame payload (the bytes after the type byte)
 // for protocol version ver: JSON for v1 (stream and seq must be zero — v1
-// has neither), the binary envelope + body for v2. Appending to a reused
+// has neither), the binary envelope + body for v2. m is a pointer to the
+// message struct, the form ParsePayload returns. Appending to a reused
 // buffer keeps the encode path allocation-free at steady state; Conn
 // maintains a pool of such buffers for its writes.
 func AppendPayload(dst []byte, ver int, t MsgType, stream, seq uint64, m any) ([]byte, error) {
@@ -402,608 +366,312 @@ func AppendPayload(dst []byte, ver int, t MsgType, stream, seq uint64, m any) ([
 // ---------------------------------------------------------------------------
 
 // cursor walks a payload. Every read checks the remaining length, so
-// decoding malformed input fails with an error instead of panicking.
+// decoding malformed input fails with an error instead of panicking. The
+// first failure is recorded in err and empties the cursor: every later read
+// returns a zero value and every later count is bounded to 0, so a decoder
+// reads a whole message straight through and checks err once at the end.
 type cursor struct {
 	b   []byte
 	off int
+	err error
+}
+
+func (c *cursor) fail(err error) {
+	if c.err == nil {
+		c.err = err
+	}
+	c.b, c.off = nil, 0
 }
 
 func (c *cursor) remaining() int { return len(c.b) - c.off }
 
-func (c *cursor) uvarint() (uint64, error) {
+func (c *cursor) uvarint() uint64 {
 	v, n := binary.Uvarint(c.b[c.off:])
 	if n <= 0 {
-		return 0, errTruncated
+		c.fail(errTruncated)
+		return 0
 	}
 	c.off += n
-	return v, nil
+	return v
 }
 
-func (c *cursor) varint() (int64, error) {
+func (c *cursor) varint() int64 {
 	v, n := binary.Varint(c.b[c.off:])
 	if n <= 0 {
-		return 0, errTruncated
+		c.fail(errTruncated)
+		return 0
 	}
 	c.off += n
-	return v, nil
+	return v
 }
 
 // count reads a uvarint element count and bounds it by the bytes remaining
 // (each encoded element costs at least minBytes), so a corrupt count cannot
 // force an oversized allocation.
-func (c *cursor) count(minBytes int) (int, error) {
-	v, err := c.uvarint()
-	if err != nil {
-		return 0, err
-	}
+func (c *cursor) count(minBytes int) int {
+	v := c.uvarint()
 	if v > uint64(c.remaining()/minBytes) {
-		return 0, errOversized
+		c.fail(errOversized)
+		return 0
 	}
-	return int(v), nil
+	return int(v)
 }
 
-func (c *cursor) intField() (int, error) {
-	v, err := c.uvarint()
-	if err != nil {
-		return 0, err
-	}
+// int63 reads a uvarint field that must fit a non-negative int64.
+func (c *cursor) int63() int64 {
+	v := c.uvarint()
 	if v > math.MaxInt64 {
-		return 0, errOversized
+		c.fail(errOversized)
+		return 0
 	}
-	return int(v), nil
+	return int64(v)
 }
 
-func (c *cursor) byteField() (byte, error) {
+func (c *cursor) byteField() byte {
 	if c.remaining() < 1 {
-		return 0, errTruncated
+		c.fail(errTruncated)
+		return 0
 	}
 	b := c.b[c.off]
 	c.off++
-	return b, nil
+	return b
 }
 
-func (c *cursor) take(n int) ([]byte, error) {
+func (c *cursor) take(n int) []byte {
 	if n < 0 || c.remaining() < n {
-		return nil, errOversized
+		c.fail(errOversized)
+		return nil
 	}
 	p := c.b[c.off : c.off+n]
 	c.off += n
-	return p, nil
+	return p
 }
 
-func (c *cursor) string() (string, error) {
-	n, err := c.uvarint()
-	if err != nil {
-		return "", err
-	}
+// lenPrefixed reads a uvarint length and that many bytes, aliasing the
+// payload: callers copy out (the buffer is reused for the next frame).
+func (c *cursor) lenPrefixed() []byte {
+	n := c.uvarint()
 	if n > uint64(c.remaining()) {
-		return "", errOversized
+		c.fail(errOversized)
+		return nil
 	}
-	p, err := c.take(int(n))
-	if err != nil {
-		return "", err
-	}
-	return string(p), nil
+	return c.take(int(n))
 }
 
-func (c *cursor) bool() (bool, error) {
-	b, err := c.byteField()
-	return b != 0, err
-}
+func (c *cursor) string() string { return string(c.lenPrefixed()) }
 
-func (c *cursor) value(depth int) (any, error) {
+func (c *cursor) value(depth int) any {
 	if depth > maxValueDepth {
-		return nil, errTooDeep
+		c.fail(errTooDeep)
+		return nil
 	}
-	tag, err := c.byteField()
-	if err != nil {
-		return nil, err
-	}
-	switch tag {
+	switch c.byteField() {
 	case vNil:
-		return nil, nil
+		return nil
 	case vFalse:
-		return false, nil
+		return false
 	case vTrue:
-		return true, nil
+		return true
 	case vInt:
-		v, err := c.varint()
-		return int(v), err
+		return int(c.varint())
 	case vUint:
 		return c.uvarint()
 	case vFloat:
-		p, err := c.take(8)
-		if err != nil {
-			return nil, err
+		if p := c.take(8); p != nil {
+			return math.Float64frombits(binary.LittleEndian.Uint64(p))
 		}
-		return math.Float64frombits(binary.LittleEndian.Uint64(p)), nil
+		return nil
 	case vString:
 		return c.string()
 	case vBytes:
-		n, err := c.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if n > uint64(c.remaining()) {
-			return nil, errOversized
-		}
-		p, err := c.take(int(n))
-		if err != nil {
-			return nil, err
-		}
-		// Copy out: the payload buffer is reused for the next frame.
-		out := make([]byte, len(p))
-		copy(out, p)
-		return out, nil
+		return append([]byte{}, c.lenPrefixed()...)
 	case vList:
-		n, err := c.count(1)
-		if err != nil {
-			return nil, err
-		}
+		n := c.count(1)
 		out := make([]any, 0, n)
-		for i := 0; i < n; i++ {
-			v, err := c.value(depth + 1)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, v)
+		for i := 0; i < n && c.err == nil; i++ {
+			out = append(out, c.value(depth+1))
 		}
-		return out, nil
+		return out
 	case vMap:
-		n, err := c.count(2)
-		if err != nil {
-			return nil, err
-		}
+		n := c.count(2)
 		out := make(map[string]any, n)
-		for i := 0; i < n; i++ {
-			k, err := c.string()
-			if err != nil {
-				return nil, err
-			}
-			v, err := c.value(depth + 1)
-			if err != nil {
-				return nil, err
-			}
-			out[k] = v
+		for i := 0; i < n && c.err == nil; i++ {
+			k := c.string()
+			out[k] = c.value(depth + 1)
 		}
-		return out, nil
+		return out
 	case vJSON:
-		n, err := c.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if n > uint64(c.remaining()) {
-			return nil, errOversized
-		}
-		p, err := c.take(int(n))
-		if err != nil {
-			return nil, err
-		}
 		var v any
-		if err := json.Unmarshal(p, &v); err != nil {
-			return nil, fmt.Errorf("wire: embedded JSON value: %w", err)
+		if p := c.lenPrefixed(); c.err == nil {
+			if err := json.Unmarshal(p, &v); err != nil {
+				c.fail(fmt.Errorf("wire: embedded JSON value: %w", err))
+			}
 		}
-		return v, nil
+		return v
 	default:
-		return nil, errBadTag
+		c.fail(errBadTag)
+		return nil
 	}
 }
 
-func (c *cursor) values() ([]any, error) {
-	n, err := c.count(1)
-	if err != nil {
-		return nil, err
-	}
+func (c *cursor) values() []any {
+	n := c.count(1)
 	if n == 0 {
-		return nil, nil
+		return nil
 	}
 	out := make([]any, 0, n)
-	for i := 0; i < n; i++ {
-		v, err := c.value(0)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
+	for i := 0; i < n && c.err == nil; i++ {
+		out = append(out, c.value(0))
 	}
-	return out, nil
+	return out
 }
 
-func (c *cursor) errInfo() (*ErrInfo, error) {
-	present, err := c.byteField()
-	if err != nil {
-		return nil, err
+func (c *cursor) strings() []string {
+	n := c.count(1)
+	out := make([]string, 0, n)
+	for i := 0; i < n && c.err == nil; i++ {
+		out = append(out, c.string())
 	}
-	if present == 0 {
-		return nil, nil
+	return out
+}
+
+func (c *cursor) errInfo() *ErrInfo {
+	if c.byteField() == 0 {
+		return nil
 	}
 	e := &ErrInfo{}
-	code, err := c.byteField()
-	if err != nil {
-		return nil, err
-	}
-	if code == 0 {
-		if e.Code, err = c.string(); err != nil {
-			return nil, err
-		}
+	if code := c.byteField(); code == 0 {
+		e.Code = c.string()
 	} else if s, ok := errCodeStrings[code]; ok {
 		e.Code = s
 	} else {
 		e.Code = CodeOther
 	}
-	if e.Msg, err = c.string(); err != nil {
-		return nil, err
-	}
-	if e.Script, err = c.string(); err != nil {
-		return nil, err
-	}
-	if e.Performance, err = c.intField(); err != nil {
-		return nil, err
-	}
-	if e.Culprit, err = c.string(); err != nil {
-		return nil, err
-	}
-	if e.Reason, err = c.string(); err != nil {
-		return nil, err
-	}
-	if e.Role, err = c.string(); err != nil {
-		return nil, err
-	}
-	ms, err := c.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if ms > math.MaxInt64 {
-		return nil, errOversized
-	}
-	e.RetryAfterMS = int64(ms)
-	return e, nil
+	e.Msg = c.string()
+	e.Script = c.string()
+	e.Performance = int(c.int63())
+	e.Culprit = c.string()
+	e.Reason = c.string()
+	e.Role = c.string()
+	e.RetryAfterMS = c.int63()
+	return e
 }
 
 // ParsePayload decodes one frame payload for protocol version ver. For v1
 // it JSON-unmarshals into the message struct for t (stream and seq are
 // reported as 0); for v2 it decodes the binary envelope and body. The
 // returned message is a pointer to the concrete struct for t (*Send,
-// *OpResult, ...), fully copied out of payload — the caller may reuse the
-// payload buffer immediately.
+// *OpResult, ... — see msgTable), fully copied out of payload — the caller
+// may reuse the payload buffer immediately.
 func ParsePayload(ver int, t MsgType, payload []byte) (stream, seq uint64, m any, err error) {
+	// CANCEL exists from v2 on: a v1 client withdraws by severing its
+	// connection, and a v1 host must keep treating the frame as unknown.
+	if int(t) >= len(msgTable) || msgTable[t].new == nil || (ver < 2 && t == MsgCancel) {
+		return 0, 0, nil, fmt.Errorf("wire: unknown message type %s", t)
+	}
+	m = msgTable[t].new()
 	if ver < 2 {
-		m, err = parseJSONPayload(t, payload)
-		return 0, 0, m, err
+		if err := json.Unmarshal(payload, m); err != nil {
+			return 0, 0, nil, err
+		}
+		return 0, 0, m, nil
 	}
-	c := &cursor{b: payload}
-	if stream, err = c.uvarint(); err != nil {
-		return 0, 0, nil, err
+	c := cursor{b: payload}
+	stream, seq = c.uvarint(), c.uvarint()
+	c.body(t, m)
+	if c.err == nil && c.remaining() != 0 {
+		c.err = errTrailing
 	}
-	if seq, err = c.uvarint(); err != nil {
-		return 0, 0, nil, err
-	}
-	m, err = parseBody(c, t)
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	if c.remaining() != 0 {
-		return 0, 0, nil, errTrailing
+	if c.err != nil {
+		return 0, 0, nil, c.err
 	}
 	return stream, seq, m, nil
 }
 
-func parseJSONPayload(t MsgType, payload []byte) (any, error) {
-	var m any
-	switch t {
-	case MsgHello:
-		m = &Hello{}
-	case MsgHelloAck:
-		m = &HelloAck{}
-	case MsgEnroll:
-		m = &Enroll{}
-	case MsgOfferAck:
-		m = &OfferAck{}
-	case MsgSend:
-		m = &Send{}
-	case MsgSendAll:
-		m = &SendAll{}
-	case MsgRecv, MsgRecvAny:
-		m = &Recv{}
-	case MsgSelect:
-		m = &Select{}
-	case MsgQuery:
-		m = &Query{}
-	case MsgBodyDone:
-		m = &BodyDone{}
-	case MsgOpResult:
-		m = &OpResult{}
-	case MsgComplete:
-		m = &Complete{}
-	case MsgAbort:
-		m = &Abort{}
-	case MsgDrain:
-		m = &Drain{}
-	case MsgHeartbeat:
-		m = &Heartbeat{}
-	case MsgResume:
-		m = &Resume{}
-	case MsgResumeAck:
-		m = &ResumeAck{}
-	case MsgAck:
-		m = &Ack{}
-	case MsgBye:
-		m = &Bye{}
-	case MsgError:
-		m = &ProtoError{}
-	case MsgOverloaded:
-		m = &Overloaded{}
-	default:
-		return nil, fmt.Errorf("wire: unknown message type %s", t)
-	}
-	if err := json.Unmarshal(payload, m); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-func parseBody(c *cursor, t MsgType) (any, error) {
-	switch t {
-	case MsgEnroll:
-		return parseEnroll(c)
-	case MsgOfferAck:
-		m := &OfferAck{}
-		var err error
-		if m.Performance, err = c.intField(); err != nil {
-			return nil, err
-		}
-		if m.Role, err = c.string(); err != nil {
-			return nil, err
+// body fills m, the empty struct for t, from the v2 body at the cursor —
+// field by field, the mirror of appendBody.
+func (c *cursor) body(t MsgType, m any) {
+	switch m := m.(type) {
+	case *Enroll:
+		m.PID = c.string()
+		m.Role = c.string()
+		m.DeadlineMS = c.int63()
+		m.Args = c.values()
+		if n := c.count(2); n > 0 {
+			m.With = make(map[string][]string, n)
+			for i := 0; i < n && c.err == nil; i++ {
+				role := c.string()
+				m.With[role] = c.strings()
+			}
 		}
 		if c.remaining() > 0 { // optional trailing trace ID
-			if m.TraceID, err = c.string(); err != nil {
-				return nil, err
-			}
+			m.TraceID = c.string()
 		}
-		return m, nil
-	case MsgSend:
-		m := &Send{}
-		var err error
-		if m.To, err = c.string(); err != nil {
-			return nil, err
+	case *OfferAck:
+		m.Performance = int(c.int63())
+		m.Role = c.string()
+		if c.remaining() > 0 { // optional trailing trace ID
+			m.TraceID = c.string()
 		}
-		if m.Tag, err = c.string(); err != nil {
-			return nil, err
-		}
-		if m.Val, err = c.value(0); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case MsgSendAll:
-		m := &SendAll{}
-		n, err := c.count(1)
-		if err != nil {
-			return nil, err
-		}
-		m.Tos = make([]string, 0, n)
-		for i := 0; i < n; i++ {
-			to, err := c.string()
-			if err != nil {
-				return nil, err
-			}
-			m.Tos = append(m.Tos, to)
-		}
-		if m.Val, err = c.value(0); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case MsgRecv, MsgRecvAny:
-		m := &Recv{}
-		var err error
-		if m.From, err = c.string(); err != nil {
-			return nil, err
-		}
-		if m.Tag, err = c.string(); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case MsgSelect:
-		m := &Select{}
-		n, err := c.count(4)
-		if err != nil {
-			return nil, err
-		}
+	case *Send:
+		m.To = c.string()
+		m.Tag = c.string()
+		m.Val = c.value(0)
+	case *SendAll:
+		m.Tos = c.strings()
+		m.Val = c.value(0)
+	case *Recv:
+		m.From = c.string()
+		m.Tag = c.string()
+	case *Select:
+		n := c.count(4)
 		m.Branches = make([]SelectBranch, 0, n)
-		for i := 0; i < n; i++ {
-			var br SelectBranch
-			flags, err := c.byteField()
-			if err != nil {
-				return nil, err
-			}
-			br.Send = flags&1 != 0
-			br.AnyPeer = flags&2 != 0
-			if br.Peer, err = c.string(); err != nil {
-				return nil, err
-			}
-			if br.Tag, err = c.string(); err != nil {
-				return nil, err
-			}
-			if br.Index, err = c.intField(); err != nil {
-				return nil, err
-			}
+		for i := 0; i < n && c.err == nil; i++ {
+			flags := c.byteField()
+			br := SelectBranch{Send: flags&1 != 0, AnyPeer: flags&2 != 0}
+			br.Peer = c.string()
+			br.Tag = c.string()
+			br.Index = int(c.int63())
 			if br.Send {
-				if br.Val, err = c.value(0); err != nil {
-					return nil, err
-				}
+				br.Val = c.value(0)
 			}
 			m.Branches = append(m.Branches, br)
 		}
-		return m, nil
-	case MsgQuery:
-		m := &Query{}
-		var err error
-		if m.Kind, err = c.string(); err != nil {
-			return nil, err
-		}
-		if m.Role, err = c.string(); err != nil {
-			return nil, err
-		}
-		if m.Name, err = c.string(); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case MsgBodyDone:
-		m := &BodyDone{}
-		var err error
-		if m.Results, err = c.values(); err != nil {
-			return nil, err
-		}
-		if m.Err, err = c.errInfo(); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case MsgOpResult:
-		m := &OpResult{}
-		var err error
-		if m.Val, err = c.value(0); err != nil {
-			return nil, err
-		}
-		if m.Peer, err = c.string(); err != nil {
-			return nil, err
-		}
-		if m.Tag, err = c.string(); err != nil {
-			return nil, err
-		}
-		if m.Index, err = c.intField(); err != nil {
-			return nil, err
-		}
-		if m.N, err = c.intField(); err != nil {
-			return nil, err
-		}
-		if m.Bool, err = c.bool(); err != nil {
-			return nil, err
-		}
-		if m.Err, err = c.errInfo(); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case MsgComplete:
-		m := &Complete{}
-		var err error
-		if m.Performance, err = c.intField(); err != nil {
-			return nil, err
-		}
-		if m.Role, err = c.string(); err != nil {
-			return nil, err
-		}
-		if m.Values, err = c.values(); err != nil {
-			return nil, err
-		}
-		if m.Err, err = c.errInfo(); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case MsgAbort:
-		m := &Abort{}
-		var err error
-		if m.Performance, err = c.intField(); err != nil {
-			return nil, err
-		}
-		if m.Culprit, err = c.string(); err != nil {
-			return nil, err
-		}
-		if m.Reason, err = c.string(); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case MsgDrain:
-		return &Drain{}, nil
-	case MsgHeartbeat:
-		return &Heartbeat{}, nil
-	case MsgCancel:
-		return &Cancel{}, nil
-	case MsgResume:
-		m := &Resume{}
-		var err error
-		if m.Token, err = c.string(); err != nil {
-			return nil, err
-		}
-		if m.RecvCount, err = c.uvarint(); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case MsgResumeAck:
-		m := &ResumeAck{}
-		var err error
-		if m.RecvCount, err = c.uvarint(); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case MsgAck:
-		m := &Ack{}
-		var err error
-		if m.Count, err = c.uvarint(); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case MsgBye:
-		return &Bye{}, nil
-	case MsgError:
-		m := &ProtoError{}
-		var err error
-		if m.Msg, err = c.string(); err != nil {
-			return nil, err
-		}
-		return m, nil
+	case *Query:
+		m.Kind = c.string()
+		m.Role = c.string()
+		m.Name = c.string()
+	case *BodyDone:
+		m.Results = c.values()
+		m.Err = c.errInfo()
+	case *OpResult:
+		m.Val = c.value(0)
+		m.Peer = c.string()
+		m.Tag = c.string()
+		m.Index = int(c.int63())
+		m.N = int(c.int63())
+		m.Bool = c.byteField() != 0
+		m.Err = c.errInfo()
+	case *Complete:
+		m.Performance = int(c.int63())
+		m.Role = c.string()
+		m.Values = c.values()
+		m.Err = c.errInfo()
+	case *Abort:
+		m.Performance = int(c.int63())
+		m.Culprit = c.string()
+		m.Reason = c.string()
+	case *Drain, *Heartbeat, *Cancel, *Bye:
+	case *Resume:
+		m.Token = c.string()
+		m.RecvCount = c.uvarint()
+	case *ResumeAck:
+		m.RecvCount = c.uvarint()
+	case *Ack:
+		m.Count = c.uvarint()
+	case *ProtoError:
+		m.Msg = c.string()
 	default:
-		return nil, fmt.Errorf("wire: %s has no v2 encoding", t)
+		c.fail(fmt.Errorf("wire: %s has no v2 encoding", t))
 	}
-}
-
-func parseEnroll(c *cursor) (*Enroll, error) {
-	m := &Enroll{}
-	var err error
-	if m.PID, err = c.string(); err != nil {
-		return nil, err
-	}
-	if m.Role, err = c.string(); err != nil {
-		return nil, err
-	}
-	ms, err := c.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if ms > math.MaxInt64 {
-		return nil, errOversized
-	}
-	m.DeadlineMS = int64(ms)
-	if m.Args, err = c.values(); err != nil {
-		return nil, err
-	}
-	n, err := c.count(2)
-	if err != nil {
-		return nil, err
-	}
-	if n > 0 {
-		m.With = make(map[string][]string, n)
-		for i := 0; i < n; i++ {
-			role, err := c.string()
-			if err != nil {
-				return nil, err
-			}
-			np, err := c.count(1)
-			if err != nil {
-				return nil, err
-			}
-			pids := make([]string, 0, np)
-			for j := 0; j < np; j++ {
-				pid, err := c.string()
-				if err != nil {
-					return nil, err
-				}
-				pids = append(pids, pid)
-			}
-			m.With[role] = pids
-		}
-	}
-	if c.remaining() > 0 { // optional trailing trace ID
-		if m.TraceID, err = c.string(); err != nil {
-			return nil, err
-		}
-	}
-	return m, nil
 }

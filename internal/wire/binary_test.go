@@ -1,7 +1,9 @@
 package wire
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -29,97 +31,63 @@ func roundTripV2(t *testing.T, typ MsgType, stream, seq uint64, m any) any {
 	return out
 }
 
+// TestV2RoundTripAllMessages walks msgTable, so a message type added there
+// without codec cases (or without a golden instance) fails here. Each
+// instance must come back as the pointer form the table constructs, equal
+// to what was sent in v1's terms — its JSON rendering, the sense in which
+// v2 is value-complete with respect to v1; TestV2ValueCodec pins where v2
+// is deliberately richer. The three handshake messages are exchanged
+// before a version is agreed and must have no v2 encoding.
 func TestV2RoundTripAllMessages(t *testing.T) {
-	enroll := &Enroll{
-		PID:        "worker-7",
-		Role:       "recipient[3]",
-		Args:       []any{"hello", 42, 3.5, true, nil},
-		With:       map[string][]string{"sender": {"A", "B"}, "observer": {}},
-		DeadlineMS: 1722945600000,
+	handshakeOnly := map[MsgType]bool{MsgHello: true, MsgHelloAck: true, MsgOverloaded: true}
+	golden := make(map[MsgType]any, len(goldenMsgs))
+	for _, g := range goldenMsgs {
+		golden[g.t] = g.m
 	}
-	got := roundTripV2(t, MsgEnroll, 3, 0, enroll).(*Enroll)
-	if !reflect.DeepEqual(got, enroll) {
+	for i := 1; i < len(msgTable); i++ {
+		typ := MsgType(i)
+		in, ok := golden[typ]
+		if !ok {
+			t.Errorf("%s has no instance in goldenMsgs", typ)
+			continue
+		}
+		if got, want := reflect.TypeOf(in), reflect.TypeOf(msgTable[typ].new()); got != want {
+			t.Errorf("%s: golden instance is %v, the table constructs %v", typ, got, want)
+		}
+		if handshakeOnly[typ] {
+			if _, err := AppendPayload(nil, 2, typ, 0, 0, in); err == nil {
+				t.Errorf("%s encodes under v2; the handshake is v1 only", typ)
+			}
+			if _, _, _, err := ParsePayload(2, typ, []byte{0, 0}); err == nil {
+				t.Errorf("%s decodes under v2; the handshake is v1 only", typ)
+			}
+			continue
+		}
+		out := roundTripV2(t, typ, 3, 9, in)
+		if reflect.TypeOf(out) != reflect.TypeOf(in) {
+			t.Errorf("%s decoded as %T, want %T", typ, out, in)
+		}
+		want, _ := json.Marshal(in)
+		if got, _ := json.Marshal(out); !bytes.Equal(got, want) {
+			t.Errorf("%s round trip:\n got  %s\n want %s", typ, got, want)
+		}
+		// The value form is not a second encodable form.
+		if _, err := AppendPayload(nil, 2, typ, 3, 9, reflect.ValueOf(in).Elem().Interface()); err == nil {
+			t.Errorf("%s: value form encoded; only the pointer form should", typ)
+		}
+	}
+	// Fields the JSON comparison cannot see into: concrete error identity
+	// and partner constraints with an empty set.
+	enroll := &Enroll{PID: "p", Role: "r", With: map[string][]string{"sender": {"A", "B"}, "observer": {}}}
+	if got := roundTripV2(t, MsgEnroll, 3, 0, enroll).(*Enroll); !reflect.DeepEqual(got, enroll) {
 		t.Fatalf("Enroll round trip: got %+v want %+v", got, enroll)
 	}
-
-	ack := roundTripV2(t, MsgOfferAck, 3, 0, OfferAck{Performance: 17, Role: "recipient[3]"}).(*OfferAck)
-	if ack.Performance != 17 || ack.Role != "recipient[3]" {
-		t.Fatalf("OfferAck round trip: %+v", ack)
-	}
-
-	send := roundTripV2(t, MsgSend, 3, 9, Send{To: "sender", Tag: "ack", Val: map[string]any{"k": []any{1, "x"}}}).(*Send)
-	if send.To != "sender" || send.Tag != "ack" {
-		t.Fatalf("Send round trip: %+v", send)
-	}
-	if m := send.Val.(map[string]any); m["k"].([]any)[0] != 1 {
-		t.Fatalf("Send value mangled: %+v", send.Val)
-	}
-
-	sa := roundTripV2(t, MsgSendAll, 1, 2, SendAll{Tos: []string{"r[0]", "r[1]", "r[2]"}, Val: "payload"}).(*SendAll)
-	if len(sa.Tos) != 3 || sa.Tos[2] != "r[2]" || sa.Val != "payload" {
-		t.Fatalf("SendAll round trip: %+v", sa)
-	}
-
-	rv := roundTripV2(t, MsgRecv, 4, 5, Recv{From: "sender", Tag: "t"}).(*Recv)
-	if rv.From != "sender" || rv.Tag != "t" {
-		t.Fatalf("Recv round trip: %+v", rv)
-	}
-
-	sel := roundTripV2(t, MsgSelect, 2, 8, Select{Branches: []SelectBranch{
-		{Send: true, Peer: "a", Tag: "x", Val: 9, Index: 0},
-		{AnyPeer: true, Tag: "y", Index: 2},
-	}}).(*Select)
-	if len(sel.Branches) != 2 || !sel.Branches[0].Send || sel.Branches[0].Val != 9 ||
-		!sel.Branches[1].AnyPeer || sel.Branches[1].Index != 2 {
-		t.Fatalf("Select round trip: %+v", sel)
-	}
-
-	q := roundTripV2(t, MsgQuery, 6, 7, Query{Kind: QueryFamilySize, Name: "recipient"}).(*Query)
-	if q.Kind != QueryFamilySize || q.Name != "recipient" {
-		t.Fatalf("Query round trip: %+v", q)
-	}
-
-	bd := roundTripV2(t, MsgBodyDone, 6, 0, BodyDone{
-		Results: []any{"r", 2},
-		Err:     EncodeError(core.ErrRoleFinished),
-	}).(*BodyDone)
-	if len(bd.Results) != 2 || !errors.Is(bd.Err.Err(), core.ErrRoleFinished) {
-		t.Fatalf("BodyDone round trip: %+v", bd)
-	}
-
-	op := roundTripV2(t, MsgOpResult, 6, 12, OpResult{
-		Val: "v", Peer: "p[1]", Tag: "t", Index: 3, N: 64, Bool: true,
-	}).(*OpResult)
-	if op.Val != "v" || op.Peer != "p[1]" || op.Index != 3 || op.N != 64 || !op.Bool || op.Err != nil {
-		t.Fatalf("OpResult round trip: %+v", op)
-	}
-
-	comp := roundTripV2(t, MsgComplete, 6, 0, Complete{
-		Performance: 5, Role: "r", Values: []any{1.5},
-		Err: EncodeError(&core.AbortError{Script: "s", Performance: 5, Reason: "boom"}),
+	comp := roundTripV2(t, MsgComplete, 6, 0, &Complete{
+		Performance: 5, Err: EncodeError(&core.AbortError{Script: "s", Performance: 5, Reason: "boom"}),
 	}).(*Complete)
 	var ae *core.AbortError
 	if comp.Performance != 5 || !errors.As(comp.Err.Err(), &ae) || ae.Reason != "boom" {
 		t.Fatalf("Complete round trip: %+v", comp)
-	}
-
-	ab := roundTripV2(t, MsgAbort, 6, 0, Abort{Performance: 8, Culprit: "c[0]", Reason: "gone"}).(*Abort)
-	if ab.Performance != 8 || ab.Culprit != "c[0]" || ab.Reason != "gone" {
-		t.Fatalf("Abort round trip: %+v", ab)
-	}
-
-	if _, ok := roundTripV2(t, MsgHeartbeat, 0, 0, Heartbeat{}).(*Heartbeat); !ok {
-		t.Fatalf("Heartbeat round trip lost type")
-	}
-	if _, ok := roundTripV2(t, MsgCancel, 9, 0, Cancel{}).(*Cancel); !ok {
-		t.Fatalf("Cancel round trip lost type")
-	}
-	if _, ok := roundTripV2(t, MsgDrain, 1, 0, Drain{}).(*Drain); !ok {
-		t.Fatalf("Drain round trip lost type")
-	}
-	pe := roundTripV2(t, MsgError, 0, 0, ProtoError{Msg: "bad"}).(*ProtoError)
-	if pe.Msg != "bad" {
-		t.Fatalf("ProtoError round trip: %+v", pe)
 	}
 }
 
@@ -156,7 +124,7 @@ func TestV2ValueCodec(t *testing.T) {
 		{[]string{"p", "q"}, []any{"p", "q"}},
 	}
 	for _, tc := range cases {
-		out := roundTripV2(t, MsgSend, 1, 1, Send{To: "r", Val: tc.in}).(*Send)
+		out := roundTripV2(t, MsgSend, 1, 1, &Send{To: "r", Val: tc.in}).(*Send)
 		if !reflect.DeepEqual(out.Val, tc.want) {
 			t.Errorf("value %#v (%T) round-tripped to %#v (%T), want %#v (%T)",
 				tc.in, tc.in, out.Val, out.Val, tc.want, tc.want)
@@ -171,21 +139,21 @@ func TestV2ErrorTaxonomyRoundTrip(t *testing.T) {
 		context.Canceled, context.DeadlineExceeded,
 	}
 	for _, want := range sentinels {
-		out := roundTripV2(t, MsgOpResult, 1, 1, OpResult{Err: EncodeError(fmt.Errorf("wrapped: %w", want))}).(*OpResult)
+		out := roundTripV2(t, MsgOpResult, 1, 1, &OpResult{Err: EncodeError(fmt.Errorf("wrapped: %w", want))}).(*OpResult)
 		if got := out.Err.Err(); !errors.Is(got, want) {
 			t.Errorf("sentinel %v lost across v2 wire: got %v", want, got)
 		}
 	}
 
 	oe := &core.OverloadError{Script: "s", Reason: "shed", RetryAfter: 250000000}
-	out := roundTripV2(t, MsgComplete, 1, 0, Complete{Err: EncodeError(oe)}).(*Complete)
+	out := roundTripV2(t, MsgComplete, 1, 0, &Complete{Err: EncodeError(oe)}).(*Complete)
 	var gotOE *core.OverloadError
 	if !errors.As(out.Err.Err(), &gotOE) || gotOE.RetryAfter != oe.RetryAfter || gotOE.Reason != "shed" {
 		t.Fatalf("OverloadError across v2 wire: %+v", out.Err)
 	}
 
 	// An unknown future code string survives via the escape hatch.
-	raw, err := AppendPayload(nil, 2, MsgOpResult, 1, 1, OpResult{Err: &ErrInfo{Code: "brand_new", Msg: "m"}})
+	raw, err := AppendPayload(nil, 2, MsgOpResult, 1, 1, &OpResult{Err: &ErrInfo{Code: "brand_new", Msg: "m"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,9 +173,9 @@ func TestV2FrameConn(t *testing.T) {
 	ca.SetVersion(2)
 	cb.SetVersion(2)
 	go func() {
-		_ = ca.WriteFrame(MsgSend, 1, 1, Send{To: "a", Val: 10})
-		_ = ca.WriteFrame(MsgSend, 2, 1, Send{To: "b", Val: 20})
-		_ = ca.WriteFrame(MsgBodyDone, 1, 0, BodyDone{Results: []any{"done"}})
+		_ = ca.WriteFrame(MsgSend, 1, 1, &Send{To: "a", Val: 10})
+		_ = ca.WriteFrame(MsgSend, 2, 1, &Send{To: "b", Val: 20})
+		_ = ca.WriteFrame(MsgBodyDone, 1, 0, &BodyDone{Results: []any{"done"}})
 	}()
 	wantStreams := []uint64{1, 2, 1}
 	for i := 0; i < 3; i++ {
@@ -235,10 +203,10 @@ func TestV2FrameConn(t *testing.T) {
 // connection (and reject the v2-only envelope).
 func TestV1FrameConn(t *testing.T) {
 	ca, cb := pipeConns(t)
-	if err := ca.WriteFrame(MsgSend, 1, 0, Send{To: "x"}); err == nil {
+	if err := ca.WriteFrame(MsgSend, 1, 0, &Send{To: "x"}); err == nil {
 		t.Fatal("v1 WriteFrame accepted a stream ID")
 	}
-	go func() { _ = ca.WriteFrame(MsgSend, 0, 0, Send{To: "x", Val: 1.5}) }()
+	go func() { _ = ca.WriteFrame(MsgSend, 0, 0, &Send{To: "x", Val: 1.5}) }()
 	typ, stream, seq, m, err := cb.ReadFrame()
 	if err != nil {
 		t.Fatalf("ReadFrame: %v", err)
@@ -266,7 +234,14 @@ func TestHandshakeNegotiation(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			ca, cb := pipeConns(t)
 			errCh := make(chan error, 1)
-			go func() { errCh <- ServerHandshakeV(cb, "s", tc.hostMax) }()
+			var hello Hello
+			go func() {
+				var err error
+				hello, err = ServerHandshakeV(cb, "s", tc.hostMax, func(h Hello, ack *HelloAck) {
+					ack.HeartbeatTimeoutMS = int64(1000 * ack.Version)
+				})
+				errCh <- err
+			}()
 			ack, err := ClientHandshakeV(ca, "s", tc.clientMax)
 			if err != nil {
 				t.Fatalf("ClientHandshakeV: %v", err)
@@ -278,42 +253,63 @@ func TestHandshakeNegotiation(t *testing.T) {
 				t.Fatalf("negotiated (ack %d, client %d, host %d), want %d",
 					ack.Version, ca.Version(), cb.Version(), tc.want)
 			}
+			// The decorator sees the negotiated version and its fields reach
+			// the client; a client advertises resumption iff it offers v2.
+			if ack.HeartbeatTimeoutMS != int64(1000*tc.want) {
+				t.Fatalf("decorated ack field = %d, want %d", ack.HeartbeatTimeoutMS, 1000*tc.want)
+			}
+			if hello.Resume != (tc.clientMax >= 2) || hello.MaxVersion != tc.clientMax {
+				t.Fatalf("host saw HELLO %+v from a client offering up to v%d", hello, tc.clientMax)
+			}
 		})
 	}
 }
 
-// TestHandshakeLegacyInterop proves the frozen v1 handshake interoperates
-// with the negotiating one in both directions — the on-wire behavior of a
-// peer built before this change.
+// TestHandshakeLegacyInterop proves the handshake pair interoperates with a
+// pre-v2 peer in both directions. The legacy side is written out by hand —
+// a HELLO without max_version, a bare v1 HELLO-ACK — because those bytes,
+// not any function of this package, are what such a peer puts on the wire.
 func TestHandshakeLegacyInterop(t *testing.T) {
 	t.Run("legacy client, negotiating host", func(t *testing.T) {
-		ca, cb := pipeConns(t)
+		raw, cb := rawPipe(t)
 		errCh := make(chan error, 1)
-		go func() { errCh <- ServerHandshakeV(cb, "s", MaxVersion) }()
-		ack, err := ClientHandshake(ca, "s")
+		go func() { errCh <- serverHandshake(cb, "s", MaxVersion) }()
+		if _, err := raw.Write(rawFrame(MsgHello, `{"magic":"SCRW","version":1,"script":"s"}`)); err != nil {
+			t.Fatal(err)
+		}
+		_, _, _, m, err := NewConn(raw).ReadFrame()
 		if err != nil {
-			t.Fatalf("legacy ClientHandshake: %v", err)
+			t.Fatalf("legacy client read: %v", err)
 		}
 		if err := <-errCh; err != nil {
 			t.Fatalf("ServerHandshakeV: %v", err)
 		}
-		if ack.Version != 1 || cb.Version() != 1 {
-			t.Fatalf("legacy client negotiated v%d on host side %d", ack.Version, cb.Version())
+		if ack, ok := m.(*HelloAck); !ok || ack.Version != 1 || ack.Script != "s" || cb.Version() != 1 {
+			t.Fatalf("legacy client got %+v, host side v%d", m, cb.Version())
 		}
 	})
 	t.Run("negotiating client, legacy host", func(t *testing.T) {
-		ca, cb := pipeConns(t)
+		raw, ca := rawPipe(t)
 		errCh := make(chan error, 1)
-		go func() { errCh <- ServerHandshake(cb, "s") }()
+		go func() {
+			_, _, _, m, err := NewConn(raw).ReadFrame()
+			if h, ok := m.(*Hello); err == nil && (!ok || h.Magic != Magic || h.Version != 1) {
+				err = fmt.Errorf("legacy host cannot accept HELLO %+v", m)
+			}
+			if err == nil {
+				_, err = raw.Write(rawFrame(MsgHelloAck, `{"version":1,"script":"s"}`))
+			}
+			errCh <- err
+		}()
 		ack, err := ClientHandshakeV(ca, "s", MaxVersion)
 		if err != nil {
 			t.Fatalf("ClientHandshakeV against legacy host: %v", err)
 		}
 		if err := <-errCh; err != nil {
-			t.Fatalf("legacy ServerHandshake: %v", err)
+			t.Fatalf("legacy host: %v", err)
 		}
-		if ack.Version != 1 || ca.Version() != 1 {
-			t.Fatalf("negotiating client got v%d from legacy host (conn %d)", ack.Version, ca.Version())
+		if ack.Version != 1 || ca.Version() != 1 || ack.ResumeToken != "" {
+			t.Fatalf("negotiating client got %+v from legacy host (conn v%d)", ack, ca.Version())
 		}
 	})
 }
@@ -363,25 +359,25 @@ func FuzzParsePayload(f *testing.F) {
 		m any
 	}{
 		{MsgEnroll, &Enroll{PID: "p", Role: "r[0]", Args: []any{1, "s", 2.5, nil, true}, With: map[string][]string{"a": {"X"}}, DeadlineMS: 99}},
-		{MsgOfferAck, OfferAck{Performance: 3, Role: "r"}},
-		{MsgSend, Send{To: "peer", Tag: "t", Val: map[string]any{"k": []any{1, "v"}}}},
-		{MsgSendAll, SendAll{Tos: []string{"a", "b"}, Val: []byte{1, 2}}},
-		{MsgRecv, Recv{From: "p", Tag: "g"}},
-		{MsgRecvAny, Recv{}},
-		{MsgSelect, Select{Branches: []SelectBranch{{Send: true, Peer: "p", Val: 1, Index: 0}, {AnyPeer: true, Index: 1}}}},
-		{MsgQuery, Query{Kind: QueryTerminated, Role: "r"}},
-		{MsgBodyDone, BodyDone{Results: []any{"x"}, Err: EncodeError(core.ErrClosed)}},
-		{MsgOpResult, OpResult{Val: 7, Peer: "p", Index: 2, N: 3, Bool: true, Err: EncodeError(context.Canceled)}},
-		{MsgComplete, Complete{Performance: 1, Role: "r", Values: []any{1}, Err: EncodeError(&core.AbortError{Reason: "x"})}},
-		{MsgAbort, Abort{Performance: 2, Culprit: "c", Reason: "r"}},
-		{MsgDrain, Drain{}},
-		{MsgHeartbeat, Heartbeat{}},
-		{MsgCancel, Cancel{}},
-		{MsgResume, Resume{Token: "74a1b2c3d4e5f607", RecvCount: 42}},
-		{MsgResumeAck, ResumeAck{RecvCount: 17}},
-		{MsgAck, Ack{Count: 128}},
-		{MsgBye, Bye{}},
-		{MsgError, ProtoError{Msg: "m"}},
+		{MsgOfferAck, &OfferAck{Performance: 3, Role: "r"}},
+		{MsgSend, &Send{To: "peer", Tag: "t", Val: map[string]any{"k": []any{1, "v"}}}},
+		{MsgSendAll, &SendAll{Tos: []string{"a", "b"}, Val: []byte{1, 2}}},
+		{MsgRecv, &Recv{From: "p", Tag: "g"}},
+		{MsgRecvAny, &Recv{}},
+		{MsgSelect, &Select{Branches: []SelectBranch{{Send: true, Peer: "p", Val: 1, Index: 0}, {AnyPeer: true, Index: 1}}}},
+		{MsgQuery, &Query{Kind: QueryTerminated, Role: "r"}},
+		{MsgBodyDone, &BodyDone{Results: []any{"x"}, Err: EncodeError(core.ErrClosed)}},
+		{MsgOpResult, &OpResult{Val: 7, Peer: "p", Index: 2, N: 3, Bool: true, Err: EncodeError(context.Canceled)}},
+		{MsgComplete, &Complete{Performance: 1, Role: "r", Values: []any{1}, Err: EncodeError(&core.AbortError{Reason: "x"})}},
+		{MsgAbort, &Abort{Performance: 2, Culprit: "c", Reason: "r"}},
+		{MsgDrain, &Drain{}},
+		{MsgHeartbeat, &Heartbeat{}},
+		{MsgCancel, &Cancel{}},
+		{MsgResume, &Resume{Token: "74a1b2c3d4e5f607", RecvCount: 42}},
+		{MsgResumeAck, &ResumeAck{RecvCount: 17}},
+		{MsgAck, &Ack{Count: 128}},
+		{MsgBye, &Bye{}},
+		{MsgError, &ProtoError{Msg: "m"}},
 	}
 	for _, s := range seedMsgs {
 		payload, err := AppendPayload(nil, 2, s.t, 5, 9, s.m)
@@ -408,4 +404,23 @@ func FuzzParsePayload(f *testing.F) {
 			t.Fatalf("decoded %s does not re-encode: %v", MsgType(typ), rerr)
 		}
 	})
+}
+
+// TestCodecAllocsV2 pins the allocations of the v2 codec on the lock-step
+// op round trip (SEND out, OP-RESULT back) at the count measured before the
+// decode cursor was changed to record its first error: the two message
+// structs, SEND's two strings and its boxed int value.
+func TestCodecAllocsV2(t *testing.T) {
+	send := &Send{To: "buffer", Tag: "item", Val: 123456789}
+	result := &OpResult{}
+	buf := make([]byte, 0, 1024)
+	got := testing.AllocsPerRun(1000, func() {
+		b, _ := AppendPayload(buf[:0], 2, MsgSend, 7, 3, send)
+		_, _, _, _ = ParsePayload(2, MsgSend, b)
+		b, _ = AppendPayload(buf[:0], 2, MsgOpResult, 7, 3, result)
+		_, _, _, _ = ParsePayload(2, MsgOpResult, b)
+	})
+	if got > 5 {
+		t.Fatalf("v2 SEND + OP-RESULT codec round trip allocates %v times, want <= 5", got)
+	}
 }

@@ -143,15 +143,10 @@ func (s *Session) WriteFrame(t MsgType, stream, seq uint64, m any) error {
 
 	// Encode once, into a buffer the ring can retain. Sessions only wrap v2
 	// connections, so the codec version is fixed.
-	buf := make([]byte, 5, 64)
-	buf, err := AppendPayload(buf, 2, t, stream, seq, m)
+	buf, err := appendFrame(make([]byte, 0, 64), 2, t, stream, seq, m)
 	if err != nil {
 		return err
 	}
-	if len(buf)-4 > MaxFrame {
-		return fmt.Errorf("wire: %s frame exceeds %d bytes", t, MaxFrame)
-	}
-	putFrameHeader(buf, t)
 
 	s.wlock.Lock()
 	defer s.wlock.Unlock()
@@ -171,18 +166,9 @@ func (s *Session) WriteFrame(t MsgType, stream, seq uint64, m any) error {
 	c := s.c
 	s.mu.Unlock()
 	if c != nil {
-		_ = c.writeRaw(buf) // broken transport: the ring has the frame
+		_ = c.writeRaw(buf, false) // broken transport: the ring has the frame
 	}
 	return nil
-}
-
-func putFrameHeader(buf []byte, t MsgType) {
-	n := len(buf) - 4
-	buf[0] = byte(n >> 24)
-	buf[1] = byte(n >> 16)
-	buf[2] = byte(n >> 8)
-	buf[3] = byte(n)
-	buf[4] = byte(t)
 }
 
 // CountRecv records receipt of one session frame (the owner's reader calls
@@ -275,7 +261,7 @@ func (s *Session) Resume(c *Conn, peerRecv uint64) error {
 
 	framesDeduped.Add(deduped)
 	for i, f := range replay {
-		if err := c.writeRaw(f); err != nil {
+		if err := c.writeRaw(f, false); err != nil {
 			// The fresh transport died mid-replay. Counts self-heal: the
 			// next resume exchange re-derives the (smaller) suffix.
 			framesRetransmitted.Add(uint64(i))

@@ -17,42 +17,52 @@
 //
 //	uint32 (big endian)  frame length N (type byte + payload), 1 <= N <= MaxFrame
 //	uint8                message type (MsgType)
-//	N-1 bytes            payload, JSON-encoded
+//	N-1 bytes            payload, in the connection's negotiated codec
 //
-// JSON keeps the protocol debuggable with standard tools and imposes the
-// usual coercions: numeric values cross the wire as float64, []byte as
-// base64 strings. Applications exchanging richer types should encode them
-// explicitly at the edges.
+// Protocol v1 payloads are JSON, which keeps the fallback debuggable with
+// standard tools and imposes the usual coercions: numeric values cross the
+// wire as float64, []byte as base64 strings. Protocol v2 payloads start
+// with a stream ID and a sequence ID (the multiplexing envelope) followed by
+// a compact binary body that preserves integer-ness (see binary.go). The
+// handshake itself is always JSON: the version is not known until it ends.
+// One encoder (appendFrame) and one reader (Conn.ReadFrame) serve both
+// codecs, and each message has one encodable form — a pointer to its struct,
+// which is also what the reader returns (see msgTable).
 //
 // # Conversation
 //
-// A connection begins with a versioned handshake (MsgHello → MsgHelloAck).
-// Then, sequentially, any number of enrollments:
+// A connection begins with a versioned handshake (MsgHello → MsgHelloAck,
+// see ClientHandshakeV and ServerHandshakeV). Each enrollment then runs
+// this exchange on its own stream; a v2 connection interleaves up to the
+// enroller's stream cap of them, a v1 connection runs one at a time as
+// stream 0:
 //
 //	C→S  MsgEnroll                       offer to play a role
 //	S→C  MsgOfferAck                     assigned; the client runs the body
 //	C→S  MsgSend|MsgSendAll|MsgRecv|MsgRecvAny|MsgSelect|MsgQuery  (repeat)
-//	S→C  MsgOpResult                     one per operation
+//	S→C  MsgOpResult                     one per operation, echoing its seq
 //	C→S  MsgBodyDone                     body returned (results + its error)
 //	S→C  MsgComplete                     enrollment released (values + error)
 //
 // MsgDrain answers an enrollment rejected by a draining host, MsgAbort
-// notifies of a performance aborted between operations, MsgHeartbeat flows
-// client→server at any time as a liveness signal (the server treats *any*
-// frame as liveness and aborts the enroller's performance when the
-// connection stays silent past its heartbeat timeout), and MsgError reports
-// a protocol violation before the connection closes. MsgOverloaded rejects
-// a connection at handshake time when the host is at its connection cap
-// (carrying a retry-after hint); an enrollment shed by admission control is
-// instead answered with an ordinary MsgComplete whose ErrInfo carries
-// CodeOverloaded, so the connection stays usable.
+// notifies of a performance aborted between operations, MsgCancel (v2)
+// withdraws one stream's pending offer, MsgHeartbeat flows client→server
+// at any time as a liveness signal (the server treats *any* frame as
+// liveness and aborts the connection's performances when it stays silent
+// past its heartbeat timeout), and MsgError reports a protocol violation
+// before the connection closes. MsgOverloaded rejects a connection at
+// handshake time when the host is at its connection cap (carrying a
+// retry-after hint); an enrollment shed by admission control is instead
+// answered with an ordinary MsgComplete whose ErrInfo carries
+// CodeOverloaded, so the connection stays usable. MsgResume, MsgResumeAck,
+// MsgAck and MsgBye ride stream 0 of a v2 connection whose handshake
+// granted session resumption (see Session).
 package wire
 
 import (
 	"bufio"
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -88,8 +98,9 @@ func countConn(version int) {
 const (
 	// Magic identifies the protocol in the handshake.
 	Magic = "SCRW"
-	// Version is the protocol version this package speaks. The handshake
-	// fails closed on any mismatch.
+	// Version is the oldest protocol version this package speaks and the
+	// floor every HELLO carries; MaxVersion (binary.go) is the newest, and
+	// the handshake fails closed when the two ranges do not meet.
 	Version = 1
 	// MaxFrame bounds a frame (type byte + payload) so a corrupt or
 	// malicious length prefix cannot make a peer allocate unboundedly.
@@ -133,58 +144,45 @@ const (
 	MsgBye       // client→host: deliberate teardown, free parked state now
 )
 
+// msgTable is the one per-type table: the protocol name and a constructor
+// for the empty struct a payload of that type decodes into. MsgType.String
+// and both codecs read it, and the round-trip and golden-bytes tests walk
+// it, so a type added here without codec cases fails them.
+var msgTable = [...]struct {
+	name string
+	new  func() any
+}{
+	MsgHello:      {"HELLO", func() any { return new(Hello) }},
+	MsgHelloAck:   {"HELLO-ACK", func() any { return new(HelloAck) }},
+	MsgEnroll:     {"ENROLL", func() any { return new(Enroll) }},
+	MsgOfferAck:   {"OFFER-ACK", func() any { return new(OfferAck) }},
+	MsgSend:       {"SEND", func() any { return new(Send) }},
+	MsgSendAll:    {"SEND-ALL", func() any { return new(SendAll) }},
+	MsgRecv:       {"RECV", func() any { return new(Recv) }},
+	MsgRecvAny:    {"RECV-ANY", func() any { return new(Recv) }},
+	MsgSelect:     {"SELECT", func() any { return new(Select) }},
+	MsgQuery:      {"QUERY", func() any { return new(Query) }},
+	MsgBodyDone:   {"BODY-DONE", func() any { return new(BodyDone) }},
+	MsgOpResult:   {"OP-RESULT", func() any { return new(OpResult) }},
+	MsgComplete:   {"COMPLETE", func() any { return new(Complete) }},
+	MsgAbort:      {"ABORT", func() any { return new(Abort) }},
+	MsgDrain:      {"DRAIN", func() any { return new(Drain) }},
+	MsgHeartbeat:  {"HEARTBEAT", func() any { return new(Heartbeat) }},
+	MsgError:      {"ERROR", func() any { return new(ProtoError) }},
+	MsgOverloaded: {"OVERLOADED", func() any { return new(Overloaded) }},
+	MsgCancel:     {"CANCEL", func() any { return new(Cancel) }},
+	MsgResume:     {"RESUME", func() any { return new(Resume) }},
+	MsgResumeAck:  {"RESUME-ACK", func() any { return new(ResumeAck) }},
+	MsgAck:        {"ACK", func() any { return new(Ack) }},
+	MsgBye:        {"BYE", func() any { return new(Bye) }},
+}
+
 // String returns the protocol name of the message type.
 func (t MsgType) String() string {
-	switch t {
-	case MsgHello:
-		return "HELLO"
-	case MsgHelloAck:
-		return "HELLO-ACK"
-	case MsgEnroll:
-		return "ENROLL"
-	case MsgOfferAck:
-		return "OFFER-ACK"
-	case MsgSend:
-		return "SEND"
-	case MsgSendAll:
-		return "SEND-ALL"
-	case MsgRecv:
-		return "RECV"
-	case MsgRecvAny:
-		return "RECV-ANY"
-	case MsgSelect:
-		return "SELECT"
-	case MsgQuery:
-		return "QUERY"
-	case MsgBodyDone:
-		return "BODY-DONE"
-	case MsgOpResult:
-		return "OP-RESULT"
-	case MsgComplete:
-		return "COMPLETE"
-	case MsgAbort:
-		return "ABORT"
-	case MsgDrain:
-		return "DRAIN"
-	case MsgHeartbeat:
-		return "HEARTBEAT"
-	case MsgError:
-		return "ERROR"
-	case MsgOverloaded:
-		return "OVERLOADED"
-	case MsgCancel:
-		return "CANCEL"
-	case MsgResume:
-		return "RESUME"
-	case MsgResumeAck:
-		return "RESUME-ACK"
-	case MsgAck:
-		return "ACK"
-	case MsgBye:
-		return "BYE"
-	default:
-		return fmt.Sprintf("msg(%d)", uint8(t))
+	if int(t) < len(msgTable) && msgTable[t].name != "" {
+		return msgTable[t].name
 	}
+	return fmt.Sprintf("msg(%d)", uint8(t))
 }
 
 // Hello is the client's opening frame. Version carries the floor the
@@ -570,10 +568,10 @@ type Conn struct {
 	// last pass, which collapses the fan-out bursts of a multiplexed
 	// connection (64 op results after one scatter, say) into a handful of
 	// syscalls. flushErr latches the first flush failure; every later
-	// WriteFrame returns it. All four fields are guarded by wmu except
+	// write returns it. All four fields are guarded by wmu except
 	// flushReq/quit, which are safe channels. The flusher starts lazily on
-	// the first WriteFrame (a connection shed at the handshake never pays
-	// for it) and exits on Close.
+	// the first WriteFrame (a connection shed at the handshake, whose only
+	// frames go through WriteSync, never pays for it) and exits on Close.
 	dirty       bool
 	flushErr    error
 	flushReq    chan struct{}
@@ -594,8 +592,8 @@ type Conn struct {
 	version int
 	// rbuf is ReadFrame's reused frame buffer: each frame is decoded (fully
 	// copied into its message struct) before the next read, so one buffer
-	// per connection suffices. ReadMsg must NOT use it — its callers retain
-	// raw payloads across reads.
+	// per connection suffices. Like the pooled write buffers it is dropped
+	// rather than pinned once a frame grew it beyond maxPooledBuf.
 	rbuf []byte
 
 	readTimeout  time.Duration
@@ -632,12 +630,13 @@ func (c *Conn) SetVersion(v int) { c.version = v }
 // writes are harmless.
 func (c *Conn) SetWriteBatching(on bool) { c.batchWrites.Store(on) }
 
-// SetReadTimeout bounds each subsequent ReadMsg (0 = unbounded). The host
+// SetReadTimeout bounds each subsequent ReadFrame (0 = unbounded). The host
 // sets it to its heartbeat timeout: a connection silent for longer is
 // presumed lost.
 func (c *Conn) SetReadTimeout(d time.Duration) { c.readTimeout = d }
 
-// SetWriteTimeout bounds each subsequent WriteMsg (0 = unbounded).
+// SetWriteTimeout bounds each subsequent flush of written frames — the
+// flusher's for WriteFrame, the inline one for WriteSync (0 = unbounded).
 func (c *Conn) SetWriteTimeout(d time.Duration) { c.writeTimeout = d }
 
 // SetFrameDelay injects fn's latency before every frame write; nil disables
@@ -663,66 +662,6 @@ func (c *Conn) Close() error {
 	return c.nc.Close()
 }
 
-// WriteMsg marshals v and writes one framed message.
-func (c *Conn) WriteMsg(t MsgType, v any) error {
-	payload, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("wire: marshal %s: %w", t, err)
-	}
-	if len(payload)+1 > MaxFrame {
-		return fmt.Errorf("wire: %s frame exceeds %d bytes", t, MaxFrame)
-	}
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if c.frameDelay != nil {
-		if d := c.frameDelay(); d > 0 {
-			time.Sleep(d)
-		}
-	}
-	if c.writeTimeout > 0 {
-		if err := c.nc.SetWriteDeadline(time.Now().Add(c.writeTimeout)); err != nil {
-			return err
-		}
-	}
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)+1))
-	hdr[4] = byte(t)
-	if _, err := c.bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := c.bw.Write(payload); err != nil {
-		return err
-	}
-	return c.bw.Flush()
-}
-
-// ReadMsg reads one framed message and returns its type and raw payload.
-func (c *Conn) ReadMsg() (MsgType, []byte, error) {
-	if c.readTimeout > 0 {
-		if err := c.nc.SetReadDeadline(time.Now().Add(c.readTimeout)); err != nil {
-			return 0, nil, err
-		}
-	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
-		return 0, nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n < 1 || n > MaxFrame {
-		return 0, nil, fmt.Errorf("wire: frame length %d out of range [1, %d]", n, MaxFrame)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(c.br, body); err != nil {
-		return 0, nil, err
-	}
-	return MsgType(body[0]), body[1:], nil
-}
-
-// Decode unmarshals a frame payload into v.
-func Decode(payload []byte, v any) error {
-	return json.Unmarshal(payload, v)
-}
-
 // writeBufPool recycles frame-encode buffers across connections so the v2
 // hot path writes without per-frame allocation. Buffers that grew beyond
 // 64 KiB are dropped rather than pinned.
@@ -735,27 +674,50 @@ var writeBufPool = sync.Pool{
 
 const maxPooledBuf = 64 << 10
 
+// appendFrame appends one complete frame — length header, type byte and
+// the payload of m under protocol version ver — to dst. It is the only
+// frame encoder: Conn, Session and the handshake all write through it.
+func appendFrame(dst []byte, ver int, t MsgType, stream, seq uint64, m any) ([]byte, error) {
+	start := len(dst)
+	// Reserve the header up front so payload bytes append in place.
+	dst = append(dst, 0, 0, 0, 0, byte(t))
+	dst, err := AppendPayload(dst, ver, t, stream, seq, m)
+	if err != nil {
+		return nil, err
+	}
+	n := len(dst) - start - 4
+	if n > MaxFrame {
+		return nil, fmt.Errorf("wire: %s frame exceeds %d bytes", t, MaxFrame)
+	}
+	binary.BigEndian.PutUint32(dst[start:], uint32(n))
+	return dst, nil
+}
+
 // WriteFrame encodes m with the connection's negotiated codec and writes
 // one framed message. stream and seq are the v2 multiplexing envelope and
 // must be zero on a v1 connection. The encode buffer is pooled: steady-state
 // v2 writes allocate nothing.
 func (c *Conn) WriteFrame(t MsgType, stream, seq uint64, m any) error {
+	return c.writeFrame(t, stream, seq, m, false)
+}
+
+// WriteSync is WriteFrame for a stream-0 frame sent before the conversation
+// starts — the handshake's frames and the host's pre-handshake OVERLOADED.
+// It flushes before returning instead of nudging the flusher, so the frame
+// is on the wire when the caller closes or blocks on the reply, and a
+// connection that is shed or rejected never starts the flusher goroutine.
+func (c *Conn) WriteSync(t MsgType, m any) error {
+	return c.writeFrame(t, 0, 0, m, true)
+}
+
+func (c *Conn) writeFrame(t MsgType, stream, seq uint64, m any, sync bool) error {
 	bp := writeBufPool.Get().(*[]byte)
-	buf := (*bp)[:0]
-	// Reserve the 5-byte header up front so payload bytes append in place.
-	buf = append(buf, 0, 0, 0, 0, 0)
-	buf, err := AppendPayload(buf, c.version, t, stream, seq, m)
+	buf, err := appendFrame((*bp)[:0], c.version, t, stream, seq, m)
 	if err != nil {
 		writeBufPool.Put(bp)
 		return err
 	}
-	if len(buf)-4 > MaxFrame {
-		writeBufPool.Put(bp)
-		return fmt.Errorf("wire: %s frame exceeds %d bytes", t, MaxFrame)
-	}
-	binary.BigEndian.PutUint32(buf[:4], uint32(len(buf)-4))
-	buf[4] = byte(t)
-	err = c.writeRaw(buf)
+	err = c.writeRaw(buf, sync)
 	if cap(buf) <= maxPooledBuf {
 		*bp = buf
 		writeBufPool.Put(bp)
@@ -764,9 +726,12 @@ func (c *Conn) WriteFrame(t MsgType, stream, seq uint64, m any) error {
 }
 
 // writeRaw writes one fully assembled frame (header + payload) under the
-// write mutex, honoring the chaos frame delay and write timeout.
-func (c *Conn) writeRaw(frame []byte) error {
-	c.flusherOnce.Do(func() { go c.flusher() })
+// write mutex, honoring the chaos frame delay, and either flushes it inline
+// (sync) or leaves it to the flusher.
+func (c *Conn) writeRaw(frame []byte, sync bool) error {
+	if !sync {
+		c.flusherOnce.Do(func() { go c.flusher() })
+	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	if c.flushErr != nil {
@@ -780,6 +745,10 @@ func (c *Conn) writeRaw(frame []byte) error {
 	if _, err := c.bw.Write(frame); err != nil {
 		return err
 	}
+	if sync {
+		c.flushLocked()
+		return c.flushErr
+	}
 	c.dirty = true
 	select {
 	case c.flushReq <- struct{}{}:
@@ -788,9 +757,21 @@ func (c *Conn) writeRaw(frame []byte) error {
 	return nil
 }
 
-// flusher drains flushReq, issuing one flush (one write syscall) per pass
-// for however many frames writers buffered meanwhile. It runs from the
-// first WriteFrame until Close.
+// flushLocked issues one flush (one write syscall) under the write timeout
+// and latches its outcome in flushErr. The caller holds wmu.
+func (c *Conn) flushLocked() {
+	c.dirty = false
+	if c.writeTimeout > 0 {
+		if c.flushErr = c.nc.SetWriteDeadline(time.Now().Add(c.writeTimeout)); c.flushErr != nil {
+			return
+		}
+	}
+	c.flushErr = c.bw.Flush()
+}
+
+// flusher drains flushReq, issuing one flush per pass for however many
+// frames writers buffered meanwhile. It runs from the first WriteFrame
+// until Close.
 func (c *Conn) flusher() {
 	for {
 		select {
@@ -820,25 +801,24 @@ func (c *Conn) flusher() {
 		}
 		c.wmu.Lock()
 		if c.dirty && c.flushErr == nil {
-			if c.writeTimeout > 0 {
-				if err := c.nc.SetWriteDeadline(time.Now().Add(c.writeTimeout)); err != nil {
-					c.flushErr = err
-				}
-			}
-			if c.flushErr == nil {
-				c.flushErr = c.bw.Flush()
-			}
-			c.dirty = false
+			c.flushLocked()
 		}
 		c.wmu.Unlock()
 	}
 }
 
+// ErrMalformed marks a ReadFrame failure that is the payload's fault, not
+// the transport's: the frame arrived whole but did not decode as its type.
+// The connection is still in sync (the next frame is readable), which is
+// what lets the host handshake answer a bad HELLO instead of just closing.
+var ErrMalformed = errors.New("wire: malformed payload")
+
 // ReadFrame reads one framed message and decodes it with the connection's
-// negotiated codec, returning the concrete message struct (see
-// ParsePayload). The internal read buffer is reused: everything returned is
-// fully copied out of it, so ReadFrame is allocation-lean but the caller
-// must not hold raw payload bytes (it never sees them).
+// negotiated codec, returning a pointer to the concrete message struct (see
+// msgTable). The internal read buffer is reused: everything returned is
+// fully copied out of it, so ReadFrame is allocation-lean and the caller
+// never sees raw payload bytes. A payload that does not decode yields the
+// frame's type and an error wrapping ErrMalformed.
 func (c *Conn) ReadFrame() (t MsgType, stream, seq uint64, m any, err error) {
 	if c.readTimeout > 0 {
 		if err := c.nc.SetReadDeadline(time.Now().Add(c.readTimeout)); err != nil {
@@ -857,206 +837,110 @@ func (c *Conn) ReadFrame() (t MsgType, stream, seq uint64, m any, err error) {
 		c.rbuf = make([]byte, n)
 	}
 	body := c.rbuf[:n]
+	if n > maxPooledBuf {
+		c.rbuf = nil
+	}
 	if _, err := io.ReadFull(c.br, body); err != nil {
 		return 0, 0, 0, nil, err
 	}
 	t = MsgType(body[0])
 	stream, seq, m, err = ParsePayload(c.version, t, body[1:])
 	if err != nil {
-		return 0, 0, 0, nil, fmt.Errorf("wire: decode %s: %w", t, err)
+		return t, 0, 0, nil, fmt.Errorf("%w: %s: %w", ErrMalformed, t, err)
 	}
 	return t, stream, seq, m, nil
 }
 
-// ClientHandshake runs the client side of the handshake. script, when
-// non-empty, asserts the served script's name.
-func ClientHandshake(c *Conn, script string) (HelloAck, error) {
-	if err := c.WriteMsg(MsgHello, Hello{Magic: Magic, Version: Version, Script: script}); err != nil {
-		return HelloAck{}, err
-	}
-	t, payload, err := c.ReadMsg()
-	if err != nil {
-		return HelloAck{}, err
-	}
-	switch t {
-	case MsgHelloAck:
-		var ack HelloAck
-		if err := Decode(payload, &ack); err != nil {
-			return HelloAck{}, err
-		}
-		if ack.Version != Version {
-			return HelloAck{}, fmt.Errorf("wire: host speaks protocol v%d, client v%d", ack.Version, Version)
-		}
-		countConn(ack.Version)
-		return ack, nil
-	case MsgOverloaded:
-		var ov Overloaded
-		_ = Decode(payload, &ov)
-		return HelloAck{}, &core.OverloadError{
-			Reason:     ov.Msg,
-			RetryAfter: time.Duration(ov.RetryAfterMS) * time.Millisecond,
-		}
-	case MsgError:
-		var pe ProtoError
-		_ = Decode(payload, &pe)
-		return HelloAck{}, fmt.Errorf("wire: host rejected handshake: %s", pe.Msg)
-	default:
-		return HelloAck{}, fmt.Errorf("wire: unexpected %s during handshake", t)
-	}
-}
+func clampVersion(v int) int { return min(max(v, Version), MaxVersion) }
 
-// ServerHandshake runs the host side of the handshake: it validates the
-// client's hello against the served script name and protocol version,
-// replying MsgHelloAck on success or MsgError (and an error) on mismatch.
-func ServerHandshake(c *Conn, script string) error {
-	t, payload, err := c.ReadMsg()
-	if err != nil {
-		return err
-	}
-	if t != MsgHello {
-		return c.reject(fmt.Sprintf("expected HELLO, got %s", t))
-	}
-	var h Hello
-	if err := Decode(payload, &h); err != nil {
-		return c.reject("malformed HELLO")
-	}
-	if h.Magic != Magic {
-		return c.reject("bad magic")
-	}
-	if h.Version != Version {
-		return c.reject(fmt.Sprintf("host speaks protocol v%d, client v%d", Version, h.Version))
-	}
-	if h.Script != "" && h.Script != script {
-		return c.reject(fmt.Sprintf("host serves script %q, client wants %q", script, h.Script))
-	}
-	if err := c.WriteMsg(MsgHelloAck, HelloAck{Version: Version, Script: script}); err != nil {
-		return err
-	}
-	countConn(Version)
-	return nil
-}
-
-func (c *Conn) reject(msg string) error {
-	_ = c.WriteMsg(MsgError, ProtoError{Msg: msg})
-	return fmt.Errorf("wire: handshake rejected: %s", msg)
-}
-
-// ClientHandshakeV runs the client side of the version-negotiating
-// handshake: it offers every version in [Version, maxVersion] and accepts
-// whichever the host picks, recording it on the connection (see
+// ClientHandshakeV runs the client side of the handshake: it offers every
+// version in [Version, maxVersion] (clamped to [Version, MaxVersion]) and
+// accepts whichever the host picks, recording it on the connection (see
 // Conn.Version). A host that predates version negotiation ignores the
-// MaxVersion field and acks v1 — the compatible fallback. maxVersion is
-// clamped to [Version, MaxVersion].
+// MaxVersion field and acks v1 — the compatible fallback. script, when
+// non-empty, asserts the served script's name. A client that can speak v2
+// also advertises session resumption; a host that supports it (and picks
+// v2) mints a session token into the returned HelloAck, every other host
+// ignores the flag.
 func ClientHandshakeV(c *Conn, script string, maxVersion int) (HelloAck, error) {
-	return ClientHandshakeResume(c, script, maxVersion, false)
-}
-
-// ClientHandshakeResume is ClientHandshakeV with the session-resumption
-// capability advertised when resume is true. A host that supports it (and
-// negotiates v2) mints a session token into the returned HelloAck; every
-// other host ignores the flag.
-func ClientHandshakeResume(c *Conn, script string, maxVersion int, resume bool) (HelloAck, error) {
-	if maxVersion > MaxVersion {
-		maxVersion = MaxVersion
-	}
-	if maxVersion < Version {
-		maxVersion = Version
-	}
-	if err := c.WriteMsg(MsgHello, Hello{Magic: Magic, Version: Version, MaxVersion: maxVersion, Script: script, Resume: resume}); err != nil {
+	maxVersion = clampVersion(maxVersion)
+	hello := &Hello{Magic: Magic, Version: Version, MaxVersion: maxVersion, Script: script, Resume: maxVersion >= 2}
+	if err := c.WriteSync(MsgHello, hello); err != nil {
 		return HelloAck{}, err
 	}
-	t, payload, err := c.ReadMsg()
+	t, _, _, m, err := c.ReadFrame()
 	if err != nil {
 		return HelloAck{}, err
 	}
-	switch t {
-	case MsgHelloAck:
-		var ack HelloAck
-		if err := Decode(payload, &ack); err != nil {
-			return HelloAck{}, err
+	switch m := m.(type) {
+	case *HelloAck:
+		if m.Version < Version || m.Version > maxVersion {
+			return HelloAck{}, fmt.Errorf("wire: host picked protocol v%d, client offered v%d..v%d", m.Version, Version, maxVersion)
 		}
-		if ack.Version < Version || ack.Version > maxVersion {
-			return HelloAck{}, fmt.Errorf("wire: host picked protocol v%d, client offered v%d..v%d", ack.Version, Version, maxVersion)
-		}
-		c.version = ack.Version
-		countConn(ack.Version)
-		return ack, nil
-	case MsgOverloaded:
-		var ov Overloaded
-		_ = Decode(payload, &ov)
+		c.version = m.Version
+		countConn(m.Version)
+		return *m, nil
+	case *Overloaded:
 		return HelloAck{}, &core.OverloadError{
-			Reason:     ov.Msg,
-			RetryAfter: time.Duration(ov.RetryAfterMS) * time.Millisecond,
+			Reason:     m.Msg,
+			RetryAfter: time.Duration(m.RetryAfterMS) * time.Millisecond,
 		}
-	case MsgError:
-		var pe ProtoError
-		_ = Decode(payload, &pe)
-		return HelloAck{}, fmt.Errorf("wire: host rejected handshake: %s", pe.Msg)
+	case *ProtoError:
+		return HelloAck{}, fmt.Errorf("wire: host rejected handshake: %s", m.Msg)
 	default:
 		return HelloAck{}, fmt.Errorf("wire: unexpected %s during handshake", t)
 	}
 }
 
-// ServerHandshakeV runs the host side of the version-negotiating handshake,
-// picking the highest version both sides speak (at most maxVersion, clamped
-// to [Version, MaxVersion]) and recording it on the connection. Clients
-// that don't advertise MaxVersion — every pre-v2 client — negotiate v1.
-func ServerHandshakeV(c *Conn, script string, maxVersion int) error {
-	_, err := ServerHandshakeVExt(c, script, maxVersion, nil)
-	return err
-}
-
-// ServerHandshakeVExt is ServerHandshakeV with host-side HELLO-ACK
-// decoration: after version negotiation succeeds, decorate (when non-nil)
-// may add optional fields — a resume token, the heartbeat-timeout advert —
-// to the outgoing ack based on the client's Hello and the negotiated
-// version (already recorded in ack.Version). The client's Hello is returned
-// so the host can key behavior off its capability flags.
-func ServerHandshakeVExt(c *Conn, script string, maxVersion int, decorate func(h Hello, ack *HelloAck)) (Hello, error) {
-	if maxVersion > MaxVersion {
-		maxVersion = MaxVersion
-	}
-	if maxVersion < Version {
-		maxVersion = Version
-	}
-	t, payload, err := c.ReadMsg()
-	if err != nil {
+// ServerHandshakeV runs the host side of the handshake: it validates the
+// client's HELLO against the served script name and picks the highest
+// version both sides speak (at most maxVersion, clamped to [Version,
+// MaxVersion]), replying MsgHelloAck and recording the version on the
+// connection, or replying MsgError and returning an error. Clients that
+// don't advertise MaxVersion — every pre-v2 client — negotiate v1. After
+// negotiation succeeds, decorate (when non-nil) may add optional fields — a
+// resume token, the heartbeat-timeout advert — to the outgoing ack based on
+// the client's Hello and the negotiated version (already in ack.Version).
+// The client's Hello is returned so the host can key behavior off its
+// capability flags.
+func ServerHandshakeV(c *Conn, script string, maxVersion int, decorate func(h Hello, ack *HelloAck)) (Hello, error) {
+	maxVersion = clampVersion(maxVersion)
+	t, _, _, m, err := c.ReadFrame()
+	if err != nil && !errors.Is(err, ErrMalformed) {
 		return Hello{}, err
 	}
 	if t != MsgHello {
 		return Hello{}, c.reject(fmt.Sprintf("expected HELLO, got %s", t))
 	}
-	var h Hello
-	if err := Decode(payload, &h); err != nil {
+	if err != nil {
 		return Hello{}, c.reject("malformed HELLO")
 	}
+	h := *m.(*Hello)
 	if h.Magic != Magic {
 		return Hello{}, c.reject("bad magic")
 	}
-	clientMax := h.MaxVersion
-	if clientMax < h.Version {
-		clientMax = h.Version
-	}
+	clientMax := max(h.MaxVersion, h.Version)
 	if h.Version > maxVersion || clientMax < Version {
 		return Hello{}, c.reject(fmt.Sprintf("host speaks protocol v%d..v%d, client v%d..v%d", Version, maxVersion, h.Version, clientMax))
 	}
 	if h.Script != "" && h.Script != script {
 		return Hello{}, c.reject(fmt.Sprintf("host serves script %q, client wants %q", script, h.Script))
 	}
-	ver := clientMax
-	if ver > maxVersion {
-		ver = maxVersion
-	}
-	ack := HelloAck{Version: ver, Script: script}
+	ack := HelloAck{Version: min(clientMax, maxVersion), Script: script}
 	if decorate != nil {
 		decorate(h, &ack)
 	}
-	if err := c.WriteMsg(MsgHelloAck, ack); err != nil {
+	if err := c.WriteSync(MsgHelloAck, &ack); err != nil {
 		return Hello{}, err
 	}
-	c.version = ver
-	countConn(ver)
+	c.version = ack.Version
+	countConn(ack.Version)
 	return h, nil
+}
+
+func (c *Conn) reject(msg string) error {
+	_ = c.WriteSync(MsgError, &ProtoError{Msg: msg})
+	return fmt.Errorf("wire: handshake rejected: %s", msg)
 }
 
 // EncodeRoleRef renders a role reference for the wire.

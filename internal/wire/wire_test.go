@@ -21,27 +21,41 @@ func pipeConns(t *testing.T) (*Conn, *Conn) {
 	return ca, cb
 }
 
+// rawPipe returns one end of a pipe bare, for hand-written frames — the
+// bytes a peer built from other code than this package would send — and the
+// other wrapped in a Conn.
+func rawPipe(t *testing.T) (net.Conn, *Conn) {
+	t.Helper()
+	a, b := net.Pipe()
+	c := NewConn(b)
+	t.Cleanup(func() { a.Close(); c.Close() })
+	return a, c
+}
+
+// rawFrame assembles a frame by hand.
+func rawFrame(typ MsgType, payload string) []byte {
+	n := len(payload) + 1
+	return append([]byte{byte(n >> 24), byte(n >> 16), byte(n >> 8), byte(n), byte(typ)}, payload...)
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	ca, cb := pipeConns(t)
 	go func() {
-		_ = ca.WriteMsg(MsgEnroll, Enroll{
+		_ = ca.WriteFrame(MsgEnroll, 0, 0, &Enroll{
 			PID:  "listener-1",
 			Role: "recipient[1]",
 			Args: []any{"hello", 3.0},
 			With: map[string][]string{"sender": {"A", "B"}},
 		})
 	}()
-	typ, payload, err := cb.ReadMsg()
+	typ, _, _, m, err := cb.ReadFrame()
 	if err != nil {
-		t.Fatalf("ReadMsg: %v", err)
+		t.Fatalf("ReadFrame: %v", err)
 	}
 	if typ != MsgEnroll {
 		t.Fatalf("type = %v, want MsgEnroll", typ)
 	}
-	var e Enroll
-	if err := Decode(payload, &e); err != nil {
-		t.Fatalf("Decode: %v", err)
-	}
+	e := m.(*Enroll)
 	if e.PID != "listener-1" || e.Role != "recipient[1]" || len(e.Args) != 2 {
 		t.Fatalf("round trip mangled enrollment: %+v", e)
 	}
@@ -50,27 +64,33 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// serverHandshake runs the host side without an ack decorator.
+func serverHandshake(c *Conn, script string, maxVersion int) error {
+	_, err := ServerHandshakeV(c, script, maxVersion, nil)
+	return err
+}
+
 func TestHandshake(t *testing.T) {
 	ca, cb := pipeConns(t)
 	errCh := make(chan error, 1)
-	go func() { errCh <- ServerHandshake(cb, "broadcast") }()
-	ack, err := ClientHandshake(ca, "broadcast")
+	go func() { errCh <- serverHandshake(cb, "broadcast", Version) }()
+	ack, err := ClientHandshakeV(ca, "broadcast", Version)
 	if err != nil {
-		t.Fatalf("ClientHandshake: %v", err)
+		t.Fatalf("ClientHandshakeV: %v", err)
 	}
 	if ack.Script != "broadcast" || ack.Version != Version {
 		t.Fatalf("ack = %+v", ack)
 	}
 	if err := <-errCh; err != nil {
-		t.Fatalf("ServerHandshake: %v", err)
+		t.Fatalf("ServerHandshakeV: %v", err)
 	}
 }
 
 func TestHandshakeScriptMismatch(t *testing.T) {
 	ca, cb := pipeConns(t)
 	errCh := make(chan error, 1)
-	go func() { errCh <- ServerHandshake(cb, "lock_manager") }()
-	_, err := ClientHandshake(ca, "broadcast")
+	go func() { errCh <- serverHandshake(cb, "lock_manager", MaxVersion) }()
+	_, err := ClientHandshakeV(ca, "broadcast", MaxVersion)
 	if err == nil || !strings.Contains(err.Error(), "lock_manager") {
 		t.Fatalf("client err = %v, want script-mismatch rejection", err)
 	}
@@ -82,11 +102,11 @@ func TestHandshakeScriptMismatch(t *testing.T) {
 func TestHandshakeVersionMismatch(t *testing.T) {
 	ca, cb := pipeConns(t)
 	errCh := make(chan error, 1)
-	go func() { errCh <- ServerHandshake(cb, "s") }()
-	if err := ca.WriteMsg(MsgHello, Hello{Magic: Magic, Version: Version + 7}); err != nil {
+	go func() { errCh <- serverHandshake(cb, "s", MaxVersion) }()
+	if err := ca.WriteSync(MsgHello, &Hello{Magic: Magic, Version: Version + 7}); err != nil {
 		t.Fatal(err)
 	}
-	typ, _, err := ca.ReadMsg()
+	typ, _, _, _, err := ca.ReadFrame()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,6 +115,43 @@ func TestHandshakeVersionMismatch(t *testing.T) {
 	}
 	if err := <-errCh; err == nil {
 		t.Fatal("server accepted wrong version")
+	}
+}
+
+// TestHandshakeMalformedHello checks the host answers a first frame it
+// cannot use — rather than just dropping the connection — and says why: a
+// HELLO that does not decode is told apart from a frame of another type.
+func TestHandshakeMalformedHello(t *testing.T) {
+	cases := []struct {
+		name, want string
+		frame      []byte
+	}{
+		{"garbage HELLO", "malformed HELLO", rawFrame(MsgHello, `{"magic":`)},
+		{"empty HELLO", "malformed HELLO", rawFrame(MsgHello, "")},
+		{"wrong type", "expected HELLO, got ENROLL", rawFrame(MsgEnroll, `{"pid":"p","role":"r"}`)},
+		{"wrong type, garbage", "expected HELLO, got SEND", rawFrame(MsgSend, "\xff")},
+		{"unknown type", "expected HELLO, got msg(99)", rawFrame(99, "{}")},
+		{"bad magic", "bad magic", rawFrame(MsgHello, `{"magic":"HTTP","version":1}`)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			raw, cb := rawPipe(t)
+			errCh := make(chan error, 1)
+			go func() { errCh <- serverHandshake(cb, "s", MaxVersion) }()
+			if _, err := raw.Write(tc.frame); err != nil {
+				t.Fatal(err)
+			}
+			typ, _, _, m, err := NewConn(raw).ReadFrame()
+			if err != nil {
+				t.Fatalf("no reply: %v", err)
+			}
+			if pe, ok := m.(*ProtoError); !ok || pe.Msg != tc.want {
+				t.Fatalf("reply = %s %+v, want ERROR %q", typ, m, tc.want)
+			}
+			if err := <-errCh; err == nil {
+				t.Fatal("host accepted the handshake")
+			}
+		})
 	}
 }
 
@@ -110,8 +167,8 @@ func TestFrameLengthGuard(t *testing.T) {
 	}()
 	c := NewConn(b)
 	c.SetReadTimeout(2 * time.Second)
-	if _, _, err := c.ReadMsg(); err == nil || !strings.Contains(err.Error(), "out of range") {
-		t.Fatalf("ReadMsg = %v, want out-of-range error", err)
+	if _, _, _, _, err := c.ReadFrame(); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Fatalf("ReadFrame = %v, want out-of-range error", err)
 	}
 }
 
@@ -207,8 +264,8 @@ func TestWithRoundTrip(t *testing.T) {
 func TestWriteAfterCloseFails(t *testing.T) {
 	ca, _ := pipeConns(t)
 	ca.Close()
-	if err := ca.WriteMsg(MsgHeartbeat, Heartbeat{}); err == nil {
-		t.Fatal("WriteMsg on closed conn succeeded")
+	if err := ca.WriteSync(MsgHeartbeat, &Heartbeat{}); err == nil {
+		t.Fatal("WriteSync on closed conn succeeded")
 	}
 }
 
@@ -257,18 +314,18 @@ func TestHandshakeOverloaded(t *testing.T) {
 		// Host side at the conn cap: OVERLOADED in place of HELLO-ACK. (A
 		// real host skips reading HELLO; the synchronous test pipe has no
 		// kernel buffer, so drain it here.)
-		if _, _, err := cb.ReadMsg(); err != nil {
+		if _, _, _, _, err := cb.ReadFrame(); err != nil {
 			done <- err
 			return
 		}
-		done <- cb.WriteMsg(MsgOverloaded, Overloaded{RetryAfterMS: 50, Msg: "connection cap reached"})
+		done <- cb.WriteSync(MsgOverloaded, &Overloaded{RetryAfterMS: 50, Msg: "connection cap reached"})
 	}()
-	_, err := ClientHandshake(ca, "broadcast")
+	_, err := ClientHandshakeV(ca, "broadcast", MaxVersion)
 	if werr := <-done; werr != nil {
 		t.Fatalf("host write: %v", werr)
 	}
 	if !errors.Is(err, core.ErrOverloaded) {
-		t.Fatalf("ClientHandshake err = %v, want ErrOverloaded", err)
+		t.Fatalf("ClientHandshakeV err = %v, want ErrOverloaded", err)
 	}
 	var oe *core.OverloadError
 	if !errors.As(err, &oe) {
@@ -277,4 +334,80 @@ func TestHandshakeOverloaded(t *testing.T) {
 	if oe.RetryAfter != 50*time.Millisecond {
 		t.Fatalf("RetryAfter = %v, want 50ms", oe.RetryAfter)
 	}
+}
+
+// TestReadBufferReleased checks one large frame does not pin its read
+// buffer for the life of the connection: like the pooled write buffers,
+// rbuf is dropped once a frame grew it past maxPooledBuf.
+func TestReadBufferReleased(t *testing.T) {
+	ca, cb := v2Pipe(t)
+	go func() {
+		_ = ca.WriteFrame(MsgSend, 1, 1, &Send{To: "a", Val: make([]byte, 1<<20)})
+		_ = ca.WriteFrame(MsgSend, 1, 2, &Send{To: "a", Val: 7})
+	}()
+	for seq := uint64(1); seq <= 2; seq++ {
+		_, _, got, m, err := cb.ReadFrame()
+		if err != nil || got != seq {
+			t.Fatalf("ReadFrame: seq %d, err %v", got, err)
+		}
+		if seq == 1 && len(m.(*Send).Val.([]byte)) != 1<<20 {
+			t.Fatalf("large value mangled: %d bytes", len(m.(*Send).Val.([]byte)))
+		}
+	}
+	if cap(cb.rbuf) > maxPooledBuf {
+		t.Fatalf("cap(rbuf) = %d after a small frame, want <= %d", cap(cb.rbuf), maxPooledBuf)
+	}
+}
+
+// FuzzServerHandshake holds the host side of the handshake to its contract
+// on an arbitrary first frame: no panic, an answer that is HELLO-ACK or
+// ERROR, success exactly when it acked, and never a version outside
+// [Version, maxVersion].
+func FuzzServerHandshake(f *testing.F) {
+	for _, hello := range []string{
+		`{"magic":"SCRW","version":1,"max_version":2,"script":"s","resume":true}`,
+		`{"magic":"SCRW","version":1}`,
+		`{"magic":"SCRW","version":2,"max_version":1}`,
+		`{"magic":"SCRW","version":0,"max_version":9}`,
+		`{"magic":"SCRW","version":-3,"max_version":-1}`,
+		`{"magic":"SCRW","version":8}`,
+		`{"magic":"SCRW","version":1,"script":"other"}`,
+		`{"magic":"HTTP","version":1}`,
+		`{"magic":`,
+		`null`,
+		``,
+	} {
+		f.Add(uint8(MsgHello), []byte(hello), 2)
+	}
+	f.Add(uint8(MsgEnroll), []byte(`{"pid":"p","role":"r"}`), 1)
+	f.Add(uint8(99), []byte{0xff}, 7)
+
+	f.Fuzz(func(t *testing.T, typ uint8, payload []byte, maxVersion int) {
+		raw, cb := rawPipe(t)
+		errCh := make(chan error, 1)
+		go func() { errCh <- serverHandshake(cb, "s", maxVersion) }()
+		if _, err := raw.Write(rawFrame(MsgType(typ), string(payload))); err != nil {
+			t.Fatal(err)
+		}
+		_, _, _, m, err := NewConn(raw).ReadFrame()
+		if err != nil {
+			t.Fatalf("first frame went unanswered: %v", err)
+		}
+		herr := <-errCh
+		switch m := m.(type) {
+		case *HelloAck:
+			if herr != nil {
+				t.Fatalf("host acked yet failed: %v", herr)
+			}
+			if m.Version < Version || m.Version > clampVersion(maxVersion) || cb.Version() != m.Version {
+				t.Fatalf("negotiated v%d (conn v%d) with host max %d", m.Version, cb.Version(), maxVersion)
+			}
+		case *ProtoError:
+			if herr == nil || cb.Version() != Version {
+				t.Fatalf("host rejected with %q yet returned %v, conn v%d", m.Msg, herr, cb.Version())
+			}
+		default:
+			t.Fatalf("host answered %T", m)
+		}
+	})
 }
