@@ -11,9 +11,11 @@ package ids
 import (
 	"cmp"
 	"fmt"
+	"hash/maphash"
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 )
 
 // PID identifies an enrolling process. In this runtime a "process" is any
@@ -54,12 +56,46 @@ func (r RoleRef) IsFamilyMember() bool {
 }
 
 // String renders the reference in the paper's notation: "sender" or
-// "recipient[3]".
+// "recipient[3]". A family member's rendering is built once and then served
+// from memberNames: the same few roles are named on every enrollment and in
+// every frame that addresses them.
 func (r RoleRef) String() string {
 	if r.Index == ScalarIndex {
 		return r.Name
 	}
-	return r.Name + "[" + strconv.Itoa(r.Index) + "]"
+	if len(r.Name) > maxCachedName {
+		return r.render()
+	}
+	slot := &memberNames[r.nameSlot()]
+	if m := slot.Load(); m != nil && m.ref == r {
+		return m.s
+	}
+	m := &memberName{ref: r, s: r.render()}
+	slot.Store(m)
+	return m.s
+}
+
+func (r RoleRef) render() string { return r.Name + "[" + strconv.Itoa(r.Index) + "]" }
+
+// memberNames is a direct-mapped cache of rendered family-member names. Its
+// slot count and the length of a cached name are fixed, so names taken from
+// the network cannot grow it; two roles that share a slot evict each other
+// and cost what rendering always did.
+var memberNames [1024]atomic.Pointer[memberName]
+
+const maxCachedName = 64
+
+type memberName struct {
+	ref RoleRef
+	s   string
+}
+
+var nameSeed = maphash.MakeSeed()
+
+// nameSlot hashes the family name and adds the index, so the members of one
+// family occupy consecutive slots and never evict each other.
+func (r RoleRef) nameSlot() uint64 {
+	return (maphash.String(nameSeed, r.Name) + uint64(r.Index)) % uint64(len(memberNames))
 }
 
 // ParseRoleRef parses the String form back into a RoleRef. It accepts

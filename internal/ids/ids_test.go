@@ -2,6 +2,9 @@ package ids
 
 import (
 	"sort"
+	"strconv"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -22,6 +25,36 @@ func TestRoleRefString(t *testing.T) {
 				t.Errorf("String() = %q, want %q", got, tt.want)
 			}
 		})
+	}
+}
+
+// TestRoleRefStringCached holds the cache of rendered member names to what
+// String promised before there was one: roles that share a slot (more names
+// than slots here) evict each other and still render as themselves, a name
+// too long to cache renders all the same, a warm name costs nothing, and all
+// of it from several goroutines at once.
+func TestRoleRefStringCached(t *testing.T) {
+	long := strings.Repeat("n", maxCachedName+1)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 1; i <= 2*len(memberNames); i++ {
+				for _, name := range []string{"recipient", "m", long} {
+					if got, want := Member(name, i).String(), name+"["+strconv.Itoa(i)+"]"; got != want {
+						t.Errorf("Member(%q, %d).String() = %q", name, i, got)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	r := Member("recipient", 7)
+	_ = r.String()
+	if n := testing.AllocsPerRun(100, func() { _ = r.String() }); n != 0 {
+		t.Fatalf("a warm member name costs %v allocations", n)
 	}
 }
 

@@ -40,7 +40,10 @@ func (e *Enroller) converse(ctx context.Context, mc *muxConn, enr core.Enrollmen
 		}
 		return core.Result{}, err
 	}
-	defer mc.closeStream(st)
+	// The stream goes back for reuse only from an enrollment whose withdraw
+	// can no longer run (set below, once there is one to stop).
+	recycle := false
+	defer func() { mc.closeStream(st, recycle) }()
 
 	wrapErr := func(err error) error {
 		if cerr := ctx.Err(); cerr != nil {
@@ -52,7 +55,8 @@ func (e *Enroller) converse(ctx context.Context, mc *muxConn, enr core.Enrollmen
 		return fmt.Errorf("%w: %v", ErrConnLost, err)
 	}
 
-	msg := &wire.Enroll{
+	msg := &st.enroll
+	*msg = wire.Enroll{
 		PID:     string(enr.PID),
 		Role:    enr.Role.String(),
 		Args:    enr.Args,
@@ -70,9 +74,10 @@ func (e *Enroller) converse(ctx context.Context, mc *muxConn, enr core.Enrollmen
 	// The withdraw path. AfterFunc runs the withdraw whenever ctx ends before
 	// stop — including a ctx that was already done when the ENROLL went out,
 	// which must still be withdrawn or the host keeps a pending offer with
-	// no client behind it.
-	stop := context.AfterFunc(ctx, func() { mc.withdraw(st) })
-	defer stop()
+	// no client behind it. A withdraw that stop comes too late for may still
+	// be running when this enrollment returns, and it names st.
+	stop := context.AfterFunc(ctx, st.withdraw)
+	defer func() { recycle = stop() }()
 
 	// Await assignment (or rejection).
 	var ack wire.OfferAck
@@ -118,10 +123,8 @@ await:
 	rctx.trace(trace.Event{Kind: trace.KindStart})
 	bodyErr := runClientBody(enr.Body, rctx)
 	rctx.trace(trace.Event{Kind: trace.KindFinish})
-	if err := mc.write(wire.MsgBodyDone, st.id, 0, &wire.BodyDone{
-		Results: rctx.Out,
-		Err:     wire.EncodeError(bodyErr),
-	}); err != nil {
+	st.bodyDone = wire.BodyDone{Results: rctx.Out, Err: wire.EncodeError(bodyErr)}
+	if err := mc.write(wire.MsgBodyDone, st.id, 0, &st.bodyDone); err != nil {
 		mc.fail(fmt.Errorf("%w: %v", ErrConnLost, err))
 		return core.Result{}, wrapErr(err)
 	}

@@ -209,12 +209,30 @@ func TestOperationFlood(t *testing.T) {
 				b.write(wire.MsgRecv, 1, uint64(i+2), recv)
 			}
 
-			pe := b.await(wire.MsgError).(*wire.ProtoError)
-			if !strings.Contains(pe.Msg, "operation flood") {
-				t.Fatalf("ERROR = %q, want an operation flood", pe.Msg)
+			// The flood aborts the performance, so what the unwinding enrollment
+			// still writes (the blocked RECV's result, the queued ones', its
+			// COMPLETE) lands around the ERROR in any order, until the host
+			// drops the connection.
+			var pe *wire.ProtoError
+			for {
+				typ, _, _, m, err := b.c.ReadFrame()
+				var ne net.Error
+				if errors.As(err, &ne) && ne.Timeout() {
+					t.Fatal("connection still open after the flood")
+				}
+				if err != nil {
+					break
+				}
+				switch typ {
+				case wire.MsgError:
+					pe = m.(*wire.ProtoError)
+				case wire.MsgOpResult, wire.MsgAbort, wire.MsgComplete:
+				default:
+					t.Fatalf("after the flood: got %s %+v", typ, m)
+				}
 			}
-			if typ, _, _, _, err := b.c.ReadFrame(); err == nil {
-				t.Fatalf("connection still open after the flood: read %s", typ)
+			if pe == nil || !strings.Contains(pe.Msg, "operation flood") {
+				t.Fatalf("ERROR = %+v, want an operation flood", pe)
 			}
 
 			var ae *core.AbortError
@@ -260,7 +278,7 @@ func TestStreamSlotFreedBeforeTerminalFrame(t *testing.T) {
 	s := &hostSession{h: h, lockstep: true, streams: make(map[uint64]*hostStream), tasks: make(chan streamTask)}
 	probe := &slotProbe{s: s}
 	ctx, cancel := context.WithCancel(context.Background())
-	st := &hostStream{b: &bridge{fw: probe, quit: make(chan struct{})}, ctx: ctx, cancel: cancel}
+	st := &hostStream{b: bridge{fw: probe, quit: make(chan struct{})}, ctx: ctx, cancel: cancel}
 	s.streams[0] = st
 	// An enrollment the target rejects runs the whole path: admission,
 	// target.Enroll, terminal COMPLETE.
@@ -279,39 +297,237 @@ func TestStreamSlotFreedBeforeTerminalFrame(t *testing.T) {
 // encode error) and reports every inbound OP-RESULT as seq 0, which must
 // still find the conversation's one pending op.
 func TestLockstepOpResultReachesPendingOp(t *testing.T) {
+	mc := pipeMux(t, 1) // speaks v1 until a handshake says otherwise
+	st := openNext(t, mc)
+	for round, want := range []string{"first", "second"} {
+		got := startOp(t, st)
+		st.deliver(wire.MsgOpResult, 0, &wire.OpResult{Val: want})
+		if out := <-got; out.err != nil || out.res.Val != want {
+			t.Fatalf("op %d = %+v, %v; want %q", round, out.res, out.err, want)
+		}
+	}
+}
+
+// pipeMux builds the client side of a conversation by hand, on a pipe whose
+// far end discards what it is sent: version 1 is the lock-step conversation
+// with its one stream, version 2 a multiplexed one. The test plays the
+// connection's reader itself, through dispatch.
+func pipeMux(t *testing.T, version int) *muxConn {
+	t.Helper()
 	cli, srv := net.Pipe()
-	defer cli.Close()
-	defer srv.Close()
+	t.Cleanup(func() { cli.Close(); srv.Close() })
 	go io.Copy(io.Discard, srv)
+	c := wire.NewConn(cli)
+	c.SetVersion(version)
 	mc := &muxConn{
-		c:          wire.NewConn(cli), // speaks v1 until a handshake says otherwise
+		c:          c,
 		hs:         &hostState{},
 		stop:       make(chan struct{}),
-		maxStreams: 1,
-		lockstep:   true,
+		maxStreams: DefaultMaxStreamsPerConn,
+		lockstep:   version < 2,
 		streams:    make(map[uint64]*muxStream),
 	}
+	if mc.lockstep {
+		mc.maxStreams = 1
+	}
+	return mc
+}
+
+func openNext(t *testing.T, mc *muxConn) *muxStream {
+	t.Helper()
 	if !mc.tryReserve() {
-		t.Fatal("fresh lock-step conversation refused its one stream")
+		t.Fatal("conversation refused a stream")
 	}
 	st, err := mc.openStream()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for round, want := range []string{"first", "second"} {
-		got := make(chan opOutcome, 1)
+	return st
+}
+
+// startOp issues a RECV on st and returns once it is registered as pending.
+func startOp(t *testing.T, st *muxStream) <-chan opOutcome {
+	t.Helper()
+	got := make(chan opOutcome, 1)
+	go func() {
+		res, err := st.op(context.Background(), wire.MsgRecv, &wire.Recv{From: "a"})
+		got <- opOutcome{res, err}
+	}()
+	eventually(t, "the op to be pending", func() bool { return pendingOps(st) == 1 })
+	return got
+}
+
+func pendingOps(st *muxStream) int {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return len(st.pending)
+}
+
+// TestRecycledStreamStartsClean is the client half of the recycling
+// invariant: an enrollment inherits the muxStream of a finished one and
+// nothing else of it. The first enrollment here gave up with its COMPLETE
+// still unread; its successor must find the events channel empty and its
+// sequence space restarted, and the frames that still arrive for the
+// finished stream ID — a result, an abort notice, a terminal frame — must be
+// dropped, not delivered to the op the successor has in flight.
+func TestRecycledStreamStartsClean(t *testing.T) {
+	mc := pipeMux(t, 2)
+	first := openNext(t, mc)
+	finished := first.id
+	mc.dispatch(wire.MsgComplete, finished, 0, &wire.Complete{Performance: 1})
+	if len(first.events) != 1 {
+		t.Fatal("COMPLETE did not reach the live stream")
+	}
+	mc.closeStream(first, true)
+
+	next := openNext(t, mc)
+	if next != first || next.id == finished {
+		t.Fatalf("stream %d (%p) after stream %d (%p): want the muxStream reused under a fresh ID", next.id, next, finished, first)
+	}
+	if len(next.events) != 0 {
+		t.Fatal("a reused stream starts with its predecessor's event")
+	}
+	got := startOp(t, next)
+	mc.dispatch(wire.MsgOpResult, finished, 1, &wire.OpResult{Val: "stale"})
+	mc.dispatch(wire.MsgAbort, finished, 0, &wire.Abort{Reason: "stale"})
+	mc.dispatch(wire.MsgComplete, finished, 0, &wire.Complete{})
+	if len(next.events) != 0 || next.abortError() != nil || pendingOps(next) != 1 {
+		t.Fatalf("late frames for stream %d reached stream %d: %d events, abort %v, %d ops pending",
+			finished, next.id, len(next.events), next.abortError(), pendingOps(next))
+	}
+	mc.dispatch(wire.MsgOpResult, next.id, 1, &wire.OpResult{Val: "mine"})
+	if out := <-got; out.err != nil || out.res.Val != "mine" {
+		t.Fatalf("op = %+v, %v; want its own result", out.res, out.err)
+	}
+}
+
+// TestRecycleRacesReader runs the reader against enrollments that open and
+// close streams as fast as they can, every frame tagged with the stream ID
+// it is addressed to. The reader's lookup and hand-off share a critical
+// section with closeStream, so however the two interleave a stream only
+// ever sees frames carrying its own ID.
+func TestRecycleRacesReader(t *testing.T) {
+	mc := pipeMux(t, 2)
+	var open atomic.Uint64
+	var stop atomic.Bool
+	readerDone := make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		for !stop.Load() {
+			id := open.Load()
+			mc.dispatch(wire.MsgOfferAck, id, 0, &wire.OfferAck{Performance: int(id)})
+		}
+	}()
+	for round := 0; round < 5000; round++ {
+		st := openNext(t, mc)
+		open.Store(st.id)
+		select {
+		case ev := <-st.events:
+			if ev.ack.Performance != int(st.id) {
+				t.Fatalf("stream %d received a frame addressed to stream %d", st.id, ev.ack.Performance)
+			}
+		default:
+		}
+		mc.closeStream(st, true)
+	}
+	stop.Store(true)
+	<-readerDone
+}
+
+// TestHostStreamRecycling is the host half of the invariant, at the point
+// where a worker disposes of a finished enrollment's hostStream. One that
+// ran its course is kept, emptied of the ops the client queued behind
+// BODY-DONE. One that a CANCEL (or a flood, or teardown) was aimed at is
+// not: sever marked it in the critical section that found it, so the
+// disconnect and cancel that follow it — however late — hit no successor.
+func TestHostStreamRecycling(t *testing.T) {
+	in := core.NewInstance(patterns.StarBroadcast(1))
+	defer in.Close()
+	h := NewHost(in, HostConfig{})
+	defer h.Close()
+	s := &hostSession{h: h, streams: make(map[uint64]*hostStream), tasks: make(chan streamTask)}
+	// Each enrollment is one the target rejects, which runs the whole path.
+	enroll := func(stream uint64) (*hostStream, streamTask) {
+		st := &hostStream{}
+		st.b.fw, st.b.opCh, st.b.quit = &slotProbe{s: s}, make(chan hostOp, streamOpBacklog), make(chan struct{})
+		st.ctx, st.cancel = context.WithCancel(context.Background())
+		s.streams[stream] = st
+		return st, streamTask{stream: stream, st: st, m: &wire.Enroll{PID: "P", Role: "nosuch"}}
+	}
+
+	st, task := enroll(1)
+	for i := 0; i < 3; i++ {
+		st.b.opCh <- hostOp{typ: wire.MsgRecv, seq: uint64(i), m: &wire.Recv{From: "a"}}
+	}
+	s.work(task)
+	if len(s.free) != 1 || s.free[0] != st || len(st.b.opCh) != 0 || st.ctx.Err() != nil {
+		t.Fatalf("finished enrollment: free = %v, %d ops left, ctx %v; want it kept, empty and live", s.free, len(st.b.opCh), st.ctx.Err())
+	}
+	if s.sever(1) != nil {
+		t.Fatal("a CANCEL for the finished stream still found it")
+	}
+
+	st, task = enroll(2)
+	found := s.sever(2)
+	if found != st {
+		t.Fatal("a CANCEL for the live stream did not find it")
+	}
+	s.work(task)
+	if len(s.free) != 1 || s.free[0] == st || st.ctx.Err() == nil {
+		t.Fatalf("severed enrollment: free = %v, ctx %v; want it dropped and its context ended", s.free, st.ctx.Err())
+	}
+	found.b.disconnect("enrollment canceled by enroller")
+	found.cancel()
+	if kept := s.free[0]; kept.ctx.Err() != nil || kept.severed {
+		t.Fatal("the late disconnect reached a recycled hostStream")
+	}
+}
+
+// TestLateFramesForFinishedStream drives the same invariant over the wire:
+// enrollments follow each other on one connection, each inheriting the
+// previous one's host-side state, while the client keeps sending ops, a
+// BODY-DONE and a CANCEL addressed to the stream that just finished. Every
+// enrollment must still see exactly its own conversation, on its own stream.
+func TestLateFramesForFinishedStream(t *testing.T) {
+	in := core.NewInstance(pairScript("late", func(rc core.Ctx) error {
+		return rc.Send(ids.Role("b"), rc.Performance())
+	}))
+	defer in.Close()
+	_, addr := serveTestHost(t, in)
+	b := dialRawClient(t, addr, "late", 2)
+	next := func(stream uint64, want wire.MsgType) any {
+		t.Helper()
+		typ, on, _, m, err := b.c.ReadFrame()
+		if err != nil || typ != want || on != stream {
+			t.Fatalf("read %s on stream %d (%v), want %s on stream %d", typ, on, err, want, stream)
+		}
+		return m
+	}
+	for stream := uint64(1); stream <= 4; stream++ {
+		aErr := make(chan error, 1)
 		go func() {
-			res, err := st.op(context.Background(), wire.MsgRecv, &wire.Recv{From: "a"})
-			got <- opOutcome{res, err}
+			_, err := in.Enroll(context.Background(), core.Enrollment{PID: "A", Role: ids.Role("a")})
+			aErr <- err
 		}()
-		eventually(t, "the op to be pending", func() bool {
-			st.mu.Lock()
-			defer st.mu.Unlock()
-			return len(st.pending) == 1
-		})
-		st.deliver(wire.MsgOpResult, 0, &wire.OpResult{Val: want})
-		if out := <-got; out.err != nil || out.res.Val != want {
-			t.Fatalf("op %d = %+v, %v; want %q", round, out.res, out.err, want)
+		b.write(wire.MsgEnroll, stream, 0, &wire.Enroll{PID: "B", Role: "b"})
+		ack := next(stream, wire.MsgOfferAck).(*wire.OfferAck)
+		if stream > 1 {
+			b.write(wire.MsgRecv, stream-1, 9, &wire.Recv{From: "a"})
+			b.write(wire.MsgBodyDone, stream-1, 0, &wire.BodyDone{})
+			b.write(wire.MsgCancel, stream-1, 0, &wire.Cancel{})
+		}
+		b.write(wire.MsgRecv, stream, 1, &wire.Recv{From: "a"})
+		if res := next(stream, wire.MsgOpResult).(*wire.OpResult); res.Err != nil || res.Val != ack.Performance {
+			t.Fatalf("stream %d: RECV = %+v, want performance %d's message", stream, res, ack.Performance)
+		}
+		// Ops behind BODY-DONE are left unserved in the backlog.
+		b.write(wire.MsgBodyDone, stream, 0, &wire.BodyDone{})
+		b.write(wire.MsgRecv, stream, 2, &wire.Recv{From: "a"})
+		if cm := next(stream, wire.MsgComplete).(*wire.Complete); cm.Err != nil {
+			t.Fatalf("stream %d: COMPLETE carries %+v", stream, cm.Err)
+		}
+		if err := <-aErr; err != nil {
+			t.Fatalf("co-performer of stream %d: %v", stream, err)
 		}
 	}
 }

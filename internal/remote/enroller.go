@@ -498,13 +498,11 @@ func (e *Enroller) pickHost(now time.Time, attempt int) *hostState {
 	if n == 0 {
 		return nil
 	}
-	rotated := make([]*hostState, 0, n)
-	start := attempt % n
-	rotated = append(rotated, hosts[start:]...)
-	rotated = append(rotated, hosts[:start]...)
-
-	var preferred, demoted []*hostState
-	for _, hs := range rotated {
+	// The tiers of a short host list fit these arrays and stay on the stack.
+	var pbuf, dbuf [4]*hostState
+	preferred, demoted := pbuf[:0], dbuf[:0]
+	for k := 0; k < n; k++ {
+		hs := hosts[(attempt+k)%n]
 		st, _ := hs.brk.snapshot()
 		switch st {
 		case BreakerClosed:

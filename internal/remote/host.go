@@ -619,6 +619,14 @@ func (b *bridge) run(rc core.Ctx) error {
 	}
 }
 
+// reset readies the bridge of a finished enrollment for the next one. Only an
+// enrollment nobody disconnected is recycled, so once and quit are untouched.
+func (b *bridge) reset() {
+	b.mu.Lock()
+	b.rc, b.started, b.finished = nil, false, false
+	b.mu.Unlock()
+}
+
 // disconnect reclaims the enrollment after the connection died: a started,
 // unfinished performance is aborted blaming this role, and the bridge body
 // (possibly blocked in the fabric or idle in its loop) is released.

@@ -32,24 +32,31 @@ import (
 // streamOpBacklog bounds undrained ops buffered per stream, on either
 // protocol. A v2 client pipelines ops without awaiting results, so the
 // backlog is deeper than a lock-step conversation needs; a client exceeding
-// it is flooding. (Kept modest: the channel is allocated per enrollment, so
-// its capacity is hot-path garbage.)
+// it is flooding.
 const streamOpBacklog = 16
 
-// hostStream is the session's handle on one in-flight enrollment.
+// hostStream is the session's handle on one in-flight enrollment. It
+// outlives the enrollment: an enrollment that ran its course leaves its
+// hostStream — bridge, op backlog and a context nobody cancelled — on the
+// session's free list for a later ENROLL.
 type hostStream struct {
-	b   *bridge
-	ctx context.Context
+	b    bridge
+	body core.RoleBody // b.run
+	ctx  context.Context
 	// cancel ends the enrollment's context: offer withdrawal before
 	// assignment, part of teardown after.
 	cancel context.CancelFunc
+	// severed marks an enrollment some goroutine other than its worker is
+	// ending (CANCEL, flood, teardown): set under smu in the critical section
+	// that found the stream, it keeps the hostStream off the free list, so the
+	// disconnect and cancel that follow can only ever hit this enrollment.
+	severed bool
 }
 
 // streamTask is one enrollment handed to a session's stream workers.
 type streamTask struct {
 	stream uint64
 	st     *hostStream
-	remote string
 	m      *wire.Enroll
 }
 
@@ -60,9 +67,11 @@ type streamTask struct {
 // Sessions whose handshake did not negotiate resumption (token == "") skip
 // the parked state entirely: their first break is their teardown.
 type hostSession struct {
-	h     *Host
-	token string        // "" when resumption was not negotiated
-	sess  *wire.Session // nil iff token == ""
+	h *Host
+	// remote is the address the conversation was opened from, for logs.
+	remote string
+	token  string        // "" when resumption was not negotiated
+	sess   *wire.Session // nil iff token == ""
 	// lockstep marks a v1 conversation: its frames have no envelope, so its
 	// one stream is stream 0 (reserved for control traffic on v2).
 	lockstep bool
@@ -70,9 +79,15 @@ type hostSession struct {
 	smu     sync.Mutex
 	cur     *wire.Conn // connection currently serving; nil while parked
 	streams map[uint64]*hostStream
-	byed    bool        // client sent BYE: never park again
-	done    bool        // torn down
-	timer   *time.Timer // grace timer while parked
+	// free holds finished enrollments' hostStreams for reuse. Every frame's
+	// hand-off to a stream (an op into its backlog, the severed mark) happens
+	// under smu together with the lookup in streams, and a hostStream joins
+	// free under smu after it left streams, so nothing aimed at a finished
+	// enrollment reaches the one that inherits its hostStream.
+	free  []*hostStream
+	byed  bool        // client sent BYE: never park again
+	done  bool        // torn down
+	timer *time.Timer // grace timer while parked
 
 	// Enrollments run on a small pool of stream-worker goroutines that
 	// grows to the session's concurrency high-water mark: a worker is
@@ -86,6 +101,7 @@ type hostSession struct {
 func newHostSession(h *Host, c *wire.Conn, token string, lockstep bool) *hostSession {
 	s := &hostSession{
 		h:        h,
+		remote:   fmt.Sprint(c.RemoteAddr()),
 		token:    token,
 		lockstep: lockstep,
 		cur:      c,
@@ -299,8 +315,11 @@ func (s *hostSession) teardown() {
 	s.cur = nil
 	streams := make([]*hostStream, 0, len(s.streams))
 	for _, st := range s.streams {
+		st.severed = true
 		streams = append(streams, st)
 	}
+	free := s.free
+	s.free = nil
 	close(s.tasks)
 	s.smu.Unlock()
 	if s.sess != nil {
@@ -314,16 +333,34 @@ func (s *hostSession) teardown() {
 		st.b.disconnect("remote enroller disconnected")
 		st.cancel()
 	}
+	for _, st := range free {
+		st.cancel() // a recycled context ends with its session
+	}
 	s.wg.Wait()
 }
 
-// work runs one enrollment to completion on a stream-worker goroutine.
+// work runs one enrollment to completion on a stream-worker goroutine and
+// then disposes of its hostStream: onto the free list, emptied of the ops the
+// enrollment left unserved, unless the enrollment was severed or the session
+// is over — then its context ends here.
 func (s *hostSession) work(t streamTask) {
 	s.h.activeStreams.Add(1)
 	s.serveStream(t)
 	s.h.activeStreams.Add(-1)
-	s.release(t)
-	t.st.cancel()
+	s.smu.Lock()
+	s.releaseLocked(t)
+	recycle := !t.st.severed && !s.done && len(s.free) < DefaultMaxStreamsPerConn
+	if recycle {
+		for len(t.st.b.opCh) > 0 {
+			<-t.st.b.opCh
+		}
+		t.st.b.reset()
+		s.free = append(s.free, t.st)
+	}
+	s.smu.Unlock()
+	if !recycle {
+		t.st.cancel()
+	}
 }
 
 // release frees the stream's slot. complete calls it *before* writing the
@@ -333,13 +370,39 @@ func (s *hostSession) work(t streamTask) {
 // identity so a late call never evicts a successor on the same ID.
 func (s *hostSession) release(t streamTask) {
 	s.smu.Lock()
-	if s.streams[t.stream] == t.st {
-		delete(s.streams, t.stream)
-		if s.cur != nil {
-			s.cur.SetWriteBatching(len(s.streams) > 1)
-		}
-	}
+	s.releaseLocked(t)
 	s.smu.Unlock()
+}
+
+func (s *hostSession) releaseLocked(t streamTask) {
+	if s.streams[t.stream] == t.st {
+		s.setSlotLocked(t.stream, nil)
+	}
+}
+
+// setSlotLocked is the one transition of a stream slot between live (st
+// non-nil) and free; the transport's write batching follows the live count.
+func (s *hostSession) setSlotLocked(stream uint64, st *hostStream) {
+	if st != nil {
+		s.streams[stream] = st
+	} else {
+		delete(s.streams, stream)
+	}
+	if s.cur != nil {
+		s.cur.SetWriteBatching(len(s.streams) > 1)
+	}
+}
+
+// sever looks stream's enrollment up and marks it severed, for the caller to
+// disconnect; nil means it already finished.
+func (s *hostSession) sever(stream uint64) *hostStream {
+	s.smu.Lock()
+	defer s.smu.Unlock()
+	st := s.streams[stream]
+	if st != nil {
+		st.severed = true
+	}
+	return st
 }
 
 // preRead carries serveSession's already-read first frame into the loop.
@@ -406,34 +469,31 @@ func (h *Host) runConn(s *hostSession, c *wire.Conn, first *preRead) {
 				violate("ENROLL on reserved stream 0")
 				return false
 			}
-			ctx, cancel := context.WithCancel(h.baseCtx)
-			st := &hostStream{
-				b: &bridge{
-					fw:       s.writer(),
-					opCh:     make(chan hostOp, streamOpBacklog),
-					quit:     make(chan struct{}),
-					streamID: stream,
-				},
-				ctx:    ctx,
-				cancel: cancel,
-			}
-			task := streamTask{stream: stream, st: st, remote: fmt.Sprint(c.RemoteAddr()), m: m.(*wire.Enroll)}
 			s.smu.Lock()
 			if s.done {
 				// Host shutdown raced the enroll; the conn is closing.
 				s.smu.Unlock()
-				cancel()
 				return false
 			}
 			if _, exists := s.streams[stream]; exists {
 				s.smu.Unlock()
-				cancel()
 				fatal = true
 				violate("ENROLL reuses live stream %d", stream)
 				return false
 			}
-			s.streams[stream] = st
-			c.SetWriteBatching(len(s.streams) > 1)
+			var st *hostStream
+			if n := len(s.free); n > 0 {
+				st, s.free = s.free[n-1], s.free[:n-1]
+			} else {
+				st = &hostStream{}
+				st.b.opCh = make(chan hostOp, streamOpBacklog)
+				st.b.quit = make(chan struct{})
+				st.body = st.b.run
+				st.ctx, st.cancel = context.WithCancel(h.baseCtx)
+			}
+			st.b.fw, st.b.streamID = s.writer(), stream
+			task := streamTask{stream: stream, st: st, m: m.(*wire.Enroll)}
+			s.setSlotLocked(stream, st)
 			select {
 			case s.tasks <- task:
 				// An idle worker took it.
@@ -451,27 +511,26 @@ func (h *Host) runConn(s *hostSession, c *wire.Conn, first *preRead) {
 		case wire.MsgCancel:
 			// The enroller withdrew this enrollment (its context ended). A
 			// missing stream is the benign race with COMPLETE, not an error.
-			s.smu.Lock()
-			st := s.streams[stream]
-			s.smu.Unlock()
-			if st != nil {
+			if st := s.sever(stream); st != nil {
 				st.b.disconnect("enrollment canceled by enroller")
 				st.cancel()
 			}
 		case wire.MsgSend, wire.MsgSendAll, wire.MsgRecv, wire.MsgRecvAny,
 			wire.MsgSelect, wire.MsgQuery, wire.MsgBodyDone:
+			// A missing stream raced with its terminal frame (cancel, abort):
+			// drop, the enrollment already has its outcome.
+			var flooded *hostStream
 			s.smu.Lock()
-			st := s.streams[stream]
-			s.smu.Unlock()
-			if st == nil {
-				// Raced with the stream's terminal frame (cancel, abort):
-				// drop, the enrollment already has its outcome.
-				return true
+			if st := s.streams[stream]; st != nil {
+				select {
+				case st.b.opCh <- hostOp{typ: t, seq: seq, m: m}:
+				default:
+					st.severed, flooded = true, st
+				}
 			}
-			select {
-			case st.b.opCh <- hostOp{typ: t, seq: seq, m: m}:
-			default:
-				st.b.disconnect("protocol violation: operation flood")
+			s.smu.Unlock()
+			if flooded != nil {
+				flooded.b.disconnect("protocol violation: operation flood")
 				fatal = true
 				violate("operation flood")
 				return false
@@ -519,7 +578,7 @@ func (s *hostSession) serveStream(t streamTask) {
 	case enrollShed:
 		h.shedEnrolls.Add(1)
 		shedEnrollsTotal.Inc()
-		h.logf("remote: %s: shedding ENROLL for %s: %s", t.remote, role, reason)
+		h.logf("remote: %s: shedding ENROLL for %s: %s", s.remote, role, reason)
 		s.complete(t, role, core.Result{}, &core.OverloadError{
 			Script:     h.script,
 			RetryAfter: h.retryAfterHint(),
@@ -540,7 +599,7 @@ func (s *hostSession) serveStream(t streamTask) {
 		Role: role,
 		Args: m.Args,
 		With: with,
-		Body: t.st.b.run,
+		Body: t.st.body,
 	}
 	if m.DeadlineMS > 0 {
 		e.Deadline = time.UnixMilli(m.DeadlineMS)
@@ -563,14 +622,13 @@ func (s *hostSession) complete(t streamTask, role ids.RoleRef, res core.Result, 
 		_ = fw.WriteFrame(wire.MsgDrain, t.stream, 0, &wire.Drain{})
 		return
 	}
-	msg := &wire.Complete{
+	if res.Role.Name != "" {
+		role = res.Role
+	}
+	_ = fw.WriteFrame(wire.MsgComplete, t.stream, 0, &wire.Complete{
 		Performance: res.Performance,
 		Role:        role.String(),
 		Values:      res.Values,
 		Err:         wire.EncodeError(err),
-	}
-	if res.Role.Name != "" {
-		msg.Role = res.Role.String()
-	}
-	_ = fw.WriteFrame(wire.MsgComplete, t.stream, 0, msg)
+	})
 }

@@ -65,8 +65,15 @@ type muxConn struct {
 	redial       func(ctx context.Context) (*wire.Conn, error)
 	faults       NetFaults
 
-	mu       sync.Mutex
-	streams  map[uint64]*muxStream
+	mu      sync.Mutex
+	streams map[uint64]*muxStream
+	// free holds the streams of finished enrollments for openStream to hand
+	// out again. A stream is live or free, never both, so free never holds
+	// more than maxStreams. What keeps a frame for a finished stream away from
+	// the enrollment that inherits its muxStream: the reader looks a stream up
+	// and delivers to it under mu (dispatch), and closeStream takes it out of
+	// streams under mu before it resets it.
+	free     []*muxStream
 	nextID   uint64
 	reserved int // slots claimed by enrollments that haven't opened yet
 	retired  bool
@@ -122,16 +129,25 @@ func (mc *muxConn) withdraw(st *muxStream) {
 }
 
 // muxStream is one enrollment's lane on a muxConn: its op-pipelining state
-// (pending results keyed by sequence ID) and its control-event channel.
+// (pending results keyed by sequence ID) and its control-event channel. It
+// outlives the enrollment: closeStream resets it for the next one.
 type muxStream struct {
 	id uint64
 	mc *muxConn
 	// events is sized for the worst case per stream: OFFER-ACK, one
 	// terminal frame, one connection-death notice.
 	events chan streamEvent
+	// withdraw is mc.withdraw bound to this stream, for context.AfterFunc.
+	withdraw func()
+	// enroll and bodyDone are the enrollment's two outbound messages.
+	enroll   wire.Enroll
+	bodyDone wire.BodyDone
 
-	mu       sync.Mutex
-	pending  map[uint64]chan opOutcome
+	mu      sync.Mutex
+	pending map[uint64]chan opOutcome
+	// idle is a result channel no op is waiting on, empty and unregistered:
+	// a body runs one op at a time, so one channel serves them all.
+	idle     chan opOutcome
 	nextSeq  uint64
 	abortErr error // performance aborted between ops (ABORT frame)
 	failed   error // connection died
@@ -156,10 +172,12 @@ func (mc *muxConn) tryReserve() bool {
 	return true
 }
 
-// openStream converts a reservation into a live stream. Stream IDs are
-// never reused on a multiplexed connection, so frames racing a completed
-// stream cannot be misdelivered to a successor. (A lock-step conversation
-// reuses stream 0, safely: nothing follows a stream's terminal frame.)
+// openStream converts a reservation into a live stream, on a muxStream a
+// finished enrollment left behind when there is one. Stream IDs are never
+// reused on a multiplexed connection, so frames racing a completed stream
+// find no stream under their ID, whoever has its muxStream now. (A lock-step
+// conversation reuses stream 0, safely: nothing follows a stream's terminal
+// frame.)
 func (mc *muxConn) openStream() (*muxStream, error) {
 	mc.mu.Lock()
 	defer mc.mu.Unlock()
@@ -170,12 +188,18 @@ func (mc *muxConn) openStream() (*muxStream, error) {
 	if !mc.lockstep {
 		mc.nextID++
 	}
-	st := &muxStream{
-		id:      mc.nextID,
-		mc:      mc,
-		events:  make(chan streamEvent, 4),
-		pending: make(map[uint64]chan opOutcome),
+	var st *muxStream
+	if n := len(mc.free); n > 0 {
+		st, mc.free = mc.free[n-1], mc.free[:n-1]
+	} else {
+		st = &muxStream{
+			mc:      mc,
+			events:  make(chan streamEvent, 4),
+			pending: make(map[uint64]chan opOutcome),
+		}
+		st.withdraw = func() { mc.withdraw(st) }
 	}
+	st.id = mc.nextID
 	mc.streams[st.id] = st
 	if mc.c != nil {
 		mc.c.SetWriteBatching(len(mc.streams) > 1)
@@ -184,11 +208,24 @@ func (mc *muxConn) openStream() (*muxStream, error) {
 }
 
 // closeStream removes a finished stream; late frames for it are dropped by
-// the reader. A retired connection is torn down when its last stream
-// closes.
-func (mc *muxConn) closeStream(st *muxStream) {
+// the reader. The caller passes recycle only when nothing of the enrollment
+// can still reach st (see converse); the stream is then emptied of what the
+// enrollment left behind and kept for the next one. A retired connection is
+// torn down when its last stream closes.
+func (mc *muxConn) closeStream(st *muxStream, recycle bool) {
 	mc.mu.Lock()
 	delete(mc.streams, st.id)
+	if recycle && !mc.dead {
+		st.mu.Lock()
+		for len(st.events) > 0 {
+			<-st.events
+		}
+		clear(st.pending)
+		st.nextSeq, st.abortErr, st.failed = 0, nil, nil
+		st.enroll, st.bodyDone = wire.Enroll{}, wire.BodyDone{}
+		st.mu.Unlock()
+		mc.free = append(mc.free, st)
+	}
 	if mc.c != nil {
 		mc.c.SetWriteBatching(len(mc.streams) > 1)
 	}
@@ -419,14 +456,20 @@ func (mc *muxConn) readLoop(c *wire.Conn) {
 			// is the receipt state a resume exchange reconciles.
 			mc.sess.MaybeAck()
 		}
-		mc.mu.Lock()
-		st := mc.streams[stream]
-		mc.mu.Unlock()
-		if st == nil {
-			continue // raced with closeStream; the enrollment has its outcome
-		}
+		mc.dispatch(t, stream, seq, m)
+	}
+}
+
+// dispatch hands one inbound frame to its stream. Lookup and delivery share
+// one critical section with closeStream: a frame that finds no stream raced
+// with it and is dropped (the enrollment has its outcome), and a frame that
+// finds one cannot be overtaken by the stream's reuse. Delivery never blocks.
+func (mc *muxConn) dispatch(t wire.MsgType, stream, seq uint64, m any) {
+	mc.mu.Lock()
+	if st := mc.streams[stream]; st != nil {
 		st.deliver(t, seq, m)
 	}
+	mc.mu.Unlock()
 }
 
 // heartbeat is the conversation's shared liveness pump — one per
@@ -464,8 +507,11 @@ func (mc *muxConn) heartbeat(interval time.Duration, faults NetFaults) {
 	}
 }
 
+// errOpInFlight fails the ops a terminal frame finds still waiting.
+var errOpInFlight = fmt.Errorf("%w: stream completed with operation in flight", ErrConnLost)
+
 // deliver routes one inbound frame to the stream's waiting op or its event
-// channel. Called only from the connection's reader.
+// channel. Called only from the connection's reader, through dispatch.
 func (st *muxStream) deliver(t wire.MsgType, seq uint64, m any) {
 	switch t {
 	case wire.MsgOpResult:
@@ -499,7 +545,7 @@ func (st *muxStream) deliver(t wire.MsgType, seq uint64, m any) {
 		cm := *(m.(*wire.Complete))
 		termErr := cm.Err.Err()
 		if termErr == nil {
-			termErr = fmt.Errorf("%w: stream completed with operation in flight", ErrConnLost)
+			termErr = errOpInFlight
 		}
 		st.failPending(termErr)
 		st.event(streamEvent{typ: t, cm: cm})
@@ -518,15 +564,15 @@ func (st *muxStream) event(ev streamEvent) {
 	}
 }
 
-// failPending releases every op waiter with err.
+// failPending releases every op waiter with err. A registered channel is
+// empty and has this one sender, so the sends never block.
 func (st *muxStream) failPending(err error) {
 	st.mu.Lock()
-	pending := st.pending
-	st.pending = make(map[uint64]chan opOutcome)
-	st.mu.Unlock()
-	for _, ch := range pending {
+	for seq, ch := range st.pending {
 		ch <- opOutcome{err: err}
+		delete(st.pending, seq)
 	}
+	st.mu.Unlock()
 }
 
 // fatal is the connection-death path: fail ops, then the event loop.
@@ -550,7 +596,8 @@ func (st *muxStream) abortError() error {
 // the waiter, write the frame, block for the matched OP-RESULT. Multiple
 // ops may be in flight on one stream; results match by sequence, not
 // arrival order. ctx ending abandons the wait (the frame, if delivered,
-// is answered into a discarded channel).
+// is answered into a discarded channel). The result channel is the stream's
+// idle one when no other op holds it, and goes back once it is known empty.
 func (st *muxStream) op(ctx context.Context, t wire.MsgType, req any) (wire.OpResult, error) {
 	if f := st.mc.faults; f != nil && f.CutConn() {
 		// Injected client-side blip: sever the transport mid-op, telling no
@@ -569,26 +616,41 @@ func (st *muxStream) op(ctx context.Context, t wire.MsgType, req any) (wire.OpRe
 		st.nextSeq++
 	}
 	seq := st.nextSeq
-	ch := make(chan opOutcome, 1)
+	ch := st.idle
+	if ch == nil {
+		ch = make(chan opOutcome, 1)
+	}
+	st.idle = nil
 	st.pending[seq] = ch
 	st.mu.Unlock()
 
 	if err := st.mc.write(t, st.id, seq, req); err != nil {
-		st.mu.Lock()
-		delete(st.pending, seq)
-		st.mu.Unlock()
+		st.abandon(seq, ch)
 		st.mc.fail(fmt.Errorf("%w: %v", ErrConnLost, err))
 		return wire.OpResult{}, fmt.Errorf("%w: %v", ErrConnLost, err)
 	}
 	select {
 	case out := <-ch:
+		st.mu.Lock()
+		st.idle = ch
+		st.mu.Unlock()
 		return out.res, out.err
 	case <-ctx.Done():
-		st.mu.Lock()
-		delete(st.pending, seq)
-		st.mu.Unlock()
+		st.abandon(seq, ch)
 		return wire.OpResult{}, ctx.Err()
 	}
+}
+
+// abandon stops waiting for seq's result. While ch is still registered no
+// one has taken it to send on, so it is idle again; once it is not, a result
+// is in it or on its way and the channel is dropped.
+func (st *muxStream) abandon(seq uint64, ch chan opOutcome) {
+	st.mu.Lock()
+	if st.pending[seq] == ch {
+		delete(st.pending, seq)
+		st.idle = ch
+	}
+	st.mu.Unlock()
 }
 
 // isClosed reports whether Close has been called.

@@ -28,6 +28,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"math"
 )
 
@@ -371,9 +372,10 @@ func AppendPayload(dst []byte, ver int, t MsgType, stream, seq uint64, m any) ([
 // returns a zero value and every later count is bounded to 0, so a decoder
 // reads a whole message straight through and checks err once at the end.
 type cursor struct {
-	b   []byte
-	off int
-	err error
+	b     []byte
+	off   int
+	err   error
+	names *internTable // nil: every string is a fresh copy
 }
 
 func (c *cursor) fail(err error) {
@@ -460,6 +462,49 @@ func (c *cursor) lenPrefixed() []byte {
 
 func (c *cursor) string() string { return string(c.lenPrefixed()) }
 
+// name reads a string that names a role or a process. A connection sees the
+// same few names on every enrollment, so its decoder interns them.
+func (c *cursor) name() string {
+	b := c.lenPrefixed()
+	if c.names == nil || len(b) == 0 || len(b) > maxInterned {
+		return string(b)
+	}
+	return c.names.intern(b)
+}
+
+// internTable is one connection's table of decoded identity strings: open
+// addressing over a fixed number of slots, each holding a string of at most
+// maxInterned bytes, so what a peer sends cannot grow it. A name that finds
+// its probe sequence full takes over its home slot.
+type internTable []string
+
+const (
+	internSlots  = 256
+	internProbes = 4
+	maxInterned  = 32
+)
+
+var internSeed = maphash.MakeSeed()
+
+func (t *internTable) intern(b []byte) string {
+	if *t == nil {
+		*t = make([]string, internSlots)
+	}
+	h := maphash.Bytes(internSeed, b)
+	for i := uint64(0); i < internProbes; i++ {
+		slot := &(*t)[(h+i)%internSlots]
+		if *slot == "" {
+			*slot = string(b)
+		}
+		if *slot == string(b) {
+			return *slot
+		}
+	}
+	s := string(b)
+	(*t)[h%internSlots] = s
+	return s
+}
+
 func (c *cursor) value(depth int) any {
 	if depth > maxValueDepth {
 		c.fail(errTooDeep)
@@ -530,7 +575,7 @@ func (c *cursor) strings() []string {
 	n := c.count(1)
 	out := make([]string, 0, n)
 	for i := 0; i < n && c.err == nil; i++ {
-		out = append(out, c.string())
+		out = append(out, c.name())
 	}
 	return out
 }
@@ -564,6 +609,11 @@ func (c *cursor) errInfo() *ErrInfo {
 // *OpResult, ... — see msgTable), fully copied out of payload — the caller
 // may reuse the payload buffer immediately.
 func ParsePayload(ver int, t MsgType, payload []byte) (stream, seq uint64, m any, err error) {
+	return parsePayload(ver, t, payload, nil)
+}
+
+// parsePayload is ParsePayload with the decoding connection's intern table.
+func parsePayload(ver int, t MsgType, payload []byte, names *internTable) (stream, seq uint64, m any, err error) {
 	// CANCEL exists from v2 on: a v1 client withdraws by severing its
 	// connection, and a v1 host must keep treating the frame as unknown.
 	if int(t) >= len(msgTable) || msgTable[t].new == nil || (ver < 2 && t == MsgCancel) {
@@ -576,7 +626,7 @@ func ParsePayload(ver int, t MsgType, payload []byte) (stream, seq uint64, m any
 		}
 		return 0, 0, m, nil
 	}
-	c := cursor{b: payload}
+	c := cursor{b: payload, names: names}
 	stream, seq = c.uvarint(), c.uvarint()
 	c.body(t, m)
 	if c.err == nil && c.remaining() != 0 {
@@ -593,14 +643,14 @@ func ParsePayload(ver int, t MsgType, payload []byte) (stream, seq uint64, m any
 func (c *cursor) body(t MsgType, m any) {
 	switch m := m.(type) {
 	case *Enroll:
-		m.PID = c.string()
-		m.Role = c.string()
+		m.PID = c.name()
+		m.Role = c.name()
 		m.DeadlineMS = c.int63()
 		m.Args = c.values()
 		if n := c.count(2); n > 0 {
 			m.With = make(map[string][]string, n)
 			for i := 0; i < n && c.err == nil; i++ {
-				role := c.string()
+				role := c.name()
 				m.With[role] = c.strings()
 			}
 		}
@@ -609,19 +659,19 @@ func (c *cursor) body(t MsgType, m any) {
 		}
 	case *OfferAck:
 		m.Performance = int(c.int63())
-		m.Role = c.string()
+		m.Role = c.name()
 		if c.remaining() > 0 { // optional trailing trace ID
 			m.TraceID = c.string()
 		}
 	case *Send:
-		m.To = c.string()
+		m.To = c.name()
 		m.Tag = c.string()
 		m.Val = c.value(0)
 	case *SendAll:
 		m.Tos = c.strings()
 		m.Val = c.value(0)
 	case *Recv:
-		m.From = c.string()
+		m.From = c.name()
 		m.Tag = c.string()
 	case *Select:
 		n := c.count(4)
@@ -629,7 +679,7 @@ func (c *cursor) body(t MsgType, m any) {
 		for i := 0; i < n && c.err == nil; i++ {
 			flags := c.byteField()
 			br := SelectBranch{Send: flags&1 != 0, AnyPeer: flags&2 != 0}
-			br.Peer = c.string()
+			br.Peer = c.name()
 			br.Tag = c.string()
 			br.Index = int(c.int63())
 			if br.Send {
@@ -639,14 +689,14 @@ func (c *cursor) body(t MsgType, m any) {
 		}
 	case *Query:
 		m.Kind = c.string()
-		m.Role = c.string()
+		m.Role = c.name()
 		m.Name = c.string()
 	case *BodyDone:
 		m.Results = c.values()
 		m.Err = c.errInfo()
 	case *OpResult:
 		m.Val = c.value(0)
-		m.Peer = c.string()
+		m.Peer = c.name()
 		m.Tag = c.string()
 		m.Index = int(c.int63())
 		m.N = int(c.int63())
@@ -654,12 +704,12 @@ func (c *cursor) body(t MsgType, m any) {
 		m.Err = c.errInfo()
 	case *Complete:
 		m.Performance = int(c.int63())
-		m.Role = c.string()
+		m.Role = c.name()
 		m.Values = c.values()
 		m.Err = c.errInfo()
 	case *Abort:
 		m.Performance = int(c.int63())
-		m.Culprit = c.string()
+		m.Culprit = c.name()
 		m.Reason = c.string()
 	case *Drain, *Heartbeat, *Cancel, *Bye:
 	case *Resume:

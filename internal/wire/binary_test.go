@@ -8,7 +8,9 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"github.com/scriptabs/goscript/internal/core"
 )
@@ -390,10 +392,18 @@ func FuzzParsePayload(f *testing.F) {
 	f.Add(uint8(MsgSend), []byte{0x01, 0x01, 0x01, 'r', 0x00, vList, 0xFF, 0xFF, 0xFF, 0x0F})
 	f.Add(uint8(99), []byte{0x00, 0x00})
 
+	// One table across all inputs, as on a connection: whatever earlier frames
+	// left in it, a frame decodes to what it decodes to without one.
+	var names internTable
 	f.Fuzz(func(t *testing.T, typ uint8, payload []byte) {
 		// Decoding arbitrary bytes must never panic and must bound its
 		// allocations by the payload size; errors are the expected outcome.
 		stream, seq, m, err := ParsePayload(2, MsgType(typ), payload)
+		_, _, interned, ierr := parsePayload(2, MsgType(typ), payload, &names)
+		_, _, again, _ := ParsePayload(2, MsgType(typ), payload) // unequal to m when a NaN was decoded
+		if (err == nil) != (ierr == nil) || reflect.DeepEqual(m, again) && !reflect.DeepEqual(m, interned) {
+			t.Fatalf("%s decodes to %+v (%v) on a connection, %+v (%v) off one", MsgType(typ), interned, ierr, m, err)
+		}
 		if err != nil {
 			return
 		}
@@ -422,5 +432,43 @@ func TestCodecAllocsV2(t *testing.T) {
 	})
 	if got > 5 {
 		t.Fatalf("v2 SEND + OP-RESULT codec round trip allocates %v times, want <= 5", got)
+	}
+}
+
+// TestNamesInterned pins the decoder's table of identity strings: a
+// connection that reads the same role and process names again hands out the
+// strings it already built, and names it has never seen — however many, and
+// however long — replace entries in a table that never grows.
+func TestNamesInterned(t *testing.T) {
+	var names internTable
+	decode := func(e *Enroll) *Enroll {
+		t.Helper()
+		b, err := AppendPayload(nil, 2, MsgEnroll, 1, 0, e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, m, err := parsePayload(2, MsgEnroll, b, &names)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.(*Enroll)
+	}
+	long := strings.Repeat("r", maxInterned+1)
+	first := decode(&Enroll{PID: "R7", Role: "recipient[7]"})
+	again := decode(&Enroll{PID: "R7", Role: "recipient[7]"})
+	if unsafe.StringData(first.Role) != unsafe.StringData(again.Role) || unsafe.StringData(first.PID) != unsafe.StringData(again.PID) {
+		t.Fatal("a name decoded twice on one connection was built twice")
+	}
+	if a, b := decode(&Enroll{Role: long}), decode(&Enroll{Role: long}); a.Role != long || unsafe.StringData(a.Role) == unsafe.StringData(b.Role) {
+		t.Fatalf("a %d-byte name was interned (or mangled)", len(long))
+	}
+	for i := 0; i < 20*internSlots; i++ {
+		name := fmt.Sprintf("ghost-%d", i)
+		if got := decode(&Enroll{PID: name, Role: "r"}); got.PID != name || got.Role != "r" {
+			t.Fatalf("decoded %q/%q, want %q/r", got.PID, got.Role, name)
+		}
+	}
+	if len(names) != internSlots {
+		t.Fatalf("table holds %d slots after %d distinct names, want %d", len(names), 20*internSlots, internSlots)
 	}
 }

@@ -593,8 +593,12 @@ type Conn struct {
 	// rbuf is ReadFrame's reused frame buffer: each frame is decoded (fully
 	// copied into its message struct) before the next read, so one buffer
 	// per connection suffices. Like the pooled write buffers it is dropped
-	// rather than pinned once a frame grew it beyond maxPooledBuf.
-	rbuf []byte
+	// rather than pinned once a frame grew it beyond maxPooledBuf. hdr is the
+	// length prefix's buffer and names the decoder's table of identity
+	// strings (see internTable); all three belong to the one reader.
+	rbuf  []byte
+	hdr   [4]byte
+	names internTable
 
 	readTimeout  time.Duration
 	writeTimeout time.Duration
@@ -630,13 +634,14 @@ func (c *Conn) SetVersion(v int) { c.version = v }
 // writes are harmless.
 func (c *Conn) SetWriteBatching(on bool) { c.batchWrites.Store(on) }
 
-// SetReadTimeout bounds each subsequent ReadFrame (0 = unbounded). The host
-// sets it to its heartbeat timeout: a connection silent for longer is
-// presumed lost.
+// SetReadTimeout bounds every wait for the peer's bytes inside subsequent
+// ReadFrames (0 = unbounded). The host sets it to its heartbeat timeout: a
+// connection silent for longer is presumed lost.
 func (c *Conn) SetReadTimeout(d time.Duration) { c.readTimeout = d }
 
-// SetWriteTimeout bounds each subsequent flush of written frames — the
-// flusher's for WriteFrame, the inline one for WriteSync (0 = unbounded).
+// SetWriteTimeout bounds each subsequent write to the socket (0 =
+// unbounded): the flusher's flush for WriteFrame, the inline one for
+// WriteSync, and the spill of a frame larger than the write buffer.
 func (c *Conn) SetWriteTimeout(d time.Duration) { c.writeTimeout = d }
 
 // SetFrameDelay injects fn's latency before every frame write; nil disables
@@ -742,6 +747,13 @@ func (c *Conn) writeRaw(frame []byte, sync bool) error {
 			time.Sleep(d)
 		}
 	}
+	if len(frame) > c.bw.Available() {
+		// The frame spills to the socket inside bw.Write, which must not run
+		// under whatever deadline the last flush left behind.
+		if err := c.armWrite(); err != nil {
+			return err
+		}
+	}
 	if _, err := c.bw.Write(frame); err != nil {
 		return err
 	}
@@ -761,12 +773,28 @@ func (c *Conn) writeRaw(frame []byte, sync bool) error {
 // and latches its outcome in flushErr. The caller holds wmu.
 func (c *Conn) flushLocked() {
 	c.dirty = false
-	if c.writeTimeout > 0 {
-		if c.flushErr = c.nc.SetWriteDeadline(time.Now().Add(c.writeTimeout)); c.flushErr != nil {
-			return
-		}
+	if c.flushErr = c.armWrite(); c.flushErr == nil {
+		c.flushErr = c.bw.Flush()
 	}
-	c.flushErr = c.bw.Flush()
+}
+
+// armWrite starts the write timeout's clock for one write to the socket.
+func (c *Conn) armWrite() error {
+	if c.writeTimeout <= 0 {
+		return nil
+	}
+	return c.nc.SetWriteDeadline(time.Now().Add(c.writeTimeout))
+}
+
+// armRead starts the read timeout's clock if reading n more bytes will wait
+// on the socket. A read served from the buffer cannot time out and skips the
+// timer; every wait is preceded by a fresh deadline, so a connection is
+// never waited on for longer than readTimeout.
+func (c *Conn) armRead(n int) error {
+	if c.readTimeout <= 0 || c.br.Buffered() >= n {
+		return nil
+	}
+	return c.nc.SetReadDeadline(time.Now().Add(c.readTimeout))
 }
 
 // flusher drains flushReq, issuing one flush per pass for however many
@@ -816,20 +844,26 @@ var ErrMalformed = errors.New("wire: malformed payload")
 // ReadFrame reads one framed message and decodes it with the connection's
 // negotiated codec, returning a pointer to the concrete message struct (see
 // msgTable). The internal read buffer is reused: everything returned is
-// fully copied out of it, so ReadFrame is allocation-lean and the caller
-// never sees raw payload bytes. A payload that does not decode yields the
-// frame's type and an error wrapping ErrMalformed.
+// fully copied out of it (a role or process name possibly once, for all the
+// frames of the connection that carry it), so ReadFrame is allocation-lean
+// and the caller never sees raw payload bytes. A payload that does not
+// decode yields the frame's type and an error wrapping ErrMalformed.
 func (c *Conn) ReadFrame() (t MsgType, stream, seq uint64, m any, err error) {
-	if c.readTimeout > 0 {
-		if err := c.nc.SetReadDeadline(time.Now().Add(c.readTimeout)); err != nil {
-			return 0, 0, 0, nil, err
-		}
+	// A closed connection delivers nothing more, not even frames it had
+	// buffered: the host closes a connection a RESUME superseded, and what
+	// that connection's reader still handled the client would replay.
+	select {
+	case <-c.quit:
+		return 0, 0, 0, nil, net.ErrClosed
+	default:
 	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
+	if err := c.armRead(len(c.hdr)); err != nil {
 		return 0, 0, 0, nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	if _, err := io.ReadFull(c.br, c.hdr[:]); err != nil {
+		return 0, 0, 0, nil, err
+	}
+	n := binary.BigEndian.Uint32(c.hdr[:])
 	if n < 1 || n > MaxFrame {
 		return 0, 0, 0, nil, fmt.Errorf("wire: frame length %d out of range [1, %d]", n, MaxFrame)
 	}
@@ -840,11 +874,14 @@ func (c *Conn) ReadFrame() (t MsgType, stream, seq uint64, m any, err error) {
 	if n > maxPooledBuf {
 		c.rbuf = nil
 	}
+	if err := c.armRead(int(n)); err != nil {
+		return 0, 0, 0, nil, err
+	}
 	if _, err := io.ReadFull(c.br, body); err != nil {
 		return 0, 0, 0, nil, err
 	}
 	t = MsgType(body[0])
-	stream, seq, m, err = ParsePayload(c.version, t, body[1:])
+	stream, seq, m, err = parsePayload(c.version, t, body[1:], &c.names)
 	if err != nil {
 		return t, 0, 0, nil, fmt.Errorf("%w: %s: %w", ErrMalformed, t, err)
 	}

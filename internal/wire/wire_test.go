@@ -359,6 +359,127 @@ func TestReadBufferReleased(t *testing.T) {
 	}
 }
 
+// TestWriteDeadlineCoversSpill: a frame larger than the write buffer reaches
+// the socket inside bw.Write, not in a flush, and must get a write timeout of
+// its own — not the expired one the last flush left on the connection.
+func TestWriteDeadlineCoversSpill(t *testing.T) {
+	big := &Send{To: "a", Val: make([]byte, 64<<10)}
+	t.Run("reading peer", func(t *testing.T) {
+		ca, cb := v2Pipe(t)
+		ca.SetWriteTimeout(50 * time.Millisecond)
+		got := drain(cb, 2)
+		if err := ca.WriteFrame(MsgSend, 1, 1, &Send{To: "a", Val: 7}); err != nil {
+			t.Fatalf("small frame: %v", err)
+		}
+		time.Sleep(100 * time.Millisecond) // the flush's deadline lapses
+		if err := ca.WriteFrame(MsgSend, 1, 2, big); err != nil {
+			t.Fatalf("64 KiB frame after write-side idleness: %v", err)
+		}
+		if seqs := <-got; len(seqs) != 2 {
+			t.Fatalf("peer read frames %v, want both", seqs)
+		}
+	})
+	t.Run("peer that never reads", func(t *testing.T) {
+		ca, _ := v2Pipe(t)
+		ca.SetWriteTimeout(50 * time.Millisecond)
+		start := time.Now()
+		err := ca.WriteFrame(MsgSend, 1, 1, big)
+		var ne net.Error
+		if !errors.As(err, &ne) || !ne.Timeout() {
+			t.Fatalf("err = %v, want a timeout", err)
+		}
+		if d := time.Since(start); d > 2*time.Second {
+			t.Fatalf("write to a stalled peer took %v", d)
+		}
+	})
+}
+
+// deadlineLog wraps a connection and logs, in order, every read deadline set
+// ("arm") and every read that reached it ("read").
+type deadlineLog struct {
+	net.Conn
+	events []string
+}
+
+func (d *deadlineLog) SetReadDeadline(t time.Time) error {
+	d.events = append(d.events, "arm")
+	return d.Conn.SetReadDeadline(t)
+}
+
+func (d *deadlineLog) Read(p []byte) (int, error) {
+	d.events = append(d.events, "read")
+	return d.Conn.Read(p)
+}
+
+// TestReadDeadlineArmedPerWait pins when ReadFrame touches the read deadline:
+// before every read that reaches the socket and only then. A burst that
+// arrived in one segment costs one timer however many frames it holds, a
+// frame whose body is still on its way gets a fresh timeout before the wait
+// for it, and a silent connection still fails after readTimeout.
+func TestReadDeadlineArmedPerWait(t *testing.T) {
+	raw, nc := net.Pipe()
+	log := &deadlineLog{Conn: nc}
+	c := NewConn(log)
+	t.Cleanup(func() { raw.Close(); c.Close() })
+	const timeout = 100 * time.Millisecond
+	c.SetReadTimeout(timeout)
+
+	frame := rawFrame(MsgHeartbeat, "{}")
+	var burst []byte
+	for i := 0; i < 25; i++ {
+		burst = append(burst, frame...)
+	}
+	split := rawFrame(MsgError, `{"msg":"a body that arrives in two segments"}`)
+	go func() {
+		_, _ = raw.Write(burst)
+		_, _ = raw.Write(split[:10])
+		_, _ = raw.Write(split[10:])
+	}()
+
+	for i := 0; i < 25; i++ {
+		if _, _, _, _, err := c.ReadFrame(); err != nil {
+			t.Fatalf("burst frame %d: %v", i, err)
+		}
+	}
+	if got := strings.Join(log.events, " "); got != "arm read" {
+		t.Fatalf("burst of 25 frames in one segment: %q, want one deadline and one read", got)
+	}
+
+	log.events = nil
+	if _, _, _, m, err := c.ReadFrame(); err != nil || !strings.Contains(m.(*ProtoError).Msg, "two segments") {
+		t.Fatalf("split frame: %+v, %v", m, err)
+	}
+	if got := strings.Join(log.events, " "); got != "arm read arm read" {
+		t.Fatalf("frame in two segments: %q, want a deadline before each wait", got)
+	}
+
+	start := time.Now()
+	_, _, _, _, err := c.ReadFrame()
+	var ne net.Error
+	if !errors.As(err, &ne) || !ne.Timeout() {
+		t.Fatalf("silent connection: err = %v, want a timeout", err)
+	}
+	if d := time.Since(start); d < timeout/2 || d > timeout+time.Second {
+		t.Fatalf("silent connection failed after %v, want about %v", d, timeout)
+	}
+}
+
+// TestClosedConnReadsNothing: frames still in the read buffer when the
+// connection is closed are not delivered. (Setting the read deadline on
+// every frame used to see to that as a side effect.)
+func TestClosedConnReadsNothing(t *testing.T) {
+	raw, c := rawPipe(t)
+	frame := rawFrame(MsgHeartbeat, "{}")
+	go raw.Write(append(append([]byte{}, frame...), frame...))
+	if _, _, _, _, err := c.ReadFrame(); err != nil {
+		t.Fatalf("first frame: %v", err)
+	}
+	c.Close()
+	if typ, _, _, _, err := c.ReadFrame(); !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("closed connection delivered its buffered %s (err %v)", typ, err)
+	}
+}
+
 // FuzzServerHandshake holds the host side of the handshake to its contract
 // on an arbitrary first frame: no panic, an answer that is HELLO-ACK or
 // ERROR, success exactly when it acked, and never a version outside
