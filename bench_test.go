@@ -1,17 +1,17 @@
-// Benchmarks: one per experiment of DESIGN.md's index (E1–E14). Each
-// regenerates the performance-relevant side of the corresponding paper
-// figure or claim; cmd/scriptbench prints the semantic tables.
+// Benchmarks: one per experiment of DESIGN.md's paper index (E01–E14), each
+// regenerating the performance-relevant side of the corresponding paper
+// figure or claim (cmd/scriptbench prints the semantic tables), plus E15–E17,
+// engineering benchmarks that are not paper figures. The enrollment loops of
+// E02–E04 and E15–E17 are internal/perfbench's drivers, which the acceptance
+// suite (scriptbench -json) times too; its IDs are its own, not this index.
 package script_test
 
 import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
-	script "github.com/scriptabs/goscript"
 	"github.com/scriptabs/goscript/internal/ada"
 	"github.com/scriptabs/goscript/internal/core"
 	"github.com/scriptabs/goscript/internal/csp"
@@ -20,54 +20,13 @@ import (
 	"github.com/scriptabs/goscript/internal/locktable"
 	"github.com/scriptabs/goscript/internal/match"
 	"github.com/scriptabs/goscript/internal/patterns"
+	"github.com/scriptabs/goscript/internal/perfbench"
 	"github.com/scriptabs/goscript/internal/remote"
 	"github.com/scriptabs/goscript/internal/sim"
 	"github.com/scriptabs/goscript/internal/trans/adax"
 	"github.com/scriptabs/goscript/internal/trans/cspx"
 	"github.com/scriptabs/goscript/internal/trans/monx"
 )
-
-// broadcastHarness keeps n recipient goroutines enrolling repeatedly so the
-// benchmark loop can drive one performance per sender enrollment.
-type broadcastHarness struct {
-	in     *core.Instance
-	cancel context.CancelFunc
-	wg     sync.WaitGroup
-}
-
-func startBroadcastHarness(def core.Definition, n int) *broadcastHarness {
-	ctx, cancel := context.WithCancel(context.Background())
-	h := &broadcastHarness{in: core.NewInstance(def), cancel: cancel}
-	for i := 1; i <= n; i++ {
-		i := i
-		h.wg.Add(1)
-		go func() {
-			defer h.wg.Done()
-			for {
-				if _, err := h.in.Enroll(ctx, core.Enrollment{
-					PID: ids.PID(fmt.Sprintf("R%d", i)), Role: ids.Member(patterns.RoleRecipient, i),
-				}); err != nil {
-					return
-				}
-			}
-		}()
-	}
-	return h
-}
-
-func (h *broadcastHarness) send(b *testing.B, v any) {
-	if _, err := h.in.Enroll(context.Background(), core.Enrollment{
-		PID: "T", Role: ids.Role(patterns.RoleSender), Args: []any{v},
-	}); err != nil {
-		b.Fatal(err)
-	}
-}
-
-func (h *broadcastHarness) stop() {
-	h.cancel()
-	h.in.Close()
-	h.wg.Wait()
-}
 
 // BenchmarkE01SuccessivePerformances measures the cost of the successive-
 // activation barrier itself: a minimal three-role script with empty bodies,
@@ -115,12 +74,7 @@ func BenchmarkE01SuccessivePerformances(b *testing.B) {
 // BenchmarkE02RepeatedEnrollment measures Figure 2's repeated-enrollment
 // pairing: one broadcast performance per iteration with two recipients.
 func BenchmarkE02RepeatedEnrollment(b *testing.B) {
-	h := startBroadcastHarness(patterns.StarBroadcast(2), 2)
-	defer h.stop()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.send(b, i)
-	}
+	perfbench.Broadcast(b, patterns.StarBroadcast(2), 2)
 }
 
 // BenchmarkE03StarBroadcast measures Figure 3's performance cost across
@@ -128,12 +82,7 @@ func BenchmarkE02RepeatedEnrollment(b *testing.B) {
 func BenchmarkE03StarBroadcast(b *testing.B) {
 	for _, n := range []int{1, 4, 16, 64} {
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			h := startBroadcastHarness(patterns.StarBroadcast(n), n)
-			defer h.stop()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				h.send(b, i)
-			}
+			perfbench.Broadcast(b, patterns.StarBroadcast(n), n)
 		})
 	}
 }
@@ -143,12 +92,7 @@ func BenchmarkE03StarBroadcast(b *testing.B) {
 func BenchmarkE04PipelineBroadcast(b *testing.B) {
 	for _, n := range []int{1, 4, 16, 64} {
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			h := startBroadcastHarness(patterns.PipelineBroadcast(n), n)
-			defer h.stop()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				h.send(b, i)
-			}
+			perfbench.Broadcast(b, patterns.PipelineBroadcast(n), n)
 		})
 	}
 }
@@ -529,35 +473,7 @@ func BenchmarkE13DistributedEnrollment(b *testing.B) {
 // the full match under the instance lock.
 func BenchmarkE15ContendedEnrollment(b *testing.B) {
 	for _, n := range []int{4, 64} {
-		b.Run(fmt.Sprintf("workers=%d", n), func(b *testing.B) {
-			def := core.NewScript("slot").
-				Role("only", func(rc core.Ctx) error { return nil }).
-				MustBuild()
-			in := core.NewInstance(def)
-			defer in.Close()
-			var next atomic.Int64
-			var failures atomic.Int64
-			var wg sync.WaitGroup
-			b.ResetTimer()
-			for w := 0; w < n; w++ {
-				pid := ids.PID(fmt.Sprintf("W%d", w))
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for next.Add(1) <= int64(b.N) {
-						if _, err := in.Enroll(context.Background(), core.Enrollment{PID: pid, Role: ids.Role("only")}); err != nil {
-							failures.Add(1)
-							return
-						}
-					}
-				}()
-			}
-			wg.Wait()
-			b.StopTimer()
-			if failures.Load() > 0 {
-				b.Fatalf("%d enrollments failed", failures.Load())
-			}
-		})
+		b.Run(fmt.Sprintf("workers=%d", n), func(b *testing.B) { perfbench.Contended(b, n) })
 	}
 }
 
@@ -568,42 +484,8 @@ func BenchmarkE15ContendedEnrollment(b *testing.B) {
 // the successive-activations rule, while the pool overlaps one performance
 // per instance (the paper's multiple-instances route to concurrency).
 func BenchmarkE16PoolThroughput(b *testing.B) {
-	def := script.New("slot").
-		Role("only", func(rc script.Ctx) error {
-			time.Sleep(20 * time.Microsecond)
-			return nil
-		}).
-		MustBuild()
 	for _, size := range []int{1, 4} {
-		b.Run(fmt.Sprintf("instances=%d", size), func(b *testing.B) {
-			pool := script.NewPool(def, size)
-			defer pool.Close()
-			const workers = 64
-			var next atomic.Int64
-			var failures atomic.Int64
-			var wg sync.WaitGroup
-			b.ResetTimer()
-			for w := 0; w < workers; w++ {
-				pid := script.PID(fmt.Sprintf("W%d", w))
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for next.Add(1) <= int64(b.N) {
-						if _, err := pool.Enroll(context.Background(), script.Enrollment{
-							PID: pid, Role: script.Role("only"),
-						}); err != nil {
-							failures.Add(1)
-							return
-						}
-					}
-				}()
-			}
-			wg.Wait()
-			b.StopTimer()
-			if failures.Load() > 0 {
-				b.Fatalf("%d enrollments failed", failures.Load())
-			}
-		})
+		b.Run(fmt.Sprintf("instances=%d", size), func(b *testing.B) { perfbench.Pool(b, size) })
 	}
 }
 
@@ -656,61 +538,12 @@ func BenchmarkE14Fairness(b *testing.B) {
 // per concurrent enrollment), and each iteration is one sender enrollment
 // — a full broadcast performance whose every role body runs client-side,
 // each communication op one request/response frame pair. Compare with E03
-// at equal N for the process-boundary cost (BENCH_E7.json records it).
+// at equal N for the process-boundary cost (the acceptance suite's E7 —
+// not the paper index's — records the ratio at N=64 in BENCH_E7.json).
 func BenchmarkE17RemoteStarBroadcast(b *testing.B) {
 	for _, n := range []int{4, 16, 64} {
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			in := core.NewInstance(patterns.StarBroadcast(n))
-			h := remote.NewHost(in, remote.HostConfig{})
-			if err := h.Listen("127.0.0.1:0"); err != nil {
-				b.Fatal(err)
-			}
-			go h.Serve()
-			enr := remote.NewEnroller(h.Addr().String(), remote.EnrollerConfig{Script: "star_broadcast"})
-			ctx, cancel := context.WithCancel(context.Background())
-			recvBody := func(rc core.Ctx) error {
-				v, err := rc.Recv(ids.Role(patterns.RoleSender))
-				if err != nil {
-					return err
-				}
-				rc.SetResult(0, v)
-				return nil
-			}
-			tos := make([]ids.RoleRef, n)
-			for i := 1; i <= n; i++ {
-				tos[i-1] = ids.Member(patterns.RoleRecipient, i)
-			}
-			var wg sync.WaitGroup
-			for i := 1; i <= n; i++ {
-				pid := ids.PID(fmt.Sprintf("R%d", i))
-				role := ids.Member(patterns.RoleRecipient, i)
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for {
-						if _, err := enr.Enroll(ctx, core.Enrollment{PID: pid, Role: role, Body: recvBody}); err != nil {
-							return
-						}
-					}
-				}()
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				val := i
-				_, err := enr.Enroll(ctx, core.Enrollment{
-					PID: "T", Role: ids.Role(patterns.RoleSender),
-					Body: func(rc core.Ctx) error { return rc.SendAll(tos, val) },
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			cancel()
-			wg.Wait()
-			enr.Close()
-			h.Close()
-			in.Close()
+			perfbench.RemoteStar(b, n, remote.EnrollerConfig{})
 		})
 	}
 }

@@ -1,17 +1,20 @@
 // Command scriptbench runs the full experiment suite — one experiment per
-// figure or comparative claim of the paper (DESIGN.md's E1–E14 index) — and
+// figure or comparative claim of the paper (DESIGN.md's E01–E14 index) — and
 // prints each result table. EXPERIMENTS.md records a reference run.
 //
-// With -json it instead runs the scheduler performance acceptance suite
-// (internal/perfbench) and writes one BENCH_<ID>.json per measurement into
-// -outdir. If -baseline names a directory holding prior BENCH_<ID>.json
-// files, each new result also records baseline_ns_per_op and delta_pct
-// (positive = faster than the baseline).
+// With -json it instead runs the performance acceptance suite
+// (internal/perfbench: E4–E8, E10–E12) and writes one BENCH_<ID>.json per
+// measurement into -outdir. Those IDs are the acceptance suite's own, not
+// the paper index (its E7 is the remote star broadcast; the paper's E07 is
+// the CSP translation). Every baseline_ns_per_op and delta_pct in a file
+// compares two arms of the run that wrote it (positive = headline arm
+// faster); nothing is read from an earlier session. End-to-end cost is
+// benchmark/'s job, not this command's.
 //
 // Usage:
 //
 //	scriptbench [-only E05] [-timeout 5m]
-//	scriptbench -json [-outdir .] [-baseline old/] [-only E3]
+//	scriptbench -json [-outdir .] [-only E7]
 package main
 
 import (
@@ -37,17 +40,16 @@ func main() {
 
 func run(args []string, out *os.File) error {
 	fs := flag.NewFlagSet("scriptbench", flag.ContinueOnError)
-	only := fs.String("only", "", "run only the experiment with this ID (e.g. E05, or E3 with -json)")
+	only := fs.String("only", "", "run only the experiment with this ID (e.g. E05, or E7 with -json)")
 	timeout := fs.Duration("timeout", 5*time.Minute, "overall time budget")
 	jsonMode := fs.Bool("json", false, "run the performance suite and write BENCH_<ID>.json files")
 	outdir := fs.String("outdir", ".", "directory for BENCH_<ID>.json files (with -json)")
-	baseline := fs.String("baseline", "", "directory with prior BENCH_<ID>.json files to diff against (with -json)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
 	if *jsonMode {
-		return runJSON(out, *only, *outdir, *baseline)
+		return runJSON(out, *only, *outdir)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
@@ -79,7 +81,7 @@ func run(args []string, out *os.File) error {
 }
 
 // runJSON runs the perfbench suite and writes BENCH_<ID>.json files.
-func runJSON(out *os.File, only, outdir, baseline string) error {
+func runJSON(out *os.File, only, outdir string) error {
 	ran := 0
 	for _, spec := range perfbench.Suite() {
 		if only != "" && !strings.EqualFold(spec.ID, only) {
@@ -87,19 +89,11 @@ func runJSON(out *os.File, only, outdir, baseline string) error {
 		}
 		fmt.Fprintf(out, "%s %s (%d enrollers)... ", spec.ID, spec.Name, spec.Enrollers)
 		res := spec.Run()
-		// E5/E6 record their intrinsic comparison run as the baseline; a
-		// -baseline directory only fills the experiments that lack one.
-		if baseline != "" && res.BaselineNsPerOp == 0 {
-			if base, err := readBaseline(filepath.Join(baseline, benchFile(spec.ID))); err == nil && base.NsPerOp > 0 {
-				res.BaselineNsPerOp = base.NsPerOp
-				res.DeltaPct = (base.NsPerOp - res.NsPerOp) / base.NsPerOp * 100
-			}
-		}
 		data, err := json.MarshalIndent(res, "", "  ")
 		if err != nil {
 			return err
 		}
-		path := filepath.Join(outdir, benchFile(spec.ID))
+		path := filepath.Join(outdir, "BENCH_"+spec.ID+".json")
 		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 			return err
 		}
@@ -117,16 +111,4 @@ func runJSON(out *os.File, only, outdir, baseline string) error {
 		return fmt.Errorf("no measurement matches -only=%s", only)
 	}
 	return nil
-}
-
-func benchFile(id string) string { return "BENCH_" + id + ".json" }
-
-func readBaseline(path string) (perfbench.Result, error) {
-	var res perfbench.Result
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return res, err
-	}
-	err = json.Unmarshal(data, &res)
-	return res, err
 }

@@ -2,7 +2,9 @@ package main
 
 import (
 	"encoding/json"
+	"math"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -42,41 +44,52 @@ func TestRunUnknownOnly(t *testing.T) {
 	}
 }
 
-// TestRunJSONMode runs the fastest perfbench measurement end to end and
-// checks the BENCH file round-trips, including baseline diffing.
+// TestRunJSONMode runs the fastest acceptance measurement (E12: two 400ms
+// drives) end to end and checks that the BENCH file's comparison comes from
+// the invocation that wrote it: the baseline is the file's own second arm,
+// and there is no flag to take it from anywhere else.
 func TestRunJSONMode(t *testing.T) {
 	dir := t.TempDir()
-	if err := run([]string{"-json", "-only", "E2", "-outdir", dir}, os.Stdout); err != nil {
+	if err := run([]string{"-json", "-only", "e12", "-outdir", dir}, os.Stdout); err != nil {
 		t.Fatal(err)
 	}
-	path := dir + "/BENCH_E2.json"
-	data, err := os.ReadFile(path)
+	data, err := os.ReadFile(filepath.Join(dir, "BENCH_E12.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got map[string]any
-	if err := json.Unmarshal(data, &got); err != nil {
-		t.Fatalf("invalid JSON in %s: %v", path, err)
+	var got struct {
+		ID              string  `json:"id"`
+		NsPerOp         float64 `json:"ns_per_op"`
+		BaselineNsPerOp float64 `json:"baseline_ns_per_op"`
+		DeltaPct        float64 `json:"delta_pct"`
+		Churn           []struct {
+			Resume     bool    `json:"resume"`
+			Throughput float64 `json:"throughput_per_sec"`
+		} `json:"churn"`
 	}
-	if got["id"] != "E2" || got["ns_per_op"].(float64) <= 0 {
-		t.Fatalf("unexpected result: %v", got)
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatalf("invalid JSON: %v\n%s", err, data)
+	}
+	if got.ID != "E12" || len(got.Churn) != 2 || !got.Churn[0].Resume || got.Churn[1].Resume {
+		t.Fatalf("unexpected result: %s", data)
+	}
+	on, off := got.Churn[0].Throughput, got.Churn[1].Throughput
+	if on <= 0 || off <= 0 {
+		t.Fatalf("an arm completed nothing: %s", data)
+	}
+	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9*math.Abs(b) }
+	if !near(got.NsPerOp, 1e9/on) || !near(got.BaselineNsPerOp, 1e9/off) {
+		t.Fatalf("headline %v / baseline %v are not this run's arms (%v/s on, %v/s off)",
+			got.NsPerOp, got.BaselineNsPerOp, on, off)
+	}
+	if want := (got.BaselineNsPerOp - got.NsPerOp) / got.BaselineNsPerOp * 100; !near(got.DeltaPct, want) {
+		t.Fatalf("delta_pct = %v, want %v from the same two arms", got.DeltaPct, want)
 	}
 
-	// A second run diffed against the first must record the baseline.
-	dir2 := t.TempDir()
-	if err := run([]string{"-json", "-only", "E2", "-outdir", dir2, "-baseline", dir}, os.Stdout); err != nil {
-		t.Fatal(err)
-	}
-	data, err = os.ReadFile(dir2 + "/BENCH_E2.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var diffed map[string]any
-	if err := json.Unmarshal(data, &diffed); err != nil {
-		t.Fatal(err)
-	}
-	if diffed["baseline_ns_per_op"].(float64) != got["ns_per_op"].(float64) {
-		t.Fatalf("baseline not recorded: %v", diffed)
+	// No number may depend on a BENCH file from an earlier session, so the
+	// flag that read one is gone.
+	if err := run([]string{"-json", "-only", "E12", "-outdir", dir, "-baseline", dir}, os.Stdout); err == nil {
+		t.Fatal("-baseline must be an unknown flag")
 	}
 }
 

@@ -81,10 +81,10 @@ func TestNilPartnerSetIsNoConstraint(t *testing.T) {
 
 // TestEmptyPerformanceAllocs gates what forming and ending a performance
 // allocates when the bodies do nothing: the three-role script of Figure 1,
-// two roles resident, one performance per foreground enrollment (perfbench's
-// E2, which measured 28 objects before the formation tables). What is left
-// is an enrollment record and a wake-up channel per role, and the
-// performance with its two maps and its done channel.
+// two roles resident, one performance per foreground enrollment
+// (BenchmarkE01's loop, which measured 28 objects before the formation
+// tables). What is left is an enrollment record and a wake-up channel per
+// role, and the performance with its two maps and its done channel.
 func TestEmptyPerformanceAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")

@@ -101,14 +101,6 @@ func WithSampler(s trace.Sampler) Option {
 	return func(in *Instance) { in.sampler = s }
 }
 
-// WithMaxLiveTraces caps the retained-context table of live traced
-// performances (default trace.DefaultMaxLiveTraces). When the table is full,
-// newly sampled performances run untraced rather than holding unbounded
-// state — the cap is motan-go's MaxTraceSize idea.
-func WithMaxLiveTraces(n int) Option {
-	return func(in *Instance) { in.maxLiveTraces = n }
-}
-
 // WithFairness selects how contention among enrollments is resolved:
 // match.FIFO (order of arrival, as in Ada) or match.Arbitrary with a seed
 // (no fairness, as in CSP). The default is FIFO.
@@ -154,12 +146,13 @@ type Instance struct {
 	nopTrace bool
 	// sampler, when non-nil, decides per performance (at initiation) whether
 	// its events are recorded; traces is the bounded table of live traced
-	// performances (see WithSampler / WithMaxLiveTraces).
-	sampler       trace.Sampler
-	traces        *trace.Table
-	maxLiveTraces int
-	fairness      match.Fairness
-	seed          int64
+	// performances (see WithSampler), capped at trace.DefaultMaxLiveTraces:
+	// when it is full, newly sampled performances run untraced rather than
+	// holding unbounded state.
+	sampler  trace.Sampler
+	traces   *trace.Table
+	fairness match.Fairness
+	seed     int64
 	// perfDeadline bounds every performance (WithPerformanceDeadline);
 	// 0 = unbounded.
 	perfDeadline time.Duration
@@ -340,7 +333,7 @@ func NewInstance(def Definition, opts ...Option) *Instance {
 	for _, o := range opts {
 		o(in)
 	}
-	in.traces = trace.NewTable(in.maxLiveTraces)
+	in.traces = trace.NewTable(0)
 	return in
 }
 

@@ -1,26 +1,37 @@
-// Package perfbench defines the performance acceptance suite: a small set
-// of named measurements (E1–E12) runnable from cmd/scriptbench -json, so
-// regressions in the enrollment and communication hot paths are visible as
-// numbers in BENCH_E*.json rather than only as `go test -bench` output.
+// Package perfbench defines the performance acceptance suite: the
+// measurements whose comparison is two (or more) arms run in one process
+// and that no other surface takes. cmd/scriptbench -json runs them and
+// writes one BENCH_<ID>.json each; CI gates on the same-run ratios and
+// counts inside those files.
 //
-// The suite deliberately mirrors the hottest benchmarks of bench_test.go:
+// Where each kind of number comes from:
 //
-//	E1  star broadcast, 64 resident recipients (Figure 3 at N=64)
-//	E2  successive performances, 3 empty roles (Figure 1's barrier)
-//	E3  contended enrollment, 64 contenders for one role
+//	end-to-end cost     benchmark/ (throughput, latency, CPU, RSS and the
+//	                    per-layer counters, e.g. local_star and
+//	                    wire.codec_roundtrip_v{1,2}_ns)
+//	same-run ratios     this package, via scriptbench -json -only <ID>
+//	paper figures       bench_test.go BenchmarkE01–E14 and
+//	                    internal/experiments (EXPERIMENTS.md)
+//
+// The IDs below are acceptance-suite IDs, not the paper index of DESIGN.md:
+// this E7 is the remote star broadcast, the paper index's E7 (Figure 7, the
+// CSP translation) is BenchmarkE07CSPTranslation. E1–E3 and E9 are retired:
+// they re-measured what benchmark/ and bench_test.go already report, and
+// their only comparison was against a file from another session.
+//
 //	E4  script.Pool of 4 instances vs a single instance, 64 enrollers
 //	E5  fabric point-to-point ping-pong: fast lane vs forced slow lane
 //	E6  fabric star scatter to 64 recipients vs a loop of serial sends
 //	E7  remote star broadcast over loopback TCP: SCRW v2 (multiplexed,
-//	    binary codec) vs the v1 JSON lock-step transport, with the
-//	    in-process E1 workload as the absolute floor
+//	    binary codec) vs the v1 JSON lock-step transport and vs the v2
+//	    codec without multiplexing, with the same broadcast in process as
+//	    the absolute floor (remote_over_in_process_ratio)
 //	E8  goodput under saturation: 1×/2×/4× the host's admission cap,
 //	    with vs. without client retry, per wire protocol version
-//	E9  wire codec round trip: one SEND + OP-RESULT frame pair through
-//	    the v2 binary codec vs the v1 JSON codec
-//	E10 observability overhead: the E1 and E3 workloads with 0.1%
-//	    probability-sampled tracing (async ring sink) vs untraced; a
-//	    delta_pct near zero is the "sampling is free when off-path" claim
+//	E10 observability overhead: the in-process star broadcast and the
+//	    contended-enrollment workload with 0.1% probability-sampled
+//	    tracing (async ring sink) vs untraced; a delta_pct near zero is
+//	    the "sampling is free when off-path" claim
 //	E11 fleet goodput scaling: the E8 saturation drive against 1, 2, and
 //	    4 registry-announced hosts through one registry-backed balanced
 //	    enroller; aggregate goodput must scale with the fleet
@@ -29,18 +40,17 @@
 //	    resume window vs with resumption off; the on-arm must complete
 //	    every enrollment, the off-arm reproduces the abort taxonomy
 //
-// Each Spec.Run executes under testing.Benchmark so iteration counts are
-// chosen the same way `go test -bench` chooses them. E5/E6 measure the
-// rendezvous fabric directly and record their own comparison run in
-// baseline_ns_per_op (fast vs slow lane, scatter vs serial); E7 and E9
-// record the v1-protocol run as theirs, so delta_pct is the improvement
-// v2 buys (positive = faster). E7 additionally reports the remote cost as
-// an explicit remote_over_in_process_ratio against the in-process E1
-// workload — the honest "how much does the wire cost" number that the
-// old signed delta_pct (-773%) obscured. E8 is the odd one out: it
-// drives fixed-duration load points instead of b.N iterations, reporting
-// completed-enrollment throughput and p99 latency per point in the
-// saturation array.
+// Every baseline_ns_per_op, delta_pct, speedup, ratio and arm array in a
+// Result is computed inside the one Spec.Run that produced it. E4–E7 and
+// E10 run their arms under testing.Benchmark, so iteration counts are chosen
+// the way `go test -bench` chooses them; E8, E11 and E12 drive fixed-duration
+// load points instead (see drive) and report completed-enrollment throughput
+// per point.
+//
+// The enrollment loops those arms time are the exported drivers below
+// (Broadcast, Contended, Pool, RemoteStar). They take a *testing.B so that
+// bench_test.go's E02–E04 and E15–E17 run the same code under `go test
+// -bench` instead of carrying a copy.
 package perfbench
 
 import (
@@ -63,7 +73,6 @@ import (
 	"github.com/scriptabs/goscript/internal/remote"
 	"github.com/scriptabs/goscript/internal/rendezvous"
 	"github.com/scriptabs/goscript/internal/trace"
-	"github.com/scriptabs/goscript/internal/wire"
 )
 
 // Result is one measurement, serialized to BENCH_<ID>.json.
@@ -80,19 +89,19 @@ type Result struct {
 	SingleNsPerOp float64 `json:"single_instance_ns_per_op,omitempty"`
 	Speedup       float64 `json:"speedup,omitempty"`
 
-	// The prior recorded ns_per_op and the improvement over it, positive =
-	// faster (in percent). Filled by cmd/scriptbench -baseline for E1–E4;
-	// E5/E6 fill it themselves with their in-build comparison run (forced
-	// slow lane, serial sends).
+	// The experiment's own comparison arm, run in the same Spec.Run, and the
+	// improvement of ns_per_op over it in percent (positive = faster): the
+	// forced slow lane (E5), serial sends (E6), the v1 wire (E7, E8),
+	// untraced (E10), one host (E11), resumption off (E12).
 	BaselineNsPerOp float64 `json:"baseline_ns_per_op,omitempty"`
 	DeltaPct        float64 `json:"delta_pct,omitempty"`
 
 	// E7 only: the protocol-comparison runs. V2LockstepNsPerOp is the v2
 	// codec with multiplexing off (MaxStreamsPerConn: 1, one dedicated
 	// conn per enrollment), isolating what pipelined multiplexing buys
-	// over the codec alone. InProcessNsPerOp is the identical workload
-	// without the wire (E1), and RemoteRatio = ns_per_op / in-process —
-	// the explicit "cost of the remote boundary" multiplier.
+	// over the codec alone. InProcessNsPerOp is the identical broadcast
+	// without the wire, and RemoteRatio = ns_per_op / in-process — the
+	// explicit "cost of the remote boundary" multiplier.
 	V1NsPerOp         float64 `json:"v1_ns_per_op,omitempty"`
 	V2LockstepNsPerOp float64 `json:"v2_lockstep_ns_per_op,omitempty"`
 	InProcessNsPerOp  float64 `json:"in_process_ns_per_op,omitempty"`
@@ -103,9 +112,9 @@ type Result struct {
 	Saturation []SaturationPoint `json:"saturation,omitempty"`
 
 	// E10 only: each workload measured untraced and with 0.1% sampled
-	// tracing. The headline ns_per_op is the sampled E1 run, the baseline
-	// the untraced one, so delta_pct ≈ 0 means the sampling fast path is
-	// unmeasurable.
+	// tracing. The headline ns_per_op is the sampled star-broadcast run,
+	// the baseline the untraced one, so delta_pct ≈ 0 means the sampling
+	// fast path is unmeasurable.
 	Sampling []SamplingPoint `json:"sampling,omitempty"`
 
 	// E11 only: one entry per fleet size. The headline ns_per_op is the
@@ -201,24 +210,6 @@ type Spec struct {
 func Suite() []Spec {
 	specs := []Spec{
 		{
-			ID:          "E1",
-			Name:        "star-broadcast-64",
-			Description: "one StarBroadcast(64) performance per op with resident recipients",
-			Enrollers:   64,
-		},
-		{
-			ID:          "E2",
-			Name:        "successive-performances",
-			Description: "one empty 3-role performance per op (successive-activations barrier)",
-			Enrollers:   3,
-		},
-		{
-			ID:          "E3",
-			Name:        "contended-enrollment-64",
-			Description: "64 concurrent enrollers contend for one role; ns/op is per-performance scheduler cost",
-			Enrollers:   64,
-		},
-		{
 			ID:          "E4",
 			Name:        "pool-throughput-4x",
 			Description: "64 enrollers drive blocking single-role performances through a Pool of 4 vs 1 instance",
@@ -239,7 +230,7 @@ func Suite() []Spec {
 		{
 			ID:          "E7",
 			Name:        "remote-star-broadcast-64",
-			Description: "one StarBroadcast(64) performance per op with every role enrolled over loopback TCP (SCRW v2, multiplexed); baseline is the same workload over the v1 JSON lock-step transport; remote_over_in_process_ratio compares against the in-process E1 workload",
+			Description: "one StarBroadcast(64) performance per op with every role enrolled over loopback TCP (SCRW v2, multiplexed); baseline is the same workload over the v1 JSON lock-step transport; remote_over_in_process_ratio compares against the same broadcast in process",
 			Enrollers:   65,
 		},
 		{
@@ -249,15 +240,9 @@ func Suite() []Spec {
 			Enrollers:   4 * saturationCap,
 		},
 		{
-			ID:          "E9",
-			Name:        "wire-codec-roundtrip",
-			Description: "encode+decode one SEND op frame and its OP-RESULT reply; v2 binary codec headline, v1 JSON codec baseline",
-			Enrollers:   1,
-		},
-		{
 			ID:          "E10",
 			Name:        "sampling-overhead",
-			Description: "E1 (star broadcast 64) and E3 (contended enrollment 64) with 0.1% probability-sampled tracing vs untraced; headline is the sampled E1 run, baseline the untraced one",
+			Description: "star broadcast 64 and contended enrollment 64, in process, with 0.1% probability-sampled tracing vs untraced; headline is the sampled star-broadcast run, baseline the untraced one",
 			Enrollers:   64,
 		},
 		{
@@ -273,78 +258,87 @@ func Suite() []Spec {
 			Enrollers:   churnClients,
 		},
 	}
-	specs[0].Run = func() Result { return finish(specs[0], runStarBroadcast(64)) }
-	specs[1].Run = func() Result { return finish(specs[1], runSuccessive()) }
-	specs[2].Run = func() Result { return finish(specs[2], runContended(64)) }
-	specs[3].Run = func() Result {
-		pool := runPool(4)
-		single := runPool(1)
-		res := finish(specs[3], pool)
-		res.SingleNsPerOp = nsPerOp(single)
+	specs[0].Run = func() Result {
+		res := finish(specs[0], benchPool(4))
+		res.SingleNsPerOp = nsPerOp(benchPool(1))
 		if res.NsPerOp > 0 {
 			res.Speedup = res.SingleNsPerOp / res.NsPerOp
 		}
 		return res
 	}
-	specs[4].Run = func() Result {
+	specs[1].Run = func() Result {
 		var fast, slow testing.BenchmarkResult
 		withMinProcs(4, func() {
 			fast = runPingPong(8, false)
 			slow = runPingPong(8, true)
 		})
-		return withIntrinsicBaseline(finish(specs[4], fast), slow)
+		return withBaseline(finish(specs[1], fast), slow)
 	}
-	specs[5].Run = func() Result {
+	specs[2].Run = func() Result {
 		var scatter, serial testing.BenchmarkResult
 		withMinProcs(4, func() {
 			scatter = runScatter(64, false)
 			serial = runScatter(64, true)
 		})
-		return withIntrinsicBaseline(finish(specs[5], scatter), serial)
+		return withBaseline(finish(specs[2], scatter), serial)
 	}
-	specs[6].Run = func() Result {
-		v2 := runRemoteStar(64, remote.EnrollerConfig{})
-		v1 := runRemoteStar(64, remote.EnrollerConfig{MaxProtocolVersion: 1})
-		lockstep := runRemoteStar(64, remote.EnrollerConfig{MaxStreamsPerConn: 1})
-		res := withIntrinsicBaseline(finish(specs[6], v2), v1)
+	specs[3].Run = func() Result {
+		v2 := benchRemoteStar(remote.EnrollerConfig{})
+		v1 := benchRemoteStar(remote.EnrollerConfig{MaxProtocolVersion: 1})
+		lockstep := benchRemoteStar(remote.EnrollerConfig{MaxStreamsPerConn: 1})
+		res := withBaseline(finish(specs[3], v2), v1)
 		res.V1NsPerOp = nsPerOp(v1)
 		res.V2LockstepNsPerOp = nsPerOp(lockstep)
-		res.InProcessNsPerOp = nsPerOp(runStarBroadcast(64))
+		res.InProcessNsPerOp = nsPerOp(benchStar())
 		if res.InProcessNsPerOp > 0 {
 			res.RemoteRatio = res.NsPerOp / res.InProcessNsPerOp
 		}
 		return res
 	}
-	specs[7].Run = func() Result { return runSaturationSuite(specs[7]) }
-	specs[8].Run = func() Result {
-		return withIntrinsicBaseline(finish(specs[8], runCodec(2)), runCodec(1))
-	}
-	specs[9].Run = func() Result { return runSamplingSuite(specs[9]) }
-	specs[10].Run = func() Result { return runFleetSuite(specs[10]) }
-	specs[11].Run = func() Result { return runChurnSuite(specs[11]) }
+	specs[4].Run = func() Result { return runSaturationSuite(specs[4]) }
+	specs[5].Run = func() Result { return runSamplingSuite(specs[5]) }
+	specs[6].Run = func() Result { return runFleetSuite(specs[6]) }
+	specs[7].Run = func() Result { return runChurnSuite(specs[7]) }
 	return specs
 }
 
-func finish(s Spec, br testing.BenchmarkResult) Result {
-	return Result{
-		ID:          s.ID,
-		Name:        s.Name,
-		Description: s.Description,
-		Enrollers:   s.Enrollers,
-		Iterations:  br.N,
-		NsPerOp:     nsPerOp(br),
-		AllocsPerOp: br.AllocsPerOp(),
-	}
+// header is the part of a Result that restates its Spec.
+func header(s Spec) Result {
+	return Result{ID: s.ID, Name: s.Name, Description: s.Description, Enrollers: s.Enrollers}
 }
 
-// withIntrinsicBaseline records the experiment's own comparison run (the
-// forced-slow lane, the serial-send loop) as the baseline.
-func withIntrinsicBaseline(res Result, base testing.BenchmarkResult) Result {
-	res.BaselineNsPerOp = nsPerOp(base)
-	if res.BaselineNsPerOp > 0 {
-		res.DeltaPct = (res.BaselineNsPerOp - res.NsPerOp) / res.BaselineNsPerOp * 100
+func finish(s Spec, br testing.BenchmarkResult) Result {
+	res := header(s)
+	res.Iterations = br.N
+	res.NsPerOp = nsPerOp(br)
+	res.AllocsPerOp = br.AllocsPerOp()
+	return res
+}
+
+// withBaseline records the experiment's comparison arm (the forced-slow
+// lane, the serial-send loop, the v1 wire, the untraced run) as the baseline.
+func withBaseline(res Result, base testing.BenchmarkResult) Result {
+	return withBaselineNs(res, nsPerOp(base))
+}
+
+// withBaselineNs is withBaseline for arms measured as a throughput. An arm
+// that completed nothing has no per-op cost: the baseline fields stay zero
+// (and out of the JSON) rather than becoming ±Inf, which does not marshal.
+func withBaselineNs(res Result, baseNs float64) Result {
+	if baseNs > 0 {
+		res.BaselineNsPerOp = baseNs
+		res.DeltaPct = (baseNs - res.NsPerOp) / baseNs * 100
 	}
 	return res
+}
+
+// nsPerCompletion converts a drive's completed-enrollment throughput to a
+// per-completion cost; 0 when nothing completed.
+func nsPerCompletion(throughput float64) float64 {
+	if throughput <= 0 {
+		return 0
+	}
+	return 1e9 / throughput
 }
 
 // withMinProcs runs fn with GOMAXPROCS raised to at least n (never lowered):
@@ -366,228 +360,284 @@ func nsPerOp(br testing.BenchmarkResult) float64 {
 	return float64(br.T.Nanoseconds()) / float64(br.N)
 }
 
-// runStarBroadcast is bench_test.go's E03 at a fixed recipient count: n
-// resident recipients re-enroll forever, the measured op is one sender
-// enrollment (= one complete broadcast performance).
-func runStarBroadcast(n int, opts ...core.Option) testing.BenchmarkResult {
-	return testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		in := core.NewInstance(patterns.StarBroadcast(n), opts...)
-		ctx, cancel := context.WithCancel(context.Background())
-		var wg sync.WaitGroup
-		for i := 1; i <= n; i++ {
-			pid := ids.PID(fmt.Sprintf("R%d", i))
-			role := ids.Member(patterns.RoleRecipient, i)
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					if _, err := in.Enroll(ctx, core.Enrollment{PID: pid, Role: role}); err != nil {
-						return
-					}
-				}
-			}()
+// The suite's fixed-size arms of the exported drivers.
+func benchStar(opts ...core.Option) testing.BenchmarkResult {
+	return testing.Benchmark(func(b *testing.B) { Broadcast(b, patterns.StarBroadcast(64), 64, opts...) })
+}
+
+func benchContended(opts ...core.Option) testing.BenchmarkResult {
+	return testing.Benchmark(func(b *testing.B) { Contended(b, 64, opts...) })
+}
+
+func benchPool(size int) testing.BenchmarkResult {
+	return testing.Benchmark(func(b *testing.B) { Pool(b, size) })
+}
+
+func benchRemoteStar(cfg remote.EnrollerConfig) testing.BenchmarkResult {
+	return testing.Benchmark(func(b *testing.B) { RemoteStar(b, 64, cfg) })
+}
+
+// residents keeps recipient[1..n] of a broadcast resident: n goroutines
+// re-enroll through enroll (an Instance's or an Enroller's Enroll), running
+// body (nil: the definition's own), until ctx ends or an enrollment fails.
+// The returned group is done when all have stopped.
+func residents(ctx context.Context, n int, body core.RoleBody,
+	enroll func(context.Context, core.Enrollment) (core.Result, error)) *sync.WaitGroup {
+	var wg sync.WaitGroup
+	for i := 1; i <= n; i++ {
+		e := core.Enrollment{
+			PID: ids.PID(fmt.Sprintf("R%d", i)), Role: ids.Member(patterns.RoleRecipient, i), Body: body,
 		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := in.Enroll(ctx, core.Enrollment{
-				PID: "T", Role: ids.Role(patterns.RoleSender), Args: []any{i},
-			}); err != nil {
-				b.Fatal(err)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				if _, err := enroll(ctx, e); err != nil {
+					return
+				}
 			}
-		}
-		b.StopTimer()
-		cancel()
-		in.Close()
-		wg.Wait()
-	})
+		}()
+	}
+	return &wg
 }
 
-// runSuccessive is bench_test.go's E01: a minimal three-role script with
-// empty bodies, one performance per op.
-func runSuccessive() testing.BenchmarkResult {
-	return testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		def := core.NewScript("fig1").
-			Role("p", func(rc core.Ctx) error { return nil }).
-			Role("q", func(rc core.Ctx) error { return nil }).
-			Role("r", func(rc core.Ctx) error { return nil }).
-			Initiation(core.ImmediateInitiation).
-			Termination(core.ImmediateTermination).
-			MustBuild()
-		in := core.NewInstance(def)
-		ctx, cancel := context.WithCancel(context.Background())
-		var wg sync.WaitGroup
-		for _, role := range []string{"q", "r"} {
-			role := role
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					if _, err := in.Enroll(ctx, core.Enrollment{
-						PID: ids.PID(role + "-proc"), Role: ids.Role(role),
-					}); err != nil {
-						return
-					}
-				}
-			}()
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := in.Enroll(ctx, core.Enrollment{PID: "p-proc", Role: ids.Role("p")}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		cancel()
-		in.Close()
-		wg.Wait()
-	})
-}
-
-// runContended is bench_test.go's E15 at a fixed worker count: n concurrent
-// enrollers collectively complete b.N single-role performances, so ns/op is
-// the per-performance scheduler cost under contention. (Measuring one
-// foreground enroller's latency instead would conflate this cost with the
-// FIFO queue depth at enrollment time, which varies run to run.)
-func runContended(n int, opts ...core.Option) testing.BenchmarkResult {
-	return testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		def := core.NewScript("slot").
-			Role("only", func(rc core.Ctx) error { return nil }).
-			MustBuild()
-		in := core.NewInstance(def, opts...)
-		defer in.Close()
-		var next atomic.Int64
-		var failures atomic.Int64
-		var wg sync.WaitGroup
-		b.ResetTimer()
-		for w := 0; w < n; w++ {
-			pid := ids.PID(fmt.Sprintf("W%d", w))
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for next.Add(1) <= int64(b.N) {
-					if _, err := in.Enroll(context.Background(), core.Enrollment{PID: pid, Role: ids.Role("only")}); err != nil {
-						failures.Add(1)
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		b.StopTimer()
-		if failures.Load() > 0 {
-			b.Fatalf("%d enrollments failed", failures.Load())
-		}
-	})
-}
-
-// runPool is bench_test.go's E16 at a fixed pool size: 64 enrollers share
-// b.N briefly-blocking single-role performances.
-func runPool(size int) testing.BenchmarkResult {
-	return testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		def := script.New("slot").
-			Role("only", func(rc script.Ctx) error {
-				time.Sleep(20 * time.Microsecond)
-				return nil
-			}).
-			MustBuild()
-		pool := script.NewPool(def, size)
-		defer pool.Close()
-		const workers = 64
-		var next atomic.Int64
-		var failures atomic.Int64
-		var wg sync.WaitGroup
-		b.ResetTimer()
-		for w := 0; w < workers; w++ {
-			pid := script.PID(fmt.Sprintf("W%d", w))
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for next.Add(1) <= int64(b.N) {
-					if _, err := pool.Enroll(context.Background(), script.Enrollment{
-						PID: pid, Role: script.Role("only"),
-					}); err != nil {
-						failures.Add(1)
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		b.StopTimer()
-		if failures.Load() > 0 {
-			b.Fatalf("%d enrollments failed", failures.Load())
-		}
-	})
-}
-
-// runRemoteStar is E7: the E1 workload pushed through the wire. A
-// remote.Host serves StarBroadcast(n) on loopback; n resident recipients
-// re-enroll forever through one shared Enroller, and the measured op is
-// one sender enrollment — a complete broadcast performance in which every
-// role body runs client-side, each communication op a request/response
-// frame pair. cfg selects the transport under test: default (v2,
-// multiplexed), MaxProtocolVersion: 1 (the JSON lock-step wire), or
-// MaxStreamsPerConn: 1 (v2 codec, dedicated conn per enrollment).
-func runRemoteStar(n int, cfg remote.EnrollerConfig) testing.BenchmarkResult {
-	cfg.Script = "star_broadcast"
-	return testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		in := core.NewInstance(patterns.StarBroadcast(n))
-		h := remote.NewHost(in, remote.HostConfig{})
-		if err := h.Listen("127.0.0.1:0"); err != nil {
+// Broadcast times b.N performances of a broadcast definition (patterns'
+// star or pipeline, whose recipient[1..n] bodies are the script's own): n
+// resident recipients re-enroll forever, and the measured op is one sender
+// enrollment, which is one complete performance.
+func Broadcast(b *testing.B, def core.Definition, n int, opts ...core.Option) {
+	in := core.NewInstance(def, opts...)
+	ctx, cancel := context.WithCancel(context.Background())
+	wg := residents(ctx, n, nil, in.Enroll)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := in.Enroll(ctx, core.Enrollment{
+			PID: "T", Role: ids.Role(patterns.RoleSender), Args: []any{i},
+		}); err != nil {
 			b.Fatal(err)
 		}
-		go h.Serve()
-		enr := remote.NewEnroller(h.Addr().String(), cfg)
-		ctx, cancel := context.WithCancel(context.Background())
-		recvBody := func(rc core.Ctx) error {
-			v, err := rc.Recv(ids.Role(patterns.RoleSender))
-			if err != nil {
-				return err
-			}
-			rc.SetResult(0, v)
-			return nil
-		}
-		tos := make([]ids.RoleRef, n)
-		for i := 1; i <= n; i++ {
-			tos[i-1] = ids.Member(patterns.RoleRecipient, i)
-		}
-		var wg sync.WaitGroup
-		for i := 1; i <= n; i++ {
-			pid := ids.PID(fmt.Sprintf("R%d", i))
-			role := ids.Member(patterns.RoleRecipient, i)
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					if _, err := enr.Enroll(ctx, core.Enrollment{PID: pid, Role: role, Body: recvBody}); err != nil {
-						return
-					}
+	}
+	b.StopTimer()
+	cancel()
+	in.Close()
+	wg.Wait()
+}
+
+// shareOps has `workers` goroutines collectively complete b.N calls of op,
+// so ns/op is the per-call cost under that much contention. (Timing one
+// foreground caller instead would conflate the cost with the FIFO queue
+// depth at enrollment time, which varies run to run.)
+func shareOps(b *testing.B, workers int, op func(pid ids.PID) error) {
+	var next, failures atomic.Int64
+	var wg sync.WaitGroup
+	b.ResetTimer()
+	for w := 0; w < workers; w++ {
+		pid := ids.PID(fmt.Sprintf("W%d", w))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for next.Add(1) <= int64(b.N) {
+				if err := op(pid); err != nil {
+					failures.Add(1)
+					return
 				}
-			}()
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			val := i
-			_, err := enr.Enroll(ctx, core.Enrollment{
-				PID: "T", Role: ids.Role(patterns.RoleSender),
-				Body: func(rc core.Ctx) error { return rc.SendAll(tos, val) },
-			})
-			if err != nil {
-				b.Fatal(err)
 			}
-		}
-		b.StopTimer()
-		cancel()
-		wg.Wait()
-		enr.Close()
-		h.Close()
-		in.Close()
+		}()
+	}
+	wg.Wait()
+	b.StopTimer()
+	if failures.Load() > 0 {
+		b.Fatalf("%d enrollments failed", failures.Load())
+	}
+}
+
+// Contended times the scheduler's per-performance cost under contention for
+// one role: n concurrent enrollers share b.N single-role performances with
+// empty bodies.
+func Contended(b *testing.B, n int, opts ...core.Option) {
+	def := core.NewScript("slot").
+		Role("only", func(rc core.Ctx) error { return nil }).
+		MustBuild()
+	in := core.NewInstance(def, opts...)
+	defer in.Close()
+	shareOps(b, n, func(pid ids.PID) error {
+		_, err := in.Enroll(context.Background(), core.Enrollment{PID: pid, Role: ids.Role("only")})
+		return err
 	})
+}
+
+// Pool times script.Pool at a given size: 64 enrollers share b.N
+// single-role performances whose body blocks briefly (an I/O-bound role). One
+// instance serializes the bodies by the successive-activations rule; a pool
+// overlaps one performance per instance.
+func Pool(b *testing.B, size int) {
+	def := script.New("slot").
+		Role("only", func(rc script.Ctx) error {
+			time.Sleep(20 * time.Microsecond)
+			return nil
+		}).
+		MustBuild()
+	pool := script.NewPool(def, size)
+	defer pool.Close()
+	shareOps(b, 64, func(pid script.PID) error {
+		_, err := pool.Enroll(context.Background(), script.Enrollment{PID: pid, Role: script.Role("only")})
+		return err
+	})
+}
+
+// RemoteStar is Broadcast pushed through the wire. A remote.Host serves
+// StarBroadcast(n) on loopback; n resident recipients re-enroll forever
+// through one shared Enroller, and the measured op is one sender enrollment
+// — a complete broadcast performance in which every role body runs
+// client-side, each communication op a request/response frame pair. cfg
+// selects the transport under test: the zero value (v2, multiplexed),
+// MaxProtocolVersion: 1 (the JSON lock-step wire), or MaxStreamsPerConn: 1
+// (v2 codec, dedicated conn per enrollment).
+func RemoteStar(b *testing.B, n int, cfg remote.EnrollerConfig) {
+	cfg.Script = "star_broadcast"
+	in := core.NewInstance(patterns.StarBroadcast(n))
+	h := remote.NewHost(in, remote.HostConfig{})
+	if err := h.Listen("127.0.0.1:0"); err != nil {
+		b.Fatal(err)
+	}
+	go h.Serve()
+	enr := remote.NewEnroller(h.Addr().String(), cfg)
+	ctx, cancel := context.WithCancel(context.Background())
+	tos := make([]ids.RoleRef, n)
+	for i := 1; i <= n; i++ {
+		tos[i-1] = ids.Member(patterns.RoleRecipient, i)
+	}
+	wg := residents(ctx, n, func(rc core.Ctx) error {
+		v, err := rc.Recv(ids.Role(patterns.RoleSender))
+		if err != nil {
+			return err
+		}
+		rc.SetResult(0, v)
+		return nil
+	}, enr.Enroll)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		val := i
+		_, err := enr.Enroll(ctx, core.Enrollment{
+			PID: "T", Role: ids.Role(patterns.RoleSender),
+			Body: func(rc core.Ctx) error { return rc.SendAll(tos, val) },
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	cancel()
+	wg.Wait()
+	enr.Close()
+	h.Close()
+	in.Close()
+}
+
+// driveStats is what one fixed-window drive observed. Throughput and p99
+// cover completed attempts only.
+type driveStats struct {
+	Attempted, Completed, Failed uint64
+	Throughput                   float64 // completions per second of window
+	P99LatencyMS                 float64
+}
+
+// drive is the fixed-window load loop of E8, E11 and E12: `clients`
+// goroutines each call enroll back to back until window has elapsed, so a
+// drive returns within the window plus one op. A failed attempt is lost
+// goodput, not retried here (retry, where the experiment wants it, is the
+// enroller's policy).
+func drive(clients int, window time.Duration, enroll func(pid ids.PID) error) driveStats {
+	samples := make([][]time.Duration, clients)
+	failed := make([]uint64, clients)
+	stop := time.Now().Add(window)
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		pid := ids.PID(fmt.Sprintf("C%d", c))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for time.Now().Before(stop) {
+				t0 := time.Now()
+				if err := enroll(pid); err != nil {
+					failed[c]++
+					continue
+				}
+				samples[c] = append(samples[c], time.Since(t0))
+			}
+		}()
+	}
+	wg.Wait()
+	var st driveStats
+	var all []time.Duration
+	for c := range samples {
+		all = append(all, samples[c]...)
+		st.Failed += failed[c]
+	}
+	st.Completed = uint64(len(all))
+	st.Attempted = st.Completed + st.Failed
+	st.Throughput = float64(st.Completed) / window.Seconds()
+	st.P99LatencyMS = float64(p99(all).Nanoseconds()) / 1e6
+	return st
+}
+
+// p99 is the sample at rank ⌊0.99·n⌋ of the sorted set (sorted in place); 0
+// for an empty set.
+func p99(samples []time.Duration) time.Duration {
+	if len(samples) == 0 {
+		return 0
+	}
+	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
+	return samples[len(samples)*99/100]
+}
+
+// slotHost is a loopback remote.Host serving the single-role "slot" script
+// the drive experiments enroll into. The role's body always comes from the
+// client, so the definition's own must never run.
+type slotHost struct {
+	in *core.Instance
+	h  *remote.Host
+}
+
+func startSlotHost(cfg remote.HostConfig) slotHost {
+	def := core.NewScript("slot").
+		Role("only", func(rc core.Ctx) error { return fmt.Errorf("local body must not run") }).
+		MustBuild()
+	in := core.NewInstance(def)
+	h := remote.NewHost(in, cfg)
+	if err := h.Listen("127.0.0.1:0"); err != nil {
+		panic(err)
+	}
+	go h.Serve()
+	return slotHost{in: in, h: h}
+}
+
+func (s slotHost) close() {
+	s.h.Close()
+	s.in.Close()
+}
+
+// cappedHost is the slot host with an admission cap, as E8 and E11 load it.
+func cappedHost(cap int) slotHost {
+	return startSlotHost(remote.HostConfig{MaxEnrollments: cap, RetryAfter: 2 * time.Millisecond})
+}
+
+// enrollSlot adapts enr to drive: one enrollment of the slot role running
+// body client-side.
+func enrollSlot(enr *remote.Enroller, body core.RoleBody) func(ids.PID) error {
+	return func(pid ids.PID) error {
+		_, err := enr.Enroll(context.Background(), core.Enrollment{PID: pid, Role: ids.Role("only"), Body: body})
+		return err
+	}
+}
+
+// shedRetry is the client retry policy of the saturated drives: sheds are
+// retried under a short backoff until admitted.
+var shedRetry = remote.RetryPolicy{
+	MaxAttempts: 100,
+	BaseBackoff: time.Millisecond,
+	MaxBackoff:  8 * time.Millisecond,
+	Seed:        42,
 }
 
 // saturationCap is E8's host admission cap (MaxEnrollments); offered load
@@ -606,48 +656,29 @@ const saturationWindow = 400 * time.Millisecond
 // enrollment throughput and the p99 latency of completions; the headline
 // ns_per_op is the v2 4×-with-retry point's per-completion cost.
 func runSaturationSuite(s Spec) Result {
-	res := Result{
-		ID:          s.ID,
-		Name:        s.Name,
-		Description: s.Description,
-		Enrollers:   s.Enrollers,
-	}
+	res := header(s)
 	for _, proto := range []int{1, 2} {
 		for _, factor := range []int{1, 2, 4} {
 			for _, retry := range []bool{false, true} {
-				res.Saturation = append(res.Saturation, runSaturationPoint(saturationCap, proto, factor, retry))
+				res.Saturation = append(res.Saturation, runSaturationPoint(proto, factor, retry))
 			}
 		}
 	}
 	headline := res.Saturation[len(res.Saturation)-1] // v2, 4× with retry
 	res.Iterations = int(headline.Completed)
-	if headline.Throughput > 0 {
-		res.NsPerOp = 1e9 / headline.Throughput
-	}
+	res.NsPerOp = nsPerCompletion(headline.Throughput)
 	// The v1 grid's matching point, for the headline's protocol delta.
 	for _, p := range res.Saturation {
-		if p.Protocol == 1 && p.LoadFactor == headline.LoadFactor && p.Retry == headline.Retry && p.Throughput > 0 {
-			res.V1NsPerOp = 1e9 / p.Throughput
-			res.BaselineNsPerOp = res.V1NsPerOp
-			res.DeltaPct = (res.BaselineNsPerOp - res.NsPerOp) / res.BaselineNsPerOp * 100
+		if p.Protocol == 1 && p.LoadFactor == headline.LoadFactor && p.Retry == headline.Retry {
+			res.V1NsPerOp = nsPerCompletion(p.Throughput)
+			res = withBaselineNs(res, res.V1NsPerOp)
 		}
 	}
 	return res
 }
 
-func runSaturationPoint(cap, proto, factor int, retry bool) SaturationPoint {
-	def := core.NewScript("slot").
-		Role("only", func(rc core.Ctx) error { return fmt.Errorf("local body must not run") }).
-		MustBuild()
-	in := core.NewInstance(def)
-	h := remote.NewHost(in, remote.HostConfig{
-		MaxEnrollments: cap,
-		RetryAfter:     2 * time.Millisecond,
-	})
-	if err := h.Listen("127.0.0.1:0"); err != nil {
-		panic(err)
-	}
-	go h.Serve()
+func runSaturationPoint(proto, factor int, retry bool) SaturationPoint {
+	host := cappedHost(saturationCap)
 	cfg := remote.EnrollerConfig{
 		// The breaker would turn sustained overload into client-local
 		// fail-fast rejections; E8 measures the host's shedding, so it is
@@ -656,76 +687,32 @@ func runSaturationPoint(cap, proto, factor int, retry bool) SaturationPoint {
 		MaxProtocolVersion: proto,
 	}
 	if retry {
-		cfg.Retry = remote.RetryPolicy{
-			MaxAttempts: 100,
-			BaseBackoff: time.Millisecond,
-			MaxBackoff:  8 * time.Millisecond,
-			Seed:        42,
-		}
+		cfg.Retry = shedRetry
 	}
-	enr := remote.NewEnroller(h.Addr().String(), cfg)
+	enr := remote.NewEnroller(host.h.Addr().String(), cfg)
 
 	// The body spins (not sleeps) ~200µs so each admitted enrollment holds
 	// its slot for a consistent service time — time.Sleep's wakeup latency
 	// varies with how busy the process is, which would let the shed traffic
 	// itself distort per-point service times.
-	body := func(rc core.Ctx) error {
+	st := drive(saturationCap*factor, saturationWindow, enrollSlot(enr, func(rc core.Ctx) error {
 		for t0 := time.Now(); time.Since(t0) < 200*time.Microsecond; {
 		}
 		return nil
-	}
-	clients := cap * factor
-	ctx := context.Background()
-	var attempted, completed, failed atomic.Uint64
-	samples := make([][]time.Duration, clients)
-	stop := time.Now().Add(saturationWindow)
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		pid := ids.PID(fmt.Sprintf("C%d", c))
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for time.Now().Before(stop) {
-				attempted.Add(1)
-				t0 := time.Now()
-				if _, err := enr.Enroll(ctx, core.Enrollment{PID: pid, Role: ids.Role("only"), Body: body}); err != nil {
-					failed.Add(1)
-					continue
-				}
-				completed.Add(1)
-				samples[c] = append(samples[c], time.Since(t0))
-			}
-		}(c)
-	}
-	wg.Wait()
-	shed := h.Stats().ShedEnrollments
+	}))
+	shed := host.h.Stats().ShedEnrollments
 	enr.Close()
-	h.Close()
-	in.Close()
-
-	var all []time.Duration
-	for _, s := range samples {
-		all = append(all, s...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	var p99 time.Duration
-	if n := len(all); n > 0 {
-		i := n * 99 / 100
-		if i >= n {
-			i = n - 1
-		}
-		p99 = all[i]
-	}
+	host.close()
 	return SaturationPoint{
 		Protocol:     proto,
 		LoadFactor:   factor,
 		Retry:        retry,
-		Attempted:    attempted.Load(),
-		Completed:    completed.Load(),
-		Failed:       failed.Load(),
+		Attempted:    st.Attempted,
+		Completed:    st.Completed,
+		Failed:       st.Failed,
 		Shed:         shed,
-		Throughput:   float64(completed.Load()) / saturationWindow.Seconds(),
-		P99LatencyMS: float64(p99.Nanoseconds()) / 1e6,
+		Throughput:   st.Throughput,
+		P99LatencyMS: st.P99LatencyMS,
 	}
 }
 
@@ -751,64 +738,51 @@ const fleetClients = 64
 // drives them through one registry-backed round-robin enroller shared by
 // fleetClients retrying clients. Aggregate completed-enrollment throughput
 // per point, plus its ratio over the single-host point — the scale-out
-// claim the CI gate asserts (≥1.7× at 2 hosts, ≥3.0× at 4).
+// claim the CI gate asserts (≥2.5× at 4 hosts).
 func runFleetSuite(s Spec) Result {
-	res := Result{
-		ID:          s.ID,
-		Name:        s.Name,
-		Description: s.Description,
-		Enrollers:   s.Enrollers,
-	}
+	var points []FleetPoint
 	for _, hosts := range []int{1, 2, 4} {
-		res.Fleet = append(res.Fleet, runFleetPoint(hosts))
+		points = append(points, runFleetPoint(hosts))
 	}
-	single := res.Fleet[0].Throughput
-	for i := range res.Fleet {
+	return fleetResult(s, points)
+}
+
+// fleetResult computes E11's headline from its points (single host first,
+// largest fleet last). A single-host point that completed nothing leaves
+// scaling_vs_single and the baseline fields zero, so the result still
+// marshals and CI's gate reports the missing scaling rather than an
+// encoding error.
+func fleetResult(s Spec, points []FleetPoint) Result {
+	res := header(s)
+	res.Fleet = points
+	single := points[0].Throughput
+	for i := range points {
 		if single > 0 {
-			res.Fleet[i].ScalingVsSingle = res.Fleet[i].Throughput / single
+			points[i].ScalingVsSingle = points[i].Throughput / single
 		}
 	}
-	headline := res.Fleet[len(res.Fleet)-1]
+	headline := points[len(points)-1]
 	res.Iterations = int(headline.Completed)
-	if headline.Throughput > 0 {
-		res.NsPerOp = 1e9 / headline.Throughput
-	}
-	res.BaselineNsPerOp = 1e9 / single
-	res.DeltaPct = (res.BaselineNsPerOp - res.NsPerOp) / res.BaselineNsPerOp * 100
-	return res
+	res.NsPerOp = nsPerCompletion(headline.Throughput)
+	return withBaselineNs(res, nsPerCompletion(single))
 }
 
 func runFleetPoint(nHosts int) FleetPoint {
 	reg := registry.NewStatic()
-	type member struct {
-		in *core.Instance
-		h  *remote.Host
-	}
-	members := make([]member, nHosts)
+	members := make([]slotHost, nHosts)
 	for i := range members {
-		def := core.NewScript("slot").
-			Role("only", func(rc core.Ctx) error { return fmt.Errorf("local body must not run") }).
-			MustBuild()
-		in := core.NewInstance(def)
-		h := remote.NewHost(in, remote.HostConfig{
-			MaxEnrollments: fleetCap,
-			RetryAfter:     2 * time.Millisecond,
-		})
-		if err := h.Listen("127.0.0.1:0"); err != nil {
-			panic(err)
-		}
-		go h.Serve()
+		m := cappedHost(fleetCap)
 		reg.Announce(
-			registry.Endpoint{Addr: h.Addr().String(), Scripts: []string{"slot"}},
+			registry.Endpoint{Addr: m.h.Addr().String(), Scripts: []string{"slot"}},
 			func() registry.Load {
-				st := h.Stats()
+				st := m.h.Stats()
 				return registry.Load{
 					Conns:         st.Conns,
 					Enrolling:     st.Enrolling,
-					PendingOffers: in.PendingOffers(),
+					PendingOffers: m.in.PendingOffers(),
 				}
 			})
-		members[i] = member{in: in, h: h}
+		members[i] = m
 	}
 	enr := remote.NewEnrollerRegistry(reg, remote.EnrollerConfig{
 		Script: "slot",
@@ -818,65 +792,35 @@ func runFleetPoint(nHosts int) FleetPoint {
 		// Sustained saturation is the workload, not a fault: the breaker
 		// must not turn expected sheds into client-local rejections.
 		Breaker: remote.BreakerConfig{FailureThreshold: -1},
-		Retry: remote.RetryPolicy{
-			MaxAttempts: 100,
-			BaseBackoff: time.Millisecond,
-			MaxBackoff:  8 * time.Millisecond,
-			Seed:        42,
-		},
+		Retry:   shedRetry,
 	})
 
-	body := func(rc core.Ctx) error {
+	st := drive(fleetClients, fleetWindow, enrollSlot(enr, func(rc core.Ctx) error {
 		time.Sleep(fleetServiceTime)
 		return nil
-	}
-	ctx := context.Background()
-	var attempted, completed, failed atomic.Uint64
-	stop := time.Now().Add(fleetWindow)
-	var wg sync.WaitGroup
-	for c := 0; c < fleetClients; c++ {
-		pid := ids.PID(fmt.Sprintf("C%d", c))
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for time.Now().Before(stop) {
-				attempted.Add(1)
-				if _, err := enr.Enroll(ctx, core.Enrollment{PID: pid, Role: ids.Role("only"), Body: body}); err != nil {
-					failed.Add(1)
-					continue
-				}
-				completed.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
+	}))
 
 	var shed uint64
 	minShare := 1.0
 	for _, m := range members {
 		shed += uint64(m.h.Stats().ShedEnrollments)
-	}
-	if total := completed.Load(); total > 0 {
-		for _, m := range members {
-			if share := float64(m.in.Performances()) / float64(total); share < minShare {
-				minShare = share
-			}
+		if st.Completed > 0 {
+			minShare = min(minShare, float64(m.in.Performances())/float64(st.Completed))
 		}
 	}
 	enr.Close()
 	reg.Close()
 	for _, m := range members {
-		m.h.Close()
-		m.in.Close()
+		m.close()
 	}
 	return FleetPoint{
 		Hosts:        nHosts,
 		Clients:      fleetClients,
-		Attempted:    attempted.Load(),
-		Completed:    completed.Load(),
-		Failed:       failed.Load(),
+		Attempted:    st.Attempted,
+		Completed:    st.Completed,
+		Failed:       st.Failed,
 		Shed:         shed,
-		Throughput:   float64(completed.Load()) / fleetWindow.Seconds(),
+		Throughput:   st.Throughput,
 		MinHostShare: minShare,
 	}
 }
@@ -928,42 +872,23 @@ func (f *churnFaults) CutConn() bool {
 // delta_pct is what resumption costs (or buys back) in goodput under
 // churn.
 func runChurnSuite(s Spec) Result {
-	res := Result{
-		ID:          s.ID,
-		Name:        s.Name,
-		Description: s.Description,
-		Enrollers:   s.Enrollers,
-	}
+	res := header(s)
 	on := runChurnPoint(true)
 	off := runChurnPoint(false)
 	res.Churn = []ChurnPoint{on, off}
 	res.Iterations = int(on.Completed)
-	if on.Throughput > 0 {
-		res.NsPerOp = 1e9 / on.Throughput
-	}
-	if off.Throughput > 0 {
-		res.BaselineNsPerOp = 1e9 / off.Throughput
-		res.DeltaPct = (res.BaselineNsPerOp - res.NsPerOp) / res.BaselineNsPerOp * 100
-	}
-	return res
+	res.NsPerOp = nsPerCompletion(on.Throughput)
+	return withBaselineNs(res, nsPerCompletion(off.Throughput))
 }
 
 func runChurnPoint(resume bool) ChurnPoint {
-	def := core.NewScript("slot").
-		Role("only", func(rc core.Ctx) error { return fmt.Errorf("local body must not run") }).
-		MustBuild()
-	in := core.NewInstance(def)
 	hcfg := remote.HostConfig{}
 	if resume {
 		hcfg.ResumeWindow = 5 * time.Second
 	}
-	h := remote.NewHost(in, hcfg)
-	if err := h.Listen("127.0.0.1:0"); err != nil {
-		panic(err)
-	}
-	go h.Serve()
+	host := startSlotHost(hcfg)
 	faults := &churnFaults{}
-	enr := remote.NewEnroller(h.Addr().String(), remote.EnrollerConfig{
+	enr := remote.NewEnroller(host.h.Addr().String(), remote.EnrollerConfig{
 		// Cuts are consulted at the client's op entry, so the enroller
 		// carries the schedule. No retry policy and no breaker: a failed
 		// enrollment is lost goodput in both arms, and the off arm's
@@ -973,65 +898,28 @@ func runChurnPoint(resume bool) ChurnPoint {
 		Breaker: remote.BreakerConfig{FailureThreshold: -1},
 	})
 
+	resumedBefore := metrics.Get(metrics.SessionsResumed).Load()
 	// Each body op is a query over the wire — a cut consult point on the
 	// way out and, when the cut fires, an in-flight op the resumed session
 	// must complete exactly once.
-	body := func(rc core.Ctx) error {
+	st := drive(churnClients, churnWindow, enrollSlot(enr, func(rc core.Ctx) error {
 		for i := 0; i < churnOpsPerBody; i++ {
 			rc.Filled(ids.Role("only"))
 		}
 		return nil
-	}
-	resumedBefore := metrics.Get(metrics.SessionsResumed).Load()
-	ctx := context.Background()
-	var attempted, completed, failed atomic.Uint64
-	samples := make([][]time.Duration, churnClients)
-	stop := time.Now().Add(churnWindow)
-	var wg sync.WaitGroup
-	for c := 0; c < churnClients; c++ {
-		pid := ids.PID(fmt.Sprintf("C%d", c))
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for time.Now().Before(stop) {
-				attempted.Add(1)
-				t0 := time.Now()
-				if _, err := enr.Enroll(ctx, core.Enrollment{PID: pid, Role: ids.Role("only"), Body: body}); err != nil {
-					failed.Add(1)
-					continue
-				}
-				completed.Add(1)
-				samples[c] = append(samples[c], time.Since(t0))
-			}
-		}(c)
-	}
-	wg.Wait()
+	}))
 	enr.Close()
-	h.Close()
-	in.Close()
+	host.close()
 
-	var all []time.Duration
-	for _, s := range samples {
-		all = append(all, s...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	var p99 time.Duration
-	if n := len(all); n > 0 {
-		i := n * 99 / 100
-		if i >= n {
-			i = n - 1
-		}
-		p99 = all[i]
-	}
 	pt := ChurnPoint{
 		Resume:       resume,
-		Attempted:    attempted.Load(),
-		Completed:    completed.Load(),
-		Failed:       failed.Load(),
+		Attempted:    st.Attempted,
+		Completed:    st.Completed,
+		Failed:       st.Failed,
 		Cuts:         faults.cuts.Load(),
 		Resumed:      metrics.Get(metrics.SessionsResumed).Load() - resumedBefore,
-		Throughput:   float64(completed.Load()) / churnWindow.Seconds(),
-		P99LatencyMS: float64(p99.Nanoseconds()) / 1e6,
+		Throughput:   st.Throughput,
+		P99LatencyMS: st.P99LatencyMS,
 	}
 	if pt.Attempted > 0 {
 		pt.FailureRatePct = float64(pt.Failed) / float64(pt.Attempted) * 100
@@ -1050,19 +938,21 @@ const samplingRate = 0.001
 // run least disturbed by the machine, for both configurations alike.
 const samplingRounds = 7
 
-// runSamplingSuite is E10: the in-process E1 and E3 workloads run untraced
-// and with 0.1% probability-sampled tracing behind an async ring, the
-// production observability configuration. The headline is the sampled E1
-// run against its untraced baseline — delta_pct within noise is the claim
-// that always-on sampling costs nothing on unsampled performances.
+// runSamplingSuite is E10: the in-process star-broadcast (Broadcast, 64
+// recipients) and contended-enrollment (Contended, 64 workers) workloads
+// run untraced and with 0.1% probability-sampled tracing behind an async
+// ring, the production observability configuration. The headline is the
+// sampled star run against its untraced baseline — delta_pct within noise
+// is the claim that always-on sampling costs nothing on unsampled
+// performances.
 //
 // The whole suite runs under a raised GOGC (for both configurations
-// alike): the E1 workload keeps only a few MB live while allocating
+// alike): the star workload keeps only a few MB live while allocating
 // hundreds of MB/s, a regime where any perturbation of the GC pacer —
 // even the tracer's resident ring — shows up as extra mark cycles worth
 // a couple percent. Production heaps are nowhere near that sensitivity,
-// so the damped-GC comparison is the representative one; the E3 cells,
-// which are allocation-light, measure the undamped scheduler path.
+// so the damped-GC comparison is the representative one; the contended
+// cells, which are allocation-light, measure the undamped scheduler path.
 func runSamplingSuite(s Spec) Result {
 	oldGC := debug.SetGCPercent(400)
 	defer debug.SetGCPercent(oldGC)
@@ -1105,22 +995,19 @@ func runSamplingSuite(s Spec) Result {
 		}
 		return plain, sampled, deltas
 	}
-	e1 := func(opts ...core.Option) testing.BenchmarkResult { return runStarBroadcast(64, opts...) }
-	e3 := func(opts ...core.Option) testing.BenchmarkResult { return runContended(64, opts...) }
+	starPlain, starSampled, starDeltas := measure(benchStar)
+	contPlain, contSampled, contDeltas := measure(benchContended)
 
-	e1Plain, e1Sampled, e1Deltas := measure(e1)
-	e3Plain, e3Sampled, e3Deltas := measure(e3)
-
-	res := withIntrinsicBaseline(finish(s, e1Sampled), e1Plain)
+	res := withBaseline(finish(s, starSampled), starPlain)
 	// delta_pct is the gated number: the median of every per-round paired
 	// (untraced − sampled) delta across both workloads. Pairing cancels
 	// machine drift within a round and the median discards disturbed
-	// rounds; pooling the workloads matters because E1's scheduler-bound
+	// rounds; pooling the workloads matters because the star's scheduler-bound
 	// runs swing a few percent either way run to run, while a real sampling
 	// regression shifts every round of both workloads at once. It is
 	// deliberately NOT recomputed from the fastest-round ns_per_op numbers
 	// reported alongside, whose minima come from different rounds.
-	all := append(append([]float64(nil), e1Deltas...), e3Deltas...)
+	all := append(append([]float64(nil), starDeltas...), contDeltas...)
 	sort.Float64s(all)
 	if n := len(all); n > 0 {
 		res.DeltaPct = all[n/2]
@@ -1135,10 +1022,10 @@ func runSamplingSuite(s Spec) Result {
 		}
 	}
 	res.Sampling = []SamplingPoint{
-		point("star-broadcast-64", false, e1Plain),
-		point("star-broadcast-64", true, e1Sampled),
-		point("contended-enrollment-64", false, e3Plain),
-		point("contended-enrollment-64", true, e3Sampled),
+		point("star-broadcast-64", false, starPlain),
+		point("star-broadcast-64", true, starSampled),
+		point("contended-enrollment-64", false, contPlain),
+		point("contended-enrollment-64", true, contSampled),
 	}
 	return res
 }
@@ -1190,46 +1077,6 @@ func runPingPong(pairs int, forceSlow bool) testing.BenchmarkResult {
 		b.StopTimer()
 		if failures.Load() > 0 {
 			b.Fatalf("%d fabric ops failed", failures.Load())
-		}
-	})
-}
-
-// runCodec is E9: the codec cost of one remote communication op in
-// isolation — encode a SEND frame payload, decode it, encode the
-// OP-RESULT reply, decode that — with no sockets or scheduler in the
-// way. ver selects the codec: 1 is the per-frame encoding/json path, 2
-// the binary codec with its pooled-buffer append API (the benchmark
-// reuses one buffer exactly as wire.Conn's write path does).
-func runCodec(ver int) testing.BenchmarkResult {
-	send := &wire.Send{
-		To:  "recipient[7]",
-		Tag: "update",
-		Val: map[string]any{"seq": 42, "payload": "0123456789abcdef0123456789abcdef"},
-	}
-	reply := &wire.OpResult{Val: []any{"ack", 42}, Peer: "recipient[7]", Tag: "update"}
-	var stream, seq uint64
-	if ver >= 2 {
-		stream, seq = 3, 17
-	}
-	return testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		var buf []byte
-		for i := 0; i < b.N; i++ {
-			var err error
-			buf, err = wire.AppendPayload(buf[:0], ver, wire.MsgSend, stream, seq, send)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, _, _, err = wire.ParsePayload(ver, wire.MsgSend, buf); err != nil {
-				b.Fatal(err)
-			}
-			buf, err = wire.AppendPayload(buf[:0], ver, wire.MsgOpResult, stream, seq, reply)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, _, _, err = wire.ParsePayload(ver, wire.MsgOpResult, buf); err != nil {
-				b.Fatal(err)
-			}
 		}
 	})
 }

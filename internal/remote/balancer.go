@@ -12,8 +12,8 @@ import (
 var staleLoadFallbacks = metrics.Get(metrics.StaleLoadFallbacks)
 
 // DefaultStaleLoadAfter is how old a load digest may be before the
-// least-loaded strategy stops trusting it, when EnrollerConfig.
-// StaleLoadAfter is zero.
+// least-loaded strategy stops trusting it: a small multiple of the
+// registry's announce cadence, which bounds digest age.
 const DefaultStaleLoadAfter = 3 * time.Second
 
 // HostView is one candidate host as a Balancer sees it for a single pick:
@@ -29,7 +29,7 @@ type HostView struct {
 	Load    registry.Load
 	HasLoad bool
 	// LoadAge is how old the digest is; Stale means it is missing or older
-	// than EnrollerConfig.StaleLoadAfter.
+	// than DefaultStaleLoadAfter.
 	LoadAge time.Duration
 	Stale   bool
 }
@@ -57,17 +57,6 @@ type failoverBalancer struct{}
 
 func (failoverBalancer) Name() string                            { return "failover" }
 func (failoverBalancer) Pick(views []HostView, _ *rand.Rand) int { _ = views; return 0 }
-
-// NewRandom returns the uniform random strategy: stateless, spreads load
-// evenly in expectation, deterministic under the enroller's seed.
-func NewRandom() Balancer { return randomBalancer{} }
-
-type randomBalancer struct{}
-
-func (randomBalancer) Name() string { return "random" }
-func (randomBalancer) Pick(views []HostView, rng *rand.Rand) int {
-	return rng.Intn(len(views))
-}
 
 // NewRoundRobin returns the rotating strategy: successive picks walk the
 // candidate list, giving the tightest spread when hosts are homogeneous.

@@ -85,31 +85,6 @@ func TestPickHostDemotesRecentlyShedHost(t *testing.T) {
 	}
 }
 
-func TestRandomBalancerDeterministicUnderSeed(t *testing.T) {
-	pickSeq := func(seed int64) []string {
-		e := pickEnroller(NewRandom(), seed, "a:1", "b:1", "c:1")
-		now := time.Now()
-		seq := make([]string, 40)
-		for i := range seq {
-			seq[i] = e.pickHost(now, 0).addr
-		}
-		return seq
-	}
-	s1, s2 := pickSeq(42), pickSeq(42)
-	for i := range s1 {
-		if s1[i] != s2[i] {
-			t.Fatalf("same seed diverged at pick %d: %s vs %s", i, s1[i], s2[i])
-		}
-	}
-	spread := map[string]bool{}
-	for _, a := range s1 {
-		spread[a] = true
-	}
-	if len(spread) < 2 {
-		t.Fatalf("random balancer never left one host: %v", s1)
-	}
-}
-
 func TestRoundRobinBalancerSpreads(t *testing.T) {
 	e := pickEnroller(NewRoundRobin(), 1, "a:1", "b:1", "c:1")
 	now := time.Now()
@@ -151,13 +126,12 @@ func TestPickHostAllBreakersOpen(t *testing.T) {
 }
 
 // TestPickHostAllLoadDigestsStale drives pickHost (not just the Balancer)
-// with every host's load digest aged past StaleLoadAfter: the least-loaded
-// balancer must fall back to rotation — deterministically picking *some*
-// closed host — and account each fallback in
+// with every host's load digest aged past DefaultStaleLoadAfter: the
+// least-loaded balancer must fall back to rotation — deterministically
+// picking *some* closed host — and account each fallback in
 // remote_stale_load_fallbacks_total.
 func TestPickHostAllLoadDigestsStale(t *testing.T) {
 	e := pickEnroller(NewLeastLoaded(), 1, "a:1", "b:1", "c:1")
-	e.cfg.StaleLoadAfter = time.Second
 	now := time.Now()
 	for _, hs := range e.hosts {
 		hs.loadMu.Lock()

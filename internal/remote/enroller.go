@@ -82,11 +82,6 @@ type EnrollerConfig struct {
 	// healthy host in host order wins (rotated by attempt, so retries do
 	// not hammer one host). NewEnrollerRegistry defaults to NewLeastLoaded.
 	Balancer Balancer
-	// StaleLoadAfter is how old a host's load digest may be before the
-	// least-loaded strategy stops trusting it (0 = 3s). Digest age is
-	// bounded by the registry's announce cadence, so set this to a small
-	// multiple of the gossip interval.
-	StaleLoadAfter time.Duration
 
 	// MaxProtocolVersion caps the wire protocol version the enroller
 	// negotiates (0 = wire.MaxVersion). Setting 1 pins the client to the v1
@@ -171,7 +166,7 @@ func (hs *hostState) setLoad(l registry.Load, at time.Time) {
 
 // view snapshots the host for a balancer decision. The breaker is read
 // without claiming its half-open probe token.
-func (hs *hostState) view(now time.Time, staleAfter time.Duration) HostView {
+func (hs *hostState) view(now time.Time) HostView {
 	st, _ := hs.brk.snapshot()
 	hs.loadMu.Lock()
 	v := HostView{Addr: hs.addr, Breaker: st, Load: hs.load, HasLoad: hs.hasLoad}
@@ -179,7 +174,7 @@ func (hs *hostState) view(now time.Time, staleAfter time.Duration) HostView {
 		v.LoadAge = now.Sub(hs.loadAt)
 	}
 	hs.loadMu.Unlock()
-	v.Stale = !v.HasLoad || v.LoadAge > staleAfter
+	v.Stale = !v.HasLoad || v.LoadAge > DefaultStaleLoadAfter
 	return v
 }
 
@@ -265,9 +260,6 @@ func newEnroller(cfg EnrollerConfig) *Enroller {
 	}
 	if cfg.Breaker.Cooldown <= 0 {
 		cfg.Breaker.Cooldown = DefaultBreakerCooldown
-	}
-	if cfg.StaleLoadAfter <= 0 {
-		cfg.StaleLoadAfter = DefaultStaleLoadAfter
 	}
 	if cfg.Balancer == nil {
 		cfg.Balancer = NewFailover()
@@ -551,7 +543,7 @@ func (e *Enroller) balance(tier []*hostState, now time.Time) int {
 	}
 	views := make([]HostView, len(tier))
 	for i, hs := range tier {
-		views[i] = hs.view(now, e.cfg.StaleLoadAfter)
+		views[i] = hs.view(now)
 	}
 	e.rngMu.Lock()
 	i := e.balancer.Pick(views, e.rng)

@@ -211,6 +211,79 @@ func TestResumeSurvivesCutWhileBlockedInOp(t *testing.T) {
 	}
 }
 
+// TestResumedConnOutlivesResumeWindow holds a stream blocked in one op for
+// three resume windows after a single cut. The client bounds its wait for
+// the RESUME-ACK with a read timeout of one window; that deadline must come
+// off the socket once the ack is in, or the healthy resumed connection reads
+// "i/o timeout" a window later and cuts itself again, once per window for as
+// long as the conversation is quiet. One blip is one resumption, and the op
+// it interrupted completes exactly once.
+func TestResumedConnOutlivesResumeWindow(t *testing.T) {
+	const window = 200 * time.Millisecond
+	in := core.NewInstance(patterns.StarBroadcast(1))
+	defer in.Close()
+	_, hostAddr := startHost(t, in, remote.HostConfig{ResumeWindow: window})
+	px := newNetProxy(t, hostAddr)
+	enr := remote.NewEnroller(px.addr(), remote.EnrollerConfig{})
+	defer enr.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	var received atomic.Int64
+	recErr := make(chan error, 1)
+	go func() {
+		_, err := enr.Enroll(ctx, core.Enrollment{
+			PID: "patient", Role: ids.Member(patterns.RoleRecipient, 1),
+			Body: func(rc core.Ctx) error {
+				v, err := rc.Recv(ids.Role(patterns.RoleSender))
+				if err == nil && v == "late" {
+					received.Add(1)
+				}
+				return err
+			},
+		})
+		recErr <- err
+	}()
+	waitCond(t, "offer to go pending", func() bool { return in.PendingOffers() == 1 })
+
+	gate := make(chan struct{})
+	sendErr := make(chan error, 1)
+	go func() {
+		_, err := in.Enroll(ctx, core.Enrollment{
+			PID: "S", Role: ids.Role(patterns.RoleSender),
+			Body: func(rc core.Ctx) error {
+				<-gate
+				return rc.SendAll([]ids.RoleRef{ids.Member(patterns.RoleRecipient, 1)}, "late")
+			},
+		})
+		sendErr <- err
+	}()
+
+	// Let the recipient's Recv park in the host's fabric, then blip once.
+	time.Sleep(100 * time.Millisecond)
+	resumedBefore := metrics.Get(metrics.SessionsResumed).Load()
+	px.cutConns()
+	waitCond(t, "the session to resume", func() bool {
+		return metrics.Get(metrics.SessionsResumed).Load() > resumedBefore
+	})
+	time.Sleep(3 * window)
+	close(gate)
+
+	if err := <-sendErr; err != nil {
+		t.Fatalf("sender: %v", err)
+	}
+	if err := <-recErr; err != nil {
+		t.Fatalf("recipient: %v (a quiet resumed connection must stay up)", err)
+	}
+	if got := metrics.Get(metrics.SessionsResumed).Load() - resumedBefore; got != 1 {
+		t.Fatalf("sessions resumed = %d after one cut, want exactly 1", got)
+	}
+	if got := received.Load(); got != 1 {
+		t.Fatalf("the interrupted Recv completed %d times, want 1", got)
+	}
+}
+
 // TestResumeOffCutPreservesAbortTaxonomy is the counterfactual: with no
 // resume window configured, the identical cut must reproduce today's abort
 // behavior exactly — the client surfaces ErrConnLost, co-performers unwind

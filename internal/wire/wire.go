@@ -636,8 +636,17 @@ func (c *Conn) SetWriteBatching(on bool) { c.batchWrites.Store(on) }
 
 // SetReadTimeout bounds every wait for the peer's bytes inside subsequent
 // ReadFrames (0 = unbounded). The host sets it to its heartbeat timeout: a
-// connection silent for longer is presumed lost.
-func (c *Conn) SetReadTimeout(d time.Duration) { c.readTimeout = d }
+// connection silent for longer is presumed lost. Going back to unbounded
+// also clears the deadline the last bounded wait left on the socket, which
+// would otherwise fail a healthy read one timeout later. Call it from the
+// reading goroutine, between ReadFrames.
+func (c *Conn) SetReadTimeout(d time.Duration) {
+	c.readTimeout = d
+	if d <= 0 {
+		// Fails only on a closed socket, where the next read fails anyway.
+		_ = c.nc.SetReadDeadline(time.Time{})
+	}
+}
 
 // SetWriteTimeout bounds each subsequent write to the socket (0 =
 // unbounded): the flusher's flush for WriteFrame, the inline one for
