@@ -112,12 +112,15 @@ func (rc *RoleCtx) SendAll(tos []ids.RoleRef, v any) error {
 		return nil
 	}
 	targets := make([]rendezvous.Addr, len(tos))
+	rc.inst.mu.Lock() // one acquisition prechecks every target
 	for i, to := range tos {
-		if err := rc.precheck(to); err != nil {
-			return err
+		if st := rc.availabilityLocked(to); st != peerOK {
+			rc.inst.mu.Unlock()
+			return precheckErr(st, to)
 		}
 		targets[i] = rc.inst.addrOf(to)
 	}
+	rc.inst.mu.Unlock()
 	ctx, cancel := rc.inst.opContext(rc.ctx)
 	if cancel != nil {
 		defer cancel()
@@ -262,23 +265,25 @@ type Selected struct {
 // ErrRoleAbsent / ErrRoleFinished (all communication partners gone) —
 // CSP's rule that a repetitive command exits when all guards fail.
 func (rc *RoleCtx) Select(branches ...SelectBranch) (Selected, error) {
-	type mapping struct {
-		orig int
-		br   rendezvous.Branch
-	}
+	// The alternative handed to the fabric and, beside it, each branch's
+	// position in the call; four inline, as many as the fabric's slot holds.
 	var (
-		enabled     []mapping
+		fabBuf      [4]rendezvous.Branch
+		origBuf     [4]int
+		fab, orig   = fabBuf[:0], origBuf[:0]
 		guardsTrue  int
 		sawFinished bool
 		sawAbsent   bool
 	)
+	rc.inst.mu.Lock() // one acquisition classifies every branch
 	for i, b := range branches {
 		if !b.guard {
 			continue
 		}
 		guardsTrue++
+		var peer rendezvous.Addr
 		if !b.anyPeer {
-			switch rc.availability(b.peer) {
+			switch rc.availabilityLocked(b.peer) {
 			case peerAbsent:
 				sawAbsent = true
 				continue
@@ -286,49 +291,52 @@ func (rc *RoleCtx) Select(branches ...SelectBranch) (Selected, error) {
 				sawFinished = true
 				continue
 			case peerUnknown:
-				return Selected{}, fmt.Errorf("%w: %s", ErrUnknownRole, b.peer)
+				rc.inst.mu.Unlock()
+				return Selected{}, precheckErr(peerUnknown, b.peer)
 			}
+			peer = rc.inst.addrOf(b.peer)
 		}
-		enabled = append(enabled, mapping{orig: i, br: rendezvous.Branch{
-			Dir: b.dir, Peer: rc.inst.addrOf(b.peer), AnyPeer: b.anyPeer,
+		fab = append(fab, rendezvous.Branch{
+			Dir: b.dir, Peer: peer, AnyPeer: b.anyPeer,
 			Tag: rendezvous.Tag(b.tag), Val: b.val,
-		}})
+		})
+		orig = append(orig, i)
 	}
+	rc.inst.mu.Unlock()
 	if guardsTrue == 0 {
 		return Selected{}, ErrNoBranches
 	}
-	if len(enabled) == 0 {
+	if len(fab) == 0 {
 		if sawFinished && !sawAbsent {
 			return Selected{}, ErrRoleFinished
 		}
 		return Selected{}, ErrRoleAbsent
 	}
-	fabricBranches := make([]rendezvous.Branch, len(enabled))
-	for i, m := range enabled {
-		fabricBranches[i] = m.br
-	}
 	ctx, cancel := rc.inst.opContext(rc.ctx)
 	if cancel != nil {
 		defer cancel()
 	}
-	out, err := rc.perf.fabric.Do(ctx, rc.addr, fabricBranches)
+	out, err := rc.perf.fabric.Do(ctx, rc.addr, fab)
 	if err != nil {
 		return Selected{}, rc.mapCommErr(ids.RoleRef{}, err)
 	}
-	m := enabled[out.Index]
-	peer, perr := ids.ParseRoleRef(string(out.Peer))
-	if perr != nil {
-		return Selected{}, fmt.Errorf("script: bad peer address %q: %w", out.Peer, perr)
+	b := branches[orig[out.Index]]
+	peer := b.peer // a directed branch commits with the role it names
+	if b.anyPeer {
+		var perr error
+		if peer, perr = ids.ParseRoleRef(string(out.Peer)); perr != nil {
+			return Selected{}, fmt.Errorf("script: bad peer address %q: %w", out.Peer, perr)
+		}
 	}
 	kind := trace.KindSend
-	if m.br.Dir == rendezvous.DirRecv {
+	if b.dir == rendezvous.DirRecv {
 		kind = trace.KindRecv
 	}
 	rc.inst.recordPerf(rc.perf, trace.Event{
 		Kind: kind, Script: rc.inst.def.name, Performance: rc.perf.number,
 		Role: rc.role, Peer: peer, PID: rc.pid, Detail: string(out.Tag),
 	})
-	return Selected{Index: m.orig, Peer: peer, Tag: string(out.Tag), Val: out.Val}, nil
+	return Selected{Index: orig[out.Index], Peer: peer, Tag: string(out.Tag), Val: out.Val}, nil
 }
 
 // Terminated is the paper's r.terminated predicate: true if role r has
@@ -441,11 +449,16 @@ const (
 
 // availability classifies role r for communication purposes.
 func (rc *RoleCtx) availability(r ids.RoleRef) peerState {
+	rc.inst.mu.Lock()
+	defer rc.inst.mu.Unlock()
+	return rc.availabilityLocked(r)
+}
+
+// availabilityLocked is availability with inst.mu held.
+func (rc *RoleCtx) availabilityLocked(r ids.RoleRef) peerState {
 	if err := rc.inst.def.checkRole(r); err != nil {
 		return peerUnknown
 	}
-	rc.inst.mu.Lock()
-	defer rc.inst.mu.Unlock()
 	if rc.perf.finished.Contains(r) {
 		return peerFinished
 	}
@@ -460,7 +473,13 @@ func (rc *RoleCtx) availability(r ids.RoleRef) peerState {
 
 // precheck validates the target role before a point-to-point operation.
 func (rc *RoleCtx) precheck(to ids.RoleRef) error {
-	switch rc.availability(to) {
+	return precheckErr(rc.availability(to), to)
+}
+
+// precheckErr is the error of communicating with a role in state st, nil
+// for a role that can be waited on.
+func precheckErr(st peerState, to ids.RoleRef) error {
+	switch st {
 	case peerUnknown:
 		return fmt.Errorf("%w: %s", ErrUnknownRole, to)
 	case peerAbsent:

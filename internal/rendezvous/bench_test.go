@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"testing"
+	"time"
 )
 
 // BenchmarkSendRecvPair measures one complete rendezvous (send + matching
@@ -85,4 +86,59 @@ func BenchmarkFanInContention(b *testing.B) {
 	b.StopTimer()
 	cancel()
 	f.Close()
+}
+
+// BenchmarkFabricReset times Reset alone (the scope before it is set up off
+// the clock) after a scope that used little of the fabric and after one that
+// used all of it: `touched` is both the number of shards an op parked in and
+// the number of hot slots a termination raised, "all" being every shard and
+// every slot. Reset must cost what the scope used; CI holds touched=2 to a
+// quarter of touched=all, so a sweep that is constant in the table sizes
+// cannot come back unnoticed.
+func BenchmarkFabricReset(b *testing.B) {
+	f := New()
+	// One address pair per shard and one address per hot slot.
+	var pairs [numShards][2]Addr
+	var dead [numHot]Addr
+	for i, found := 0, 0; found < numShards; i++ {
+		from, to := Addr(fmt.Sprintf("s%d", i/numShards)), Addr(fmt.Sprintf("r%d", i%numShards))
+		sh := f.shardOf(cellKey{from: from, to: to})
+		for j := range f.shards {
+			if sh == &f.shards[j] && pairs[j][0] == "" {
+				pairs[j] = [2]Addr{from, to}
+				found++
+			}
+		}
+	}
+	for i, found := 0, 0; found < numHot; i++ {
+		if a := Addr(fmt.Sprintf("t%d", i)); dead[hotIndex(a)] == "" {
+			dead[hotIndex(a)] = a
+			found++
+		}
+	}
+	withdrawn, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, c := range []struct {
+		name          string
+		shards, slots int
+	}{{"touched=2", 2, 2}, {"touched=all", numShards, numHot}} {
+		b.Run(c.name, func(b *testing.B) {
+			var total time.Duration
+			for i := 0; i < b.N; i++ {
+				// A send whose context is done parks, touching its shard and
+				// leaving its cell's key behind, and withdraws.
+				for _, p := range pairs[:c.shards] {
+					f.Send(withdrawn, p[0], p[1], "t", nil) //nolint:errcheck
+				}
+				for _, a := range dead[:c.slots] {
+					f.Terminate(a)
+				}
+				f.Close()
+				start := time.Now()
+				f.Reset()
+				total += time.Since(start)
+			}
+			b.ReportMetric(float64(total.Nanoseconds())/float64(b.N), "ns/op")
+		})
+	}
 }

@@ -22,9 +22,14 @@ type cellKey struct {
 
 // shard is one slice of the exchange-cell map. A cell holds parked ops in
 // ascending seq order; all ops in one cell share a direction (two opposite
-// directions would have committed on arrival). Emptied cells keep their map
-// entry (cleared by Reset) so steady-state traffic never reinserts keys.
-// fastCommits is kept per shard to avoid a shared counter cacheline.
+// directions would have committed on arrival). An emptied cell keeps its map
+// entry, and with it its backing array, for as long as the scope lasts; Reset
+// then drops every key and keeps only the map's buckets, because the script
+// runtime pools one fabric per performance across every definition, and a
+// key that outlived its scope would make the next, unrelated cast walk and
+// rehash addresses it never uses. So each scope inserts the keys it parks
+// under once. fastCommits is kept per shard to avoid a shared counter
+// cacheline.
 type shard struct {
 	mu          sync.Mutex
 	cells       map[cellKey][]*op
@@ -62,8 +67,24 @@ func fnv1a(s string) uint32 {
 func hotIndex(a Addr) int { return int(fnv1a(string(a)) & (numHot - 1)) }
 
 func (f *Fabric) shardOf(k cellKey) *shard {
-	h := fnv1a(string(k.from))*31 + fnv1a(string(k.to))
-	return &f.shards[h&(numShards-1)]
+	return &f.shards[shardIndex(fnv1a(string(k.from)), fnv1a(string(k.to)))]
+}
+
+// shardIndex is the shard of the cells exchanged between two addresses,
+// given their hashes.
+func shardIndex(hFrom, hTo uint32) int { return int((hFrom*31 + hTo) & (numShards - 1)) }
+
+// touch records, with shard i's mutex held, that an op parked there, so the
+// next Reset clears its cells. The load keeps all but a scope's first park in
+// a shard off the shared word.
+func (f *Fabric) touch(i int) {
+	bit := uint64(1) << i
+	for {
+		old := f.touched.Load()
+		if old&bit != 0 || f.touched.CompareAndSwap(old, old|bit) {
+			return
+		}
+	}
 }
 
 // hotAddr reports whether a's slot is hot: some slow-lane activity or a
@@ -90,9 +111,13 @@ func (f *Fabric) parkAccount(k cellKey, delta int64) {
 	f.parkedAt[mixIndex(ht)].Add(delta)
 }
 
-// addrParked reports whether some parked op might involve addr: false means
-// definitely none (no false negatives — both counters are raised before the
-// parking shard unlock), so sweeps may be skipped.
+// addrParked reports whether some parked op might involve addr; when false
+// the termination probes skip their shard sweeps. Point ops raise both
+// counters before the parking shard unlock, but Scatter batches its owner's
+// adds after its target loop, so an address sharing a slot with a scatterer
+// in flight can read a transient zero: a sweep-skipping hint for the probes
+// that always had it, not a guard the matcher may use (drainForLocked goes
+// by the global count).
 func (f *Fabric) addrParked(a Addr) bool {
 	h := fnv1a(string(a))
 	return f.parkedAt[h&(numHot-1)].Load() != 0 && f.parkedAt[mixIndex(h)].Load() != 0
@@ -124,7 +149,8 @@ func (f *Fabric) fastPoint(ctx context.Context, owner Addr, br Branch) (out Outc
 		k = cellKey{from: br.Peer, to: owner, tag: br.Tag}
 		hFrom, hTo = hPeer, hOwner
 	}
-	sh := &f.shards[(hFrom*31+hTo)&(numShards-1)]
+	shIdx := shardIndex(hFrom, hTo)
+	sh := &f.shards[shIdx]
 
 	sh.mu.Lock()
 	if list := sh.cells[k]; len(list) > 0 && list[0].branch.Dir != br.Dir {
@@ -160,21 +186,16 @@ func (f *Fabric) fastPoint(ctx context.Context, owner Addr, br Branch) (out Outc
 	}
 	// Park. The group and op share one pooled allocation; the seq is drawn
 	// inside the critical section so each cell stays sorted by post order.
-	s := slotPool.Get().(*fastSlot)
-	s.g.state.Store(0)
-	s.g.ops = nil
-	s.g.hotIdx = -1
-	s.o = op{g: &s.g, owner: owner, branch: br, seq: f.seq.Add(1)}
-	g, o := &s.g, &s.o
+	s := getSlot()
+	g, o := &s.g, s.newOp(owner, br, 0)
+	o.seq = f.seq.Add(1)
 	sh.cells[k] = append(sh.cells[k], o)
 	f.parked.Add(1)
 	f.parkedAt[hFrom&(numHot-1)].Add(1)
 	f.parkedAt[mixIndex(hFrom)].Add(1)
 	f.parkedAt[hTo&(numHot-1)].Add(1)
 	f.parkedAt[mixIndex(hTo)].Add(1)
-	if !f.cellsUsed.Load() {
-		f.cellsUsed.Store(true)
-	}
+	f.touch(shIdx)
 	sh.mu.Unlock()
 
 	if ff := f.faults; ff != nil {
@@ -182,7 +203,7 @@ func (f *Fabric) fastPoint(ctx context.Context, owner Addr, br Branch) (out Outc
 			time.Sleep(d)
 		}
 		if ff.FastEvict() && f.unpark(sh, k, o) {
-			out, err := f.doSlow(ctx, owner, []Branch{br}, g, o.seq)
+			out, err := f.awaitSlow(ctx, owner, []Branch{br}, s, o.seq)
 			s.release()
 			return out, true, err
 		}
@@ -194,7 +215,7 @@ func (f *Fabric) fastPoint(ctx context.Context, owner Addr, br Branch) (out Outc
 	// we observe its mark here — and escalate to meet it in the slow lane.
 	if !f.fastOK.Load() || f.hot[hOwner&(numHot-1)].Load() != 0 || f.hot[hPeer&(numHot-1)].Load() != 0 {
 		if f.unpark(sh, k, o) {
-			out, err := f.doSlow(ctx, owner, []Branch{br}, g, o.seq)
+			out, err := f.awaitSlow(ctx, owner, []Branch{br}, s, o.seq)
 			s.release()
 			return out, true, err
 		}
@@ -227,25 +248,65 @@ func (f *Fabric) fastPoint(ctx context.Context, owner Addr, br Branch) (out Outc
 	}
 }
 
-// fastSlot packs a parked op and its group into one allocation for the fast
-// lane's park path. Slots are pooled: once the owner has its result (or has
-// withdrawn by winning the group's claim), nothing in the fabric references
-// the slot and its channel is empty — exactly one result is ever sent to a
-// claimed group, and every sender claims before sending.
-type fastSlot struct {
-	g group
-	o op
+// slotOps is how many ops a slot holds inline: the four guarded branches of
+// the paper's lock manager (Figure 5) and anything narrower, which is every
+// alternative the in-process workloads post. Wider ones spill to the heap.
+const slotOps = 4
+
+// slot is the storage of one operation's stay in the fabric, whichever lane
+// it takes: the group, its result channel, and the ops of a point operation
+// or a small alternative, in one pooled allocation. The fast lane parks
+// ops[0]; the slow lane posts one op per live branch, and g.ops indexes them
+// through posted without allocating.
+//
+// The lifetime rule is the same in both lanes: the owner releases the slot
+// when it has its result, or has withdrawn by winning the group's claim. By
+// then nothing in the fabric references the slot and its channel is empty —
+// exactly one result is ever sent to a claimed group, and every sender
+// claims, removes the group's ops from the cells and indexes, and copies
+// what it needs out of them before it sends; nothing reads a group or its
+// ops after delivering to it.
+type slot struct {
+	g      group
+	n      int // ops handed out of the inline array
+	ops    [slotOps]op
+	posted [slotOps]*op // backing array of g.ops
 }
 
 var slotPool = sync.Pool{New: func() any {
-	s := &fastSlot{}
+	s := &slot{}
 	s.g.res = make(chan result, 1)
 	return s
 }}
 
+// getSlot returns a slot with an unclaimed, unposted group and no ops.
+func getSlot() *slot {
+	s := slotPool.Get().(*slot)
+	s.g.state.Store(0)
+	s.g.ops = s.posted[:0]
+	s.g.hotIdx = -1
+	s.n = 0
+	return s
+}
+
+// newOp returns the slot's next op, initialised for one branch of owner's
+// alternative; its seq is the caller's to assign.
+func (s *slot) newOp(owner Addr, br Branch, index int) *op {
+	var o *op
+	if s.n < slotOps {
+		o = &s.ops[s.n]
+		s.n++
+	} else {
+		o = new(op)
+	}
+	*o = op{g: &s.g, owner: owner, branch: br, index: index}
+	return o
+}
+
 // release returns s to the pool, dropping value references.
-func (s *fastSlot) release() {
-	s.o = op{}
+func (s *slot) release() {
+	clear(s.ops[:s.n])
+	clear(s.posted[:])
 	slotPool.Put(s)
 }
 

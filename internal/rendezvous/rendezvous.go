@@ -35,7 +35,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -174,9 +176,12 @@ type Fabric struct {
 	rng     *rand.Rand // nil = FIFO matching
 	noFast  bool       // WithoutFastPath
 
-	seq        atomic.Uint64         // post order, for FIFO matching (shared by both lanes)
-	byOwner    map[Addr][]*op        // pending slow-lane ops owned by addr (swap-delete order)
-	sendersTo  map[Addr]map[*op]bool // pending slow-lane sends targeting addr
+	seq atomic.Uint64 // post order, for FIFO matching (shared by both lanes)
+	// The slow lane's two indexes, both in swap-delete order and both keeping
+	// an emptied list's storage (and key) until Reset: an owner that posts one
+	// alternative after another appends into the same backing array.
+	byOwner    map[Addr][]*op // pending slow-lane ops owned by addr
+	sendersTo  map[Addr][]*op // pending slow-lane sends targeting addr
 	terminated map[Addr]bool
 
 	// Fast-lane state. fastOK gates the lane as a whole (false when closed,
@@ -188,10 +193,10 @@ type Fabric struct {
 	// sweeps and drains skip the shards entirely when it is zero.
 	fastOK atomic.Bool
 	parked atomic.Int64
-	// cellsUsed is set on the first park since Reset; it lets Reset skip the
-	// 64-shard sweep for fabrics whose performance never used the fast lane.
-	cellsUsed atomic.Bool
-	hot       [numHot]atomic.Int64
+	// touched has bit i set once an op has parked in shard i since Reset —
+	// cells gain keys nowhere else — so Reset visits only those shards.
+	touched atomic.Uint64
+	hot     [numHot]atomic.Int64
 	// parkedAt[i] counts parked ops whose cell names an address hashing to
 	// slot i (both endpoints counted). Terminate and the waiting/termination
 	// probes consult it to skip the all-shard sweep when the address in
@@ -206,7 +211,7 @@ type Fabric struct {
 func New(opts ...Option) *Fabric {
 	f := &Fabric{
 		byOwner:    make(map[Addr][]*op),
-		sendersTo:  make(map[Addr]map[*op]bool),
+		sendersTo:  make(map[Addr][]*op),
 		terminated: make(map[Addr]bool),
 	}
 	for _, o := range opts {
@@ -241,10 +246,6 @@ type result struct {
 	err error
 }
 
-func newGroup() *group {
-	return &group{res: make(chan result, 1), hotIdx: -1}
-}
-
 // claim atomically claims the group; exactly one caller wins.
 func (g *group) claim() bool { return g.state.CompareAndSwap(0, 1) }
 
@@ -257,9 +258,10 @@ type op struct {
 	branch Branch
 	index  int
 	seq    uint64
-	// ownerIdx is this op's position in byOwner[owner], maintained by
-	// swap-delete so withdrawal is O(1) instead of a slice filter.
-	ownerIdx int
+	// ownerIdx is this op's position in byOwner[owner] and, for a send,
+	// sendIdx its position in sendersTo[peer], both maintained by swap-delete
+	// so withdrawal is O(1) instead of a slice filter.
+	ownerIdx, sendIdx int
 }
 
 // Send offers value v to peer with the given tag and blocks until a matching
@@ -272,7 +274,7 @@ func (f *Fabric) Send(ctx context.Context, owner, peer Addr, tag Tag, v any) err
 		fastLaneOps.Inc()
 		return err
 	}
-	_, err := f.doSlow(ctx, owner, []Branch{br}, newGroup(), 0)
+	_, err := f.doSlow(ctx, owner, []Branch{br})
 	return err
 }
 
@@ -284,7 +286,7 @@ func (f *Fabric) Recv(ctx context.Context, owner, peer Addr, tag Tag) (any, erro
 	if handled {
 		fastLaneOps.Inc()
 	} else {
-		out, err = f.doSlow(ctx, owner, []Branch{br}, newGroup(), 0)
+		out, err = f.doSlow(ctx, owner, []Branch{br})
 	}
 	if err != nil {
 		return nil, err
@@ -319,26 +321,38 @@ func (f *Fabric) Do(ctx context.Context, owner Addr, branches []Branch) (Outcome
 			return out, err
 		}
 	}
-	return f.doSlow(ctx, owner, branches, newGroup(), 0)
+	return f.doSlow(ctx, owner, branches)
 }
 
-// doSlow runs one alternative through the locked matcher and blocks for the
-// outcome. g is the (unclaimed) group to commit through; fixedSeq, when
-// non-zero, is a previously assigned post order to preserve (an op escalated
-// from the fast lane keeps its place in the FIFO).
-func (f *Fabric) doSlow(ctx context.Context, owner Addr, branches []Branch, g *group, fixedSeq uint64) (Outcome, error) {
+// doSlow runs one alternative through the locked matcher on a pooled slot of
+// its own, released once the outcome is in hand (see slot for why that is
+// safe).
+func (f *Fabric) doSlow(ctx context.Context, owner Addr, branches []Branch) (Outcome, error) {
+	s := getSlot()
+	out, err := f.awaitSlow(ctx, owner, branches, s, 0)
+	s.release()
+	return out, err
+}
+
+// awaitSlow posts the alternative through the locked matcher and blocks for
+// the outcome. s is the caller's slot, its group unclaimed and none of its
+// ops referenced by the fabric; fixedSeq, when non-zero, is a previously
+// assigned post order to preserve (an op escalated from the fast lane keeps
+// its place in the FIFO).
+func (f *Fabric) awaitSlow(ctx context.Context, owner Addr, branches []Branch, s *slot, fixedSeq uint64) (Outcome, error) {
 	slowLaneOps.Inc()
 	// Entry guard: make the owner's address slot hot for the duration of the
 	// posting pass, so a fast-lane op racing with us escalates instead of
 	// parking invisibly (see the package comment's Dekker handshake).
 	guard := hotIndex(owner)
 	f.hot[guard].Add(1)
-	wait, out, err := f.enqueueSlow(owner, branches, g, fixedSeq)
+	wait, out, err := f.enqueueSlow(owner, branches, s, fixedSeq)
 	f.hot[guard].Add(-1)
 	if !wait {
 		return out, err
 	}
 
+	g := &s.g
 	select {
 	case r := <-g.res:
 		return r.out, r.err
@@ -358,7 +372,7 @@ func (f *Fabric) doSlow(ctx context.Context, owner Addr, branches []Branch, g *g
 
 // enqueueSlow validates, immediately matches or posts the branches under the
 // fabric lock. It reports whether the caller must block for the outcome.
-func (f *Fabric) enqueueSlow(owner Addr, branches []Branch, g *group, fixedSeq uint64) (wait bool, out Outcome, err error) {
+func (f *Fabric) enqueueSlow(owner Addr, branches []Branch, s *slot, fixedSeq uint64) (wait bool, out Outcome, err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
@@ -375,6 +389,13 @@ func (f *Fabric) enqueueSlow(owner Addr, branches []Branch, g *group, fixedSeq u
 	// so candidates are never split across the lanes.
 	f.drainForLocked(owner, branches)
 
+	g := &s.g
+	if s.n != 0 {
+		// An op escalated out of its cell hands its storage back — cleared
+		// here, since release only clears what was handed out since.
+		s.ops[0] = op{}
+		s.n = 0
+	}
 	liveBranches := 0
 	for i, br := range branches {
 		if err := validateBranch(br); err != nil {
@@ -385,7 +406,7 @@ func (f *Fabric) enqueueSlow(owner Addr, branches []Branch, g *group, fixedSeq u
 			continue // dead branch; may still fail the whole call below
 		}
 		liveBranches++
-		o := &op{g: g, owner: owner, branch: br, index: i}
+		o := s.newOp(owner, br, i)
 		if cand := f.findMatchLocked(o); cand != nil {
 			f.commitLocked(o, cand)
 			return false, (<-g.res).out, nil
@@ -398,7 +419,6 @@ func (f *Fabric) enqueueSlow(owner Addr, branches []Branch, g *group, fixedSeq u
 		f.postLocked(o)
 	}
 	if liveBranches == 0 {
-		f.removeGroupLocked(g)
 		return false, Outcome{}, ErrPeerTerminated
 	}
 	return true, Outcome{}, nil
@@ -427,41 +447,39 @@ func validateBranch(br Branch) error {
 // findMatchLocked scans pending ops for a counterpart to o. Candidates are
 // chosen in FIFO post order, or uniformly at random with WithRandomMatching.
 func (f *Fabric) findMatchLocked(o *op) *op {
-	var candidates []*op
-	consider := func(p *op) {
-		if p.g.claimed() || p.g == o.g {
-			return
-		}
-		if matches(o, p) {
-			candidates = append(candidates, p)
+	list := f.byOwner[o.branch.Peer]
+	if o.branch.Dir == DirRecv && o.branch.AnyPeer {
+		list = f.sendersTo[o.owner]
+	}
+	if f.rng != nil {
+		return f.drawMatchLocked(o, list)
+	}
+	var best *op
+	for _, p := range list {
+		if (best == nil || p.seq < best.seq) && p.g != o.g && !p.g.claimed() && matches(o, p) {
+			best = p
 		}
 	}
-	if o.branch.Dir == DirRecv && o.branch.AnyPeer {
-		for p := range f.sendersTo[o.owner] {
-			consider(p)
-		}
-	} else {
-		for _, p := range f.byOwner[o.branch.Peer] {
-			consider(p)
+	return best
+}
+
+// drawMatchLocked is findMatchLocked under WithRandomMatching: a seeded draw
+// among all of o's counterparts in list.
+func (f *Fabric) drawMatchLocked(o *op, list []*op) *op {
+	var candidates []*op
+	for _, p := range list {
+		if p.g != o.g && !p.g.claimed() && matches(o, p) {
+			candidates = append(candidates, p)
 		}
 	}
 	if len(candidates) == 0 {
 		return nil
 	}
-	if f.rng != nil {
-		// Canonicalize by post order first: AnyPeer candidates come out of a
-		// map, whose iteration order would otherwise leak into the seeded
-		// draw and break per-seed reproducibility.
-		sort.Slice(candidates, func(i, j int) bool { return candidates[i].seq < candidates[j].seq })
-		return candidates[f.rng.Intn(len(candidates))]
-	}
-	best := candidates[0]
-	for _, c := range candidates[1:] {
-		if c.seq < best.seq {
-			best = c
-		}
-	}
-	return best
+	// Canonicalize by post order first: the indexes are in swap-delete order,
+	// which would otherwise leak into the seeded draw and break per-seed
+	// reproducibility.
+	sort.Slice(candidates, func(i, j int) bool { return candidates[i].seq < candidates[j].seq })
+	return candidates[f.rng.Intn(len(candidates))]
 }
 
 // matches reports whether ops a and b are complementary: one send, one recv,
@@ -524,17 +542,14 @@ func (f *Fabric) postLocked(o *op) {
 	o.ownerIdx = len(list)
 	f.byOwner[o.owner] = append(list, o)
 	if o.branch.Dir == DirSend {
-		m := f.sendersTo[o.branch.Peer]
-		if m == nil {
-			m = make(map[*op]bool)
-			f.sendersTo[o.branch.Peer] = m
-		}
-		m[o] = true
+		list := f.sendersTo[o.branch.Peer]
+		o.sendIdx = len(list)
+		f.sendersTo[o.branch.Peer] = append(list, o)
 	}
 }
 
 // removeGroupLocked removes every posted op of g from the matching indexes
-// (O(1) per op via the tracked owner index) and disarms g's hot slot.
+// (O(1) per op via the tracked indexes) and disarms g's hot slot.
 func (f *Fabric) removeGroupLocked(g *group) {
 	for _, o := range g.ops {
 		f.removeOpLocked(o)
@@ -546,23 +561,25 @@ func (f *Fabric) removeGroupLocked(g *group) {
 	}
 }
 
-// removeOpLocked unindexes one posted op in O(1) by swapping the list's last
-// op into its slot.
+// removeOpLocked unindexes one posted op.
 func (f *Fabric) removeOpLocked(o *op) {
-	list := f.byOwner[o.owner]
+	unindex(f.byOwner, o.owner, o.ownerIdx).ownerIdx = o.ownerIdx
+	if o.branch.Dir == DirSend {
+		unindex(f.sendersTo, o.branch.Peer, o.sendIdx).sendIdx = o.sendIdx
+	}
+}
+
+// unindex removes index[key][i] in O(1) by moving the list's last op into
+// its place, and returns the moved op for the caller to record its new
+// position. The emptied list keeps its key and storage.
+func unindex(index map[Addr][]*op, key Addr, i int) *op {
+	list := index[key]
 	last := len(list) - 1
 	moved := list[last]
-	list[o.ownerIdx] = moved
-	moved.ownerIdx = o.ownerIdx
+	list[i] = moved
 	list[last] = nil
-	if last == 0 {
-		delete(f.byOwner, o.owner)
-	} else {
-		f.byOwner[o.owner] = list[:last]
-	}
-	if o.branch.Dir == DirSend {
-		delete(f.sendersTo[o.branch.Peer], o)
-	}
+	index[key] = list[:last]
+	return moved
 }
 
 // Terminate marks addr terminated: pending operations that can now never
@@ -583,42 +600,45 @@ func (f *Fabric) Terminate(addr Addr) {
 	f.hot[hotIndex(addr)].Add(1)
 	f.failParkedInvolvingLocked(addr)
 
-	// Fail slow-lane ops owned by addr. Copy first: failGroupLocked edits
-	// the owner's op list in place.
-	owned := append([]*op(nil), f.byOwner[addr]...)
-	for _, o := range owned {
-		f.failGroupLocked(o.g, ErrSelfTerminated)
-	}
-	// Re-examine every group with a branch targeting addr: if all its live
-	// branches are now dead, fail it.
-	var stuck []*group
+	// Fail the slow-lane groups addr owns, then every other group whose live
+	// branches all targeted addr. Both are collected before the first is
+	// failed, one entry per group however many of its ops the walk meets
+	// (g.ops[0] stands for the group): an owner that has its result may hand
+	// its slot to another scope at once, so neither a failed group nor its
+	// ops may be looked at again.
+	var ownedBuf, stuckBuf [4]*group // a finishing role strands a few groups at most
+	owned, stuck := ownedBuf[:0], stuckBuf[:0]
 	for owner, list := range f.byOwner {
-		if owner == addr {
-			continue
-		}
 		for _, o := range list {
-			if o.g.claimed() {
-				continue
-			}
-			if !o.branch.AnyPeer && o.branch.Peer == addr && f.groupFullyDeadLocked(o.g) {
-				stuck = append(stuck, o.g)
+			g := o.g
+			switch {
+			case g.ops[0] != o || g.claimed():
+			case owner == addr:
+				owned = append(owned, g)
+			case f.groupStuckOnLocked(g, addr):
+				stuck = append(stuck, g)
 			}
 		}
+	}
+	for _, g := range owned {
+		f.failGroupLocked(g, ErrSelfTerminated)
 	}
 	for _, g := range stuck {
 		f.failGroupLocked(g, ErrPeerTerminated)
 	}
 }
 
-// groupFullyDeadLocked reports whether every posted op of g targets a
-// terminated peer.
-func (f *Fabric) groupFullyDeadLocked(g *group) bool {
+// groupStuckOnLocked reports whether g has a branch targeting addr and every
+// posted op of g targets a terminated peer.
+func (f *Fabric) groupStuckOnLocked(g *group, addr Addr) bool {
+	targets := false
 	for _, o := range g.ops {
 		if o.branch.AnyPeer || !f.terminated[o.branch.Peer] {
 			return false
 		}
+		targets = targets || o.branch.Peer == addr
 	}
-	return true
+	return targets
 }
 
 func (f *Fabric) failGroupLocked(g *group, err error) {
@@ -638,18 +658,21 @@ func (f *Fabric) failGroupLocked(g *group, err error) {
 // this call, regardless of isLive.
 func (f *Fabric) TerminateAbsent(isLive func(Addr) bool) {
 	f.mu.Lock()
-	targets := make(map[Addr]bool)
-	owners := make(map[Addr]bool)
+	parked := f.parked.Load() > 0
+	if len(f.byOwner) == 0 && !parked {
+		// Nothing has been posted yet — the usual case, the cast having just
+		// been assigned.
+		f.mu.Unlock()
+		return
+	}
+	var targets []Addr
 	examine := func(o *op) {
-		owners[o.owner] = true
-		if o.g.claimed() || o.branch.AnyPeer {
+		peer := o.branch.Peer
+		if o.g.claimed() || o.branch.AnyPeer || peer == o.owner {
 			return
 		}
-		if o.branch.Peer == o.owner {
-			return
-		}
-		if !f.terminated[o.branch.Peer] && !isLive(o.branch.Peer) {
-			targets[o.branch.Peer] = true
+		if !f.terminated[peer] && !slices.Contains(targets, peer) && !isLive(peer) {
+			targets = append(targets, peer)
 		}
 	}
 	for _, list := range f.byOwner {
@@ -658,7 +681,7 @@ func (f *Fabric) TerminateAbsent(isLive func(Addr) bool) {
 		}
 	}
 	// Fast-parked ops block on unfilled roles too.
-	if f.parked.Load() > 0 {
+	if parked {
 		for i := range f.shards {
 			sh := &f.shards[i]
 			sh.mu.Lock()
@@ -671,11 +694,11 @@ func (f *Fabric) TerminateAbsent(isLive func(Addr) bool) {
 		}
 	}
 	// An address that owns pending ops is alive by definition.
-	for owner := range owners {
-		delete(targets, owner)
-	}
+	targets = slices.DeleteFunc(targets, func(a Addr) bool {
+		return len(f.byOwner[a]) > 0 || f.parkedBy(a)
+	})
 	f.mu.Unlock()
-	for a := range targets {
+	for _, a := range targets {
 		f.Terminate(a)
 	}
 }
@@ -727,6 +750,10 @@ func (f *Fabric) Abort(reason error) {
 // cleared fastOK so newly arriving fast ops escalate and observe the
 // closed/aborted state.
 func (f *Fabric) failAllLocked(err error) {
+	// Claim first, deliver after the walk: an owner that has its result may
+	// hand its slot to another scope at once, and the walk still has that
+	// group's other ops ahead of it.
+	var failed []*group
 	for _, list := range f.byOwner {
 		for _, o := range list {
 			g := o.g
@@ -737,12 +764,15 @@ func (f *Fabric) failAllLocked(err error) {
 				f.hot[g.hotIdx].Add(-1)
 				g.hotIdx = -1
 			}
-			g.ops = nil
-			g.res <- result{err: err}
+			g.ops = g.ops[:0]
+			failed = append(failed, g)
 		}
 	}
 	clear(f.byOwner)
 	clear(f.sendersTo)
+	for _, g := range failed {
+		g.res <- result{err: err}
+	}
 	f.failAllParkedLocked(err)
 }
 
@@ -805,44 +835,42 @@ func (f *Fabric) WaitingSnapshot() []Addr {
 }
 
 // Reset returns a closed (or idle) fabric to its initial empty state so it
-// can be reused for a new communication scope, retaining the allocated maps.
-// The caller must guarantee that no operation is in flight: every Do call on
-// the fabric has returned. The script runtime pools fabrics across successive
-// performances — safe because a performance finishes only after every role
-// body (and hence every fabric operation it issued) has returned.
+// can be reused for a new communication scope, retaining the maps' buckets
+// and nothing else: a pooled fabric serves scopes with unrelated address
+// sets, so no key may outlive its scope. The caller must guarantee that no
+// operation is in flight: every Do call on the fabric has returned. The
+// script runtime pools fabrics across successive performances — safe because
+// a performance finishes only after every role body (and hence every fabric
+// operation it issued) has returned.
+//
+// Reset costs what the scope used, not what the tables could hold. At
+// quiescence a hot slot is non-zero only where something raised it for good
+// (Terminate) or left a posted group armed, so only the slots of terminated
+// addresses and of owners still indexed are zeroed; only shards an op ever
+// parked in are visited; and the parked counters, raised and lowered in pairs
+// by the ops themselves, are already zero.
 func (f *Fabric) Reset() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.closed = false
 	f.aborted = nil
 	f.seq.Store(0)
-	// Hot slots are only non-zero at quiescence when something bumped them
-	// permanently (Terminate) or left posted groups armed; both imply a
-	// non-empty index. Scripts that never communicated skip the 256 stores.
-	if len(f.terminated) > 0 || len(f.byOwner) > 0 {
-		for i := range f.hot {
-			f.hot[i].Store(0)
-		}
+	for a := range f.terminated {
+		f.hot[hotIndex(a)].Store(0)
+	}
+	for a := range f.byOwner {
+		f.hot[hotIndex(a)].Store(0)
 	}
 	clear(f.byOwner)
 	clear(f.sendersTo)
 	clear(f.terminated)
-	// Likewise the 64-shard sweep runs only if some op ever parked: cells
-	// gain keys nowhere else, and fast commits pop previously parked ops.
-	if f.cellsUsed.Load() {
-		f.cellsUsed.Store(false)
-		for i := range f.shards {
-			sh := &f.shards[i]
-			sh.mu.Lock()
-			clear(sh.cells)
-			sh.fastCommits = 0
-			sh.mu.Unlock()
-		}
-		for i := range f.parkedAt {
-			f.parkedAt[i].Store(0)
-		}
+	for m := f.touched.Swap(0); m != 0; m &= m - 1 {
+		sh := &f.shards[bits.TrailingZeros64(m)]
+		sh.mu.Lock()
+		clear(sh.cells)
+		sh.fastCommits = 0
+		sh.mu.Unlock()
 	}
-	f.parked.Store(0)
 	f.faults = nil
 	f.fastOK.Store(!f.noFast && f.rng == nil)
 }

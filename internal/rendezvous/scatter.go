@@ -10,7 +10,7 @@ import (
 type scatterSlot struct {
 	g   *group
 	o   *op
-	fs  *fastSlot // pooled backing storage when the offer parked fast
+	fs  *slot // pooled backing storage of g and o
 	sh  *shard
 	k   cellKey
 	err error
@@ -20,8 +20,8 @@ type scatterSlot struct {
 }
 
 // settle marks the slot resolved with err and returns its pooled backing
-// storage, if any. Callers must only settle a slot once nothing in the
-// fabric references its group or op and its result channel is empty.
+// storage, if it took any. Callers must only settle a slot once nothing in
+// the fabric references its group or op and its result channel is empty.
 func (s *scatterSlot) settle(err error) {
 	if s.fs != nil {
 		s.fs.release()
@@ -105,7 +105,8 @@ func (f *Fabric) Scatter(ctx context.Context, owner Addr, tag Tag, targets []Add
 		}
 		hTo := fnv1a(string(to))
 		k := cellKey{from: owner, to: to, tag: tag}
-		sh := &f.shards[(hOwner*31+hTo)&(numShards-1)]
+		shIdx := shardIndex(hOwner, hTo)
+		sh := &f.shards[shIdx]
 		sh.mu.Lock()
 		if list := sh.cells[k]; len(list) > 0 && list[0].branch.Dir == DirRecv {
 			p := list[0]
@@ -124,20 +125,15 @@ func (f *Fabric) Scatter(ctx context.Context, owner Addr, tag Tag, targets []Add
 			continue
 		}
 		// Park with pooled backing storage, exactly like fastPoint.
-		fs := slotPool.Get().(*fastSlot)
-		fs.g.state.Store(0)
-		fs.g.ops = nil
-		fs.g.hotIdx = -1
-		fs.o = op{g: &fs.g, owner: owner, branch: Branch{Dir: DirSend, Peer: to, Tag: tag, Val: valAt(i)}, seq: f.seq.Add(1)}
-		o := &fs.o
+		fs := getSlot()
+		o := fs.newOp(owner, Branch{Dir: DirSend, Peer: to, Tag: tag, Val: valAt(i)}, 0)
+		o.seq = f.seq.Add(1)
 		sh.cells[k] = append(sh.cells[k], o)
 		f.parked.Add(1)
 		f.parkedAt[hTo&(numHot-1)].Add(1)
 		f.parkedAt[mixIndex(hTo)].Add(1)
 		ownerParks++
-		if !f.cellsUsed.Load() {
-			f.cellsUsed.Store(true)
-		}
+		f.touch(shIdx)
 		sh.mu.Unlock()
 		slots[i] = scatterSlot{g: &fs.g, o: o, fs: fs, sh: sh, k: k, state: slotParked}
 	}
@@ -193,13 +189,14 @@ func (f *Fabric) Scatter(ctx context.Context, owner Addr, tag Tag, targets []Add
 					s.settle(ErrPeerTerminated)
 					continue
 				}
-				g, seq := s.g, uint64(0)
-				if g == nil {
-					g = newGroup()
+				seq := uint64(0)
+				if s.fs == nil {
+					s.fs = getSlot()
 				} else {
-					seq = s.o.seq // escalated offer keeps its FIFO place
+					seq = s.o.seq // escalated offer keeps its FIFO place...
+					s.fs.n = 0    // ...and hands its storage back
 				}
-				o := &op{g: g, owner: owner, branch: br}
+				g, o := &s.fs.g, s.fs.newOp(owner, br, 0)
 				f.drainForLocked(owner, []Branch{br})
 				if cand := f.findMatchLocked(o); cand != nil {
 					f.commitLocked(o, cand)
