@@ -138,8 +138,10 @@ func WithPerformanceDeadline(d time.Duration) Option {
 // offer being withdrawn) runs the coordinator step itself while it holds the
 // lock, and wakes exactly the enrollers whose state changed — an assigned
 // enroller through its own wakeup channel, released holders through the
-// performance's done channel. There is no broadcast and no coordinator
-// goroutine (the paper's requirement that a script needs no extra process).
+// performance's done channel; Close and Drain, which change every waiter's
+// state, signal the same two channels. There is no broadcast and no
+// coordinator goroutine (the paper's requirement that a script needs no
+// extra process).
 type Instance struct {
 	def      Definition
 	tracer   trace.Tracer
@@ -190,12 +192,11 @@ type Instance struct {
 
 	mu       sync.Mutex
 	closed   bool
-	closedCh chan struct{} // closed by Close; wakes all waiters
+	closedCh chan struct{} // closed with the instance; wakes a Drain waiting for idleness
 	// draining is set by Drain: no new offers are admitted (they fail with
 	// ErrDraining), the in-flight performance runs to completion, then the
 	// instance closes.
 	draining bool
-	drainCh  chan struct{} // closed when draining begins; wakes pending enrollers
 	// idleCh, when non-nil, is closed (and nilled) the moment a draining
 	// instance becomes idle (no active performance, no pending offers);
 	// Drain waiters allocate it lazily.
@@ -213,9 +214,11 @@ type Instance struct {
 	pendingBySlot []int
 	pendingOpen   map[ids.RoleRef]int
 	critMissing   []int
-	// offerBuf and castBuf are scratch lists reused across match attempts
-	// (match.Find copies what it returns) and performance starts.
+	// offerBuf, candBuf and castBuf are scratch lists reused across match
+	// attempts: the offers handed to the matcher, the enrollment behind each,
+	// and the matched cast in role order.
 	offerBuf []match.Offer
+	candBuf  []*enrollState
 	castBuf  []*enrollState
 	// offersDirty records whether the pending set changed since the last
 	// failed match attempt; when false, re-running match.Find is pointless
@@ -246,18 +249,67 @@ type enrollState struct {
 	phase    enrollPhase
 	perf     *performance
 	rc       RoleCtx // filled in when the offer is assigned
-	// wake receives exactly one signal, when the offer is assigned to a
-	// performance. Withdrawal and instance closure are observed through
-	// ctx.Done and the instance's closedCh instead.
+	// wake is, with ctx.Done, all a pending enroller waits on. It receives a
+	// token when the offer is assigned to a performance and when Close or
+	// Drain turns the pending offers away; the enroller re-reads its state
+	// under the lock, so a token says "look", not what happened.
 	wake chan struct{}
+}
+
+// signal leaves a token in st.wake unless one is already there.
+func (st *enrollState) signal() {
+	select {
+	case st.wake <- struct{}{}:
+	default: // already signalled; the re-check under the lock makes a second token moot
+	}
+}
+
+// await blocks until ch delivers — a token, or its closing — or ctx ends:
+// the two sources an enroller ever waits on, and a plain receive when ctx
+// cannot end.
+func await(ctx context.Context, ch <-chan struct{}) {
+	done := ctx.Done()
+	if done == nil {
+		<-ch
+		return
+	}
+	select {
+	case <-ch:
+	case <-done:
+	}
+}
+
+// castState is where one role stands in a performance.
+type castState uint8
+
+const (
+	castUnfilled castState = iota // nobody plays it (yet)
+	castFilled                    // assigned, body not finished
+	castFinished                  // assigned and its body has returned
+)
+
+// castEntry is one role's line in a performance's cast: its state and, once
+// filled, what admission of later joiners needs of the offer that fills it.
+type castEntry struct {
+	state castState
+	pid   ids.PID
+	with  map[ids.RoleRef]ids.PIDSet
 }
 
 // performance is one collective activation of the instance's roles.
 type performance struct {
-	number   int
-	fabric   *rendezvous.Fabric
-	assigned match.Assignment
-	finished ids.RoleSet
+	number int
+	fabric *rendezvous.Fabric
+	// cast is the performance's role table, indexed by the slots of
+	// Instance.roles: the definition fixes the role collection, so who plays
+	// what and who has finished is a position, not a key. Members of open
+	// families, which have no slot, live in open, nil until one is assigned.
+	// nAssigned and nFinished count the filled and the finished entries of
+	// both.
+	cast      []castEntry
+	open      map[ids.RoleRef]*castEntry
+	nAssigned int
+	nFinished int
 	// membershipClosed is set when the filled roles cover a critical set
 	// (immediate initiation) or at the atomic match (delayed initiation).
 	membershipClosed bool
@@ -267,12 +319,10 @@ type performance struct {
 	admitSeen   uint64
 	constrained bool
 	done        bool
-	// doneCh is closed when the performance ends; delayed-termination
-	// holders wait on it.
-	doneCh chan struct{}
-	// openMax tracks, per open-ended family, the largest enrolled index;
-	// nil until a member of one is assigned.
-	openMax map[string]int
+	// doneCh is what delayed-termination holders wait on: closed, once
+	// (released), when the performance ends or the instance closes under it.
+	doneCh   chan struct{}
+	released bool
 	// deadline is the earliest abort deadline in force (instance-level
 	// performance deadline or an assigned enrollment's deadline); zero =
 	// unbounded. timer fires the abort; it is stopped on normal termination.
@@ -288,6 +338,32 @@ type performance struct {
 	sampled bool
 }
 
+// entry returns the cast entry of role r, whose slot is slot (-1 for a
+// member of an open family); nil for an open member nobody was assigned.
+func (p *performance) entry(slot int, r ids.RoleRef) *castEntry {
+	if slot >= 0 {
+		return &p.cast[slot]
+	}
+	return p.open[r]
+}
+
+// stateOf is the state of entry(slot, r), castUnfilled when there is none.
+func (p *performance) stateOf(slot int, r ids.RoleRef) castState {
+	if e := p.entry(slot, r); e != nil {
+		return e.state
+	}
+	return castUnfilled
+}
+
+// releaseHeld closes doneCh, once: the performance ended (finish, abort) or
+// the instance closed under it.
+func (p *performance) releaseHeld() {
+	if !p.released {
+		p.released = true
+		close(p.doneCh)
+	}
+}
+
 // fabricPool recycles rendezvous fabrics across performances: a performance
 // finishes only after every role body has returned, so its fabric is
 // quiescent and can be reset for the next performance of any instance.
@@ -301,7 +377,6 @@ func NewInstance(def Definition, opts ...Option) *Instance {
 		nopTrace:    true,
 		fairness:    match.FIFO,
 		closedCh:    make(chan struct{}),
-		drainCh:     make(chan struct{}),
 		universe:    def.closedRoles(),
 		base:        make(map[string]int),
 		pendingOpen: make(map[ids.RoleRef]int),
@@ -385,14 +460,24 @@ func (in *Instance) Close() {
 		return
 	}
 	in.closed = true
-	if in.active != nil {
-		if in.active.timer != nil {
-			in.active.timer.Stop()
-			in.active.timer = nil
+	if p := in.active; p != nil {
+		if p.timer != nil {
+			p.timer.Stop()
+			p.timer = nil
 		}
-		in.active.fabric.Close()
+		p.fabric.Close()
+		p.releaseHeld() // held roles leave now; the running ones unwind
 	}
+	in.signalPendingLocked()
 	close(in.closedCh)
+}
+
+// signalPendingLocked wakes every pending enroller, for Close and Drain: each
+// finds, under the lock, that the instance no longer takes its offer.
+func (in *Instance) signalPendingLocked() {
+	for _, st := range in.pending {
+		st.signal()
+	}
 }
 
 // Closed reports whether the instance has been closed (by Close or by a
@@ -433,7 +518,7 @@ func (in *Instance) Drain(ctx context.Context) error {
 	if !in.draining {
 		in.draining = true
 		in.record(trace.Event{Kind: trace.KindDrain, Script: in.def.name})
-		close(in.drainCh)
+		in.signalPendingLocked()
 		if in.active != nil && !in.active.membershipClosed {
 			in.closeMembershipLocked(in.active)
 		}
@@ -489,8 +574,11 @@ func (in *Instance) Enroll(ctx context.Context, e Enrollment) (Result, error) {
 	if e.PID == ids.NoPID {
 		return Result{}, fmt.Errorf("script %s: enrollment has empty PID", in.def.name)
 	}
-	if err := in.def.checkRole(e.Role); err != nil {
-		return Result{}, err
+	slot := in.slotOf(e.Role)
+	if slot < 0 { // not a closed role: a member of an open family, or no role at all
+		if err := in.def.checkRole(e.Role); err != nil {
+			return Result{}, err
+		}
 	}
 	for r := range e.With {
 		if err := in.def.checkRole(r); err != nil {
@@ -512,7 +600,7 @@ func (in *Instance) Enroll(ctx context.Context, e Enrollment) (Result, error) {
 	in.nextOffer++
 	st := &enrollState{
 		offer:    match.Offer{ID: in.nextOffer, PID: e.PID, Role: e.Role, With: clonePartners(e.With)},
-		slot:     in.slotOf(e.Role),
+		slot:     slot,
 		args:     append([]any(nil), e.Args...),
 		ctx:      ctx,
 		deadline: e.Deadline,
@@ -532,12 +620,7 @@ func (in *Instance) Enroll(ctx context.Context, e Enrollment) (Result, error) {
 	in.advanceLocked()
 	for st.phase == phasePending {
 		in.mu.Unlock()
-		select {
-		case <-st.wake:
-		case <-ctx.Done():
-		case <-in.drainCh:
-		case <-in.closedCh:
-		}
+		await(ctx, st.wake)
 		in.mu.Lock()
 		if st.phase != phasePending {
 			break // assigned while we were waking up; assignment wins
@@ -572,11 +655,12 @@ func (in *Instance) Enroll(ctx context.Context, e Enrollment) (Result, error) {
 		Kind: trace.KindFinish, Script: in.def.name,
 		Performance: perf.number, Role: e.Role, PID: e.PID,
 	})
-	perf.finished.Add(e.Role)
+	perf.entry(st.slot, e.Role).state = castFinished
+	perf.nFinished++
 	if perf.fabric != nil {
 		perf.fabric.Terminate(rc.addr)
 	}
-	if perf.membershipClosed && perf.finished.Len() == len(perf.assigned) {
+	if perf.membershipClosed && perf.nFinished == perf.nAssigned {
 		in.finishPerformanceLocked(perf)
 		in.advanceLocked() // the instance is free: let the next cast form
 	}
@@ -588,11 +672,7 @@ func (in *Instance) Enroll(ctx context.Context, e Enrollment) (Result, error) {
 				break
 			}
 			in.mu.Unlock()
-			select {
-			case <-perf.doneCh:
-			case <-in.closedCh:
-			case <-ctx.Done():
-			}
+			await(ctx, perf.doneCh)
 			in.mu.Lock()
 		}
 	}
@@ -673,7 +753,7 @@ func (in *Instance) advanceLocked() {
 				if before == 0 {
 					return
 				}
-				in.startPerformanceLocked(nil)
+				in.startPerformanceLocked(nil, false)
 			default: // DelayedInitiation
 				if !in.tryMatchLocked() {
 					return
@@ -715,12 +795,13 @@ func (in *Instance) tryMatchLocked() bool {
 	// mean. Only an attempt that is actually offered an open-family member
 	// pays for a widened copy, and names the effective critical sets with
 	// it: an offered open member is never critical by default.
-	offers, universe, crit := in.offerBuf[:0], in.universe, in.def.criticalSets
+	offers, cands := in.offerBuf[:0], in.candBuf[:0]
+	universe, crit := in.universe, in.def.criticalSets
 	for _, st := range in.pending {
 		if st.ctx.Err() != nil {
 			continue // being withdrawn by its enroller
 		}
-		offers = append(offers, st.offer)
+		offers, cands = append(offers, st.offer), append(cands, st)
 		if st.slot < 0 {
 			if len(universe) == len(in.universe) {
 				universe, crit = universe.Clone(), in.critSets
@@ -728,19 +809,27 @@ func (in *Instance) tryMatchLocked() bool {
 			universe.Add(st.offer.Role)
 		}
 	}
-	in.offerBuf = offers[:0]
-	asg, ok := match.Find(match.Problem{
+	chosen, ok := match.FindCast(match.Problem{
 		Roles:        universe,
 		CriticalSets: crit,
 		Offers:       offers,
 		Fairness:     in.fairness,
 		Seed:         in.seed + int64(in.perfCount),
 	})
-	if !ok {
-		return false
+	// The matched cast comes back as offer indices in role order, which is
+	// the order of wake-ups and of trace events: a function of the cast alone.
+	cast := in.castBuf[:0]
+	for _, k := range chosen {
+		cast = append(cast, cands[k])
 	}
-	in.startPerformanceLocked(asg)
-	return true
+	clear(cands)
+	in.offerBuf, in.candBuf = offers[:0], cands[:0]
+	if ok {
+		in.startPerformanceLocked(cast, true)
+	}
+	clear(cast)
+	in.castBuf = cast[:0]
+	return ok
 }
 
 // matchViableLocked reports whether some critical set has every role covered
@@ -750,10 +839,11 @@ func (in *Instance) matchViableLocked() bool {
 	return slices.Contains(in.critMissing, 0)
 }
 
-// startPerformanceLocked opens performance number perfCount+1. asg is the
-// atomic assignment for delayed initiation (membership closes right away),
-// or nil for immediate initiation (membership stays open for admission).
-func (in *Instance) startPerformanceLocked(asg match.Assignment) {
+// startPerformanceLocked opens performance number perfCount+1. Under delayed
+// initiation cast is the atomic match, in role order (matched; membership
+// closes right away); under immediate initiation there is no cast yet and
+// membership stays open for admission.
+func (in *Instance) startPerformanceLocked(cast []*enrollState, matched bool) {
 	in.perfCount++
 	fab := fabricPool.Get().(*rendezvous.Fabric)
 	if ff, ok := in.faults.(rendezvous.FastFaults); ok && in.faults != nil {
@@ -762,47 +852,34 @@ func (in *Instance) startPerformanceLocked(asg match.Assignment) {
 		fab.SetFastFaults(ff)
 	}
 	p := &performance{
-		number:   in.perfCount,
-		fabric:   fab,
-		assigned: asg, // a matched cast is adopted as match.Find returned it
-		finished: make(ids.RoleSet, len(asg)),
-		doneCh:   make(chan struct{}),
+		number: in.perfCount,
+		fabric: fab,
+		cast:   make([]castEntry, len(in.roles)),
+		doneCh: make(chan struct{}),
 	}
 	in.active = p
 	perfStartedTotal.Inc()
-	// cast lists who may lend the performance a trace ID: the matched
-	// offers, found in one pass over the pending ones, or — under immediate
-	// initiation, where the cast is not known yet — every pending offer.
-	cast := in.pending
-	if asg == nil {
-		p.assigned = make(match.Assignment)
+	// Who may lend the performance a trace ID: the matched offers, or — under
+	// immediate initiation, where the cast is not known yet — every pending
+	// offer.
+	lenders := cast
+	if !matched {
+		lenders = in.pending
 		for i, cs := range in.critSets {
 			in.critUnfilled[i] = len(cs)
 		}
-	} else {
-		cast = in.castBuf[:0]
-		for _, st := range in.pending {
-			if o, ok := asg[st.offer.Role]; ok && o.ID == st.offer.ID {
-				cast = append(cast, st)
-			}
-		}
 	}
-	in.samplePerfLocked(p, cast)
+	in.samplePerfLocked(p, lenders)
 	in.recordPerf(p, trace.Event{Kind: trace.KindPerfStart, Script: in.def.name, Performance: p.number})
 	if in.perfDeadline > 0 {
 		in.armDeadlineLocked(p, time.Now().Add(in.perfDeadline))
 	}
-	if asg == nil {
+	if !matched {
 		return // membership stays open; admitLocked fills the cast
 	}
-	// Assigning in role order keeps the order of wake-ups and of trace
-	// events a function of the cast alone.
-	slices.SortFunc(cast, func(a, b *enrollState) int { return a.offer.Role.Compare(b.offer.Role) })
 	for _, st := range cast {
 		in.assignLocked(p, st)
 	}
-	clear(cast)
-	in.castBuf = cast[:0]
 	in.dropAssignedLocked()
 	in.closeMembershipLocked(p)
 }
@@ -811,19 +888,19 @@ func (in *Instance) startPerformanceLocked(asg match.Assignment) {
 // initiation. An enrollment that arrived with its own trace ID wins (the
 // remote side already sampled the call and both ends must share a timeline):
 // for delayed initiation only the matched offers are consulted, for immediate
-// initiation any pending offer (the cast is not yet known); cast is that
-// list, in order of arrival. Otherwise the
+// initiation any pending offer (the cast is not yet known); lenders is that
+// list, and among several IDs the earliest arrival's wins. Otherwise the
 // instance's sampler decides; with no sampler every performance is traced
 // and, when a real tracer is attached, gets a freshly minted ID so even
 // record-everything setups produce stitchable timelines. A sampled ID is
 // retained in the bounded live-trace table; when the table is full the
 // performance runs untraced.
-func (in *Instance) samplePerfLocked(p *performance, cast []*enrollState) {
+func (in *Instance) samplePerfLocked(p *performance, lenders []*enrollState) {
 	var adopted trace.TraceID
-	for _, st := range cast {
-		if st.traceID != 0 {
-			adopted = st.traceID
-			break
+	var arrival uint64
+	for _, st := range lenders {
+		if st.traceID != 0 && (adopted == 0 || st.offer.ID < arrival) {
+			adopted, arrival = st.traceID, st.offer.ID
 		}
 	}
 	switch {
@@ -910,11 +987,21 @@ func (in *Instance) abortAsLocked(p *performance, culprit ids.RoleRef, reason st
 		for _, a := range waiting {
 			parked[a] = true
 		}
-		unfinished := make([]ids.RoleRef, 0, len(p.assigned))
-		for _, r := range p.assigned.Roles().Sorted() {
-			if !p.finished.Contains(r) {
+		// Slot order is role order; members of open families are merged in.
+		unfinished := make([]ids.RoleRef, 0, p.nAssigned-p.nFinished)
+		for slot := range p.cast {
+			if p.cast[slot].state == castFilled {
+				unfinished = append(unfinished, in.roles[slot])
+			}
+		}
+		closed := len(unfinished)
+		for r, e := range p.open {
+			if e.state == castFilled {
 				unfinished = append(unfinished, r)
 			}
+		}
+		if len(unfinished) > closed {
+			slices.SortFunc(unfinished, ids.RoleRef.Compare)
 		}
 		for _, r := range unfinished {
 			if !parked[in.addrOf(r)] {
@@ -949,59 +1036,51 @@ func (in *Instance) abortAsLocked(p *performance, culprit ids.RoleRef, reason st
 	if in.active == p {
 		in.active = nil
 	}
-	close(p.doneCh)
+	p.releaseHeld()
 	in.notifyDrainLocked()
 }
 
-// assignLocked binds the pending enrollment st, whose offer p.assigned
-// already holds, into performance p and wakes exactly that enroller. st
+// assignLocked binds the pending enrollment st into performance p — its
+// line of the cast and its RoleCtx — and wakes exactly that enroller. st
 // stays in the pending list, no longer pending; the caller follows its
 // assignments with one dropAssignedLocked.
 func (in *Instance) assignLocked(p *performance, st *enrollState) {
 	r := st.offer.Role
+	var addr rendezvous.Addr
+	if st.slot >= 0 {
+		addr = in.addrs[st.slot]
+	} else { // a member of an open family gets its line, and its address, now
+		if p.open == nil {
+			p.open = make(map[ids.RoleRef]*castEntry)
+		}
+		p.open[r] = new(castEntry)
+		addr = rendezvous.Addr(r.String())
+	}
+	*p.entry(st.slot, r) = castEntry{state: castFilled, pid: st.offer.PID, with: st.offer.With}
+	p.nAssigned++
 	st.phase = phaseAssigned
 	st.perf = p
 	st.rc = RoleCtx{
 		inst: in,
 		perf: p,
 		role: r,
+		addr: addr,
 		pid:  st.offer.PID,
 		ctx:  st.ctx,
 		args: st.args,
 	}
-	if st.slot >= 0 {
-		st.rc.addr = in.addrs[st.slot]
-	} else { // a member of an open family
-		st.rc.addr = rendezvous.Addr(r.String())
-		if r.Index > p.openMax[r.Name] {
-			if p.openMax == nil {
-				p.openMax = make(map[string]int)
-			}
-			p.openMax[r.Name] = r.Index
-		}
-	}
 	in.armDeadlineLocked(p, st.deadline)
-	woken := false
+	delay := time.Duration(0)
 	if fi := in.faults; fi != nil {
-		if d := fi.WakeDelay(); d > 0 {
-			// Injected fault: drop the inline wakeup and redeliver it late.
-			// The enroller sleeps until the redelivery (or its context/the
-			// instance closing); a correct scheduler tolerates the gap.
-			w := st.wake
-			time.AfterFunc(d, func() {
-				select {
-				case w <- struct{}{}:
-				default:
-				}
-			})
-			woken = true
-		}
+		delay = fi.WakeDelay()
 	}
-	if !woken {
-		select {
-		case st.wake <- struct{}{}:
-		default: // already signalled; the phase check makes a second signal moot
-		}
+	if delay > 0 {
+		// Injected fault: drop the inline wakeup and redeliver it late. The
+		// enroller sleeps until the redelivery (or its context ending, or
+		// Close signalling it); a correct scheduler tolerates the gap.
+		time.AfterFunc(delay, st.signal)
+	} else {
+		st.signal()
 	}
 	in.recordPerf(p, trace.Event{
 		Kind: trace.KindStart, Script: in.def.name,
@@ -1032,19 +1111,27 @@ func (in *Instance) admitLocked(p *performance) {
 		rng := newSeededRNG(in.seed + int64(in.perfCount))
 		rng.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
 	}
+	// The cast as match.CanJoin reads it, spelled out only when a constraint
+	// has to be checked, then kept in step with the admissions of this pass.
+	var asg match.Assignment
 	for _, st := range batch {
 		if st.ctx.Err() != nil {
 			continue // being withdrawn by its enroller
 		}
-		if _, filled := p.assigned[st.offer.Role]; filled {
+		if p.stateOf(st.slot, st.offer.Role) != castUnfilled {
 			continue // filled, or already played: wait for the next performance
 		}
 		// With no constraint on either side a free role is all joining takes.
 		constrained := len(st.offer.With) > 0
-		if (constrained || p.constrained) && !match.CanJoin(p.assigned, st.offer) {
-			continue
+		if constrained || p.constrained {
+			if asg == nil {
+				asg = in.assignmentLocked(p)
+			}
+			if !match.CanJoin(asg, st.offer) {
+				continue
+			}
+			asg[st.offer.Role] = st.offer
 		}
-		p.assigned[st.offer.Role] = st.offer
 		p.constrained = p.constrained || constrained
 		for _, i := range in.critSetsOf(st) {
 			in.critUnfilled[i]--
@@ -1057,6 +1144,24 @@ func (in *Instance) admitLocked(p *performance) {
 	}
 }
 
+// assignmentLocked spells p's cast out as the matcher's Assignment: each
+// filled role with the process and the constraints of the offer filling it.
+func (in *Instance) assignmentLocked(p *performance) match.Assignment {
+	asg := make(match.Assignment, p.nAssigned)
+	member := func(r ids.RoleRef, e *castEntry) {
+		if e.state != castUnfilled {
+			asg[r] = match.Offer{PID: e.pid, Role: r, With: e.with}
+		}
+	}
+	for slot := range p.cast {
+		member(in.roles[slot], &p.cast[slot])
+	}
+	for r, e := range p.open {
+		member(r, e)
+	}
+	return asg
+}
+
 // closeMembershipLocked freezes the performance's membership: declared
 // roles left unfilled are marked absent (Terminated(r) becomes true and
 // communication with them yields ErrRoleAbsent), and operations blocked on
@@ -1067,7 +1172,7 @@ func (in *Instance) closeMembershipLocked(p *performance) {
 	}
 	p.membershipClosed = true
 	for slot, r := range in.roles {
-		if _, filled := p.assigned[r]; !filled {
+		if p.cast[slot].state == castUnfilled {
 			in.recordPerf(p, trace.Event{
 				Kind: trace.KindAbsent, Script: in.def.name,
 				Performance: p.number, Role: r,
@@ -1079,12 +1184,11 @@ func (in *Instance) closeMembershipLocked(p *performance) {
 	// none at all when membership closes before any body has run.
 	p.fabric.TerminateAbsent(func(a rendezvous.Addr) bool {
 		r, err := ids.ParseRoleRef(string(a))
-		_, filled := p.assigned[r]
-		return err == nil && filled
+		return err == nil && p.stateOf(in.slotOf(r), r) != castUnfilled
 	})
 	// A performance whose members all finished before membership closed
 	// (possible when the closing cover arrives last) completes here.
-	if p.finished.Len() == len(p.assigned) {
+	if p.nFinished == p.nAssigned {
 		in.finishPerformanceLocked(p)
 	}
 }
@@ -1110,7 +1214,7 @@ func (in *Instance) finishPerformanceLocked(p *performance) {
 	if in.active == p {
 		in.active = nil
 	}
-	close(p.doneCh)
+	p.releaseHeld()
 	p.fabric.Reset()
 	fabricPool.Put(p.fabric)
 	p.fabric = nil
@@ -1217,13 +1321,23 @@ func (in *Instance) recordPerf(p *performance, e trace.Event) {
 // slotOf returns r's index in in.roles, or -1 when r is not a closed role:
 // a member of an open family, or no role of the script at all.
 func (in *Instance) slotOf(r ids.RoleRef) int {
-	if i, ok := in.base[r.Name]; ok {
-		if r.Index > 0 {
-			i += r.Index - 1
-		}
-		if i < len(in.roles) && in.roles[i] == r {
-			return i
-		}
+	if base, ok := in.base[r.Name]; ok {
+		return in.slotFrom(base, r)
+	}
+	return -1
+}
+
+// slotFrom is slotOf given base, what in.base holds for r's name (any
+// negative number when it holds nothing).
+func (in *Instance) slotFrom(base int, r ids.RoleRef) int {
+	if base < 0 || r.Index > len(in.roles) { // the bound keeps the sum below from overflowing
+		return -1
+	}
+	if r.Index > 0 {
+		base += r.Index - 1
+	}
+	if base < len(in.roles) && in.roles[base] == r {
+		return base
 	}
 	return -1
 }

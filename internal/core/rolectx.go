@@ -29,6 +29,15 @@ type RoleCtx struct {
 	ctx     context.Context
 	args    []any
 	results []any
+	// inline backs the first two results, so a role that sets one or two —
+	// every role of the patterns library — allocates nothing for them. The
+	// enroller's Result.Values may alias it after Enroll returns.
+	inline [2]any
+	// peerName and peerBase remember the last role name an operation
+	// resolved: peerBase is 1 + the slot of that name's scalar or member 1,
+	// 0 when the name has no slot (see resolve).
+	peerName string
+	peerBase int
 }
 
 // Context returns the enrolling process's context; communications abort
@@ -67,6 +76,9 @@ func (rc *RoleCtx) Args() []any { return append([]any(nil), rc.args...) }
 // as needed. Results are delivered to the enrolling process when it is
 // released.
 func (rc *RoleCtx) SetResult(i int, v any) {
+	if rc.results == nil {
+		rc.results = rc.inline[:0]
+	}
 	for len(rc.results) <= i {
 		rc.results = append(rc.results, nil)
 	}
@@ -82,16 +94,16 @@ func (rc *RoleCtx) Send(to ids.RoleRef, v any) error { return rc.SendTag(to, "",
 // SendTag transfers v synchronously to role `to` under a message tag.
 // Tags distinguish message kinds the way CSP constructors do.
 func (rc *RoleCtx) SendTag(to ids.RoleRef, tag string, v any) error {
-	if err := rc.precheck(to); err != nil {
+	slot, addr, err := rc.peer(to)
+	if err != nil {
 		return err
 	}
 	ctx, cancel := rc.inst.opContext(rc.ctx)
 	if cancel != nil {
 		defer cancel()
 	}
-	err := rc.perf.fabric.Send(ctx, rc.addr, rc.inst.addrOf(to), rendezvous.Tag(tag), v)
-	if err != nil {
-		return rc.mapCommErr(to, err)
+	if err := rc.perf.fabric.Send(ctx, rc.addr, addr, rendezvous.Tag(tag), v); err != nil {
+		return rc.mapCommErr(to, slot, err)
 	}
 	rc.inst.recordPerf(rc.perf, trace.Event{
 		Kind: trace.KindSend, Script: rc.inst.def.name, Performance: rc.perf.number,
@@ -114,11 +126,12 @@ func (rc *RoleCtx) SendAll(tos []ids.RoleRef, v any) error {
 	targets := make([]rendezvous.Addr, len(tos))
 	rc.inst.mu.Lock() // one acquisition prechecks every target
 	for i, to := range tos {
-		if st := rc.availabilityLocked(to); st != peerOK {
+		slot, addr, known := rc.resolve(to)
+		if st := rc.availabilityLocked(slot, to, known); st != peerOK {
 			rc.inst.mu.Unlock()
 			return precheckErr(st, to)
 		}
-		targets[i] = rc.inst.addrOf(to)
+		targets[i] = addr
 	}
 	rc.inst.mu.Unlock()
 	ctx, cancel := rc.inst.opContext(rc.ctx)
@@ -126,7 +139,7 @@ func (rc *RoleCtx) SendAll(tos []ids.RoleRef, v any) error {
 		defer cancel()
 	}
 	if err := rc.perf.fabric.Scatter(ctx, rc.addr, "", targets, []any{v}); err != nil {
-		return rc.mapCommErr(ids.RoleRef{}, err)
+		return rc.mapCommErr(ids.RoleRef{}, -1, err)
 	}
 	for _, to := range tos {
 		rc.inst.recordPerf(rc.perf, trace.Event{
@@ -142,16 +155,17 @@ func (rc *RoleCtx) Recv(from ids.RoleRef) (any, error) { return rc.RecvTag(from,
 
 // RecvTag receives the next message with the given tag from role `from`.
 func (rc *RoleCtx) RecvTag(from ids.RoleRef, tag string) (any, error) {
-	if err := rc.precheck(from); err != nil {
+	slot, addr, err := rc.peer(from)
+	if err != nil {
 		return nil, err
 	}
 	ctx, cancel := rc.inst.opContext(rc.ctx)
 	if cancel != nil {
 		defer cancel()
 	}
-	v, err := rc.perf.fabric.Recv(ctx, rc.addr, rc.inst.addrOf(from), rendezvous.Tag(tag))
+	v, err := rc.perf.fabric.Recv(ctx, rc.addr, addr, rendezvous.Tag(tag))
 	if err != nil {
-		return nil, rc.mapCommErr(from, err)
+		return nil, rc.mapCommErr(from, slot, err)
 	}
 	rc.inst.recordPerf(rc.perf, trace.Event{
 		Kind: trace.KindRecv, Script: rc.inst.def.name, Performance: rc.perf.number,
@@ -171,7 +185,7 @@ func (rc *RoleCtx) RecvAny() (ids.RoleRef, string, any, error) {
 	}
 	out, err := rc.perf.fabric.RecvAny(ctx, rc.addr)
 	if err != nil {
-		return ids.RoleRef{}, "", nil, rc.mapCommErr(ids.RoleRef{}, err)
+		return ids.RoleRef{}, "", nil, rc.mapCommErr(ids.RoleRef{}, -1, err)
 	}
 	from, perr := ids.ParseRoleRef(string(out.Peer))
 	if perr != nil {
@@ -283,7 +297,8 @@ func (rc *RoleCtx) Select(branches ...SelectBranch) (Selected, error) {
 		guardsTrue++
 		var peer rendezvous.Addr
 		if !b.anyPeer {
-			switch rc.availabilityLocked(b.peer) {
+			slot, addr, known := rc.resolve(b.peer)
+			switch rc.availabilityLocked(slot, b.peer, known) {
 			case peerAbsent:
 				sawAbsent = true
 				continue
@@ -294,7 +309,7 @@ func (rc *RoleCtx) Select(branches ...SelectBranch) (Selected, error) {
 				rc.inst.mu.Unlock()
 				return Selected{}, precheckErr(peerUnknown, b.peer)
 			}
-			peer = rc.inst.addrOf(b.peer)
+			peer = addr
 		}
 		fab = append(fab, rendezvous.Branch{
 			Dir: b.dir, Peer: peer, AnyPeer: b.anyPeer,
@@ -318,7 +333,7 @@ func (rc *RoleCtx) Select(branches ...SelectBranch) (Selected, error) {
 	}
 	out, err := rc.perf.fabric.Do(ctx, rc.addr, fab)
 	if err != nil {
-		return Selected{}, rc.mapCommErr(ids.RoleRef{}, err)
+		return Selected{}, rc.mapCommErr(ids.RoleRef{}, -1, err)
 	}
 	b := branches[orig[out.Index]]
 	peer := b.peer // a directed branch commits with the role it names
@@ -344,12 +359,13 @@ func (rc *RoleCtx) Select(branches ...SelectBranch) (Selected, error) {
 // (membership has closed without it). Before the critical role set is
 // covered, Terminated is false for all unfilled roles.
 func (rc *RoleCtx) Terminated(r ids.RoleRef) bool {
+	slot, _, _ := rc.resolve(r)
 	rc.inst.mu.Lock()
 	defer rc.inst.mu.Unlock()
-	if rc.perf.finished.Contains(r) {
+	switch rc.perf.stateOf(slot, r) {
+	case castFinished:
 		return true
-	}
-	if _, filled := rc.perf.assigned[r]; filled {
+	case castFilled:
 		return false
 	}
 	return rc.perf.membershipClosed
@@ -357,10 +373,10 @@ func (rc *RoleCtx) Terminated(r ids.RoleRef) bool {
 
 // Filled reports whether role r is filled (enrolled) in this performance.
 func (rc *RoleCtx) Filled(r ids.RoleRef) bool {
+	slot, _, _ := rc.resolve(r)
 	rc.inst.mu.Lock()
 	defer rc.inst.mu.Unlock()
-	_, ok := rc.perf.assigned[r]
-	return ok
+	return rc.perf.stateOf(slot, r) != castUnfilled
 }
 
 // FamilySize returns the extent of the named role family in this
@@ -377,7 +393,13 @@ func (rc *RoleCtx) FamilySize(name string) int {
 	}
 	rc.inst.mu.Lock()
 	defer rc.inst.mu.Unlock()
-	return rc.perf.openMax[name]
+	size := 0
+	for r := range rc.perf.open {
+		if r.Name == name {
+			size = max(size, r.Index)
+		}
+	}
+	return size
 }
 
 // EnrollIn enrolls from inside a role body into another script instance
@@ -447,22 +469,40 @@ const (
 	peerUnknown
 )
 
-// availability classifies role r for communication purposes.
-func (rc *RoleCtx) availability(r ids.RoleRef) peerState {
-	rc.inst.mu.Lock()
-	defer rc.inst.mu.Unlock()
-	return rc.availabilityLocked(r)
+// resolve looks role r up once for the operation that names it: its slot in
+// the cast (-1 for a member of an open family) and its address in the
+// performance's fabric; known is false when r is no role of the script. A
+// closed role costs one probe of the name table, none when the operation
+// before named the same role or family, and the definition is consulted
+// only for a name without slots. It reads nothing a performance changes, so
+// it needs no lock.
+func (rc *RoleCtx) resolve(r ids.RoleRef) (slot int, addr rendezvous.Addr, known bool) {
+	in := rc.inst
+	if r.Name != rc.peerName {
+		rc.peerName, rc.peerBase = r.Name, 0
+		if base, ok := in.base[r.Name]; ok {
+			rc.peerBase = base + 1
+		}
+	}
+	if slot = in.slotFrom(rc.peerBase-1, r); slot >= 0 {
+		return slot, in.addrs[slot], true
+	}
+	if in.def.checkRole(r) != nil {
+		return -1, "", false
+	}
+	return -1, rendezvous.Addr(r.String()), true
 }
 
-// availabilityLocked is availability with inst.mu held.
-func (rc *RoleCtx) availabilityLocked(r ids.RoleRef) peerState {
-	if err := rc.inst.def.checkRole(r); err != nil {
+// availabilityLocked classifies role r, resolved to slot, for communication
+// purposes. It runs with inst.mu held.
+func (rc *RoleCtx) availabilityLocked(slot int, r ids.RoleRef, known bool) peerState {
+	if !known {
 		return peerUnknown
 	}
-	if rc.perf.finished.Contains(r) {
+	switch rc.perf.stateOf(slot, r) {
+	case castFinished:
 		return peerFinished
-	}
-	if _, filled := rc.perf.assigned[r]; filled {
+	case castFilled:
 		return peerOK
 	}
 	if rc.perf.membershipClosed {
@@ -471,9 +511,13 @@ func (rc *RoleCtx) availabilityLocked(r ids.RoleRef) peerState {
 	return peerOK // unfilled but membership open: callers may block on it
 }
 
-// precheck validates the target role before a point-to-point operation.
-func (rc *RoleCtx) precheck(to ids.RoleRef) error {
-	return precheckErr(rc.availability(to), to)
+// peer resolves the target of a point-to-point operation and validates it.
+func (rc *RoleCtx) peer(r ids.RoleRef) (slot int, addr rendezvous.Addr, err error) {
+	slot, addr, known := rc.resolve(r)
+	rc.inst.mu.Lock()
+	st := rc.availabilityLocked(slot, r, known)
+	rc.inst.mu.Unlock()
+	return slot, addr, precheckErr(st, r)
 }
 
 // precheckErr is the error of communicating with a role in state st, nil
@@ -491,13 +535,14 @@ func precheckErr(st peerState, to ids.RoleRef) error {
 	}
 }
 
-// mapCommErr converts fabric errors into script-level errors.
-func (rc *RoleCtx) mapCommErr(peer ids.RoleRef, err error) error {
+// mapCommErr converts fabric errors into script-level errors; peer, resolved
+// to slot, is the role a point-to-point operation named (zero otherwise).
+func (rc *RoleCtx) mapCommErr(peer ids.RoleRef, slot int, err error) error {
 	switch {
 	case errors.Is(err, rendezvous.ErrPeerTerminated):
 		if peer.Name != "" {
 			rc.inst.mu.Lock()
-			_, wasFilled := rc.perf.assigned[peer]
+			wasFilled := rc.perf.stateOf(slot, peer) != castUnfilled
 			rc.inst.mu.Unlock()
 			if wasFilled {
 				return fmt.Errorf("%w: %s", ErrRoleFinished, peer)

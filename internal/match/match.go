@@ -130,7 +130,25 @@ func (p *Problem) Covered(filled ids.RoleSet) bool {
 // be admitted jointly. The paper does not require maximality at all; we
 // provide it so that, e.g., a reader and a writer both pending when the
 // lock-manager performance forms are both admitted.
+//
+// Find is FindCast with the cast spelled out as a map; a caller that keeps
+// its own record per offer wants the indices.
 func Find(p Problem) (Assignment, bool) {
+	cast, ok := FindCast(p)
+	if !ok {
+		return nil, false
+	}
+	asg := make(Assignment, len(cast))
+	for _, k := range cast {
+		asg[p.Offers[k].Role] = p.Offers[k]
+	}
+	return asg, true
+}
+
+// FindCast is the search behind Find: it returns the matched offers as
+// indices into p.Offers, in role order (ids.RoleRef.Compare), one per filled
+// role.
+func FindCast(p Problem) ([]int32, bool) {
 	s := newSearch(&p)
 	if s == nil || !s.fill(0) {
 		return nil, false
@@ -150,13 +168,14 @@ func Find(p Problem) (Assignment, bool) {
 			}
 		}
 	}
-	asg := make(Assignment, len(s.roles))
-	for r, k := range s.chosen {
+	// chosen is indexed by role, in role order: drop the unfilled ones.
+	cast := s.chosen[:0]
+	for _, k := range s.chosen {
 		if k >= 0 {
-			asg[s.roles[r]] = s.offers[k]
+			cast = append(cast, k)
 		}
 	}
-	return asg, true
+	return cast, true
 }
 
 // search is the state of one Find. Roles and offers are dense indices: role

@@ -29,6 +29,14 @@ func (e *Enroller) enrollMux(ctx context.Context, mc *muxConn, enr core.Enrollme
 	return res, err
 }
 
+// lostBeforeAck is a connection loss that struck a conversation before its
+// OFFER-ACK. The body runs only after that frame, so nothing of the
+// enrollment has happened on this side and the offer may go out again: the
+// error still matches ErrConnLost, and Retryable accepts it.
+type lostBeforeAck struct{ error }
+
+func (e lostBeforeAck) Unwrap() error { return e.error }
+
 // converse runs one enrollment conversation on a reserved stream slot, start
 // to release: ENROLL, await OFFER-ACK, run the body here with its ops
 // proxied over the stream, BODY-DONE, await COMPLETE.
@@ -37,6 +45,9 @@ func (e *Enroller) converse(ctx context.Context, mc *muxConn, enr core.Enrollmen
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
 			return core.Result{}, cerr
+		}
+		if errors.Is(err, ErrConnLost) {
+			err = lostBeforeAck{err}
 		}
 		return core.Result{}, err
 	}
@@ -54,6 +65,13 @@ func (e *Enroller) converse(ctx context.Context, mc *muxConn, enr core.Enrollmen
 		}
 		return fmt.Errorf("%w: %v", ErrConnLost, err)
 	}
+	// wrapLost is wrapErr for a transport failure ahead of the OFFER-ACK.
+	wrapLost := func(err error) error {
+		if err = wrapErr(err); errors.Is(err, ErrConnLost) {
+			return lostBeforeAck{err}
+		}
+		return err // the context ended first
+	}
 
 	msg := &st.enroll
 	*msg = wire.Enroll{
@@ -68,7 +86,7 @@ func (e *Enroller) converse(ctx context.Context, mc *muxConn, enr core.Enrollmen
 	}
 	if err := mc.write(wire.MsgEnroll, st.id, 0, msg); err != nil {
 		mc.fail(fmt.Errorf("%w: %v", ErrConnLost, err))
-		return core.Result{}, wrapErr(err)
+		return core.Result{}, wrapLost(err)
 	}
 
 	// The withdraw path. AfterFunc runs the withdraw whenever ctx ends before
@@ -88,7 +106,9 @@ await:
 			return core.Result{}, ctx.Err()
 		case ev := <-st.events:
 			switch {
-			case ev.err != nil:
+			case errors.Is(ev.err, ErrConnLost):
+				return core.Result{}, wrapLost(ev.err)
+			case ev.err != nil: // the host refused the conversation, or the enroller closed
 				return core.Result{}, wrapErr(ev.err)
 			case ev.typ == wire.MsgOfferAck:
 				ack = ev.ack

@@ -392,9 +392,10 @@ func (e *Enroller) Close() error {
 // Retryable reports whether an Enroll failure is safe and useful to offer
 // again. Safe means no performance can have run: dial and handshake
 // failures, overload sheds, drain rejections, and open circuits all reject
-// the offer before any assignment. A lost connection after assignment
-// (ErrConnLost), an aborted performance, or a role-body error is not
-// retryable — work happened, and re-offering could duplicate it.
+// the offer before any assignment, and a connection lost before the
+// OFFER-ACK reached this side cannot have run the body here. A connection
+// lost after it (ErrConnLost), an aborted performance, or a role-body error
+// is not retryable — work happened, and re-offering could duplicate it.
 func Retryable(err error) bool {
 	var re *core.RoleError
 	switch {
@@ -415,6 +416,8 @@ func Retryable(err error) bool {
 	case errors.Is(err, ErrCircuitOpen):
 		return true
 	case errors.Is(err, ErrNoHosts):
+		return true
+	case errors.As(err, new(lostBeforeAck)):
 		return true
 	default:
 		return false

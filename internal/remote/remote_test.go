@@ -665,3 +665,61 @@ func TestRemoteScriptNameAssertion(t *testing.T) {
 		t.Fatalf("err = %v, want script-mismatch rejection", err)
 	}
 }
+
+// TestInstanceCloseSendsNoAbortFrame pins what the bridge makes of
+// PerformanceDone firing because the instance closed under a running
+// performance: there is no *AbortError to report, so no ABORT frame goes
+// out — the client learns of the closure from its next operation and from
+// COMPLETE, as it always has. The raw client keeps the bridge's loop turning
+// with queries after Close, so the loop does get to see the closed channel.
+func TestInstanceCloseSendsNoAbortFrame(t *testing.T) {
+	def := core.NewScript("closing").
+		Role("remote", func(core.Ctx) error { return errors.New("local body must not run") }).
+		Role("local", func(rc core.Ctx) error {
+			_, _, _, err := rc.RecvAny() // until the fabric closes
+			return err
+		}).
+		MustBuild()
+	in := core.NewInstance(def)
+	defer in.Close()
+	_, addr := startHost(t, in, remote.HostConfig{HeartbeatTimeout: 10 * time.Second})
+
+	localErr := make(chan error, 1)
+	go func() {
+		_, err := in.Enroll(context.Background(), core.Enrollment{PID: "L", Role: ids.Role("local")})
+		localErr <- err
+	}()
+	c := rawEnroll(t, addr, "closing", "R", "remote") // returns on OFFER-ACK: the cast is running
+	defer c.Close()
+
+	in.Close()
+	if err := <-localErr; !errors.Is(err, core.ErrClosed) {
+		t.Fatalf("local role returned %v, want ErrClosed", err)
+	}
+	// await reads to the next frame of type want; an ABORT on the way fails.
+	await := func(want wire.MsgType) {
+		t.Helper()
+		for {
+			typ, _, _, _, err := c.ReadFrame()
+			if err != nil {
+				t.Fatalf("reading for %v: %v", want, err)
+			}
+			if typ == wire.MsgAbort {
+				t.Fatal("the bridge reported an abort for a performance nobody aborted")
+			}
+			if typ == want {
+				return
+			}
+		}
+	}
+	for range 16 { // v1: lock-step, no sequence numbers
+		if err := c.WriteFrame(wire.MsgQuery, 0, 0, &wire.Query{Kind: wire.QueryFilled, Role: "local"}); err != nil {
+			t.Fatalf("query: %v", err)
+		}
+		await(wire.MsgOpResult)
+	}
+	if err := c.WriteFrame(wire.MsgBodyDone, 0, 0, &wire.BodyDone{}); err != nil {
+		t.Fatalf("body done: %v", err)
+	}
+	await(wire.MsgComplete)
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"sync"
@@ -15,6 +16,7 @@ import (
 	"github.com/scriptabs/goscript/internal/ids"
 	"github.com/scriptabs/goscript/internal/patterns"
 	"github.com/scriptabs/goscript/internal/remote"
+	"github.com/scriptabs/goscript/internal/wire"
 )
 
 func waitCond(t *testing.T, what string, cond func() bool) {
@@ -612,5 +614,88 @@ func TestSilentHostBoundsEnroll(t *testing.T) {
 		case <-timeout:
 			t.Fatalf("%d of 2 enrollments still blocked 3s into a 200ms dial bound and a 500ms context", 2-i)
 		}
+	}
+}
+
+// TestLostBeforeOfferAckIsRetried pins the client half of the drain race: a
+// host that takes the ENROLL and closes the connection without an OFFER-ACK
+// (it was shutting down) leaves the client knowing its body never ran, so
+// the loss is retryable although it still reads as ErrConnLost. The front
+// listener handshakes, reads one ENROLL and hangs up, once; every later
+// connection is relayed to a real host.
+func TestLostBeforeOfferAckIsRetried(t *testing.T) {
+	def := core.NewScript("solo").
+		Role("only", func(rc core.Ctx) error { return errors.New("local body must not run") }).
+		MustBuild()
+	in := core.NewInstance(def)
+	defer in.Close()
+	_, addr := startHost(t, in, remote.HostConfig{})
+
+	front, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	var swallowed atomic.Int32 // ENROLL frames the front read and dropped
+	var relays sync.WaitGroup
+	defer func() { front.Close(); relays.Wait() }()
+	relays.Add(1)
+	go func() {
+		defer relays.Done()
+		for first := true; ; first = false {
+			nc, err := front.Accept()
+			if err != nil {
+				return // the test closed the listener
+			}
+			if first {
+				c := wire.NewConn(nc)
+				c.SetReadTimeout(10 * time.Second)
+				if _, err := wire.ServerHandshakeV(c, def.Name(), wire.MaxVersion, nil); err != nil {
+					t.Errorf("front handshake: %v", err)
+				}
+				for {
+					typ, _, _, _, err := c.ReadFrame()
+					if err != nil {
+						t.Errorf("front: no ENROLL before %v", err)
+						break
+					}
+					if typ == wire.MsgEnroll {
+						swallowed.Add(1)
+						break
+					}
+				}
+				c.Close()
+				continue
+			}
+			up, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Errorf("front: dial host: %v", err)
+				nc.Close()
+				continue
+			}
+			relays.Add(2)
+			go func() { defer relays.Done(); _, _ = io.Copy(up, nc); up.Close() }()
+			go func() { defer relays.Done(); _, _ = io.Copy(nc, up); nc.Close() }()
+		}
+	}()
+
+	enr := remote.NewEnroller(front.Addr().String(), remote.EnrollerConfig{
+		Retry: remote.RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond, Seed: 1},
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	var ran atomic.Int32
+	_, err = enr.Enroll(ctx, core.Enrollment{
+		PID: "P", Role: ids.Role("only"),
+		Body: func(rc core.Ctx) error { ran.Add(1); return nil },
+	})
+	enr.Close() // before the deferred waits: the relays end when their connections do
+	if err != nil {
+		t.Fatalf("Enroll with two attempts = %v, want success on the second", err)
+	}
+	if got := swallowed.Load(); got != 1 {
+		t.Fatalf("front swallowed %d ENROLLs, want 1 (the first attempt never reached it?)", got)
+	}
+	if got := ran.Load(); got != 1 {
+		t.Fatalf("body ran %d times, want exactly once", got)
 	}
 }

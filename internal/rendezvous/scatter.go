@@ -13,6 +13,7 @@ type scatterSlot struct {
 	fs  *slot // pooled backing storage of g and o
 	sh  *shard
 	k   cellKey
+	hTo uint32 // fnv1a of the target, taken when the offer parked
 	err error
 	// where the offer currently is: committed/failed (done), parked in a
 	// fast cell, or posted in the slow lane.
@@ -56,9 +57,10 @@ var scatterTblPool = sync.Pool{New: func() any {
 // draws its seq like any other op.
 //
 // Every offer is driven to an outcome even after another fails, so a
-// returned error means exactly the reported targets missed the value: the
-// first error is returned, after all offers have settled. Cancellation
-// withdraws the offers that have not yet committed and returns ctx.Err().
+// returned error means exactly the reported targets missed the value: one
+// error is returned, after all offers have settled — the first the reap
+// comes to, and it works from the last target back. Cancellation withdraws
+// the offers that have not yet committed and returns ctx.Err().
 func (f *Fabric) Scatter(ctx context.Context, owner Addr, tag Tag, targets []Addr, vals []any) error {
 	if len(targets) == 0 {
 		return nil
@@ -135,7 +137,7 @@ func (f *Fabric) Scatter(ctx context.Context, owner Addr, tag Tag, targets []Add
 		ownerParks++
 		f.touch(shIdx)
 		sh.mu.Unlock()
-		slots[i] = scatterSlot{g: &fs.g, o: o, fs: fs, sh: sh, k: k, state: slotParked}
+		slots[i] = scatterSlot{g: &fs.g, o: o, fs: fs, sh: sh, k: k, hTo: hTo, state: slotParked}
 	}
 	if ownerParks != 0 {
 		f.parkedAt[hOwner&(numHot-1)].Add(ownerParks)
@@ -143,13 +145,14 @@ func (f *Fabric) Scatter(ctx context.Context, owner Addr, tag Tag, targets []Add
 	}
 
 	// Dekker re-check, as in fastPoint: any parked offer whose endpoints went
-	// hot is pulled back and retried through the slow-lane pass.
+	// hot is pulled back and retried through the slow-lane pass. The loads
+	// are per offer; the hashes are phase 1's.
 	for i := range slots {
 		s := &slots[i]
 		if s.state != slotParked {
 			continue
 		}
-		if !f.fastOK.Load() || f.hotAddr(owner) || f.hotAddr(targets[i]) {
+		if !f.fastOK.Load() || f.hot[hOwner&(numHot-1)].Load() != 0 || f.hot[s.hTo&(numHot-1)].Load() != 0 {
 			if f.unpark(s.sh, s.k, s.o) {
 				slow = append(slow, i)
 			}
@@ -219,10 +222,13 @@ func (f *Fabric) Scatter(ctx context.Context, owner Addr, tag Tag, targets []Add
 
 	// Wait phase: reap every in-flight offer. Offers resolve independently
 	// (commit, peer termination, abort, ...), so waiting for all cannot
-	// wedge; on cancellation the unresolved remainder is withdrawn.
+	// wedge; on cancellation the unresolved remainder is withdrawn. The reap
+	// runs from the last offer back: targets woken together take their offers
+	// in the order they were parked, so the one wait that blocks is the one
+	// most likely to outlast the others, and their results are then there.
 	var firstErr error
 	cancelled := false
-	for i := range slots {
+	for i := len(slots) - 1; i >= 0; i-- {
 		s := &slots[i]
 		if s.state == slotDone {
 			if s.err != nil && firstErr == nil {
@@ -236,21 +242,28 @@ func (f *Fabric) Scatter(ctx context.Context, owner Addr, tag Tag, targets []Add
 			}
 			continue
 		}
+		// Take a result that is already there without the two-way wait.
+		var r result
 		select {
-		case r := <-s.g.res:
-			if r.err != nil && firstErr == nil {
-				firstErr = r.err
-			}
-			s.settle(r.err)
-		case <-ctx.Done():
-			cancelled = true
-			if firstErr == nil {
-				firstErr = ctx.Err()
-			}
-			if err := f.withdrawScatter(s); err != nil && firstErr == nil {
-				firstErr = err
+		case r = <-s.g.res:
+		default:
+			select {
+			case r = <-s.g.res:
+			case <-ctx.Done():
+				cancelled = true
+				if firstErr == nil {
+					firstErr = ctx.Err()
+				}
+				if err := f.withdrawScatter(s); err != nil && firstErr == nil {
+					firstErr = err
+				}
+				continue
 			}
 		}
+		if r.err != nil && firstErr == nil {
+			firstErr = r.err
+		}
+		s.settle(r.err)
 	}
 	return firstErr
 }
