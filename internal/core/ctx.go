@@ -52,7 +52,10 @@ type Ctx interface {
 	Recv(from ids.RoleRef) (any, error)
 	RecvTag(from ids.RoleRef, tag string) (any, error)
 	RecvAny() (ids.RoleRef, string, any, error)
-	// Select commits exactly one enabled branch (guarded alternative).
+	// Select commits exactly one enabled branch (guarded alternative). It
+	// reads branches and neither changes nor keeps the list, so a body may
+	// pass the same list on every trip round a loop — Select(alt...) — and
+	// several performances may share one that none of them writes.
 	Select(branches ...SelectBranch) (Selected, error)
 
 	// Terminated is the paper's r.terminated predicate.

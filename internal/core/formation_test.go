@@ -83,9 +83,11 @@ func TestNilPartnerSetIsNoConstraint(t *testing.T) {
 // allocates when the bodies do nothing: the three-role script of Figure 1,
 // two roles resident, one performance per foreground enrollment
 // (BenchmarkE01's loop, which measured 28 objects before the formation
-// tables, 12 before the cast table). What is left is an enrollment record
-// and a wake-up channel per role, and the performance with its cast table and
-// its done channel.
+// tables, 12 before the cast table, 9 before wake-up channels were pooled).
+// What is left is an enrollment record per role — never recycled, because the
+// host's bridge, Result.Values and late co-performers may read one after its
+// Enroll returned — and the performance with its cast table and its done
+// channel, which is closed to release held roles and so cannot serve twice.
 func TestEmptyPerformanceAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
@@ -116,7 +118,7 @@ func TestEmptyPerformanceAllocs(t *testing.T) {
 	cancel()
 	in.Close()
 	wg.Wait()
-	if got > 10 { // 9 measured, plus 10%
-		t.Fatalf("an empty three-role performance allocates %v objects, want <= 10", got)
+	if got > 7 { // 6 measured, plus 10%
+		t.Fatalf("an empty three-role performance allocates %v objects, want <= 7", got)
 	}
 }

@@ -220,6 +220,10 @@ type Instance struct {
 	offerBuf []match.Offer
 	candBuf  []*enrollState
 	castBuf  []*enrollState
+	// matchScratch is the matcher's working memory, kept across attempts like
+	// the lists above and, like them, only touched under mu. The cast a search
+	// returns lives in it until the next search.
+	matchScratch match.Scratch
 	// offersDirty records whether the pending set changed since the last
 	// failed match attempt; when false, re-running match.Find is pointless
 	// (match existence depends only on the offer set).
@@ -239,21 +243,51 @@ const (
 	phaseWithdrawn
 )
 
+// enrollState is the record of one enrollment, allocated once per Enroll and
+// never recycled (DESIGN.md "Scheduler internals" says who may still read it
+// after Enroll returns). The role, the process, the context, the arguments
+// and the performance are kept here only; the RoleCtx inside reads them
+// through its back pointer.
 type enrollState struct {
-	offer    match.Offer
-	slot     int // the role's slot in Instance.roles, -1 for an open-family member
+	offer match.Offer
+	slot  int // the role's slot in Instance.roles, -1 for an open-family member
+	// args is the enrollment's copy of Enrollment.Args; a single argument,
+	// the usual case in the patterns library, is copied into arg1 and costs no
+	// list of its own.
 	args     []any
+	arg1     [1]any
 	ctx      context.Context
 	deadline time.Time     // Enrollment.Deadline; zero = none
 	traceID  trace.TraceID // Enrollment.TraceID; zero = none
 	phase    enrollPhase
-	perf     *performance
-	rc       RoleCtx // filled in when the offer is assigned
+	perf     *performance // set, once, when the offer is assigned
+	rc       RoleCtx      // filled in when the offer is assigned
 	// wake is, with ctx.Done, all a pending enroller waits on. It receives a
 	// token when the offer is assigned to a performance and when Close or
 	// Drain turns the pending offers away; the enroller re-reads its state
-	// under the lock, so a token says "look", not what happened.
+	// under the lock, so a token says "look", not what happened. The channel
+	// is on loan from wakePool for the length of the Enroll call.
 	wake chan struct{}
+}
+
+// wakePool lends wake channels to enrollments. A channel outlives the
+// enrollment it served, and a signaller that was delayed past its
+// enrollment's return (the chaos WakeDelay timer is one) then leaves its
+// token with whoever holds the channel next. That is safe because of what a
+// token means: the holder takes one more look at its own state under the
+// lock, finds it unchanged and waits again; nothing is ever decided by a
+// token alone.
+var wakePool = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
+
+// putWake returns an enrollment's wake channel, minus the token a signal
+// that raced the enroller's own exit (Close, Drain, a cancelled context) may
+// have left: the next holder would only look once for nothing, and need not.
+func putWake(ch chan struct{}) {
+	select {
+	case <-ch:
+	default:
+	}
+	wakePool.Put(ch)
 }
 
 // signal leaves a token in st.wake unless one is already there.
@@ -601,13 +635,14 @@ func (in *Instance) Enroll(ctx context.Context, e Enrollment) (Result, error) {
 	st := &enrollState{
 		offer:    match.Offer{ID: in.nextOffer, PID: e.PID, Role: e.Role, With: clonePartners(e.With)},
 		slot:     slot,
-		args:     append([]any(nil), e.Args...),
 		ctx:      ctx,
 		deadline: e.Deadline,
 		traceID:  e.TraceID,
 		phase:    phasePending,
-		wake:     make(chan struct{}, 1),
+		wake:     wakePool.Get().(chan struct{}),
 	}
+	st.args = append(st.arg1[:0], e.Args...)
+	defer putWake(st.wake) // every path below has taken st off the pending list by then
 	in.addPendingLocked(st)
 	// Offer-time events predate any performance, so they cannot be sampled
 	// per-performance; with a sampler installed the tracer sees only the
@@ -815,7 +850,7 @@ func (in *Instance) tryMatchLocked() bool {
 		Offers:       offers,
 		Fairness:     in.fairness,
 		Seed:         in.seed + int64(in.perfCount),
-	})
+	}, &in.matchScratch)
 	// The matched cast comes back as offer indices in role order, which is
 	// the order of wake-ups and of trace events: a function of the cast alone.
 	cast := in.castBuf[:0]
@@ -1060,15 +1095,7 @@ func (in *Instance) assignLocked(p *performance, st *enrollState) {
 	p.nAssigned++
 	st.phase = phaseAssigned
 	st.perf = p
-	st.rc = RoleCtx{
-		inst: in,
-		perf: p,
-		role: r,
-		addr: addr,
-		pid:  st.offer.PID,
-		ctx:  st.ctx,
-		args: st.args,
-	}
+	st.rc = RoleCtx{st: st, inst: in, addr: addr}
 	in.armDeadlineLocked(p, st.deadline)
 	delay := time.Duration(0)
 	if fi := in.faults; fi != nil {

@@ -21,13 +21,13 @@ import (
 var _ Ctx = (*RoleCtx)(nil)
 
 type RoleCtx struct {
+	// st is the enrollment record this context is part of. The role and the
+	// process (st.offer), the enroller's context, the arguments and the
+	// performance are read from it: all are written before the enroller is
+	// woken and never after.
+	st      *enrollState
 	inst    *Instance
-	perf    *performance
-	role    ids.RoleRef
 	addr    rendezvous.Addr // role's address in the performance's fabric
-	pid     ids.PID
-	ctx     context.Context
-	args    []any
 	results []any
 	// inline backs the first two results, so a role that sets one or two —
 	// every role of the patterns library — allocates nothing for them. The
@@ -42,35 +42,35 @@ type RoleCtx struct {
 
 // Context returns the enrolling process's context; communications abort
 // when it is cancelled.
-func (rc *RoleCtx) Context() context.Context { return rc.ctx }
+func (rc *RoleCtx) Context() context.Context { return rc.st.ctx }
 
 // Role returns the role this body is playing.
-func (rc *RoleCtx) Role() ids.RoleRef { return rc.role }
+func (rc *RoleCtx) Role() ids.RoleRef { return rc.st.offer.Role }
 
 // Index returns the family index of the role, or ids.ScalarIndex for a
 // scalar role.
-func (rc *RoleCtx) Index() int { return rc.role.Index }
+func (rc *RoleCtx) Index() int { return rc.st.offer.Role.Index }
 
 // PID returns the identity of the enrolled process.
-func (rc *RoleCtx) PID() ids.PID { return rc.pid }
+func (rc *RoleCtx) PID() ids.PID { return rc.st.offer.PID }
 
 // Performance returns the 1-based performance number.
-func (rc *RoleCtx) Performance() int { return rc.perf.number }
+func (rc *RoleCtx) Performance() int { return rc.st.perf.number }
 
 // NumArgs returns the number of actual data parameters supplied at
 // enrollment.
-func (rc *RoleCtx) NumArgs() int { return len(rc.args) }
+func (rc *RoleCtx) NumArgs() int { return len(rc.st.args) }
 
 // Arg returns the i-th actual data parameter, or nil when out of range.
 func (rc *RoleCtx) Arg(i int) any {
-	if i < 0 || i >= len(rc.args) {
+	if i < 0 || i >= len(rc.st.args) {
 		return nil
 	}
-	return rc.args[i]
+	return rc.st.args[i]
 }
 
 // Args returns a copy of the actual data parameters.
-func (rc *RoleCtx) Args() []any { return append([]any(nil), rc.args...) }
+func (rc *RoleCtx) Args() []any { return append([]any(nil), rc.st.args...) }
 
 // SetResult sets the i-th result (out) parameter, growing the result list
 // as needed. Results are delivered to the enrolling process when it is
@@ -98,18 +98,25 @@ func (rc *RoleCtx) SendTag(to ids.RoleRef, tag string, v any) error {
 	if err != nil {
 		return err
 	}
-	ctx, cancel := rc.inst.opContext(rc.ctx)
+	ctx, cancel := rc.inst.opContext(rc.st.ctx)
 	if cancel != nil {
 		defer cancel()
 	}
-	if err := rc.perf.fabric.Send(ctx, rc.addr, addr, rendezvous.Tag(tag), v); err != nil {
+	if err := rc.st.perf.fabric.Send(ctx, rc.addr, addr, rendezvous.Tag(tag), v); err != nil {
 		return rc.mapCommErr(to, slot, err)
 	}
-	rc.inst.recordPerf(rc.perf, trace.Event{
-		Kind: trace.KindSend, Script: rc.inst.def.name, Performance: rc.perf.number,
-		Role: rc.role, Peer: to, PID: rc.pid, Detail: tag,
-	})
+	rc.record(trace.KindSend, to, tag)
 	return nil
+}
+
+// record records one communication of this role with peer in its
+// performance's trace.
+func (rc *RoleCtx) record(kind trace.Kind, peer ids.RoleRef, detail string) {
+	st := rc.st
+	rc.inst.recordPerf(st.perf, trace.Event{
+		Kind: kind, Script: rc.inst.def.name, Performance: st.perf.number,
+		Role: st.offer.Role, Peer: peer, PID: st.offer.PID, Detail: detail,
+	})
 }
 
 // SendAll offers v to every role in tos (untagged) and blocks until all
@@ -134,18 +141,15 @@ func (rc *RoleCtx) SendAll(tos []ids.RoleRef, v any) error {
 		targets[i] = addr
 	}
 	rc.inst.mu.Unlock()
-	ctx, cancel := rc.inst.opContext(rc.ctx)
+	ctx, cancel := rc.inst.opContext(rc.st.ctx)
 	if cancel != nil {
 		defer cancel()
 	}
-	if err := rc.perf.fabric.Scatter(ctx, rc.addr, "", targets, []any{v}); err != nil {
+	if err := rc.st.perf.fabric.Scatter(ctx, rc.addr, "", targets, []any{v}); err != nil {
 		return rc.mapCommErr(ids.RoleRef{}, -1, err)
 	}
 	for _, to := range tos {
-		rc.inst.recordPerf(rc.perf, trace.Event{
-			Kind: trace.KindSend, Script: rc.inst.def.name, Performance: rc.perf.number,
-			Role: rc.role, Peer: to, PID: rc.pid,
-		})
+		rc.record(trace.KindSend, to, "")
 	}
 	return nil
 }
@@ -159,18 +163,15 @@ func (rc *RoleCtx) RecvTag(from ids.RoleRef, tag string) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctx, cancel := rc.inst.opContext(rc.ctx)
+	ctx, cancel := rc.inst.opContext(rc.st.ctx)
 	if cancel != nil {
 		defer cancel()
 	}
-	v, err := rc.perf.fabric.Recv(ctx, rc.addr, addr, rendezvous.Tag(tag))
+	v, err := rc.st.perf.fabric.Recv(ctx, rc.addr, addr, rendezvous.Tag(tag))
 	if err != nil {
 		return nil, rc.mapCommErr(from, slot, err)
 	}
-	rc.inst.recordPerf(rc.perf, trace.Event{
-		Kind: trace.KindRecv, Script: rc.inst.def.name, Performance: rc.perf.number,
-		Role: rc.role, Peer: from, PID: rc.pid, Detail: tag,
-	})
+	rc.record(trace.KindRecv, from, tag)
 	return v, nil
 }
 
@@ -179,11 +180,11 @@ func (rc *RoleCtx) RecvTag(from ids.RoleRef, tag string) (any, error) {
 // is the anonymous reception the paper attributes to Ada's accept (and to
 // Francez's extension of CSP).
 func (rc *RoleCtx) RecvAny() (ids.RoleRef, string, any, error) {
-	ctx, cancel := rc.inst.opContext(rc.ctx)
+	ctx, cancel := rc.inst.opContext(rc.st.ctx)
 	if cancel != nil {
 		defer cancel()
 	}
-	out, err := rc.perf.fabric.RecvAny(ctx, rc.addr)
+	out, err := rc.st.perf.fabric.RecvAny(ctx, rc.addr)
 	if err != nil {
 		return ids.RoleRef{}, "", nil, rc.mapCommErr(ids.RoleRef{}, -1, err)
 	}
@@ -191,48 +192,49 @@ func (rc *RoleCtx) RecvAny() (ids.RoleRef, string, any, error) {
 	if perr != nil {
 		return ids.RoleRef{}, "", nil, fmt.Errorf("script: bad peer address %q: %w", out.Peer, perr)
 	}
-	rc.inst.recordPerf(rc.perf, trace.Event{
-		Kind: trace.KindRecv, Script: rc.inst.def.name, Performance: rc.perf.number,
-		Role: rc.role, Peer: from, PID: rc.pid, Detail: string(out.Tag),
-	})
+	rc.record(trace.KindRecv, from, string(out.Tag))
 	return from, string(out.Tag), out.Val, nil
 }
 
 // SelectBranch is one alternative of a guarded Select — the script-level
-// analogue of CSP's alternative command with input/output guards.
+// analogue of CSP's alternative command with input/output guards. A body
+// whose alternative is the same on every trip round its loop builds the
+// branch list once and passes it as Select(list...): the call then allocates
+// nothing. The three flags share the last word, which keeps a branch at 64
+// bytes for the lists that do have to be built per call.
 type SelectBranch struct {
-	dir     rendezvous.Dir
 	peer    ids.RoleRef
-	anyPeer bool
 	tag     string
 	val     any
+	send    bool // an output guard; otherwise an input guard
+	anyPeer bool
 	guard   bool
 }
 
 // SendTo builds an enabled send branch (untagged).
 func SendTo(to ids.RoleRef, v any) SelectBranch {
-	return SelectBranch{dir: rendezvous.DirSend, peer: to, val: v, guard: true}
+	return SelectBranch{send: true, peer: to, val: v, guard: true}
 }
 
 // SendTagTo builds an enabled tagged send branch.
 func SendTagTo(to ids.RoleRef, tag string, v any) SelectBranch {
-	return SelectBranch{dir: rendezvous.DirSend, peer: to, tag: tag, val: v, guard: true}
+	return SelectBranch{send: true, peer: to, tag: tag, val: v, guard: true}
 }
 
 // RecvFrom builds an enabled receive branch (untagged).
 func RecvFrom(from ids.RoleRef) SelectBranch {
-	return SelectBranch{dir: rendezvous.DirRecv, peer: from, guard: true}
+	return SelectBranch{peer: from, guard: true}
 }
 
 // RecvTagFrom builds an enabled tagged receive branch.
 func RecvTagFrom(from ids.RoleRef, tag string) SelectBranch {
-	return SelectBranch{dir: rendezvous.DirRecv, peer: from, tag: tag, guard: true}
+	return SelectBranch{peer: from, tag: tag, guard: true}
 }
 
 // RecvFromAnyone builds an enabled receive branch accepting any sender with
 // the given tag ("" accepts only the untagged kind).
 func RecvFromAnyone(tag string) SelectBranch {
-	return SelectBranch{dir: rendezvous.DirRecv, anyPeer: true, tag: tag, guard: true}
+	return SelectBranch{anyPeer: true, tag: tag, guard: true}
 }
 
 // When returns the branch with its boolean guard set: a false guard
@@ -243,7 +245,7 @@ func (b SelectBranch) When(cond bool) SelectBranch {
 }
 
 // IsSend reports whether the branch is a send (output guard).
-func (b SelectBranch) IsSend() bool { return b.dir == rendezvous.DirSend }
+func (b SelectBranch) IsSend() bool { return b.send }
 
 // BranchPeer returns the branch's counterpart role, and whether the branch
 // accepts any peer instead.
@@ -311,8 +313,12 @@ func (rc *RoleCtx) Select(branches ...SelectBranch) (Selected, error) {
 			}
 			peer = addr
 		}
+		dir := rendezvous.DirRecv
+		if b.send {
+			dir = rendezvous.DirSend
+		}
 		fab = append(fab, rendezvous.Branch{
-			Dir: b.dir, Peer: peer, AnyPeer: b.anyPeer,
+			Dir: dir, Peer: peer, AnyPeer: b.anyPeer,
 			Tag: rendezvous.Tag(b.tag), Val: b.val,
 		})
 		orig = append(orig, i)
@@ -327,11 +333,11 @@ func (rc *RoleCtx) Select(branches ...SelectBranch) (Selected, error) {
 		}
 		return Selected{}, ErrRoleAbsent
 	}
-	ctx, cancel := rc.inst.opContext(rc.ctx)
+	ctx, cancel := rc.inst.opContext(rc.st.ctx)
 	if cancel != nil {
 		defer cancel()
 	}
-	out, err := rc.perf.fabric.Do(ctx, rc.addr, fab)
+	out, err := rc.st.perf.fabric.Do(ctx, rc.addr, fab)
 	if err != nil {
 		return Selected{}, rc.mapCommErr(ids.RoleRef{}, -1, err)
 	}
@@ -343,14 +349,11 @@ func (rc *RoleCtx) Select(branches ...SelectBranch) (Selected, error) {
 			return Selected{}, fmt.Errorf("script: bad peer address %q: %w", out.Peer, perr)
 		}
 	}
-	kind := trace.KindSend
-	if b.dir == rendezvous.DirRecv {
-		kind = trace.KindRecv
+	kind := trace.KindRecv
+	if b.send {
+		kind = trace.KindSend
 	}
-	rc.inst.recordPerf(rc.perf, trace.Event{
-		Kind: kind, Script: rc.inst.def.name, Performance: rc.perf.number,
-		Role: rc.role, Peer: peer, PID: rc.pid, Detail: string(out.Tag),
-	})
+	rc.record(kind, peer, string(out.Tag))
 	return Selected{Index: orig[out.Index], Peer: peer, Tag: string(out.Tag), Val: out.Val}, nil
 }
 
@@ -362,13 +365,13 @@ func (rc *RoleCtx) Terminated(r ids.RoleRef) bool {
 	slot, _, _ := rc.resolve(r)
 	rc.inst.mu.Lock()
 	defer rc.inst.mu.Unlock()
-	switch rc.perf.stateOf(slot, r) {
+	switch rc.st.perf.stateOf(slot, r) {
 	case castFinished:
 		return true
 	case castFilled:
 		return false
 	}
-	return rc.perf.membershipClosed
+	return rc.st.perf.membershipClosed
 }
 
 // Filled reports whether role r is filled (enrolled) in this performance.
@@ -376,7 +379,7 @@ func (rc *RoleCtx) Filled(r ids.RoleRef) bool {
 	slot, _, _ := rc.resolve(r)
 	rc.inst.mu.Lock()
 	defer rc.inst.mu.Unlock()
-	return rc.perf.stateOf(slot, r) != castUnfilled
+	return rc.st.perf.stateOf(slot, r) != castUnfilled
 }
 
 // FamilySize returns the extent of the named role family in this
@@ -394,7 +397,7 @@ func (rc *RoleCtx) FamilySize(name string) int {
 	rc.inst.mu.Lock()
 	defer rc.inst.mu.Unlock()
 	size := 0
-	for r := range rc.perf.open {
+	for r := range rc.st.perf.open {
 		if r.Name == name {
 			size = max(size, r.Index)
 		}
@@ -413,9 +416,9 @@ func (rc *RoleCtx) FamilySize(name string) int {
 // waits); it is allowed, but callers should pass a cancellable context.
 func (rc *RoleCtx) EnrollIn(other *Instance, e Enrollment) (Result, error) {
 	if e.PID == ids.NoPID {
-		e.PID = rc.pid
+		e.PID = rc.st.offer.PID
 	}
-	return other.Enroll(rc.ctx, e)
+	return other.Enroll(rc.st.ctx, e)
 }
 
 // TraceID returns the performance's trace ID: non-zero when the performance
@@ -423,21 +426,21 @@ func (rc *RoleCtx) EnrollIn(other *Instance, e Enrollment) (Result, error) {
 // OFFER-ACK so the client records its events on the same timeline. (The
 // sampling verdict is written once at initiation, before any role body is
 // woken, so this read is safe from the body's goroutine.)
-func (rc *RoleCtx) TraceID() trace.TraceID { return rc.perf.traceID }
+func (rc *RoleCtx) TraceID() trace.TraceID { return rc.st.perf.traceID }
 
 // PerformanceDone returns a channel closed when this role's performance
 // ends — normally or by abort. After it closes, AbortErr distinguishes the
 // two. The remote host's bridge selects on it so a client idling between
 // operations can be told promptly that its performance was aborted.
-func (rc *RoleCtx) PerformanceDone() <-chan struct{} { return rc.perf.doneCh }
+func (rc *RoleCtx) PerformanceDone() <-chan struct{} { return rc.st.perf.doneCh }
 
 // AbortErr returns the *AbortError that ended this performance, or nil if
 // the performance is still running or ended normally.
 func (rc *RoleCtx) AbortErr() error {
 	rc.inst.mu.Lock()
 	defer rc.inst.mu.Unlock()
-	if rc.perf.abortErr != nil {
-		return rc.perf.abortErr
+	if rc.st.perf.abortErr != nil {
+		return rc.st.perf.abortErr
 	}
 	return nil
 }
@@ -453,10 +456,10 @@ func (rc *RoleCtx) AbortPerformance(reason string) {
 	in := rc.inst
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	if rc.perf.done || in.closed {
+	if rc.st.perf.done || in.closed {
 		return
 	}
-	in.abortAsLocked(rc.perf, rc.role, reason)
+	in.abortAsLocked(rc.st.perf, rc.st.offer.Role, reason)
 	in.advanceLocked()
 }
 
@@ -499,13 +502,13 @@ func (rc *RoleCtx) availabilityLocked(slot int, r ids.RoleRef, known bool) peerS
 	if !known {
 		return peerUnknown
 	}
-	switch rc.perf.stateOf(slot, r) {
+	switch rc.st.perf.stateOf(slot, r) {
 	case castFinished:
 		return peerFinished
 	case castFilled:
 		return peerOK
 	}
-	if rc.perf.membershipClosed {
+	if rc.st.perf.membershipClosed {
 		return peerAbsent
 	}
 	return peerOK // unfilled but membership open: callers may block on it
@@ -542,7 +545,7 @@ func (rc *RoleCtx) mapCommErr(peer ids.RoleRef, slot int, err error) error {
 	case errors.Is(err, rendezvous.ErrPeerTerminated):
 		if peer.Name != "" {
 			rc.inst.mu.Lock()
-			wasFilled := rc.perf.stateOf(slot, peer) != castUnfilled
+			wasFilled := rc.st.perf.stateOf(slot, peer) != castUnfilled
 			rc.inst.mu.Unlock()
 			if wasFilled {
 				return fmt.Errorf("%w: %s", ErrRoleFinished, peer)

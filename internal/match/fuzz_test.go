@@ -2,6 +2,7 @@ package match
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/scriptabs/goscript/internal/ids"
@@ -96,8 +97,35 @@ func seedBytes(rolesMask byte, crit []byte, offers ...[]byte) []byte {
 	return out
 }
 
+// reused is the one Scratch every input of FuzzFind and of the oracle test
+// searches on, after searching on a fresh one: a slot a search leaves behind
+// and the next one fails to clear shows as a difference between the two.
+var reused Scratch
+
+// findOnBoth is Find run on a fresh Scratch and again on reused; the two
+// casts must be the same offers in the same order.
+func findOnBoth(t *testing.T, p Problem) (Assignment, bool) {
+	t.Helper()
+	fresh, ok := FindCast(p, nil)
+	fresh = slices.Clone(fresh)
+	again, okAgain := FindCast(p, &reused)
+	if ok != okAgain || !slices.Equal(fresh, again) {
+		t.Fatalf("FindCast on a fresh scratch = %v, %v; on the reused one = %v, %v\nproblem: %+v",
+			fresh, ok, again, okAgain, p)
+	}
+	if !ok {
+		return nil, false
+	}
+	asg := make(Assignment, len(again))
+	for _, k := range again {
+		asg[p.Offers[k].Role] = p.Offers[k]
+	}
+	return asg, true
+}
+
 // FuzzFind holds Find to referenceFind's exact assignment, under both
-// fairness modes, and to the brute-force oracle's verdict.
+// fairness modes, and to the brute-force oracle's verdict; every input is
+// searched on a fresh Scratch and on the one all inputs share.
 func FuzzFind(f *testing.F) {
 	const broadcast, database = 0b111, 0b1111000
 	// The table tests of match_test.go, restated in the fuzzer's universe.
@@ -129,7 +157,7 @@ func FuzzFind(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := fuzzProblem(data)
 		for _, p.Fairness = range []Fairness{FIFO, Arbitrary} {
-			got, ok := Find(p)
+			got, ok := findOnBoth(t, p)
 			want, wantOK := referenceFind(p)
 			if ok != wantOK || !reflect.DeepEqual(got, want) {
 				t.Fatalf("fairness %d: Find = %v, %v; referenceFind = %v, %v\nproblem: %+v",

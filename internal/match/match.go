@@ -134,7 +134,7 @@ func (p *Problem) Covered(filled ids.RoleSet) bool {
 // Find is FindCast with the cast spelled out as a map; a caller that keeps
 // its own record per offer wants the indices.
 func Find(p Problem) (Assignment, bool) {
-	cast, ok := FindCast(p)
+	cast, ok := FindCast(p, nil)
 	if !ok {
 		return nil, false
 	}
@@ -147,9 +147,14 @@ func Find(p Problem) (Assignment, bool) {
 
 // FindCast is the search behind Find: it returns the matched offers as
 // indices into p.Offers, in role order (ids.RoleRef.Compare), one per filled
-// role.
-func FindCast(p Problem) ([]int32, bool) {
-	s := newSearch(&p)
+// role. The search runs on sc, which a caller that searches repeatedly keeps
+// and hands back (one search at a time); a nil sc allocates its own. The
+// indices are part of the scratch and stay valid until its next search.
+func FindCast(p Problem, sc *Scratch) ([]int32, bool) {
+	if sc == nil {
+		sc = new(Scratch)
+	}
+	s := sc.newSearch(&p)
 	if s == nil || !s.fill(0) {
 		return nil, false
 	}
@@ -178,6 +183,18 @@ func FindCast(p Problem) ([]int32, bool) {
 	return cast, true
 }
 
+// Scratch is the working memory of one search at a time: the search state
+// and the backing arrays it slices, grown to the largest problem seen and
+// cleared at the start of every search, so a search on a kept Scratch reads
+// nothing an earlier one left and allocates nothing once warm. The zero value
+// is ready to use.
+type Scratch struct {
+	search search // its roles keep their array from one search to the next
+	ints   []int32
+	bools  []bool
+	pids   map[ids.PID]int32
+}
+
 // search is the state of one Find. Roles and offers are dense indices: role
 // r is roles[r], offer k is offers[k], and everything kept per role or per
 // offer is a slice indexed by one of them.
@@ -202,20 +219,40 @@ type search struct {
 	alive int
 }
 
+// zeroed returns buf resliced to n zero elements, regrown when too small.
+func zeroed[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
 // newSearch buckets the offers by role in fairness order and finds the
 // viable critical sets; it returns nil when there is none, which keeps the
 // no-match case — the usual one while enrollments accumulate — cheap and
 // the fill/skip search, exponential exactly when no match exists, pruned.
-func newSearch(p *Problem) *search {
+func (sc *Scratch) newSearch(p *Problem) *search {
 	n, nsets := len(p.Offers), max(1, len(p.CriticalSets))
-	ints := make([]int32, 5*n+nsets)
-	s := &search{
+	sc.ints = zeroed(sc.ints, 5*n+nsets)
+	ints := sc.ints
+	if sc.pids == nil {
+		sc.pids = make(map[ids.PID]int32, n)
+	}
+	clear(sc.pids)
+	pids := sc.pids
+	s := &sc.search
+	roles := s.roles[:0]
+	if cap(roles) < n {
+		roles = make([]ids.RoleRef, 0, n)
+	}
+	*s = search{
 		offers: p.Offers,
-		roles:  make([]ids.RoleRef, 0, n),
+		roles:  roles,
 		order:  ints[:n], lo: ints[n : 2*n], hi: ints[2*n : 3*n],
 		chosen: ints[3*n : 4*n], pid: ints[4*n : 5*n],
 	}
-	pids := make(map[ids.PID]int32, n)
 	for k := range p.Offers {
 		o := &p.Offers[k]
 		s.order[k], s.chosen[k] = int32(k), -1
@@ -268,8 +305,8 @@ func newSearch(p *Problem) *search {
 	}
 
 	nr := len(s.roles)
-	bools := make([]bool, len(pids)+nsets*nr)
-	s.used, s.inSet = bools[:len(pids)], bools[len(pids):]
+	sc.bools = zeroed(sc.bools, len(pids)+nsets*nr)
+	s.used, s.inSet = sc.bools[:len(pids)], sc.bools[len(pids):]
 	if len(p.CriticalSets) == 0 && offered == len(p.Roles) {
 		for r := range s.roles {
 			s.inSet[r] = s.hi[r] > s.lo[r]

@@ -107,7 +107,7 @@ func TestFindAgreesWithOracle(t *testing.T) {
 		}
 
 		want := oracleFind(p)
-		asg, got := Find(p)
+		asg, got := findOnBoth(t, p)
 		if got != want {
 			t.Fatalf("trial %d: Find=%v oracle=%v\nproblem: %+v", trial, got, want, p)
 		}

@@ -7,6 +7,17 @@
 // Each pattern provides a core.Definition constructor plus typed enrollment
 // helpers. The helpers use Go generics, following the paper's principle
 // that "a script is as generic as its host programming language allows".
+//
+// A role body that loops on a guarded alternative builds the alternative
+// once and passes it with `...`: rc.Select(alt...). Which pairings an
+// alternative admits is static data of the script, while a list written out
+// in the call is allocated on every trip round the loop (it escapes through
+// the core.Ctx interface). A list that never changes is built when the
+// definition is (managerBody, the buffer's consumer, scatter/gather's
+// gathering) and shared, read-only, by every performance; one whose guards or
+// send value change is built once per body and rewritten in place
+// (alt[i] = alt[i].When(cond)) before each Select (the buffer role, the
+// guarded lock clients). Select reads the list and keeps nothing of it.
 package patterns
 
 import (

@@ -32,6 +32,11 @@ func BoundedBuffer(capacity int) core.Definition {
 	producer := ids.Role(RoleProducer)
 	consumer := ids.Role(RoleConsumer)
 	buffer := ids.Role(RoleBuffer)
+	// The consumer's alternative never changes: one list per definition.
+	itemOrEOF := []core.SelectBranch{
+		core.RecvTagFrom(buffer, "item"),
+		core.RecvTagFrom(buffer, "eof"),
+	}
 
 	return core.NewScript("bounded_buffer").
 		Role(RoleProducer, func(rc core.Ctx) error {
@@ -45,16 +50,22 @@ func BoundedBuffer(capacity int) core.Definition {
 		Role(RoleBuffer, func(rc core.Ctx) error {
 			var queue []any
 			done := false
+			// One list per performance: each trip rewrites the guards and the
+			// value on offer in place.
+			alt := []core.SelectBranch{
+				core.RecvTagFrom(producer, "item"),
+				core.RecvTagFrom(producer, "eof"),
+				core.SendTagTo(consumer, "item", nil),
+			}
 			for !done || len(queue) > 0 {
 				var head any
 				if len(queue) > 0 {
 					head = queue[0]
 				}
-				sel, err := rc.Select(
-					core.RecvTagFrom(producer, "item").When(!done && len(queue) < capacity),
-					core.RecvTagFrom(producer, "eof").When(!done),
-					core.SendTagTo(consumer, "item", head).When(len(queue) > 0),
-				)
+				alt[0] = alt[0].When(!done && len(queue) < capacity)
+				alt[1] = alt[1].When(!done)
+				alt[2] = core.SendTagTo(consumer, "item", head).When(len(queue) > 0)
+				sel, err := rc.Select(alt...)
 				if err != nil {
 					return fmt.Errorf("buffer: %w", err)
 				}
@@ -72,10 +83,7 @@ func BoundedBuffer(capacity int) core.Definition {
 		Role(RoleConsumer, func(rc core.Ctx) error {
 			var got []any
 			for {
-				sel, err := rc.Select(
-					core.RecvTagFrom(buffer, "item"),
-					core.RecvTagFrom(buffer, "eof"),
-				)
+				sel, err := rc.Select(itemOrEOF...)
 				if err != nil {
 					return fmt.Errorf("consume: %w", err)
 				}

@@ -162,19 +162,22 @@ func LockManager(k int, strat LockStrategy) core.Definition {
 // writer roles are present, until both have finished or were absent — the
 // paper's use of r.terminated to avoid waiting on unfilled roles.
 func managerBody(strat LockStrategy) core.RoleBody {
+	reader, writer := ids.Role(RoleReader), ids.Role(RoleWriter)
+	// The manager's one alternative, the same on every trip round every
+	// manager's loop: built here, once per definition, and only ever read.
+	requests := []core.SelectBranch{
+		core.RecvTagFrom(reader, tagLock),
+		core.RecvTagFrom(reader, tagRelease),
+		core.RecvTagFrom(writer, tagLock),
+		core.RecvTagFrom(writer, tagRelease),
+	}
 	return func(rc core.Ctx) error {
 		table := rc.Arg(0)
 		if table == nil {
 			return errors.New("lock manager: manager enrolled without a table argument")
 		}
-		reader, writer := ids.Role(RoleReader), ids.Role(RoleWriter)
 		for {
-			sel, err := rc.Select(
-				core.RecvTagFrom(reader, tagLock),
-				core.RecvTagFrom(reader, tagRelease),
-				core.RecvTagFrom(writer, tagLock),
-				core.RecvTagFrom(writer, tagRelease),
-			)
+			sel, err := rc.Select(requests...)
 			if err != nil {
 				if errors.Is(err, core.ErrRoleAbsent) || errors.Is(err, core.ErrRoleFinished) {
 					return nil // both clients gone: this performance's work is done
@@ -265,12 +268,9 @@ func clientBody(k int, quorum func(int) int) core.RoleBody {
 // (from LockStrategy.NewTable) so it persists across performances and
 // across membership changes.
 func RunManager(ctx context.Context, in *core.Instance, pid ids.PID, index int, table any) error {
+	e := core.Enrollment{PID: pid, Role: ids.Member(RoleManager, index), Args: []any{table}}
 	for {
-		_, err := in.Enroll(ctx, core.Enrollment{
-			PID:  pid,
-			Role: ids.Member(RoleManager, index),
-			Args: []any{table},
-		})
+		_, err := in.Enroll(ctx, e) // Enroll copies what it keeps of e
 		switch {
 		case err == nil:
 			continue

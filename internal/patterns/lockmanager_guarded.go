@@ -49,7 +49,9 @@ func guardedClientBody(k int, quorum func(int) int) core.RoleBody {
 			return guardedBroadcast(rc, k, tagRelease, req, func(int) bool { return true })
 		}
 		need := quorum(k)
-		done := make([]bool, k+1)
+		// "(who = []) AND ~done[i]": one output guard per manager, kept for the
+		// whole loop; a manager that has answered has its guard turned off.
+		asking := sendToManagers(k, tagLock, req, func(int) bool { return true })
 		var who []int
 		asked := 0
 		for {
@@ -59,12 +61,7 @@ func guardedClientBody(k int, quorum func(int) int) core.RoleBody {
 			if len(who)+(k-asked) < need {
 				break // unreachable, stop asking (the writer's early exit)
 			}
-			branches := make([]core.SelectBranch, 0, k)
-			for i := 1; i <= k; i++ {
-				branches = append(branches,
-					core.SendTagTo(ids.Member(RoleManager, i), tagLock, req).When(!done[i]))
-			}
-			sel, err := rc.Select(branches...)
+			sel, err := rc.Select(asking...)
 			if err != nil {
 				return fmt.Errorf("guarded lock send: %w", err)
 			}
@@ -73,7 +70,7 @@ func guardedClientBody(k int, quorum func(int) int) core.RoleBody {
 			if err != nil {
 				return fmt.Errorf("reply from manager[%d]: %w", i, err)
 			}
-			done[i] = true
+			asking[sel.Index] = asking[sel.Index].When(false)
 			asked++
 			if granted, _ := reply.(bool); granted {
 				who = append(who, i)
@@ -96,30 +93,33 @@ func guardedClientBody(k int, quorum func(int) int) core.RoleBody {
 	}
 }
 
+// sendToManagers builds the alternative "SEND tag(req) TO manager[i]" over
+// all k managers, branch i-1 enabled when include(i). The caller keeps the
+// list for its whole DO-OD loop and turns a guard off as its send commits.
+func sendToManagers(k int, tag string, req Request, include func(int) bool) []core.SelectBranch {
+	alt := make([]core.SelectBranch, k)
+	for i := 1; i <= k; i++ {
+		alt[i-1] = core.SendTagTo(ids.Member(RoleManager, i), tag, req).When(include(i))
+	}
+	return alt
+}
+
 // guardedBroadcast sends (tag, req) once to every manager selected by
 // include, in nondeterministic (ready-first) order via output guards.
 func guardedBroadcast(rc core.Ctx, k int, tag string, req Request, include func(int) bool) error {
-	done := make([]bool, k+1)
+	alt := sendToManagers(k, tag, req, include)
 	remaining := 0
-	for i := 1; i <= k; i++ {
-		if include(i) {
+	for _, b := range alt {
+		if b.Enabled() {
 			remaining++
-		} else {
-			done[i] = true
 		}
 	}
-	for remaining > 0 {
-		branches := make([]core.SelectBranch, 0, k)
-		for i := 1; i <= k; i++ {
-			branches = append(branches,
-				core.SendTagTo(ids.Member(RoleManager, i), tag, req).When(!done[i]))
-		}
-		sel, err := rc.Select(branches...)
+	for ; remaining > 0; remaining-- {
+		sel, err := rc.Select(alt...)
 		if err != nil {
 			return fmt.Errorf("guarded %s send: %w", tag, err)
 		}
-		done[sel.Peer.Index] = true
-		remaining--
+		alt[sel.Index] = alt[sel.Index].When(false)
 	}
 	return nil
 }

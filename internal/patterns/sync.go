@@ -47,6 +47,12 @@ const (
 // worker i). Coordinator results: result i-1 is worker i's answer.
 // Worker data parameters: Args[0] is a func(any) any to apply.
 func ScatterGather(n int) core.Definition {
+	// The gathering alternative — a result from any worker — is the same on
+	// every trip and in every performance: one list per definition.
+	results := make([]core.SelectBranch, n)
+	for i := range results {
+		results[i] = core.RecvTagFrom(ids.Member(RoleWorker, i+1), "result")
+	}
 	return core.NewScript("scatter_gather").
 		Role(RoleCoordinator, func(rc core.Ctx) error {
 			if rc.NumArgs() != n {
@@ -57,18 +63,12 @@ func ScatterGather(n int) core.Definition {
 					return fmt.Errorf("scatter to worker[%d]: %w", i, err)
 				}
 			}
-			pending := n
-			branches := make([]core.SelectBranch, n)
-			for pending > 0 {
-				for i := 1; i <= n; i++ {
-					branches[i-1] = core.RecvTagFrom(ids.Member(RoleWorker, i), "result")
-				}
-				sel, err := rc.Select(branches...)
+			for pending := n; pending > 0; pending-- {
+				sel, err := rc.Select(results...)
 				if err != nil {
 					return fmt.Errorf("gather: %w", err)
 				}
 				rc.SetResult(sel.Peer.Index-1, sel.Val)
-				pending--
 			}
 			return nil
 		}).

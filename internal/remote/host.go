@@ -110,11 +110,12 @@ type Host struct {
 	baseCtx context.Context
 	cancel  context.CancelFunc
 
-	mu       sync.Mutex
-	ln       net.Listener
-	conns    map[*wire.Conn]struct{}
-	closed   bool
-	draining bool // set by Drain under mu; new ENROLLs answer DRAIN at once
+	mu     sync.Mutex
+	ln     net.Listener
+	conns  map[*wire.Conn]struct{}
+	closed bool
+	// draining is set by Drain; from then on ENROLLs answer DRAIN at once.
+	draining atomic.Bool
 
 	// sessions indexes every live resumable v2 session by its token —
 	// attached and parked alike, so a RESUME can adopt a session even when
@@ -282,13 +283,13 @@ func (h *Host) ListenAndServe(addr string) error {
 // replies without consulting the target, so an ENROLL landing mid-drain is
 // rejected at once instead of riding out a target that is busy draining
 // (or already closed) — in-flight performances run to completion and their
-// COMPLETE frames are delivered, and then the remaining connections close.
-// If ctx ends first the forced close happens anyway and the context error
-// is reported.
+// COMPLETE frames are delivered, and then the remaining connections close,
+// each by its own reader once it has answered what had reached it (see
+// lastCall): an enroller whose ENROLL got here is told DRAIN, and only one
+// whose ENROLL did not is left to read the close. If ctx ends first the
+// forced close happens anyway and the context error is reported.
 func (h *Host) Drain(ctx context.Context) error {
-	h.mu.Lock()
-	h.draining = true
-	h.mu.Unlock()
+	h.draining.Store(true)
 	h.closeListener()
 	err := h.target.Drain(ctx)
 	// The target is drained once every admitted Enroll has returned; give
@@ -303,8 +304,42 @@ func (h *Host) Drain(ctx context.Context) error {
 	case <-ctx.Done():
 		err = errors.Join(err, ctx.Err())
 	}
+	h.lastCall(ctx)
 	h.Close()
 	return err
+}
+
+// lastCallBound is how long Drain waits for the connections' readers to
+// hang up by themselves before it closes what is left. A reader needs one
+// look at its socket (wire.Conn.LastCall); the bound is for one that is stuck
+// elsewhere, in a write to a peer that stopped reading, say.
+const lastCallBound = time.Second
+
+// lastCall ends the connections of a drained host from the reading side.
+// Closing a connection discards what its socket holds, and an ENROLL that
+// arrived while the target drained — or that the reader, starved, had not
+// got to — would be discarded with it, leaving its enroller to infer a drain
+// from a lost connection. So every reader is told to take what has arrived
+// (the read loop answers an ENROLL on a draining host with DRAIN itself) and
+// then to stop, which closes its connection behind the answers.
+func (h *Host) lastCall(ctx context.Context) {
+	h.mu.Lock()
+	for c := range h.conns {
+		c.LastCall()
+	}
+	h.mu.Unlock()
+	hungUp := make(chan struct{})
+	go func() {
+		h.connWG.Wait() // at the latest when Close, which follows, is done
+		close(hungUp)
+	}()
+	bound := time.NewTimer(lastCallBound)
+	defer bound.Stop()
+	select {
+	case <-hungUp:
+	case <-bound.C:
+	case <-ctx.Done():
+	}
 }
 
 // Close tears the network side down immediately: listener and all
@@ -497,10 +532,12 @@ func (h *Host) admitEnroll() (enrollVerdict, string) {
 	if h.closed {
 		return enrollClosed, ""
 	}
-	if h.draining {
+	if h.draining.Load() {
 		// Answer unadmitted enrollments at once: the target may be busy
 		// draining (or already closed), and a queued offer must not ride
-		// out the heartbeat timeout waiting for it.
+		// out the heartbeat timeout waiting for it. (The read loop answers
+		// the ENROLLs it reads on a draining host itself; this is for one it
+		// handed over just before.)
 		return enrollDrain, ""
 	}
 	if f := h.cfg.Faults; f != nil && f.Overload() {

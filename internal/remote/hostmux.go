@@ -481,6 +481,16 @@ func (h *Host) runConn(s *hostSession, c *wire.Conn, first *preRead) {
 				violate("ENROLL reuses live stream %d", stream)
 				return false
 			}
+			if h.draining.Load() {
+				// Answered here, not by a stream worker: the answer is in the
+				// write buffer before this loop reads on, so when the loop ends
+				// (Host.lastCall) the close that follows it flushes every DRAIN
+				// owed.
+				fw := s.writer()
+				s.smu.Unlock()
+				_ = fw.WriteFrame(wire.MsgDrain, stream, 0, &wire.Drain{})
+				return true
+			}
 			var st *hostStream
 			if n := len(s.free); n > 0 {
 				st, s.free = s.free[n-1], s.free[:n-1]

@@ -67,6 +67,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -562,20 +563,27 @@ type Conn struct {
 	bw  *bufio.Writer
 
 	// WriteFrame's flushes are asynchronous: writers buffer their frame
-	// under wmu, set dirty, and nudge the flusher goroutine via flushReq
-	// (capacity 1 — one nudge covers any number of buffered frames). The
-	// flusher issues one write syscall for everything buffered since its
+	// under wmu and set dirty, and the writer that found the buffer clean
+	// nudges the flusher goroutine via flushReq — one nudge per burst: the
+	// frames that follow it into a dirty buffer leave with the flush it asked
+	// for, and the first frame after that flush finds the buffer clean again.
+	// The flusher issues one write syscall for everything buffered since its
 	// last pass, which collapses the fan-out bursts of a multiplexed
 	// connection (64 op results after one scatter, say) into a handful of
 	// syscalls. flushErr latches the first flush failure; every later
-	// write returns it. All four fields are guarded by wmu except
-	// flushReq/quit, which are safe channels. The flusher starts lazily on
+	// write returns it. dirty and flushErr are guarded by wmu; flushReq and
+	// quit are safe channels. The flusher starts lazily on
 	// the first WriteFrame (a connection shed at the handshake, whose only
 	// frames go through WriteSync, never pays for it) and exits on Close.
-	dirty       bool
-	flushErr    error
-	flushReq    chan struct{}
-	quit        chan struct{}
+	dirty    bool
+	flushErr error
+	flushReq chan struct{}
+	quit     chan struct{}
+	// frames counts the frames buffered so far: what the flusher watches,
+	// without taking wmu, to tell whether a burst is still growing. passes
+	// counts the flusher's passes (tests hold it to one per burst).
+	frames      atomic.Uint64
+	passes      atomic.Uint64
 	flusherOnce sync.Once
 	closeOnce   sync.Once
 	// batchWrites hints that several writers share the connection (2+ live
@@ -602,6 +610,10 @@ type Conn struct {
 
 	readTimeout  time.Duration
 	writeTimeout time.Duration
+	// lastCall is set by LastCall; rdmu orders the read deadline LastCall sets
+	// against the ones the reader arms.
+	rdmu     sync.Mutex
+	lastCall bool
 	// frameDelay, when non-nil, injects latency before each frame write
 	// (chaos network faults).
 	frameDelay func() time.Duration
@@ -770,10 +782,14 @@ func (c *Conn) writeRaw(frame []byte, sync bool) error {
 		c.flushLocked()
 		return c.flushErr
 	}
+	c.frames.Add(1)
+	if c.dirty {
+		return nil // the flush the burst's first frame asked for takes this one too
+	}
 	c.dirty = true
 	select {
 	case c.flushReq <- struct{}{}:
-	default: // a nudge is already queued; one flush covers both frames
+	default: // a nudge is still queued (an inline flush overtook it); it covers this frame
 	}
 	return nil
 }
@@ -798,12 +814,51 @@ func (c *Conn) armWrite() error {
 // armRead starts the read timeout's clock if reading n more bytes will wait
 // on the socket. A read served from the buffer cannot time out and skips the
 // timer; every wait is preceded by a fresh deadline, so a connection is
-// never waited on for longer than readTimeout.
-func (c *Conn) armRead(n int) error {
-	if c.readTimeout <= 0 || c.br.Buffered() >= n {
-		return nil
+// never waited on for longer than readTimeout. On a connection's last call
+// the wait is for lastCallSweep instead, which armRead reports.
+func (c *Conn) armRead(n int) (sweep bool, err error) {
+	if c.br.Buffered() >= n {
+		return false, nil
 	}
-	return c.nc.SetReadDeadline(time.Now().Add(c.readTimeout))
+	c.rdmu.Lock()
+	defer c.rdmu.Unlock()
+	switch {
+	case c.lastCall:
+		return true, c.nc.SetReadDeadline(time.Now().Add(lastCallSweep))
+	case c.readTimeout > 0:
+		return false, c.nc.SetReadDeadline(time.Now().Add(c.readTimeout))
+	}
+	return false, nil
+}
+
+// lastCallSweep is how long a connection on its last call waits for bytes
+// that are not there: long enough to tell "nothing has arrived" from "the
+// socket was not looked at yet", not long enough to wait for a peer.
+const lastCallSweep = 5 * time.Millisecond
+
+// LastCall tells the connection's reader to take what has already arrived
+// and then stop: frames in the read buffer and in the socket are still
+// delivered, and the first ReadFrame that would have to wait longer than
+// lastCallSweep for more fails with a timeout. A reader blocked on an idle
+// connection is woken at once to look. Safe from any goroutine. A host calls
+// it on the connections it is about to close once its target has drained, so
+// that an ENROLL which reached the host is answered, not closed on.
+func (c *Conn) LastCall() {
+	c.rdmu.Lock()
+	defer c.rdmu.Unlock()
+	if !c.lastCall {
+		c.lastCall = true
+		// Already past: the wait in progress ends now and ReadFrame looks again
+		// under the sweep's deadline. Fails only on a closed socket.
+		_ = c.nc.SetReadDeadline(time.Now())
+	}
+}
+
+// onLastCall reports whether LastCall was called.
+func (c *Conn) onLastCall() bool {
+	c.rdmu.Lock()
+	defer c.rdmu.Unlock()
+	return c.lastCall
 }
 
 // flusher drains flushReq, issuing one flush per pass for however many
@@ -823,17 +878,16 @@ func (c *Conn) flusher() {
 		// is still growing (bounded, so a steady writer cannot starve the
 		// flush); each pass costs well under a µs when the connection is
 		// quiet. A frame is never left unflushed, only briefly deferred.
+		c.passes.Add(1)
 		if c.batchWrites.Load() {
-			buffered := -1
+			seen := uint64(0) // a pass starts with at least one frame buffered
 			for i := 0; i < 4; i++ {
 				runtime.Gosched()
-				c.wmu.Lock()
-				n := c.bw.Buffered()
-				c.wmu.Unlock()
-				if n == buffered {
+				n := c.frames.Load()
+				if n == seen {
 					break
 				}
-				buffered = n
+				seen = n
 			}
 		}
 		c.wmu.Lock()
@@ -866,10 +920,20 @@ func (c *Conn) ReadFrame() (t MsgType, stream, seq uint64, m any, err error) {
 		return 0, 0, 0, nil, net.ErrClosed
 	default:
 	}
-	if err := c.armRead(len(c.hdr)); err != nil {
-		return 0, 0, 0, nil, err
-	}
-	if _, err := io.ReadFull(c.br, c.hdr[:]); err != nil {
+	for {
+		sweep, err := c.armRead(len(c.hdr))
+		if err != nil {
+			return 0, 0, 0, nil, err
+		}
+		got, err := io.ReadFull(c.br, c.hdr[:])
+		if err == nil {
+			break
+		}
+		// A wait that LastCall cut short, between frames, was not a look at
+		// the socket: look once, under the sweep's deadline.
+		if got == 0 && !sweep && errors.Is(err, os.ErrDeadlineExceeded) && c.onLastCall() {
+			continue
+		}
 		return 0, 0, 0, nil, err
 	}
 	n := binary.BigEndian.Uint32(c.hdr[:])
@@ -883,7 +947,7 @@ func (c *Conn) ReadFrame() (t MsgType, stream, seq uint64, m any, err error) {
 	if n > maxPooledBuf {
 		c.rbuf = nil
 	}
-	if err := c.armRead(int(n)); err != nil {
+	if _, err := c.armRead(int(n)); err != nil {
 		return 0, 0, 0, nil, err
 	}
 	if _, err := io.ReadFull(c.br, body); err != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -394,6 +395,44 @@ func TestWriteDeadlineCoversSpill(t *testing.T) {
 	})
 }
 
+// TestFlusherOnePassPerBurst: the writer that dirties a clean buffer nudges
+// the flusher, the writers that follow it do not, so a burst that leaves in
+// one flush costs one pass. (When every frame nudged, a frame written after
+// the flusher had taken the burst's first nudge queued another, and each
+// burst ended with a second, empty pass: two more yields, three more trips
+// through the write lock.) On one processor the test decides who runs when:
+// after the first frame of a burst it yields, the flusher takes the nudge
+// and, batching on, yields back until the burst stops growing.
+func TestFlusherOnePassPerBurst(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ca, cb := v2Pipe(t)
+	ca.SetWriteBatching(true)
+	const bursts, frames = 16, 8
+	seq := uint64(0)
+	for b := 0; b < bursts; b++ {
+		got := drain(cb, frames)
+		for i := 0; i < frames; i++ {
+			seq++
+			if err := ca.WriteFrame(MsgSend, 1, seq, &Send{To: "a", Val: b}); err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				runtime.Gosched()
+			}
+		}
+		if seqs := <-got; len(seqs) != frames {
+			t.Fatalf("burst %d: peer read %d frames, want %d", b, len(seqs), frames)
+		}
+		for i := 0; i < 8; i++ {
+			runtime.Gosched() // the flusher finishes whatever it still has to do and parks
+		}
+	}
+	// One pass per burst; two of slack for a burst the scheduler split in two.
+	if got := ca.passes.Load(); got > bursts+2 {
+		t.Fatalf("%d bursts of %d frames took the flusher %d passes, want one per burst", bursts, frames, got)
+	}
+}
+
 // deadlineLog wraps a connection and logs, in order, every read deadline set
 // ("arm") and every read that reached it ("read").
 type deadlineLog struct {
@@ -462,6 +501,48 @@ func TestReadDeadlineArmedPerWait(t *testing.T) {
 	if d := time.Since(start); d < timeout/2 || d > timeout+time.Second {
 		t.Fatalf("silent connection failed after %v, want about %v", d, timeout)
 	}
+}
+
+// TestLastCall: after LastCall the reader still gets every frame that has
+// arrived and fails, with a timeout, at the first wait for one that has not —
+// within the sweep, not the read timeout — and a reader already blocked on an
+// idle connection is woken to do the same.
+func TestLastCall(t *testing.T) {
+	const readTimeout = 30 * time.Second
+	timedOut := func(t *testing.T, c *Conn) {
+		t.Helper()
+		start := time.Now()
+		_, _, _, _, err := c.ReadFrame()
+		var ne net.Error
+		if !errors.As(err, &ne) || !ne.Timeout() {
+			t.Fatalf("err = %v, want a timeout", err)
+		}
+		if d := time.Since(start); d > readTimeout/10 {
+			t.Fatalf("the last call ended after %v", d)
+		}
+	}
+	t.Run("frames already in", func(t *testing.T) {
+		raw, c := rawPipe(t)
+		c.SetReadTimeout(readTimeout)
+		frame := rawFrame(MsgHeartbeat, "{}")
+		go raw.Write(append(append(append([]byte{}, frame...), frame...), frame...))
+		if _, _, _, _, err := c.ReadFrame(); err != nil {
+			t.Fatalf("first frame: %v", err)
+		}
+		c.LastCall()
+		for i := 2; i <= 3; i++ {
+			if _, _, _, _, err := c.ReadFrame(); err != nil {
+				t.Fatalf("frame %d, in the buffer when LastCall came: %v", i, err)
+			}
+		}
+		timedOut(t, c)
+	})
+	t.Run("blocked reader", func(t *testing.T) {
+		_, c := rawPipe(t)
+		c.SetReadTimeout(readTimeout)
+		time.AfterFunc(20*time.Millisecond, c.LastCall)
+		timedOut(t, c)
+	})
 }
 
 // TestClosedConnReadsNothing: frames still in the read buffer when the
