@@ -168,13 +168,12 @@ type Instance struct {
 	// (match.Find reads universe too), so every performance shares them.
 	//
 	// roles is the closed role universe — scalar roles and the members of
-	// fixed-size families — in ids order; a role's index in it is its slot.
-	// universe is the same as a set, addrs[slot] the role's fabric address,
-	// base maps a role or family name to the slot of the scalar or of member
-	// 1 (open families have no entry: their members have no slot).
+	// fixed-size families — in ids order; a role's index in it is its slot,
+	// and its endpoint in the instance's fabric. universe is the same as a
+	// set, base maps a role or family name to the slot of the scalar or of
+	// member 1 (open families have no entry: their members have no slot).
 	roles    []ids.RoleRef
 	universe ids.RoleSet
-	addrs    []rendezvous.Addr
 	base     map[string]int
 	// critSets are the effective critical sets: the declared ones, or the
 	// closed universe when none were declared — open families never take
@@ -205,6 +204,12 @@ type Instance struct {
 	pending   []*enrollState
 	active    *performance
 	perfCount int
+	// fabric is where the instance's performances communicate, one after the
+	// other: the closed roles are declared in it in slot order, so a role's
+	// slot is its endpoint ID. A performance that ends by abort keeps the
+	// fabric (a wedged body may call into it arbitrarily late); the field is
+	// then nil and the next performance builds another.
+	fabric *rendezvous.Fabric
 
 	// pendingBySlot counts pending offers per closed role and pendingOpen
 	// per offered open-family member, maintained on every pending-set
@@ -324,8 +329,11 @@ const (
 
 // castEntry is one role's line in a performance's cast: its state and, once
 // filled, what admission of later joiners needs of the offer that fills it.
+// id is the endpoint of a member of an open family, handed out by the fabric
+// when the member is assigned; a closed role's endpoint is its slot.
 type castEntry struct {
 	state castState
+	id    rendezvous.ID
 	pid   ids.PID
 	with  map[ids.RoleRef]ids.PIDSet
 }
@@ -389,6 +397,30 @@ func (p *performance) stateOf(slot int, r ids.RoleRef) castState {
 	return castUnfilled
 }
 
+// endpointLocked returns the fabric endpoint of role r, whose slot is slot. A
+// member of an open family nobody plays yet — an operation may wait for it
+// while membership is open — is looked up by the name it will be assigned
+// under.
+func (p *performance) endpointLocked(slot int, r ids.RoleRef) rendezvous.ID {
+	if slot >= 0 {
+		return rendezvous.ID(slot)
+	}
+	if e := p.open[r]; e != nil {
+		return e.id
+	}
+	return p.fabric.Endpoint(rendezvous.Addr(r.String()))
+}
+
+// openRole names the member of an open family that plays at endpoint id.
+func (p *performance) openRole(id rendezvous.ID) (ids.RoleRef, bool) {
+	for r, e := range p.open {
+		if e.id == id {
+			return r, true
+		}
+	}
+	return ids.RoleRef{}, false
+}
+
 // releaseHeld closes doneCh, once: the performance ended (finish, abort) or
 // the instance closed under it.
 func (p *performance) releaseHeld() {
@@ -397,11 +429,6 @@ func (p *performance) releaseHeld() {
 		close(p.doneCh)
 	}
 }
-
-// fabricPool recycles rendezvous fabrics across performances: a performance
-// finishes only after every role body has returned, so its fabric is
-// quiescent and can be reset for the next performance of any instance.
-var fabricPool = sync.Pool{New: func() any { return rendezvous.New() }}
 
 // NewInstance creates an instance of def.
 func NewInstance(def Definition, opts ...Option) *Instance {
@@ -416,9 +443,7 @@ func NewInstance(def Definition, opts ...Option) *Instance {
 		pendingOpen: make(map[ids.RoleRef]int),
 	}
 	in.roles = in.universe.Sorted()
-	in.addrs = make([]rendezvous.Addr, len(in.roles))
 	for slot, r := range in.roles {
-		in.addrs[slot] = rendezvous.Addr(r.String())
 		if _, seen := in.base[r.Name]; !seen {
 			in.base[r.Name] = slot // the scalar, or member 1: ids order is by index
 		}
@@ -443,7 +468,20 @@ func NewInstance(def Definition, opts ...Option) *Instance {
 		o(in)
 	}
 	in.traces = trace.NewTable(0)
+	in.fabric = in.newFabric()
 	return in
+}
+
+// newFabric builds a fabric with the closed roles declared in slot order,
+// under their names in the paper's notation.
+func (in *Instance) newFabric() *rendezvous.Fabric {
+	addrs := make([]rendezvous.Addr, len(in.roles))
+	for slot, r := range in.roles {
+		addrs[slot] = rendezvous.Addr(r.String())
+	}
+	fab := rendezvous.New()
+	fab.Declare(addrs...)
+	return fab
 }
 
 // Definition returns the instance's script definition.
@@ -693,7 +731,7 @@ func (in *Instance) Enroll(ctx context.Context, e Enrollment) (Result, error) {
 	perf.entry(st.slot, e.Role).state = castFinished
 	perf.nFinished++
 	if perf.fabric != nil {
-		perf.fabric.Terminate(rc.addr)
+		perf.fabric.TerminateID(rc.id)
 	}
 	if perf.membershipClosed && perf.nFinished == perf.nAssigned {
 		in.finishPerformanceLocked(perf)
@@ -880,7 +918,10 @@ func (in *Instance) matchViableLocked() bool {
 // membership stays open for admission.
 func (in *Instance) startPerformanceLocked(cast []*enrollState, matched bool) {
 	in.perfCount++
-	fab := fabricPool.Get().(*rendezvous.Fabric)
+	if in.fabric == nil {
+		in.fabric = in.newFabric()
+	}
+	fab := in.fabric
 	if ff, ok := in.faults.(rendezvous.FastFaults); ok && in.faults != nil {
 		// The fault injector also covers fast-lane handoffs (chaos soak):
 		// attach it for this performance; Reset detaches it.
@@ -1010,18 +1051,15 @@ func (in *Instance) abortPerformanceLocked(p *performance, reason string) {
 // explicit culprit when it *knows* which role's enroller disconnected.
 //
 // Unlike Close, which takes the whole instance down, an abort is scoped to
-// one performance. The fabric is not recycled: a wedged role body may call
-// into it arbitrarily late, and it keeps answering with the abort reason.
+// one performance. The performance keeps the fabric: a wedged role body may
+// call into it arbitrarily late, and it keeps answering with the abort
+// reason. The instance's next performance gets a new one.
 func (in *Instance) abortAsLocked(p *performance, culprit ids.RoleRef, reason string) {
 	if p.done {
 		return
 	}
 	if culprit.Name == "" {
-		waiting := p.fabric.WaitingSnapshot()
-		parked := make(map[rendezvous.Addr]bool, len(waiting))
-		for _, a := range waiting {
-			parked[a] = true
-		}
+		waiting := p.fabric.WaitingIDs()
 		// Slot order is role order; members of open families are merged in.
 		unfinished := make([]ids.RoleRef, 0, p.nAssigned-p.nFinished)
 		for slot := range p.cast {
@@ -1039,7 +1077,7 @@ func (in *Instance) abortAsLocked(p *performance, culprit ids.RoleRef, reason st
 			slices.SortFunc(unfinished, ids.RoleRef.Compare)
 		}
 		for _, r := range unfinished {
-			if !parked[in.addrOf(r)] {
+			if !slices.Contains(waiting, p.endpointLocked(in.slotOf(r), r)) {
 				culprit = r
 				break
 			}
@@ -1060,6 +1098,9 @@ func (in *Instance) abortAsLocked(p *performance, culprit ids.RoleRef, reason st
 	}
 	p.done = true
 	p.fabric.Abort(p.abortErr)
+	if in.fabric == p.fabric {
+		in.fabric = nil
+	}
 	perfAbortedTotal.Inc()
 	in.recordPerf(p, trace.Event{
 		Kind: trace.KindAbort, Script: in.def.name,
@@ -1081,21 +1122,18 @@ func (in *Instance) abortAsLocked(p *performance, culprit ids.RoleRef, reason st
 // assignments with one dropAssignedLocked.
 func (in *Instance) assignLocked(p *performance, st *enrollState) {
 	r := st.offer.Role
-	var addr rendezvous.Addr
-	if st.slot >= 0 {
-		addr = in.addrs[st.slot]
-	} else { // a member of an open family gets its line, and its address, now
+	id := p.endpointLocked(st.slot, r)
+	if st.slot < 0 { // a member of an open family gets its line now
 		if p.open == nil {
 			p.open = make(map[ids.RoleRef]*castEntry)
 		}
 		p.open[r] = new(castEntry)
-		addr = rendezvous.Addr(r.String())
 	}
-	*p.entry(st.slot, r) = castEntry{state: castFilled, pid: st.offer.PID, with: st.offer.With}
+	*p.entry(st.slot, r) = castEntry{state: castFilled, id: id, pid: st.offer.PID, with: st.offer.With}
 	p.nAssigned++
 	st.phase = phaseAssigned
 	st.perf = p
-	st.rc = RoleCtx{st: st, inst: in, addr: addr}
+	st.rc = RoleCtx{st: st, inst: in, id: id}
 	in.armDeadlineLocked(p, st.deadline)
 	delay := time.Duration(0)
 	if fi := in.faults; fi != nil {
@@ -1204,14 +1242,19 @@ func (in *Instance) closeMembershipLocked(p *performance) {
 				Kind: trace.KindAbsent, Script: in.def.name,
 				Performance: p.number, Role: r,
 			})
-			p.fabric.Terminate(in.addrs[slot])
+			p.fabric.TerminateID(rendezvous.ID(slot))
 		}
 	}
-	// The fabric asks only about addresses some blocked operation targets —
-	// none at all when membership closes before any body has run.
-	p.fabric.TerminateAbsent(func(a rendezvous.Addr) bool {
-		r, err := ids.ParseRoleRef(string(a))
-		return err == nil && p.stateOf(in.slotOf(r), r) != castUnfilled
+	// The fabric asks only about endpoints some blocked operation targets —
+	// none at all when membership closes before any body has run. One past
+	// the closed roles is a member of an open family: in the cast if it is
+	// played, and absent otherwise.
+	p.fabric.TerminateAbsentID(func(id rendezvous.ID) bool {
+		if int(id) < len(p.cast) {
+			return p.cast[id].state != castUnfilled
+		}
+		_, played := p.openRole(id)
+		return played
 	})
 	// A performance whose members all finished before membership closed
 	// (possible when the closing cover arrives last) completes here.
@@ -1221,8 +1264,8 @@ func (in *Instance) closeMembershipLocked(p *performance) {
 }
 
 // finishPerformanceLocked ends performance p, wakes its held enrollers, and
-// recycles its fabric. Every role body has returned by now (that is the
-// finish condition), so the fabric is quiescent and safe to pool.
+// resets the fabric for the instance's next performance. Every role body has
+// returned by now (that is the finish condition), so the fabric is quiescent.
 func (in *Instance) finishPerformanceLocked(p *performance) {
 	if p.done {
 		return
@@ -1232,7 +1275,6 @@ func (in *Instance) finishPerformanceLocked(p *performance) {
 		p.timer = nil
 	}
 	p.done = true
-	p.fabric.Close()
 	perfCompletedTotal.Inc()
 	in.recordPerf(p, trace.Event{Kind: trace.KindPerfEnd, Script: in.def.name, Performance: p.number})
 	if p.traceID != 0 {
@@ -1243,7 +1285,6 @@ func (in *Instance) finishPerformanceLocked(p *performance) {
 	}
 	p.releaseHeld()
 	p.fabric.Reset()
-	fabricPool.Put(p.fabric)
 	p.fabric = nil
 	in.notifyDrainLocked()
 }
@@ -1367,13 +1408,4 @@ func (in *Instance) slotFrom(base int, r ids.RoleRef) int {
 		return base
 	}
 	return -1
-}
-
-// addrOf returns role r's address in a performance's fabric: the role's
-// name in the paper's notation, from the table for a closed role.
-func (in *Instance) addrOf(r ids.RoleRef) rendezvous.Addr {
-	if slot := in.slotOf(r); slot >= 0 {
-		return in.addrs[slot]
-	}
-	return rendezvous.Addr(r.String())
 }

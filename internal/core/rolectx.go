@@ -27,7 +27,7 @@ type RoleCtx struct {
 	// woken and never after.
 	st      *enrollState
 	inst    *Instance
-	addr    rendezvous.Addr // role's address in the performance's fabric
+	id      rendezvous.ID // the role's endpoint in the performance's fabric
 	results []any
 	// inline backs the first two results, so a role that sets one or two —
 	// every role of the patterns library — allocates nothing for them. The
@@ -94,7 +94,7 @@ func (rc *RoleCtx) Send(to ids.RoleRef, v any) error { return rc.SendTag(to, "",
 // SendTag transfers v synchronously to role `to` under a message tag.
 // Tags distinguish message kinds the way CSP constructors do.
 func (rc *RoleCtx) SendTag(to ids.RoleRef, tag string, v any) error {
-	slot, addr, err := rc.peer(to)
+	slot, id, err := rc.peer(to)
 	if err != nil {
 		return err
 	}
@@ -102,7 +102,7 @@ func (rc *RoleCtx) SendTag(to ids.RoleRef, tag string, v any) error {
 	if cancel != nil {
 		defer cancel()
 	}
-	if err := rc.st.perf.fabric.Send(ctx, rc.addr, addr, rendezvous.Tag(tag), v); err != nil {
+	if err := rc.st.perf.fabric.SendID(ctx, rc.id, id, rendezvous.Tag(tag), v); err != nil {
 		return rc.mapCommErr(to, slot, err)
 	}
 	rc.record(trace.KindSend, to, tag)
@@ -130,22 +130,22 @@ func (rc *RoleCtx) SendAll(tos []ids.RoleRef, v any) error {
 	if len(tos) == 0 {
 		return nil
 	}
-	targets := make([]rendezvous.Addr, len(tos))
+	targets := make([]rendezvous.ID, len(tos))
 	rc.inst.mu.Lock() // one acquisition prechecks every target
 	for i, to := range tos {
-		slot, addr, known := rc.resolve(to)
+		slot, known := rc.resolve(to)
 		if st := rc.availabilityLocked(slot, to, known); st != peerOK {
 			rc.inst.mu.Unlock()
 			return precheckErr(st, to)
 		}
-		targets[i] = addr
+		targets[i] = rc.st.perf.endpointLocked(slot, to)
 	}
 	rc.inst.mu.Unlock()
 	ctx, cancel := rc.inst.opContext(rc.st.ctx)
 	if cancel != nil {
 		defer cancel()
 	}
-	if err := rc.st.perf.fabric.Scatter(ctx, rc.addr, "", targets, []any{v}); err != nil {
+	if err := rc.st.perf.fabric.ScatterID(ctx, rc.id, "", targets, []any{v}); err != nil {
 		return rc.mapCommErr(ids.RoleRef{}, -1, err)
 	}
 	for _, to := range tos {
@@ -159,7 +159,7 @@ func (rc *RoleCtx) Recv(from ids.RoleRef) (any, error) { return rc.RecvTag(from,
 
 // RecvTag receives the next message with the given tag from role `from`.
 func (rc *RoleCtx) RecvTag(from ids.RoleRef, tag string) (any, error) {
-	slot, addr, err := rc.peer(from)
+	slot, id, err := rc.peer(from)
 	if err != nil {
 		return nil, err
 	}
@@ -167,7 +167,7 @@ func (rc *RoleCtx) RecvTag(from ids.RoleRef, tag string) (any, error) {
 	if cancel != nil {
 		defer cancel()
 	}
-	v, err := rc.st.perf.fabric.Recv(ctx, rc.addr, addr, rendezvous.Tag(tag))
+	v, err := rc.st.perf.fabric.RecvID(ctx, rc.id, id, rendezvous.Tag(tag))
 	if err != nil {
 		return nil, rc.mapCommErr(from, slot, err)
 	}
@@ -184,16 +184,28 @@ func (rc *RoleCtx) RecvAny() (ids.RoleRef, string, any, error) {
 	if cancel != nil {
 		defer cancel()
 	}
-	out, err := rc.st.perf.fabric.RecvAny(ctx, rc.addr)
+	out, err := rc.st.perf.fabric.DoID(ctx, rc.id, anyMessage)
 	if err != nil {
 		return ids.RoleRef{}, "", nil, rc.mapCommErr(ids.RoleRef{}, -1, err)
 	}
-	from, perr := ids.ParseRoleRef(string(out.Peer))
-	if perr != nil {
-		return ids.RoleRef{}, "", nil, fmt.Errorf("script: bad peer address %q: %w", out.Peer, perr)
-	}
+	from := rc.roleAt(out.Peer)
 	rc.record(trace.KindRecv, from, string(out.Tag))
 	return from, string(out.Tag), out.Val, nil
+}
+
+// anyMessage is RecvAny's alternative; the fabric only reads it.
+var anyMessage = []rendezvous.IDBranch{{Dir: rendezvous.DirRecv, AnyPeer: true, AnyTag: true}}
+
+// roleAt names the role that plays at endpoint id of this performance's
+// fabric — one that communicated, so one in the cast.
+func (rc *RoleCtx) roleAt(id rendezvous.ID) ids.RoleRef {
+	if int(id) < len(rc.inst.roles) {
+		return rc.inst.roles[id]
+	}
+	rc.inst.mu.Lock()
+	defer rc.inst.mu.Unlock()
+	r, _ := rc.st.perf.openRole(id)
+	return r
 }
 
 // SelectBranch is one alternative of a guarded Select — the script-level
@@ -284,7 +296,7 @@ func (rc *RoleCtx) Select(branches ...SelectBranch) (Selected, error) {
 	// The alternative handed to the fabric and, beside it, each branch's
 	// position in the call; four inline, as many as the fabric's slot holds.
 	var (
-		fabBuf      [4]rendezvous.Branch
+		fabBuf      [4]rendezvous.IDBranch
 		origBuf     [4]int
 		fab, orig   = fabBuf[:0], origBuf[:0]
 		guardsTrue  int
@@ -297,9 +309,9 @@ func (rc *RoleCtx) Select(branches ...SelectBranch) (Selected, error) {
 			continue
 		}
 		guardsTrue++
-		var peer rendezvous.Addr
+		var peer rendezvous.ID
 		if !b.anyPeer {
-			slot, addr, known := rc.resolve(b.peer)
+			slot, known := rc.resolve(b.peer)
 			switch rc.availabilityLocked(slot, b.peer, known) {
 			case peerAbsent:
 				sawAbsent = true
@@ -311,13 +323,13 @@ func (rc *RoleCtx) Select(branches ...SelectBranch) (Selected, error) {
 				rc.inst.mu.Unlock()
 				return Selected{}, precheckErr(peerUnknown, b.peer)
 			}
-			peer = addr
+			peer = rc.st.perf.endpointLocked(slot, b.peer)
 		}
 		dir := rendezvous.DirRecv
 		if b.send {
 			dir = rendezvous.DirSend
 		}
-		fab = append(fab, rendezvous.Branch{
+		fab = append(fab, rendezvous.IDBranch{
 			Dir: dir, Peer: peer, AnyPeer: b.anyPeer,
 			Tag: rendezvous.Tag(b.tag), Val: b.val,
 		})
@@ -337,17 +349,14 @@ func (rc *RoleCtx) Select(branches ...SelectBranch) (Selected, error) {
 	if cancel != nil {
 		defer cancel()
 	}
-	out, err := rc.st.perf.fabric.Do(ctx, rc.addr, fab)
+	out, err := rc.st.perf.fabric.DoID(ctx, rc.id, fab)
 	if err != nil {
 		return Selected{}, rc.mapCommErr(ids.RoleRef{}, -1, err)
 	}
 	b := branches[orig[out.Index]]
 	peer := b.peer // a directed branch commits with the role it names
 	if b.anyPeer {
-		var perr error
-		if peer, perr = ids.ParseRoleRef(string(out.Peer)); perr != nil {
-			return Selected{}, fmt.Errorf("script: bad peer address %q: %w", out.Peer, perr)
-		}
+		peer = rc.roleAt(out.Peer)
 	}
 	kind := trace.KindRecv
 	if b.send {
@@ -362,7 +371,7 @@ func (rc *RoleCtx) Select(branches ...SelectBranch) (Selected, error) {
 // (membership has closed without it). Before the critical role set is
 // covered, Terminated is false for all unfilled roles.
 func (rc *RoleCtx) Terminated(r ids.RoleRef) bool {
-	slot, _, _ := rc.resolve(r)
+	slot, _ := rc.resolve(r)
 	rc.inst.mu.Lock()
 	defer rc.inst.mu.Unlock()
 	switch rc.st.perf.stateOf(slot, r) {
@@ -376,7 +385,7 @@ func (rc *RoleCtx) Terminated(r ids.RoleRef) bool {
 
 // Filled reports whether role r is filled (enrolled) in this performance.
 func (rc *RoleCtx) Filled(r ids.RoleRef) bool {
-	slot, _, _ := rc.resolve(r)
+	slot, _ := rc.resolve(r)
 	rc.inst.mu.Lock()
 	defer rc.inst.mu.Unlock()
 	return rc.st.perf.stateOf(slot, r) != castUnfilled
@@ -473,13 +482,13 @@ const (
 )
 
 // resolve looks role r up once for the operation that names it: its slot in
-// the cast (-1 for a member of an open family) and its address in the
-// performance's fabric; known is false when r is no role of the script. A
-// closed role costs one probe of the name table, none when the operation
-// before named the same role or family, and the definition is consulted
-// only for a name without slots. It reads nothing a performance changes, so
-// it needs no lock.
-func (rc *RoleCtx) resolve(r ids.RoleRef) (slot int, addr rendezvous.Addr, known bool) {
+// the cast, which is also its endpoint in the fabric (-1 for a member of an
+// open family, whose endpoint the cast holds); known is false when r is no
+// role of the script. A closed role costs one probe of the name table, none
+// when the operation before named the same role or family, and the
+// definition is consulted only for a name without slots. It reads nothing a
+// performance changes, so it needs no lock.
+func (rc *RoleCtx) resolve(r ids.RoleRef) (slot int, known bool) {
 	in := rc.inst
 	if r.Name != rc.peerName {
 		rc.peerName, rc.peerBase = r.Name, 0
@@ -488,12 +497,9 @@ func (rc *RoleCtx) resolve(r ids.RoleRef) (slot int, addr rendezvous.Addr, known
 		}
 	}
 	if slot = in.slotFrom(rc.peerBase-1, r); slot >= 0 {
-		return slot, in.addrs[slot], true
+		return slot, true
 	}
-	if in.def.checkRole(r) != nil {
-		return -1, "", false
-	}
-	return -1, rendezvous.Addr(r.String()), true
+	return -1, in.def.checkRole(r) == nil
 }
 
 // availabilityLocked classifies role r, resolved to slot, for communication
@@ -514,13 +520,17 @@ func (rc *RoleCtx) availabilityLocked(slot int, r ids.RoleRef, known bool) peerS
 	return peerOK // unfilled but membership open: callers may block on it
 }
 
-// peer resolves the target of a point-to-point operation and validates it.
-func (rc *RoleCtx) peer(r ids.RoleRef) (slot int, addr rendezvous.Addr, err error) {
-	slot, addr, known := rc.resolve(r)
+// peer resolves the target of a point-to-point operation, to its slot and
+// its endpoint, and validates it.
+func (rc *RoleCtx) peer(r ids.RoleRef) (slot int, id rendezvous.ID, err error) {
+	slot, known := rc.resolve(r)
 	rc.inst.mu.Lock()
 	st := rc.availabilityLocked(slot, r, known)
+	if st == peerOK {
+		id = rc.st.perf.endpointLocked(slot, r)
+	}
 	rc.inst.mu.Unlock()
-	return slot, addr, precheckErr(st, r)
+	return slot, id, precheckErr(st, r)
 }
 
 // precheckErr is the error of communicating with a role in state st, nil

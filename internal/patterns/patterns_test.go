@@ -550,8 +550,8 @@ func TestLockManagerManyRounds(t *testing.T) {
 
 // readRequests returns a function that runs one read request — a whole
 // performance of Figure 5's script with three resident managers, the
-// `local_lock` workload's unit of work — warmed up by one call, which sizes
-// the pooled fabric's maps and the instance's matcher scratch.
+// `local_lock` workload's unit of work — warmed up by one call, which makes
+// the fabric's cells and sizes the instance's matcher scratch.
 func readRequests(t *testing.T) func() {
 	in, ctx := lockManagerHarness(t, 3, OneReadAllWrite())
 	request := func() {
@@ -570,20 +570,22 @@ func readRequests(t *testing.T) func() {
 // cast table and its done channel (closed to release the held roles, so not
 // reusable); the client's argument list and the two boxed copies of its
 // request (the caller's and the body's, both part of the script's interface);
-// the list of managers that granted; and the fabric's per-performance cell
-// lists, which Reset drops with their keys. Gone since the gate read 36: the
+// and the list of managers that granted. Gone since the gate read 36: the
 // four wake-up channels (pooled), the matcher's scratch (kept by the
 // instance), the managers' four branch lists and argument lists (built once),
-// and the per-enrollment copy of a single argument (kept in the record).
+// the per-enrollment copy of a single argument (kept in the record), and the
+// fabric's cell lists (the instance keeps its fabric, and the fabric its
+// declared endpoints' cells, from one performance to the next).
 func TestLockRequestAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
 	}
 	request := readRequests(t)
-	// 17 measured, plus 10%; 33 before alternatives were built once, wake-ups
-	// pooled and the matcher's scratch kept; 62 before the pooled slot.
-	if got := testing.AllocsPerRun(1000, request); got > 19 {
-		t.Fatalf("one read request allocates %v objects, want <= 19", got)
+	// 12 measured, plus 10%; 14 while every performance re-made its cells, 33
+	// before alternatives were built once, wake-ups pooled and the matcher's
+	// scratch kept; 62 before the pooled slot.
+	if got := testing.AllocsPerRun(1000, request); got > 13 {
+		t.Fatalf("one read request allocates %v objects, want <= 13", got)
 	}
 }
 
@@ -605,9 +607,10 @@ func TestLockRequestBytes(t *testing.T) {
 		request()
 	}
 	runtime.ReadMemStats(&after)
-	// 1 775 measured, plus 10%; 4 320 before.
-	if got := float64(after.TotalAlloc-before.TotalAlloc) / runs; got > 1950 {
-		t.Fatalf("one read request allocates %.0f bytes, want <= 1950", got)
+	// 1 731 measured, plus 10%; 1 768 with per-performance cells, 4 320 before
+	// alternatives were built once.
+	if got := float64(after.TotalAlloc-before.TotalAlloc) / runs; got > 1900 {
+		t.Fatalf("one read request allocates %.0f bytes, want <= 1900", got)
 	}
 }
 
@@ -618,9 +621,9 @@ func TestLockRequestBytes(t *testing.T) {
 // keeps, a role's first two results stayed in its enrollment record, and
 // wake-up channels came from a pool. What is left is an enrollment record per
 // role (25, never recycled: see TestLockRequestAllocs), the performance with
-// its table and done channel, the sender's two address lists and the boxed
-// value, and the fabric's per-performance cell lists (23), which Reset drops
-// with their keys.
+// its table and done channel, the sender's role and endpoint lists and the
+// boxed value. The fabric's cell lists (23) went when the instance began to
+// keep its fabric, and the fabric its declared endpoints' cells.
 func TestStarPerformanceAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
@@ -646,14 +649,14 @@ func TestStarPerformanceAllocs(t *testing.T) {
 			t.Error(err)
 		}
 	}
-	broadcast() // the first performance sizes the pooled fabric's maps
+	broadcast() // the first performance makes the fabric's cells
 	got := testing.AllocsPerRun(500, broadcast)
 	cancel()
 	in.Close()
 	wg.Wait()
-	// 56 measured, plus 10%; 89 before wake-ups were pooled and the matcher's
-	// scratch kept, 120 before the cast table.
-	if got > 62 {
-		t.Fatalf("one broadcast to %d recipients allocates %v objects, want <= 62", n, got)
+	// 33 measured, plus 10%; 56 with per-performance cells, 89 before wake-ups
+	// were pooled and the matcher's scratch kept, 120 before the cast table.
+	if got > 36 {
+		t.Fatalf("one broadcast to %d recipients allocates %v objects, want <= 36", n, got)
 	}
 }

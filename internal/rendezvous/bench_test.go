@@ -8,26 +8,49 @@ import (
 )
 
 // BenchmarkSendRecvPair measures one complete rendezvous (send + matching
-// receive) between two parties.
+// receive) between two parties, named by address and by endpoint ID: the
+// difference is what the interning front costs.
 func BenchmarkSendRecvPair(b *testing.B) {
-	f := New()
 	ctx := context.Background()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
+	b.Run("by=name", func(b *testing.B) {
+		f := New()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for i := 0; i < b.N; i++ {
+				if err := f.Send(ctx, "A", "B", "t", i); err != nil {
+					return
+				}
+			}
+		}()
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := f.Send(ctx, "A", "B", "t", i); err != nil {
-				return
+			if _, err := f.Recv(ctx, "B", "A", "t"); err != nil {
+				b.Fatal(err)
 			}
 		}
-	}()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := f.Recv(ctx, "B", "A", "t"); err != nil {
-			b.Fatal(err)
+		<-done
+	})
+	b.Run("by=id", func(b *testing.B) {
+		f := New()
+		A, B := f.Endpoint("A"), f.Endpoint("B")
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for i := 0; i < b.N; i++ {
+				if err := f.SendID(ctx, A, B, "t", i); err != nil {
+					return
+				}
+			}
+		}()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := f.RecvID(ctx, B, A, "t"); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
-	<-done
+		<-done
+	})
 }
 
 // BenchmarkSelectWide measures a receive committed out of a wide
@@ -89,49 +112,33 @@ func BenchmarkFanInContention(b *testing.B) {
 }
 
 // BenchmarkFabricReset times Reset alone (the scope before it is set up off
-// the clock) after a scope that used little of the fabric and after one that
-// used all of it: `touched` is both the number of shards an op parked in and
-// the number of hot slots a termination raised, "all" being every shard and
-// every slot. Reset must cost what the scope used; CI holds touched=2 to a
-// quarter of touched=all, so a sweep that is constant in the table sizes
-// cannot come back unnoticed.
+// the clock) on a fabric of 64 declared endpoints, after a scope that used two
+// of them and after one that used all: a used endpoint is one an op parked
+// under and a termination heated. Reset must cost what the scope used; CI
+// holds used=2 to a quarter of used=all, so a sweep of the whole table cannot
+// come back unnoticed.
 func BenchmarkFabricReset(b *testing.B) {
+	const endpoints = 64
+	addrs := make([]Addr, endpoints)
+	for i := range addrs {
+		addrs[i] = Addr(fmt.Sprintf("e%d", i))
+	}
 	f := New()
-	// One address pair per shard and one address per hot slot.
-	var pairs [numShards][2]Addr
-	var dead [numHot]Addr
-	for i, found := 0, 0; found < numShards; i++ {
-		from, to := Addr(fmt.Sprintf("s%d", i/numShards)), Addr(fmt.Sprintf("r%d", i%numShards))
-		sh := f.shardOf(cellKey{from: from, to: to})
-		for j := range f.shards {
-			if sh == &f.shards[j] && pairs[j][0] == "" {
-				pairs[j] = [2]Addr{from, to}
-				found++
-			}
-		}
-	}
-	for i, found := 0, 0; found < numHot; i++ {
-		if a := Addr(fmt.Sprintf("t%d", i)); dead[hotIndex(a)] == "" {
-			dead[hotIndex(a)] = a
-			found++
-		}
-	}
+	f.Declare(addrs...)
 	withdrawn, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, c := range []struct {
-		name          string
-		shards, slots int
-	}{{"touched=2", 2, 2}, {"touched=all", numShards, numHot}} {
+		name string
+		used int
+	}{{"used=2", 2}, {"used=all", endpoints}} {
 		b.Run(c.name, func(b *testing.B) {
 			var total time.Duration
 			for i := 0; i < b.N; i++ {
-				// A send whose context is done parks, touching its shard and
-				// leaving its cell's key behind, and withdraws.
-				for _, p := range pairs[:c.shards] {
-					f.Send(withdrawn, p[0], p[1], "t", nil) //nolint:errcheck
-				}
-				for _, a := range dead[:c.slots] {
-					f.Terminate(a)
+				// A send whose context is done parks in its target's inbox
+				// and withdraws.
+				for j := 0; j < c.used; j++ {
+					f.SendID(withdrawn, ID((j+1)%c.used), ID(j), "t", nil) //nolint:errcheck
+					f.TerminateID(ID(j))
 				}
 				f.Close()
 				start := time.Now()

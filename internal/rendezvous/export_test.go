@@ -3,42 +3,52 @@ package rendezvous
 import "fmt"
 
 // checkQuiescent reports the first piece of per-scope state f still holds,
-// nil when the fabric is as empty as New left it (map buckets aside). Reset
-// no longer sweeps its tables, so tests assert after each Reset that what it
-// skipped was in fact already clear.
+// nil when the fabric is as empty as New and Declare left it (the declared
+// endpoints' empty cells and lists aside). Reset visits only the endpoints
+// the scope used, so tests assert after each Reset that what it skipped was
+// in fact already clear.
 func (f *Fabric) checkQuiescent() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed || f.aborted != nil {
 		return fmt.Errorf("closed=%v aborted=%v", f.closed, f.aborted)
 	}
-	if n := len(f.byOwner) + len(f.sendersTo) + len(f.terminated); n != 0 {
-		return fmt.Errorf("%d keys left in byOwner/sendersTo/terminated", n)
-	}
-	if n := f.parked.Load(); n != 0 {
-		return fmt.Errorf("parked = %d", n)
-	}
-	if m := f.touched.Load(); m != 0 {
-		return fmt.Errorf("touched = %#x", m)
+	if u := f.used.Load(); u != nil {
+		return fmt.Errorf("endpoint %s still on the used list", u.addr)
 	}
 	if s := f.seq.Load(); s != 0 {
 		return fmt.Errorf("seq = %d", s)
 	}
-	for i := range f.hot {
-		if n := f.hot[i].Load(); n != 0 {
-			return fmt.Errorf("hot[%d] = %d", i, n)
-		}
-		if n := f.parkedAt[i].Load(); n != 0 {
-			return fmt.Errorf("parkedAt[%d] = %d", i, n)
-		}
+	tbl := f.table()
+	f.namesMu.RLock()
+	names := len(f.names)
+	f.namesMu.RUnlock()
+	if len(tbl) != f.kept || names != f.kept {
+		return fmt.Errorf("%d endpoints under %d names, %d declared", len(tbl), names, f.kept)
 	}
-	for i := range f.shards {
-		sh := &f.shards[i]
-		sh.mu.Lock()
-		cells, commits := len(sh.cells), sh.fastCommits
-		sh.mu.Unlock()
-		if cells != 0 || commits != 0 {
-			return fmt.Errorf("shard %d holds %d cells, %d fast commits", i, cells, commits)
+	for _, e := range tbl {
+		e.mu.Lock()
+		inbox := 0
+		for _, c := range e.cells {
+			inbox += len(c.ops)
+			if int(c.from) >= f.kept {
+				inbox++ // a cell for a sender that is gone
+			}
+		}
+		commits := e.fastCommits
+		e.mu.Unlock()
+		for _, p := range e.peers {
+			if int(p) >= f.kept {
+				return fmt.Errorf("%s lists dropped endpoint %d as a peer", e.addr, p)
+			}
+		}
+		switch {
+		case inbox != 0 || commits != 0:
+			return fmt.Errorf("%s's inbox holds %d ops or stale cells, %d fast commits", e.addr, inbox, commits)
+		case len(e.pending)+len(e.sends) != 0 || e.terminated:
+			return fmt.Errorf("%s: %d pending, %d sends, terminated=%v", e.addr, len(e.pending), len(e.sends), e.terminated)
+		case e.hot.Load() != 0 || e.parked.Load() != 0 || e.used.Load() || e.next != nil:
+			return fmt.Errorf("%s: hot=%d parked=%d used=%v", e.addr, e.hot.Load(), e.parked.Load(), e.used.Load())
 		}
 	}
 	return nil

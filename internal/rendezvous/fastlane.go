@@ -2,38 +2,211 @@ package rendezvous
 
 import (
 	"context"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
-// This file is the fabric's fast lane: a directed, single-branch Send or
-// Recv with a concrete (peer, tag) commits through a per-endpoint-pair
-// exchange cell in a sharded map, touching one shard mutex instead of the
-// fabric lock. See the package comment for the escalation protocol that
-// keeps it linearizable with the slow lane, and DESIGN.md "Fabric
-// internals" for the full argument.
+// This file is the fabric's endpoint table and its fast lane: a directed,
+// single-branch Send or Recv with a concrete (peer, tag) commits through an
+// exchange cell in the receiving endpoint's inbox, touching that endpoint's
+// mutex instead of the fabric lock. See the package comment for the
+// escalation protocol that keeps it linearizable with the slow lane, and
+// DESIGN.md "Fabric internals" for the full argument.
 
-// cellKey names one directed exchange cell: sends from `from` to `to` under
-// `tag` meet receives by `to` from `from` under `tag` in the same cell.
-type cellKey struct {
-	from, to Addr
-	tag      Tag
+// ID names an endpoint of one fabric: its index in the fabric's endpoint
+// table, handed out by Endpoint (and by Declare, in order). Everything the
+// fabric keeps per address is a field of the endpoint, so an operation that
+// names its parties by ID hashes nothing. An ID means nothing to another
+// fabric, and an undeclared one nothing after Reset.
+type ID int32
+
+// noPeer is the ID of a peer the caller did not name: an AnyPeer branch, or
+// the empty address, which validation rejects where it always did.
+const noPeer ID = -1
+
+// endpoint is one address's state in the fabric.
+type endpoint struct {
+	id   ID
+	addr Addr
+
+	// The inbox, guarded by mu: one exchange cell per (sender, tag) for the
+	// messages addressed to this endpoint. A send to it and its own matching
+	// receive meet in the same cell. Cells are found by a scan — an inbox is
+	// as wide as the endpoint has senders, a handful in every script — and,
+	// once made, keep their place and their storage for as long as both ends
+	// stay in the table. fastCommits is per inbox to avoid a shared counter.
+	mu          sync.Mutex
+	cells       []cell
+	fastCommits uint64
+
+	// hot counts the reasons this endpoint must stay off the fast lane:
+	// pending slow-lane groups it owns, its posting passes in progress, and
+	// its termination (a permanent increment until Reset). parked counts the
+	// ops waiting in cells that name it at either end: its own inbox, and its
+	// cells in the inboxes of peers. Both are exact, so a zero is a fact.
+	hot    atomic.Int64
+	parked atomic.Int64
+	// used is set, and the endpoint pushed on the fabric's used list, when
+	// an op first parks in its inbox, posts under it or terminates it, so the
+	// walks that must see every pending op (Close, Abort, TerminateAbsent, the
+	// snapshots) and Reset visit what the scope used and nothing else.
+	used atomic.Bool
+	next *endpoint
+
+	// Slow-lane state, guarded by the fabric lock: the pending ops this
+	// endpoint owns and the pending sends aimed at it (for AnyPeer receives),
+	// both in swap-delete order and both keeping their storage when emptied;
+	// the endpoints whose inboxes hold a cell of its messages; and whether it
+	// was terminated.
+	pending    []*op
+	sends      []*op
+	peers      []ID
+	terminated bool
 }
 
-// shard is one slice of the exchange-cell map. A cell holds parked ops in
-// ascending seq order; all ops in one cell share a direction (two opposite
-// directions would have committed on arrival). An emptied cell keeps its map
-// entry, and with it its backing array, for as long as the scope lasts; Reset
-// then drops every key and keeps only the map's buckets, because the script
-// runtime pools one fabric per performance across every definition, and a
-// key that outlived its scope would make the next, unrelated cast walk and
-// rehash addresses it never uses. So each scope inserts the keys it parks
-// under once. fastCommits is kept per shard to avoid a shared counter
-// cacheline.
-type shard struct {
-	mu          sync.Mutex
-	cells       map[cellKey][]*op
-	fastCommits uint64
+// cell holds the ops parked for one (sender, tag) of an inbox in ascending
+// seq order; all ops in one cell share a direction (two opposite directions
+// would have committed on arrival).
+type cell struct {
+	from ID
+	tag  Tag
+	ops  []*op
+}
+
+// Endpoint returns the ID of address a, adding it to the table on first use.
+// Callers that hold on to IDs (the script runtime does) resolve each name
+// once; the Addr-taking operations resolve their arguments on every call.
+func (f *Fabric) Endpoint(a Addr) ID { return f.intern(a).id }
+
+func (f *Fabric) intern(a Addr) *endpoint {
+	f.namesMu.RLock()
+	e := f.names[a]
+	f.namesMu.RUnlock()
+	if e != nil {
+		return e
+	}
+	f.namesMu.Lock()
+	defer f.namesMu.Unlock()
+	if e = f.names[a]; e != nil {
+		return e
+	}
+	// Publish a longer table: a reader holding the shorter one never indexes
+	// the new element, whether or not the two share a backing array.
+	tbl := f.table()
+	e = &endpoint{id: ID(len(tbl)), addr: a}
+	tbl = append(tbl, e)
+	f.eps.Store(&tbl)
+	f.names[a] = e
+	return e
+}
+
+// Declare adds addrs to the table in order and makes every endpoint added so
+// far one that Reset keeps, with its ID and the storage of its cells and
+// lists. A scope with a fixed set of parties declares them once, on a new
+// fabric — the i-th address is then endpoint i for good; endpoints added
+// later last until the next Reset.
+func (f *Fabric) Declare(addrs ...Addr) {
+	for _, a := range addrs {
+		f.intern(a)
+	}
+	f.mu.Lock()
+	f.kept = len(f.table())
+	f.mu.Unlock()
+}
+
+// table returns the current endpoint table. It only ever grows between
+// Resets, so every ID its caller was handed before the call indexes it.
+func (f *Fabric) table() []*endpoint { return *f.eps.Load() }
+
+// peerID resolves the peer of an Addr-taking operation.
+func (f *Fabric) peerID(a Addr) ID {
+	if a == "" {
+		return noPeer
+	}
+	return f.intern(a).id
+}
+
+// touch puts e on the used list the first time the scope uses it. Callers
+// hold e.mu or the fabric lock; the walks hold the fabric lock.
+func (f *Fabric) touch(e *endpoint) {
+	if e.used.Load() || !e.used.CompareAndSwap(false, true) {
+		return
+	}
+	for {
+		head := f.used.Load()
+		e.next = head
+		if f.used.CompareAndSwap(head, e) {
+			return
+		}
+	}
+}
+
+// cellLocked returns the cell of to's inbox for from's messages under tag,
+// making it if this is their first. to.mu is held on entry and on return,
+// but a new cell is made under the fabric lock — which is what guards
+// from.peers, the list Terminate finds the cell by — so it is dropped in
+// between, and with it any cell the caller was holding: the inbox may have
+// grown into a new array.
+func (f *Fabric) cellLocked(from, to *endpoint, tag Tag) *cell {
+	for {
+		if c := to.find(from.id, tag); c != nil {
+			return c
+		}
+		to.mu.Unlock()
+		f.mu.Lock()
+		to.mu.Lock()
+		switch c := to.spare(from.id); {
+		case to.find(from.id, tag) != nil: // made while neither lock was held
+		case c != nil:
+			c.tag = tag
+		default:
+			to.cells = append(to.cells, cell{from: from.id, tag: tag})
+			if !slices.Contains(from.peers, to.id) {
+				from.peers = append(from.peers, to.id)
+			}
+		}
+		f.mu.Unlock()
+	}
+}
+
+// tagsKept is how many cells an inbox holds for one sender before a tag new
+// to it takes over one of them that is empty: a script has a few message
+// kinds between two roles, but tags are the caller's strings (and a remote
+// caller's), so without the bound an inbox that outlives its scope would grow,
+// and its scan with it, by a cell for every tag ever used.
+const tagsKept = 8
+
+// spare returns an empty cell of from's messages to retag, nil while from has
+// fewer than tagsKept cells in the inbox or none of them is empty. Nothing
+// refers to an empty cell but the inbox. The caller holds e.mu.
+func (e *endpoint) spare(from ID) *cell {
+	var idle *cell
+	n := 0
+	for i := range e.cells {
+		if c := &e.cells[i]; c.from == from {
+			n++
+			if len(c.ops) == 0 {
+				idle = c
+			}
+		}
+	}
+	if n < tagsKept {
+		return nil
+	}
+	return idle
+}
+
+// find returns the inbox's cell for (from, tag), nil if there is none (yet,
+// or any more). The caller holds e.mu.
+func (e *endpoint) find(from ID, tag Tag) *cell {
+	for i := range e.cells {
+		if c := &e.cells[i]; c.from == from && c.tag == tag {
+			return c
+		}
+	}
+	return nil
 }
 
 // FastFaults injects chaos faults into fast-lane handoffs: a latency before
@@ -55,197 +228,118 @@ type FastFaults interface {
 // parties start operating — and is cleared by Reset.
 func (f *Fabric) SetFastFaults(ff FastFaults) { f.faults = ff }
 
-// fnv1a hashes s (FNV-1a, 32-bit).
-func fnv1a(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint32(s[i])) * 16777619
-	}
-	return h
-}
-
-func hotIndex(a Addr) int { return int(fnv1a(string(a)) & (numHot - 1)) }
-
-func (f *Fabric) shardOf(k cellKey) *shard {
-	return &f.shards[shardIndex(fnv1a(string(k.from)), fnv1a(string(k.to)))]
-}
-
-// shardIndex is the shard of the cells exchanged between two addresses,
-// given their hashes.
-func shardIndex(hFrom, hTo uint32) int { return int((hFrom*31 + hTo) & (numShards - 1)) }
-
-// touch records, with shard i's mutex held, that an op parked there, so the
-// next Reset clears its cells. The load keeps all but a scope's first park in
-// a shard off the shared word.
-func (f *Fabric) touch(i int) {
-	bit := uint64(1) << i
-	for {
-		old := f.touched.Load()
-		if old&bit != 0 || f.touched.CompareAndSwap(old, old|bit) {
-			return
-		}
-	}
-}
-
-// hotAddr reports whether a's slot is hot: some slow-lane activity or a
-// termination involves an address hashing to the same slot, so fast-lane
-// ops involving a must escalate. False positives (hash collisions) only
-// cost a slow-lane trip.
-func (f *Fabric) hotAddr(a Addr) bool { return f.hot[hotIndex(a)].Load() != 0 }
-
-// mixIndex is a second, independent slot index for the same address hash
-// (Knuth multiplicative mix), giving the parked-op filter two probes per
-// address so a single-slot collision cannot force a spurious shard sweep.
-func mixIndex(h uint32) uint32 { return (h * 2654435761) >> 16 & (numHot - 1) }
-
-// parkAccount adjusts the parked-op counters for one op entering (delta=1)
-// or leaving (delta=-1) cell k: the global count plus two slots per
-// endpoint (a tiny counting Bloom filter), which let the termination probes
-// skip shard sweeps for addresses with nothing parked.
-func (f *Fabric) parkAccount(k cellKey, delta int64) {
-	f.parked.Add(delta)
-	hf, ht := fnv1a(string(k.from)), fnv1a(string(k.to))
-	f.parkedAt[hf&(numHot-1)].Add(delta)
-	f.parkedAt[mixIndex(hf)].Add(delta)
-	f.parkedAt[ht&(numHot-1)].Add(delta)
-	f.parkedAt[mixIndex(ht)].Add(delta)
-}
-
-// addrParked reports whether some parked op might involve addr; when false
-// the termination probes skip their shard sweeps. Point ops raise both
-// counters before the parking shard unlock, but Scatter batches its owner's
-// adds after its target loop, so an address sharing a slot with a scatterer
-// in flight can read a transient zero: a sweep-skipping hint for the probes
-// that always had it, not a guard the matcher may use (drainForLocked goes
-// by the global count).
-func (f *Fabric) addrParked(a Addr) bool {
-	h := fnv1a(string(a))
-	return f.parkedAt[h&(numHot-1)].Load() != 0 && f.parkedAt[mixIndex(h)].Load() != 0
-}
-
 // fastPoint tries to run a single directed branch through the fast lane.
 // handled=false means the caller must use the slow lane (the op is not
 // eligible, or escalation struck before parking); handled=true means the
 // outcome (or error) is final.
-func (f *Fabric) fastPoint(ctx context.Context, owner Addr, br Branch) (out Outcome, handled bool, err error) {
+func (f *Fabric) fastPoint(ctx context.Context, owner ID, br IDBranch) (out IDOutcome, handled bool, err error) {
 	if !f.fastOK.Load() {
-		return Outcome{}, false, nil
+		return IDOutcome{}, false, nil
 	}
-	if br.AnyPeer || br.AnyTag || br.Peer == "" || br.Peer == owner ||
+	if br.AnyPeer || br.AnyTag || br.Peer < 0 || br.Peer == owner ||
 		(br.Dir != DirSend && br.Dir != DirRecv) {
-		return Outcome{}, false, nil // wildcards, self-sends and invalid branches: slow lane
+		return IDOutcome{}, false, nil // wildcards, self-sends and invalid branches: slow lane
 	}
-	hOwner, hPeer := fnv1a(string(owner)), fnv1a(string(br.Peer))
-	if f.hot[hOwner&(numHot-1)].Load() != 0 || f.hot[hPeer&(numHot-1)].Load() != 0 {
-		return Outcome{}, false, nil
+	eps := f.table()
+	me, peer := eps[owner], eps[br.Peer]
+	if me.hot.Load() != 0 || peer.hot.Load() != 0 {
+		return IDOutcome{}, false, nil
+	}
+	from, to := me, peer
+	if br.Dir == DirRecv {
+		from, to = peer, me
 	}
 
-	var k cellKey
-	var hFrom, hTo uint32
-	if br.Dir == DirSend {
-		k = cellKey{from: owner, to: br.Peer, tag: br.Tag}
-		hFrom, hTo = hOwner, hPeer
-	} else {
-		k = cellKey{from: br.Peer, to: owner, tag: br.Tag}
-		hFrom, hTo = hPeer, hOwner
-	}
-	shIdx := shardIndex(hFrom, hTo)
-	sh := &f.shards[shIdx]
-
-	sh.mu.Lock()
-	if list := sh.cells[k]; len(list) > 0 && list[0].branch.Dir != br.Dir {
-		// A counterpart is parked: commit with the FIFO head. Cell residency
-		// implies the head's group is unclaimed (claimers remove the op from
-		// the cell in the same critical section), so the claim succeeds. The
-		// arriving side needs no group of its own — its outcome is computed
-		// in place.
-		p := list[0]
-		// Shift rather than reslice so the cell keeps its capacity — the
-		// next park appends into the same backing array instead of
-		// allocating a fresh one.
-		copy(list, list[1:])
-		list[len(list)-1] = nil
-		sh.cells[k] = list[:len(list)-1]
-		f.parked.Add(-1)
-		f.parkedAt[hFrom&(numHot-1)].Add(-1)
-		f.parkedAt[mixIndex(hFrom)].Add(-1)
-		f.parkedAt[hTo&(numHot-1)].Add(-1)
-		f.parkedAt[mixIndex(hTo)].Add(-1)
-		p.g.claim()
-		sh.fastCommits++
-		sh.mu.Unlock()
+	to.mu.Lock()
+	c := f.cellLocked(from, to, br.Tag)
+	if len(c.ops) > 0 && c.ops[0].dir != br.Dir {
+		// A counterpart is parked: commit with it. The arriving side needs no
+		// group of its own — its outcome is computed in place.
+		p := to.commitHead(c, from)
+		to.mu.Unlock()
 		// Copy p's fields before sending its result — the counterpart may
 		// release its pooled slot the moment the result lands.
-		pg, pOwner, pVal := p.g, p.owner, p.branch.Val
+		pg, pVal := p.g, p.val
 		if br.Dir == DirSend {
-			pg.res <- result{out: Outcome{Index: p.index, Peer: owner, Tag: br.Tag, Val: br.Val}}
-			return Outcome{Peer: pOwner, Tag: br.Tag}, true, nil
+			pg.res <- result{out: IDOutcome{Index: p.index, Peer: owner, Tag: br.Tag, Val: br.Val}}
+			return IDOutcome{Peer: br.Peer, Tag: br.Tag}, true, nil
 		}
-		pg.res <- result{out: Outcome{Index: p.index, Peer: owner, Tag: br.Tag}}
-		return Outcome{Peer: pOwner, Tag: br.Tag, Val: pVal}, true, nil
+		pg.res <- result{out: IDOutcome{Index: p.index, Peer: owner, Tag: br.Tag}}
+		return IDOutcome{Peer: br.Peer, Tag: br.Tag, Val: pVal}, true, nil
 	}
 	// Park. The group and op share one pooled allocation; the seq is drawn
 	// inside the critical section so each cell stays sorted by post order.
 	s := getSlot()
-	g, o := &s.g, s.newOp(owner, br, 0)
-	o.seq = f.seq.Add(1)
-	sh.cells[k] = append(sh.cells[k], o)
-	f.parked.Add(1)
-	f.parkedAt[hFrom&(numHot-1)].Add(1)
-	f.parkedAt[mixIndex(hFrom)].Add(1)
-	f.parkedAt[hTo&(numHot-1)].Add(1)
-	f.parkedAt[mixIndex(hTo)].Add(1)
-	f.touch(shIdx)
-	sh.mu.Unlock()
+	g, o := &s.g, s.newOp(me, peer, &br, 0)
+	f.park(c, o)
+	to.mu.Unlock()
 
+	evict := false
 	if ff := f.faults; ff != nil {
 		if d := ff.FastDelay(); d > 0 {
 			time.Sleep(d)
 		}
-		if ff.FastEvict() && f.unpark(sh, k, o) {
-			out, err := f.awaitSlow(ctx, owner, []Branch{br}, s, o.seq)
-			s.release()
-			return out, true, err
-		}
+		evict = ff.FastEvict()
 	}
-
-	// Dekker re-check: the park (a store under the shard mutex) happened
+	// Dekker re-check: the park (a store under the inbox mutex) happened
 	// before these loads, and every slow-lane pass stores its hot marks
 	// before loading the cells, so if a racing slow-lane op missed our park
 	// we observe its mark here — and escalate to meet it in the slow lane.
-	if !f.fastOK.Load() || f.hot[hOwner&(numHot-1)].Load() != 0 || f.hot[hPeer&(numHot-1)].Load() != 0 {
-		if f.unpark(sh, k, o) {
-			out, err := f.awaitSlow(ctx, owner, []Branch{br}, s, o.seq)
-			s.release()
-			return out, true, err
+	var r result
+	if (evict || !f.fastOK.Load() || me.hot.Load() != 0 || peer.hot.Load() != 0) && f.unpark(o) {
+		r.out, r.err = f.awaitSlow(ctx, me, []IDBranch{br}, s, o.seq)
+	} else {
+		// Parked; or already claimed (an outcome or error is in flight) or
+		// drained into the slow lane.
+		select {
+		case r = <-g.res:
+		case <-ctx.Done():
+			// Withdraw: from the cell if still parked, else from the slow
+			// lane if drained there, else an outcome already won the race.
+			if r.err = ctx.Err(); !f.unpark(o) {
+				r = f.withdraw(g, r.err)
+			}
 		}
-		// Already claimed (an outcome or error is in flight) or drained into
-		// the slow lane: wait below.
 	}
+	s.release()
+	return r.out, true, r.err
+}
 
-	select {
-	case r := <-g.res:
-		s.release()
-		return r.out, true, r.err
-	case <-ctx.Done():
-		// Withdraw: from the cell if still parked, else from the slow lane
-		// if drained there, else an outcome already won the race.
-		if f.unpark(sh, k, o) {
-			s.release()
-			return Outcome{}, true, ctx.Err()
-		}
-		f.mu.Lock()
-		if g.claim() {
-			f.removeGroupLocked(g)
-			f.mu.Unlock()
-			s.release()
-			return Outcome{}, true, ctx.Err()
-		}
-		f.mu.Unlock()
-		r := <-g.res
-		s.release()
-		return r.out, true, r.err
+// commitHead takes the FIFO head of cell c, which holds from's messages in
+// e's inbox, for a counterpart that has just arrived, and claims it: cell
+// residency implies the head's group is unclaimed (claimers remove the op
+// from the cell in the same critical section), so the claim succeeds. The
+// caller holds e.mu, and delivers the head's result once it has let go.
+func (e *endpoint) commitHead(c *cell, from *endpoint) *op {
+	p := c.ops[0]
+	c.ops = slices.Delete(c.ops, 0, 1) // shifts, so the cell keeps its capacity
+	from.parked.Add(-1)
+	e.parked.Add(-1)
+	p.g.claim()
+	e.fastCommits++
+	return p
+}
+
+// park appends o to cell c of its receiver's inbox, whose mutex the caller
+// holds, and counts it at both ends before that mutex is released: whoever
+// then reads a zero count at either end knows o's owner has yet to make its
+// escalation check.
+func (f *Fabric) park(c *cell, o *op) {
+	o.seq = f.seq.Add(1)
+	c.ops = append(c.ops, o)
+	from, to := o.ends()
+	from.parked.Add(1)
+	to.parked.Add(1)
+	f.touch(to)
+}
+
+// ends returns the sender and the receiver of the message o offers or asks
+// for: the cell o parks in is the one for from in to's inbox.
+func (o *op) ends() (from, to *endpoint) {
+	if o.dir == DirSend {
+		return o.owner, o.peer
 	}
+	return o.peer, o.owner
 }
 
 // slotOps is how many ops a slot holds inline: the four guarded branches of
@@ -284,14 +378,15 @@ func getSlot() *slot {
 	s := slotPool.Get().(*slot)
 	s.g.state.Store(0)
 	s.g.ops = s.posted[:0]
-	s.g.hotIdx = -1
+	s.g.armed = nil
 	s.n = 0
 	return s
 }
 
-// newOp returns the slot's next op, initialised for one branch of owner's
-// alternative; its seq is the caller's to assign.
-func (s *slot) newOp(owner Addr, br Branch, index int) *op {
+// newOp returns the slot's next op, initialised for branch br of owner's
+// alternative, peer being the endpoint br names (nil if none); its seq is the
+// caller's to assign.
+func (s *slot) newOp(owner, peer *endpoint, br *IDBranch, index int) *op {
 	var o *op
 	if s.n < slotOps {
 		o = &s.ops[s.n]
@@ -299,7 +394,7 @@ func (s *slot) newOp(owner Addr, br Branch, index int) *op {
 	} else {
 		o = new(op)
 	}
-	*o = op{g: &s.g, owner: owner, branch: br, index: index}
+	*o = op{g: &s.g, owner: owner, peer: peer, dir: br.Dir, tag: br.Tag, anyTag: br.AnyTag, val: br.Val, index: index}
 	return o
 }
 
@@ -313,19 +408,17 @@ func (s *slot) release() {
 // unpark removes o from its cell if it is still parked there, preserving
 // FIFO order of the remainder. It reports whether o was removed — if not,
 // some claimer or drain got there first and now owns o's fate.
-func (f *Fabric) unpark(sh *shard, k cellKey, o *op) bool {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	list := sh.cells[k]
-	for i, p := range list {
-		if p != o {
-			continue
+func (f *Fabric) unpark(o *op) bool {
+	from, to := o.ends()
+	to.mu.Lock()
+	defer to.mu.Unlock()
+	if c := to.find(from.id, o.tag); c != nil { // else emptied, and retagged since
+		if i := slices.Index(c.ops, o); i >= 0 {
+			c.ops = slices.Delete(c.ops, i, i+1)
+			from.parked.Add(-1)
+			to.parked.Add(-1)
+			return true
 		}
-		copy(list[i:], list[i+1:])
-		list[len(list)-1] = nil
-		sh.cells[k] = list[:len(list)-1]
-		f.parkAccount(k, -1)
-		return true
 	}
 	return false
 }
@@ -333,160 +426,93 @@ func (f *Fabric) unpark(sh *shard, k cellKey, o *op) bool {
 // --- slow-lane visibility into the cells -----------------------------------
 //
 // Every function below runs with f.mu held (lock order is always f.mu, then
-// one shard mutex at a time), and moves or fails parked ops so the locked
-// matcher's view is complete.
+// one inbox mutex at a time), and moves, fails or reads parked ops so the
+// locked matcher's view is complete.
 
-// drainForLocked pulls every parked op the given branches could match into
-// the slow-lane indexes, preserving each op's original seq so FIFO order is
-// unaffected by which lane an op first took.
-func (f *Fabric) drainForLocked(owner Addr, branches []Branch) {
-	if f.parked.Load() == 0 {
+// parkedLocked calls visit for every op parked in to's inbox for the messages
+// of from (nil: of anyone) under tag (anyTag: under any). With take set the op
+// leaves its cell, uncounted and unclaimed, and is visit's to dispose of: post
+// it in the slow lane, or claim its group and deliver a failure, after which
+// the op is not looked at again.
+func (f *Fabric) parkedLocked(to, from *endpoint, tag Tag, anyTag, take bool, visit func(*op)) {
+	if to.parked.Load() == 0 {
 		return
 	}
-	for _, br := range branches {
-		switch {
-		case br.Dir == DirSend:
-			// Our send meets receives parked by br.Peer for owner's messages.
-			f.drainCellLocked(cellKey{from: owner, to: br.Peer, tag: br.Tag})
-		case br.AnyPeer:
-			f.drainAllToLocked(owner)
-		case br.AnyTag:
-			f.drainPairLocked(br.Peer, owner)
-		default:
-			f.drainCellLocked(cellKey{from: br.Peer, to: owner, tag: br.Tag})
-		}
-	}
-}
-
-// drainCellLocked moves one cell's parked ops into the slow-lane indexes.
-func (f *Fabric) drainCellLocked(k cellKey) {
-	sh := f.shardOf(k)
-	sh.mu.Lock()
-	list := sh.cells[k]
-	delete(sh.cells, k)
-	for _, o := range list {
-		f.parkAccount(k, -1)
-		f.postLocked(o)
-	}
-	sh.mu.Unlock()
-}
-
-// drainPairLocked moves every parked op exchanged between from and to
-// (any tag) into the slow-lane indexes.
-func (f *Fabric) drainPairLocked(from, to Addr) {
-	sh := f.shardOf(cellKey{from: from, to: to})
-	sh.mu.Lock()
-	for k, list := range sh.cells {
-		if k.from != from || k.to != to {
+	to.mu.Lock()
+	for i := range to.cells {
+		c := &to.cells[i]
+		if (from != nil && c.from != from.id) || (!anyTag && c.tag != tag) {
 			continue
 		}
-		delete(sh.cells, k)
-		for _, o := range list {
-			f.parkAccount(k, -1)
-			f.postLocked(o)
+		for _, o := range c.ops {
+			if take {
+				sender, _ := o.ends()
+				sender.parked.Add(-1)
+				to.parked.Add(-1)
+			}
+			visit(o)
+		}
+		if take {
+			clear(c.ops)
+			c.ops = c.ops[:0]
 		}
 	}
-	sh.mu.Unlock()
+	to.mu.Unlock()
 }
 
-// drainAllToLocked moves every parked op whose cell targets `to` into the
-// slow-lane indexes (used by AnyPeer receives, whose candidates may sit in
-// any shard).
-func (f *Fabric) drainAllToLocked(to Addr) {
-	for i := range f.shards {
-		sh := &f.shards[i]
-		sh.mu.Lock()
-		for k, list := range sh.cells {
-			if k.to != to {
-				continue
-			}
-			delete(sh.cells, k)
-			for _, o := range list {
-				f.parkAccount(k, -1)
-				f.postLocked(o)
-			}
-		}
-		sh.mu.Unlock()
-	}
+// inboxLocked is parkedLocked for all of to's inbox.
+func (f *Fabric) inboxLocked(to *endpoint, take bool, visit func(*op)) {
+	f.parkedLocked(to, nil, "", true, take, visit)
 }
 
-// failParkedInvolvingLocked fails every parked op that owns or targets addr,
-// as Terminate requires: ops owned by addr fail with ErrSelfTerminated, ops
-// whose (single) branch targets addr fail with ErrPeerTerminated. Every op
-// in a cell whose key names addr involves addr one way or the other.
-func (f *Fabric) failParkedInvolvingLocked(addr Addr) {
-	// Skip the sweep when nothing involving addr is parked — per-slot count,
-	// so an unrelated scatter in flight does not force 64 shard visits for
-	// every role that finishes.
-	if f.parked.Load() == 0 || !f.addrParked(addr) {
+// involvingLocked calls parkedLocked for the cells that name e at either
+// end: all of its inbox, and its cells in the inboxes of its peers.
+func (f *Fabric) involvingLocked(e *endpoint, take bool, visit func(*op)) {
+	if e.parked.Load() == 0 {
 		return
 	}
-	for i := range f.shards {
-		sh := &f.shards[i]
-		sh.mu.Lock()
-		for k, list := range sh.cells {
-			if k.from != addr && k.to != addr {
-				continue
-			}
-			delete(sh.cells, k)
-			for _, o := range list {
-				f.parkAccount(k, -1)
-				if !o.g.claim() {
-					continue
-				}
-				if o.owner == addr {
-					o.g.res <- result{err: ErrSelfTerminated}
-				} else {
-					o.g.res <- result{err: ErrPeerTerminated}
-				}
-			}
-		}
-		sh.mu.Unlock()
+	f.inboxLocked(e, take, visit)
+	eps := f.table()
+	for _, p := range e.peers {
+		f.parkedLocked(eps[p], e, "", true, take, visit)
 	}
 }
 
-// failAllParkedLocked fails every parked op with err and empties the cells
-// (Close and Abort).
-func (f *Fabric) failAllParkedLocked(err error) {
-	if f.parked.Load() == 0 {
-		return
-	}
-	for i := range f.shards {
-		sh := &f.shards[i]
-		sh.mu.Lock()
-		for k, list := range sh.cells {
-			delete(sh.cells, k)
-			for _, o := range list {
-				f.parkAccount(k, -1)
-				if o.g.claim() {
-					o.g.res <- result{err: err}
-				}
-			}
-		}
-		sh.mu.Unlock()
+// drainForLocked pulls every parked op that branch br of me's alternative
+// could match into the slow-lane indexes, preserving each op's original seq
+// so FIFO order is unaffected by which lane an op first took. peer is the
+// endpoint br names, nil if none.
+func (f *Fabric) drainForLocked(me, peer *endpoint, br *IDBranch) {
+	switch {
+	case br.AnyPeer:
+		f.parkedLocked(me, nil, br.Tag, br.AnyTag, true, f.postLocked)
+	case peer == nil:
+	case br.Dir == DirSend:
+		// Our send meets receives parked by peer for me's messages.
+		f.parkedLocked(peer, me, br.Tag, false, true, f.postLocked)
+	default:
+		f.parkedLocked(me, peer, br.Tag, br.AnyTag, true, f.postLocked)
 	}
 }
 
-// parkedBy reports whether addr owns a parked op. Called with f.mu held.
-func (f *Fabric) parkedBy(addr Addr) bool {
-	if f.parked.Load() == 0 || !f.addrParked(addr) {
-		return false
-	}
-	for i := range f.shards {
-		sh := &f.shards[i]
-		sh.mu.Lock()
-		for k, list := range sh.cells {
-			if k.from != addr && k.to != addr {
-				continue
-			}
-			for _, o := range list {
-				if o.owner == addr && !o.g.claimed() {
-					sh.mu.Unlock()
-					return true
-				}
-			}
+// failParkedInvolvingLocked fails every parked op that e owns or that
+// targets e, as Terminate requires: ops owned by e fail with
+// ErrSelfTerminated, ops whose (single) branch targets e with
+// ErrPeerTerminated.
+func (f *Fabric) failParkedInvolvingLocked(e *endpoint) {
+	f.involvingLocked(e, true, func(o *op) {
+		if o.owner == e {
+			o.g.fail(ErrSelfTerminated)
+		} else {
+			o.g.fail(ErrPeerTerminated)
 		}
-		sh.mu.Unlock()
-	}
-	return false
+	})
+}
+
+// parkedByLocked reports whether e owns a parked op: a receive in its own
+// inbox, or a send in one of its cells elsewhere.
+func (f *Fabric) parkedByLocked(e *endpoint) bool {
+	owns := false
+	f.involvingLocked(e, false, func(o *op) { owns = owns || (o.owner == e && !o.g.claimed()) })
+	return owns
 }

@@ -101,7 +101,7 @@ func TestSlowAlternativeMatchesFastParkedOp(t *testing.T) {
 }
 
 // A fast-lane op arriving while a slow-lane alternative is posted must
-// escalate (the posted group arms its owner's hot slot) and match it.
+// escalate (the posted group raises its owner's hot mark) and match it.
 func TestFastOpMeetsPostedSlowAlternative(t *testing.T) {
 	f := New()
 	ctx := ctxT(t)
@@ -476,8 +476,8 @@ func TestFastFaultsPreserveLinearizability(t *testing.T) {
 	waitPending(t, f, 0)
 }
 
-// Reset must clear the cells, the hot slots, the fault injector, and the
-// fast-commit counters so a pooled fabric starts cold.
+// Reset must clear the hot marks, the terminations, the fault injector, and
+// the fast-commit counters so a reused fabric starts cold.
 func TestResetClearsFastLaneState(t *testing.T) {
 	f := New()
 	f.SetFastFaults(&seededFaults{rng: rand.New(rand.NewSource(1))})

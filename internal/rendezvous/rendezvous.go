@@ -16,7 +16,7 @@
 //
 //   - The *fast lane* (fastlane.go) handles the overwhelmingly common case —
 //     a directed, single-branch send or receive with a concrete (peer, tag) —
-//     through per-endpoint-pair exchange cells in a sharded map, with no
+//     through an exchange cell in the receiving endpoint's inbox, with no
 //     global lock.
 //   - The *slow lane* (this file) is the generalized matcher: every Do with
 //     multiple branches, AnyPeer/AnyTag wildcards, termination, Abort and
@@ -24,18 +24,26 @@
 //     its decisions a legal linearization.
 //
 // An escalation protocol keeps the lanes linearizable with each other: the
-// slow lane advertises the addresses it involves in per-address "hot" slots
-// before it scans ("drains") the fast lane's cells, and a fast-lane
-// operation re-checks those slots after parking, so for any pair of racing
+// slow lane raises the "hot" mark of the endpoint it works for before it
+// scans ("drains") the fast lane's cells, and a fast-lane operation re-checks
+// the marks of both its endpoints after parking, so for any pair of racing
 // operations at least one side observes the other (a Dekker-style
 // store/load handshake backed by Go's sequentially consistent atomics).
+//
+// # Endpoints
+//
+// An address is interned once, by Endpoint, into a dense table, and all the
+// fabric keeps per address — inbox, pending ops, hot mark, parked count,
+// termination — is a field of that endpoint: the marks are exact, and no
+// operation hashes a name. There is one implementation, which takes IDs
+// (SendID, RecvID, DoID, ScatterID, TerminateID, ...); the operations that
+// take an Addr resolve their arguments and call it.
 package rendezvous
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
@@ -107,34 +115,44 @@ var (
 	ErrNoBranches = errors.New("rendezvous: no enabled branches")
 )
 
-// Branch is one alternative of a generalized select. Peer and Tag restrict
-// which counterpart operations can match:
+// Alt is one alternative of a generalized select, naming its peer by address
+// (Branch, which Do takes) or by endpoint ID (IDBranch, which DoID takes).
+// Peer and Tag restrict which counterpart operations can match:
 //
 //   - AnyPeer true accepts a counterpart from any address (Ada-style accept;
 //     the extended CSP naming of Francez [2]). Only valid for DirRecv.
 //   - AnyTag true accepts any tag. Only valid for DirRecv.
 //
 // For DirSend, Val carries the value to transfer; for DirRecv it is ignored.
-type Branch struct {
+type Alt[P Addr | ID] struct {
 	Dir     Dir
-	Peer    Addr
+	Peer    P
 	AnyPeer bool
 	Tag     Tag
 	AnyTag  bool
 	Val     any
 }
 
-// Outcome describes the branch that committed in a Do call.
-type Outcome struct {
-	// Index is the position of the committed branch in the Do call's slice.
+// Committed describes the branch that committed in a Do call (Outcome) or a
+// DoID call (IDOutcome).
+type Committed[P Addr | ID] struct {
+	// Index is the position of the committed branch in the call's slice.
 	Index int
-	// Peer is the actual counterpart address (useful with AnyPeer).
-	Peer Addr
+	// Peer is the actual counterpart (useful with AnyPeer).
+	Peer P
 	// Tag is the actual message tag (useful with AnyTag).
 	Tag Tag
 	// Val is the received value for a DirRecv branch; nil for DirSend.
 	Val any
 }
+
+// The two spellings of an alternative and of its outcome.
+type (
+	Branch    = Alt[Addr]
+	Outcome   = Committed[Addr]
+	IDBranch  = Alt[ID]
+	IDOutcome = Committed[ID]
+)
 
 // Option configures a Fabric.
 type Option func(*Fabric)
@@ -158,17 +176,8 @@ func WithoutFastPath() Option {
 	return func(f *Fabric) { f.noFast = true }
 }
 
-// Sizing of the fast-lane structures. Both are powers of two so the index
-// is a mask. Hot slots outnumber shards because a collision there causes a
-// (correct but slower) escalation, while a shard collision only shares a
-// short-lived mutex.
-const (
-	numShards = 64
-	numHot    = 256
-)
-
 // Fabric is a synchronous rendezvous domain. Create one per communication
-// scope (one per script performance, one per CSP parallel command, ...).
+// scope (one per script instance, one per CSP parallel command, ...).
 type Fabric struct {
 	mu      sync.Mutex
 	closed  bool
@@ -177,48 +186,30 @@ type Fabric struct {
 	noFast  bool       // WithoutFastPath
 
 	seq atomic.Uint64 // post order, for FIFO matching (shared by both lanes)
-	// The slow lane's two indexes, both in swap-delete order and both keeping
-	// an emptied list's storage (and key) until Reset: an owner that posts one
-	// alternative after another appends into the same backing array.
-	byOwner    map[Addr][]*op // pending slow-lane ops owned by addr
-	sendersTo  map[Addr][]*op // pending slow-lane sends targeting addr
-	terminated map[Addr]bool
-
-	// Fast-lane state. fastOK gates the lane as a whole (false when closed,
-	// aborted, random-matching, or WithoutFastPath). hot[i] counts reasons
-	// address-slot i must not be handled by the fast lane: pending slow-lane
-	// groups owned by an address hashing there, in-progress slow-lane posting
-	// passes, and terminated addresses (a permanent increment until Reset).
-	// parked counts ops currently waiting in exchange cells, letting the
-	// sweeps and drains skip the shards entirely when it is zero.
+	// fastOK gates the fast lane as a whole (false when closed, aborted,
+	// random-matching, or WithoutFastPath).
 	fastOK atomic.Bool
-	parked atomic.Int64
-	// touched has bit i set once an op has parked in shard i since Reset —
-	// cells gain keys nowhere else — so Reset visits only those shards.
-	touched atomic.Uint64
-	hot     [numHot]atomic.Int64
-	// parkedAt[i] counts parked ops whose cell names an address hashing to
-	// slot i (both endpoints counted). Terminate and the waiting/termination
-	// probes consult it to skip the all-shard sweep when the address in
-	// question has nothing parked — the common case while a scatter is still
-	// in flight and unrelated roles finish.
-	parkedAt [numHot]atomic.Int64
-	shards   [numShards]shard
-	faults   FastFaults
+	faults FastFaults
+
+	// The endpoint table (see endpoint): names maps an address to its
+	// endpoint, eps is the table itself, published whole so that readers take
+	// no lock, and kept (guarded by mu) is how many endpoints, from the front,
+	// were declared and so outlast Reset. namesMu guards names and the growing
+	// of eps. used heads the list of endpoints the scope has used
+	// (endpoint.used).
+	namesMu sync.RWMutex
+	names   map[Addr]*endpoint
+	eps     atomic.Pointer[[]*endpoint]
+	kept    int
+	used    atomic.Pointer[endpoint]
 }
 
 // New creates an empty fabric.
 func New(opts ...Option) *Fabric {
-	f := &Fabric{
-		byOwner:    make(map[Addr][]*op),
-		sendersTo:  make(map[Addr][]*op),
-		terminated: make(map[Addr]bool),
-	}
+	f := &Fabric{names: make(map[Addr]*endpoint)}
+	f.eps.Store(new([]*endpoint))
 	for _, o := range opts {
 		o(f)
-	}
-	for i := range f.shards {
-		f.shards[i].cells = make(map[cellKey][]*op)
 	}
 	f.fastOK.Store(!f.noFast && f.rng == nil)
 	return f
@@ -233,16 +224,17 @@ type group struct {
 	res   chan result  // buffered 1; receives the single outcome or failure
 
 	// Slow-lane residency, guarded by the fabric lock: the ops of this group
-	// currently posted in the matcher, and the hot slot armed while any are
-	// (-1 when none). A fast-parked op's group has empty ops until drained.
-	ops    []*op
-	hotIdx int
+	// currently posted in the matcher, and their owner while its hot mark is
+	// raised on their account (nil when none are posted). A fast-parked op's
+	// group has empty ops until drained.
+	ops   []*op
+	armed *endpoint
 }
 
 // result is what a group's owner receives: the committed outcome, or the
 // failure reason. A claimed group gets exactly one.
 type result struct {
-	out Outcome
+	out IDOutcome
 	err error
 }
 
@@ -252,41 +244,54 @@ func (g *group) claim() bool { return g.state.CompareAndSwap(0, 1) }
 // claimed reports whether the group has been claimed.
 func (g *group) claimed() bool { return g.state.Load() != 0 }
 
+// op is one branch of an alternative, parked or posted.
 type op struct {
-	g      *group
-	owner  Addr
-	branch Branch
-	index  int
-	seq    uint64
-	// ownerIdx is this op's position in byOwner[owner] and, for a send,
-	// sendIdx its position in sendersTo[peer], both maintained by swap-delete
-	// so withdrawal is O(1) instead of a slice filter.
+	g           *group
+	owner, peer *endpoint // peer is nil for an AnyPeer receive
+	tag         Tag
+	val         any
+	seq         uint64
+	index       int
+	// ownerIdx is this op's position in owner.pending and, for a send,
+	// sendIdx its position in peer.sends, both maintained by swap-delete so
+	// withdrawal is O(1) instead of a slice filter.
 	ownerIdx, sendIdx int
+	dir               Dir
+	anyTag            bool
 }
 
 // Send offers value v to peer with the given tag and blocks until a matching
-// receive commits, ctx is done, or the peer terminates. It enters the fast
-// lane directly — when the handoff commits there, no branch slice or group
-// is ever allocated.
+// receive commits, ctx is done, or the peer terminates.
 func (f *Fabric) Send(ctx context.Context, owner, peer Addr, tag Tag, v any) error {
-	br := Branch{Dir: DirSend, Peer: peer, Tag: tag, Val: v}
+	return f.SendID(ctx, f.intern(owner).id, f.peerID(peer), tag, v)
+}
+
+// SendID is Send between endpoints. It enters the fast lane directly — when
+// the handoff commits there, no branch slice or group is ever allocated.
+func (f *Fabric) SendID(ctx context.Context, owner, peer ID, tag Tag, v any) error {
+	br := IDBranch{Dir: DirSend, Peer: peer, Tag: tag, Val: v}
 	if _, handled, err := f.fastPoint(ctx, owner, br); handled {
 		fastLaneOps.Inc()
 		return err
 	}
-	_, err := f.doSlow(ctx, owner, []Branch{br})
+	_, err := f.doSlow(ctx, owner, []IDBranch{br})
 	return err
 }
 
 // Recv requests a value from peer with the given tag and blocks until a
 // matching send commits.
 func (f *Fabric) Recv(ctx context.Context, owner, peer Addr, tag Tag) (any, error) {
-	br := Branch{Dir: DirRecv, Peer: peer, Tag: tag}
+	return f.RecvID(ctx, f.intern(owner).id, f.peerID(peer), tag)
+}
+
+// RecvID is Recv between endpoints.
+func (f *Fabric) RecvID(ctx context.Context, owner, peer ID, tag Tag) (any, error) {
+	br := IDBranch{Dir: DirRecv, Peer: peer, Tag: tag}
 	out, handled, err := f.fastPoint(ctx, owner, br)
 	if handled {
 		fastLaneOps.Inc()
 	} else {
-		out, err = f.doSlow(ctx, owner, []Branch{br})
+		out, err = f.doSlow(ctx, owner, []IDBranch{br})
 	}
 	if err != nil {
 		return nil, err
@@ -312,8 +317,22 @@ func (f *Fabric) RecvAny(ctx context.Context, owner Addr) (Outcome, error) {
 // treat it as loop exit). If some peers are live, terminated-peer branches
 // are simply never matched.
 func (f *Fabric) Do(ctx context.Context, owner Addr, branches []Branch) (Outcome, error) {
+	var buf [2 * slotOps]IDBranch // wider alternatives than this are resolved on the heap
+	alts := buf[:0]
+	for _, br := range branches {
+		alts = append(alts, IDBranch{Dir: br.Dir, Peer: f.peerID(br.Peer), AnyPeer: br.AnyPeer, Tag: br.Tag, AnyTag: br.AnyTag, Val: br.Val})
+	}
+	out, err := f.DoID(ctx, f.intern(owner).id, alts)
+	if err != nil {
+		return Outcome{}, err
+	}
+	return Outcome{Index: out.Index, Peer: f.table()[out.Peer].addr, Tag: out.Tag, Val: out.Val}, nil
+}
+
+// DoID is Do for an endpoint and an alternative that names its peers by ID.
+func (f *Fabric) DoID(ctx context.Context, owner ID, branches []IDBranch) (IDOutcome, error) {
 	if len(branches) == 0 {
-		return Outcome{}, ErrNoBranches
+		return IDOutcome{}, ErrNoBranches
 	}
 	if len(branches) == 1 {
 		if out, handled, err := f.fastPoint(ctx, owner, branches[0]); handled {
@@ -327,67 +346,74 @@ func (f *Fabric) Do(ctx context.Context, owner Addr, branches []Branch) (Outcome
 // doSlow runs one alternative through the locked matcher on a pooled slot of
 // its own, released once the outcome is in hand (see slot for why that is
 // safe).
-func (f *Fabric) doSlow(ctx context.Context, owner Addr, branches []Branch) (Outcome, error) {
+func (f *Fabric) doSlow(ctx context.Context, owner ID, branches []IDBranch) (IDOutcome, error) {
 	s := getSlot()
-	out, err := f.awaitSlow(ctx, owner, branches, s, 0)
+	out, err := f.awaitSlow(ctx, f.table()[owner], branches, s, 0)
 	s.release()
 	return out, err
 }
 
-// awaitSlow posts the alternative through the locked matcher and blocks for
+// awaitSlow posts me's alternative through the locked matcher and blocks for
 // the outcome. s is the caller's slot, its group unclaimed and none of its
 // ops referenced by the fabric; fixedSeq, when non-zero, is a previously
 // assigned post order to preserve (an op escalated from the fast lane keeps
 // its place in the FIFO).
-func (f *Fabric) awaitSlow(ctx context.Context, owner Addr, branches []Branch, s *slot, fixedSeq uint64) (Outcome, error) {
+func (f *Fabric) awaitSlow(ctx context.Context, me *endpoint, branches []IDBranch, s *slot, fixedSeq uint64) (IDOutcome, error) {
 	slowLaneOps.Inc()
-	// Entry guard: make the owner's address slot hot for the duration of the
-	// posting pass, so a fast-lane op racing with us escalates instead of
-	// parking invisibly (see the package comment's Dekker handshake).
-	guard := hotIndex(owner)
-	f.hot[guard].Add(1)
-	wait, out, err := f.enqueueSlow(owner, branches, s, fixedSeq)
-	f.hot[guard].Add(-1)
+	// Entry guard: make the owner hot for the duration of the posting pass,
+	// so a fast-lane op racing with us escalates instead of parking invisibly
+	// (see the package comment's Dekker handshake).
+	me.hot.Add(1)
+	wait, out, err := f.enqueueSlow(me, branches, s, fixedSeq)
+	me.hot.Add(-1)
 	if !wait {
 		return out, err
 	}
 
-	g := &s.g
 	select {
-	case r := <-g.res:
+	case r := <-s.g.res:
 		return r.out, r.err
 	case <-ctx.Done():
-		// Try to withdraw; we may lose the race with a committer.
-		f.mu.Lock()
-		if !g.claim() {
-			f.mu.Unlock()
-			r := <-g.res
-			return r.out, r.err
-		}
+		r := f.withdraw(&s.g, ctx.Err())
+		return r.out, r.err
+	}
+}
+
+// withdraw takes g's posted ops, if any, back out of the matcher on behalf
+// of its owner, whose result is then err; if a committer or a failure claimed
+// g first, it is theirs.
+func (f *Fabric) withdraw(g *group, err error) result {
+	f.mu.Lock()
+	if g.claim() {
 		f.removeGroupLocked(g)
 		f.mu.Unlock()
-		return Outcome{}, ctx.Err()
+		return result{err: err}
 	}
+	f.mu.Unlock()
+	return <-g.res
 }
 
 // enqueueSlow validates, immediately matches or posts the branches under the
 // fabric lock. It reports whether the caller must block for the outcome.
-func (f *Fabric) enqueueSlow(owner Addr, branches []Branch, s *slot, fixedSeq uint64) (wait bool, out Outcome, err error) {
+func (f *Fabric) enqueueSlow(me *endpoint, branches []IDBranch, s *slot, fixedSeq uint64) (wait bool, out IDOutcome, err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
-		return false, Outcome{}, ErrClosed
+		return false, IDOutcome{}, ErrClosed
 	}
 	if f.aborted != nil {
-		return false, Outcome{}, f.aborted
+		return false, IDOutcome{}, f.aborted
 	}
-	if f.terminated[owner] {
-		return false, Outcome{}, ErrSelfTerminated
+	if me.terminated {
+		return false, IDOutcome{}, ErrSelfTerminated
 	}
 
 	// Pull every fast-parked op these branches could match into the matcher,
 	// so candidates are never split across the lanes.
-	f.drainForLocked(owner, branches)
+	eps := f.table()
+	for i := range branches {
+		f.drainForLocked(me, peerOf(eps, &branches[i]), &branches[i])
+	}
 
 	g := &s.g
 	if s.n != 0 {
@@ -397,16 +423,18 @@ func (f *Fabric) enqueueSlow(owner Addr, branches []Branch, s *slot, fixedSeq ui
 		s.n = 0
 	}
 	liveBranches := 0
-	for i, br := range branches {
+	for i := range branches {
+		br := &branches[i]
 		if err := validateBranch(br); err != nil {
 			f.removeGroupLocked(g)
-			return false, Outcome{}, err
+			return false, IDOutcome{}, err
 		}
-		if !br.AnyPeer && f.terminated[br.Peer] {
+		peer := peerOf(eps, br)
+		if peer != nil && peer.terminated {
 			continue // dead branch; may still fail the whole call below
 		}
 		liveBranches++
-		o := s.newOp(owner, br, i)
+		o := s.newOp(me, peer, br, i)
 		if cand := f.findMatchLocked(o); cand != nil {
 			f.commitLocked(o, cand)
 			return false, (<-g.res).out, nil
@@ -419,12 +447,20 @@ func (f *Fabric) enqueueSlow(owner Addr, branches []Branch, s *slot, fixedSeq ui
 		f.postLocked(o)
 	}
 	if liveBranches == 0 {
-		return false, Outcome{}, ErrPeerTerminated
+		return false, IDOutcome{}, ErrPeerTerminated
 	}
-	return true, Outcome{}, nil
+	return true, IDOutcome{}, nil
 }
 
-func validateBranch(br Branch) error {
+// peerOf returns the endpoint br names, nil if it names none.
+func peerOf(eps []*endpoint, br *IDBranch) *endpoint {
+	if br.AnyPeer || br.Peer < 0 {
+		return nil
+	}
+	return eps[br.Peer]
+}
+
+func validateBranch(br *IDBranch) error {
 	switch br.Dir {
 	case DirSend:
 		if br.AnyPeer {
@@ -438,7 +474,7 @@ func validateBranch(br Branch) error {
 	default:
 		return fmt.Errorf("rendezvous: invalid branch direction %v", br.Dir)
 	}
-	if !br.AnyPeer && br.Peer == "" {
+	if !br.AnyPeer && br.Peer < 0 {
 		return errors.New("rendezvous: branch peer address is empty")
 	}
 	return nil
@@ -447,9 +483,11 @@ func validateBranch(br Branch) error {
 // findMatchLocked scans pending ops for a counterpart to o. Candidates are
 // chosen in FIFO post order, or uniformly at random with WithRandomMatching.
 func (f *Fabric) findMatchLocked(o *op) *op {
-	list := f.byOwner[o.branch.Peer]
-	if o.branch.Dir == DirRecv && o.branch.AnyPeer {
-		list = f.sendersTo[o.owner]
+	var list []*op
+	if o.peer != nil {
+		list = o.peer.pending
+	} else if o.dir == DirRecv {
+		list = o.owner.sends
 	}
 	if f.rng != nil {
 		return f.drawMatchLocked(o, list)
@@ -483,27 +521,14 @@ func (f *Fabric) drawMatchLocked(o *op, list []*op) *op {
 }
 
 // matches reports whether ops a and b are complementary: one send, one recv,
-// addresses and tags compatible. a and b are interchangeable.
+// endpoints and tags compatible. a and b are interchangeable.
 func matches(a, b *op) bool {
-	var snd, rcv *op
-	switch {
-	case a.branch.Dir == DirSend && b.branch.Dir == DirRecv:
-		snd, rcv = a, b
-	case a.branch.Dir == DirRecv && b.branch.Dir == DirSend:
+	snd, rcv := a, b
+	if a.dir == DirRecv {
 		snd, rcv = b, a
-	default:
-		return false
 	}
-	if snd.branch.Peer != rcv.owner {
-		return false
-	}
-	if !rcv.branch.AnyPeer && rcv.branch.Peer != snd.owner {
-		return false
-	}
-	if !rcv.branch.AnyTag && rcv.branch.Tag != snd.branch.Tag {
-		return false
-	}
-	return true
+	return snd.dir == DirSend && rcv.dir == DirRecv && snd.peer == rcv.owner &&
+		(rcv.peer == nil || rcv.peer == snd.owner) && (rcv.anyTag || rcv.tag == snd.tag)
 }
 
 // commitLocked claims both groups, removes their posted siblings, and
@@ -514,71 +539,69 @@ func (f *Fabric) commitLocked(newOp, pending *op) {
 	f.removeGroupLocked(newOp.g)
 	f.removeGroupLocked(pending.g)
 
-	var snd, rcv *op
-	if newOp.branch.Dir == DirSend {
-		snd, rcv = newOp, pending
-	} else {
+	snd, rcv := newOp, pending
+	if newOp.dir == DirRecv {
 		snd, rcv = pending, newOp
 	}
 	// Copy everything out of both ops before the first send: as soon as a
 	// party has its result it may release its (pooled) slot for reuse.
-	sndRes := result{out: Outcome{Index: snd.index, Peer: rcv.owner, Tag: snd.branch.Tag}}
-	rcvRes := result{out: Outcome{Index: rcv.index, Peer: snd.owner, Tag: snd.branch.Tag, Val: snd.branch.Val}}
+	sndRes := result{out: IDOutcome{Index: snd.index, Peer: rcv.owner.id, Tag: snd.tag}}
+	rcvRes := result{out: IDOutcome{Index: rcv.index, Peer: snd.owner.id, Tag: snd.tag, Val: snd.val}}
 	sndG, rcvG := snd.g, rcv.g
 	sndG.res <- sndRes
 	rcvG.res <- rcvRes
 }
 
-// postLocked indexes o for matching and arms its group's hot slot so the
-// fast lane escalates operations that could match ops of this group.
+// postLocked indexes o for matching and raises its owner's hot mark on the
+// group's account, so the fast lane escalates operations that could match
+// ops of this group.
 func (f *Fabric) postLocked(o *op) {
-	g := o.g
-	if g.hotIdx < 0 {
-		g.hotIdx = hotIndex(o.owner)
-		f.hot[g.hotIdx].Add(1)
+	g, me := o.g, o.owner
+	if g.armed == nil {
+		g.armed = me
+		me.hot.Add(1)
+		f.touch(me)
 	}
 	g.ops = append(g.ops, o)
-	list := f.byOwner[o.owner]
-	o.ownerIdx = len(list)
-	f.byOwner[o.owner] = append(list, o)
-	if o.branch.Dir == DirSend {
-		list := f.sendersTo[o.branch.Peer]
-		o.sendIdx = len(list)
-		f.sendersTo[o.branch.Peer] = append(list, o)
+	o.ownerIdx = len(me.pending)
+	me.pending = append(me.pending, o)
+	if o.dir == DirSend {
+		o.sendIdx = len(o.peer.sends)
+		o.peer.sends = append(o.peer.sends, o)
 	}
 }
 
 // removeGroupLocked removes every posted op of g from the matching indexes
-// (O(1) per op via the tracked indexes) and disarms g's hot slot.
+// (O(1) per op via the tracked indexes) and lowers the hot mark g held up.
 func (f *Fabric) removeGroupLocked(g *group) {
 	for _, o := range g.ops {
-		f.removeOpLocked(o)
+		unindex(&o.owner.pending, o.ownerIdx).ownerIdx = o.ownerIdx
+		if o.dir == DirSend {
+			unindex(&o.peer.sends, o.sendIdx).sendIdx = o.sendIdx
+		}
 	}
 	g.ops = g.ops[:0]
-	if g.hotIdx >= 0 {
-		f.hot[g.hotIdx].Add(-1)
-		g.hotIdx = -1
+	g.disarm()
+}
+
+// disarm lowers the hot mark g holds up, if it does.
+func (g *group) disarm() {
+	if g.armed != nil {
+		g.armed.hot.Add(-1)
+		g.armed = nil
 	}
 }
 
-// removeOpLocked unindexes one posted op.
-func (f *Fabric) removeOpLocked(o *op) {
-	unindex(f.byOwner, o.owner, o.ownerIdx).ownerIdx = o.ownerIdx
-	if o.branch.Dir == DirSend {
-		unindex(f.sendersTo, o.branch.Peer, o.sendIdx).sendIdx = o.sendIdx
-	}
-}
-
-// unindex removes index[key][i] in O(1) by moving the list's last op into
-// its place, and returns the moved op for the caller to record its new
-// position. The emptied list keeps its key and storage.
-func unindex(index map[Addr][]*op, key Addr, i int) *op {
-	list := index[key]
-	last := len(list) - 1
-	moved := list[last]
-	list[i] = moved
-	list[last] = nil
-	index[key] = list[:last]
+// unindex removes (*list)[i] in O(1) by moving the list's last op into its
+// place, and returns the moved op for the caller to record its new position.
+// The emptied list keeps its storage.
+func unindex(list *[]*op, i int) *op {
+	l := *list
+	last := len(l) - 1
+	moved := l[last]
+	l[i] = moved
+	l[last] = nil
+	*list = l[:last]
 	return moved
 }
 
@@ -587,35 +610,40 @@ func unindex(index map[Addr][]*op, key Addr, i int) *op {
 // ErrPeerTerminated, pending operations owned by addr fail with
 // ErrSelfTerminated, and future operations involving addr fail likewise.
 // Terminating an already-terminated address is a no-op.
-func (f *Fabric) Terminate(addr Addr) {
+func (f *Fabric) Terminate(addr Addr) { f.TerminateID(f.intern(addr).id) }
+
+// TerminateID is Terminate for an endpoint.
+func (f *Fabric) TerminateID(id ID) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.terminated[addr] {
+	e := f.table()[id]
+	if e.terminated {
 		return
 	}
-	f.terminated[addr] = true
-	// Permanently (until Reset) heat the address slot so the fast lane
-	// escalates any operation involving addr, then fail the ops already
-	// parked in its cells.
-	f.hot[hotIndex(addr)].Add(1)
-	f.failParkedInvolvingLocked(addr)
+	e.terminated = true
+	// Permanently (until Reset) heat the endpoint so the fast lane escalates
+	// any operation involving it, then fail the ops already parked in its
+	// cells.
+	e.hot.Add(1)
+	f.touch(e)
+	f.failParkedInvolvingLocked(e)
 
-	// Fail the slow-lane groups addr owns, then every other group whose live
-	// branches all targeted addr. Both are collected before the first is
+	// Fail the slow-lane groups e owns, then every other group whose live
+	// branches all targeted e. Both are collected before the first is
 	// failed, one entry per group however many of its ops the walk meets
 	// (g.ops[0] stands for the group): an owner that has its result may hand
 	// its slot to another scope at once, so neither a failed group nor its
 	// ops may be looked at again.
 	var ownedBuf, stuckBuf [4]*group // a finishing role strands a few groups at most
 	owned, stuck := ownedBuf[:0], stuckBuf[:0]
-	for owner, list := range f.byOwner {
-		for _, o := range list {
+	for u := f.used.Load(); u != nil; u = u.next {
+		for _, o := range u.pending {
 			g := o.g
 			switch {
 			case g.ops[0] != o || g.claimed():
-			case owner == addr:
+			case u == e:
 				owned = append(owned, g)
-			case f.groupStuckOnLocked(g, addr):
+			case groupStuckOn(g, e):
 				stuck = append(stuck, g)
 			}
 		}
@@ -628,15 +656,15 @@ func (f *Fabric) Terminate(addr Addr) {
 	}
 }
 
-// groupStuckOnLocked reports whether g has a branch targeting addr and every
-// posted op of g targets a terminated peer.
-func (f *Fabric) groupStuckOnLocked(g *group, addr Addr) bool {
+// groupStuckOn reports whether g has a branch targeting e and every posted
+// op of g targets a terminated peer.
+func groupStuckOn(g *group, e *endpoint) bool {
 	targets := false
 	for _, o := range g.ops {
-		if o.branch.AnyPeer || !f.terminated[o.branch.Peer] {
+		if o.peer == nil || !o.peer.terminated {
 			return false
 		}
-		targets = targets || o.branch.Peer == addr
+		targets = targets || o.peer == e
 	}
 	return targets
 }
@@ -649,6 +677,14 @@ func (f *Fabric) failGroupLocked(g *group, err error) {
 	g.res <- result{err: err}
 }
 
+// fail claims g, whose ops are in no index (a parked op just taken out of its
+// cell), and delivers err; it does nothing if g is claimed already.
+func (g *group) fail(err error) {
+	if g.claim() {
+		g.res <- result{err: err}
+	}
+}
+
 // TerminateAbsent terminates every address that is the target of some
 // pending operation and for which isLive returns false. The script layer
 // calls this when a performance's membership closes: operations blocked on
@@ -657,57 +693,46 @@ func (f *Fabric) failGroupLocked(g *group, err error) {
 // Addresses that currently own pending operations are never terminated by
 // this call, regardless of isLive.
 func (f *Fabric) TerminateAbsent(isLive func(Addr) bool) {
+	f.TerminateAbsentID(func(id ID) bool { return isLive(f.table()[id].addr) })
+}
+
+// TerminateAbsentID is TerminateAbsent with the targets named by ID.
+func (f *Fabric) TerminateAbsentID(isLive func(ID) bool) {
 	f.mu.Lock()
-	parked := f.parked.Load() > 0
-	if len(f.byOwner) == 0 && !parked {
-		// Nothing has been posted yet — the usual case, the cast having just
-		// been assigned.
-		f.mu.Unlock()
-		return
-	}
-	var targets []Addr
+	// Nothing posted or parked yet — the usual case, the cast having just
+	// been assigned — is an empty walk.
+	var targets []*endpoint
 	examine := func(o *op) {
-		peer := o.branch.Peer
-		if o.g.claimed() || o.branch.AnyPeer || peer == o.owner {
+		peer := o.peer
+		if o.g.claimed() || peer == nil || peer == o.owner {
 			return
 		}
-		if !f.terminated[peer] && !slices.Contains(targets, peer) && !isLive(peer) {
+		if !peer.terminated && !slices.Contains(targets, peer) && !isLive(peer.id) {
 			targets = append(targets, peer)
 		}
 	}
-	for _, list := range f.byOwner {
-		for _, o := range list {
+	for u := f.used.Load(); u != nil; u = u.next {
+		for _, o := range u.pending {
 			examine(o)
 		}
-	}
-	// Fast-parked ops block on unfilled roles too.
-	if parked {
-		for i := range f.shards {
-			sh := &f.shards[i]
-			sh.mu.Lock()
-			for _, list := range sh.cells {
-				for _, o := range list {
-					examine(o)
-				}
-			}
-			sh.mu.Unlock()
-		}
+		f.inboxLocked(u, false, examine) // fast-parked ops block on unfilled roles too
 	}
 	// An address that owns pending ops is alive by definition.
-	targets = slices.DeleteFunc(targets, func(a Addr) bool {
-		return len(f.byOwner[a]) > 0 || f.parkedBy(a)
+	targets = slices.DeleteFunc(targets, func(e *endpoint) bool {
+		return len(e.pending) > 0 || f.parkedByLocked(e)
 	})
 	f.mu.Unlock()
-	for _, a := range targets {
-		f.Terminate(a)
+	for _, e := range targets {
+		f.TerminateID(e.id)
 	}
 }
 
 // Terminated reports whether addr has been terminated.
 func (f *Fabric) Terminated(addr Addr) bool {
+	e := f.intern(addr)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.terminated[addr]
+	return e.terminated
 }
 
 // Close fails every pending operation with ErrClosed and rejects all future
@@ -754,26 +779,27 @@ func (f *Fabric) failAllLocked(err error) {
 	// hand its slot to another scope at once, and the walk still has that
 	// group's other ops ahead of it.
 	var failed []*group
-	for _, list := range f.byOwner {
-		for _, o := range list {
-			g := o.g
-			if !g.claim() {
-				continue // a sibling op already failed this group
+	for u := f.used.Load(); u != nil; u = u.next {
+		for _, o := range u.pending {
+			if o.dir == DirSend {
+				clear(o.peer.sends)
+				o.peer.sends = o.peer.sends[:0]
 			}
-			if g.hotIdx >= 0 {
-				f.hot[g.hotIdx].Add(-1)
-				g.hotIdx = -1
+			if g := o.g; g.claim() { // else a sibling op already failed this group
+				g.disarm()
+				g.ops = g.ops[:0]
+				failed = append(failed, g)
 			}
-			g.ops = g.ops[:0]
-			failed = append(failed, g)
 		}
+		clear(u.pending)
+		u.pending = u.pending[:0]
 	}
-	clear(f.byOwner)
-	clear(f.sendersTo)
 	for _, g := range failed {
 		g.res <- result{err: err}
 	}
-	f.failAllParkedLocked(err)
+	for u := f.used.Load(); u != nil; u = u.next {
+		f.inboxLocked(u, true, func(o *op) { o.g.fail(err) })
+	}
 }
 
 // Waiting reports whether addr currently owns a pending (uncommitted)
@@ -782,14 +808,15 @@ func (f *Fabric) failAllLocked(err error) {
 // but never communicating) apart from its blocked co-performers when picking
 // the culprit of a deadline abort.
 func (f *Fabric) Waiting(addr Addr) bool {
+	e := f.intern(addr)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for _, o := range f.byOwner[addr] {
-		if !o.g.claimed() {
-			return true
-		}
-	}
-	return f.parkedBy(addr)
+	return e.postedLocked() || f.parkedByLocked(e)
+}
+
+// postedLocked reports whether e owns an unclaimed op in the slow lane.
+func (e *endpoint) postedLocked() bool {
+	return slices.ContainsFunc(e.pending, func(o *op) bool { return !o.g.claimed() })
 }
 
 // WaitingSnapshot returns every address that owns a pending (uncommitted)
@@ -801,78 +828,101 @@ func (f *Fabric) Waiting(addr Addr) bool {
 // abort-culprit attribution, and the remote host for diagnosing which role a
 // disconnected enroller left parked.
 func (f *Fabric) WaitingSnapshot() []Addr {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	set := make(map[Addr]struct{})
-	for a, list := range f.byOwner {
-		for _, o := range list {
-			if !o.g.claimed() {
-				set[a] = struct{}{}
-				break
-			}
-		}
+	ids, eps := f.WaitingIDs(), f.table()
+	out := make([]Addr, len(ids))
+	for i, id := range ids {
+		out[i] = eps[id].addr
 	}
-	if f.parked.Load() > 0 {
-		for i := range f.shards {
-			sh := &f.shards[i]
-			sh.mu.Lock()
-			for _, list := range sh.cells {
-				for _, o := range list {
-					if !o.g.claimed() {
-						set[o.owner] = struct{}{}
-					}
-				}
-			}
-			sh.mu.Unlock()
-		}
-	}
-	out := make([]Addr, 0, len(set))
-	for a := range set {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
+// WaitingIDs is WaitingSnapshot in endpoint IDs, ascending.
+func (f *Fabric) WaitingIDs() []ID {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	var ids []ID
+	for u := f.used.Load(); u != nil; u = u.next {
+		if u.postedLocked() {
+			ids = append(ids, u.id)
+		}
+		f.inboxLocked(u, false, func(o *op) {
+			if !o.g.claimed() {
+				ids = append(ids, o.owner.id)
+			}
+		})
+	}
+	slices.Sort(ids)
+	return slices.Compact(ids)
+}
+
 // Reset returns a closed (or idle) fabric to its initial empty state so it
-// can be reused for a new communication scope, retaining the maps' buckets
-// and nothing else: a pooled fabric serves scopes with unrelated address
-// sets, so no key may outlive its scope. The caller must guarantee that no
-// operation is in flight: every Do call on the fabric has returned. The
-// script runtime pools fabrics across successive performances — safe because
-// a performance finishes only after every role body (and hence every fabric
-// operation it issued) has returned.
+// can be reused for a new communication scope. The declared endpoints stay,
+// with their IDs and the storage of their cells and lists — the next scope
+// has the same parties — and every other endpoint goes, with the cells that
+// name it. The caller must guarantee that no operation is in flight: every
+// Do call on the fabric has returned. The script runtime reuses an instance's
+// fabric across its successive performances — safe because a performance
+// finishes only after every role body (and hence every fabric operation it
+// issued) has returned.
 //
-// Reset costs what the scope used, not what the tables could hold. At
-// quiescence a hot slot is non-zero only where something raised it for good
-// (Terminate) or left a posted group armed, so only the slots of terminated
-// addresses and of owners still indexed are zeroed; only shards an op ever
-// parked in are visited; and the parked counters, raised and lowered in pairs
-// by the ops themselves, are already zero.
+// Reset costs what the scope used, not what the table holds. At quiescence
+// every cell and list is empty and every parked count zero — the ops
+// themselves balance them — and a hot mark is non-zero only where something
+// raised it for good (Terminate), so only the endpoints on the used list are
+// visited, and of those only the marks, the termination and the commit
+// counter are reset.
 func (f *Fabric) Reset() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.closed = false
 	f.aborted = nil
 	f.seq.Store(0)
-	for a := range f.terminated {
-		f.hot[hotIndex(a)].Store(0)
+	for u := f.used.Swap(nil); u != nil; {
+		next := u.next
+		u.mu.Lock()
+		u.fastCommits = 0
+		u.mu.Unlock()
+		u.terminated = false
+		u.hot.Store(0)
+		u.next = nil
+		u.used.Store(false)
+		u = next
 	}
-	for a := range f.byOwner {
-		f.hot[hotIndex(a)].Store(0)
-	}
-	clear(f.byOwner)
-	clear(f.sendersTo)
-	clear(f.terminated)
-	for m := f.touched.Swap(0); m != 0; m &= m - 1 {
-		sh := &f.shards[bits.TrailingZeros64(m)]
-		sh.mu.Lock()
-		clear(sh.cells)
-		sh.fastCommits = 0
-		sh.mu.Unlock()
-	}
+	f.dropUndeclaredLocked()
 	f.faults = nil
 	f.fastOK.Store(!f.noFast && f.rng == nil)
+}
+
+// dropUndeclaredLocked cuts the table back to the declared endpoints, and
+// takes the dropped ones out of what the kept ones hold by ID: the cells for
+// a dropped sender's messages, and the dropped inboxes among their peers. An
+// ID freed here may name another address in the next scope.
+func (f *Fabric) dropUndeclaredLocked() {
+	tbl, kept := f.table(), ID(f.kept)
+	if len(tbl) == int(kept) {
+		return
+	}
+	f.namesMu.Lock()
+	defer f.namesMu.Unlock()
+	for _, d := range tbl[kept:] {
+		delete(f.names, d.addr)
+		for _, p := range d.peers {
+			if p < kept {
+				e := tbl[p]
+				e.cells = slices.DeleteFunc(e.cells, func(c cell) bool { return c.from >= kept })
+			}
+		}
+		for i := range d.cells {
+			if from := d.cells[i].from; from < kept {
+				e := tbl[from]
+				e.peers = slices.DeleteFunc(e.peers, func(id ID) bool { return id >= kept })
+			}
+		}
+	}
+	clear(tbl[kept:])
+	tbl = tbl[:kept]
+	f.eps.Store(&tbl)
 }
 
 // PendingCount returns the number of pending (uncommitted) operations in
@@ -880,9 +930,10 @@ func (f *Fabric) Reset() {
 func (f *Fabric) PendingCount() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	n := int(f.parked.Load())
-	for _, list := range f.byOwner {
-		n += len(list)
+	n := 0
+	for u := f.used.Load(); u != nil; u = u.next {
+		n += len(u.pending)
+		f.inboxLocked(u, false, func(*op) { n++ })
 	}
 	return n
 }
@@ -892,11 +943,10 @@ func (f *Fabric) PendingCount() int {
 // benchmarks asserting that the lane actually engages.
 func (f *Fabric) FastCommits() uint64 {
 	var n uint64
-	for i := range f.shards {
-		sh := &f.shards[i]
-		sh.mu.Lock()
-		n += sh.fastCommits
-		sh.mu.Unlock()
+	for _, e := range f.table() {
+		e.mu.Lock()
+		n += e.fastCommits
+		e.mu.Unlock()
 	}
 	return n
 }

@@ -81,9 +81,42 @@ func genScript(rng *rand.Rand, n int, abort bool) []step {
 	return script
 }
 
-// runScript drives script against f, closes f, and returns one line per
-// step: an op's outcome or error, or what the step did.
-func runScript(t *testing.T, f *Fabric, script []step) []string {
+// front is how a script's steps reach the fabric: by address, or by the
+// endpoint IDs the addresses were interned to.
+type front struct {
+	do        func(ctx context.Context, owner Addr, branches []Branch) (Outcome, error)
+	terminate func(Addr)
+	absent    func(isLive func(Addr) bool)
+}
+
+func byName(f *Fabric) front { return front{f.Do, f.Terminate, f.TerminateAbsent} }
+
+func byID(f *Fabric) front {
+	return front{
+		do: func(ctx context.Context, owner Addr, branches []Branch) (Outcome, error) {
+			alts := make([]IDBranch, len(branches))
+			for i, br := range branches {
+				alts[i] = IDBranch{Dir: br.Dir, Peer: noPeer, AnyPeer: br.AnyPeer, Tag: br.Tag, AnyTag: br.AnyTag, Val: br.Val}
+				if br.Peer != "" {
+					alts[i].Peer = f.Endpoint(br.Peer)
+				}
+			}
+			out, err := f.DoID(ctx, f.Endpoint(owner), alts)
+			if err != nil {
+				return Outcome{}, err
+			}
+			return Outcome{Index: out.Index, Peer: f.table()[out.Peer].addr, Tag: out.Tag, Val: out.Val}, nil
+		},
+		terminate: func(a Addr) { f.TerminateID(f.Endpoint(a)) },
+		absent: func(isLive func(Addr) bool) {
+			f.TerminateAbsentID(func(id ID) bool { return isLive(f.table()[id].addr) })
+		},
+	}
+}
+
+// runScript drives script against f through via, closes f, and returns one
+// line per step: an op's outcome or error, or what the step did.
+func runScript(t *testing.T, f *Fabric, via front, script []step) []string {
 	t.Helper()
 	type flight struct {
 		branches []Branch
@@ -148,15 +181,15 @@ func runScript(t *testing.T, f *Fabric, script []step) []string {
 			flights = append(flights, fl)
 			go func() {
 				defer close(fl.done)
-				out, err := f.Do(ctx, owner, branches)
+				out, err := via.do(ctx, owner, branches)
 				log[i] = fmt.Sprintf("%s %+v: %+v, %v", owner, branches, out, err)
 			}()
 			await("the op to return or pend", func() bool { return isDone(fl) || f.Waiting(owner) })
 		case "terminate":
-			f.Terminate(st.addr)
+			via.terminate(st.addr)
 			log[i] = "terminated " + string(st.addr)
 		case "absent":
-			f.TerminateAbsent(func(a Addr) bool { return slices.Contains(st.live, a) })
+			via.absent(func(a Addr) bool { return slices.Contains(st.live, a) })
 			log[i] = fmt.Sprint("absent but ", st.live)
 		case "withdraw":
 			log[i] = fmt.Sprint("withdrew ", st.addr, " ", withdraw(st.addr))
@@ -185,8 +218,9 @@ func TestResetReuseMatchesFreshFabric(t *testing.T) {
 	reused := New()
 	for r := 0; r < rounds; r++ {
 		script := genScript(rand.New(rand.NewSource(int64(1000+r))), steps, r%6 == 5)
-		want := runScript(t, New(), script)
-		got := runScript(t, reused, script)
+		fresh := New()
+		want := runScript(t, fresh, byName(fresh), script)
+		got := runScript(t, reused, byName(reused), script)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("round %d step %d (%+v):\n fresh:  %s\n reused: %s", r, i, script[i], want[i], got[i])
@@ -199,42 +233,59 @@ func TestResetReuseMatchesFreshFabric(t *testing.T) {
 	}
 }
 
-// Two addresses share a hot slot and one of them is terminated: the slot is
-// raised for good, and the other address is kept off the fast lane for the
-// rest of the scope. Reset zeroes only the slots it can name, so it must
-// name this one — the next scope commits on the fast lane again.
-func TestResetClearsSharedHotSlot(t *testing.T) {
-	dead, live := Addr("dead"), Addr("")
-	for i := 0; live == ""; i++ {
-		if a := Addr(fmt.Sprintf("live%d", i)); hotIndex(a) == hotIndex(dead) {
-			live = a
+// The operations that take addresses intern them and call the ones that take
+// endpoint IDs, so a script driven through either must commit the same pairs
+// in the same order and fail the same ops the same way — first-posted order
+// and seeded draws alike. Seven seeds, an Abort in the sixth, as above.
+func TestNameAndIDFrontsCommitAlike(t *testing.T) {
+	const steps = 80
+	for r := 0; r < 7; r++ {
+		script := genScript(rand.New(rand.NewSource(int64(1000+r))), steps, r%6 == 5)
+		for mode, opts := range map[string][]Option{"fifo": nil, "random": {WithRandomMatching(int64(r))}} {
+			named, numbered := New(opts...), New(opts...)
+			want := runScript(t, named, byName(named), script)
+			got := runScript(t, numbered, byID(numbered), script)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("seed %d %s step %d (%+v):\n by name: %s\n by id:   %s", 1000+r, mode, i, script[i], want[i], got[i])
+				}
+			}
 		}
 	}
+}
+
+// A terminated endpoint is hot for the rest of the scope, and it alone: the
+// mark is the endpoint's own, so no other address is kept off the fast lane
+// on its account (a hashed slot kept every address colliding with it off).
+// Reset takes the mark down with the termination.
+func TestTerminationHeatsOnlyItsOwnEndpoint(t *testing.T) {
 	f := New()
 	ctx := ctxT(t)
-	pair := func(v int) {
+	pair := func(from Addr, v int) {
 		t.Helper()
 		done := make(chan error, 1)
-		go func() { done <- f.Send(ctx, live, "peer", "t", v) }()
-		if got, err := f.Recv(ctx, "peer", live, "t"); err != nil || got != v {
+		go func() { done <- f.Send(ctx, from, "peer", "t", v) }()
+		if got, err := f.Recv(ctx, "peer", from, "t"); err != nil || got != v {
 			t.Fatalf("Recv = %v, %v, want %d", got, err, v)
 		}
 		if err := <-done; err != nil {
 			t.Fatalf("Send: %v", err)
 		}
 	}
-	f.Terminate(dead)
-	pair(1)
-	if n := f.FastCommits(); n != 0 {
-		t.Fatalf("%d fast commits by an address whose hot slot a terminated one shares", n)
+	f.Terminate("dead")
+	for i := 0; i < 300; i++ { // more addresses than the hashed table had slots
+		pair(Addr(fmt.Sprintf("live%d", i)), i)
+	}
+	if n := f.FastCommits(); n != 300 {
+		t.Fatalf("%d of 300 pairs committed on the fast lane beside a terminated endpoint", n)
 	}
 	f.Close()
 	f.Reset()
 	if err := f.checkQuiescent(); err != nil {
 		t.Fatalf("state survived Reset: %v", err)
 	}
-	pair(2)
-	if f.FastCommits() == 0 {
-		t.Fatal("the fast lane did not re-engage for the address sharing a terminated one's hot slot")
+	pair("dead", 1)
+	if f.FastCommits() != 1 {
+		t.Fatal("the fast lane did not re-engage for the endpoint terminated in the scope before")
 	}
 }

@@ -8,12 +8,10 @@ import (
 
 // scatterSlot tracks one target's offer through a Scatter call.
 type scatterSlot struct {
+	to  *endpoint // the target; nil for one the caller did not name
 	g   *group
 	o   *op
 	fs  *slot // pooled backing storage of g and o
-	sh  *shard
-	k   cellKey
-	hTo uint32 // fnv1a of the target, taken when the offer parked
 	err error
 	// where the offer currently is: committed/failed (done), parked in a
 	// fast cell, or posted in the slow lane.
@@ -44,6 +42,20 @@ var scatterTblPool = sync.Pool{New: func() any {
 	return &s
 }}
 
+// scatterTable returns a pooled table of n cleared slots. A broadcast-heavy
+// role calls Scatter every performance, and a fresh n-slot table per call is
+// the dominant allocation; entries hold no live references once every offer
+// settles, which is when scatter puts the table back.
+func scatterTable(n int) *[]scatterSlot {
+	tbl := scatterTblPool.Get().(*[]scatterSlot)
+	if cap(*tbl) < n {
+		*tbl = make([]scatterSlot, n)
+	}
+	*tbl = (*tbl)[:n]
+	clear(*tbl)
+	return tbl
+}
+
 // Scatter offers one value to each of n targets under a single tag and
 // blocks until every offer has committed with its target's receive. vals
 // holds either one value per target or a single value transferred to all —
@@ -62,98 +74,82 @@ var scatterTblPool = sync.Pool{New: func() any {
 // comes to, and it works from the last target back. Cancellation withdraws
 // the offers that have not yet committed and returns ctx.Err().
 func (f *Fabric) Scatter(ctx context.Context, owner Addr, tag Tag, targets []Addr, vals []any) error {
-	if len(targets) == 0 {
-		return nil
-	}
-	if len(vals) != len(targets) && len(vals) != 1 {
-		return fmt.Errorf("rendezvous: Scatter with %d targets but %d values", len(targets), len(vals))
-	}
-	valAt := func(i int) any {
-		if len(vals) == 1 {
-			return vals[0]
+	tbl := scatterTable(len(targets))
+	for i, a := range targets {
+		if a != "" {
+			(*tbl)[i].to = f.intern(a)
 		}
-		return vals[i]
 	}
+	return f.scatter(ctx, f.intern(owner), tag, tbl, vals)
+}
 
-	// The slot table is pooled: a broadcast-heavy role calls Scatter every
-	// performance, and a fresh n-slot table per call is the dominant
-	// allocation. Entries hold no live references once every offer settles.
-	tbl := scatterTblPool.Get().(*[]scatterSlot)
-	if cap(*tbl) < len(targets) {
-		*tbl = make([]scatterSlot, len(targets))
+// ScatterID is Scatter from an endpoint to endpoints.
+func (f *Fabric) ScatterID(ctx context.Context, owner ID, tag Tag, targets []ID, vals []any) error {
+	tbl, eps := scatterTable(len(targets)), f.table()
+	for i, id := range targets {
+		(*tbl)[i].to = eps[id]
 	}
-	slots := (*tbl)[:len(targets)]
-	clear(slots)
+	return f.scatter(ctx, eps[owner], tag, tbl, vals)
+}
+
+// scatter runs me's offers to the targets tbl names, and puts tbl back.
+func (f *Fabric) scatter(ctx context.Context, me *endpoint, tag Tag, tbl *[]scatterSlot, vals []any) error {
+	slots := *tbl
 	defer func() {
 		*tbl = slots[:0]
 		scatterTblPool.Put(tbl)
 	}()
+	if n := len(slots); n != 0 && len(vals) != n && len(vals) != 1 {
+		return fmt.Errorf("rendezvous: Scatter with %d targets but %d values", n, len(vals))
+	}
+	offer := func(i int) IDBranch {
+		br := IDBranch{Dir: DirSend, Peer: noPeer, Tag: tag, Val: vals[0]}
+		if len(vals) > 1 {
+			br.Val = vals[i]
+		}
+		if to := slots[i].to; to != nil {
+			br.Peer = to.id
+		}
+		return br
+	}
 	var slow []int // indexes that must go through the slow-lane pass
 
 	// Phase 1: fast-lane sweep. Offers whose target has a parked receive
 	// commit immediately; the rest park in their cells, all without the
-	// fabric lock. The owner's hash feeds every per-target computation, so
-	// it is taken once; the owner's parked-filter slots are adjusted with
-	// one batched add below instead of 2n contended ones — safe because the
-	// Dekker re-check after the batch catches any Terminate(owner) that ran
-	// while the owner's counts were not yet visible.
+	// fabric lock.
 	fastOK := f.fastOK.Load()
-	hOwner := fnv1a(string(owner))
-	var ownerParks int64
-	for i, to := range targets {
-		if !fastOK || to == "" || to == owner || f.hot[hOwner&(numHot-1)].Load() != 0 || f.hotAddr(to) {
+	for i := range slots {
+		s := &slots[i]
+		to := s.to
+		if !fastOK || to == nil || to == me || me.hot.Load() != 0 || to.hot.Load() != 0 {
 			slow = append(slow, i)
 			continue
 		}
-		hTo := fnv1a(string(to))
-		k := cellKey{from: owner, to: to, tag: tag}
-		shIdx := shardIndex(hOwner, hTo)
-		sh := &f.shards[shIdx]
-		sh.mu.Lock()
-		if list := sh.cells[k]; len(list) > 0 && list[0].branch.Dir == DirRecv {
-			p := list[0]
-			copy(list, list[1:])
-			list[len(list)-1] = nil
-			sh.cells[k] = list[:len(list)-1]
-			f.parked.Add(-1)
-			f.parkedAt[hTo&(numHot-1)].Add(-1)
-			f.parkedAt[mixIndex(hTo)].Add(-1)
-			ownerParks--
-			p.g.claim()
-			sh.fastCommits++
-			sh.mu.Unlock()
-			p.g.res <- result{out: Outcome{Index: p.index, Peer: owner, Tag: tag, Val: valAt(i)}}
-			slots[i] = scatterSlot{state: slotDone}
-			continue
+		br := offer(i)
+		to.mu.Lock()
+		c := f.cellLocked(me, to, tag)
+		if len(c.ops) > 0 && c.ops[0].dir == DirRecv {
+			p := to.commitHead(c, me)
+			to.mu.Unlock()
+			p.g.res <- result{out: IDOutcome{Index: p.index, Peer: me.id, Tag: tag, Val: br.Val}}
+			continue // the slot is done as it stands
 		}
 		// Park with pooled backing storage, exactly like fastPoint.
-		fs := getSlot()
-		o := fs.newOp(owner, Branch{Dir: DirSend, Peer: to, Tag: tag, Val: valAt(i)}, 0)
-		o.seq = f.seq.Add(1)
-		sh.cells[k] = append(sh.cells[k], o)
-		f.parked.Add(1)
-		f.parkedAt[hTo&(numHot-1)].Add(1)
-		f.parkedAt[mixIndex(hTo)].Add(1)
-		ownerParks++
-		f.touch(shIdx)
-		sh.mu.Unlock()
-		slots[i] = scatterSlot{g: &fs.g, o: o, fs: fs, sh: sh, k: k, hTo: hTo, state: slotParked}
-	}
-	if ownerParks != 0 {
-		f.parkedAt[hOwner&(numHot-1)].Add(ownerParks)
-		f.parkedAt[mixIndex(hOwner)].Add(ownerParks)
+		s.fs = getSlot()
+		s.g, s.o, s.state = &s.fs.g, s.fs.newOp(me, to, &br, 0), slotParked
+		f.park(c, s.o)
+		to.mu.Unlock()
 	}
 
 	// Dekker re-check, as in fastPoint: any parked offer whose endpoints went
-	// hot is pulled back and retried through the slow-lane pass. The loads
-	// are per offer; the hashes are phase 1's.
+	// hot is pulled back and retried through the slow-lane pass.
 	for i := range slots {
 		s := &slots[i]
 		if s.state != slotParked {
 			continue
 		}
-		if !f.fastOK.Load() || f.hot[hOwner&(numHot-1)].Load() != 0 || f.hot[s.hTo&(numHot-1)].Load() != 0 {
-			if f.unpark(s.sh, s.k, s.o) {
+		if !f.fastOK.Load() || me.hot.Load() != 0 || s.to.hot.Load() != 0 {
+			if f.unpark(s.o) {
 				slow = append(slow, i)
 			}
 			// else: claimed or drained; the wait phase reaps it.
@@ -164,60 +160,56 @@ func (f *Fabric) Scatter(ctx context.Context, owner Addr, tag Tag, targets []Add
 	// remaining offer under a single acquisition of the fabric lock, instead
 	// of n serial lock round trips.
 	if len(slow) > 0 {
-		guard := hotIndex(owner)
-		f.hot[guard].Add(1)
+		me.hot.Add(1)
 		f.mu.Lock()
+		var failAll error
 		switch {
 		case f.closed:
-			for _, i := range slow {
-				slots[i].settle(ErrClosed)
-			}
+			failAll = ErrClosed
 		case f.aborted != nil:
-			for _, i := range slow {
-				slots[i].settle(f.aborted)
+			failAll = f.aborted
+		case me.terminated:
+			failAll = ErrSelfTerminated
+		}
+		for _, i := range slow {
+			s := &slots[i]
+			br := offer(i)
+			err := failAll
+			if err == nil {
+				err = validateBranch(&br)
 			}
-		case f.terminated[owner]:
-			for _, i := range slow {
-				slots[i].settle(ErrSelfTerminated)
+			if err == nil && s.to.terminated {
+				err = ErrPeerTerminated
 			}
-		default:
-			for _, i := range slow {
-				s := &slots[i]
-				br := Branch{Dir: DirSend, Peer: targets[i], Tag: tag, Val: valAt(i)}
-				if err := validateBranch(br); err != nil {
-					s.settle(err)
-					continue
-				}
-				if f.terminated[br.Peer] {
-					s.settle(ErrPeerTerminated)
-					continue
-				}
-				seq := uint64(0)
-				if s.fs == nil {
-					s.fs = getSlot()
-				} else {
-					seq = s.o.seq // escalated offer keeps its FIFO place...
-					s.fs.n = 0    // ...and hands its storage back
-				}
-				g, o := &s.fs.g, s.fs.newOp(owner, br, 0)
-				f.drainForLocked(owner, []Branch{br})
-				if cand := f.findMatchLocked(o); cand != nil {
-					f.commitLocked(o, cand)
-					<-g.res
-					s.settle(nil)
-					continue
-				}
-				if seq != 0 {
-					o.seq = seq
-				} else {
-					o.seq = f.seq.Add(1)
-				}
-				f.postLocked(o)
-				s.g, s.o, s.state = g, o, slotSlow
+			if err != nil {
+				s.settle(err)
+				continue
 			}
+			seq := uint64(0)
+			if s.fs == nil {
+				s.fs = getSlot()
+			} else {
+				seq = s.o.seq // escalated offer keeps its FIFO place...
+				s.fs.n = 0    // ...and hands its storage back
+			}
+			g, o := &s.fs.g, s.fs.newOp(me, s.to, &br, 0)
+			f.drainForLocked(me, s.to, &br)
+			if cand := f.findMatchLocked(o); cand != nil {
+				f.commitLocked(o, cand)
+				<-g.res
+				s.settle(nil)
+				continue
+			}
+			if seq != 0 {
+				o.seq = seq
+			} else {
+				o.seq = f.seq.Add(1)
+			}
+			f.postLocked(o)
+			s.g, s.o, s.state = g, o, slotSlow
 		}
 		f.mu.Unlock()
-		f.hot[guard].Add(-1)
+		me.hot.Add(-1)
 	}
 
 	// Wait phase: reap every in-flight offer. Offers resolve independently
@@ -273,19 +265,11 @@ func (f *Fabric) Scatter(ctx context.Context, owner Addr, tag Tag, targets []Add
 // error, nil for a commit — the value was delivered even though the scatter
 // as a whole is unwinding.
 func (f *Fabric) withdrawScatter(s *scatterSlot) error {
-	if s.state == slotParked && f.unpark(s.sh, s.k, s.o) {
+	if s.state == slotParked && f.unpark(s.o) {
 		s.settle(nil)
 		return nil
 	}
-	f.mu.Lock()
-	if s.g.claim() {
-		f.removeGroupLocked(s.g)
-		f.mu.Unlock()
-		s.settle(nil)
-		return nil
-	}
-	f.mu.Unlock()
-	err := (<-s.g.res).err
+	err := f.withdraw(s.g, nil).err
 	s.settle(err)
 	return err
 }

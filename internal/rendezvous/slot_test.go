@@ -186,15 +186,16 @@ func TestFailingAnAlternativeTouchesItOnce(t *testing.T) {
 // value.
 func TestEscalatedOpIsClearedWhenNothingIsPosted(t *testing.T) {
 	f := New()
-	br := Branch{Dir: DirSend, Peer: "A", Tag: "x", Val: new(int)}
+	P, A := f.intern("P"), f.intern("A")
+	br := IDBranch{Dir: DirSend, Peer: A.id, Tag: "x", Val: new(int)}
 	s := getSlot()
-	o := s.newOp("P", br, 0)
+	o := s.newOp(P, A, &br, 0)
 	f.Terminate("A")
-	if _, err := f.awaitSlow(ctxT(t), "P", []Branch{br}, s, 1); !errors.Is(err, ErrPeerTerminated) {
+	if _, err := f.awaitSlow(ctxT(t), P, []IDBranch{br}, s, 1); !errors.Is(err, ErrPeerTerminated) {
 		t.Fatalf("awaitSlow = %v, want ErrPeerTerminated", err)
 	}
 	s.release()
-	if o.branch.Val != nil || o.g != nil || o.owner != "" {
+	if o.val != nil || o.g != nil || o.owner != nil {
 		t.Fatalf("released slot still holds the escalated op: %+v", *o)
 	}
 }
