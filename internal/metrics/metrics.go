@@ -124,6 +124,11 @@ const (
 	RemoteShedConns       = "remote_shed_conns_total"
 	RemoteShedEnrollments = "remote_shed_enrollments_total"
 	BreakerTransitions    = "remote_breaker_transitions_total"
+	// A client stream's control-event channel found full: zero by
+	// construction (the channel holds every event an enrollment can have);
+	// anything else means an event kind was added without its slot, and an
+	// enrollment is waiting for an event that was thrown away.
+	RemoteStreamEventsDropped = "remote_stream_events_dropped_total"
 	// internal/remote session resumption: sessions parked at connection
 	// loss, re-attached by a RESUME, and expired unresumed (grace window
 	// elapsed → the pre-resumption abort path).

@@ -1,9 +1,11 @@
 package remote
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/scriptabs/goscript/internal/core"
 	"github.com/scriptabs/goscript/internal/ids"
@@ -37,6 +39,22 @@ type lostBeforeAck struct{ error }
 
 func (e lostBeforeAck) Unwrap() error { return e.error }
 
+// lostErr is what a conversation cut short by err returns: the context's
+// error when that ended (withdraw posts it like a lost connection, and a lost
+// connection may be what a withdrawal looks like), else err as an ErrConnLost
+// — one marked retryable when a connection loss struck before the OFFER-ACK.
+func lostErr(ctx context.Context, err error, acked bool) error {
+	switch cerr := ctx.Err(); {
+	case cerr != nil:
+		return cerr
+	case !errors.Is(err, ErrConnLost): // the host refused the conversation, or the enroller closed
+		return fmt.Errorf("%w: %v", ErrConnLost, err)
+	case !acked:
+		return lostBeforeAck{err}
+	}
+	return err
+}
+
 // converse runs one enrollment conversation on a reserved stream slot, start
 // to release: ENROLL, await OFFER-ACK, run the body here with its ops
 // proxied over the stream, BODY-DONE, await COMPLETE.
@@ -51,28 +69,7 @@ func (e *Enroller) converse(ctx context.Context, mc *muxConn, enr core.Enrollmen
 		}
 		return core.Result{}, err
 	}
-	// The stream goes back for reuse only from an enrollment whose withdraw
-	// can no longer run (set below, once there is one to stop).
-	recycle := false
-	defer func() { mc.closeStream(st, recycle) }()
-
-	wrapErr := func(err error) error {
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		if errors.Is(err, ErrConnLost) {
-			return err
-		}
-		return fmt.Errorf("%w: %v", ErrConnLost, err)
-	}
-	// wrapLost is wrapErr for a transport failure ahead of the OFFER-ACK.
-	wrapLost := func(err error) error {
-		if err = wrapErr(err); errors.Is(err, ErrConnLost) {
-			return lostBeforeAck{err}
-		}
-		return err // the context ended first
-	}
-
+	st.ctx = ctx
 	msg := &st.enroll
 	*msg = wire.Enroll{
 		PID:     string(enr.PID),
@@ -85,94 +82,81 @@ func (e *Enroller) converse(ctx context.Context, mc *muxConn, enr core.Enrollmen
 		msg.DeadlineMS = enr.Deadline.UnixMilli()
 	}
 	if err := mc.write(wire.MsgEnroll, st.id, 0, msg); err != nil {
-		mc.fail(fmt.Errorf("%w: %v", ErrConnLost, err))
-		return core.Result{}, wrapLost(err)
+		err = fmt.Errorf("%w: %v", ErrConnLost, err)
+		mc.fail(err)
+		mc.closeStream(st, false)
+		return core.Result{}, lostErr(ctx, err, false)
 	}
 
-	// The withdraw path. AfterFunc runs the withdraw whenever ctx ends before
-	// stop — including a ctx that was already done when the ENROLL went out,
-	// which must still be withdrawn or the host keeps a pending offer with
-	// no client behind it. A withdraw that stop comes too late for may still
-	// be running when this enrollment returns, and it names st.
+	// The withdraw path, and the only watch on ctx: AfterFunc runs the
+	// withdraw whenever ctx ends before stop — including a ctx that was
+	// already done when the ENROLL went out, which must still be withdrawn or
+	// the host keeps a pending offer with no client behind it — and the
+	// withdraw ends whichever wait the enrollment is in. One that stop comes
+	// too late for may still be running when this enrollment returns, and it
+	// names st: the stream goes back for reuse only when stop says the
+	// withdraw will never run.
 	stop := context.AfterFunc(ctx, st.withdraw)
-	defer func() { recycle = stop() }()
+	res, err := e.perform(ctx, st, enr)
+	mc.closeStream(st, stop())
+	return res, err
+}
 
+// perform is the conversation from the ENROLL on the wire to the release.
+// Each of its two waits is a receive on the stream's event channel: the
+// reader posts the frames, and the connection's death and the context's end
+// arrive there as errors (muxStream.fatal).
+func (e *Enroller) perform(ctx context.Context, st *muxStream, enr core.Enrollment) (core.Result, error) {
 	// Await assignment (or rejection).
-	var ack wire.OfferAck
-await:
-	for {
-		select {
-		case <-ctx.Done():
-			return core.Result{}, ctx.Err()
-		case ev := <-st.events:
-			switch {
-			case errors.Is(ev.err, ErrConnLost):
-				return core.Result{}, wrapLost(ev.err)
-			case ev.err != nil: // the host refused the conversation, or the enroller closed
-				return core.Result{}, wrapErr(ev.err)
-			case ev.typ == wire.MsgOfferAck:
-				ack = ev.ack
-				break await
-			case ev.typ == wire.MsgDrain:
-				return core.Result{}, core.ErrDraining
-			case ev.typ == wire.MsgComplete:
-				if ev.cm.Err != nil {
-					if cerr := ctx.Err(); cerr != nil {
-						return core.Result{}, cerr
-					}
-					return core.Result{}, ev.cm.Err.Err()
-				}
-				return core.Result{}, fmt.Errorf("%w: COMPLETE before OFFER-ACK", ErrConnLost)
-			}
-		}
+	switch ev := <-st.events; {
+	case ev.err != nil:
+		return core.Result{}, lostErr(ctx, ev.err, false)
+	case ev.typ == wire.MsgDrain:
+		return core.Result{}, core.ErrDraining
+	case ev.typ == wire.MsgComplete && st.cm.Err == nil:
+		return core.Result{}, fmt.Errorf("%w: COMPLETE before OFFER-ACK", ErrConnLost)
+	case ev.typ == wire.MsgComplete:
+		return core.Result{}, cmp.Or(ctx.Err(), st.cm.Err.Err())
 	}
 
 	role := enr.Role
-	if r, err := wire.DecodeRoleRef(ack.Role); err == nil {
+	if r, err := wire.DecodeRoleRef(st.ack.Role); err == nil {
 		role = r
 	}
-	rctx := &remoteCtx{
+	rctx := &st.rctx
+	*rctx = remoteCtx{
 		ParamBag: core.ParamBag{In: enr.Args},
 		ctx:      ctx,
 		st:       st,
 		role:     role,
 		pid:      enr.PID,
-		perf:     ack.Performance,
+		perf:     st.ack.Performance,
 	}
-	e.bindTrace(rctx, ack.TraceID, enr.TraceID)
+	e.bindTrace(rctx, st.ack.TraceID, enr.TraceID)
 	rctx.trace(trace.Event{Kind: trace.KindStart})
 	bodyErr := runClientBody(enr.Body, rctx)
 	rctx.trace(trace.Event{Kind: trace.KindFinish})
 	st.bodyDone = wire.BodyDone{Results: rctx.Out, Err: wire.EncodeError(bodyErr)}
-	if err := mc.write(wire.MsgBodyDone, st.id, 0, &st.bodyDone); err != nil {
-		mc.fail(fmt.Errorf("%w: %v", ErrConnLost, err))
-		return core.Result{}, wrapErr(err)
+	if err := st.mc.write(wire.MsgBodyDone, st.id, 0, &st.bodyDone); err != nil {
+		err = fmt.Errorf("%w: %v", ErrConnLost, err)
+		st.mc.fail(err)
+		return core.Result{}, lostErr(ctx, err, true)
 	}
 
 	// Await release.
-	for {
-		select {
-		case <-ctx.Done():
-			return core.Result{}, ctx.Err()
-		case ev := <-st.events:
-			switch {
-			case ev.err != nil:
-				return core.Result{}, wrapErr(ev.err)
-			case ev.typ == wire.MsgComplete:
-				if ev.cm.Err != nil {
-					if cerr := ctx.Err(); cerr != nil {
-						return core.Result{}, cerr
-					}
-					return core.Result{}, ev.cm.Err.Err()
-				}
-				res := core.Result{Performance: ev.cm.Performance, Role: role, Values: ev.cm.Values, TraceID: rctx.tid}
-				if r, err := wire.DecodeRoleRef(ev.cm.Role); err == nil {
-					res.Role = r
-				}
-				return res, nil
-			}
-		}
+	switch ev := <-st.events; {
+	case ev.err != nil:
+		return core.Result{}, lostErr(ctx, ev.err, true)
+	case ev.typ == wire.MsgDrain:
+		return core.Result{}, core.ErrDraining
+	case st.cm.Err != nil:
+		return core.Result{}, cmp.Or(ctx.Err(), st.cm.Err.Err())
 	}
+	res := core.Result{Performance: st.cm.Performance, Role: role, Values: st.cm.Values, TraceID: rctx.tid}
+	if r, err := wire.DecodeRoleRef(st.cm.Role); err == nil {
+		res.Role = r
+	}
+	return res, nil
 }
 
 // runClientBody runs the body with the same panic containment the local
@@ -250,46 +234,58 @@ func (r *remoteCtx) Index() int               { return r.role.Index }
 func (r *remoteCtx) PID() ids.PID             { return r.pid }
 func (r *remoteCtx) Performance() int         { return r.perf }
 
-// op runs one operation exchange on the enrollment's stream — a
-// sequence-matched request the host answers with exactly one OP-RESULT —
-// mapping the outcome onto the local runtime's abort/cancel semantics.
+// begin opens one operation exchange on the enrollment's stream (see
+// muxStream.begin), unless the performance is known aborted or the
+// enrollment's context ended: then the op fails locally, as in the local
+// runtime.
+func (r *remoteCtx) begin() (*opSlot, error) {
+	if err := cmp.Or(r.abortErr, r.ctx.Err()); err != nil {
+		return nil, err
+	}
+	sl, err := r.st.begin()
+	if errors.Is(err, core.ErrPerformanceAborted) {
+		r.abortErr = err
+	}
+	return sl, err
+}
+
+// finish completes the exchange — a sequence-matched request the host
+// answers with exactly one OP-RESULT — mapping the outcome onto the local
+// runtime's abort/cancel semantics.
+func (r *remoteCtx) finish(sl *opSlot, t wire.MsgType, req any) (wire.OpResult, error) {
+	res, err := r.st.finish(sl, t, req)
+	if err == nil && res.Err != nil {
+		err = res.Err.Err()
+	}
+	if err == nil {
+		return res, nil
+	}
+	if cerr := r.ctx.Err(); cerr != nil && errors.Is(err, ErrConnLost) {
+		err = cerr
+	}
+	if errors.Is(err, core.ErrPerformanceAborted) {
+		r.abortErr = err
+	}
+	return wire.OpResult{}, err
+}
+
+// op is an exchange whose request has no struct in the slot.
 func (r *remoteCtx) op(t wire.MsgType, req any) (wire.OpResult, error) {
-	if r.abortErr != nil {
-		return wire.OpResult{}, r.abortErr
-	}
-	if err := r.ctx.Err(); err != nil {
-		return wire.OpResult{}, err
-	}
-	if aerr := r.st.abortError(); aerr != nil {
-		r.abortErr = aerr
-		return wire.OpResult{}, aerr
-	}
-	res, err := r.st.op(r.ctx, t, req)
+	sl, err := r.begin()
 	if err != nil {
-		if errors.Is(err, ErrConnLost) {
-			if cerr := r.ctx.Err(); cerr != nil {
-				return wire.OpResult{}, cerr
-			}
-		}
-		if errors.Is(err, core.ErrPerformanceAborted) {
-			r.abortErr = err
-		}
 		return wire.OpResult{}, err
 	}
-	if res.Err != nil {
-		opErr := res.Err.Err()
-		if errors.Is(opErr, core.ErrPerformanceAborted) {
-			r.abortErr = opErr
-		}
-		return wire.OpResult{}, opErr
-	}
-	return res, nil
+	return r.finish(sl, t, req)
 }
 
 func (r *remoteCtx) Send(to ids.RoleRef, v any) error { return r.SendTag(to, "", v) }
 
 func (r *remoteCtx) SendTag(to ids.RoleRef, tag string, v any) error {
-	_, err := r.op(wire.MsgSend, &wire.Send{To: to.String(), Tag: tag, Val: v})
+	sl, err := r.begin()
+	if err == nil {
+		sl.send = wire.Send{To: to.String(), Tag: tag, Val: v}
+		_, err = r.finish(sl, wire.MsgSend, &sl.send)
+	}
 	if err == nil {
 		r.trace(trace.Event{Kind: trace.KindSend, Peer: to, Detail: tag})
 	}
@@ -316,7 +312,12 @@ func (r *remoteCtx) SendAll(tos []ids.RoleRef, v any) error {
 func (r *remoteCtx) Recv(from ids.RoleRef) (any, error) { return r.RecvTag(from, "") }
 
 func (r *remoteCtx) RecvTag(from ids.RoleRef, tag string) (any, error) {
-	res, err := r.op(wire.MsgRecv, &wire.Recv{From: from.String(), Tag: tag})
+	sl, err := r.begin()
+	if err != nil {
+		return nil, err
+	}
+	sl.recv = wire.Recv{From: from.String(), Tag: tag}
+	res, err := r.finish(sl, wire.MsgRecv, &sl.recv)
 	if err != nil {
 		return nil, err
 	}
@@ -338,7 +339,16 @@ func (r *remoteCtx) RecvAny() (ids.RoleRef, string, any, error) {
 }
 
 func (r *remoteCtx) Select(branches ...core.SelectBranch) (core.Selected, error) {
-	wbs := make([]wire.SelectBranch, 0, len(branches))
+	// All guards false is decided locally, as in the local runtime: no
+	// round trip, no fabric involvement.
+	if !slices.ContainsFunc(branches, core.SelectBranch.Enabled) {
+		return core.Selected{}, core.ErrNoBranches
+	}
+	sl, err := r.begin()
+	if err != nil {
+		return core.Selected{}, err
+	}
+	wbs := sl.sel.Branches[:0]
 	for i, b := range branches {
 		if !b.Enabled() {
 			continue
@@ -356,12 +366,8 @@ func (r *remoteCtx) Select(branches ...core.SelectBranch) (core.Selected, error)
 		}
 		wbs = append(wbs, wb)
 	}
-	// All guards false is decided locally, as in the local runtime: no
-	// round trip, no fabric involvement.
-	if len(wbs) == 0 {
-		return core.Selected{}, core.ErrNoBranches
-	}
-	res, err := r.op(wire.MsgSelect, &wire.Select{Branches: wbs})
+	sl.sel.Branches = wbs
+	res, err := r.finish(sl, wire.MsgSelect, &sl.sel)
 	if err != nil {
 		return core.Selected{}, err
 	}

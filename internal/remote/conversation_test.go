@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -176,11 +177,61 @@ func pairScript(name string, aBody core.RoleBody) core.Definition {
 		MustBuild()
 }
 
+// expectFlood reads b's connection to its close and holds what arrives to
+// the flood contract (DESIGN.md "Failure semantics"): exactly one ERROR
+// naming the flood, and for the flooding stream nothing but what the host
+// still owed it — an OP-RESULT for each op the backlog had accepted (those
+// numbered first to last; on v1, which has no numbers, at most that many),
+// each at most once and in order, at most one ABORT notice, at most one
+// COMPLETE and nothing behind it — never an OP-RESULT for the op that
+// overflowed.
+func expectFlood(t *testing.T, b *rawClient, first, last uint64) {
+	t.Helper()
+	var protoErrs, aborts, completes, results int
+	next := first
+	for {
+		typ, stream, seq, m, err := b.c.ReadFrame()
+		var ne net.Error
+		if errors.As(err, &ne) && ne.Timeout() {
+			t.Fatal("connection still open after the flood")
+		}
+		if err != nil {
+			break
+		}
+		if completes > 0 && typ != wire.MsgError {
+			t.Fatalf("after the flooding stream's COMPLETE: %s %+v", typ, m)
+		}
+		switch typ {
+		case wire.MsgError:
+			if protoErrs++; stream != 0 || !strings.Contains(m.(*wire.ProtoError).Msg, "operation flood") {
+				t.Fatalf("ERROR on stream %d = %+v, want an operation flood on stream 0", stream, m)
+			}
+		case wire.MsgOpResult:
+			results++
+			if b.proto >= 2 && (seq < next || seq > last) {
+				t.Fatalf("OP-RESULT for op %d, want one of %d..%d: ops the backlog accepted, each once, in order", seq, next, last)
+			}
+			next = seq + 1
+		case wire.MsgAbort:
+			aborts++
+		case wire.MsgComplete:
+			completes++
+		default:
+			t.Fatalf("after the flood: got %s %+v", typ, m)
+		}
+	}
+	if protoErrs != 1 || aborts > 1 || completes > 1 || results > int(last-first+1) {
+		t.Fatalf("after the flood: %d ERROR, %d ABORT, %d COMPLETE, %d OP-RESULT; want 1, <= 1, <= 1, <= %d",
+			protoErrs, aborts, completes, results, last-first+1)
+	}
+}
+
 // TestOperationFlood pins the network-facing op backlog: a client that
 // writes more ops than streamOpBacklog without the host being able to serve
 // them is told "operation flood" and dropped, and its co-performer unwinds
 // with an abort naming it — the same limit, reply and attribution on both
-// protocols.
+// protocols — and pins what the host may still emit for the flooding stream
+// on the way (expectFlood).
 func TestOperationFlood(t *testing.T) {
 	for _, proto := range []int{1, 2} {
 		t.Run(fmt.Sprintf("v%d", proto), func(t *testing.T) {
@@ -208,32 +259,9 @@ func TestOperationFlood(t *testing.T) {
 			for i := 0; i < streamOpBacklog+1; i++ {
 				b.write(wire.MsgRecv, 1, uint64(i+2), recv)
 			}
-
-			// The flood aborts the performance, so what the unwinding enrollment
-			// still writes (the blocked RECV's result, the queued ones', its
-			// COMPLETE) lands around the ERROR in any order, until the host
-			// drops the connection.
-			var pe *wire.ProtoError
-			for {
-				typ, _, _, m, err := b.c.ReadFrame()
-				var ne net.Error
-				if errors.As(err, &ne) && ne.Timeout() {
-					t.Fatal("connection still open after the flood")
-				}
-				if err != nil {
-					break
-				}
-				switch typ {
-				case wire.MsgError:
-					pe = m.(*wire.ProtoError)
-				case wire.MsgOpResult, wire.MsgAbort, wire.MsgComplete:
-				default:
-					t.Fatalf("after the flood: got %s %+v", typ, m)
-				}
-			}
-			if pe == nil || !strings.Contains(pe.Msg, "operation flood") {
-				t.Fatalf("ERROR = %+v, want an operation flood", pe)
-			}
+			// Owed: the blocked RECV's result and the backlog's, ops 1 to 17.
+			// Op 18 is the flood.
+			expectFlood(t, b, 1, streamOpBacklog+1)
 
 			var ae *core.AbortError
 			if err := <-aErr; !errors.As(err, &ae) {
@@ -243,6 +271,101 @@ func TestOperationFlood(t *testing.T) {
 				t.Fatalf("abort = %+v, want culprit b for an operation flood", ae)
 			}
 		})
+	}
+}
+
+// TestPipelinedOpsCrossByValue pins the hand-off from the connection's
+// reader to the bridge. The reader decodes every frame of a type into the one
+// struct the connection has for it, so an op waiting in the backlog must have
+// been copied out: sixteen ops — the backlog's capacity — pipelined behind a
+// blocked one, sends with distinct values alternating with receives on
+// distinct tags, are each served with their own peer, tag and value, and each
+// answered under its own sequence ID. The seventeenth behind a blocked op is
+// the flood.
+func TestPipelinedOpsCrossByValue(t *testing.T) {
+	const ops = streamOpBacklog
+	tag := func(i int) string { return fmt.Sprintf("t%d", i) }
+	gate := make(chan struct{})
+	in := core.NewInstance(pairScript("pipelined", func(rc core.Ctx) error {
+		b := ids.Role("b")
+		<-gate
+		if err := rc.SendTag(b, "go", 0); err != nil {
+			return err
+		}
+		for i := 0; i < ops; i++ {
+			if i%2 == 1 {
+				if err := rc.SendTag(b, tag(i), 100*i); err != nil {
+					return err
+				}
+			} else if v, err := rc.RecvTag(b, tag(i)); err != nil || v != i {
+				return fmt.Errorf("op %d: received %v (%v), want %d", i, v, err, i)
+			}
+		}
+		// The second round's go-ahead never comes: a waits, in the fabric, for
+		// a message b never sends, while b floods.
+		_, err := rc.RecvTag(b, "never")
+		return err
+	}))
+	defer in.Close()
+	_, addr := serveTestHost(t, in)
+	aErr := make(chan error, 1)
+	go func() {
+		_, err := in.Enroll(context.Background(), core.Enrollment{PID: "A", Role: ids.Role("a")})
+		aErr <- err
+	}()
+
+	b := dialRawClient(t, addr, "pipelined", 2)
+	b.write(wire.MsgEnroll, 1, 0, &wire.Enroll{PID: "B", Role: "b"})
+	b.await(wire.MsgOfferAck)
+	// pipeline blocks the bridge on a RECV that a answers only once gate is
+	// fed, queues n ops behind it, and returns when the reader has seen them
+	// all: the frame after them opens a second stream, whose rejection comes
+	// back only once the reader is past everything sent before it.
+	seq := uint64(0)
+	pipeline := func(n int, probe uint64) {
+		seq++
+		b.write(wire.MsgRecv, 1, seq, &wire.Recv{From: "a", Tag: "go"})
+		for i := 0; i < n; i++ {
+			seq++
+			if i%2 == 1 {
+				b.write(wire.MsgRecv, 1, seq, &wire.Recv{From: "a", Tag: tag(i)})
+			} else {
+				b.write(wire.MsgSend, 1, seq, &wire.Send{To: "a", Tag: tag(i), Val: i})
+			}
+		}
+		b.write(wire.MsgEnroll, probe, 0, &wire.Enroll{PID: "B2", Role: "nosuch"})
+	}
+
+	pipeline(ops, 2)
+	if typ, stream, _, m, err := b.c.ReadFrame(); err != nil || typ != wire.MsgComplete || stream != 2 {
+		t.Fatalf("probe answered %s %+v on stream %d (%v), want COMPLETE on stream 2", typ, m, stream, err)
+	}
+	gate <- struct{}{}
+	for want := uint64(1); want <= seq; want++ {
+		typ, stream, got, m, err := b.c.ReadFrame()
+		if err != nil || typ != wire.MsgOpResult || stream != 1 || got != want {
+			t.Fatalf("read %s on stream %d seq %d (%v), want OP-RESULT on stream 1 seq %d", typ, stream, got, err, want)
+		}
+		res, i := m.(*wire.OpResult), int(want)-2
+		var wantVal any
+		switch {
+		case i < 0:
+			wantVal = 0 // the round's go-ahead
+		case i%2 == 1:
+			wantVal = 100 * i
+		}
+		if res.Err != nil || res.Val != wantVal {
+			t.Fatalf("op %d answered %+v (err %+v), want value %v", want, res, res.Err, wantVal)
+		}
+	}
+
+	// Second round: one op more than the backlog holds.
+	first := seq + 1
+	pipeline(ops+1, 3)
+	expectFlood(t, b, first, first+ops)
+	var ae *core.AbortError
+	if err := <-aErr; !errors.As(err, &ae) || ae.Culprit != ids.Role("b") {
+		t.Fatalf("co-performer err = %v, want an abort blaming b", err)
 	}
 }
 
@@ -278,11 +401,12 @@ func TestStreamSlotFreedBeforeTerminalFrame(t *testing.T) {
 	s := &hostSession{h: h, lockstep: true, streams: make(map[uint64]*hostStream), tasks: make(chan streamTask)}
 	probe := &slotProbe{s: s}
 	ctx, cancel := context.WithCancel(context.Background())
-	st := &hostStream{b: bridge{fw: probe, quit: make(chan struct{})}, ctx: ctx, cancel: cancel}
+	st := &hostStream{b: bridge{fw: probe, opCh: make(chan hostOp, streamOpBacklog)}, ctx: ctx, cancel: cancel}
 	s.streams[0] = st
 	// An enrollment the target rejects runs the whole path: admission,
 	// target.Enroll, terminal COMPLETE.
-	s.work(streamTask{stream: 0, st: st, m: &wire.Enroll{PID: "P", Role: "nosuch"}})
+	st.enroll = wire.Enroll{PID: "P", Role: "nosuch"}
+	s.work(streamTask{stream: 0, st: st})
 
 	if probe.terminal != wire.MsgComplete {
 		t.Fatalf("terminal frame = %v, want COMPLETE", probe.terminal)
@@ -350,7 +474,13 @@ func startOp(t *testing.T, st *muxStream) <-chan opOutcome {
 	t.Helper()
 	got := make(chan opOutcome, 1)
 	go func() {
-		res, err := st.op(context.Background(), wire.MsgRecv, &wire.Recv{From: "a"})
+		sl, err := st.begin()
+		if err != nil {
+			got <- opOutcome{err: err}
+			return
+		}
+		sl.recv = wire.Recv{From: "a"}
+		res, err := st.finish(sl, wire.MsgRecv, &sl.recv)
 		got <- opOutcome{res, err}
 	}()
 	eventually(t, "the op to be pending", func() bool { return pendingOps(st) == 1 })
@@ -361,6 +491,13 @@ func pendingOps(st *muxStream) int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return len(st.pending)
+}
+
+// abortError reports the performance-abort error an ABORT frame left on st.
+func (st *muxStream) abortError() error {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.abortErr
 }
 
 // TestRecycledStreamStartsClean is the client half of the recycling
@@ -422,9 +559,11 @@ func TestRecycleRacesReader(t *testing.T) {
 		st := openNext(t, mc)
 		open.Store(st.id)
 		select {
-		case ev := <-st.events:
-			if ev.ack.Performance != int(st.id) {
-				t.Fatalf("stream %d received a frame addressed to stream %d", st.id, ev.ack.Performance)
+		case <-st.events:
+			// The event's content is in the stream: the reader left it there
+			// before it posted the event, and takes no second OFFER-ACK.
+			if st.ack.Performance != int(st.id) {
+				t.Fatalf("stream %d received a frame addressed to stream %d", st.id, st.ack.Performance)
 			}
 		default:
 		}
@@ -448,16 +587,16 @@ func TestHostStreamRecycling(t *testing.T) {
 	s := &hostSession{h: h, streams: make(map[uint64]*hostStream), tasks: make(chan streamTask)}
 	// Each enrollment is one the target rejects, which runs the whole path.
 	enroll := func(stream uint64) (*hostStream, streamTask) {
-		st := &hostStream{}
-		st.b.fw, st.b.opCh, st.b.quit = &slotProbe{s: s}, make(chan hostOp, streamOpBacklog), make(chan struct{})
+		st := &hostStream{enroll: wire.Enroll{PID: "P", Role: "nosuch"}}
+		st.b.fw, st.b.opCh = &slotProbe{s: s}, make(chan hostOp, streamOpBacklog)
 		st.ctx, st.cancel = context.WithCancel(context.Background())
 		s.streams[stream] = st
-		return st, streamTask{stream: stream, st: st, m: &wire.Enroll{PID: "P", Role: "nosuch"}}
+		return st, streamTask{stream: stream, st: st}
 	}
 
 	st, task := enroll(1)
 	for i := 0; i < 3; i++ {
-		st.b.opCh <- hostOp{typ: wire.MsgRecv, seq: uint64(i), m: &wire.Recv{From: "a"}}
+		st.b.opCh <- opOf(wire.MsgRecv, uint64(i), &wire.Recv{From: "a"})
 	}
 	s.work(task)
 	if len(s.free) != 1 || s.free[0] != st || len(st.b.opCh) != 0 || st.ctx.Err() != nil {
@@ -510,7 +649,7 @@ func TestLateFramesForFinishedStream(t *testing.T) {
 			aErr <- err
 		}()
 		b.write(wire.MsgEnroll, stream, 0, &wire.Enroll{PID: "B", Role: "b"})
-		ack := next(stream, wire.MsgOfferAck).(*wire.OfferAck)
+		ack := *next(stream, wire.MsgOfferAck).(*wire.OfferAck) // kept across the reads below: a copy
 		if stream > 1 {
 			b.write(wire.MsgRecv, stream-1, 9, &wire.Recv{From: "a"})
 			b.write(wire.MsgBodyDone, stream-1, 0, &wire.BodyDone{})
@@ -529,5 +668,203 @@ func TestLateFramesForFinishedStream(t *testing.T) {
 		if err := <-aErr; err != nil {
 			t.Fatalf("co-performer of stream %d: %v", stream, err)
 		}
+	}
+}
+
+// TestStreamEventsNeverDrop pins the bound the conversation's single-source
+// waits rest on: an enrollment can have four events — OFFER-ACK, one terminal
+// frame, the connection's death, its context's end — each posted at most
+// once, and the stream's channel holds all four, so the reader never blocks
+// and nothing is dropped. A repeated OFFER-ACK or terminal frame (a host that
+// misbehaves) is refused before it costs a slot. A fifth kind of event, should
+// a change add one without its slot, is counted rather than lost in silence.
+func TestStreamEventsNeverDrop(t *testing.T) {
+	mc := pipeMux(t, 2)
+	st := openNext(t, mc)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	st.ctx = ctx
+	dropped := streamEventsDropped.Load()
+
+	for i := 0; i < 2; i++ { // the repeats must be refused
+		mc.dispatch(wire.MsgOfferAck, st.id, 0, &wire.OfferAck{Performance: 7 + i})
+	}
+	for i := 0; i < 2; i++ {
+		mc.dispatch(wire.MsgComplete, st.id, 0, &wire.Complete{Performance: 7 + i})
+		mc.dispatch(wire.MsgDrain, st.id, 0, &wire.Drain{})
+	}
+	lost := fmt.Errorf("%w: test", ErrConnLost)
+	st.fatal(lost)
+	mc.withdraw(st)
+
+	if len(st.events) != maxStreamEvents || cap(st.events) != maxStreamEvents {
+		t.Fatalf("%d events in a channel of %d, want all %d", len(st.events), cap(st.events), maxStreamEvents)
+	}
+	want := []streamEvent{{typ: wire.MsgOfferAck}, {typ: wire.MsgComplete}, {err: lost}, {err: context.Canceled}}
+	for i, w := range want {
+		if ev := <-st.events; ev != w {
+			t.Fatalf("event %d = %+v, want %+v", i, ev, w)
+		}
+	}
+	if st.ack.Performance != 7 || st.cm.Performance != 7 {
+		t.Fatalf("the stream holds OFFER-ACK %d and COMPLETE %d, want the first of each (7)", st.ack.Performance, st.cm.Performance)
+	}
+	if got := streamEventsDropped.Load() - dropped; got != 0 {
+		t.Fatalf("%d events dropped", got)
+	}
+
+	for i := 0; i <= maxStreamEvents; i++ {
+		st.event(streamEvent{err: lost})
+	}
+	if got := streamEventsDropped.Load() - dropped; got != 1 {
+		t.Fatalf("one event too many for the channel counted %d drops, want 1", got)
+	}
+}
+
+// TestContextEndAtEveryWait cancels an enrollment's context at each point
+// where the client can be waiting. Nothing on the client watches the context
+// but the withdraw that context.AfterFunc runs, so each row checks that the
+// withdraw reaches the wait in question: Enroll returns ctx.Err() within the
+// test's bound; the host is told by CANCEL (the connection is pinned open by
+// a second reservation, so nothing else could tell it) and — where the role
+// was still performing — aborts the performance blaming this role; the
+// stream, which the withdraw names, is not recycled; and nothing is left
+// running afterwards.
+func TestContextEndAtEveryWait(t *testing.T) {
+	a, b := ids.Role("a"), ids.Role("b")
+	for _, tc := range []struct {
+		name    string
+		enrollA bool // a local co-performer fills the cast, so b is assigned
+		// body is b's; it closes reached at the wait under test and, if it
+		// outlives the cancellation, returns what its next op returned.
+		body   func(rc core.Ctx, reached chan<- struct{}, cancelled <-chan struct{}) error
+		aborts bool // b was performing: the host must abort, blaming b
+		held   bool // b's body returned; a, still at work, holds its release
+	}{
+		{name: "before OFFER-ACK"},
+		{name: "op in flight", enrollA: true, aborts: true,
+			body: func(rc core.Ctx, reached chan<- struct{}, _ <-chan struct{}) error {
+				close(reached)
+				_, err := rc.Recv(a) // a never sends
+				return err
+			}},
+		{name: "body computing between ops", enrollA: true, aborts: true,
+			body: func(rc core.Ctx, reached chan<- struct{}, cancelled <-chan struct{}) error {
+				close(reached)
+				<-cancelled
+				return rc.Send(a, 1)
+			}},
+		{name: "after BODY-DONE", enrollA: true, held: true,
+			body: func(core.Ctx, chan<- struct{}, <-chan struct{}) error { return nil }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			reached, cancelled, aHold := make(chan struct{}), make(chan struct{}), make(chan struct{})
+			in := core.NewInstance(pairScript("ctxend", func(rc core.Ctx) error {
+				if tc.held { // reached is when the host has b's BODY-DONE
+					for !rc.Terminated(b) {
+						time.Sleep(time.Millisecond)
+					}
+					close(reached)
+					<-aHold
+					return nil
+				}
+				for { // take whatever b sends, until the performance aborts
+					if _, err := rc.Recv(b); err != nil {
+						return err
+					}
+				}
+			}))
+			h, addr := serveTestHost(t, in)
+			e := NewEnroller(addr, EnrollerConfig{})
+			mc, err := e.acquireMux(context.Background(), e.hostList()[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !mc.tryReserve() { // the pin: a withdrawn enrollment retires only an idle connection
+				t.Fatal("no second slot on a fresh connection")
+			}
+
+			aErr := make(chan error, 1)
+			if tc.enrollA {
+				go func() {
+					_, err := in.Enroll(context.Background(), core.Enrollment{PID: "A", Role: a})
+					aErr <- err
+				}()
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			bErr := make(chan error, 1)
+			go func() {
+				_, err := e.enrollMux(ctx, mc, core.Enrollment{PID: "B", Role: b, Body: func(rc core.Ctx) error {
+					return tc.body(rc, reached, cancelled)
+				}})
+				bErr <- err
+			}()
+
+			switch {
+			case tc.body == nil:
+				eventually(t, "b's offer to go pending", func() bool { return in.PendingOffers() == 1 })
+			case tc.name == "op in flight":
+				<-reached
+				eventually(t, "b's op to be in flight", func() bool {
+					mc.mu.Lock()
+					defer mc.mu.Unlock()
+					for _, st := range mc.streams {
+						return pendingOps(st) == 1
+					}
+					return false
+				})
+			default:
+				<-reached
+			}
+			cancel()
+			close(cancelled)
+
+			select {
+			case err := <-bErr:
+				if err != context.Canceled {
+					t.Fatalf("Enroll = %v, want context.Canceled", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("Enroll still waiting 5s after its context ended")
+			}
+			mc.mu.Lock()
+			live, free := len(mc.streams), len(mc.free)
+			mc.mu.Unlock()
+			if live != 0 || free != 0 {
+				t.Fatalf("after the withdraw: %d streams live, %d kept for reuse; want 0 and 0", live, free)
+			}
+
+			// The host's side: told by CANCEL, on a connection that stays up.
+			switch {
+			case tc.body == nil:
+				eventually(t, "the host to withdraw the offer", func() bool { return in.PendingOffers() == 0 })
+			case tc.aborts:
+				var ae *core.AbortError
+				select {
+				case err := <-aErr:
+					if !errors.As(err, &ae) || ae.Culprit != b || !strings.Contains(ae.Reason, "canceled by enroller") {
+						t.Fatalf("co-performer err = %v, want an abort blaming b for a CANCEL", err)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatal("no abort 5s after the CANCEL")
+				}
+			default:
+				close(aHold)
+				if err := <-aErr; err != nil {
+					t.Fatalf("co-performer of a role cancelled after its body returned: %v", err)
+				}
+			}
+			if got := h.Stats().Conns; got != 1 {
+				t.Fatalf("conns = %d, want the pinned 1: the host learned of the withdrawal from a closed connection", got)
+			}
+
+			e.Close()
+			mc.fail(core.ErrClosed) // the pin keeps a retired connection from reaping itself
+			h.Close()
+			in.Close()
+			eventually(t, "every goroutine of the row to end", func() bool { return runtime.NumGoroutine() <= before })
+		})
 	}
 }

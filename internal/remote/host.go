@@ -432,14 +432,45 @@ func (h *Host) untrack(c *wire.Conn) {
 	h.mu.Unlock()
 }
 
-// hostOp is one decoded client operation, the bridge's unit of work: m is
-// the concrete message struct (decoded before routing, so the connection's
-// reused read buffer is never retained) and seq the pipelining sequence the
-// OP-RESULT must echo (always 0 on a v1 connection).
+// hostOp is one decoded client operation, the bridge's unit of work, by
+// value: the reader copies the fields of the connection's message struct
+// (which the next frame overwrites) into one, and the op backlog's buffer is
+// the ring they wait in — nothing to allocate, no slot whose lifetime anyone
+// tracks. seq is the pipelining sequence the OP-RESULT must echo (always 0 on
+// a v1 connection); the rest is the union of the op messages' fields.
 type hostOp struct {
-	typ wire.MsgType
-	seq uint64
-	m   any
+	typ      wire.MsgType
+	seq      uint64
+	peer     string // Send.To, Recv.From, Query.Role
+	tag      string // Send.Tag, Recv.Tag, Query.Kind
+	name     string // Query.Name
+	val      any
+	tos      []string            // SendAll.Tos
+	branches []wire.SelectBranch // Select.Branches
+	results  []any               // BodyDone.Results
+	err      *wire.ErrInfo       // BodyDone.Err
+}
+
+// opOf copies the op message m, valid only until the reader's next frame,
+// into a hostOp. The slices and values it points to were built for this
+// frame alone (see wire.Conn.ReadFrame).
+func opOf(t wire.MsgType, seq uint64, m any) hostOp {
+	op := hostOp{typ: t, seq: seq}
+	switch m := m.(type) {
+	case *wire.Send:
+		op.peer, op.tag, op.val = m.To, m.Tag, m.Val
+	case *wire.SendAll:
+		op.tos, op.val = m.Tos, m.Val
+	case *wire.Recv:
+		op.peer, op.tag = m.From, m.Tag
+	case *wire.Select:
+		op.branches = m.Branches
+	case *wire.Query:
+		op.peer, op.tag, op.name = m.Role, m.Kind, m.Name
+	case *wire.BodyDone:
+		op.results, op.err = m.Results, m.Err
+	}
+	return op
 }
 
 // maxProto is the newest protocol version the host negotiates.
@@ -561,10 +592,18 @@ func (h *Host) admitEnroll() (enrollVerdict, string) {
 // addressed to its stream and echoing each op's sequence ID on its
 // OP-RESULT.
 type bridge struct {
-	fw       frameWriter // the session (resumable) or the bare connection
+	fw frameWriter // the session (resumable) or the bare connection
+	// opCh is the op backlog, filled by the connection's reader. disconnect
+	// closes it, which is what releases an idle run.
 	opCh     chan hostOp
-	quit     chan struct{}
 	streamID uint64
+	// ack and res are the frames run writes, one at a time: encoded before
+	// WriteFrame returns, so the next one can take their place. branches is
+	// the storage a SELECT's alternative is built in, the core being done with
+	// it when the op returns.
+	ack      wire.OfferAck
+	res      wire.OpResult
+	branches []core.SelectBranch
 
 	once sync.Once
 
@@ -601,17 +640,14 @@ func (b *bridge) run(rc core.Ctx) error {
 		b.mu.Unlock()
 	}()
 
-	ack := &wire.OfferAck{
-		Performance: rc.Performance(),
-		Role:        rc.Role().String(),
-	}
+	b.ack = wire.OfferAck{Performance: rc.Performance(), Role: rc.Role().String()}
 	// Echo the performance's trace ID (the client's, or one the host
 	// sampler minted) so the client records onto the same timeline. The
 	// optional assertion keeps core.Ctx unextended for other implementors.
 	if tr, ok := rc.(interface{ TraceID() trace.TraceID }); ok {
-		ack.TraceID = tr.TraceID().String()
+		b.ack.TraceID = tr.TraceID().String()
 	}
-	if err := b.write(wire.MsgOfferAck, 0, ack); err != nil {
+	if err := b.write(wire.MsgOfferAck, 0, &b.ack); err != nil {
 		b.abortVia(rc, "write failure delivering offer")
 		return fmt.Errorf("remote: offer ack: %w", err)
 	}
@@ -619,18 +655,23 @@ func (b *bridge) run(rc core.Ctx) error {
 	// donech lets an idle bridge notice the performance aborting under it
 	// (deadline, a co-performer's disconnect) and tell the client, which
 	// then fails its subsequent operations locally. The protocol stays in
-	// lock-step: the bridge keeps serving until BODY-DONE arrives.
+	// lock-step: the bridge keeps serving until BODY-DONE arrives. It is a
+	// second source to wait on only until it fires (never, for an rc that has
+	// none): from then on the backlog is the only one.
+	po, _ := rc.(perfObserver)
 	var donech <-chan struct{}
-	if po, ok := rc.(perfObserver); ok {
+	if po != nil {
 		donech = po.PerformanceDone()
 	}
 	for {
-		select {
-		case <-b.quit:
-			return errEnrollerLost
-		case <-donech:
-			donech = nil
-			if po, ok := rc.(perfObserver); ok {
+		var op hostOp
+		var open bool
+		if donech == nil {
+			op, open = <-b.opCh
+		} else {
+			select {
+			case <-donech:
+				donech = nil
 				if ae, ok := po.AbortErr().(*core.AbortError); ok && ae != nil {
 					_ = b.write(wire.MsgAbort, 0, &wire.Abort{
 						Performance: ae.Performance,
@@ -638,35 +679,46 @@ func (b *bridge) run(rc core.Ctx) error {
 						Reason:      ae.Reason,
 					})
 				}
+				continue
+			case op, open = <-b.opCh:
 			}
-		case op := <-b.opCh:
-			if op.typ == wire.MsgBodyDone {
-				bd := op.m.(*wire.BodyDone)
-				rc.Return(bd.Results...)
-				return bd.Err.Err()
-			}
-			res := serveOp(rc, op)
-			if err := b.write(wire.MsgOpResult, op.seq, &res); err != nil {
-				// The client cannot learn this op's outcome; the
-				// enrollment is unrecoverable.
-				b.abortVia(rc, "write failure delivering operation result")
-				return fmt.Errorf("remote: op result: %w", err)
-			}
+		}
+		if !open {
+			return errEnrollerLost // disconnect closed the backlog, and it is empty
+		}
+		if op.typ == wire.MsgBodyDone {
+			rc.Return(op.results...)
+			return op.err.Err()
+		}
+		b.res = b.serveOp(rc, op)
+		if err := b.write(wire.MsgOpResult, op.seq, &b.res); err != nil {
+			// The client cannot learn this op's outcome; the
+			// enrollment is unrecoverable.
+			b.abortVia(rc, "write failure delivering operation result")
+			return fmt.Errorf("remote: op result: %w", err)
 		}
 	}
 }
 
 // reset readies the bridge of a finished enrollment for the next one. Only an
-// enrollment nobody disconnected is recycled, so once and quit are untouched.
+// enrollment nobody disconnected is recycled, so once is unspent and the
+// backlog open.
 func (b *bridge) reset() {
 	b.mu.Lock()
 	b.rc, b.started, b.finished = nil, false, false
 	b.mu.Unlock()
+	b.res = wire.OpResult{}
+	clear(b.branches)
 }
 
 // disconnect reclaims the enrollment after the connection died: a started,
 // unfinished performance is aborted blaming this role, and the bridge body
-// (possibly blocked in the fabric or idle in its loop) is released.
+// (possibly blocked in the fabric or idle in its loop) is released by the
+// backlog closing: it serves what the backlog still holds — into an aborted
+// performance, so each op fails at once — and ends. Closing a channel another
+// goroutine sends on is legal here because every caller has marked the
+// stream severed under the session's lock first, and the reader hands an op
+// over only under that lock, to a stream it found unsevered.
 func (b *bridge) disconnect(reason string) {
 	b.once.Do(func() {
 		b.mu.Lock()
@@ -675,7 +727,7 @@ func (b *bridge) disconnect(reason string) {
 		if started && !finished {
 			b.abortVia(rc, reason)
 		}
-		close(b.quit)
+		close(b.opCh)
 	})
 }
 
@@ -686,34 +738,31 @@ func (b *bridge) abortVia(rc core.Ctx, reason string) {
 }
 
 // serveOp executes one decoded client operation against the real RoleCtx.
-func serveOp(rc core.Ctx, op hostOp) wire.OpResult {
+func (b *bridge) serveOp(rc core.Ctx, op hostOp) wire.OpResult {
 	fail := func(err error) wire.OpResult { return wire.OpResult{Err: wire.EncodeError(err)} }
 	switch op.typ {
 	case wire.MsgSend:
-		m := op.m.(*wire.Send)
-		to, err := wire.DecodeRoleRef(m.To)
+		to, err := wire.DecodeRoleRef(op.peer)
 		if err != nil {
-			return fail(fmt.Errorf("%w: %s", core.ErrUnknownRole, m.To))
+			return fail(fmt.Errorf("%w: %s", core.ErrUnknownRole, op.peer))
 		}
-		return fail(rc.SendTag(to, m.Tag, m.Val))
+		return fail(rc.SendTag(to, op.tag, op.val))
 	case wire.MsgSendAll:
-		m := op.m.(*wire.SendAll)
-		tos := make([]ids.RoleRef, len(m.Tos))
-		for i, s := range m.Tos {
+		tos := make([]ids.RoleRef, len(op.tos))
+		for i, s := range op.tos {
 			to, err := wire.DecodeRoleRef(s)
 			if err != nil {
 				return fail(fmt.Errorf("%w: %s", core.ErrUnknownRole, s))
 			}
 			tos[i] = to
 		}
-		return fail(rc.SendAll(tos, m.Val))
+		return fail(rc.SendAll(tos, op.val))
 	case wire.MsgRecv:
-		m := op.m.(*wire.Recv)
-		from, err := wire.DecodeRoleRef(m.From)
+		from, err := wire.DecodeRoleRef(op.peer)
 		if err != nil {
-			return fail(fmt.Errorf("%w: %s", core.ErrUnknownRole, m.From))
+			return fail(fmt.Errorf("%w: %s", core.ErrUnknownRole, op.peer))
 		}
-		v, err := rc.RecvTag(from, m.Tag)
+		v, err := rc.RecvTag(from, op.tag)
 		if err != nil {
 			return fail(err)
 		}
@@ -725,53 +774,52 @@ func serveOp(rc core.Ctx, op hostOp) wire.OpResult {
 		}
 		return wire.OpResult{Val: v, Peer: from.String(), Tag: tag}
 	case wire.MsgSelect:
-		m := op.m.(*wire.Select)
-		branches := make([]core.SelectBranch, len(m.Branches))
-		for i, wb := range m.Branches {
+		branches := b.branches[:0]
+		for _, wb := range op.branches {
 			switch {
 			case wb.Send:
 				to, err := wire.DecodeRoleRef(wb.Peer)
 				if err != nil {
 					return fail(fmt.Errorf("%w: %s", core.ErrUnknownRole, wb.Peer))
 				}
-				branches[i] = core.SendTagTo(to, wb.Tag, wb.Val)
+				branches = append(branches, core.SendTagTo(to, wb.Tag, wb.Val))
 			case wb.AnyPeer:
-				branches[i] = core.RecvFromAnyone(wb.Tag)
+				branches = append(branches, core.RecvFromAnyone(wb.Tag))
 			default:
 				from, err := wire.DecodeRoleRef(wb.Peer)
 				if err != nil {
 					return fail(fmt.Errorf("%w: %s", core.ErrUnknownRole, wb.Peer))
 				}
-				branches[i] = core.RecvTagFrom(from, wb.Tag)
+				branches = append(branches, core.RecvTagFrom(from, wb.Tag))
 			}
 		}
+		b.branches = branches
 		sel, err := rc.Select(branches...)
 		if err != nil {
 			return fail(err)
 		}
 		return wire.OpResult{
 			// Map back to the client's original branch numbering.
-			Index: m.Branches[sel.Index].Index,
+			Index: op.branches[sel.Index].Index,
 			Peer:  sel.Peer.String(),
 			Tag:   sel.Tag,
 			Val:   sel.Val,
 		}
 	case wire.MsgQuery:
-		q := op.m.(*wire.Query)
-		switch q.Kind {
+		switch op.tag {
 		case wire.QueryTerminated, wire.QueryFilled:
-			r, err := wire.DecodeRoleRef(q.Role)
+			r, err := wire.DecodeRoleRef(op.peer)
 			if err != nil {
-				return fail(fmt.Errorf("%w: %s", core.ErrUnknownRole, q.Role))
+				return fail(fmt.Errorf("%w: %s", core.ErrUnknownRole, op.peer))
 			}
-			if q.Kind == wire.QueryTerminated {
+			if op.tag == wire.QueryTerminated {
 				return wire.OpResult{Bool: rc.Terminated(r)}
 			}
 			return wire.OpResult{Bool: rc.Filled(r)}
 		case wire.QueryFamilySize:
-			return wire.OpResult{N: rc.FamilySize(q.Name)}
+			return wire.OpResult{N: rc.FamilySize(op.name)}
 		default:
-			return fail(fmt.Errorf("script/remote: unknown query kind %q", q.Kind))
+			return fail(fmt.Errorf("script/remote: unknown query kind %q", op.tag))
 		}
 	default:
 		return fail(fmt.Errorf("script/remote: unexpected %s during performance", op.typ))

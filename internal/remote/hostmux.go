@@ -37,19 +37,25 @@ const streamOpBacklog = 16
 
 // hostStream is the session's handle on one in-flight enrollment. It
 // outlives the enrollment: an enrollment that ran its course leaves its
-// hostStream — bridge, op backlog and a context nobody cancelled — on the
-// session's free list for a later ENROLL.
+// hostStream — bridge, op backlog, message structs and a context nobody
+// cancelled — on the session's free list for a later ENROLL.
 type hostStream struct {
 	b    bridge
 	body core.RoleBody // b.run
-	ctx  context.Context
+	// enroll is the ENROLL that opened the stream, copied out of the reader's
+	// struct; cm the COMPLETE that ends it, written by its worker.
+	enroll wire.Enroll
+	cm     wire.Complete
+	ctx    context.Context
 	// cancel ends the enrollment's context: offer withdrawal before
 	// assignment, part of teardown after.
 	cancel context.CancelFunc
 	// severed marks an enrollment some goroutine other than its worker is
 	// ending (CANCEL, flood, teardown): set under smu in the critical section
 	// that found the stream, it keeps the hostStream off the free list, so the
-	// disconnect and cancel that follow can only ever hit this enrollment.
+	// disconnect and cancel that follow can only ever hit this enrollment, and
+	// it stops the reader handing the stream ops, so the disconnect may close
+	// the backlog.
 	severed bool
 }
 
@@ -57,7 +63,6 @@ type hostStream struct {
 type streamTask struct {
 	stream uint64
 	st     *hostStream
-	m      *wire.Enroll
 }
 
 // hostSession owns the server side of one conversation across however
@@ -153,18 +158,17 @@ func (h *Host) unregisterSession(s *hostSession) {
 // frame decides what the connection is: on v2, a RESUME re-attaches an
 // existing session (parked, or live on a connection whose death the client
 // noticed first); anything else starts a fresh session with that frame as
-// its first traffic.
+// its first traffic. So does no frame at all: a connection cut before its
+// first frame arrived has a client behind it that holds the token, and may
+// hold an ENROLL to replay.
 func (h *Host) serveSession(c *wire.Conn, token string) {
 	t, stream, seq, m, err := c.ReadFrame()
-	if err != nil {
-		return
-	}
 	lockstep := c.Version() < 2
 	if lockstep {
 		h.connsV1.Add(1)
 	} else {
 		h.connsV2.Add(1)
-		if t == wire.MsgResume {
+		if err == nil && t == wire.MsgResume {
 			if s := h.adoptSession(c, m.(*wire.Resume)); s != nil {
 				h.runConn(s, c, nil)
 			}
@@ -174,6 +178,10 @@ func (h *Host) serveSession(c *wire.Conn, token string) {
 	s := newHostSession(h, c, token, lockstep)
 	if token != "" {
 		h.registerSession(s)
+	}
+	if err != nil {
+		s.connBroken(c)
+		return
 	}
 	h.runConn(s, c, &preRead{t: t, stream: stream, seq: seq, m: m})
 }
@@ -222,13 +230,13 @@ func (s *hostSession) adopt(c *wire.Conn, r *wire.Resume, refuse func(string)) b
 		s.timer = nil
 	}
 	s.cur = c
-	n := len(s.streams)
+	n, recvd := len(s.streams), s.sess.RecvCount() // what the retired reader counted, and no more (see handle)
 	s.smu.Unlock()
 
 	// RESUME-ACK strictly before the replayed suffix (both from this
 	// goroutine, through the conn's ordered writer): the enroller reads the
 	// ack synchronously before releasing its own writers onto the wire.
-	if err := c.WriteFrame(wire.MsgResumeAck, 0, 0, &wire.ResumeAck{RecvCount: s.sess.RecvCount()}); err != nil {
+	if err := c.WriteFrame(wire.MsgResumeAck, 0, 0, &wire.ResumeAck{RecvCount: recvd}); err != nil {
 		s.connBroken(c) // fresh transport died instantly: park again
 		return false
 	}
@@ -252,10 +260,13 @@ func (s *hostSession) adopt(c *wire.Conn, r *wire.Resume, refuse func(string)) b
 }
 
 // connBroken is the read loop's exit path for a transport failure on c. If
-// the session is still resumable — resumption negotiated, grace window
-// configured, live streams worth protecting, ring intact, no BYE, host not
-// closing — it parks for the grace window; otherwise it tears down, which
-// reproduces the pre-resumption abort semantics exactly.
+// the session is still resumable — resumption negotiated (it has a token),
+// grace window configured, ring intact, no BYE, host not closing — it parks
+// for the grace window; otherwise it tears down, which reproduces the
+// pre-resumption abort semantics exactly. A session with no live stream
+// parks too: the client's first ENROLL may be in the socket the cut emptied,
+// or in its ring, and the RESUME that replays it must find the session. An
+// idle one that nobody resumes costs a timer until the window closes.
 func (s *hostSession) connBroken(c *wire.Conn) {
 	s.smu.Lock()
 	if s.done || s.cur != c {
@@ -266,8 +277,7 @@ func (s *hostSession) connBroken(c *wire.Conn) {
 	}
 	s.cur = nil
 	window := s.h.cfg.ResumeWindow
-	parkable := s.sess != nil && window > 0 && !s.byed &&
-		len(s.streams) > 0 && !s.sess.Doomed() && !s.h.isClosed()
+	parkable := s.sess != nil && window > 0 && !s.byed && !s.sess.Doomed() && !s.h.isClosed()
 	if !parkable {
 		s.smu.Unlock()
 		s.teardown()
@@ -355,6 +365,7 @@ func (s *hostSession) work(t streamTask) {
 			<-t.st.b.opCh
 		}
 		t.st.b.reset()
+		t.st.enroll, t.st.cm = wire.Enroll{}, wire.Complete{}
 		s.free = append(s.free, t.st)
 	}
 	s.smu.Unlock()
@@ -441,8 +452,22 @@ func (h *Host) runConn(s *hostSession, c *wire.Conn, first *preRead) {
 		}
 		if stream != 0 && s.sess != nil {
 			// Every stream frame counts toward the cumulative receipt state
-			// the resume exchange reconciles (and, on cadence, acks).
-			s.sess.MaybeAck()
+			// the resume exchange reconciles (and, on cadence, acks) — while
+			// this is still the session's connection. A RESUME supersedes it
+			// and samples the count under the same lock, so a frame this
+			// reader took before the old connection closed is either in the
+			// count and handled here, or in neither and replayed: never both.
+			var n uint64
+			s.smu.Lock()
+			current := s.cur == c
+			if current {
+				n = s.sess.CountRecv()
+			}
+			s.smu.Unlock()
+			if !current {
+				return false
+			}
+			s.sess.AckAt(n)
 		}
 		switch t {
 		case wire.MsgAck:
@@ -497,12 +522,11 @@ func (h *Host) runConn(s *hostSession, c *wire.Conn, first *preRead) {
 			} else {
 				st = &hostStream{}
 				st.b.opCh = make(chan hostOp, streamOpBacklog)
-				st.b.quit = make(chan struct{})
 				st.body = st.b.run
 				st.ctx, st.cancel = context.WithCancel(h.baseCtx)
 			}
-			st.b.fw, st.b.streamID = s.writer(), stream
-			task := streamTask{stream: stream, st: st, m: m.(*wire.Enroll)}
+			st.b.fw, st.b.streamID, st.enroll = s.writer(), stream, *m.(*wire.Enroll)
+			task := streamTask{stream: stream, st: st}
 			s.setSlotLocked(stream, st)
 			select {
 			case s.tasks <- task:
@@ -527,13 +551,15 @@ func (h *Host) runConn(s *hostSession, c *wire.Conn, first *preRead) {
 			}
 		case wire.MsgSend, wire.MsgSendAll, wire.MsgRecv, wire.MsgRecvAny,
 			wire.MsgSelect, wire.MsgQuery, wire.MsgBodyDone:
-			// A missing stream raced with its terminal frame (cancel, abort):
-			// drop, the enrollment already has its outcome.
+			// A missing stream raced with its terminal frame (cancel, abort), a
+			// severed one with whoever is ending it: drop, the enrollment
+			// already has its outcome. The op crosses by value, under the lock
+			// that found the stream.
 			var flooded *hostStream
 			s.smu.Lock()
-			if st := s.streams[stream]; st != nil {
+			if st := s.streams[stream]; st != nil && !st.severed {
 				select {
-				case st.b.opCh <- hostOp{typ: t, seq: seq, m: m}:
+				case st.b.opCh <- opOf(t, seq, m):
 				default:
 					st.severed, flooded = true, st
 				}
@@ -573,7 +599,7 @@ func (h *Host) runConn(s *hostSession, c *wire.Conn, first *preRead) {
 // All frames go through the stream's bridge writer, so they survive
 // reconnects on a resumable session.
 func (s *hostSession) serveStream(t streamTask) {
-	h, m := s.h, t.m
+	h, m := s.h, &t.st.enroll
 	role, err := wire.DecodeRoleRef(m.Role)
 	if err != nil {
 		s.complete(t, ids.RoleRef{}, core.Result{}, fmt.Errorf("%w: %s", core.ErrUnknownRole, m.Role))
@@ -635,10 +661,11 @@ func (s *hostSession) complete(t streamTask, role ids.RoleRef, res core.Result, 
 	if res.Role.Name != "" {
 		role = res.Role
 	}
-	_ = fw.WriteFrame(wire.MsgComplete, t.stream, 0, &wire.Complete{
+	t.st.cm = wire.Complete{
 		Performance: res.Performance,
 		Role:        role.String(),
 		Values:      res.Values,
 		Err:         wire.EncodeError(err),
-	})
+	}
+	_ = fw.WriteFrame(wire.MsgComplete, t.stream, 0, &t.st.cm)
 }

@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"github.com/scriptabs/goscript/internal/core"
+	"github.com/scriptabs/goscript/internal/metrics"
 	"github.com/scriptabs/goscript/internal/wire"
 )
 
@@ -25,14 +27,19 @@ import (
 const DefaultMaxStreamsPerConn = 32
 
 // streamEvent is one control-flow event delivered to an enrollment's
-// conversation loop (as opposed to op results, which are matched to their
-// waiting op by sequence ID). err non-nil means the connection died.
+// conversation (as opposed to op results, which are matched to their waiting
+// op by sequence ID): the type of a frame whose content the reader left in
+// the stream (muxStream.ack, muxStream.cm), or the error that ends the
+// conversation — the connection died, or the enrollment's context ended.
 type streamEvent struct {
 	typ wire.MsgType // MsgOfferAck | MsgDrain | MsgComplete
-	ack wire.OfferAck
-	cm  wire.Complete
 	err error
 }
+
+// streamEventsDropped counts events that found a stream's channel full. The
+// channel is sized for every event an enrollment can have (see
+// muxStream.events), so anything but zero is a hung enrollment's cause.
+var streamEventsDropped = metrics.Get(metrics.RemoteStreamEventsDropped)
 
 // muxConn is one *conversation* shared by up to maxStreams concurrent
 // enrollments. A dedicated reader goroutine demuxes frames to streams; the
@@ -109,14 +116,22 @@ func (mc *muxConn) cut() {
 	}
 }
 
-// withdraw tells the host that st's enrollment context ended. On a shared
-// connection that is a stream-addressed CANCEL, which the host answers with
-// the stream's terminal frame; the connection stays up for its other
-// streams. A lock-step conversation has no such frame and withdraws the way
-// v1 always has, by severing its dedicated connection — unless the stream
-// already finished, when the connection may be serving a successor.
+// withdraw runs when st's enrollment context ends (context.AfterFunc), and
+// is the only thing that watches that context: it ends the enrollment's
+// waits and tells the host. On a shared connection the host is told with a
+// stream-addressed CANCEL, which it answers with the stream's terminal frame;
+// the connection stays up for its other streams. A lock-step conversation has
+// no such frame and withdraws the way v1 always has, by severing its
+// dedicated connection — unless the stream already finished, when the
+// connection may be serving a successor. The context's error goes where a
+// connection's death goes (fatal): onto the stream, for ops that come later;
+// to the ops in flight; and to the conversation's event channel.
 func (mc *muxConn) withdraw(st *muxStream) {
+	err := st.ctx.Err()
 	if !mc.lockstep {
+		// The waits end first: a CANCEL can wait for a socket that a wedged
+		// host is not reading, and the enrollment must not wait with it.
+		st.fatal(err)
 		_ = mc.write(wire.MsgCancel, st.id, 0, &wire.Cancel{})
 		return
 	}
@@ -126,6 +141,7 @@ func (mc *muxConn) withdraw(st *muxStream) {
 	if live {
 		mc.fail(fmt.Errorf("%w: enrollment withdrawn", ErrConnLost))
 	}
+	st.fatal(err)
 }
 
 // muxStream is one enrollment's lane on a muxConn: its op-pipelining state
@@ -134,28 +150,56 @@ func (mc *muxConn) withdraw(st *muxStream) {
 type muxStream struct {
 	id uint64
 	mc *muxConn
-	// events is sized for the worst case per stream: OFFER-ACK, one
-	// terminal frame, one connection-death notice.
+	// events holds every event one enrollment can have, each posted at most
+	// once: OFFER-ACK, one terminal frame, the connection's death, the
+	// context's end (see maxStreamEvents). The conversation blocks on nothing
+	// else, so a dropped event would hang it: event counts drops.
 	events chan streamEvent
-	// withdraw is mc.withdraw bound to this stream, for context.AfterFunc.
+	// withdraw is mc.withdraw bound to this stream, for context.AfterFunc;
+	// ctx is the enrollment's context, whose end it reports.
 	withdraw func()
-	// enroll and bodyDone are the enrollment's two outbound messages.
+	ctx      context.Context
+	// enroll and bodyDone are the enrollment's two outbound messages, rctx
+	// the Ctx its body runs against.
 	enroll   wire.Enroll
 	bodyDone wire.BodyDone
+	rctx     remoteCtx
+	// ack and cm are the host's OFFER-ACK and COMPLETE, copied out of the
+	// reader's structs before the event that announces them is posted. acked
+	// and ended admit one of each (DRAIN ends too); like the stream table
+	// they are the reader's, under mc.mu.
+	ack          wire.OfferAck
+	cm           wire.Complete
+	acked, ended bool
 
 	mu      sync.Mutex
 	pending map[uint64]chan opOutcome
-	// idle is a result channel no op is waiting on, empty and unregistered:
-	// a body runs one op at a time, so one channel serves them all.
-	idle     chan opOutcome
+	// idle is a slot no op holds, its channel empty and unregistered: a body
+	// runs one op at a time, so one slot serves them all.
+	idle     *opSlot
 	nextSeq  uint64
 	abortErr error // performance aborted between ops (ABORT frame)
-	failed   error // connection died
+	failed   error // connection died, or the enrollment's context ended
 }
+
+// maxStreamEvents is the capacity of muxStream.events.
+const maxStreamEvents = 4
 
 type opOutcome struct {
 	res wire.OpResult
 	err error
+}
+
+// opSlot is what an operation holds while in flight: the channel its outcome
+// arrives on, the sequence ID it is registered under, and the request structs
+// the common ops are encoded from. The stream keeps one (muxStream.idle); an
+// op that finds it taken — a body running ops concurrently — makes its own.
+type opSlot struct {
+	ch   chan opOutcome
+	seq  uint64
+	send wire.Send
+	recv wire.Recv
+	sel  wire.Select // Branches keeps its storage from op to op
 }
 
 // tryReserve claims a stream slot, or reports the connection
@@ -222,7 +266,14 @@ func (mc *muxConn) closeStream(st *muxStream, recycle bool) {
 		}
 		clear(st.pending)
 		st.nextSeq, st.abortErr, st.failed = 0, nil, nil
-		st.enroll, st.bodyDone = wire.Enroll{}, wire.BodyDone{}
+		// rctx keeps its stream and context: a body that kept its Ctx past its
+		// return finds what it always found, a live stream to fail on.
+		st.enroll, st.bodyDone, st.rctx.ParamBag = wire.Enroll{}, wire.BodyDone{}, core.ParamBag{}
+		st.ack, st.cm, st.acked, st.ended = wire.OfferAck{}, wire.Complete{}, false, false
+		if sl := st.idle; sl != nil {
+			sl.send.Val = nil
+			clear(sl.sel.Branches)
+		}
 		st.mu.Unlock()
 		mc.free = append(mc.free, st)
 	}
@@ -511,7 +562,9 @@ func (mc *muxConn) heartbeat(interval time.Duration, faults NetFaults) {
 var errOpInFlight = fmt.Errorf("%w: stream completed with operation in flight", ErrConnLost)
 
 // deliver routes one inbound frame to the stream's waiting op or its event
-// channel. Called only from the connection's reader, through dispatch.
+// channel. Called only from the connection's reader, through dispatch. m is
+// the reader's struct for the frame's type, gone with the next frame: what
+// the stream keeps of it is copied here, by value.
 func (st *muxStream) deliver(t wire.MsgType, seq uint64, m any) {
 	switch t {
 	case wire.MsgOpResult:
@@ -537,30 +590,39 @@ func (st *muxStream) deliver(t wire.MsgType, seq uint64, m any) {
 		}
 		st.mu.Unlock()
 	case wire.MsgOfferAck:
-		st.event(streamEvent{typ: t, ack: *(m.(*wire.OfferAck))})
-	case wire.MsgComplete:
-		// Terminal. Release any still-pending ops first (a cancel or abort
-		// race can terminate the stream with an op in flight), so the body
-		// unwinds before the conversation loop takes the event.
-		cm := *(m.(*wire.Complete))
-		termErr := cm.Err.Err()
-		if termErr == nil {
-			termErr = errOpInFlight
+		if !st.acked && !st.ended {
+			st.acked, st.ack = true, *(m.(*wire.OfferAck))
+			st.event(streamEvent{typ: t})
+		}
+	case wire.MsgComplete, wire.MsgDrain:
+		// Terminal, once. Release any still-pending ops first (a cancel or
+		// abort race can terminate the stream with an op in flight), so the
+		// body unwinds before the conversation takes the event.
+		if st.ended {
+			return
+		}
+		st.ended = true
+		termErr := core.ErrDraining
+		if cm, ok := m.(*wire.Complete); ok {
+			st.cm = *cm
+			if termErr = cm.Err.Err(); termErr == nil {
+				termErr = errOpInFlight
+			}
 		}
 		st.failPending(termErr)
-		st.event(streamEvent{typ: t, cm: cm})
-	case wire.MsgDrain:
-		st.failPending(core.ErrDraining)
 		st.event(streamEvent{typ: t})
 	}
 }
 
-// event delivers a control event; the channel's capacity covers the
-// protocol's per-stream maximum, so this never blocks the reader.
+// event delivers a control event; the channel's capacity covers every event
+// an enrollment can have, so this never blocks the reader and never drops.
+// Should a change add an event without raising maxStreamEvents, the drop is
+// counted rather than silent.
 func (st *muxStream) event(ev streamEvent) {
 	select {
 	case st.events <- ev:
 	default:
+		streamEventsDropped.Inc()
 	}
 }
 
@@ -575,7 +637,10 @@ func (st *muxStream) failPending(err error) {
 	st.mu.Unlock()
 }
 
-// fatal is the connection-death path: fail ops, then the event loop.
+// fatal ends the enrollment's waits with err — the connection died, or the
+// enrollment's context ended: ops that register from here on fail with it
+// (failed is read under the lock they register under), the ops in flight get
+// it, then the conversation.
 func (st *muxStream) fatal(err error) {
 	st.mu.Lock()
 	st.failed = err
@@ -584,21 +649,12 @@ func (st *muxStream) fatal(err error) {
 	st.event(streamEvent{err: err})
 }
 
-// abortError reports the performance-abort error recorded for this stream,
-// if any.
-func (st *muxStream) abortError() error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.abortErr
-}
-
-// op runs one pipelined operation exchange: assign a sequence ID, register
-// the waiter, write the frame, block for the matched OP-RESULT. Multiple
-// ops may be in flight on one stream; results match by sequence, not
-// arrival order. ctx ending abandons the wait (the frame, if delivered,
-// is answered into a discarded channel). The result channel is the stream's
-// idle one when no other op holds it, and goes back once it is known empty.
-func (st *muxStream) op(ctx context.Context, t wire.MsgType, req any) (wire.OpResult, error) {
+// begin opens one pipelined operation exchange: it claims a slot — the
+// stream's idle one when no other op holds it — and registers it under the
+// next sequence ID. The caller builds its request (in the slot, if it is one
+// the slot has a struct for) and passes both to finish. An aborted
+// performance, a dead connection or an ended context fails the op here.
+func (st *muxStream) begin() (*opSlot, error) {
 	if f := st.mc.faults; f != nil && f.CutConn() {
 		// Injected client-side blip: sever the transport mid-op, telling no
 		// one. The read loop discovers the break; with resumption this op
@@ -607,50 +663,39 @@ func (st *muxStream) op(ctx context.Context, t wire.MsgType, req any) (wire.OpRe
 		st.mc.cut()
 	}
 	st.mu.Lock()
-	if st.failed != nil {
-		err := st.failed
-		st.mu.Unlock()
-		return wire.OpResult{}, err
+	defer st.mu.Unlock()
+	if err := cmp.Or(st.abortErr, st.failed); err != nil {
+		return nil, err
 	}
+	sl := st.idle
+	if sl == nil {
+		sl = &opSlot{ch: make(chan opOutcome, 1)}
+	}
+	st.idle = nil
 	if !st.mc.lockstep {
 		st.nextSeq++
 	}
-	seq := st.nextSeq
-	ch := st.idle
-	if ch == nil {
-		ch = make(chan opOutcome, 1)
-	}
-	st.idle = nil
-	st.pending[seq] = ch
-	st.mu.Unlock()
-
-	if err := st.mc.write(t, st.id, seq, req); err != nil {
-		st.abandon(seq, ch)
-		st.mc.fail(fmt.Errorf("%w: %v", ErrConnLost, err))
-		return wire.OpResult{}, fmt.Errorf("%w: %v", ErrConnLost, err)
-	}
-	select {
-	case out := <-ch:
-		st.mu.Lock()
-		st.idle = ch
-		st.mu.Unlock()
-		return out.res, out.err
-	case <-ctx.Done():
-		st.abandon(seq, ch)
-		return wire.OpResult{}, ctx.Err()
-	}
+	sl.seq = st.nextSeq
+	st.pending[sl.seq] = sl.ch
+	return sl, nil
 }
 
-// abandon stops waiting for seq's result. While ch is still registered no
-// one has taken it to send on, so it is idle again; once it is not, a result
-// is in it or on its way and the channel is dropped.
-func (st *muxStream) abandon(seq uint64, ch chan opOutcome) {
-	st.mu.Lock()
-	if st.pending[seq] == ch {
-		delete(st.pending, seq)
-		st.idle = ch
+// finish writes the request of an exchange begin opened and blocks for the
+// matched OP-RESULT, on the slot's channel and nothing else: whatever ends
+// the wait early — the connection's death, the context's end through
+// withdraw, a terminal frame — reaches a registered op as its outcome.
+// Multiple ops may be in flight on one stream; results match by sequence,
+// not arrival order. Once the outcome is taken the slot is known empty and
+// unregistered, and becomes the stream's idle one.
+func (st *muxStream) finish(sl *opSlot, t wire.MsgType, req any) (wire.OpResult, error) {
+	if err := st.mc.write(t, st.id, sl.seq, req); err != nil {
+		st.mc.fail(fmt.Errorf("%w: %v", ErrConnLost, err)) // this op's outcome, with every other's
 	}
+	out := <-sl.ch
+	st.mu.Lock()
+	st.idle = sl
 	st.mu.Unlock()
+	return out.res, out.err
 }
 
 // isClosed reports whether Close has been called.

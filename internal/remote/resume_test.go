@@ -24,6 +24,7 @@ import (
 	"github.com/scriptabs/goscript/internal/metrics"
 	"github.com/scriptabs/goscript/internal/patterns"
 	"github.com/scriptabs/goscript/internal/remote"
+	"github.com/scriptabs/goscript/internal/wire"
 )
 
 // cutFaults severs the client's live connection at op entry, exactly as many
@@ -556,4 +557,200 @@ func TestNewEnrollmentsAvoidDetachedConn(t *testing.T) {
 	if got := h.Stats().ConnsV2; got < 2 {
 		t.Fatalf("ConnsV2 = %d, want >= 2 (second enrollment must not ride the detached conn)", got)
 	}
+}
+
+// resumableDial handshakes one raw v2 connection that asks for resumption.
+func resumableDial(t *testing.T, addr, script string) (*wire.Conn, wire.HelloAck) {
+	t.Helper()
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	t.Cleanup(func() { nc.Close() })
+	c := wire.NewConn(nc)
+	ack, err := wire.ClientHandshakeV(c, script, wire.MaxVersion)
+	if err != nil {
+		t.Fatalf("handshake: %v", err)
+	}
+	c.SetReadTimeout(10 * time.Second)
+	return c, ack
+}
+
+// TestResumeFindsSessionCutBeforeFirstEnroll is the regression test for a
+// session that a cut used to destroy: one with a resume token and no live
+// stream yet, because the client's first ENROLL was still in flight — in the
+// socket the cut emptied, or only in the client's ring. The host parked only
+// sessions with live streams (and built no session at all for a connection
+// that died before its first frame), so the client's RESUME was refused
+// "unknown or expired session" and the enrollment, which had every right to
+// survive the blip, failed. The session now parks on having a token: the
+// RESUME is answered RESUME-ACK and the replayed ENROLL runs.
+func TestResumeFindsSessionCutBeforeFirstEnroll(t *testing.T) {
+	nop := func(core.Ctx) error { return nil }
+	for _, tc := range []struct {
+		name       string
+		firstFrame bool // a HEARTBEAT reaches the host before the cut
+	}{{"cut before the first frame", false}, {"cut after a heartbeat", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			in := core.NewInstance(core.NewScript("solo").Role("p", nop).MustBuild())
+			defer in.Close()
+			h, addr := startHost(t, in, remote.HostConfig{ResumeWindow: time.Minute})
+
+			c1, ack := resumableDial(t, addr, "solo")
+			if ack.ResumeToken == "" {
+				t.Fatal("the host granted no resume token")
+			}
+			sess := wire.NewSession(c1, ack.ResumeToken, 0)
+			if tc.firstFrame {
+				if err := sess.WriteFrame(wire.MsgHeartbeat, 0, 0, &wire.Heartbeat{}); err != nil {
+					t.Fatal(err)
+				}
+				waitCond(t, "the host to open the session", func() bool { return h.Stats().Sessions == 1 })
+			}
+			// The blip: the connection goes, and the ENROLL goes with it — it
+			// is in the client's ring and nowhere else.
+			sess.Detach()
+			c1.Close()
+			if err := sess.WriteFrame(wire.MsgEnroll, 1, 0, &wire.Enroll{PID: "P", Role: "p"}); err != nil {
+				t.Fatal(err)
+			}
+			waitCond(t, "the host to notice the cut", func() bool { return h.Stats().Conns == 0 })
+
+			c2, _ := resumableDial(t, addr, "solo")
+			if err := c2.WriteFrame(wire.MsgResume, 0, 0, &wire.Resume{Token: sess.Token(), RecvCount: sess.RecvCount()}); err != nil {
+				t.Fatal(err)
+			}
+			typ, _, _, m, err := c2.ReadFrame()
+			if err != nil {
+				t.Fatalf("awaiting RESUME-ACK: %v", err)
+			}
+			rack, ok := m.(*wire.ResumeAck)
+			if !ok {
+				t.Fatalf("RESUME answered %s %+v, want RESUME-ACK", typ, m)
+			}
+			if rack.RecvCount != 0 {
+				t.Fatalf("RESUME-ACK counts %d frames received, want 0: the ENROLL never arrived", rack.RecvCount)
+			}
+			if err := sess.Resume(c2, rack.RecvCount); err != nil {
+				t.Fatalf("replay: %v", err)
+			}
+			// The replayed ENROLL runs: assignment, then release.
+			if typ, stream, _, _, err := c2.ReadFrame(); err != nil || typ != wire.MsgOfferAck || stream != 1 {
+				t.Fatalf("after the replay: %s on stream %d (%v), want OFFER-ACK on stream 1", typ, stream, err)
+			}
+			if err := sess.WriteFrame(wire.MsgBodyDone, 1, 0, &wire.BodyDone{}); err != nil {
+				t.Fatal(err)
+			}
+			typ, _, _, m, err = c2.ReadFrame()
+			if cm, ok := m.(*wire.Complete); err != nil || !ok || cm.Err != nil {
+				t.Fatalf("release: %s %+v (%v), want a clean COMPLETE", typ, m, err)
+			}
+		})
+	}
+}
+
+// TestIdleParkedSessionExpires is the other half of parking on a token: a
+// session parked with nothing to protect, that nobody resumes, costs the host
+// one grace window and no more — after it the session is gone and its token
+// refused.
+func TestIdleParkedSessionExpires(t *testing.T) {
+	in := core.NewInstance(patterns.StarBroadcast(1))
+	defer in.Close()
+	const window = 100 * time.Millisecond
+	h, addr := startHost(t, in, remote.HostConfig{ResumeWindow: window})
+	expired := metrics.Get(metrics.SessionsExpired).Load()
+
+	c1, ack := resumableDial(t, addr, "star_broadcast")
+	if err := c1.WriteFrame(wire.MsgHeartbeat, 0, 0, &wire.Heartbeat{}); err != nil {
+		t.Fatal(err)
+	}
+	waitCond(t, "the host to open the session", func() bool { return h.Stats().Sessions == 1 })
+	cut := time.Now()
+	c1.Close()
+	waitCond(t, "the parked session to expire", func() bool { return h.Stats().Sessions == 0 })
+	if d := time.Since(cut); d < window {
+		t.Fatalf("the session was gone %v after the cut, inside its %v window: it was torn down, not parked", d, window)
+	}
+	if got := metrics.Get(metrics.SessionsExpired).Load() - expired; got != 1 {
+		t.Fatalf("%d sessions expired, want 1", got)
+	}
+
+	c2, _ := resumableDial(t, addr, "star_broadcast")
+	if err := c2.WriteFrame(wire.MsgResume, 0, 0, &wire.Resume{Token: ack.ResumeToken}); err != nil {
+		t.Fatal(err)
+	}
+	if typ, _, _, m, err := c2.ReadFrame(); err != nil || typ != wire.MsgError {
+		t.Fatalf("RESUME of an expired session answered %s %+v (%v), want ERROR", typ, m, err)
+	}
+}
+
+// holdFirstFrame is a host-side fault that holds the read loop on the first
+// stream frame it is consulted for — after the frame was read, before it is
+// counted — until released. The other fault classes are quiet.
+type holdFirstFrame struct {
+	cutFaults
+	once          sync.Once
+	held, release chan struct{}
+}
+
+func (f *holdFirstFrame) DropConn() bool {
+	f.once.Do(func() {
+		close(f.held)
+		<-f.release
+	})
+	return false
+}
+
+// TestResumeSupersedesReaderHoldingFrame pins the receipt count a RESUME-ACK
+// carries against the reader it retires. The client can notice a break before
+// the host does and RESUME while the old connection's reader still holds a
+// frame it has read and not yet counted. The count used to be sampled with
+// no regard for that reader: the ack said "not received", the client replayed
+// the frame, and the old reader then counted and handled its copy as well — an
+// ENROLL twice is "ENROLL reuses live stream", which tears the session down
+// (an op twice is served twice). Count and supersession now share a lock: a
+// frame the retired reader had not counted by then is dropped by it, and the
+// replay is the only copy.
+func TestResumeSupersedesReaderHoldingFrame(t *testing.T) {
+	nop := func(core.Ctx) error { return nil }
+	in := core.NewInstance(core.NewScript("solo").Role("p", nop).MustBuild())
+	defer in.Close()
+	hold := &holdFirstFrame{held: make(chan struct{}), release: make(chan struct{})}
+	_, addr := startHost(t, in, remote.HostConfig{ResumeWindow: time.Minute, Faults: hold})
+
+	c1, ack := resumableDial(t, addr, "solo")
+	sess := wire.NewSession(c1, ack.ResumeToken, 0)
+	if err := sess.WriteFrame(wire.MsgEnroll, 1, 0, &wire.Enroll{PID: "P", Role: "p"}); err != nil {
+		t.Fatal(err)
+	}
+	<-hold.held // the host's reader has the ENROLL in hand, uncounted
+
+	sess.Detach()
+	c2, _ := resumableDial(t, addr, "solo")
+	if err := c2.WriteFrame(wire.MsgResume, 0, 0, &wire.Resume{Token: sess.Token(), RecvCount: sess.RecvCount()}); err != nil {
+		t.Fatal(err)
+	}
+	typ, _, _, m, err := c2.ReadFrame()
+	rack, ok := m.(*wire.ResumeAck)
+	if err != nil || !ok {
+		t.Fatalf("RESUME answered %s %+v (%v), want RESUME-ACK", typ, m, err)
+	}
+	if err := sess.Resume(c2, rack.RecvCount); err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	close(hold.release) // the retired reader gets to its frame
+
+	// One ENROLL ran, whichever copy: one assignment, a clean release, and
+	// no protocol error in between.
+	if typ, stream, _, m, err := c2.ReadFrame(); err != nil || typ != wire.MsgOfferAck || stream != 1 {
+		t.Fatalf("read %s %+v on stream %d (%v), want OFFER-ACK on stream 1", typ, m, stream, err)
+	}
+	if err := sess.WriteFrame(wire.MsgBodyDone, 1, 0, &wire.BodyDone{}); err != nil {
+		t.Fatal(err)
+	}
+	typ, _, _, m, err = c2.ReadFrame()
+	if cm, ok := m.(*wire.Complete); err != nil || !ok || cm.Err != nil {
+		t.Fatalf("release: %s %+v (%v), want a clean COMPLETE", typ, m, err)
+	}
+	c1.Close()
 }

@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"hash/maphash"
 	"math"
+	"reflect"
 )
 
 // MaxVersion is the newest protocol version this package speaks. The
@@ -345,7 +346,7 @@ func appendBody(b []byte, t MsgType, m any) ([]byte, error) {
 // has neither), the binary envelope + body for v2. m is a pointer to the
 // message struct, the form ParsePayload returns. Appending to a reused
 // buffer keeps the encode path allocation-free at steady state; Conn
-// maintains a pool of such buffers for its writes.
+// appends to the free space of its write buffer.
 func AppendPayload(dst []byte, ver int, t MsgType, stream, seq uint64, m any) ([]byte, error) {
 	if ver < 2 {
 		if stream != 0 || seq != 0 {
@@ -376,6 +377,14 @@ type cursor struct {
 	off   int
 	err   error
 	names *internTable // nil: every string is a fresh copy
+}
+
+// decoder is what one connection's reader decodes with and into: its table
+// of identity strings, and one message struct per type, made on the type's
+// first frame and filled again by every later one (see Conn.ReadFrame).
+type decoder struct {
+	names internTable
+	msgs  [len(msgTable)]any
 }
 
 func (c *cursor) fail(err error) {
@@ -462,8 +471,9 @@ func (c *cursor) lenPrefixed() []byte {
 
 func (c *cursor) string() string { return string(c.lenPrefixed()) }
 
-// name reads a string that names a role or a process. A connection sees the
-// same few names on every enrollment, so its decoder interns them.
+// name reads a string that names a role, a process or a message tag. A
+// connection sees the same few names on every enrollment, so its decoder
+// interns them.
 func (c *cursor) name() string {
 	b := c.lenPrefixed()
 	if c.names == nil || len(b) == 0 || len(b) > maxInterned {
@@ -605,28 +615,38 @@ func (c *cursor) errInfo() *ErrInfo {
 // ParsePayload decodes one frame payload for protocol version ver. For v1
 // it JSON-unmarshals into the message struct for t (stream and seq are
 // reported as 0); for v2 it decodes the binary envelope and body. The
-// returned message is a pointer to the concrete struct for t (*Send,
+// returned message is a pointer to a fresh concrete struct for t (*Send,
 // *OpResult, ... — see msgTable), fully copied out of payload — the caller
-// may reuse the payload buffer immediately.
+// may reuse the payload buffer immediately, and keep the message.
 func ParsePayload(ver int, t MsgType, payload []byte) (stream, seq uint64, m any, err error) {
 	return parsePayload(ver, t, payload, nil)
 }
 
-// parsePayload is ParsePayload with the decoding connection's intern table.
-func parsePayload(ver int, t MsgType, payload []byte, names *internTable) (stream, seq uint64, m any, err error) {
+// parsePayload is ParsePayload on behalf of a connection: with d non-nil the
+// message is d's struct for t, overwritten, and its names are interned.
+func parsePayload(ver int, t MsgType, payload []byte, d *decoder) (stream, seq uint64, m any, err error) {
 	// CANCEL exists from v2 on: a v1 client withdraws by severing its
 	// connection, and a v1 host must keep treating the frame as unknown.
 	if int(t) >= len(msgTable) || msgTable[t].new == nil || (ver < 2 && t == MsgCancel) {
 		return 0, 0, nil, fmt.Errorf("wire: unknown message type %s", t)
 	}
-	m = msgTable[t].new()
+	c := cursor{b: payload}
+	if d == nil {
+		m = msgTable[t].new()
+	} else {
+		if d.msgs[t] == nil {
+			d.msgs[t] = msgTable[t].new()
+		}
+		m, c.names = d.msgs[t], &d.names
+	}
 	if ver < 2 {
+		// Unmarshal leaves what the JSON does not mention, so start from zero.
+		reflect.ValueOf(m).Elem().SetZero()
 		if err := json.Unmarshal(payload, m); err != nil {
 			return 0, 0, nil, err
 		}
 		return 0, 0, m, nil
 	}
-	c := cursor{b: payload, names: names}
 	stream, seq = c.uvarint(), c.uvarint()
 	c.body(t, m)
 	if c.err == nil && c.remaining() != 0 {
@@ -638,15 +658,16 @@ func parsePayload(ver int, t MsgType, payload []byte, names *internTable) (strea
 	return stream, seq, m, nil
 }
 
-// body fills m, the empty struct for t, from the v2 body at the cursor —
-// field by field, the mirror of appendBody.
+// body fills m, the struct for t, from the v2 body at the cursor — field by
+// field, the mirror of appendBody. m may hold an earlier frame: every field
+// is assigned, the optional ones reset first.
 func (c *cursor) body(t MsgType, m any) {
 	switch m := m.(type) {
 	case *Enroll:
 		m.PID = c.name()
 		m.Role = c.name()
 		m.DeadlineMS = c.int63()
-		m.Args = c.values()
+		m.Args, m.With, m.TraceID = c.values(), nil, ""
 		if n := c.count(2); n > 0 {
 			m.With = make(map[string][]string, n)
 			for i := 0; i < n && c.err == nil; i++ {
@@ -659,20 +680,20 @@ func (c *cursor) body(t MsgType, m any) {
 		}
 	case *OfferAck:
 		m.Performance = int(c.int63())
-		m.Role = c.name()
+		m.Role, m.TraceID = c.name(), ""
 		if c.remaining() > 0 { // optional trailing trace ID
 			m.TraceID = c.string()
 		}
 	case *Send:
 		m.To = c.name()
-		m.Tag = c.string()
+		m.Tag = c.name()
 		m.Val = c.value(0)
 	case *SendAll:
 		m.Tos = c.strings()
 		m.Val = c.value(0)
 	case *Recv:
 		m.From = c.name()
-		m.Tag = c.string()
+		m.Tag = c.name()
 	case *Select:
 		n := c.count(4)
 		m.Branches = make([]SelectBranch, 0, n)
@@ -680,7 +701,7 @@ func (c *cursor) body(t MsgType, m any) {
 			flags := c.byteField()
 			br := SelectBranch{Send: flags&1 != 0, AnyPeer: flags&2 != 0}
 			br.Peer = c.name()
-			br.Tag = c.string()
+			br.Tag = c.name()
 			br.Index = int(c.int63())
 			if br.Send {
 				br.Val = c.value(0)
@@ -688,16 +709,16 @@ func (c *cursor) body(t MsgType, m any) {
 			m.Branches = append(m.Branches, br)
 		}
 	case *Query:
-		m.Kind = c.string()
+		m.Kind = c.name()
 		m.Role = c.name()
-		m.Name = c.string()
+		m.Name = c.name()
 	case *BodyDone:
 		m.Results = c.values()
 		m.Err = c.errInfo()
 	case *OpResult:
 		m.Val = c.value(0)
 		m.Peer = c.name()
-		m.Tag = c.string()
+		m.Tag = c.name()
 		m.Index = int(c.int63())
 		m.N = int(c.int63())
 		m.Bool = c.byteField() != 0

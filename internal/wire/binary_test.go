@@ -360,8 +360,8 @@ func FuzzParsePayload(f *testing.F) {
 		t MsgType
 		m any
 	}{
-		{MsgEnroll, &Enroll{PID: "p", Role: "r[0]", Args: []any{1, "s", 2.5, nil, true}, With: map[string][]string{"a": {"X"}}, DeadlineMS: 99}},
-		{MsgOfferAck, &OfferAck{Performance: 3, Role: "r"}},
+		{MsgEnroll, &Enroll{PID: "p", Role: "r[0]", Args: []any{1, "s", 2.5, nil, true}, With: map[string][]string{"a": {"X"}}, DeadlineMS: 99, TraceID: "00000000000000a1"}},
+		{MsgOfferAck, &OfferAck{Performance: 3, Role: "r", TraceID: "00000000000000a1"}},
 		{MsgSend, &Send{To: "peer", Tag: "t", Val: map[string]any{"k": []any{1, "v"}}}},
 		{MsgSendAll, &SendAll{Tos: []string{"a", "b"}, Val: []byte{1, 2}}},
 		{MsgRecv, &Recv{From: "p", Tag: "g"}},
@@ -387,51 +387,95 @@ func FuzzParsePayload(f *testing.F) {
 			f.Fatalf("seed %s: %v", s.t, err)
 		}
 		f.Add(uint8(s.t), payload)
+		// And the type's empty message: decoded into a struct one of the above
+		// was decoded into, it shows a field the decoder forgot to reset.
+		if payload, err = AppendPayload(nil, 2, s.t, 5, 9, msgTable[s.t].new()); err != nil {
+			f.Fatalf("empty %s: %v", s.t, err)
+		}
+		f.Add(uint8(s.t), payload)
 	}
+	f.Add(uint8(MsgEnroll), []byte(`{"pid":"p","role":"r"}`)) // v1's form, bare, over the rich seed above
 	f.Add(uint8(MsgSend), []byte{})
 	f.Add(uint8(MsgSend), []byte{0x01, 0x01, 0x01, 'r', 0x00, vList, 0xFF, 0xFF, 0xFF, 0x0F})
 	f.Add(uint8(99), []byte{0x00, 0x00})
 
-	// One table across all inputs, as on a connection: whatever earlier frames
-	// left in it, a frame decodes to what it decodes to without one.
-	var names internTable
+	// One decoder across all inputs, as on a connection: whatever earlier
+	// frames left in its table of names and in its message structs, a frame
+	// decodes to what it decodes to without one. Every type's struct is
+	// dirtied first by a seed frame of that type, so the first input of a type
+	// already lands on a different frame's remains; later ones land on
+	// whatever the fuzzer sent before. Both codecs, one decoder each.
+	var dirty [3]decoder
+	for _, s := range seedMsgs {
+		for ver := 1; ver <= 2; ver++ {
+			var stream, seq uint64
+			if ver == 2 {
+				stream, seq = 5, 9
+			} else if s.t == MsgCancel {
+				continue // no v1 form
+			}
+			payload, err := AppendPayload(nil, ver, s.t, stream, seq, s.m)
+			if err != nil {
+				f.Fatalf("seed %s v%d: %v", s.t, ver, err)
+			}
+			if _, _, _, err := parsePayload(ver, s.t, payload, &dirty[ver]); err != nil {
+				f.Fatalf("seed %s v%d does not decode: %v", s.t, ver, err)
+			}
+		}
+	}
 	f.Fuzz(func(t *testing.T, typ uint8, payload []byte) {
 		// Decoding arbitrary bytes must never panic and must bound its
 		// allocations by the payload size; errors are the expected outcome.
-		stream, seq, m, err := ParsePayload(2, MsgType(typ), payload)
-		_, _, interned, ierr := parsePayload(2, MsgType(typ), payload, &names)
-		_, _, again, _ := ParsePayload(2, MsgType(typ), payload) // unequal to m when a NaN was decoded
-		if (err == nil) != (ierr == nil) || reflect.DeepEqual(m, again) && !reflect.DeepEqual(m, interned) {
-			t.Fatalf("%s decodes to %+v (%v) on a connection, %+v (%v) off one", MsgType(typ), interned, ierr, m, err)
-		}
-		if err != nil {
-			return
+		var stream, seq uint64
+		var decoded any
+		for ver := 1; ver <= 2; ver++ {
+			st, sq, m, err := ParsePayload(ver, MsgType(typ), payload)
+			_, _, reused, rerr := parsePayload(ver, MsgType(typ), payload, &dirty[ver])
+			_, _, again, _ := ParsePayload(ver, MsgType(typ), payload) // unequal to m when a NaN was decoded
+			if (err == nil) != (rerr == nil) || reflect.DeepEqual(m, again) && !reflect.DeepEqual(m, reused) {
+				t.Fatalf("%s v%d decodes to %+v (%v) into a connection's used struct, %+v (%v) into a fresh one", MsgType(typ), ver, reused, rerr, m, err)
+			}
+			if ver == 2 {
+				if err != nil {
+					return
+				}
+				stream, seq, decoded = st, sq, m
+			}
 		}
 		// Whatever decoded must re-encode: the codec is closed over its own
 		// output (re-encoding may differ byte-wise — map order — but must
 		// not fail).
-		if _, rerr := AppendPayload(nil, 2, MsgType(typ), stream, seq, m); rerr != nil {
+		if _, rerr := AppendPayload(nil, 2, MsgType(typ), stream, seq, decoded); rerr != nil {
 			t.Fatalf("decoded %s does not re-encode: %v", MsgType(typ), rerr)
 		}
 	})
 }
 
 // TestCodecAllocsV2 pins the allocations of the v2 codec on the lock-step
-// op round trip (SEND out, OP-RESULT back) at the count measured before the
-// decode cursor was changed to record its first error: the two message
-// structs, SEND's two strings and its boxed int value.
+// op round trip (SEND out, OP-RESULT back). Off a connection, ParsePayload's
+// form, it is the count measured before the decode cursor was changed to
+// record its first error: the two message structs, SEND's two strings and its
+// boxed int value. On one, ReadFrame's form, the structs are the decoder's
+// and both strings come out of its table: the boxed value is what is left.
 func TestCodecAllocsV2(t *testing.T) {
 	send := &Send{To: "buffer", Tag: "item", Val: 123456789}
 	result := &OpResult{}
 	buf := make([]byte, 0, 1024)
-	got := testing.AllocsPerRun(1000, func() {
-		b, _ := AppendPayload(buf[:0], 2, MsgSend, 7, 3, send)
-		_, _, _, _ = ParsePayload(2, MsgSend, b)
-		b, _ = AppendPayload(buf[:0], 2, MsgOpResult, 7, 3, result)
-		_, _, _, _ = ParsePayload(2, MsgOpResult, b)
-	})
-	if got > 5 {
-		t.Fatalf("v2 SEND + OP-RESULT codec round trip allocates %v times, want <= 5", got)
+	var conn decoder
+	for _, tc := range []struct {
+		name string
+		d    *decoder
+		want float64
+	}{{"fresh structs", nil, 5}, {"a connection's decoder", &conn, 1}} {
+		got := testing.AllocsPerRun(1000, func() {
+			b, _ := AppendPayload(buf[:0], 2, MsgSend, 7, 3, send)
+			_, _, _, _ = parsePayload(2, MsgSend, b, tc.d)
+			b, _ = AppendPayload(buf[:0], 2, MsgOpResult, 7, 3, result)
+			_, _, _, _ = parsePayload(2, MsgOpResult, b, tc.d)
+		})
+		if got > tc.want {
+			t.Errorf("v2 SEND + OP-RESULT codec round trip into %s allocates %v times, want <= %v", tc.name, got, tc.want)
+		}
 	}
 }
 
@@ -440,18 +484,19 @@ func TestCodecAllocsV2(t *testing.T) {
 // strings it already built, and names it has never seen — however many, and
 // however long — replace entries in a table that never grows.
 func TestNamesInterned(t *testing.T) {
-	var names internTable
-	decode := func(e *Enroll) *Enroll {
+	var dec decoder
+	names := &dec.names
+	decode := func(e *Enroll) Enroll {
 		t.Helper()
 		b, err := AppendPayload(nil, 2, MsgEnroll, 1, 0, e)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, _, m, err := parsePayload(2, MsgEnroll, b, &names)
+		_, _, m, err := parsePayload(2, MsgEnroll, b, &dec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return m.(*Enroll)
+		return *m.(*Enroll) // the struct is the decoder's: the next decode overwrites it
 	}
 	long := strings.Repeat("r", maxInterned+1)
 	first := decode(&Enroll{PID: "R7", Role: "recipient[7]"})
@@ -468,7 +513,7 @@ func TestNamesInterned(t *testing.T) {
 			t.Fatalf("decoded %q/%q, want %q/r", got.PID, got.Role, name)
 		}
 	}
-	if len(names) != internSlots {
-		t.Fatalf("table holds %d slots after %d distinct names, want %d", len(names), 20*internSlots, internSlots)
+	if len(*names) != internSlots {
+		t.Fatalf("table holds %d slots after %d distinct names, want %d", len(*names), 20*internSlots, internSlots)
 	}
 }

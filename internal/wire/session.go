@@ -180,12 +180,15 @@ func (s *Session) CountRecv() uint64 {
 	return s.recv
 }
 
-// MaybeAck counts one received session frame and, every ackEvery frames,
-// sends the peer a cumulative ACK so it can prune its ring. Errors are
-// swallowed: a failed ack is indistinguishable from a lost connection,
+// MaybeAck counts one received session frame and acks on cadence (see AckAt).
+func (s *Session) MaybeAck() { s.AckAt(s.CountRecv()) }
+
+// AckAt sends the peer a cumulative ACK if n, a count CountRecv returned, falls
+// on the cadence — every ackEvery frames — so it can prune its ring. Errors
+// are swallowed: a failed ack is indistinguishable from a lost connection,
 // which the reader discovers on its next read.
-func (s *Session) MaybeAck() {
-	if n := s.CountRecv(); n%ackEvery == 0 {
+func (s *Session) AckAt(n uint64) {
+	if n%ackEvery == 0 {
 		s.mu.Lock()
 		c := s.c
 		s.mu.Unlock()

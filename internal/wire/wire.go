@@ -29,6 +29,16 @@
 // codecs, and each message has one encodable form — a pointer to its struct,
 // which is also what the reader returns (see msgTable).
 //
+// A frame costs one decode and one encode, each in place. Conn.ReadFrame
+// decodes into message structs the connection's single reader owns, valid
+// until the next ReadFrame: the reader copies what it keeps by value, into
+// storage its stream already has, inside the critical section that routes
+// the frame. ParsePayload is the same decoder filling a fresh struct, for
+// callers with no connection to own one (fuzzing, tests, the benchmark's
+// codec loops). Conn.WriteFrame encodes into the free space of the write
+// buffer the flusher sends from. Neither direction has a pool to return
+// anything to.
+//
 // # Conversation
 //
 // A connection begins with a versioned handshake (MsgHello → MsgHelloAck,
@@ -600,13 +610,13 @@ type Conn struct {
 	version int
 	// rbuf is ReadFrame's reused frame buffer: each frame is decoded (fully
 	// copied into its message struct) before the next read, so one buffer
-	// per connection suffices. Like the pooled write buffers it is dropped
-	// rather than pinned once a frame grew it beyond maxPooledBuf. hdr is the
-	// length prefix's buffer and names the decoder's table of identity
-	// strings (see internTable); all three belong to the one reader.
-	rbuf  []byte
-	hdr   [4]byte
-	names internTable
+	// per connection suffices. It is dropped rather than pinned once a frame
+	// grew it beyond maxKeptBuf. hdr is the length prefix's buffer and dec
+	// what the frames decode with and into (see decoder); all three belong
+	// to the one reader.
+	rbuf []byte
+	hdr  [4]byte
+	dec  decoder
 
 	readTimeout  time.Duration
 	writeTimeout time.Duration
@@ -688,17 +698,8 @@ func (c *Conn) Close() error {
 	return c.nc.Close()
 }
 
-// writeBufPool recycles frame-encode buffers across connections so the v2
-// hot path writes without per-frame allocation. Buffers that grew beyond
-// 64 KiB are dropped rather than pinned.
-var writeBufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 1024)
-		return &b
-	},
-}
-
-const maxPooledBuf = 64 << 10
+// maxKeptBuf bounds the read buffer a connection keeps between frames.
+const maxKeptBuf = 64 << 10
 
 // appendFrame appends one complete frame — length header, type byte and
 // the payload of m under protocol version ver — to dst. It is the only
@@ -721,8 +722,9 @@ func appendFrame(dst []byte, ver int, t MsgType, stream, seq uint64, m any) ([]b
 
 // WriteFrame encodes m with the connection's negotiated codec and writes
 // one framed message. stream and seq are the v2 multiplexing envelope and
-// must be zero on a v1 connection. The encode buffer is pooled: steady-state
-// v2 writes allocate nothing.
+// must be zero on a v1 connection. The frame is encoded where it leaves
+// from, the write buffer's free space: steady-state v2 writes allocate and
+// copy nothing.
 func (c *Conn) WriteFrame(t MsgType, stream, seq uint64, m any) error {
 	return c.writeFrame(t, stream, seq, m, false)
 }
@@ -736,31 +738,42 @@ func (c *Conn) WriteSync(t MsgType, m any) error {
 	return c.writeFrame(t, 0, 0, m, true)
 }
 
+// writeFrame appends the frame to the write buffer's free space under the
+// write mutex; bufio recognises its own buffer and takes the bytes without
+// a copy. A frame that outgrows the free space was appended into storage of
+// its own and spills through Write like any other (see commit). Nothing is
+// buffered of a message that does not encode.
 func (c *Conn) writeFrame(t MsgType, stream, seq uint64, m any, sync bool) error {
-	bp := writeBufPool.Get().(*[]byte)
-	buf, err := appendFrame((*bp)[:0], c.version, t, stream, seq, m)
-	if err != nil {
-		writeBufPool.Put(bp)
+	if err := c.lockWrite(sync); err != nil {
 		return err
 	}
-	err = c.writeRaw(buf, sync)
-	if cap(buf) <= maxPooledBuf {
-		*bp = buf
-		writeBufPool.Put(bp)
+	defer c.wmu.Unlock()
+	frame, err := appendFrame(c.bw.AvailableBuffer(), c.version, t, stream, seq, m)
+	if err != nil {
+		return err
 	}
-	return err
+	return c.commit(frame, sync)
 }
 
-// writeRaw writes one fully assembled frame (header + payload) under the
-// write mutex, honoring the chaos frame delay, and either flushes it inline
-// (sync) or leaves it to the flusher.
+// writeRaw writes one fully assembled frame (header + payload), a session's
+// retained one: the other way into the write buffer.
 func (c *Conn) writeRaw(frame []byte, sync bool) error {
+	if err := c.lockWrite(sync); err != nil {
+		return err
+	}
+	defer c.wmu.Unlock()
+	return c.commit(frame, sync)
+}
+
+// lockWrite takes the write mutex for one frame, honoring the chaos frame
+// delay; it returns holding the mutex unless an earlier flush failed.
+func (c *Conn) lockWrite(sync bool) error {
 	if !sync {
 		c.flusherOnce.Do(func() { go c.flusher() })
 	}
 	c.wmu.Lock()
-	defer c.wmu.Unlock()
 	if c.flushErr != nil {
+		c.wmu.Unlock()
 		return c.flushErr
 	}
 	if c.frameDelay != nil {
@@ -768,6 +781,12 @@ func (c *Conn) writeRaw(frame []byte, sync bool) error {
 			time.Sleep(d)
 		}
 	}
+	return nil
+}
+
+// commit buffers one frame and either flushes it inline (sync) or leaves it
+// to the flusher. The caller holds wmu.
+func (c *Conn) commit(frame []byte, sync bool) error {
 	if len(frame) > c.bw.Available() {
 		// The frame spills to the socket inside bw.Write, which must not run
 		// under whatever deadline the last flush left behind.
@@ -906,11 +925,16 @@ var ErrMalformed = errors.New("wire: malformed payload")
 
 // ReadFrame reads one framed message and decodes it with the connection's
 // negotiated codec, returning a pointer to the concrete message struct (see
-// msgTable). The internal read buffer is reused: everything returned is
-// fully copied out of it (a role or process name possibly once, for all the
-// frames of the connection that carry it), so ReadFrame is allocation-lean
-// and the caller never sees raw payload bytes. A payload that does not
-// decode yields the frame's type and an error wrapping ErrMalformed.
+// msgTable). The struct is the connection's own, one per message type, and
+// is valid until the next ReadFrame — the bufio.Scanner.Bytes contract: the
+// reader copies what it keeps, by value, before it reads on (every field is
+// assigned or reset by each decode, so nothing of an earlier frame shows
+// through). What the struct points to — values, slices, an ErrInfo — is
+// built per frame and fully copied out of the read buffer (a role, process
+// or tag name possibly once, for all the frames of the connection that
+// carry it), so a copy of the struct stays good and the caller never sees
+// raw payload bytes. A payload that does not decode yields the frame's type
+// and an error wrapping ErrMalformed.
 func (c *Conn) ReadFrame() (t MsgType, stream, seq uint64, m any, err error) {
 	// A closed connection delivers nothing more, not even frames it had
 	// buffered: the host closes a connection a RESUME superseded, and what
@@ -944,7 +968,7 @@ func (c *Conn) ReadFrame() (t MsgType, stream, seq uint64, m any, err error) {
 		c.rbuf = make([]byte, n)
 	}
 	body := c.rbuf[:n]
-	if n > maxPooledBuf {
+	if n > maxKeptBuf {
 		c.rbuf = nil
 	}
 	if _, err := c.armRead(int(n)); err != nil {
@@ -954,7 +978,7 @@ func (c *Conn) ReadFrame() (t MsgType, stream, seq uint64, m any, err error) {
 		return 0, 0, 0, nil, err
 	}
 	t = MsgType(body[0])
-	stream, seq, m, err = parsePayload(c.version, t, body[1:], &c.names)
+	stream, seq, m, err = parsePayload(c.version, t, body[1:], &c.dec)
 	if err != nil {
 		return t, 0, 0, nil, fmt.Errorf("%w: %s: %w", ErrMalformed, t, err)
 	}

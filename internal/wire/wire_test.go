@@ -339,7 +339,7 @@ func TestHandshakeOverloaded(t *testing.T) {
 
 // TestReadBufferReleased checks one large frame does not pin its read
 // buffer for the life of the connection: like the pooled write buffers,
-// rbuf is dropped once a frame grew it past maxPooledBuf.
+// rbuf is dropped once a frame grew it past maxKeptBuf.
 func TestReadBufferReleased(t *testing.T) {
 	ca, cb := v2Pipe(t)
 	go func() {
@@ -355,8 +355,8 @@ func TestReadBufferReleased(t *testing.T) {
 			t.Fatalf("large value mangled: %d bytes", len(m.(*Send).Val.([]byte)))
 		}
 	}
-	if cap(cb.rbuf) > maxPooledBuf {
-		t.Fatalf("cap(rbuf) = %d after a small frame, want <= %d", cap(cb.rbuf), maxPooledBuf)
+	if cap(cb.rbuf) > maxKeptBuf {
+		t.Fatalf("cap(rbuf) = %d after a small frame, want <= %d", cap(cb.rbuf), maxKeptBuf)
 	}
 }
 
@@ -613,3 +613,96 @@ func FuzzServerHandshake(f *testing.F) {
 		}
 	})
 }
+
+// TestReadFrameScratchValidUntilNextRead pins ReadFrame's contract from both
+// sides. The message it returns is the connection's own struct for the type:
+// the next frame of that type arrives in the same struct and shows nothing of
+// the one before, whatever that one had set. And a copy of the struct taken
+// before reading on stays good, with everything it points to — that is what
+// the readers in internal/remote keep. Both codecs.
+func TestReadFrameScratchValidUntilNextRead(t *testing.T) {
+	for ver := 1; ver <= 2; ver++ {
+		t.Run(fmt.Sprintf("v%d", ver), func(t *testing.T) {
+			ca, cb := pipeConns(t)
+			ca.SetVersion(ver)
+			cb.SetVersion(ver)
+			var stream, seq uint64
+			if ver == 2 {
+				stream, seq = 3, 1
+			}
+			rich := &OpResult{Val: []any{"one", "two"}, Peer: "a", Tag: "t", Index: 2, N: 5, Bool: true, Err: EncodeError(core.ErrRoleAbsent)}
+			go func() {
+				_ = ca.WriteFrame(MsgOpResult, stream, seq, rich)
+				_ = ca.WriteFrame(MsgSend, stream, seq, &Send{To: "b", Tag: "u", Val: "between"})
+				_ = ca.WriteFrame(MsgOpResult, stream, seq, &OpResult{Val: "bare"})
+			}()
+			read := func(want MsgType) any {
+				t.Helper()
+				typ, _, _, m, err := cb.ReadFrame()
+				if err != nil || typ != want {
+					t.Fatalf("read %s (%v), want %s", typ, err, want)
+				}
+				return m
+			}
+			first := read(MsgOpResult).(*OpResult)
+			kept := *first
+			read(MsgSend)
+			second := read(MsgOpResult).(*OpResult)
+			if second != first {
+				t.Fatal("the second OP-RESULT was decoded into a struct of its own")
+			}
+			if want := (OpResult{Val: "bare"}); *second != want {
+				t.Fatalf("second OP-RESULT = %+v, want %+v and nothing of the first", *second, want)
+			}
+			if list, ok := kept.Val.([]any); !ok || len(list) != 2 || list[0] != "one" || list[1] != "two" ||
+				kept.Peer != "a" || kept.Tag != "t" || kept.Index != 2 || kept.N != 5 || !kept.Bool ||
+				kept.Err == nil || !errors.Is(kept.Err.Err(), core.ErrRoleAbsent) {
+				t.Fatalf("the copy taken before reading on = %+v (err %+v), want the first frame intact", kept, kept.Err)
+			}
+		})
+	}
+}
+
+// TestWriteFrameEncodesInPlace pins the write side: a frame is encoded in the
+// write buffer's free space (no scratch buffer, no allocation), a message that
+// does not encode leaves nothing buffered, and the frames around it arrive
+// whole and in order — including one larger than the write buffer, which
+// spills.
+func TestWriteFrameEncodesInPlace(t *testing.T) {
+	ca, cb := v2Pipe(t)
+	big := make([]byte, 40<<10)
+	go func() {
+		_ = ca.WriteFrame(MsgSend, 1, 1, &Send{To: "a", Val: 1})
+		if err := ca.WriteFrame(MsgSend, 1, 2, &Send{To: "a", Val: make(chan int)}); err == nil {
+			t.Error("a channel value encoded")
+		}
+		_ = ca.WriteFrame(MsgSend, 1, 3, &Send{To: "a", Val: big})
+		_ = ca.WriteFrame(MsgSend, 1, 4, &Send{To: "a", Val: 4})
+	}()
+	for _, want := range []uint64{1, 3, 4} {
+		_, _, seq, m, err := cb.ReadFrame()
+		if err != nil || seq != want {
+			t.Fatalf("read seq %d (%v), want %d", seq, err, want)
+		}
+		if b, ok := m.(*Send).Val.([]byte); want == 3 && (!ok || len(b) != len(big)) {
+			t.Fatalf("spilled frame carried %T of %d bytes", m.(*Send).Val, len(b))
+		}
+	}
+
+	if raceEnabled {
+		return // the race detector allocates on its own account
+	}
+	sink, _ := net.Pipe()
+	c := NewConn(discardConn{sink})
+	c.SetVersion(2)
+	defer c.Close()
+	send := &Send{To: "buffer", Tag: "item", Val: 7}
+	if got := testing.AllocsPerRun(1000, func() { _ = c.WriteFrame(MsgSend, 1, 1, send) }); got > 0 {
+		t.Fatalf("a steady-state v2 WriteFrame allocates %v times, want 0", got)
+	}
+}
+
+// discardConn is a connection whose writes go nowhere.
+type discardConn struct{ net.Conn }
+
+func (discardConn) Write(p []byte) (int, error) { return len(p), nil }
