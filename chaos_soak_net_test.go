@@ -152,24 +152,14 @@ func runChaosSoakNet(t *testing.T, seed int64, dur time.Duration) {
 					})
 					cancel()
 					resolved.Add(1)
-					switch {
-					case err == nil,
-						errors.Is(err, context.Canceled),
-						errors.Is(err, context.DeadlineExceeded),
-						errors.Is(err, core.ErrPerformanceAborted),
-						errors.Is(err, core.ErrDraining),
-						errors.Is(err, core.ErrClosed),
-						errors.Is(err, remote.ErrConnLost),
-						// The enroller's default circuit breaker can open
-						// under a burst of severed connections; the fail-fast
-						// rejection is a legitimate client-visible class.
-						errors.Is(err, remote.ErrCircuitOpen):
-					default:
-						var re *core.RoleError
-						if !errors.As(err, &re) {
-							t.Errorf("unexpected enrollment error class: %v", err)
-							return
-						}
+					// The enroller's default circuit breaker can open under a
+					// burst of severed connections; the fail-fast rejection is
+					// a legitimate client-visible class.
+					var re *core.RoleError
+					if !soakAllows(err, core.ErrPerformanceAborted, core.ErrDraining, core.ErrClosed,
+						remote.ErrConnLost, remote.ErrCircuitOpen) && !errors.As(err, &re) {
+						t.Errorf("unexpected enrollment error class: %v", err)
+						return
 					}
 				}
 			}()
@@ -324,11 +314,10 @@ func runChaosSoakNetChurn(t *testing.T, seed int64, dur time.Duration, resume bo
 					cancel()
 					resolved.Add(1)
 					switch {
-					case err == nil:
-					case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-						// A straggler whose partner pool stopped: the offer was
-						// withdrawn before any performance started. Not an
-						// abort.
+					case soakAllows(err):
+						// Success, or a straggler whose partner pool stopped: the
+						// offer was withdrawn before any performance started. Not
+						// an abort.
 					case errors.Is(err, remote.ErrConnLost):
 						connLost.Add(1)
 						if resume {

@@ -24,41 +24,9 @@ import (
 // still join the same performance in other roles (the constraints bind the
 // bloc's roles only).
 func (in *Instance) EnrollBloc(ctx context.Context, members []Enrollment) ([]Result, error) {
-	if len(members) == 0 {
-		return nil, errors.New("script: empty bloc")
-	}
-	seenPID := make(map[ids.PID]bool, len(members))
-	seenRole := make(map[ids.RoleRef]bool, len(members))
-	for _, m := range members {
-		if m.PID == ids.NoPID {
-			return nil, fmt.Errorf("script %s: bloc member has empty PID", in.def.name)
-		}
-		if seenPID[m.PID] {
-			return nil, fmt.Errorf("script %s: bloc PIDs must be distinct (%s)", in.def.name, m.PID)
-		}
-		if seenRole[m.Role] {
-			return nil, fmt.Errorf("script %s: bloc roles must be distinct (%s)", in.def.name, m.Role)
-		}
-		seenPID[m.PID] = true
-		seenRole[m.Role] = true
-	}
-
-	// Bind the bloc together: every member requires every other member's
-	// role to be played by that member's PID.
-	bound := make([]Enrollment, len(members))
-	for i, m := range members {
-		with := make(map[ids.RoleRef]ids.PIDSet, len(members)-1+len(m.With))
-		for r, s := range m.With {
-			with[r] = s
-		}
-		for _, other := range members {
-			if other.PID == m.PID {
-				continue
-			}
-			with[other.Role] = ids.NewPIDSet(other.PID)
-		}
-		m.With = with
-		bound[i] = m
+	bound, err := BindBloc(members)
+	if err != nil {
+		return nil, err
 	}
 
 	type outcome struct {
@@ -84,4 +52,46 @@ func (in *Instance) EnrollBloc(ctx context.Context, members []Enrollment) ([]Res
 		}
 	}
 	return results, errors.Join(errs...)
+}
+
+// BindBloc is what makes a bloc of members, for whoever enrolls it (here, or
+// at a remote host): it checks that the bloc is not empty and that its
+// members have PIDs, distinct ones, and distinct roles, and returns a copy in
+// which every member requires every other member's role to be played by that
+// member's PID, on top of the constraints the caller gave it.
+func BindBloc(members []Enrollment) ([]Enrollment, error) {
+	if len(members) == 0 {
+		return nil, errors.New("script: empty bloc")
+	}
+	seenPID := make(map[ids.PID]bool, len(members))
+	seenRole := make(map[ids.RoleRef]bool, len(members))
+	for _, m := range members {
+		if m.PID == ids.NoPID {
+			return nil, errors.New("script: bloc member has empty PID")
+		}
+		if seenPID[m.PID] {
+			return nil, fmt.Errorf("script: bloc PIDs must be distinct (%s)", m.PID)
+		}
+		if seenRole[m.Role] {
+			return nil, fmt.Errorf("script: bloc roles must be distinct (%s)", m.Role)
+		}
+		seenPID[m.PID] = true
+		seenRole[m.Role] = true
+	}
+	bound := make([]Enrollment, len(members))
+	for i, m := range members {
+		with := make(map[ids.RoleRef]ids.PIDSet, len(members)-1+len(m.With))
+		for r, s := range m.With {
+			with[r] = s
+		}
+		for _, other := range members {
+			if other.PID == m.PID {
+				continue
+			}
+			with[other.Role] = ids.NewPIDSet(other.PID)
+		}
+		m.With = with
+		bound[i] = m
+	}
+	return bound, nil
 }

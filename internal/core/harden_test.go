@@ -432,3 +432,38 @@ func TestDrainConcurrentWithEnrollStorm(t *testing.T) {
 func pidName(prefix string, i int) string {
 	return prefix + string(rune('0'+i/10)) + string(rune('0'+i%10))
 }
+
+// TestAbortOutranksFinishedRole: an aborted performance answers every later
+// communication with the abort, also one that names a role whose body has
+// returned since. The remote host aborts a performance whose enroller was cut
+// and then lets the role's stand-in body return; a co-performer that asks a
+// moment later must learn that the role was cut, not that it "already
+// finished".
+func TestAbortOutranksFinishedRole(t *testing.T) {
+	ctx := testCtx(t)
+	cutReleased := make(chan struct{})
+	def, err := NewScript("cut").
+		Role("co", func(rc Ctx) error {
+			<-cutReleased
+			return rc.Send(ids.Role("cut"), 1)
+		}).
+		Role("cut", func(rc Ctx) error {
+			rc.(*RoleCtx).AbortPerformance("enroller disconnected")
+			return nil
+		}).
+		Initiation(DelayedInitiation).
+		Termination(ImmediateTermination).
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := NewInstance(def)
+	defer in.Close()
+	chCo := enrollAsync(ctx, in, Enrollment{PID: "C", Role: ids.Role("co")})
+	<-enrollAsync(ctx, in, Enrollment{PID: "X", Role: ids.Role("cut")})
+	close(cutReleased) // its body returned: the cast has it finished
+	var ae *AbortError
+	if out := <-chCo; !errors.As(out.err, &ae) || ae.Culprit != ids.Role("cut") {
+		t.Fatalf("co err = %v, want an *AbortError blaming cut", out.err)
+	}
+}

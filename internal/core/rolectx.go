@@ -510,6 +510,11 @@ func (rc *RoleCtx) availabilityLocked(slot int, r ids.RoleRef, known bool) peerS
 	}
 	switch rc.st.perf.stateOf(slot, r) {
 	case castFinished:
+		if rc.st.perf.abortErr != nil {
+			// The fabric answers with the abort, whose culprit may be r
+			// itself: it did not finish, it was cut.
+			return peerOK
+		}
 		return peerFinished
 	case castFilled:
 		return peerOK

@@ -81,7 +81,7 @@ func (e *Enroller) converse(ctx context.Context, mc *muxConn, enr core.Enrollmen
 	if !enr.Deadline.IsZero() {
 		msg.DeadlineMS = enr.Deadline.UnixMilli()
 	}
-	if err := mc.write(wire.MsgEnroll, st.id, 0, msg); err != nil {
+	if err := mc.fw.WriteFrame(wire.MsgEnroll, st.id, 0, msg); err != nil {
 		err = fmt.Errorf("%w: %v", ErrConnLost, err)
 		mc.fail(err)
 		mc.closeStream(st, false)
@@ -137,7 +137,7 @@ func (e *Enroller) perform(ctx context.Context, st *muxStream, enr core.Enrollme
 	bodyErr := runClientBody(enr.Body, rctx)
 	rctx.trace(trace.Event{Kind: trace.KindFinish})
 	st.bodyDone = wire.BodyDone{Results: rctx.Out, Err: wire.EncodeError(bodyErr)}
-	if err := st.mc.write(wire.MsgBodyDone, st.id, 0, &st.bodyDone); err != nil {
+	if err := st.mc.fw.WriteFrame(wire.MsgBodyDone, st.id, 0, &st.bodyDone); err != nil {
 		err = fmt.Errorf("%w: %v", ErrConnLost, err)
 		st.mc.fail(err)
 		return core.Result{}, lostErr(ctx, err, true)

@@ -398,7 +398,7 @@ func TestStreamSlotFreedBeforeTerminalFrame(t *testing.T) {
 	h := NewHost(in, HostConfig{})
 	defer h.Close()
 
-	s := &hostSession{h: h, lockstep: true, streams: make(map[uint64]*hostStream), tasks: make(chan streamTask)}
+	s := &hostSession{h: h, lockstep: true, streams: make(map[uint64]*hostStream), tasks: make(chan *hostStream)}
 	probe := &slotProbe{s: s}
 	ctx, cancel := context.WithCancel(context.Background())
 	st := &hostStream{b: bridge{fw: probe, opCh: make(chan hostOp, streamOpBacklog)}, ctx: ctx, cancel: cancel}
@@ -406,7 +406,7 @@ func TestStreamSlotFreedBeforeTerminalFrame(t *testing.T) {
 	// An enrollment the target rejects runs the whole path: admission,
 	// target.Enroll, terminal COMPLETE.
 	st.enroll = wire.Enroll{PID: "P", Role: "nosuch"}
-	s.work(streamTask{stream: 0, st: st})
+	s.work(st)
 
 	if probe.terminal != wire.MsgComplete {
 		t.Fatalf("terminal frame = %v, want COMPLETE", probe.terminal)
@@ -445,6 +445,7 @@ func pipeMux(t *testing.T, version int) *muxConn {
 	c.SetVersion(version)
 	mc := &muxConn{
 		c:          c,
+		fw:         c,
 		hs:         &hostState{},
 		stop:       make(chan struct{}),
 		maxStreams: DefaultMaxStreamsPerConn,
@@ -584,21 +585,21 @@ func TestHostStreamRecycling(t *testing.T) {
 	defer in.Close()
 	h := NewHost(in, HostConfig{})
 	defer h.Close()
-	s := &hostSession{h: h, streams: make(map[uint64]*hostStream), tasks: make(chan streamTask)}
+	s := &hostSession{h: h, streams: make(map[uint64]*hostStream), tasks: make(chan *hostStream)}
 	// Each enrollment is one the target rejects, which runs the whole path.
-	enroll := func(stream uint64) (*hostStream, streamTask) {
+	enroll := func(stream uint64) *hostStream {
 		st := &hostStream{enroll: wire.Enroll{PID: "P", Role: "nosuch"}}
-		st.b.fw, st.b.opCh = &slotProbe{s: s}, make(chan hostOp, streamOpBacklog)
+		st.b.fw, st.b.streamID, st.b.opCh = &slotProbe{s: s}, stream, make(chan hostOp, streamOpBacklog)
 		st.ctx, st.cancel = context.WithCancel(context.Background())
 		s.streams[stream] = st
-		return st, streamTask{stream: stream, st: st}
+		return st
 	}
 
-	st, task := enroll(1)
+	st := enroll(1)
 	for i := 0; i < 3; i++ {
 		st.b.opCh <- opOf(wire.MsgRecv, uint64(i), &wire.Recv{From: "a"})
 	}
-	s.work(task)
+	s.work(st)
 	if len(s.free) != 1 || s.free[0] != st || len(st.b.opCh) != 0 || st.ctx.Err() != nil {
 		t.Fatalf("finished enrollment: free = %v, %d ops left, ctx %v; want it kept, empty and live", s.free, len(st.b.opCh), st.ctx.Err())
 	}
@@ -606,12 +607,12 @@ func TestHostStreamRecycling(t *testing.T) {
 		t.Fatal("a CANCEL for the finished stream still found it")
 	}
 
-	st, task = enroll(2)
+	st = enroll(2)
 	found := s.sever(2)
 	if found != st {
 		t.Fatal("a CANCEL for the live stream did not find it")
 	}
-	s.work(task)
+	s.work(st)
 	if len(s.free) != 1 || s.free[0] == st || st.ctx.Err() == nil {
 		t.Fatalf("severed enrollment: free = %v, ctx %v; want it dropped and its context ended", s.free, st.ctx.Err())
 	}
@@ -865,6 +866,60 @@ func TestContextEndAtEveryWait(t *testing.T) {
 			h.Close()
 			in.Close()
 			eventually(t, "every goroutine of the row to end", func() bool { return runtime.NumGoroutine() <= before })
+		})
+	}
+}
+
+// lostCtx is as much of a RoleCtx as a bridge touches before its first op,
+// recording what the performance was aborted with.
+type lostCtx struct {
+	core.Ctx
+	reasons []string
+}
+
+func (c *lostCtx) Performance() int               { return 1 }
+func (c *lostCtx) Role() ids.RoleRef              { return ids.Role("b") }
+func (c *lostCtx) AbortPerformance(reason string) { c.reasons = append(c.reasons, reason) }
+
+// offerWriter is a bridge's frame writer whose every write ends in err.
+type offerWriter struct{ err error }
+
+func (w offerWriter) WriteFrame(wire.MsgType, uint64, uint64, any) error { return w.err }
+
+// TestDisconnectBeforeRunBlamesTheRole pins DESIGN.md "Failure semantics": an
+// enrollment whose enroller vanished after the assignment but before the
+// bridge body's first frame is a disconnect culprit like one that vanished a
+// frame later, whoever notices. When disconnect came first it found nothing
+// started and aborted nothing; the body must do it, with disconnect's reason,
+// whatever would become of its OFFER-ACK — a write into a buffer nobody
+// flushes succeeds, and the closed backlog then read as a body that had ended:
+// the co-performer was told "role already finished" about a role that was
+// cut. When the body comes first and its OFFER-ACK fails, that is the
+// disconnect too, not a failure class of its own.
+func TestDisconnectBeforeRunBlamesTheRole(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		disconnect bool
+		werr       error // of the OFFER-ACK's write
+		wantErr    error
+		want       string
+	}{
+		{"disconnected, ack would buffer", true, nil, errEnrollerLost, enrollerGone},
+		{"disconnected, ack would fail", true, io.ErrClosedPipe, errEnrollerLost, enrollerGone},
+		{"ack fails first", false, io.ErrClosedPipe, io.ErrClosedPipe, enrollerGone + ": offer not delivered"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := &bridge{fw: offerWriter{tc.werr}, opCh: make(chan hostOp, streamOpBacklog)}
+			if tc.disconnect {
+				b.disconnect(enrollerGone)
+			}
+			rc := &lostCtx{}
+			if err := b.run(rc); !errors.Is(err, tc.wantErr) {
+				t.Errorf("run returned %v, want %v", err, tc.wantErr)
+			}
+			if len(rc.reasons) != 1 || rc.reasons[0] != tc.want {
+				t.Errorf("performance aborted with %q, want %q, once", rc.reasons, tc.want)
+			}
 		})
 	}
 }

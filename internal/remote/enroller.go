@@ -10,10 +10,10 @@ import (
 	"time"
 
 	"github.com/scriptabs/goscript/internal/core"
-	"github.com/scriptabs/goscript/internal/ids"
 	"github.com/scriptabs/goscript/internal/metrics"
 	"github.com/scriptabs/goscript/internal/registry"
 	"github.com/scriptabs/goscript/internal/trace"
+	"github.com/scriptabs/goscript/internal/wire"
 )
 
 var (
@@ -118,11 +118,9 @@ type Enroller struct {
 	// goroutine replaces the host set on membership changes, and picks
 	// refresh load digests from Snapshot at most every loadRefreshInterval.
 	reg           registry.Registry
-	regScript     string
 	unsub         func()
 	loadRefreshed atomic.Int64 // unix nanos of the last digest refresh
 
-	balancer  Balancer
 	pickCount *metrics.Counter
 
 	mu     sync.Mutex
@@ -226,7 +224,6 @@ func NewEnrollerRegistry(reg registry.Registry, cfg EnrollerConfig) *Enroller {
 	}
 	e := newEnroller(cfg)
 	e.reg = reg
-	e.regScript = cfg.Script
 	ch, cancel := reg.Subscribe(cfg.Script)
 	e.unsub = cancel
 	e.applyEndpoints(reg.Snapshot(cfg.Script))
@@ -264,6 +261,12 @@ func newEnroller(cfg EnrollerConfig) *Enroller {
 	if cfg.Balancer == nil {
 		cfg.Balancer = NewFailover()
 	}
+	if cfg.MaxProtocolVersion <= 0 {
+		cfg.MaxProtocolVersion = wire.MaxVersion
+	}
+	if cfg.MaxStreamsPerConn <= 0 {
+		cfg.MaxStreamsPerConn = DefaultMaxStreamsPerConn
+	}
 	seed := cfg.Retry.Seed
 	if seed == 0 {
 		seed = time.Now().UnixNano()
@@ -271,7 +274,6 @@ func newEnroller(cfg EnrollerConfig) *Enroller {
 	return &Enroller{
 		cfg:       cfg,
 		rng:       rand.New(rand.NewSource(seed)),
-		balancer:  cfg.Balancer,
 		pickCount: metrics.Get(metrics.BalancerPicksPrefix + cfg.Balancer.Name() + "_total"),
 	}
 }
@@ -348,7 +350,7 @@ func (e *Enroller) maybeRefreshLoads(now time.Time) {
 		return // another goroutine is refreshing
 	}
 	byAddr := make(map[string]registry.Load)
-	for _, ep := range e.reg.Snapshot(e.regScript) {
+	for _, ep := range e.reg.Snapshot(e.cfg.Script) {
 		byAddr[ep.Addr] = ep.Load
 	}
 	for _, hs := range e.hostList() {
@@ -549,7 +551,7 @@ func (e *Enroller) balance(tier []*hostState, now time.Time) int {
 		views[i] = hs.view(now)
 	}
 	e.rngMu.Lock()
-	i := e.balancer.Pick(views, e.rng)
+	i := e.cfg.Balancer.Pick(views, e.rng)
 	e.rngMu.Unlock()
 	if i < 0 || i >= len(tier) {
 		i = 0
@@ -608,29 +610,53 @@ func (e *Enroller) Enroll(ctx context.Context, enr core.Enrollment) (core.Result
 			enr.TraceID = id
 		}
 	}
+	return e.enroll(ctx, nil, enr)
+}
+
+// enroll is the retry loop of every enrollment. pinned nil means a host is
+// picked per attempt; a bloc member passes the host its bloc was offered at,
+// because its With constraints bind it to co-members there.
+func (e *Enroller) enroll(ctx context.Context, pinned *hostState, enr core.Enrollment) (core.Result, error) {
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return core.Result{}, err
 		}
+		hs := pinned
+		if hs == nil {
+			hs = e.pickHost(time.Now(), attempt)
+		}
 		var res core.Result
 		var err error
-		if hs := e.pickHost(time.Now(), attempt); hs == nil {
+		if hs == nil {
 			err = e.noHostErr()
 		} else {
 			res, err = e.enrollOnce(ctx, hs, enr)
 			e.observe(hs, err)
-			if err == nil {
-				return res, nil
-			}
 		}
-		if attempt+1 >= e.cfg.Retry.MaxAttempts || !Retryable(err) {
-			return res, err
+		if err == nil {
+			return res, nil
 		}
-		select {
-		case <-ctx.Done():
-			return core.Result{}, ctx.Err()
-		case <-time.After(e.backoff(attempt, retryAfterHint(err))):
+		if err = e.again(ctx, attempt, err, Retryable(err)); err != nil {
+			return core.Result{}, err
 		}
+	}
+}
+
+// again is the step between two attempts of any retry loop. It returns the
+// error the loop ends with — err itself when the attempt budget is spent or
+// the failure is not retryable, the context's when that ends first — or nil
+// once the backoff has been waited out and the next attempt may go. It is a
+// plain call, not a loop taking the attempt as a function value: a closure
+// per enrollment is an allocation the enrollment path does not otherwise make.
+func (e *Enroller) again(ctx context.Context, attempt int, err error, retryable bool) error {
+	if attempt+1 >= e.cfg.Retry.MaxAttempts || !retryable {
+		return err
+	}
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-time.After(e.backoff(attempt, retryAfterHint(err))):
+		return nil
 	}
 }
 
@@ -649,25 +675,14 @@ func (e *Enroller) Enroll(ctx context.Context, enr core.Enrollment) (core.Result
 // the whole bloc re-offers at a (rotated) newly-picked host under
 // cfg.Retry.
 func (e *Enroller) EnrollBloc(ctx context.Context, members []core.Enrollment) ([]core.Result, error) {
-	if len(members) == 0 {
-		return nil, errors.New("script/remote: EnrollBloc requires at least one member")
+	bound, err := core.BindBloc(members)
+	if err != nil {
+		return nil, err
 	}
-	bound := make([]core.Enrollment, len(members))
-	copy(bound, members)
-	seenPID := make(map[ids.PID]bool, len(bound))
-	seenRole := make(map[ids.RoleRef]bool, len(bound))
 	for _, m := range bound {
 		if m.Body == nil {
 			return nil, errors.New("script/remote: EnrollBloc requires Enrollment.Body on every member (the definition lives in the host)")
 		}
-		if seenPID[m.PID] {
-			return nil, fmt.Errorf("script: EnrollBloc: duplicate process %q", m.PID)
-		}
-		if seenRole[m.Role] {
-			return nil, fmt.Errorf("script: EnrollBloc: duplicate role %s", m.Role)
-		}
-		seenPID[m.PID] = true
-		seenRole[m.Role] = true
 	}
 	// One trace decision for the whole bloc: co-performers share a
 	// performance, so they share a timeline.
@@ -683,20 +698,7 @@ func (e *Enroller) EnrollBloc(ctx context.Context, members []core.Enrollment) ([
 			tid = id
 		}
 	}
-	// Bind the cast: each member may only match a performance containing
-	// exactly its co-members (mirrors core.EnrollBloc).
 	for i := range bound {
-		with := make(map[ids.RoleRef]ids.PIDSet, len(bound)-1+len(bound[i].With))
-		for r, s := range bound[i].With {
-			with[r] = s
-		}
-		for j := range bound {
-			if j == i {
-				continue
-			}
-			with[bound[j].Role] = ids.NewPIDSet(bound[j].PID)
-		}
-		bound[i].With = with
 		bound[i].TraceID = tid
 	}
 
@@ -704,32 +706,26 @@ func (e *Enroller) EnrollBloc(ctx context.Context, members []core.Enrollment) ([
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		hs := e.pickHost(time.Now(), attempt)
 		var res []core.Result
 		var err error
-		var retryable bool
-		if hs == nil {
-			err, retryable = e.noHostErr(), true
+		retryable := true
+		if hs := e.pickHost(time.Now(), attempt); hs == nil {
+			err = e.noHostErr()
 		} else {
 			res, err, retryable = e.blocAttempt(ctx, hs, bound)
-			if err == nil {
-				return res, nil
-			}
 		}
-		if attempt+1 >= e.cfg.Retry.MaxAttempts || !retryable {
-			return res, err
+		if err == nil {
+			return res, nil
 		}
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-time.After(e.backoff(attempt, retryAfterHint(err))):
+		if err = e.again(ctx, attempt, err, retryable); err != nil {
+			return nil, err
 		}
 	}
 }
 
 // blocAttempt offers every member of a bound cast at one host concurrently.
-// Members retry individually against that same host (pinned — the cast's
-// With constraints only resolve there); the first terminal member failure
+// Members retry individually against that same host (the cast's With
+// constraints only resolve there); the first terminal member failure
 // cancels the others' offers. retryable reports whether re-offering the
 // whole bloc at a fresh host is safe: true only when no member was
 // assigned and every failure rejected the offer cleanly.
@@ -744,7 +740,7 @@ func (e *Enroller) blocAttempt(ctx context.Context, hs *hostState, bound []core.
 	ch := make(chan outcome, len(bound))
 	for i := range bound {
 		go func(i int, m core.Enrollment) {
-			r, merr := e.enrollPinned(bctx, hs, m)
+			r, merr := e.enroll(bctx, hs, m)
 			if merr != nil {
 				// Terminal for this member — withdraw the co-members still
 				// pending; their With constraints can never be satisfied.
@@ -786,29 +782,6 @@ func (e *Enroller) blocAttempt(ctx context.Context, hs *hostState, bound []core.
 		retryable = false
 	}
 	return nil, errors.Join(joined...), retryable
-}
-
-// enrollPinned is Enroll's retry loop pinned to one host: used by bloc
-// members, whose With constraints bind them to co-members at that host.
-func (e *Enroller) enrollPinned(ctx context.Context, hs *hostState, enr core.Enrollment) (core.Result, error) {
-	for attempt := 0; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return core.Result{}, err
-		}
-		res, err := e.enrollOnce(ctx, hs, enr)
-		e.observe(hs, err)
-		if err == nil {
-			return res, nil
-		}
-		if attempt+1 >= e.cfg.Retry.MaxAttempts || !Retryable(err) {
-			return res, err
-		}
-		select {
-		case <-ctx.Done():
-			return core.Result{}, ctx.Err()
-		case <-time.After(e.backoff(attempt, retryAfterHint(err))):
-		}
-	}
 }
 
 // enrollOnce runs one offer against one host, start to release: claim a

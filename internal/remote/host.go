@@ -72,11 +72,6 @@ type HostConfig struct {
 	// invisibly (both sides replay unacked frames). 0 disables — every
 	// connection loss aborts exactly as before resumption existed.
 	ResumeWindow time.Duration
-	// ResumeBufBytes caps each resumable session's unacked retransmit
-	// backlog (0 = wire.DefaultResumeBufBytes). A session over the cap is
-	// marked unresumable and degrades to the abort path at the next
-	// connection loss rather than buffering without bound.
-	ResumeBufBytes int
 
 	// Faults, when non-nil, injects network faults (chaos testing).
 	Faults NetFaults
@@ -196,6 +191,9 @@ func NewHost(target Target, cfg HostConfig) *Host {
 	if cfg.RetryAfter == 0 {
 		cfg.RetryAfter = DefaultRetryAfter
 	}
+	if cfg.MaxProtocolVersion <= 0 {
+		cfg.MaxProtocolVersion = wire.MaxVersion
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	h := &Host{
 		target:   target,
@@ -210,13 +208,14 @@ func NewHost(target Target, cfg HostConfig) *Host {
 	return h
 }
 
-// retryAfterHint is the configured overload backoff hint (zero when hints
-// are disabled with a negative RetryAfter).
-func (h *Host) retryAfterHint() time.Duration {
-	if h.cfg.RetryAfter < 0 {
-		return 0
-	}
-	return h.cfg.RetryAfter
+// errHostClosed answers whatever reaches a host after Close.
+var errHostClosed = errors.New("script/remote: host closed")
+
+// overloaded is the host's answer to what admission control sheds, a
+// connection or an enrollment: the exhausted resource and the configured
+// backoff hint (none when RetryAfter is negative).
+func (h *Host) overloaded(reason string) *core.OverloadError {
+	return &core.OverloadError{Script: h.script, RetryAfter: max(h.cfg.RetryAfter, 0), Reason: reason}
 }
 
 // Listen binds the host to addr (e.g. "127.0.0.1:0").
@@ -229,7 +228,7 @@ func (h *Host) Listen(addr string) error {
 	defer h.mu.Unlock()
 	if h.closed {
 		ln.Close()
-		return errors.New("script/remote: host closed")
+		return errHostClosed
 	}
 	h.ln = ln
 	return nil
@@ -352,17 +351,13 @@ func (h *Host) Close() error {
 		return nil
 	}
 	h.closed = true
-	ln := h.ln
-	h.ln = nil
 	conns := make([]*wire.Conn, 0, len(h.conns))
 	for c := range h.conns {
 		conns = append(conns, c)
 	}
 	h.mu.Unlock()
 	h.cancel()
-	if ln != nil {
-		ln.Close()
-	}
+	h.closeListener()
 	for _, c := range conns {
 		c.Close()
 	}
@@ -404,26 +399,21 @@ func (h *Host) logf(format string, args ...any) {
 	}
 }
 
-// trackVerdict is track's admission decision for a new connection.
-type trackVerdict int
-
-const (
-	trackOK trackVerdict = iota
-	trackClosed
-	trackOverCap
-)
-
-func (h *Host) track(c *wire.Conn) trackVerdict {
+// track admits a new connection, or answers why not: errHostClosed, or the
+// overload the connection cap sheds it with (counted here).
+func (h *Host) track(c *wire.Conn) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed {
-		return trackClosed
+		return errHostClosed
 	}
 	if h.cfg.MaxConns > 0 && len(h.conns) >= h.cfg.MaxConns {
-		return trackOverCap
+		h.shedConns.Add(1)
+		shedConnsTotal.Inc()
+		return h.overloaded("connection cap reached")
 	}
 	h.conns[c] = struct{}{}
-	return trackOK
+	return nil
 }
 
 func (h *Host) untrack(c *wire.Conn) {
@@ -473,14 +463,6 @@ func opOf(t wire.MsgType, seq uint64, m any) hostOp {
 	return op
 }
 
-// maxProto is the newest protocol version the host negotiates.
-func (h *Host) maxProto() int {
-	if h.cfg.MaxProtocolVersion > 0 {
-		return h.cfg.MaxProtocolVersion
-	}
-	return wire.MaxVersion
-}
-
 // serveConn runs one client connection: admission, handshake, then the
 // session read loop (see hostmux.go), which pulls frames under the heartbeat
 // read deadline so a silent or severed connection is noticed even while a
@@ -488,24 +470,21 @@ func (h *Host) maxProto() int {
 func (h *Host) serveConn(nc net.Conn) {
 	defer h.connWG.Done()
 	c := wire.NewConn(nc)
-	switch h.track(c) {
-	case trackClosed:
-		c.Close()
-		return
-	case trackOverCap:
-		// Shed before building any per-connection state: the OVERLOADED
-		// frame goes out in place of HELLO-ACK, without even reading the
-		// client's HELLO — rejection must stay cheaper than service.
-		h.shedConns.Add(1)
-		shedConnsTotal.Inc()
-		h.logf("remote: %s: connection cap (%d) reached, shedding", c.RemoteAddr(), h.cfg.MaxConns)
-		if h.cfg.WriteTimeout > 0 {
-			c.SetWriteTimeout(h.cfg.WriteTimeout)
+	if err := h.track(c); err != nil {
+		var oe *core.OverloadError
+		if errors.As(err, &oe) {
+			// Shed before building any per-connection state: the OVERLOADED
+			// frame goes out in place of HELLO-ACK, without even reading the
+			// client's HELLO — rejection must stay cheaper than service.
+			h.logf("remote: %s: connection cap (%d) reached, shedding", c.RemoteAddr(), h.cfg.MaxConns)
+			if h.cfg.WriteTimeout > 0 {
+				c.SetWriteTimeout(h.cfg.WriteTimeout)
+			}
+			_ = c.WriteSync(wire.MsgOverloaded, &wire.Overloaded{
+				RetryAfterMS: oe.RetryAfter.Milliseconds(),
+				Msg:          oe.Reason,
+			})
 		}
-		_ = c.WriteSync(wire.MsgOverloaded, &wire.Overloaded{
-			RetryAfterMS: h.retryAfterHint().Milliseconds(),
-			Msg:          "connection cap reached",
-		})
 		c.Close()
 		return
 	}
@@ -527,7 +506,7 @@ func (h *Host) serveConn(nc net.Conn) {
 	// v2 clients that did not set Hello.Resume see neither field and keep
 	// exact pre-resumption semantics.
 	var resumeToken string
-	if _, err := wire.ServerHandshakeV(c, h.script, h.maxProto(), func(hl wire.Hello, ack *wire.HelloAck) {
+	if _, err := wire.ServerHandshakeV(c, h.script, h.cfg.MaxProtocolVersion, func(hl wire.Hello, ack *wire.HelloAck) {
 		ack.HeartbeatTimeoutMS = h.cfg.HeartbeatTimeout.Milliseconds()
 		if ack.Version >= 2 && hl.Resume && h.cfg.ResumeWindow > 0 {
 			resumeToken = mintSessionToken()
@@ -543,46 +522,43 @@ func (h *Host) serveConn(nc net.Conn) {
 	h.serveSession(c, resumeToken)
 }
 
-// enrollVerdict is the admission decision for one ENROLL frame.
-type enrollVerdict int
-
-const (
-	enrollAdmit enrollVerdict = iota
-	enrollClosed
-	enrollDrain
-	enrollShed
-)
-
-// admitEnroll decides one ENROLL's admission under the host lock. Shedding
-// is an admission-time decision only: work already admitted (enrollWG) is
-// never touched. On enrollAdmit the enrollment is registered (enrollWG,
-// enrolling) and the caller must release it.
-func (h *Host) admitEnroll() (enrollVerdict, string) {
+// admitEnroll decides one ENROLL's admission under the host lock and returns
+// the answer itself: nil (the enrollment is registered in enrollWG and
+// enrolling, and the caller must release it), errHostClosed, ErrDraining, or
+// the overload it is shed with, which is counted and logged here. Shedding is
+// an admission-time decision only: work already admitted is never touched.
+func (h *Host) admitEnroll(from string, role ids.RoleRef) error {
+	var err error
+	var full string
 	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.closed {
-		return enrollClosed, ""
-	}
-	if h.draining.Load() {
+	switch f := h.cfg.Faults; {
+	case h.closed:
+		err = errHostClosed
+	case h.draining.Load():
 		// Answer unadmitted enrollments at once: the target may be busy
 		// draining (or already closed), and a queued offer must not ride
 		// out the heartbeat timeout waiting for it. (The read loop answers
 		// the ENROLLs it reads on a draining host itself; this is for one it
 		// handed over just before.)
-		return enrollDrain, ""
+		err = core.ErrDraining
+	case f != nil && f.Overload():
+		full = "injected overload burst"
+	case h.cfg.MaxEnrollments > 0 && int(h.enrolling.Load()) >= h.cfg.MaxEnrollments:
+		full = fmt.Sprintf("enrollment cap (%d) reached", h.cfg.MaxEnrollments)
+	case h.cfg.MaxPendingOffers > 0 && h.pendingOf != nil && h.pendingOf.PendingOffers() >= h.cfg.MaxPendingOffers:
+		full = fmt.Sprintf("pending-offer cap (%d) reached", h.cfg.MaxPendingOffers)
+	default:
+		h.enrollWG.Add(1)
+		h.enrolling.Add(1)
 	}
-	if f := h.cfg.Faults; f != nil && f.Overload() {
-		return enrollShed, "injected overload burst"
+	h.mu.Unlock()
+	if full == "" {
+		return err
 	}
-	if h.cfg.MaxEnrollments > 0 && int(h.enrolling.Load()) >= h.cfg.MaxEnrollments {
-		return enrollShed, fmt.Sprintf("enrollment cap (%d) reached", h.cfg.MaxEnrollments)
-	}
-	if h.cfg.MaxPendingOffers > 0 && h.pendingOf != nil && h.pendingOf.PendingOffers() >= h.cfg.MaxPendingOffers {
-		return enrollShed, fmt.Sprintf("pending-offer cap (%d) reached", h.cfg.MaxPendingOffers)
-	}
-	h.enrollWG.Add(1)
-	h.enrolling.Add(1)
-	return enrollAdmit, ""
+	h.shedEnrolls.Add(1)
+	shedEnrollsTotal.Inc()
+	h.logf("remote: %s: shedding ENROLL for %s: %s", from, role, full)
+	return h.overloaded(full)
 }
 
 // bridge is the server-side stand-in for a remote role body: it is
@@ -611,6 +587,8 @@ type bridge struct {
 	rc       core.Ctx
 	started  bool
 	finished bool
+	// lost is disconnect's reason once it has run, for a run that starts after.
+	lost string
 }
 
 // frameWriter is where a bridge's frames go: the bare connection, or a
@@ -627,18 +605,34 @@ func (b *bridge) write(t wire.MsgType, seq uint64, m any) error {
 
 var errEnrollerLost = fmt.Errorf("%w: enroller disconnected mid-performance", ErrConnLost)
 
+// enrollerGone is the reason of every abort that blames a role for its
+// enroller having vanished, whoever notices first: the session's teardown, or
+// the bridge failing to write to it (which a frame to a resumable session
+// never does, and to a bare connection only once that is dead or its peer has
+// stopped reading for WriteTimeout).
+const enrollerGone = "remote enroller disconnected"
+
 // run is the bridge body. The scheduler calls it once the offer is
 // assigned to a performance.
 func (b *bridge) run(rc core.Ctx) error {
 	b.mu.Lock()
 	b.rc = rc
 	b.started = true
+	lost := b.lost
 	b.mu.Unlock()
 	defer func() {
 		b.mu.Lock()
 		b.finished = true
 		b.mu.Unlock()
 	}()
+	if lost != "" {
+		// The enroller vanished between the assignment and here, where
+		// disconnect had no performance to abort yet: it is as much the culprit
+		// as one that vanishes a frame later, and co-performers must not take
+		// this return for a role that finished.
+		b.abortVia(rc, lost)
+		return errEnrollerLost
+	}
 
 	b.ack = wire.OfferAck{Performance: rc.Performance(), Role: rc.Role().String()}
 	// Echo the performance's trace ID (the client's, or one the host
@@ -648,7 +642,7 @@ func (b *bridge) run(rc core.Ctx) error {
 		b.ack.TraceID = tr.TraceID().String()
 	}
 	if err := b.write(wire.MsgOfferAck, 0, &b.ack); err != nil {
-		b.abortVia(rc, "write failure delivering offer")
+		b.abortVia(rc, enrollerGone+": offer not delivered")
 		return fmt.Errorf("remote: offer ack: %w", err)
 	}
 
@@ -694,15 +688,15 @@ func (b *bridge) run(rc core.Ctx) error {
 		if err := b.write(wire.MsgOpResult, op.seq, &b.res); err != nil {
 			// The client cannot learn this op's outcome; the
 			// enrollment is unrecoverable.
-			b.abortVia(rc, "write failure delivering operation result")
+			b.abortVia(rc, enrollerGone+": operation result not delivered")
 			return fmt.Errorf("remote: op result: %w", err)
 		}
 	}
 }
 
 // reset readies the bridge of a finished enrollment for the next one. Only an
-// enrollment nobody disconnected is recycled, so once is unspent and the
-// backlog open.
+// enrollment nobody disconnected is recycled, so once is unspent, lost empty
+// and the backlog open.
 func (b *bridge) reset() {
 	b.mu.Lock()
 	b.rc, b.started, b.finished = nil, false, false
@@ -712,7 +706,8 @@ func (b *bridge) reset() {
 }
 
 // disconnect reclaims the enrollment after the connection died: a started,
-// unfinished performance is aborted blaming this role, and the bridge body
+// unfinished performance is aborted blaming this role (one not started yet
+// by run, when it starts: the reason is left in lost), and the bridge body
 // (possibly blocked in the fabric or idle in its loop) is released by the
 // backlog closing: it serves what the backlog still holds — into an aborted
 // performance, so each op fails at once — and ends. Closing a channel another
@@ -722,6 +717,7 @@ func (b *bridge) reset() {
 func (b *bridge) disconnect(reason string) {
 	b.once.Do(func() {
 		b.mu.Lock()
+		b.lost = reason
 		rc, started, finished := b.rc, b.started, b.finished
 		b.mu.Unlock()
 		if started && !finished {

@@ -59,12 +59,6 @@ type hostStream struct {
 	severed bool
 }
 
-// streamTask is one enrollment handed to a session's stream workers.
-type streamTask struct {
-	stream uint64
-	st     *hostStream
-}
-
 // hostSession owns the server side of one conversation across however
 // many transport connections it takes to finish it. Its lifecycle:
 // attached (cur serves it) → broken → parked (resumable, grace timer
@@ -77,6 +71,9 @@ type hostSession struct {
 	remote string
 	token  string        // "" when resumption was not negotiated
 	sess   *wire.Session // nil iff token == ""
+	// fw is where the session's stream frames go, fixed at creation: sess
+	// (stable across reconnects), or the conversation's only connection.
+	fw frameWriter
 	// lockstep marks a v1 conversation: its frames have no envelope, so its
 	// one stream is stream 0 (reserved for control traffic on v2).
 	lockstep bool
@@ -100,7 +97,7 @@ type hostSession struct {
 	// are reused across enrollments so their (deep: core engine + codec)
 	// stacks are grown once, not per enrollment.
 	wg    sync.WaitGroup
-	tasks chan streamTask
+	tasks chan *hostStream // enrollments handed to the stream workers
 }
 
 func newHostSession(h *Host, c *wire.Conn, token string, lockstep bool) *hostSession {
@@ -110,23 +107,15 @@ func newHostSession(h *Host, c *wire.Conn, token string, lockstep bool) *hostSes
 		token:    token,
 		lockstep: lockstep,
 		cur:      c,
+		fw:       c,
 		streams:  make(map[uint64]*hostStream),
-		tasks:    make(chan streamTask),
+		tasks:    make(chan *hostStream),
 	}
 	if token != "" {
-		s.sess = wire.NewSession(c, token, h.cfg.ResumeBufBytes)
+		s.sess = wire.NewSession(c, token, 0)
+		s.fw = s.sess
 	}
 	return s
-}
-
-// writer is where this session's stream frames go: the resumable session
-// (stable across reconnects) or, when resumption was not negotiated, the
-// conversation's only connection.
-func (s *hostSession) writer() frameWriter {
-	if s.sess != nil {
-		return s.sess
-	}
-	return s.cur
 }
 
 // mintSessionToken returns a fresh unguessable session token, or "" if the
@@ -340,7 +329,7 @@ func (s *hostSession) teardown() {
 		cur.Close()
 	}
 	for _, st := range streams {
-		st.b.disconnect("remote enroller disconnected")
+		st.b.disconnect(enrollerGone)
 		st.cancel()
 	}
 	for _, st := range free {
@@ -353,24 +342,24 @@ func (s *hostSession) teardown() {
 // then disposes of its hostStream: onto the free list, emptied of the ops the
 // enrollment left unserved, unless the enrollment was severed or the session
 // is over — then its context ends here.
-func (s *hostSession) work(t streamTask) {
+func (s *hostSession) work(st *hostStream) {
 	s.h.activeStreams.Add(1)
-	s.serveStream(t)
+	s.serveStream(st)
 	s.h.activeStreams.Add(-1)
 	s.smu.Lock()
-	s.releaseLocked(t)
-	recycle := !t.st.severed && !s.done && len(s.free) < DefaultMaxStreamsPerConn
+	s.releaseLocked(st)
+	recycle := !st.severed && !s.done && len(s.free) < DefaultMaxStreamsPerConn
 	if recycle {
-		for len(t.st.b.opCh) > 0 {
-			<-t.st.b.opCh
+		for len(st.b.opCh) > 0 {
+			<-st.b.opCh
 		}
-		t.st.b.reset()
-		t.st.enroll, t.st.cm = wire.Enroll{}, wire.Complete{}
-		s.free = append(s.free, t.st)
+		st.b.reset()
+		st.enroll, st.cm = wire.Enroll{}, wire.Complete{}
+		s.free = append(s.free, st)
 	}
 	s.smu.Unlock()
 	if !recycle {
-		t.st.cancel()
+		st.cancel()
 	}
 }
 
@@ -379,15 +368,15 @@ func (s *hostSession) work(t streamTask) {
 // reads COMPLETE, and that ENROLL must find stream 0 free rather than be
 // taken for a reuse of a live stream. Idempotent, and keyed on the stream's
 // identity so a late call never evicts a successor on the same ID.
-func (s *hostSession) release(t streamTask) {
+func (s *hostSession) release(st *hostStream) {
 	s.smu.Lock()
-	s.releaseLocked(t)
+	s.releaseLocked(st)
 	s.smu.Unlock()
 }
 
-func (s *hostSession) releaseLocked(t streamTask) {
-	if s.streams[t.stream] == t.st {
-		s.setSlotLocked(t.stream, nil)
+func (s *hostSession) releaseLocked(st *hostStream) {
+	if s.streams[st.b.streamID] == st {
+		s.setSlotLocked(st.b.streamID, nil)
 	}
 }
 
@@ -511,9 +500,8 @@ func (h *Host) runConn(s *hostSession, c *wire.Conn, first *preRead) {
 				// write buffer before this loop reads on, so when the loop ends
 				// (Host.lastCall) the close that follows it flushes every DRAIN
 				// owed.
-				fw := s.writer()
 				s.smu.Unlock()
-				_ = fw.WriteFrame(wire.MsgDrain, stream, 0, &wire.Drain{})
+				_ = s.fw.WriteFrame(wire.MsgDrain, stream, 0, &wire.Drain{})
 				return true
 			}
 			var st *hostStream
@@ -525,19 +513,18 @@ func (h *Host) runConn(s *hostSession, c *wire.Conn, first *preRead) {
 				st.body = st.b.run
 				st.ctx, st.cancel = context.WithCancel(h.baseCtx)
 			}
-			st.b.fw, st.b.streamID, st.enroll = s.writer(), stream, *m.(*wire.Enroll)
-			task := streamTask{stream: stream, st: st}
+			st.b.fw, st.b.streamID, st.enroll = s.fw, stream, *m.(*wire.Enroll)
 			s.setSlotLocked(stream, st)
 			select {
-			case s.tasks <- task:
+			case s.tasks <- st:
 				// An idle worker took it.
 			default:
 				s.wg.Add(1)
 				go func() {
 					defer s.wg.Done()
-					s.work(task)
-					for t := range s.tasks {
-						s.work(t)
+					s.work(st)
+					for next := range s.tasks {
+						s.work(next)
 					}
 				}()
 			}
@@ -598,28 +585,17 @@ func (h *Host) runConn(s *hostSession, c *wire.Conn, first *preRead) {
 // COMPLETE/DRAIN. Disconnect detection lives with the session's read loop.
 // All frames go through the stream's bridge writer, so they survive
 // reconnects on a resumable session.
-func (s *hostSession) serveStream(t streamTask) {
-	h, m := s.h, &t.st.enroll
+func (s *hostSession) serveStream(st *hostStream) {
+	h, m := s.h, &st.enroll
 	role, err := wire.DecodeRoleRef(m.Role)
 	if err != nil {
-		s.complete(t, ids.RoleRef{}, core.Result{}, fmt.Errorf("%w: %s", core.ErrUnknownRole, m.Role))
+		s.complete(st, ids.RoleRef{}, core.Result{}, fmt.Errorf("%w: %s", core.ErrUnknownRole, m.Role))
 		return
 	}
-	switch verdict, reason := h.admitEnroll(); verdict {
-	case enrollClosed:
-		return
-	case enrollDrain:
-		s.complete(t, role, core.Result{}, core.ErrDraining)
-		return
-	case enrollShed:
-		h.shedEnrolls.Add(1)
-		shedEnrollsTotal.Inc()
-		h.logf("remote: %s: shedding ENROLL for %s: %s", s.remote, role, reason)
-		s.complete(t, role, core.Result{}, &core.OverloadError{
-			Script:     h.script,
-			RetryAfter: h.retryAfterHint(),
-			Reason:     reason,
-		})
+	if err := h.admitEnroll(s.remote, role); err != nil {
+		if err != errHostClosed { // whose connections are closing: nobody is there to answer
+			s.complete(st, role, core.Result{}, err)
+		}
 		return
 	}
 	defer h.enrollWG.Done()
@@ -627,7 +603,7 @@ func (s *hostSession) serveStream(t streamTask) {
 
 	with, err := wire.DecodeWith(m.With)
 	if err != nil {
-		s.complete(t, role, core.Result{}, err)
+		s.complete(st, role, core.Result{}, err)
 		return
 	}
 	e := core.Enrollment{
@@ -635,7 +611,7 @@ func (s *hostSession) serveStream(t streamTask) {
 		Role: role,
 		Args: m.Args,
 		With: with,
-		Body: t.st.body,
+		Body: st.body,
 	}
 	if m.DeadlineMS > 0 {
 		e.Deadline = time.UnixMilli(m.DeadlineMS)
@@ -643,29 +619,28 @@ func (s *hostSession) serveStream(t streamTask) {
 	// A malformed client trace ID is not worth failing the call over — the
 	// enrollment just runs without the client's timeline.
 	e.TraceID, _ = trace.ParseTraceID(m.TraceID)
-	res, err := h.target.Enroll(t.st.ctx, e)
-	s.complete(t, role, res, err)
+	res, err := h.target.Enroll(st.ctx, e)
+	s.complete(st, role, res, err)
 }
 
 // complete releases the stream's slot and then reports the enrollment's
 // outcome on it. A write failure means the connection died; the session's
 // read loop notices on its next read (and on a resumable session the frame
 // is retained and replayed, so the outcome is never lost to a blip).
-func (s *hostSession) complete(t streamTask, role ids.RoleRef, res core.Result, err error) {
-	s.release(t)
-	fw := t.st.b.fw
+func (s *hostSession) complete(st *hostStream, role ids.RoleRef, res core.Result, err error) {
+	s.release(st)
 	if errors.Is(err, core.ErrDraining) {
-		_ = fw.WriteFrame(wire.MsgDrain, t.stream, 0, &wire.Drain{})
+		_ = st.b.write(wire.MsgDrain, 0, &wire.Drain{})
 		return
 	}
 	if res.Role.Name != "" {
 		role = res.Role
 	}
-	t.st.cm = wire.Complete{
+	st.cm = wire.Complete{
 		Performance: res.Performance,
 		Role:        role.String(),
 		Values:      res.Values,
 		Err:         wire.EncodeError(err),
 	}
-	_ = fw.WriteFrame(wire.MsgComplete, t.stream, 0, &t.st.cm)
+	_ = st.b.write(wire.MsgComplete, 0, &st.cm)
 }

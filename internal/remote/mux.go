@@ -51,7 +51,13 @@ var streamEventsDropped = metrics.Get(metrics.RemoteStreamEventsDropped)
 // fresh connection in with both sides replaying what the blip swallowed —
 // the streams riding the conversation never notice.
 type muxConn struct {
-	c    *wire.Conn // current transport; nil while detached (resumable only)
+	c *wire.Conn // current transport; nil while detached (resumable only)
+	// fw is where stream frames go, fixed at creation: the session when
+	// resumable (it retains them for replay and swallows transport errors —
+	// the reader drives recovery), else the conversation's only connection,
+	// where a write after its death fails or is never flushed: the death
+	// itself is what the streams hear of (fatal).
+	fw   frameWriter
 	hs   *hostState
 	stop chan struct{}
 	once sync.Once
@@ -88,22 +94,6 @@ type muxConn struct {
 	deadErr  error
 }
 
-// write sends one stream frame on the conversation: through the session
-// (which retains it for replay and swallows transport errors — the reader
-// drives recovery) when resumable, else straight onto the connection.
-func (mc *muxConn) write(t wire.MsgType, stream, seq uint64, m any) error {
-	if mc.sess != nil {
-		return mc.sess.WriteFrame(t, stream, seq, m)
-	}
-	mc.mu.Lock()
-	c := mc.c
-	mc.mu.Unlock()
-	if c == nil {
-		return ErrConnLost
-	}
-	return c.WriteFrame(t, stream, seq, m)
-}
-
 // cut severs the current transport out from under the conversation without
 // telling anyone — the chaos harness's client-side blip. The read loop
 // discovers the break and drives resume (resumable) or teardown (not).
@@ -132,7 +122,7 @@ func (mc *muxConn) withdraw(st *muxStream) {
 		// The waits end first: a CANCEL can wait for a socket that a wedged
 		// host is not reading, and the enrollment must not wait with it.
 		st.fatal(err)
-		_ = mc.write(wire.MsgCancel, st.id, 0, &wire.Cancel{})
+		_ = mc.fw.WriteFrame(wire.MsgCancel, st.id, 0, &wire.Cancel{})
 		return
 	}
 	mc.mu.Lock()
@@ -688,7 +678,7 @@ func (st *muxStream) begin() (*opSlot, error) {
 // not arrival order. Once the outcome is taken the slot is known empty and
 // unregistered, and becomes the stream's idle one.
 func (st *muxStream) finish(sl *opSlot, t wire.MsgType, req any) (wire.OpResult, error) {
-	if err := st.mc.write(t, st.id, sl.seq, req); err != nil {
+	if err := st.mc.fw.WriteFrame(t, st.id, sl.seq, req); err != nil {
 		st.mc.fail(fmt.Errorf("%w: %v", ErrConnLost, err)) // this op's outcome, with every other's
 	}
 	out := <-sl.ch
@@ -703,22 +693,6 @@ func (e *Enroller) isClosed() bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.closed
-}
-
-// maxStreams is the per-connection stream cap.
-func (e *Enroller) maxStreams() int {
-	if e.cfg.MaxStreamsPerConn > 0 {
-		return e.cfg.MaxStreamsPerConn
-	}
-	return DefaultMaxStreamsPerConn
-}
-
-// maxProto is the newest protocol version the enroller negotiates.
-func (e *Enroller) maxProto() int {
-	if e.cfg.MaxProtocolVersion > 0 {
-		return e.cfg.MaxProtocolVersion
-	}
-	return wire.MaxVersion
 }
 
 // reserveMux finds a pooled connection with a free stream slot, compacting
@@ -801,15 +775,16 @@ func (e *Enroller) acquireMux(ctx context.Context, hs *hostState) (*muxConn, err
 	if mc := hs.reserveMux(); mc != nil {
 		return mc, nil
 	}
-	c, ack, err := e.dialRaw(ctx, hs.addr, e.maxProto())
+	c, ack, err := e.dialRaw(ctx, hs.addr)
 	if err != nil {
 		return nil, err
 	}
 	mc := &muxConn{
 		c:          c,
+		fw:         c,
 		hs:         hs,
 		stop:       make(chan struct{}),
-		maxStreams: e.maxStreams(),
+		maxStreams: e.cfg.MaxStreamsPerConn,
 		lockstep:   c.Version() < 2,
 		streams:    make(map[uint64]*muxStream),
 		faults:     e.cfg.Faults,
@@ -823,12 +798,13 @@ func (e *Enroller) acquireMux(ctx context.Context, hs *hostState) (*muxConn, err
 		// flag so a Close racing a reconnect terminates the redial loop
 		// instead of leaking it (and the host's parked session with it).
 		mc.sess = wire.NewSession(c, ack.ResumeToken, 0)
+		mc.fw = mc.sess
 		mc.resumeWindow = time.Duration(ack.ResumeWindowMS) * time.Millisecond
 		mc.redial = func(rctx context.Context) (*wire.Conn, error) {
 			if e.isClosed() {
 				return nil, core.ErrClosed
 			}
-			rc, _, rerr := e.dialRaw(rctx, hs.addr, e.maxProto())
+			rc, _, rerr := e.dialRaw(rctx, hs.addr)
 			return rc, rerr
 		}
 	}
@@ -860,15 +836,16 @@ func effectiveHeartbeat(interval time.Duration, hostTimeoutMS int64) time.Durati
 }
 
 // dialRaw establishes and handshakes one connection, negotiating up to
-// maxVer; v2-capable dials ask for session resumption (granted in the ack
-// only when the host has a resume window configured). DialTimeout bounds
+// cfg.MaxProtocolVersion; v2-capable dials ask for session resumption
+// (granted in the ack only when the host has a resume window configured).
+// DialTimeout bounds
 // the TCP connect and the handshake together, and ctx ending closes the
 // socket under either: a host that accepts and then says nothing must not
 // hold the caller — and hostState.dialMu, so every other enrollment to that
 // host — past its bounds. Failures wrap ErrDialFailed — except an overload
 // rejection of the handshake itself (the host's connection cap), which
 // surfaces as the *core.OverloadError it is.
-func (e *Enroller) dialRaw(ctx context.Context, addr string, maxVer int) (*wire.Conn, wire.HelloAck, error) {
+func (e *Enroller) dialRaw(ctx context.Context, addr string) (*wire.Conn, wire.HelloAck, error) {
 	fail := func(err error) (*wire.Conn, wire.HelloAck, error) {
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, wire.HelloAck{}, cerr
@@ -886,7 +863,7 @@ func (e *Enroller) dialRaw(ctx context.Context, addr string, maxVer int) (*wire.
 	if e.cfg.Faults != nil {
 		c.SetFrameDelay(e.cfg.Faults.FrameDelay)
 	}
-	ack, err := wire.ClientHandshakeV(c, e.cfg.Script, maxVer)
+	ack, err := wire.ClientHandshakeV(c, e.cfg.Script, e.cfg.MaxProtocolVersion)
 	if !stop() && err == nil {
 		err = ctx.Err() // ctx ended as the ack arrived, and its AfterFunc closed the socket
 	}

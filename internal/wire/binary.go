@@ -66,31 +66,6 @@ const (
 	vJSON // length-prefixed JSON blob (fallback for unmodeled types)
 )
 
-// ErrInfo code bytes. Byte 0 escapes to an explicit string code, so codes
-// added later still cross older decoders losslessly.
-var errCodeBytes = map[string]byte{
-	CodeRoleAbsent:   1,
-	CodeRoleFinished: 2,
-	CodeUnknownRole:  3,
-	CodeClosed:       4,
-	CodeDraining:     5,
-	CodeOverloaded:   6,
-	CodeAborted:      7,
-	CodeNoBranches:   8,
-	CodeCanceled:     9,
-	CodeDeadline:     10,
-	CodeRoleError:    11,
-	CodeOther:        12,
-}
-
-var errCodeStrings = func() map[byte]string {
-	m := make(map[byte]string, len(errCodeBytes))
-	for s, b := range errCodeBytes {
-		m[b] = s
-	}
-	return m
-}()
-
 // ---------------------------------------------------------------------------
 // Append (encode) side
 // ---------------------------------------------------------------------------
@@ -160,14 +135,7 @@ func appendValue(b []byte, v any) ([]byte, error) {
 	case []byte:
 		return appendBytes(append(b, vBytes), v), nil
 	case []any:
-		b = binary.AppendUvarint(append(b, vList), uint64(len(v)))
-		var err error
-		for _, e := range v {
-			if b, err = appendValue(b, e); err != nil {
-				return nil, err
-			}
-		}
-		return b, nil
+		return appendValues(append(b, vList), v)
 	case map[string]any:
 		b = binary.AppendUvarint(append(b, vMap), uint64(len(v)))
 		var err error
@@ -212,10 +180,14 @@ func appendErrInfo(b []byte, e *ErrInfo) []byte {
 		return append(b, 0)
 	}
 	b = append(b, 1)
-	if code, ok := errCodeBytes[e.Code]; ok {
-		b = append(b, code)
-	} else {
-		b = appendString(append(b, 0), e.Code)
+	code := byte(0)
+	for _, c := range errCodes {
+		if c.code == e.Code {
+			code = c.b
+		}
+	}
+	if b = append(b, code); code == 0 {
+		b = appendString(b, e.Code)
 	}
 	b = appendString(b, e.Msg)
 	b = appendString(b, e.Script)
@@ -595,12 +567,15 @@ func (c *cursor) errInfo() *ErrInfo {
 		return nil
 	}
 	e := &ErrInfo{}
+	e.Code = CodeOther // what a byte this decoder does not know stands for
 	if code := c.byteField(); code == 0 {
 		e.Code = c.string()
-	} else if s, ok := errCodeStrings[code]; ok {
-		e.Code = s
 	} else {
-		e.Code = CodeOther
+		for _, row := range errCodes {
+			if row.b == code {
+				e.Code = row.code
+			}
+		}
 	}
 	e.Msg = c.string()
 	e.Script = c.string()

@@ -31,12 +31,13 @@ import (
 	"github.com/scriptabs/goscript/internal/metrics"
 )
 
-// DefaultResumeBufBytes caps a session's unacked retransmit backlog (each
-// direction keeps its own ring at this cap). Ops are request/response, so
+// defaultRingBytes caps a session's unacked retransmit backlog (each
+// direction keeps its own ring at this cap), and is what both sides of every
+// connection run with: only tests pass NewSession a cap of their own. Ops are request/response, so
 // steady-state backlogs are a handful of small frames; the cap only bites
 // on pathological pile-ups, where dooming the session (degrade to abort)
 // beats buffering without bound.
-const DefaultResumeBufBytes = 1 << 20
+const defaultRingBytes = 1 << 20
 
 // ackEvery is the receipt-count cadence at which MaybeAck emits an ACK
 // frame: often enough to keep the peer's ring near-empty, rare enough to
@@ -88,10 +89,10 @@ type Session struct {
 
 // NewSession wraps c (which must have completed a v2 handshake) in a
 // resumable session identified by token. capBytes <= 0 selects
-// DefaultResumeBufBytes.
+// defaultRingBytes.
 func NewSession(c *Conn, token string, capBytes int) *Session {
 	if capBytes <= 0 {
-		capBytes = DefaultResumeBufBytes
+		capBytes = defaultRingBytes
 	}
 	return &Session{token: token, cap: capBytes, c: c}
 }

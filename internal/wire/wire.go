@@ -447,6 +447,32 @@ type ErrInfo struct {
 	RetryAfterMS int64 `json:"retry_after_ms,omitempty"`
 }
 
+// errCodes is the error taxonomy's one table: each code, its byte in a v2
+// ErrInfo (byte 0 escapes to an explicit string code, so codes added later
+// still cross older decoders losslessly) and the sentinel an error of that
+// code unwraps to. Rows are in EncodeError's precedence order: an error that
+// matches several is the first one's. A code without a sentinel stands for a
+// struct (or, CodeOther, for nothing), which EncodeError and Err handle in
+// arms of their own.
+var errCodes = [...]struct {
+	code     string
+	b        byte
+	sentinel error
+}{
+	{CodeOverloaded, 6, core.ErrOverloaded},
+	{CodeAborted, 7, nil},
+	{CodeRoleError, 11, nil},
+	{CodeRoleAbsent, 1, core.ErrRoleAbsent},
+	{CodeRoleFinished, 2, core.ErrRoleFinished},
+	{CodeUnknownRole, 3, core.ErrUnknownRole},
+	{CodeDraining, 5, core.ErrDraining},
+	{CodeClosed, 4, core.ErrClosed},
+	{CodeNoBranches, 8, core.ErrNoBranches},
+	{CodeCanceled, 9, context.Canceled},
+	{CodeDeadline, 10, context.DeadlineExceeded},
+	{CodeOther, 12, nil},
+}
+
 // EncodeError maps err onto its wire representation. A nil error encodes as
 // nil.
 func EncodeError(err error) *ErrInfo {
@@ -457,43 +483,31 @@ func EncodeError(err error) *ErrInfo {
 	var ae *core.AbortError
 	var re *core.RoleError
 	var oe *core.OverloadError
-	switch {
-	case errors.As(err, &oe):
-		e.Code = CodeOverloaded
-		e.Script = oe.Script
-		e.Reason = oe.Reason
-		e.RetryAfterMS = oe.RetryAfter.Milliseconds()
-	case errors.Is(err, core.ErrOverloaded):
-		e.Code = CodeOverloaded
-	case errors.As(err, &ae):
-		e.Code = CodeAborted
-		e.Script = ae.Script
-		e.Performance = ae.Performance
-		e.Reason = ae.Reason
-		if ae.Culprit.Name != "" {
-			e.Culprit = ae.Culprit.String()
+	for _, c := range errCodes {
+		switch {
+		case c.code == CodeAborted && errors.As(err, &ae):
+			e.Script = ae.Script
+			e.Performance = ae.Performance
+			e.Reason = ae.Reason
+			if ae.Culprit.Name != "" {
+				e.Culprit = ae.Culprit.String()
+			}
+		case c.code == CodeRoleError && errors.As(err, &re):
+			e.Script = re.Script
+			e.Role = re.Role.String()
+			e.Msg = re.Err.Error()
+		case c.sentinel != nil && errors.Is(err, c.sentinel):
+			// A bare ErrOverloaded has no hint to carry.
+			if c.code == CodeOverloaded && errors.As(err, &oe) {
+				e.Script = oe.Script
+				e.Reason = oe.Reason
+				e.RetryAfterMS = oe.RetryAfter.Milliseconds()
+			}
+		default:
+			continue
 		}
-	case errors.As(err, &re):
-		e.Code = CodeRoleError
-		e.Script = re.Script
-		e.Role = re.Role.String()
-		e.Msg = re.Err.Error()
-	case errors.Is(err, core.ErrRoleAbsent):
-		e.Code = CodeRoleAbsent
-	case errors.Is(err, core.ErrRoleFinished):
-		e.Code = CodeRoleFinished
-	case errors.Is(err, core.ErrUnknownRole):
-		e.Code = CodeUnknownRole
-	case errors.Is(err, core.ErrDraining):
-		e.Code = CodeDraining
-	case errors.Is(err, core.ErrClosed):
-		e.Code = CodeClosed
-	case errors.Is(err, core.ErrNoBranches):
-		e.Code = CodeNoBranches
-	case errors.Is(err, context.Canceled):
-		e.Code = CodeCanceled
-	case errors.Is(err, context.DeadlineExceeded):
-		e.Code = CodeDeadline
+		e.Code = c.code
+		break
 	}
 	return e
 }
@@ -540,25 +554,13 @@ func (e *ErrInfo) Err() error {
 			role = ids.RoleRef{Name: e.Role, Index: ids.ScalarIndex}
 		}
 		return &core.RoleError{Script: e.Script, Role: role, Err: errors.New(e.Msg)}
-	case CodeRoleAbsent:
-		return &codedError{core.ErrRoleAbsent, e.Msg}
-	case CodeRoleFinished:
-		return &codedError{core.ErrRoleFinished, e.Msg}
-	case CodeUnknownRole:
-		return &codedError{core.ErrUnknownRole, e.Msg}
-	case CodeDraining:
-		return &codedError{core.ErrDraining, e.Msg}
-	case CodeClosed:
-		return &codedError{core.ErrClosed, e.Msg}
-	case CodeNoBranches:
-		return &codedError{core.ErrNoBranches, e.Msg}
-	case CodeCanceled:
-		return &codedError{context.Canceled, e.Msg}
-	case CodeDeadline:
-		return &codedError{context.DeadlineExceeded, e.Msg}
-	default:
-		return errors.New(e.Msg)
 	}
+	for _, c := range errCodes {
+		if c.code == e.Code && c.sentinel != nil {
+			return &codedError{c.sentinel, e.Msg}
+		}
+	}
+	return errors.New(e.Msg)
 }
 
 // Conn frames messages over a net.Conn. Writes are serialized by an

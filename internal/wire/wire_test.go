@@ -4,8 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"net"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -205,6 +209,94 @@ func TestErrorTaxonomyRoundTrip(t *testing.T) {
 				t.Fatalf("message changed: %q -> %q", tc.in.Error(), out.Error())
 			}
 		})
+	}
+}
+
+// TestErrCodesTable pins the taxonomy's one table against the constants it
+// is a table of and against both codecs: every Code* constant of wire.go has
+// exactly one row, the v2 bytes are distinct and none is the escape byte, and
+// an error of each row keeps its code, its text and what it unwraps to from
+// EncodeError through a v1 and a v2 payload to Err.
+func TestErrCodesTable(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "wire.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	consts := map[string]string{} // value -> name
+	ast.Inspect(f, func(n ast.Node) bool {
+		if vs, ok := n.(*ast.ValueSpec); ok {
+			for i, name := range vs.Names {
+				if !strings.HasPrefix(name.Name, "Code") || i >= len(vs.Values) {
+					continue
+				}
+				if lit, ok := vs.Values[i].(*ast.BasicLit); ok {
+					v, _ := strconv.Unquote(lit.Value)
+					consts[v] = name.Name
+				}
+			}
+		}
+		return true
+	})
+	if len(consts) == 0 {
+		t.Fatal("found no Code* constant in wire.go")
+	}
+	rows, bytes := map[string]int{}, map[byte]string{}
+	for _, c := range errCodes {
+		rows[c.code]++
+		if consts[c.code] == "" {
+			t.Errorf("row %q is no Code* constant", c.code)
+		}
+		if c.b == 0 {
+			t.Errorf("%s has byte 0, the escape to a string code", c.code)
+		}
+		if other, dup := bytes[c.b]; dup {
+			t.Errorf("%s and %s share byte %d", other, c.code, c.b)
+		}
+		bytes[c.b] = c.code
+	}
+	for v, name := range consts {
+		if rows[v] != 1 {
+			t.Errorf("%s has %d rows, want 1", name, rows[v])
+		}
+	}
+
+	for _, c := range errCodes {
+		var in error
+		is := c.sentinel
+		switch c.code {
+		case CodeOverloaded:
+			in = &core.OverloadError{Script: "s", Reason: "full", RetryAfter: 50 * time.Millisecond}
+		case CodeAborted:
+			in, is = &core.AbortError{Script: "s", Performance: 3, Culprit: ids.Role("a"), Reason: "cut"}, core.ErrPerformanceAborted
+		case CodeRoleError:
+			in = &core.RoleError{Script: "s", Role: ids.Role("a"), Err: errors.New("boom")}
+		case CodeOther:
+			in = errors.New("anything else")
+		default:
+			in = fmt.Errorf("wrapped: %w", c.sentinel)
+		}
+		info := EncodeError(in)
+		if info.Code != c.code {
+			t.Errorf("EncodeError(%v).Code = %s, want %s", in, info.Code, c.code)
+		}
+		for ver := Version; ver <= MaxVersion; ver++ {
+			stream := uint64(ver - Version) // v1 has no envelope
+			raw, err := AppendPayload(nil, ver, MsgOpResult, stream, stream, &OpResult{Err: info})
+			if err != nil {
+				t.Fatalf("%s v%d: %v", c.code, ver, err)
+			}
+			_, _, m, err := ParsePayload(ver, MsgOpResult, raw)
+			if err != nil {
+				t.Fatalf("%s v%d: %v", c.code, ver, err)
+			}
+			got := m.(*OpResult).Err
+			if got.Code != c.code || got.Err().Error() != in.Error() {
+				t.Errorf("%s v%d: came back as %s %q, want %q", c.code, ver, got.Code, got.Err(), in)
+			}
+			if is != nil && !errors.Is(got.Err(), is) {
+				t.Errorf("%s v%d: %v no longer unwraps to %v", c.code, ver, got.Err(), is)
+			}
+		}
 	}
 }
 
