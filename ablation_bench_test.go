@@ -1,68 +1,58 @@
 // Ablation benchmarks for the design choices DESIGN.md calls out: the same
-// workload with one semantic knob flipped at a time.
+// workload with one semantic knob flipped at a time. Each is a resident cast
+// plus b.N foreground enrollments (perfbench.Performances).
 package script_test
 
 import (
-	"context"
 	"fmt"
-	"sync"
 	"testing"
 
 	"github.com/scriptabs/goscript/internal/core"
 	"github.com/scriptabs/goscript/internal/ids"
 	"github.com/scriptabs/goscript/internal/patterns"
+	"github.com/scriptabs/goscript/internal/perfbench"
 )
+
+// benchPolicies drives b.N performances of one star-shaped body (s sends to
+// each of r[1..n] in turn) under the given policies.
+func benchPolicies(b *testing.B, name string, n int, init core.Initiation, term core.Termination) {
+	def := core.NewScript(name).
+		Role("s", func(rc core.Ctx) error {
+			for i := 1; i <= n; i++ {
+				if err := rc.Send(ids.Member("r", i), 1); err != nil {
+					return err
+				}
+			}
+			return nil
+		}).
+		Family("r", n, func(rc core.Ctx) error {
+			_, err := rc.Recv(ids.Role("s"))
+			return err
+		}).
+		Initiation(init).
+		Termination(term).
+		MustBuild()
+	perfbench.Performances(b, def,
+		perfbench.Cast(n, "R", func(i int) ids.RoleRef { return ids.Member("r", i) }),
+		func(int) core.Enrollment { return core.Enrollment{PID: "T", Role: ids.Role("s")} })
+}
 
 // BenchmarkAblationInitiationPolicy runs one identical star-shaped body
 // under delayed vs immediate initiation (same termination), isolating the
 // cost of atomic matching vs incremental admission.
 func BenchmarkAblationInitiationPolicy(b *testing.B) {
-	const n = 8
 	for _, init := range []core.Initiation{core.DelayedInitiation, core.ImmediateInitiation} {
 		b.Run("initiation="+init.String(), func(b *testing.B) {
-			def := core.NewScript("abl_init").
-				Role("s", func(rc core.Ctx) error {
-					for i := 1; i <= n; i++ {
-						if err := rc.Send(ids.Member("r", i), 1); err != nil {
-							return err
-						}
-					}
-					return nil
-				}).
-				Family("r", n, func(rc core.Ctx) error {
-					_, err := rc.Recv(ids.Role("s"))
-					return err
-				}).
-				Initiation(init).
-				Termination(core.ImmediateTermination).
-				MustBuild()
-			runAblationBroadcast(b, def, n)
+			benchPolicies(b, "abl_init", 8, init, core.ImmediateTermination)
 		})
 	}
 }
 
 // BenchmarkAblationTerminationPolicy isolates delayed vs immediate release.
 func BenchmarkAblationTerminationPolicy(b *testing.B) {
-	const n = 8
 	for _, term := range []core.Termination{core.DelayedTermination, core.ImmediateTermination} {
 		b.Run("termination="+term.String(), func(b *testing.B) {
-			def := core.NewScript("abl_term").
-				Role("s", func(rc core.Ctx) error {
-					for i := 1; i <= n; i++ {
-						if err := rc.Send(ids.Member("r", i), 1); err != nil {
-							return err
-						}
-					}
-					return nil
-				}).
-				Family("r", n, func(rc core.Ctx) error {
-					_, err := rc.Recv(ids.Role("s"))
-					return err
-				}).
-				Initiation(core.DelayedInitiation).
-				Termination(term).
-				MustBuild()
-			runAblationBroadcast(b, def, n)
+			benchPolicies(b, "abl_term", 8, core.DelayedInitiation, term)
 		})
 	}
 }
@@ -72,59 +62,32 @@ func BenchmarkAblationTerminationPolicy(b *testing.B) {
 // isolating the matcher's constraint-checking cost.
 func BenchmarkAblationPartnerNaming(b *testing.B) {
 	const n = 4
-	def := patterns.StarBroadcast(n)
-
 	fullBinding := func() map[ids.RoleRef]ids.PIDSet {
 		with := map[ids.RoleRef]ids.PIDSet{ids.Role(patterns.RoleSender): ids.NewPIDSet("T")}
 		for i := 1; i <= n; i++ {
-			with[ids.Member(patterns.RoleRecipient, i)] = ids.NewPIDSet(ids.PID(fmt.Sprintf("R%d", i)))
+			with[perfbench.Recipient(i)] = ids.NewPIDSet(ids.PID(fmt.Sprintf("R%d", i)))
 		}
 		return with
 	}
-
 	for _, named := range []bool{false, true} {
 		name := "naming=unnamed"
 		if named {
 			name = "naming=full"
 		}
 		b.Run(name, func(b *testing.B) {
-			in := core.NewInstance(def)
-			defer in.Close()
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			var wg sync.WaitGroup
-			for i := 1; i <= n; i++ {
-				i := i
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for {
-						e := core.Enrollment{
-							PID: ids.PID(fmt.Sprintf("R%d", i)), Role: ids.Member(patterns.RoleRecipient, i),
-						}
-						if named {
-							e.With = fullBinding()
-						}
-						if _, err := in.Enroll(ctx, e); err != nil {
-							return
-						}
-					}
-				}()
+			recipients := perfbench.Cast(n, "R", perfbench.Recipient)
+			for i := range recipients {
+				if named {
+					recipients[i].With = fullBinding()
+				}
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			perfbench.Performances(b, patterns.StarBroadcast(n), recipients, func(i int) core.Enrollment {
 				e := core.Enrollment{PID: "T", Role: ids.Role(patterns.RoleSender), Args: []any{i}}
 				if named {
 					e.With = fullBinding()
 				}
-				if _, err := in.Enroll(ctx, e); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			cancel()
-			in.Close()
-			wg.Wait()
+				return e
+			})
 		})
 	}
 }
@@ -134,6 +97,16 @@ func BenchmarkAblationPartnerNaming(b *testing.B) {
 // all-roles-critical variant where both must always enroll.
 func BenchmarkAblationCriticalSets(b *testing.B) {
 	const k = 3
+	sendToManagers := func(what string) core.RoleBody {
+		return func(rc core.Ctx) error {
+			for i := 1; i <= k; i++ {
+				if err := rc.Send(ids.Member("m", i), what); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}
 	build := func(withCritical bool) core.Definition {
 		builder := core.NewScript("abl_crit").
 			Family("m", k, func(rc core.Ctx) error {
@@ -147,22 +120,8 @@ func BenchmarkAblationCriticalSets(b *testing.B) {
 				}
 				return nil
 			}).
-			Role("rd", func(rc core.Ctx) error {
-				for i := 1; i <= k; i++ {
-					if err := rc.Send(ids.Member("m", i), "r"); err != nil {
-						return err
-					}
-				}
-				return nil
-			}).
-			Role("wr", func(rc core.Ctx) error {
-				for i := 1; i <= k; i++ {
-					if err := rc.Send(ids.Member("m", i), "w"); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
+			Role("rd", sendToManagers("r")).
+			Role("wr", sendToManagers("w"))
 		if withCritical {
 			managers := ids.FamilyMembers("m", k)
 			builder = builder.
@@ -180,80 +139,12 @@ func BenchmarkAblationCriticalSets(b *testing.B) {
 			name = "critical=all-roles"
 		}
 		b.Run(name, func(b *testing.B) {
-			in := core.NewInstance(build(withCritical))
-			defer in.Close()
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			var wg sync.WaitGroup
-			for i := 1; i <= k; i++ {
-				i := i
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for {
-						if _, err := in.Enroll(ctx, core.Enrollment{
-							PID: ids.PID(fmt.Sprintf("M%d", i)), Role: ids.Member("m", i),
-						}); err != nil {
-							return
-						}
-					}
-				}()
-			}
+			residents := perfbench.Cast(k, "M", func(i int) ids.RoleRef { return ids.Member("m", i) })
 			if !withCritical {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for {
-						if _, err := in.Enroll(ctx, core.Enrollment{PID: "W", Role: ids.Role("wr")}); err != nil {
-							return
-						}
-					}
-				}()
+				residents = append(residents, core.Enrollment{PID: "W", Role: ids.Role("wr")})
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := in.Enroll(ctx, core.Enrollment{PID: "R", Role: ids.Role("rd")}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			cancel()
-			in.Close()
-			wg.Wait()
+			perfbench.Performances(b, build(withCritical), residents,
+				func(int) core.Enrollment { return core.Enrollment{PID: "R", Role: ids.Role("rd")} })
 		})
 	}
-}
-
-// runAblationBroadcast drives b.N performances of a star-shaped def.
-func runAblationBroadcast(b *testing.B, def core.Definition, n int) {
-	b.Helper()
-	in := core.NewInstance(def)
-	defer in.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var wg sync.WaitGroup
-	for i := 1; i <= n; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if _, err := in.Enroll(ctx, core.Enrollment{
-					PID: ids.PID(fmt.Sprintf("R%d", i)), Role: ids.Member("r", i),
-				}); err != nil {
-					return
-				}
-			}
-		}()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := in.Enroll(ctx, core.Enrollment{PID: "T", Role: ids.Role("s")}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	cancel()
-	in.Close()
-	wg.Wait()
 }

@@ -3,7 +3,9 @@
 // timeline, Figure 2's repeated enrollment, the three example scripts
 // (Figures 3–5), the CSP embedding and translation (Figures 6–7), the Ada
 // embedding and translation (Figures 8–11), and the monitor mailboxes
-// (Figure 12).
+// (Figure 12). Each figure's program is the fixture that cmd/scriptbench's
+// table checks and bench_test.go times (internal/experiments,
+// internal/trans/equiv); this command runs it once and narrates.
 //
 // Usage:
 //
@@ -16,100 +18,77 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sync"
 	"time"
 
-	"github.com/scriptabs/goscript/internal/ada"
 	"github.com/scriptabs/goscript/internal/core"
-	"github.com/scriptabs/goscript/internal/csp"
-	"github.com/scriptabs/goscript/internal/ids"
+	"github.com/scriptabs/goscript/internal/experiments"
 	"github.com/scriptabs/goscript/internal/patterns"
 	"github.com/scriptabs/goscript/internal/trace"
-	"github.com/scriptabs/goscript/internal/trans/adax"
-	"github.com/scriptabs/goscript/internal/trans/cspx"
-	"github.com/scriptabs/goscript/internal/trans/monx"
+	"github.com/scriptabs/goscript/internal/trans/equiv"
 )
 
 func main() {
-	fig := flag.Int("fig", 0, "show only this figure (1..12; 0 = all)")
-	timeout := flag.Duration("timeout", 2*time.Minute, "overall time budget")
-	flag.Parse()
-
-	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
-	defer cancel()
-
-	type figure struct {
-		num   int
-		title string
-		run   func(ctx context.Context, w io.Writer) error
-	}
-	figures := []figure{
-		{1, "Consecutive performances", figure1},
-		{2, "Repeated enrollment (u=x, y=v)", figure2},
-		{3, "Synchronized star broadcast", figure3},
-		{4, "Pipeline broadcast", figure4},
-		{5, "Database lock manager", figure5},
-		{6, "Broadcast in CSP", figure6},
-		{7, "CSP supervisor p_s", figure7},
-		{8, "Broadcast in Ada (reverse broadcast)", figure8},
-		{9, "Ada translation (supervisor + role tasks)", figure9to11},
-		{12, "Mailbox broadcast with monitors", figure12},
-	}
-	for _, f := range figures {
-		if *fig != 0 && *fig != f.num {
-			continue
-		}
-		if f.num == 9 {
-			fmt.Printf("--- Figures 9-11: %s ---\n", f.title)
-		} else {
-			fmt.Printf("--- Figure %d: %s ---\n", f.num, f.title)
-		}
-		if err := f.run(ctx, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "figure %d: %v\n", f.num, err)
-			os.Exit(1)
-		}
-		fmt.Println()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 }
 
-// figure1 replays Figure 1's timeline with six processes and three roles.
+// figure is one replay; it covers the paper's figures first..last.
+type figure struct {
+	first, last int
+	title       string
+	run         func(ctx context.Context, w io.Writer) error
+}
+
+var figures = []figure{
+	{1, 1, "Consecutive performances", figure1},
+	{2, 2, "Repeated enrollment (u=x, y=v)", figure2},
+	{3, 3, "Synchronized star broadcast", figure3},
+	{4, 4, "Pipeline broadcast", figure4},
+	{5, 5, "Database lock manager", figure5},
+	{6, 6, "Broadcast in CSP", figure6},
+	{7, 7, "CSP supervisor p_s", figure7},
+	{8, 8, "Broadcast in Ada (reverse broadcast)", figure8},
+	{9, 11, "Ada translation (supervisor + role tasks)", figure9to11},
+	{12, 12, "Mailbox broadcast with monitors", figure12},
+}
+
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
+	fig := fs.Int("fig", 0, "show only this figure (1..12; 0 = all)")
+	timeout := fs.Duration("timeout", 2*time.Minute, "overall time budget")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if *fig < 0 || *fig > 12 {
+		return fmt.Errorf("no figure %d: the paper has figures 1..12", *fig)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
+	defer cancel()
+
+	for _, f := range figures {
+		if *fig != 0 && (*fig < f.first || *fig > f.last) {
+			continue
+		}
+		if f.first == f.last {
+			fmt.Fprintf(w, "--- Figure %d: %s ---\n", f.first, f.title)
+		} else {
+			fmt.Fprintf(w, "--- Figures %d-%d: %s ---\n", f.first, f.last, f.title)
+		}
+		if err := f.run(ctx, w); err != nil {
+			return fmt.Errorf("figure %d: %w", f.first, err)
+		}
+		fmt.Fprintln(w)
+	}
+	return nil
+}
+
+// figure1 replays Figure 1's timeline with four processes and three roles.
 func figure1(ctx context.Context, w io.Writer) error {
-	gate := make(chan struct{})
-	def, err := core.NewScript("s").
-		Role("p", func(rc core.Ctx) error { return nil }).
-		Role("q", func(rc core.Ctx) error { <-gate; return nil }).
-		Role("r", func(rc core.Ctx) error { <-gate; return nil }).
-		Initiation(core.ImmediateInitiation).
-		Termination(core.ImmediateTermination).
-		Build()
+	log, _, err := experiments.Figure1(ctx)
 	if err != nil {
 		return err
-	}
-	var log trace.Log
-	in := core.NewInstance(def, core.WithTracer(&log))
-	defer in.Close()
-
-	enroll := func(pid ids.PID, role string) <-chan error {
-		ch := make(chan error, 1)
-		go func() {
-			_, err := in.Enroll(ctx, core.Enrollment{PID: pid, Role: ids.Role(role)})
-			ch <- err
-		}()
-		return ch
-	}
-	chA := enroll("A", "p")
-	chB := enroll("B", "q")
-	chC := enroll("C", "r")
-	if err := <-chA; err != nil {
-		return err
-	}
-	chD := enroll("D", "p")
-	time.Sleep(20 * time.Millisecond) // D is now waiting, as the figure shows
-	close(gate)
-	for _, ch := range []<-chan error{chB, chC, chD} {
-		if err := <-ch; err != nil {
-			return err
-		}
 	}
 	fmt.Fprint(w, log.Timeline())
 	return nil
@@ -117,59 +96,41 @@ func figure1(ctx context.Context, w io.Writer) error {
 
 // figure2 replays Figure 2: A broadcasts x then v; B receives u then y.
 func figure2(ctx context.Context, w io.Writer) error {
-	in := core.NewInstance(patterns.StarBroadcast(2))
-	defer in.Close()
-	go func() {
-		for round := 1; round <= 2; round++ {
-			_, _ = in.Enroll(ctx, core.Enrollment{
-				PID: ids.PID(fmt.Sprintf("other%d", round)), Role: ids.Member("recipient", 2),
-			})
-		}
-	}()
-	go func() {
-		for _, x := range []any{"x", "v"} {
-			_, _ = in.Enroll(ctx, core.Enrollment{PID: "A", Role: ids.Role("sender"), Args: []any{x}})
-		}
-	}()
-	var vals []any
-	for round := 0; round < 2; round++ {
-		res, err := in.Enroll(ctx, core.Enrollment{PID: "B", Role: ids.Member("recipient", 1)})
-		if err != nil {
-			return err
-		}
-		vals = append(vals, res.Values[0])
+	u, y, err := experiments.Figure2(ctx)
+	if err != nil {
+		return err
 	}
 	fmt.Fprintf(w, "A: ENROLL AS transmitter(x); ENROLL AS transmitter(v)\n")
 	fmt.Fprintf(w, "B: ENROLL AS recipient(u);   ENROLL AS recipient(y)\n")
-	fmt.Fprintf(w, "result: u=%v (want x), y=%v (want v)\n", vals[0], vals[1])
+	fmt.Fprintf(w, "result: u=%v (want x), y=%v (want v)\n", u, y)
 	return nil
 }
 
-// runBroadcastFigure drives one performance of a broadcast script.
-func runBroadcastFigure(ctx context.Context, w io.Writer, def core.Definition, n int, value string) error {
-	var log trace.Log
-	in := core.NewInstance(def, core.WithTracer(&log))
-	defer in.Close()
-	var wg sync.WaitGroup
-	for i := 1; i <= n; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			res, err := in.Enroll(ctx, core.Enrollment{
-				PID: ids.PID(fmt.Sprintf("P%d", i)), Role: ids.Member("recipient", i),
-			})
-			if err == nil {
-				fmt.Fprintf(w, "recipient[%d] received %v\n", i, res.Values[0])
-			}
-		}()
+// broadcastCast is the cast the broadcast figures share: n recipients and a
+// sender transmitting value.
+func broadcastCast(n int, value any) []equiv.Part {
+	return equiv.Broadcast(n, func(int) any { return value })
+}
+
+// reportRecipients prints what each recipient of a broadcast cast observed
+// in its one performance, one line each; format takes the recipient's index
+// and the value.
+func reportRecipients(w io.Writer, cast []equiv.Part, outs equiv.Outs, format string) {
+	for i, p := range cast[1:] {
+		fmt.Fprintf(w, format, i+1, outs[p.Role][0][0])
 	}
-	if _, err := in.Enroll(ctx, core.Enrollment{
-		PID: "T", Role: ids.Role("sender"), Args: []any{value},
-	}); err != nil {
+}
+
+// runBroadcastFigure drives one performance of a broadcast script on the
+// native runtime and prints what was received and the communication pattern.
+func runBroadcastFigure(ctx context.Context, w io.Writer, def core.Definition, n int) error {
+	var log trace.Log
+	cast := broadcastCast(n, "data")
+	outs, err := equiv.Native(ctx, def, cast, 1, core.WithTracer(&log))
+	if err != nil {
 		return err
 	}
-	wg.Wait()
+	reportRecipients(w, cast, outs, "recipient[%d] received %v\n")
 	sends := log.Filter(func(e trace.Event) bool { return e.Kind == trace.KindSend })
 	fmt.Fprintf(w, "communication pattern (%d sends):", len(sends))
 	for _, e := range sends {
@@ -181,47 +142,40 @@ func runBroadcastFigure(ctx context.Context, w io.Writer, def core.Definition, n
 
 func figure3(ctx context.Context, w io.Writer) error {
 	fmt.Fprintln(w, "SCRIPT star_broadcast; INITIATION: DELAYED; TERMINATION: DELAYED")
-	return runBroadcastFigure(ctx, w, patterns.StarBroadcast(5), 5, "data")
+	return runBroadcastFigure(ctx, w, patterns.StarBroadcast(5), 5)
 }
 
 func figure4(ctx context.Context, w io.Writer) error {
 	fmt.Fprintln(w, "SCRIPT pipeline_broadcast; INITIATION: IMMEDIATE; TERMINATION: IMMEDIATE")
-	return runBroadcastFigure(ctx, w, patterns.PipelineBroadcast(5), 5, "data")
+	return runBroadcastFigure(ctx, w, patterns.PipelineBroadcast(5), 5)
 }
 
 // figure5 drives the lock-manager script: one lock to read, k locks to
 // write, with an absent writer in the first performance.
-func figure5(ctx context.Context, w io.Writer) error {
+func figure5(ctx context.Context, w io.Writer) (err error) {
 	const k = 3
-	strat := patterns.OneReadAllWrite()
-	mctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	in := core.NewInstance(patterns.LockManager(k, strat))
-	var wg sync.WaitGroup
-	for i := 1; i <= k; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_ = patterns.RunManager(mctx, in, ids.PID(fmt.Sprintf("M%d", i)), i, strat.NewTable())
-		}()
-	}
-	defer func() { cancel(); in.Close(); wg.Wait() }()
+	svc := experiments.StartLockService(ctx, k, patterns.OneReadAllWrite())
+	defer func() {
+		if stopErr := svc.Stop(); stopErr != nil {
+			err = stopErr // a manager's failure is why a request failed
+		}
+	}()
+	ctx = svc.Context()
 
-	g, err := patterns.RequestLock(ctx, in, "PR", "reader-1", "item", false)
+	g, err := patterns.RequestLock(ctx, svc.In, "PR", "reader-1", "item", false)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "reader locks 'item' (1 of %d managers needed):  granted=%v\n", k, g)
-	g, err = patterns.RequestLock(ctx, in, "PW", "writer-1", "item", true)
+	g, err = patterns.RequestLock(ctx, svc.In, "PW", "writer-1", "item", true)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "writer locks 'item' (%d of %d managers needed): granted=%v (reader holds it)\n", k, k, g)
-	if err := patterns.ReleaseLock(ctx, in, "PR", "reader-1", "item", false); err != nil {
+	if err := patterns.ReleaseLock(ctx, svc.In, "PR", "reader-1", "item", false); err != nil {
 		return err
 	}
-	g, err = patterns.RequestLock(ctx, in, "PW", "writer-1", "item", true)
+	g, err = patterns.RequestLock(ctx, svc.In, "PW", "writer-1", "item", true)
 	if err != nil {
 		return err
 	}
@@ -231,38 +185,13 @@ func figure5(ctx context.Context, w io.Writer) error {
 
 // figure6 runs the CSP transcription of Figure 6.
 func figure6(ctx context.Context, w io.Writer) error {
-	const n = 5
-	var mu sync.Mutex
-	received := map[int]any{}
-	sys := csp.NewSystem().
-		Process("transmitter", func(p *csp.Proc) error {
-			sent := make([]bool, n+1)
-			return p.Rep(func() []csp.Guard {
-				guards := make([]csp.Guard, 0, n)
-				for k := 1; k <= n; k++ {
-					k := k
-					guards = append(guards, csp.OnSend(csp.Name("recipient", k), "", "x",
-						func(any) error { sent[k] = true; return nil }).When(!sent[k]))
-				}
-				return guards
-			})
-		}).
-		ProcessArray("recipient", n, func(p *csp.Proc) error {
-			v, err := p.Recv("transmitter")
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			received[p.Index()] = v
-			mu.Unlock()
-			return nil
-		})
-	if err := sys.Run(ctx); err != nil {
+	received, err := experiments.CSPBroadcast(ctx, 5, "x")
+	if err != nil {
 		return err
 	}
 	fmt.Fprintln(w, "transmitter:: *[ (k=1,5) ¬sent[k]; recipient[k]!x → sent[k]:=true ]")
-	for i := 1; i <= n; i++ {
-		fmt.Fprintf(w, "recipient[%d]?y = %v\n", i, received[i])
+	for i, y := range received {
+		fmt.Fprintf(w, "recipient[%d]?y = %v\n", i+1, y)
 	}
 	return nil
 }
@@ -270,80 +199,29 @@ func figure6(ctx context.Context, w io.Writer) error {
 // figure7 runs the broadcast through the CSP translation's supervisor.
 func figure7(ctx context.Context, w io.Writer) error {
 	const n = 3
-	def := patterns.StarBroadcast(n)
-	host, err := cspx.New(def)
+	cast := broadcastCast(n, "via-p_s")
+	outs, host, err := equiv.CSP(ctx, patterns.StarBroadcast(n), cast, 1)
 	if err != nil {
 		return err
 	}
-	binding := map[ids.RoleRef]string{ids.Role("sender"): "T"}
-	for i := 1; i <= n; i++ {
-		binding[ids.Member("recipient", i)] = csp.Name("q", i)
-	}
-	var mu sync.Mutex
-	got := map[int]any{}
-	sys := csp.NewSystem().
-		Process("T", func(p *csp.Proc) error {
-			_, err := host.Enroll(p, ids.Role("sender"), binding, []any{"via-p_s"})
-			return err
-		}).
-		ProcessArray("q", n, func(p *csp.Proc) error {
-			outs, err := host.Enroll(p, ids.Member("recipient", p.Index()), binding, nil)
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			got[p.Index()] = outs[0]
-			mu.Unlock()
-			return nil
-		})
-	host.AddSupervisor(sys, 1)
-	if err := sys.Run(ctx); err != nil {
-		return err
-	}
 	fmt.Fprintf(w, "supervisor %s coordinated 1 performance of %d roles (start_s/end_s counting)\n",
-		host.SupervisorName(), n+1)
-	for i := 1; i <= n; i++ {
-		fmt.Fprintf(w, "q[%d] enrolled as recipient[%d] and received %v\n", i, i, got[i])
-	}
+		host.SupervisorName(), len(cast))
+	reportRecipients(w, cast, outs, "q[%[1]d] enrolled as recipient[%[1]d] and received %[2]v\n")
 	return nil
 }
 
 // figure8 runs the reverse broadcast on the Ada substrate.
 func figure8(ctx context.Context, w io.Writer) error {
-	const n = 5
-	p := ada.NewProgram()
-	sender := p.Task("sender", nil)
-	receive := sender.Entry("receive")
-	sender.SetBody(func(tk *ada.Task) error {
-		for completed := 0; completed < n; completed++ {
-			if err := tk.Accept(receive, func([]any) ([]any, error) {
-				return []any{"data"}, nil
-			}); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	var mu sync.Mutex
-	order := []string{}
-	for i := 1; i <= n; i++ {
-		i := i
-		p.Task(fmt.Sprintf("r%d", i), func(tk *ada.Task) error {
-			outs, err := receive.Call(tk.Context())
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			order = append(order, fmt.Sprintf("r%d:=%v", i, outs[0]))
-			mu.Unlock()
-			return nil
-		})
-	}
-	if err := p.Run(ctx); err != nil {
+	served, err := experiments.AdaBroadcast(ctx, 5, "data")
+	if err != nil {
 		return err
 	}
 	fmt.Fprintln(w, "the recipients CALL the sender's receive entry (reverse broadcast):")
-	fmt.Fprintf(w, "service order: %v\n", order)
+	fmt.Fprint(w, "service order:")
+	for _, s := range served {
+		fmt.Fprintf(w, " r%d:=%v", s.Recipient, s.Got)
+	}
+	fmt.Fprintln(w)
 	return nil
 }
 
@@ -351,71 +229,26 @@ func figure8(ctx context.Context, w io.Writer) error {
 // and the supervisor task.
 func figure9to11(ctx context.Context, w io.Writer) error {
 	const n = 3
-	def := patterns.StarBroadcast(n)
-	host, err := adax.New(def)
+	cast := broadcastCast(n, "via-tasks")
+	outs, host, err := equiv.Ada(ctx, patterns.StarBroadcast(n), cast, 1)
 	if err != nil {
-		return err
-	}
-	if err := host.Start(ctx); err != nil {
-		return err
-	}
-	var wg sync.WaitGroup
-	results := make([]any, n+1)
-	for i := 1; i <= n; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			outs, err := host.Enroll(ctx, ids.Member("recipient", i), nil)
-			if err == nil {
-				results[i] = outs[0]
-			}
-		}()
-	}
-	if _, err := host.Enroll(ctx, ids.Role("sender"), []any{"via-tasks"}); err != nil {
-		return err
-	}
-	wg.Wait()
-	if err := host.Shutdown(); err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "translation created %d tasks (m+1): one per role plus the supervisor\n", host.TaskCount())
 	fmt.Fprintln(w, "each enrollment became the entry-call pair  s_r.start(in); s_r.stop(out)")
-	for i := 1; i <= n; i++ {
-		fmt.Fprintf(w, "recipient[%d] stop entry returned %v\n", i, results[i])
-	}
+	reportRecipients(w, cast, outs, "recipient[%d] stop entry returned %v\n")
 	return nil
 }
 
 // figure12 runs the mailbox broadcast on the monitor host.
 func figure12(ctx context.Context, w io.Writer) error {
 	const n = 5
-	host, err := monx.New(patterns.StarBroadcast(n))
+	cast := broadcastCast(n, "via-mailboxes")
+	outs, _, err := equiv.Monitors(ctx, patterns.StarBroadcast(n), cast, 1)
 	if err != nil {
 		return err
 	}
-	var wg sync.WaitGroup
-	results := make([]any, n+1)
-	for i := 1; i <= n; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			outs, err := host.Enroll(ids.Member("recipient", i), nil)
-			if err == nil {
-				results[i] = outs[0]
-			}
-		}()
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_, _ = host.Enroll(ids.Role("sender"), []any{"via-mailboxes"})
-	}()
-	wg.Wait()
 	fmt.Fprintln(w, "sender: FOR r := 1 TO 5 DO recipient[r].mbox.put(data)")
-	for i := 1; i <= n; i++ {
-		fmt.Fprintf(w, "recipient[%d].mbox.get(data) = %v\n", i, results[i])
-	}
+	reportRecipients(w, cast, outs, "recipient[%d].mbox.get(data) = %v\n")
 	return nil
 }

@@ -1,8 +1,10 @@
 // Hostlang: the paper's Section IV in one program — the *same* star
-// broadcast script definition executed on four runtimes: the native Go
-// runtime, the CSP translation (supervisor process p_s), the Ada
-// translation (role tasks with start/stop entries plus a supervisor task),
-// and the monitor embedding (one mailbox monitor per role).
+// broadcast script definition, and the same cast, performed on four
+// runtimes: the native Go runtime, the CSP translation (supervisor process
+// p_s), the Ada translation (role tasks with start/stop entries plus a
+// supervisor task), and the monitor embedding (one mailbox monitor per
+// role). The four runners are internal/trans/equiv's, the ones the
+// equivalence suite compares.
 //
 //	go run ./examples/hostlang
 package main
@@ -11,16 +13,10 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"sync"
 	"time"
 
-	"github.com/scriptabs/goscript/internal/core"
-	"github.com/scriptabs/goscript/internal/csp"
-	"github.com/scriptabs/goscript/internal/ids"
 	"github.com/scriptabs/goscript/internal/patterns"
-	"github.com/scriptabs/goscript/internal/trans/adax"
-	"github.com/scriptabs/goscript/internal/trans/cspx"
-	"github.com/scriptabs/goscript/internal/trans/monx"
+	"github.com/scriptabs/goscript/internal/trans/equiv"
 )
 
 const n = 3
@@ -31,135 +27,38 @@ func main() {
 
 	def := patterns.StarBroadcast(n)
 	fmt.Printf("one script definition (%q), four hosts:\n\n", def.Name())
-	native(ctx, def)
-	onCSP(ctx, def)
-	onAda(ctx, def)
-	onMonitors(def)
-}
 
-func report(host string, values []any) {
-	fmt.Printf("%-18s recipients received %v\n", host, values)
-}
-
-func native(ctx context.Context, def core.Definition) {
-	in := core.NewInstance(def)
-	defer in.Close()
-	values := make([]any, n)
-	var wg sync.WaitGroup
-	for i := 1; i <= n; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			res, err := in.Enroll(ctx, core.Enrollment{
-				PID: ids.PID(fmt.Sprintf("P%d", i)), Role: ids.Member("recipient", i),
-			})
-			if err != nil {
-				log.Fatalf("native recipient %d: %v", i, err)
-			}
-			values[i-1] = res.Values[0]
-		}()
+	cast := func(sent string) []equiv.Part {
+		return equiv.Broadcast(n, func(int) any { return sent })
 	}
-	if _, err := in.Enroll(ctx, core.Enrollment{
-		PID: "T", Role: ids.Role("sender"), Args: []any{"native"},
-	}); err != nil {
-		log.Fatalf("native sender: %v", err)
-	}
-	wg.Wait()
-	report("native runtime:", values)
-}
-
-func onCSP(ctx context.Context, def core.Definition) {
-	host, err := cspx.New(def)
-	if err != nil {
-		log.Fatalf("cspx: %v", err)
-	}
-	binding := map[ids.RoleRef]string{ids.Role("sender"): "T"}
-	for i := 1; i <= n; i++ {
-		binding[ids.Member("recipient", i)] = csp.Name("q", i)
-	}
-	values := make([]any, n)
-	var mu sync.Mutex
-	sys := csp.NewSystem().
-		Process("T", func(p *csp.Proc) error {
-			_, err := host.Enroll(p, ids.Role("sender"), binding, []any{"csp"})
-			return err
-		}).
-		ProcessArray("q", n, func(p *csp.Proc) error {
-			outs, err := host.Enroll(p, ids.Member("recipient", p.Index()), binding, nil)
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			values[p.Index()-1] = outs[0]
-			mu.Unlock()
-			return nil
-		})
-	host.AddSupervisor(sys, 1)
-	if err := sys.Run(ctx); err != nil {
-		log.Fatalf("csp system: %v", err)
-	}
-	report("CSP translation:", values)
-}
-
-func onAda(ctx context.Context, def core.Definition) {
-	host, err := adax.New(def)
-	if err != nil {
-		log.Fatalf("adax: %v", err)
-	}
-	if err := host.Start(ctx); err != nil {
-		log.Fatalf("adax start: %v", err)
-	}
-	values := make([]any, n)
-	var wg sync.WaitGroup
-	for i := 1; i <= n; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			outs, err := host.Enroll(ctx, ids.Member("recipient", i), nil)
-			if err != nil {
-				log.Fatalf("ada recipient %d: %v", i, err)
-			}
-			values[i-1] = outs[0]
-		}()
-	}
-	if _, err := host.Enroll(ctx, ids.Role("sender"), []any{"ada"}); err != nil {
-		log.Fatalf("ada sender: %v", err)
-	}
-	wg.Wait()
-	if err := host.Shutdown(); err != nil {
-		log.Fatalf("adax shutdown: %v", err)
-	}
-	report(fmt.Sprintf("Ada (%d tasks):", host.TaskCount()), values)
-}
-
-func onMonitors(def core.Definition) {
-	host, err := monx.New(def)
-	if err != nil {
-		log.Fatalf("monx: %v", err)
-	}
-	values := make([]any, n)
-	var wg sync.WaitGroup
-	for i := 1; i <= n; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			outs, err := host.Enroll(ids.Member("recipient", i), nil)
-			if err != nil {
-				log.Fatalf("monitor recipient %d: %v", i, err)
-			}
-			values[i-1] = outs[0]
-		}()
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if _, err := host.Enroll(ids.Role("sender"), []any{"monitors"}); err != nil {
-			log.Fatalf("monitor sender: %v", err)
+	report := func(host string, cast []equiv.Part, outs equiv.Outs, err error) {
+		if err != nil {
+			log.Fatalf("%s %v", host, err)
 		}
-	}()
-	wg.Wait()
-	report("monitor mailboxes:", values)
+		values := make([]any, n)
+		for i, p := range cast[1:] {
+			values[i] = outs[p.Role][0][0]
+		}
+		fmt.Printf("%-18s recipients received %v\n", host, values)
+	}
+
+	c := cast("native")
+	outs, err := equiv.Native(ctx, def, c, 1)
+	report("native runtime:", c, outs, err)
+
+	c = cast("csp")
+	outs, _, err = equiv.CSP(ctx, def, c, 1)
+	report("CSP translation:", c, outs, err)
+
+	c = cast("ada")
+	outs, ada, err := equiv.Ada(ctx, def, c, 1)
+	tasks := "Ada:"
+	if ada != nil {
+		tasks = fmt.Sprintf("Ada (%d tasks):", ada.TaskCount())
+	}
+	report(tasks, c, outs, err)
+
+	c = cast("monitors")
+	outs, _, err = equiv.Monitors(ctx, def, c, 1)
+	report("monitor mailboxes:", c, outs, err)
 }

@@ -3,14 +3,13 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sync"
-	"time"
 
 	"github.com/scriptabs/goscript/internal/core"
 	"github.com/scriptabs/goscript/internal/ids"
 	"github.com/scriptabs/goscript/internal/locktable"
 	"github.com/scriptabs/goscript/internal/patterns"
 	"github.com/scriptabs/goscript/internal/trace"
+	"github.com/scriptabs/goscript/internal/trans/equiv"
 )
 
 // E01SuccessivePerformances reproduces Figure 1: A, B, C fill roles p, q, r;
@@ -21,55 +20,14 @@ func E01SuccessivePerformances(ctx context.Context) Table {
 		title = "Figure 1 — consecutive performances"
 		claim = "D must wait for all of the processes of the first performance to finish, even though A has completed its participation"
 	)
-	gate := make(chan struct{})
-	def, err := core.NewScript("fig1").
-		Role("p", func(rc core.Ctx) error { return nil }).
-		Role("q", func(rc core.Ctx) error { <-gate; return nil }).
-		Role("r", func(rc core.Ctx) error { <-gate; return nil }).
-		Initiation(core.ImmediateInitiation).
-		Termination(core.ImmediateTermination).
-		Build()
+	log, dEarly, err := Figure1(ctx)
 	if err != nil {
 		return errTable(id, title, claim, err)
 	}
-	var log trace.Log
-	in := core.NewInstance(def, core.WithTracer(&log))
-	defer in.Close()
-
-	enroll := func(pid ids.PID, role string) <-chan error {
-		ch := make(chan error, 1)
-		go func() {
-			_, err := in.Enroll(ctx, core.Enrollment{PID: pid, Role: ids.Role(role)})
-			ch <- err
-		}()
-		return ch
-	}
-	chA := enroll("A", "p")
-	chB := enroll("B", "q")
-	chC := enroll("C", "r")
-	if err := <-chA; err != nil {
-		return errTable(id, title, claim, err)
-	}
-	chD := enroll("D", "p")
-	time.Sleep(20 * time.Millisecond)
-	dEarly := false
-	select {
-	case <-chD:
-		dEarly = true
-	default:
-	}
-	close(gate)
-	for _, ch := range []<-chan error{chB, chC, chD} {
-		if err := <-ch; err != nil {
-			return errTable(id, title, claim, err)
-		}
-	}
-
-	dStart, _ := log.First(trace.ByKind(trace.KindStart, ids.Role("p"), "D"))
-	bBeforeD := log.Before(trace.ByKind(trace.KindFinish, ids.RoleRef{}, "B"),
-		trace.ByKind(trace.KindStart, ids.Role("p"), "D"))
-	cBeforeD := log.Before(trace.ByKind(trace.KindFinish, ids.RoleRef{}, "C"),
-		trace.ByKind(trace.KindStart, ids.Role("p"), "D"))
+	dStarts := trace.ByKind(trace.KindStart, ids.Role("p"), "D")
+	dStart, _ := log.First(dStarts)
+	bBeforeD := log.Before(trace.ByKind(trace.KindFinish, ids.RoleRef{}, "B"), dStarts)
+	cBeforeD := log.Before(trace.ByKind(trace.KindFinish, ids.RoleRef{}, "C"), dStarts)
 
 	ok := !dEarly && dStart.Performance == 2 && bBeforeD && cBeforeD
 	return Table{
@@ -93,44 +51,10 @@ func E02RepeatedEnrollment(ctx context.Context) Table {
 		title = "Figure 2 — repeated enrollment"
 		claim = "the semantics must guarantee the effect that u=x and y=v"
 	)
-	in := core.NewInstance(patterns.StarBroadcast(2))
-	defer in.Close()
-
-	go func() {
-		for round := 1; round <= 2; round++ {
-			_, _ = in.Enroll(ctx, core.Enrollment{
-				PID: ids.PID(fmt.Sprintf("other%d", round)), Role: ids.Member("recipient", 2),
-			})
-		}
-	}()
-	aDone := make(chan error, 1)
-	go func() {
-		for _, x := range []any{"x", "v"} {
-			if _, err := in.Enroll(ctx, core.Enrollment{
-				PID: "A", Role: ids.Role("sender"), Args: []any{x},
-			}); err != nil {
-				aDone <- err
-				return
-			}
-		}
-		aDone <- nil
-	}()
-	var u, y any
-	for round := 0; round < 2; round++ {
-		res, err := in.Enroll(ctx, core.Enrollment{PID: "B", Role: ids.Member("recipient", 1)})
-		if err != nil {
-			return errTable(id, title, claim, err)
-		}
-		if round == 0 {
-			u = res.Values[0]
-		} else {
-			y = res.Values[0]
-		}
-	}
-	if err := <-aDone; err != nil {
+	u, y, err := Figure2(ctx)
+	if err != nil {
 		return errTable(id, title, claim, err)
 	}
-	ok := u == "x" && y == "v"
 	return Table{
 		ID: id, Title: title, Claim: claim,
 		Headers: []string{"binding", "observed", "expected"},
@@ -138,120 +62,54 @@ func E02RepeatedEnrollment(ctx context.Context) Table {
 			{"u (performance 1)", fmt.Sprint(u), "x"},
 			{"y (performance 2)", fmt.Sprint(y), "v"},
 		},
-		Verdict: pass(ok),
+		Verdict: pass(u == "x" && y == "v"),
 	}
 }
 
-// roundBarrier releases n processes together, round after round.
-type roundBarrier struct {
-	mu      sync.Mutex
-	n       int
-	arrived int
-	gate    chan struct{}
-}
+// roundNumber is what the sender of a checked broadcast transmits, and
+// deliveries counts the recipient enrollments of its cast that came back
+// with it.
+func roundNumber(round int) any { return round }
 
-// wait blocks until all n processes have arrived, or ctx is done.
-func (b *roundBarrier) wait(ctx context.Context) {
-	b.mu.Lock()
-	gate := b.gate
-	if b.arrived++; b.arrived == b.n {
-		b.arrived, b.gate = 0, make(chan struct{})
-		close(gate)
-	}
-	b.mu.Unlock()
-	select {
-	case <-gate:
-	case <-ctx.Done():
-	}
-}
-
-// runBroadcastRounds drives `rounds` performances of a broadcast definition
-// and returns total elapsed time plus per-role mean residence (time spent
-// inside Enroll). Unpaced, every process enrolls again the moment it is
-// released, so a process is inside Enroll nearly all the time and the
-// residence is the round time whatever the script's policies. Paced, all
-// processes arrive together at the start of each round, and the residence
-// is the time the script keeps a process that came when the performance
-// could begin.
-func runBroadcastRounds(ctx context.Context, def core.Definition, n, rounds int, paced bool) (elapsed time.Duration, meanResidence time.Duration, err error) {
-	in := core.NewInstance(def)
-	defer in.Close()
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel() // a process that fails must not leave the others at the barrier
-	barrier := &roundBarrier{n: n + 1, gate: make(chan struct{})}
-	arrive := func() {
-		if paced {
-			barrier.wait(ctx)
-		}
-	}
-
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var residTotal time.Duration
-	var residCount int
-	errCh := make(chan error, n+1)
-	addResidence := func(d time.Duration) {
-		mu.Lock()
-		residTotal += d
-		residCount++
-		mu.Unlock()
-	}
-
-	begin := time.Now()
-	for i := 1; i <= n; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				arrive()
-				t0 := time.Now()
-				_, err := in.Enroll(ctx, core.Enrollment{
-					PID: ids.PID(fmt.Sprintf("R%d", i)), Role: ids.Member(patterns.RoleRecipient, i),
-				})
-				if err != nil {
-					errCh <- err
-					cancel()
-					return
-				}
-				addResidence(time.Since(t0))
+func deliveries(cast []equiv.Part, outs equiv.Outs) (delivered int) {
+	for _, p := range cast[1:] {
+		for round, vals := range outs[p.Role] {
+			if len(vals) == 1 && vals[0] == round {
+				delivered++
 			}
-			errCh <- nil
-		}()
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for r := 0; r < rounds; r++ {
-			arrive()
-			t0 := time.Now()
-			_, err := in.Enroll(ctx, core.Enrollment{
-				PID: "T", Role: ids.Role(patterns.RoleSender), Args: []any{r},
-			})
-			if err != nil {
-				errCh <- err
-				cancel()
-				return
-			}
-			addResidence(time.Since(t0))
-		}
-		errCh <- nil
-	}()
-	wg.Wait()
-	close(errCh)
-	for e := range errCh {
-		if e != nil {
-			return 0, 0, e
 		}
 	}
-	elapsed = time.Since(begin)
-	if residCount > 0 {
-		meanResidence = residTotal / time.Duration(residCount)
-	}
-	return elapsed, meanResidence, nil
+	return delivered
 }
 
-// E03StarBroadcast measures Figure 3's script across recipient counts.
+// broadcastRounds performs `rounds` broadcasts of def to n recipients on the
+// native runtime and returns the deliveries and the trace.
+func broadcastRounds(ctx context.Context, def core.Definition, n, rounds int) (delivered int, log *trace.Log, err error) {
+	log = &trace.Log{}
+	cast := equiv.Broadcast(n, roundNumber)
+	outs, err := equiv.Native(ctx, def, cast, rounds, core.WithTracer(log))
+	return deliveries(cast, outs), log, err
+}
+
+// heldUntilLastSend reports whether, in every performance of the log, no
+// role was released before the performance's last send: Figure 3's "all
+// wait until the last copy is sent".
+func heldUntilLastSend(log *trace.Log) bool {
+	released := map[int]bool{}
+	for _, e := range log.Events() {
+		switch e.Kind {
+		case trace.KindRelease:
+			released[e.Performance] = true
+		case trace.KindSend:
+			if released[e.Performance] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// E03StarBroadcast runs Figure 3's script across recipient counts.
 func E03StarBroadcast(ctx context.Context) Table {
 	const (
 		id    = "E03"
@@ -261,27 +119,35 @@ func E03StarBroadcast(ctx context.Context) Table {
 	const rounds = 50
 	t := Table{
 		ID: id, Title: title, Claim: claim,
-		Headers: []string{"recipients", "performances", "time/performance", "mean residence"},
+		Headers: []string{"recipients", "performances", "deliveries", "sends/performance", "held until last send"},
 	}
+	ok := true
 	for _, n := range []int{1, 4, 16, 64} {
-		elapsed, resid, err := runBroadcastRounds(ctx, patterns.StarBroadcast(n), n, rounds, false)
+		delivered, log, err := broadcastRounds(ctx, patterns.StarBroadcast(n), n, rounds)
 		if err != nil {
 			return errTable(id, title, claim, err)
 		}
+		sends := len(log.Filter(func(e trace.Event) bool { return e.Kind == trace.KindSend }))
+		held := heldUntilLastSend(log)
+		ok = ok && delivered == n*rounds && sends == n*rounds && held
 		t.Rows = append(t.Rows, []string{
-			itoa(n), itoa(rounds),
-			usPerOp(elapsed, rounds),
-			resid.Round(time.Microsecond).String(),
+			itoa(n), itoa(rounds), fmt.Sprintf("%d/%d", delivered, n*rounds),
+			fmt.Sprintf("%.1f", float64(sends)/rounds), pass(held),
 		})
 	}
-	t.Verdict = "PASS (values delivered every round; see core tests for the synchronization assertions)"
+	t.Verdict = pass(ok) + " (every round's value reaches every recipient; nobody is released before the last copy is sent)"
 	return t
 }
 
 // E04PipelineResidence checks Figure 4's claim: the pipeline's immediate
-// policies yield much lower residence time than the star's delayed
-// policies.
+// policies yield much lower residence than the star's delayed policies.
 func E04PipelineResidence(ctx context.Context) Table {
+	return e04(ctx, patterns.StarBroadcast, patterns.PipelineBroadcast)
+}
+
+// e04 compares the residence of two broadcast scripts, the second of which
+// the paper says keeps its processes for much less time.
+func e04(ctx context.Context, star, pipeline func(n int) core.Definition) Table {
 	const (
 		id    = "E04"
 		title = "Figure 4 — pipeline broadcast residence"
@@ -292,34 +158,33 @@ func E04PipelineResidence(ctx context.Context) Table {
 		ID: id, Title: title, Claim: claim,
 		Headers: []string{"recipients", "star residence", "pipeline residence", "pipeline/star"},
 	}
-	// At very small N the runtime's fixed coordination overhead dominates
-	// the wall clock; the claim is about the residence a role pays for the
-	// pattern, which shows from N=16 up (E11 gives the pure virtual-time
-	// version of the same comparison). The rounds are paced: the star holds
-	// every process for the whole performance, the pipeline holds process i
-	// for i hops, and only processes that arrive together show it.
+	// Residence is counted on the performance's own clock (see Residence), so
+	// the comparison holds at the small N where a stopwatch reads mostly the
+	// runtime's fixed cost. The star's is 4n+3 events whatever the
+	// interleaving; the pipeline's measures 0.79 of that at n = 1 and falls
+	// to 0.62 by n = 64, so 0.9 separates the two policies from one policy
+	// run twice (1.00). E11 is the same comparison in virtual time.
 	allSmaller := true
-	for _, n := range []int{16, 64, 128} {
-		_, starRes, err := runBroadcastRounds(ctx, patterns.StarBroadcast(n), n, rounds, true)
+	for _, n := range []int{2, 4, 16, 64, 128} {
+		_, starLog, err := broadcastRounds(ctx, star(n), n, rounds)
 		if err != nil {
 			return errTable(id, title, claim, err)
 		}
-		_, pipeRes, err := runBroadcastRounds(ctx, patterns.PipelineBroadcast(n), n, rounds, true)
+		_, pipeLog, err := broadcastRounds(ctx, pipeline(n), n, rounds)
 		if err != nil {
 			return errTable(id, title, claim, err)
 		}
-		ratio := float64(pipeRes) / float64(starRes)
-		if ratio >= 1 {
-			allSmaller = false
-		}
+		starRes, pipeRes := Residence(starLog), Residence(pipeLog)
+		ratio := pipeRes / starRes
+		allSmaller = allSmaller && ratio < 0.9
 		t.Rows = append(t.Rows, []string{
 			itoa(n),
-			starRes.Round(time.Microsecond).String(),
-			pipeRes.Round(time.Microsecond).String(),
+			fmt.Sprintf("%.1f events", starRes),
+			fmt.Sprintf("%.1f events", pipeRes),
 			fmt.Sprintf("%.2fx", ratio),
 		})
 	}
-	t.Verdict = pass(allSmaller) + " (mean time inside Enroll; see also E11's virtual-time residence)"
+	t.Verdict = pass(allSmaller) + " (mean trace events of the performance between a role's start and its release; see also E11's virtual-time residence)"
 	return t
 }
 
@@ -339,21 +204,21 @@ func E05LockManager(ctx context.Context) Table {
 	)
 	t := Table{
 		ID: id, Title: title, Claim: claim,
-		Headers: []string{"strategy", "read fraction", "grant rate", "ops/s"},
+		Headers: []string{"strategy", "read fraction", "requests", "grant rate"},
 	}
 	for _, strat := range []patterns.LockStrategy{
 		patterns.OneReadAllWrite(), patterns.MajorityLocking(), patterns.MultiGranularity(),
 	} {
 		for _, readPct := range []int{50, 90, 99} {
-			granted, total, elapsed, err := runLockWorkload(ctx, k, strat, clients, ops, items, readPct)
+			granted, err := runLockWorkload(ctx, k, strat, clients, ops, items, readPct)
 			if err != nil {
 				return errTable(id, title, claim, err)
 			}
 			t.Rows = append(t.Rows, []string{
 				strat.Name,
 				fmt.Sprintf("%d%%", readPct),
-				fmt.Sprintf("%.0f%%", 100*float64(granted)/float64(total)),
-				fmt.Sprintf("%.0f", float64(total)/elapsed.Seconds()),
+				itoa(clients * ops),
+				fmt.Sprintf("%.0f%%", 100*float64(granted)/float64(clients*ops)),
 			})
 		}
 	}
@@ -361,69 +226,29 @@ func E05LockManager(ctx context.Context) Table {
 	return t
 }
 
-// runLockWorkload runs a contended lock/release mix and reports grant
-// counts. Lock attempts alternate with releases so locks do not accumulate.
-func runLockWorkload(ctx context.Context, k int, strat patterns.LockStrategy, clients, opsPerClient, items, readPct int) (granted, total int, elapsed time.Duration, err error) {
-	mctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	in := core.NewInstance(patterns.LockManager(k, strat))
-	defer in.Close()
-
-	var managers sync.WaitGroup
-	for i := 1; i <= k; i++ {
-		i := i
-		managers.Add(1)
-		go func() {
-			defer managers.Done()
-			_ = patterns.RunManager(mctx, in, ids.PID(fmt.Sprintf("M%d", i)), i, strat.NewTable())
-		}()
-	}
-
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	errCh := make(chan error, clients)
-	begin := time.Now()
-	for c := 0; c < clients; c++ {
-		c := c
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			owner := locktable.Owner(fmt.Sprintf("owner%d", c))
-			pid := ids.PID(fmt.Sprintf("C%d", c))
-			for op := 0; op < opsPerClient; op++ {
-				write := (op*100/opsPerClient)%100 >= readPct
-				item := fmt.Sprintf("db/t%d", op%items)
-				g, err := patterns.RequestLock(ctx, in, pid, owner, item, write)
-				if err != nil {
-					errCh <- err
-					return
-				}
-				mu.Lock()
-				total++
-				if g {
-					granted++
-				}
-				mu.Unlock()
-				if g {
-					if err := patterns.ReleaseLock(ctx, in, pid, owner, item, write); err != nil {
-						errCh <- err
-						return
-					}
-				}
-			}
-			errCh <- nil
-		}()
-	}
-	wg.Wait()
-	elapsed = time.Since(begin)
-	close(errCh)
-	for e := range errCh {
-		if e != nil {
-			return 0, 0, 0, e
+// runLockWorkload has `clients` processes each make opsPerClient lock
+// requests against a LockService, the first readPct% of them reads, and
+// returns how many were granted. A granted lock is released before the next
+// request so locks do not accumulate.
+func runLockWorkload(ctx context.Context, k int, strat patterns.LockStrategy, clients, opsPerClient, items, readPct int) (granted int, err error) {
+	svc := StartLockService(ctx, k, strat)
+	grants := make([]int, clients+1) // each client counts its own
+	err = inParallel(svc.Context(), clients, opsPerClient, func(ctx context.Context, c, op int) error {
+		owner, pid := locktable.Owner(fmt.Sprintf("owner%d", c)), ids.PID(fmt.Sprintf("C%d", c))
+		write := op*100/opsPerClient >= readPct
+		item := fmt.Sprintf("db/t%d", op%items)
+		g, err := patterns.RequestLock(ctx, svc.In, pid, owner, item, write)
+		if err != nil || !g {
+			return err
 		}
+		grants[c]++
+		return patterns.ReleaseLock(ctx, svc.In, pid, owner, item, write)
+	})
+	if stopErr := svc.Stop(); stopErr != nil {
+		return 0, stopErr // a manager's failure is why the clients failed
 	}
-	cancel()
-	in.Close()
-	managers.Wait()
-	return granted, total, elapsed, nil
+	for _, g := range grants {
+		granted += g
+	}
+	return granted, err
 }

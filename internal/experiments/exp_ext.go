@@ -4,13 +4,13 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"github.com/scriptabs/goscript/internal/core"
 	"github.com/scriptabs/goscript/internal/dist"
 	"github.com/scriptabs/goscript/internal/ids"
 	"github.com/scriptabs/goscript/internal/match"
-	"github.com/scriptabs/goscript/internal/sim"
+	"github.com/scriptabs/goscript/internal/perfbench"
+	"github.com/scriptabs/goscript/internal/trace"
 )
 
 // E11BroadcastStrategies tabulates the virtual-time comparison of the three
@@ -26,14 +26,17 @@ func E11BroadcastStrategies(ctx context.Context) Table {
 		Headers: []string{"N", "items", "star makespan", "tree makespan", "pipeline makespan", "star residence", "pipeline residence"},
 	}
 	shapeOK := true
-	for _, n := range []int{4, 16, 64, 256, 1024} {
-		p := sim.Params{Recipients: n, Items: 1, SendOverhead: 1, Latency: 5, Fanout: 2}
-		star, tree, pipe := sim.Star(p), sim.Tree(p), sim.Pipeline(p)
-		if n >= 64 && tree.Makespan >= star.Makespan {
+	// One item to N recipients, then the streaming case (64 items to 16).
+	for _, c := range []struct{ n, items int }{{4, 1}, {16, 1}, {64, 1}, {256, 1}, {1024, 1}, {16, 64}} {
+		star, tree, pipe := BroadcastModel("star", c.n, c.items), BroadcastModel("tree", c.n, c.items), BroadcastModel("pipeline", c.n, c.items)
+		if c.items == 1 && c.n >= 64 && tree.Makespan >= star.Makespan {
 			shapeOK = false // the tree must win for large N
 		}
+		if c.items > 1 && pipe.Makespan >= star.Makespan {
+			shapeOK = false // the pipeline must overtake the star on a stream
+		}
 		t.Rows = append(t.Rows, []string{
-			itoa(n), "1",
+			itoa(c.n), itoa(c.items),
 			fmt.Sprintf("%.0f", star.Makespan),
 			fmt.Sprintf("%.0f", tree.Makespan),
 			fmt.Sprintf("%.0f", pipe.Makespan),
@@ -41,101 +44,61 @@ func E11BroadcastStrategies(ctx context.Context) Table {
 			fmt.Sprintf("%.0f", pipe.AvgResidence),
 		})
 	}
-	// Streaming case: the pipeline overtakes the star.
-	ps := sim.Params{Recipients: 16, Items: 64, SendOverhead: 1, Latency: 5, Fanout: 2}
-	star, tree, pipe := sim.Star(ps), sim.Tree(ps), sim.Pipeline(ps)
-	if pipe.Makespan >= star.Makespan {
-		shapeOK = false
-	}
-	t.Rows = append(t.Rows, []string{
-		"16", "64",
-		fmt.Sprintf("%.0f", star.Makespan),
-		fmt.Sprintf("%.0f", tree.Makespan),
-		fmt.Sprintf("%.0f", pipe.Makespan),
-		fmt.Sprintf("%.0f", star.AvgResidence),
-		fmt.Sprintf("%.0f", pipe.AvgResidence),
-	})
 	t.Verdict = pass(shapeOK) + " (tree wins at scale; pipeline wins streaming and minimizes residence)"
 	return t
 }
 
-// E12OpenEnded exercises the Section V extensions: open-ended role families
-// whose extent varies per performance, plus nested enrollment.
+// E12OpenEnded exercises the Section V extensions: an open-ended role family
+// whose extent varies from one performance of an instance to the next.
 func E12OpenEnded(ctx context.Context) Table {
 	const (
 		id    = "E12"
 		title = "Section V — open-ended scripts and nested enrollment"
 		claim = "dynamic arrays of roles … would allow different instances of a script to take place with somewhat different role structures"
 	)
-	def, err := core.NewScript("gather").
-		Role("hub", func(rc core.Ctx) error {
-			n := rc.FamilySize("w")
-			sum := 0
-			for i := 1; i <= n; i++ {
-				v, err := rc.Recv(ids.Member("w", i))
-				if err != nil {
-					return err
-				}
-				sum += v.(int)
-			}
-			rc.SetResult(0, n)
-			rc.SetResult(1, sum)
-			return nil
-		}).
-		OpenFamily("w", func(rc core.Ctx) error {
-			return rc.Send(ids.Role("hub"), rc.Index())
-		}).
-		CriticalSet(ids.Role("hub")).
-		Build()
-	if err != nil {
-		return errTable(id, title, claim, err)
-	}
-	in := core.NewInstance(def)
+	in := core.NewInstance(Gather())
 	defer in.Close()
 
 	t := Table{
 		ID: id, Title: title, Claim: claim,
-		Headers: []string{"performance", "family extent", "gathered sum", "time"},
+		Headers: []string{"performance", "family extent", "gathered sum"},
 	}
 	ok := true
 	for perf, n := range []int{2, 8, 32} {
-		var wg sync.WaitGroup
-		for i := 1; i <= n; i++ {
-			i := i
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				_, _ = in.Enroll(ctx, core.Enrollment{
-					PID: ids.PID(fmt.Sprintf("W%d", i)), Role: ids.Member("w", i),
-				})
-			}()
+		// The hub is the whole critical set: it must not offer before the n
+		// workers of this performance have, or it performs without them.
+		workers := perfbench.Keep(ctx, in.Enroll, GatherWorkers(n))
+		err := await(workers.Context(), func() bool { return in.PendingEnrollments() >= n })
+		var res core.Result
+		if err == nil {
+			res, err = workers.Enroll(GatherHub)
 		}
-		for in.PendingEnrollments() < n {
-			time.Sleep(time.Millisecond)
+		if stopErr := workers.Stop(); stopErr != nil {
+			err = stopErr
 		}
-		begin := time.Now()
-		res, err := in.Enroll(ctx, core.Enrollment{PID: "H", Role: ids.Role("hub")})
 		if err != nil {
 			return errTable(id, title, claim, err)
 		}
-		wg.Wait()
-		elapsed := time.Since(begin)
-		wantSum := n * (n + 1) / 2
-		if res.Values[0] != n || res.Values[1] != wantSum {
-			ok = false
-		}
-		t.Rows = append(t.Rows, []string{
-			itoa(perf + 1), fmt.Sprint(res.Values[0]), fmt.Sprint(res.Values[1]),
-			elapsed.Round(time.Microsecond).String(),
-		})
+		ok = ok && res.Values[0] == n && res.Values[1] == n*(n+1)/2
+		t.Rows = append(t.Rows, []string{itoa(perf + 1), fmt.Sprint(res.Values[0]), fmt.Sprint(res.Values[1])})
 	}
 	t.Verdict = pass(ok) + " (one instance, three performances with extents 2, 8, 32)"
 	return t
 }
 
 // E13DistributedEnrollment compares the centralized supervisor shape with
-// the decentralized ring-token protocol for multiway enrollment.
+// the decentralized ring-token and combining-tree protocols for multiway
+// enrollment.
 func E13DistributedEnrollment(ctx context.Context) Table {
+	return e13(ctx, NewSynchronizer)
+}
+
+// e13 runs the three protocols newSync builds and judges what EXPERIMENTS.md
+// claims of them: the messages a round costs (2n to a coordinator and back,
+// 2n−1 round a ring in steady state, 2(n−1) up and down a tree), and from
+// n = 8 up a coordinator that carries strictly more than any ring or tree
+// node does.
+func e13(ctx context.Context, newSync func(kind string, n int) dist.Synchronizer) Table {
 	const (
 		id    = "E13"
 		title = "Section IV — centralized vs distributed multiway synchronization"
@@ -144,61 +107,72 @@ func E13DistributedEnrollment(ctx context.Context) Table {
 	const rounds = 20
 	t := Table{
 		ID: id, Title: title, Claim: claim,
-		Headers: []string{"n", "protocol", "msgs/round", "max node load", "time/round"},
+		Headers: []string{"n", "protocol", "msgs/round", "expected", "max node load"},
 	}
-	balanced := true
+	ok := true
 	for _, n := range []int{2, 8, 32} {
-		for _, mk := range []struct {
-			name string
-			s    dist.Synchronizer
-		}{
-			{"central", dist.NewCentral(n)},
-			{"ring", dist.NewRing(n)},
-			{"tree", dist.NewTree(n)},
-		} {
-			s := mk.s
-			begin := time.Now()
-			var wg sync.WaitGroup
-			errCh := make(chan error, n)
-			for i := 1; i <= n; i++ {
-				i := i
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for r := 0; r < rounds; r++ {
-						if _, err := s.Enroll(ctx, i); err != nil {
-							errCh <- err
-							return
-						}
-					}
-					errCh <- nil
-				}()
-			}
-			wg.Wait()
-			elapsed := time.Since(begin)
-			close(errCh)
-			for e := range errCh {
-				if e != nil {
-					s.Close()
-					return errTable(id, title, claim, e)
-				}
-			}
+		load := map[string]int{}
+		for _, p := range []struct {
+			kind     string
+			perRound int
+		}{{"central", 2 * n}, {"ring", 2*n - 1}, {"tree", 2 * (n - 1)}} {
+			s := newSync(p.kind, n)
+			err := SyncRounds(ctx, s, n, rounds)
 			st := s.Stats()
 			s.Close()
-			t.Rows = append(t.Rows, []string{
-				itoa(n), mk.name,
-				fmt.Sprintf("%.1f", st.PerRound()),
-				itoa(st.MaxNodeLoad),
-				usPerOp(elapsed, rounds),
-			})
-			if n >= 8 && mk.name == "ring" {
-				central := t.Rows[len(t.Rows)-2]
-				_ = central
+			if err != nil {
+				return errTable(id, title, claim, err)
 			}
+			// The ring's last token pass, back to the node that began the
+			// release lap, follows the last release: it may not have been
+			// counted yet when the last enroller returns. Nothing else may
+			// be missing, and nothing may be extra.
+			missing := p.perRound*rounds - st.Messages
+			ok = ok && st.Rounds == rounds && (missing == 0 || missing == 1 && p.kind == "ring")
+			load[p.kind] = st.MaxNodeLoad
+			t.Rows = append(t.Rows, []string{
+				itoa(n), p.kind, fmt.Sprintf("%.1f", st.PerRound()), itoa(p.perRound), itoa(st.MaxNodeLoad),
+			})
+		}
+		if n >= 8 {
+			ok = ok && load["central"] > load["ring"] && load["central"] > load["tree"]
 		}
 	}
-	t.Verdict = pass(balanced) + " (ring and tree bound per-node load; central minimizes serial hops; tree minimizes hops among the decentralized ones)"
+	t.Verdict = pass(ok) + " (ring and tree bound per-node load; central minimizes serial hops; tree minimizes hops among the decentralized ones)"
 	return t
+}
+
+// serviceOrder reads the trace of a contended role: the most offers that
+// arrived later and were served sooner than any one pending offer (0 is
+// service in order of arrival), and the longest run of performances between
+// two services of one process. Only the first is a property of the policy;
+// the second also counts the time a process took to offer again.
+func serviceOrder(log *trace.Log) (overtakes, maxGap int) {
+	arrived := map[ids.PID]int{} // the pending offers, by Seq of arrival
+	passed := map[ids.PID]int{}  // later offers served ahead of each
+	lastServed := map[ids.PID]int{}
+	served := 0
+	for _, e := range log.Events() {
+		switch e.Kind {
+		case trace.KindEnroll:
+			arrived[e.PID] = e.Seq
+		case trace.KindStart:
+			served++
+			if prev, ok := lastServed[e.PID]; ok {
+				maxGap = max(maxGap, served-prev)
+			}
+			lastServed[e.PID] = served
+			for pid, seq := range arrived {
+				if seq < arrived[e.PID] {
+					passed[pid]++
+					overtakes = max(overtakes, passed[pid])
+				}
+			}
+			delete(arrived, e.PID)
+			delete(passed, e.PID)
+		}
+	}
+	return overtakes, maxGap
 }
 
 // E14Fairness contrasts FIFO (Ada) and Arbitrary (CSP) contention policies
@@ -211,115 +185,66 @@ func E14Fairness(ctx context.Context) Table {
 	)
 	const contenders, rounds = 6, 40
 
-	// The role body records the service order: bodies of successive
-	// performances are strictly serialized by the successive-activations
-	// rule, so the recorded sequence IS the service sequence.
-	run := func(fairness match.Fairness) (maxGap int, err error) {
-		var mu sync.Mutex
-		var order []ids.PID
+	run := func(fairness match.Fairness) (overtakes, maxGap int, err error) {
 		ready := make(chan struct{})
-		def, derr := core.NewScript("slot").
-			Role("only", func(rc core.Ctx) error {
-				if rc.PID() == "starter" {
-					// The starter holds the first performance open until
-					// every contender is pending, so the measurement
-					// starts from full contention.
-					<-ready
-					return nil
-				}
-				mu.Lock()
-				order = append(order, rc.PID())
-				mu.Unlock()
+		open := sync.OnceFunc(func() { close(ready) })
+		defer open()
+		var log trace.Log
+		// The starter holds the first performance open until every contender
+		// is pending, so the contention is full from the start.
+		hold := heldUntil(ready)
+		in := core.NewInstance(SlotScript(func(rc core.Ctx) error {
+			if rc.PID() != "starter" {
 				return nil
-			}).
-			Build()
-		if derr != nil {
-			return 0, derr
-		}
-		in := core.NewInstance(def, core.WithFairness(fairness, 42))
+			}
+			return hold(rc)
+		}), core.WithFairness(fairness, 42), core.WithTracer(&log))
 		defer in.Close()
 
+		only := ids.Role("only")
 		starterDone := make(chan error, 1)
 		go func() {
-			_, err := in.Enroll(ctx, core.Enrollment{PID: "starter", Role: ids.Role("only")})
+			_, err := in.Enroll(ctx, core.Enrollment{PID: "starter", Role: only})
 			starterDone <- err
 		}()
-		// The starter must own performance 1 (and block it) before any
+		// The starter must own performance 1 (and hold it) before any
 		// contender can be served.
-		for in.Performances() < 1 {
-			select {
-			case <-ctx.Done():
-				return 0, ctx.Err()
-			default:
-				time.Sleep(time.Millisecond)
+		if err := await(ctx, func() bool { return in.Performances() >= 1 }); err != nil {
+			return 0, 0, err
+		}
+		served := make(chan error, 1)
+		go func() {
+			served <- inParallel(ctx, contenders, rounds, func(ctx context.Context, c, _ int) error {
+				_, err := in.Enroll(ctx, core.Enrollment{PID: ids.PID(fmt.Sprintf("P%d", c)), Role: only})
+				return err
+			})
+		}()
+		err = await(ctx, func() bool { return in.PendingEnrollments() >= contenders })
+		open()
+		for _, done := range []chan error{starterDone, served} {
+			if e := <-done; err == nil {
+				err = e
 			}
 		}
-
-		var wg sync.WaitGroup
-		errCh := make(chan error, contenders)
-		for c := 0; c < contenders; c++ {
-			pid := ids.PID(fmt.Sprintf("P%d", c))
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for r := 0; r < rounds; r++ {
-					if _, err := in.Enroll(ctx, core.Enrollment{PID: pid, Role: ids.Role("only")}); err != nil {
-						errCh <- err
-						return
-					}
-				}
-				errCh <- nil
-			}()
-		}
-		for in.PendingEnrollments() < contenders {
-			select {
-			case <-ctx.Done():
-				return 0, ctx.Err()
-			default:
-				time.Sleep(time.Millisecond)
-			}
-		}
-		close(ready)
-		if err := <-starterDone; err != nil {
-			return 0, err
-		}
-		wg.Wait()
-		close(errCh)
-		for e := range errCh {
-			if e != nil {
-				return 0, e
-			}
-		}
-		last := make(map[ids.PID]int)
-		for i, pid := range order {
-			if prev, ok := last[pid]; ok {
-				if gap := i - prev; gap > maxGap {
-					maxGap = gap
-				}
-			}
-			last[pid] = i
-		}
-		return maxGap, nil
+		overtakes, maxGap = serviceOrder(&log)
+		return overtakes, maxGap, err
 	}
 
-	fifoGap, err := run(match.FIFO)
+	fifoPassed, fifoGap, err := run(match.FIFO)
 	if err != nil {
 		return errTable(id, title, claim, err)
 	}
-	arbGap, err := run(match.Arbitrary)
+	arbPassed, arbGap, err := run(match.Arbitrary)
 	if err != nil {
 		return errTable(id, title, claim, err)
 	}
-	// FIFO's gap is bounded by how many contenders can queue ahead of a
-	// re-enrollment (~contenders); Arbitrary's is unbounded in principle.
-	fifoBounded := fifoGap <= contenders+2
 	return Table{
 		ID: id, Title: title, Claim: claim,
-		Headers: []string{"policy", "contenders", "max service gap (performances)"},
+		Headers: []string{"policy", "contenders", "later offers served first (max)", "max service gap (performances)"},
 		Rows: [][]string{
-			{"FIFO (Ada)", itoa(contenders), itoa(fifoGap)},
-			{"Arbitrary (CSP)", itoa(contenders), itoa(arbGap)},
+			{"FIFO (Ada)", itoa(contenders), itoa(fifoPassed), itoa(fifoGap)},
+			{"Arbitrary (CSP)", itoa(contenders), itoa(arbPassed), itoa(arbGap)},
 		},
-		Verdict: pass(fifoBounded) + " (FIFO's gap is bounded by the contender count; Arbitrary's is not guaranteed)",
+		Verdict: pass(fifoPassed == 0 && arbPassed > 0) + " (FIFO never serves a later offer ahead of a pending one; Arbitrary does; the gap also counts how long a process took to offer again)",
 	}
 }

@@ -3,391 +3,177 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sync"
-	"time"
 
-	"github.com/scriptabs/goscript/internal/ada"
 	"github.com/scriptabs/goscript/internal/core"
-	"github.com/scriptabs/goscript/internal/csp"
-	"github.com/scriptabs/goscript/internal/ids"
-	"github.com/scriptabs/goscript/internal/monitor"
 	"github.com/scriptabs/goscript/internal/patterns"
-	"github.com/scriptabs/goscript/internal/trans/adax"
-	"github.com/scriptabs/goscript/internal/trans/cspx"
+	"github.com/scriptabs/goscript/internal/trans/equiv"
 	"github.com/scriptabs/goscript/internal/trans/monx"
 )
+
+// substrateTable is E06's and E08's shape: `runs` runs of a broadcast
+// written directly on a host language, counting the recipients that got x.
+func substrateTable(id, title, claim string, n, runs int, run func() (delivered int, err error)) Table {
+	delivered := 0
+	for r := 0; r < runs; r++ {
+		d, err := run()
+		if err != nil {
+			return errTable(id, title, claim, err)
+		}
+		delivered += d
+	}
+	return Table{
+		ID: id, Title: title, Claim: claim,
+		Headers: []string{"recipients", "runs", "deliveries"},
+		Rows:    [][]string{{itoa(n), itoa(runs), fmt.Sprintf("%d/%d", delivered, n*runs)}},
+		Verdict: pass(delivered == n*runs),
+	}
+}
 
 // E06CSPBroadcast runs Figure 6's broadcast natively on the CSP substrate:
 // output guards in the transmitter's repetitive command, "transmitter?y" in
 // the recipients.
 func E06CSPBroadcast(ctx context.Context) Table {
-	const (
-		id    = "E06"
-		title = "Figure 6 — broadcast in CSP"
-		claim = "the transmitter sends x to the recipients in arbitrary order via output guards; recipients do transmitter?y"
-	)
-	const n, rounds = 5, 30
-	var mu sync.Mutex
-	delivered := 0
-	begin := time.Now()
-	for r := 0; r < rounds; r++ {
-		sys := csp.NewSystem().
-			Process("transmitter", func(p *csp.Proc) error {
-				sent := make([]bool, n+1)
-				return p.Rep(func() []csp.Guard {
-					guards := make([]csp.Guard, 0, n)
-					for k := 1; k <= n; k++ {
-						k := k
-						guards = append(guards,
-							csp.OnSend(csp.Name("recipient", k), "", "x", func(any) error {
-								sent[k] = true
-								return nil
-							}).When(!sent[k]))
-					}
-					return guards
-				})
-			}).
-			ProcessArray("recipient", n, func(p *csp.Proc) error {
-				v, err := p.Recv("transmitter")
-				if err != nil {
-					return err
-				}
-				if v == "x" {
-					mu.Lock()
+	const n = 5
+	return substrateTable("E06", "Figure 6 — broadcast in CSP",
+		"the transmitter sends x to the recipients in arbitrary order via output guards; recipients do transmitter?y",
+		n, 30, func() (delivered int, err error) {
+			received, err := CSPBroadcast(ctx, n, "x")
+			for _, y := range received {
+				if y == "x" {
 					delivered++
-					mu.Unlock()
 				}
-				return nil
-			})
-		if err := sys.Run(ctx); err != nil {
-			return errTable(id, title, claim, err)
-		}
+			}
+			return delivered, err
+		})
+}
+
+// E08AdaBroadcast runs Figure 8's reverse broadcast natively on the Ada
+// substrate.
+func E08AdaBroadcast(ctx context.Context) Table {
+	const n = 5
+	return substrateTable("E08", "Figure 8 — broadcast in Ada (reverse broadcast)",
+		"the recipients call the transmitter, rather than the other way around — a result of Ada's naming conventions",
+		n, 30, func() (delivered int, err error) {
+			served, err := AdaBroadcast(ctx, n, "data")
+			for _, s := range served {
+				if s.Got == "data" {
+					delivered++
+				}
+			}
+			return delivered, err
+		})
+}
+
+// translationTable is E07's and E09's shape: the same cast performs the
+// star broadcast on the native runtime and through a translation, and the
+// table sets what the recipients observed side by side with what the
+// translation added.
+func translationTable(ctx context.Context, id, title, claim, name, verdict string,
+	translate func(ctx context.Context, def core.Definition, cast []equiv.Part, rounds int) (outs equiv.Outs, extra string, err error)) Table {
+	const n, rounds = 4, 30
+	def := patterns.StarBroadcast(n)
+	cast := equiv.Broadcast(n, roundNumber)
+	native, err := equiv.Native(ctx, def, cast, rounds)
+	if err != nil {
+		return errTable(id, title, claim, err)
 	}
-	elapsed := time.Since(begin)
-	ok := delivered == n*rounds
+	trans, extra, err := translate(ctx, def, cast, rounds)
+	if err != nil {
+		return errTable(id, title, claim, err)
+	}
+	dn, dt := deliveries(cast, native), deliveries(cast, trans)
 	return Table{
 		ID: id, Title: title, Claim: claim,
-		Headers: []string{"recipients", "runs", "deliveries", "time/run"},
+		Headers: []string{"implementation", "performances", "deliveries", "extra processes"},
 		Rows: [][]string{
-			{itoa(n), itoa(rounds), fmt.Sprintf("%d/%d", delivered, n*rounds), usPerOp(elapsed, rounds)},
+			{"native runtime", itoa(rounds), fmt.Sprintf("%d/%d", dn, n*rounds), "0"},
+			{name, itoa(rounds), fmt.Sprintf("%d/%d", dt, n*rounds), extra},
 		},
-		Verdict: pass(ok),
+		Verdict: pass(dn == n*rounds && dt == n*rounds) + verdict,
 	}
 }
 
 // E07CSPTranslation compares the native runtime against the paper's CSP
 // translation (supervisor process p_s, Figure 7) on the same script.
 func E07CSPTranslation(ctx context.Context) Table {
-	const (
-		id    = "E07"
-		title = "Figure 7 — translation into CSP (supervisor p_s)"
-		claim = "scripts do not transcend the direct expressive power of CSP; the supervisor coordinates enrollments (centralized, as an existence proof)"
-	)
-	const n, rounds = 4, 30
-
-	nativeElapsed, _, err := runBroadcastRounds(ctx, patterns.StarBroadcast(n), n, rounds, false)
-	if err != nil {
-		return errTable(id, title, claim, err)
-	}
-
-	def := patterns.StarBroadcast(n)
-	host, err := cspx.New(def)
-	if err != nil {
-		return errTable(id, title, claim, err)
-	}
-	binding := map[ids.RoleRef]string{ids.Role(patterns.RoleSender): "T"}
-	for i := 1; i <= n; i++ {
-		binding[ids.Member(patterns.RoleRecipient, i)] = csp.Name("q", i)
-	}
-	var mu sync.Mutex
-	delivered := 0
-	begin := time.Now()
-	sys := csp.NewSystem().
-		Process("T", func(p *csp.Proc) error {
-			for r := 0; r < rounds; r++ {
-				if _, err := host.Enroll(p, ids.Role(patterns.RoleSender), binding, []any{r}); err != nil {
-					return err
-				}
+	return translationTable(ctx, "E07", "Figure 7 — translation into CSP (supervisor p_s)",
+		"scripts do not transcend the direct expressive power of CSP; the supervisor coordinates enrollments (centralized, as an existence proof)",
+		"CSP translation", " (same observable deliveries; the translation adds its centralized supervisor)",
+		func(ctx context.Context, def core.Definition, cast []equiv.Part, rounds int) (equiv.Outs, string, error) {
+			outs, host, err := equiv.CSP(ctx, def, cast, rounds)
+			if err != nil {
+				return nil, "", err
 			}
-			return nil
-		}).
-		ProcessArray("q", n, func(p *csp.Proc) error {
-			for r := 0; r < rounds; r++ {
-				outs, err := host.Enroll(p, ids.Member(patterns.RoleRecipient, p.Index()), binding, nil)
-				if err != nil {
-					return err
-				}
-				if outs[0] == r {
-					mu.Lock()
-					delivered++
-					mu.Unlock()
-				}
-			}
-			return nil
+			return outs, fmt.Sprintf("1 (%s)", host.SupervisorName()), nil
 		})
-	host.AddSupervisor(sys, rounds)
-	if err := sys.Run(ctx); err != nil {
-		return errTable(id, title, claim, err)
-	}
-	translatedElapsed := time.Since(begin)
-
-	ok := delivered == n*rounds
-	return Table{
-		ID: id, Title: title, Claim: claim,
-		Headers: []string{"implementation", "time/performance", "deliveries", "extra processes"},
-		Rows: [][]string{
-			{"native runtime", usPerOp(nativeElapsed, rounds), "-", "0"},
-			{"CSP translation", usPerOp(translatedElapsed, rounds), fmt.Sprintf("%d/%d", delivered, n*rounds), "1 (p_s)"},
-		},
-		Verdict: pass(ok) + " (same observable deliveries; the translation pays for its centralized supervisor)",
-	}
-}
-
-// E08AdaBroadcast runs Figure 8's reverse broadcast natively on the Ada
-// substrate.
-func E08AdaBroadcast(ctx context.Context) Table {
-	const (
-		id    = "E08"
-		title = "Figure 8 — broadcast in Ada (reverse broadcast)"
-		claim = "the recipients call the transmitter, rather than the other way around — a result of Ada's naming conventions"
-	)
-	const n, rounds = 5, 30
-	delivered := 0
-	begin := time.Now()
-	for r := 0; r < rounds; r++ {
-		p := ada.NewProgram()
-		sender := p.Task("sender", nil)
-		receive := sender.Entry("receive")
-		sender.SetBody(func(tk *ada.Task) error {
-			for completed := 0; completed < n; completed++ {
-				if err := tk.Accept(receive, func([]any) ([]any, error) {
-					return []any{"data"}, nil
-				}); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		var mu sync.Mutex
-		for i := 1; i <= n; i++ {
-			p.Task(fmt.Sprintf("r%d", i), func(tk *ada.Task) error {
-				outs, err := receive.Call(tk.Context())
-				if err != nil {
-					return err
-				}
-				if outs[0] == "data" {
-					mu.Lock()
-					delivered++
-					mu.Unlock()
-				}
-				return nil
-			})
-		}
-		if err := p.Run(ctx); err != nil {
-			return errTable(id, title, claim, err)
-		}
-	}
-	elapsed := time.Since(begin)
-	ok := delivered == n*rounds
-	return Table{
-		ID: id, Title: title, Claim: claim,
-		Headers: []string{"recipients", "runs", "deliveries", "time/run"},
-		Rows: [][]string{
-			{itoa(n), itoa(rounds), fmt.Sprintf("%d/%d", delivered, n*rounds), usPerOp(elapsed, rounds)},
-		},
-		Verdict: pass(ok),
-	}
 }
 
 // E09AdaTranslation compares the native runtime against the paper's Ada
 // translation (role tasks with start/stop entries plus a supervisor task).
 func E09AdaTranslation(ctx context.Context) Table {
-	const (
-		id    = "E09"
-		title = "Figures 9–11 — translation into Ada"
-		claim = "the number of processes grows from n to n+m+1, and the role bodies no longer run on the enrolling processor"
-	)
-	const n, rounds = 4, 30
-
-	nativeElapsed, _, err := runBroadcastRounds(ctx, patterns.StarBroadcast(n), n, rounds, false)
-	if err != nil {
-		return errTable(id, title, claim, err)
-	}
-
-	def := patterns.StarBroadcast(n)
-	host, err := adax.New(def)
-	if err != nil {
-		return errTable(id, title, claim, err)
-	}
-	if err := host.Start(ctx); err != nil {
-		return errTable(id, title, claim, err)
-	}
-	delivered := 0
-	var mu sync.Mutex
-	begin := time.Now()
-	var wg sync.WaitGroup
-	errCh := make(chan error, n+1)
-	for i := 1; i <= n; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				outs, err := host.Enroll(ctx, ids.Member(patterns.RoleRecipient, i), nil)
-				if err != nil {
-					errCh <- err
-					return
-				}
-				if outs[0] == r {
-					mu.Lock()
-					delivered++
-					mu.Unlock()
-				}
+	return translationTable(ctx, "E09", "Figures 9–11 — translation into Ada",
+		"the number of processes grows from n to n+m+1, and the role bodies no longer run on the enrolling processor",
+		"Ada translation", " (m+1 extra tasks, bodies run in role tasks, not in the enrollers)",
+		func(ctx context.Context, def core.Definition, cast []equiv.Part, rounds int) (equiv.Outs, string, error) {
+			outs, host, err := equiv.Ada(ctx, def, cast, rounds)
+			if err != nil {
+				return nil, "", err
 			}
-			errCh <- nil
-		}()
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for r := 0; r < rounds; r++ {
-			if _, err := host.Enroll(ctx, ids.Role(patterns.RoleSender), []any{r}); err != nil {
-				errCh <- err
-				return
-			}
-		}
-		errCh <- nil
-	}()
-	wg.Wait()
-	translatedElapsed := time.Since(begin)
-	close(errCh)
-	for e := range errCh {
-		if e != nil {
-			return errTable(id, title, claim, e)
-		}
-	}
-	if err := host.Shutdown(); err != nil {
-		return errTable(id, title, claim, err)
-	}
-
-	ok := delivered == n*rounds
-	return Table{
-		ID: id, Title: title, Claim: claim,
-		Headers: []string{"implementation", "time/performance", "deliveries", "extra tasks"},
-		Rows: [][]string{
-			{"native runtime", usPerOp(nativeElapsed, rounds), "-", "0"},
-			{"Ada translation", usPerOp(translatedElapsed, rounds), fmt.Sprintf("%d/%d", delivered, n*rounds),
-				fmt.Sprintf("%d (m+1)", host.TaskCount())},
-		},
-		Verdict: pass(ok) + " (m+1 extra tasks, bodies run in role tasks, not in the enrollers)",
-	}
+			return outs, fmt.Sprintf("%d (m+1)", host.TaskCount()), nil
+		})
 }
 
 // E10MonitorMailbox compares the paper's two monitor packagings: one shared
 // monitor for all mailboxes versus one monitor per mailbox, on a workload
 // of independent role pairs exchanging messages.
 func E10MonitorMailbox(ctx context.Context) Table {
+	return e10(ctx, nil, []monx.Option{monx.WithSharedMonitor()})
+}
+
+// e10 runs the pair exchange under two packagings of the mailboxes and
+// judges what each packaging is: how many monitors stand between
+// independent pairs. How much the shared one costs on a given machine is
+// BenchmarkE10MonitorMailbox's to say; the table reports, and does not
+// judge, how many mailboxes contend for each monitor.
+func e10(ctx context.Context, perMailbox, shared []monx.Option) Table {
 	const (
 		id    = "E10"
 		title = "Figure 12 / §IV — monitors: one black box vs one per mailbox"
 		claim = "a single monitor serializes all access to any mailbox; one monitor per mailbox eliminates the unnecessary concurrency restrictions"
 	)
 	const pairs, msgs = 8, 400
-	const trials = 3
-
-	// pairExchange: left[i] sends msgs values to right[i]; the pairs are
-	// independent, so per-mailbox monitors let them run concurrently.
-	pairExchange := core.NewScript("pair_exchange").
-		Family("left", pairs, func(rc core.Ctx) error {
-			for m := 0; m < msgs; m++ {
-				if err := rc.Send(ids.Member("right", rc.Index()), m); err != nil {
-					return err
-				}
-			}
-			return nil
-		}).
-		Family("right", pairs, func(rc core.Ctx) error {
-			for m := 0; m < msgs; m++ {
-				if _, err := rc.Recv(ids.Member("left", rc.Index())); err != nil {
-					return err
-				}
-			}
-			return nil
-		}).
-		MustBuild()
-
-	run := func(opts ...monx.Option) (time.Duration, error) {
-		h, err := monx.New(pairExchange, append(opts, monx.WithCapacity(8))...)
-		if err != nil {
-			return 0, err
-		}
-		var wg sync.WaitGroup
-		errCh := make(chan error, 2*pairs)
-		begin := time.Now()
-		for i := 1; i <= pairs; i++ {
-			i := i
-			wg.Add(2)
-			go func() {
-				defer wg.Done()
-				_, err := h.Enroll(ids.Member("left", i), nil)
-				errCh <- err
-			}()
-			go func() {
-				defer wg.Done()
-				_, err := h.Enroll(ids.Member("right", i), nil)
-				errCh <- err
-			}()
-		}
-		wg.Wait()
-		close(errCh)
-		for e := range errCh {
-			if e != nil {
-				return 0, e
-			}
-		}
-		return time.Since(begin), nil
-	}
-
-	// Take the best of several trials per packaging: scheduling noise can
-	// mask the serialization effect in a single run.
-	best := func(opts ...monx.Option) (time.Duration, error) {
-		var min time.Duration
-		for trial := 0; trial < trials; trial++ {
-			d, err := run(opts...)
-			if err != nil {
-				return 0, err
-			}
-			if min == 0 || d < min {
-				min = d
-			}
-		}
-		return min, nil
-	}
-	perMailbox, err := best()
-	if err != nil {
-		return errTable(id, title, claim, err)
-	}
-	shared, err := best(monx.WithSharedMonitor())
-	if err != nil {
-		return errTable(id, title, claim, err)
-	}
-	_ = monitor.Hoare // semantics default documented in monx
-
-	ratio := float64(shared) / float64(perMailbox)
-	verdict := pass(ratio > 1.0) + " (shared monitor serializes independent pairs)"
-	if raceEnabled {
-		// The race detector serializes all goroutines, erasing the
-		// concurrency the per-mailbox packaging buys; only the functional
-		// half of the experiment is meaningful under it.
-		verdict = "PASS (timing comparison skipped under the race detector)"
-	}
-	return Table{
+	def, cast := PairExchange(pairs, msgs)
+	t := Table{
 		ID: id, Title: title, Claim: claim,
-		Headers: []string{"packaging", "time (8 pairs x 400 msgs, best of 3)", "relative"},
-		Rows: [][]string{
-			{"one monitor per mailbox", perMailbox.Round(time.Microsecond).String(), "1.00x"},
-			{"single shared monitor", shared.Round(time.Microsecond).String(), fmt.Sprintf("%.2fx", ratio)},
-		},
-		Verdict: verdict,
+		Headers: []string{"packaging", "mailboxes", "monitors", "mailboxes/monitor", "sums received"},
 	}
+	ok := true
+	for _, arm := range []struct {
+		name     string
+		opts     []monx.Option
+		monitors int
+	}{
+		{"one monitor per mailbox", perMailbox, len(cast)},
+		{"single shared monitor", shared, 1},
+	} {
+		outs, host, err := equiv.Monitors(ctx, def, cast, 1, append(arm.opts, monx.WithCapacity(8))...)
+		if err != nil {
+			return errTable(id, title, claim, err)
+		}
+		sums := 0
+		for i := 1; i < len(cast); i += 2 { // the right[i] parts
+			if vals := outs[cast[i].Role][0]; len(vals) == 1 && vals[0] == msgs*(msgs-1)/2 {
+				sums++
+			}
+		}
+		monitors := host.Monitors()
+		ok = ok && monitors == arm.monitors && sums == pairs
+		t.Rows = append(t.Rows, []string{
+			arm.name, itoa(len(cast)), itoa(monitors),
+			fmt.Sprintf("%.0f", float64(len(cast))/float64(monitors)),
+			fmt.Sprintf("%d/%d", sums, pairs),
+		})
+	}
+	t.Verdict = pass(ok) + " (independent pairs share no monitor in the per-mailbox packaging and all share one in the black box; the cost is BenchmarkE10MonitorMailbox's)"
+	return t
 }

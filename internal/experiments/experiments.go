@@ -8,7 +8,11 @@
 // proposal — so the experiments check *semantic shape*: who waits for whom,
 // which policies release early, which locking strategy admits what, how the
 // translations' supervisors behave, and how the broadcast strategies trade
-// off, with wall-clock measurements where a relative cost claim is made.
+// off. Every verdict is structural — a count, an order of trace events, a
+// value delivered — so it is the same under the race detector and on one
+// processor; nothing here reads the wall clock. What a figure costs on a
+// given machine is `go test -bench` over the same fixtures (fixtures.go),
+// which BenchmarkE01–E14 and cmd/figures drive too.
 package experiments
 
 import (
@@ -16,7 +20,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // Table is one experiment's rendered result.
@@ -131,13 +134,6 @@ func Run(ctx context.Context) []Table {
 
 func errTable(id, title, claim string, err error) Table {
 	return Table{ID: id, Title: title, Claim: claim, Err: err}
-}
-
-func usPerOp(d time.Duration, ops int) string {
-	if ops == 0 {
-		return "n/a"
-	}
-	return fmt.Sprintf("%.1f µs", float64(d.Microseconds())/float64(ops))
 }
 
 func itoa(i int) string { return strconv.Itoa(i) }

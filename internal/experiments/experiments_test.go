@@ -5,6 +5,10 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/scriptabs/goscript/internal/dist"
+	"github.com/scriptabs/goscript/internal/patterns"
+	"github.com/scriptabs/goscript/internal/trans/monx"
 )
 
 func expCtx(t *testing.T) context.Context {
@@ -16,19 +20,19 @@ func expCtx(t *testing.T) context.Context {
 
 // TestAllExperimentsPass runs the whole suite and requires every table to
 // carry a passing verdict — this is the repository's end-to-end check that
-// each paper claim reproduces.
+// each paper claim reproduces. No verdict is a wall-clock comparison, so
+// none is skipped or softened under the race detector.
 func TestAllExperimentsPass(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment suite is not short")
 	}
 	ctx := expCtx(t)
 	for _, tbl := range Run(ctx) {
-		tbl := tbl
 		t.Run(tbl.ID, func(t *testing.T) {
 			if tbl.Err != nil {
 				t.Fatalf("experiment error: %v", tbl.Err)
 			}
-			if strings.Contains(tbl.Verdict, "FAIL") {
+			if !strings.HasPrefix(tbl.Verdict, "PASS") || strings.Contains(tbl.Verdict, "skipped") {
 				t.Fatalf("verdict: %s\n%s", tbl.Verdict, tbl.Render())
 			}
 			if len(tbl.Rows) == 0 {
@@ -36,6 +40,64 @@ func TestAllExperimentsPass(t *testing.T) {
 			}
 		})
 	}
+}
+
+// failed requires the table to have run and to carry a FAIL verdict.
+func failed(t *testing.T, tbl Table) {
+	t.Helper()
+	if tbl.Err != nil {
+		t.Fatalf("experiment error: %v", tbl.Err)
+	}
+	if !strings.HasPrefix(tbl.Verdict, "FAIL") {
+		t.Fatalf("a mutated fixture passed:\n%s", tbl.Render())
+	}
+}
+
+// TestE04FailsWithoutImmediatePolicies: a star (delayed/delayed) offered as
+// the "pipeline" arm keeps its processes exactly as long as the star does.
+func TestE04FailsWithoutImmediatePolicies(t *testing.T) {
+	failed(t, e04(expCtx(t), patterns.StarBroadcast, patterns.StarBroadcast))
+}
+
+// TestE10FailsWhenBothArmsShareAMonitor: the "per-mailbox" arm packaged as
+// one black box is not what the claim is about, however fast it runs.
+func TestE10FailsWhenBothArmsShareAMonitor(t *testing.T) {
+	shared := []monx.Option{monx.WithSharedMonitor()}
+	failed(t, e10(expCtx(t), shared, shared))
+}
+
+// hotspot is a ring whose busiest node reports a coordinator's load: 2n
+// messages a round, one more than the ring sends.
+type hotspot struct{ dist.Synchronizer }
+
+func (h hotspot) Stats() dist.Stats {
+	st := h.Synchronizer.Stats()
+	st.MaxNodeLoad = st.Messages + st.Rounds
+	return st
+}
+
+// TestE13FailsOnAHotspot: a "ring" with a node that carries every message is
+// no better balanced than the coordinator, and E13 must say so (its verdict
+// used to be a constant).
+func TestE13FailsOnAHotspot(t *testing.T) {
+	failed(t, e13(expCtx(t), func(kind string, n int) dist.Synchronizer {
+		if s := NewSynchronizer(kind, n); kind != "ring" {
+			return s
+		} else {
+			return hotspot{s}
+		}
+	}))
+}
+
+// TestE13FailsOnExtraMessages: a protocol that spends more messages a round
+// than EXPERIMENTS.md says fails too.
+func TestE13FailsOnExtraMessages(t *testing.T) {
+	failed(t, e13(expCtx(t), func(kind string, n int) dist.Synchronizer {
+		if kind == "tree" {
+			kind = "central" // 2n a round where 2(n−1) is claimed
+		}
+		return NewSynchronizer(kind, n)
+	}))
 }
 
 func TestTableRender(t *testing.T) {
@@ -58,12 +120,6 @@ func TestTableRender(t *testing.T) {
 }
 
 func TestHelperFormatting(t *testing.T) {
-	if usPerOp(0, 0) != "n/a" {
-		t.Error("usPerOp zero ops")
-	}
-	if usPerOp(time.Millisecond, 10) != "100.0 µs" {
-		t.Errorf("usPerOp = %s", usPerOp(time.Millisecond, 10))
-	}
 	if pass(true) != "PASS" || pass(false) != "FAIL" {
 		t.Error("pass() wrong")
 	}

@@ -50,11 +50,15 @@
 // The enrollment loops those arms time are the exported drivers below
 // (Broadcast, Contended, Pool, RemoteStar). They take a *testing.B so that
 // bench_test.go's E02–E04 and E15–E17 run the same code under `go test
-// -bench` instead of carrying a copy.
+// -bench` instead of carrying a copy. The loop under Broadcast and
+// RemoteStar — a resident cast plus foreground enrollments — is Residents,
+// which every other benchmark of that shape (E01, E05, E12, E14, the
+// ablations) and internal/experiments' fixtures drive too.
 package perfbench
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -377,50 +381,124 @@ func benchRemoteStar(cfg remote.EnrollerConfig) testing.BenchmarkResult {
 	return testing.Benchmark(func(b *testing.B) { RemoteStar(b, 64, cfg) })
 }
 
-// residents keeps recipient[1..n] of a broadcast resident: n goroutines
-// re-enroll through enroll (an Instance's or an Enroller's Enroll), running
-// body (nil: the definition's own), until ctx ends or an enrollment fails.
-// The returned group is done when all have stopped.
-func residents(ctx context.Context, n int, body core.RoleBody,
-	enroll func(context.Context, core.Enrollment) (core.Result, error)) *sync.WaitGroup {
-	var wg sync.WaitGroup
-	for i := 1; i <= n; i++ {
-		e := core.Enrollment{
-			PID: ids.PID(fmt.Sprintf("R%d", i)), Role: ids.Member(patterns.RoleRecipient, i), Body: body,
-		}
-		wg.Add(1)
+// EnrollFunc is the shape of Instance.Enroll and Enroller.Enroll.
+type EnrollFunc = func(context.Context, core.Enrollment) (core.Result, error)
+
+// Residents keeps a cast resident in a script: each of its enrollments is
+// offered again, from a goroutine of its own, the moment the last one
+// returns, so that the caller's foreground enrollments always find their
+// partners waiting. It is the "k resident enrollers plus one foreground
+// loop" of BenchmarkE01–E05, E12, E14, E17 and the ablations, of Figure 5's
+// managers, and of the experiment tables that drive the same fixtures.
+//
+// A resident whose enrollment fails ends them all, and the foreground with
+// them: a refused worker must fail the run, not leave the foreground
+// waiting for a partner that will never come (or, worse, finishing fast
+// without it).
+type Residents struct {
+	enroll EnrollFunc
+	ctx    context.Context
+	cancel context.CancelCauseFunc
+	wg     sync.WaitGroup
+}
+
+// Keep starts the residents: one goroutine per enrollment of cast, each
+// re-enrolling through enroll until Stop, ctx's end or a failure.
+func Keep(ctx context.Context, enroll EnrollFunc, cast []core.Enrollment) *Residents {
+	r := &Residents{enroll: enroll}
+	r.ctx, r.cancel = context.WithCancelCause(ctx)
+	for _, e := range cast {
+		r.wg.Add(1)
 		go func() {
-			defer wg.Done()
+			defer r.wg.Done()
 			for {
-				if _, err := enroll(ctx, e); err != nil {
+				if _, err := enroll(r.ctx, e); err != nil {
+					// Recorded only if it is what ends the residents: after
+					// Stop or ctx's end the cause is already set.
+					r.cancel(fmt.Errorf("resident %s as %s: %w", e.PID, e.Role, err))
 					return
 				}
 			}
 		}()
 	}
-	return &wg
+	return r
 }
 
-// Broadcast times b.N performances of a broadcast definition (patterns'
-// star or pipeline, whose recipient[1..n] bodies are the script's own): n
-// resident recipients re-enroll forever, and the measured op is one sender
-// enrollment, which is one complete performance.
-func Broadcast(b *testing.B, def core.Definition, n int, opts ...core.Option) {
-	in := core.NewInstance(def, opts...)
-	ctx, cancel := context.WithCancel(context.Background())
-	wg := residents(ctx, n, nil, in.Enroll)
+// Context ends when the residents do; foreground work that does not go
+// through Enroll (a lock request) runs under it.
+func (r *Residents) Context() context.Context { return r.ctx }
+
+// Cause names why a foreground call failed: err itself, unless the residents
+// have ended, in which case it is what ended them.
+func (r *Residents) Cause(err error) error {
+	if err != nil && r.ctx.Err() != nil {
+		return context.Cause(r.ctx)
+	}
+	return err
+}
+
+// Enroll is one foreground enrollment among the residents.
+func (r *Residents) Enroll(e core.Enrollment) (core.Result, error) {
+	res, err := r.enroll(r.ctx, e)
+	return res, r.Cause(err)
+}
+
+// Stop ends the residents, waits for them, and returns the failure that
+// ended them early, if one did.
+func (r *Residents) Stop() error {
+	r.cancel(nil)
+	r.wg.Wait()
+	if err := context.Cause(r.ctx); !errors.Is(err, context.Canceled) {
+		return err
+	}
+	return nil
+}
+
+// Cast is n enrollments, numbered from 1: process <pid>i enrolls as role(i).
+func Cast(n int, pid string, role func(i int) ids.RoleRef) []core.Enrollment {
+	cast := make([]core.Enrollment, n)
+	for i := range cast {
+		cast[i] = core.Enrollment{PID: ids.PID(fmt.Sprintf("%s%d", pid, i+1)), Role: role(i + 1)}
+	}
+	return cast
+}
+
+// Recipient is role(i) of a broadcast's recipients.
+func Recipient(i int) ids.RoleRef { return ids.Member(patterns.RoleRecipient, i) }
+
+// Rounds times b.N foreground enrollments, fg(0) … fg(b.N-1), among a
+// resident cast: with the cast resident, each foreground enrollment is one
+// complete performance.
+func Rounds(b *testing.B, enroll EnrollFunc, cast []core.Enrollment, fg func(i int) core.Enrollment) {
+	r := Keep(context.Background(), enroll, cast)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := in.Enroll(ctx, core.Enrollment{
-			PID: "T", Role: ids.Role(patterns.RoleSender), Args: []any{i},
-		}); err != nil {
+		if _, err := r.Enroll(fg(i)); err != nil {
+			b.StopTimer()
+			r.Stop()
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
-	cancel()
-	in.Close()
-	wg.Wait()
+	if err := r.Stop(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// Performances is Rounds on a fresh instance of def.
+func Performances(b *testing.B, def core.Definition, cast []core.Enrollment, fg func(i int) core.Enrollment, opts ...core.Option) {
+	in := core.NewInstance(def, opts...)
+	defer in.Close()
+	Rounds(b, in.Enroll, cast, fg)
+}
+
+// Broadcast times b.N performances of a broadcast definition (patterns'
+// star or pipeline, whose recipient[1..n] bodies are the script's own): the
+// n recipients are resident, and the measured op is one sender enrollment.
+func Broadcast(b *testing.B, def core.Definition, n int, opts ...core.Option) {
+	Performances(b, def, Cast(n, "R", Recipient), func(i int) core.Enrollment {
+		return core.Enrollment{PID: "T", Role: ids.Role(patterns.RoleSender), Args: []any{i}}
+	}, opts...)
 }
 
 // shareOps has `workers` goroutines collectively complete b.N calls of op,
@@ -496,42 +574,34 @@ func Pool(b *testing.B, size int) {
 func RemoteStar(b *testing.B, n int, cfg remote.EnrollerConfig) {
 	cfg.Script = "star_broadcast"
 	in := core.NewInstance(patterns.StarBroadcast(n))
+	defer in.Close()
 	h := remote.NewHost(in, remote.HostConfig{})
 	if err := h.Listen("127.0.0.1:0"); err != nil {
 		b.Fatal(err)
 	}
+	defer h.Close()
 	go h.Serve()
 	enr := remote.NewEnroller(h.Addr().String(), cfg)
-	ctx, cancel := context.WithCancel(context.Background())
+	defer enr.Close()
+	recipients := Cast(n, "R", Recipient)
 	tos := make([]ids.RoleRef, n)
-	for i := 1; i <= n; i++ {
-		tos[i-1] = ids.Member(patterns.RoleRecipient, i)
-	}
-	wg := residents(ctx, n, func(rc core.Ctx) error {
-		v, err := rc.Recv(ids.Role(patterns.RoleSender))
-		if err != nil {
-			return err
+	for i := range recipients {
+		tos[i] = recipients[i].Role
+		recipients[i].Body = func(rc core.Ctx) error {
+			v, err := rc.Recv(ids.Role(patterns.RoleSender))
+			if err != nil {
+				return err
+			}
+			rc.SetResult(0, v)
+			return nil
 		}
-		rc.SetResult(0, v)
-		return nil
-	}, enr.Enroll)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		val := i
-		_, err := enr.Enroll(ctx, core.Enrollment{
+	}
+	Rounds(b, enr.Enroll, recipients, func(i int) core.Enrollment {
+		return core.Enrollment{
 			PID: "T", Role: ids.Role(patterns.RoleSender),
-			Body: func(rc core.Ctx) error { return rc.SendAll(tos, val) },
-		})
-		if err != nil {
-			b.Fatal(err)
+			Body: func(rc core.Ctx) error { return rc.SendAll(tos, i) },
 		}
-	}
-	b.StopTimer()
-	cancel()
-	wg.Wait()
-	enr.Close()
-	h.Close()
-	in.Close()
+	})
 }
 
 // driveStats is what one fixed-window drive observed. Throughput and p99

@@ -1,6 +1,7 @@
 package perfbench
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"sync"
@@ -8,8 +9,39 @@ import (
 	"testing"
 	"time"
 
+	"github.com/scriptabs/goscript/internal/core"
 	"github.com/scriptabs/goscript/internal/ids"
+	"github.com/scriptabs/goscript/internal/patterns"
 )
+
+// TestResidentFailureReachesForeground: a resident that is refused (here: a
+// recipient the script does not have) must fail the foreground enrollment
+// that would otherwise wait for it for ever, and Stop must name it; a cast
+// that is all there performs, and Stop is silent.
+func TestResidentFailureReachesForeground(t *testing.T) {
+	in := core.NewInstance(patterns.StarBroadcast(2))
+	defer in.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	sender := core.Enrollment{PID: "T", Role: ids.Role(patterns.RoleSender), Args: []any{1}}
+
+	r := Keep(ctx, in.Enroll, Cast(2, "R", Recipient))
+	if _, err := r.Enroll(sender); err != nil {
+		t.Fatalf("full cast: %v", err)
+	}
+	if err := r.Stop(); err != nil {
+		t.Fatalf("Stop after a clean run: %v", err)
+	}
+
+	r = Keep(ctx, in.Enroll, Cast(2, "R", func(i int) ids.RoleRef { return Recipient(i + 1) }))
+	_, err := r.Enroll(sender)
+	if !errors.Is(err, core.ErrUnknownRole) {
+		t.Fatalf("foreground err = %v, want the refused resident's", err)
+	}
+	if err := r.Stop(); !errors.Is(err, core.ErrUnknownRole) {
+		t.Fatalf("Stop = %v, want the refused resident's error", err)
+	}
+}
 
 // TestDriveAccounting pins the fixed-window drive E8, E11 and E12 share:
 // every attempt is counted exactly once as completed or failed, throughput

@@ -2,162 +2,56 @@ package equiv
 
 import (
 	"context"
-	"fmt"
-	"sync"
+	"errors"
+	"reflect"
 	"testing"
 	"time"
 
 	"github.com/scriptabs/goscript/internal/core"
-	"github.com/scriptabs/goscript/internal/csp"
 	"github.com/scriptabs/goscript/internal/ids"
 	"github.com/scriptabs/goscript/internal/patterns"
-	"github.com/scriptabs/goscript/internal/trans/adax"
-	"github.com/scriptabs/goscript/internal/trans/cspx"
 	"github.com/scriptabs/goscript/internal/trans/monx"
 )
 
-// enrollment is one scripted participation: which role, with which args.
-type enrollment struct {
-	role ids.RoleRef
-	args []any
+// hosts gives the four runners one shape.
+var hosts = map[string]func(context.Context, core.Definition, []Part, int) (Outs, error){
+	"native": func(ctx context.Context, def core.Definition, cast []Part, rounds int) (Outs, error) {
+		return Native(ctx, def, cast, rounds)
+	},
+	"cspx": func(ctx context.Context, def core.Definition, cast []Part, rounds int) (Outs, error) {
+		outs, _, err := CSP(ctx, def, cast, rounds)
+		return outs, err
+	},
+	"adax": func(ctx context.Context, def core.Definition, cast []Part, rounds int) (Outs, error) {
+		outs, _, err := Ada(ctx, def, cast, rounds)
+		return outs, err
+	},
+	"monx": func(ctx context.Context, def core.Definition, cast []Part, rounds int) (Outs, error) {
+		outs, _, err := Monitors(ctx, def, cast, rounds, monx.WithCapacity(4))
+		return outs, err
+	},
 }
 
-// runner executes a full cast of enrollments (one per role, concurrently)
-// against one host and returns each role's out-parameters.
-type runner func(t *testing.T, def core.Definition, cast []enrollment) map[string][]any
-
-// runNative runs the cast on the native runtime.
-func runNative(t *testing.T, def core.Definition, cast []enrollment) map[string][]any {
-	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-	in := core.NewInstance(def)
-	defer in.Close()
-	return collect(t, cast, func(e enrollment) ([]any, error) {
-		res, err := in.Enroll(ctx, core.Enrollment{
-			PID: ids.PID("proc-" + e.role.String()), Role: e.role, Args: e.args,
-		})
-		return res.Values, err
-	})
-}
-
-// runCSPX runs the cast through the CSP translation with full naming.
-func runCSPX(t *testing.T, def core.Definition, cast []enrollment) map[string][]any {
-	t.Helper()
-	host, err := cspx.New(def)
-	if err != nil {
-		t.Fatalf("cspx: %v", err)
-	}
-	binding := make(map[ids.RoleRef]string, len(cast))
-	for _, e := range cast {
-		binding[e.role] = "proc-" + e.role.String()
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-
-	var mu sync.Mutex
-	outs := make(map[string][]any, len(cast))
-	sys := csp.NewSystem()
-	for _, e := range cast {
-		e := e
-		sys.Process(binding[e.role], func(p *csp.Proc) error {
-			vals, err := host.Enroll(p, e.role, binding, e.args)
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			outs[e.role.String()] = vals
-			mu.Unlock()
-			return nil
-		})
-	}
-	host.AddSupervisor(sys, 1)
-	if err := sys.Run(ctx); err != nil {
-		t.Fatalf("cspx system: %v", err)
-	}
-	return outs
-}
-
-// runAdaX runs the cast through the Ada translation.
-func runAdaX(t *testing.T, def core.Definition, cast []enrollment) map[string][]any {
-	t.Helper()
-	host, err := adax.New(def)
-	if err != nil {
-		t.Fatalf("adax: %v", err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-	if err := host.Start(ctx); err != nil {
-		t.Fatalf("adax start: %v", err)
-	}
-	outs := collect(t, cast, func(e enrollment) ([]any, error) {
-		return host.Enroll(ctx, e.role, e.args)
-	})
-	if err := host.Shutdown(); err != nil {
-		t.Fatalf("adax shutdown: %v", err)
-	}
-	return outs
-}
-
-// runMonX runs the cast through the monitor embedding.
-func runMonX(t *testing.T, def core.Definition, cast []enrollment) map[string][]any {
-	t.Helper()
-	host, err := monx.New(def, monx.WithCapacity(4))
-	if err != nil {
-		t.Fatalf("monx: %v", err)
-	}
-	return collect(t, cast, func(e enrollment) ([]any, error) {
-		return host.Enroll(e.role, e.args)
-	})
-}
-
-// collect runs every enrollment concurrently and gathers the outputs.
-func collect(t *testing.T, cast []enrollment, enroll func(enrollment) ([]any, error)) map[string][]any {
-	t.Helper()
-	var mu sync.Mutex
-	outs := make(map[string][]any, len(cast))
-	var wg sync.WaitGroup
-	for _, e := range cast {
-		e := e
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			vals, err := enroll(e)
-			if err != nil {
-				t.Errorf("role %s: %v", e.role, err)
-				return
-			}
-			mu.Lock()
-			outs[e.role.String()] = vals
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
-	return outs
-}
-
-// scenario is one definition plus its cast and the expected outputs.
+// scenario is one definition plus its cast and the expected outputs of each
+// of two rounds.
 type scenario struct {
 	name string
 	def  core.Definition
-	cast []enrollment
-	want map[string][]any
+	cast []Part
+	want Outs
 }
 
 func scenarios() []scenario {
-	broadcastCast := func(n int, x any) ([]enrollment, map[string][]any) {
-		cast := []enrollment{{role: ids.Role(patterns.RoleSender), args: []any{x}}}
-		want := map[string][]any{patterns.RoleSender: nil}
-		for i := 1; i <= n; i++ {
-			r := ids.Member(patterns.RoleRecipient, i)
-			cast = append(cast, enrollment{role: r})
-			want[r.String()] = []any{x}
+	broadcast := func(n int, values ...any) ([]Part, Outs) {
+		cast := Broadcast(n, func(round int) any { return values[round] })
+		want := Outs{cast[0].Role: {nil, nil}}
+		for _, p := range cast[1:] {
+			want[p.Role] = [][]any{{values[0]}, {values[1]}}
 		}
 		return cast, want
 	}
-
-	starCast, starWant := broadcastCast(3, "S")
-	pipeCast, pipeWant := broadcastCast(3, 42)
+	starCast, starWant := broadcast(3, "S", "T")
+	pipeCast, pipeWant := broadcast(3, 42, 43)
 
 	// sumChain: a[1] sends its arg to a[2], which adds its own and reports.
 	sumChain := core.NewScript("sum_chain").
@@ -177,49 +71,71 @@ func scenarios() []scenario {
 	return []scenario{
 		{"star_broadcast", patterns.StarBroadcast(3), starCast, starWant},
 		{"pipeline_broadcast", patterns.PipelineBroadcast(3), pipeCast, pipeWant},
-		{"sum_chain", sumChain, []enrollment{
-			{role: ids.Member("a", 1), args: []any{10}},
-			{role: ids.Member("a", 2), args: []any{32}},
-		}, map[string][]any{
-			"a[1]": nil,
-			"a[2]": {42},
+		{"sum_chain", sumChain, []Part{
+			{Role: ids.Member("a", 1), Args: func(round int) []any { return []any{10 + round} }},
+			{Role: ids.Member("a", 2), Args: func(int) []any { return []any{32} }},
+		}, Outs{
+			ids.Member("a", 1): {nil, nil},
+			ids.Member("a", 2): {{42}, {43}},
 		}},
 	}
 }
 
 // TestObservationalEquivalenceAcrossHosts is the Section IV theorem as a
-// test: for each scenario, all four runtimes produce the same role outputs.
+// test: for each scenario, all four runtimes produce the same role outputs,
+// in a first performance and in the one that follows it.
 func TestObservationalEquivalenceAcrossHosts(t *testing.T) {
-	hosts := map[string]runner{
-		"native": runNative,
-		"cspx":   runCSPX,
-		"adax":   runAdaX,
-		"monx":   runMonX,
-	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
 	for _, sc := range scenarios() {
-		sc := sc
 		for hostName, run := range hosts {
-			hostName, run := hostName, run
-			t.Run(fmt.Sprintf("%s/%s", sc.name, hostName), func(t *testing.T) {
-				got := run(t, sc.def, sc.cast)
+			t.Run(sc.name+"/"+hostName, func(t *testing.T) {
+				got, err := run(ctx, sc.def, sc.cast, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
 				for role, want := range sc.want {
-					g := got[role]
-					if len(want) == 0 {
-						if len(g) != 0 {
-							t.Errorf("role %s produced %v, want none", role, g)
+					for round := range want {
+						g := got[role][round]
+						if len(g) == 0 && len(want[round]) == 0 {
+							continue
 						}
-						continue
-					}
-					if len(g) != len(want) {
-						t.Fatalf("role %s produced %v, want %v", role, g, want)
-					}
-					for i := range want {
-						if g[i] != want[i] {
-							t.Errorf("role %s value %d = %v, want %v", role, i, g[i], want[i])
+						if !reflect.DeepEqual(g, want[round]) {
+							t.Errorf("role %s round %d produced %v, want %v", role, round, g, want[round])
 						}
 					}
 				}
 			})
 		}
+	}
+}
+
+// TestParticipantErrorReachesCaller: a role whose body fails must fail the
+// run, at once, on every host. On the monitors the partner it strands can
+// never be cancelled and must not be waited for, so the failure reported is
+// the role's own; elsewhere the stranded partner fails too and either error
+// may be first.
+func TestParticipantErrorReachesCaller(t *testing.T) {
+	boom := errors.New("boom")
+	def := core.NewScript("half_exchange").
+		Role("left", func(rc core.Ctx) error {
+			_, err := rc.Recv(ids.Role("right"))
+			return err
+		}).
+		Role("right", func(rc core.Ctx) error { return boom }).
+		MustBuild()
+	cast := []Part{{Role: ids.Role("left")}, {Role: ids.Role("right")}}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	for hostName, run := range hosts {
+		t.Run(hostName, func(t *testing.T) {
+			_, err := run(ctx, def, cast, 1)
+			if err == nil || ctx.Err() != nil {
+				t.Fatalf("err = %v (ctx: %v), want a prompt failure", err, ctx.Err())
+			}
+			if hostName == "monx" && !errors.Is(err, boom) {
+				t.Fatalf("err = %v, want the role's own failure", err)
+			}
+		})
 	}
 }

@@ -152,6 +152,17 @@ func (h *Host) Enroll(role ids.RoleRef, args []any) ([]any, error) {
 
 func (h *Host) countFilled() int { return len(h.filled) }
 
+// Monitors returns how many monitors guard the host's mailboxes: one per
+// mailbox in the default packaging, one in all under WithSharedMonitor. It is
+// what the packaging *is* — experiment E10 judges this, not a stopwatch.
+func (h *Host) Monitors() int {
+	distinct := make(map[*monitor.M]bool, len(h.mailboxes))
+	for _, mb := range h.mailboxes {
+		distinct[mb.m] = true
+	}
+	return len(distinct)
+}
+
 // Performances returns the number of performances activated so far.
 func (h *Host) Performances() int {
 	h.sup.Enter()
