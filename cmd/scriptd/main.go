@@ -25,7 +25,8 @@
 // versions, trace drops) in Prometheus text format at /metrics, plus the
 // host's live gauges and Go's expvar at /debug/vars. The resolved address
 // is printed as "metrics on ADDR". -trace-sample enables sampled tracing of
-// the served performances.
+// the served performances; the last traceTail events recorded are served as
+// JSON (the form cmd/tracecheck reads) at /debug/trace.
 //
 // Fleet: -registry joins a cluster registry and announces this host (its
 // serve address, script name, and a live load digest refreshed every
@@ -86,7 +87,7 @@ func run(args []string, out io.Writer) error {
 	maxProto := fs.Int("max-proto", 0,
 		"highest SCRW protocol version to negotiate (0 = newest; 1 pins the JSON v1 wire)")
 	metricsAddr := fs.String("metrics-addr", "",
-		"TCP address for the /metrics and /debug/vars HTTP endpoint (empty disables; port 0 picks a free port)")
+		"TCP address for the /metrics, /debug/vars and /debug/trace HTTP endpoint (empty disables; port 0 picks a free port)")
 	sampleFrac := fs.Float64("trace-sample", 0,
 		"fraction of performances to trace, 0..1 (0 disables sampled tracing)")
 	sampleSeed := fs.Uint64("trace-seed", 1, "seed for the deterministic trace sampler")
@@ -121,13 +122,13 @@ func run(args []string, out io.Writer) error {
 	if *deadline > 0 {
 		opts = append(opts, core.WithPerformanceDeadline(*deadline))
 	}
-	var asyncTracer *trace.Async
+	var tail *trace.Tail
 	if *sampleFrac > 0 {
-		// Sampled tracing: events of sampled performances land in an
-		// in-memory log behind an async ring, counters in the metrics
-		// registry track drops. The log is a placeholder sink — the point
-		// in scriptd is the sampling and the trace IDs on the wire.
-		asyncTracer = trace.NewAsync(&trace.Log{}, 0)
+		// Sampled tracing: events of sampled performances land, through an
+		// async tracer whose drops the metrics registry counts, in a bounded
+		// tail that /debug/trace reads.
+		tail = trace.NewTail(traceTail)
+		asyncTracer := trace.NewAsync(tail, 0)
 		defer asyncTracer.Close()
 		opts = append(opts,
 			core.WithTracer(asyncTracer),
@@ -218,7 +219,7 @@ func run(args []string, out io.Writer) error {
 			return fmt.Errorf("metrics listener: %w", err)
 		}
 		defer mln.Close()
-		srv := &http.Server{Handler: metricsMux(h, in, reg, def.Name())}
+		srv := &http.Server{Handler: metricsMux(h, in, reg, def.Name(), tail)}
 		go func() { _ = srv.Serve(mln) }()
 		defer srv.Close()
 		fmt.Fprintf(out, "metrics on %s\n", mln.Addr())
@@ -250,10 +251,17 @@ func run(args []string, out io.Writer) error {
 	}
 }
 
+// traceTail is how many of the most recent trace events a daemon started
+// with -trace-sample keeps for /debug/trace: about a megabyte, whatever the
+// traffic and however long the daemon lives.
+const traceTail = 4096
+
 // metricsMux builds the observability endpoint: /metrics serves the
 // process-wide counter registry plus the host's live gauges in Prometheus
-// text format, /debug/vars serves Go's expvar JSON.
-func metricsMux(h *remote.Host, in *core.Instance, reg registry.Registry, script string) *http.ServeMux {
+// text format, /debug/vars serves Go's expvar JSON, and /debug/trace the tail
+// of sampled trace events as trace.WriteJSON writes them (404 when the daemon
+// samples nothing).
+func metricsMux(h *remote.Host, in *core.Instance, reg registry.Registry, script string, tail *trace.Tail) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
@@ -285,5 +293,11 @@ func metricsMux(h *remote.Host, in *core.Instance, reg registry.Registry, script
 		}
 	})
 	mux.Handle("/debug/vars", expvar.Handler())
+	if tail != nil {
+		mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			_ = trace.WriteJSON(w, tail.Events()) // the client went away: nothing to tell it
+		})
+	}
 	return mux
 }

@@ -19,6 +19,7 @@ import (
 	"github.com/scriptabs/goscript/internal/ids"
 	"github.com/scriptabs/goscript/internal/patterns"
 	"github.com/scriptabs/goscript/internal/remote"
+	"github.com/scriptabs/goscript/internal/trace"
 )
 
 func TestList(t *testing.T) {
@@ -202,6 +203,32 @@ func TestEndToEnd(t *testing.T) {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/metrics missing %q in:\n%s", want, body)
 		}
+	}
+
+	// -trace-sample keeps the tail of the sampled events for /debug/trace, in
+	// the form tracecheck reads. The events reach the tail through the async
+	// tracer's drainer, so the last of them may be a moment behind the
+	// enrollments' return.
+	var started map[int]bool
+	for deadline := time.Now().Add(5 * time.Second); len(started) < 2 && time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+		resp, err := http.Get("http://" + maddr + "/debug/trace")
+		if err != nil {
+			t.Fatalf("GET /debug/trace: %v", err)
+		}
+		events, err := trace.ReadJSON(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("/debug/trace (status %s) does not parse as a trace: %v", resp.Status, err)
+		}
+		started = map[int]bool{}
+		for _, e := range events {
+			if e.Kind == trace.KindPerfStart && e.TraceID != 0 {
+				started[e.Performance] = true
+			}
+		}
+	}
+	if !started[1] || !started[2] {
+		t.Errorf("/debug/trace shows sampled starts of performances %v, want 1 and 2", started)
 	}
 
 	// Graceful shutdown: SIGINT → drain → clean exit. The pipe must be read

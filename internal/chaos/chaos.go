@@ -149,10 +149,12 @@ func New(cfg Config) *Injector {
 	return &Injector{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 }
 
-// draw makes one probabilistic decision: with probability p it returns a
-// duration uniform in (0, max], otherwise 0. A single locked PRNG keeps the
-// per-seed decision stream reproducible.
-func (j *Injector) draw(p float64, max time.Duration) time.Duration {
+// delay makes one probabilistic decision of a magnitude class: with
+// probability p it counts a hit and returns a duration uniform in (0, max],
+// otherwise 0. A disabled class (no probability or no magnitude) draws
+// nothing. A single locked PRNG keeps the per-seed decision stream
+// reproducible.
+func (j *Injector) delay(p float64, max time.Duration, hits *atomic.Uint64) time.Duration {
 	j.consultions.Add(1)
 	if p <= 0 || max <= 0 {
 		return 0
@@ -162,166 +164,13 @@ func (j *Injector) draw(p float64, max time.Duration) time.Duration {
 	if j.rng.Float64() >= p {
 		return 0
 	}
+	hits.Add(1)
 	return time.Duration(j.rng.Int63n(int64(max))) + 1
 }
 
-// OpDelay implements core.FaultInjector.
-func (j *Injector) OpDelay() time.Duration {
-	d := j.draw(j.cfg.OpDelayP, j.cfg.OpDelayMax)
-	if d > 0 {
-		j.opDelays.Add(1)
-	}
-	return d
-}
-
-// WakeDelay implements core.FaultInjector.
-func (j *Injector) WakeDelay() time.Duration {
-	d := j.draw(j.cfg.WakeDelayP, j.cfg.WakeDelayMax)
-	if d > 0 {
-		j.wakeDelays.Add(1)
-	}
-	return d
-}
-
-// CancelAfter implements core.FaultInjector.
-func (j *Injector) CancelAfter() time.Duration {
-	d := j.draw(j.cfg.CancelP, j.cfg.CancelAfterMax)
-	if d > 0 {
-		j.cancels.Add(1)
-	}
-	return d
-}
-
-// FastDelay implements rendezvous.FastFaults: a latency imposed after a
-// fast-lane op parks in its exchange cell.
-func (j *Injector) FastDelay() time.Duration {
-	d := j.draw(j.cfg.FastDelayP, j.cfg.FastDelayMax)
-	if d > 0 {
-		j.fastDelays.Add(1)
-	}
-	return d
-}
-
-// FastEvict implements rendezvous.FastFaults: with probability FastEvictP
-// the parked op is evicted from its cell and retried through the slow lane.
-func (j *Injector) FastEvict() bool {
-	j.consultions.Add(1)
-	if j.cfg.FastEvictP <= 0 {
-		return false
-	}
-	j.mu.Lock()
-	hit := j.rng.Float64() < j.cfg.FastEvictP
-	j.mu.Unlock()
-	if hit {
-		j.fastEvicts.Add(1)
-	}
-	return hit
-}
-
-// FrameDelay implements remote.NetFaults: a latency imposed before a wire
-// frame write.
-func (j *Injector) FrameDelay() time.Duration {
-	d := j.draw(j.cfg.NetDelayP, j.cfg.NetDelayMax)
-	if d > 0 {
-		j.netDelays.Add(1)
-	}
-	return d
-}
-
-// DropConn implements remote.NetFaults: with probability NetDropP the
-// connection is severed at this frame boundary.
-func (j *Injector) DropConn() bool {
-	j.consultions.Add(1)
-	if j.cfg.NetDropP <= 0 {
-		return false
-	}
-	j.mu.Lock()
-	hit := j.rng.Float64() < j.cfg.NetDropP
-	j.mu.Unlock()
-	if hit {
-		j.netDrops.Add(1)
-	}
-	return hit
-}
-
-// CutConn implements remote.NetFaults: with probability NetCutP the
-// client's live connection is severed mid-operation.
-func (j *Injector) CutConn() bool {
-	hit := j.hit(j.cfg.NetCutP)
-	if hit {
-		j.netCuts.Add(1)
-	}
-	return hit
-}
-
-// StallHeartbeat implements remote.NetFaults: how long a client heartbeat
-// stalls before sending.
-func (j *Injector) StallHeartbeat() time.Duration {
-	d := j.draw(j.cfg.NetStallP, j.cfg.NetStallMax)
-	if d > 0 {
-		j.netStalls.Add(1)
-	}
-	return d
-}
-
-// Overload implements remote.NetFaults: with probability OverloadP the host
-// sheds the enrollment with ErrOverloaded (an injected overload burst).
-func (j *Injector) Overload() bool {
-	j.consultions.Add(1)
-	if j.cfg.OverloadP <= 0 {
-		return false
-	}
-	j.mu.Lock()
-	hit := j.rng.Float64() < j.cfg.OverloadP
-	j.mu.Unlock()
-	if hit {
-		j.overloads.Add(1)
-	}
-	return hit
-}
-
-// DropGossip implements registry.GossipFaults: with probability GossipDropP
-// the outgoing announcement packet is dropped.
-func (j *Injector) DropGossip() bool {
-	hit := j.hit(j.cfg.GossipDropP)
-	if hit {
-		j.gossipDrops.Add(1)
-	}
-	return hit
-}
-
-// DelayGossip implements registry.GossipFaults: how long an outgoing gossip
-// packet is delayed.
-func (j *Injector) DelayGossip() time.Duration {
-	d := j.draw(j.cfg.GossipDelayP, j.cfg.GossipDelayMax)
-	if d > 0 {
-		j.gossipDelays.Add(1)
-	}
-	return d
-}
-
-// DupGossip implements registry.GossipFaults: with probability GossipDupP
-// the outgoing packet is sent twice.
-func (j *Injector) DupGossip() bool {
-	hit := j.hit(j.cfg.GossipDupP)
-	if hit {
-		j.gossipDups.Add(1)
-	}
-	return hit
-}
-
-// StaleLoad implements registry.GossipFaults: with probability GossipStaleP
-// a round re-announces the previous load digest.
-func (j *Injector) StaleLoad() bool {
-	hit := j.hit(j.cfg.GossipStaleP)
-	if hit {
-		j.gossipStales.Add(1)
-	}
-	return hit
-}
-
-// hit makes one boolean decision with probability p from the seeded stream.
-func (j *Injector) hit(p float64) bool {
+// hit makes one boolean decision with probability p from the same stream,
+// counting it when it fires.
+func (j *Injector) hit(p float64, hits *atomic.Uint64) bool {
 	j.consultions.Add(1)
 	if p <= 0 {
 		return false
@@ -329,8 +178,78 @@ func (j *Injector) hit(p float64) bool {
 	j.mu.Lock()
 	hit := j.rng.Float64() < p
 	j.mu.Unlock()
+	if hit {
+		hits.Add(1)
+	}
 	return hit
 }
+
+// OpDelay implements core.FaultInjector.
+func (j *Injector) OpDelay() time.Duration {
+	return j.delay(j.cfg.OpDelayP, j.cfg.OpDelayMax, &j.opDelays)
+}
+
+// WakeDelay implements core.FaultInjector.
+func (j *Injector) WakeDelay() time.Duration {
+	return j.delay(j.cfg.WakeDelayP, j.cfg.WakeDelayMax, &j.wakeDelays)
+}
+
+// CancelAfter implements core.FaultInjector.
+func (j *Injector) CancelAfter() time.Duration {
+	return j.delay(j.cfg.CancelP, j.cfg.CancelAfterMax, &j.cancels)
+}
+
+// FastDelay implements rendezvous.FastFaults: a latency imposed after a
+// fast-lane op parks in its exchange cell.
+func (j *Injector) FastDelay() time.Duration {
+	return j.delay(j.cfg.FastDelayP, j.cfg.FastDelayMax, &j.fastDelays)
+}
+
+// FastEvict implements rendezvous.FastFaults: with probability FastEvictP
+// the parked op is evicted from its cell and retried through the slow lane.
+func (j *Injector) FastEvict() bool { return j.hit(j.cfg.FastEvictP, &j.fastEvicts) }
+
+// FrameDelay implements remote.NetFaults: a latency imposed before a wire
+// frame write.
+func (j *Injector) FrameDelay() time.Duration {
+	return j.delay(j.cfg.NetDelayP, j.cfg.NetDelayMax, &j.netDelays)
+}
+
+// DropConn implements remote.NetFaults: with probability NetDropP the
+// connection is severed at this frame boundary.
+func (j *Injector) DropConn() bool { return j.hit(j.cfg.NetDropP, &j.netDrops) }
+
+// CutConn implements remote.NetFaults: with probability NetCutP the
+// client's live connection is severed mid-operation.
+func (j *Injector) CutConn() bool { return j.hit(j.cfg.NetCutP, &j.netCuts) }
+
+// StallHeartbeat implements remote.NetFaults: how long a client heartbeat
+// stalls before sending.
+func (j *Injector) StallHeartbeat() time.Duration {
+	return j.delay(j.cfg.NetStallP, j.cfg.NetStallMax, &j.netStalls)
+}
+
+// Overload implements remote.NetFaults: with probability OverloadP the host
+// sheds the enrollment with ErrOverloaded (an injected overload burst).
+func (j *Injector) Overload() bool { return j.hit(j.cfg.OverloadP, &j.overloads) }
+
+// DropGossip implements registry.GossipFaults: with probability GossipDropP
+// the outgoing announcement packet is dropped.
+func (j *Injector) DropGossip() bool { return j.hit(j.cfg.GossipDropP, &j.gossipDrops) }
+
+// DelayGossip implements registry.GossipFaults: how long an outgoing gossip
+// packet is delayed.
+func (j *Injector) DelayGossip() time.Duration {
+	return j.delay(j.cfg.GossipDelayP, j.cfg.GossipDelayMax, &j.gossipDelays)
+}
+
+// DupGossip implements registry.GossipFaults: with probability GossipDupP
+// the outgoing packet is sent twice.
+func (j *Injector) DupGossip() bool { return j.hit(j.cfg.GossipDupP, &j.gossipDups) }
+
+// StaleLoad implements registry.GossipFaults: with probability GossipStaleP
+// a round re-announces the previous load digest.
+func (j *Injector) StaleLoad() bool { return j.hit(j.cfg.GossipStaleP, &j.gossipStales) }
 
 // GossipStats reports how many gossip-plane faults of each class have been
 // injected.

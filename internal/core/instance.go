@@ -721,7 +721,7 @@ func (in *Instance) Enroll(ctx context.Context, e Enrollment) (Result, error) {
 	if e.Body != nil {
 		body = e.Body
 	}
-	bodyErr := runBody(body, rc)
+	bodyErr := RunBody(body, rc)
 
 	in.mu.Lock()
 	in.recordPerf(perf, trace.Event{
@@ -775,9 +775,10 @@ func (in *Instance) Enroll(ctx context.Context, e Enrollment) (Result, error) {
 	}
 }
 
-// runBody executes the role body, converting a panic into an error so a
-// buggy role cannot wedge the whole instance.
-func runBody(body RoleBody, rc *RoleCtx) (err error) {
+// RunBody executes a role body, converting a panic into an error so a buggy
+// role cannot wedge the whole instance — or, where another host runs the body
+// (a remote enroller's process, the Ada and monitor translations), that host.
+func RunBody(body RoleBody, rc Ctx) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("role body panicked: %v", r)

@@ -73,16 +73,12 @@ type counter struct {
 	byNode map[string]int
 }
 
-func newCounter() *counter {
-	return &counter{byNode: make(map[string]int)}
-}
-
-func (c *counter) note(from, to string) {
+func (c *counter) note(from, to rendezvous.Addr) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.total++
-	c.byNode[from]++
-	c.byNode[to]++
+	c.byNode[string(from)]++
+	c.byNode[string(to)]++
 }
 
 func (c *counter) snapshot(rounds int) Stats {
@@ -97,64 +93,155 @@ func (c *counter) snapshot(rounds int) Stats {
 	return s
 }
 
-// ---------------------------------------------------------------------------
-// Central coordinator
-
-// Central is the supervisor-shaped synchronizer.
-type Central struct {
+// shell is what the three synchronizers share: the fabric their node
+// processes talk over and its traffic counter, the hand-off by which role i's
+// enroller reaches node i and waits for its release, the round count, and a
+// Close that stops the processes once. Ring and Tree differ from it only in
+// the node function they start; Central starts its coordinator instead and
+// enrolls over the fabric.
+type shell struct {
 	n       int
 	fabric  *rendezvous.Fabric
-	counter *counter
+	counter counter
+	arrive  []chan chan int // arrive[i]: role i's enroller hands node i its release channel
+	stop    chan struct{}   // closed by Close
+	cancel  context.CancelFunc
+	wg      sync.WaitGroup
 
 	mu     sync.Mutex
 	rounds int
 	closed bool
-	cancel context.CancelFunc
-	done   chan struct{}
 }
+
+// start readies s for n roles (at least one) and runs node(ctx, i) for i in
+// 1..nodes until Close.
+func (s *shell) start(n, nodes int, node func(ctx context.Context, i int)) {
+	ctx, cancel := context.WithCancel(context.Background())
+	s.n = max(n, 1)
+	s.fabric = rendezvous.New()
+	s.counter.byNode = make(map[string]int)
+	s.arrive = make([]chan chan int, s.n+1)
+	for i := range s.arrive {
+		s.arrive[i] = make(chan chan int)
+	}
+	s.stop = make(chan struct{})
+	s.cancel = cancel
+	s.wg.Add(nodes)
+	for i := 1; i <= nodes; i++ {
+		go func() {
+			defer s.wg.Done()
+			node(ctx, i)
+		}()
+	}
+}
+
+// checkRole rejects a role index outside 1..n.
+func (s *shell) checkRole(i int) error {
+	if i < 1 || i > s.n {
+		return fmt.Errorf("dist: role %d out of range 1..%d", i, s.n)
+	}
+	return nil
+}
+
+// awaitLocal is node i waiting for its role's enroller; nil means Close.
+func (s *shell) awaitLocal(ctx context.Context, i int) chan int {
+	select {
+	case w := <-s.arrive[i]:
+		return w
+	case <-ctx.Done():
+		return nil
+	}
+}
+
+// setRounds records that round has committed.
+func (s *shell) setRounds(round int) {
+	s.mu.Lock()
+	s.rounds = max(s.rounds, round)
+	s.mu.Unlock()
+}
+
+// Enroll implements Synchronizer: hand node i a release channel, then wait on
+// it.
+func (s *shell) Enroll(ctx context.Context, i int) (int, error) {
+	if err := s.checkRole(i); err != nil {
+		return 0, err
+	}
+	release := make(chan int, 1)
+	select {
+	case s.arrive[i] <- release:
+	case <-s.stop:
+		return 0, ErrClosed
+	case <-ctx.Done():
+		return 0, ctx.Err()
+	}
+	select {
+	case round := <-release:
+		return round, nil
+	case <-s.stop:
+		return 0, ErrClosed
+	case <-ctx.Done():
+		return 0, ctx.Err()
+	}
+}
+
+// Stats implements Synchronizer.
+func (s *shell) Stats() Stats {
+	s.mu.Lock()
+	rounds := s.rounds
+	s.mu.Unlock()
+	return s.counter.snapshot(rounds)
+}
+
+// Close implements Synchronizer.
+func (s *shell) Close() {
+	s.mu.Lock()
+	closed := s.closed
+	s.closed = true
+	s.mu.Unlock()
+	if closed {
+		return
+	}
+	close(s.stop)
+	s.cancel()
+	s.fabric.Close()
+	s.wg.Wait()
+}
+
+// ---------------------------------------------------------------------------
+// Central coordinator
+
+// Central is the supervisor-shaped synchronizer.
+type Central struct{ shell }
 
 const coordAddr rendezvous.Addr = "coordinator"
 
 // NewCentral creates a central synchronizer for n roles and starts its
 // coordinator process.
 func NewCentral(n int) *Central {
-	if n < 1 {
-		n = 1
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	c := &Central{
-		n:       n,
-		fabric:  rendezvous.New(),
-		counter: newCounter(),
-		cancel:  cancel,
-		done:    make(chan struct{}),
-	}
-	go c.coordinate(ctx)
+	c := &Central{}
+	c.start(n, 1, func(ctx context.Context, _ int) { c.coordinate(ctx) })
 	return c
 }
 
 // coordinate is the coordinator process: collect n offers, release n
 // enrollers, repeat.
 func (c *Central) coordinate(ctx context.Context) {
-	defer close(c.done)
-	for {
-		waiting := make([]rendezvous.Addr, 0, c.n)
+	waiting := make([]rendezvous.Addr, 0, c.n)
+	for round := 1; ; round++ {
+		waiting = waiting[:0]
 		for len(waiting) < c.n {
 			out, err := c.fabric.RecvAny(ctx, coordAddr)
 			if err != nil {
 				return
 			}
-			c.counter.note(string(out.Peer), string(coordAddr))
+			c.counter.note(out.Peer, coordAddr)
 			waiting = append(waiting, out.Peer)
 		}
-		c.mu.Lock()
-		c.rounds++
-		round := c.rounds
-		c.mu.Unlock()
+		c.setRounds(round)
 		for _, peer := range waiting {
 			// Count before sending: the released enroller may read Stats
 			// before this goroutine is rescheduled.
-			c.counter.note(string(coordAddr), string(peer))
+			c.counter.note(coordAddr, peer)
 			if err := c.fabric.Send(ctx, coordAddr, peer, "release", round); err != nil {
 				return
 			}
@@ -166,10 +253,11 @@ func nodeAddr(i int) rendezvous.Addr {
 	return rendezvous.Addr(fmt.Sprintf("node[%d]", i))
 }
 
-// Enroll implements Synchronizer.
+// Enroll implements Synchronizer: the enroller itself offers to the
+// coordinator and awaits its release, both over the fabric.
 func (c *Central) Enroll(ctx context.Context, i int) (int, error) {
-	if i < 1 || i > c.n {
-		return 0, fmt.Errorf("dist: role %d out of range 1..%d", i, c.n)
+	if err := c.checkRole(i); err != nil {
+		return 0, err
 	}
 	me := nodeAddr(i)
 	if err := c.fabric.Send(ctx, me, coordAddr, "offer", i); err != nil {
@@ -181,28 +269,6 @@ func (c *Central) Enroll(ctx context.Context, i int) (int, error) {
 	}
 	round, _ := v.(int)
 	return round, nil
-}
-
-// Stats implements Synchronizer.
-func (c *Central) Stats() Stats {
-	c.mu.Lock()
-	rounds := c.rounds
-	c.mu.Unlock()
-	return c.counter.snapshot(rounds)
-}
-
-// Close implements Synchronizer.
-func (c *Central) Close() {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return
-	}
-	c.closed = true
-	c.mu.Unlock()
-	c.cancel()
-	c.fabric.Close()
-	<-c.done
 }
 
 // ---------------------------------------------------------------------------
@@ -225,48 +291,15 @@ const (
 
 // Ring is the decentralized synchronizer: node i manages role i's
 // enrollments locally and participates in the token protocol.
-type Ring struct {
-	n       int
-	fabric  *rendezvous.Fabric
-	counter *counter
-	arrive  []chan chan int // enroller hand-off to the local node
-
-	mu     sync.Mutex
-	rounds int
-	closed bool
-	cancel context.CancelFunc
-	stop   chan struct{}
-	wg     sync.WaitGroup
-}
+type Ring struct{ shell }
 
 // NewRing creates a ring synchronizer for n roles and starts its node
 // processes. The token circulates only while work is outstanding: a node
 // holds the token until its local role has enrolled, so an idle ring sends
 // no messages.
 func NewRing(n int) *Ring {
-	if n < 1 {
-		n = 1
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	r := &Ring{
-		n:       n,
-		fabric:  rendezvous.New(),
-		counter: newCounter(),
-		arrive:  make([]chan chan int, n+1),
-		cancel:  cancel,
-		stop:    make(chan struct{}),
-	}
-	for i := 1; i <= n; i++ {
-		r.arrive[i] = make(chan chan int)
-	}
-	for i := 1; i <= n; i++ {
-		i := i
-		r.wg.Add(1)
-		go func() {
-			defer r.wg.Done()
-			r.node(ctx, i)
-		}()
-	}
+	r := &Ring{}
+	r.start(n, max(n, 1), r.node)
 	return r
 }
 
@@ -281,41 +314,9 @@ func NewRing(n int) *Ring {
 //	pass the token on; when the token returns to the initiator, it starts
 //	the next round's collect phase.
 func (r *Ring) node(ctx context.Context, i int) {
-	me := nodeAddr(i)
-	next := nodeAddr(i%r.n + 1)
+	me, prev, next := nodeAddr(i), nodeAddr((i+r.n-2)%r.n+1), nodeAddr(i%r.n+1)
 
 	var waiter chan int // local enroller awaiting release this round
-
-	recvToken := func() (token, bool) {
-		if r.n == 1 {
-			return token{}, false // degenerate ring: no messages at all
-		}
-		v, err := r.fabric.Recv(ctx, me, nodeAddr((i+r.n-2)%r.n+1), "token")
-		if err != nil {
-			return token{}, false
-		}
-		tk, ok := v.(token)
-		return tk, ok
-	}
-	sendToken := func(tk token) bool {
-		if r.n == 1 {
-			return true
-		}
-		r.counter.note(string(me), string(next))
-		if err := r.fabric.Send(ctx, me, next, "token", tk); err != nil {
-			return false
-		}
-		return true
-	}
-	awaitLocal := func() bool {
-		select {
-		case w := <-r.arrive[i]:
-			waiter = w
-			return true
-		case <-ctx.Done():
-			return false
-		}
-	}
 	releaseLocal := func(round int) {
 		if waiter != nil {
 			waiter <- round
@@ -324,13 +325,11 @@ func (r *Ring) node(ctx context.Context, i int) {
 	}
 
 	if r.n == 1 {
-		// Single node: every round is local.
-		round := 0
-		for {
-			if !awaitLocal() {
+		// Single node: every round is local, no messages at all.
+		for round := 1; ; round++ {
+			if waiter = r.awaitLocal(ctx, i); waiter == nil {
 				return
 			}
-			round++
 			r.setRounds(round)
 			releaseLocal(round)
 		}
@@ -340,18 +339,20 @@ func (r *Ring) node(ctx context.Context, i int) {
 	holding := i == 1 // node 1 starts with the token
 	for {
 		if !holding {
-			var ok bool
-			tk, ok = recvToken()
-			if !ok {
+			v, err := r.fabric.Recv(ctx, me, prev, "token")
+			if err != nil {
 				return
 			}
+			tk = v.(token)
 		}
 		switch tk.phase {
 		case phaseCollect:
 			// Hold the token until the local role enrolls: the ring is
 			// quiet unless enrollments are outstanding.
-			if waiter == nil && !awaitLocal() {
-				return
+			if waiter == nil {
+				if waiter = r.awaitLocal(ctx, i); waiter == nil {
+					return
+				}
 			}
 			tk.count++
 			if tk.count == r.n {
@@ -369,65 +370,12 @@ func (r *Ring) node(ctx context.Context, i int) {
 			}
 			releaseLocal(tk.round)
 		}
-		if !sendToken(tk) {
+		r.counter.note(me, next)
+		if err := r.fabric.Send(ctx, me, next, "token", tk); err != nil {
 			return
 		}
 		holding = false
 	}
-}
-
-func (r *Ring) setRounds(round int) {
-	r.mu.Lock()
-	if round > r.rounds {
-		r.rounds = round
-	}
-	r.mu.Unlock()
-}
-
-// Enroll implements Synchronizer.
-func (r *Ring) Enroll(ctx context.Context, i int) (int, error) {
-	if i < 1 || i > r.n {
-		return 0, fmt.Errorf("dist: role %d out of range 1..%d", i, r.n)
-	}
-	release := make(chan int, 1)
-	select {
-	case r.arrive[i] <- release:
-	case <-r.stop:
-		return 0, ErrClosed
-	case <-ctx.Done():
-		return 0, ctx.Err()
-	}
-	select {
-	case round := <-release:
-		return round, nil
-	case <-r.stop:
-		return 0, ErrClosed
-	case <-ctx.Done():
-		return 0, ctx.Err()
-	}
-}
-
-// Stats implements Synchronizer.
-func (r *Ring) Stats() Stats {
-	r.mu.Lock()
-	rounds := r.rounds
-	r.mu.Unlock()
-	return r.counter.snapshot(rounds)
-}
-
-// Close implements Synchronizer.
-func (r *Ring) Close() {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return
-	}
-	r.closed = true
-	r.mu.Unlock()
-	close(r.stop)
-	r.cancel()
-	r.fabric.Close()
-	r.wg.Wait()
 }
 
 var (

@@ -154,12 +154,8 @@ func TestSuccessiveRoundsAreSerialized(t *testing.T) {
 	// round r: observed round numbers per role must be strictly 1,2,3...
 	// (runRounds asserts this); additionally, a fast role's next Enroll
 	// must block until everyone has enrolled.
-	for _, mk := range []func() Synchronizer{
-		func() Synchronizer { return NewCentral(2) },
-		func() Synchronizer { return NewRing(2) },
-		func() Synchronizer { return NewTree(2) },
-	} {
-		s := mk()
+	for _, k := range kinds {
+		s := k.mk(2)
 		ctx := testCtx(t)
 		done1 := make(chan struct{})
 		go func() {
@@ -183,32 +179,56 @@ func TestSuccessiveRoundsAreSerialized(t *testing.T) {
 	}
 }
 
+// kinds is the one table the edge-case tests below run over: whatever holds
+// of one synchronizer's Enroll, Close and context handling holds of all.
+var kinds = []struct {
+	name string
+	mk   func(n int) Synchronizer
+}{
+	{"central", func(n int) Synchronizer { return NewCentral(n) }},
+	{"ring", func(n int) Synchronizer { return NewRing(n) }},
+	{"tree", func(n int) Synchronizer { return NewTree(n) }},
+}
+
 func TestEnrollValidation(t *testing.T) {
 	ctx := testCtx(t)
-	for _, mk := range []func() Synchronizer{
-		func() Synchronizer { return NewCentral(3) },
-		func() Synchronizer { return NewRing(3) },
-		func() Synchronizer { return NewTree(3) },
-	} {
-		s := mk()
-		if _, err := s.Enroll(ctx, 0); err == nil {
-			t.Error("role 0 must be rejected")
-		}
-		if _, err := s.Enroll(ctx, 4); err == nil {
-			t.Error("role 4 must be rejected")
-		}
-		s.Close()
+	for _, k := range kinds {
+		t.Run(k.name, func(t *testing.T) {
+			s := k.mk(3)
+			if _, err := s.Enroll(ctx, 0); err == nil {
+				t.Error("role 0 must be rejected")
+			}
+			if _, err := s.Enroll(ctx, 4); err == nil {
+				t.Error("role 4 must be rejected")
+			}
+			s.Close()
+			if _, err := s.Enroll(ctx, 1); err == nil {
+				t.Error("Enroll after Close must fail")
+			}
+
+			// A size below one is a synchronizer of one role: it alone fills
+			// every round, and no message is needed to learn that.
+			one := k.mk(0)
+			defer one.Close()
+			if _, err := one.Enroll(ctx, 2); err == nil {
+				t.Error("role 2 of a one-role synchronizer must be rejected")
+			}
+			for want := 1; want <= 2; want++ {
+				if got, err := one.Enroll(ctx, 1); err != nil || got != want {
+					t.Fatalf("one-role round = %d, %v; want %d", got, err, want)
+				}
+			}
+			if st := one.Stats(); st.Rounds != 2 || (k.name != "central" && st.Messages != 0) {
+				t.Errorf("one-role stats = %+v", st)
+			}
+		})
 	}
 }
 
 func TestCloseUnblocksEnrollers(t *testing.T) {
-	for name, mk := range map[string]func() Synchronizer{
-		"central": func() Synchronizer { return NewCentral(3) },
-		"ring":    func() Synchronizer { return NewRing(3) },
-		"tree":    func() Synchronizer { return NewTree(3) },
-	} {
-		t.Run(name, func(t *testing.T) {
-			s := mk()
+	for _, k := range kinds {
+		t.Run(k.name, func(t *testing.T) {
+			s := k.mk(3)
 			errCh := make(chan error, 1)
 			go func() {
 				_, err := s.Enroll(context.Background(), 1)
@@ -230,20 +250,27 @@ func TestCloseUnblocksEnrollers(t *testing.T) {
 }
 
 func TestContextCancellation(t *testing.T) {
-	s := NewRing(2)
-	defer s.Close()
-	cctx, cancel := context.WithCancel(context.Background())
-	errCh := make(chan error, 1)
-	go func() {
-		_, err := s.Enroll(cctx, 1)
-		errCh <- err
-	}()
-	time.Sleep(20 * time.Millisecond)
-	cancel()
-	if err := <-errCh; !errors.Is(err, context.Canceled) {
-		// The enroller may already have been handed to the node, in which
-		// case cancellation surfaces as a context error too.
-		t.Fatalf("err = %v, want context.Canceled", err)
+	for _, k := range kinds {
+		t.Run(k.name, func(t *testing.T) {
+			s := k.mk(2)
+			defer s.Close()
+			cctx, cancel := context.WithCancel(context.Background())
+			errCh := make(chan error, 1)
+			go func() {
+				_, err := s.Enroll(cctx, 1)
+				errCh <- err
+			}()
+			time.Sleep(20 * time.Millisecond)
+			cancel()
+			if err := <-errCh; !errors.Is(err, context.Canceled) {
+				// The enroller may already have been handed to the node, in which
+				// case cancellation surfaces as a context error too.
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			if st := s.Stats(); st.Rounds != 0 {
+				t.Fatalf("a round committed without role 2: %+v", st)
+			}
+		})
 	}
 }
 

@@ -2,8 +2,6 @@ package dist
 
 import (
 	"context"
-	"fmt"
-	"sync"
 
 	"github.com/scriptabs/goscript/internal/rendezvous"
 )
@@ -14,46 +12,13 @@ import (
 // other two protocols: O(log n) serial hops per round (vs the ring's O(n))
 // with per-node load bounded by the node's degree (vs the coordinator's
 // O(n)) — the standard trade-off in multiway-synchronization trees.
-type Tree struct {
-	n       int
-	fabric  *rendezvous.Fabric
-	counter *counter
-	arrive  []chan chan int
-
-	mu     sync.Mutex
-	rounds int
-	closed bool
-	cancel context.CancelFunc
-	stop   chan struct{}
-	wg     sync.WaitGroup
-}
+type Tree struct{ shell }
 
 // NewTree creates a combining-tree synchronizer for n roles and starts its
 // node processes.
 func NewTree(n int) *Tree {
-	if n < 1 {
-		n = 1
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	t := &Tree{
-		n:       n,
-		fabric:  rendezvous.New(),
-		counter: newCounter(),
-		arrive:  make([]chan chan int, n+1),
-		cancel:  cancel,
-		stop:    make(chan struct{}),
-	}
-	for i := 1; i <= n; i++ {
-		t.arrive[i] = make(chan chan int)
-	}
-	for i := 1; i <= n; i++ {
-		i := i
-		t.wg.Add(1)
-		go func() {
-			defer t.wg.Done()
-			t.node(ctx, i)
-		}()
-	}
+	t := &Tree{}
+	t.start(n, max(n, 1), t.node)
 	return t
 }
 
@@ -78,25 +43,22 @@ func (t *Tree) node(ctx context.Context, i int) {
 	kids := t.children(i)
 
 	send := func(to rendezvous.Addr, tag rendezvous.Tag, v any) bool {
-		t.counter.note(string(me), string(to))
+		t.counter.note(me, to)
 		return t.fabric.Send(ctx, me, to, tag, v) == nil
 	}
-	recv := func(from rendezvous.Addr, tag rendezvous.Tag) (any, bool) {
-		v, err := t.fabric.Recv(ctx, me, from, tag)
-		return v, err == nil
+	recv := func(from rendezvous.Addr, tag rendezvous.Tag) bool {
+		_, err := t.fabric.Recv(ctx, me, from, tag)
+		return err == nil
 	}
 
 	for round := 1; ; round++ {
-		// Local enrollment.
-		var waiter chan int
-		select {
-		case waiter = <-t.arrive[i]:
-		case <-ctx.Done():
+		waiter := t.awaitLocal(ctx, i)
+		if waiter == nil {
 			return
 		}
 		// Combine: collect the subtree counts.
 		for _, c := range kids {
-			if _, ok := recv(nodeAddr(c), "done"); !ok {
+			if !recv(nodeAddr(c), "done") {
 				return
 			}
 		}
@@ -107,7 +69,7 @@ func (t *Tree) node(ctx context.Context, i int) {
 			if !send(parent, "done", i) {
 				return
 			}
-			if _, ok := recv(parent, "release"); !ok {
+			if !recv(parent, "release") {
 				return
 			}
 		}
@@ -118,60 +80,6 @@ func (t *Tree) node(ctx context.Context, i int) {
 			}
 		}
 	}
-}
-
-func (t *Tree) setRounds(round int) {
-	t.mu.Lock()
-	if round > t.rounds {
-		t.rounds = round
-	}
-	t.mu.Unlock()
-}
-
-// Enroll implements Synchronizer.
-func (t *Tree) Enroll(ctx context.Context, i int) (int, error) {
-	if i < 1 || i > t.n {
-		return 0, fmt.Errorf("dist: role %d out of range 1..%d", i, t.n)
-	}
-	release := make(chan int, 1)
-	select {
-	case t.arrive[i] <- release:
-	case <-t.stop:
-		return 0, ErrClosed
-	case <-ctx.Done():
-		return 0, ctx.Err()
-	}
-	select {
-	case round := <-release:
-		return round, nil
-	case <-t.stop:
-		return 0, ErrClosed
-	case <-ctx.Done():
-		return 0, ctx.Err()
-	}
-}
-
-// Stats implements Synchronizer.
-func (t *Tree) Stats() Stats {
-	t.mu.Lock()
-	rounds := t.rounds
-	t.mu.Unlock()
-	return t.counter.snapshot(rounds)
-}
-
-// Close implements Synchronizer.
-func (t *Tree) Close() {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return
-	}
-	t.closed = true
-	t.mu.Unlock()
-	close(t.stop)
-	t.cancel()
-	t.fabric.Close()
-	t.wg.Wait()
 }
 
 var _ Synchronizer = (*Tree)(nil)

@@ -11,13 +11,13 @@ func BenchmarkFlatLockRelease(b *testing.B) {
 	b.Run("read", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			t.LockRead("item", "A")
-			t.Release("item", "A")
+			t.Release("A", "item")
 		}
 	})
 	b.Run("write", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			t.LockWrite("item", "A")
-			t.Release("item", "A")
+			t.Release("A", "item")
 		}
 	})
 }
@@ -33,7 +33,7 @@ func BenchmarkGranularLockRelease(b *testing.B) {
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
 			g := NewGranularTable()
 			for i := 0; i < b.N; i++ {
-				if !g.Lock("A", path, X) {
+				if !g.LockMode("A", path, X) {
 					b.Fatal("lock denied")
 				}
 				g.Release("A", path)

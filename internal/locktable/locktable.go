@@ -26,6 +26,20 @@ import (
 // identified unambiguously").
 type Owner string
 
+// Locker is what a lock-manager role needs of its table, whichever of the two
+// it was given: grant owner a read or a write lock on item if compatible, and
+// give one back. Both report whether anything was granted or released;
+// neither blocks.
+type Locker interface {
+	Lock(owner Owner, item string, write bool) bool
+	Release(owner Owner, item string) bool
+}
+
+var (
+	_ Locker = (*Table)(nil)
+	_ Locker = (*GranularTable)(nil)
+)
+
 // Table is a flat per-item read/write lock table. The zero value is not
 // ready; create with NewTable. Safe for concurrent use.
 type Table struct {
@@ -118,11 +132,19 @@ func (t *Table) LockWrite(item string, owner Owner) bool {
 	return true
 }
 
+// Lock implements Locker: LockWrite or LockRead.
+func (t *Table) Lock(owner Owner, item string, write bool) bool {
+	if write {
+		return t.LockWrite(item, owner)
+	}
+	return t.LockRead(item, owner)
+}
+
 // Release removes one of owner's locks on item (write first, then read) and
 // reports whether anything was released. Releasing an unheld lock is not an
 // error — the paper's release path broadcasts releases to all managers,
 // some of which never granted.
-func (t *Table) Release(item string, owner Owner) bool {
+func (t *Table) Release(owner Owner, item string) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	il, ok := t.items[item]
@@ -282,11 +304,19 @@ func ancestors(path string) []string {
 	return out
 }
 
-// Lock acquires mode m on path for owner, first taking the required
+// Lock implements Locker: the subtree at path in mode X to write, S to read.
+func (g *GranularTable) Lock(owner Owner, path string, write bool) bool {
+	if write {
+		return g.LockMode(owner, path, X)
+	}
+	return g.LockMode(owner, path, S)
+}
+
+// LockMode acquires mode m on path for owner, first taking the required
 // intention locks (IS or IX) on every ancestor, as the multiple-granularity
 // protocol demands. If any step conflicts with another owner, nothing is
-// changed and Lock returns false.
-func (g *GranularTable) Lock(owner Owner, path string, m Mode) bool {
+// changed and LockMode returns false.
+func (g *GranularTable) LockMode(owner Owner, path string, m Mode) bool {
 	if path == "" || m < IS || m > X {
 		return false
 	}
@@ -379,30 +409,27 @@ func (g *GranularTable) Held(owner Owner, path string) Mode {
 func (g *GranularTable) Release(owner Owner, path string) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	ns, ok := g.nodes[path]
-	if !ok || ns[owner] == 0 {
+	if g.nodes[path][owner] == 0 {
 		return false
 	}
-	delete(ns, owner)
-	if len(ns) == 0 {
-		delete(g.nodes, path)
-	}
+	g.dropLocked(owner, path)
 	ancs := ancestors(path)
 	for i := len(ancs) - 1; i >= 0; i-- {
-		anc := ancs[i]
-		if g.ownerHoldsBelowLocked(owner, anc) {
+		if g.ownerHoldsBelowLocked(owner, ancs[i]) {
 			break // this intention (and the ones above it) is still needed
 		}
-		ans, ok := g.nodes[anc]
-		if !ok {
-			continue
-		}
-		delete(ans, owner)
-		if len(ans) == 0 {
-			delete(g.nodes, anc)
-		}
+		g.dropLocked(owner, ancs[i])
 	}
 	return true
+}
+
+// dropLocked removes owner's lock on node, and the node once nobody holds one.
+func (g *GranularTable) dropLocked(owner Owner, node string) {
+	ns := g.nodes[node]
+	delete(ns, owner)
+	if len(ns) == 0 {
+		delete(g.nodes, node)
+	}
 }
 
 // ownerHoldsBelowLocked reports whether owner holds any lock strictly below
@@ -426,11 +453,8 @@ func (g *GranularTable) ReleaseAll(owner Owner) int {
 	n := 0
 	for node, ns := range g.nodes {
 		if _, ok := ns[owner]; ok {
-			delete(ns, owner)
+			g.dropLocked(owner, node)
 			n++
-		}
-		if len(ns) == 0 {
-			delete(g.nodes, node)
 		}
 	}
 	return n

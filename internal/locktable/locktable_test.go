@@ -63,14 +63,14 @@ func TestReentrantLocks(t *testing.T) {
 	if !tb.LockRead("x", "A") || !tb.LockRead("x", "A") {
 		t.Fatal("read locks must be reentrant")
 	}
-	if !tb.Release("x", "A") {
+	if !tb.Release("A", "x") {
 		t.Fatal("first release")
 	}
 	h := tb.Holders("x")
 	if len(h.Readers) != 1 {
 		t.Fatalf("after one release, holders = %+v (reentrancy lost)", h)
 	}
-	tb.Release("x", "A")
+	tb.Release("A", "x")
 	if tb.Len() != 0 {
 		t.Fatal("fully released item must be garbage-collected")
 	}
@@ -78,7 +78,7 @@ func TestReentrantLocks(t *testing.T) {
 
 func TestReleaseUnheldIsNotAnError(t *testing.T) {
 	tb := NewTable()
-	if tb.Release("x", "A") {
+	if tb.Release("A", "x") {
 		t.Fatal("releasing an unheld lock must report false, not panic")
 	}
 }
@@ -87,7 +87,7 @@ func TestReleaseWritePreferredOverRead(t *testing.T) {
 	tb := NewTable()
 	tb.LockRead("x", "A")
 	tb.LockWrite("x", "A") // upgraded; holds both
-	tb.Release("x", "A")   // drops the write lock first
+	tb.Release("A", "x")   // drops the write lock first
 	h := tb.Holders("x")
 	if h.Writer != "" || len(h.Readers) != 1 {
 		t.Fatalf("after releasing write: %+v", h)
@@ -121,10 +121,10 @@ func TestTableConcurrentSafety(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				item := fmt.Sprintf("item%d", i%5)
 				if tb.LockRead(item, owner) {
-					tb.Release(item, owner)
+					tb.Release(owner, item)
 				}
 				if tb.LockWrite(item, owner) {
-					tb.Release(item, owner)
+					tb.Release(owner, item)
 				}
 			}
 		}()
@@ -154,7 +154,7 @@ func TestPropertyWriterExcludesOthers(t *testing.T) {
 					held[o]++
 				}
 			case 2:
-				if tb.Release("x", o) {
+				if tb.Release(o, "x") {
 					held[o]--
 				}
 			}
@@ -197,7 +197,7 @@ func TestGranularCompatibilityMatrix(t *testing.T) {
 
 func TestGranularLockTakesAncestorIntentions(t *testing.T) {
 	g := NewGranularTable()
-	if !g.Lock("A", "db/t1/r1", X) {
+	if !g.LockMode("A", "db/t1/r1", X) {
 		t.Fatal("first lock must be granted")
 	}
 	if g.Held("A", "db") != IX || g.Held("A", "db/t1") != IX {
@@ -210,29 +210,29 @@ func TestGranularLockTakesAncestorIntentions(t *testing.T) {
 
 func TestGranularConflictsDetectedAtEveryLevel(t *testing.T) {
 	g := NewGranularTable()
-	if !g.Lock("A", "db/t1", S) {
+	if !g.LockMode("A", "db/t1", S) {
 		t.Fatal("S on table must be granted")
 	}
 	// B wants X on a row under the S-locked table: the IX intention on
 	// db/t1 conflicts with A's S.
-	if g.Lock("B", "db/t1/r9", X) {
+	if g.LockMode("B", "db/t1/r9", X) {
 		t.Fatal("X under a foreign S subtree must be denied")
 	}
 	// Reads below the S subtree are fine.
-	if !g.Lock("B", "db/t1/r9", IS) {
+	if !g.LockMode("B", "db/t1/r9", IS) {
 		t.Fatal("IS under S must be granted")
 	}
 	// A whole-tree X conflicts with everything.
-	if g.Lock("C", "db", X) {
+	if g.LockMode("C", "db", X) {
 		t.Fatal("root X with other holders must be denied")
 	}
 }
 
 func TestGranularFailedLockChangesNothing(t *testing.T) {
 	g := NewGranularTable()
-	g.Lock("A", "db/t1", S)
+	g.LockMode("A", "db/t1", S)
 	before := g.NodeCount()
-	if g.Lock("B", "db/t1/r1", X) {
+	if g.LockMode("B", "db/t1/r1", X) {
 		t.Fatal("lock should fail")
 	}
 	if g.NodeCount() != before {
@@ -245,41 +245,41 @@ func TestGranularFailedLockChangesNothing(t *testing.T) {
 
 func TestGranularModeCombination(t *testing.T) {
 	g := NewGranularTable()
-	g.Lock("A", "db/t1", S)
+	g.LockMode("A", "db/t1", S)
 	// A now also wants to write a row: S + IX on db/t1 must combine to SIX.
-	if !g.Lock("A", "db/t1/r1", X) {
+	if !g.LockMode("A", "db/t1/r1", X) {
 		t.Fatal("self-upgrade must succeed")
 	}
 	if got := g.Held("A", "db/t1"); got != SIX {
 		t.Fatalf("combined mode = %v, want SIX", got)
 	}
 	// SIX blocks other writers and readers of the subtree, allows IS.
-	if g.Lock("B", "db/t1", S) {
+	if g.LockMode("B", "db/t1", S) {
 		t.Fatal("S against SIX must be denied")
 	}
-	if !g.Lock("B", "db/t1/r2", IS) {
+	if !g.LockMode("B", "db/t1/r2", IS) {
 		t.Fatal("IS against SIX must be granted")
 	}
 }
 
 func TestGranularReleaseAll(t *testing.T) {
 	g := NewGranularTable()
-	g.Lock("A", "db/t1/r1", X)
-	g.Lock("B", "db/t2/r1", S)
+	g.LockMode("A", "db/t1/r1", X)
+	g.LockMode("B", "db/t2/r1", S)
 	if n := g.ReleaseAll("A"); n != 3 { // db, db/t1, db/t1/r1
 		t.Fatalf("ReleaseAll = %d, want 3", n)
 	}
-	if !g.Lock("C", "db/t1", X) {
+	if !g.LockMode("C", "db/t1", X) {
 		t.Fatal("subtree must be writable after release (except db root shared with B)")
 	}
 }
 
 func TestGranularInvalidArgs(t *testing.T) {
 	g := NewGranularTable()
-	if g.Lock("A", "", S) {
+	if g.LockMode("A", "", S) {
 		t.Error("empty path must be rejected")
 	}
-	if g.Lock("A", "x", Mode(0)) || g.Lock("A", "x", Mode(9)) {
+	if g.LockMode("A", "x", Mode(0)) || g.LockMode("A", "x", Mode(9)) {
 		t.Error("invalid mode must be rejected")
 	}
 }
@@ -326,11 +326,11 @@ func TestReentrantWriteLock(t *testing.T) {
 	if !tb.LockWrite("x", "A") || !tb.LockWrite("x", "A") {
 		t.Fatal("write locks must be reentrant for the same owner")
 	}
-	tb.Release("x", "A")
+	tb.Release("A", "x")
 	if h := tb.Holders("x"); h.Writer != "A" {
 		t.Fatalf("after one release holders = %+v (reentrancy lost)", h)
 	}
-	tb.Release("x", "A")
+	tb.Release("A", "x")
 	if tb.Len() != 0 {
 		t.Fatal("fully released item must be gone")
 	}
@@ -341,7 +341,7 @@ func TestGranularHeldAndNodeCount(t *testing.T) {
 	if g.Held("A", "db") != 0 {
 		t.Fatal("unheld node must report 0")
 	}
-	g.Lock("A", "db/t1", IS)
+	g.LockMode("A", "db/t1", IS)
 	if g.NodeCount() != 2 { // db (IS intention) + db/t1
 		t.Fatalf("NodeCount = %d, want 2", g.NodeCount())
 	}
@@ -352,8 +352,8 @@ func TestGranularHeldAndNodeCount(t *testing.T) {
 
 func TestGranularReleaseKeepsNeededIntentions(t *testing.T) {
 	g := NewGranularTable()
-	g.Lock("A", "db/t1/r1", X)
-	g.Lock("A", "db/t1/r2", X)
+	g.LockMode("A", "db/t1/r1", X)
+	g.LockMode("A", "db/t1/r2", X)
 	g.Release("A", "db/t1/r1")
 	// db and db/t1 intentions must survive: r2 still locked below them.
 	if g.Held("A", "db/t1") != IX || g.Held("A", "db") != IX {
@@ -362,5 +362,26 @@ func TestGranularReleaseKeepsNeededIntentions(t *testing.T) {
 	g.Release("A", "db/t1/r2")
 	if g.NodeCount() != 0 {
 		t.Fatalf("NodeCount = %d after full release, want 0", g.NodeCount())
+	}
+}
+
+// TestLockerOnBothTables drives the two tables through the one interface the
+// lock-manager roles use: readers share, a writer excludes, a release frees.
+func TestLockerOnBothTables(t *testing.T) {
+	for name, l := range map[string]Locker{"flat": NewTable(), "granular": NewGranularTable()} {
+		t.Run(name, func(t *testing.T) {
+			if !l.Lock("A", "db/t1", false) || !l.Lock("B", "db/t1", false) {
+				t.Fatal("two readers must share an item")
+			}
+			if l.Lock("C", "db/t1", true) {
+				t.Fatal("write granted over two read locks")
+			}
+			if !l.Release("A", "db/t1") || !l.Release("B", "db/t1") || l.Release("B", "db/t1") {
+				t.Fatal("Release must report exactly the locks that were held")
+			}
+			if !l.Lock("C", "db/t1", true) || l.Lock("A", "db/t1", false) {
+				t.Fatal("a write lock must be granted on a free item and exclude readers")
+			}
+		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/scriptabs/goscript/internal/core"
 	"github.com/scriptabs/goscript/internal/ids"
@@ -84,53 +85,11 @@ func MultiGranularity() LockStrategy {
 // Each manager process owns one table and passes it to every enrollment, so
 // the tables persist across performances ("we assume that the lock tables
 // are preserved by such a change").
-func (s LockStrategy) NewTable() any {
+func (s LockStrategy) NewTable() locktable.Locker {
 	if s.Granular {
 		return locktable.NewGranularTable()
 	}
 	return locktable.NewTable()
-}
-
-// grant applies a lock request against a manager's table.
-func (s LockStrategy) grant(table any, req Request, write bool) (bool, error) {
-	if s.Granular {
-		g, ok := table.(*locktable.GranularTable)
-		if !ok {
-			return false, fmt.Errorf("lock manager: table is %T, want *locktable.GranularTable", table)
-		}
-		mode := locktable.S
-		if write {
-			mode = locktable.X
-		}
-		return g.Lock(req.Owner, req.Item, mode), nil
-	}
-	t, ok := table.(*locktable.Table)
-	if !ok {
-		return false, fmt.Errorf("lock manager: table is %T, want *locktable.Table", table)
-	}
-	if write {
-		return t.LockWrite(req.Item, req.Owner), nil
-	}
-	return t.LockRead(req.Item, req.Owner), nil
-}
-
-// release applies a release request against a manager's table. Releasing an
-// unheld lock is a no-op (the client broadcasts releases to all managers).
-func (s LockStrategy) release(table any, req Request) error {
-	if s.Granular {
-		g, ok := table.(*locktable.GranularTable)
-		if !ok {
-			return fmt.Errorf("lock manager: table is %T, want *locktable.GranularTable", table)
-		}
-		g.Release(req.Owner, req.Item)
-		return nil
-	}
-	t, ok := table.(*locktable.Table)
-	if !ok {
-		return fmt.Errorf("lock manager: table is %T, want *locktable.Table", table)
-	}
-	t.Release(req.Item, req.Owner)
-	return nil
 }
 
 // LockManager builds Figure 5's script: k lock-manager roles, one reader
@@ -139,29 +98,32 @@ func (s LockStrategy) release(table any, req Request) error {
 // be filled, as well as either the reader or the writer (or both)". One
 // performance serves one reader and/or one writer operation.
 func LockManager(k int, strat LockStrategy) core.Definition {
-	managers := ids.FamilyMembers(RoleManager, k)
-	withReader := make([]ids.RoleRef, 0, k+1)
-	withReader = append(withReader, managers...)
-	withReader = append(withReader, ids.Role(RoleReader))
-	withWriter := make([]ids.RoleRef, 0, k+1)
-	withWriter = append(withWriter, managers...)
-	withWriter = append(withWriter, ids.Role(RoleWriter))
+	return lockScript("lock_manager_"+strat.Name, k, strat, clientBody)
+}
 
-	return core.NewScript("lock_manager_"+strat.Name).
-		Family(RoleManager, k, managerBody(strat)).
-		Role(RoleReader, clientBody(k, strat.ReadQuorum)).
-		Role(RoleWriter, clientBody(k, strat.WriteQuorum)).
+// lockScript is Figure 5's cast and policies around a choice of client body:
+// both spellings of the reader and writer (LockManager's, LockManagerGuarded's)
+// meet the same managers under the same critical role sets.
+func lockScript(name string, k int, strat LockStrategy, client func(k int, quorum func(int) int) core.RoleBody) core.Definition {
+	managers := ids.FamilyMembers(RoleManager, k)
+	with := func(client string) []ids.RoleRef {
+		return append(slices.Clip(managers), ids.Role(client))
+	}
+	return core.NewScript(name).
+		Family(RoleManager, k, managerBody()).
+		Role(RoleReader, client(k, strat.ReadQuorum)).
+		Role(RoleWriter, client(k, strat.WriteQuorum)).
 		Initiation(core.DelayedInitiation).
 		Termination(core.DelayedTermination).
-		CriticalSet(withReader...).
-		CriticalSet(withWriter...).
+		CriticalSet(with(RoleReader)...).
+		CriticalSet(with(RoleWriter)...).
 		MustBuild()
 }
 
 // managerBody serves lock/release requests from whichever of the reader and
 // writer roles are present, until both have finished or were absent — the
 // paper's use of r.terminated to avoid waiting on unfilled roles.
-func managerBody(strat LockStrategy) core.RoleBody {
+func managerBody() core.RoleBody {
 	reader, writer := ids.Role(RoleReader), ids.Role(RoleWriter)
 	// The manager's one alternative, the same on every trip round every
 	// manager's loop: built here, once per definition, and only ever read.
@@ -172,9 +134,9 @@ func managerBody(strat LockStrategy) core.RoleBody {
 		core.RecvTagFrom(writer, tagRelease),
 	}
 	return func(rc core.Ctx) error {
-		table := rc.Arg(0)
-		if table == nil {
-			return errors.New("lock manager: manager enrolled without a table argument")
+		table, ok := rc.Arg(0).(locktable.Locker)
+		if !ok {
+			return fmt.Errorf("lock manager: manager enrolled with %T for a table, want a locktable.Locker", rc.Arg(0))
 		}
 		for {
 			sel, err := rc.Select(requests...)
@@ -188,20 +150,16 @@ func managerBody(strat LockStrategy) core.RoleBody {
 			if !ok {
 				return fmt.Errorf("lock manager: bad request payload %T", sel.Val)
 			}
-			isWrite := sel.Peer == writer
 			switch sel.Tag {
 			case tagLock:
-				granted, gerr := strat.grant(table, req, isWrite)
-				if gerr != nil {
-					return gerr
-				}
+				granted := table.Lock(req.Owner, req.Item, sel.Peer == writer)
 				if err := rc.SendTag(sel.Peer, tagReply, granted); err != nil {
 					return fmt.Errorf("reply to %s: %w", sel.Peer, err)
 				}
 			case tagRelease:
-				if rerr := strat.release(table, req); rerr != nil {
-					return rerr
-				}
+				// Releasing an unheld lock is a no-op: the client broadcasts
+				// releases to all managers.
+				table.Release(req.Owner, req.Item)
 			}
 		}
 	}

@@ -16,23 +16,7 @@ import (
 // equivalent (asserted in tests), which is itself a point of the paper:
 // the script hides the strategy from the enrolling processes.
 func LockManagerGuarded(k int, strat LockStrategy) core.Definition {
-	managers := ids.FamilyMembers(RoleManager, k)
-	withReader := make([]ids.RoleRef, 0, k+1)
-	withReader = append(withReader, managers...)
-	withReader = append(withReader, ids.Role(RoleReader))
-	withWriter := make([]ids.RoleRef, 0, k+1)
-	withWriter = append(withWriter, managers...)
-	withWriter = append(withWriter, ids.Role(RoleWriter))
-
-	return core.NewScript("lock_manager_guarded_"+strat.Name).
-		Family(RoleManager, k, managerBody(strat)).
-		Role(RoleReader, guardedClientBody(k, strat.ReadQuorum)).
-		Role(RoleWriter, guardedClientBody(k, strat.WriteQuorum)).
-		Initiation(core.DelayedInitiation).
-		Termination(core.DelayedTermination).
-		CriticalSet(withReader...).
-		CriticalSet(withWriter...).
-		MustBuild()
+	return lockScript("lock_manager_guarded_"+strat.Name, k, strat, guardedClientBody)
 }
 
 // guardedClientBody is Figure 5b/5c's client: a repetitive guarded command

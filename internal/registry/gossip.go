@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -81,6 +82,7 @@ type GossipConfig struct {
 // record back cannot resurrect it; a genuinely restarted host wins because
 // its Seq restarts above its previous value (clock-seeded).
 type Gossip struct {
+	hub
 	cfg  GossipConfig
 	pc   net.PacketConn
 	addr string
@@ -89,13 +91,12 @@ type Gossip struct {
 	self    Endpoint
 	load    func() Load
 	has     bool // an Announce is active
+	gen     int  // which Announce: its stop withdraws no other
 	lastLd  Load // previous digest, re-reported under the StaleLoad fault
 	members map[string]*gossipMember
 	tombs   map[string]tombstone
 	peers   map[string]time.Time // gossip addrs → last heard (seeds live in cfg)
-	subs    map[*subscription]struct{}
 	rng     *rand.Rand
-	closed  bool
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -150,10 +151,10 @@ func NewGossip(cfg GossipConfig) (*Gossip, error) {
 		members: make(map[string]*gossipMember),
 		tombs:   make(map[string]tombstone),
 		peers:   make(map[string]time.Time),
-		subs:    make(map[*subscription]struct{}),
 		rng:     rand.New(rand.NewSource(seed)),
 		stop:    make(chan struct{}),
 	}
+	g.hub = newHub(&g.mu, g.snapshotLocked)
 	g.wg.Add(2)
 	go g.receiveLoop()
 	go g.roundLoop()
@@ -181,32 +182,35 @@ func (g *Gossip) Announce(ep Endpoint, load func() Load) (stop func()) {
 	g.self = ep
 	g.load = load
 	g.has = true
+	g.gen++
+	gen := g.gen
 	delete(g.tombs, ep.Addr) // a re-announcement supersedes our own withdrawal
 	g.refreshSelfLocked(time.Now())
-	g.notifyLocked()
+	g.notify()
 	g.mu.Unlock()
 	g.sendRound() // propagate without waiting for the next tick
-	var once sync.Once
 	return func() {
-		once.Do(func() {
-			g.mu.Lock()
-			if g.has {
-				g.has = false
-				g.load = nil
-				// Tombstone our own final Seq: with has false, merge no
-				// longer special-cases our address, so without this a peer
-				// relaying the stale self-record would re-add the withdrawn
-				// host locally until fleet-wide heartbeat eviction. A later
-				// re-Announce supersedes the tombstone (clock-seeded Seq).
-				g.tombs[g.self.Addr] = tombstone{seq: g.self.Seq, at: time.Now()}
-				if g.members[g.self.Addr] != nil {
-					delete(g.members, g.self.Addr)
-					membersEvicted.Inc()
-					g.notifyLocked()
-				}
-			}
-			g.mu.Unlock()
-		})
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		// Only the live announcement is this stop's to withdraw: a stale
+		// stop() from a superseded Announce (or a second call of this one)
+		// must not take down what the node reports now.
+		if !g.has || g.gen != gen {
+			return
+		}
+		g.has = false
+		g.load = nil
+		// Tombstone our own final Seq: with has false, merge no longer
+		// special-cases our address, so without this a peer relaying the
+		// stale self-record would re-add the withdrawn host locally until
+		// fleet-wide heartbeat eviction. A later re-Announce supersedes the
+		// tombstone (clock-seeded Seq).
+		g.tombs[g.self.Addr] = tombstone{seq: g.self.Seq, at: time.Now()}
+		if g.members[g.self.Addr] != nil {
+			delete(g.members, g.self.Addr)
+			membersEvicted.Inc()
+			g.notify()
+		}
 	}
 }
 
@@ -236,31 +240,6 @@ func (g *Gossip) refreshSelfLocked(now time.Time) {
 	m.heard = now
 }
 
-// Subscribe implements Registry.
-func (g *Gossip) Subscribe(script string) (<-chan []Endpoint, func()) {
-	sub := &subscription{script: script, ch: make(chan []Endpoint, 1)}
-	g.mu.Lock()
-	if g.closed {
-		g.mu.Unlock()
-		close(sub.ch)
-		return sub.ch, func() {}
-	}
-	g.subs[sub] = struct{}{}
-	sub.push(g.snapshotLocked(script))
-	g.mu.Unlock()
-	var once sync.Once
-	return sub.ch, func() {
-		once.Do(func() {
-			g.mu.Lock()
-			if _, ok := g.subs[sub]; ok {
-				delete(g.subs, sub)
-				close(sub.ch)
-			}
-			g.mu.Unlock()
-		})
-	}
-}
-
 // Snapshot implements Registry.
 func (g *Gossip) Snapshot(script string) []Endpoint {
 	g.mu.Lock()
@@ -279,12 +258,6 @@ func (g *Gossip) snapshotLocked(script string) []Endpoint {
 	return eps
 }
 
-func (g *Gossip) notifyLocked() {
-	for sub := range g.subs {
-		sub.push(g.snapshotLocked(sub.script))
-	}
-}
-
 // Close implements Registry.
 func (g *Gossip) Close() error {
 	g.mu.Lock()
@@ -292,11 +265,7 @@ func (g *Gossip) Close() error {
 		g.mu.Unlock()
 		return nil
 	}
-	g.closed = true
-	for sub := range g.subs {
-		delete(g.subs, sub)
-		close(sub.ch)
-	}
+	g.hub.close()
 	g.mu.Unlock()
 	close(g.stop)
 	g.pc.Close()
@@ -419,24 +388,23 @@ func (g *Gossip) seal(buf []byte) []byte {
 	if len(g.cfg.Secret) == 0 {
 		return buf
 	}
-	mac := hmac.New(sha256.New, g.cfg.Secret)
-	mac.Write(buf)
-	return append(mac.Sum(nil), buf...)
+	return append(g.tag(buf), buf...)
 }
 
 func (g *Gossip) open(pkt []byte) ([]byte, bool) {
 	if len(g.cfg.Secret) == 0 {
 		return pkt, true
 	}
-	if len(pkt) < sha256.Size {
-		return nil, false
-	}
-	mac := hmac.New(sha256.New, g.cfg.Secret)
-	mac.Write(pkt[sha256.Size:])
-	if !hmac.Equal(mac.Sum(nil), pkt[:sha256.Size]) {
+	if len(pkt) < sha256.Size || !hmac.Equal(g.tag(pkt[sha256.Size:]), pkt[:sha256.Size]) {
 		return nil, false
 	}
 	return pkt[sha256.Size:], true
+}
+
+func (g *Gossip) tag(payload []byte) []byte {
+	mac := hmac.New(sha256.New, g.cfg.Secret)
+	mac.Write(payload)
+	return mac.Sum(nil)
 }
 
 // evictLocked drops members whose Seq has stagnated past EvictAfter,
@@ -466,7 +434,7 @@ func (g *Gossip) evictLocked(now time.Time) {
 		}
 	}
 	if changed {
-		g.notifyLocked()
+		g.notify()
 	}
 }
 
@@ -541,7 +509,7 @@ func (g *Gossip) sendTo(addr string, buf []byte) {
 	write()
 }
 
-// receiveLoop demultiplexes inbound digests until the socket closes.
+// receiveLoop feeds inbound datagrams to receive until the socket closes.
 func (g *Gossip) receiveLoop() {
 	defer g.wg.Done()
 	buf := make([]byte, 64<<10)
@@ -550,21 +518,27 @@ func (g *Gossip) receiveLoop() {
 		if err != nil {
 			return // socket closed
 		}
-		pkt, ok := g.open(buf[:n])
-		if !ok {
-			gossipBad.Inc()
-			g.logf("registry: gossip %s: unauthenticated packet from %v dropped", g.addr, src)
-			continue
-		}
-		var msg gossipMsg
-		if err := json.Unmarshal(pkt, &msg); err != nil {
-			gossipBad.Inc()
-			g.logf("registry: gossip %s: bad packet from %v: %v", g.addr, src, err)
-			continue
-		}
-		gossipRecv.Inc()
-		g.merge(msg, src)
+		g.receive(buf[:n], src)
 	}
+}
+
+// receive is everything done with one inbound datagram: authenticate it,
+// decode it, merge it. Whatever fails, the datagram is counted and dropped.
+func (g *Gossip) receive(pkt []byte, src net.Addr) {
+	payload, ok := g.open(pkt)
+	if !ok {
+		gossipBad.Inc()
+		g.logf("registry: gossip %s: unauthenticated packet from %v dropped", g.addr, src)
+		return
+	}
+	var msg gossipMsg
+	if err := json.Unmarshal(payload, &msg); err != nil {
+		gossipBad.Inc()
+		g.logf("registry: gossip %s: bad packet from %v: %v", g.addr, src, err)
+		return
+	}
+	gossipRecv.Inc()
+	g.merge(msg, src)
 }
 
 // merge folds a received digest into the local view: peers are learned for
@@ -620,7 +594,7 @@ func (g *Gossip) merge(msg gossipMsg, src net.Addr) {
 			changed = true
 			g.logf("registry: gossip %s learned member %s", g.addr, ep.Addr)
 		case ep.Seq > m.ep.Seq:
-			if !equalScripts(m.ep.Scripts, ep.Scripts) {
+			if !slices.Equal(m.ep.Scripts, ep.Scripts) {
 				changed = true
 			}
 			m.ep = ep
@@ -628,7 +602,7 @@ func (g *Gossip) merge(msg gossipMsg, src net.Addr) {
 		}
 	}
 	if changed {
-		g.notifyLocked()
+		g.notify()
 	}
 }
 

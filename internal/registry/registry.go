@@ -22,9 +22,9 @@ package registry
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -70,15 +70,7 @@ type Endpoint struct {
 // that lists no scripts is a wildcard (it serves anything); an empty script
 // name matches every endpoint.
 func (ep Endpoint) Serves(script string) bool {
-	if script == "" || len(ep.Scripts) == 0 {
-		return true
-	}
-	for _, s := range ep.Scripts {
-		if s == script {
-			return true
-		}
-	}
-	return false
+	return script == "" || len(ep.Scripts) == 0 || slices.Contains(ep.Scripts, script)
 }
 
 // Registry is the pluggable discovery interface. Implementations must be
@@ -104,20 +96,71 @@ type Registry interface {
 	Close() error
 }
 
+// hub is the subscriber set of one registry: Subscribe's coalescing channels
+// and the pushes that feed them. It owns no lock — it runs under its
+// registry's, which is also what makes a snapshot and its delivery one step.
+type hub struct {
+	mu       sync.Locker                    // the registry's lock
+	snapshot func(script string) []Endpoint // the registry's view, called with mu held
+	subs     map[*subscription]struct{}
+	closed   bool // the registry's too: it closes when its hub does
+}
+
 // subscription is one Subscribe caller: a coalescing channel of snapshots.
 type subscription struct {
 	script string
 	ch     chan []Endpoint
 }
 
-// push delivers a snapshot, replacing an undelivered one. Callers hold the
-// owning registry's lock, so the drain/send pair never races another push.
-func (s *subscription) push(eps []Endpoint) {
+func newHub(mu sync.Locker, snapshot func(string) []Endpoint) hub {
+	return hub{mu: mu, snapshot: snapshot, subs: make(map[*subscription]struct{})}
+}
+
+// push delivers the current snapshot, replacing an undelivered one. mu is
+// held, so the drain/send pair never races another push.
+func (h *hub) push(sub *subscription) {
 	select {
-	case <-s.ch:
+	case <-sub.ch:
 	default:
 	}
-	s.ch <- eps
+	sub.ch <- h.snapshot(sub.script)
+}
+
+// Subscribe implements Registry for the type that embeds the hub.
+func (h *hub) Subscribe(script string) (<-chan []Endpoint, func()) {
+	sub := &subscription{script: script, ch: make(chan []Endpoint, 1)}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.closed {
+		close(sub.ch)
+		return sub.ch, func() {}
+	}
+	h.subs[sub] = struct{}{}
+	h.push(sub)
+	return sub.ch, func() {
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		if _, ok := h.subs[sub]; ok { // not yet cancelled, nor closed
+			delete(h.subs, sub)
+			close(sub.ch)
+		}
+	}
+}
+
+// notify pushes a fresh snapshot to every subscriber; mu is held.
+func (h *hub) notify() {
+	for sub := range h.subs {
+		h.push(sub)
+	}
+}
+
+// close ends every subscription and refuses new ones; mu is held.
+func (h *hub) close() {
+	h.closed = true
+	for sub := range h.subs {
+		delete(h.subs, sub)
+		close(sub.ch)
+	}
 }
 
 // Static is the fixed-membership registry: the member set changes only via
@@ -126,10 +169,9 @@ func (s *subscription) push(eps []Endpoint) {
 // call time — so an in-process fleet (tests, perfbench) gets fresh digests
 // with zero background goroutines.
 type Static struct {
+	hub
 	mu      sync.Mutex
 	members map[string]*staticMember
-	subs    map[*subscription]struct{}
-	closed  bool
 
 	path string
 	stop chan struct{}
@@ -145,10 +187,8 @@ type staticMember struct {
 // NewStatic returns a registry holding the given endpoints. More can be
 // announced later.
 func NewStatic(eps ...Endpoint) *Static {
-	s := &Static{
-		members: make(map[string]*staticMember, len(eps)),
-		subs:    make(map[*subscription]struct{}),
-	}
+	s := &Static{members: make(map[string]*staticMember, len(eps))}
+	s.hub = newHub(&s.mu, s.snapshotLocked)
 	for _, ep := range eps {
 		s.members[ep.Addr] = &staticMember{ep: ep}
 		membersAdded.Inc()
@@ -174,10 +214,7 @@ func NewStaticFile(path string, poll time.Duration) (*Static, error) {
 	}
 	s := NewStatic()
 	s.path = path
-	for _, ep := range eps {
-		s.members[ep.Addr] = &staticMember{ep: ep, fromFile: true}
-		membersAdded.Inc()
-	}
+	s.applyFile(eps)
 	if poll > 0 {
 		s.stop = make(chan struct{})
 		s.wg.Add(1)
@@ -259,7 +296,7 @@ func (s *Static) applyFile(eps []Endpoint) {
 			s.members[ep.Addr] = &staticMember{ep: ep, fromFile: true}
 			membersAdded.Inc()
 			changed = true
-		case m.fromFile && !equalScripts(m.ep.Scripts, ep.Scripts):
+		case m.fromFile && !slices.Equal(m.ep.Scripts, ep.Scripts):
 			m.ep.Scripts = ep.Scripts
 			changed = true
 		}
@@ -272,20 +309,8 @@ func (s *Static) applyFile(eps []Endpoint) {
 		}
 	}
 	if changed {
-		s.notifyLocked()
+		s.notify()
 	}
-}
-
-func equalScripts(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Announce implements Registry. The endpoint replaces any prior member at
@@ -301,47 +326,19 @@ func (s *Static) Announce(ep Endpoint, load func() Load) (stop func()) {
 	}
 	m := &staticMember{ep: ep, load: load}
 	s.members[ep.Addr] = m
-	s.notifyLocked()
+	s.notify()
 	s.mu.Unlock()
-	var once sync.Once
 	return func() {
-		once.Do(func() {
-			s.mu.Lock()
-			// Only withdraw the member this Announce installed: a stale
-			// stop() from a superseded announcement must not take down the
-			// newer live one at the same address.
-			if s.members[ep.Addr] == m {
-				delete(s.members, ep.Addr)
-				membersEvicted.Inc()
-				s.notifyLocked()
-			}
-			s.mu.Unlock()
-		})
-	}
-}
-
-// Subscribe implements Registry.
-func (s *Static) Subscribe(script string) (<-chan []Endpoint, func()) {
-	sub := &subscription{script: script, ch: make(chan []Endpoint, 1)}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		close(sub.ch)
-		return sub.ch, func() {}
-	}
-	s.subs[sub] = struct{}{}
-	sub.push(s.snapshotLocked(script))
-	s.mu.Unlock()
-	var once sync.Once
-	return sub.ch, func() {
-		once.Do(func() {
-			s.mu.Lock()
-			if _, ok := s.subs[sub]; ok {
-				delete(s.subs, sub)
-				close(sub.ch)
-			}
-			s.mu.Unlock()
-		})
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		// Only withdraw the member this Announce installed: a stale stop()
+		// from a superseded announcement (or a second call of this one) must
+		// not take down the newer live one at the same address.
+		if s.members[ep.Addr] == m {
+			delete(s.members, ep.Addr)
+			membersEvicted.Inc()
+			s.notify()
+		}
 	}
 }
 
@@ -368,12 +365,6 @@ func (s *Static) snapshotLocked(script string) []Endpoint {
 	return eps
 }
 
-func (s *Static) notifyLocked() {
-	for sub := range s.subs {
-		sub.push(s.snapshotLocked(sub.script))
-	}
-}
-
 // Close implements Registry.
 func (s *Static) Close() error {
 	s.mu.Lock()
@@ -381,11 +372,7 @@ func (s *Static) Close() error {
 		s.mu.Unlock()
 		return nil
 	}
-	s.closed = true
-	for sub := range s.subs {
-		delete(s.subs, sub)
-		close(sub.ch)
-	}
+	s.hub.close()
 	s.mu.Unlock()
 	if s.stop != nil {
 		close(s.stop)
@@ -395,6 +382,3 @@ func (s *Static) Close() error {
 }
 
 var _ Registry = (*Static)(nil)
-
-// ErrClosed reports an operation against a closed registry.
-var ErrClosed = errors.New("registry: closed")

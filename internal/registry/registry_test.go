@@ -129,17 +129,45 @@ func TestStaticFilePollReload(t *testing.T) {
 func TestStaticStaleStopKeepsNewerAnnouncement(t *testing.T) {
 	s := NewStatic()
 	defer s.Close()
-	stop1 := s.Announce(Endpoint{Addr: "127.0.0.1:7501"}, nil)
-	stop2 := s.Announce(Endpoint{Addr: "127.0.0.1:7501", Scripts: []string{"slot"}}, nil)
+	staleStopKeepsNewerAnnouncement(t, s)
+}
+
+func TestGossipStaleStopKeepsNewerAnnouncement(t *testing.T) {
+	staleStopKeepsNewerAnnouncement(t, newTestGossip(t, nil, 60))
+}
+
+// staleStopKeepsNewerAnnouncement holds of every Registry: a stop function
+// withdraws the announcement it was returned for and no other.
+func staleStopKeepsNewerAnnouncement(t *testing.T, r Registry) {
+	stop1 := r.Announce(Endpoint{Addr: "127.0.0.1:7501"}, nil)
+	stop2 := r.Announce(Endpoint{Addr: "127.0.0.1:7501", Scripts: []string{"slot"}}, nil)
+	ch, cancel := r.Subscribe("")
+	defer cancel()
+	<-ch // the current snapshot
 	// stop1 belongs to the superseded announcement: it must not withdraw
 	// the live one at the same address.
 	stop1()
-	if eps := s.Snapshot(""); len(eps) != 1 || len(eps[0].Scripts) != 1 {
+	if eps := r.Snapshot(""); len(eps) != 1 || len(eps[0].Scripts) != 1 {
 		t.Fatalf("stale stop withdrew the live announcement: %v", eps)
 	}
+	select {
+	case eps := <-ch:
+		t.Fatalf("stale stop notified subscribers: %v", eps)
+	default:
+	}
 	stop2()
-	if eps := s.Snapshot(""); len(eps) != 0 {
+	if eps := r.Snapshot(""); len(eps) != 0 {
 		t.Fatalf("live stop failed to withdraw: %v", eps)
+	}
+	if eps := <-ch; len(eps) != 0 {
+		t.Fatalf("subscriber snapshot after the live stop: %v", eps)
+	}
+	stop2() // a second call withdraws, and tells subscribers, nothing more
+	stop1()
+	select {
+	case eps, open := <-ch:
+		t.Fatalf("a repeated stop reached the subscription: %v, open=%v", eps, open)
+	default:
 	}
 }
 

@@ -134,7 +134,7 @@ func (e *Enroller) perform(ctx context.Context, st *muxStream, enr core.Enrollme
 	}
 	e.bindTrace(rctx, st.ack.TraceID, enr.TraceID)
 	rctx.trace(trace.Event{Kind: trace.KindStart})
-	bodyErr := runClientBody(enr.Body, rctx)
+	bodyErr := core.RunBody(enr.Body, rctx)
 	rctx.trace(trace.Event{Kind: trace.KindFinish})
 	st.bodyDone = wire.BodyDone{Results: rctx.Out, Err: wire.EncodeError(bodyErr)}
 	if err := st.mc.fw.WriteFrame(wire.MsgBodyDone, st.id, 0, &st.bodyDone); err != nil {
@@ -157,18 +157,6 @@ func (e *Enroller) perform(ctx context.Context, st *muxStream, enr core.Enrollme
 		res.Role = r
 	}
 	return res, nil
-}
-
-// runClientBody runs the body with the same panic containment the local
-// scheduler applies: a panicking body surfaces as an error, not a crash of
-// the enrolling process's runtime.
-func runClientBody(body core.RoleBody, rc core.Ctx) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("script: role body panicked: %v", r)
-		}
-	}()
-	return body(rc)
 }
 
 // remoteCtx is the client-side Ctx: the body's view of a performance whose

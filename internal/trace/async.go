@@ -14,32 +14,33 @@ var (
 	droppedClosedTotal = metrics.Get(metrics.TraceDroppedClosed)
 )
 
-// Async decouples event recording from event storage: Record enqueues onto a
-// fixed-size lock-free ring buffer (a bounded MPSC queue) and returns
-// immediately, while a single background goroutine drains the ring into the
+// Async decouples event recording from event storage: Record makes a
+// non-blocking send on a bounded queue (a buffered channel) and returns
+// immediately, while a single background goroutine drains the queue into the
 // wrapped sink tracer. The script runtime records events while holding the
 // instance lock; wrapping a heavyweight sink (Log, a JSON writer, ...) in an
-// Async keeps that critical section short — the enqueue is a couple of
-// atomic operations and never blocks.
+// Async keeps that critical section short.
 //
-// Drop semantics: when the ring is full — or the tracer has been closed —
+// Drop semantics: when the queue is full — or the tracer has been closed —
 // Record drops the event and increments the matching drop counter (Dropped
-// for ring-full, DroppedClosed for post-Close) instead of
-// blocking the hot path or resurrecting a stopped drainer. Dropped
-// events are simply missing from the sink; the events that are delivered
-// preserve their recording order (the ring is FIFO). Tests that need a
-// complete log should either use the sink directly (all Tracers remain
-// synchronous and safe for concurrent use) or call Flush at quiescent points
-// and check Dropped() == 0.
+// for queue-full, DroppedClosed for post-Close) instead of blocking the hot
+// path or resurrecting a stopped drainer. Dropped events are simply missing
+// from the sink; the events that are delivered preserve their recording
+// order (the queue is FIFO). Tests that need a complete log should either use
+// the sink directly (all Tracers remain synchronous and safe for concurrent
+// use) or call Flush at quiescent points and check Dropped() == 0.
 type Async struct {
-	sink  Tracer
-	mask  uint64
-	cells []asyncCell
+	sink Tracer
+	// queue holds events behind pointers: it lives for the tracer's whole
+	// lifetime, so an idle queue costs the collector one word per slot, not an
+	// Event. The price is one heap copy per recorded event — paid only for
+	// events that pass sampling, where the sink write dominates anyway.
+	queue chan *Event
 
-	enq atomic.Uint64 // next enqueue position
-	deq atomic.Uint64 // next dequeue position (advanced only by drain)
-	// droppedFull counts ring-full drops, droppedClosed post-Close drops;
-	// the split matters because the first means "size the ring up or slow
+	enq atomic.Uint64 // events the queue accepted
+	deq atomic.Uint64 // events the drainer delivered
+	// droppedFull counts queue-full drops, droppedClosed post-Close drops;
+	// the split matters because the first means "size the queue up or slow
 	// the producers" while the second is normal shutdown accounting.
 	droppedFull   atomic.Uint64
 	droppedClosed atomic.Uint64
@@ -47,13 +48,11 @@ type Async struct {
 	// stopped and recorders fence Record against Close: Record registers in
 	// recorders for its whole critical section and bails out (counting the
 	// event as dropped) once stopped is set; Close sets stopped and then
-	// waits for recorders to reach zero before running the final drain
-	// sweep, so every enqueue the sweep must deliver has been published.
+	// waits for recorders to reach zero before closing the queue, so no send
+	// meets a closed channel and the drainer's last pass sees every event
+	// that was accepted.
 	stopped   atomic.Bool
 	recorders atomic.Int64
-
-	notify chan struct{} // producer -> drainer doorbell, capacity 1
-	quit   chan struct{}
 
 	mu     sync.Mutex
 	cond   *sync.Cond // signalled by the drainer as deq advances
@@ -61,31 +60,17 @@ type Async struct {
 	wg     sync.WaitGroup
 }
 
-// asyncCell holds the claimed event behind a pointer rather than inline:
-// the cells array lives (and is scanned by every GC mark cycle) for the
-// tracer's whole lifetime, so an idle ring's resident footprint is one word
-// per cell instead of a full Event. The price is one heap copy per recorded
-// event — paid only for events that pass sampling, where the sink write
-// dominates anyway.
-type asyncCell struct {
-	seq atomic.Uint64
-	ev  *Event
-}
-
 var _ Tracer = (*Async)(nil)
 
-// DefaultAsyncSize is the ring capacity used when NewAsync is given a
-// non-positive size. The cells hold events by value and live for the
-// tracer's whole lifetime, so the GC scans the full ring every mark cycle
-// whether or not anything was recorded — the default is sized to absorb
-// bursts while keeping that always-on footprint (and a small-heap
-// process's GC bill) negligible. Pass an explicit size to trade memory for
-// burst headroom.
+// DefaultAsyncSize is the queue capacity used when NewAsync is given a
+// non-positive size: enough to absorb bursts while keeping the always-on
+// footprint (and a small-heap process's GC bill) negligible. Pass an explicit
+// size to trade memory for burst headroom.
 const DefaultAsyncSize = 1 << 10
 
-// NewAsync wraps sink in an asynchronous ring-buffer tracer with the given
-// capacity (rounded up to a power of two; <= 0 selects DefaultAsyncSize).
-// Call Close to drain and stop the background goroutine.
+// NewAsync wraps sink in an asynchronous tracer whose queue holds size events
+// (<= 0 selects DefaultAsyncSize). Call Close to drain and stop the
+// background goroutine.
 func NewAsync(sink Tracer, size int) *Async {
 	if sink == nil {
 		sink = Nop{}
@@ -93,33 +78,20 @@ func NewAsync(sink Tracer, size int) *Async {
 	if size <= 0 {
 		size = DefaultAsyncSize
 	}
-	capacity := 1
-	for capacity < size {
-		capacity <<= 1
-	}
-	a := &Async{
-		sink:   sink,
-		mask:   uint64(capacity - 1),
-		cells:  make([]asyncCell, capacity),
-		notify: make(chan struct{}, 1),
-		quit:   make(chan struct{}),
-	}
-	for i := range a.cells {
-		a.cells[i].seq.Store(uint64(i))
-	}
+	a := &Async{sink: sink, queue: make(chan *Event, size)}
 	a.cond = sync.NewCond(&a.mu)
 	a.wg.Add(1)
 	go a.drain()
 	return a
 }
 
-// Record enqueues e without blocking. If the ring is full the event is
+// Record enqueues e without blocking. If the queue is full the event is
 // dropped and counted in Dropped(); if the tracer has been closed it is
 // dropped and counted in DroppedClosed(). Safe for
 // concurrent use by any number of recorders, including concurrently with
 // Close: a Record that races Close either delivers its event to the sink
 // before Close returns or counts it as dropped — it is never silently lost
-// and never touches the ring after the final drain sweep.
+// and never touches the queue after Close has closed it.
 func (a *Async) Record(e Event) {
 	a.recorders.Add(1)
 	defer a.recorders.Add(-1)
@@ -128,83 +100,40 @@ func (a *Async) Record(e Event) {
 		droppedClosedTotal.Inc()
 		return
 	}
-	for {
-		pos := a.enq.Load()
-		cell := &a.cells[pos&a.mask]
-		switch dif := int64(cell.seq.Load() - pos); {
-		case dif == 0: // cell free at this lap: try to claim it
-			if a.enq.CompareAndSwap(pos, pos+1) {
-				cell.ev = &e
-				cell.seq.Store(pos + 1) // publish to the drainer
-				select {
-				case a.notify <- struct{}{}:
-				default:
-				}
-				return
-			}
-		case dif < 0: // cell still holds last lap's event: ring full, drop
-			a.droppedFull.Add(1)
-			droppedFullTotal.Inc()
-			return
-		default:
-			// Another producer claimed pos concurrently; reload and retry.
-		}
+	select {
+	case a.queue <- &e:
+		a.enq.Add(1)
+	default:
+		a.droppedFull.Add(1)
+		droppedFullTotal.Inc()
 	}
 }
 
-// drain is the single consumer: it moves published events into the sink.
+// drain is the single consumer: it moves queued events into the sink until
+// Close closes the queue, and wakes Flush waiters each time it has emptied it.
 func (a *Async) drain() {
 	defer a.wg.Done()
-	capacity := a.mask + 1
-	for {
-		moved := false
-		for {
-			pos := a.deq.Load()
-			cell := &a.cells[pos&a.mask]
-			if cell.seq.Load() != pos+1 {
-				break // next event not published yet
-			}
-			e := cell.ev
-			cell.ev = nil
-			cell.seq.Store(pos + capacity) // recycle the cell for the next lap
-			a.deq.Store(pos + 1)
-			a.sink.Record(*e)
-			moved = true
-		}
-		if moved {
-			a.mu.Lock()
-			a.cond.Broadcast() // wake Flush waiters
-			a.mu.Unlock()
-		}
-		select {
-		case <-a.notify:
-		case <-a.quit:
-			// Final sweep: deliver anything published before Close.
-			for {
-				pos := a.deq.Load()
-				cell := &a.cells[pos&a.mask]
-				if cell.seq.Load() != pos+1 {
-					break
-				}
-				e := cell.ev
-				cell.ev = nil
-				cell.seq.Store(pos + capacity)
-				a.deq.Store(pos + 1)
-				a.sink.Record(*e)
-			}
-			a.mu.Lock()
-			a.cond.Broadcast()
-			a.mu.Unlock()
-			return
+	for e := range a.queue {
+		a.sink.Record(*e)
+		a.deq.Add(1)
+		if len(a.queue) == 0 {
+			a.wake()
 		}
 	}
+	a.wake() // a Flush that saw closed set is waiting for this exit
+}
+
+func (a *Async) wake() {
+	a.mu.Lock()
+	a.cond.Broadcast()
+	a.mu.Unlock()
 }
 
 // Flush blocks until every event enqueued before the call has been delivered
 // to the sink (or dropped). It does not wait for events recorded
 // concurrently with the flush. A Flush racing (or following) Close waits for
-// the drainer's final sweep to finish, so a Record→Close→Flush caller
-// observes a complete sink: every event published before Close has reached
+// the drainer's last pass to finish, so a Record→Close→Flush caller
+// observes a complete sink: every event accepted before Close has reached
 // the sink by the time Flush returns.
 func (a *Async) Flush() {
 	target := a.enq.Load()
@@ -215,16 +144,15 @@ func (a *Async) Flush() {
 	closed := a.closed
 	a.mu.Unlock()
 	if closed {
-		// The wait loop exited because Close began, but the drainer's final
-		// sweep may still be delivering published events; returning now
-		// would let the caller read the sink mid-sweep. Wait for drainer
-		// exit — outside the mutex, which the sweep needs for its own
-		// final broadcast.
+		// The wait loop exited because Close began, but the drainer may still
+		// be delivering accepted events; returning now would let the caller
+		// read the sink mid-pass. Wait for drainer exit — outside the mutex,
+		// which the drainer needs for its own final broadcast.
 		a.wg.Wait()
 	}
 }
 
-// Dropped returns the number of events discarded because the ring was full.
+// Dropped returns the number of events discarded because the queue was full.
 // Events discarded because the tracer was already closed are counted
 // separately in DroppedClosed.
 func (a *Async) Dropped() uint64 { return a.droppedFull.Load() }
@@ -245,13 +173,13 @@ func (a *Async) Close() {
 	}
 	a.closed = true
 	a.mu.Unlock()
-	// Fence out recorders, then wait for in-flight ones to publish: after
-	// this loop no goroutine will touch the ring again, so the drainer's
-	// final sweep observes every claimed cell fully published.
+	// Fence out recorders, then wait for in-flight ones to finish their send:
+	// after this loop no goroutine will touch the queue again, so it can be
+	// closed under the drainer, whose range then ends once it is empty.
 	a.stopped.Store(true)
 	for a.recorders.Load() != 0 {
 		runtime.Gosched()
 	}
-	close(a.quit)
+	close(a.queue)
 	a.wg.Wait()
 }

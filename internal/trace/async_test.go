@@ -2,6 +2,7 @@ package trace
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -78,17 +79,22 @@ func TestAsyncDropsWhenFull(t *testing.T) {
 	for i := 0; i < total; i++ {
 		a.Record(Event{Kind: KindRecv})
 	}
+	// Flush waits for what the queue accepted, not for what it refused: it
+	// returns, and by then every event is in the sink or in the counter.
 	a.Flush()
-	a.Close()
 	dropped := int(a.Dropped())
 	if dropped == 0 {
-		t.Fatalf("expected drops with a slow sink and an 8-slot ring")
+		t.Fatalf("expected drops with a slow sink and an 8-slot queue")
 	}
 	sink.mu.Lock()
 	delivered := sink.count
 	sink.mu.Unlock()
 	if delivered+dropped != total {
-		t.Fatalf("delivered %d + dropped %d != recorded %d", delivered, dropped, total)
+		t.Fatalf("after Flush: delivered %d + dropped %d != recorded %d", delivered, dropped, total)
+	}
+	a.Close()
+	if int(a.Dropped()) != dropped || a.DroppedClosed() != 0 {
+		t.Fatalf("Close changed the drop counters: %d full, %d closed", a.Dropped(), a.DroppedClosed())
 	}
 }
 
@@ -105,10 +111,63 @@ func TestAsyncCloseIdempotentAndLateRecord(t *testing.T) {
 }
 
 func TestAsyncNilSinkAndSizeRounding(t *testing.T) {
-	a := NewAsync(nil, 3) // rounds up to 4, discards into Nop
+	a := NewAsync(nil, 3) // discards into Nop
 	defer a.Close()
 	for i := 0; i < 10; i++ {
 		a.Record(Event{})
 	}
 	a.Flush()
+
+	// The size is the queue's capacity as given, not rounded up: with the
+	// drainer held inside the sink on the first event, three more fit and the
+	// rest are dropped.
+	sink := &gatedSink{entered: make(chan struct{}), release: make(chan struct{})}
+	b := NewAsync(sink, 3)
+	b.Record(Event{})
+	<-sink.entered
+	for i := 0; i < 9; i++ {
+		b.Record(Event{})
+	}
+	if got := b.Dropped(); got != 6 {
+		t.Fatalf("a 3-slot queue behind a blocked sink dropped %d of 9, want 6", got)
+	}
+	close(sink.release)
+	b.Close()
+	if got := sink.n.Load(); got != 4 {
+		t.Fatalf("sink saw %d events, want 4", got)
+	}
+}
+
+// gatedSink announces its first delivery and holds it until released.
+type gatedSink struct {
+	entered, release chan struct{}
+	n                atomic.Uint64
+}
+
+func (s *gatedSink) Record(Event) {
+	if s.n.Add(1) == 1 {
+		close(s.entered)
+		<-s.release
+	}
+}
+
+// BenchmarkAsyncRecord is what one recorded event costs end to end — the
+// recorder's send and the drainer's delivery into a sink that costs nothing —
+// with every event going through the queue (no sampling): each recorder
+// flushes every 512 events, so the queue never fills and nothing is dropped.
+// Run with -cpu=1,4 to see it without and with contention.
+func BenchmarkAsyncRecord(b *testing.B) {
+	a := NewAsync(Nop{}, 1<<12)
+	defer a.Close()
+	e := Event{Kind: KindSend, Script: "bench", Performance: 1, Role: ids.Role("sender"), Peer: ids.Member("recipient", 3)}
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		for i := 1; pb.Next(); i++ {
+			a.Record(e)
+			if i%512 == 0 {
+				a.Flush()
+			}
+		}
+	})
+	b.ReportMetric(float64(a.Dropped())/float64(b.N), "dropped/op")
 }

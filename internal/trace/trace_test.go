@@ -177,3 +177,32 @@ func TestNopTracer(t *testing.T) {
 	var n Nop
 	n.Record(Event{Kind: KindSend}) // must not panic
 }
+
+func TestTailKeepsTheLastEvents(t *testing.T) {
+	const bound = 64
+	tail := NewTail(bound)
+	for i := 1; i <= bound/2; i++ {
+		tail.Record(Event{Kind: KindSend, Performance: i})
+	}
+	if got := tail.Events(); len(got) != bound/2 || got[0].Performance != 1 {
+		t.Fatalf("before the bound: %d events, first %v", len(got), got[0])
+	}
+	for i := bound/2 + 1; i <= 2*bound+3; i++ {
+		tail.Record(Event{Kind: KindSend, Performance: i})
+	}
+	got := tail.Events()
+	if len(got) != bound {
+		t.Fatalf("after %d events the tail holds %d, want its bound %d", 2*bound+3, len(got), bound)
+	}
+	for i, e := range got {
+		if want := bound + 4 + i; e.Performance != want || e.Seq != want {
+			t.Fatalf("event %d is performance %d seq %d, want the %dth recorded", i, e.Performance, e.Seq, want)
+		}
+	}
+	one := NewTail(0)
+	one.Record(Event{Performance: 1})
+	one.Record(Event{Performance: 2})
+	if got := one.Events(); len(got) != 1 || got[0].Performance != 2 {
+		t.Fatalf("a tail of less than one event keeps the last one; got %v", got)
+	}
+}

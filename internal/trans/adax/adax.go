@@ -157,7 +157,7 @@ func New(def core.Definition) (*Host, error) {
 				rt.perf++
 				rt.mu.Unlock()
 				rc := &hostCtx{ParamBag: core.ParamBag{In: ins}, rt: rt, tk: tk}
-				bodyErr := runBody(body, rc)
+				bodyErr := core.RunBody(body, rc)
 				if _, err := supStop[j-1].Call(tk.Context()); err != nil {
 					return fmt.Errorf("supervisor stop(%d): %w", j, err)
 				}
@@ -174,15 +174,6 @@ func New(def core.Definition) (*Host, error) {
 		h.tasks[role] = rt
 	}
 	return h, nil
-}
-
-func runBody(body core.RoleBody, rc core.Ctx) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("role body panicked: %v", r)
-		}
-	}()
-	return body(rc)
 }
 
 // TaskCount returns the number of tasks the translation created (m+1): the

@@ -130,7 +130,7 @@ func (h *Host) Enroll(role ids.RoleRef, args []any) ([]any, error) {
 	h.sup.Leave()
 
 	rc := &hostCtx{ParamBag: core.ParamBag{In: args}, host: h, role: role, perf: perf}
-	bodyErr := runBody(body, rc)
+	bodyErr := core.RunBody(body, rc)
 
 	h.sup.Enter()
 	h.done[role] = true
@@ -168,15 +168,6 @@ func (h *Host) Performances() int {
 	h.sup.Enter()
 	defer h.sup.Leave()
 	return h.perf
-}
-
-func runBody(body core.RoleBody, rc core.Ctx) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("role body panicked: %v", r)
-		}
-	}()
-	return body(rc)
 }
 
 // message is one mailbox entry.

@@ -95,7 +95,7 @@ type (
 	// TraceLog is an in-memory tracer.
 	TraceLog = trace.Log
 	// AsyncTracer decouples trace recording from the scheduler's critical
-	// section via a lock-free ring; see NewAsyncTracer.
+	// section via a bounded queue; see NewAsyncTracer.
 	AsyncTracer = trace.Async
 	// Sampler decides per performance, at initiation, whether to trace it;
 	// see WithSampler.
@@ -168,11 +168,11 @@ func NewInstance(def Definition, opts ...Option) *Instance {
 // WithTracer attaches a tracer to an instance.
 func WithTracer(t Tracer) Option { return core.WithTracer(t) }
 
-// NewAsyncTracer wraps sink in a lock-free ring buffer drained by a
-// dedicated goroutine, so Record never blocks the scheduler: events are
-// dropped (and counted) rather than awaited when the ring is full. size is
-// the ring capacity, rounded up to a power of two; pass 0 for the default.
-// Call Flush to wait for delivery and Close when the instance is done.
+// NewAsyncTracer wraps sink in a bounded queue drained by a dedicated
+// goroutine, so Record never blocks the scheduler: events are dropped (and
+// counted) rather than awaited when the queue is full. size is the queue's
+// capacity in events; pass 0 for the default. Call Flush to wait for
+// delivery and Close when the instance is done.
 func NewAsyncTracer(sink Tracer, size int) *AsyncTracer {
 	if size <= 0 {
 		size = trace.DefaultAsyncSize
