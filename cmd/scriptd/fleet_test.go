@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"syscall"
@@ -117,12 +116,7 @@ func TestFleetEndToEnd(t *testing.T) {
 		t.Skip("spawns child processes; skipped with -short")
 	}
 
-	bin := filepath.Join(t.TempDir(), "scriptd")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	build.Stderr = os.Stderr
-	if err := build.Run(); err != nil {
-		t.Fatalf("go build scriptd: %v", err)
-	}
+	bin := buildScriptd(t)
 
 	h1 := startFleetHost(t, bin, nil)
 	h2 := startFleetHost(t, bin, []string{h1.gaddr})

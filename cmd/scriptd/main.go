@@ -23,7 +23,9 @@
 // Observability: -metrics-addr starts an HTTP listener exposing the
 // process's always-on counters (performances, sheds, lane hits, wire
 // versions, trace drops) in Prometheus text format at /metrics, plus the
-// host's live gauges and Go's expvar at /debug/vars. The resolved address
+// host's live gauges and Go's expvar at /debug/vars, and Go's profiles at
+// /debug/pprof/ (the daemon has no other HTTP listener, so without the flag
+// there is nothing to profile through). The resolved address
 // is printed as "metrics on ADDR". -trace-sample enables sampled tracing of
 // the served performances; the last traceTail events recorded are served as
 // JSON (the form cmd/tracecheck reads) at /debug/trace.
@@ -46,6 +48,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
@@ -87,7 +90,7 @@ func run(args []string, out io.Writer) error {
 	maxProto := fs.Int("max-proto", 0,
 		"highest SCRW protocol version to negotiate (0 = newest; 1 pins the JSON v1 wire)")
 	metricsAddr := fs.String("metrics-addr", "",
-		"TCP address for the /metrics, /debug/vars and /debug/trace HTTP endpoint (empty disables; port 0 picks a free port)")
+		"TCP address for the /metrics, /debug/vars, /debug/pprof/ and /debug/trace HTTP endpoint (empty disables; port 0 picks a free port)")
 	sampleFrac := fs.Float64("trace-sample", 0,
 		"fraction of performances to trace, 0..1 (0 disables sampled tracing)")
 	sampleSeed := fs.Uint64("trace-seed", 1, "seed for the deterministic trace sampler")
@@ -258,9 +261,11 @@ const traceTail = 4096
 
 // metricsMux builds the observability endpoint: /metrics serves the
 // process-wide counter registry plus the host's live gauges in Prometheus
-// text format, /debug/vars serves Go's expvar JSON, and /debug/trace the tail
-// of sampled trace events as trace.WriteJSON writes them (404 when the daemon
-// samples nothing).
+// text format, /debug/vars serves Go's expvar JSON, /debug/pprof/ what
+// net/http/pprof serves (on this mux only: the package's own registration is
+// with the default mux, which the daemon never serves), and /debug/trace the
+// tail of sampled trace events as trace.WriteJSON writes them (404 when the
+// daemon samples nothing).
 func metricsMux(h *remote.Host, in *core.Instance, reg registry.Registry, script string, tail *trace.Tail) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
@@ -293,6 +298,11 @@ func metricsMux(h *remote.Host, in *core.Instance, reg registry.Registry, script
 		}
 	})
 	mux.Handle("/debug/vars", expvar.Handler())
+	mux.HandleFunc("/debug/pprof/", pprof.Index) // the named profiles too: heap, goroutine, ...
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	if tail != nil {
 		mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, _ *http.Request) {
 			w.Header().Set("Content-Type", "application/json")

@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -47,6 +49,19 @@ func TestUnknownScript(t *testing.T) {
 	}
 }
 
+// buildScriptd builds the daemon into the test's temporary directory and
+// returns the binary's path.
+func buildScriptd(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "scriptd")
+	build := exec.Command("go", "build", "-o", bin, ".")
+	build.Stderr = os.Stderr
+	if err := build.Run(); err != nil {
+		t.Fatalf("go build scriptd: %v", err)
+	}
+	return bin
+}
+
 // TestEndToEnd is the multi-process acceptance test: a scriptd child
 // process serves the quickstart broadcast script, and this process plays
 // all four quickstart parties over loopback TCP via remote.Enroller —
@@ -57,12 +72,7 @@ func TestEndToEnd(t *testing.T) {
 		t.Skip("spawns a child process; skipped with -short")
 	}
 
-	bin := filepath.Join(t.TempDir(), "scriptd")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	build.Stderr = os.Stderr
-	if err := build.Run(); err != nil {
-		t.Fatalf("go build scriptd: %v", err)
-	}
+	bin := buildScriptd(t)
 
 	daemon := exec.Command(bin, "-addr", "127.0.0.1:0", "-script", "star_broadcast", "-n", "3",
 		"-metrics-addr", "127.0.0.1:0", "-trace-sample", "1", "-trace-seed", "7")
@@ -205,6 +215,25 @@ func TestEndToEnd(t *testing.T) {
 		}
 	}
 
+	// The profiles ride the metrics listener and nothing else: the daemon's
+	// other port speaks SCRW, not HTTP.
+	for _, path := range []string{"/debug/pprof/", "/debug/pprof/goroutine?debug=1"} {
+		resp, err := http.Get("http://" + maddr + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		page, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || !strings.Contains(string(page), "goroutine") {
+			t.Errorf("GET %s on the metrics listener: %s\n%.200s", path, resp.Status, page)
+		}
+	}
+	probe := http.Client{Timeout: 2 * time.Second}
+	if resp, err := probe.Get("http://" + addr + "/debug/pprof/"); err == nil {
+		resp.Body.Close()
+		t.Errorf("the serve address answered GET /debug/pprof/ with %s", resp.Status)
+	}
+
 	// -trace-sample keeps the tail of the sampled events for /debug/trace, in
 	// the form tracecheck reads. The events reach the tail through the async
 	// tracer's drainer, so the last of them may be a moment behind the
@@ -242,5 +271,76 @@ func TestEndToEnd(t *testing.T) {
 	}
 	if !strings.Contains(out, "drained") {
 		t.Errorf("daemon output after startup = %q, want a drain acknowledgement", out)
+	}
+}
+
+// TestPprofOnlyWithTheMetricsListener: the profiles are mounted on the mux
+// -metrics-addr serves — index, a named profile and the command line. That
+// mux's listener is the daemon's only HTTP listener: TestEndToEnd checks that
+// the serve address does not answer, and a daemon started without the flag
+// prints "listening on" and never "metrics on".
+func TestPprofOnlyWithTheMetricsListener(t *testing.T) {
+	def, err := patterns.ByName("star_broadcast", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := core.NewInstance(def)
+	defer in.Close()
+	srv := httptest.NewServer(metricsMux(remote.NewHost(in, remote.HostConfig{}), in, nil, def.Name(), nil))
+	defer srv.Close()
+	for path, want := range map[string]string{
+		"/debug/pprof/":                  "heap",
+		"/debug/pprof/goroutine?debug=1": "goroutine profile",
+		"/debug/pprof/cmdline":           os.Args[0],
+	} {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		page, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || !strings.Contains(string(page), want) {
+			t.Errorf("GET %s: %s, want 200 and %q in:\n%.300s", path, resp.Status, want, page)
+		}
+	}
+
+	if testing.Short() {
+		return // the rest spawns a child process
+	}
+	bin := buildScriptd(t)
+	daemon := exec.Command(bin, "-script", "star_broadcast", "-n", "2")
+	stdout, err := daemon.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	daemon.Stderr = os.Stderr
+	if err := daemon.Start(); err != nil {
+		t.Fatalf("start scriptd: %v", err)
+	}
+	defer daemon.Process.Kill()
+	var lines []string
+	for sc := bufio.NewScanner(stdout); sc.Scan(); {
+		lines = append(lines, sc.Text())
+		addr, ok := strings.CutPrefix(sc.Text(), "listening on ")
+		if !ok {
+			continue
+		}
+		// An offer the host answers, if only to let it time out, was served:
+		// start-up is over, the metrics line would be out, and the signal
+		// handler — installed before the accept loop — is in place.
+		ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+		enr := remote.NewEnroller(addr, remote.EnrollerConfig{Script: "star_broadcast"})
+		_, err := enr.Enroll(ctx, core.Enrollment{PID: "probe", Role: ids.Role("sender"), Body: func(core.Ctx) error { return nil }})
+		cancel()
+		enr.Close()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("probe enrollment: %v, want its deadline", err)
+		}
+		if err := daemon.Process.Signal(os.Interrupt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if out := strings.Join(lines, "\n"); !strings.Contains(out, "drained") || strings.Contains(out, "metrics on") {
+		t.Fatalf("a daemon without -metrics-addr printed:\n%s", out)
 	}
 }

@@ -2,11 +2,15 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/scriptabs/goscript/internal/ids"
+	"github.com/scriptabs/goscript/internal/match"
 )
 
 // TestOpenFamilyDefaultCriticalSetIsClosedRoles: a script with an open
@@ -120,5 +124,89 @@ func TestEmptyPerformanceAllocs(t *testing.T) {
 	wg.Wait()
 	if got > 7 { // 6 measured, plus 10%
 		t.Fatalf("an empty three-role performance allocates %v objects, want <= 7", got)
+	}
+}
+
+// TestCriticalCountersFollowTheTable: the instance holds one description of
+// its definition's critical sets, the matcher's compiled table, and keeps its
+// counters by asking it. After every add, withdrawal and assignment of a
+// pending offer the table must say what the definition's own role sets say,
+// and critMissing must be what a count from those sets gives — for the
+// default set, for declared alternatives that share roles, and for a declared
+// set that names a member of an open family, which has no slot.
+func TestCriticalCountersFollowTheTable(t *testing.T) {
+	nop := func(Ctx) error { return nil }
+	defs := map[string]Definition{
+		"default": NewScript("star").Role("sender", nop).Family("recipient", 5, nop).MustBuild(),
+		"alternatives": NewScript("lock").Family("manager", 3, nop).Role("reader", nop).Role("writer", nop).
+			CriticalSet(ids.Member("manager", 1), ids.Member("manager", 2), ids.Member("manager", 3), ids.Role("reader")).
+			CriticalSet(ids.Member("manager", 1), ids.Member("manager", 2), ids.Member("manager", 3), ids.Role("writer")).
+			MustBuild(),
+		"open member named": NewScript("og").Role("hub", nop).OpenFamily("w", nop).
+			CriticalSet(ids.Role("hub"), ids.Member("w", 2)).CriticalSet(ids.Member("w", 1), ids.Member("w", 2)).
+			MustBuild(),
+		"open family, default": NewScript("od").Role("hub", nop).Role("aux", nop).OpenFamily("w", nop).MustBuild(),
+	}
+	for name, def := range defs {
+		t.Run(name, func(t *testing.T) {
+			in := NewInstance(def)
+			defer in.Close()
+			sets := def.criticalSets
+			if len(sets) == 0 {
+				sets = []ids.RoleSet{def.closedRoles()}
+			}
+			offered := append(def.Roles(), ids.Member("w", 1), ids.Member("w", 2), ids.Member("w", 3))
+			if !def.HasOpenFamilies() {
+				offered = def.Roles()
+			}
+			check := func(step string) {
+				t.Helper()
+				if got := in.table.Sizes(); len(got) != len(sets) {
+					t.Fatalf("%s: the table has %d critical sets, the definition %d", step, len(got), len(sets))
+				}
+				for i, cs := range sets {
+					missing := 0
+					for r := range cs {
+						if !slices.ContainsFunc(in.pending, func(st *enrollState) bool { return st.offer.Role == r }) {
+							missing++
+						}
+					}
+					for _, r := range offered {
+						if in.table.Names(i, in.slotOf(r), r) != cs.Contains(r) {
+							t.Fatalf("%s: table.Names(%d, %s) = %v, the definition's set %v says otherwise", step, i, r, !cs.Contains(r), cs)
+						}
+					}
+					if int(in.table.Sizes()[i]) != len(cs) || int(in.critMissing[i]) != missing {
+						t.Fatalf("%s: set %d %v: size %d, critMissing %d; want %d and %d",
+							step, i, cs, in.table.Sizes()[i], in.critMissing[i], len(cs), missing)
+					}
+				}
+			}
+			in.mu.Lock()
+			defer in.mu.Unlock()
+			check("fresh")
+			rng := rand.New(rand.NewSource(27))
+			for step := 0; step < 400; step++ {
+				switch n := len(in.pending); {
+				case n == 0 || rng.Intn(3) > 0 && n < 12:
+					r := offered[rng.Intn(len(offered))]
+					in.nextOffer++
+					in.addPendingLocked(&enrollState{
+						offer: match.Offer{ID: in.nextOffer, PID: ids.PID(fmt.Sprint("P", in.nextOffer)), Role: r},
+						slot:  in.slotOf(r), ctx: context.Background(), phase: phasePending,
+					})
+				case rng.Intn(2) == 0:
+					in.removePendingLocked(in.pending[rng.Intn(n)])
+				default: // what a cast does: some offers assigned, dropped in one pass
+					for _, st := range in.pending {
+						if rng.Intn(2) == 0 {
+							st.phase = phaseAssigned
+						}
+					}
+					in.dropAssignedLocked()
+				}
+				check(fmt.Sprintf("step %d (%d pending)", step, len(in.pending)))
+			}
+		})
 	}
 }

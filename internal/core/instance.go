@@ -164,22 +164,20 @@ type Instance struct {
 
 	// Formation tables: what forming a cast needs and the definition fixes,
 	// computed once by NewInstance instead of once per performance. The
-	// definition is immutable after Build and the tables are only read
-	// (match.Find reads universe too), so every performance shares them.
+	// definition is immutable after Build and the tables are only read, so
+	// every performance shares them.
 	//
 	// roles is the closed role universe — scalar roles and the members of
 	// fixed-size families — in ids order; a role's index in it is its slot,
-	// and its endpoint in the instance's fabric. universe is the same as a
-	// set, base maps a role or family name to the slot of the scalar or of
-	// member 1 (open families have no entry: their members have no slot).
-	roles    []ids.RoleRef
-	universe ids.RoleSet
-	base     map[string]int
-	// critSets are the effective critical sets: the declared ones, or the
-	// closed universe when none were declared — open families never take
-	// part in the default. critOf[slot] lists the sets role slot belongs to.
-	critSets []ids.RoleSet
-	critOf   [][]int
+	// and its endpoint in the instance's fabric. base maps a role or family
+	// name to the slot of the scalar or of member 1 (open families have no
+	// entry: their members have no slot). table is the matcher's compilation of
+	// the roles and of the effective critical sets — the declared ones, or the
+	// closed universe when none were declared: open families never take part in
+	// the default — and the one description of the sets the instance holds.
+	roles []ids.RoleRef
+	base  map[string]int
+	table *match.Table
 
 	// load counts enrollments in flight (pending, playing, or held), for
 	// Pool dispatch. Kept outside mu so Load() never contends.
@@ -213,31 +211,32 @@ type Instance struct {
 
 	// pendingBySlot counts pending offers per closed role and pendingOpen
 	// per offered open-family member, maintained on every pending-set
-	// mutation; critMissing[i] is the number of roles of critSets[i] with no
-	// pending offer. The delayed-initiation matcher skips match.Find unless
-	// some critMissing is zero — no critical set can be covered otherwise.
+	// mutation; critMissing[i] is the number of roles critical set i of the
+	// table names that have no pending offer. The delayed-initiation matcher
+	// skips the search unless some critMissing is zero — no critical set can be
+	// covered otherwise.
 	pendingBySlot []int
 	pendingOpen   map[ids.RoleRef]int
-	critMissing   []int
-	// offerBuf, candBuf and castBuf are scratch lists reused across match
-	// attempts: the offers handed to the matcher, the enrollment behind each,
-	// and the matched cast in role order.
-	offerBuf []match.Offer
-	candBuf  []*enrollState
-	castBuf  []*enrollState
+	critMissing   []int32
+	// offerBuf, slotBuf and candBuf are scratch lists reused across match
+	// attempts — the offers handed to the matcher, the slot and the enrollment
+	// of each — and castBuf the matched cast in role order.
+	offerBuf         []*match.Offer
+	slotBuf          []int32
+	candBuf, castBuf []*enrollState
 	// matchScratch is the matcher's working memory, kept across attempts like
 	// the lists above and, like them, only touched under mu. The cast a search
 	// returns lives in it until the next search.
 	matchScratch match.Scratch
 	// offersDirty records whether the pending set changed since the last
-	// failed match attempt; when false, re-running match.Find is pointless
+	// failed match attempt; when false, searching again is pointless
 	// (match existence depends only on the offer set).
 	offersDirty bool
-	// critUnfilled[i] is the number of roles of critSets[i] the active
+	// critUnfilled[i] is the number of roles of critical set i the active
 	// open-membership performance (immediate initiation) has yet to fill;
 	// membership closes when one reaches zero. Per instance, because an
 	// instance runs one performance at a time.
-	critUnfilled []int
+	critUnfilled []int32
 }
 
 type enrollPhase int
@@ -438,31 +437,17 @@ func NewInstance(def Definition, opts ...Option) *Instance {
 		nopTrace:    true,
 		fairness:    match.FIFO,
 		closedCh:    make(chan struct{}),
-		universe:    def.closedRoles(),
+		roles:       def.closedRoles().Sorted(),
 		base:        make(map[string]int),
 		pendingOpen: make(map[ids.RoleRef]int),
 	}
-	in.roles = in.universe.Sorted()
 	for slot, r := range in.roles {
 		if _, seen := in.base[r.Name]; !seen {
 			in.base[r.Name] = slot // the scalar, or member 1: ids order is by index
 		}
 	}
-	in.critSets = def.criticalSets
-	if len(in.critSets) == 0 {
-		in.critSets = []ids.RoleSet{in.universe}
-	}
-	in.critOf = make([][]int, len(in.roles))
-	in.critMissing = make([]int, len(in.critSets))
-	in.critUnfilled = make([]int, len(in.critSets))
-	for i, cs := range in.critSets {
-		in.critMissing[i] = len(cs)
-		for r := range cs {
-			if slot := in.slotOf(r); slot >= 0 {
-				in.critOf[slot] = append(in.critOf[slot], i)
-			}
-		}
-	}
+	in.table = match.Compile(in.roles, def.criticalSets)
+	in.critMissing, in.critUnfilled = slices.Clone(in.table.Sizes()), make([]int32, len(in.table.Sizes()))
 	in.pendingBySlot = make([]int, len(in.roles))
 	for _, o := range opts {
 		o(in)
@@ -861,56 +846,34 @@ func (in *Instance) tryMatchLocked() bool {
 		return false
 	}
 	in.offersDirty = false
-	if !in.matchViableLocked() {
+	if !slices.Contains(in.critMissing, 0) {
 		return false
 	}
-	// The role collection is the closed universe, shared and never written,
-	// and "no critical set declared" then means what match.Find takes it to
-	// mean. Only an attempt that is actually offered an open-family member
-	// pays for a widened copy, and names the effective critical sets with
-	// it: an offered open member is never critical by default.
-	offers, cands := in.offerBuf[:0], in.candBuf[:0]
-	universe, crit := in.universe, in.def.criticalSets
+	// The matcher is handed the offers where they lie, each with the slot its
+	// enrollment resolved: no role is looked up by name and no offer copied.
+	offers, slots, cands := in.offerBuf[:0], in.slotBuf[:0], in.candBuf[:0]
 	for _, st := range in.pending {
 		if st.ctx.Err() != nil {
 			continue // being withdrawn by its enroller
 		}
-		offers, cands = append(offers, st.offer), append(cands, st)
-		if st.slot < 0 {
-			if len(universe) == len(in.universe) {
-				universe, crit = universe.Clone(), in.critSets
-			}
-			universe.Add(st.offer.Role)
-		}
+		offers, slots, cands = append(offers, &st.offer), append(slots, int32(st.slot)), append(cands, st)
 	}
-	chosen, ok := match.FindCast(match.Problem{
-		Roles:        universe,
-		CriticalSets: crit,
-		Offers:       offers,
-		Fairness:     in.fairness,
-		Seed:         in.seed + int64(in.perfCount),
-	}, &in.matchScratch)
+	chosen, ok := in.table.FindCast(offers, slots, in.fairness, in.seed+int64(in.perfCount), &in.matchScratch)
 	// The matched cast comes back as offer indices in role order, which is
 	// the order of wake-ups and of trace events: a function of the cast alone.
 	cast := in.castBuf[:0]
 	for _, k := range chosen {
 		cast = append(cast, cands[k])
 	}
+	clear(offers)
 	clear(cands)
-	in.offerBuf, in.candBuf = offers[:0], cands[:0]
+	in.offerBuf, in.slotBuf, in.candBuf = offers[:0], slots[:0], cands[:0]
 	if ok {
 		in.startPerformanceLocked(cast, true)
 	}
 	clear(cast)
 	in.castBuf = cast[:0]
 	return ok
-}
-
-// matchViableLocked reports whether some critical set has every role covered
-// by at least one pending offer — a necessary condition for match.Find to
-// succeed.
-func (in *Instance) matchViableLocked() bool {
-	return slices.Contains(in.critMissing, 0)
 }
 
 // startPerformanceLocked opens performance number perfCount+1. Under delayed
@@ -942,9 +905,7 @@ func (in *Instance) startPerformanceLocked(cast []*enrollState, matched bool) {
 	lenders := cast
 	if !matched {
 		lenders = in.pending
-		for i, cs := range in.critSets {
-			in.critUnfilled[i] = len(cs)
-		}
+		copy(in.critUnfilled, in.table.Sizes())
 	}
 	in.samplePerfLocked(p, lenders)
 	in.recordPerf(p, trace.Event{Kind: trace.KindPerfStart, Script: in.def.name, Performance: p.number})
@@ -1199,9 +1160,7 @@ func (in *Instance) admitLocked(p *performance) {
 			asg[st.offer.Role] = st.offer
 		}
 		p.constrained = p.constrained || constrained
-		for _, i := range in.critSetsOf(st) {
-			in.critUnfilled[i]--
-		}
+		in.countCriticalLocked(in.critUnfilled, st, -1)
 		in.assignLocked(p, st)
 	}
 	in.dropAssignedLocked()
@@ -1342,24 +1301,18 @@ func (in *Instance) countOfferLocked(st *enrollState, d int) {
 		in.pendingOpen[r] = n
 	}
 	if (n == 0) != (n-d == 0) {
-		for _, i := range in.critSetsOf(st) {
-			in.critMissing[i] -= d
-		}
+		in.countCriticalLocked(in.critMissing, st, int32(-d))
 	}
 }
 
-// critSetsOf lists the critical sets st's role belongs to.
-func (in *Instance) critSetsOf(st *enrollState) []int {
-	if st.slot >= 0 {
-		return in.critOf[st.slot]
-	}
-	var sets []int // a declared set may name a member of an open family
-	for i, cs := range in.critSets {
-		if cs.Contains(st.offer.Role) {
-			sets = append(sets, i)
+// countCriticalLocked adds d to counts[i] for every critical set i that names
+// st's role.
+func (in *Instance) countCriticalLocked(counts []int32, st *enrollState, d int32) {
+	for i := range counts {
+		if in.table.Names(i, st.slot, st.offer.Role) {
+			counts[i] += d
 		}
 	}
-	return sets
 }
 
 // pendingChangedLocked invalidates what was derived from the pending list.

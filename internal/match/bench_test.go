@@ -126,3 +126,42 @@ func BenchmarkFindLock(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFindCast is the pair CI's bench-smoke job reads as a ratio: the
+// two casts above on a kept Scratch, through the by-name front (which sorts
+// the offers by role and compiles the critical sets on every call) and
+// through a table compiled once, as the scheduler searches. The table entry
+// must take at most half the front's time and allocate nothing.
+func BenchmarkFindCast(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		p    Problem
+		cast int
+	}{{"star25", starProblem(24), 25}, {"lock", lockProblem(3), 4}} {
+		b.Run(c.name+"/by=name", func(b *testing.B) {
+			var sc Scratch
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if cast, ok := FindCast(c.p, &sc); !ok || len(cast) != c.cast {
+					b.Fatal("no full match")
+				}
+			}
+		})
+		b.Run(c.name+"/by=table", func(b *testing.B) {
+			tbl := Compile(c.p.Roles.Sorted(), c.p.CriticalSets)
+			offers, slots := make([]*Offer, len(c.p.Offers)), make([]int32, len(c.p.Offers))
+			for k := range c.p.Offers {
+				r, _ := tbl.slot(c.p.Offers[k].Role)
+				offers[k], slots[k] = &c.p.Offers[k], int32(r)
+			}
+			var sc Scratch
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if cast, ok := tbl.FindCast(offers, slots, c.p.Fairness, c.p.Seed, &sc); !ok || len(cast) != c.cast {
+					b.Fatal("no full match")
+				}
+			}
+		})
+	}
+}

@@ -102,16 +102,66 @@ func seedBytes(rolesMask byte, crit []byte, offers ...[]byte) []byte {
 // and the next one fails to clear shows as a difference between the two.
 var reused Scratch
 
-// findOnBoth is Find run on a fresh Scratch and again on reused; the two
-// casts must be the same offers in the same order.
+// findByTable is p searched through the other entry: a table compiled from
+// p's collection and critical sets, the offers handed over with their slots.
+// closed says which roles of the collection, by position in ids order, the
+// table numbers; the others are what a definition's open families are to the
+// scheduler — offered under a negative slot and numbered by the search — and
+// since a table's default covers the roles it numbers only, the whole
+// collection is then spelled out as the one critical set.
+func findByTable(p Problem, closed func(i int) bool, sc *Scratch) ([]int32, bool) {
+	var numbered []ids.RoleRef
+	for i, r := range p.Roles.Sorted() {
+		if closed(i) {
+			numbered = append(numbered, r)
+		}
+	}
+	critical := p.CriticalSets
+	if len(critical) == 0 && len(numbered) < len(p.Roles) {
+		critical = []ids.RoleSet{p.Roles}
+	}
+	tbl := Compile(numbered, critical)
+	offers, slots := make([]*Offer, len(p.Offers)), make([]int32, len(p.Offers))
+	for k := range p.Offers {
+		offers[k] = &p.Offers[k]
+		switch r, ok := tbl.slot(p.Offers[k].Role); {
+		case ok:
+			slots[k] = int32(r)
+		case p.Roles.Contains(p.Offers[k].Role):
+			slots[k] = -1
+		default:
+			slots[k] = noRole
+		}
+	}
+	return tbl.FindCast(offers, slots, p.Fairness, p.Seed, sc)
+}
+
+// findOnBoth is Find run through both entries — by name, and through
+// compiled tables that number all, every other and none of the collection's
+// roles — each on a fresh Scratch and again on reused; all the casts must be
+// the same offers in the same order.
 func findOnBoth(t *testing.T, p Problem) (Assignment, bool) {
 	t.Helper()
 	fresh, ok := FindCast(p, nil)
 	fresh = slices.Clone(fresh)
+	same := func(entry string, again []int32, okAgain bool) {
+		t.Helper()
+		if ok != okAgain || !slices.Equal(fresh, again) {
+			t.Fatalf("FindCast by name on a fresh scratch = %v, %v; %s = %v, %v\nproblem: %+v",
+				fresh, ok, entry, again, okAgain, p)
+		}
+	}
 	again, okAgain := FindCast(p, &reused)
-	if ok != okAgain || !slices.Equal(fresh, again) {
-		t.Fatalf("FindCast on a fresh scratch = %v, %v; on the reused one = %v, %v\nproblem: %+v",
-			fresh, ok, again, okAgain, p)
+	same("on the reused one", again, okAgain)
+	for name, closed := range map[string]func(int) bool{
+		"a table of every role":       func(int) bool { return true },
+		"a table of every other role": func(i int) bool { return i%2 == 0 },
+		"a table of no role":          func(int) bool { return false },
+	} {
+		again, okAgain = findByTable(p, closed, new(Scratch))
+		same("through "+name, again, okAgain)
+		again, okAgain = findByTable(p, closed, &reused)
+		same("through "+name+", reused scratch", again, okAgain)
 	}
 	if !ok {
 		return nil, false
@@ -125,7 +175,8 @@ func findOnBoth(t *testing.T, p Problem) (Assignment, bool) {
 
 // FuzzFind holds Find to referenceFind's exact assignment, under both
 // fairness modes, and to the brute-force oracle's verdict; every input is
-// searched on a fresh Scratch and on the one all inputs share.
+// searched by name and through compiled tables (findOnBoth), on a fresh
+// Scratch and on the one all inputs share.
 func FuzzFind(f *testing.F) {
 	const broadcast, database = 0b111, 0b1111000
 	// The table tests of match_test.go, restated in the fuzzer's universe.

@@ -21,6 +21,8 @@ package match
 import (
 	"cmp"
 	"fmt"
+	"hash/maphash"
+	"math/bits"
 	"math/rand"
 	"slices"
 
@@ -118,12 +120,15 @@ func (p *Problem) Covered(filled ids.RoleSet) bool {
 //     a named partner must actually be present);
 //   - the filled roles cover at least one critical set.
 //
-// Cost: one sort of the offers by role (linear when they already arrive in
-// role order), then, when no offer carries a constraint — the paper's
-// partners-unnamed common case — a single pass over the roles, since every
-// constraint check is vacuous and is skipped. With constraints each
-// candidate is checked against the partial cast, and the fill/skip search
-// may backtrack.
+// Cost: Find is the by-name front of the one search, Table.FindCast. It sorts
+// the offers by role to number the offered roles, compiles the critical sets
+// over those numbers, and searches; a caller that matches one definition
+// again and again compiles once (Compile) and hands the slots over. The search
+// itself is a counting pass that buckets the offers by slot and, when no offer
+// carries a constraint — the paper's partners-unnamed common case — a single
+// pass over the roles, since every constraint check is vacuous and is skipped.
+// With constraints each candidate is checked against the partial cast, and
+// the fill/skip search may backtrack.
 //
 // Limitation (documented): the post-pass extension adds offers one at a
 // time, so a pair of non-critical offers that each name the other would not
@@ -150,216 +155,371 @@ func Find(p Problem) (Assignment, bool) {
 // role. The search runs on sc, which a caller that searches repeatedly keeps
 // and hands back (one search at a time); a nil sc allocates its own. The
 // indices are part of the scratch and stay valid until its next search.
+//
+// The table it compiles, in sc, has a slot for each offered role of the
+// collection and no other: a role nobody offers can only make the critical
+// sets that name it unreachable, which their sizes say.
 func FindCast(p Problem, sc *Scratch) ([]int32, bool) {
 	if sc == nil {
 		sc = new(Scratch)
 	}
-	s := sc.newSearch(&p)
-	if s == nil || !s.fill(0) {
+	n := len(p.Offers)
+	ints := sc.reserve(2*n + tableInts(n, len(p.CriticalSets)) + searchInts(n, n, len(p.CriticalSets)))
+	byRole, slots := carve(&ints, n), carve(&ints, n)
+	offers := slices.Grow(sc.offers[:0], n)
+	for k := range p.Offers {
+		offers, byRole[k] = append(offers, &p.Offers[k]), int32(k)
+	}
+	slices.SortFunc(byRole, func(a, b int32) int { return p.Offers[a].Role.Compare(p.Offers[b].Role) })
+	t := &sc.table
+	t.roles = slices.Grow(t.roles[:0], n)
+	for i, k := range byRole {
+		switch role := offers[k].Role; {
+		case i > 0 && role == offers[byRole[i-1]].Role:
+			slots[k] = slots[byRole[i-1]]
+		case p.Roles.Contains(role):
+			slots[k] = int32(len(t.roles))
+			t.roles = append(t.roles, role)
+		default:
+			slots[k] = noRole
+		}
+	}
+	sc.offers = offers
+	t.compile(&ints, len(p.Roles), p.CriticalSets, false)
+	return t.findCast(offers, slots, p.Fairness, p.Seed, sc, ints)
+}
+
+// Table is the part of a matching problem a script definition fixes, compiled
+// once per definition (core.NewInstance): the closed roles — a role's index
+// among them is its slot — and which of them each critical set names, which is
+// how both the search and the scheduler's counters read the sets.
+type Table struct {
+	roles []ids.RoleRef // in ids order
+	// names[i*len(roles)+r] is 1 when critical set i names role slot r, and
+	// size[i] is how many roles it names in all. When no set was declared there
+	// is one, it names every slot, and its size is the whole collection's.
+	names, size []int32
+	// open lists the members of open families, which have no slot, that the
+	// declared sets name.
+	open  []openMember
+	visit []int32 // 0..len(roles)-1: role order when the search numbers no role of its own
+}
+
+type openMember struct {
+	role ids.RoleRef
+	set  int32
+}
+
+// noRole is the slot FindCast gives an offer for a role outside the
+// collection: bucketed and shuffled among the others (the seeded draws are a
+// function of every offer), never a candidate.
+const noRole = -2
+
+// Compile builds the table of a definition whose closed roles are roles, in
+// ids order (the table keeps the slice), and whose declared critical sets are
+// critical — none meaning that the closed roles are, all of them.
+func Compile(roles []ids.RoleRef, critical []ids.RoleSet) *Table {
+	t := &Table{roles: roles}
+	ints := make([]int32, tableInts(len(roles), len(critical)))
+	t.compile(&ints, len(roles), critical, true)
+	return t
+}
+
+// tableInts returns how many ints compile cuts for n roles and nsets sets.
+func tableInts(n, nsets int) int { return n + max(1, nsets)*(n+1) }
+
+// compile fills t in for t.roles and the critical sets, in tableInts zeroed
+// ints it cuts off *ints. A member with no slot counts towards its set's size;
+// it is listed in t.open when open says that it is a member of an open family
+// — the by-name front's are roles nobody offers, which need no list to stay
+// unfilled. whole is the size of the collection, for the set that stands for it.
+func (t *Table) compile(ints *[]int32, whole int, critical []ids.RoleSet, open bool) {
+	n := len(t.roles)
+	t.visit, t.size = carve(ints, n), carve(ints, max(1, len(critical)))
+	t.names = carve(ints, len(t.size)*n)
+	t.size[0] = int32(whole)
+	for r := range t.visit {
+		t.visit[r] = int32(r)
+		if len(critical) == 0 {
+			t.names[r] = 1
+		}
+	}
+	for i, cs := range critical {
+		t.size[i] = int32(len(cs))
+		for role := range cs {
+			if r, ok := t.slot(role); ok {
+				t.names[i*n+r] = 1
+			} else if open {
+				t.open = append(t.open, openMember{role, int32(i)})
+			}
+		}
+	}
+}
+
+// carve cuts the first n elements off *buf.
+func carve(buf *[]int32, n int) []int32 {
+	part := (*buf)[:n:n]
+	*buf = (*buf)[n:]
+	return part
+}
+
+// slot returns the slot of role, if it has one.
+func (t *Table) slot(role ids.RoleRef) (int, bool) {
+	return slices.BinarySearchFunc(t.roles, role, ids.RoleRef.Compare)
+}
+
+// Sizes returns the number of roles each critical set names, set by set; the
+// caller must not modify it.
+func (t *Table) Sizes() []int32 { return t.size }
+
+// Names reports whether critical set i — an index into Sizes — names role,
+// whose slot is slot (negative for a role without one).
+func (t *Table) Names(i, slot int, role ids.RoleRef) bool {
+	if slot >= 0 {
+		return t.names[i*len(t.roles)+slot] != 0
+	}
+	return slices.Contains(t.open, openMember{role, int32(i)})
+}
+
+// FindCast is the search: offers are the pending enrollments in arrival
+// order, slots[k] is the slot of offers[k].Role, or negative when the table
+// has none for it — a member of an open family, which the search numbers for
+// its own duration, after the closed roles and in ids order among themselves.
+// Fairness, seed, sc and the result are FindCast's.
+func (t *Table) FindCast(offers []*Offer, slots []int32, fairness Fairness, seed int64, sc *Scratch) ([]int32, bool) {
+	return t.findCast(offers, slots, fairness, seed, sc, nil)
+}
+
+// findCast is FindCast on ints, what the by-name front left of the ints it
+// reserved in sc; nil has the search reserve its own.
+func (t *Table) findCast(offers []*Offer, slots []int32, fairness Fairness, seed int64, sc *Scratch, ints []int32) ([]int32, bool) {
+	s := search{t: t, offers: offers}
+	if !s.init(slots, fairness, seed, sc, ints) || !s.fill(0) {
 		return nil, false
 	}
 	// Extension fixpoint: admit any further consistent offers.
 	for changed := true; changed; {
 		changed = false
-		for r := range s.roles {
+		for _, r := range s.visit {
 			if s.chosen[r] >= 0 {
 				continue
 			}
 			for _, k := range s.order[s.lo[r]:s.hi[r]] {
-				if !s.used[s.pid[k]] && (!s.constrained || s.satisfied(&s.offers[k])) {
-					s.chosen[r], s.used[s.pid[k]], changed = k, true, true
+				if s.used[s.pid[k]] == 0 && (!s.constrained || s.satisfied(s.offers[k])) {
+					s.chosen[r], s.used[s.pid[k]], changed = k, 1, true
 					break
 				}
 			}
 		}
 	}
-	// chosen is indexed by role, in role order: drop the unfilled ones.
-	cast := s.chosen[:0]
-	for _, k := range s.chosen {
-		if k >= 0 {
+	cast := s.cast[:0]
+	for _, r := range s.visit {
+		if k := s.chosen[r]; k >= 0 {
 			cast = append(cast, k)
 		}
 	}
 	return cast, true
 }
 
-// Scratch is the working memory of one search at a time: the search state
-// and the backing arrays it slices, grown to the largest problem seen and
-// cleared at the start of every search, so a search on a kept Scratch reads
-// nothing an earlier one left and allocates nothing once warm. The zero value
-// is ready to use.
+// Scratch is the working memory of one search at a time: the arrays the
+// search state and the by-name front slice, grown to the largest problem seen
+// and cleared at the start of every search, so a search on a kept Scratch
+// reads nothing an earlier one left and allocates nothing once warm (a seeded
+// source for Arbitrary fairness aside). The zero value is ready to use.
 type Scratch struct {
-	search search // its roles keep their array from one search to the next
 	ints   []int32
-	bools  []bool
-	pids   map[ids.PID]int32
+	extra  []ids.RoleRef // the roles a search numbers itself
+	offers []*Offer      // the by-name front's offers and
+	table  Table         // its table, whose roles keep their array
 }
 
-// search is the state of one Find. Roles and offers are dense indices: role
-// r is roles[r], offer k is offers[k], and everything kept per role or per
-// offer is a slice indexed by one of them.
+// reserve returns n zeroed ints of sc.
+func (sc *Scratch) reserve(n int) []int32 {
+	if cap(sc.ints) < n {
+		sc.ints = make([]int32, n)
+	}
+	sc.ints = sc.ints[:n]
+	clear(sc.ints)
+	return sc.ints
+}
+
+// searchInts returns how many ints a search of n offers for nr roles and
+// nsets declared critical sets cuts.
+func searchInts(n, nr, nsets int) int {
+	return 4*n + 5*nr + max(1, nsets) + processBuckets(n)
+}
+
+// processBuckets is the size of the table a search numbers n offers'
+// processes through: a power of two, less than half full.
+func processBuckets(n int) int { return 1 << bits.Len(uint(2*n)) }
+
+// search is the state of one FindCast. Roles are numbered by slot — the
+// table's, then one for each offered role it has none for, extra, in ids
+// order — and everything kept per role or per offer is a slice indexed by
+// slot or by offer.
 type search struct {
-	offers []Offer
-	roles  []ids.RoleRef // the distinct offered roles, in Less order
-	order  []int32       // offers grouped by role, each group in fairness order
-	lo, hi []int32       // order[lo[r]:hi[r]] are the candidates for role r
-	chosen []int32       // the offer filling role r, or -1
-	pid    []int32       // pid[k] numbers offer k's process; equal PIDs share a number
-	used   []bool        // used[pid]: that process already fills a role
+	t      *Table
+	offers []*Offer
+	extra  []ids.RoleRef
+	visit  []int32 // the slots in ids order of their roles: the order of the search and of the cast
+	order  []int32 // offers grouped by slot, each group in fairness order
+	lo, hi []int32 // order[lo[r]:hi[r]] are the candidates for role r
+	chosen []int32 // the offer filling role r, or -1
+	cast   []int32 // the result
+	// pid[k] is the first offer of offer k's process — equal PIDs share a
+	// number — and used[pid] is 1 while that process fills a role.
+	pid, used []int32
 	// constrained is set when some offer carries a partner constraint;
 	// otherwise allows, satisfied and closed are vacuously true and skipped.
 	constrained bool
-	// The viable critical sets — those whose every role has a candidate —
-	// as rows of a membership matrix, inSet[i*len(roles)+r]. dead[i] counts
-	// the roles of set i the current path left unfilled; alive counts the
-	// sets with dead[i] == 0. A path is pruned when alive reaches 0, so a
+	// dead[i] counts the roles critical set i names that the current path
+	// cannot fill — nobody offers them, or it left them unfilled — and alive
+	// the sets with dead[i] == 0. A path is pruned when alive reaches 0, so a
 	// complete path always covers a critical set.
-	inSet []bool
 	dead  []int32
 	alive int
 }
 
-// zeroed returns buf resliced to n zero elements, regrown when too small.
-func zeroed[T any](buf []T, n int) []T {
-	if cap(buf) < n {
-		return make([]T, n)
-	}
-	buf = buf[:n]
-	clear(buf)
-	return buf
-}
+var pidSeed = maphash.MakeSeed()
 
-// newSearch buckets the offers by role in fairness order and finds the
-// viable critical sets; it returns nil when there is none, which keeps the
-// no-match case — the usual one while enrollments accumulate — cheap and
+// init buckets the offers by slot in fairness order and counts what each
+// critical set is missing; it reports false when none is whole, which keeps
+// the no-match case — the usual one while enrollments accumulate — cheap and
 // the fill/skip search, exponential exactly when no match exists, pruned.
-func (sc *Scratch) newSearch(p *Problem) *search {
-	n, nsets := len(p.Offers), max(1, len(p.CriticalSets))
-	sc.ints = zeroed(sc.ints, 5*n+nsets)
-	ints := sc.ints
-	if sc.pids == nil {
-		sc.pids = make(map[ids.PID]int32, n)
+func (s *search) init(slots []int32, fairness Fairness, seed int64, sc *Scratch, ints []int32) bool {
+	t, offers := s.t, s.offers
+	extra := sc.extra[:0]
+	for k, slot := range slots {
+		if slot < 0 {
+			extra = append(extra, offers[k].Role)
+		}
 	}
-	clear(sc.pids)
-	pids := sc.pids
-	s := &sc.search
-	roles := s.roles[:0]
-	if cap(roles) < n {
-		roles = make([]ids.RoleRef, 0, n)
+	slices.SortFunc(extra, ids.RoleRef.Compare)
+	extra = slices.Compact(extra)
+	sc.extra, s.extra = extra, extra
+	n, nc, nr := len(offers), len(t.roles), len(t.roles)+len(extra)
+	if ints == nil {
+		ints = sc.reserve(searchInts(n, nr, len(t.size)))
 	}
-	*s = search{
-		offers: p.Offers,
-		roles:  roles,
-		order:  ints[:n], lo: ints[n : 2*n], hi: ints[2*n : 3*n],
-		chosen: ints[3*n : 4*n], pid: ints[4*n : 5*n],
+	s.order, s.pid, s.used = carve(&ints, n), carve(&ints, n), carve(&ints, n)
+	s.lo, s.hi, s.chosen, s.cast = carve(&ints, nr), carve(&ints, nr), carve(&ints, nr), carve(&ints, nr)
+	s.dead, s.visit = carve(&ints, len(t.size)), t.visit
+	at := slots // at[k] is the slot of offer k, the search's own included
+	if len(extra) > 0 {
+		at, s.visit = carve(&ints, n), carve(&ints, nr)
+		for k, slot := range slots {
+			if at[k] = slot; slot < 0 {
+				x, _ := slices.BinarySearchFunc(extra, offers[k].Role, ids.RoleRef.Compare)
+				at[k] = int32(nc + x)
+			}
+		}
+		c, x := 0, 0
+		for i := range s.visit {
+			if x == len(extra) || (c < nc && t.roles[c].Compare(extra[x]) < 0) {
+				s.visit[i], c = int32(c), c+1
+			} else {
+				s.visit[i], x = int32(nc+x), x+1
+			}
+		}
 	}
-	for k := range p.Offers {
-		o := &p.Offers[k]
-		s.order[k], s.chosen[k] = int32(k), -1
+	// Processes are numbered through an open-addressed table of offers: a slot
+	// holds one more than the first offer of the processes that hash there.
+	table := ints[:processBuckets(n)]
+	for k, o := range offers {
 		s.constrained = s.constrained || len(o.With) > 0
-		id, ok := pids[o.PID]
-		if !ok {
-			id = int32(len(pids))
-			pids[o.PID] = id
+		s.hi[at[k]]++
+		for h := maphash.String(pidSeed, string(o.PID)); ; h++ {
+			first := &table[h&uint64(len(table)-1)]
+			if *first == 0 {
+				*first = int32(k) + 1
+			}
+			if s.pid[k] = *first - 1; *first == int32(k)+1 || offers[*first-1].PID == o.PID {
+				break
+			}
 		}
-		s.pid[k] = id
 	}
-	// One sort by (role, arrival) replaces a map of per-role lists; FIFO
-	// arrival is the ID, Arbitrary shuffles each role's offers as offered.
-	fifo := p.Fairness != Arbitrary
-	slices.SortFunc(s.order, func(a, b int32) int {
-		oa, ob := &p.Offers[a], &p.Offers[b]
-		if c := oa.Role.Compare(ob.Role); c != 0 {
-			return c
-		}
-		if fifo && oa.ID != ob.ID {
-			return cmp.Compare(oa.ID, ob.ID)
-		}
-		return cmp.Compare(a, b)
-	})
-	for i, k := range s.order {
-		r := len(s.roles) - 1
-		if r < 0 || s.roles[r] != p.Offers[k].Role {
-			s.roles = append(s.roles, p.Offers[k].Role)
-			r++
-			s.lo[r] = int32(i)
-		}
-		s.hi[r] = int32(i + 1)
+	// A counting pass: hi[r] counts slot r's offers, then runs from where they
+	// start to where they end as they are placed, in arrival order — which is
+	// FIFO order unless the IDs say otherwise.
+	sum := int32(0)
+	for r, c := range s.hi {
+		s.lo[r], s.hi[r], s.chosen[r] = sum, sum, -1
+		sum += c
 	}
-	s.chosen = s.chosen[:len(s.roles)]
-	if !fifo {
-		rng := rand.New(rand.NewSource(p.Seed))
-		for r := range s.roles {
+	inOrder := true
+	for k, r := range at {
+		if i := s.hi[r]; i > s.lo[r] && offers[s.order[i-1]].ID > offers[k].ID {
+			inOrder = false
+		}
+		s.order[s.hi[r]] = int32(k)
+		s.hi[r]++
+	}
+	if fairness == Arbitrary {
+		// Each role's offers as offered, shuffled, the roles in ids order.
+		rng := rand.New(rand.NewSource(seed))
+		for _, r := range s.visit {
 			list := s.order[s.lo[r]:s.hi[r]]
 			rng.Shuffle(len(list), func(i, j int) { list[i], list[j] = list[j], list[i] })
 		}
-	}
-	// An offer for a role outside the collection is never a candidate.
-	offered := 0
-	for r, role := range s.roles {
-		if p.Roles.Contains(role) {
-			offered++
-		} else {
-			s.hi[r] = s.lo[r]
+	} else if !inOrder {
+		for r := range s.hi {
+			slices.SortFunc(s.order[s.lo[r]:s.hi[r]], func(a, b int32) int { return cmp.Or(cmp.Compare(offers[a].ID, offers[b].ID), cmp.Compare(a, b)) })
 		}
 	}
-
-	nr := len(s.roles)
-	sc.bools = zeroed(sc.bools, len(pids)+nsets*nr)
-	s.used, s.inSet = sc.bools[:len(pids)], sc.bools[len(pids):]
-	if len(p.CriticalSets) == 0 && offered == len(p.Roles) {
-		for r := range s.roles {
-			s.inSet[r] = s.hi[r] > s.lo[r]
+	for r := nc; r < nr; r++ {
+		if slots[s.order[s.lo[r]]] == noRole {
+			s.hi[r] = s.lo[r] // shuffled like any other, and never a candidate
 		}
-		s.alive = 1
 	}
-	for _, cs := range p.CriticalSets {
-		row := s.inSet[s.alive*nr : (s.alive+1)*nr]
-		viable := true
-		for role := range cs {
-			r, ok := s.index(role)
-			if viable = ok && s.hi[r] > s.lo[r]; !viable {
-				clear(row)
-				break
+	// A critical set is short of the roles it names that have no candidate.
+	for i, missing := range t.size {
+		for r, named := range t.names[i*nc : (i+1)*nc] {
+			if named != 0 && s.hi[r] > s.lo[r] {
+				missing--
 			}
-			row[r] = true
 		}
-		if viable {
+		for x, role := range extra {
+			if s.hi[nc+x] > s.lo[nc+x] && t.Names(i, -1, role) {
+				missing--
+			}
+		}
+		if s.dead[i] = missing; missing == 0 {
 			s.alive++
 		}
 	}
-	if s.alive == 0 {
-		return nil
-	}
-	s.dead = ints[5*n : 5*n+s.alive]
-	return s
+	return s.alive > 0
 }
 
-// index returns the dense index of role, if any offer names it.
+// index returns the number of role, if it has one.
 func (s *search) index(role ids.RoleRef) (int, bool) {
-	return slices.BinarySearchFunc(s.roles, role, ids.RoleRef.Compare)
+	if r, ok := s.t.slot(role); ok {
+		return r, true
+	}
+	x, ok := slices.BinarySearchFunc(s.extra, role, ids.RoleRef.Compare)
+	return len(s.t.roles) + x, ok
 }
 
-// fill assigns roles r and up — each with its first admissible candidate,
-// so the first solution is greedy-maximal, or left unfilled — and reports
-// whether a consistent assignment covering a critical set was reached.
-// State is restored on backtrack.
-func (s *search) fill(r int) bool {
-	if r == len(s.roles) {
+// fill assigns the roles from the i-th in role order up — each with its first
+// admissible candidate, so the first solution is greedy-maximal, or left
+// unfilled — and reports whether a consistent assignment covering a critical
+// set was reached. State is restored on backtrack.
+func (s *search) fill(i int) bool {
+	if i == len(s.visit) {
 		return !s.constrained || s.closed()
 	}
+	r := s.visit[i]
 	for _, k := range s.order[s.lo[r]:s.hi[r]] {
-		if s.used[s.pid[k]] || (s.constrained && !s.allows(&s.offers[k])) {
+		if s.used[s.pid[k]] != 0 || (s.constrained && !s.allows(s.offers[k])) {
 			continue
 		}
-		s.chosen[r], s.used[s.pid[k]] = k, true
-		if s.fill(r + 1) {
+		s.chosen[r], s.used[s.pid[k]] = k, 1
+		if s.fill(i + 1) {
 			return true
 		}
-		s.chosen[r], s.used[s.pid[k]] = -1, false
+		s.chosen[r], s.used[s.pid[k]] = -1, 0
 	}
 	// Leave r unfilled — viable only if some critical set survives.
-	ok := s.skip(r, 1) && s.fill(r+1)
+	ok := s.skip(r, 1) && s.fill(i+1)
 	if !ok {
 		s.skip(r, -1)
 	}
@@ -368,15 +528,21 @@ func (s *search) fill(r int) bool {
 
 // skip marks role r unfilled (d = 1) or undoes that (d = -1), and reports
 // whether a critical set remains coverable.
-func (s *search) skip(r int, d int32) bool {
+func (s *search) skip(r, d int32) bool {
+	t, nc := s.t, len(s.t.roles)
 	for i := range s.dead {
-		if s.inSet[i*len(s.roles)+r] {
-			if s.dead[i] == 0 {
-				s.alive--
+		if int(r) < nc {
+			if t.names[i*nc+int(r)] == 0 {
+				continue
 			}
-			if s.dead[i] += d; s.dead[i] == 0 {
-				s.alive++
-			}
+		} else if !t.Names(i, -1, s.extra[int(r)-nc]) {
+			continue
+		}
+		if s.dead[i] == 0 {
+			s.alive--
+		}
+		if s.dead[i] += d; s.dead[i] == 0 {
+			s.alive++
 		}
 	}
 	return s.alive > 0
@@ -388,15 +554,15 @@ func (s *search) skip(r int, d int32) bool {
 // self-comparison is harmless: a constraint on one's own role must still
 // admit one's own PID.
 func (s *search) allows(o *Offer) bool {
-	for r, k := range s.chosen {
+	for _, k := range s.chosen {
 		if k < 0 {
 			continue
 		}
-		c := &s.offers[k]
+		c := s.offers[k]
 		if set, ok := c.With[o.Role]; ok && !set.Contains(o.PID) {
 			return false
 		}
-		if set, ok := o.With[s.roles[r]]; ok && !set.Contains(c.PID) {
+		if set, ok := o.With[c.Role]; ok && !set.Contains(c.PID) {
 			return false
 		}
 	}
@@ -426,7 +592,7 @@ func (s *search) satisfied(o *Offer) bool {
 // offer is satisfied.
 func (s *search) closed() bool {
 	for _, k := range s.chosen {
-		if k >= 0 && !s.satisfied(&s.offers[k]) {
+		if k >= 0 && !s.satisfied(s.offers[k]) {
 			return false
 		}
 	}

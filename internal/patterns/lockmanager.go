@@ -172,13 +172,17 @@ func managerBody() core.RoleBody {
 // managers.
 func clientBody(k int, quorum func(int) int) core.RoleBody {
 	return func(rc core.Ctx) error {
-		req, ok := rc.Arg(0).(Request)
+		// msg is the request as the enrollment boxed it, and what every send of
+		// this body carries: a Request converted at each SendTag would be
+		// boxed again each time.
+		msg := rc.Arg(0)
+		req, ok := msg.(Request)
 		if !ok {
-			return fmt.Errorf("lock client: bad request argument %T", rc.Arg(0))
+			return fmt.Errorf("lock client: bad request argument %T", msg)
 		}
 		if req.Release {
 			for i := 1; i <= k; i++ {
-				if err := rc.SendTag(ids.Member(RoleManager, i), tagRelease, req); err != nil {
+				if err := rc.SendTag(ids.Member(RoleManager, i), tagRelease, msg); err != nil {
 					return fmt.Errorf("release to manager[%d]: %w", i, err)
 				}
 			}
@@ -186,7 +190,8 @@ func clientBody(k int, quorum func(int) int) core.RoleBody {
 			return nil
 		}
 		need := quorum(k)
-		var who []int
+		var few [4]int // the usual quorums — one grant, or a few managers' — fit on the stack
+		who := few[:0]
 		for i := 1; i <= k; i++ {
 			if len(who) >= need {
 				break // quorum met
@@ -195,7 +200,7 @@ func clientBody(k int, quorum func(int) int) core.RoleBody {
 				break // unreachable: stop asking, like the paper's writer
 			}
 			m := ids.Member(RoleManager, i)
-			if err := rc.SendTag(m, tagLock, req); err != nil {
+			if err := rc.SendTag(m, tagLock, msg); err != nil {
 				return fmt.Errorf("lock to manager[%d]: %w", i, err)
 			}
 			reply, err := rc.RecvTag(m, tagReply)
@@ -212,7 +217,7 @@ func clientBody(k int, quorum func(int) int) core.RoleBody {
 		}
 		// Denied: release the partial grants (Figure 5b/5c's DO-OD loop).
 		for _, i := range who {
-			if err := rc.SendTag(ids.Member(RoleManager, i), tagRelease, req); err != nil {
+			if err := rc.SendTag(ids.Member(RoleManager, i), tagRelease, msg); err != nil {
 				return fmt.Errorf("rollback release to manager[%d]: %w", i, err)
 			}
 		}

@@ -23,19 +23,20 @@ func LockManagerGuarded(k int, strat LockStrategy) core.Definition {
 // over the managers with output guards, re-evaluated each iteration.
 func guardedClientBody(k int, quorum func(int) int) core.RoleBody {
 	return func(rc core.Ctx) error {
-		req, ok := rc.Arg(0).(Request)
+		msg := rc.Arg(0) // the request boxed once, by the enrollment: see clientBody
+		req, ok := msg.(Request)
 		if !ok {
-			return fmt.Errorf("lock client: bad request argument %T", rc.Arg(0))
+			return fmt.Errorf("lock client: bad request argument %T", msg)
 		}
 		if req.Release {
 			// "DO ~done[i]; SEND release(data, id) TO manager[i] →
 			//     done[i] := true OD"
-			return guardedBroadcast(rc, k, tagRelease, req, func(int) bool { return true })
+			return guardedBroadcast(rc, k, tagRelease, msg, func(int) bool { return true })
 		}
 		need := quorum(k)
 		// "(who = []) AND ~done[i]": one output guard per manager, kept for the
 		// whole loop; a manager that has answered has its guard turned off.
-		asking := sendToManagers(k, tagLock, req, func(int) bool { return true })
+		asking := sendToManagers(k, tagLock, msg, func(int) bool { return true })
 		var who []int
 		asked := 0
 		for {
@@ -69,7 +70,7 @@ func guardedClientBody(k int, quorum func(int) int) core.RoleBody {
 		for _, i := range who {
 			granted[i] = true
 		}
-		if err := guardedBroadcast(rc, k, tagRelease, req, func(i int) bool { return granted[i] }); err != nil {
+		if err := guardedBroadcast(rc, k, tagRelease, msg, func(i int) bool { return granted[i] }); err != nil {
 			return err
 		}
 		rc.SetResult(0, false)
@@ -77,21 +78,22 @@ func guardedClientBody(k int, quorum func(int) int) core.RoleBody {
 	}
 }
 
-// sendToManagers builds the alternative "SEND tag(req) TO manager[i]" over
-// all k managers, branch i-1 enabled when include(i). The caller keeps the
-// list for its whole DO-OD loop and turns a guard off as its send commits.
-func sendToManagers(k int, tag string, req Request, include func(int) bool) []core.SelectBranch {
+// sendToManagers builds the alternative "SEND tag(msg) TO manager[i]" over
+// all k managers, branch i-1 enabled when include(i); msg is the boxed
+// Request, the same value in every branch. The caller keeps the list for its
+// whole DO-OD loop and turns a guard off as its send commits.
+func sendToManagers(k int, tag string, msg any, include func(int) bool) []core.SelectBranch {
 	alt := make([]core.SelectBranch, k)
 	for i := 1; i <= k; i++ {
-		alt[i-1] = core.SendTagTo(ids.Member(RoleManager, i), tag, req).When(include(i))
+		alt[i-1] = core.SendTagTo(ids.Member(RoleManager, i), tag, msg).When(include(i))
 	}
 	return alt
 }
 
-// guardedBroadcast sends (tag, req) once to every manager selected by
+// guardedBroadcast sends (tag, msg) once to every manager selected by
 // include, in nondeterministic (ready-first) order via output guards.
-func guardedBroadcast(rc core.Ctx, k int, tag string, req Request, include func(int) bool) error {
-	alt := sendToManagers(k, tag, req, include)
+func guardedBroadcast(rc core.Ctx, k int, tag string, msg any, include func(int) bool) error {
+	alt := sendToManagers(k, tag, msg, include)
 	remaining := 0
 	for _, b := range alt {
 		if b.Enabled() {

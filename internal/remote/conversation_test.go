@@ -722,6 +722,48 @@ func TestStreamEventsNeverDrop(t *testing.T) {
 	}
 }
 
+// TestEnrollmentPostsNoMoreEventsThanItsChannelHolds fires every source of a
+// stream event through its own entry, as often as it can fire and the
+// repeatable ones more often — the host repeating OFFER-ACK and both terminal
+// frames, the conversation failing twice, the context's withdraw, which
+// context.AfterFunc runs once — on both protocol versions (v1's withdraw fails
+// the conversation too), on a new stream and on a recycled one. What one
+// enrollment posts must fit the channel openStream made, whose capacity is
+// maxStreamEvents and no literal beside it: a source added without its slot
+// shows here as a drop.
+func TestEnrollmentPostsNoMoreEventsThanItsChannelHolds(t *testing.T) {
+	for _, version := range []int{1, 2} {
+		for _, recycled := range []bool{false, true} {
+			mc := pipeMux(t, version)
+			st := openNext(t, mc)
+			if recycled {
+				mc.closeStream(st, true)
+				if again := openNext(t, mc); again != st {
+					t.Fatalf("v%d: the stream was not recycled", version)
+				}
+			}
+			if cap(st.events) != maxStreamEvents {
+				t.Fatalf("v%d: a stream's channel holds %d events, maxStreamEvents is %d", version, cap(st.events), maxStreamEvents)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			st.ctx = ctx
+			dropped := streamEventsDropped.Load()
+			for i := 0; i < 2; i++ {
+				mc.dispatch(wire.MsgOfferAck, st.id, 0, &wire.OfferAck{})
+				mc.dispatch(wire.MsgDrain, st.id, 0, &wire.Drain{})
+				mc.dispatch(wire.MsgComplete, st.id, 0, &wire.Complete{})
+				mc.fail(fmt.Errorf("%w: test", ErrConnLost))
+			}
+			mc.withdraw(st)
+			if got := streamEventsDropped.Load() - dropped; got != 0 {
+				t.Fatalf("v%d recycled=%v: one enrollment posted %d events more than the %d its channel holds",
+					version, recycled, got, cap(st.events))
+			}
+		}
+	}
+}
+
 // TestContextEndAtEveryWait cancels an enrollment's context at each point
 // where the client can be waiting. Nothing on the client watches the context
 // but the withdraw that context.AfterFunc runs, so each row checks that the

@@ -228,7 +228,7 @@ func (mc *muxConn) openStream() (*muxStream, error) {
 	} else {
 		st = &muxStream{
 			mc:      mc,
-			events:  make(chan streamEvent, 4),
+			events:  make(chan streamEvent, maxStreamEvents),
 			pending: make(map[uint64]chan opOutcome),
 		}
 		st.withdraw = func() { mc.withdraw(st) }

@@ -16,8 +16,8 @@ func (f *Fabric) checkQuiescent() error {
 	if u := f.used.Load(); u != nil {
 		return fmt.Errorf("endpoint %s still on the used list", u.addr)
 	}
-	if s := f.seq.Load(); s != 0 {
-		return fmt.Errorf("seq = %d", s)
+	if s := f.seq.Load(); s != 0 || f.posted != 0 {
+		return fmt.Errorf("seq = %d, %d ops counted as posted", s, f.posted)
 	}
 	tbl := f.table()
 	f.namesMu.RLock()
@@ -52,4 +52,16 @@ func (f *Fabric) checkQuiescent() error {
 		}
 	}
 	return nil
+}
+
+// terminateWalked returns how many endpoints TerminateID has visited looking
+// for stranded groups, and how many ops the pending lists hold by f's count
+// and by a walk of them.
+func (f *Fabric) terminateWalked() (walked, posted, counted int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, e := range f.table() {
+		counted += len(e.pending)
+	}
+	return f.walked, f.posted, counted
 }

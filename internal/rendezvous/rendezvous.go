@@ -202,6 +202,11 @@ type Fabric struct {
 	eps     atomic.Pointer[[]*endpoint]
 	kept    int
 	used    atomic.Pointer[endpoint]
+	// posted counts the ops in the endpoints' pending lists (guarded by mu):
+	// zero, the usual case when a role ends, and no endpoint need be visited to
+	// know that nothing is stranded there. walked counts the endpoints
+	// TerminateID did visit, for the test that holds it to that.
+	posted, walked int
 }
 
 // New creates an empty fabric.
@@ -563,6 +568,7 @@ func (f *Fabric) postLocked(o *op) {
 		f.touch(me)
 	}
 	g.ops = append(g.ops, o)
+	f.posted++
 	o.ownerIdx = len(me.pending)
 	me.pending = append(me.pending, o)
 	if o.dir == DirSend {
@@ -574,6 +580,7 @@ func (f *Fabric) postLocked(o *op) {
 // removeGroupLocked removes every posted op of g from the matching indexes
 // (O(1) per op via the tracked indexes) and lowers the hot mark g held up.
 func (f *Fabric) removeGroupLocked(g *group) {
+	f.posted -= len(g.ops)
 	for _, o := range g.ops {
 		unindex(&o.owner.pending, o.ownerIdx).ownerIdx = o.ownerIdx
 		if o.dir == DirSend {
@@ -634,9 +641,13 @@ func (f *Fabric) TerminateID(id ID) {
 	// (g.ops[0] stands for the group): an owner that has its result may hand
 	// its slot to another scope at once, so neither a failed group nor its
 	// ops may be looked at again.
+	if f.posted == 0 {
+		return
+	}
 	var ownedBuf, stuckBuf [4]*group // a finishing role strands a few groups at most
 	owned, stuck := ownedBuf[:0], stuckBuf[:0]
 	for u := f.used.Load(); u != nil; u = u.next {
+		f.walked++
 		for _, o := range u.pending {
 			g := o.g
 			switch {
@@ -794,6 +805,7 @@ func (f *Fabric) failAllLocked(err error) {
 		clear(u.pending)
 		u.pending = u.pending[:0]
 	}
+	f.posted = 0
 	for _, g := range failed {
 		g.res <- result{err: err}
 	}

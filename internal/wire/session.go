@@ -252,9 +252,11 @@ func (s *Session) Resume(c *Conn, peerRecv uint64) error {
 		}
 	}
 	s.pruneLocked(peerRecv)
-	if len(s.ring) > 0 && s.ring[0].idx != peerRecv+1 {
+	// The suffix must be there whole: an ACK ahead of this count (a peer that
+	// lost its state, or lies) may have emptied the ring altogether.
+	if peerRecv < s.sent && (len(s.ring) == 0 || s.ring[0].idx != peerRecv+1) {
 		s.mu.Unlock()
-		return fmt.Errorf("%w: retransmit ring gap (have idx %d, need %d)", ErrResumeInvalid, s.ring[0].idx, peerRecv+1)
+		return fmt.Errorf("%w: retransmit ring gap (%d of %d sent retained, need idx %d)", ErrResumeInvalid, len(s.ring), s.sent, peerRecv+1)
 	}
 	replay := make([][]byte, len(s.ring))
 	for i, r := range s.ring {

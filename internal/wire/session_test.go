@@ -4,7 +4,9 @@ import (
 	"errors"
 	"net"
 	"reflect"
+	"slices"
 	"testing"
+	"time"
 )
 
 // v2Pipe returns the two ends of an in-memory v2 connection. net.Pipe has
@@ -119,9 +121,9 @@ func TestSessionRingOverflowDooms(t *testing.T) {
 	}
 }
 
-// TestSessionResumeInvalid checks the two receipt states no replay can
-// satisfy: the peer claims more than was sent, or needs frames an earlier
-// ack already pruned.
+// TestSessionResumeInvalid checks the receipt states no replay can satisfy:
+// the peer claims more than was sent, or needs frames an earlier ack already
+// pruned — some of the suffix, or (an ack ahead of the count) all of it.
 func TestSessionResumeInvalid(t *testing.T) {
 	c1, p1 := v2Pipe(t)
 	s := NewSession(c1, "tok", 0)
@@ -136,6 +138,10 @@ func TestSessionResumeInvalid(t *testing.T) {
 	s.PeerAck(3)
 	if err := s.Resume(c2, 1); !errors.Is(err, ErrResumeInvalid) {
 		t.Fatalf("ring gap: %v, want ErrResumeInvalid", err)
+	}
+	s.PeerAck(9) // ahead of everything sent: the ring is empty, and frame 5 still owed
+	if err := s.Resume(c2, 4); !errors.Is(err, ErrResumeInvalid) {
+		t.Fatalf("emptied ring: %v, want ErrResumeInvalid", err)
 	}
 	if s.Conn() != nil {
 		t.Fatal("refused resume attached the transport")
@@ -220,4 +226,221 @@ func TestSessionReplayInterrupted(t *testing.T) {
 	if seqs := <-rest; !reflect.DeepEqual(seqs, seqRange(2, 6)) {
 		t.Fatalf("second replay delivered %v, want 2..6", seqs)
 	}
+}
+
+// sessionPeer is the far end of a fuzzed session: it reads every frame of
+// every transport the session is given and keeps the receipt state a real
+// peer keeps — the count of session frames it accepted. A frame it is deaf to
+// was written to the transport and lost in the blip that follows.
+type sessionPeer struct {
+	t      *testing.T
+	s      *Session
+	frames chan peerFrame // what the current transport's reader read
+	local  *Conn          // the session's end of the current transport, nil while cut
+	count  uint64         // session frames accepted, all of them in order
+	accept int            // how many more the peer accepts before going deaf; < 0: all
+}
+
+type peerFrame struct {
+	typ   MsgType
+	seq   uint64
+	count uint64 // of an ACK
+}
+
+// attach makes a transport, starts its reader and returns the session's end.
+func (p *sessionPeer) attach() *Conn {
+	local, remote := v2Pipe(p.t)
+	frames := make(chan peerFrame, 16)
+	go func() {
+		defer close(frames)
+		for {
+			typ, _, seq, m, err := remote.ReadFrame()
+			if err != nil {
+				return
+			}
+			f := peerFrame{typ: typ, seq: seq}
+			if ack, ok := m.(*Ack); ok {
+				f.count = ack.Count
+			}
+			frames <- f
+		}
+	}()
+	p.frames, p.local = frames, local
+	return local
+}
+
+// cut detaches the session and closes the transport; the peer hears again on
+// the next one.
+func (p *sessionPeer) cut() {
+	p.s.Detach()
+	if p.local != nil {
+		p.local.Close()
+		p.local, p.accept = nil, -1
+	}
+}
+
+// settle writes a stream-0 marker behind whatever the session has written and
+// returns the frames the peer read before it, in order.
+func (p *sessionPeer) settle() []peerFrame {
+	p.t.Helper()
+	if err := p.s.WriteFrame(MsgBye, 0, 0, &Bye{}); err != nil {
+		p.t.Fatalf("marker: %v", err)
+	}
+	var read []peerFrame
+	for {
+		select {
+		case f, ok := <-p.frames:
+			if !ok {
+				p.t.Fatalf("transport ended before the marker, after %v", read)
+			}
+			if f.typ == MsgBye {
+				return read
+			}
+			read = append(read, f)
+		case <-time.After(10 * time.Second):
+			p.t.Fatalf("no marker after 10s; the peer read %v", read)
+		}
+	}
+}
+
+// FuzzSessionReplay drives one Session through an arbitrary program of
+// writes, receipts, peer ACKs, cuts and resumes — the counts in the ACKs and
+// the RESUMEs arbitrary too, honest or not — against a peer that keeps a real
+// peer's receipt state. Properties: a live transport delivers every session
+// frame once and in order; a resume told r either replays exactly frames
+// r+1..sent, once each and in order, or reports ErrSessionDoomed (the ring
+// overflowed) or ErrResumeInvalid (r is ahead of what was sent, or behind what
+// an ACK or an earlier resume let the ring drop) and leaves the session
+// detached; receipts are acknowledged on cadence with the right counts; and
+// nothing panics or hangs. The program is pairs of bytes, an operation and its
+// argument, behind one byte that picks the ring's cap; a count argument below
+// 200 is taken as it is and one from 200 up as the peer's true count ±28.
+func FuzzSessionReplay(f *testing.F) {
+	const (
+		W = iota // write one session frame, arg%64 bytes of value
+		A        // the peer acknowledges a count
+		D        // cut: detach and close the transport
+		L        // the peer accepts arg%8 more frames, then hears nothing until the next cut
+		R        // arg session frames arrive
+		S        // reconnect: RESUME carries a count
+
+		honest = 228
+	)
+	// The five cases of the tests above, as programs, and two of their kin.
+	f.Add([]byte{0, W, 8, W, 8, W, 8, W, 8, W, 8, D, 0, W, 8, W, 8, S, 3, A, 7})     // the unacked suffix, detached writes included
+	f.Add([]byte{10, W, 40, W, 40, W, 40, W, 40, D, 0, S, 4})                        // the ring overflows
+	f.Add([]byte{0, W, 8, W, 8, W, 8, W, 8, W, 8, D, 0, S, 6, A, 3, S, 1})           // ahead of sent; behind an ACK
+	f.Add([]byte{0, R, 64, D, 0, R, 64, W, 8})                                       // receipts acked on cadence, attached only
+	f.Add([]byte{0, D, 0, W, 30, W, 30, W, 30, L, 1, S, honest, D, 0, S, honest})    // a replay cut short
+	f.Add([]byte{0, W, 8, W, 8, L, 0, W, 8, W, 8, D, 0, S, honest, A, honest, W, 8}) // frames lost in the blip
+	f.Add([]byte{0, W, 8, W, 8, W, 8, A, 9, D, 0, S, 1})                             // an ACK ahead of everything, then a resume behind it
+
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		if len(prog) == 0 {
+			return
+		}
+		capBytes := 0
+		if prog[0] > 0 {
+			capBytes = 80 + 2*int(prog[0])
+		}
+		p := &sessionPeer{t: t, accept: -1}
+		p.s = NewSession(p.attach(), "tok", capBytes)
+		s := p.s
+		var sent, recv, pruned uint64 // the model: frames written, receipts counted, the last index the ring let go
+		countArg := func(b byte) uint64 {
+			if b < 200 {
+				return uint64(b)
+			}
+			return uint64(max(0, int(p.count)+int(b)-honest))
+		}
+		// live checks what the peer read off a live transport: the session
+		// frames from next on, in order, of which it accepts what it may.
+		live := func(read []peerFrame, next uint64) {
+			t.Helper()
+			for _, fr := range read {
+				if fr.typ != MsgSend || fr.seq != next {
+					t.Fatalf("the peer read %+v, want session frame %d", fr, next)
+				}
+				next++
+				if p.accept != 0 {
+					if fr.seq != p.count+1 {
+						t.Fatalf("the peer accepts frame %d after %d frames: not exactly once, in order", fr.seq, p.count)
+					}
+					p.count++
+					p.accept = max(p.accept-1, -1)
+				}
+			}
+			if next != sent+1 {
+				t.Fatalf("the peer read up to frame %d of %d sent", next-1, sent)
+			}
+		}
+		for ops := prog[1:]; len(ops) >= 2 && sent < 64; ops = ops[2:] {
+			switch op, arg := ops[0], ops[1]; op % 6 {
+			case W:
+				sent++
+				if err := s.WriteFrame(MsgSend, 1, sent, &Send{To: "r", Val: make([]byte, arg%64)}); err != nil {
+					t.Fatalf("write %d: %v", sent, err)
+				}
+				if p.local != nil {
+					live(p.settle(), sent)
+				}
+			case A:
+				n := countArg(arg)
+				s.PeerAck(n)
+				pruned = max(pruned, min(n, sent))
+			case D:
+				p.cut()
+			case L: // a transport that lost a frame delivers none behind it
+				if n := int(arg % 8); p.accept < 0 || n < p.accept {
+					p.accept = n
+				}
+			case R:
+				var acks []peerFrame
+				for i := 0; i < int(arg); i++ {
+					s.MaybeAck()
+					if recv++; recv%ackEvery == 0 && p.local != nil {
+						acks = append(acks, peerFrame{typ: MsgAck, count: recv})
+					}
+				}
+				if s.RecvCount() != recv {
+					t.Fatalf("RecvCount %d after %d receipts", s.RecvCount(), recv)
+				}
+				if p.local != nil {
+					if read := p.settle(); !slices.Equal(read, acks) {
+						t.Fatalf("%d receipts had the peer read %v, want the ACKs %v", arg, read, acks)
+					}
+				}
+			case S:
+				p.cut()
+				r, wasDoomed := countArg(arg), s.Doomed()
+				err := s.Resume(p.attach(), r)
+				switch {
+				case wasDoomed:
+					if !errors.Is(err, ErrSessionDoomed) {
+						t.Fatalf("Resume(%d) of a doomed session: %v", r, err)
+					}
+				case r > sent || (r < sent && r < pruned):
+					if !errors.Is(err, ErrResumeInvalid) {
+						t.Fatalf("Resume(%d) with %d sent and the ring let go up to %d: %v, want ErrResumeInvalid", r, sent, pruned, err)
+					}
+				case err != nil:
+					t.Fatalf("Resume(%d) with %d sent, ring from %d: %v", r, sent, pruned+1, err)
+				}
+				if err != nil {
+					if s.Conn() != nil {
+						t.Fatalf("Resume(%d) failed with %v and left a transport attached", r, err)
+					}
+					p.cut()
+					continue
+				}
+				// The peer said r: that is what it has, whatever it had.
+				p.count, pruned = r, max(pruned, r)
+				live(p.settle(), r+1)
+			}
+			if doomed := s.Doomed(); doomed && (len(s.ring) != 0 || s.ringSize != 0) {
+				t.Fatalf("a doomed session retains %d frames, %d bytes", len(s.ring), s.ringSize)
+			}
+		}
+		p.cut()
+	})
 }
