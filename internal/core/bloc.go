@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 
 	"github.com/scriptabs/goscript/internal/ids"
 )
@@ -36,7 +37,6 @@ func (in *Instance) EnrollBloc(ctx context.Context, members []Enrollment) ([]Res
 	}
 	ch := make(chan outcome, len(bound))
 	for i, m := range bound {
-		i, m := i, m
 		go func() {
 			res, err := in.Enroll(ctx, m)
 			ch <- outcome{idx: i, res: res, err: err}
@@ -81,9 +81,7 @@ func BindBloc(members []Enrollment) ([]Enrollment, error) {
 	bound := make([]Enrollment, len(members))
 	for i, m := range members {
 		with := make(map[ids.RoleRef]ids.PIDSet, len(members)-1+len(m.With))
-		for r, s := range m.With {
-			with[r] = s
-		}
+		maps.Copy(with, m.With)
 		for _, other := range members {
 			if other.PID == m.PID {
 				continue

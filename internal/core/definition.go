@@ -25,6 +25,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/scriptabs/goscript/internal/ids"
 )
@@ -246,9 +247,7 @@ func (d Definition) TerminationPolicy() Termination { return d.termination }
 // RoleNames returns the declared role (and family) names in declaration
 // order.
 func (d Definition) RoleNames() []string {
-	out := make([]string, len(d.order))
-	copy(out, d.order)
-	return out
+	return slices.Clone(d.order)
 }
 
 // checkRole validates that r refers to a declared role, with a family index

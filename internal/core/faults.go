@@ -42,11 +42,12 @@ func WithFaultInjection(fi FaultInjector) Option {
 // opContext applies the instance's fault injector to one communication
 // operation: it imposes the injected latency and, when a spurious
 // cancellation is drawn, derives a context that cancels after the drawn
-// delay. The returned cancel func is nil when the context is unchanged.
+// delay. The returned cancel func does nothing when the context is
+// unchanged.
 func (in *Instance) opContext(ctx context.Context) (context.Context, context.CancelFunc) {
 	fi := in.faults
 	if fi == nil {
-		return ctx, nil
+		return ctx, noCancel
 	}
 	if d := fi.OpDelay(); d > 0 {
 		time.Sleep(d)
@@ -54,5 +55,7 @@ func (in *Instance) opContext(ctx context.Context) (context.Context, context.Can
 	if d := fi.CancelAfter(); d > 0 {
 		return context.WithTimeout(ctx, d)
 	}
-	return ctx, nil
+	return ctx, noCancel
 }
+
+func noCancel() {}

@@ -193,7 +193,7 @@ func TestCriticalCountersFollowTheTable(t *testing.T) {
 					in.nextOffer++
 					in.addPendingLocked(&enrollState{
 						offer: match.Offer{ID: in.nextOffer, PID: ids.PID(fmt.Sprint("P", in.nextOffer)), Role: r},
-						slot:  in.slotOf(r), ctx: context.Background(), phase: phasePending,
+						slot:  int32(in.slotOf(r)), ctx: context.Background(), phase: phasePending, h: make(wakeCh, 1),
 					})
 				case rng.Intn(2) == 0:
 					in.removePendingLocked(in.pending[rng.Intn(n)])

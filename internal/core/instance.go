@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -48,9 +49,10 @@ type Enrollment struct {
 	// Body, when non-nil, overrides the definition's body for this
 	// enrollment. The paper makes a role body "a logical continuation of the
 	// enrolling process"; Body lets the enrolling process actually supply
-	// that continuation. The remote host (internal/remote) uses it to bridge
-	// a network enroller: the override proxies Ctx operations to the client
-	// process, where the real body runs.
+	// that continuation. Enroll runs it; a holder of an offer placed with
+	// Offer hands its body to Perform instead (the remote host's is the
+	// bridge that proxies Ctx operations to the client process, where the
+	// real body runs).
 	Body RoleBody
 	// TraceID, when non-zero, is a trace ID minted by the enrolling side
 	// (typically a remote client whose own sampler chose to trace the call).
@@ -136,12 +138,11 @@ func WithPerformanceDeadline(d time.Duration) Option {
 // Scheduling is event-driven: the goroutine whose action changes the
 // coordination state (an enrollment arriving, a role body finishing, an
 // offer being withdrawn) runs the coordinator step itself while it holds the
-// lock, and wakes exactly the enrollers whose state changed — an assigned
-// enroller through its own wakeup channel, released holders through the
-// performance's done channel; Close and Drain, which change every waiter's
-// state, signal the same two channels. There is no broadcast and no
-// coordinator goroutine (the paper's requirement that a script needs no
-// extra process).
+// lock, and tells exactly the holders whose state changed, through the
+// Handoff each offer was placed with — an assigned offer's holder, the
+// offers Close and Drain turn away, the roles held until the performance
+// ends. There is no broadcast and no coordinator goroutine (the paper's
+// requirement that a script needs no extra process).
 type Instance struct {
 	def      Definition
 	tracer   trace.Tracer
@@ -200,6 +201,9 @@ type Instance struct {
 	idleCh    chan struct{}
 	nextOffer uint64
 	pending   []*enrollState
+	// owed lists, in order, the records owed a hand-off once mu is dropped
+	// (see unlock).
+	owed      records
 	active    *performance
 	perfCount int
 	// fabric is where the instance's performances communicate, one after the
@@ -239,22 +243,29 @@ type Instance struct {
 	critUnfilled []int32
 }
 
-type enrollPhase int
+// enrollPhase is where an enrollment stands. Pending, assigned and held are
+// live; the other four are ends, written once and never again.
+type enrollPhase uint8
 
 const (
-	phasePending enrollPhase = iota + 1
-	phaseAssigned
-	phaseWithdrawn
+	phasePending  enrollPhase = iota + 1
+	phaseAssigned             // cast in a performance: its body runs, or is about to
+	phaseHeld                 // body returned under delayed termination: waits for the performance's end
+	phaseOver                 // released, or never held
+	phaseLeft                 // taken back by its holder: withdrawn while pending, or cut loose while held
+	phaseDrained              // turned away by Drain
+	phaseClosed               // turned away by Close
 )
 
-// enrollState is the record of one enrollment, allocated once per Enroll and
+// enrollState is the record of one enrollment, allocated once per Offer and
 // never recycled (DESIGN.md "Scheduler internals" says who may still read it
-// after Enroll returns). The role, the process, the context, the arguments
-// and the performance are kept here only; the RoleCtx inside reads them
-// through its back pointer.
+// after its holder is done). The role, the process, the context, the
+// arguments and the performance are kept here only; the RoleCtx inside reads
+// them through its back pointer.
 type enrollState struct {
 	offer match.Offer
-	slot  int // the role's slot in Instance.roles, -1 for an open-family member
+	slot  int32 // the role's slot in Instance.roles, -1 for an open-family member
+	phase enrollPhase
 	// args is the enrollment's copy of Enrollment.Args; a single argument,
 	// the usual case in the patterns library, is copied into arg1 and costs no
 	// list of its own.
@@ -263,16 +274,49 @@ type enrollState struct {
 	ctx      context.Context
 	deadline time.Time     // Enrollment.Deadline; zero = none
 	traceID  trace.TraceID // Enrollment.TraceID; zero = none
-	phase    enrollPhase
-	perf     *performance // set, once, when the offer is assigned
-	rc       RoleCtx      // filled in when the offer is assigned
-	// wake is, with ctx.Done, all a pending enroller waits on. It receives a
-	// token when the offer is assigned to a performance and when Close or
-	// Drain turns the pending offers away; the enroller re-reads its state
-	// under the lock, so a token says "look", not what happened. The channel
-	// is on loan from wakePool for the length of the Enroll call.
-	wake chan struct{}
+	perf     *performance  // set, once, when the offer is assigned
+	rc       RoleCtx       // filled in when the offer is assigned
+	// h is the holder's Handoff, told of the assignment, the turn-away or the
+	// release; next links the record into a list of records: its
+	// performance's held roles, then Instance.owed.
+	h    Handoff
+	next *enrollState
 }
+
+// Handoff is how the holder of an offer placed with Offer learns what became
+// of it, instead of a goroutine parked on it: Enroll's is a wake channel, the
+// remote host's the stream the offer came in on.
+type Handoff interface {
+	// Settled is called once, when offer o is settled: assigned to a
+	// performance (err nil: the holder calls o.Perform) or turned away by
+	// Close or Drain (ErrClosed, ErrDraining: the offer is gone). It may come
+	// before Offer has returned o. An assignment is handed off with the
+	// instance's lock held, so Settled must neither block nor call back into
+	// the instance; a turn-away after the lock is dropped. The chaos WakeDelay
+	// fault defers the assignment's call to a timer.
+	Settled(o Offered, err error)
+	// Released is called once for a role held under delayed termination,
+	// when its performance ends: by the goroutine that ended it — its last
+	// role, the abort path or Close — after that goroutine dropped the lock.
+	// A role cut loose first (see Offered.Look) is not released.
+	Released()
+}
+
+// wakeCh is Enroll's Handoff: every hand-off leaves a token, and the
+// enroller, woken, re-reads its state under the lock, so a token says
+// "look", not what happened. The channel is on loan from wakePool for the
+// length of the Enroll call.
+type wakeCh chan struct{}
+
+// Settled leaves a token unless one is already there.
+func (w wakeCh) Settled(Offered, error) {
+	select {
+	case w <- struct{}{}:
+	default: // already signalled; the re-check under the lock makes a second token moot
+	}
+}
+
+func (w wakeCh) Released() { w.Settled(Offered{}, nil) }
 
 // wakePool lends wake channels to enrollments. A channel outlives the
 // enrollment it served, and a signaller that was delayed past its
@@ -281,30 +325,21 @@ type enrollState struct {
 // token means: the holder takes one more look at its own state under the
 // lock, finds it unchanged and waits again; nothing is ever decided by a
 // token alone.
-var wakePool = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
+var wakePool = sync.Pool{New: func() any { return make(wakeCh, 1) }}
 
 // putWake returns an enrollment's wake channel, minus the token a signal
 // that raced the enroller's own exit (Close, Drain, a cancelled context) may
 // have left: the next holder would only look once for nothing, and need not.
-func putWake(ch chan struct{}) {
+func putWake(w wakeCh) {
 	select {
-	case <-ch:
+	case <-w:
 	default:
 	}
-	wakePool.Put(ch)
+	wakePool.Put(w)
 }
 
-// signal leaves a token in st.wake unless one is already there.
-func (st *enrollState) signal() {
-	select {
-	case st.wake <- struct{}{}:
-	default: // already signalled; the re-check under the lock makes a second token moot
-	}
-}
-
-// await blocks until ch delivers — a token, or its closing — or ctx ends:
-// the two sources an enroller ever waits on, and a plain receive when ctx
-// cannot end.
+// await blocks until ch delivers a token or ctx ends: the two sources an
+// enroller ever waits on, and a plain receive when ctx cannot end.
 func await(ctx context.Context, ch <-chan struct{}) {
 	done := ctx.Done()
 	if done == nil {
@@ -351,19 +386,16 @@ type performance struct {
 	open      map[ids.RoleRef]*castEntry
 	nAssigned int
 	nFinished int
-	// membershipClosed is set when the filled roles cover a critical set
-	// (immediate initiation) or at the atomic match (delayed initiation).
-	membershipClosed bool
 	// While membership is open (immediate initiation): admitSeen is the ID
 	// of the last offer an admission pass has considered, and constrained
 	// records whether any member carries a partner constraint.
-	admitSeen   uint64
-	constrained bool
-	done        bool
-	// doneCh is what delayed-termination holders wait on: closed, once
-	// (released), when the performance ends or the instance closes under it.
-	doneCh   chan struct{}
-	released bool
+	admitSeen uint64
+	// doneCh is closed, once (released), when the performance ends or the
+	// instance closes under it: RoleCtx.PerformanceDone.
+	doneCh chan struct{}
+	// held lists the roles held for delayed termination, in the order they
+	// finished.
+	held records
 	// deadline is the earliest abort deadline in force (instance-level
 	// performance deadline or an assigned enrollment's deadline); zero =
 	// unbounded. timer fires the abort; it is stopped on normal termination.
@@ -377,6 +409,12 @@ type performance struct {
 	// non-zero) is stamped on each of them. See Instance.samplePerfLocked.
 	traceID trace.TraceID
 	sampled bool
+	// membershipClosed is set when the filled roles cover a critical set
+	// (immediate initiation) or at the atomic match (delayed initiation).
+	membershipClosed bool
+	constrained      bool
+	done             bool
+	released         bool
 }
 
 // entry returns the cast entry of role r, whose slot is slot (-1 for a
@@ -420,12 +458,79 @@ func (p *performance) openRole(id rendezvous.ID) (ids.RoleRef, bool) {
 	return ids.RoleRef{}, false
 }
 
-// releaseHeld closes doneCh, once: the performance ended (finish, abort) or
-// the instance closed under it.
-func (p *performance) releaseHeld() {
-	if !p.released {
-		p.released = true
-		close(p.doneCh)
+// stopTimer stops p's deadline timer, if one is armed.
+func (p *performance) stopTimer() {
+	if p.timer != nil {
+		p.timer.Stop()
+		p.timer = nil
+	}
+}
+
+// releaseHeldLocked ends performance p for the roles it holds, once: the
+// performance ended (finish, abort) or the instance closed under it. doneCh
+// closes, and the held roles move to the owed list, to be released when the
+// lock is dropped.
+func (in *Instance) releaseHeldLocked(p *performance) {
+	if p.released {
+		return
+	}
+	p.released = true
+	close(p.doneCh)
+	for st := p.held.head; st != nil; st = st.next {
+		if st.phase == phaseHeld { // not cut loose
+			in.endLocked(st, phaseOver)
+		}
+	}
+	if p.held.head != nil {
+		in.owed.push(p.held.head, p.held.tail)
+	}
+}
+
+// endLocked ends enrollment st's part in its performance, moving it to phase:
+// over (released, or never held) or left (cut loose).
+func (in *Instance) endLocked(st *enrollState, phase enrollPhase) {
+	st.phase = phase
+	in.load.Add(-1)
+	in.recordPerf(st.perf, trace.Event{
+		Kind: trace.KindRelease, Script: in.def.name,
+		Performance: st.perf.number, Role: st.offer.Role, PID: st.offer.PID,
+	})
+}
+
+// records is a list of enrollment records linked through their next field.
+type records struct{ head, tail *enrollState }
+
+// push appends the records first..last, already linked to each other.
+func (l *records) push(first, last *enrollState) {
+	if l.tail == nil {
+		l.head = first
+	} else {
+		l.tail.next = first
+	}
+	l.tail = last
+}
+
+// unlock drops mu, then makes the hand-offs owed since it was taken: Released
+// to the held roles of a performance that ended, Settled to the offers Close
+// or Drain turned away. They are made outside the lock because a remote
+// holder writes its stream's terminal frame in them. Every critical section
+// that can end a performance or turn offers away is left through unlock.
+func (in *Instance) unlock() {
+	st := in.owed.head
+	in.owed = records{}
+	in.mu.Unlock()
+	for st != nil {
+		// An owed record is in an end phase, which nobody writes again.
+		next := st.next
+		switch st.phase {
+		case phaseDrained:
+			st.h.Settled(Offered{in, st}, ErrDraining)
+		case phaseClosed:
+			st.h.Settled(Offered{in, st}, ErrClosed)
+		case phaseOver:
+			st.h.Released()
+		}
+		st = next
 	}
 }
 
@@ -481,11 +586,7 @@ func (in *Instance) Performances() int {
 
 // PendingEnrollments returns the number of enrollment offers waiting to be
 // matched or admitted.
-func (in *Instance) PendingEnrollments() int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return len(in.pending)
-}
+func (in *Instance) PendingEnrollments() int { return in.PendingOffers() }
 
 // Load returns the number of enrollments currently in flight — pending,
 // playing a role, or held for delayed termination. It is a dispatch hint
@@ -512,29 +613,32 @@ func (in *Instance) PendingOffers() int {
 // that lets in-flight performances complete.
 func (in *Instance) Close() {
 	in.mu.Lock()
-	defer in.mu.Unlock()
+	defer in.unlock()
 	if in.closed {
 		return
 	}
 	in.closed = true
 	if p := in.active; p != nil {
-		if p.timer != nil {
-			p.timer.Stop()
-			p.timer = nil
-		}
+		p.stopTimer()
 		p.fabric.Close()
-		p.releaseHeld() // held roles leave now; the running ones unwind
+		in.releaseHeldLocked(p) // held roles leave now; the running ones unwind
 	}
-	in.signalPendingLocked()
+	in.turnAwayLocked(phaseClosed)
 	close(in.closedCh)
 }
 
-// signalPendingLocked wakes every pending enroller, for Close and Drain: each
-// finds, under the lock, that the instance no longer takes its offer.
-func (in *Instance) signalPendingLocked() {
+// turnAwayLocked takes every pending offer off the instance, for Close and
+// Drain (phase says which): each holder is told so once the lock is dropped.
+func (in *Instance) turnAwayLocked(phase enrollPhase) {
 	for _, st := range in.pending {
-		st.signal()
+		st.phase = phase
+		in.load.Add(-1)
+		in.countOfferLocked(st, -1)
+		in.owed.push(st, st)
 	}
+	clear(in.pending)
+	in.pending = in.pending[:0]
+	in.pendingChangedLocked()
 }
 
 // Closed reports whether the instance has been closed (by Close or by a
@@ -575,27 +679,27 @@ func (in *Instance) Drain(ctx context.Context) error {
 	if !in.draining {
 		in.draining = true
 		in.record(trace.Event{Kind: trace.KindDrain, Script: in.def.name})
-		in.signalPendingLocked()
+		in.turnAwayLocked(phaseDrained)
 		if in.active != nil && !in.active.membershipClosed {
 			in.closeMembershipLocked(in.active)
 		}
 	}
 	for {
 		if in.closed {
-			in.mu.Unlock()
+			in.unlock()
 			return nil
 		}
 		if in.active == nil && len(in.pending) == 0 {
 			in.closed = true
 			close(in.closedCh)
-			in.mu.Unlock()
+			in.unlock()
 			return nil
 		}
 		if in.idleCh == nil {
 			in.idleCh = make(chan struct{})
 		}
 		idle := in.idleCh
-		in.mu.Unlock()
+		in.unlock()
 		select {
 		case <-idle:
 		case <-in.closedCh:
@@ -628,44 +732,79 @@ func (in *Instance) notifyDrainLocked() {
 // it until the whole performance ends (the enrollment then reports ctx's
 // error alongside the role's results).
 func (in *Instance) Enroll(ctx context.Context, e Enrollment) (Result, error) {
+	w := wakePool.Get().(wakeCh)
+	defer putWake(w)
+	o, err := in.Offer(ctx, e, w)
+	if err != nil {
+		return Result{}, err
+	}
+	for waiting := true; waiting; {
+		await(ctx, w)
+		if waiting, err = o.Look(); err != nil {
+			return Result{}, err
+		}
+	}
+	res, held, err := o.Perform(e.Body)
+	for held {
+		await(ctx, w)
+		var heldErr error
+		if held, heldErr = o.Look(); err == nil {
+			err = heldErr // a released-but-held role interrupted by its enroller
+		}
+	}
+	return res, err
+}
+
+// Offered is an offer placed with Offer: the holder's handle on it.
+type Offered struct {
+	in *Instance
+	st *enrollState
+}
+
+// Offer places the offer to play e.Role in this instance and returns without
+// waiting for it: h is told when it is settled (Handoff.Settled) and, under
+// delayed termination, when the role is released (Handoff.Released). ctx is
+// the enrollment's context — the role's communications end with it, and so
+// does its wait, pending or held — but the instance does not watch it: a
+// holder whose context has ended calls Look. e.Body is not consulted; the
+// holder passes a body to Perform. Enroll is Offer with a wake channel for h.
+func (in *Instance) Offer(ctx context.Context, e Enrollment, h Handoff) (Offered, error) {
 	if e.PID == ids.NoPID {
-		return Result{}, fmt.Errorf("script %s: enrollment has empty PID", in.def.name)
+		return Offered{}, fmt.Errorf("script %s: enrollment has empty PID", in.def.name)
 	}
 	slot := in.slotOf(e.Role)
 	if slot < 0 { // not a closed role: a member of an open family, or no role at all
 		if err := in.def.checkRole(e.Role); err != nil {
-			return Result{}, err
+			return Offered{}, err
 		}
 	}
 	for r := range e.With {
 		if err := in.def.checkRole(r); err != nil {
-			return Result{}, fmt.Errorf("partner constraint: %w", err)
+			return Offered{}, fmt.Errorf("partner constraint: %w", err)
 		}
 	}
-	in.load.Add(1)
-	defer in.load.Add(-1)
 
 	in.mu.Lock()
-	if in.closed {
+	if in.closed || in.draining {
+		err := ErrDraining
+		if in.closed {
+			err = ErrClosed
+		}
 		in.mu.Unlock()
-		return Result{}, ErrClosed
+		return Offered{}, err
 	}
-	if in.draining {
-		in.mu.Unlock()
-		return Result{}, ErrDraining
-	}
+	in.load.Add(1)
 	in.nextOffer++
 	st := &enrollState{
 		offer:    match.Offer{ID: in.nextOffer, PID: e.PID, Role: e.Role, With: clonePartners(e.With)},
-		slot:     slot,
+		slot:     int32(slot),
+		phase:    phasePending,
 		ctx:      ctx,
 		deadline: e.Deadline,
 		traceID:  e.TraceID,
-		phase:    phasePending,
-		wake:     wakePool.Get().(chan struct{}),
+		h:        h,
 	}
 	st.args = append(st.arg1[:0], e.Args...)
-	defer putWake(st.wake) // every path below has taken st off the pending list by then
 	in.addPendingLocked(st)
 	// Offer-time events predate any performance, so they cannot be sampled
 	// per-performance; with a sampler installed the tracer sees only the
@@ -674,46 +813,65 @@ func (in *Instance) Enroll(ctx context.Context, e Enrollment) (Result, error) {
 	if in.sampler == nil {
 		in.record(trace.Event{Kind: trace.KindEnroll, Script: in.def.name, Role: e.Role, PID: e.PID})
 	}
-
 	in.advanceLocked()
-	for st.phase == phasePending {
-		in.mu.Unlock()
-		await(ctx, st.wake)
-		in.mu.Lock()
-		if st.phase != phasePending {
-			break // assigned while we were waking up; assignment wins
-		}
-		if in.draining {
-			in.removePendingLocked(st)
-			in.mu.Unlock()
-			return Result{}, ErrDraining
-		}
-		if in.closed {
-			in.removePendingLocked(st)
-			in.mu.Unlock()
-			return Result{}, ErrClosed
-		}
-		if err := ctx.Err(); err != nil {
-			in.removePendingLocked(st)
-			in.mu.Unlock()
-			return Result{}, err
-		}
-	}
-	perf, rc := st.perf, &st.rc
-	in.mu.Unlock()
+	in.unlock()
+	return Offered{in, st}, nil
+}
 
-	body := in.def.bodyFor(e.Role)
-	if e.Body != nil {
-		body = e.Body
+// Look reports whether the enrollment is still waiting — pending, or held for
+// delayed termination — and, once it is not, why: nil when it was assigned or
+// released, ErrDraining or ErrClosed when it was turned away, its context's
+// error when it left. A waiting enrollment whose context has ended leaves on
+// this look: a pending offer is withdrawn, a held role cut loose (it is not
+// released through the Handoff, and its co-performers are not affected).
+// Assignment wins: an offer assigned before the look must be performed.
+func (o Offered) Look() (waiting bool, err error) {
+	in, st := o.in, o.st
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	switch st.phase {
+	case phasePending, phaseHeld:
+		if err = st.ctx.Err(); err == nil {
+			return true, nil
+		}
+		if st.phase == phasePending {
+			in.removePendingLocked(st)
+			in.load.Add(-1)
+		} else { // it stays on its performance's held list, which skips it
+			in.endLocked(st, phaseLeft)
+		}
+		return false, err
+	case phaseDrained:
+		return false, ErrDraining
+	case phaseClosed:
+		return false, ErrClosed
+	}
+	return false, nil
+}
+
+// Perform runs the role body of an assigned offer on the calling goroutine —
+// body, or the definition's body for the role when body is nil — and ends the
+// role. It returns the enrollment's Result, its error, and whether the role
+// is held: under delayed termination a finished role stays in its
+// performance until the performance ends, and is then released through the
+// Handoff, unless its context ends first (see Look). A role-body error is
+// wrapped in *RoleError; a body that unwound because the performance was
+// aborted reports the *AbortError; a body that finished its work reports
+// success, whatever happens to the performance while the role is held.
+func (o Offered) Perform(body RoleBody) (res Result, held bool, err error) {
+	in, st := o.in, o.st
+	perf, rc, r := st.perf, &st.rc, st.offer.Role
+	if body == nil {
+		body = in.def.bodyFor(r)
 	}
 	bodyErr := RunBody(body, rc)
 
 	in.mu.Lock()
 	in.recordPerf(perf, trace.Event{
 		Kind: trace.KindFinish, Script: in.def.name,
-		Performance: perf.number, Role: e.Role, PID: e.PID,
+		Performance: perf.number, Role: r, PID: st.offer.PID,
 	})
-	perf.entry(st.slot, e.Role).state = castFinished
+	perf.entry(int(st.slot), r).state = castFinished
 	perf.nFinished++
 	if perf.fabric != nil {
 		perf.fabric.TerminateID(rc.id)
@@ -722,42 +880,26 @@ func (in *Instance) Enroll(ctx context.Context, e Enrollment) (Result, error) {
 		in.finishPerformanceLocked(perf)
 		in.advanceLocked() // the instance is free: let the next cast form
 	}
-	var heldErr error
-	if in.def.termination == DelayedTermination {
-		for !perf.done && !in.closed {
-			if err := ctx.Err(); err != nil {
-				heldErr = err // released-but-held role interrupted by its enroller
-				break
-			}
-			in.mu.Unlock()
-			await(ctx, perf.doneCh)
-			in.mu.Lock()
-		}
+	held = in.def.termination == DelayedTermination && !perf.done && !in.closed
+	if held {
+		st.phase = phaseHeld
+		perf.held.push(st, st)
+	} else {
+		in.endLocked(st, phaseOver)
 	}
-	in.recordPerf(perf, trace.Event{
-		Kind: trace.KindRelease, Script: in.def.name,
-		Performance: perf.number, Role: e.Role, PID: e.PID,
-	})
 	abortErr := perf.abortErr
-	in.mu.Unlock()
+	in.unlock()
 
-	res := Result{Performance: perf.number, Role: e.Role, Values: rc.results, TraceID: perf.traceID}
+	res = Result{Performance: perf.number, Role: r, Values: rc.results, TraceID: perf.traceID}
 	switch {
 	case bodyErr != nil && abortErr != nil && errors.Is(bodyErr, ErrPerformanceAborted):
 		// The body unwound because the runtime aborted the performance;
 		// surface the abort itself (with its culprit), not a RoleError.
-		return res, abortErr
+		return res, held, abortErr
 	case bodyErr != nil:
-		return res, &RoleError{Script: in.def.name, Role: e.Role, Err: bodyErr}
-	case heldErr != nil:
-		return res, heldErr
-	default:
-		// The body finished its work: the enrollment succeeded, even if the
-		// instance was closed or the performance aborted while the role was
-		// held for delayed termination — only abort-before-finish surfaces
-		// an error.
-		return res, nil
+		return res, held, &RoleError{Script: in.def.name, Role: r, Err: bodyErr}
 	}
+	return res, held, nil
 }
 
 // RunBody executes a role body, converting a panic into an error so a buggy
@@ -782,14 +924,10 @@ func clonePartners(w map[ids.RoleRef]ids.PIDSet) map[ids.RoleRef]ids.PIDSet {
 		if s == nil {
 			continue
 		}
-		cs := make(ids.PIDSet, len(s))
-		for p := range s {
-			cs[p] = struct{}{}
-		}
 		if out == nil {
 			out = make(map[ids.RoleRef]ids.PIDSet, len(w))
 		}
-		out[r] = cs
+		out[r] = maps.Clone(s)
 	}
 	return out
 }
@@ -856,7 +994,7 @@ func (in *Instance) tryMatchLocked() bool {
 		if st.ctx.Err() != nil {
 			continue // being withdrawn by its enroller
 		}
-		offers, slots, cands = append(offers, &st.offer), append(slots, int32(st.slot)), append(cands, st)
+		offers, slots, cands = append(offers, &st.offer), append(slots, st.slot), append(cands, st)
 	}
 	chosen, ok := in.table.FindCast(offers, slots, in.fairness, in.seed+int64(in.perfCount), &in.matchScratch)
 	// The matched cast comes back as offer indices in role order, which is
@@ -975,9 +1113,7 @@ func (in *Instance) armDeadlineLocked(p *performance, t time.Time) {
 		return
 	}
 	p.deadline = t
-	if p.timer != nil {
-		p.timer.Stop()
-	}
+	p.stopTimer()
 	p.timer = time.AfterFunc(time.Until(t), func() { in.deadlineFired(p) })
 }
 
@@ -985,7 +1121,7 @@ func (in *Instance) armDeadlineLocked(p *performance, t time.Time) {
 // it is still running, then lets the next cast form.
 func (in *Instance) deadlineFired(p *performance) {
 	in.mu.Lock()
-	defer in.mu.Unlock()
+	defer in.unlock()
 	if p.done || in.closed {
 		return
 	}
@@ -1054,10 +1190,7 @@ func (in *Instance) abortAsLocked(p *performance, culprit ids.RoleRef, reason st
 		Culprit:     culprit,
 		Reason:      reason,
 	}
-	if p.timer != nil {
-		p.timer.Stop()
-		p.timer = nil
-	}
+	p.stopTimer()
 	p.done = true
 	p.fabric.Abort(p.abortErr)
 	if in.fabric == p.fabric {
@@ -1074,24 +1207,24 @@ func (in *Instance) abortAsLocked(p *performance, culprit ids.RoleRef, reason st
 	if in.active == p {
 		in.active = nil
 	}
-	p.releaseHeld()
+	in.releaseHeldLocked(p)
 	in.notifyDrainLocked()
 }
 
 // assignLocked binds the pending enrollment st into performance p — its
-// line of the cast and its RoleCtx — and wakes exactly that enroller. st
-// stays in the pending list, no longer pending; the caller follows its
-// assignments with one dropAssignedLocked.
+// line of the cast and its RoleCtx — and hands the assignment off to exactly
+// that offer's holder. st stays in the pending list, no longer pending; the
+// caller follows its assignments with one dropAssignedLocked.
 func (in *Instance) assignLocked(p *performance, st *enrollState) {
 	r := st.offer.Role
-	id := p.endpointLocked(st.slot, r)
+	id := p.endpointLocked(int(st.slot), r)
 	if st.slot < 0 { // a member of an open family gets its line now
 		if p.open == nil {
 			p.open = make(map[ids.RoleRef]*castEntry)
 		}
 		p.open[r] = new(castEntry)
 	}
-	*p.entry(st.slot, r) = castEntry{state: castFilled, id: id, pid: st.offer.PID, with: st.offer.With}
+	*p.entry(int(st.slot), r) = castEntry{state: castFilled, id: id, pid: st.offer.PID, with: st.offer.With}
 	p.nAssigned++
 	st.phase = phaseAssigned
 	st.perf = p
@@ -1102,12 +1235,12 @@ func (in *Instance) assignLocked(p *performance, st *enrollState) {
 		delay = fi.WakeDelay()
 	}
 	if delay > 0 {
-		// Injected fault: drop the inline wakeup and redeliver it late. The
-		// enroller sleeps until the redelivery (or its context ending, or
-		// Close signalling it); a correct scheduler tolerates the gap.
-		time.AfterFunc(delay, st.signal)
+		// Injected fault: drop the inline hand-off and redeliver it late. The
+		// holder waits until the redelivery (an enroller also until its
+		// context ends); a correct scheduler tolerates the gap.
+		time.AfterFunc(delay, func() { st.h.Settled(Offered{in, st}, nil) })
 	} else {
-		st.signal()
+		st.h.Settled(Offered{in, st}, nil)
 	}
 	in.recordPerf(p, trace.Event{
 		Kind: trace.KindStart, Script: in.def.name,
@@ -1145,7 +1278,7 @@ func (in *Instance) admitLocked(p *performance) {
 		if st.ctx.Err() != nil {
 			continue // being withdrawn by its enroller
 		}
-		if p.stateOf(st.slot, st.offer.Role) != castUnfilled {
+		if p.stateOf(int(st.slot), st.offer.Role) != castUnfilled {
 			continue // filled, or already played: wait for the next performance
 		}
 		// With no constraint on either side a free role is all joining takes.
@@ -1230,10 +1363,7 @@ func (in *Instance) finishPerformanceLocked(p *performance) {
 	if p.done {
 		return
 	}
-	if p.timer != nil {
-		p.timer.Stop()
-		p.timer = nil
-	}
+	p.stopTimer()
 	p.done = true
 	perfCompletedTotal.Inc()
 	in.recordPerf(p, trace.Event{Kind: trace.KindPerfEnd, Script: in.def.name, Performance: p.number})
@@ -1243,7 +1373,7 @@ func (in *Instance) finishPerformanceLocked(p *performance) {
 	if in.active == p {
 		in.active = nil
 	}
-	p.releaseHeld()
+	in.releaseHeldLocked(p)
 	p.fabric.Reset()
 	p.fabric = nil
 	in.notifyDrainLocked()
@@ -1283,7 +1413,7 @@ func (in *Instance) removePendingLocked(st *enrollState) {
 		in.countOfferLocked(st, -1)
 		in.pendingChangedLocked()
 	}
-	st.phase = phaseWithdrawn
+	st.phase = phaseLeft
 }
 
 // countOfferLocked adds d (±1) to the pending-offer count of st's role and
@@ -1309,7 +1439,7 @@ func (in *Instance) countOfferLocked(st *enrollState, d int) {
 // st's role.
 func (in *Instance) countCriticalLocked(counts []int32, st *enrollState, d int32) {
 	for i := range counts {
-		if in.table.Names(i, st.slot, st.offer.Role) {
+		if in.table.Names(i, int(st.slot), st.offer.Role) {
 			counts[i] += d
 		}
 	}

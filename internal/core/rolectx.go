@@ -99,9 +99,7 @@ func (rc *RoleCtx) SendTag(to ids.RoleRef, tag string, v any) error {
 		return err
 	}
 	ctx, cancel := rc.inst.opContext(rc.st.ctx)
-	if cancel != nil {
-		defer cancel()
-	}
+	defer cancel()
 	if err := rc.st.perf.fabric.SendID(ctx, rc.id, id, rendezvous.Tag(tag), v); err != nil {
 		return rc.mapCommErr(to, slot, err)
 	}
@@ -142,9 +140,7 @@ func (rc *RoleCtx) SendAll(tos []ids.RoleRef, v any) error {
 	}
 	rc.inst.mu.Unlock()
 	ctx, cancel := rc.inst.opContext(rc.st.ctx)
-	if cancel != nil {
-		defer cancel()
-	}
+	defer cancel()
 	if err := rc.st.perf.fabric.ScatterID(ctx, rc.id, "", targets, []any{v}); err != nil {
 		return rc.mapCommErr(ids.RoleRef{}, -1, err)
 	}
@@ -164,9 +160,7 @@ func (rc *RoleCtx) RecvTag(from ids.RoleRef, tag string) (any, error) {
 		return nil, err
 	}
 	ctx, cancel := rc.inst.opContext(rc.st.ctx)
-	if cancel != nil {
-		defer cancel()
-	}
+	defer cancel()
 	v, err := rc.st.perf.fabric.RecvID(ctx, rc.id, id, rendezvous.Tag(tag))
 	if err != nil {
 		return nil, rc.mapCommErr(from, slot, err)
@@ -181,9 +175,7 @@ func (rc *RoleCtx) RecvTag(from ids.RoleRef, tag string) (any, error) {
 // Francez's extension of CSP).
 func (rc *RoleCtx) RecvAny() (ids.RoleRef, string, any, error) {
 	ctx, cancel := rc.inst.opContext(rc.st.ctx)
-	if cancel != nil {
-		defer cancel()
-	}
+	defer cancel()
 	out, err := rc.st.perf.fabric.DoID(ctx, rc.id, anyMessage)
 	if err != nil {
 		return ids.RoleRef{}, "", nil, rc.mapCommErr(ids.RoleRef{}, -1, err)
@@ -346,9 +338,7 @@ func (rc *RoleCtx) Select(branches ...SelectBranch) (Selected, error) {
 		return Selected{}, ErrRoleAbsent
 	}
 	ctx, cancel := rc.inst.opContext(rc.st.ctx)
-	if cancel != nil {
-		defer cancel()
-	}
+	defer cancel()
 	out, err := rc.st.perf.fabric.DoID(ctx, rc.id, fab)
 	if err != nil {
 		return Selected{}, rc.mapCommErr(ids.RoleRef{}, -1, err)
@@ -464,7 +454,7 @@ func (rc *RoleCtx) AbortErr() error {
 func (rc *RoleCtx) AbortPerformance(reason string) {
 	in := rc.inst
 	in.mu.Lock()
-	defer in.mu.Unlock()
+	defer in.unlock()
 	if rc.st.perf.done || in.closed {
 		return
 	}

@@ -103,16 +103,16 @@ func TestStaleWakeTokenIsOnlyALook(t *testing.T) {
 
 		waitFor(t, func() bool { return in.PendingEnrollments() == 1 })
 		stA2 := pendingRecord(in, "A2")
-		if stA2.wake != stA.wake {
+		if stA2.h != stA.h {
 			in.Close()
 			<-second
 			continue
 		}
 
-		stA.signal()                                           // the delayed signaller, released after its enrollment returned
-		waitFor(t, func() bool { return len(stA2.wake) == 0 }) // A2 took its look
-		time.Sleep(time.Until(fired) + 20*time.Millisecond)    // and the timer's, when it fires
-		waitFor(t, func() bool { return len(stA2.wake) == 0 })
+		stA.h.Settled(Offered{}, nil)                                // the delayed signaller, released after its enrollment returned
+		waitFor(t, func() bool { return len(stA2.h.(wakeCh)) == 0 }) // A2 took its look
+		time.Sleep(time.Until(fired) + 20*time.Millisecond)          // and the timer's, when it fires
+		waitFor(t, func() bool { return len(stA2.h.(wakeCh)) == 0 })
 		select {
 		case o := <-second:
 			t.Fatalf("a stale token ended A2's wait: %+v, %v", o.res, o.err)

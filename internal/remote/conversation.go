@@ -123,6 +123,10 @@ func (e *Enroller) perform(ctx context.Context, st *muxStream, enr core.Enrollme
 	if r, err := wire.DecodeRoleRef(st.ack.Role); err == nil {
 		role = r
 	}
+	// The host's echoed trace ID wins (it is the performance's canonical ID),
+	// the client-minted one is the fallback against hosts that predate
+	// tracing.
+	tid, _ := trace.ParseTraceID(st.ack.TraceID)
 	rctx := &st.rctx
 	*rctx = remoteCtx{
 		ParamBag: core.ParamBag{In: enr.Args},
@@ -131,8 +135,10 @@ func (e *Enroller) perform(ctx context.Context, st *muxStream, enr core.Enrollme
 		role:     role,
 		pid:      enr.PID,
 		perf:     st.ack.Performance,
+		tid:      cmp.Or(tid, enr.TraceID),
+		tr:       e.cfg.Tracer,
+		script:   e.cfg.Script,
 	}
-	e.bindTrace(rctx, st.ack.TraceID, enr.TraceID)
 	rctx.trace(trace.Event{Kind: trace.KindStart})
 	bodyErr := core.RunBody(enr.Body, rctx)
 	rctx.trace(trace.Event{Kind: trace.KindFinish})
@@ -182,18 +188,6 @@ type remoteCtx struct {
 	tid    trace.TraceID
 	tr     trace.Tracer
 	script string
-}
-
-// bindTrace wires the client-side tracing of one assigned enrollment: the
-// host's echoed trace ID wins (it is the performance's canonical ID), the
-// client-minted one is the fallback against hosts that predate tracing.
-func (e *Enroller) bindTrace(r *remoteCtx, ackID string, minted trace.TraceID) {
-	r.tid, _ = trace.ParseTraceID(ackID)
-	if r.tid == 0 {
-		r.tid = minted
-	}
-	r.tr = e.cfg.Tracer
-	r.script = e.cfg.Script
 }
 
 // trace records a client-side event of a traced call, stamping the shared
@@ -284,11 +278,15 @@ func (r *remoteCtx) SendAll(tos []ids.RoleRef, v any) error {
 	if len(tos) == 0 {
 		return nil
 	}
-	wtos := make([]string, len(tos))
-	for i, to := range tos {
-		wtos[i] = to.String()
+	sl, err := r.begin()
+	if err == nil {
+		wtos := sl.sendAll.Tos[:0]
+		for _, to := range tos {
+			wtos = append(wtos, to.String())
+		}
+		sl.sendAll = wire.SendAll{Tos: wtos, Val: v}
+		_, err = r.finish(sl, wire.MsgSendAll, &sl.sendAll)
 	}
-	_, err := r.op(wire.MsgSendAll, &wire.SendAll{Tos: wtos, Val: v})
 	if err == nil {
 		for _, to := range tos {
 			r.trace(trace.Event{Kind: trace.KindSend, Peer: to})

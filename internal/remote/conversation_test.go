@@ -36,9 +36,9 @@ type countingTarget struct {
 	entered atomic.Int64
 }
 
-func (c *countingTarget) Enroll(ctx context.Context, e core.Enrollment) (core.Result, error) {
+func (c *countingTarget) Offer(ctx context.Context, e core.Enrollment, h core.Handoff) (core.Offered, error) {
 	c.entered.Add(1)
-	return c.Target.Enroll(ctx, e)
+	return c.Target.Offer(ctx, e, h)
 }
 
 func eventually(t *testing.T, what string, cond func() bool) {
@@ -401,12 +401,12 @@ func TestStreamSlotFreedBeforeTerminalFrame(t *testing.T) {
 	s := &hostSession{h: h, lockstep: true, streams: make(map[uint64]*hostStream), tasks: make(chan *hostStream)}
 	probe := &slotProbe{s: s}
 	ctx, cancel := context.WithCancel(context.Background())
-	st := &hostStream{b: bridge{fw: probe, opCh: make(chan hostOp, streamOpBacklog)}, ctx: ctx, cancel: cancel}
+	st := &hostStream{s: s, b: bridge{fw: probe, opCh: make(chan hostOp, streamOpBacklog)}, ctx: ctx, cancel: cancel}
 	s.streams[0] = st
-	// An enrollment the target rejects runs the whole path: admission,
-	// target.Enroll, terminal COMPLETE.
+	// An enrollment the target rejects runs the reader's whole path:
+	// admission, target.Offer, terminal COMPLETE.
 	st.enroll = wire.Enroll{PID: "P", Role: "nosuch"}
-	s.work(st)
+	s.offer(st)
 
 	if probe.terminal != wire.MsgComplete {
 		t.Fatalf("terminal frame = %v, want COMPLETE", probe.terminal)
@@ -575,10 +575,10 @@ func TestRecycleRacesReader(t *testing.T) {
 }
 
 // TestHostStreamRecycling is the host half of the invariant, at the point
-// where a worker disposes of a finished enrollment's hostStream. One that
-// ran its course is kept, emptied of the ops the client queued behind
-// BODY-DONE. One that a CANCEL (or a flood, or teardown) was aimed at is
-// not: sever marked it in the critical section that found it, so the
+// where finish disposes of an ended enrollment's hostStream. One that ran
+// its course is kept, emptied of the ops the client queued behind BODY-DONE.
+// One that a CANCEL (or a flood, or teardown) was aimed at is not:
+// markSevered marked it in the critical section that found it, so the
 // disconnect and cancel that follow it — however late — hit no successor.
 func TestHostStreamRecycling(t *testing.T) {
 	in := core.NewInstance(patterns.StarBroadcast(1))
@@ -586,9 +586,9 @@ func TestHostStreamRecycling(t *testing.T) {
 	h := NewHost(in, HostConfig{})
 	defer h.Close()
 	s := &hostSession{h: h, streams: make(map[uint64]*hostStream), tasks: make(chan *hostStream)}
-	// Each enrollment is one the target rejects, which runs the whole path.
+	// Each enrollment is one the target rejects, which the reader ends itself.
 	enroll := func(stream uint64) *hostStream {
-		st := &hostStream{enroll: wire.Enroll{PID: "P", Role: "nosuch"}}
+		st := &hostStream{s: s, enroll: wire.Enroll{PID: "P", Role: "nosuch"}}
 		st.b.fw, st.b.streamID, st.b.opCh = &slotProbe{s: s}, stream, make(chan hostOp, streamOpBacklog)
 		st.ctx, st.cancel = context.WithCancel(context.Background())
 		s.streams[stream] = st
@@ -599,20 +599,20 @@ func TestHostStreamRecycling(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		st.b.opCh <- opOf(wire.MsgRecv, uint64(i), &wire.Recv{From: "a"})
 	}
-	s.work(st)
+	s.offer(st)
 	if len(s.free) != 1 || s.free[0] != st || len(st.b.opCh) != 0 || st.ctx.Err() != nil {
 		t.Fatalf("finished enrollment: free = %v, %d ops left, ctx %v; want it kept, empty and live", s.free, len(st.b.opCh), st.ctx.Err())
 	}
-	if s.sever(1) != nil {
+	if s.markSevered(1) != nil {
 		t.Fatal("a CANCEL for the finished stream still found it")
 	}
 
 	st = enroll(2)
-	found := s.sever(2)
+	found := s.markSevered(2)
 	if found != st {
 		t.Fatal("a CANCEL for the live stream did not find it")
 	}
-	s.work(st)
+	s.offer(st)
 	if len(s.free) != 1 || s.free[0] == st || st.ctx.Err() == nil {
 		t.Fatalf("severed enrollment: free = %v, ctx %v; want it dropped and its context ended", s.free, st.ctx.Err())
 	}

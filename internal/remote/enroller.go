@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -237,44 +238,29 @@ func NewEnrollerRegistry(reg registry.Registry, cfg EnrollerConfig) *Enroller {
 
 // newEnroller applies the config defaults shared by every constructor.
 func newEnroller(cfg EnrollerConfig) *Enroller {
-	if cfg.HeartbeatInterval <= 0 {
-		cfg.HeartbeatInterval = DefaultHeartbeatInterval
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 5 * time.Second
-	}
-	if cfg.Retry.MaxAttempts < 1 {
-		cfg.Retry.MaxAttempts = 1
-	}
-	if cfg.Retry.BaseBackoff <= 0 {
-		cfg.Retry.BaseBackoff = DefaultBaseBackoff
-	}
-	if cfg.Retry.MaxBackoff <= 0 {
-		cfg.Retry.MaxBackoff = DefaultMaxBackoff
-	}
-	if cfg.Breaker.FailureThreshold == 0 {
-		cfg.Breaker.FailureThreshold = DefaultFailureThreshold
-	}
-	if cfg.Breaker.Cooldown <= 0 {
-		cfg.Breaker.Cooldown = DefaultBreakerCooldown
-	}
+	orDefault(&cfg.HeartbeatInterval, DefaultHeartbeatInterval)
+	orDefault(&cfg.DialTimeout, 5*time.Second)
+	orDefault(&cfg.Retry.MaxAttempts, 1)
+	orDefault(&cfg.Retry.BaseBackoff, DefaultBaseBackoff)
+	orDefault(&cfg.Retry.MaxBackoff, DefaultMaxBackoff)
+	cfg.Breaker.FailureThreshold = cmp.Or(cfg.Breaker.FailureThreshold, DefaultFailureThreshold) // negative disables
+	orDefault(&cfg.Breaker.Cooldown, DefaultBreakerCooldown)
 	if cfg.Balancer == nil {
 		cfg.Balancer = NewFailover()
 	}
-	if cfg.MaxProtocolVersion <= 0 {
-		cfg.MaxProtocolVersion = wire.MaxVersion
-	}
-	if cfg.MaxStreamsPerConn <= 0 {
-		cfg.MaxStreamsPerConn = DefaultMaxStreamsPerConn
-	}
-	seed := cfg.Retry.Seed
-	if seed == 0 {
-		seed = time.Now().UnixNano()
-	}
+	orDefault(&cfg.MaxProtocolVersion, wire.MaxVersion)
+	orDefault(&cfg.MaxStreamsPerConn, DefaultMaxStreamsPerConn)
 	return &Enroller{
 		cfg:       cfg,
-		rng:       rand.New(rand.NewSource(seed)),
+		rng:       rand.New(rand.NewSource(cmp.Or(cfg.Retry.Seed, time.Now().UnixNano()))),
 		pickCount: metrics.Get(metrics.BalancerPicksPrefix + cfg.Balancer.Name() + "_total"),
+	}
+}
+
+// orDefault sets a config field that is not positive to its default d.
+func orDefault[T ~int | ~int64](v *T, d T) {
+	if *v <= 0 {
+		*v = d
 	}
 }
 
@@ -401,29 +387,12 @@ func (e *Enroller) Close() error {
 func Retryable(err error) bool {
 	var re *core.RoleError
 	switch {
-	case err == nil:
-		return false
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		return false
-	case errors.Is(err, core.ErrPerformanceAborted):
-		return false
-	case errors.As(err, &re):
-		return false
-	case errors.Is(err, ErrDialFailed):
-		return true
-	case errors.Is(err, core.ErrOverloaded):
-		return true
-	case errors.Is(err, core.ErrDraining):
-		return true
-	case errors.Is(err, ErrCircuitOpen):
-		return true
-	case errors.Is(err, ErrNoHosts):
-		return true
-	case errors.As(err, new(lostBeforeAck)):
-		return true
-	default:
+	case err == nil, errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded),
+		errors.Is(err, core.ErrPerformanceAborted), errors.As(err, &re):
 		return false
 	}
+	return errors.Is(err, ErrDialFailed) || errors.Is(err, core.ErrOverloaded) || errors.Is(err, core.ErrDraining) ||
+		errors.Is(err, ErrCircuitOpen) || errors.Is(err, ErrNoHosts) || errors.As(err, new(lostBeforeAck))
 }
 
 // countsForBreaker reports whether a failure is evidence of an unhealthy
@@ -431,16 +400,8 @@ func Retryable(err error) bool {
 // shed), or going away (draining). Performance-level failures — aborts,
 // role errors — prove the host is up and do not count.
 func countsForBreaker(err error) bool {
-	switch {
-	case err == nil:
-		return false
-	case errors.Is(err, ErrDialFailed), errors.Is(err, ErrConnLost):
-		return true
-	case errors.Is(err, core.ErrOverloaded), errors.Is(err, core.ErrDraining):
-		return true
-	default:
-		return false
-	}
+	return errors.Is(err, ErrDialFailed) || errors.Is(err, ErrConnLost) ||
+		errors.Is(err, core.ErrOverloaded) || errors.Is(err, core.ErrDraining)
 }
 
 // retryAfterHint extracts the host's backoff hint from an overload

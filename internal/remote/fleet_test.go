@@ -203,9 +203,9 @@ type countingTarget struct {
 	offers atomic.Int64
 }
 
-func (c *countingTarget) Enroll(ctx context.Context, e core.Enrollment) (core.Result, error) {
+func (c *countingTarget) Offer(ctx context.Context, e core.Enrollment, h core.Handoff) (core.Offered, error) {
 	c.offers.Add(1)
-	return c.Instance.Enroll(ctx, e)
+	return c.Instance.Offer(ctx, e, h)
 }
 
 func TestEnrollBlocCastAffinity(t *testing.T) {

@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -131,9 +132,11 @@ type Host struct {
 	connsV1       atomic.Uint64
 	connsV2       atomic.Uint64
 	activeStreams atomic.Int64
+	// dispatched counts assigned enrollments handed to stream workers.
+	dispatched atomic.Uint64
 
 	connWG   sync.WaitGroup // connection handlers
-	enrollWG sync.WaitGroup // admitted serveStream calls (Drain waits on it)
+	enrollWG sync.WaitGroup // admitted enrollments, ENROLL to terminal frame (Drain waits on it)
 }
 
 // HostStats is a snapshot of the host's admission-control and connection
@@ -185,15 +188,9 @@ func (h *Host) Stats() HostStats {
 
 // NewHost creates a host serving target.
 func NewHost(target Target, cfg HostConfig) *Host {
-	if cfg.HeartbeatTimeout == 0 {
-		cfg.HeartbeatTimeout = DefaultHeartbeatTimeout
-	}
-	if cfg.RetryAfter == 0 {
-		cfg.RetryAfter = DefaultRetryAfter
-	}
-	if cfg.MaxProtocolVersion <= 0 {
-		cfg.MaxProtocolVersion = wire.MaxVersion
-	}
+	cfg.HeartbeatTimeout = cmp.Or(cfg.HeartbeatTimeout, DefaultHeartbeatTimeout) // negative disables
+	cfg.RetryAfter = cmp.Or(cfg.RetryAfter, DefaultRetryAfter)                   // negative: no hint
+	orDefault(&cfg.MaxProtocolVersion, wire.MaxVersion)
 	ctx, cancel := context.WithCancel(context.Background())
 	h := &Host{
 		target:   target,
@@ -291,8 +288,8 @@ func (h *Host) Drain(ctx context.Context) error {
 	h.draining.Store(true)
 	h.closeListener()
 	err := h.target.Drain(ctx)
-	// The target is drained once every admitted Enroll has returned; give
-	// the per-connection handlers the beat they need to flush COMPLETE.
+	// The target is drained once every performance has ended; wait until each
+	// admitted enrollment has had its terminal frame written.
 	done := make(chan struct{})
 	go func() {
 		h.enrollWG.Wait()
@@ -477,9 +474,7 @@ func (h *Host) serveConn(nc net.Conn) {
 			// frame goes out in place of HELLO-ACK, without even reading the
 			// client's HELLO — rejection must stay cheaper than service.
 			h.logf("remote: %s: connection cap (%d) reached, shedding", c.RemoteAddr(), h.cfg.MaxConns)
-			if h.cfg.WriteTimeout > 0 {
-				c.SetWriteTimeout(h.cfg.WriteTimeout)
-			}
+			c.SetWriteTimeout(h.cfg.WriteTimeout)
 			_ = c.WriteSync(wire.MsgOverloaded, &wire.Overloaded{
 				RetryAfterMS: oe.RetryAfter.Milliseconds(),
 				Msg:          oe.Reason,
@@ -490,12 +485,8 @@ func (h *Host) serveConn(nc net.Conn) {
 	}
 	defer h.untrack(c)
 	defer c.Close()
-	if h.cfg.HeartbeatTimeout > 0 {
-		c.SetReadTimeout(h.cfg.HeartbeatTimeout)
-	}
-	if h.cfg.WriteTimeout > 0 {
-		c.SetWriteTimeout(h.cfg.WriteTimeout)
-	}
+	c.SetReadTimeout(h.cfg.HeartbeatTimeout) // not positive: unbounded
+	c.SetWriteTimeout(h.cfg.WriteTimeout)
 	if h.cfg.Faults != nil {
 		c.SetFrameDelay(h.cfg.Faults.FrameDelay)
 	}
@@ -524,10 +515,10 @@ func (h *Host) serveConn(nc net.Conn) {
 
 // admitEnroll decides one ENROLL's admission under the host lock and returns
 // the answer itself: nil (the enrollment is registered in enrollWG and
-// enrolling, and the caller must release it), errHostClosed, ErrDraining, or
+// enrolling, and its stream's finish releases it), errHostClosed, ErrDraining, or
 // the overload it is shed with, which is counted and logged here. Shedding is
 // an admission-time decision only: work already admitted is never touched.
-func (h *Host) admitEnroll(from string, role ids.RoleRef) error {
+func (h *Host) admitEnroll(from, role string) error {
 	var err error
 	var full string
 	h.mu.Lock()
@@ -537,9 +528,7 @@ func (h *Host) admitEnroll(from string, role ids.RoleRef) error {
 	case h.draining.Load():
 		// Answer unadmitted enrollments at once: the target may be busy
 		// draining (or already closed), and a queued offer must not ride
-		// out the heartbeat timeout waiting for it. (The read loop answers
-		// the ENROLLs it reads on a draining host itself; this is for one it
-		// handed over just before.)
+		// out the heartbeat timeout waiting for it.
 		err = core.ErrDraining
 	case f != nil && f.Overload():
 		full = "injected overload burst"
@@ -561,9 +550,9 @@ func (h *Host) admitEnroll(from string, role ids.RoleRef) error {
 	return h.overloaded(full)
 }
 
-// bridge is the server-side stand-in for a remote role body: it is
-// installed as the Enrollment.Body override, so the scheduler runs it on
-// the enroller's behalf. It relays the client's operation frames into the
+// bridge is the server-side stand-in for a remote role body: the stream
+// worker hands it to Offered.Perform, which runs it on the enroller's
+// behalf. It relays the client's operation frames into the
 // real RoleCtx (and so into the shared fabric) and the results back out,
 // addressed to its stream and echoing each op's sequence ID on its
 // OP-RESULT.
@@ -574,12 +563,13 @@ type bridge struct {
 	opCh     chan hostOp
 	streamID uint64
 	// ack and res are the frames run writes, one at a time: encoded before
-	// WriteFrame returns, so the next one can take their place. branches is
-	// the storage a SELECT's alternative is built in, the core being done with
-	// it when the op returns.
+	// WriteFrame returns, so the next one can take their place. branches and
+	// tos are the storage a SELECT's alternative and a SEND-ALL's targets are
+	// built in, the core being done with them when the op returns.
 	ack      wire.OfferAck
 	res      wire.OpResult
 	branches []core.SelectBranch
+	tos      []ids.RoleRef
 
 	once sync.Once
 
@@ -612,7 +602,7 @@ var errEnrollerLost = fmt.Errorf("%w: enroller disconnected mid-performance", Er
 // stopped reading for WriteTimeout).
 const enrollerGone = "remote enroller disconnected"
 
-// run is the bridge body. The scheduler calls it once the offer is
+// run is the bridge body. A stream worker performs it once the offer is
 // assigned to a performance.
 func (b *bridge) run(rc core.Ctx) error {
 	b.mu.Lock()
@@ -736,29 +726,31 @@ func (b *bridge) abortVia(rc core.Ctx, reason string) {
 // serveOp executes one decoded client operation against the real RoleCtx.
 func (b *bridge) serveOp(rc core.Ctx, op hostOp) wire.OpResult {
 	fail := func(err error) wire.OpResult { return wire.OpResult{Err: wire.EncodeError(err)} }
-	switch op.typ {
-	case wire.MsgSend:
-		to, err := wire.DecodeRoleRef(op.peer)
-		if err != nil {
+	// The one role a SEND, a RECV or a QUERY names (none is no role at all,
+	// which the core answers as it answers any unknown one).
+	var peer ids.RoleRef
+	if op.peer != "" {
+		var err error
+		if peer, err = wire.DecodeRoleRef(op.peer); err != nil {
 			return fail(fmt.Errorf("%w: %s", core.ErrUnknownRole, op.peer))
 		}
-		return fail(rc.SendTag(to, op.tag, op.val))
+	}
+	switch op.typ {
+	case wire.MsgSend:
+		return fail(rc.SendTag(peer, op.tag, op.val))
 	case wire.MsgSendAll:
-		tos := make([]ids.RoleRef, len(op.tos))
-		for i, s := range op.tos {
+		tos := b.tos[:0]
+		for _, s := range op.tos {
 			to, err := wire.DecodeRoleRef(s)
 			if err != nil {
 				return fail(fmt.Errorf("%w: %s", core.ErrUnknownRole, s))
 			}
-			tos[i] = to
+			tos = append(tos, to)
 		}
+		b.tos = tos
 		return fail(rc.SendAll(tos, op.val))
 	case wire.MsgRecv:
-		from, err := wire.DecodeRoleRef(op.peer)
-		if err != nil {
-			return fail(fmt.Errorf("%w: %s", core.ErrUnknownRole, op.peer))
-		}
-		v, err := rc.RecvTag(from, op.tag)
+		v, err := rc.RecvTag(peer, op.tag)
 		if err != nil {
 			return fail(err)
 		}
@@ -803,15 +795,10 @@ func (b *bridge) serveOp(rc core.Ctx, op hostOp) wire.OpResult {
 		}
 	case wire.MsgQuery:
 		switch op.tag {
-		case wire.QueryTerminated, wire.QueryFilled:
-			r, err := wire.DecodeRoleRef(op.peer)
-			if err != nil {
-				return fail(fmt.Errorf("%w: %s", core.ErrUnknownRole, op.peer))
-			}
-			if op.tag == wire.QueryTerminated {
-				return wire.OpResult{Bool: rc.Terminated(r)}
-			}
-			return wire.OpResult{Bool: rc.Filled(r)}
+		case wire.QueryTerminated:
+			return wire.OpResult{Bool: rc.Terminated(peer)}
+		case wire.QueryFilled:
+			return wire.OpResult{Bool: rc.Filled(peer)}
 		case wire.QueryFamilySize:
 			return wire.OpResult{N: rc.FamilySize(op.name)}
 		default:

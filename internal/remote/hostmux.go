@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"cmp"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -35,29 +36,56 @@ import (
 // it is flooding.
 const streamOpBacklog = 16
 
-// hostStream is the session's handle on one in-flight enrollment. It
-// outlives the enrollment: an enrollment that ran its course leaves its
-// hostStream — bridge, op backlog, message structs and a context nobody
-// cancelled — on the session's free list for a later ENROLL.
+// hostStream is the session's handle on one in-flight enrollment, and the
+// enrollment's core.Handoff. It outlives the enrollment: an enrollment that
+// ran its course leaves its hostStream — bridge, op backlog, message structs
+// and a context nobody cancelled — on the session's free list for a later
+// ENROLL.
 type hostStream struct {
+	s    *hostSession
 	b    bridge
 	body core.RoleBody // b.run
 	// enroll is the ENROLL that opened the stream, copied out of the reader's
-	// struct; cm the COMPLETE that ends it, written by its worker.
+	// struct. cm is the COMPLETE that ends it and term the type of the
+	// terminal frame (COMPLETE, DRAIN, or none), written by whoever ends the
+	// enrollment (see outcome).
 	enroll wire.Enroll
 	cm     wire.Complete
+	term   wire.MsgType
 	ctx    context.Context
-	// cancel ends the enrollment's context: offer withdrawal before
-	// assignment, part of teardown after.
+	// cancel ends the enrollment's context, part of severing it.
 	cancel context.CancelFunc
-	// severed marks an enrollment some goroutine other than its worker is
+	// admitted records that admitEnroll counted the enrollment, until finish
+	// uncounts it.
+	admitted bool
+
+	// Under smu: o is the offer, set by the reader once Offer returns or by
+	// an assignment that overtook it; phase is where the enrollment stands;
+	// released keeps a Released that came before the worker recorded the
+	// hold, for the worker to act on.
+	o        core.Offered
+	phase    streamPhase
+	released bool
+	// severed marks an enrollment some goroutine other than its owner is
 	// ending (CANCEL, flood, teardown): set under smu in the critical section
 	// that found the stream, it keeps the hostStream off the free list, so the
-	// disconnect and cancel that follow can only ever hit this enrollment, and
+	// disconnect and cut that follow can only ever hit this enrollment, and
 	// it stops the reader handing the stream ops, so the disconnect may close
 	// the backlog.
 	severed bool
 }
+
+// streamPhase is where a stream's enrollment stands; each names who owns
+// the stream, the one goroutine that may end it.
+type streamPhase uint8
+
+const (
+	streamOffering streamPhase = iota // the reader, inside Offer (a hand-off may overtake it)
+	streamPending                     // the hand-off: the offer waits in the core, with no goroutine
+	streamRunning                     // a stream worker, performing the role
+	streamHeld                        // Released: the body returned, the role is held for delayed termination
+	streamOver                        // nobody: the enrollment has ended
+)
 
 // hostSession owns the server side of one conversation across however
 // many transport connections it takes to finish it. Its lifecycle:
@@ -91,11 +119,12 @@ type hostSession struct {
 	done  bool        // torn down
 	timer *time.Timer // grace timer while parked
 
-	// Enrollments run on a small pool of stream-worker goroutines that
-	// grows to the session's concurrency high-water mark: a worker is
-	// spawned only when no idle one is ready to take the task, and workers
-	// are reused across enrollments so their (deep: core engine + codec)
-	// stacks are grown once, not per enrollment.
+	// Assigned enrollments run on a small pool of stream-worker goroutines
+	// that grows to the session's high-water mark of roles performing at
+	// once: a worker is spawned only when no idle one is ready to take the
+	// task, and workers are reused across enrollments so their (deep: core
+	// engine + codec) stacks are grown once, not per enrollment. A pending
+	// offer and a held role have no worker.
 	wg    sync.WaitGroup
 	tasks chan *hostStream // enrollments handed to the stream workers
 }
@@ -207,13 +236,13 @@ func (s *hostSession) adopt(c *wire.Conn, r *wire.Resume, refuse func(string)) b
 		refuse("session already torn down")
 		return false
 	}
-	if old := s.cur; old != nil {
-		// The client noticed the break before we did. Supersede: closing
-		// the old connection fails its read loop, which finds it is no
-		// longer current and leaves the session alone.
-		s.sess.Detach()
-		old.Close()
-	}
+	// A live old connection means the client noticed the break before we
+	// did. Supersede: closing it (outside the lock, since a close flushes
+	// and an assignment's hand-off may wait for smu under the instance's
+	// lock) fails its read loop, which finds it is no longer current and
+	// leaves the session alone.
+	old := s.cur
+	s.sess.Detach()
 	if s.timer != nil {
 		s.timer.Stop()
 		s.timer = nil
@@ -221,16 +250,22 @@ func (s *hostSession) adopt(c *wire.Conn, r *wire.Resume, refuse func(string)) b
 	s.cur = c
 	n, recvd := len(s.streams), s.sess.RecvCount() // what the retired reader counted, and no more (see handle)
 	s.smu.Unlock()
+	if old != nil {
+		old.Close()
+	}
 
 	// RESUME-ACK strictly before the replayed suffix (both from this
 	// goroutine, through the conn's ordered writer): the enroller reads the
-	// ack synchronously before releasing its own writers onto the wire.
-	if err := c.WriteFrame(wire.MsgResumeAck, 0, 0, &wire.ResumeAck{RecvCount: recvd}); err != nil {
-		s.connBroken(c) // fresh transport died instantly: park again
-		return false
-	}
-	if err := s.sess.Resume(c, r.RecvCount); err != nil {
-		if errors.Is(err, wire.ErrSessionDoomed) || errors.Is(err, wire.ErrResumeInvalid) {
+	// ack synchronously before releasing its own writers onto the wire. The
+	// session writes it only once the client's count is found good.
+	if err := s.sess.Resume(c, r.RecvCount, &wire.ResumeAck{RecvCount: recvd}); err != nil {
+		switch {
+		case errors.Is(err, wire.ErrResumeInvalid):
+			// A count the session cannot honour, refused before any RESUME-ACK:
+			// the session parks again, for a RESUME that can be.
+			refuse(err.Error())
+			s.connBroken(c)
+		case errors.Is(err, wire.ErrSessionDoomed):
 			// Exactly-once replay is impossible: refuse and degrade to the
 			// abort path, which is the bounded-memory contract.
 			s.smu.Lock()
@@ -238,9 +273,9 @@ func (s *hostSession) adopt(c *wire.Conn, r *wire.Resume, refuse func(string)) b
 			s.smu.Unlock()
 			refuse(err.Error())
 			s.teardown()
-			return false
+		default:
+			s.connBroken(c) // the fresh transport died: park again
 		}
-		s.connBroken(c) // transport error mid-replay: park again
 		return false
 	}
 	sessionsResumed.Inc()
@@ -296,9 +331,10 @@ func (s *hostSession) expire() {
 }
 
 // teardown ends the session for good: every live stream lost its enroller —
-// reclaim its performance, blaming the vanished role, and withdraw a
-// still-pending offer — then wait out the stream workers. Idempotent; safe
-// from any goroutine.
+// reclaim its performance, blaming the vanished role, withdraw a
+// still-pending offer, cut a held role loose — then wait out the stream
+// workers. Nothing more is written for any of them. Idempotent; safe from any
+// goroutine.
 func (s *hostSession) teardown() {
 	s.smu.Lock()
 	if s.done {
@@ -329,8 +365,7 @@ func (s *hostSession) teardown() {
 		cur.Close()
 	}
 	for _, st := range streams {
-		st.b.disconnect(enrollerGone)
-		st.cancel()
+		s.sever(st, enrollerGone)
 	}
 	for _, st := range free {
 		st.cancel() // a recycled context ends with its session
@@ -338,23 +373,225 @@ func (s *hostSession) teardown() {
 	s.wg.Wait()
 }
 
-// work runs one enrollment to completion on a stream-worker goroutine and
-// then disposes of its hostStream: onto the free list, emptied of the ops the
-// enrollment left unserved, unless the enrollment was severed or the session
-// is over — then its context ends here.
+// offer places the ENROLL that opened st with the target, on the connection's
+// reader: decoding, admission and the offer itself. A refusal is answered
+// here; an offer placed waits in the core with no goroutine of its own until
+// its hand-off (Settled), which may come before Offer returns.
+func (s *hostSession) offer(st *hostStream) {
+	h, m := s.h, &st.enroll
+	if err := h.admitEnroll(s.remote, m.Role); err != nil {
+		st.outcome(core.Result{}, err)
+		if err == errHostClosed { // whose connections are closing: nobody is there to answer
+			st.term = 0
+		}
+		s.finish(st)
+		return
+	}
+	st.admitted = true
+	role, err := wire.DecodeRoleRef(m.Role)
+	if err != nil {
+		s.answer(st, core.Result{}, fmt.Errorf("%w: %s", core.ErrUnknownRole, m.Role))
+		return
+	}
+	with, err := wire.DecodeWith(m.With)
+	if err != nil {
+		s.answer(st, core.Result{}, err)
+		return
+	}
+	e := core.Enrollment{PID: ids.PID(m.PID), Role: role, Args: m.Args, With: with}
+	if m.DeadlineMS > 0 {
+		e.Deadline = time.UnixMilli(m.DeadlineMS)
+	}
+	// A malformed client trace ID is not worth failing the call over — the
+	// enrollment just runs without the client's timeline.
+	e.TraceID, _ = trace.ParseTraceID(m.TraceID)
+	o, err := h.target.Offer(st.ctx, e, st)
+	if err != nil {
+		s.answer(st, core.Result{}, err)
+		return
+	}
+	s.smu.Lock()
+	offering := st.phase == streamOffering // not overtaken by its hand-off
+	if offering {
+		st.o, st.phase = o, streamPending
+	}
+	cut := offering && st.severed // torn down while the reader was inside Offer
+	s.smu.Unlock()
+	if cut {
+		s.cut(st)
+	}
+}
+
+// Settled is the stream's hand-off from the core (core.Handoff). An
+// assignment — made with the instance's lock held — dispatches a stream
+// worker to perform the role and nothing more; a turn-away by Close or Drain
+// is answered at once, on the goroutine that turned it away.
+func (st *hostStream) Settled(o core.Offered, err error) {
+	s := st.s
+	if err != nil {
+		s.answer(st, core.Result{}, err)
+		return
+	}
+	s.smu.Lock()
+	st.o, st.phase = o, streamRunning
+	s.dispatchLocked(st)
+	s.smu.Unlock()
+}
+
+// Released writes the COMPLETE of a role held for delayed termination, on
+// the goroutine that ended its performance (core.Handoff): one performance's
+// held roles leave in one burst. A release that overtakes the worker on its
+// way out of Perform is left for the worker.
+func (st *hostStream) Released() {
+	s := st.s
+	s.smu.Lock()
+	if st.phase != streamHeld {
+		st.released = true
+		s.smu.Unlock()
+		return
+	}
+	s.smu.Unlock()
+	s.finish(st)
+}
+
+// dispatchLocked hands an assigned enrollment to a stream worker: an idle one,
+// or a new one — or, once the session is over and its workers with it, a
+// goroutine of its own, whose bridge finds the enroller lost and ends at once.
+func (s *hostSession) dispatchLocked(st *hostStream) {
+	s.h.dispatched.Add(1)
+	if s.done {
+		go s.work(st)
+		return
+	}
+	select {
+	case s.tasks <- st:
+		// An idle worker took it.
+	default:
+		s.wg.Add(1)
+		go func() {
+			defer s.wg.Done()
+			s.work(st)
+			for next := range s.tasks {
+				s.work(next)
+			}
+		}()
+	}
+}
+
+// work performs an assigned enrollment on a stream worker, the bridge as its
+// body. The worker is done at BODY-DONE: a role held for delayed termination
+// is answered by its Released, not by its worker.
 func (s *hostSession) work(st *hostStream) {
-	s.h.activeStreams.Add(1)
-	s.serveStream(st)
-	s.h.activeStreams.Add(-1)
+	res, held, err := st.o.Perform(st.body)
+	st.outcome(res, err)
+	s.smu.Lock()
+	if held && !st.released {
+		st.phase = streamHeld
+		cut := st.severed
+		s.smu.Unlock()
+		if cut { // severed while its body was ending
+			s.cut(st)
+		}
+		return
+	}
+	s.smu.Unlock()
+	s.finish(st)
+}
+
+// sever ends stream st's enrollment on behalf of a goroutine other than its
+// owner — CANCEL, teardown — once it has been marked severed: the bridge is
+// released (an enrollment performing aborts its performance with reason),
+// the context ends, and the enrollment is cut.
+func (s *hostSession) sever(st *hostStream, reason string) {
+	st.b.disconnect(reason)
+	st.cancel()
+	s.cut(st)
+}
+
+// cut ends a severed enrollment where it stands, its context ended: the core
+// withdraws a pending offer or cuts a held role loose on a look, and the
+// stream answers while the session lives (CANCEL's case) — the offer with
+// the withdrawal's context.Canceled, the role with its COMPLETE. One the core
+// settled or released first is left to its hand-off; one performing is left
+// to its worker, whose bridge disconnect has released, and one the reader is
+// still offering to the reader.
+func (s *hostSession) cut(st *hostStream) {
+	s.smu.Lock()
+	phase, o := st.phase, st.o
+	s.smu.Unlock()
+	if phase != streamPending && phase != streamHeld {
+		return
+	}
+	if _, err := o.Look(); !errors.Is(err, context.Canceled) {
+		return
+	}
+	if phase == streamPending {
+		st.outcome(core.Result{}, context.Canceled)
+	}
+	s.finish(st)
+}
+
+// outcome prepares the stream's terminal frame from an enrollment's outcome:
+// DRAIN for an offer a draining target turned away, COMPLETE otherwise.
+func (st *hostStream) outcome(res core.Result, err error) {
+	st.term = wire.MsgComplete
+	if errors.Is(err, core.ErrDraining) {
+		st.term = wire.MsgDrain
+	}
+	st.cm = wire.Complete{
+		Performance: res.Performance,
+		Role:        cmp.Or(res.Role.String(), st.enroll.Role),
+		Values:      res.Values,
+		Err:         wire.EncodeError(err),
+	}
+}
+
+// answer ends the stream's enrollment with res and err.
+func (s *hostSession) answer(st *hostStream, res core.Result, err error) {
+	st.outcome(res, err)
+	s.finish(st)
+}
+
+// finish ends the stream's enrollment, once, whoever owns it: the slot is
+// freed, then the terminal frame written — unless the session is over and
+// nobody is there to read it — and the admission released. The hostStream
+// then goes on the free list, emptied of the ops the enrollment left unserved,
+// unless the enrollment was severed or the session is over: then its context
+// ends here.
+//
+// The slot is freed *before* the terminal frame is written: a lock-step
+// client may send its next ENROLL the moment it reads COMPLETE, and that
+// ENROLL must find stream 0 free rather than be taken for a reuse of a live
+// stream. A write failure means the connection died; the session's read loop
+// notices on its next read (and on a resumable session the frame is retained
+// and replayed, so the outcome is never lost to a blip).
+func (s *hostSession) finish(st *hostStream) {
+	h := s.h
 	s.smu.Lock()
 	s.releaseLocked(st)
+	st.phase = streamOver
+	write := !s.done
+	s.smu.Unlock()
+	switch {
+	case !write:
+	case st.term == wire.MsgDrain:
+		_ = st.b.write(wire.MsgDrain, 0, &wire.Drain{})
+	case st.term == wire.MsgComplete:
+		_ = st.b.write(wire.MsgComplete, 0, &st.cm)
+	}
+	h.activeStreams.Add(-1)
+	if st.admitted {
+		h.enrolling.Add(-1)
+		h.enrollWG.Done()
+	}
+	s.smu.Lock()
 	recycle := !st.severed && !s.done && len(s.free) < DefaultMaxStreamsPerConn
 	if recycle {
 		for len(st.b.opCh) > 0 {
 			<-st.b.opCh
 		}
 		st.b.reset()
-		st.enroll, st.cm = wire.Enroll{}, wire.Complete{}
+		st.enroll, st.cm, st.term, st.admitted, st.released = wire.Enroll{}, wire.Complete{}, 0, false, false
 		s.free = append(s.free, st)
 	}
 	s.smu.Unlock()
@@ -363,17 +600,8 @@ func (s *hostSession) work(st *hostStream) {
 	}
 }
 
-// release frees the stream's slot. complete calls it *before* writing the
-// terminal frame: a lock-step client may send its next ENROLL the moment it
-// reads COMPLETE, and that ENROLL must find stream 0 free rather than be
-// taken for a reuse of a live stream. Idempotent, and keyed on the stream's
-// identity so a late call never evicts a successor on the same ID.
-func (s *hostSession) release(st *hostStream) {
-	s.smu.Lock()
-	s.releaseLocked(st)
-	s.smu.Unlock()
-}
-
+// releaseLocked frees the stream's slot, keyed on the stream's identity so a
+// late call never evicts a successor on the same ID.
 func (s *hostSession) releaseLocked(st *hostStream) {
 	if s.streams[st.b.streamID] == st {
 		s.setSlotLocked(st.b.streamID, nil)
@@ -393,9 +621,9 @@ func (s *hostSession) setSlotLocked(stream uint64, st *hostStream) {
 	}
 }
 
-// sever looks stream's enrollment up and marks it severed, for the caller to
-// disconnect; nil means it already finished.
-func (s *hostSession) sever(stream uint64) *hostStream {
+// markSevered looks stream's enrollment up and marks it severed, for the
+// caller to sever; nil means it already finished.
+func (s *hostSession) markSevered(stream uint64) *hostStream {
 	s.smu.Lock()
 	defer s.smu.Unlock()
 	st := s.streams[stream]
@@ -426,10 +654,13 @@ func (h *Host) runConn(s *hostSession, c *wire.Conn, first *preRead) {
 		}
 	}()
 
-	violate := func(format string, args ...any) {
+	// violate answers a protocol violation and ends the connection, fatally.
+	violate := func(format string, args ...any) bool {
+		fatal = true
 		msg := fmt.Sprintf(format, args...)
 		h.logf("remote: %s: protocol violation: %s", c.RemoteAddr(), msg)
 		_ = c.WriteFrame(wire.MsgError, 0, 0, &wire.ProtoError{Msg: msg})
+		return false
 	}
 
 	handle := func(t wire.MsgType, stream, seq uint64, m any) bool {
@@ -461,9 +692,7 @@ func (h *Host) runConn(s *hostSession, c *wire.Conn, first *preRead) {
 		switch t {
 		case wire.MsgAck:
 			if s.sess == nil {
-				fatal = true
-				violate("ACK without a resumable session")
-				return false
+				return violate("ACK without a resumable session")
 			}
 			s.sess.PeerAck(m.(*wire.Ack).Count)
 		case wire.MsgBye:
@@ -474,14 +703,10 @@ func (h *Host) runConn(s *hostSession, c *wire.Conn, first *preRead) {
 			s.byed = true
 			s.smu.Unlock()
 		case wire.MsgResume:
-			fatal = true
-			violate("RESUME after session establishment")
-			return false
+			return violate("RESUME after session establishment")
 		case wire.MsgEnroll:
 			if stream == 0 && !s.lockstep {
-				fatal = true
-				violate("ENROLL on reserved stream 0")
-				return false
+				return violate("ENROLL on reserved stream 0")
 			}
 			s.smu.Lock()
 			if s.done {
@@ -491,50 +716,32 @@ func (h *Host) runConn(s *hostSession, c *wire.Conn, first *preRead) {
 			}
 			if _, exists := s.streams[stream]; exists {
 				s.smu.Unlock()
-				fatal = true
-				violate("ENROLL reuses live stream %d", stream)
-				return false
-			}
-			if h.draining.Load() {
-				// Answered here, not by a stream worker: the answer is in the
-				// write buffer before this loop reads on, so when the loop ends
-				// (Host.lastCall) the close that follows it flushes every DRAIN
-				// owed.
-				s.smu.Unlock()
-				_ = s.fw.WriteFrame(wire.MsgDrain, stream, 0, &wire.Drain{})
-				return true
+				return violate("ENROLL reuses live stream %d", stream)
 			}
 			var st *hostStream
 			if n := len(s.free); n > 0 {
 				st, s.free = s.free[n-1], s.free[:n-1]
 			} else {
-				st = &hostStream{}
+				st = &hostStream{s: s}
 				st.b.opCh = make(chan hostOp, streamOpBacklog)
 				st.body = st.b.run
 				st.ctx, st.cancel = context.WithCancel(h.baseCtx)
 			}
 			st.b.fw, st.b.streamID, st.enroll = s.fw, stream, *m.(*wire.Enroll)
+			st.phase = streamOffering
 			s.setSlotLocked(stream, st)
-			select {
-			case s.tasks <- st:
-				// An idle worker took it.
-			default:
-				s.wg.Add(1)
-				go func() {
-					defer s.wg.Done()
-					s.work(st)
-					for next := range s.tasks {
-						s.work(next)
-					}
-				}()
-			}
 			s.smu.Unlock()
+			h.activeStreams.Add(1)
+			// Placed, or answered, here: an ENROLL on a draining host has its
+			// DRAIN in the write buffer before this loop reads on, so when the
+			// loop ends (Host.lastCall) the close that follows it flushes every
+			// DRAIN owed.
+			s.offer(st)
 		case wire.MsgCancel:
 			// The enroller withdrew this enrollment (its context ended). A
 			// missing stream is the benign race with COMPLETE, not an error.
-			if st := s.sever(stream); st != nil {
-				st.b.disconnect("enrollment canceled by enroller")
-				st.cancel()
+			if st := s.markSevered(stream); st != nil {
+				s.sever(st, "enrollment canceled by enroller")
 			}
 		case wire.MsgSend, wire.MsgSendAll, wire.MsgRecv, wire.MsgRecvAny,
 			wire.MsgSelect, wire.MsgQuery, wire.MsgBodyDone:
@@ -554,14 +761,10 @@ func (h *Host) runConn(s *hostSession, c *wire.Conn, first *preRead) {
 			s.smu.Unlock()
 			if flooded != nil {
 				flooded.b.disconnect("protocol violation: operation flood")
-				fatal = true
-				violate("operation flood")
-				return false
+				return violate("operation flood")
 			}
 		default:
-			fatal = true
-			violate("unexpected %s", t)
-			return false
+			return violate("unexpected %s", t)
 		}
 		return true
 	}
@@ -571,76 +774,8 @@ func (h *Host) runConn(s *hostSession, c *wire.Conn, first *preRead) {
 	}
 	for {
 		t, stream, seq, m, err := c.ReadFrame()
-		if err != nil {
-			return
-		}
-		if !handle(t, stream, seq, m) {
+		if err != nil || !handle(t, stream, seq, m) {
 			return
 		}
 	}
-}
-
-// serveStream runs one enrollment conversation on its stream: admission,
-// target enrollment (the bridge body relays ops meanwhile), terminal
-// COMPLETE/DRAIN. Disconnect detection lives with the session's read loop.
-// All frames go through the stream's bridge writer, so they survive
-// reconnects on a resumable session.
-func (s *hostSession) serveStream(st *hostStream) {
-	h, m := s.h, &st.enroll
-	role, err := wire.DecodeRoleRef(m.Role)
-	if err != nil {
-		s.complete(st, ids.RoleRef{}, core.Result{}, fmt.Errorf("%w: %s", core.ErrUnknownRole, m.Role))
-		return
-	}
-	if err := h.admitEnroll(s.remote, role); err != nil {
-		if err != errHostClosed { // whose connections are closing: nobody is there to answer
-			s.complete(st, role, core.Result{}, err)
-		}
-		return
-	}
-	defer h.enrollWG.Done()
-	defer h.enrolling.Add(-1)
-
-	with, err := wire.DecodeWith(m.With)
-	if err != nil {
-		s.complete(st, role, core.Result{}, err)
-		return
-	}
-	e := core.Enrollment{
-		PID:  ids.PID(m.PID),
-		Role: role,
-		Args: m.Args,
-		With: with,
-		Body: st.body,
-	}
-	if m.DeadlineMS > 0 {
-		e.Deadline = time.UnixMilli(m.DeadlineMS)
-	}
-	// A malformed client trace ID is not worth failing the call over — the
-	// enrollment just runs without the client's timeline.
-	e.TraceID, _ = trace.ParseTraceID(m.TraceID)
-	res, err := h.target.Enroll(st.ctx, e)
-	s.complete(st, role, res, err)
-}
-
-// complete releases the stream's slot and then reports the enrollment's
-// outcome on it. A write failure means the connection died; the session's
-// read loop notices on its next read (and on a resumable session the frame
-// is retained and replayed, so the outcome is never lost to a blip).
-func (s *hostSession) complete(st *hostStream, role ids.RoleRef, res core.Result, err error) {
-	s.release(st)
-	if errors.Is(err, core.ErrDraining) {
-		_ = st.b.write(wire.MsgDrain, 0, &wire.Drain{})
-		return
-	}
-	if res.Role.Name != "" {
-		role = res.Role
-	}
-	st.cm = wire.Complete{
-		Performance: res.Performance,
-		Role:        role.String(),
-		Values:      res.Values,
-		Err:         wire.EncodeError(err),
-	}
-	_ = st.b.write(wire.MsgComplete, 0, &st.cm)
 }

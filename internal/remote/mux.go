@@ -185,11 +185,12 @@ type opOutcome struct {
 // the common ops are encoded from. The stream keeps one (muxStream.idle); an
 // op that finds it taken — a body running ops concurrently — makes its own.
 type opSlot struct {
-	ch   chan opOutcome
-	seq  uint64
-	send wire.Send
-	recv wire.Recv
-	sel  wire.Select // Branches keeps its storage from op to op
+	ch      chan opOutcome
+	seq     uint64
+	send    wire.Send
+	sendAll wire.SendAll // Tos keeps its storage from op to op
+	recv    wire.Recv
+	sel     wire.Select // Branches likewise
 }
 
 // tryReserve claims a stream slot, or reports the connection
@@ -261,7 +262,7 @@ func (mc *muxConn) closeStream(st *muxStream, recycle bool) {
 		st.enroll, st.bodyDone, st.rctx.ParamBag = wire.Enroll{}, wire.BodyDone{}, core.ParamBag{}
 		st.ack, st.cm, st.acked, st.ended = wire.OfferAck{}, wire.Complete{}, false, false
 		if sl := st.idle; sl != nil {
-			sl.send.Val = nil
+			sl.send.Val, sl.sendAll.Val = nil, nil
 			clear(sl.sel.Branches)
 		}
 		st.mu.Unlock()
@@ -442,7 +443,7 @@ func (mc *muxConn) resume(c *wire.Conn, origErr error) (done bool) {
 	default:
 		return false
 	}
-	if err := mc.sess.Resume(c, m.(*wire.ResumeAck).RecvCount); err != nil {
+	if err := mc.sess.Resume(c, m.(*wire.ResumeAck).RecvCount, nil); err != nil {
 		if errors.Is(err, wire.ErrSessionDoomed) || errors.Is(err, wire.ErrResumeInvalid) {
 			mc.fail(origErr)
 			return true
@@ -829,10 +830,7 @@ func effectiveHeartbeat(interval time.Duration, hostTimeoutMS int64) time.Durati
 	if interval < timeout {
 		return interval
 	}
-	if clamped := timeout / 3; clamped > 0 {
-		return clamped
-	}
-	return time.Millisecond
+	return timeout / 3 // at least 333µs: the timeout is whole milliseconds
 }
 
 // dialRaw establishes and handshakes one connection, negotiating up to

@@ -288,6 +288,22 @@ func TestRemoteSelectAllocs(t *testing.T) {
 // selectAllocs is what TestRemoteSelectAllocs measured when it was written.
 const selectAllocs = 2
 
+// TestRemoteSendAllAllocs is the same gate for a vectorized send, host and
+// client together: the client's target names and its SEND-ALL request are
+// its stream's, and so are the roles the host's bridge decodes them into. It
+// measures 2 objects, neither of them the remote path's own: the target list
+// the decoder builds (which crosses to the bridge by value, like the branches
+// of a SELECT) and the core's endpoint list for the scatter (5 before, with a
+// name list, a request and a role list per call). Gated at that plus one, so
+// any one of the three coming back fails it.
+func TestRemoteSendAllAllocs(t *testing.T) {
+	tos := []ids.RoleRef{ids.Member(patterns.RoleRecipient, 1)}
+	testOpAllocs(t, sendAllAllocs+1, func(rc core.Ctx, _ ids.RoleRef, v any) error { return rc.SendAll(tos, v) })
+}
+
+// sendAllAllocs is what TestRemoteSendAllAllocs measured when it was written.
+const sendAllAllocs = 2
+
 // testOpAllocs runs op, which must deliver v to the recipient, on a warm
 // stream and fails if one call allocates more than limit objects, both sides
 // of the connection counted together.

@@ -12,12 +12,12 @@
 //
 //	client process                      serving process
 //	──────────────                      ───────────────
-//	Enroller.Enroll(e) ── ENROLL ──▶    Host: target.Enroll with a bridge
-//	  body runs here   ◀─ OFFER-ACK ──    body; the bridge proxies every
-//	  rc.Send(...)     ── SEND ──────▶    Ctx call into the real RoleCtx
-//	                   ◀─ OP-RESULT ──    and the shared fabric
-//	  body returns     ── BODY-DONE ─▶
-//	  released         ◀─ COMPLETE ───
+//	Enroller.Enroll(e) ── ENROLL ──▶    Host: the reader offers to the target;
+//	  body runs here   ◀─ OFFER-ACK ──    on assignment a stream worker performs
+//	  rc.Send(...)     ── SEND ──────▶    the role with a bridge body, which
+//	                   ◀─ OP-RESULT ──    proxies every Ctx call into the real
+//	  body returns     ── BODY-DONE ─▶    RoleCtx and the shared fabric
+//	  released         ◀─ COMPLETE ───  written by whoever ends the role
 //
 // Failure maps onto the runtime's existing taxonomy (DESIGN.md "Failure
 // semantics"): a connection that drops or falls silent past the host's
@@ -39,10 +39,11 @@ import (
 // Target is the script runtime a Host serves: a *core.Instance, a
 // script.Pool, or anything else that admits enrollments and can drain.
 type Target interface {
-	// Enroll admits one enrollment, blocking until the process is released
-	// (Enrollment.Body, when set, overrides the definition's body — the
-	// Host's bridge rides on that).
-	Enroll(ctx context.Context, e core.Enrollment) (core.Result, error)
+	// Offer places one enrollment offer and returns without waiting for it
+	// (core.Instance.Offer): the Host's stream learns of the assignment, a
+	// turn-away and the release through h, and performs the role with its
+	// bridge as the body.
+	Offer(ctx context.Context, e core.Enrollment, h core.Handoff) (core.Offered, error)
 	// Drain stops admitting offers and waits for in-flight performances.
 	Drain(ctx context.Context) error
 	// Definition exposes the served script's definition (for its name).

@@ -375,11 +375,11 @@ func TestRemoteHeartbeatTimeout(t *testing.T) {
 	}
 }
 
-// drainTarget stubs a target whose Enroll always reports draining.
+// drainTarget stubs a target whose Offer always reports draining.
 type drainTarget struct{ def core.Definition }
 
-func (d drainTarget) Enroll(context.Context, core.Enrollment) (core.Result, error) {
-	return core.Result{}, core.ErrDraining
+func (d drainTarget) Offer(context.Context, core.Enrollment, core.Handoff) (core.Offered, error) {
+	return core.Offered{}, core.ErrDraining
 }
 func (d drainTarget) Drain(context.Context) error { return nil }
 func (d drainTarget) Definition() core.Definition { return d.def }

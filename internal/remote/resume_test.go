@@ -631,7 +631,7 @@ func TestResumeFindsSessionCutBeforeFirstEnroll(t *testing.T) {
 			if rack.RecvCount != 0 {
 				t.Fatalf("RESUME-ACK counts %d frames received, want 0: the ENROLL never arrived", rack.RecvCount)
 			}
-			if err := sess.Resume(c2, rack.RecvCount); err != nil {
+			if err := sess.Resume(c2, rack.RecvCount, nil); err != nil {
 				t.Fatalf("replay: %v", err)
 			}
 			// The replayed ENROLL runs: assignment, then release.
@@ -735,7 +735,7 @@ func TestResumeSupersedesReaderHoldingFrame(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("RESUME answered %s %+v (%v), want RESUME-ACK", typ, m, err)
 	}
-	if err := sess.Resume(c2, rack.RecvCount); err != nil {
+	if err := sess.Resume(c2, rack.RecvCount, nil); err != nil {
 		t.Fatalf("replay: %v", err)
 	}
 	close(hold.release) // the retired reader gets to its frame

@@ -90,13 +90,6 @@ func appendBytes(b, p []byte) []byte {
 	return append(b, p...)
 }
 
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
-}
-
 func appendValue(b []byte, v any) ([]byte, error) {
 	switch v := v.(type) {
 	case nil:
@@ -108,24 +101,12 @@ func appendValue(b []byte, v any) ([]byte, error) {
 		return append(b, vFalse), nil
 	case int:
 		return binary.AppendVarint(append(b, vInt), int64(v)), nil
-	case int8:
-		return binary.AppendVarint(append(b, vInt), int64(v)), nil
-	case int16:
-		return binary.AppendVarint(append(b, vInt), int64(v)), nil
-	case int32:
-		return binary.AppendVarint(append(b, vInt), int64(v)), nil
 	case int64:
 		return binary.AppendVarint(append(b, vInt), v), nil
-	case uint:
-		return appendUnsigned(b, uint64(v)), nil
-	case uint8:
-		return binary.AppendVarint(append(b, vInt), int64(v)), nil
-	case uint16:
-		return binary.AppendVarint(append(b, vInt), int64(v)), nil
-	case uint32:
-		return binary.AppendVarint(append(b, vInt), int64(v)), nil
-	case uint64:
-		return appendUnsigned(b, v), nil
+	case int8, int16, int32:
+		return binary.AppendVarint(append(b, vInt), reflect.ValueOf(v).Int()), nil
+	case uint, uint8, uint16, uint32, uint64:
+		return appendUnsigned(b, reflect.ValueOf(v).Uint()), nil
 	case float32:
 		return binary.LittleEndian.AppendUint64(append(b, vFloat), math.Float64bits(float64(v))), nil
 	case float64:
@@ -283,8 +264,11 @@ func appendBody(b []byte, t MsgType, m any) ([]byte, error) {
 		b = appendString(b, m.Tag)
 		b = binary.AppendUvarint(b, uint64(m.Index))
 		b = binary.AppendUvarint(b, uint64(m.N))
-		b = appendBool(b, m.Bool)
-		return appendErrInfo(b, m.Err), nil
+		var flag byte
+		if m.Bool {
+			flag = 1
+		}
+		return appendErrInfo(append(b, flag), m.Err), nil
 	case *Complete:
 		b = binary.AppendUvarint(b, uint64(m.Performance))
 		b = appendString(b, m.Role)

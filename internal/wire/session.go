@@ -100,13 +100,6 @@ func NewSession(c *Conn, token string, capBytes int) *Session {
 // Token returns the session token minted at the original handshake.
 func (s *Session) Token() string { return s.token }
 
-// Conn returns the current transport, nil while detached.
-func (s *Session) Conn() *Conn {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.c
-}
-
 // Doomed reports whether the ring overflowed; a doomed session must be torn
 // down (today's abort path) at the next connection loss.
 func (s *Session) Doomed() bool {
@@ -230,10 +223,12 @@ func (s *Session) Detach() {
 // retransmits the unacked suffix beyond peerRecv, the peer's cumulative
 // receipt count from the RESUME/RESUME-ACK exchange. Frames the count
 // proves were already received are pruned, not retransmitted (that pruning
-// IS the dedup). Fails — leaving the session detached — if the session is
+// IS the dedup). ack, when non-nil, is the host's RESUME-ACK: it goes out
+// once the count is found good, ahead of the retransmitted suffix. Fails —
+// leaving the session detached, and nothing written — if the session is
 // doomed, the count is ahead of what was ever sent, or the ring no longer
 // covers the gap.
-func (s *Session) Resume(c *Conn, peerRecv uint64) error {
+func (s *Session) Resume(c *Conn, peerRecv uint64, ack *ResumeAck) error {
 	s.wlock.Lock()
 	defer s.wlock.Unlock()
 	s.mu.Lock()
@@ -265,6 +260,12 @@ func (s *Session) Resume(c *Conn, peerRecv uint64) error {
 	s.c = c
 	s.mu.Unlock()
 
+	if ack != nil {
+		if err := c.WriteFrame(MsgResumeAck, 0, 0, ack); err != nil {
+			s.Detach()
+			return err
+		}
+	}
 	framesDeduped.Add(deduped)
 	for i, f := range replay {
 		if err := c.writeRaw(f, false); err != nil {

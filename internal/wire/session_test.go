@@ -77,7 +77,7 @@ func TestSessionResumeReplaysUnackedSuffix(t *testing.T) {
 
 	c2, p2 := v2Pipe(t)
 	got = drain(p2, 5)
-	if err := s.Resume(c2, 3); err != nil {
+	if err := s.Resume(c2, 3, nil); err != nil {
 		t.Fatalf("Resume: %v", err)
 	}
 	// A stream-0 frame behind the replay marks its end: the peer must see
@@ -113,7 +113,7 @@ func TestSessionRingOverflowDooms(t *testing.T) {
 	}
 	s.Detach()
 	c2, _ := v2Pipe(t)
-	if err := s.Resume(c2, 4); !errors.Is(err, ErrSessionDoomed) {
+	if err := s.Resume(c2, 4, nil); !errors.Is(err, ErrSessionDoomed) {
 		t.Fatalf("Resume of a doomed session = %v, want ErrSessionDoomed", err)
 	}
 	if s.Conn() != nil {
@@ -132,15 +132,15 @@ func TestSessionResumeInvalid(t *testing.T) {
 	<-got
 	s.Detach()
 	c2, _ := v2Pipe(t)
-	if err := s.Resume(c2, 6); !errors.Is(err, ErrResumeInvalid) {
+	if err := s.Resume(c2, 6, nil); !errors.Is(err, ErrResumeInvalid) {
 		t.Fatalf("peerRecv > sent: %v, want ErrResumeInvalid", err)
 	}
 	s.PeerAck(3)
-	if err := s.Resume(c2, 1); !errors.Is(err, ErrResumeInvalid) {
+	if err := s.Resume(c2, 1, nil); !errors.Is(err, ErrResumeInvalid) {
 		t.Fatalf("ring gap: %v, want ErrResumeInvalid", err)
 	}
 	s.PeerAck(9) // ahead of everything sent: the ring is empty, and frame 5 still owed
-	if err := s.Resume(c2, 4); !errors.Is(err, ErrResumeInvalid) {
+	if err := s.Resume(c2, 4, nil); !errors.Is(err, ErrResumeInvalid) {
 		t.Fatalf("emptied ring: %v, want ErrResumeInvalid", err)
 	}
 	if s.Conn() != nil {
@@ -206,7 +206,7 @@ func TestSessionReplayInterrupted(t *testing.T) {
 		p2.Close() // the peer got frame 1, then the transport died
 		got <- []uint64{seq}
 	}()
-	err := s.Resume(c2, 0)
+	err := s.Resume(c2, 0, nil)
 	if err == nil || errors.Is(err, ErrResumeInvalid) || errors.Is(err, ErrSessionDoomed) {
 		t.Fatalf("interrupted replay = %v, want the transport's error", err)
 	}
@@ -220,7 +220,7 @@ func TestSessionReplayInterrupted(t *testing.T) {
 
 	c3, p3 := v2Pipe(t)
 	rest := drain(p3, 5)
-	if err := s.Resume(c3, 1); err != nil {
+	if err := s.Resume(c3, 1, nil); err != nil {
 		t.Fatalf("second Resume: %v", err)
 	}
 	if seqs := <-rest; !reflect.DeepEqual(seqs, seqRange(2, 6)) {
@@ -413,7 +413,7 @@ func FuzzSessionReplay(f *testing.F) {
 			case S:
 				p.cut()
 				r, wasDoomed := countArg(arg), s.Doomed()
-				err := s.Resume(p.attach(), r)
+				err := s.Resume(p.attach(), r, nil)
 				switch {
 				case wasDoomed:
 					if !errors.Is(err, ErrSessionDoomed) {
@@ -443,4 +443,11 @@ func FuzzSessionReplay(f *testing.F) {
 		}
 		p.cut()
 	})
+}
+
+// Conn returns the session's current transport, nil while detached.
+func (s *Session) Conn() *Conn {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.c
 }

@@ -131,6 +131,18 @@ func (p *Pool) Enroll(ctx context.Context, e Enrollment) (Result, error) {
 	return p.pick().Enroll(ctx, e)
 }
 
+// Offer dispatches e to the least-loaded instance and places the offer
+// there, returning at once like Instance.Offer; h hears from that instance.
+func (p *Pool) Offer(ctx context.Context, e Enrollment, h Handoff) (Offered, error) {
+	if p.draining.Load() {
+		return Offered{}, ErrDraining
+	}
+	if p.closed.Load() {
+		return Offered{}, ErrClosed
+	}
+	return p.pick().Offer(ctx, e, h)
+}
+
 // EnrollBloc dispatches a joint enrollment to the least-loaded instance, so
 // the whole bloc lands in one performance there (see Instance.EnrollBloc).
 func (p *Pool) EnrollBloc(ctx context.Context, members []Enrollment) ([]Result, error) {

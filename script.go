@@ -59,6 +59,10 @@ type (
 	Enrollment = core.Enrollment
 	// Result reports a completed enrollment.
 	Result = core.Result
+	// Offered is an offer placed with Offer, without waiting for it.
+	Offered = core.Offered
+	// Handoff is how the holder of an Offered learns what became of it.
+	Handoff = core.Handoff
 	// Ctx is the role body's view of its performance.
 	Ctx = core.Ctx
 	// RoleCtx is the native runtime's Ctx, with the nested-enrollment
