@@ -239,7 +239,7 @@ func BenchmarkE14Fairness(b *testing.B) {
 		f    match.Fairness
 	}{{"fifo", match.FIFO}, {"arbitrary", match.Arbitrary}} {
 		b.Run("policy="+fairness.name, func(b *testing.B) {
-			perfbench.Performances(b, experiments.SlotScript(nil),
+			perfbench.Performances(b, perfbench.SlotScript(nil),
 				perfbench.Cast(3, "bg", func(int) ids.RoleRef { return only }),
 				func(int) core.Enrollment { return core.Enrollment{PID: "fg", Role: only} },
 				core.WithFairness(fairness.f, 42))

@@ -299,7 +299,7 @@ func parked(in *Instance, r ids.RoleRef) bool {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	p := in.active
-	return p != nil && !p.done && slices.Contains(p.fabric.WaitingSnapshot(), rendezvous.Addr(r.String()))
+	return p != nil && !p.done && slices.Contains(p.fabric.WaitingIDs(), p.fabric.Endpoint(rendezvous.Addr(r.String())))
 }
 
 func TestCastTableMatchesMapReference(t *testing.T) {
@@ -654,7 +654,7 @@ func TestAbortCulpritMergesOpenMembersInRoleOrder(t *testing.T) {
 			_, err := in.Enroll(context.Background(), e)
 			errs <- err
 		}()
-		poll(t, "the offer to be taken", func() bool { return in.PendingEnrollments() == k+1 })
+		poll(t, "the offer to be taken", func() bool { return in.PendingOffers() == k+1 })
 	}
 	ref.finished.Add(ids.Role("a"))
 	want := ref.culprit(nil)

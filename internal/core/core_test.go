@@ -314,7 +314,7 @@ func TestCriticalSetBothReaderAndWriterAdmitted(t *testing.T) {
 		enrollAsync(ctx, in, Enrollment{PID: "R", Role: ids.Role("reader")}),
 		enrollAsync(ctx, in, Enrollment{PID: "W", Role: ids.Role("writer")}),
 	}
-	for in.PendingEnrollments() < 2 {
+	for in.PendingOffers() < 2 {
 		time.Sleep(time.Millisecond)
 	}
 	chans = append(chans, enrollAsync(ctx, in, Enrollment{PID: "M", Role: ids.Role("manager")}))
@@ -546,7 +546,7 @@ func TestContextCancellationWithdrawsPendingOffer(t *testing.T) {
 	defer in.Close()
 	cctx, cancel := context.WithCancel(context.Background())
 	ch := enrollAsync(cctx, in, Enrollment{PID: "T", Role: ids.Role("sender")})
-	for in.PendingEnrollments() == 0 {
+	for in.PendingOffers() == 0 {
 		time.Sleep(time.Millisecond)
 	}
 	cancel()
@@ -554,7 +554,7 @@ func TestContextCancellationWithdrawsPendingOffer(t *testing.T) {
 	if !errors.Is(out.err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", out.err)
 	}
-	if in.PendingEnrollments() != 0 {
+	if in.PendingOffers() != 0 {
 		t.Fatal("withdrawn offer still pending")
 	}
 }
@@ -782,7 +782,7 @@ func TestOpenFamilyDynamicExtent(t *testing.T) {
 			}))
 		}
 		// Let all workers be pending before the hub covers the critical set.
-		for in.PendingEnrollments() < n {
+		for in.PendingOffers() < n {
 			time.Sleep(time.Millisecond)
 		}
 		res, err := in.Enroll(ctx, Enrollment{PID: "H", Role: ids.Role("hub")})
@@ -912,7 +912,7 @@ func TestFIFOFairnessServesInArrivalOrder(t *testing.T) {
 			mu.Lock()
 			served := len(order)
 			mu.Unlock()
-			if in.PendingEnrollments()+served+in.activeCount() > i {
+			if in.PendingOffers()+served+in.activeCount() > i {
 				break
 			}
 			if time.Now().After(deadline) {

@@ -150,7 +150,7 @@ func TestImmediateInitiationPartnerConstraints(t *testing.T) {
 	// documented mutual-constraint admission rule — so wait until X is
 	// admitted.) B insists on partner Y, so B cannot join performance 1.
 	chX := enrollAsync(ctx, in, Enrollment{PID: "X", Role: ids.Role("a")})
-	for in.Performances() < 1 || in.PendingEnrollments() > 0 {
+	for in.Performances() < 1 || in.PendingOffers() > 0 {
 		time.Sleep(time.Millisecond)
 	}
 	chB := enrollAsync(ctx, in, Enrollment{
@@ -494,7 +494,7 @@ func TestWithdrawnOfferNotMatchedLater(t *testing.T) {
 
 	cctx, cancel := context.WithCancel(context.Background())
 	chGone := enrollAsync(cctx, in, Enrollment{PID: "gone", Role: ids.Member("recipient", 1)})
-	for in.PendingEnrollments() == 0 {
+	for in.PendingOffers() == 0 {
 		time.Sleep(time.Millisecond)
 	}
 	cancel()

@@ -135,7 +135,7 @@ func TestInstanceFabricServesPerformancesInTurn(t *testing.T) {
 		for i, r := range present {
 			outs[i] = enrollAsync(ctx, in, Enrollment{PID: ids.PID(r.String()), Role: r})
 		}
-		for in.PendingEnrollments() < len(present) {
+		for in.PendingOffers() < len(present) {
 			time.Sleep(50 * time.Microsecond)
 		}
 		if _, err := in.Enroll(ctx, Enrollment{PID: "H", Role: hub, Args: []any{present}}); err != nil {

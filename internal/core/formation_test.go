@@ -45,7 +45,7 @@ func TestOpenFamilyDefaultCriticalSetIsClosedRoles(t *testing.T) {
 		}(i)
 	}
 	defer func() { cancel(); wg.Wait() }() // a failure below must not outlive the test
-	waitFor(t, func() bool { return in.PendingEnrollments() == 2 })
+	waitFor(t, func() bool { return in.PendingOffers() == 2 })
 
 	for perf := 1; perf <= 2; perf++ {
 		res, err := in.Enroll(ctx, Enrollment{PID: "H", Role: ids.Role("hub")})

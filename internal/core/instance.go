@@ -584,10 +584,6 @@ func (in *Instance) Performances() int {
 	return in.perfCount
 }
 
-// PendingEnrollments returns the number of enrollment offers waiting to be
-// matched or admitted.
-func (in *Instance) PendingEnrollments() int { return in.PendingOffers() }
-
 // Load returns the number of enrollments currently in flight — pending,
 // playing a role, or held for delayed termination. It is a dispatch hint
 // (used by the root package's Pool) and reads a single atomic counter, so it
@@ -597,10 +593,10 @@ func (in *Instance) Load() int {
 }
 
 // PendingOffers returns the number of enrollment offers waiting to be
-// matched or admitted, like PendingEnrollments, but from a single atomic
-// counter: an admission-control layer (the remote host's per-instance
-// pending-offer cap) consults it on every offer, and must never contend
-// with the scheduler to decide whether to shed.
+// matched or admitted. It reads a single atomic counter: an admission-control
+// layer (the remote host's per-instance pending-offer cap) consults it on
+// every offer, and must never contend with the scheduler to decide whether
+// to shed.
 func (in *Instance) PendingOffers() int {
 	return int(in.pendingCount.Load())
 }
@@ -1137,7 +1133,7 @@ func (in *Instance) deadlineFired(p *performance) {
 // fabric waiting to communicate — the paper's "partner that never
 // communicates"; if every unfinished role is blocked communicating (a
 // genuine cycle), the first unfinished role is blamed. The waiting set is
-// taken as one fabric snapshot (Fabric.WaitingSnapshot) so the attribution
+// taken as one fabric snapshot (Fabric.WaitingIDs) so the attribution
 // reflects a state the fabric was actually in, rather than a series of
 // per-role probes that racing commits could interleave with.
 func (in *Instance) abortPerformanceLocked(p *performance, reason string) {

@@ -101,7 +101,7 @@ func TestOpenFamilySparseIndices(t *testing.T) {
 			PID: ids.PID(fmt.Sprintf("W%d", i)), Role: ids.Member("w", i),
 		})
 	}
-	for in.PendingEnrollments() < 2 {
+	for in.PendingOffers() < 2 {
 		time.Sleep(time.Millisecond)
 	}
 	res, err := in.Enroll(ctx, Enrollment{PID: "H", Role: ids.Role("hub")})

@@ -88,7 +88,7 @@ func busyInstance(t *testing.T, seed int64) (in *core.Instance, release chan str
 		}
 		enroll(ctx, fmt.Sprintf("P%d", i), ids.Role("lead"))
 	}
-	waitFor(t, "the offers to be pending", func() bool { return in.PendingEnrollments() == pendingEnrollers })
+	waitFor(t, "the offers to be pending", func() bool { return in.PendingOffers() == pendingEnrollers })
 	return in, release, outcomes
 }
 
@@ -207,7 +207,7 @@ func TestAssignmentBeatsCancellation(t *testing.T) {
 			res, err := in.Enroll(ctx, core.Enrollment{PID: "X", Role: ids.Role("x")})
 			xDone <- enrollOutcome{res: res, err: err}
 		}()
-		waitFor(t, "x to be pending", func() bool { return in.PendingEnrollments() == 1 })
+		waitFor(t, "x to be pending", func() bool { return in.PendingOffers() == 1 })
 		yDone := make(chan error, 1)
 		go func() {
 			_, err := in.Enroll(context.Background(), core.Enrollment{PID: "Y", Role: ids.Role("y")})

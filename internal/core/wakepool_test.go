@@ -83,7 +83,7 @@ func TestStaleWakeTokenIsOnlyALook(t *testing.T) {
 			res, err = in.Enroll(context.Background(), Enrollment{PID: "A2", Role: ids.Role("a")})
 			second <- outcome{res, err}
 		}()
-		waitFor(t, func() bool { return in.PendingEnrollments() == 1 })
+		waitFor(t, func() bool { return in.PendingOffers() == 1 })
 		stA := pendingRecord(in, "A")
 
 		// Performance 1: a is assigned first (role order) and its wakeup withheld.
@@ -101,7 +101,7 @@ func TestStaleWakeTokenIsOnlyALook(t *testing.T) {
 			t.Fatalf("A, woken by its context only: %+v, %v; want performance 1 and no error", o.res, o.err)
 		}
 
-		waitFor(t, func() bool { return in.PendingEnrollments() == 1 })
+		waitFor(t, func() bool { return in.PendingOffers() == 1 })
 		stA2 := pendingRecord(in, "A2")
 		if stA2.h != stA.h {
 			in.Close()
@@ -118,7 +118,7 @@ func TestStaleWakeTokenIsOnlyALook(t *testing.T) {
 			t.Fatalf("a stale token ended A2's wait: %+v, %v", o.res, o.err)
 		default:
 		}
-		if n, p := in.PendingEnrollments(), in.Performances(); n != 1 || p != 1 {
+		if n, p := in.PendingOffers(), in.Performances(); n != 1 || p != 1 {
 			t.Fatalf("after the stale tokens: %d pending, %d performances; want A2 still pending and 1", n, p)
 		}
 

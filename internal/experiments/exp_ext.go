@@ -68,7 +68,7 @@ func E12OpenEnded(ctx context.Context) Table {
 		// The hub is the whole critical set: it must not offer before the n
 		// workers of this performance have, or it performs without them.
 		workers := perfbench.Keep(ctx, in.Enroll, GatherWorkers(n))
-		err := await(workers.Context(), func() bool { return in.PendingEnrollments() >= n })
+		err := await(workers.Context(), func() bool { return in.PendingOffers() >= n })
 		var res core.Result
 		if err == nil {
 			res, err = workers.Enroll(GatherHub)
@@ -193,7 +193,7 @@ func E14Fairness(ctx context.Context) Table {
 		// The starter holds the first performance open until every contender
 		// is pending, so the contention is full from the start.
 		hold := heldUntil(ready)
-		in := core.NewInstance(SlotScript(func(rc core.Ctx) error {
+		in := core.NewInstance(perfbench.SlotScript(func(rc core.Ctx) error {
 			if rc.PID() != "starter" {
 				return nil
 			}
@@ -219,7 +219,7 @@ func E14Fairness(ctx context.Context) Table {
 				return err
 			})
 		}()
-		err = await(ctx, func() bool { return in.PendingEnrollments() >= contenders })
+		err = await(ctx, func() bool { return in.PendingOffers() >= contenders })
 		open()
 		for _, done := range []chan error{starterDone, served} {
 			if e := <-done; err == nil {

@@ -383,12 +383,3 @@ func SyncRounds(ctx context.Context, s dist.Synchronizer, n, rounds int) error {
 		return err
 	})
 }
-
-// SlotScript is E14's script: one role, "only", that every contender wants
-// (nil body: an empty one).
-func SlotScript(body core.RoleBody) core.Definition {
-	if body == nil {
-		body = func(core.Ctx) error { return nil }
-	}
-	return core.NewScript("slot").Role("only", body).MustBuild()
-}

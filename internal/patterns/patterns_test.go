@@ -375,7 +375,7 @@ func TestMembershipChangeHandsOverTable(t *testing.T) {
 		}
 		noteCh <- note
 	}()
-	for in.PendingEnrollments() < 1 {
+	for in.PendingOffers() < 1 {
 		time.Sleep(time.Millisecond)
 	}
 

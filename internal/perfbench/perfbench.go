@@ -529,14 +529,21 @@ func shareOps(b *testing.B, workers int, op func(pid ids.PID) error) {
 	}
 }
 
+// SlotScript is the single-role script: one role, "only", that every
+// contender wants (nil body: an empty one). E14, E15, E16 and the drive
+// experiments' host enroll into it.
+func SlotScript(body core.RoleBody) core.Definition {
+	if body == nil {
+		body = func(core.Ctx) error { return nil }
+	}
+	return core.NewScript("slot").Role("only", body).MustBuild()
+}
+
 // Contended times the scheduler's per-performance cost under contention for
 // one role: n concurrent enrollers share b.N single-role performances with
 // empty bodies.
 func Contended(b *testing.B, n int, opts ...core.Option) {
-	def := core.NewScript("slot").
-		Role("only", func(rc core.Ctx) error { return nil }).
-		MustBuild()
-	in := core.NewInstance(def, opts...)
+	in := core.NewInstance(SlotScript(nil), opts...)
 	defer in.Close()
 	shareOps(b, n, func(pid ids.PID) error {
 		_, err := in.Enroll(context.Background(), core.Enrollment{PID: pid, Role: ids.Role("only")})
@@ -549,13 +556,10 @@ func Contended(b *testing.B, n int, opts ...core.Option) {
 // instance serializes the bodies by the successive-activations rule; a pool
 // overlaps one performance per instance.
 func Pool(b *testing.B, size int) {
-	def := script.New("slot").
-		Role("only", func(rc script.Ctx) error {
-			time.Sleep(20 * time.Microsecond)
-			return nil
-		}).
-		MustBuild()
-	pool := script.NewPool(def, size)
+	pool := script.NewPool(SlotScript(func(core.Ctx) error {
+		time.Sleep(20 * time.Microsecond)
+		return nil
+	}), size)
 	defer pool.Close()
 	shareOps(b, 64, func(pid script.PID) error {
 		_, err := pool.Enroll(context.Background(), script.Enrollment{PID: pid, Role: script.Role("only")})
@@ -670,10 +674,7 @@ type slotHost struct {
 }
 
 func startSlotHost(cfg remote.HostConfig) slotHost {
-	def := core.NewScript("slot").
-		Role("only", func(rc core.Ctx) error { return fmt.Errorf("local body must not run") }).
-		MustBuild()
-	in := core.NewInstance(def)
+	in := core.NewInstance(SlotScript(func(core.Ctx) error { return fmt.Errorf("local body must not run") }))
 	h := remote.NewHost(in, cfg)
 	if err := h.Listen("127.0.0.1:0"); err != nil {
 		panic(err)

@@ -168,7 +168,7 @@ func TestMuxWithdrawRetiresIdleConn(t *testing.T) {
 		errCh <- err
 	}()
 	deadline := time.Now().Add(5 * time.Second)
-	for in.PendingEnrollments() == 0 {
+	for in.PendingOffers() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("offer never arrived")
 		}
@@ -179,10 +179,10 @@ func TestMuxWithdrawRetiresIdleConn(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	deadline = time.Now().Add(5 * time.Second)
-	for in.PendingEnrollments() != 0 || h.Stats().Conns != 0 {
+	for in.PendingOffers() != 0 || h.Stats().Conns != 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("after withdrawal: pending = %d, conns = %d; want 0, 0",
-				in.PendingEnrollments(), h.Stats().Conns)
+				in.PendingOffers(), h.Stats().Conns)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -210,7 +210,7 @@ func TestMuxWithdrawKeepsBusyConn(t *testing.T) {
 		recvErr <- err
 	}()
 	deadline := time.Now().Add(5 * time.Second)
-	for in.PendingEnrollments() == 0 {
+	for in.PendingOffers() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("offer never arrived")
 		}
@@ -226,7 +226,7 @@ func TestMuxWithdrawKeepsBusyConn(t *testing.T) {
 		})
 		withdrawnErr <- err
 	}()
-	for in.PendingEnrollments() < 2 {
+	for in.PendingOffers() < 2 {
 		if time.Now().After(deadline) {
 			t.Fatal("second offer never arrived")
 		}

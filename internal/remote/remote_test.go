@@ -598,7 +598,7 @@ func testRemoteWithdrawPendingOffer(t *testing.T, proto int) {
 		errCh <- err
 	}()
 	deadline := time.Now().Add(5 * time.Second)
-	for in.PendingEnrollments() == 0 {
+	for in.PendingOffers() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("offer never arrived")
 		}
@@ -609,7 +609,7 @@ func testRemoteWithdrawPendingOffer(t *testing.T, proto int) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	deadline = time.Now().Add(5 * time.Second)
-	for in.PendingEnrollments() != 0 {
+	for in.PendingOffers() != 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("offer never withdrawn host-side")
 		}

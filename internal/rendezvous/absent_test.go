@@ -3,9 +3,20 @@ package rendezvous
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 )
+
+// liveIDs is an isLive for TerminateAbsentID that holds addrs, and nothing
+// else, live.
+func liveIDs(f *Fabric, addrs ...Addr) func(ID) bool {
+	live := make([]ID, len(addrs))
+	for i, a := range addrs {
+		live[i] = f.Endpoint(a)
+	}
+	return func(id ID) bool { return slices.Contains(live, id) }
+}
 
 func TestTerminateAbsentWakesOpsOnDeadTargets(t *testing.T) {
 	f := New()
@@ -16,7 +27,7 @@ func TestTerminateAbsentWakesOpsOnDeadTargets(t *testing.T) {
 		errCh <- err
 	}()
 	waitPending(t, f, 2)
-	f.TerminateAbsent(func(a Addr) bool { return a == "A" || a == "B" })
+	f.TerminateAbsentID(liveIDs(f, "A", "B"))
 	for i := 0; i < 2; i++ {
 		if err := <-errCh; !errors.Is(err, ErrPeerTerminated) {
 			t.Fatalf("err = %v, want ErrPeerTerminated", err)
@@ -36,7 +47,7 @@ func TestTerminateAbsentSparesLiveTargets(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- f.Send(ctx, "A", "B", "t", 42) }()
 	waitPending(t, f, 1)
-	f.TerminateAbsent(func(a Addr) bool { return a == "A" || a == "B" })
+	f.TerminateAbsentID(liveIDs(f, "A", "B"))
 	// The pending send must still be alive and matchable.
 	v, err := f.Recv(ctx, "B", "A", "t")
 	if err != nil || v != 42 {
@@ -61,7 +72,7 @@ func TestTerminateAbsentNeverKillsAnOwnerOfPendingOps(t *testing.T) {
 		_, _ = f.Recv(ctx, "B", "A", "t")
 	}()
 	<-recvStarted
-	f.TerminateAbsent(func(Addr) bool { return false })
+	f.TerminateAbsentID(liveIDs(f))
 	// A owns a pending op, so it must not be terminated; the rendezvous
 	// should still complete (B's recv may or may not be pending at the
 	// moment of the call, but A->B is protected either way only if B
@@ -72,7 +83,7 @@ func TestTerminateAbsentNeverKillsAnOwnerOfPendingOps(t *testing.T) {
 }
 
 func TestTerminateAbsentWithSelectGroups(t *testing.T) {
-	// A select over one dead and one live peer: after TerminateAbsent, the
+	// A select over one dead and one live peer: after TerminateAbsentID, the
 	// dead branch is gone but the live branch must still commit.
 	f := New()
 	ctx := ctxT(t)
@@ -87,7 +98,7 @@ func TestTerminateAbsentWithSelectGroups(t *testing.T) {
 		errCh <- err
 	}()
 	waitPending(t, f, 2)
-	f.TerminateAbsent(func(a Addr) bool { return a == "P" || a == "live" })
+	f.TerminateAbsentID(liveIDs(f, "P", "live"))
 	select {
 	case err := <-errCh:
 		t.Fatalf("select failed though one peer is live: %v", err)
@@ -106,7 +117,7 @@ func TestTerminateAbsentWithSelectGroups(t *testing.T) {
 }
 
 func TestTerminateAbsentIgnoresAnyPeerOps(t *testing.T) {
-	// A RecvAny has no specific target; TerminateAbsent must not fail it.
+	// A RecvAny has no specific target; TerminateAbsentID must not fail it.
 	f := New()
 	ctx := ctxT(t)
 	outCh := make(chan error, 1)
@@ -115,7 +126,7 @@ func TestTerminateAbsentIgnoresAnyPeerOps(t *testing.T) {
 		outCh <- err
 	}()
 	waitPending(t, f, 1)
-	f.TerminateAbsent(func(a Addr) bool { return a == "P" })
+	f.TerminateAbsentID(liveIDs(f, "P"))
 	select {
 	case err := <-outCh:
 		t.Fatalf("RecvAny failed: %v", err)
@@ -131,8 +142,8 @@ func TestTerminateAbsentIgnoresAnyPeerOps(t *testing.T) {
 
 func TestTerminateAbsentIdempotentAndEmpty(t *testing.T) {
 	f := New()
-	f.TerminateAbsent(func(Addr) bool { return true })  // no pending ops
-	f.TerminateAbsent(func(Addr) bool { return false }) // still nothing
+	f.TerminateAbsentID(func(ID) bool { return true }) // no pending ops
+	f.TerminateAbsentID(liveIDs(f))                    // still nothing
 	if f.PendingCount() != 0 {
 		t.Fatal("pending count changed")
 	}

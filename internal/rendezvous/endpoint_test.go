@@ -21,7 +21,7 @@ import (
 // target loop while receivers lowered them commit by commit, so an address
 // sharing a counter with a scatterer in flight, with as many ops parked
 // against it as the scatter had had committed, read zero — and Terminate and
-// TerminateAbsent, trusting the zero, skipped it. The counts are per endpoint
+// TerminateAbsentID, trusting the zero, skipped it. The counts are per endpoint
 // now and raised inside each park's critical section.
 func filterSlots(a Addr) [2]uint32 {
 	h := uint32(2166136261)
@@ -106,7 +106,7 @@ func TestTerminateFailsOpParkedBesideScatter(t *testing.T) {
 }
 
 // An address that owns a parked op is alive, whatever isLive says of it:
-// TerminateAbsent must leave it, and its op, alone.
+// TerminateAbsentID must leave it, and its op, alone.
 func TestTerminateAbsentSparesOwnerParkedBesideScatter(t *testing.T) {
 	ctx := ctxT(t)
 	sent := make(chan error, 1)
@@ -115,9 +115,9 @@ func TestTerminateAbsentSparesOwnerParkedBesideScatter(t *testing.T) {
 		go f.Recv(ctx, spare[1], victim, "u")                         //nolint:errcheck // and one that makes it a target
 		waitPending(t, f, 2)
 	}, func(f *Fabric, victim Addr, spare []Addr) {
-		f.TerminateAbsent(func(a Addr) bool { return a != victim })
+		f.TerminateAbsentID(func(id ID) bool { return id != f.Endpoint(victim) })
 		if f.Terminated(victim) {
-			t.Error("TerminateAbsent terminated an address that owns a parked op")
+			t.Error("TerminateAbsentID terminated an address that owns a parked op")
 		}
 		if v, err := f.Recv(ctx, spare[0], victim, "t"); err != nil || v != 1 {
 			t.Errorf("the owner's parked send was met with %v, %v, want 1", v, err)

@@ -50,7 +50,7 @@ type endpoint struct {
 	parked atomic.Int64
 	// used is set, and the endpoint pushed on the fabric's used list, when
 	// an op first parks in its inbox, posts under it or terminates it, so the
-	// walks that must see every pending op (Close, Abort, TerminateAbsent, the
+	// walks that must see every pending op (Close, Abort, TerminateAbsentID, the
 	// snapshots) and Reset visit what the scope used and nothing else.
 	used atomic.Bool
 	next *endpoint

@@ -203,7 +203,7 @@ func TestTerminateAbsentSeesFastParkedOps(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- f.Send(ctx, "A", "Ghost", "t", 1) }() // parks against an absent peer
 	waitPending(t, f, 1)
-	f.TerminateAbsent(func(a Addr) bool { return a == "A" }) // only A is live
+	f.TerminateAbsentID(liveIDs(f, "A")) // only A is live
 	if err := <-done; !errors.Is(err, ErrPeerTerminated) {
 		t.Fatalf("Send to absent peer = %v, want ErrPeerTerminated", err)
 	}

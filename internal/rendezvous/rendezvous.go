@@ -696,18 +696,13 @@ func (g *group) fail(err error) {
 	}
 }
 
-// TerminateAbsent terminates every address that is the target of some
+// TerminateAbsentID terminates every endpoint that is the target of some
 // pending operation and for which isLive returns false. The script layer
 // calls this when a performance's membership closes: operations blocked on
 // roles that will never be filled must fail with ErrPeerTerminated rather
 // than hang (the paper's "distinguished value" solution for unfilled roles).
-// Addresses that currently own pending operations are never terminated by
-// this call, regardless of isLive.
-func (f *Fabric) TerminateAbsent(isLive func(Addr) bool) {
-	f.TerminateAbsentID(func(id ID) bool { return isLive(f.table()[id].addr) })
-}
-
-// TerminateAbsentID is TerminateAbsent with the targets named by ID.
+// Endpoints that currently own pending operations are never terminated by
+// this call, regardless of isLive. isLive is called with the fabric locked.
 func (f *Fabric) TerminateAbsentID(isLive func(ID) bool) {
 	f.mu.Lock()
 	// Nothing posted or parked yet — the usual case, the cast having just
@@ -831,25 +826,13 @@ func (e *endpoint) postedLocked() bool {
 	return slices.ContainsFunc(e.pending, func(o *op) bool { return !o.g.claimed() })
 }
 
-// WaitingSnapshot returns every address that owns a pending (uncommitted)
+// WaitingIDs returns every endpoint that owns a pending (uncommitted)
 // operation — in either lane — as one consistent snapshot taken under the
-// fabric lock, sorted. Unlike probing Waiting once per address, which takes
-// and releases the lock between probes (an op can commit or park between two
-// probes, so the probe series is not a state the fabric was ever in), the
-// snapshot is a single linearization point. The script layer uses it for
-// abort-culprit attribution, and the remote host for diagnosing which role a
-// disconnected enroller left parked.
-func (f *Fabric) WaitingSnapshot() []Addr {
-	ids, eps := f.WaitingIDs(), f.table()
-	out := make([]Addr, len(ids))
-	for i, id := range ids {
-		out[i] = eps[id].addr
-	}
-	slices.Sort(out)
-	return out
-}
-
-// WaitingIDs is WaitingSnapshot in endpoint IDs, ascending.
+// fabric lock, in ascending ID order. Unlike probing Waiting once per address,
+// which takes and releases the lock between probes (an op can commit or park
+// between two probes, so the probe series is not a state the fabric was ever
+// in), the snapshot is a single linearization point. The script layer uses it
+// for abort-culprit attribution.
 func (f *Fabric) WaitingIDs() []ID {
 	f.mu.Lock()
 	defer f.mu.Unlock()

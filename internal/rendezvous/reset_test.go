@@ -22,7 +22,7 @@ type step struct {
 	addr     Addr     // the op's owner; the address to terminate or withdraw
 	branches []Branch // op
 	answer   int      // op: if >= 0, picks a waiting op to post the counterpart of
-	live     []Addr   // absent: the addresses TerminateAbsent is told are live
+	live     []Addr   // absent: the addresses TerminateAbsentID is told are live
 }
 
 var (
@@ -32,7 +32,7 @@ var (
 )
 
 // genScript draws n steps: sends, receives, 2–4-branch alternatives,
-// Terminate, TerminateAbsent, context withdrawals and, if asked, one Abort
+// Terminate, TerminateAbsentID, context withdrawals and, if asked, one Abort
 // two thirds of the way through.
 func genScript(rng *rand.Rand, n int, abort bool) []step {
 	branch := func(owner Addr, val int) Branch {
@@ -86,10 +86,9 @@ func genScript(rng *rand.Rand, n int, abort bool) []step {
 type front struct {
 	do        func(ctx context.Context, owner Addr, branches []Branch) (Outcome, error)
 	terminate func(Addr)
-	absent    func(isLive func(Addr) bool)
 }
 
-func byName(f *Fabric) front { return front{f.Do, f.Terminate, f.TerminateAbsent} }
+func byName(f *Fabric) front { return front{f.Do, f.Terminate} }
 
 func byID(f *Fabric) front {
 	return front{
@@ -108,10 +107,18 @@ func byID(f *Fabric) front {
 			return Outcome{Index: out.Index, Peer: f.table()[out.Peer].addr, Tag: out.Tag, Val: out.Val}, nil
 		},
 		terminate: func(a Addr) { f.TerminateID(f.Endpoint(a)) },
-		absent: func(isLive func(Addr) bool) {
-			f.TerminateAbsentID(func(id ID) bool { return isLive(f.table()[id].addr) })
-		},
 	}
+}
+
+// waitingAddrs is WaitingIDs by name, sorted: a script picks the op it answers
+// by position in it, and a name's ID depends on when a front first used it.
+func waitingAddrs(f *Fabric) []Addr {
+	var out []Addr
+	for _, id := range f.WaitingIDs() {
+		out = append(out, f.table()[id].addr)
+	}
+	slices.Sort(out)
+	return out
 }
 
 // runScript drives script against f through via, closes f, and returns one
@@ -162,7 +169,7 @@ func runScript(t *testing.T, f *Fabric, via front, script []step) []string {
 			owner, branches := st.addr, st.branches
 			// Half the ops answer one that is waiting: the counterpart of one
 			// of its branches goes first, posted by the role that branch names.
-			if waiting := f.WaitingSnapshot(); st.answer >= 0 && len(waiting) > 0 {
+			if waiting := waitingAddrs(f); st.answer >= 0 && len(waiting) > 0 {
 				w := waiting[st.answer%len(waiting)]
 				if br := latest[w].branches[st.answer%len(latest[w].branches)]; !br.AnyPeer {
 					owner = br.Peer
@@ -189,7 +196,7 @@ func runScript(t *testing.T, f *Fabric, via front, script []step) []string {
 			via.terminate(st.addr)
 			log[i] = "terminated " + string(st.addr)
 		case "absent":
-			via.absent(func(a Addr) bool { return slices.Contains(st.live, a) })
+			f.TerminateAbsentID(liveIDs(f, st.live...))
 			log[i] = fmt.Sprint("absent but ", st.live)
 		case "withdraw":
 			log[i] = fmt.Sprint("withdrew ", st.addr, " ", withdraw(st.addr))

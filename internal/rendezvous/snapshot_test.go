@@ -3,13 +3,14 @@ package rendezvous
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// TestWaitingSnapshotObservesBothLanes pins the accessor's contract: an op
+// TestWaitingSnapshotObservesBothLanes pins WaitingIDs' contract: an op
 // blocked in the slow lane (multi-branch Do) and one parked in a fast-lane
 // exchange cell both appear in a single snapshot.
 func TestWaitingSnapshotObservesBothLanes(t *testing.T) {
@@ -32,14 +33,11 @@ func TestWaitingSnapshotObservesBothLanes(t *testing.T) {
 		_ = f.Send(ctx, "fastie", "absent", "t", 1)
 	}()
 
+	slow, fast := f.Endpoint("slowpoke"), f.Endpoint("fastie")
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		snap := f.WaitingSnapshot()
-		seen := map[Addr]bool{}
-		for _, a := range snap {
-			seen[a] = true
-		}
-		if seen["slowpoke"] && seen["fastie"] {
+		snap := f.WaitingIDs()
+		if slices.Contains(snap, slow) && slices.Contains(snap, fast) {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -51,9 +49,9 @@ func TestWaitingSnapshotObservesBothLanes(t *testing.T) {
 	wg.Wait()
 	// After withdrawal the snapshot must drain back to empty.
 	deadline = time.Now().Add(5 * time.Second)
-	for len(f.WaitingSnapshot()) != 0 {
+	for len(f.WaitingIDs()) != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("snapshot still non-empty after withdrawal: %v", f.WaitingSnapshot())
+			t.Fatalf("snapshot still non-empty after withdrawal: %v", f.WaitingIDs())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -62,7 +60,7 @@ func TestWaitingSnapshotObservesBothLanes(t *testing.T) {
 // TestWaitingSnapshotRace hammers the snapshot from several goroutines while
 // pairs of addresses rendezvous through both lanes, asserting (under -race)
 // that the accessor is safe concurrently with parks, commits, escalations
-// and terminations, and that it only ever reports addresses that exist.
+// and terminations, and that it only ever reports endpoints that exist.
 func TestWaitingSnapshotRace(t *testing.T) {
 	f := New()
 	defer f.Close()
@@ -70,10 +68,10 @@ func TestWaitingSnapshotRace(t *testing.T) {
 	defer cancel()
 
 	const pairs = 8
-	valid := map[Addr]bool{}
+	valid := map[ID]bool{}
 	for p := 0; p < pairs; p++ {
-		valid[Addr(fmt.Sprintf("S%d", p))] = true
-		valid[Addr(fmt.Sprintf("R%d", p))] = true
+		valid[f.Endpoint(Addr(fmt.Sprintf("S%d", p)))] = true
+		valid[f.Endpoint(Addr(fmt.Sprintf("R%d", p)))] = true
 	}
 
 	var wg sync.WaitGroup
@@ -105,9 +103,9 @@ func TestWaitingSnapshotRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for time.Now().Before(stop) {
-				for _, a := range f.WaitingSnapshot() {
-					if !valid[a] {
-						t.Errorf("snapshot reported unknown address %q", a)
+				for _, id := range f.WaitingIDs() {
+					if !valid[id] {
+						t.Errorf("snapshot reported unknown endpoint %d", id)
 						return
 					}
 				}

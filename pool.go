@@ -72,20 +72,9 @@ func (p *Pool) Performances() int {
 	return total
 }
 
-// PendingEnrollments returns the total number of pending offers across the
-// pool.
-func (p *Pool) PendingEnrollments() int {
-	total := 0
-	for _, in := range p.instances {
-		total += in.PendingEnrollments()
-	}
-	return total
-}
-
 // PendingOffers returns the total number of pending offers across the pool,
-// read from each instance's atomic counter — the contention-free variant of
-// PendingEnrollments that admission control (the remote host's per-target
-// pending-offer cap) consults on every offer.
+// read from each instance's atomic counter, so admission control (the remote
+// host's per-target pending-offer cap) can consult it on every offer.
 func (p *Pool) PendingOffers() int {
 	total := 0
 	for _, in := range p.instances {
