@@ -588,7 +588,7 @@ func runCastScenario(t *testing.T, seed int64) (started, aborted, blockedChecks 
 			in.mu.Lock()
 			in.abortPerformanceLocked(in.active, "reference check")
 			in.advanceLocked()
-			in.mu.Unlock()
+			in.unlock()
 			for _, reply := range replies {
 				var ae *AbortError
 				if obs := <-reply; !errors.As(obs.err, &ae) || ae.Culprit != want {
@@ -625,10 +625,7 @@ func runCastScenario(t *testing.T, seed int64) (started, aborted, blockedChecks 
 // culprit search must still meet them where role order puts them — here
 // between the finished a and the idle w[1].
 func TestAbortCulpritMergesOpenMembersInRoleOrder(t *testing.T) {
-	idle := func(rc Ctx) error {
-		<-rc.(*RoleCtx).PerformanceDone()
-		return rc.(*RoleCtx).AbortErr()
-	}
+	idle := func(Ctx) error { return errors.New("the idle members play through enrollIdle") }
 	def := NewScript("merge").
 		Role("a", func(Ctx) error { return nil }).
 		OpenFamily("o", idle).
@@ -650,10 +647,7 @@ func TestAbortCulpritMergesOpenMembersInRoleOrder(t *testing.T) {
 			}
 			break
 		}
-		go func() {
-			_, err := in.Enroll(context.Background(), e)
-			errs <- err
-		}()
+		go func() { errs <- enrollIdle(in, e) }()
 		poll(t, "the offer to be taken", func() bool { return in.PendingOffers() == k+1 })
 	}
 	ref.finished.Add(ids.Role("a"))
@@ -667,4 +661,27 @@ func TestAbortCulpritMergesOpenMembersInRoleOrder(t *testing.T) {
 			t.Fatalf("idle member released with %v, reference blames %s", err, want)
 		}
 	}
+}
+
+// abortWatch is a hand-off that passes on the assignment and the abort.
+type abortWatch struct {
+	settled chan struct{}
+	aborted chan *AbortError
+}
+
+func (w abortWatch) Settled(Offered, error)            { w.settled <- struct{}{} }
+func (w abortWatch) Aborted(_ Offered, ae *AbortError) { w.aborted <- ae }
+func (abortWatch) Released()                           {}
+
+// enrollIdle plays e's role through the hand-off with a body that idles until
+// the performance is aborted under it, and returns the enrollment's error.
+func enrollIdle(in *Instance, e Enrollment) error {
+	w := abortWatch{make(chan struct{}, 1), make(chan *AbortError, 1)}
+	o, err := in.Offer(context.Background(), e, w)
+	if err != nil {
+		return err
+	}
+	<-w.settled
+	_, _, err = o.Perform(func(Ctx) error { return <-w.aborted })
+	return err
 }

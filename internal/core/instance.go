@@ -201,9 +201,8 @@ type Instance struct {
 	idleCh    chan struct{}
 	nextOffer uint64
 	pending   []*enrollState
-	// owed lists, in order, the records owed a hand-off once mu is dropped
-	// (see unlock).
-	owed      records
+	// owed lists, in order, the hand-offs owed once mu is dropped (see unlock).
+	owed      []owedHandoff
 	active    *performance
 	perfCount int
 	// fabric is where the instance's performances communicate, one after the
@@ -276,31 +275,57 @@ type enrollState struct {
 	traceID  trace.TraceID // Enrollment.TraceID; zero = none
 	perf     *performance  // set, once, when the offer is assigned
 	rc       RoleCtx       // filled in when the offer is assigned
-	// h is the holder's Handoff, told of the assignment, the turn-away or the
-	// release; next links the record into a list of records: its
-	// performance's held roles, then Instance.owed.
+	// h is the holder's Handoff, told of the assignment, the turn-away, the
+	// abort or the release; next links the record into its performance's list
+	// of held roles.
 	h    Handoff
 	next *enrollState
 }
 
 // Handoff is how the holder of an offer placed with Offer learns what became
 // of it, instead of a goroutine parked on it: Enroll's is a wake channel, the
-// remote host's the stream the offer came in on.
+// remote host's the stream the offer came in on. Every hand-off is made by
+// the goroutine whose action caused it, after it has dropped the instance's
+// lock, so a Handoff may block briefly and may call back into the instance.
 type Handoff interface {
 	// Settled is called once, when offer o is settled: assigned to a
-	// performance (err nil: the holder calls o.Perform) or turned away by
-	// Close or Drain (ErrClosed, ErrDraining: the offer is gone). It may come
-	// before Offer has returned o. An assignment is handed off with the
-	// instance's lock held, so Settled must neither block nor call back into
-	// the instance; a turn-away after the lock is dropped. The chaos WakeDelay
-	// fault defers the assignment's call to a timer.
+	// performance (err nil: the holder runs o.Ctx's role and calls o.Finish,
+	// or o.Perform) by the goroutine that formed the cast or admitted the
+	// offer, or turned away by Close or Drain (ErrClosed, ErrDraining: the
+	// offer is gone). It may come before Offer has returned o. The chaos
+	// WakeDelay fault defers the assignment's call to a timer.
 	Settled(o Offered, err error)
+	// Aborted is called once for the role of each assigned offer o whose
+	// body had not returned when its performance was aborted (a deadline,
+	// AbortPerformance), by the goroutine that aborted it. It may come before
+	// the assignment's Settled, and after o's role has ended: a holder that
+	// reuses its Handoff for a later offer tells the two apart by o. Closing
+	// the instance under a performance aborts nothing.
+	Aborted(o Offered, err *AbortError)
 	// Released is called once for a role held under delayed termination,
 	// when its performance ends: by the goroutine that ended it — its last
-	// role, the abort path or Close — after that goroutine dropped the lock.
-	// A role cut loose first (see Offered.Look) is not released.
+	// role, the abort path or Close. A role cut loose first (see
+	// Offered.Look) is not released.
 	Released()
 }
+
+// owedHandoff is one hand-off a critical section owes: the record and which
+// of its holder's calls. The kind is kept because an assigned or aborted
+// record's phase is not an end: its holder may move it on before the call.
+type owedHandoff struct {
+	st   *enrollState
+	kind owedKind
+}
+
+type owedKind uint8
+
+const (
+	oweAssigned owedKind = iota // Settled(o, nil)
+	oweDrained                  // Settled(o, ErrDraining)
+	oweClosed                   // Settled(o, ErrClosed)
+	oweAborted                  // Aborted
+	oweReleased                 // Released
+)
 
 // wakeCh is Enroll's Handoff: every hand-off leaves a token, and the
 // enroller, woken, re-reads its state under the lock, so a token says
@@ -317,6 +342,10 @@ func (w wakeCh) Settled(Offered, error) {
 }
 
 func (w wakeCh) Released() { w.Settled(Offered{}, nil) }
+
+// Aborted leaves no token: the body learns of the abort from its next
+// communication.
+func (wakeCh) Aborted(Offered, *AbortError) {}
 
 // wakePool lends wake channels to enrollments. A channel outlives the
 // enrollment it served, and a signaller that was delayed past its
@@ -362,14 +391,13 @@ const (
 )
 
 // castEntry is one role's line in a performance's cast: its state and, once
-// filled, what admission of later joiners needs of the offer that fills it.
+// filled, the enrollment that fills it.
 // id is the endpoint of a member of an open family, handed out by the fabric
 // when the member is assigned; a closed role's endpoint is its slot.
 type castEntry struct {
 	state castState
 	id    rendezvous.ID
-	pid   ids.PID
-	with  map[ids.RoleRef]ids.PIDSet
+	st    *enrollState
 }
 
 // performance is one collective activation of the instance's roles.
@@ -390,9 +418,6 @@ type performance struct {
 	// of the last offer an admission pass has considered, and constrained
 	// records whether any member carries a partner constraint.
 	admitSeen uint64
-	// doneCh is closed, once (released), when the performance ends or the
-	// instance closes under it: RoleCtx.PerformanceDone.
-	doneCh chan struct{}
 	// held lists the roles held for delayed termination, in the order they
 	// finished.
 	held records
@@ -467,22 +492,18 @@ func (p *performance) stopTimer() {
 }
 
 // releaseHeldLocked ends performance p for the roles it holds, once: the
-// performance ended (finish, abort) or the instance closed under it. doneCh
-// closes, and the held roles move to the owed list, to be released when the
-// lock is dropped.
+// performance ended (finish, abort) or the instance closed under it. The held
+// roles are owed their release, made when the lock is dropped.
 func (in *Instance) releaseHeldLocked(p *performance) {
 	if p.released {
 		return
 	}
 	p.released = true
-	close(p.doneCh)
 	for st := p.held.head; st != nil; st = st.next {
 		if st.phase == phaseHeld { // not cut loose
 			in.endLocked(st, phaseOver)
+			in.owed = append(in.owed, owedHandoff{st, oweReleased})
 		}
-	}
-	if p.held.head != nil {
-		in.owed.push(p.held.head, p.held.tail)
 	}
 }
 
@@ -500,37 +521,49 @@ func (in *Instance) endLocked(st *enrollState, phase enrollPhase) {
 // records is a list of enrollment records linked through their next field.
 type records struct{ head, tail *enrollState }
 
-// push appends the records first..last, already linked to each other.
-func (l *records) push(first, last *enrollState) {
+// push appends record st.
+func (l *records) push(st *enrollState) {
 	if l.tail == nil {
-		l.head = first
+		l.head = st
 	} else {
-		l.tail.next = first
+		l.tail.next = st
 	}
-	l.tail = last
+	l.tail = st
 }
 
-// unlock drops mu, then makes the hand-offs owed since it was taken: Released
-// to the held roles of a performance that ended, Settled to the offers Close
-// or Drain turned away. They are made outside the lock because a remote
-// holder writes its stream's terminal frame in them. Every critical section
-// that can end a performance or turn offers away is left through unlock.
+// unlock drops mu, then makes the hand-offs owed since it was taken, in the
+// order they were owed: Settled to the offers assigned or turned away, Aborted
+// to the roles of an aborted performance, Released to the held roles of one
+// that ended. They are made outside the lock because a remote holder writes
+// its stream's frames in them, and may end its role there. The list is copied
+// out under the lock — a cast's worth fits on the stack — so the next critical
+// section can owe while this one's hand-offs are made. Every critical section
+// that can assign, abort, end a performance or turn offers away is left
+// through unlock.
 func (in *Instance) unlock() {
-	st := in.owed.head
-	in.owed = records{}
+	if len(in.owed) == 0 {
+		in.mu.Unlock()
+		return
+	}
+	var buf [32]owedHandoff
+	owed := append(buf[:0], in.owed...)
+	clear(in.owed)
+	in.owed = in.owed[:0]
 	in.mu.Unlock()
-	for st != nil {
-		// An owed record is in an end phase, which nobody writes again.
-		next := st.next
-		switch st.phase {
-		case phaseDrained:
-			st.h.Settled(Offered{in, st}, ErrDraining)
-		case phaseClosed:
-			st.h.Settled(Offered{in, st}, ErrClosed)
-		case phaseOver:
-			st.h.Released()
+	for _, w := range owed {
+		o := Offered{in, w.st}
+		switch w.kind {
+		case oweAssigned:
+			w.st.h.Settled(o, nil)
+		case oweDrained:
+			w.st.h.Settled(o, ErrDraining)
+		case oweClosed:
+			w.st.h.Settled(o, ErrClosed)
+		case oweAborted:
+			w.st.h.Aborted(o, w.st.perf.abortErr)
+		case oweReleased:
+			w.st.h.Released()
 		}
-		st = next
 	}
 }
 
@@ -626,11 +659,15 @@ func (in *Instance) Close() {
 // turnAwayLocked takes every pending offer off the instance, for Close and
 // Drain (phase says which): each holder is told so once the lock is dropped.
 func (in *Instance) turnAwayLocked(phase enrollPhase) {
+	kind := oweClosed
+	if phase == phaseDrained {
+		kind = oweDrained
+	}
 	for _, st := range in.pending {
 		st.phase = phase
 		in.load.Add(-1)
 		in.countOfferLocked(st, -1)
-		in.owed.push(st, st)
+		in.owed = append(in.owed, owedHandoff{st, kind})
 	}
 	clear(in.pending)
 	in.pending = in.pending[:0]
@@ -847,21 +884,30 @@ func (o Offered) Look() (waiting bool, err error) {
 
 // Perform runs the role body of an assigned offer on the calling goroutine —
 // body, or the definition's body for the role when body is nil — and ends the
-// role. It returns the enrollment's Result, its error, and whether the role
-// is held: under delayed termination a finished role stays in its
-// performance until the performance ends, and is then released through the
-// Handoff, unless its context ends first (see Look). A role-body error is
-// wrapped in *RoleError; a body that unwound because the performance was
-// aborted reports the *AbortError; a body that finished its work reports
-// success, whatever happens to the performance while the role is held.
-func (o Offered) Perform(body RoleBody) (res Result, held bool, err error) {
+// role: it is o.Finish(RunBody(body, o.Ctx())).
+func (o Offered) Perform(body RoleBody) (Result, bool, error) {
+	if body == nil {
+		body = o.in.def.bodyFor(o.st.offer.Role)
+	}
+	return o.Finish(RunBody(body, o.Ctx()))
+}
+
+// Ctx is the role's context in its performance, for a holder that plays the
+// role itself rather than through Perform; valid once the offer is assigned,
+// for one goroutine at a time, until Finish.
+func (o Offered) Ctx() *RoleCtx { return &o.st.rc }
+
+// Finish ends the role of an assigned offer, whose body returned bodyErr. It
+// returns the enrollment's Result, its error, and whether the role is held:
+// under delayed termination a finished role stays in its performance until
+// the performance ends, and is then released through the Handoff, unless its
+// context ends first (see Look). A role-body error is wrapped in *RoleError;
+// a body that unwound because the performance was aborted reports the
+// *AbortError; a body that finished its work reports success, whatever
+// happens to the performance while the role is held.
+func (o Offered) Finish(bodyErr error) (res Result, held bool, err error) {
 	in, st := o.in, o.st
 	perf, rc, r := st.perf, &st.rc, st.offer.Role
-	if body == nil {
-		body = in.def.bodyFor(r)
-	}
-	bodyErr := RunBody(body, rc)
-
 	in.mu.Lock()
 	in.recordPerf(perf, trace.Event{
 		Kind: trace.KindFinish, Script: in.def.name,
@@ -879,7 +925,7 @@ func (o Offered) Perform(body RoleBody) (res Result, held bool, err error) {
 	held = in.def.termination == DelayedTermination && !perf.done && !in.closed
 	if held {
 		st.phase = phaseHeld
-		perf.held.push(st, st)
+		perf.held.push(st)
 	} else {
 		in.endLocked(st, phaseOver)
 	}
@@ -1029,7 +1075,6 @@ func (in *Instance) startPerformanceLocked(cast []*enrollState, matched bool) {
 		number: in.perfCount,
 		fabric: fab,
 		cast:   make([]castEntry, len(in.roles)),
-		doneCh: make(chan struct{}),
 	}
 	in.active = p
 	perfStartedTotal.Inc()
@@ -1186,6 +1231,16 @@ func (in *Instance) abortAsLocked(p *performance, culprit ids.RoleRef, reason st
 		Culprit:     culprit,
 		Reason:      reason,
 	}
+	for slot := range p.cast { // the roles still playing are owed the abort
+		if e := &p.cast[slot]; e.state == castFilled {
+			in.owed = append(in.owed, owedHandoff{e.st, oweAborted})
+		}
+	}
+	for _, e := range p.open {
+		if e.state == castFilled {
+			in.owed = append(in.owed, owedHandoff{e.st, oweAborted})
+		}
+	}
 	p.stopTimer()
 	p.done = true
 	p.fabric.Abort(p.abortErr)
@@ -1208,9 +1263,9 @@ func (in *Instance) abortAsLocked(p *performance, culprit ids.RoleRef, reason st
 }
 
 // assignLocked binds the pending enrollment st into performance p — its
-// line of the cast and its RoleCtx — and hands the assignment off to exactly
-// that offer's holder. st stays in the pending list, no longer pending; the
-// caller follows its assignments with one dropAssignedLocked.
+// line of the cast and its RoleCtx — and owes the assignment's hand-off to
+// exactly that offer's holder. st stays in the pending list, no longer
+// pending; the caller follows its assignments with one dropAssignedLocked.
 func (in *Instance) assignLocked(p *performance, st *enrollState) {
 	r := st.offer.Role
 	id := p.endpointLocked(int(st.slot), r)
@@ -1220,7 +1275,7 @@ func (in *Instance) assignLocked(p *performance, st *enrollState) {
 		}
 		p.open[r] = new(castEntry)
 	}
-	*p.entry(int(st.slot), r) = castEntry{state: castFilled, id: id, pid: st.offer.PID, with: st.offer.With}
+	*p.entry(int(st.slot), r) = castEntry{state: castFilled, id: id, st: st}
 	p.nAssigned++
 	st.phase = phaseAssigned
 	st.perf = p
@@ -1231,12 +1286,12 @@ func (in *Instance) assignLocked(p *performance, st *enrollState) {
 		delay = fi.WakeDelay()
 	}
 	if delay > 0 {
-		// Injected fault: drop the inline hand-off and redeliver it late. The
+		// Injected fault: drop the owed hand-off and redeliver it late. The
 		// holder waits until the redelivery (an enroller also until its
 		// context ends); a correct scheduler tolerates the gap.
 		time.AfterFunc(delay, func() { st.h.Settled(Offered{in, st}, nil) })
 	} else {
-		st.h.Settled(Offered{in, st}, nil)
+		in.owed = append(in.owed, owedHandoff{st, oweAssigned})
 	}
 	in.recordPerf(p, trace.Event{
 		Kind: trace.KindStart, Script: in.def.name,
@@ -1304,7 +1359,7 @@ func (in *Instance) assignmentLocked(p *performance) match.Assignment {
 	asg := make(match.Assignment, p.nAssigned)
 	member := func(r ids.RoleRef, e *castEntry) {
 		if e.state != castUnfilled {
-			asg[r] = match.Offer{PID: e.pid, Role: r, With: e.with}
+			asg[r] = match.Offer{PID: e.st.offer.PID, Role: r, With: e.st.offer.With}
 		}
 	}
 	for slot := range p.cast {

@@ -32,8 +32,9 @@ func (h handoffLog) note(what string) {
 	h.mu.Unlock()
 }
 
-func (h handoffLog) Settled(_ Offered, err error) { h.note(fmt.Sprintf("settled(%v)", err)) }
-func (h handoffLog) Released()                    { h.note("released") }
+func (h handoffLog) Settled(_ Offered, err error)      { h.note(fmt.Sprintf("settled(%v)", err)) }
+func (h handoffLog) Aborted(_ Offered, ae *AbortError) { h.note(fmt.Sprintf("aborted(%s)", ae.Reason)) }
+func (h handoffLog) Released()                         { h.note("released") }
 
 // journal collects the hand-offs of several offers on one instance.
 type journal struct {
@@ -69,11 +70,12 @@ func trioDef(term Termination) Definition {
 
 // TestOfferPerformRelease walks one delayed-termination performance through
 // the non-blocking enrollment, checking who is told what, when, and under
-// which lock: the assignment is handed to every cast member once, under the
-// instance's lock (inside the Offer that completed the cast); a role whose
-// body returns is held, and told nothing; the role whose return ends the
-// performance is not held, and before its Perform returns it has released
-// the others, in the order they finished, with the lock dropped.
+// which lock: the assignment is handed to every cast member once, in role
+// order, after the instance's lock is dropped (inside the Offer that
+// completed the cast); a role whose body returns is held, and told nothing;
+// the role whose return ends the performance is not held, and before its
+// Perform returns it has released the others, in the order they finished,
+// with the lock dropped.
 func TestOfferPerformRelease(t *testing.T) {
 	in := NewInstance(trioDef(DelayedTermination))
 	defer in.Close()
@@ -94,7 +96,7 @@ func TestOfferPerformRelease(t *testing.T) {
 	}
 	c := offer("C", "c")
 	sameLog(t, "the cast formed", j.take(),
-		"A settled(<nil>) locked=true", "B settled(<nil>) locked=true", "C settled(<nil>) locked=true")
+		"A settled(<nil>) locked=false", "B settled(<nil>) locked=false", "C settled(<nil>) locked=false")
 
 	for _, o := range []Offered{b, a} {
 		res, held, err := o.Perform(nil)
@@ -309,5 +311,143 @@ func TestWakeDelayDefersTheHandoff(t *testing.T) {
 
 type timedHandoff chan time.Time
 
-func (h timedHandoff) Settled(Offered, error) { h <- time.Now() }
-func (h timedHandoff) Released()              {}
+func (h timedHandoff) Settled(Offered, error)       { h <- time.Now() }
+func (h timedHandoff) Aborted(Offered, *AbortError) {}
+func (h timedHandoff) Released()                    {}
+
+// reentrant is a hand-off that calls back into the instance from inside its
+// calls, which only a hand-off made after the lock is dropped can do: Settled
+// looks at the offer it was handed, Aborted places a new offer.
+type reentrant struct {
+	in      *Instance
+	looked  chan error
+	offered chan error
+}
+
+func (h reentrant) Settled(o Offered, err error) {
+	if err == nil {
+		_, err = o.Look()
+		h.looked <- err
+	}
+}
+
+func (h reentrant) Aborted(Offered, *AbortError) {
+	_, err := h.in.Offer(context.Background(), Enrollment{PID: "Z", Role: ids.Role("a")}, timedHandoff(make(chan time.Time, 1)))
+	h.offered <- err
+}
+
+func (reentrant) Released() {}
+
+// TestHandoffsAreMadeOutsideTheLock: an assignment's Settled that looks at
+// its offer and an abort's Aborted that offers again both return, and each
+// is made once per role: neither runs under the instance's lock.
+func TestHandoffsAreMadeOutsideTheLock(t *testing.T) {
+	in := NewInstance(trioDef(DelayedTermination))
+	defer in.Close()
+	h := reentrant{in, make(chan error, 3), make(chan error, 3)}
+	offers, placed := make([]Offered, 3), make(chan struct{})
+	go func() { // the third Offer forms the cast and makes the hand-offs
+		for i, r := range []string{"a", "b", "c"} {
+			offers[i], _ = in.Offer(context.Background(), Enrollment{PID: ids.PID(r), Role: ids.Role(r)}, h)
+		}
+		close(placed)
+	}()
+	take := func(what string, ch chan error) {
+		t.Helper()
+		for i := 0; i < 3; i++ {
+			select {
+			case err := <-ch:
+				if err != nil {
+					t.Fatalf("%s %d: %v", what, i, err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%s %d never returned: a hand-off made under the lock", what, i)
+			}
+		}
+	}
+	take("Settled's Look", h.looked)
+	<-placed
+	offers[1].Ctx().AbortPerformance("reentrant")
+	take("Aborted's Offer", h.offered)
+	if n := in.PendingOffers(); n != 3 {
+		t.Fatalf("%d offers pending after three Aborted hand-offs offered, want 3", n)
+	}
+	for _, o := range offers {
+		if _, held, err := o.Perform(nil); held || err != nil {
+			t.Fatalf("%s after the abort: held=%v %v; want its result", o.st.offer.PID, held, err)
+		}
+	}
+}
+
+// cancelOnSettle is a hand-off that ends another enrollment's context when
+// its own offer is assigned, and passes the assignment on.
+type cancelOnSettle struct {
+	cancel  context.CancelFunc
+	settled chan Offered
+}
+
+func (h cancelOnSettle) Settled(o Offered, err error) {
+	if err == nil {
+		h.cancel()
+		h.settled <- o
+	}
+}
+func (cancelOnSettle) Aborted(Offered, *AbortError) {}
+func (cancelOnSettle) Released()                    {}
+
+// TestHandoffRacesAnEnrollmentWhoseContextEnds: an Enroll whose context ends
+// at the moment of its assignment — cancelled from the hand-off made just
+// before its own, in the same walk of the owed list — wakes on the context,
+// finds itself cast (assignment wins) and performs, held, while the walk
+// goes on to its Settled and its co-performers'. The walk reads the kind the
+// list recorded, never the record's phase the enroller is moving on; under
+// -race, 200 rounds.
+func TestHandoffRacesAnEnrollmentWhoseContextEnds(t *testing.T) {
+	in := NewInstance(trioDef(DelayedTermination))
+	defer in.Close()
+	for i := 1; i <= 200; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		h := cancelOnSettle{cancel, make(chan Offered, 1)}
+		if _, err := in.Offer(context.Background(), Enrollment{PID: "A", Role: ids.Role("a")}, h); err != nil {
+			t.Fatal(err)
+		}
+		bDone := make(chan error, 1)
+		go func() {
+			res, err := in.Enroll(ctx, Enrollment{PID: "B", Role: ids.Role("b")})
+			if err == nil || errors.Is(err, context.Canceled) {
+				if res.Performance != i {
+					err = fmt.Errorf("b played performance %d, want %d", res.Performance, i)
+				} else {
+					err = nil
+				}
+			}
+			bDone <- err
+		}()
+		waitPending(t, in, 2)
+		cDone := make(chan error, 1)
+		go func() {
+			_, err := in.Enroll(context.Background(), Enrollment{PID: "C", Role: ids.Role("c")})
+			cDone <- err
+		}()
+		if _, _, err := (<-h.settled).Perform(nil); err != nil {
+			t.Fatalf("round %d: a: %v", i, err)
+		}
+		for _, done := range []chan error{bDone, cDone} {
+			if err := <-done; err != nil {
+				t.Fatalf("round %d: %v", i, err)
+			}
+		}
+	}
+	if in.Load() != 0 {
+		t.Fatalf("load %d after the rounds, want 0", in.Load())
+	}
+}
+
+func waitPending(t *testing.T, in *Instance, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); in.PendingOffers() != n; time.Sleep(20 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d offers pending, want %d", in.PendingOffers(), n)
+		}
+	}
+}

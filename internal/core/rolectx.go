@@ -16,7 +16,8 @@ import (
 // paper's Terminated predicate, and enrollment into other scripts (nested
 // enrollment, Section V).
 //
-// A RoleCtx is used by exactly one goroutine — the enroller's — and must
+// A RoleCtx is used by one goroutine at a time — the enroller's, or the
+// remote host's goroutines serving the role's operations in turn — and must
 // not be retained after the body returns.
 var _ Ctx = (*RoleCtx)(nil)
 
@@ -426,23 +427,6 @@ func (rc *RoleCtx) EnrollIn(other *Instance, e Enrollment) (Result, error) {
 // sampling verdict is written once at initiation, before any role body is
 // woken, so this read is safe from the body's goroutine.)
 func (rc *RoleCtx) TraceID() trace.TraceID { return rc.st.perf.traceID }
-
-// PerformanceDone returns a channel closed when this role's performance
-// ends — normally or by abort. After it closes, AbortErr distinguishes the
-// two. The remote host's bridge selects on it so a client idling between
-// operations can be told promptly that its performance was aborted.
-func (rc *RoleCtx) PerformanceDone() <-chan struct{} { return rc.st.perf.doneCh }
-
-// AbortErr returns the *AbortError that ended this performance, or nil if
-// the performance is still running or ended normally.
-func (rc *RoleCtx) AbortErr() error {
-	rc.inst.mu.Lock()
-	defer rc.inst.mu.Unlock()
-	if rc.st.perf.abortErr != nil {
-		return rc.st.perf.abortErr
-	}
-	return nil
-}
 
 // AbortPerformance aborts this role's performance, blaming this role with
 // the given reason. It is safe to call from any goroutine — the remote host

@@ -13,9 +13,9 @@ import (
 	"github.com/scriptabs/goscript/internal/ids"
 )
 
-// An enroller waits on two sources: its wake channel and its context while
-// pending, the performance's done channel and its context while held. These
-// tests pin who signals those channels when the instance closes or drains —
+// An enroller waits on two sources, its wake channel and its context, while
+// pending and, under delayed termination, while held. These tests pin who
+// signals the channel when the instance closes or drains —
 // nothing else wakes an enroller whose context cannot end — with every
 // scheduler wakeup withheld and redelivered late (chaos WakeDelay), so a
 // Close or Drain token regularly overtakes an assignment's.
@@ -39,7 +39,7 @@ const castSize = 3
 // busyInstance is an instance of a delayed-termination script with its first
 // cast running — lead has finished and is held with a result, worker is
 // blocked in the fabric waiting for signal, signal sits in its body until
-// release is closed or the performance is over — and pendingEnrollers more
+// release is closed and then sends — and pendingEnrollers more
 // offers for lead pending behind it, half of them under a context that
 // cannot end. Every enrollment's outcome arrives on the returned channel.
 func busyInstance(t *testing.T, seed int64) (in *core.Instance, release chan struct{}, outcomes chan enrollOutcome) {
@@ -57,12 +57,8 @@ func busyInstance(t *testing.T, seed int64) (in *core.Instance, release chan str
 			return err
 		}).
 		Role("signal", func(rc core.Ctx) error {
-			select {
-			case <-release:
-				return rc.Send(ids.Role("worker"), "go")
-			case <-rc.(*core.RoleCtx).PerformanceDone(): // also when the instance closes under it
-				return nil
-			}
+			<-release
+			return rc.Send(ids.Role("worker"), "go")
 		}).
 		MustBuild()
 	in = core.NewInstance(def, lateWakeups(seed))
@@ -120,8 +116,9 @@ func collect(t *testing.T, outcomes chan enrollOutcome, n int) []enrollOutcome {
 
 func TestCloseWakesEveryPendingAndHeldEnroller(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
-		in, _, outcomes := busyInstance(t, seed)
+		in, release, outcomes := busyInstance(t, seed)
 		in.Close()
+		close(release) // signal sends into the closed instance
 		pending := 0
 		for _, o := range collect(t, outcomes, pendingEnrollers+castSize) {
 			switch {
@@ -135,16 +132,12 @@ func TestCloseWakesEveryPendingAndHeldEnroller(t *testing.T) {
 				if o.err != nil || len(o.res.Values) != 1 || o.res.Values[0] != "kept" {
 					t.Fatalf("held lead released with %v, %v; want its result and no error", o.res.Values, o.err)
 				}
-			case o.role == ids.Role("signal"):
-				if o.err != nil {
-					t.Fatalf("signal, whose body saw the performance end and returned, got %v", o.err)
-				}
 			default:
-				// Interrupted in its Recv by the closure — or, its own wakeup
-				// withheld until signal had left, refused at the door.
+				// Interrupted in its Recv or Send by the closure — or, its own
+				// wakeup withheld until its partner had left, refused at the door.
 				var re *core.RoleError
 				if !errors.As(o.err, &re) || !(errors.Is(o.err, core.ErrClosed) || errors.Is(o.err, core.ErrRoleFinished)) {
-					t.Fatalf("interrupted worker returned %v, want a RoleError wrapping ErrClosed or ErrRoleFinished", o.err)
+					t.Fatalf("interrupted %s returned %v, want a RoleError wrapping ErrClosed or ErrRoleFinished", o.role, o.err)
 				}
 			}
 		}

@@ -143,10 +143,15 @@ func (e *Enroller) perform(ctx context.Context, st *muxStream, enr core.Enrollme
 	bodyErr := core.RunBody(enr.Body, rctx)
 	rctx.trace(trace.Event{Kind: trace.KindFinish})
 	st.bodyDone = wire.BodyDone{Results: rctx.Out, Err: wire.EncodeError(bodyErr)}
-	if err := st.mc.fw.WriteFrame(wire.MsgBodyDone, st.id, 0, &st.bodyDone); err != nil {
-		err = fmt.Errorf("%w: %v", ErrConnLost, err)
-		st.mc.fail(err)
-		return core.Result{}, lostErr(ctx, err, true)
+	// A body that failed once its context had ended is the withdrawal's to
+	// report (CANCEL, which aborts the performance): a BODY-DONE would overtake
+	// it and end the role on the host first. The withdrawal ends the wait below.
+	if bodyErr == nil || ctx.Err() == nil {
+		if err := st.mc.fw.WriteFrame(wire.MsgBodyDone, st.id, 0, &st.bodyDone); err != nil {
+			err = fmt.Errorf("%w: %v", ErrConnLost, err)
+			st.mc.fail(err)
+			return core.Result{}, lostErr(ctx, err, true)
+		}
 	}
 
 	// Await release.

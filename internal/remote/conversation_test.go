@@ -8,6 +8,7 @@ import (
 	"net"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -269,6 +270,45 @@ func TestOperationFlood(t *testing.T) {
 			}
 			if ae.Culprit != ids.Role("b") || !strings.Contains(ae.Reason, "operation flood") {
 				t.Fatalf("abort = %+v, want culprit b for an operation flood", ae)
+			}
+		})
+	}
+}
+
+// TestOperationFloodOfAnIdleStream is TestOperationFlood with the ops
+// written in one burst to a stream with no op in hand: the first one takes
+// the stream to a worker outside the backlog, however late the worker runs,
+// so the flood is still the eighteenth op and the host owes the same set.
+func TestOperationFloodOfAnIdleStream(t *testing.T) {
+	for _, proto := range []int{1, 2} {
+		t.Run(fmt.Sprintf("v%d", proto), func(t *testing.T) {
+			in := core.NewInstance(pairScript("idleflood", func(rc core.Ctx) error {
+				_, err := rc.Recv(ids.Role("b"))
+				return err
+			}))
+			defer in.Close()
+			_, addr := serveTestHost(t, in)
+			aErr := make(chan error, 1)
+			go func() {
+				_, err := in.Enroll(context.Background(), core.Enrollment{PID: "A", Role: ids.Role("a")})
+				aErr <- err
+			}()
+			b := dialRawClient(t, addr, "idleflood", proto)
+			b.write(wire.MsgEnroll, 1, 0, &wire.Enroll{PID: "B", Role: "b"})
+			b.await(wire.MsgOfferAck)
+			recv := &wire.Recv{From: "a"}
+			for i := 0; i < streamOpBacklog+1; i++ {
+				b.write(wire.MsgRecv, 1, uint64(i+1), recv)
+			}
+			if proto >= 2 { // all seventeen taken: a refused ENROLL behind them is answered, not flooded
+				b.write(wire.MsgEnroll, 3, 0, &wire.Enroll{PID: "P", Role: "nosuch"})
+				b.await(wire.MsgComplete)
+			}
+			b.write(wire.MsgRecv, 1, streamOpBacklog+2, recv)
+			expectFlood(t, b, 1, streamOpBacklog+1)
+			var ae *core.AbortError
+			if err := <-aErr; !errors.As(err, &ae) || ae.Culprit != ids.Role("b") || !strings.Contains(ae.Reason, "operation flood") {
+				t.Fatalf("co-performer err = %v, want an abort blaming b for an operation flood", err)
 			}
 		})
 	}
@@ -579,7 +619,7 @@ func TestRecycleRacesReader(t *testing.T) {
 // its course is kept, emptied of the ops the client queued behind BODY-DONE.
 // One that a CANCEL (or a flood, or teardown) was aimed at is not:
 // markSevered marked it in the critical section that found it, so the
-// disconnect and cancel that follow it — however late — hit no successor.
+// sever that follows it — however late — hits no successor.
 func TestHostStreamRecycling(t *testing.T) {
 	in := core.NewInstance(patterns.StarBroadcast(1))
 	defer in.Close()
@@ -603,12 +643,12 @@ func TestHostStreamRecycling(t *testing.T) {
 	if len(s.free) != 1 || s.free[0] != st || len(st.b.opCh) != 0 || st.ctx.Err() != nil {
 		t.Fatalf("finished enrollment: free = %v, %d ops left, ctx %v; want it kept, empty and live", s.free, len(st.b.opCh), st.ctx.Err())
 	}
-	if s.markSevered(1) != nil {
+	if s.markSevered(1, "enrollment canceled by enroller") != nil {
 		t.Fatal("a CANCEL for the finished stream still found it")
 	}
 
 	st = enroll(2)
-	found := s.markSevered(2)
+	found := s.markSevered(2, "enrollment canceled by enroller")
 	if found != st {
 		t.Fatal("a CANCEL for the live stream did not find it")
 	}
@@ -616,10 +656,9 @@ func TestHostStreamRecycling(t *testing.T) {
 	if len(s.free) != 1 || s.free[0] == st || st.ctx.Err() == nil {
 		t.Fatalf("severed enrollment: free = %v, ctx %v; want it dropped and its context ended", s.free, st.ctx.Err())
 	}
-	found.b.disconnect("enrollment canceled by enroller")
-	found.cancel()
-	if kept := s.free[0]; kept.ctx.Err() != nil || kept.severed {
-		t.Fatal("the late disconnect reached a recycled hostStream")
+	s.sever(found)
+	if kept := s.free[0]; kept.ctx.Err() != nil || kept.severed != "" {
+		t.Fatal("the late sever reached a recycled hostStream")
 	}
 }
 
@@ -912,55 +951,78 @@ func TestContextEndAtEveryWait(t *testing.T) {
 	}
 }
 
-// lostCtx is as much of a RoleCtx as a bridge touches before its first op,
-// recording what the performance was aborted with.
-type lostCtx struct {
-	core.Ctx
-	reasons []string
+// offerWriter is a stream's frame writer whose OFFER-ACK write ends in err,
+// and which keeps every COMPLETE's error.
+type offerWriter struct {
+	err       error
+	mu        sync.Mutex
+	completes []error
 }
 
-func (c *lostCtx) Performance() int               { return 1 }
-func (c *lostCtx) Role() ids.RoleRef              { return ids.Role("b") }
-func (c *lostCtx) AbortPerformance(reason string) { c.reasons = append(c.reasons, reason) }
-
-// offerWriter is a bridge's frame writer whose every write ends in err.
-type offerWriter struct{ err error }
-
-func (w offerWriter) WriteFrame(wire.MsgType, uint64, uint64, any) error { return w.err }
+func (w *offerWriter) WriteFrame(t wire.MsgType, _, _ uint64, m any) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	switch t {
+	case wire.MsgOfferAck:
+		return w.err
+	case wire.MsgComplete:
+		w.completes = append(w.completes, m.(*wire.Complete).Err.Err())
+	}
+	return nil
+}
 
 // TestDisconnectBeforeRunBlamesTheRole pins DESIGN.md "Failure semantics": an
-// enrollment whose enroller vanished after the assignment but before the
-// bridge body's first frame is a disconnect culprit like one that vanished a
-// frame later, whoever notices. When disconnect came first it found nothing
-// started and aborted nothing; the body must do it, with disconnect's reason,
-// whatever would become of its OFFER-ACK — a write into a buffer nobody
-// flushes succeeds, and the closed backlog then read as a body that had ended:
-// the co-performer was told "role already finished" about a role that was
-// cut. When the body comes first and its OFFER-ACK fails, that is the
-// disconnect too, not a failure class of its own.
+// enrollment whose enroller vanished after the offer was placed but before
+// the role's first frame is a disconnect culprit like one that vanished a
+// frame later, whoever notices. When the sever came first — marked while the
+// reader was still offering, which is what a teardown from another goroutine
+// does — the assignment's hand-off writes nothing and aborts with the sever's
+// reason, whatever would become of its OFFER-ACK; before this was decided, a
+// write into a buffer nobody flushes succeeded, and the co-performer was told
+// "role already finished" about a role that was cut. When the OFFER-ACK fails
+// first, that is the disconnect too, not a failure class of its own. Either
+// way the role ends as lost.
 func TestDisconnectBeforeRunBlamesTheRole(t *testing.T) {
 	for _, tc := range []struct {
-		name       string
-		disconnect bool
-		werr       error // of the OFFER-ACK's write
-		wantErr    error
-		want       string
+		name    string
+		severed string
+		werr    error // of the OFFER-ACK's write
+		want    string
 	}{
-		{"disconnected, ack would buffer", true, nil, errEnrollerLost, enrollerGone},
-		{"disconnected, ack would fail", true, io.ErrClosedPipe, errEnrollerLost, enrollerGone},
-		{"ack fails first", false, io.ErrClosedPipe, io.ErrClosedPipe, enrollerGone + ": offer not delivered"},
+		{"disconnected, ack would buffer", enrollerGone, nil, enrollerGone},
+		{"disconnected, ack would fail", enrollerGone, io.ErrClosedPipe, enrollerGone},
+		{"ack fails first", "", io.ErrClosedPipe, enrollerGone + ": offer not delivered"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			b := &bridge{fw: offerWriter{tc.werr}, opCh: make(chan hostOp, streamOpBacklog)}
-			if tc.disconnect {
-				b.disconnect(enrollerGone)
+			in := core.NewInstance(pairScript("lost", func(rc core.Ctx) error {
+				_, err := rc.Recv(ids.Role("b"))
+				return err
+			}))
+			defer in.Close()
+			h := NewHost(in, HostConfig{})
+			defer h.Close()
+			fw := &offerWriter{err: tc.werr}
+			s := &hostSession{h: h, fw: fw, streams: make(map[uint64]*hostStream), tasks: make(chan *hostStream)}
+			st := &hostStream{s: s, enroll: wire.Enroll{PID: "B", Role: "b"}, severed: tc.severed}
+			st.b.fw, st.b.streamID, st.b.opCh = fw, 1, make(chan hostOp, streamOpBacklog)
+			st.ctx, st.cancel = context.WithCancel(context.Background())
+			s.streams[1] = st
+			h.activeStreams.Add(1)
+			aErr := make(chan error, 1)
+			go func() {
+				_, err := in.Enroll(context.Background(), core.Enrollment{PID: "A", Role: ids.Role("a")})
+				aErr <- err
+			}()
+			eventually(t, "a's offer", func() bool { return in.PendingOffers() == 1 })
+			s.offer(st) // the cast forms, and is handed off, inside the reader's Offer
+			var ae *core.AbortError
+			if err := <-aErr; !errors.As(err, &ae) || ae.Culprit != ids.Role("b") || ae.Reason != tc.want {
+				t.Fatalf("a: %v, want an abort blaming b with %q", err, tc.want)
 			}
-			rc := &lostCtx{}
-			if err := b.run(rc); !errors.Is(err, tc.wantErr) {
-				t.Errorf("run returned %v, want %v", err, tc.wantErr)
-			}
-			if len(rc.reasons) != 1 || rc.reasons[0] != tc.want {
-				t.Errorf("performance aborted with %q, want %q, once", rc.reasons, tc.want)
+			fw.mu.Lock()
+			defer fw.mu.Unlock()
+			if len(fw.completes) != 1 || !strings.Contains(fw.completes[0].Error(), errEnrollerLost.Error()) {
+				t.Fatalf("COMPLETEs %v, want one: the role lost", fw.completes)
 			}
 		})
 	}

@@ -3,6 +3,7 @@ package remote
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -14,28 +15,52 @@ import (
 
 // These tests follow one remote enrollment through each phase of the host's
 // offer path: placed by the connection's reader with no goroutine of its
-// own, performed by a stream worker dispatched at assignment, held under
-// delayed termination with no worker, and answered by whoever ends it.
+// own, acknowledged by whoever formed the cast, idle between its ops with no
+// goroutine, ended at BODY-DONE by the reader, held under delayed termination
+// with no worker, and answered by whoever ends it.
 
-// heldPair is a delayed-termination pair whose role a, played in process,
-// waits until release is closed or its performance ends and then sends to b,
-// the remote role. b's COMPLETE can therefore only come from whoever ends the
-// performance: a's return, an abort, or Close.
-func heldPair(release <-chan struct{}) core.Definition {
-	return pairScript("held", func(rc core.Ctx) error {
-		select {
-		case <-release:
-		case <-rc.(*core.RoleCtx).PerformanceDone():
-		}
-		return rc.Send(ids.Role("b"), "late")
-	})
+// heldPair is a delayed-termination pair: a plays in process (enrollA), b
+// remotely.
+var heldPair = pairScript("held", func(core.Ctx) error { return errors.New("a plays through enrollA") })
+
+// abortWatch is enrollA's hand-off: a wake channel for the assignment and the
+// release, and aborted, closed when the performance is aborted under a.
+type abortWatch struct{ wake, aborted chan struct{} }
+
+func (w abortWatch) Settled(core.Offered, error) {
+	select {
+	case w.wake <- struct{}{}:
+	default:
+	}
 }
+func (w abortWatch) Released()                              { w.Settled(core.Offered{}, nil) }
+func (w abortWatch) Aborted(core.Offered, *core.AbortError) { close(w.aborted) }
 
-// enrollA plays role a in process and reports its outcome on the channel.
-func enrollA(in *core.Instance) <-chan error {
+// enrollA plays role a of heldPair in process, through the hand-off, and
+// reports its outcome on the channel: a waits until release is closed or its
+// performance is aborted, and then sends to b, the remote role. b's COMPLETE
+// can therefore only come from whoever ends the performance: a's return, an
+// abort, or Close.
+func enrollA(in *core.Instance, release <-chan struct{}) <-chan error {
 	done := make(chan error, 1)
+	w := abortWatch{make(chan struct{}, 1), make(chan struct{})}
 	go func() {
-		_, err := in.Enroll(context.Background(), core.Enrollment{PID: "A", Role: ids.Role("a")})
+		o, err := in.Offer(context.Background(), core.Enrollment{PID: "A", Role: ids.Role("a")}, w)
+		if err != nil {
+			done <- err
+			return
+		}
+		<-w.wake
+		_, held, err := o.Perform(func(rc core.Ctx) error {
+			select {
+			case <-release:
+			case <-w.aborted:
+			}
+			return rc.Send(ids.Role("b"), "late")
+		})
+		if held {
+			<-w.wake
+		}
 		done <- err
 	}()
 	return done
@@ -105,7 +130,9 @@ func forEachProtoInternal(t *testing.T, fn func(t *testing.T, proto int)) {
 }
 
 // heldRemote brings a remote b to the held phase on a fresh raw connection:
-// a is playing, b's body has returned, and the host holds b with no worker.
+// a is playing, b's body has returned, and the host holds b. No worker was
+// ever dispatched: b's one frame after its OFFER-ACK is the BODY-DONE of an
+// idle stream, which the reader ends.
 func heldRemote(t *testing.T, in *core.Instance, h *Host, addr string) *rawClient {
 	t.Helper()
 	b := dialRawClient(t, addr, "held", 2)
@@ -116,8 +143,8 @@ func heldRemote(t *testing.T, in *core.Instance, h *Host, addr string) *rawClien
 	if st := h.Stats(); st.Enrolling != 1 || st.ActiveStreams != 1 {
 		t.Fatalf("held: enrolling %d, streams %d; want 1 and 1 (ENROLL to COMPLETE)", st.Enrolling, st.ActiveStreams)
 	}
-	if n := h.Dispatched(); n != 1 {
-		t.Fatalf("%d dispatches for one assigned enrollment", n)
+	if n := h.Dispatched(); n != 0 {
+		t.Fatalf("%d dispatches for an enrollment that sent no op", n)
 	}
 	return b
 }
@@ -149,10 +176,10 @@ func heldStreams(h *Host) int {
 // finished before the abort.
 func TestDeadlineAbortReleasesHeldRemoteRole(t *testing.T) {
 	const deadline = 150 * time.Millisecond
-	in := core.NewInstance(heldPair(nil), core.WithPerformanceDeadline(deadline))
+	in := core.NewInstance(heldPair, core.WithPerformanceDeadline(deadline))
 	defer in.Close()
 	h := resumableHost(t, in)
-	aDone := enrollA(in)
+	aDone := enrollA(in, nil)
 	start := time.Now()
 	b := heldRemote(t, in, h, h.Addr().String())
 	cm := b.await(wire.MsgComplete).(*wire.Complete)
@@ -172,11 +199,13 @@ func TestDeadlineAbortReleasesHeldRemoteRole(t *testing.T) {
 // TestInstanceCloseReleasesHeldRemoteRole: Close releases a held remote role
 // with its result, like a local one.
 func TestInstanceCloseReleasesHeldRemoteRole(t *testing.T) {
-	in := core.NewInstance(heldPair(nil))
+	release := make(chan struct{})
+	in := core.NewInstance(heldPair)
 	h := resumableHost(t, in)
-	aDone := enrollA(in)
+	aDone := enrollA(in, release)
 	b := heldRemote(t, in, h, h.Addr().String())
 	in.Close()
+	close(release) // a sends into the closed instance
 	if cm := b.await(wire.MsgComplete).(*wire.Complete); cm.Err != nil || cm.Values[0] != "b-result" {
 		t.Fatalf("COMPLETE %+v, want b's result and no error", cm)
 	}
@@ -191,10 +220,10 @@ func TestInstanceCloseReleasesHeldRemoteRole(t *testing.T) {
 // completes when its body does.
 func TestHostCloseCutsHeldRemoteRoleLoose(t *testing.T) {
 	release := make(chan struct{})
-	in := core.NewInstance(heldPair(release))
+	in := core.NewInstance(heldPair)
 	defer in.Close()
 	h := resumableHost(t, in)
-	aDone := enrollA(in)
+	aDone := enrollA(in, release)
 	heldRemote(t, in, h, h.Addr().String())
 	h.Close()
 	settleStats(t, h)
@@ -245,23 +274,23 @@ func (f *frameLog) written() []wire.MsgType {
 // not recycled, the host stops counting it and Drain returns.
 func TestCutWhileHeldWritesNothing(t *testing.T) {
 	release := make(chan struct{})
-	in := core.NewInstance(heldPair(release))
+	in := core.NewInstance(heldPair)
 	h := NewHost(in, HostConfig{})
 	defer h.Close()
 	fw := &frameLog{}
 	s := &hostSession{h: h, fw: fw, streams: make(map[uint64]*hostStream), tasks: make(chan *hostStream)}
 	st := &hostStream{s: s, enroll: wire.Enroll{PID: "B", Role: "b"}}
 	st.b.fw, st.b.streamID, st.b.opCh = fw, 1, make(chan hostOp, streamOpBacklog)
-	st.body = st.b.run
 	st.ctx, st.cancel = context.WithCancel(context.Background())
 	s.streams[1] = st
 	h.activeStreams.Add(1)
-	aDone := enrollA(in)
+	aDone := enrollA(in, release)
 	s.offer(st) // what the reader does with an ENROLL
 	eventually(t, "b's OFFER-ACK", func() bool { return len(fw.written()) == 1 })
-	s.smu.Lock()
-	st.b.opCh <- hostOp{typ: wire.MsgBodyDone}
+	s.smu.Lock() // and with an idle stream's BODY-DONE
+	st.phase = streamServing
 	s.smu.Unlock()
+	s.bodyDone(st, hostOp{typ: wire.MsgBodyDone})
 	eventually(t, "b to be held", func() bool {
 		s.smu.Lock()
 		defer s.smu.Unlock()
@@ -286,4 +315,236 @@ func TestCutWhileHeldWritesNothing(t *testing.T) {
 	if err := h.Drain(ctx); err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
+}
+
+// expect reads the next frame and fails unless it is of type want; it
+// returns the frame's stream and message.
+func (r *rawClient) expect(want wire.MsgType) (uint64, any) {
+	r.t.Helper()
+	typ, stream, _, m, err := r.c.ReadFrame()
+	if err != nil || typ != want {
+		r.t.Fatalf("read %s %+v (%v), want %s", typ, m, err, want)
+	}
+	return stream, m
+}
+
+// lateSettle withholds every assignment's hand-off for its duration (the
+// chaos WakeDelay fault, and nothing else).
+type lateSettle time.Duration
+
+func (lateSettle) OpDelay() time.Duration     { return 0 }
+func (lateSettle) CancelAfter() time.Duration { return 0 }
+func (d lateSettle) WakeDelay() time.Duration { return time.Duration(d) }
+
+// TestAbortOvertakesTheAssignmentHandoff: the performance is aborted while
+// the assignment's hand-off is withheld, so the stream is told of the abort
+// before it is told of the assignment. The client still reads its OFFER-ACK
+// first and the ABORT right behind it, then COMPLETE for its BODY-DONE.
+func TestAbortOvertakesTheAssignmentHandoff(t *testing.T) {
+	forEachProtoInternal(t, func(t *testing.T, proto int) {
+		in := core.NewInstance(pairScript("overtaken", func(rc core.Ctx) error {
+			_, err := rc.Recv(ids.Role("b"))
+			return err
+		}), core.WithFaultInjection(lateSettle(150*time.Millisecond)), core.WithPerformanceDeadline(20*time.Millisecond))
+		defer in.Close()
+		h, addr := serveTestHost(t, in)
+		aErr := make(chan error, 1)
+		go func() {
+			_, err := in.Enroll(context.Background(), core.Enrollment{PID: "A", Role: ids.Role("a")})
+			aErr <- err
+		}()
+		b := dialRawClient(t, addr, "overtaken", proto)
+		b.write(wire.MsgEnroll, 1, 0, &wire.Enroll{PID: "B", Role: "b"})
+		b.expect(wire.MsgOfferAck)
+		if _, m := b.expect(wire.MsgAbort); m.(*wire.Abort).Reason != "deadline exceeded" {
+			t.Fatalf("ABORT %+v, want the deadline's", m)
+		}
+		b.write(wire.MsgBodyDone, 1, 0, &wire.BodyDone{})
+		b.expect(wire.MsgComplete)
+		var ae *core.AbortError
+		if err := <-aErr; !errors.As(err, &ae) {
+			t.Fatalf("a: %v, want the abort", err)
+		}
+		if n := h.Dispatched(); n != 0 {
+			t.Fatalf("%d stream workers dispatched for a role that sent no op", n)
+		}
+	})
+}
+
+// TestCancelOfAnIdleStreamAbortsItsPerformance: a CANCEL for a role between
+// its ops — idle, with no worker — is ended by the reader that reads it: the
+// performance is aborted blaming the role with the reason a CANCEL has always
+// carried, and the stream is answered with one COMPLETE and nothing else.
+func TestCancelOfAnIdleStreamAbortsItsPerformance(t *testing.T) {
+	in := core.NewInstance(pairScript("idlecancel", func(rc core.Ctx) error {
+		_, err := rc.Recv(ids.Role("b"))
+		return err
+	}))
+	defer in.Close()
+	h, addr := serveTestHost(t, in)
+	aErr := make(chan error, 1)
+	go func() {
+		_, err := in.Enroll(context.Background(), core.Enrollment{PID: "A", Role: ids.Role("a")})
+		aErr <- err
+	}()
+	b := dialRawClient(t, addr, "idlecancel", 2)
+	b.write(wire.MsgEnroll, 1, 0, &wire.Enroll{PID: "B", Role: "b"})
+	b.expect(wire.MsgOfferAck)
+	b.write(wire.MsgCancel, 1, 0, &wire.Cancel{})
+	var ae *core.AbortError
+	if err := <-aErr; !errors.As(err, &ae) || ae.Culprit != ids.Role("b") || ae.Reason != "enrollment canceled by enroller" {
+		t.Fatalf("a: %v, want an abort blaming b for the CANCEL", err)
+	}
+	// A refused ENROLL on a second stream is answered behind everything the
+	// host wrote for the first.
+	b.write(wire.MsgEnroll, 3, 0, &wire.Enroll{PID: "B", Role: "nosuch"})
+	completes := 0
+	for {
+		stream, m := b.expect(wire.MsgComplete)
+		if stream == 3 {
+			break
+		}
+		if completes++; m.(*wire.Complete).Err == nil {
+			t.Fatalf("the cancelled stream's COMPLETE %+v carries no error", m)
+		}
+	}
+	if completes != 1 {
+		t.Fatalf("%d COMPLETEs for the cancelled stream, want 1", completes)
+	}
+	if n := h.Dispatched(); n != 0 {
+		t.Fatalf("%d stream workers dispatched to end an idle stream", n)
+	}
+}
+
+// duo is a delayed-termination pair whose two roles are both played remotely.
+var duo = core.NewScript("duo").
+	Role("x", func(core.Ctx) error { return errors.New("local body must not run") }).
+	Role("y", func(core.Ctx) error { return errors.New("local body must not run") }).
+	Initiation(core.DelayedInitiation).
+	Termination(core.DelayedTermination).
+	MustBuild()
+
+// TestHandoffOfReaderBodyDoneReleasesHeldRoles: two remote roles that send no
+// op are ended at BODY-DONE by the connection's reader — the first held, with
+// nothing written, the second ending the performance — and the reader, having
+// ended it, writes both COMPLETEs. No stream worker is ever dispatched.
+func TestHandoffOfReaderBodyDoneReleasesHeldRoles(t *testing.T) {
+	in := core.NewInstance(duo)
+	defer in.Close()
+	h := resumableHost(t, in)
+	c := dialRawClient(t, h.Addr().String(), "duo", 2)
+	c.write(wire.MsgEnroll, 1, 0, &wire.Enroll{PID: "X", Role: "x"})
+	c.write(wire.MsgEnroll, 3, 0, &wire.Enroll{PID: "Y", Role: "y"})
+	c.expect(wire.MsgOfferAck)
+	c.expect(wire.MsgOfferAck)
+	c.write(wire.MsgBodyDone, 1, 0, &wire.BodyDone{Results: []any{"x-result"}})
+	eventually(t, "x to be held", func() bool { return heldStreams(h) == 1 })
+	c.write(wire.MsgBodyDone, 3, 0, &wire.BodyDone{Results: []any{"y-result"}})
+	got := map[uint64]any{}
+	for range 2 {
+		stream, m := c.expect(wire.MsgComplete)
+		if cm := m.(*wire.Complete); cm.Err == nil && len(cm.Values) == 1 {
+			got[stream] = cm.Values[0]
+		}
+	}
+	if got[1] != "x-result" || got[3] != "y-result" {
+		t.Fatalf("COMPLETEs carried %v, want each role's result", got)
+	}
+	settleStats(t, h)
+	if n := h.Dispatched(); n != 0 {
+		t.Fatalf("%d stream workers dispatched for roles that sent no op", n)
+	}
+}
+
+// TestSeveredWhileServedAbortsBeforeItEnds pins the order a worker keeps
+// when it finds its stream severed after an op: the performance is aborted
+// with the sever's reason first, and only then does the role end. Here the
+// mark is made, as markSevered makes it, while the worker has an op in hand,
+// and the severing goroutine never gets to its own abort; a worker that ended
+// the role first would have a's Recv told "role already finished: b" (the
+// resume-off churn soak saw that class).
+func TestSeveredWhileServedAbortsBeforeItEnds(t *testing.T) {
+	in := core.NewInstance(pairScript("severed", func(rc core.Ctx) error {
+		_, err := rc.Recv(ids.Role("b"))
+		return err
+	}))
+	defer in.Close()
+	h := NewHost(in, HostConfig{})
+	defer h.Close()
+	fw := &frameLog{}
+	s := &hostSession{h: h, fw: fw, streams: make(map[uint64]*hostStream), tasks: make(chan *hostStream)}
+	st := &hostStream{s: s, enroll: wire.Enroll{PID: "B", Role: "b"}}
+	st.b.fw, st.b.streamID, st.b.opCh = fw, 1, make(chan hostOp, streamOpBacklog)
+	st.ctx, st.cancel = context.WithCancel(context.Background())
+	s.streams[1] = st
+	h.activeStreams.Add(1)
+	aErr := make(chan error, 1)
+	go func() {
+		_, err := in.Enroll(context.Background(), core.Enrollment{PID: "A", Role: ids.Role("a")})
+		aErr <- err
+	}()
+	eventually(t, "a's offer", func() bool { return in.PendingOffers() == 1 })
+	s.offer(st)
+	s.smu.Lock()
+	s.dispatchLocked(st, hostOp{typ: wire.MsgQuery, tag: wire.QueryFilled, peer: "a"})
+	st.severed = "enrollment canceled by enroller"
+	s.smu.Unlock()
+	var ae *core.AbortError
+	if err := <-aErr; !errors.As(err, &ae) || ae.Culprit != ids.Role("b") || ae.Reason != "enrollment canceled by enroller" {
+		t.Fatalf("a: %v, want an abort blaming b with the sever's reason", err)
+	}
+	settleStats(t, h)
+}
+
+// TestAbortOfAnotherOfferIsNotWritten: a hostStream is reused for a later
+// ENROLL once its enrollment ends, and an Aborted, made after the lock, can
+// reach it after that. The earlier enrollment's abort must not be written to
+// the later one, whose client would take it for its own performance's and end
+// its role with it (the resume-off churn soak saw the co-performer told "role
+// already finished"). The stream writes ABORT only for the offer it holds,
+// whether the abort finds it idle or overtakes its assignment's hand-off.
+func TestAbortOfAnotherOfferIsNotWritten(t *testing.T) {
+	in := core.NewInstance(pairScript("stale", func(rc core.Ctx) error {
+		_, err := rc.Recv(ids.Role("b"))
+		return err
+	}))
+	defer in.Close()
+	h := NewHost(in, HostConfig{})
+	defer h.Close()
+	fw := &frameLog{}
+	s := &hostSession{h: h, fw: fw, streams: make(map[uint64]*hostStream), tasks: make(chan *hostStream)}
+	st := &hostStream{s: s, enroll: wire.Enroll{PID: "B", Role: "b"}}
+	st.b.fw, st.b.streamID, st.b.opCh = fw, 1, make(chan hostOp, streamOpBacklog)
+	st.ctx, st.cancel = context.WithCancel(context.Background())
+	s.streams[1] = st
+	h.activeStreams.Add(1)
+	other, err := in.Offer(context.Background(), core.Enrollment{PID: "A", Role: ids.Role("a")}, abortWatch{make(chan struct{}, 1), make(chan struct{})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.offer(st)
+	eventually(t, "b's OFFER-ACK", func() bool { return len(fw.written()) == 1 })
+
+	ae := &core.AbortError{Performance: 7, Culprit: ids.Role("a"), Reason: "another offer's"}
+	st.Aborted(other, ae) // found idle
+	s.smu.Lock()          // offering again, as a recycled hostStream is
+	o := st.o
+	st.phase = streamOffering
+	s.smu.Unlock()
+	st.Aborted(other, ae) // overtaking an assignment's hand-off
+	st.Settled(o, nil)
+	st.Aborted(o, ae)
+	want := []wire.MsgType{wire.MsgOfferAck, wire.MsgOfferAck, wire.MsgAbort}
+	if got := fw.written(); !slices.Equal(got, want) {
+		t.Fatalf("frames written to b's stream: %v, want %v", got, want)
+	}
+
+	if _, _, err := other.Finish(nil); err != nil {
+		t.Fatal(err)
+	}
+	s.smu.Lock()
+	st.phase = streamServing
+	s.smu.Unlock()
+	s.bodyDone(st, hostOp{typ: wire.MsgBodyDone})
+	settleStats(t, h)
 }

@@ -13,7 +13,6 @@ import (
 	"github.com/scriptabs/goscript/internal/core"
 	"github.com/scriptabs/goscript/internal/ids"
 	"github.com/scriptabs/goscript/internal/metrics"
-	"github.com/scriptabs/goscript/internal/trace"
 	"github.com/scriptabs/goscript/internal/wire"
 )
 
@@ -132,7 +131,8 @@ type Host struct {
 	connsV1       atomic.Uint64
 	connsV2       atomic.Uint64
 	activeStreams atomic.Int64
-	// dispatched counts assigned enrollments handed to stream workers.
+	// dispatched counts streams handed to stream workers: ops that found
+	// their stream idle.
 	dispatched atomic.Uint64
 
 	connWG   sync.WaitGroup // connection handlers
@@ -463,7 +463,7 @@ func opOf(t wire.MsgType, seq uint64, m any) hostOp {
 // serveConn runs one client connection: admission, handshake, then the
 // session read loop (see hostmux.go), which pulls frames under the heartbeat
 // read deadline so a silent or severed connection is noticed even while a
-// bridge body is blocked inside the fabric.
+// role's op is blocked inside the fabric.
 func (h *Host) serveConn(nc net.Conn) {
 	defer h.connWG.Done()
 	c := wire.NewConn(nc)
@@ -550,35 +550,25 @@ func (h *Host) admitEnroll(from, role string) error {
 	return h.overloaded(full)
 }
 
-// bridge is the server-side stand-in for a remote role body: the stream
-// worker hands it to Offered.Perform, which runs it on the enroller's
-// behalf. It relays the client's operation frames into the
-// real RoleCtx (and so into the shared fabric) and the results back out,
-// addressed to its stream and echoing each op's sequence ID on its
-// OP-RESULT.
+// bridge is the server-side stand-in for a remote role body: whoever serves
+// the stream relays the client's operation frames into the real RoleCtx (and
+// so into the shared fabric) and the results back out, addressed to its
+// stream and echoing each op's sequence ID on its OP-RESULT.
 type bridge struct {
 	fw frameWriter // the session (resumable) or the bare connection
-	// opCh is the op backlog, filled by the connection's reader. disconnect
-	// closes it, which is what releases an idle run.
+	// op is the op a worker is dispatched with, and opCh the backlog behind
+	// it, filled by the connection's reader and drained by the worker.
+	op       hostOp
 	opCh     chan hostOp
 	streamID uint64
-	// ack and res are the frames run writes, one at a time: encoded before
-	// WriteFrame returns, so the next one can take their place. branches and
-	// tos are the storage a SELECT's alternative and a SEND-ALL's targets are
-	// built in, the core being done with them when the op returns.
+	// ack and res are the frames the stream writes, one at a time: encoded
+	// before WriteFrame returns, so the next one can take their place.
+	// branches and tos are the storage a SELECT's alternative and a SEND-ALL's
+	// targets are built in, the core being done with them when the op returns.
 	ack      wire.OfferAck
 	res      wire.OpResult
 	branches []core.SelectBranch
 	tos      []ids.RoleRef
-
-	once sync.Once
-
-	mu       sync.Mutex
-	rc       core.Ctx
-	started  bool
-	finished bool
-	// lost is disconnect's reason once it has run, for a run that starts after.
-	lost string
 }
 
 // frameWriter is where a bridge's frames go: the bare connection, or a
@@ -597,134 +587,13 @@ var errEnrollerLost = fmt.Errorf("%w: enroller disconnected mid-performance", Er
 
 // enrollerGone is the reason of every abort that blames a role for its
 // enroller having vanished, whoever notices first: the session's teardown, or
-// the bridge failing to write to it (which a frame to a resumable session
-// never does, and to a bare connection only once that is dead or its peer has
-// stopped reading for WriteTimeout).
+// a failed write of the role's OFFER-ACK or OP-RESULT (which a frame to a
+// resumable session never is, and to a bare connection only once that is
+// dead or its peer has stopped reading for WriteTimeout).
 const enrollerGone = "remote enroller disconnected"
 
-// run is the bridge body. A stream worker performs it once the offer is
-// assigned to a performance.
-func (b *bridge) run(rc core.Ctx) error {
-	b.mu.Lock()
-	b.rc = rc
-	b.started = true
-	lost := b.lost
-	b.mu.Unlock()
-	defer func() {
-		b.mu.Lock()
-		b.finished = true
-		b.mu.Unlock()
-	}()
-	if lost != "" {
-		// The enroller vanished between the assignment and here, where
-		// disconnect had no performance to abort yet: it is as much the culprit
-		// as one that vanishes a frame later, and co-performers must not take
-		// this return for a role that finished.
-		b.abortVia(rc, lost)
-		return errEnrollerLost
-	}
-
-	b.ack = wire.OfferAck{Performance: rc.Performance(), Role: rc.Role().String()}
-	// Echo the performance's trace ID (the client's, or one the host
-	// sampler minted) so the client records onto the same timeline. The
-	// optional assertion keeps core.Ctx unextended for other implementors.
-	if tr, ok := rc.(interface{ TraceID() trace.TraceID }); ok {
-		b.ack.TraceID = tr.TraceID().String()
-	}
-	if err := b.write(wire.MsgOfferAck, 0, &b.ack); err != nil {
-		b.abortVia(rc, enrollerGone+": offer not delivered")
-		return fmt.Errorf("remote: offer ack: %w", err)
-	}
-
-	// donech lets an idle bridge notice the performance aborting under it
-	// (deadline, a co-performer's disconnect) and tell the client, which
-	// then fails its subsequent operations locally. The protocol stays in
-	// lock-step: the bridge keeps serving until BODY-DONE arrives. It is a
-	// second source to wait on only until it fires (never, for an rc that has
-	// none): from then on the backlog is the only one.
-	po, _ := rc.(perfObserver)
-	var donech <-chan struct{}
-	if po != nil {
-		donech = po.PerformanceDone()
-	}
-	for {
-		var op hostOp
-		var open bool
-		if donech == nil {
-			op, open = <-b.opCh
-		} else {
-			select {
-			case <-donech:
-				donech = nil
-				if ae, ok := po.AbortErr().(*core.AbortError); ok && ae != nil {
-					_ = b.write(wire.MsgAbort, 0, &wire.Abort{
-						Performance: ae.Performance,
-						Culprit:     ae.Culprit.String(),
-						Reason:      ae.Reason,
-					})
-				}
-				continue
-			case op, open = <-b.opCh:
-			}
-		}
-		if !open {
-			return errEnrollerLost // disconnect closed the backlog, and it is empty
-		}
-		if op.typ == wire.MsgBodyDone {
-			rc.Return(op.results...)
-			return op.err.Err()
-		}
-		b.res = b.serveOp(rc, op)
-		if err := b.write(wire.MsgOpResult, op.seq, &b.res); err != nil {
-			// The client cannot learn this op's outcome; the
-			// enrollment is unrecoverable.
-			b.abortVia(rc, enrollerGone+": operation result not delivered")
-			return fmt.Errorf("remote: op result: %w", err)
-		}
-	}
-}
-
-// reset readies the bridge of a finished enrollment for the next one. Only an
-// enrollment nobody disconnected is recycled, so once is unspent, lost empty
-// and the backlog open.
-func (b *bridge) reset() {
-	b.mu.Lock()
-	b.rc, b.started, b.finished = nil, false, false
-	b.mu.Unlock()
-	b.res = wire.OpResult{}
-	clear(b.branches)
-}
-
-// disconnect reclaims the enrollment after the connection died: a started,
-// unfinished performance is aborted blaming this role (one not started yet
-// by run, when it starts: the reason is left in lost), and the bridge body
-// (possibly blocked in the fabric or idle in its loop) is released by the
-// backlog closing: it serves what the backlog still holds — into an aborted
-// performance, so each op fails at once — and ends. Closing a channel another
-// goroutine sends on is legal here because every caller has marked the
-// stream severed under the session's lock first, and the reader hands an op
-// over only under that lock, to a stream it found unsevered.
-func (b *bridge) disconnect(reason string) {
-	b.once.Do(func() {
-		b.mu.Lock()
-		b.lost = reason
-		rc, started, finished := b.rc, b.started, b.finished
-		b.mu.Unlock()
-		if started && !finished {
-			b.abortVia(rc, reason)
-		}
-		close(b.opCh)
-	})
-}
-
-func (b *bridge) abortVia(rc core.Ctx, reason string) {
-	if a, ok := rc.(aborter); ok {
-		a.AbortPerformance(reason)
-	}
-}
-
 // serveOp executes one decoded client operation against the real RoleCtx.
-func (b *bridge) serveOp(rc core.Ctx, op hostOp) wire.OpResult {
+func (b *bridge) serveOp(rc *core.RoleCtx, op hostOp) wire.OpResult {
 	fail := func(err error) wire.OpResult { return wire.OpResult{Err: wire.EncodeError(err)} }
 	// The one role a SEND, a RECV or a QUERY names (none is no role at all,
 	// which the core answers as it answers any unknown one).

@@ -42,9 +42,8 @@ const streamOpBacklog = 16
 // and a context nobody cancelled — on the session's free list for a later
 // ENROLL.
 type hostStream struct {
-	s    *hostSession
-	b    bridge
-	body core.RoleBody // b.run
+	s *hostSession
+	b bridge
 	// enroll is the ENROLL that opened the stream, copied out of the reader's
 	// struct. cm is the COMPLETE that ends it and term the type of the
 	// terminal frame (COMPLETE, DRAIN, or none), written by whoever ends the
@@ -61,28 +60,32 @@ type hostStream struct {
 
 	// Under smu: o is the offer, set by the reader once Offer returns or by
 	// an assignment that overtook it; phase is where the enrollment stands;
-	// released keeps a Released that came before the worker recorded the
-	// hold, for the worker to act on.
+	// released keeps a Released that came before the role's ender recorded
+	// the hold, for it to act on; abort is an Aborted of offer abortOf that
+	// came before an assignment's Settled, for Settled to write behind the
+	// OFFER-ACK if the assignment is abortOf's.
 	o        core.Offered
 	phase    streamPhase
 	released bool
-	// severed marks an enrollment some goroutine other than its owner is
-	// ending (CANCEL, flood, teardown): set under smu in the critical section
-	// that found the stream, it keeps the hostStream off the free list, so the
-	// disconnect and cut that follow can only ever hit this enrollment, and
-	// it stops the reader handing the stream ops, so the disconnect may close
-	// the backlog.
-	severed bool
+	abort    *core.AbortError
+	abortOf  core.Offered
+	// severed is the reason some goroutine other than its owner is ending the
+	// enrollment (CANCEL, flood, teardown), "" until then. Set under smu in the
+	// critical section that found the stream, it keeps the hostStream off the
+	// free list, so the abort, cancel and cut that follow can only ever hit
+	// this enrollment, and it stops the reader handing the stream ops.
+	severed string
 }
 
 // streamPhase is where a stream's enrollment stands; each names who owns
-// the stream, the one goroutine that may end it.
+// the stream, the one goroutine that may end it and use its RoleCtx.
 type streamPhase uint8
 
 const (
 	streamOffering streamPhase = iota // the reader, inside Offer (a hand-off may overtake it)
 	streamPending                     // the hand-off: the offer waits in the core, with no goroutine
-	streamRunning                     // a stream worker, performing the role
+	streamIdle                        // whoever takes it to serving: the role plays, no op of it is served and its backlog is empty
+	streamServing                     // who took it: a worker serving the backlog, the reader ending it at BODY-DONE, or a sever
 	streamHeld                        // Released: the body returned, the role is held for delayed termination
 	streamOver                        // nobody: the enrollment has ended
 )
@@ -119,14 +122,14 @@ type hostSession struct {
 	done  bool        // torn down
 	timer *time.Timer // grace timer while parked
 
-	// Assigned enrollments run on a small pool of stream-worker goroutines
-	// that grows to the session's high-water mark of roles performing at
-	// once: a worker is spawned only when no idle one is ready to take the
-	// task, and workers are reused across enrollments so their (deep: core
-	// engine + codec) stacks are grown once, not per enrollment. A pending
-	// offer and a held role have no worker.
+	// Ops are served on a small pool of stream-worker goroutines that grows
+	// to the session's high-water mark of streams served at once: an op for
+	// an idle stream hands the stream to an idle worker, or to a new one when
+	// none is ready, and the worker serves the backlog and goes back to the
+	// pool, so its (deep: core engine + codec) stack is grown once. A pending
+	// offer, a role between its ops and a held role have no worker.
 	wg    sync.WaitGroup
-	tasks chan *hostStream // enrollments handed to the stream workers
+	tasks chan *hostStream // streams handed to the stream workers
 }
 
 func newHostSession(h *Host, c *wire.Conn, token string, lockstep bool) *hostSession {
@@ -350,8 +353,10 @@ func (s *hostSession) teardown() {
 	s.cur = nil
 	streams := make([]*hostStream, 0, len(s.streams))
 	for _, st := range s.streams {
-		st.severed = true
-		streams = append(streams, st)
+		if st.severed == "" { // one severed already is being ended by whoever severed it
+			st.severed = enrollerGone
+			streams = append(streams, st)
+		}
 	}
 	free := s.free
 	s.free = nil
@@ -365,7 +370,7 @@ func (s *hostSession) teardown() {
 		cur.Close()
 	}
 	for _, st := range streams {
-		s.sever(st, enrollerGone)
+		s.sever(st)
 	}
 	for _, st := range free {
 		st.cancel() // a recycled context ends with its session
@@ -415,33 +420,84 @@ func (s *hostSession) offer(st *hostStream) {
 	if offering {
 		st.o, st.phase = o, streamPending
 	}
-	cut := offering && st.severed // torn down while the reader was inside Offer
+	cut := offering && st.severed != "" // torn down while the reader was inside Offer
 	s.smu.Unlock()
 	if cut {
 		s.cut(st)
 	}
 }
 
-// Settled is the stream's hand-off from the core (core.Handoff). An
-// assignment — made with the instance's lock held — dispatches a stream
-// worker to perform the role and nothing more; a turn-away by Close or Drain
-// is answered at once, on the goroutine that turned it away.
+// Settled is the stream's hand-off from the core (core.Handoff), on the
+// goroutine that formed the cast or turned the offer away. An assignment
+// writes the OFFER-ACK there, with the performance's trace ID, and leaves the
+// role idle until its first op (or hands it to a worker, should ops have come
+// first); a stream severed meanwhile, or whose OFFER-ACK does not go out, is
+// lost instead. A turn-away by Close or Drain is answered at once.
 func (st *hostStream) Settled(o core.Offered, err error) {
 	s := st.s
 	if err != nil {
 		s.answer(st, core.Result{}, err)
 		return
 	}
+	rc := o.Ctx()
 	s.smu.Lock()
-	st.o, st.phase = o, streamRunning
-	s.dispatchLocked(st)
+	st.o = o
+	lost := st.severed
+	if lost == "" {
+		st.b.ack = wire.OfferAck{Performance: rc.Performance(), Role: rc.Role().String(), TraceID: rc.TraceID().String()}
+		if st.b.write(wire.MsgOfferAck, 0, &st.b.ack) != nil {
+			lost = enrollerGone + ": offer not delivered"
+		} else {
+			st.writeAbortLocked(st.abortOf, st.abort) // one that overtook this hand-off
+		}
+	}
+	switch {
+	case lost != "":
+		st.phase = streamServing
+	case len(st.b.opCh) > 0:
+		s.dispatchLocked(st, <-st.b.opCh)
+	default:
+		st.phase = streamIdle
+	}
 	s.smu.Unlock()
+	if lost != "" {
+		s.lose(st, lost)
+	}
+}
+
+// Aborted tells the enroller offer o's performance was aborted, on the
+// goroutine that aborted it (core.Handoff): the role's later ops fail on the
+// client, as in the local runtime. The ABORT is written under smu, so it goes
+// out behind the OFFER-ACK — one that overtakes the assignment's Settled is
+// left for Settled to write — and ahead of the COMPLETE, which finish writes
+// only once it has marked the stream over under smu. An abort of an earlier
+// enrollment on this hostStream, whose role ended before the hand-off was
+// made, is dropped: it is not the stream's current offer.
+func (st *hostStream) Aborted(o core.Offered, ae *core.AbortError) {
+	s := st.s
+	s.smu.Lock()
+	defer s.smu.Unlock()
+	switch st.phase {
+	case streamOffering, streamPending:
+		st.abort, st.abortOf = ae, o
+	case streamIdle, streamServing:
+		st.writeAbortLocked(o, ae)
+	}
+}
+
+// writeAbortLocked writes ABORT for ae, if any, when o is the stream's offer,
+// unless the stream is severed: nobody is there to read it, or it no longer
+// wants to.
+func (st *hostStream) writeAbortLocked(o core.Offered, ae *core.AbortError) {
+	if ae != nil && st.o == o && st.severed == "" {
+		_ = st.b.write(wire.MsgAbort, 0, &wire.Abort{Performance: ae.Performance, Culprit: ae.Culprit.String(), Reason: ae.Reason})
+	}
 }
 
 // Released writes the COMPLETE of a role held for delayed termination, on
 // the goroutine that ended its performance (core.Handoff): one performance's
-// held roles leave in one burst. A release that overtakes the worker on its
-// way out of Perform is left for the worker.
+// held roles leave in one burst. A release that overtakes the role's ender on
+// its way out of Finish is left for it.
 func (st *hostStream) Released() {
 	s := st.s
 	s.smu.Lock()
@@ -454,15 +510,13 @@ func (st *hostStream) Released() {
 	s.finish(st)
 }
 
-// dispatchLocked hands an assigned enrollment to a stream worker: an idle one,
-// or a new one — or, once the session is over and its workers with it, a
-// goroutine of its own, whose bridge finds the enroller lost and ends at once.
-func (s *hostSession) dispatchLocked(st *hostStream) {
+// dispatchLocked hands stream st to a stream worker — an idle one, or a new
+// one — with op in hand, outside the backlog, as the first op to serve. Never
+// once the session is over: teardown severs every stream under the same
+// lock, and no severed stream is dispatched.
+func (s *hostSession) dispatchLocked(st *hostStream, op hostOp) {
 	s.h.dispatched.Add(1)
-	if s.done {
-		go s.work(st)
-		return
-	}
+	st.phase, st.b.op = streamServing, op
 	select {
 	case s.tasks <- st:
 		// An idle worker took it.
@@ -470,24 +524,77 @@ func (s *hostSession) dispatchLocked(st *hostStream) {
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			s.work(st)
+			s.serve(st)
 			for next := range s.tasks {
-				s.work(next)
+				s.serve(next)
 			}
 		}()
 	}
 }
 
-// work performs an assigned enrollment on a stream worker, the bridge as its
-// body. The worker is done at BODY-DONE: a role held for delayed termination
-// is answered by its Released, not by its worker.
-func (s *hostSession) work(st *hostStream) {
-	res, held, err := st.o.Perform(st.body)
+// serve runs stream st's ops on a stream worker, the one in hand and then
+// the backlog's, one at a time in arrival order, until the backlog is empty —
+// the stream is idle again — or BODY-DONE has ended the role. A stream found
+// severed after an op is lost here: aborted with the sever's reason before its
+// role ends, whoever aborts first, so a co-performer is never told the role
+// finished.
+func (s *hostSession) serve(st *hostStream) {
+	rc, op := st.o.Ctx(), st.b.op
+	for {
+		if op.typ == wire.MsgBodyDone {
+			s.bodyDone(st, op)
+			return
+		}
+		st.b.res = st.b.serveOp(rc, op)
+		if st.b.write(wire.MsgOpResult, op.seq, &st.b.res) != nil {
+			// The client cannot learn this op's outcome; the enrollment is
+			// unrecoverable.
+			s.lose(st, enrollerGone+": operation result not delivered")
+			return
+		}
+		s.smu.Lock()
+		lost, more := st.severed, len(st.b.opCh) > 0
+		switch {
+		case lost != "":
+		case more:
+			op = <-st.b.opCh
+		default:
+			st.phase = streamIdle
+		}
+		s.smu.Unlock()
+		if lost != "" {
+			s.lose(st, lost)
+		}
+		if lost != "" || !more {
+			return
+		}
+	}
+}
+
+// bodyDone ends the role at its BODY-DONE, on whoever serves the stream: the
+// client's results are the role's, its error the body's.
+func (s *hostSession) bodyDone(st *hostStream, op hostOp) {
+	st.o.Ctx().Return(op.results...)
+	s.end(st, op.err.Err())
+}
+
+// lose ends a playing role whose enroller is gone — severed, or a frame to it
+// not delivered — on the goroutine that found it so and owns the stream: the
+// performance is aborted blaming the role, which ends with errEnrollerLost.
+func (s *hostSession) lose(st *hostStream, reason string) {
+	st.o.Ctx().AbortPerformance(reason)
+	s.end(st, errEnrollerLost)
+}
+
+// end ends the playing role of stream st, whose body returned bodyErr. A role
+// held for delayed termination is answered by its Released, not here.
+func (s *hostSession) end(st *hostStream, bodyErr error) {
+	res, held, err := st.o.Finish(bodyErr)
 	st.outcome(res, err)
 	s.smu.Lock()
 	if held && !st.released {
 		st.phase = streamHeld
-		cut := st.severed
+		cut := st.severed != ""
 		s.smu.Unlock()
 		if cut { // severed while its body was ending
 			s.cut(st)
@@ -499,22 +606,36 @@ func (s *hostSession) work(st *hostStream) {
 }
 
 // sever ends stream st's enrollment on behalf of a goroutine other than its
-// owner — CANCEL, teardown — once it has been marked severed: the bridge is
-// released (an enrollment performing aborts its performance with reason),
-// the context ends, and the enrollment is cut.
-func (s *hostSession) sever(st *hostStream, reason string) {
-	st.b.disconnect(reason)
-	st.cancel()
-	s.cut(st)
+// owner — CANCEL, a flood, teardown — once it has been marked severed: a
+// playing role's performance is aborted blaming it with the severed reason
+// (an idle role is then ended here, one being served by whoever serves it,
+// once the op in hand returns), the context ends, and a pending offer or a
+// held role is cut.
+func (s *hostSession) sever(st *hostStream) {
+	s.smu.Lock()
+	phase, reason := st.phase, st.severed
+	if phase == streamIdle {
+		st.phase = streamServing
+	}
+	s.smu.Unlock()
+	switch phase {
+	case streamIdle:
+		s.lose(st, reason)
+	case streamServing:
+		st.o.Ctx().AbortPerformance(reason)
+		st.cancel()
+	default:
+		st.cancel()
+		s.cut(st)
+	}
 }
 
 // cut ends a severed enrollment where it stands, its context ended: the core
 // withdraws a pending offer or cuts a held role loose on a look, and the
 // stream answers while the session lives (CANCEL's case) — the offer with
 // the withdrawal's context.Canceled, the role with its COMPLETE. One the core
-// settled or released first is left to its hand-off; one performing is left
-// to its worker, whose bridge disconnect has released, and one the reader is
-// still offering to the reader.
+// settled or released first is left to its hand-off; one playing is left to
+// whoever serves it, and one the reader is still offering to the reader.
 func (s *hostSession) cut(st *hostStream) {
 	s.smu.Lock()
 	phase, o := st.phase, st.o
@@ -585,13 +706,14 @@ func (s *hostSession) finish(st *hostStream) {
 		h.enrollWG.Done()
 	}
 	s.smu.Lock()
-	recycle := !st.severed && !s.done && len(s.free) < DefaultMaxStreamsPerConn
+	recycle := st.severed == "" && !s.done && len(s.free) < DefaultMaxStreamsPerConn
 	if recycle {
 		for len(st.b.opCh) > 0 {
 			<-st.b.opCh
 		}
-		st.b.reset()
-		st.enroll, st.cm, st.term, st.admitted, st.released = wire.Enroll{}, wire.Complete{}, 0, false, false
+		st.b.op, st.b.res = hostOp{}, wire.OpResult{}
+		clear(st.b.branches)
+		st.o, st.abortOf, st.abort, st.enroll, st.cm, st.term, st.admitted, st.released = core.Offered{}, core.Offered{}, nil, wire.Enroll{}, wire.Complete{}, 0, false, false
 		s.free = append(s.free, st)
 	}
 	s.smu.Unlock()
@@ -621,15 +743,17 @@ func (s *hostSession) setSlotLocked(stream uint64, st *hostStream) {
 	}
 }
 
-// markSevered looks stream's enrollment up and marks it severed, for the
-// caller to sever; nil means it already finished.
-func (s *hostSession) markSevered(stream uint64) *hostStream {
+// markSevered looks stream's enrollment up and marks it severed for reason,
+// for the caller to sever; nil means it already finished, or is being
+// severed by another.
+func (s *hostSession) markSevered(stream uint64, reason string) *hostStream {
 	s.smu.Lock()
 	defer s.smu.Unlock()
 	st := s.streams[stream]
-	if st != nil {
-		st.severed = true
+	if st == nil || st.severed != "" {
+		return nil
 	}
+	st.severed = reason
 	return st
 }
 
@@ -724,7 +848,6 @@ func (h *Host) runConn(s *hostSession, c *wire.Conn, first *preRead) {
 			} else {
 				st = &hostStream{s: s}
 				st.b.opCh = make(chan hostOp, streamOpBacklog)
-				st.body = st.b.run
 				st.ctx, st.cancel = context.WithCancel(h.baseCtx)
 			}
 			st.b.fw, st.b.streamID, st.enroll = s.fw, stream, *m.(*wire.Enroll)
@@ -740,27 +863,40 @@ func (h *Host) runConn(s *hostSession, c *wire.Conn, first *preRead) {
 		case wire.MsgCancel:
 			// The enroller withdrew this enrollment (its context ended). A
 			// missing stream is the benign race with COMPLETE, not an error.
-			if st := s.markSevered(stream); st != nil {
-				s.sever(st, "enrollment canceled by enroller")
+			if st := s.markSevered(stream, "enrollment canceled by enroller"); st != nil {
+				s.sever(st)
 			}
 		case wire.MsgSend, wire.MsgSendAll, wire.MsgRecv, wire.MsgRecvAny,
 			wire.MsgSelect, wire.MsgQuery, wire.MsgBodyDone:
 			// A missing stream raced with its terminal frame (cancel, abort), a
 			// severed one with whoever is ending it: drop, the enrollment
 			// already has its outcome. The op crosses by value, under the lock
-			// that found the stream.
-			var flooded *hostStream
+			// that found the stream: to a worker, with an idle stream, or into
+			// the backlog of one being served — except an idle stream's
+			// BODY-DONE, which the reader ends itself: there is nothing to wait
+			// for.
+			var ending, flooded *hostStream
 			s.smu.Lock()
-			if st := s.streams[stream]; st != nil && !st.severed {
-				select {
-				case st.b.opCh <- opOf(t, seq, m):
+			if st := s.streams[stream]; st != nil && st.severed == "" {
+				switch {
+				case st.phase == streamIdle && t == wire.MsgBodyDone:
+					st.phase, ending = streamServing, st
+				case st.phase == streamIdle:
+					s.dispatchLocked(st, opOf(t, seq, m))
 				default:
-					st.severed, flooded = true, st
+					select {
+					case st.b.opCh <- opOf(t, seq, m):
+					default:
+						st.severed, flooded = "protocol violation: operation flood", st
+					}
 				}
 			}
 			s.smu.Unlock()
+			if ending != nil {
+				s.bodyDone(ending, opOf(t, seq, m))
+			}
 			if flooded != nil {
-				flooded.b.disconnect("protocol violation: operation flood")
+				s.sever(flooded)
 				return violate("operation flood")
 			}
 		default:

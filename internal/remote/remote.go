@@ -13,10 +13,10 @@
 //	client process                      serving process
 //	──────────────                      ───────────────
 //	Enroller.Enroll(e) ── ENROLL ──▶    Host: the reader offers to the target;
-//	  body runs here   ◀─ OFFER-ACK ──    on assignment a stream worker performs
-//	  rc.Send(...)     ── SEND ──────▶    the role with a bridge body, which
-//	                   ◀─ OP-RESULT ──    proxies every Ctx call into the real
-//	  body returns     ── BODY-DONE ─▶    RoleCtx and the shared fabric
+//	  body runs here   ◀─ OFFER-ACK ──    whoever forms the cast acknowledges;
+//	  rc.Send(...)     ── SEND ──────▶    a stream worker proxies each op into
+//	                   ◀─ OP-RESULT ──    the real RoleCtx and the shared fabric
+//	  body returns     ── BODY-DONE ─▶    the reader ends the role
 //	  released         ◀─ COMPLETE ───  written by whoever ends the role
 //
 // Failure maps onto the runtime's existing taxonomy (DESIGN.md "Failure
@@ -99,16 +99,3 @@ var ErrCircuitOpen = errors.New("script/remote: circuit open")
 // all evicted. Nothing was sent, so the enrollment is safe to retry (a
 // retry may find membership has arrived).
 var ErrNoHosts = errors.New("script/remote: no hosts known")
-
-// aborter is the slice of *core.RoleCtx the host needs to reclaim a
-// performance whose remote enroller vanished.
-type aborter interface {
-	AbortPerformance(reason string)
-}
-
-// perfObserver is the slice of *core.RoleCtx the bridge uses to notice an
-// abort while the client is idle between operations.
-type perfObserver interface {
-	PerformanceDone() <-chan struct{}
-	AbortErr() error
-}

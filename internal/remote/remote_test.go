@@ -666,12 +666,12 @@ func TestRemoteScriptNameAssertion(t *testing.T) {
 	}
 }
 
-// TestInstanceCloseSendsNoAbortFrame pins what the bridge makes of
-// PerformanceDone firing because the instance closed under a running
-// performance: there is no *AbortError to report, so no ABORT frame goes
-// out — the client learns of the closure from its next operation and from
-// COMPLETE, as it always has. The raw client keeps the bridge's loop turning
-// with queries after Close, so the loop does get to see the closed channel.
+// TestInstanceCloseSendsNoAbortFrame pins what the host makes of the instance
+// closing under a running performance: closing aborts nothing, so the core
+// makes no Aborted hand-off and no ABORT frame goes out — the client learns of
+// the closure from its next operation and from COMPLETE, as it always has. The
+// raw client keeps its stream served with queries after Close, so an ABORT
+// written late would still be read.
 func TestInstanceCloseSendsNoAbortFrame(t *testing.T) {
 	def := core.NewScript("closing").
 		Role("remote", func(core.Ctx) error { return errors.New("local body must not run") }).
