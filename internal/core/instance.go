@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/scriptabs/goscript/internal/ctxwatch"
 	"github.com/scriptabs/goscript/internal/ids"
 	"github.com/scriptabs/goscript/internal/match"
 	"github.com/scriptabs/goscript/internal/metrics"
@@ -187,6 +188,10 @@ type Instance struct {
 	// (the remote host sheds offers when the backlog is deep) can consult it
 	// on every ENROLL without contending with the scheduler.
 	pendingCount atomic.Int64
+	// watch holds the shared contexts of the enrollments Enroll has parked,
+	// each distinct one watched once (see Instance.wait); closed with the
+	// instance.
+	watch ctxwatch.Watch
 
 	mu       sync.Mutex
 	closed   bool
@@ -329,8 +334,7 @@ const (
 
 // wakeCh is Enroll's Handoff: every hand-off leaves a token, and the
 // enroller, woken, re-reads its state under the lock, so a token says
-// "look", not what happened. The channel is on loan from wakePool for the
-// length of the Enroll call.
+// "look", not what happened.
 type wakeCh chan struct{}
 
 // Settled leaves a token unless one is already there.
@@ -347,38 +351,80 @@ func (w wakeCh) Released() { w.Settled(Offered{}, nil) }
 // communication.
 func (wakeCh) Aborted(Offered, *AbortError) {}
 
-// wakePool lends wake channels to enrollments. A channel outlives the
-// enrollment it served, and a signaller that was delayed past its
-// enrollment's return (the chaos WakeDelay timer is one) then leaves its
-// token with whoever holds the channel next. That is safe because of what a
-// token means: the holder takes one more look at its own state under the
-// lock, finds it unchanged and waits again; nothing is ever decided by a
-// token alone.
-var wakePool = sync.Pool{New: func() any { return make(wakeCh, 1) }}
-
-// putWake returns an enrollment's wake channel, minus the token a signal
-// that raced the enroller's own exit (Close, Drain, a cancelled context) may
-// have left: the next holder would only look once for nothing, and need not.
-func putWake(w wakeCh) {
-	select {
-	case <-w:
-	default:
-	}
-	wakePool.Put(w)
+// waker is what an enrollment borrows from wakePool for the length of its
+// Enroll call: the wake channel, and the entry that adds the channel to the
+// instance's watch, whose function leaves a token too — so under a context
+// the watch shares, the channel is all an enroller parks on. watched says the
+// entry is added, selects that the watch declined it.
+type waker struct {
+	ch               wakeCh
+	entry            ctxwatch.Entry
+	watched, selects bool
 }
 
-// await blocks until ch delivers a token or ctx ends: the two sources an
-// enroller ever waits on, and a plain receive when ctx cannot end.
-func await(ctx context.Context, ch <-chan struct{}) {
-	done := ctx.Done()
-	if done == nil {
-		<-ch
+// wakePool lends wakers to enrollments. A channel outlives the enrollment it
+// served, and a signaller that was delayed past its enrollment's return (the
+// chaos WakeDelay timer is one, an entry's function that Remove came too late
+// for another) then leaves its token with whoever holds the channel next.
+// That is safe because of what a token means: the holder takes one more look
+// at its own state under the lock, finds it unchanged and waits again;
+// nothing is ever decided by a token alone.
+var wakePool = sync.Pool{New: func() any {
+	w := &waker{ch: make(wakeCh, 1)}
+	w.entry.Func = w.ch.Released
+	return w
+}}
+
+// wait blocks until w's channel delivers a token or ctx ends. A first
+// non-blocking receive tells a wait that would block, and the first such
+// wait of an enrollment whose ctx can end offers w's entry to the watch
+// (Join), where it stays until Enroll returns: the end of ctx then leaves a
+// token like any hand-off. Once the entry has fired no wait blocks, for its
+// token may have been taken by the look that found the offer assigned, and
+// the next look finds ctx ended. A context the watch has not met before is
+// declined — one per call would cost an AfterFunc per Enroll — and the
+// enrollment's waits select on the channel and ctx.Done().
+func (in *Instance) wait(ctx context.Context, w *waker) {
+	select {
+	case <-w.ch:
+		return
+	default:
+	}
+	switch {
+	case w.watched:
+		if w.entry.Fired() {
+			return
+		}
+	case w.selects || ctx.Done() == nil:
+	case in.watch.Join(ctx, &w.entry):
+		w.watched = true
+	default:
+		w.selects = true
+	}
+	if !w.selects {
+		<-w.ch
 		return
 	}
 	select {
-	case <-ch:
-	case <-done:
+	case <-w.ch:
+	case <-ctx.Done():
 	}
+}
+
+// putWake takes an enrollment's waker out of the watch and returns it to the
+// pool, minus the token a signal that raced the enroller's own exit (Close,
+// Drain, a cancelled context) may have left: the next holder would only look
+// once for nothing, and need not.
+func (in *Instance) putWake(w *waker) {
+	if w.watched {
+		in.watch.Remove(&w.entry)
+	}
+	w.watched, w.selects = false, false
+	select {
+	case <-w.ch:
+	default:
+	}
+	wakePool.Put(w)
 }
 
 // castState is where one role stands in a performance.
@@ -647,6 +693,7 @@ func (in *Instance) Close() {
 		return
 	}
 	in.closed = true
+	in.watch.Close() // no context an enroller waited under keeps the instance
 	if p := in.active; p != nil {
 		p.stopTimer()
 		p.fabric.Close()
@@ -724,6 +771,7 @@ func (in *Instance) Drain(ctx context.Context) error {
 		}
 		if in.active == nil && len(in.pending) == 0 {
 			in.closed = true
+			in.watch.Close()
 			close(in.closedCh)
 			in.unlock()
 			return nil
@@ -765,21 +813,21 @@ func (in *Instance) notifyDrainLocked() {
 // it until the whole performance ends (the enrollment then reports ctx's
 // error alongside the role's results).
 func (in *Instance) Enroll(ctx context.Context, e Enrollment) (Result, error) {
-	w := wakePool.Get().(wakeCh)
-	defer putWake(w)
-	o, err := in.Offer(ctx, e, w)
+	w := wakePool.Get().(*waker)
+	defer in.putWake(w)
+	o, err := in.Offer(ctx, e, w.ch)
 	if err != nil {
 		return Result{}, err
 	}
 	for waiting := true; waiting; {
-		await(ctx, w)
+		in.wait(ctx, w)
 		if waiting, err = o.Look(); err != nil {
 			return Result{}, err
 		}
 	}
 	res, held, err := o.Perform(e.Body)
 	for held {
-		await(ctx, w)
+		in.wait(ctx, w)
 		var heldErr error
 		if held, heldErr = o.Look(); err == nil {
 			err = heldErr // a released-but-held role interrupted by its enroller
@@ -798,9 +846,10 @@ type Offered struct {
 // waiting for it: h is told when it is settled (Handoff.Settled) and, under
 // delayed termination, when the role is released (Handoff.Released). ctx is
 // the enrollment's context — the role's communications end with it, and so
-// does its wait, pending or held — but the instance does not watch it: a
-// holder whose context has ended calls Look. e.Body is not consulted; the
-// holder passes a body to Perform. Enroll is Offer with a wake channel for h.
+// does its wait, pending or held — but Offer does not watch it: a holder
+// whose context has ended calls Look. e.Body is not consulted; the holder
+// passes a body to Perform. Enroll is Offer with a wake channel for h, which
+// the instance's watch also signals when a ctx it shares ends (Instance.wait).
 func (in *Instance) Offer(ctx context.Context, e Enrollment, h Handoff) (Offered, error) {
 	if e.PID == ids.NoPID {
 		return Offered{}, fmt.Errorf("script %s: enrollment has empty PID", in.def.name)

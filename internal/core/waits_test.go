@@ -13,9 +13,10 @@ import (
 	"github.com/scriptabs/goscript/internal/ids"
 )
 
-// An enroller waits on two sources, its wake channel and its context, while
-// pending and, under delayed termination, while held. These tests pin who
-// signals the channel when the instance closes or drains —
+// An enroller waits on its wake channel alone, while pending and, under
+// delayed termination, while held; the end of its context reaches the channel
+// through the instance's watch. These tests pin who signals the channel when
+// the instance closes or drains —
 // nothing else wakes an enroller whose context cannot end — with every
 // scheduler wakeup withheld and redelivered late (chaos WakeDelay), so a
 // Close or Drain token regularly overtakes an assignment's.
@@ -227,5 +228,82 @@ func TestAssignmentBeatsCancellation(t *testing.T) {
 			t.Fatalf("iteration %d: y, cast with x, returned %v", i, err)
 		}
 		in.Close()
+	}
+}
+
+// TestSharedContextEndReachesEveryWait cancels one context shared by 24
+// enrollers, first while their offers are pending and then while their roles
+// are held: the instance's watch fires once for all of them, and each Enroll
+// returns as a wait on its own context would — withdrawn with ctx's error
+// when pending, cut loose with its results and ctx's error when held.
+func TestSharedContextEndReachesEveryWait(t *testing.T) {
+	const n = residents
+	in := core.NewInstance(idleStar(n))
+	defer in.Close()
+	recv := func(rc core.Ctx) error {
+		v, err := rc.Recv(ids.Role("sender"))
+		rc.SetResult(0, v)
+		return err
+	}
+	recipients := func(ctx context.Context) chan enrollOutcome {
+		outcomes := make(chan enrollOutcome, n)
+		for i := 1; i <= n; i++ {
+			go func() {
+				role := ids.Member("recipient", i)
+				res, err := in.Enroll(ctx, core.Enrollment{PID: ids.PID(fmt.Sprintf("R%d", i)), Role: role, Body: recv})
+				outcomes <- enrollOutcome{role, res, err}
+			}()
+		}
+		return outcomes
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	outcomes := recipients(ctx)
+	waitFor(t, "the recipients to be pending", func() bool { return in.PendingOffers() == n })
+	cancel()
+	for _, o := range collect(t, outcomes, n) {
+		if !errors.Is(o.err, context.Canceled) || o.res.Performance != 0 {
+			t.Fatalf("pending %s returned perf %d, %v; want withdrawn with context.Canceled", o.role, o.res.Performance, o.err)
+		}
+	}
+	if got := in.PendingOffers(); got != 0 {
+		t.Fatalf("%d offers pending after every enroller withdrew", got)
+	}
+
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	outcomes = recipients(ctx)
+	waitFor(t, "the recipients to be pending", func() bool { return in.PendingOffers() == n })
+	held, hold := make(chan struct{}), make(chan struct{})
+	senderErr := make(chan error, 1)
+	go func() {
+		_, err := in.Enroll(context.Background(), core.Enrollment{PID: "S", Role: ids.Role("sender"), Args: []any{7},
+			Body: func(rc core.Ctx) error {
+				var err error
+				for i := 1; i <= n && err == nil; i++ {
+					err = rc.Send(ids.Member("recipient", i), rc.Arg(0))
+				}
+				for i := 1; i <= n; i++ {
+					for !rc.Terminated(ids.Member("recipient", i)) {
+						time.Sleep(50 * time.Microsecond)
+					}
+				}
+				close(held)
+				<-hold
+				return err
+			}})
+		senderErr <- err
+	}()
+	<-held
+	cancel()
+	for _, o := range collect(t, outcomes, n) {
+		if !errors.Is(o.err, context.Canceled) || o.res.Performance != 1 || len(o.res.Values) != 1 || o.res.Values[0] != 7 {
+			t.Fatalf("held %s returned perf %d, %v, %v; want performance 1, its result and context.Canceled",
+				o.role, o.res.Performance, o.res.Values, o.err)
+		}
+	}
+	close(hold)
+	if err := <-senderErr; err != nil {
+		t.Fatalf("the sender, its recipients cut loose: %v", err)
 	}
 }

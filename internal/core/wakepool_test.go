@@ -45,8 +45,9 @@ func pendingRecord(in *Instance, pid ids.PID) *enrollState {
 // token is, a reason to look at its own state: it neither starts (nothing was
 // assigned to it) nor fails, and is assigned normally afterwards.
 //
-// A's wakeup for performance 1 is withheld; A gets out by the other source of
-// its wait (its context ends; the assignment still wins), plays and returns.
+// A's wakeup for performance 1 is withheld; A gets out when its context ends
+// (the instance's watch leaves the token; the assignment still wins), plays
+// and returns.
 // The goroutine that ran A then offers the same role again as A2, which draws
 // A's channel from the pool. The stale signal is delivered twice: once by the
 // test itself, as soon as A2 is seen to hold the channel, by the very call the

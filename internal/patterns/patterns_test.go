@@ -551,11 +551,18 @@ func TestLockManagerManyRounds(t *testing.T) {
 // readRequests returns a function that runs one read request — a whole
 // performance of Figure 5's script with three resident managers, the
 // `local_lock` workload's unit of work — warmed up by one call, which makes
-// the fabric's cells and sizes the instance's matcher scratch.
-func readRequests(t *testing.T) func() {
+// the fabric's cells and sizes the instance's matcher scratch. Every request
+// runs under one context, or, when own is set, under a context of its own,
+// made and cancelled around the call.
+func readRequests(t *testing.T, own bool) func() {
 	in, ctx := lockManagerHarness(t, 3, OneReadAllWrite())
 	request := func() {
-		if granted, err := RequestLock(ctx, in, "P", "owner", "item", false); err != nil || !granted {
+		rctx, cancel := ctx, context.CancelFunc(func() {})
+		if own {
+			rctx, cancel = context.WithCancel(ctx)
+		}
+		defer cancel()
+		if granted, err := RequestLock(rctx, in, "P", "owner", "item", false); err != nil || !granted {
 			t.Errorf("read lock: granted=%v err=%v", granted, err)
 		}
 	}
@@ -566,40 +573,60 @@ func readRequests(t *testing.T) func() {
 // TestLockRequestAllocs gates what one read request costs in objects. What
 // is left, and why: the four enrollment records (not recycled: the host's
 // bridge, Result.Values and late co-performers may still read one after its
-// Enroll returned — DESIGN.md "Scheduler internals"); the performance, its
-// cast table and its done channel (closed to release the held roles, so not
-// reusable); the client's argument list and the two boxed copies of its
-// request (the caller's and the body's, both part of the script's interface);
-// and the list of managers that granted. Gone since the gate read 36: the
-// four wake-up channels (pooled), the matcher's scratch (kept by the
-// instance), the managers' four branch lists and argument lists (built once),
-// the per-enrollment copy of a single argument (kept in the record), and the
-// fabric's cell lists (the instance keeps its fabric, and the fabric its
-// declared endpoints' cells, from one performance to the next).
+// Enroll returned — DESIGN.md "Scheduler internals"); the performance and its
+// cast table; the client's argument list and the boxed request in it (part of
+// the script's interface); and the header of the fabric's endpoint table,
+// stored anew when the performance ends. The client is alone on its context,
+// and its held wait adds it to the instance's watch: the set that context
+// gets, with its context.AfterFunc, is made once and kept as the watch's
+// spare between requests (DESIGN.md "One source per wait"), where a set per
+// request would be four objects more. Gone since the gate read 36: the four wake-up channels (pooled), the
+// matcher's scratch (kept by the instance), the managers' four branch lists
+// and argument lists (built once), the per-enrollment copy of a single
+// argument (kept in the record), the fabric's cell lists (the instance keeps
+// its fabric, and the fabric its declared endpoints' cells, from one
+// performance to the next), and the performance's done channel.
 func TestLockRequestAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
 	}
-	request := readRequests(t)
-	// 12 measured, plus 10%; 14 while every performance re-made its cells, 33
-	// before alternatives were built once, wake-ups pooled and the matcher's
-	// scratch kept; 62 before the pooled slot.
+	request := readRequests(t, false)
+	// 9 measured, plus 10% rounded up; 12 with the done channel, 14 while every
+	// performance re-made its cells, 33 before alternatives were built once,
+	// wake-ups pooled and the matcher's scratch kept; 62 before the pooled slot.
+	if got := testing.AllocsPerRun(1000, request); got > 10 {
+		t.Fatalf("one read request allocates %v objects, want <= 10", got)
+	}
+}
+
+// TestLockRequestAllocsPerRequestContext gates the same request under a
+// context of its own, as a server's request handler makes one: what the
+// request costs above, plus the context (context.WithCancel's objects), and
+// nothing for the client's waits — alone on its context, the client selects
+// on the wake channel and ctx.Done() (DESIGN.md "One source per wait").
+func TestLockRequestAllocsPerRequestContext(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	request := readRequests(t, true)
+	// 12 measured, as when every wait selected, plus 10%; 18 while a set with
+	// its context.AfterFunc was made for every context and kept as the spare.
 	if got := testing.AllocsPerRun(1000, request); got > 13 {
-		t.Fatalf("one read request allocates %v objects, want <= 13", got)
+		t.Fatalf("one read request under its own context allocates %v objects, want <= 13", got)
 	}
 }
 
 // TestLockRequestBytes gates the same request in bytes, the unit the
 // collector is paid in: it runs once per so many bytes of garbage, whatever
 // the number of objects, so this — not the count above — is what
-// `local_lock`'s throughput follows. Of the 1.8 KB left, 1 150 are the four
-// 288-byte enrollment records, 420 the performance with its table and
-// channel; the rest is the list above.
+// `local_lock`'s throughput follows. Of the 1.5 KB left, 1 150 are the four
+// 288-byte enrollment records, about 220 the performance with its table; the
+// rest is the list above.
 func TestLockRequestBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
 	}
-	request := readRequests(t)
+	request := readRequests(t, false)
 	const runs = 2000
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -607,10 +634,10 @@ func TestLockRequestBytes(t *testing.T) {
 		request()
 	}
 	runtime.ReadMemStats(&after)
-	// 1 731 measured, plus 10%; 1 768 with per-performance cells, 4 320 before
-	// alternatives were built once.
-	if got := float64(after.TotalAlloc-before.TotalAlloc) / runs; got > 1900 {
-		t.Fatalf("one read request allocates %.0f bytes, want <= 1900", got)
+	// 1 470 measured, plus 10%; 1 731 with the done channel, 1 768 with
+	// per-performance cells, 4 320 before alternatives were built once.
+	if got := float64(after.TotalAlloc-before.TotalAlloc) / runs; got > 1617 {
+		t.Fatalf("one read request allocates %.0f bytes, want <= 1617", got)
 	}
 }
 
@@ -621,9 +648,11 @@ func TestLockRequestBytes(t *testing.T) {
 // keeps, a role's first two results stayed in its enrollment record, and
 // wake-up channels came from a pool. What is left is an enrollment record per
 // role (25, never recycled: see TestLockRequestAllocs), the performance with
-// its table and done channel, the sender's role and endpoint lists and the
-// boxed value. The fabric's cell lists (23) went when the instance began to
-// keep its fabric, and the fabric its declared endpoints' cells.
+// its table, the sender's argument list, role and endpoint lists and the
+// boxed value, and the header of the fabric's endpoint table. The fabric's
+// cell lists (23) went when the instance began to keep its fabric, and the
+// fabric its declared endpoints' cells; the performance's done channel when
+// the channel was deleted.
 func TestStarPerformanceAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
@@ -654,9 +683,10 @@ func TestStarPerformanceAllocs(t *testing.T) {
 	cancel()
 	in.Close()
 	wg.Wait()
-	// 33 measured, plus 10%; 56 with per-performance cells, 89 before wake-ups
-	// were pooled and the matcher's scratch kept, 120 before the cast table.
-	if got > 36 {
-		t.Fatalf("one broadcast to %d recipients allocates %v objects, want <= 36", n, got)
+	// 32 measured, plus 10%; 33 with the done channel, 56 with per-performance
+	// cells, 89 before wake-ups were pooled and the matcher's scratch kept, 120
+	// before the cast table.
+	if got > 35 {
+		t.Fatalf("one broadcast to %d recipients allocates %v objects, want <= 35", n, got)
 	}
 }

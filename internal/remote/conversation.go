@@ -88,17 +88,17 @@ func (e *Enroller) converse(ctx context.Context, mc *muxConn, enr core.Enrollmen
 		return core.Result{}, lostErr(ctx, err, false)
 	}
 
-	// The withdraw path, and the only watch on ctx: AfterFunc runs the
-	// withdraw whenever ctx ends before stop — including a ctx that was
+	// The withdraw path, and the only watch on ctx: streamWatch runs
+	// the withdraw whenever ctx ends before Remove — including a ctx that was
 	// already done when the ENROLL went out, which must still be withdrawn or
 	// the host keeps a pending offer with no client behind it — and the
-	// withdraw ends whichever wait the enrollment is in. One that stop comes
+	// withdraw ends whichever wait the enrollment is in. One that Remove comes
 	// too late for may still be running when this enrollment returns, and it
-	// names st: the stream goes back for reuse only when stop says the
+	// names st: the stream goes back for reuse only when Remove says the
 	// withdraw will never run.
-	stop := context.AfterFunc(ctx, st.withdraw)
+	streamWatch.Add(ctx, &st.entry)
 	res, err := e.perform(ctx, st, enr)
-	mc.closeStream(st, stop())
+	mc.closeStream(st, streamWatch.Remove(&st.entry))
 	return res, err
 }
 

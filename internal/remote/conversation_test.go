@@ -765,7 +765,7 @@ func TestStreamEventsNeverDrop(t *testing.T) {
 // stream event through its own entry, as often as it can fire and the
 // repeatable ones more often — the host repeating OFFER-ACK and both terminal
 // frames, the conversation failing twice, the context's withdraw, which
-// context.AfterFunc runs once — on both protocol versions (v1's withdraw fails
+// the watch runs once — on both protocol versions (v1's withdraw fails
 // the conversation too), on a new stream and on a recycled one. What one
 // enrollment posts must fit the channel openStream made, whose capacity is
 // maxStreamEvents and no literal beside it: a source added without its slot
@@ -805,7 +805,7 @@ func TestEnrollmentPostsNoMoreEventsThanItsChannelHolds(t *testing.T) {
 
 // TestContextEndAtEveryWait cancels an enrollment's context at each point
 // where the client can be waiting. Nothing on the client watches the context
-// but the withdraw that context.AfterFunc runs, so each row checks that the
+// but the withdraw that the watch runs, so each row checks that the
 // withdraw reaches the wait in question: Enroll returns ctx.Err() within the
 // test's bound; the host is told by CANCEL (the connection is pinned open by
 // a second reservation, so nothing else could tell it) and — where the role

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/scriptabs/goscript/internal/core"
+	"github.com/scriptabs/goscript/internal/ctxwatch"
 	"github.com/scriptabs/goscript/internal/metrics"
 	"github.com/scriptabs/goscript/internal/wire"
 )
@@ -106,7 +107,14 @@ func (mc *muxConn) cut() {
 	}
 }
 
-// withdraw runs when st's enrollment context ends (context.AfterFunc), and
+// streamWatch watches the contexts of the client's enrollments in flight, for
+// every enroller of the process: a context shared by enrollments, whether of
+// one enroller or of several (a bloc's members, one per host), is watched
+// once, and one that is not costs what a context.AfterFunc of its own would.
+// It belongs to no enroller, so no context it watches keeps one reachable.
+var streamWatch ctxwatch.Watch
+
+// withdraw runs when st's enrollment context ends (streamWatch), and
 // is the only thing that watches that context: it ends the enrollment's
 // waits and tells the host. On a shared connection the host is told with a
 // stream-addressed CANCEL, which it answers with the stream's terminal frame;
@@ -145,10 +153,11 @@ type muxStream struct {
 	// context's end (see maxStreamEvents). The conversation blocks on nothing
 	// else, so a dropped event would hang it: event counts drops.
 	events chan streamEvent
-	// withdraw is mc.withdraw bound to this stream, for context.AfterFunc;
+	// entry adds the stream to streamWatch, its function mc.withdraw
+	// bound to this stream, on a goroutine of its own as an AfterFunc's was;
 	// ctx is the enrollment's context, whose end it reports.
-	withdraw func()
-	ctx      context.Context
+	entry ctxwatch.Entry
+	ctx   context.Context
 	// enroll and bodyDone are the enrollment's two outbound messages, rctx
 	// the Ctx its body runs against.
 	enroll   wire.Enroll
@@ -232,7 +241,7 @@ func (mc *muxConn) openStream() (*muxStream, error) {
 			events:  make(chan streamEvent, maxStreamEvents),
 			pending: make(map[uint64]chan opOutcome),
 		}
-		st.withdraw = func() { mc.withdraw(st) }
+		st.entry.Func = func() { go mc.withdraw(st) } // a wedged socket holds up no other stream's
 	}
 	st.id = mc.nextID
 	mc.streams[st.id] = st

@@ -60,9 +60,9 @@ func starLedger(t *testing.T, proto int) {
 		n      = 8
 		worker = "remote.(*hostSession).dispatchLocked.func1"
 		serve  = "remote.(*hostSession).serve"
-		await  = "core.await"
+		wait   = "core.(*Instance).wait"
 	)
-	base := map[string]int{worker: countStacks(worker), serve: countStacks(serve), await: countStacks(await)}
+	base := map[string]int{worker: countStacks(worker), serve: countStacks(serve), wait: countStacks(wait)}
 	above := func(fn string) int { return countStacks(fn) - base[fn] }
 	in := core.NewInstance(patterns.StarBroadcast(n))
 	defer in.Close()
@@ -136,7 +136,7 @@ func starLedger(t *testing.T, proto int) {
 		if countStacks(worker) == 0 { // they went back to the pool, where the first round looked
 			t.Fatalf("round %d: no idle stream worker after %d ops: the stack name looked for is stale", round, n)
 		}
-		if got := above(await); got > 0 {
+		if got := above(wait); got > 0 {
 			t.Fatalf("round %d: %d goroutines wait inside the core with every recipient held", round, got)
 		}
 		if got, want := h.Dispatched(), uint64(round*n); got != want {
