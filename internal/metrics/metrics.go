@@ -129,6 +129,10 @@ const (
 	// anything else means an event kind was added without its slot, and an
 	// enrollment is waiting for an event that was thrown away.
 	RemoteStreamEventsDropped = "remote_stream_events_dropped_total"
+	// A host stream met an event its transition table says cannot occur in
+	// its phase: zero by construction; anything else is a defect, and the
+	// host tore the stream's session down over it.
+	RemoteStreamViolations = "remote_stream_violations_total"
 	// internal/remote session resumption: sessions parked at connection
 	// loss, re-attached by a RESUME, and expired unresumed (grace window
 	// elapsed → the pre-resumption abort path).

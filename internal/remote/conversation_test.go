@@ -443,6 +443,7 @@ func TestStreamSlotFreedBeforeTerminalFrame(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	st := &hostStream{s: s, b: bridge{fw: probe, opCh: make(chan hostOp, streamOpBacklog)}, ctx: ctx, cancel: cancel}
 	s.streams[0] = st
+	st.raise(evEnroll)
 	// An enrollment the target rejects runs the reader's whole path:
 	// admission, target.Offer, terminal COMPLETE.
 	st.enroll = wire.Enroll{PID: "P", Role: "nosuch"}
@@ -632,6 +633,7 @@ func TestHostStreamRecycling(t *testing.T) {
 		st.b.fw, st.b.streamID, st.b.opCh = &slotProbe{s: s}, stream, make(chan hostOp, streamOpBacklog)
 		st.ctx, st.cancel = context.WithCancel(context.Background())
 		s.streams[stream] = st
+		st.raise(evEnroll)
 		return st
 	}
 
@@ -1008,6 +1010,7 @@ func TestDisconnectBeforeRunBlamesTheRole(t *testing.T) {
 			st.ctx, st.cancel = context.WithCancel(context.Background())
 			s.streams[1] = st
 			h.activeStreams.Add(1)
+			st.raise(evEnroll)
 			aErr := make(chan error, 1)
 			go func() {
 				_, err := in.Enroll(context.Background(), core.Enrollment{PID: "A", Role: ids.Role("a")})

@@ -279,18 +279,11 @@ func TestCutWhileHeldWritesNothing(t *testing.T) {
 	defer h.Close()
 	fw := &frameLog{}
 	s := &hostSession{h: h, fw: fw, streams: make(map[uint64]*hostStream), tasks: make(chan *hostStream)}
-	st := &hostStream{s: s, enroll: wire.Enroll{PID: "B", Role: "b"}}
-	st.b.fw, st.b.streamID, st.b.opCh = fw, 1, make(chan hostOp, streamOpBacklog)
-	st.ctx, st.cancel = context.WithCancel(context.Background())
-	s.streams[1] = st
-	h.activeStreams.Add(1)
+	st := openTestStream(s, 1, wire.Enroll{PID: "B", Role: "b"})
 	aDone := enrollA(in, release)
 	s.offer(st) // what the reader does with an ENROLL
 	eventually(t, "b's OFFER-ACK", func() bool { return len(fw.written()) == 1 })
-	s.smu.Lock() // and with an idle stream's BODY-DONE
-	st.phase = streamServing
-	s.smu.Unlock()
-	s.bodyDone(st, hostOp{typ: wire.MsgBodyDone})
+	s.deliver(1, hostOp{typ: wire.MsgBodyDone}) // and with an idle stream's BODY-DONE
 	eventually(t, "b to be held", func() bool {
 		s.smu.Lock()
 		defer s.smu.Unlock()
@@ -315,6 +308,63 @@ func TestCutWhileHeldWritesNothing(t *testing.T) {
 	if err := h.Drain(ctx); err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
+}
+
+// TestHandoffReleasedOvertakesTheEnder forces the cell the soaks reach only
+// by chance: the performance ends, and its Released reaches the stream, while
+// the role's ender is still on its way out of Finish — the stream is serving,
+// not yet held. Released leaves it to the ender, whose held step finishes it:
+// one COMPLETE, written by the ender, and the hostStream recycled.
+func TestHandoffReleasedOvertakesTheEnder(t *testing.T) {
+	release := make(chan struct{})
+	in := core.NewInstance(heldPair)
+	defer in.Close()
+	h := NewHost(in, HostConfig{})
+	defer h.Close()
+	fw := &frameLog{}
+	s := &hostSession{h: h, fw: fw, streams: make(map[uint64]*hostStream), tasks: make(chan *hostStream)}
+	st := openTestStream(s, 1, wire.Enroll{PID: "B", Role: "b"})
+	aDone := enrollA(in, release)
+	eventually(t, "a's offer", func() bool { return in.PendingOffers() == 1 })
+	s.offer(st)
+
+	// The reader's BODY-DONE of the idle stream, up to the ender's Finish.
+	s.smu.Lock()
+	a := s.stepLocked(st, evBodyDone, false)
+	s.smu.Unlock()
+	if a != actEnd {
+		t.Fatalf("BODY-DONE of an idle stream: action %d, want the reader to end the role", a)
+	}
+	res, held, err := st.o.Finish(nil)
+	if !held {
+		t.Fatal("b is not held under delayed termination")
+	}
+	st.outcome(res, err)
+	close(release) // a ends the performance, and Released overtakes the ender
+	eventually(t, "Released to find the stream serving", func() bool {
+		s.smu.Lock()
+		defer s.smu.Unlock()
+		return st.phase == streamReleased
+	})
+	if got := fw.written(); len(got) != 1 {
+		t.Fatalf("frames before the ender's held step: %v, want only the OFFER-ACK", got)
+	}
+
+	if a := st.raise(evHeld); a != actFinish { // the ender's held step
+		t.Fatalf("the ender's held step of a released stream: %d, want it to finish the stream", a)
+	}
+	s.finish(st)
+	want := []wire.MsgType{wire.MsgOfferAck, wire.MsgComplete}
+	if got := fw.written(); !slices.Equal(got, want) {
+		t.Fatalf("frames written to b's stream: %v, want %v", got, want)
+	}
+	if len(s.free) != 1 || s.free[0] != st {
+		t.Fatalf("free list %v, want the finished hostStream recycled", s.free)
+	}
+	if err := <-aDone; !errors.Is(err, core.ErrRoleFinished) {
+		t.Fatalf("a: %v, want its send to find b finished", err)
+	}
+	settleStats(t, h)
 }
 
 // expect reads the next frame and fails unless it is of type want; it
@@ -473,11 +523,7 @@ func TestSeveredWhileServedAbortsBeforeItEnds(t *testing.T) {
 	defer h.Close()
 	fw := &frameLog{}
 	s := &hostSession{h: h, fw: fw, streams: make(map[uint64]*hostStream), tasks: make(chan *hostStream)}
-	st := &hostStream{s: s, enroll: wire.Enroll{PID: "B", Role: "b"}}
-	st.b.fw, st.b.streamID, st.b.opCh = fw, 1, make(chan hostOp, streamOpBacklog)
-	st.ctx, st.cancel = context.WithCancel(context.Background())
-	s.streams[1] = st
-	h.activeStreams.Add(1)
+	st := openTestStream(s, 1, wire.Enroll{PID: "B", Role: "b"})
 	aErr := make(chan error, 1)
 	go func() {
 		_, err := in.Enroll(context.Background(), core.Enrollment{PID: "A", Role: ids.Role("a")})
@@ -485,8 +531,10 @@ func TestSeveredWhileServedAbortsBeforeItEnds(t *testing.T) {
 	}()
 	eventually(t, "a's offer", func() bool { return in.PendingOffers() == 1 })
 	s.offer(st)
-	s.smu.Lock()
-	s.dispatchLocked(st, hostOp{typ: wire.MsgQuery, tag: wire.QueryFilled, peer: "a"})
+	s.smu.Lock() // the reader hands the idle stream a worker with an op in hand
+	if s.stepLocked(st, evOp, false) == actDispatch {
+		s.dispatchLocked(st, hostOp{typ: wire.MsgQuery, tag: wire.QueryFilled, peer: "a"})
+	}
 	st.severed = "enrollment canceled by enroller"
 	s.smu.Unlock()
 	var ae *core.AbortError
@@ -502,49 +550,46 @@ func TestSeveredWhileServedAbortsBeforeItEnds(t *testing.T) {
 // the later one, whose client would take it for its own performance's and end
 // its role with it (the resume-off churn soak saw the co-performer told "role
 // already finished"). The stream writes ABORT only for the offer it holds,
-// whether the abort finds it idle or overtakes its assignment's hand-off.
+// whether the abort finds it idle or overtakes its assignment's hand-off:
+// here x's stream is told of y's abort once idle, and y's stream, offering as
+// a recycled hostStream is, of x's before its assignment.
 func TestAbortOfAnotherOfferIsNotWritten(t *testing.T) {
-	in := core.NewInstance(pairScript("stale", func(rc core.Ctx) error {
-		_, err := rc.Recv(ids.Role("b"))
-		return err
-	}))
+	in := core.NewInstance(duo)
 	defer in.Close()
 	h := NewHost(in, HostConfig{})
 	defer h.Close()
 	fw := &frameLog{}
 	s := &hostSession{h: h, fw: fw, streams: make(map[uint64]*hostStream), tasks: make(chan *hostStream)}
-	st := &hostStream{s: s, enroll: wire.Enroll{PID: "B", Role: "b"}}
-	st.b.fw, st.b.streamID, st.b.opCh = fw, 1, make(chan hostOp, streamOpBacklog)
-	st.ctx, st.cancel = context.WithCancel(context.Background())
-	s.streams[1] = st
-	h.activeStreams.Add(1)
-	other, err := in.Offer(context.Background(), core.Enrollment{PID: "A", Role: ids.Role("a")}, abortWatch{make(chan struct{}, 1), make(chan struct{})})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.offer(st)
-	eventually(t, "b's OFFER-ACK", func() bool { return len(fw.written()) == 1 })
-
-	ae := &core.AbortError{Performance: 7, Culprit: ids.Role("a"), Reason: "another offer's"}
-	st.Aborted(other, ae) // found idle
-	s.smu.Lock()          // offering again, as a recycled hostStream is
-	o := st.o
-	st.phase = streamOffering
+	x := openTestStream(s, 1, wire.Enroll{PID: "X", Role: "x"})
+	s.offer(x)
+	y := openTestStream(s, 3, wire.Enroll{PID: "Y", Role: "y"})
+	s.smu.Lock()
+	ox := x.o
 	s.smu.Unlock()
-	st.Aborted(other, ae) // overtaking an assignment's hand-off
-	st.Settled(o, nil)
-	st.Aborted(o, ae)
+
+	ae := &core.AbortError{Performance: 7, Culprit: ids.Role("x"), Reason: "another offer's"}
+	y.Aborted(ox, ae) // overtaking an assignment's hand-off
+	s.offer(y)        // the cast forms: both OFFER-ACKs
+	s.smu.Lock()
+	oy := y.o
+	s.smu.Unlock()
+	x.Aborted(oy, ae) // found idle
+	y.Aborted(oy, ae)
 	want := []wire.MsgType{wire.MsgOfferAck, wire.MsgOfferAck, wire.MsgAbort}
 	if got := fw.written(); !slices.Equal(got, want) {
-		t.Fatalf("frames written to b's stream: %v, want %v", got, want)
+		t.Fatalf("frames written to the streams: %v, want %v", got, want)
 	}
 
-	if _, _, err := other.Finish(nil); err != nil {
-		t.Fatal(err)
+	for _, stream := range []uint64{1, 3} { // the reader's BODY-DONEs
+		s.deliver(stream, hostOp{typ: wire.MsgBodyDone})
 	}
-	s.smu.Lock()
-	st.phase = streamServing
-	s.smu.Unlock()
-	s.bodyDone(st, hostOp{typ: wire.MsgBodyDone})
 	settleStats(t, h)
+}
+
+// openTestStream opens stream on s for the ENROLL m, as the reader's ENROLL
+// does before it offers.
+func openTestStream(s *hostSession, stream uint64, m wire.Enroll) *hostStream {
+	s.smu.Lock()
+	defer s.smu.Unlock()
+	return s.openLocked(stream, &m)
 }

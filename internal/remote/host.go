@@ -24,6 +24,7 @@ var (
 	sessionsParked   = metrics.Get(metrics.SessionsParked)
 	sessionsResumed  = metrics.Get(metrics.SessionsResumed)
 	sessionsExpired  = metrics.Get(metrics.SessionsExpired)
+	streamViolations = metrics.Get(metrics.RemoteStreamViolations)
 )
 
 // HostConfig configures a Host.

@@ -58,17 +58,15 @@ type hostStream struct {
 	// uncounts it.
 	admitted bool
 
-	// Under smu: o is the offer, set by the reader once Offer returns or by
-	// an assignment that overtook it; phase is where the enrollment stands;
-	// released keeps a Released that came before the role's ender recorded
-	// the hold, for it to act on; abort is an Aborted of offer abortOf that
-	// came before an assignment's Settled, for Settled to write behind the
-	// OFFER-ACK if the assignment is abortOf's.
-	o        core.Offered
-	phase    streamPhase
-	released bool
-	abort    *core.AbortError
-	abortOf  core.Offered
+	// Under smu: o is the offer, adopted by the reader once Offer returns or
+	// by an assignment that overtook it; phase is where the enrollment stands,
+	// written by step alone; abort is an Aborted of offer abortOf that came
+	// before an assignment's Settled, for the OFFER-ACK to carry behind it if
+	// the assignment is abortOf's.
+	o       core.Offered
+	phase   streamPhase
+	abort   *core.AbortError
+	abortOf core.Offered
 	// severed is the reason some goroutine other than its owner is ending the
 	// enrollment (CANCEL, flood, teardown), "" until then. Set under smu in the
 	// critical section that found the stream, it keeps the hostStream off the
@@ -82,13 +80,143 @@ type hostStream struct {
 type streamPhase uint8
 
 const (
-	streamOffering streamPhase = iota // the reader, inside Offer (a hand-off may overtake it)
+	streamOver     streamPhase = iota // nobody: the enrollment has ended, or none has begun on the hostStream
+	streamOffering                    // the reader, inside Offer (a hand-off may overtake it)
 	streamPending                     // the hand-off: the offer waits in the core, with no goroutine
 	streamIdle                        // whoever takes it to serving: the role plays, no op of it is served and its backlog is empty
-	streamServing                     // who took it: a worker serving the backlog, the reader ending it at BODY-DONE, or a sever
+	streamServing                     // who took it: the hand-off writing OFFER-ACK, a worker, the reader ending it at BODY-DONE, or a sever
+	streamReleased                    // serving, and Released came first: the role's ender finishes it at its held step
 	streamHeld                        // Released: the body returned, the role is held for delayed termination
-	streamOver                        // nobody: the enrollment has ended
 )
+
+// hostEvent is what moves a stream's phase, named for who raises it.
+type hostEvent uint8
+
+const (
+	evEnroll   hostEvent = iota // the reader: an ENROLL took the hostStream
+	evOffered                   // the reader: target.Offer returned the offer
+	evOp                        // the reader: an op frame
+	evBodyDone                  // the reader: BODY-DONE
+	evAssigned                  // Settled(o, nil)
+	evServed                    // Settled past its OFFER-ACK, or a worker past an OP-RESULT
+	evRefused                   // Settled(o, err), or the reader refusing the ENROLL
+	evAborted                   // Aborted(o, ae)
+	evReleased                  // Released
+	evEnded                     // the role's ender: Finish returned, not held
+	evHeld                      // the role's ender: Finish returned, held
+	evSevered                   // the severing goroutine: CANCEL, flood, teardown
+	evLooked                    // cut: Look withdrew the offer or cut the role loose
+	evFinish                    // finish
+)
+
+// hostAct is what a cell has the goroutine that raised its event do.
+type hostAct uint8
+
+const (
+	actNone      hostAct = iota
+	actAdopt             // keep the offer
+	actCut               // keep the offer, if the event brings one, and Look at a pending offer or a held role; a sever ends the context first
+	actDispatch          // hand the stream to a stream worker with the op in hand
+	actQueue             // queue the op in the backlog, or sever the stream as flooding
+	actEnd               // end the role at its BODY-DONE
+	actAck               // write OFFER-ACK and the stashed ABORT behind it
+	actNext              // take the backlog's next op
+	actLose              // abort the performance blaming the role, and end the role as lost
+	actStash             // keep the abort for the assignment's OFFER-ACK
+	actAbort             // write the ABORT, if it is of the stream's offer
+	actAnswer            // answer the offer with the event's error, and finish
+	actFinish            // finish the enrollment
+	actCancel            // end the context
+	actAbortPerf         // abort the performance with the sever's reason, and end the context
+	actTerminal          // free the slot, write the terminal frame and recycle
+	actViolate           // a cell that cannot occur
+)
+
+// step is the host's transition table, the only writer of a stream's phase:
+// it moves st's phase for event e and returns what the cell does — actViolate,
+// phase unmoved, for a cell that cannot occur. Besides the phase a cell may
+// read three inputs, in precedence order (a cell that reads two decides by the
+// first that is set): failed, the frame the event's goroutine wrote was not
+// delivered; the severed mark; ops waiting in the backlog. It is called under
+// smu, and does no I/O.
+func (st *hostStream) step(e hostEvent, failed bool) hostAct {
+	p, sev, more := st.phase, st.severed != "", e == evServed && len(st.b.opCh) > 0 // only served reads the backlog: len is a call
+	next, a := p, actViolate
+	offering, placed := p == streamOffering || p == streamPending, p != streamOffering && p != streamOver
+	switch frame := e == evOp || e == evBodyDone; {
+	case e == evEnroll && p == streamOver:
+		next, a = streamOffering, actNone
+	case e == evOffered && p == streamOffering && sev: // torn down while the reader was inside Offer
+		next, a = streamPending, actCut
+	case e == evOffered && p == streamOffering:
+		next, a = streamPending, actAdopt
+	case e == evOffered && p != streamPending, e == evAborted && (p == streamHeld || p == streamOver), e == evSevered && p == streamOver, frame && placed && sev:
+		a = actNone // a hand-off overtook the reader; nobody reads the ABORT; severed after its end; dropped, whoever severed it ends it
+	case e == evOp && p == streamIdle:
+		next, a = streamServing, actDispatch
+	case e == evBodyDone && p == streamIdle:
+		next, a = streamServing, actEnd
+	case frame && placed:
+		a = actQueue
+	case e == evAssigned && offering && sev:
+		next, a = streamServing, actLose
+	case e == evAssigned && offering:
+		next, a = streamServing, actAck
+	case e == evServed && p == streamServing && (failed || sev):
+		a = actLose
+	case e == evServed && p == streamServing && more:
+		a = actNext
+	case e == evServed && p == streamServing:
+		next, a = streamIdle, actNone
+	case e == evRefused && offering, e == evLooked && p == streamPending:
+		a = actAnswer
+	case e == evAborted && offering:
+		a = actStash
+	case e == evAborted && placed:
+		a = actAbort
+	case e == evReleased && p == streamServing:
+		next, a = streamReleased, actNone
+	case (e == evReleased || e == evLooked) && p == streamHeld, e == evEnded && p == streamServing, e == evHeld && p == streamReleased:
+		a = actFinish
+	case e == evHeld && p == streamServing && sev: // severed while its body was ending
+		next, a = streamHeld, actCut
+	case e == evHeld && p == streamServing:
+		next, a = streamHeld, actNone
+	case e == evSevered && p == streamOffering: // the reader cuts it once Offer returns
+		a = actCancel
+	case e == evSevered && (p == streamPending || p == streamHeld):
+		a = actCut
+	case e == evSevered && p == streamIdle:
+		next, a = streamServing, actLose
+	case e == evSevered: // serving or released: whoever serves it ends it
+		a = actAbortPerf
+	case e == evFinish && p != streamIdle && p != streamOver:
+		next, a = streamOver, actTerminal
+	}
+	st.phase = next
+	return a
+}
+
+// stepLocked steps st's table for event e, under smu. A cell that cannot
+// occur is a defect of the host's: it is logged and counted, and the session
+// torn down.
+func (s *hostSession) stepLocked(st *hostStream, e hostEvent, failed bool) hostAct {
+	p, a := st.phase, st.step(e, failed)
+	if a == actViolate {
+		streamViolations.Inc()
+		s.h.logf("remote: %s: stream %d: event %d cannot occur in phase %d; tearing the session down", s.remote, st.b.streamID, e, p)
+		go s.teardown()
+	}
+	return a
+}
+
+// raise steps st's table for event e under smu, for the caller to run the
+// cell once the lock is released.
+func (st *hostStream) raise(e hostEvent) hostAct {
+	st.s.smu.Lock()
+	defer st.s.smu.Unlock()
+	return st.s.stepLocked(st, e, false)
+}
 
 // hostSession owns the server side of one conversation across however
 // many transport connections it takes to finish it. Its lifecycle:
@@ -395,12 +523,12 @@ func (s *hostSession) offer(st *hostStream) {
 	st.admitted = true
 	role, err := wire.DecodeRoleRef(m.Role)
 	if err != nil {
-		s.answer(st, core.Result{}, fmt.Errorf("%w: %s", core.ErrUnknownRole, m.Role))
+		s.answer(st, st.raise(evRefused), fmt.Errorf("%w: %s", core.ErrUnknownRole, m.Role))
 		return
 	}
 	with, err := wire.DecodeWith(m.With)
 	if err != nil {
-		s.answer(st, core.Result{}, err)
+		s.answer(st, st.raise(evRefused), err)
 		return
 	}
 	e := core.Enrollment{PID: ids.PID(m.PID), Role: role, Args: m.Args, With: with}
@@ -412,17 +540,16 @@ func (s *hostSession) offer(st *hostStream) {
 	e.TraceID, _ = trace.ParseTraceID(m.TraceID)
 	o, err := h.target.Offer(st.ctx, e, st)
 	if err != nil {
-		s.answer(st, core.Result{}, err)
+		s.answer(st, st.raise(evRefused), err)
 		return
 	}
 	s.smu.Lock()
-	offering := st.phase == streamOffering // not overtaken by its hand-off
-	if offering {
-		st.o, st.phase = o, streamPending
+	a := s.stepLocked(st, evOffered, false)
+	if a == actAdopt || a == actCut {
+		st.o = o
 	}
-	cut := offering && st.severed != "" // torn down while the reader was inside Offer
 	s.smu.Unlock()
-	if cut {
+	if a == actCut {
 		s.cut(st)
 	}
 }
@@ -436,31 +563,28 @@ func (s *hostSession) offer(st *hostStream) {
 func (st *hostStream) Settled(o core.Offered, err error) {
 	s := st.s
 	if err != nil {
-		s.answer(st, core.Result{}, err)
+		s.answer(st, st.raise(evRefused), err)
 		return
 	}
 	rc := o.Ctx()
 	s.smu.Lock()
-	st.o = o
-	lost := st.severed
-	if lost == "" {
+	a, lost := s.stepLocked(st, evAssigned, false), st.severed
+	if a != actViolate {
+		st.o = o
+	}
+	if a == actAck {
 		st.b.ack = wire.OfferAck{Performance: rc.Performance(), Role: rc.Role().String(), TraceID: rc.TraceID().String()}
 		if st.b.write(wire.MsgOfferAck, 0, &st.b.ack) != nil {
 			lost = enrollerGone + ": offer not delivered"
 		} else {
 			st.writeAbortLocked(st.abortOf, st.abort) // one that overtook this hand-off
 		}
-	}
-	switch {
-	case lost != "":
-		st.phase = streamServing
-	case len(st.b.opCh) > 0:
-		s.dispatchLocked(st, <-st.b.opCh)
-	default:
-		st.phase = streamIdle
+		if a = s.stepLocked(st, evServed, lost != ""); a == actNext {
+			s.dispatchLocked(st, <-st.b.opCh)
+		}
 	}
 	s.smu.Unlock()
-	if lost != "" {
+	if a == actLose {
 		s.lose(st, lost)
 	}
 }
@@ -469,18 +593,18 @@ func (st *hostStream) Settled(o core.Offered, err error) {
 // goroutine that aborted it (core.Handoff): the role's later ops fail on the
 // client, as in the local runtime. The ABORT is written under smu, so it goes
 // out behind the OFFER-ACK — one that overtakes the assignment's Settled is
-// left for Settled to write — and ahead of the COMPLETE, which finish writes
-// only once it has marked the stream over under smu. An abort of an earlier
-// enrollment on this hostStream, whose role ended before the hand-off was
-// made, is dropped: it is not the stream's current offer.
+// stashed for Settled to write — and ahead of the COMPLETE, which finish
+// writes only once it has stepped the stream over under smu. An abort of an
+// earlier enrollment on this hostStream, whose role ended before the hand-off
+// was made, is dropped: it is not the stream's current offer.
 func (st *hostStream) Aborted(o core.Offered, ae *core.AbortError) {
 	s := st.s
 	s.smu.Lock()
 	defer s.smu.Unlock()
-	switch st.phase {
-	case streamOffering, streamPending:
+	switch s.stepLocked(st, evAborted, false) {
+	case actStash:
 		st.abort, st.abortOf = ae, o
-	case streamIdle, streamServing:
+	case actAbort:
 		st.writeAbortLocked(o, ae)
 	}
 }
@@ -497,18 +621,8 @@ func (st *hostStream) writeAbortLocked(o core.Offered, ae *core.AbortError) {
 // Released writes the COMPLETE of a role held for delayed termination, on
 // the goroutine that ended its performance (core.Handoff): one performance's
 // held roles leave in one burst. A release that overtakes the role's ender on
-// its way out of Finish is left for it.
-func (st *hostStream) Released() {
-	s := st.s
-	s.smu.Lock()
-	if st.phase != streamHeld {
-		st.released = true
-		s.smu.Unlock()
-		return
-	}
-	s.smu.Unlock()
-	s.finish(st)
-}
+// its way out of Finish is left for it (streamReleased).
+func (st *hostStream) Released() { st.s.answer(st, st.raise(evReleased), nil) }
 
 // dispatchLocked hands stream st to a stream worker — an idle one, or a new
 // one — with op in hand, outside the backlog, as the first op to serve. Never
@@ -516,7 +630,7 @@ func (st *hostStream) Released() {
 // lock, and no severed stream is dispatched.
 func (s *hostSession) dispatchLocked(st *hostStream, op hostOp) {
 	s.h.dispatched.Add(1)
-	st.phase, st.b.op = streamServing, op
+	st.b.op = op
 	select {
 	case s.tasks <- st:
 		// An idle worker took it.
@@ -540,35 +654,28 @@ func (s *hostSession) dispatchLocked(st *hostStream, op hostOp) {
 // finished.
 func (s *hostSession) serve(st *hostStream) {
 	rc, op := st.o.Ctx(), st.b.op
-	for {
-		if op.typ == wire.MsgBodyDone {
-			s.bodyDone(st, op)
-			return
-		}
+	for op.typ != wire.MsgBodyDone {
 		st.b.res = st.b.serveOp(rc, op)
+		var lost string
 		if st.b.write(wire.MsgOpResult, op.seq, &st.b.res) != nil {
 			// The client cannot learn this op's outcome; the enrollment is
 			// unrecoverable.
-			s.lose(st, enrollerGone+": operation result not delivered")
-			return
+			lost = enrollerGone + ": operation result not delivered"
 		}
 		s.smu.Lock()
-		lost, more := st.severed, len(st.b.opCh) > 0
-		switch {
-		case lost != "":
-		case more:
+		a := s.stepLocked(st, evServed, lost != "")
+		if lost = cmp.Or(lost, st.severed); a == actNext {
 			op = <-st.b.opCh
-		default:
-			st.phase = streamIdle
 		}
 		s.smu.Unlock()
-		if lost != "" {
+		if a == actLose {
 			s.lose(st, lost)
 		}
-		if lost != "" || !more {
+		if a != actNext {
 			return
 		}
 	}
+	s.bodyDone(st, op)
 }
 
 // bodyDone ends the role at its BODY-DONE, on whoever serves the stream: the
@@ -591,18 +698,15 @@ func (s *hostSession) lose(st *hostStream, reason string) {
 func (s *hostSession) end(st *hostStream, bodyErr error) {
 	res, held, err := st.o.Finish(bodyErr)
 	st.outcome(res, err)
-	s.smu.Lock()
-	if held && !st.released {
-		st.phase = streamHeld
-		cut := st.severed != ""
-		s.smu.Unlock()
-		if cut { // severed while its body was ending
-			s.cut(st)
-		}
-		return
+	e := evEnded
+	if held {
+		e = evHeld
 	}
-	s.smu.Unlock()
-	s.finish(st)
+	if a := st.raise(e); a == actCut { // severed while its body was ending
+		s.cut(st)
+	} else {
+		s.answer(st, a, nil)
+	}
 }
 
 // sever ends stream st's enrollment on behalf of a goroutine other than its
@@ -613,18 +717,17 @@ func (s *hostSession) end(st *hostStream, bodyErr error) {
 // held role is cut.
 func (s *hostSession) sever(st *hostStream) {
 	s.smu.Lock()
-	phase, reason := st.phase, st.severed
-	if phase == streamIdle {
-		st.phase = streamServing
-	}
+	a, reason := s.stepLocked(st, evSevered, false), st.severed
 	s.smu.Unlock()
-	switch phase {
-	case streamIdle:
+	switch a {
+	case actLose:
 		s.lose(st, reason)
-	case streamServing:
+	case actAbortPerf:
 		st.o.Ctx().AbortPerformance(reason)
 		st.cancel()
-	default:
+	case actCancel:
+		st.cancel()
+	case actCut:
 		st.cancel()
 		s.cut(st)
 	}
@@ -634,22 +737,14 @@ func (s *hostSession) sever(st *hostStream) {
 // withdraws a pending offer or cuts a held role loose on a look, and the
 // stream answers while the session lives (CANCEL's case) — the offer with
 // the withdrawal's context.Canceled, the role with its COMPLETE. One the core
-// settled or released first is left to its hand-off; one playing is left to
-// whoever serves it, and one the reader is still offering to the reader.
+// settled or released first is left to its hand-off.
 func (s *hostSession) cut(st *hostStream) {
 	s.smu.Lock()
-	phase, o := st.phase, st.o
+	o := st.o
 	s.smu.Unlock()
-	if phase != streamPending && phase != streamHeld {
-		return
+	if _, err := o.Look(); errors.Is(err, context.Canceled) {
+		s.answer(st, st.raise(evLooked), err)
 	}
-	if _, err := o.Look(); !errors.Is(err, context.Canceled) {
-		return
-	}
-	if phase == streamPending {
-		st.outcome(core.Result{}, context.Canceled)
-	}
-	s.finish(st)
 }
 
 // outcome prepares the stream's terminal frame from an enrollment's outcome:
@@ -667,15 +762,21 @@ func (st *hostStream) outcome(res core.Result, err error) {
 	}
 }
 
-// answer ends the stream's enrollment with res and err.
-func (s *hostSession) answer(st *hostStream, res core.Result, err error) {
-	st.outcome(res, err)
-	s.finish(st)
+// answer runs a cell that ends the enrollment: actAnswer answers the offer
+// with err and, like actFinish, finishes it.
+func (s *hostSession) answer(st *hostStream, a hostAct, err error) {
+	switch a {
+	case actAnswer:
+		st.outcome(core.Result{}, err)
+		fallthrough
+	case actFinish:
+		s.finish(st)
+	}
 }
 
-// finish ends the stream's enrollment, once, whoever owns it: the slot is
-// freed, then the terminal frame written — unless the session is over and
-// nobody is there to read it — and the admission released. The hostStream
+// finish ends the stream's enrollment, once, whoever owns it: its step frees
+// the slot, then the terminal frame is written — unless the session is over
+// and nobody is there to read it — and the admission released. The hostStream
 // then goes on the free list, emptied of the ops the enrollment left unserved,
 // unless the enrollment was severed or the session is over: then its context
 // ends here.
@@ -689,10 +790,15 @@ func (s *hostSession) answer(st *hostStream, res core.Result, err error) {
 func (s *hostSession) finish(st *hostStream) {
 	h := s.h
 	s.smu.Lock()
-	s.releaseLocked(st)
-	st.phase = streamOver
+	a := s.stepLocked(st, evFinish, false)
+	if a == actTerminal && s.streams[st.b.streamID] == st { // keyed on the stream's identity: a late call never evicts a successor
+		s.setSlotLocked(st.b.streamID, nil)
+	}
 	write := !s.done
 	s.smu.Unlock()
+	if a != actTerminal {
+		return
+	}
 	switch {
 	case !write:
 	case st.term == wire.MsgDrain:
@@ -713,20 +819,12 @@ func (s *hostSession) finish(st *hostStream) {
 		}
 		st.b.op, st.b.res = hostOp{}, wire.OpResult{}
 		clear(st.b.branches)
-		st.o, st.abortOf, st.abort, st.enroll, st.cm, st.term, st.admitted, st.released = core.Offered{}, core.Offered{}, nil, wire.Enroll{}, wire.Complete{}, 0, false, false
+		st.o, st.abortOf, st.abort, st.enroll, st.cm, st.term, st.admitted = core.Offered{}, core.Offered{}, nil, wire.Enroll{}, wire.Complete{}, 0, false
 		s.free = append(s.free, st)
 	}
 	s.smu.Unlock()
 	if !recycle {
 		st.cancel()
-	}
-}
-
-// releaseLocked frees the stream's slot, keyed on the stream's identity so a
-// late call never evicts a successor on the same ID.
-func (s *hostSession) releaseLocked(st *hostStream) {
-	if s.streams[st.b.streamID] == st {
-		s.setSlotLocked(st.b.streamID, nil)
 	}
 }
 
@@ -743,6 +841,25 @@ func (s *hostSession) setSlotLocked(stream uint64, st *hostStream) {
 	}
 }
 
+// openLocked takes a hostStream for the ENROLL m on stream — a finished one
+// from the free list, or a new one — raises its ENROLL and puts it in the
+// stream's slot, under smu: the reader's ENROLL, up to the offer.
+func (s *hostSession) openLocked(stream uint64, m *wire.Enroll) *hostStream {
+	var st *hostStream
+	if n := len(s.free); n > 0 {
+		st, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		st = &hostStream{s: s}
+		st.b.opCh = make(chan hostOp, streamOpBacklog)
+		st.ctx, st.cancel = context.WithCancel(s.h.baseCtx)
+	}
+	st.b.fw, st.b.streamID, st.enroll = s.fw, stream, *m
+	s.stepLocked(st, evEnroll, false)
+	s.setSlotLocked(stream, st)
+	s.h.activeStreams.Add(1)
+	return st
+}
+
 // markSevered looks stream's enrollment up and marks it severed for reason,
 // for the caller to sever; nil means it already finished, or is being
 // severed by another.
@@ -755,6 +872,43 @@ func (s *hostSession) markSevered(stream uint64, reason string) *hostStream {
 	}
 	st.severed = reason
 	return st
+}
+
+// deliver hands op to stream's enrollment, on the reader. A missing stream
+// raced with its terminal frame (cancel, abort), a severed one with whoever is
+// ending it: the op is dropped, the enrollment already has its outcome. The
+// op crosses by value, under the lock that found the stream: to a worker,
+// with an idle stream, or into the backlog — except an idle stream's
+// BODY-DONE, which the reader ends itself: there is nothing to wait for. It
+// reports a flood, the stream severed for it.
+func (s *hostSession) deliver(stream uint64, op hostOp) (flooded bool) {
+	e, a := evOp, actNone
+	if op.typ == wire.MsgBodyDone {
+		e = evBodyDone
+	}
+	s.smu.Lock()
+	st := s.streams[stream]
+	if st != nil {
+		a = s.stepLocked(st, e, false)
+	}
+	switch a {
+	case actDispatch:
+		s.dispatchLocked(st, op)
+	case actQueue:
+		select {
+		case st.b.opCh <- op:
+		default:
+			st.severed, flooded = "protocol violation: operation flood", true
+		}
+	}
+	s.smu.Unlock()
+	if a == actEnd {
+		s.bodyDone(st, op)
+	}
+	if flooded {
+		s.sever(st)
+	}
+	return flooded
 }
 
 // preRead carries serveSession's already-read first frame into the loop.
@@ -842,19 +996,8 @@ func (h *Host) runConn(s *hostSession, c *wire.Conn, first *preRead) {
 				s.smu.Unlock()
 				return violate("ENROLL reuses live stream %d", stream)
 			}
-			var st *hostStream
-			if n := len(s.free); n > 0 {
-				st, s.free = s.free[n-1], s.free[:n-1]
-			} else {
-				st = &hostStream{s: s}
-				st.b.opCh = make(chan hostOp, streamOpBacklog)
-				st.ctx, st.cancel = context.WithCancel(h.baseCtx)
-			}
-			st.b.fw, st.b.streamID, st.enroll = s.fw, stream, *m.(*wire.Enroll)
-			st.phase = streamOffering
-			s.setSlotLocked(stream, st)
+			st := s.openLocked(stream, m.(*wire.Enroll))
 			s.smu.Unlock()
-			h.activeStreams.Add(1)
 			// Placed, or answered, here: an ENROLL on a draining host has its
 			// DRAIN in the write buffer before this loop reads on, so when the
 			// loop ends (Host.lastCall) the close that follows it flushes every
@@ -868,35 +1011,7 @@ func (h *Host) runConn(s *hostSession, c *wire.Conn, first *preRead) {
 			}
 		case wire.MsgSend, wire.MsgSendAll, wire.MsgRecv, wire.MsgRecvAny,
 			wire.MsgSelect, wire.MsgQuery, wire.MsgBodyDone:
-			// A missing stream raced with its terminal frame (cancel, abort), a
-			// severed one with whoever is ending it: drop, the enrollment
-			// already has its outcome. The op crosses by value, under the lock
-			// that found the stream: to a worker, with an idle stream, or into
-			// the backlog of one being served — except an idle stream's
-			// BODY-DONE, which the reader ends itself: there is nothing to wait
-			// for.
-			var ending, flooded *hostStream
-			s.smu.Lock()
-			if st := s.streams[stream]; st != nil && st.severed == "" {
-				switch {
-				case st.phase == streamIdle && t == wire.MsgBodyDone:
-					st.phase, ending = streamServing, st
-				case st.phase == streamIdle:
-					s.dispatchLocked(st, opOf(t, seq, m))
-				default:
-					select {
-					case st.b.opCh <- opOf(t, seq, m):
-					default:
-						st.severed, flooded = "protocol violation: operation flood", st
-					}
-				}
-			}
-			s.smu.Unlock()
-			if ending != nil {
-				s.bodyDone(ending, opOf(t, seq, m))
-			}
-			if flooded != nil {
-				s.sever(flooded)
+			if s.deliver(stream, opOf(t, seq, m)) {
 				return violate("operation flood")
 			}
 		default:

@@ -164,12 +164,12 @@ type muxStream struct {
 	bodyDone wire.BodyDone
 	rctx     remoteCtx
 	// ack and cm are the host's OFFER-ACK and COMPLETE, copied out of the
-	// reader's structs before the event that announces them is posted. acked
-	// and ended admit one of each (DRAIN ends too); like the stream table
-	// they are the reader's, under mc.mu.
-	ack          wire.OfferAck
-	cm           wire.Complete
-	acked, ended bool
+	// reader's structs before the event that announces them is posted. phase
+	// admits one of each (DRAIN ends too); like the stream table it is the
+	// reader's, under mc.mu, and step alone writes it.
+	ack   wire.OfferAck
+	cm    wire.Complete
+	phase clientPhase
 
 	mu      sync.Mutex
 	pending map[uint64]chan opOutcome
@@ -179,6 +179,35 @@ type muxStream struct {
 	nextSeq  uint64
 	abortErr error // performance aborted between ops (ABORT frame)
 	failed   error // connection died, or the enrollment's context ended
+}
+
+// clientPhase is where a client stream's enrollment stands, as its
+// conversation's frames have moved it.
+type clientPhase uint8
+
+const (
+	clientEnded   clientPhase = iota // a terminal frame came, or no enrollment has held the muxStream yet
+	clientOffered                    // ENROLL is out: awaiting OFFER-ACK or a refusal
+	clientAcked                      // OFFER-ACK came: the body runs
+)
+
+// step is the client's transition table, the only writer of a stream's
+// phase: it moves the phase for event t — ENROLL going out, on a new or a
+// recycled muxStream, or OFFER-ACK or a terminal frame (COMPLETE, DRAIN)
+// coming in — and reports whether the enrollment acts on it. A second
+// OFFER-ACK or terminal frame is ignored.
+func (st *muxStream) step(t wire.MsgType) (act bool) {
+	switch p := st.phase; {
+	case t == wire.MsgEnroll:
+		st.phase = clientOffered
+	case t == wire.MsgOfferAck && p == clientOffered:
+		st.phase = clientAcked
+	case t == wire.MsgOfferAck || p == clientEnded:
+		return false
+	default:
+		st.phase = clientEnded
+	}
+	return true
 }
 
 // maxStreamEvents is the capacity of muxStream.events.
@@ -244,6 +273,7 @@ func (mc *muxConn) openStream() (*muxStream, error) {
 		st.entry.Func = func() { go mc.withdraw(st) } // a wedged socket holds up no other stream's
 	}
 	st.id = mc.nextID
+	st.step(wire.MsgEnroll)
 	mc.streams[st.id] = st
 	if mc.c != nil {
 		mc.c.SetWriteBatching(len(mc.streams) > 1)
@@ -269,7 +299,7 @@ func (mc *muxConn) closeStream(st *muxStream, recycle bool) {
 		// rctx keeps its stream and context: a body that kept its Ctx past its
 		// return finds what it always found, a live stream to fail on.
 		st.enroll, st.bodyDone, st.rctx.ParamBag = wire.Enroll{}, wire.BodyDone{}, core.ParamBag{}
-		st.ack, st.cm, st.acked, st.ended = wire.OfferAck{}, wire.Complete{}, false, false
+		st.ack, st.cm = wire.OfferAck{}, wire.Complete{}
 		if sl := st.idle; sl != nil {
 			sl.send.Val, sl.sendAll.Val = nil, nil
 			clear(sl.sel.Branches)
@@ -590,18 +620,17 @@ func (st *muxStream) deliver(t wire.MsgType, seq uint64, m any) {
 		}
 		st.mu.Unlock()
 	case wire.MsgOfferAck:
-		if !st.acked && !st.ended {
-			st.acked, st.ack = true, *(m.(*wire.OfferAck))
+		if st.step(t) {
+			st.ack = *(m.(*wire.OfferAck))
 			st.event(streamEvent{typ: t})
 		}
 	case wire.MsgComplete, wire.MsgDrain:
 		// Terminal, once. Release any still-pending ops first (a cancel or
 		// abort race can terminate the stream with an op in flight), so the
 		// body unwinds before the conversation takes the event.
-		if st.ended {
+		if !st.step(t) {
 			return
 		}
-		st.ended = true
 		termErr := core.ErrDraining
 		if cm, ok := m.(*wire.Complete); ok {
 			st.cm = *cm
