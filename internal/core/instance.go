@@ -206,8 +206,11 @@ type Instance struct {
 	idleCh    chan struct{}
 	nextOffer uint64
 	pending   []*enrollState
-	// owed lists, in order, the hand-offs owed once mu is dropped (see unlock).
+	// owed lists, in order, the hand-offs owed once mu is dropped, and dues
+	// the outcomes the fabric's calls under mu delivered to posted ops (see
+	// unlock).
 	owed      []owedHandoff
+	dues      rendezvous.Owed
 	active    *performance
 	perfCount int
 	// fabric is where the instance's performances communicate, one after the
@@ -577,17 +580,25 @@ func (l *records) push(st *enrollState) {
 	l.tail = st
 }
 
+// owe keeps what a fabric call under mu delivered to posted ops, for unlock
+// to pay.
+func (in *Instance) owe(dues rendezvous.Owed) {
+	in.dues = append(in.dues, dues...)
+}
+
 // unlock drops mu, then makes the hand-offs owed since it was taken, in the
 // order they were owed: Settled to the offers assigned or turned away, Aborted
 // to the roles of an aborted performance, Released to the held roles of one
 // that ended. They are made outside the lock because a remote holder writes
 // its stream's frames in them, and may end its role there. The list is copied
 // out under the lock — a cast's worth fits on the stack — so the next critical
-// section can owe while this one's hand-offs are made. Every critical section
-// that can assign, abort, end a performance or turn offers away is left
+// section can owe while this one's hand-offs are made. Then the posted ops
+// that a termination, an abort or a closure failed are told so: a completer
+// maps the fabric's error under the lock. Every critical section that can
+// assign, abort, end a performance, end a role or turn offers away is left
 // through unlock.
 func (in *Instance) unlock() {
-	if len(in.owed) == 0 {
+	if len(in.owed) == 0 && len(in.dues) == 0 {
 		in.mu.Unlock()
 		return
 	}
@@ -595,6 +606,8 @@ func (in *Instance) unlock() {
 	owed := append(buf[:0], in.owed...)
 	clear(in.owed)
 	in.owed = in.owed[:0]
+	dues := in.dues
+	in.dues = nil
 	in.mu.Unlock()
 	for _, w := range owed {
 		o := Offered{in, w.st}
@@ -611,6 +624,7 @@ func (in *Instance) unlock() {
 			w.st.h.Released()
 		}
 	}
+	dues.Pay()
 }
 
 // NewInstance creates an instance of def.
@@ -696,7 +710,7 @@ func (in *Instance) Close() {
 	in.watch.Close() // no context an enroller waited under keeps the instance
 	if p := in.active; p != nil {
 		p.stopTimer()
-		p.fabric.Close()
+		in.owe(p.fabric.Close())
 		in.releaseHeldLocked(p) // held roles leave now; the running ones unwind
 	}
 	in.turnAwayLocked(phaseClosed)
@@ -965,7 +979,7 @@ func (o Offered) Finish(bodyErr error) (res Result, held bool, err error) {
 	perf.entry(int(st.slot), r).state = castFinished
 	perf.nFinished++
 	if perf.fabric != nil {
-		perf.fabric.TerminateID(rc.id)
+		in.owe(perf.fabric.TerminateID(rc.id))
 	}
 	if perf.membershipClosed && perf.nFinished == perf.nAssigned {
 		in.finishPerformanceLocked(perf)
@@ -1292,7 +1306,7 @@ func (in *Instance) abortAsLocked(p *performance, culprit ids.RoleRef, reason st
 	}
 	p.stopTimer()
 	p.done = true
-	p.fabric.Abort(p.abortErr)
+	in.owe(p.fabric.Abort(p.abortErr))
 	if in.fabric == p.fabric {
 		in.fabric = nil
 	}
@@ -1435,20 +1449,20 @@ func (in *Instance) closeMembershipLocked(p *performance) {
 				Kind: trace.KindAbsent, Script: in.def.name,
 				Performance: p.number, Role: r,
 			})
-			p.fabric.TerminateID(rendezvous.ID(slot))
+			in.owe(p.fabric.TerminateID(rendezvous.ID(slot)))
 		}
 	}
 	// The fabric asks only about endpoints some blocked operation targets —
 	// none at all when membership closes before any body has run. One past
 	// the closed roles is a member of an open family: in the cast if it is
 	// played, and absent otherwise.
-	p.fabric.TerminateAbsentID(func(id rendezvous.ID) bool {
+	in.owe(p.fabric.TerminateAbsentID(func(id rendezvous.ID) bool {
 		if int(id) < len(p.cast) {
 			return p.cast[id].state != castUnfilled
 		}
 		_, played := p.openRole(id)
 		return played
-	})
+	}))
 	// A performance whose members all finished before membership closed
 	// (possible when the closing cover arrives last) completes here.
 	if p.nFinished == p.nAssigned {

@@ -16,9 +16,9 @@ import (
 // paper's Terminated predicate, and enrollment into other scripts (nested
 // enrollment, Section V).
 //
-// A RoleCtx is used by one goroutine at a time — the enroller's, or the
-// remote host's goroutines serving the role's operations in turn — and must
-// not be retained after the body returns.
+// A RoleCtx is used by one goroutine at a time — the enroller's, or in turn
+// the remote host's goroutines that post the role's operations and complete
+// them (see Post) — and must not be retained after the body returns.
 var _ Ctx = (*RoleCtx)(nil)
 
 type RoleCtx struct {
@@ -126,29 +126,15 @@ func (rc *RoleCtx) record(kind trace.Kind, peer ids.RoleRef, detail string) {
 // before returning the first failure; recipients that committed did receive
 // the value.
 func (rc *RoleCtx) SendAll(tos []ids.RoleRef, v any) error {
-	if len(tos) == 0 {
-		return nil
+	p := Post{rc: rc}
+	targets, err := p.sendAll(tos)
+	if err != nil || len(tos) == 0 {
+		return err
 	}
-	targets := make([]rendezvous.ID, len(tos))
-	rc.inst.mu.Lock() // one acquisition prechecks every target
-	for i, to := range tos {
-		slot, known := rc.resolve(to)
-		if st := rc.availabilityLocked(slot, to, known); st != peerOK {
-			rc.inst.mu.Unlock()
-			return precheckErr(st, to)
-		}
-		targets[i] = rc.st.perf.endpointLocked(slot, to)
-	}
-	rc.inst.mu.Unlock()
 	ctx, cancel := rc.inst.opContext(rc.st.ctx)
 	defer cancel()
-	if err := rc.st.perf.fabric.ScatterID(ctx, rc.id, "", targets, []any{v}); err != nil {
-		return rc.mapCommErr(ids.RoleRef{}, -1, err)
-	}
-	for _, to := range tos {
-		rc.record(trace.KindSend, to, "")
-	}
-	return nil
+	_, err = p.outcome(rendezvous.IDOutcome{}, rc.st.perf.fabric.ScatterID(ctx, rc.id, "", targets, []any{v}))
+	return err
 }
 
 // Recv receives the next untagged message from role `from`.
@@ -175,15 +161,11 @@ func (rc *RoleCtx) RecvTag(from ids.RoleRef, tag string) (any, error) {
 // is the anonymous reception the paper attributes to Ada's accept (and to
 // Francez's extension of CSP).
 func (rc *RoleCtx) RecvAny() (ids.RoleRef, string, any, error) {
+	p := Post{rc: rc, kind: postRecvAny}
 	ctx, cancel := rc.inst.opContext(rc.st.ctx)
 	defer cancel()
-	out, err := rc.st.perf.fabric.DoID(ctx, rc.id, anyMessage)
-	if err != nil {
-		return ids.RoleRef{}, "", nil, rc.mapCommErr(ids.RoleRef{}, -1, err)
-	}
-	from := rc.roleAt(out.Peer)
-	rc.record(trace.KindRecv, from, string(out.Tag))
-	return from, string(out.Tag), out.Val, nil
+	sel, err := p.outcome(rc.st.perf.fabric.DoID(ctx, rc.id, anyMessage))
+	return sel.Peer, sel.Tag, sel.Val, err
 }
 
 // anyMessage is RecvAny's alternative; the fabric only reads it.
@@ -286,75 +268,17 @@ type Selected struct {
 // ErrRoleAbsent / ErrRoleFinished (all communication partners gone) —
 // CSP's rule that a repetitive command exits when all guards fail.
 func (rc *RoleCtx) Select(branches ...SelectBranch) (Selected, error) {
-	// The alternative handed to the fabric and, beside it, each branch's
-	// position in the call; four inline, as many as the fabric's slot holds.
-	var (
-		fabBuf      [4]rendezvous.IDBranch
-		origBuf     [4]int
-		fab, orig   = fabBuf[:0], origBuf[:0]
-		guardsTrue  int
-		sawFinished bool
-		sawAbsent   bool
-	)
-	rc.inst.mu.Lock() // one acquisition classifies every branch
-	for i, b := range branches {
-		if !b.guard {
-			continue
-		}
-		guardsTrue++
-		var peer rendezvous.ID
-		if !b.anyPeer {
-			slot, known := rc.resolve(b.peer)
-			switch rc.availabilityLocked(slot, b.peer, known) {
-			case peerAbsent:
-				sawAbsent = true
-				continue
-			case peerFinished:
-				sawFinished = true
-				continue
-			case peerUnknown:
-				rc.inst.mu.Unlock()
-				return Selected{}, precheckErr(peerUnknown, b.peer)
-			}
-			peer = rc.st.perf.endpointLocked(slot, b.peer)
-		}
-		dir := rendezvous.DirRecv
-		if b.send {
-			dir = rendezvous.DirSend
-		}
-		fab = append(fab, rendezvous.IDBranch{
-			Dir: dir, Peer: peer, AnyPeer: b.anyPeer,
-			Tag: rendezvous.Tag(b.tag), Val: b.val,
-		})
-		orig = append(orig, i)
-	}
-	rc.inst.mu.Unlock()
-	if guardsTrue == 0 {
-		return Selected{}, ErrNoBranches
-	}
-	if len(fab) == 0 {
-		if sawFinished && !sawAbsent {
-			return Selected{}, ErrRoleFinished
-		}
-		return Selected{}, ErrRoleAbsent
+	// The alternative handed to the fabric, four inline, as many as the
+	// fabric's slot holds.
+	var fabBuf [4]rendezvous.IDBranch
+	p := Post{rc: rc}
+	fab, err := p.selectOn(branches, fabBuf[:0])
+	if err != nil {
+		return Selected{}, err
 	}
 	ctx, cancel := rc.inst.opContext(rc.st.ctx)
 	defer cancel()
-	out, err := rc.st.perf.fabric.DoID(ctx, rc.id, fab)
-	if err != nil {
-		return Selected{}, rc.mapCommErr(ids.RoleRef{}, -1, err)
-	}
-	b := branches[orig[out.Index]]
-	peer := b.peer // a directed branch commits with the role it names
-	if b.anyPeer {
-		peer = rc.roleAt(out.Peer)
-	}
-	kind := trace.KindRecv
-	if b.send {
-		kind = trace.KindSend
-	}
-	rc.record(kind, peer, string(out.Tag))
-	return Selected{Index: orig[out.Index], Peer: peer, Tag: string(out.Tag), Val: out.Val}, nil
+	return p.outcome(rc.st.perf.fabric.DoID(ctx, rc.id, fab))
 }
 
 // Terminated is the paper's r.terminated predicate: true if role r has

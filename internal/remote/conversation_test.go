@@ -438,7 +438,7 @@ func TestStreamSlotFreedBeforeTerminalFrame(t *testing.T) {
 	h := NewHost(in, HostConfig{})
 	defer h.Close()
 
-	s := &hostSession{h: h, lockstep: true, streams: make(map[uint64]*hostStream), tasks: make(chan *hostStream)}
+	s := &hostSession{h: h, lockstep: true, streams: make(map[uint64]*hostStream)}
 	probe := &slotProbe{s: s}
 	ctx, cancel := context.WithCancel(context.Background())
 	st := &hostStream{s: s, b: bridge{fw: probe, opCh: make(chan hostOp, streamOpBacklog)}, ctx: ctx, cancel: cancel}
@@ -626,7 +626,7 @@ func TestHostStreamRecycling(t *testing.T) {
 	defer in.Close()
 	h := NewHost(in, HostConfig{})
 	defer h.Close()
-	s := &hostSession{h: h, streams: make(map[uint64]*hostStream), tasks: make(chan *hostStream)}
+	s := &hostSession{h: h, streams: make(map[uint64]*hostStream)}
 	// Each enrollment is one the target rejects, which the reader ends itself.
 	enroll := func(stream uint64) *hostStream {
 		st := &hostStream{s: s, enroll: wire.Enroll{PID: "P", Role: "nosuch"}}
@@ -1004,7 +1004,7 @@ func TestDisconnectBeforeRunBlamesTheRole(t *testing.T) {
 			h := NewHost(in, HostConfig{})
 			defer h.Close()
 			fw := &offerWriter{err: tc.werr}
-			s := &hostSession{h: h, fw: fw, streams: make(map[uint64]*hostStream), tasks: make(chan *hostStream)}
+			s := &hostSession{h: h, fw: fw, streams: make(map[uint64]*hostStream)}
 			st := &hostStream{s: s, enroll: wire.Enroll{PID: "B", Role: "b"}, severed: tc.severed}
 			st.b.fw, st.b.streamID, st.b.opCh = fw, 1, make(chan hostOp, streamOpBacklog)
 			st.ctx, st.cancel = context.WithCancel(context.Background())

@@ -17,7 +17,7 @@ import (
 // offer path: placed by the connection's reader with no goroutine of its
 // own, acknowledged by whoever formed the cast, idle between its ops with no
 // goroutine, ended at BODY-DONE by the reader, held under delayed termination
-// with no worker, and answered by whoever ends it.
+// with no goroutine, and answered by whoever ends it.
 
 // heldPair is a delayed-termination pair: a plays in process (enrollA), b
 // remotely.
@@ -77,8 +77,8 @@ func settleStats(t *testing.T, h *Host) {
 
 // TestCancelWhilePendingNeedsNoWorker: an offer waits in the core with no
 // goroutine of its own, and a CANCEL withdraws it there — it leaves the
-// instance's pending offers, is answered with the withdrawal, and no stream
-// worker is ever dispatched for it.
+// instance's pending offers, is answered with the withdrawal, and no
+// goroutine ever serves its stream.
 func TestCancelWhilePendingNeedsNoWorker(t *testing.T) {
 	in := core.NewInstance(pairScript("cancel", func(core.Ctx) error { return nil }))
 	defer in.Close()
@@ -97,14 +97,14 @@ func TestCancelWhilePendingNeedsNoWorker(t *testing.T) {
 		t.Fatalf("%d offers still pending after CANCEL", n)
 	}
 	settleStats(t, h)
-	if n := h.Dispatched(); n != 0 {
-		t.Fatalf("%d stream workers dispatched for an offer that was never assigned", n)
+	if n := StreamServers(); n != 0 {
+		t.Fatalf("%d goroutines serve a stream for an offer that was never assigned", n)
 	}
 }
 
 // TestDrainAnswersPendingOffersWithoutAWorker: a drain turns the remote
 // offers pending in the target away, and each is answered DRAIN by the
-// goroutine that drained — no stream worker, no assignment.
+// goroutine that drained — no goroutine of the stream's, no assignment.
 func TestDrainAnswersPendingOffersWithoutAWorker(t *testing.T) {
 	forEachProtoInternal(t, func(t *testing.T, proto int) {
 		in := core.NewInstance(pairScript("drain", func(core.Ctx) error { return nil }))
@@ -118,8 +118,8 @@ func TestDrainAnswersPendingOffersWithoutAWorker(t *testing.T) {
 		if err := <-drained; err != nil {
 			t.Fatalf("Drain: %v", err)
 		}
-		if n := h.Dispatched(); n != 0 {
-			t.Fatalf("%d stream workers dispatched to answer a drain", n)
+		if n := StreamServers(); n != 0 {
+			t.Fatalf("%d goroutines serve a stream after answering a drain", n)
 		}
 	})
 }
@@ -130,9 +130,9 @@ func forEachProtoInternal(t *testing.T, fn func(t *testing.T, proto int)) {
 }
 
 // heldRemote brings a remote b to the held phase on a fresh raw connection:
-// a is playing, b's body has returned, and the host holds b. No worker was
-// ever dispatched: b's one frame after its OFFER-ACK is the BODY-DONE of an
-// idle stream, which the reader ends.
+// a is playing, b's body has returned, and the host holds b. No goroutine
+// ever served the stream: b's one frame after its OFFER-ACK is the BODY-DONE
+// of an idle stream, which the reader ends.
 func heldRemote(t *testing.T, in *core.Instance, h *Host, addr string) *rawClient {
 	t.Helper()
 	b := dialRawClient(t, addr, "held", 2)
@@ -143,8 +143,8 @@ func heldRemote(t *testing.T, in *core.Instance, h *Host, addr string) *rawClien
 	if st := h.Stats(); st.Enrolling != 1 || st.ActiveStreams != 1 {
 		t.Fatalf("held: enrolling %d, streams %d; want 1 and 1 (ENROLL to COMPLETE)", st.Enrolling, st.ActiveStreams)
 	}
-	if n := h.Dispatched(); n != 0 {
-		t.Fatalf("%d dispatches for an enrollment that sent no op", n)
+	if n := StreamServers(); n != 0 {
+		t.Fatalf("%d goroutines serve a stream for an enrollment that sent no op", n)
 	}
 	return b
 }
@@ -278,7 +278,7 @@ func TestCutWhileHeldWritesNothing(t *testing.T) {
 	h := NewHost(in, HostConfig{})
 	defer h.Close()
 	fw := &frameLog{}
-	s := &hostSession{h: h, fw: fw, streams: make(map[uint64]*hostStream), tasks: make(chan *hostStream)}
+	s := &hostSession{h: h, fw: fw, streams: make(map[uint64]*hostStream)}
 	st := openTestStream(s, 1, wire.Enroll{PID: "B", Role: "b"})
 	aDone := enrollA(in, release)
 	s.offer(st) // what the reader does with an ENROLL
@@ -322,7 +322,7 @@ func TestHandoffReleasedOvertakesTheEnder(t *testing.T) {
 	h := NewHost(in, HostConfig{})
 	defer h.Close()
 	fw := &frameLog{}
-	s := &hostSession{h: h, fw: fw, streams: make(map[uint64]*hostStream), tasks: make(chan *hostStream)}
+	s := &hostSession{h: h, fw: fw, streams: make(map[uint64]*hostStream)}
 	st := openTestStream(s, 1, wire.Enroll{PID: "B", Role: "b"})
 	aDone := enrollA(in, release)
 	eventually(t, "a's offer", func() bool { return in.PendingOffers() == 1 })
@@ -397,7 +397,7 @@ func TestAbortOvertakesTheAssignmentHandoff(t *testing.T) {
 			return err
 		}), core.WithFaultInjection(lateSettle(150*time.Millisecond)), core.WithPerformanceDeadline(20*time.Millisecond))
 		defer in.Close()
-		h, addr := serveTestHost(t, in)
+		_, addr := serveTestHost(t, in)
 		aErr := make(chan error, 1)
 		go func() {
 			_, err := in.Enroll(context.Background(), core.Enrollment{PID: "A", Role: ids.Role("a")})
@@ -415,14 +415,14 @@ func TestAbortOvertakesTheAssignmentHandoff(t *testing.T) {
 		if err := <-aErr; !errors.As(err, &ae) {
 			t.Fatalf("a: %v, want the abort", err)
 		}
-		if n := h.Dispatched(); n != 0 {
-			t.Fatalf("%d stream workers dispatched for a role that sent no op", n)
+		if n := StreamServers(); n != 0 {
+			t.Fatalf("%d goroutines serve a stream for a role that sent no op", n)
 		}
 	})
 }
 
 // TestCancelOfAnIdleStreamAbortsItsPerformance: a CANCEL for a role between
-// its ops — idle, with no worker — is ended by the reader that reads it: the
+// its ops — idle, with no goroutine — is ended by the reader that reads it: the
 // performance is aborted blaming the role with the reason a CANCEL has always
 // carried, and the stream is answered with one COMPLETE and nothing else.
 func TestCancelOfAnIdleStreamAbortsItsPerformance(t *testing.T) {
@@ -431,7 +431,7 @@ func TestCancelOfAnIdleStreamAbortsItsPerformance(t *testing.T) {
 		return err
 	}))
 	defer in.Close()
-	h, addr := serveTestHost(t, in)
+	_, addr := serveTestHost(t, in)
 	aErr := make(chan error, 1)
 	go func() {
 		_, err := in.Enroll(context.Background(), core.Enrollment{PID: "A", Role: ids.Role("a")})
@@ -461,8 +461,8 @@ func TestCancelOfAnIdleStreamAbortsItsPerformance(t *testing.T) {
 	if completes != 1 {
 		t.Fatalf("%d COMPLETEs for the cancelled stream, want 1", completes)
 	}
-	if n := h.Dispatched(); n != 0 {
-		t.Fatalf("%d stream workers dispatched to end an idle stream", n)
+	if n := StreamServers(); n != 0 {
+		t.Fatalf("%d goroutines serve a stream ended idle", n)
 	}
 }
 
@@ -477,7 +477,7 @@ var duo = core.NewScript("duo").
 // TestHandoffOfReaderBodyDoneReleasesHeldRoles: two remote roles that send no
 // op are ended at BODY-DONE by the connection's reader — the first held, with
 // nothing written, the second ending the performance — and the reader, having
-// ended it, writes both COMPLETEs. No stream worker is ever dispatched.
+// ended it, writes both COMPLETEs. No goroutine ever serves a stream.
 func TestHandoffOfReaderBodyDoneReleasesHeldRoles(t *testing.T) {
 	in := core.NewInstance(duo)
 	defer in.Close()
@@ -501,18 +501,18 @@ func TestHandoffOfReaderBodyDoneReleasesHeldRoles(t *testing.T) {
 		t.Fatalf("COMPLETEs carried %v, want each role's result", got)
 	}
 	settleStats(t, h)
-	if n := h.Dispatched(); n != 0 {
-		t.Fatalf("%d stream workers dispatched for roles that sent no op", n)
+	if n := StreamServers(); n != 0 {
+		t.Fatalf("%d goroutines serve a stream for roles that sent no op", n)
 	}
 }
 
-// TestSeveredWhileServedAbortsBeforeItEnds pins the order a worker keeps
-// when it finds its stream severed after an op: the performance is aborted
-// with the sever's reason first, and only then does the role end. Here the
-// mark is made, as markSevered makes it, while the worker has an op in hand,
-// and the severing goroutine never gets to its own abort; a worker that ended
-// the role first would have a's Recv told "role already finished: b" (the
-// resume-off churn soak saw that class).
+// TestSeveredWhileServedAbortsBeforeItEnds pins the order an op's completer
+// keeps when it finds its stream severed after the op: the performance is
+// aborted with the sever's reason first, and only then does the role end.
+// Here the mark is made, as markSevered makes it, while the stream has an op
+// in hand, and the severing goroutine never gets to its own abort; a
+// completer that ended the role first would have a's Recv told "role already
+// finished: b" (the resume-off churn soak saw that class).
 func TestSeveredWhileServedAbortsBeforeItEnds(t *testing.T) {
 	in := core.NewInstance(pairScript("severed", func(rc core.Ctx) error {
 		_, err := rc.Recv(ids.Role("b"))
@@ -522,7 +522,7 @@ func TestSeveredWhileServedAbortsBeforeItEnds(t *testing.T) {
 	h := NewHost(in, HostConfig{})
 	defer h.Close()
 	fw := &frameLog{}
-	s := &hostSession{h: h, fw: fw, streams: make(map[uint64]*hostStream), tasks: make(chan *hostStream)}
+	s := &hostSession{h: h, fw: fw, streams: make(map[uint64]*hostStream)}
 	st := openTestStream(s, 1, wire.Enroll{PID: "B", Role: "b"})
 	aErr := make(chan error, 1)
 	go func() {
@@ -531,12 +531,12 @@ func TestSeveredWhileServedAbortsBeforeItEnds(t *testing.T) {
 	}()
 	eventually(t, "a's offer", func() bool { return in.PendingOffers() == 1 })
 	s.offer(st)
-	s.smu.Lock() // the reader hands the idle stream a worker with an op in hand
-	if s.stepLocked(st, evOp, false) == actDispatch {
-		s.dispatchLocked(st, hostOp{typ: wire.MsgQuery, tag: wire.QueryFilled, peer: "a"})
-	}
+	s.smu.Lock() // the reader takes the idle stream to serving with an op in hand
+	a := s.stepLocked(st, evOp, false)
+	st.b.op = hostOp{typ: wire.MsgQuery, tag: wire.QueryFilled, peer: "a"}
 	st.severed = "enrollment canceled by enroller"
 	s.smu.Unlock()
+	st.run(a, "") // and posts it: a QUERY is answered at once
 	var ae *core.AbortError
 	if err := <-aErr; !errors.As(err, &ae) || ae.Culprit != ids.Role("b") || ae.Reason != "enrollment canceled by enroller" {
 		t.Fatalf("a: %v, want an abort blaming b with the sever's reason", err)
@@ -559,7 +559,7 @@ func TestAbortOfAnotherOfferIsNotWritten(t *testing.T) {
 	h := NewHost(in, HostConfig{})
 	defer h.Close()
 	fw := &frameLog{}
-	s := &hostSession{h: h, fw: fw, streams: make(map[uint64]*hostStream), tasks: make(chan *hostStream)}
+	s := &hostSession{h: h, fw: fw, streams: make(map[uint64]*hostStream)}
 	x := openTestStream(s, 1, wire.Enroll{PID: "X", Role: "x"})
 	s.offer(x)
 	y := openTestStream(s, 3, wire.Enroll{PID: "Y", Role: "y"})

@@ -132,9 +132,6 @@ type Host struct {
 	connsV1       atomic.Uint64
 	connsV2       atomic.Uint64
 	activeStreams atomic.Int64
-	// dispatched counts streams handed to stream workers: ops that found
-	// their stream idle.
-	dispatched atomic.Uint64
 
 	connWG   sync.WaitGroup // connection handlers
 	enrollWG sync.WaitGroup // admitted enrollments, ENROLL to terminal frame (Drain waits on it)
@@ -551,25 +548,28 @@ func (h *Host) admitEnroll(from, role string) error {
 	return h.overloaded(full)
 }
 
-// bridge is the server-side stand-in for a remote role body: whoever serves
-// the stream relays the client's operation frames into the real RoleCtx (and
-// so into the shared fabric) and the results back out, addressed to its
-// stream and echoing each op's sequence ID on its OP-RESULT.
+// bridge is the server-side stand-in for a remote role body: the client's
+// operation frames are posted into the real RoleCtx (and so into the shared
+// fabric) and their results written back out by whoever commits them,
+// addressed to the stream and echoing each op's sequence ID on its OP-RESULT.
 type bridge struct {
 	fw frameWriter // the session (resumable) or the bare connection
-	// op is the op a worker is dispatched with, and opCh the backlog behind
-	// it, filled by the connection's reader and drained by the worker.
+	// op is the op in hand, posted or ending the role, and opCh the backlog
+	// behind it, filled by the connection's reader and drained by the op's
+	// completer.
 	op       hostOp
 	opCh     chan hostOp
 	streamID uint64
 	// ack and res are the frames the stream writes, one at a time: encoded
 	// before WriteFrame returns, so the next one can take their place.
 	// branches and tos are the storage a SELECT's alternative and a SEND-ALL's
-	// targets are built in, the core being done with them when the op returns.
+	// targets are built in, and post the op's record: the core reads them
+	// until the op's outcome is in.
 	ack      wire.OfferAck
 	res      wire.OpResult
 	branches []core.SelectBranch
 	tos      []ids.RoleRef
+	post     core.Post
 }
 
 // frameWriter is where a bridge's frames go: the bare connection, or a
@@ -593,44 +593,41 @@ var errEnrollerLost = fmt.Errorf("%w: enroller disconnected mid-performance", Er
 // dead or its peer has stopped reading for WriteTimeout).
 const enrollerGone = "remote enroller disconnected"
 
-// serveOp executes one decoded client operation against the real RoleCtx.
-func (b *bridge) serveOp(rc *core.RoleCtx, op hostOp) wire.OpResult {
-	fail := func(err error) wire.OpResult { return wire.OpResult{Err: wire.EncodeError(err)} }
+// post posts the op in hand, decoded, as the stream's role's: the stream is
+// its completer. A QUERY, which waits for nobody, and an op that does not
+// decode are answered at once.
+func (st *hostStream) post() {
+	rc, b, op := st.o.Ctx(), &st.b, &st.b.op
+	fail := func(err error) { st.Complete(core.Selected{}, err) }
 	// The one role a SEND, a RECV or a QUERY names (none is no role at all,
 	// which the core answers as it answers any unknown one).
 	var peer ids.RoleRef
 	if op.peer != "" {
 		var err error
 		if peer, err = wire.DecodeRoleRef(op.peer); err != nil {
-			return fail(fmt.Errorf("%w: %s", core.ErrUnknownRole, op.peer))
+			fail(fmt.Errorf("%w: %s", core.ErrUnknownRole, op.peer))
+			return
 		}
 	}
 	switch op.typ {
 	case wire.MsgSend:
-		return fail(rc.SendTag(peer, op.tag, op.val))
+		rc.PostSendTag(&b.post, peer, op.tag, op.val, st)
 	case wire.MsgSendAll:
 		tos := b.tos[:0]
 		for _, s := range op.tos {
 			to, err := wire.DecodeRoleRef(s)
 			if err != nil {
-				return fail(fmt.Errorf("%w: %s", core.ErrUnknownRole, s))
+				fail(fmt.Errorf("%w: %s", core.ErrUnknownRole, s))
+				return
 			}
 			tos = append(tos, to)
 		}
 		b.tos = tos
-		return fail(rc.SendAll(tos, op.val))
+		rc.PostSendAll(&b.post, tos, op.val, st)
 	case wire.MsgRecv:
-		v, err := rc.RecvTag(peer, op.tag)
-		if err != nil {
-			return fail(err)
-		}
-		return wire.OpResult{Val: v}
+		rc.PostRecvTag(&b.post, peer, op.tag, st)
 	case wire.MsgRecvAny:
-		from, tag, v, err := rc.RecvAny()
-		if err != nil {
-			return fail(err)
-		}
-		return wire.OpResult{Val: v, Peer: from.String(), Tag: tag}
+		rc.PostRecvAny(&b.post, st)
 	case wire.MsgSelect:
 		branches := b.branches[:0]
 		for _, wb := range op.branches {
@@ -638,7 +635,8 @@ func (b *bridge) serveOp(rc *core.RoleCtx, op hostOp) wire.OpResult {
 			case wb.Send:
 				to, err := wire.DecodeRoleRef(wb.Peer)
 				if err != nil {
-					return fail(fmt.Errorf("%w: %s", core.ErrUnknownRole, wb.Peer))
+					fail(fmt.Errorf("%w: %s", core.ErrUnknownRole, wb.Peer))
+					return
 				}
 				branches = append(branches, core.SendTagTo(to, wb.Tag, wb.Val))
 			case wb.AnyPeer:
@@ -646,35 +644,28 @@ func (b *bridge) serveOp(rc *core.RoleCtx, op hostOp) wire.OpResult {
 			default:
 				from, err := wire.DecodeRoleRef(wb.Peer)
 				if err != nil {
-					return fail(fmt.Errorf("%w: %s", core.ErrUnknownRole, wb.Peer))
+					fail(fmt.Errorf("%w: %s", core.ErrUnknownRole, wb.Peer))
+					return
 				}
 				branches = append(branches, core.RecvTagFrom(from, wb.Tag))
 			}
 		}
 		b.branches = branches
-		sel, err := rc.Select(branches...)
-		if err != nil {
-			return fail(err)
-		}
-		return wire.OpResult{
-			// Map back to the client's original branch numbering.
-			Index: op.branches[sel.Index].Index,
-			Peer:  sel.Peer.String(),
-			Tag:   sel.Tag,
-			Val:   sel.Val,
-		}
+		rc.PostSelect(&b.post, st, branches...)
 	case wire.MsgQuery:
 		switch op.tag {
 		case wire.QueryTerminated:
-			return wire.OpResult{Bool: rc.Terminated(peer)}
+			b.res = wire.OpResult{Bool: rc.Terminated(peer)}
 		case wire.QueryFilled:
-			return wire.OpResult{Bool: rc.Filled(peer)}
+			b.res = wire.OpResult{Bool: rc.Filled(peer)}
 		case wire.QueryFamilySize:
-			return wire.OpResult{N: rc.FamilySize(op.name)}
+			b.res = wire.OpResult{N: rc.FamilySize(op.name)}
 		default:
-			return fail(fmt.Errorf("script/remote: unknown query kind %q", op.tag))
+			fail(fmt.Errorf("script/remote: unknown query kind %q", op.tag))
+			return
 		}
+		st.reply()
 	default:
-		return fail(fmt.Errorf("script/remote: unexpected %s during performance", op.typ))
+		fail(fmt.Errorf("script/remote: unexpected %s during performance", op.typ))
 	}
 }

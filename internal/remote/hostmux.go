@@ -83,8 +83,8 @@ const (
 	streamOver     streamPhase = iota // nobody: the enrollment has ended, or none has begun on the hostStream
 	streamOffering                    // the reader, inside Offer (a hand-off may overtake it)
 	streamPending                     // the hand-off: the offer waits in the core, with no goroutine
-	streamIdle                        // whoever takes it to serving: the role plays, no op of it is served and its backlog is empty
-	streamServing                     // who took it: the hand-off writing OFFER-ACK, a worker, the reader ending it at BODY-DONE, or a sever
+	streamIdle                        // whoever takes it to serving: the role plays, no op of it is posted and its backlog is empty
+	streamServing                     // who took it: the hand-off writing OFFER-ACK, the completer of its posted op, the reader ending it at BODY-DONE, or a sever
 	streamReleased                    // serving, and Released came first: the role's ender finishes it at its held step
 	streamHeld                        // Released: the body returned, the role is held for delayed termination
 )
@@ -98,7 +98,7 @@ const (
 	evOp                        // the reader: an op frame
 	evBodyDone                  // the reader: BODY-DONE
 	evAssigned                  // Settled(o, nil)
-	evServed                    // Settled past its OFFER-ACK, or a worker past an OP-RESULT
+	evServed                    // Settled past its OFFER-ACK, or the posted op's completer past its OP-RESULT
 	evRefused                   // Settled(o, err), or the reader refusing the ENROLL
 	evAborted                   // Aborted(o, ae)
 	evReleased                  // Released
@@ -116,7 +116,7 @@ const (
 	actNone      hostAct = iota
 	actAdopt             // keep the offer
 	actCut               // keep the offer, if the event brings one, and Look at a pending offer or a held role; a sever ends the context first
-	actDispatch          // hand the stream to a stream worker with the op in hand
+	actPost              // post the op into the fabric, its completer the stream
 	actQueue             // queue the op in the backlog, or sever the stream as flooding
 	actEnd               // end the role at its BODY-DONE
 	actAck               // write OFFER-ACK and the stashed ABORT behind it
@@ -153,7 +153,7 @@ func (st *hostStream) step(e hostEvent, failed bool) hostAct {
 	case e == evOffered && p != streamPending, e == evAborted && (p == streamHeld || p == streamOver), e == evSevered && p == streamOver, frame && placed && sev:
 		a = actNone // a hand-off overtook the reader; nobody reads the ABORT; severed after its end; dropped, whoever severed it ends it
 	case e == evOp && p == streamIdle:
-		next, a = streamServing, actDispatch
+		next, a = streamServing, actPost
 	case e == evBodyDone && p == streamIdle:
 		next, a = streamServing, actEnd
 	case frame && placed:
@@ -249,15 +249,6 @@ type hostSession struct {
 	byed  bool        // client sent BYE: never park again
 	done  bool        // torn down
 	timer *time.Timer // grace timer while parked
-
-	// Ops are served on a small pool of stream-worker goroutines that grows
-	// to the session's high-water mark of streams served at once: an op for
-	// an idle stream hands the stream to an idle worker, or to a new one when
-	// none is ready, and the worker serves the backlog and goes back to the
-	// pool, so its (deep: core engine + codec) stack is grown once. A pending
-	// offer, a role between its ops and a held role have no worker.
-	wg    sync.WaitGroup
-	tasks chan *hostStream // streams handed to the stream workers
 }
 
 func newHostSession(h *Host, c *wire.Conn, token string, lockstep bool) *hostSession {
@@ -269,7 +260,6 @@ func newHostSession(h *Host, c *wire.Conn, token string, lockstep bool) *hostSes
 		cur:      c,
 		fw:       c,
 		streams:  make(map[uint64]*hostStream),
-		tasks:    make(chan *hostStream),
 	}
 	if token != "" {
 		s.sess = wire.NewSession(c, token, 0)
@@ -462,9 +452,9 @@ func (s *hostSession) expire() {
 }
 
 // teardown ends the session for good: every live stream lost its enroller —
-// reclaim its performance, blaming the vanished role, withdraw a
-// still-pending offer, cut a held role loose — then wait out the stream
-// workers. Nothing more is written for any of them. Idempotent; safe from any
+// reclaim its performance, blaming the vanished role, which fails a posted op
+// through the fabric; withdraw a still-pending offer; cut a held role loose.
+// Nothing more is written for any of them. Idempotent; safe from any
 // goroutine.
 func (s *hostSession) teardown() {
 	s.smu.Lock()
@@ -488,7 +478,6 @@ func (s *hostSession) teardown() {
 	}
 	free := s.free
 	s.free = nil
-	close(s.tasks)
 	s.smu.Unlock()
 	if s.sess != nil {
 		s.sess.Detach()
@@ -503,7 +492,6 @@ func (s *hostSession) teardown() {
 	for _, st := range free {
 		st.cancel() // a recycled context ends with its session
 	}
-	s.wg.Wait()
 }
 
 // offer places the ENROLL that opened st with the target, on the connection's
@@ -557,9 +545,9 @@ func (s *hostSession) offer(st *hostStream) {
 // Settled is the stream's hand-off from the core (core.Handoff), on the
 // goroutine that formed the cast or turned the offer away. An assignment
 // writes the OFFER-ACK there, with the performance's trace ID, and leaves the
-// role idle until its first op (or hands it to a worker, should ops have come
-// first); a stream severed meanwhile, or whose OFFER-ACK does not go out, is
-// lost instead. A turn-away by Close or Drain is answered at once.
+// role idle until its first op (or posts it, should ops have come first); a
+// stream severed meanwhile, or whose OFFER-ACK does not go out, is lost
+// instead. A turn-away by Close or Drain is answered at once.
 func (st *hostStream) Settled(o core.Offered, err error) {
 	s := st.s
 	if err != nil {
@@ -580,13 +568,11 @@ func (st *hostStream) Settled(o core.Offered, err error) {
 			st.writeAbortLocked(st.abortOf, st.abort) // one that overtook this hand-off
 		}
 		if a = s.stepLocked(st, evServed, lost != ""); a == actNext {
-			s.dispatchLocked(st, <-st.b.opCh)
+			st.b.op = <-st.b.opCh
 		}
 	}
 	s.smu.Unlock()
-	if a == actLose {
-		s.lose(st, lost)
-	}
+	st.run(a, lost)
 }
 
 // Aborted tells the enroller offer o's performance was aborted, on the
@@ -624,58 +610,59 @@ func (st *hostStream) writeAbortLocked(o core.Offered, ae *core.AbortError) {
 // its way out of Finish is left for it (streamReleased).
 func (st *hostStream) Released() { st.s.answer(st, st.raise(evReleased), nil) }
 
-// dispatchLocked hands stream st to a stream worker — an idle one, or a new
-// one — with op in hand, outside the backlog, as the first op to serve. Never
-// once the session is over: teardown severs every stream under the same
-// lock, and no severed stream is dispatched.
-func (s *hostSession) dispatchLocked(st *hostStream, op hostOp) {
-	s.h.dispatched.Add(1)
-	st.b.op = op
-	select {
-	case s.tasks <- st:
-		// An idle worker took it.
+// run runs the cell the stream's owner got for a frame, an op's outcome or
+// its OFFER-ACK: lose the role, or take the op in hand — post it, its
+// completer the stream, or end the role at its BODY-DONE.
+func (st *hostStream) run(a hostAct, lost string) {
+	switch {
+	case a == actLose:
+		st.s.lose(st, lost)
+	case a != actNext && a != actPost && a != actEnd:
+	case st.b.op.typ == wire.MsgBodyDone:
+		st.s.bodyDone(st, st.b.op)
 	default:
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.serve(st)
-			for next := range s.tasks {
-				s.serve(next)
-			}
-		}()
+		st.post()
 	}
 }
 
-// serve runs stream st's ops on a stream worker, the one in hand and then
-// the backlog's, one at a time in arrival order, until the backlog is empty —
-// the stream is idle again — or BODY-DONE has ended the role. A stream found
-// severed after an op is lost here: aborted with the sever's reason before its
-// role ends, whoever aborts first, so a co-performer is never told the role
-// finished.
-func (s *hostSession) serve(st *hostStream) {
-	rc, op := st.o.Ctx(), st.b.op
-	for op.typ != wire.MsgBodyDone {
-		st.b.res = st.b.serveOp(rc, op)
-		var lost string
-		if st.b.write(wire.MsgOpResult, op.seq, &st.b.res) != nil {
-			// The client cannot learn this op's outcome; the enrollment is
-			// unrecoverable.
-			lost = enrollerGone + ": operation result not delivered"
-		}
-		s.smu.Lock()
-		a := s.stepLocked(st, evServed, lost != "")
-		if lost = cmp.Or(lost, st.severed); a == actNext {
-			op = <-st.b.opCh
-		}
-		s.smu.Unlock()
-		if a == actLose {
-			s.lose(st, lost)
-		}
-		if a != actNext {
-			return
-		}
+// Complete is the stream's posted op's outcome (core.Completer), on whoever
+// committed or failed it: its OP-RESULT is written there, mapped to the
+// client's message — a Select's index back to its own numbering.
+func (st *hostStream) Complete(sel core.Selected, err error) {
+	b := &st.b
+	b.res = wire.OpResult{Err: wire.EncodeError(err)}
+	switch {
+	case err != nil:
+	case b.op.typ == wire.MsgSelect:
+		b.res = wire.OpResult{Index: b.op.branches[sel.Index].Index, Peer: sel.Peer.String(), Tag: sel.Tag, Val: sel.Val}
+	case b.op.typ == wire.MsgRecvAny:
+		b.res = wire.OpResult{Val: sel.Val, Peer: sel.Peer.String(), Tag: sel.Tag}
+	case b.op.typ == wire.MsgRecv:
+		b.res.Val = sel.Val
 	}
-	s.bodyDone(st, op)
+	st.reply()
+}
+
+// reply writes the OP-RESULT of the op in hand and moves the stream on: to
+// the backlog's next op, which it takes in hand, to idle, or — the result not
+// delivered, or the stream severed — to losing the role, aborted with the
+// sever's reason before its role ends, whoever aborts first, so a
+// co-performer is never told the role finished.
+func (st *hostStream) reply() {
+	s, b := st.s, &st.b
+	var lost string
+	if b.write(wire.MsgOpResult, b.op.seq, &b.res) != nil {
+		// The client cannot learn this op's outcome; the enrollment is
+		// unrecoverable.
+		lost = enrollerGone + ": operation result not delivered"
+	}
+	s.smu.Lock()
+	a := s.stepLocked(st, evServed, lost != "")
+	if lost = cmp.Or(lost, st.severed); a == actNext {
+		b.op = <-b.opCh
+	}
+	s.smu.Unlock()
+	st.run(a, lost)
 }
 
 // bodyDone ends the role at its BODY-DONE, on whoever serves the stream: the
@@ -712,9 +699,9 @@ func (s *hostSession) end(st *hostStream, bodyErr error) {
 // sever ends stream st's enrollment on behalf of a goroutine other than its
 // owner — CANCEL, a flood, teardown — once it has been marked severed: a
 // playing role's performance is aborted blaming it with the severed reason
-// (an idle role is then ended here, one being served by whoever serves it,
-// once the op in hand returns), the context ends, and a pending offer or a
-// held role is cut.
+// (an idle role is then ended here, one with an op posted by the op's
+// completer, which the abort fails), the context ends, and a pending offer or
+// a held role is cut.
 func (s *hostSession) sever(st *hostStream) {
 	s.smu.Lock()
 	a, reason := s.stepLocked(st, evSevered, false), st.severed
@@ -817,7 +804,7 @@ func (s *hostSession) finish(st *hostStream) {
 		for len(st.b.opCh) > 0 {
 			<-st.b.opCh
 		}
-		st.b.op, st.b.res = hostOp{}, wire.OpResult{}
+		st.b.op, st.b.res, st.b.post = hostOp{}, wire.OpResult{}, core.Post{}
 		clear(st.b.branches)
 		st.o, st.abortOf, st.abort, st.enroll, st.cm, st.term, st.admitted = core.Offered{}, core.Offered{}, nil, wire.Enroll{}, wire.Complete{}, 0, false
 		s.free = append(s.free, st)
@@ -877,10 +864,10 @@ func (s *hostSession) markSevered(stream uint64, reason string) *hostStream {
 // deliver hands op to stream's enrollment, on the reader. A missing stream
 // raced with its terminal frame (cancel, abort), a severed one with whoever is
 // ending it: the op is dropped, the enrollment already has its outcome. The
-// op crosses by value, under the lock that found the stream: to a worker,
-// with an idle stream, or into the backlog — except an idle stream's
-// BODY-DONE, which the reader ends itself: there is nothing to wait for. It
-// reports a flood, the stream severed for it.
+// op crosses by value, under the lock that found the stream: into the
+// stream's hand, with an idle stream — the reader posts it, or ends the role
+// at its BODY-DONE — or into the backlog. It reports a flood, the stream
+// severed for it.
 func (s *hostSession) deliver(stream uint64, op hostOp) (flooded bool) {
 	e, a := evOp, actNone
 	if op.typ == wire.MsgBodyDone {
@@ -892,8 +879,8 @@ func (s *hostSession) deliver(stream uint64, op hostOp) (flooded bool) {
 		a = s.stepLocked(st, e, false)
 	}
 	switch a {
-	case actDispatch:
-		s.dispatchLocked(st, op)
+	case actPost, actEnd:
+		st.b.op = op
 	case actQueue:
 		select {
 		case st.b.opCh <- op:
@@ -902,9 +889,7 @@ func (s *hostSession) deliver(stream uint64, op hostOp) (flooded bool) {
 		}
 	}
 	s.smu.Unlock()
-	if a == actEnd {
-		s.bodyDone(st, op)
-	}
+	st.run(a, "")
 	if flooded {
 		s.sever(st)
 	}
@@ -1024,7 +1009,7 @@ func (h *Host) runConn(s *hostSession, c *wire.Conn, first *preRead) {
 		return
 	}
 	for {
-		t, stream, seq, m, err := c.ReadFrame()
+		t, stream, seq, m, err := c.NextFrame()
 		if err != nil || !handle(t, stream, seq, m) {
 			return
 		}

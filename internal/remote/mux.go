@@ -508,7 +508,7 @@ func (mc *muxConn) resume(c *wire.Conn, origErr error) (done bool) {
 // starts a fresh readLoop per transport.
 func (mc *muxConn) readLoop(c *wire.Conn) {
 	for {
-		t, stream, seq, m, err := c.ReadFrame()
+		t, stream, seq, m, err := c.NextFrame()
 		if err != nil {
 			mc.lost(c, fmt.Errorf("%w: %v", ErrConnLost, err))
 			return

@@ -21,7 +21,7 @@ import (
 var (
 	hostPhaseNames  = [...]string{"over", "offering", "pending", "idle", "serving", "released", "held"}
 	hostEventNames  = [...]string{"ENROLL", "offered", "op", "BODY-DONE", "assigned", "served", "refused", "Aborted", "Released", "ended", "held", "severed", "looked", "finish"}
-	hostActionNames = [...]string{"", "adopt", "cut", "dispatch", "queue", "end", "OFFER-ACK", "next", "lose", "stash", "ABORT", "answer", "finish", "cancel", "AbortPerformance", "terminal", "violate"}
+	hostActionNames = [...]string{"", "adopt", "cut", "post", "queue", "end", "OFFER-ACK", "next", "lose", "stash", "ABORT", "answer", "finish", "cancel", "AbortPerformance", "terminal", "violate"}
 	hostInputNames  = [...]string{"failed", "sev", "more"}
 )
 
@@ -232,7 +232,7 @@ func TestStreamTableViolationTearsDown(t *testing.T) {
 	h := NewHost(in, HostConfig{})
 	defer h.Close()
 	fw := &frameLog{}
-	s := &hostSession{h: h, fw: fw, streams: make(map[uint64]*hostStream), tasks: make(chan *hostStream)}
+	s := &hostSession{h: h, fw: fw, streams: make(map[uint64]*hostStream)}
 	x := openTestStream(s, 1, wire.Enroll{PID: "X", Role: "x"})
 	s.offer(x)
 	y := openTestStream(s, 3, wire.Enroll{PID: "Y", Role: "y"})

@@ -46,24 +46,22 @@ func TestHeldRemoteRolesHaveNoWorker(t *testing.T) { starLedger(t, 0) }
 func TestWakesOfALockstepStar(t *testing.T) { starLedger(t, 1) }
 
 // starLedger runs two rounds of a star broadcast to n remote recipients and
-// checks who is woken: a stream worker is dispatched once per op — n per
-// round, one RECV each — and never at an assignment or a BODY-DONE; between a
-// recipient's OFFER-ACK and its first op no goroutine serves its stream (in
-// the first round no worker exists at all); once the recipients' bodies have
-// returned and they are held, no goroutine serves a stream or waits inside
-// the core; and the host counts every recipient, ENROLL to COMPLETE. The
-// sender plays in process and keeps the performance open until the test has
-// looked. Goroutines are counted above what the process held before the
-// host started, which other tests may have left winding down.
+// checks who is woken: no goroutine ever serves a stream's op — each
+// recipient's RECV is posted by the connection's reader and committed by the
+// sender, whose goroutine writes the OP-RESULT — neither at an assignment,
+// nor between a recipient's OFFER-ACK and its first op, nor while the ops
+// are in flight, nor at a BODY-DONE; once the recipients' bodies have
+// returned and they are held, no goroutine waits inside the core; and the
+// host counts every recipient, ENROLL to COMPLETE. The sender plays in
+// process and keeps the performance open until the test has looked.
+// Goroutines are counted above what the process held before the host
+// started, which other tests may have left winding down.
 func starLedger(t *testing.T, proto int) {
 	const (
-		n      = 8
-		worker = "remote.(*hostSession).dispatchLocked.func1"
-		serve  = "remote.(*hostSession).serve"
-		wait   = "core.(*Instance).wait"
+		n    = 8
+		wait = "core.(*Instance).wait"
 	)
-	base := map[string]int{worker: countStacks(worker), serve: countStacks(serve), wait: countStacks(wait)}
-	above := func(fn string) int { return countStacks(fn) - base[fn] }
+	base := countStacks(wait)
 	in := core.NewInstance(patterns.StarBroadcast(n))
 	defer in.Close()
 	h, addr := startHost(t, in, remote.HostConfig{MaxProtocolVersion: proto})
@@ -115,32 +113,19 @@ func starLedger(t *testing.T, proto int) {
 		for range n {
 			<-acked
 		}
-		if got := above(serve); got > 0 {
+		if got := remote.StreamServers(); got > 0 {
 			t.Fatalf("round %d: %d goroutines serve a stream before any op was sent", round, got)
-		}
-		if got := above(worker); round == 1 && got > 0 {
-			t.Fatalf("round 1: %d stream workers exist before any op was sent", got)
-		}
-		if got, want := h.Dispatched(), uint64((round-1)*n); got != want {
-			t.Fatalf("round %d, assigned: %d dispatches, want %d: none at assignment", round, got, want)
 		}
 		counted(fmt.Sprintf("round %d, assigned", round))
 		close(gate)
-
-		<-held
-		for deadline := time.Now().Add(10 * time.Second); above(serve) > 0; time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("round %d: a worker still serves a stream with every recipient held", round)
-			}
+		if most := sampleStreamServers(held); most > 0 {
+			t.Fatalf("round %d: %d goroutines served a stream while its ops were in flight", round, most)
 		}
-		if countStacks(worker) == 0 { // they went back to the pool, where the first round looked
-			t.Fatalf("round %d: no idle stream worker after %d ops: the stack name looked for is stale", round, n)
+		if got := remote.StreamServers(); got > 0 {
+			t.Fatalf("round %d: %d goroutines serve a stream with every recipient held", round, got)
 		}
-		if got := above(wait); got > 0 {
+		if got := countStacks(wait) - base; got > 0 {
 			t.Fatalf("round %d: %d goroutines wait inside the core with every recipient held", round, got)
-		}
-		if got, want := h.Dispatched(), uint64(round*n); got != want {
-			t.Fatalf("round %d, held: %d dispatches, want %d: one per RECV, none at BODY-DONE", round, got, want)
 		}
 		counted(fmt.Sprintf("round %d, held", round))
 		close(hold)
@@ -149,5 +134,135 @@ func starLedger(t *testing.T, proto int) {
 				t.Fatalf("round %d: %v", round, err)
 			}
 		}
+	}
+}
+
+// sampleStreamServers looks at every goroutine's stack until stop is closed
+// and returns the most goroutines one look found serving a stream.
+func sampleStreamServers(stop <-chan struct{}) int {
+	most := 0
+	for {
+		most = max(most, remote.StreamServers())
+		select {
+		case <-stop:
+			return most
+		case <-time.After(200 * time.Microsecond):
+		}
+	}
+}
+
+// TestBufferLedger is the host's wake ledger for the lock-step exchange of
+// the bounded buffer, every role remote on one connection: during the
+// exchange the session's only goroutines are its reader and its flusher. The
+// reader posts every op, and the op that commits it — another role's, posted
+// by the same reader — writes its OP-RESULT, so no goroutine serves a stream
+// and none blocks in the fabric.
+func TestBufferLedger(t *testing.T) {
+	const items = 64
+	const (
+		reader   = "remote.(*Host).serveConn"
+		inFabric = "rendezvous.(*Fabric).wait"
+	)
+	in := core.NewInstance(patterns.BoundedBuffer(2))
+	defer in.Close()
+	_, addr := startHost(t, in, remote.HostConfig{})
+	enr := remote.NewEnroller(addr, remote.EnrollerConfig{Script: "bounded_buffer"})
+	defer enr.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	base := map[string]int{reader: countStacks(reader), inFabric: countStacks(inFabric)}
+	args := make([]any, items)
+	for i := range args {
+		args[i] = i
+	}
+	producer, buffer, consumer := ids.Role(patterns.RoleProducer), ids.Role(patterns.RoleBuffer), ids.Role(patterns.RoleConsumer)
+	roles := []core.Enrollment{
+		{PID: "P", Role: producer, Args: args, Body: func(rc core.Ctx) error {
+			for i := range rc.NumArgs() {
+				if err := rc.SendTag(buffer, "item", rc.Arg(i)); err != nil {
+					return err
+				}
+			}
+			return rc.SendTag(buffer, "eof", nil)
+		}},
+		{PID: "B", Role: buffer, Body: func(rc core.Ctx) error { // capacity 2
+			var queue []any
+			for done := false; !done || len(queue) > 0; {
+				var head any
+				if len(queue) > 0 {
+					head = queue[0]
+				}
+				sel, err := rc.Select(
+					core.RecvTagFrom(producer, "item").When(!done && len(queue) < 2),
+					core.RecvTagFrom(producer, "eof").When(!done),
+					core.SendTagTo(consumer, "item", head).When(len(queue) > 0),
+				)
+				switch {
+				case err != nil:
+					return err
+				case sel.Index == 0:
+					queue = append(queue, sel.Val)
+				case sel.Index == 1:
+					done = true
+				default:
+					queue = queue[1:]
+				}
+			}
+			return rc.SendTag(consumer, "eof", nil)
+		}},
+		{PID: "C", Role: consumer, Body: func(rc core.Ctx) error {
+			var got []any
+			for {
+				sel, err := rc.Select(core.RecvTagFrom(buffer, "item"), core.RecvTagFrom(buffer, "eof"))
+				if err != nil || sel.Index == 1 {
+					rc.Return(got...)
+					return err
+				}
+				got = append(got, sel.Val)
+			}
+		}},
+	}
+	done := make(chan core.Result, len(roles))
+	errs := make(chan error, len(roles))
+	for _, e := range roles {
+		go func() {
+			res, err := enr.Enroll(ctx, e)
+			errs <- err
+			done <- res
+		}()
+	}
+	stop := make(chan struct{})
+	var most struct{ servers, readers, blocked int }
+	sampled := make(chan struct{})
+	go func() {
+		defer close(sampled)
+		for {
+			most.servers = max(most.servers, remote.StreamServers())
+			most.readers = max(most.readers, countStacks(reader)-base[reader])
+			most.blocked = max(most.blocked, countStacks(inFabric)-base[inFabric])
+			select {
+			case <-stop:
+				return
+			case <-time.After(200 * time.Microsecond):
+			}
+		}
+	}()
+	var got []any
+	for range roles {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+		if res := <-done; res.Role == ids.Role(patterns.RoleConsumer) {
+			got = res.Values
+		}
+	}
+	close(stop)
+	<-sampled
+	if len(got) != items {
+		t.Fatalf("the consumer got %d items, want %d", len(got), items)
+	}
+	if most.servers > 0 || most.blocked > 0 || most.readers > 1 {
+		t.Fatalf("during the exchange: %d goroutines served a stream, %d blocked in the fabric, %d readers; want 0, 0 and 1",
+			most.servers, most.blocked, most.readers)
 	}
 }

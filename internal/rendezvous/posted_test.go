@@ -145,7 +145,7 @@ func TestPostedCountFollowsThePendingLists(t *testing.T) {
 
 	for name, end := range map[string]func(*Fabric){
 		"abort": func(f *Fabric) { f.Abort(nil) },
-		"close": (*Fabric).Close,
+		"close": func(f *Fabric) { f.Close() },
 	} {
 		t.Run(name, func(t *testing.T) {
 			f := New()

@@ -88,7 +88,7 @@ type front struct {
 	terminate func(Addr)
 }
 
-func byName(f *Fabric) front { return front{f.Do, f.Terminate} }
+func byName(f *Fabric) front { return front{f.Do, func(a Addr) { f.Terminate(a) }} }
 
 func byID(f *Fabric) front {
 	return front{

@@ -154,7 +154,7 @@ func TestFailingAnAlternativeTouchesItOnce(t *testing.T) {
 		want error
 	}{
 		"abort":           {func(f *Fabric) { f.Abort(nil) }, ErrAborted},
-		"close":           {(*Fabric).Close, ErrClosed},
+		"close":           {func(f *Fabric) { f.Close() }, ErrClosed},
 		"terminate owner": {func(f *Fabric) { f.Terminate("P") }, ErrSelfTerminated},
 		"terminate peer":  {func(f *Fabric) { f.Terminate("A") }, ErrPeerTerminated},
 	} {
@@ -191,10 +191,9 @@ func TestEscalatedOpIsClearedWhenNothingIsPosted(t *testing.T) {
 	s := getSlot()
 	o := s.newOp(P, A, &br, 0)
 	f.Terminate("A")
-	if _, err := f.awaitSlow(ctxT(t), P, []IDBranch{br}, s, 1); !errors.Is(err, ErrPeerTerminated) {
-		t.Fatalf("awaitSlow = %v, want ErrPeerTerminated", err)
+	if left, err := f.postSlow(P, []IDBranch{br}, s, 1, nil, false, new(IDOutcome)); left != nil || !errors.Is(err, ErrPeerTerminated) {
+		t.Fatalf("postSlow = %v, want ErrPeerTerminated and the slot released", err)
 	}
-	s.release()
 	if o.val != nil || o.g != nil || o.owner != nil {
 		t.Fatalf("released slot still holds the escalated op: %+v", *o)
 	}

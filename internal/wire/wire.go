@@ -598,6 +598,11 @@ type Conn struct {
 	passes      atomic.Uint64
 	flusherOnce sync.Once
 	closeOnce   sync.Once
+	// held is set by the connection's read loop (NextFrame) while it handles
+	// a frame: a frame buffered meanwhile does not nudge the flusher, for the
+	// loop flushes it before it next waits for the peer. Only the loop writes
+	// it.
+	held atomic.Bool
 	// batchWrites hints that several writers share the connection (2+ live
 	// multiplexed streams): the flusher then yields briefly before
 	// flushing so a fan-out burst leaves in one syscall. Off (the
@@ -808,6 +813,9 @@ func (c *Conn) commit(frame []byte, sync bool) error {
 		return nil // the flush the burst's first frame asked for takes this one too
 	}
 	c.dirty = true
+	if c.held.Load() {
+		return nil // the read loop flushes before it waits
+	}
 	select {
 	case c.flushReq <- struct{}{}:
 	default: // a nudge is still queued (an inline flush overtook it); it covers this frame
@@ -841,6 +849,7 @@ func (c *Conn) armRead(n int) (sweep bool, err error) {
 	if c.br.Buffered() >= n {
 		return false, nil
 	}
+	c.release()
 	c.rdmu.Lock()
 	defer c.rdmu.Unlock()
 	switch {
@@ -911,12 +920,40 @@ func (c *Conn) flusher() {
 				seen = n
 			}
 		}
-		c.wmu.Lock()
-		if c.dirty && c.flushErr == nil {
-			c.flushLocked()
-		}
-		c.wmu.Unlock()
+		c.flushDirty()
 	}
+}
+
+// flushDirty flushes what is buffered, if anything is and no flush failed.
+func (c *Conn) flushDirty() {
+	c.wmu.Lock()
+	if c.dirty && c.flushErr == nil {
+		c.flushLocked()
+	}
+	c.wmu.Unlock()
+}
+
+// release ends the read loop's hold on the flush (see held), flushing what
+// was buffered under it. Called by the reader only.
+func (c *Conn) release() {
+	if c.held.Swap(false) {
+		c.flushDirty()
+	}
+}
+
+// NextFrame is ReadFrame for the connection's read loop — the goroutine that
+// reads it for as long as it lives and handles each frame before it reads on
+// (the host's session loop, the client's demultiplexer). A frame written
+// while the loop handles one, an OP-RESULT its post committed say, is left
+// in the write buffer for the loop to flush, with whatever else accrues,
+// just before its next read waits for the peer; a frame written while it
+// waits nudges the flusher, as always. The loop always reads again or
+// closes — as it does on an error — and Close flushes, so no frame is
+// stranded.
+func (c *Conn) NextFrame() (t MsgType, stream, seq uint64, m any, err error) {
+	t, stream, seq, m, err = c.ReadFrame()
+	c.held.Store(err == nil)
+	return t, stream, seq, m, err
 }
 
 // ErrMalformed marks a ReadFrame failure that is the payload's fault, not
