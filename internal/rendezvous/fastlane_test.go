@@ -550,3 +550,45 @@ func TestWithdrawalAllocsIndependentOfPending(t *testing.T) {
 		t.Fatalf("withdrawal allocations grow with pending ops: %0.1f at 2 pending vs %0.1f at 64", small, large)
 	}
 }
+
+// delayThenEvict is a FastFaults that holds every waiting op between its
+// park and its re-check for d, then evicts it.
+type delayThenEvict struct{ d time.Duration }
+
+func (e delayThenEvict) FastDelay() time.Duration { return e.d }
+func (delayThenEvict) FastEvict() bool            { return true }
+
+// TestEvictionLosesToACommit: the fault's latency holds a blocking receive
+// between its park and its re-check, with the inbox free; a send commits it
+// there, and the eviction that follows finds the op gone from its cell and
+// leaves it to its outcome — it is neither lost nor escalated.
+func TestEvictionLosesToACommit(t *testing.T) {
+	f, ctx := New(), ctxT(t)
+	f.Declare("P", "Q")
+	f.SetFastFaults(delayThenEvict{200 * time.Millisecond})
+	got := make(chan any, 1)
+	go func() {
+		v, err := f.RecvID(ctx, 0, 1, "t")
+		if err != nil {
+			v = err
+		}
+		got <- v
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for f.table()[0].parked.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the receive never parked")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := f.SendID(ctx, 1, 0, "t", "v"); err != nil {
+		t.Fatal(err)
+	}
+	if v := <-got; v != "v" {
+		t.Fatalf("the receive returned %v, want the send's value", v)
+	}
+	if n := f.FastCommits(); n != 1 {
+		t.Fatalf("%d fast commits, want the send's", n)
+	}
+	checkPosted(t, f, "after the commit", 0)
+}
