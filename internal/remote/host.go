@@ -34,9 +34,10 @@ type HostConfig struct {
 	// frame (heartbeats included) resets the clock. 0 means the default of
 	// 15 seconds; a negative value disables the bound.
 	HeartbeatTimeout time.Duration
-	// WriteTimeout bounds each frame write to a client (0 = unbounded). A
-	// client that stops reading mid-performance is indistinguishable from a
-	// dead one; the write timeout turns it into the disconnect path.
+	// WriteTimeout bounds each write to a client's socket, which only the
+	// connection's flusher makes (0 = unbounded). A client that stops reading
+	// mid-performance is indistinguishable from a dead one; the write timeout
+	// turns it into the disconnect path.
 	WriteTimeout time.Duration
 
 	// MaxConns caps concurrently-served client connections (0 = unlimited).

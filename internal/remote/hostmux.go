@@ -358,10 +358,10 @@ func (s *hostSession) adopt(c *wire.Conn, r *wire.Resume, refuse func(string)) b
 		return false
 	}
 	// A live old connection means the client noticed the break before we
-	// did. Supersede: closing it (outside the lock, since a close flushes
-	// and an assignment's hand-off may wait for smu under the instance's
-	// lock) fails its read loop, which finds it is no longer current and
-	// leaves the session alone.
+	// did. Supersede: closing it (outside the lock, since a close waits for
+	// its flusher's last pass and an assignment's hand-off may wait for smu
+	// under the instance's lock) fails its read loop, which finds it is no
+	// longer current and leaves the session alone.
 	old := s.cur
 	s.sess.Detach()
 	if s.timer != nil {
@@ -380,22 +380,18 @@ func (s *hostSession) adopt(c *wire.Conn, r *wire.Resume, refuse func(string)) b
 	// ack synchronously before releasing its own writers onto the wire. The
 	// session writes it only once the client's count is found good.
 	if err := s.sess.Resume(c, r.RecvCount, &wire.ResumeAck{RecvCount: recvd}); err != nil {
-		switch {
-		case errors.Is(err, wire.ErrResumeInvalid):
-			// A count the session cannot honour, refused before any RESUME-ACK:
-			// the session parks again, for a RESUME that can be.
-			refuse(err.Error())
-			s.connBroken(c)
-		case errors.Is(err, wire.ErrSessionDoomed):
-			// Exactly-once replay is impossible: refuse and degrade to the
-			// abort path, which is the bounded-memory contract.
+		refuse(err.Error())
+		if errors.Is(err, wire.ErrSessionDoomed) {
+			// Exactly-once replay is impossible: degrade to the abort path,
+			// which is the bounded-memory contract.
 			s.smu.Lock()
 			s.cur = nil
 			s.smu.Unlock()
-			refuse(err.Error())
 			s.teardown()
-		default:
-			s.connBroken(c) // the fresh transport died: park again
+		} else {
+			// A count the session cannot honour, refused before any RESUME-ACK:
+			// the session parks again, for a RESUME that can be.
+			s.connBroken(c)
 		}
 		return false
 	}

@@ -127,8 +127,7 @@ var streamWatch ctxwatch.Watch
 func (mc *muxConn) withdraw(st *muxStream) {
 	err := st.ctx.Err()
 	if !mc.lockstep {
-		// The waits end first: a CANCEL can wait for a socket that a wedged
-		// host is not reading, and the enrollment must not wait with it.
+		// The waits end first, then the CANCEL goes out behind them.
 		st.fatal(err)
 		_ = mc.fw.WriteFrame(wire.MsgCancel, st.id, 0, &wire.Cancel{})
 		return
@@ -483,11 +482,8 @@ func (mc *muxConn) resume(c *wire.Conn, origErr error) (done bool) {
 		return false
 	}
 	if err := mc.sess.Resume(c, m.(*wire.ResumeAck).RecvCount, nil); err != nil {
-		if errors.Is(err, wire.ErrSessionDoomed) || errors.Is(err, wire.ErrResumeInvalid) {
-			mc.fail(origErr)
-			return true
-		}
-		return false // fresh transport died mid-replay; try again
+		mc.fail(origErr) // doomed, or a count that cannot be honoured
+		return true
 	}
 	mc.mu.Lock()
 	if mc.dead {

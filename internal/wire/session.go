@@ -56,8 +56,7 @@ var ErrSessionDoomed = errors.New("wire: session retransmit ring overflowed")
 
 // ErrResumeInvalid marks a resume whose receipt state cannot be satisfied —
 // the peer claims more frames than were ever sent, or the ring no longer
-// holds the suffix it needs. Unlike a transport error during replay (which
-// the caller may retry on a fresh connection), it is terminal.
+// holds the suffix it needs. It is terminal.
 var ErrResumeInvalid = errors.New("wire: resume receipt state unsatisfiable")
 
 type sessFrame struct {
@@ -72,12 +71,11 @@ type Session struct {
 	token string
 	cap   int
 
-	// wlock serializes session-frame emission (ring append + transport
-	// write) and replay, so the wire order of session frames always matches
-	// their ring (count) order — the invariant the cumulative receipt
-	// counts depend on. Control frames and state reads bypass it.
-	wlock sync.Mutex
-
+	// mu also orders session-frame emission (ring append + transport append)
+	// and replay, so the wire order of session frames always matches their
+	// ring (count) order — the invariant the cumulative receipt counts depend
+	// on. Appending to a Conn never waits on the peer, so both happen under
+	// it.
 	mu       sync.Mutex
 	c        *Conn // current transport; nil while detached
 	sent     uint64
@@ -142,9 +140,8 @@ func (s *Session) WriteFrame(t MsgType, stream, seq uint64, m any) error {
 		return err
 	}
 
-	s.wlock.Lock()
-	defer s.wlock.Unlock()
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.sent++
 	if !s.doomed {
 		if s.ringSize+len(buf) > s.cap {
@@ -157,10 +154,8 @@ func (s *Session) WriteFrame(t MsgType, stream, seq uint64, m any) error {
 			s.ringSize += len(buf)
 		}
 	}
-	c := s.c
-	s.mu.Unlock()
-	if c != nil {
-		_ = c.writeRaw(buf, false) // broken transport: the ring has the frame
+	if s.c != nil {
+		_ = s.c.writeRaw(buf) // broken transport: the ring has the frame
 	}
 	return nil
 }
@@ -227,17 +222,16 @@ func (s *Session) Detach() {
 // once the count is found good, ahead of the retransmitted suffix. Fails —
 // leaving the session detached, and nothing written — if the session is
 // doomed, the count is ahead of what was ever sent, or the ring no longer
-// covers the gap.
+// covers the gap. A transport that dies mid-replay is not Resume's to see:
+// the connection's reader finds it, and the next resume's counts replay
+// the rest.
 func (s *Session) Resume(c *Conn, peerRecv uint64, ack *ResumeAck) error {
-	s.wlock.Lock()
-	defer s.wlock.Unlock()
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.doomed {
-		s.mu.Unlock()
 		return ErrSessionDoomed
 	}
 	if peerRecv > s.sent {
-		s.mu.Unlock()
 		return fmt.Errorf("%w: peer claims %d frames received, only %d sent", ErrResumeInvalid, peerRecv, s.sent)
 	}
 	deduped := uint64(0)
@@ -250,32 +244,17 @@ func (s *Session) Resume(c *Conn, peerRecv uint64, ack *ResumeAck) error {
 	// The suffix must be there whole: an ACK ahead of this count (a peer that
 	// lost its state, or lies) may have emptied the ring altogether.
 	if peerRecv < s.sent && (len(s.ring) == 0 || s.ring[0].idx != peerRecv+1) {
-		s.mu.Unlock()
 		return fmt.Errorf("%w: retransmit ring gap (%d of %d sent retained, need idx %d)", ErrResumeInvalid, len(s.ring), s.sent, peerRecv+1)
 	}
-	replay := make([][]byte, len(s.ring))
-	for i, r := range s.ring {
-		replay[i] = r.frame
-	}
 	s.c = c
-	s.mu.Unlock()
-
+	// A failed append means a dead transport, which its reader finds.
 	if ack != nil {
-		if err := c.WriteFrame(MsgResumeAck, 0, 0, ack); err != nil {
-			s.Detach()
-			return err
-		}
+		_ = c.WriteFrame(MsgResumeAck, 0, 0, ack)
+	}
+	for _, r := range s.ring {
+		_ = c.writeRaw(r.frame)
 	}
 	framesDeduped.Add(deduped)
-	for i, f := range replay {
-		if err := c.writeRaw(f, false); err != nil {
-			// The fresh transport died mid-replay. Counts self-heal: the
-			// next resume exchange re-derives the (smaller) suffix.
-			framesRetransmitted.Add(uint64(i))
-			s.Detach()
-			return err
-		}
-	}
-	framesRetransmitted.Add(uint64(len(replay)))
+	framesRetransmitted.Add(uint64(len(s.ring)))
 	return nil
 }

@@ -188,7 +188,8 @@ func TestSessionControlFramesUncounted(t *testing.T) {
 }
 
 // TestSessionReplayInterrupted checks a transport that dies mid-replay
-// leaves the session detached with its ring intact, so the next resume —
+// leaves the ring intact: Resume hands the replay to the connection and
+// returns, the connection's reader finds the break, and the next resume —
 // told how far the peer really got — sends just the rest.
 func TestSessionReplayInterrupted(t *testing.T) {
 	s := NewSession(nil, "tok", 0)
@@ -206,25 +207,32 @@ func TestSessionReplayInterrupted(t *testing.T) {
 		p2.Close() // the peer got frame 1, then the transport died
 		got <- []uint64{seq}
 	}()
-	err := s.Resume(c2, 0, nil)
-	if err == nil || errors.Is(err, ErrResumeInvalid) || errors.Is(err, ErrSessionDoomed) {
-		t.Fatalf("interrupted replay = %v, want the transport's error", err)
+	if err := s.Resume(c2, 0, nil); err != nil {
+		t.Fatalf("Resume onto a transport that dies mid-replay: %v", err)
 	}
-	c2.Close()
 	if seqs := <-got; !reflect.DeepEqual(seqs, seqRange(1, 1)) {
 		t.Fatalf("dying transport delivered %v, want frame 1", seqs)
 	}
+	if _, _, _, _, err := c2.ReadFrame(); err == nil {
+		t.Fatal("the dead transport's reader read a frame")
+	}
+	s.Detach() // what the reader's owner does on the break
+	c2.Close()
 	if s.Conn() != nil || len(s.ring) != 6 {
 		t.Fatalf("after interrupted replay: conn %v, ring %d frames, want nil and 6", s.Conn(), len(s.ring))
 	}
 
 	c3, p3 := v2Pipe(t)
-	rest := drain(p3, 5)
+	rest := drain(p3, 6)
 	if err := s.Resume(c3, 1, nil); err != nil {
 		t.Fatalf("second Resume: %v", err)
 	}
-	if seqs := <-rest; !reflect.DeepEqual(seqs, seqRange(2, 6)) {
-		t.Fatalf("second replay delivered %v, want 2..6", seqs)
+	// A stream-0 frame behind the replay marks its end: exactly 2..6 before it.
+	if err := s.WriteFrame(MsgHeartbeat, 0, 0, &Heartbeat{}); err != nil {
+		t.Fatal(err)
+	}
+	if seqs := <-rest; !reflect.DeepEqual(seqs, append(seqRange(2, 6), 0)) {
+		t.Fatalf("second replay delivered %v, want 2..6 and nothing more", seqs)
 	}
 }
 

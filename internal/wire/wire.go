@@ -35,9 +35,8 @@
 // storage its stream already has, inside the critical section that routes
 // the frame. ParsePayload is the same decoder filling a fresh struct, for
 // callers with no connection to own one (fuzzing, tests, the benchmark's
-// codec loops). Conn.WriteFrame encodes into the free space of the write
-// buffer the flusher sends from. Neither direction has a pool to return
-// anything to.
+// codec loops). Conn.WriteFrame encodes at the end of the buffer the flusher
+// sends from. Neither direction has a pool to return anything to.
 //
 // # Conversation
 //
@@ -563,34 +562,33 @@ func (e *ErrInfo) Err() error {
 	return errors.New(e.Msg)
 }
 
-// Conn frames messages over a net.Conn. Writes are serialized by an
-// internal mutex (the client's heartbeat goroutine and its body share one
-// connection; the host's bridge and orchestrator likewise), reads must stay
-// single-goroutine. The zero read/write timeouts mean "no deadline".
+// Conn frames messages over a net.Conn. Any goroutine may write a frame;
+// reads must stay single-goroutine. The zero read/write timeouts mean "no
+// deadline".
 type Conn struct {
 	nc net.Conn
 	br *bufio.Reader
 
-	wmu sync.Mutex
-	bw  *bufio.Writer
-
-	// WriteFrame's flushes are asynchronous: writers buffer their frame
-	// under wmu and set dirty, and the writer that found the buffer clean
-	// nudges the flusher goroutine via flushReq — one nudge per burst: the
-	// frames that follow it into a dirty buffer leave with the flush it asked
-	// for, and the first frame after that flush finds the buffer clean again.
-	// The flusher issues one write syscall for everything buffered since its
-	// last pass, which collapses the fan-out bursts of a multiplexed
-	// connection (64 op results after one scatter, say) into a handful of
-	// syscalls. flushErr latches the first flush failure; every later
-	// write returns it. dirty and flushErr are guarded by wmu; flushReq and
-	// quit are safe channels. The flusher starts lazily on
-	// the first WriteFrame (a connection shed at the handshake, whose only
-	// frames go through WriteSync, never pays for it) and exits on Close.
-	dirty    bool
+	// After the handshake the socket has one writer, the flusher goroutine.
+	// WriteFrame appends its frame to out under wmu and returns, and the
+	// writer that finds out empty nudges the flusher via flushReq — one nudge
+	// per burst: the frames that follow it into out leave with the pass it
+	// asked for. Each pass swaps out for its spare under wmu and writes the
+	// whole batch outside it, in one syscall (a multiplexed connection's
+	// fan-out burst, 64 op results after one scatter say, leaves in a
+	// handful), so wmu is never held across a write and no writer waits on
+	// the peer. flushErr latches the first failed write (which also closes
+	// the socket); every later write returns it. out and flushErr are guarded
+	// by wmu; flushReq and quit are safe channels. The flusher starts lazily
+	// on the first WriteFrame (a connection shed at the handshake, whose only
+	// frames go through WriteSync, never pays for it) and closes flushed when
+	// Close ends it.
+	wmu      sync.Mutex
+	out      []byte
 	flushErr error
 	flushReq chan struct{}
 	quit     chan struct{}
+	flushed  chan struct{}
 	// frames counts the frames buffered so far: what the flusher watches,
 	// without taking wmu, to tell whether a burst is still growing. passes
 	// counts the flusher's passes (tests hold it to one per burst).
@@ -599,10 +597,13 @@ type Conn struct {
 	flusherOnce sync.Once
 	closeOnce   sync.Once
 	// held is set by the connection's read loop (NextFrame) while it handles
-	// a frame: a frame buffered meanwhile does not nudge the flusher, for the
-	// loop flushes it before it next waits for the peer. Only the loop writes
-	// it.
-	held atomic.Bool
+	// a frame: a frame that finds out empty meanwhile does not nudge the
+	// flusher but sets gathered, and the loop nudges once before it next
+	// waits for the peer. The pass that nudge asks for skips the batching
+	// yields (the loop has gathered the burst already) and clears gathered.
+	// Only the loop writes held.
+	held     atomic.Bool
+	gathered atomic.Bool
 	// batchWrites hints that several writers share the connection (2+ live
 	// multiplexed streams): the flusher then yields briefly before
 	// flushing so a fan-out burst leaves in one syscall. Off (the
@@ -641,10 +642,10 @@ func NewConn(nc net.Conn) *Conn {
 	return &Conn{
 		nc:       nc,
 		br:       bufio.NewReaderSize(nc, 16<<10),
-		bw:       bufio.NewWriterSize(nc, 16<<10),
 		version:  Version,
 		flushReq: make(chan struct{}, 1),
 		quit:     make(chan struct{}),
+		flushed:  make(chan struct{}),
 	}
 }
 
@@ -678,8 +679,7 @@ func (c *Conn) SetReadTimeout(d time.Duration) {
 }
 
 // SetWriteTimeout bounds each subsequent write to the socket (0 =
-// unbounded): the flusher's flush for WriteFrame, the inline one for
-// WriteSync, and the spill of a frame larger than the write buffer.
+// unbounded): each of the flusher's writes, and WriteSync's.
 func (c *Conn) SetWriteTimeout(d time.Duration) { c.writeTimeout = d }
 
 // SetFrameDelay injects fn's latency before every frame write; nil disables
@@ -689,23 +689,31 @@ func (c *Conn) SetFrameDelay(fn func() time.Duration) { c.frameDelay = fn }
 // RemoteAddr returns the peer's network address.
 func (c *Conn) RemoteAddr() net.Addr { return c.nc.RemoteAddr() }
 
-// Close closes the underlying connection after a bounded best-effort
-// flush of any frames still buffered (a protocol-error frame written just
-// before teardown, say). Safe concurrently with blocked reads and writes,
-// which then fail.
+// Close ends the flusher, gives its last pass — the frames still buffered,
+// a protocol-error frame written just before teardown say — at most
+// closeGrace, and closes the underlying connection. Safe concurrently with
+// blocked reads and writes, which then fail; every later write returns
+// net.ErrClosed.
 func (c *Conn) Close() error {
 	c.closeOnce.Do(func() { close(c.quit) })
+	c.flusherOnce.Do(func() { close(c.flushed) }) // never started: nothing to wait for
+	select {
+	case <-c.flushed:
+	case <-time.After(closeGrace): // the last pass is stuck on the peer; closing the socket ends it
+	}
 	c.wmu.Lock()
-	if c.dirty && c.flushErr == nil {
-		_ = c.nc.SetWriteDeadline(time.Now().Add(100 * time.Millisecond))
-		c.flushErr = c.bw.Flush()
-		c.dirty = false
+	if c.flushErr == nil {
+		c.flushErr = net.ErrClosed
 	}
 	c.wmu.Unlock()
 	return c.nc.Close()
 }
 
-// maxKeptBuf bounds the read buffer a connection keeps between frames.
+// closeGrace bounds the flusher's last pass, the one Close asks for.
+const closeGrace = 100 * time.Millisecond
+
+// maxKeptBuf bounds the read buffer, and the flusher's spare, a connection
+// keeps between frames.
 const maxKeptBuf = 64 << 10
 
 // appendFrame appends one complete frame — length header, type byte and
@@ -727,117 +735,114 @@ func appendFrame(dst []byte, ver int, t MsgType, stream, seq uint64, m any) ([]b
 	return dst, nil
 }
 
-// WriteFrame encodes m with the connection's negotiated codec and writes
-// one framed message. stream and seq are the v2 multiplexing envelope and
-// must be zero on a v1 connection. The frame is encoded where it leaves
-// from, the write buffer's free space: steady-state v2 writes allocate and
-// copy nothing.
+// WriteFrame encodes m with the connection's negotiated codec and appends
+// one framed message for the flusher to write; it never waits on the peer.
+// stream and seq are the v2 multiplexing envelope and must be zero on a v1
+// connection. The frame is encoded where it leaves from, the end of out:
+// steady-state v2 writes allocate and copy nothing. Nothing is buffered of a
+// message that does not encode.
 func (c *Conn) WriteFrame(t MsgType, stream, seq uint64, m any) error {
-	return c.writeFrame(t, stream, seq, m, false)
-}
-
-// WriteSync is WriteFrame for a stream-0 frame sent before the conversation
-// starts — the handshake's frames and the host's pre-handshake OVERLOADED.
-// It flushes before returning instead of nudging the flusher, so the frame
-// is on the wire when the caller closes or blocks on the reply, and a
-// connection that is shed or rejected never starts the flusher goroutine.
-func (c *Conn) WriteSync(t MsgType, m any) error {
-	return c.writeFrame(t, 0, 0, m, true)
-}
-
-// writeFrame appends the frame to the write buffer's free space under the
-// write mutex; bufio recognises its own buffer and takes the bytes without
-// a copy. A frame that outgrows the free space was appended into storage of
-// its own and spills through Write like any other (see commit). Nothing is
-// buffered of a message that does not encode.
-func (c *Conn) writeFrame(t MsgType, stream, seq uint64, m any, sync bool) error {
-	if err := c.lockWrite(sync); err != nil {
+	if err := c.lockWrite(); err != nil {
 		return err
 	}
 	defer c.wmu.Unlock()
-	frame, err := appendFrame(c.bw.AvailableBuffer(), c.version, t, stream, seq, m)
+	out, err := appendFrame(c.out, c.version, t, stream, seq, m)
 	if err != nil {
 		return err
 	}
-	return c.commit(frame, sync)
+	c.commit(out)
+	return nil
 }
 
-// writeRaw writes one fully assembled frame (header + payload), a session's
-// retained one: the other way into the write buffer.
-func (c *Conn) writeRaw(frame []byte, sync bool) error {
-	if err := c.lockWrite(sync); err != nil {
+// writeRaw appends one fully assembled frame (header + payload), a
+// session's retained one: the other way into out.
+func (c *Conn) writeRaw(frame []byte) error {
+	if err := c.lockWrite(); err != nil {
 		return err
 	}
 	defer c.wmu.Unlock()
-	return c.commit(frame, sync)
+	c.commit(append(c.out, frame...))
+	return nil
+}
+
+// WriteSync writes a stream-0 frame sent before the conversation starts —
+// the handshake's frames and the host's pre-handshake OVERLOADED — on the
+// caller's goroutine, so the frame is on the wire when the caller closes or
+// blocks on the reply, and a connection that is shed or rejected never
+// starts the flusher goroutine. It is the socket's only writer besides the
+// flusher, and must not follow the connection's first WriteFrame.
+func (c *Conn) WriteSync(t MsgType, m any) error {
+	frame, err := appendFrame(nil, c.version, t, 0, 0, m)
+	if err != nil {
+		return err
+	}
+	c.delay()
+	if err := c.armWrite(c.writeTimeout); err != nil {
+		return err
+	}
+	_, err = c.nc.Write(frame)
+	return err
 }
 
 // lockWrite takes the write mutex for one frame, honoring the chaos frame
-// delay; it returns holding the mutex unless an earlier flush failed.
-func (c *Conn) lockWrite(sync bool) error {
-	if !sync {
-		c.flusherOnce.Do(func() { go c.flusher() })
-	}
+// delay; it returns holding the mutex unless an earlier write failed.
+func (c *Conn) lockWrite() error {
+	c.flusherOnce.Do(func() { go c.flusher() })
 	c.wmu.Lock()
 	if c.flushErr != nil {
 		c.wmu.Unlock()
 		return c.flushErr
 	}
+	c.delay()
+	return nil
+}
+
+// delay sleeps for the chaos frame delay, if one is set.
+func (c *Conn) delay() {
 	if c.frameDelay != nil {
 		if d := c.frameDelay(); d > 0 {
 			time.Sleep(d)
 		}
 	}
-	return nil
 }
 
-// commit buffers one frame and either flushes it inline (sync) or leaves it
-// to the flusher. The caller holds wmu.
-func (c *Conn) commit(frame []byte, sync bool) error {
-	if len(frame) > c.bw.Available() {
-		// The frame spills to the socket inside bw.Write, which must not run
-		// under whatever deadline the last flush left behind.
-		if err := c.armWrite(); err != nil {
-			return err
+// commit makes out, grown by one frame, the buffer the flusher takes next,
+// and nudges the flusher if the frame is the first since its last pass. The
+// caller holds wmu.
+func (c *Conn) commit(out []byte) {
+	first := len(c.out) == 0
+	c.out = out
+	c.frames.Add(1)
+	if !first {
+		return // the nudge the burst's first frame gave takes this one too
+	}
+	if c.held.Load() {
+		// The read loop nudges before it waits. Stored before held is looked at
+		// again, and release swaps held before it looks at gathered: one of the
+		// two sees the other, so a release racing this frame cannot miss it.
+		c.gathered.Store(true)
+		if c.held.Load() {
+			return
 		}
 	}
-	if _, err := c.bw.Write(frame); err != nil {
-		return err
-	}
-	if sync {
-		c.flushLocked()
-		return c.flushErr
-	}
-	c.frames.Add(1)
-	if c.dirty {
-		return nil // the flush the burst's first frame asked for takes this one too
-	}
-	c.dirty = true
-	if c.held.Load() {
-		return nil // the read loop flushes before it waits
-	}
+	c.nudge()
+}
+
+// nudge asks the flusher for a pass. A nudge still queued covers the frame.
+func (c *Conn) nudge() {
 	select {
 	case c.flushReq <- struct{}{}:
-	default: // a nudge is still queued (an inline flush overtook it); it covers this frame
-	}
-	return nil
-}
-
-// flushLocked issues one flush (one write syscall) under the write timeout
-// and latches its outcome in flushErr. The caller holds wmu.
-func (c *Conn) flushLocked() {
-	c.dirty = false
-	if c.flushErr = c.armWrite(); c.flushErr == nil {
-		c.flushErr = c.bw.Flush()
+	default:
 	}
 }
 
-// armWrite starts the write timeout's clock for one write to the socket.
-func (c *Conn) armWrite() error {
-	if c.writeTimeout <= 0 {
+// armWrite starts a write timeout of d (0 = none) for one write to the
+// socket.
+func (c *Conn) armWrite(d time.Duration) error {
+	if d <= 0 {
 		return nil
 	}
-	return c.nc.SetWriteDeadline(time.Now().Add(c.writeTimeout))
+	return c.nc.SetWriteDeadline(time.Now().Add(d))
 }
 
 // armRead starts the read timeout's clock if reading n more bytes will wait
@@ -891,13 +896,16 @@ func (c *Conn) onLastCall() bool {
 	return c.lastCall
 }
 
-// flusher drains flushReq, issuing one flush per pass for however many
-// frames writers buffered meanwhile. It runs from the first WriteFrame
-// until Close.
+// flusher is the socket's one writer from the first WriteFrame until
+// Close: each nudge is one pass, one write of however many frames writers
+// appended meanwhile, and Close's is the last.
 func (c *Conn) flusher() {
+	defer close(c.flushed)
+	var spare []byte
 	for {
 		select {
 		case <-c.quit:
+			c.flush(spare, true)
 			return
 		case <-c.flushReq:
 		}
@@ -907,9 +915,10 @@ func (c *Conn) flusher() {
 		// the burst leaves in one syscall. Keep yielding while the buffer
 		// is still growing (bounded, so a steady writer cannot starve the
 		// flush); each pass costs well under a µs when the connection is
-		// quiet. A frame is never left unflushed, only briefly deferred.
+		// quiet. A frame is never left unflushed, only briefly deferred. A
+		// pass the read loop asked for has its burst already (see held).
 		c.passes.Add(1)
-		if c.batchWrites.Load() {
+		if !c.gathered.Swap(false) && c.batchWrites.Load() {
 			seen := uint64(0) // a pass starts with at least one frame buffered
 			for i := 0; i < 4; i++ {
 				runtime.Gosched()
@@ -920,36 +929,58 @@ func (c *Conn) flusher() {
 				seen = n
 			}
 		}
-		c.flushDirty()
+		spare = c.flush(spare, false)
 	}
 }
 
-// flushDirty flushes what is buffered, if anything is and no flush failed.
-func (c *Conn) flushDirty() {
+// flush swaps out for spare and writes what writers appended since the last
+// pass, in one write outside wmu: under the write timeout, or closeGrace on
+// the last pass. A failed write is latched and closes the socket, so the
+// read loop ends and the connection's loss path runs, as for a cut. It
+// returns the next pass's spare.
+func (c *Conn) flush(spare []byte, last bool) []byte {
 	c.wmu.Lock()
-	if c.dirty && c.flushErr == nil {
-		c.flushLocked()
-	}
+	batch, err := c.out, c.flushErr
+	c.out = spare[:0]
 	c.wmu.Unlock()
+	if len(batch) > 0 && err == nil {
+		d := c.writeTimeout
+		if last {
+			d = closeGrace
+		}
+		if err = c.armWrite(d); err == nil {
+			_, err = c.nc.Write(batch)
+		}
+		if err != nil {
+			c.wmu.Lock()
+			c.flushErr = err
+			c.wmu.Unlock()
+			_ = c.nc.Close()
+		}
+	}
+	if cap(batch) > maxKeptBuf {
+		return nil // one large frame does not pin its buffer
+	}
+	return batch[:0]
 }
 
-// release ends the read loop's hold on the flush (see held), flushing what
-// was buffered under it. Called by the reader only.
+// release ends the read loop's hold (see held), nudging the flusher if a
+// frame was buffered under it. Called by the reader only.
 func (c *Conn) release() {
-	if c.held.Swap(false) {
-		c.flushDirty()
+	if c.held.Swap(false) && c.gathered.Load() {
+		c.nudge()
 	}
 }
 
 // NextFrame is ReadFrame for the connection's read loop — the goroutine that
 // reads it for as long as it lives and handles each frame before it reads on
 // (the host's session loop, the client's demultiplexer). A frame written
-// while the loop handles one, an OP-RESULT its post committed say, is left
-// in the write buffer for the loop to flush, with whatever else accrues,
-// just before its next read waits for the peer; a frame written while it
-// waits nudges the flusher, as always. The loop always reads again or
-// closes — as it does on an error — and Close flushes, so no frame is
-// stranded.
+// while the loop handles one, an OP-RESULT its post committed say, waits in
+// out, with whatever else accrues, until the loop nudges the flusher just
+// before its next read waits for the peer; a frame written while it waits
+// nudges the flusher itself. The loop always reads again or closes — as it
+// does on an error — and Close's last pass writes what is buffered, so no
+// frame is stranded, and the loop itself never writes.
 func (c *Conn) NextFrame() (t MsgType, stream, seq uint64, m any, err error) {
 	t, stream, seq, m, err = c.ReadFrame()
 	c.held.Store(err == nil)

@@ -452,9 +452,11 @@ func TestReadBufferReleased(t *testing.T) {
 	}
 }
 
-// TestWriteDeadlineCoversSpill: a frame larger than the write buffer reaches
-// the socket inside bw.Write, not in a flush, and must get a write timeout of
-// its own — not the expired one the last flush left on the connection.
+// TestWriteDeadlineCoversSpill: every write the flusher makes gets a write
+// timeout of its own — a 64 KiB frame after write-side idleness is not cut by
+// the expired deadline the last write left on the connection — and a write
+// to a peer that never reads times out on the flusher: the failure is
+// latched for the next writer and closes the socket under the reader.
 func TestWriteDeadlineCoversSpill(t *testing.T) {
 	big := &Send{To: "a", Val: make([]byte, 64<<10)}
 	t.Run("reading peer", func(t *testing.T) {
@@ -464,7 +466,7 @@ func TestWriteDeadlineCoversSpill(t *testing.T) {
 		if err := ca.WriteFrame(MsgSend, 1, 1, &Send{To: "a", Val: 7}); err != nil {
 			t.Fatalf("small frame: %v", err)
 		}
-		time.Sleep(100 * time.Millisecond) // the flush's deadline lapses
+		time.Sleep(100 * time.Millisecond) // the write's deadline lapses
 		if err := ca.WriteFrame(MsgSend, 1, 2, big); err != nil {
 			t.Fatalf("64 KiB frame after write-side idleness: %v", err)
 		}
@@ -477,14 +479,72 @@ func TestWriteDeadlineCoversSpill(t *testing.T) {
 		ca.SetWriteTimeout(50 * time.Millisecond)
 		start := time.Now()
 		err := ca.WriteFrame(MsgSend, 1, 1, big)
+		for err == nil && time.Since(start) < 2*time.Second {
+			time.Sleep(5 * time.Millisecond)
+			err = ca.WriteFrame(MsgSend, 1, 2, &Send{To: "a", Val: 7})
+		}
 		var ne net.Error
 		if !errors.As(err, &ne) || !ne.Timeout() {
-			t.Fatalf("err = %v, want a timeout", err)
+			t.Fatalf("err = %v after %v, want a timeout within 2s", err, time.Since(start))
 		}
-		if d := time.Since(start); d > 2*time.Second {
-			t.Fatalf("write to a stalled peer took %v", d)
+		read := make(chan error, 1)
+		go func() { _, _, _, _, err := ca.ReadFrame(); read <- err }()
+		select {
+		case err := <-read:
+			if err == nil {
+				t.Fatal("the reader read a frame from a connection whose write failed")
+			}
+		case <-time.After(time.Second):
+			t.Fatal("the reader still waits on a connection whose write failed")
 		}
 	})
+}
+
+// TestReadLoopNeverWaitsOnAWrite: a read loop that answers every frame it
+// reads with a 64 KiB frame, to a peer that writes and never reads, over a
+// transport with no buffer at all, reads everything the peer sends — its
+// answers wait in the write buffer for the flusher, which is stuck on the
+// peer — and Close still returns promptly.
+func TestReadLoopNeverWaitsOnAWrite(t *testing.T) {
+	const frames = 32
+	loop, peer := v2Pipe(t)
+	go func() {
+		for seq := uint64(1); seq <= frames; seq++ {
+			if peer.WriteFrame(MsgSend, 1, seq, &Send{To: "a", Val: seq}) != nil {
+				return
+			}
+		}
+	}()
+	answer := &OpResult{Val: make([]byte, 64<<10)}
+	read := make(chan uint64, frames)
+	go func() {
+		for {
+			_, _, seq, _, err := loop.NextFrame()
+			if err != nil || loop.WriteFrame(MsgOpResult, 1, seq, answer) != nil {
+				return
+			}
+			read <- seq
+		}
+	}()
+	for n := 0; n < frames; n++ {
+		select {
+		case <-read:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("the read loop stopped after %d of %d frames: it waits on its own write", n, frames)
+		}
+	}
+	// The loop now waits for frame 33, having nudged the flusher on its way,
+	// and the flusher is stuck on the peer.
+	for deadline := time.Now().Add(5 * time.Second); loop.passes.Load() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the read loop waits with its answers still buffered")
+		}
+	}
+	start := time.Now()
+	loop.Close()
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("Close took %v behind a flusher stuck on the peer", d)
+	}
 }
 
 // TestFlusherOnePassPerBurst: the writer that dirties a clean buffer nudges
@@ -755,11 +815,10 @@ func TestReadFrameScratchValidUntilNextRead(t *testing.T) {
 	}
 }
 
-// TestWriteFrameEncodesInPlace pins the write side: a frame is encoded in the
-// write buffer's free space (no scratch buffer, no allocation), a message that
+// TestWriteFrameEncodesInPlace pins the write side: a frame is encoded at the
+// end of the write buffer (no scratch buffer, no allocation), a message that
 // does not encode leaves nothing buffered, and the frames around it arrive
-// whole and in order — including one larger than the write buffer, which
-// spills.
+// whole and in order — including one of 40 KiB, which grows the buffer.
 func TestWriteFrameEncodesInPlace(t *testing.T) {
 	ca, cb := v2Pipe(t)
 	big := make([]byte, 40<<10)
