@@ -364,8 +364,8 @@ const slotOps = 4
 // ops after delivering to it.
 //
 // A posted op's slot is released by whoever delivers its outcome, before the
-// completer runs, unless own is set: then its owner releases it (a posted
-// Scatter, once every offer is in). A loose slot is not the pool's and is
+// completer runs, unless own is set: then its owner releases it (a Scatter's
+// table, once every offer is in). A loose slot is not the pool's and is
 // never released: a posted op whose context is watched takes one, so that a
 // watcher firing late finds its group claimed rather than another op's.
 // parked says ops[0] went into a cell (park sets it) and was not taken back

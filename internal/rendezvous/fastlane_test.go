@@ -382,21 +382,203 @@ func TestScatterPartialFailureStillDeliversRest(t *testing.T) {
 	waitPending(t, f, 0)
 }
 
+// TestScatterCancellationWithdrawsRemainder: a Scatter's cancellation
+// withdraws the offers still out, from the cell or the slow lane each waits
+// in; one that committed or failed first keeps its outcome, the blocking and
+// the posted Scatter report the same error, and a pooled table comes back
+// with nothing of the cancelled call left in it.
 func TestScatterCancellationWithdrawsRemainder(t *testing.T) {
-	f := New()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	errCh := make(chan error, 1)
-	go func() {
-		// Nobody ever receives; the scatter must park and then withdraw.
-		errCh <- f.Scatter(ctx, "S", "t", []Addr{"R1", "R2", "R3"}, []any{1})
-	}()
-	waitPending(t, f, 3)
-	cancel()
-	if err := <-errCh; !errors.Is(err, context.Canceled) {
-		t.Fatalf("Scatter after cancel = %v, want context.Canceled", err)
+	lanes := map[string][]Option{"parked": nil, "slow lane": {WithoutFastPath()}}
+	for lane, opts := range lanes {
+		t.Run(lane, func(t *testing.T) {
+			f := New(opts...)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			errCh := make(chan error, 1)
+			go func() {
+				// Nobody ever receives; the scatter must post and then withdraw.
+				errCh <- f.Scatter(ctx, "S", "t", []Addr{"R1", "R2", "R3"}, []any{1})
+			}()
+			waitPending(t, f, 3)
+			cancel()
+			if err := <-errCh; !errors.Is(err, context.Canceled) {
+				t.Fatalf("Scatter after cancel = %v, want context.Canceled", err)
+			}
+			waitPending(t, f, 0)
+		})
 	}
-	waitPending(t, f, 0)
+
+	// A commits, T is terminated and X and Y are cancelled, through the
+	// blocking Scatter and then the posted one.
+	for lane, opts := range lanes {
+		t.Run("mixed/"+lane, func(t *testing.T) {
+			var errs []error
+			for _, posted := range []bool{false, true} {
+				f, tctx := New(opts...), ctxT(t)
+				f.Declare("S", "A", "T", "X", "Y")
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				r := newRecorder(f, nil)
+				errCh := make(chan error, 1)
+				if posted {
+					f.PostScatterID(ctx, 0, "t", []ID{1, 2, 3, 4}, []any{7}, r)
+				} else {
+					go func() { errCh <- f.Scatter(ctx, "S", "t", []Addr{"A", "T", "X", "Y"}, []any{7}) }()
+				}
+				waitPending(t, f, 4)
+				if v, err := f.RecvID(tctx, 1, 0, "t"); err != nil || v != 7 {
+					t.Fatalf("A received %v, %v; want 7", v, err)
+				}
+				owed := f.Terminate("T")
+				if !posted && len(owed) != 0 {
+					t.Fatalf("a termination owes a blocking Scatter %d outcomes", len(owed))
+				}
+				owed.Pay()
+				cancel()
+				var err error
+				if posted {
+					r.await(t, "posted")
+					_, err = r.once(t, "posted")
+				} else {
+					err = <-errCh
+				}
+				errs = append(errs, err)
+				for _, id := range []ID{2, 3, 4} {
+					rctx, rcancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+					v, rerr := f.RecvID(rctx, id, 0, "t")
+					rcancel()
+					if rerr == nil {
+						t.Fatalf("posted=%v: target %d received %v after the Scatter settled without it", posted, id, v)
+					}
+				}
+				if n := f.PendingCount(); n != 0 {
+					t.Fatalf("posted=%v: %d ops still pending", posted, n)
+				}
+			}
+			if !errors.Is(errs[0], context.Canceled) || errs[1] != errs[0] {
+				t.Fatalf("blocking Scatter = %v, posted = %v; want context.Canceled from both", errs[0], errs[1])
+			}
+		})
+	}
+
+	// Each cancelled Scatter is followed by a full one on the same goroutine,
+	// which is likely to take the same pooled table: a wake left in it would
+	// let the full one return before its offers resolve.
+	t.Run("reuse", func(t *testing.T) {
+		f, ctx := New(), ctxT(t)
+		f.Declare("S", "A", "B", "C")
+		targets := []ID{1, 2, 3}
+		for round := 0; round < 200; round++ {
+			cctx, cancel := context.WithCancel(ctx)
+			first := make(chan error, 1)
+			go func() {
+				_, err := f.RecvID(ctx, 1, 0, "t")
+				cancel() // mid-Scatter: B and C never receive this round's value
+				first <- err
+			}()
+			if err := f.ScatterID(cctx, 0, "t", targets, []any{round}); !errors.Is(err, context.Canceled) {
+				t.Fatalf("round %d: cancelled Scatter = %v, want context.Canceled", round, err)
+			}
+			if err := <-first; err != nil {
+				t.Fatalf("round %d: A: %v", round, err)
+			}
+			got := make(chan any, len(targets))
+			for _, id := range targets {
+				go func() {
+					v, err := f.RecvID(ctx, id, 0, "t")
+					if err != nil {
+						v = err
+					}
+					got <- v
+				}()
+			}
+			if err := f.ScatterID(ctx, 0, "t", targets, []any{-round}); err != nil {
+				t.Fatalf("round %d: full Scatter = %v", round, err)
+			}
+			if n := f.PendingCount(); n != 0 {
+				t.Fatalf("round %d: the full Scatter returned with %d ops pending", round, n)
+			}
+			for range targets {
+				if v := <-got; v != -round {
+					t.Fatalf("round %d: a target received %v, want %d", round, v, -round)
+				}
+			}
+		}
+	})
+}
+
+// TestScatterTerminatedTargetDroppedOwed: a blocking Scatter's offers failed
+// by the by-name Terminate, whose Owed its callers drop, still reach the
+// Scatter. Its outcomes only wake a goroutine, so the termination delivers
+// them under the fabric lock instead of owing them.
+func TestScatterTerminatedTargetDroppedOwed(t *testing.T) {
+	for lane, opts := range map[string][]Option{"fast": nil, "slow": {WithoutFastPath()}} {
+		t.Run(lane, func(t *testing.T) {
+			f := New(opts...)
+			errCh := make(chan error, 1)
+			go func() { errCh <- f.Scatter(context.Background(), "S", "t", []Addr{"A", "B"}, []any{1}) }()
+			waitPending(t, f, 2)
+			f.Terminate("A")
+			f.Terminate("B")
+			select {
+			case err := <-errCh:
+				if !errors.Is(err, ErrPeerTerminated) {
+					t.Fatalf("Scatter = %v, want ErrPeerTerminated", err)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("Scatter to terminated targets never returned")
+			}
+			if n := f.PendingCount(); n != 0 {
+				t.Fatalf("%d ops still pending", n)
+			}
+		})
+	}
+}
+
+// TestScatterAllocs gates what a Scatter to 24 targets costs in objects, in
+// each lane: a round is one ScatterID and the 24 RecvIDs that meet it. The
+// table and the offers' slots come from pools and the slow lane's list of
+// offers is on the stack; that list grew by append, 6 objects a round in the
+// slow lane, before.
+func TestScatterAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	const n = 24
+	for lane, opts := range map[string][]Option{"fast": nil, "slow": {WithoutFastPath()}} {
+		t.Run(lane, func(t *testing.T) {
+			f := New(opts...)
+			f.Declare("S")
+			targets := make([]ID, n)
+			for i := range targets {
+				targets[i] = f.Endpoint(Addr(fmt.Sprintf("R%d", i)))
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			var wg sync.WaitGroup
+			for _, id := range targets {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for {
+						if _, err := f.RecvID(ctx, id, 0, "t"); err != nil {
+							return
+						}
+					}
+				}()
+			}
+			vals := []any{1}
+			got := testing.AllocsPerRun(500, func() {
+				if err := f.ScatterID(ctx, 0, "t", targets, vals); err != nil {
+					t.Error(err)
+				}
+			})
+			cancel()
+			wg.Wait()
+			if got != 0 {
+				t.Fatalf("a Scatter to %d targets and their receives allocate %v objects, want 0", n, got)
+			}
+		})
+	}
 }
 
 func TestScatterValidation(t *testing.T) {

@@ -231,8 +231,8 @@ func New(opts ...Option) *Fabric {
 type group struct {
 	state atomic.Int32 // 0 = pending; 1 = claimed
 	res   chan result  // buffered 1; receives the single outcome or failure
-	// done is the completer of a posted op, nil when a goroutine waits on res;
-	// slot is the storage the group lives in.
+	// done is the completer of a posted op or of a Scatter's offer, nil when a
+	// goroutine waits on res; slot is the storage the group lives in.
 	done Completer
 	slot *slot
 
@@ -304,7 +304,7 @@ func (o Owed) Pay() {
 
 // deliver hands the claimed group g its outcome: on its channel, to the
 // goroutine that waits, or to the completer of a posted op. The caller holds
-// no fabric or inbox lock when g has a completer (see deliverLocked).
+// no fabric or inbox lock when the completer is one deliverLocked owes.
 func (g *group) deliver(r result) {
 	if g.done == nil {
 		g.res <- r
@@ -323,11 +323,15 @@ func (g *group) complete(r result) {
 	c.Complete(r.out, r.err)
 }
 
-// deliverLocked is deliver under the fabric lock: a posted op's outcome is
-// owed, and paid by whoever lets the lock go.
+// deliverLocked is deliver under the fabric lock. An outcome that only wakes
+// a goroutine is delivered at once: one on the group's channel, and a
+// blocking Scatter's offer, which counts its table down and at the last count
+// sends on a buffered channel. A completer's is owed, and paid by whoever
+// lets the lock go. By-name callers drop what Terminate, Abort and Close owe,
+// so nothing a goroutine waits for may be owed.
 func (f *Fabric) deliverLocked(g *group, r result) {
-	if g.done == nil {
-		g.res <- r
+	if s, ok := g.done.(*scatterSlot); g.done == nil || ok && s.t.done == nil {
+		g.deliver(r)
 		return
 	}
 	f.owed = append(f.owed, due{g, r})
@@ -481,8 +485,9 @@ func (f *Fabric) wait(ctx context.Context, s *slot) (IDOutcome, error) {
 	return r.out, r.err
 }
 
-// withdrawPosted is wait's withdrawal for a posted op, whose slot s its
-// poster kept: the op's completer is told err, unless an outcome came first.
+// withdrawPosted is wait's withdrawal for an op with a completer (a posted
+// op, or a Scatter's offer), whose slot s its poster kept: the completer is
+// told err, unless an outcome came first.
 func (f *Fabric) withdrawPosted(s *slot, err error) {
 	if f.withdraw(s) {
 		s.g.deliver(result{err: err})
@@ -523,7 +528,7 @@ func (f *Fabric) postSlow(me *endpoint, branches []IDBranch, s *slot, seq uint64
 // else the matcher. It reports whether it did; if not, a committer or a
 // failure claimed the group first, and its outcome is on its way to it. It is
 // the one withdrawal of every op: a blocking call's, a posted op's and a
-// Scatter offer's, posted or reaped.
+// Scatter offer's.
 func (f *Fabric) withdraw(s *slot) bool {
 	if s.parked && f.unpark(&s.ops[0]) {
 		return true

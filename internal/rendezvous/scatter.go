@@ -7,49 +7,49 @@ import (
 	"sync/atomic"
 )
 
-// scatterSlot tracks one target's offer through a Scatter call. For a posted
-// Scatter it is also the offer's completer.
+// scatterSlot tracks one target's offer through a Scatter call, and is the
+// offer's completer.
 type scatterSlot struct {
 	t  *scatterTable
 	to *endpoint // the target; nil for one the caller did not name
-	g  *group
-	o  *op
-	// fs is the backing storage of g and o while the offer is in the fabric
-	// (its parked flag says in which lane), nil once it resolved on the way
-	// in or was reaped.
+	// fs is the backing storage of the offer while it is in the fabric (its
+	// parked flag says in which lane), kept after the offer resolves for the
+	// table's reap to release; nil for an offer that resolved on the way in.
 	fs  *slot
 	err error
 }
 
-// settle marks the slot resolved with err and returns its backing storage,
-// if it took any. Callers must only settle a slot once nothing in the fabric
-// references its group or op and its result channel is empty.
+// settle settles an offer that resolved on the way in with err: its storage,
+// if it took any, goes back, and it is counted down — never the last count,
+// as the post holds one.
 func (s *scatterSlot) settle(err error) {
 	if s.fs != nil {
 		s.fs.release()
 		s.fs = nil
 	}
-	s.g, s.o = nil, nil
 	s.err = err
+	s.t.left.Add(-1)
 }
 
-// scatterTable is one Scatter call's offers. A posted Scatter counts them
-// down in left — one for each offer that resolves, and one for the post
-// itself — and the last to count completes done.
+// scatterTable is one Scatter call's offers, counted down in left: one for
+// each offer that resolves, and one for the post itself. The last count wakes
+// the poster of a blocking Scatter, or completes done for a posted one.
 type scatterTable struct {
 	slots []scatterSlot
 	left  atomic.Int32
+	wake  chan struct{} // buffered 1; the last count of a blocking Scatter
 	done  Completer
 }
 
 var scatterTblPool = sync.Pool{New: func() any {
-	return &scatterTable{slots: make([]scatterSlot, 0, 64)}
+	return &scatterTable{slots: make([]scatterSlot, 0, 64), wake: make(chan struct{}, 1)}
 }}
 
-// newScatterTable returns a pooled table of n cleared slots. A
-// broadcast-heavy role calls Scatter every performance, and a fresh n-slot
-// table per call is the dominant allocation; entries hold no live references
-// once every offer settles, which is when the table goes back.
+// newScatterTable returns a pooled table of n cleared slots, counting n
+// offers and the post. A broadcast-heavy role calls Scatter every
+// performance, and a fresh n-slot table per call is the dominant allocation;
+// entries hold no live references once every offer settles, which is when
+// the table goes back.
 func newScatterTable(n int) *scatterTable {
 	t := scatterTblPool.Get().(*scatterTable)
 	if cap(t.slots) < n {
@@ -60,6 +60,7 @@ func newScatterTable(n int) *scatterTable {
 	for i := range t.slots {
 		t.slots[i].t = t
 	}
+	t.left.Store(int32(n) + 1)
 	return t
 }
 
@@ -84,9 +85,9 @@ func (t *scatterTable) put() {
 //
 // Every offer is driven to an outcome even after another fails, so a
 // returned error means exactly the reported targets missed the value: one
-// error is returned, after all offers have settled — the first the reap
-// comes to, and it works from the last target back. Cancellation withdraws
-// the offers that have not yet committed and returns ctx.Err().
+// error is returned, after all offers have settled — the first found from the
+// last target back. Cancellation withdraws the offers that have not yet
+// committed, which report ctx.Err().
 func (f *Fabric) Scatter(ctx context.Context, owner Addr, tag Tag, targets []Addr, vals []any) error {
 	t := newScatterTable(len(targets))
 	for i, a := range targets {
@@ -112,7 +113,6 @@ func (f *Fabric) ScatterID(ctx context.Context, owner ID, tag Tag, targets []ID,
 func (f *Fabric) PostScatterID(ctx context.Context, owner ID, tag Tag, targets []ID, vals []any, c Completer) {
 	t, me := f.scatterTo(owner, targets)
 	t.done = c
-	t.left.Store(int32(len(t.slots)) + 1)
 	watch := ctx.Done() != nil
 	if err := f.postScatter(me, tag, t, vals, watch); err != nil {
 		t.put()
@@ -145,20 +145,56 @@ func (f *Fabric) scatterTo(owner ID, targets []ID) (*scatterTable, *endpoint) {
 	return t, eps[owner]
 }
 
-// Complete is a posted Scatter's offer resolving: its slot was kept for the
-// table to release.
+// scatter is the blocking Scatter: me's offers to the targets t names are
+// posted, and the caller waits for the table's last count. If ctx ends first,
+// every offer still out is withdrawn, and the wait is for those that won the
+// race. Only the reap releases the slots the offers kept, so none is reused
+// while a withdrawal may look at it.
+func (f *Fabric) scatter(ctx context.Context, me *endpoint, tag Tag, t *scatterTable, vals []any) error {
+	if err := f.postScatter(me, tag, t, vals, false); err != nil {
+		t.put()
+		return err
+	}
+	if t.left.Add(-1) != 0 {
+		select {
+		case <-t.wake:
+		case <-ctx.Done():
+			for i := range t.slots {
+				if s := t.slots[i].fs; s != nil {
+					f.withdrawPosted(s, ctx.Err())
+				}
+			}
+			<-t.wake
+		}
+	}
+	return t.reap()
+}
+
+// Complete is a Scatter's offer resolving: its slot was kept for the table to
+// release.
 func (s *scatterSlot) Complete(_ IDOutcome, err error) {
 	s.err = err
 	s.t.countDown()
 }
 
-// countDown counts one offer of a posted Scatter, or the post, in; the last
-// one releases what the offers kept and completes the Scatter with the error
-// the blocking reap would return: the first found from the last target back.
+// countDown counts one offer, or the post of a posted Scatter, in. The last
+// count wakes the poster of a blocking Scatter, or reaps a posted one's table
+// and completes it.
 func (t *scatterTable) countDown() {
 	if t.left.Add(-1) != 0 {
 		return
 	}
+	if t.done == nil {
+		t.wake <- struct{}{}
+		return
+	}
+	c := t.done // before reap puts t back
+	c.Complete(IDOutcome{}, t.reap())
+}
+
+// reap releases what the offers kept, puts t back, and returns the error the
+// Scatter reports: the first found from the last target back.
+func (t *scatterTable) reap() error {
 	var err error
 	for i := len(t.slots) - 1; i >= 0; i-- {
 		s := &t.slots[i]
@@ -169,80 +205,20 @@ func (t *scatterTable) countDown() {
 			err = s.err
 		}
 	}
-	c := t.done
 	t.put()
-	c.Complete(IDOutcome{}, err)
-}
-
-// scatter runs me's offers to the targets t names — posted, then reaped —
-// and puts t back.
-func (f *Fabric) scatter(ctx context.Context, me *endpoint, tag Tag, t *scatterTable, vals []any) error {
-	defer t.put()
-	if err := f.postScatter(me, tag, t, vals, false); err != nil {
-		return err
-	}
-	// Reap every in-flight offer. Offers resolve independently (commit, peer
-	// termination, abort, ...), so waiting for all cannot wedge; on
-	// cancellation the unresolved remainder is withdrawn. The reap runs from
-	// the last offer back: targets woken together take their offers in the
-	// order they were parked, so the one wait that blocks is the one most
-	// likely to outlast the others, and their results are then there.
-	var firstErr error
-	cancelled := false
-	slots := t.slots
-	for i := len(slots) - 1; i >= 0; i-- {
-		s := &slots[i]
-		if s.fs == nil {
-			if s.err != nil && firstErr == nil {
-				firstErr = s.err
-			}
-			continue
-		}
-		if cancelled {
-			if err := f.withdrawScatter(s); err != nil && firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		// Take a result that is already there without the two-way wait.
-		var r result
-		select {
-		case r = <-s.g.res:
-		default:
-			select {
-			case r = <-s.g.res:
-			case <-ctx.Done():
-				cancelled = true
-				if firstErr == nil {
-					firstErr = ctx.Err()
-				}
-				if err := f.withdrawScatter(s); err != nil && firstErr == nil {
-					firstErr = err
-				}
-				continue
-			}
-		}
-		if r.err != nil && firstErr == nil {
-			firstErr = r.err
-		}
-		s.settle(r.err)
-	}
-	return firstErr
+	return err
 }
 
 // postScatter places me's offers to the targets of t: the one posting path
-// of both Scatters. An offer that resolves on the way in is settled here —
-// and, for a posted Scatter (t.done set), counted down; the others wait in
-// their slots, whose groups go to the reap's channels, or, posted, to the
-// slots themselves as completers, with the storage kept (loose, when watch
-// says a context will withdraw them) until the table is done. The error is
-// a call that posted nothing.
+// of both Scatters. An offer that resolves on the way in is settled here; the
+// others wait in their slots, each the completer of its offer, with the
+// storage kept (loose, when watch says a context will withdraw them) until
+// the table is reaped. The error is a call that posted nothing.
 func (f *Fabric) postScatter(me *endpoint, tag Tag, t *scatterTable, vals []any, watch bool) error {
 	slots := t.slots
 	if n := len(slots); n != 0 && len(vals) != n && len(vals) != 1 {
 		return fmt.Errorf("rendezvous: Scatter with %d targets but %d values", n, len(vals))
 	}
-	posted := t.done != nil
 	offer := func(i int) IDBranch {
 		br := IDBranch{Dir: DirSend, Peer: noPeer, Tag: tag, Val: vals[0]}
 		if len(vals) > 1 {
@@ -253,20 +229,8 @@ func (f *Fabric) postScatter(me *endpoint, tag Tag, t *scatterTable, vals []any,
 		}
 		return br
 	}
-	take := func(s *scatterSlot) *slot {
-		if !posted {
-			return getSlot()
-		}
-		return takeSlot(s, true, watch)
-	}
-	// settle settles an offer resolved on the way in.
-	settle := func(s *scatterSlot, err error) {
-		s.settle(err)
-		if posted {
-			t.left.Add(-1) // never the last: the post holds one
-		}
-	}
-	var slow []int // indexes that must go through the slow-lane pass
+	var slowBuf [64]int // wider calls spill to the heap
+	slow := slowBuf[:0] // indexes that must go through the slow-lane pass
 
 	// Phase 1: fast-lane sweep. Offers whose target has a parked receive
 	// commit immediately; the rest park in their cells, all without the
@@ -286,13 +250,12 @@ func (f *Fabric) postScatter(me *endpoint, tag Tag, t *scatterTable, vals []any,
 			p := to.commitHead(c, me)
 			to.mu.Unlock()
 			p.g.deliver(result{out: IDOutcome{Index: p.index, Peer: me.id, Tag: tag, Val: br.Val}})
-			settle(s, nil)
+			s.settle(nil)
 			continue
 		}
 		// Park with backing storage of its own, exactly like postFast.
-		s.fs = take(s)
-		s.g, s.o = &s.fs.g, s.fs.newOp(me, to, &br, 0)
-		f.park(c, s.o)
+		s.fs = takeSlot(s, true, watch)
+		f.park(c, s.fs.newOp(me, to, &br, 0))
 		to.mu.Unlock()
 	}
 
@@ -304,7 +267,7 @@ func (f *Fabric) postScatter(me *endpoint, tag Tag, t *scatterTable, vals []any,
 			continue
 		}
 		if !f.fastOK.Load() || me.hot.Load() != 0 || s.to.hot.Load() != 0 {
-			if f.unpark(s.o) {
+			if f.unpark(&s.fs.ops[0]) {
 				s.fs.parked = false
 				slow = append(slow, i)
 			}
@@ -341,21 +304,21 @@ func (f *Fabric) postScatter(me *endpoint, tag Tag, t *scatterTable, vals []any,
 			err = ErrPeerTerminated
 		}
 		if err != nil {
-			settle(s, err)
+			s.settle(err)
 			continue
 		}
 		seq := uint64(0)
 		if s.fs == nil {
-			s.fs = take(s)
+			s.fs = takeSlot(s, true, watch)
 		} else {
-			seq = s.o.seq // escalated offer keeps its FIFO place...
-			s.fs.n = 0    // ...and hands its storage back
+			seq = s.fs.ops[0].seq // escalated offer keeps its FIFO place...
+			s.fs.n = 0            // ...and hands its storage back
 		}
-		g, o := &s.fs.g, s.fs.newOp(me, s.to, &br, 0)
+		o := s.fs.newOp(me, s.to, &br, 0)
 		f.drainForLocked(me, s.to, &br)
 		if cand := f.findMatchLocked(o); cand != nil {
 			f.commitLocked(o, cand)
-			settle(s, nil)
+			s.settle(nil)
 			continue
 		}
 		if seq != 0 {
@@ -364,24 +327,10 @@ func (f *Fabric) postScatter(me *endpoint, tag Tag, t *scatterTable, vals []any,
 			o.seq = f.seq.Add(1)
 		}
 		f.postLocked(o)
-		s.g, s.o = g, o
 	}
 	owed := f.owing(buf[:0])
 	f.mu.Unlock()
 	me.hot.Add(-1)
 	owed.Pay()
 	return nil
-}
-
-// withdrawScatter pulls one in-flight offer of the reap back from whichever
-// lane holds it (withdraw). If the offer already committed (or failed), it
-// returns that result's error, nil for a commit — the value was delivered
-// even though the scatter as a whole is unwinding.
-func (f *Fabric) withdrawScatter(s *scatterSlot) error {
-	var err error
-	if !f.withdraw(s.fs) {
-		err = (<-s.g.res).err
-	}
-	s.settle(err)
-	return err
 }
