@@ -43,9 +43,9 @@ type Config struct {
 	WakeDelayP   float64
 	WakeDelayMax time.Duration
 
-	// CancelP is the probability that a communication's context is
+	// CancelP is the probability that a blocking communication's context is
 	// spuriously cancelled, and CancelAfterMax the largest delay before the
-	// cancellation fires.
+	// cancellation fires. A posted op has no context, and is not drawn for.
 	CancelP        float64
 	CancelAfterMax time.Duration
 

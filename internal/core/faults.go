@@ -9,8 +9,8 @@ import (
 // robustness testing. The runtime consults it at three points:
 //
 //   - before every fabric communication a role body issues (OpDelay:
-//     latency; CancelAfter: a spurious cancellation of the operation's
-//     context);
+//     latency; CancelAfter: a spurious cancellation of a blocking
+//     operation's context — a posted op has none, and takes only OpDelay);
 //   - when the scheduler delivers a targeted wakeup to an assigned enroller
 //     (WakeDelay: the inline wakeup token is dropped and redelivered late,
 //     modelling a lost-then-recovered signal).
@@ -28,8 +28,9 @@ type FaultInjector interface {
 	// positive delay models a dropped wakeup that a recovery path must
 	// tolerate, never a permanently lost one.
 	WakeDelay() time.Duration
-	// CancelAfter returns a delay after which the current communication's
-	// context is spuriously cancelled (0 = leave the context alone).
+	// CancelAfter returns a delay after which the current blocking
+	// communication's context is spuriously cancelled (0 = leave the context
+	// alone). It is not consulted for a posted op, which has no context.
 	CancelAfter() time.Duration
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"slices"
 	"time"
 
@@ -59,9 +58,6 @@ type Post struct {
 	orig     [4]int
 	more     []int
 	done     Completer
-	// cancel ends the context of a spurious cancellation the fault injector
-	// drew for the op.
-	cancel context.CancelFunc
 }
 
 // sendAll prechecks a SendAll to tos, under one acquisition of the instance
@@ -190,10 +186,6 @@ func (p *Post) outcome(out rendezvous.IDOutcome, err error) (Selected, error) {
 // Complete is the fabric telling the posted op its outcome
 // (rendezvous.Completer): mapped and traced, it goes to the op's completer.
 func (p *Post) Complete(out rendezvous.IDOutcome, err error) {
-	if p.cancel != nil {
-		p.cancel()
-		p.cancel = nil
-	}
 	sel, err := p.outcome(out, err)
 	p.done.Complete(sel, err)
 }
@@ -239,10 +231,10 @@ func (rc *RoleCtx) PostSendAll(p *Post, tos []ids.RoleRef, v any, done Completer
 	}
 	fab := rc.st.perf.fabric
 	if rc.inst.faults == nil {
-		fab.PostScatterID(context.Background(), rc.id, "", targets, []any{v}, p)
+		fab.PostScatterID(rc.id, "", targets, []any{v}, p)
 		return
 	}
-	p.inject(func(ctx context.Context) { fab.PostScatterID(ctx, rc.id, "", targets, []any{v}, p) })
+	p.inject(func() { fab.PostScatterID(rc.id, "", targets, []any{v}, p) })
 }
 
 // postDo posts the alternative br of a prechecked op, or completes the op
@@ -255,30 +247,20 @@ func (p *Post) postDo(br []rendezvous.IDBranch, err error) {
 	rc := p.rc
 	fab := rc.st.perf.fabric
 	if rc.inst.faults == nil {
-		fab.PostDoID(context.Background(), rc.id, br, p)
+		fab.PostDoID(rc.id, br, p)
 		return
 	}
 	kept := slices.Clone(br)
-	p.inject(func(ctx context.Context) { fab.PostDoID(ctx, rc.id, kept, p) })
+	p.inject(func() { fab.PostDoID(rc.id, kept, p) })
 }
 
-// inject is opContext for a posted op, which nobody waits for: the injected
-// latency delays the post on a timer instead of its poster, and a spurious
-// cancellation is a context, under the enrollment's, whose end withdraws the
-// op, as it does a blocking one.
-func (p *Post) inject(post func(ctx context.Context)) {
-	fi := p.rc.inst.faults
-	delay, after := fi.OpDelay(), fi.CancelAfter()
-	run := func() {
-		ctx := context.Background()
-		if after > 0 {
-			ctx, p.cancel = context.WithTimeout(p.rc.st.ctx, after)
-		}
-		post(ctx)
-	}
-	if delay > 0 {
-		time.AfterFunc(delay, run)
+// inject is opContext for a posted op, which nobody waits for and which
+// has no context: the injected latency delays the post on a timer instead of
+// its poster.
+func (p *Post) inject(post func()) {
+	if d := p.rc.inst.faults.OpDelay(); d > 0 {
+		time.AfterFunc(d, post)
 		return
 	}
-	run()
+	post()
 }

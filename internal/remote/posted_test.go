@@ -76,8 +76,6 @@ type postedRow struct {
 	// op checks what the client's op returned; a what a's Enroll returned.
 	op func(t *testing.T, res wire.OpResult)
 	a  func(t *testing.T, err error)
-	// done, when set, is closed once the client's BODY-DONE is in.
-	done chan struct{}
 }
 
 // recvB is a body for a that waits for b's message.
@@ -117,7 +115,7 @@ func failedWith(want error) func(t *testing.T, res wire.OpResult) {
 // none once the session is torn down, when nobody is there to read it.
 func TestPostedOpFailures(t *testing.T) {
 	const canceled = "enrollment canceled by enroller"
-	closing, cancelled := make(chan struct{}), make(chan struct{})
+	closing := make(chan struct{})
 	rows := map[string]postedRow{
 		"CANCEL": {
 			aBody: recvB,
@@ -210,21 +208,6 @@ func TestPostedOpFailures(t *testing.T) {
 				}
 			},
 		},
-		"CancelAfter": { // the op is withdrawn: b's body returns, and a then finds it finished
-			opts: []core.Option{core.WithFaultInjection(opFaults{cancel: 30 * time.Millisecond})},
-			aBody: func(rc core.Ctx) error {
-				<-cancelled
-				return recvB(rc)
-			},
-			done:  cancelled,
-			cause: func(*testing.T, *core.Instance, *hostSession) bool { return true },
-			op:    failedWith(context.DeadlineExceeded),
-			a: func(t *testing.T, err error) {
-				if !errors.Is(err, core.ErrRoleFinished) {
-					t.Fatalf("a: %v, want b finished", err)
-				}
-			},
-		},
 	}
 	for name, row := range rows {
 		t.Run(name, func(t *testing.T) {
@@ -255,9 +238,6 @@ func TestPostedOpFailures(t *testing.T) {
 			if live { // the client's body returns what its op did
 				s.deliver(1, hostOp{typ: wire.MsgBodyDone, err: res.Err})
 			}
-			if row.done != nil {
-				close(row.done)
-			}
 			select {
 			case err := <-aErr:
 				row.a(t, err)
@@ -279,12 +259,12 @@ func TestPostedOpFailures(t *testing.T) {
 	}
 }
 
-// opFaults is a core.FaultInjector that delays or cancels every op.
-type opFaults struct{ delay, cancel time.Duration }
+// opFaults is a core.FaultInjector that delays every op.
+type opFaults struct{ delay time.Duration }
 
 func (f opFaults) OpDelay() time.Duration     { return f.delay }
 func (f opFaults) WakeDelay() time.Duration   { return 0 }
-func (f opFaults) CancelAfter() time.Duration { return f.cancel }
+func (f opFaults) CancelAfter() time.Duration { return 0 }
 
 // cutArmed is a NetFaults that cuts the client's connection at the entry of
 // the first op begun once it is armed.

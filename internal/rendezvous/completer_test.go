@@ -3,6 +3,7 @@ package rendezvous
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -87,7 +88,7 @@ func TestPostCommittedByABlockingOp(t *testing.T) {
 		f, ctx := New(), ctxT(t)
 		f.Declare("P", "Q")
 		r := newRecorder(f, nil)
-		f.PostDoID(context.Background(), 0, []IDBranch{{Dir: DirRecv, Peer: 1, Tag: "t"}}, r)
+		f.PostDoID(0, []IDBranch{{Dir: DirRecv, Peer: 1, Tag: "t"}}, r)
 		waitPending(t, f, 1)
 		if err := f.SendID(ctx, 1, 0, "t", 42); err != nil {
 			t.Fatal(err)
@@ -104,7 +105,7 @@ func TestPostCommittedByABlockingOp(t *testing.T) {
 		f, ctx := New(), ctxT(t)
 		f.Declare("P", "Q", "R")
 		r := newRecorder(f, nil)
-		f.PostDoID(context.Background(), 0, []IDBranch{{Dir: DirRecv, Peer: 1, Tag: "t"}, {Dir: DirRecv, Peer: 2, Tag: "t"}}, r)
+		f.PostDoID(0, []IDBranch{{Dir: DirRecv, Peer: 1, Tag: "t"}, {Dir: DirRecv, Peer: 2, Tag: "t"}}, r)
 		waitPending(t, f, 2)
 		if err := f.SendID(ctx, 2, 0, "t", "r"); err != nil {
 			t.Fatal(err)
@@ -119,7 +120,7 @@ func TestPostCommittedByABlockingOp(t *testing.T) {
 		f, ctx := New(), ctxT(t)
 		f.Declare("S", "A", "B", "C")
 		r := newRecorder(f, nil)
-		f.PostScatterID(context.Background(), 0, "t", []ID{1, 2, 3}, []any{7}, r)
+		f.PostScatterID(0, "t", []ID{1, 2, 3}, []any{7}, r)
 		for id := ID(1); id <= 3; id++ {
 			if v, err := f.RecvID(ctx, id, 0, "t"); err != nil || v != 7 {
 				t.Fatalf("recipient %d: %v, %v", id, v, err)
@@ -141,13 +142,13 @@ func TestBlockingOpCommittedByAPost(t *testing.T) {
 		recv []ID // the blocking receivers, each of S
 	}{
 		"fast": {func(f *Fabric, r *recorder) {
-			f.PostDoID(context.Background(), 0, []IDBranch{{Dir: DirSend, Peer: 1, Tag: "t", Val: 9}}, r)
+			f.PostDoID(0, []IDBranch{{Dir: DirSend, Peer: 1, Tag: "t", Val: 9}}, r)
 		}, []ID{1}},
 		"slow": {func(f *Fabric, r *recorder) {
-			f.PostDoID(context.Background(), 0, []IDBranch{{Dir: DirSend, Peer: 1, Tag: "t", Val: 9}, {Dir: DirSend, Peer: 2, Tag: "u", Val: 9}}, r)
+			f.PostDoID(0, []IDBranch{{Dir: DirSend, Peer: 1, Tag: "t", Val: 9}, {Dir: DirSend, Peer: 2, Tag: "u", Val: 9}}, r)
 		}, []ID{1}},
 		"scatter": {func(f *Fabric, r *recorder) {
-			f.PostScatterID(context.Background(), 0, "t", []ID{1, 2}, []any{9}, r)
+			f.PostScatterID(0, "t", []ID{1, 2}, []any{9}, r)
 		}, []ID{1, 2}},
 	}
 	for name, tc := range cases {
@@ -199,7 +200,7 @@ func TestPostEscalatedByEviction(t *testing.T) {
 	f.SetFastFaults(evictAll{})
 	r := newRecorder(f, nil)
 	start := time.Now()
-	f.PostDoID(context.Background(), 0, []IDBranch{{Dir: DirRecv, Peer: 1, Tag: "t"}}, r)
+	f.PostDoID(0, []IDBranch{{Dir: DirRecv, Peer: 1, Tag: "t"}}, r)
 	if d := time.Since(start); d > 500*time.Millisecond {
 		t.Fatalf("the post took %v: the fast lane's delay slept the poster", d)
 	}
@@ -239,7 +240,7 @@ func TestCompleterToldOnceAfterTheLocks(t *testing.T) {
 				f.Declare("P", "Q")
 				var in sync.Mutex
 				r := newRecorder(f, &in)
-				f.PostDoID(context.Background(), 0, alt, r)
+				f.PostDoID(0, alt, r)
 				waitPending(t, f, len(alt))
 				in.Lock()
 				owed := tc.end(f)
@@ -268,74 +269,66 @@ func TestCompleterToldOnceAfterTheLocks(t *testing.T) {
 	}
 }
 
-// TestPostWithdrawnWhenItsContextEnds: a posted op whose context can end is
-// withdrawn by its end, from its cell or from the slow lane, and its
-// completer told ctx.Err() once — a posted Scatter's offers too; a commit
-// that came first wins, and the late end changes nothing.
-func TestPostWithdrawnWhenItsContextEnds(t *testing.T) {
-	for lane, alt := range map[string][]IDBranch{
-		"parked": {{Dir: DirRecv, Peer: 1, Tag: "t"}},
-		"posted": {{Dir: DirRecv, Peer: 1, Tag: "t"}, {Dir: DirRecv, Peer: 1, Tag: "u"}},
-	} {
-		t.Run(lane, func(t *testing.T) {
-			f := New()
-			f.Declare("P", "Q")
-			ctx, cancel := context.WithCancel(context.Background())
-			r := newRecorder(f, nil)
-			f.PostDoID(ctx, 0, alt, r)
-			waitPending(t, f, len(alt))
-			cancel()
-			r.await(t, lane)
-			if _, err := r.once(t, lane); !errors.Is(err, context.Canceled) {
-				t.Fatalf("withdrawn post: %v, want context.Canceled", err)
-			}
-			if n := f.PendingCount(); n != 0 {
-				t.Fatalf("%d ops still pending after the withdrawal", n)
-			}
-		})
+// doneChan is a Completer that passes each outcome's error on.
+type doneChan chan error
+
+func (d doneChan) Complete(_ IDOutcome, err error) { d <- err }
+
+// TestPostAllocs gates what a posted op costs in objects, in each lane: a
+// round is one PostDoID of a send, or one PostScatterID to 24 targets, and
+// the blocking receives that commit it. A posted op only ever takes a pooled
+// slot, released by whoever delivers its outcome, and a posted Scatter a
+// pooled table, so the count is zero.
+func TestPostAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
 	}
-	// A posted Scatter's offer is withdrawn from the lane it waits in: the
-	// target never receives the value the Scatter reports not sent, and the
-	// Scatter completes once.
-	for lane, opts := range map[string][]Option{"scatter/parked": nil, "scatter/posted": {WithoutFastPath()}} {
-		t.Run(lane, func(t *testing.T) {
-			f := New(opts...)
-			f.Declare("S", "A")
-			ctx, cancel := context.WithCancel(context.Background())
-			r := newRecorder(f, nil)
-			f.PostScatterID(ctx, 0, "t", []ID{1}, []any{7}, r)
-			parked, posted := f.table()[1].parked.Load(), f.PendingCount()
-			if opts == nil && parked != 1 || opts != nil && (parked != 0 || posted != 1) {
-				t.Fatalf("the offer is not where the lane puts it: %d parked, %d pending", parked, posted)
+	lanes := map[string][]Option{"fast": nil, "slow": {WithoutFastPath()}}
+	for _, n := range []int{1, 24} {
+		for lane, opts := range lanes {
+			name := "do/" + lane
+			if n > 1 {
+				name = fmt.Sprintf("scatter%d/%s", n, lane)
 			}
-			cancel()
-			r.await(t, lane)
-			rctx, rcancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-			defer rcancel()
-			if v, err := f.RecvID(rctx, 1, 0, "t"); !errors.Is(err, context.DeadlineExceeded) {
-				t.Fatalf("the target received %v, %v after the withdrawal", v, err)
-			}
-			if _, err := r.once(t, lane); !errors.Is(err, context.Canceled) {
-				t.Fatalf("withdrawn scatter: %v, want context.Canceled", err)
-			}
-			if n := f.PendingCount(); n != 0 {
-				t.Fatalf("%d ops still pending after the withdrawal", n)
-			}
-		})
+			t.Run(name, func(t *testing.T) {
+				f := New(opts...)
+				f.Declare("S")
+				targets := make([]ID, n)
+				for i := range targets {
+					targets[i] = f.Endpoint(Addr(fmt.Sprintf("R%d", i)))
+				}
+				ctx, cancel := context.WithCancel(context.Background())
+				var wg sync.WaitGroup
+				for _, id := range targets {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for {
+							if _, err := f.RecvID(ctx, id, 0, "t"); err != nil {
+								return
+							}
+						}
+					}()
+				}
+				done := make(doneChan, 1)
+				send := []IDBranch{{Dir: DirSend, Peer: targets[0], Tag: "t", Val: 1}}
+				vals := []any{1}
+				got := testing.AllocsPerRun(500, func() {
+					if n == 1 {
+						f.PostDoID(0, send, done)
+					} else {
+						f.PostScatterID(0, "t", targets, vals, done)
+					}
+					if err := <-done; err != nil {
+						t.Error(err)
+					}
+				})
+				cancel()
+				wg.Wait()
+				if got != 0 {
+					t.Fatalf("%s and its receives allocate %v objects, want 0", name, got)
+				}
+			})
+		}
 	}
-	t.Run("committed first", func(t *testing.T) {
-		f, tctx := New(), ctxT(t)
-		f.Declare("P", "Q")
-		ctx, cancel := context.WithCancel(context.Background())
-		r := newRecorder(f, nil)
-		f.PostDoID(ctx, 0, []IDBranch{{Dir: DirRecv, Peer: 1, Tag: "t"}}, r)
-		if err := f.SendID(tctx, 1, 0, "t", 1); err != nil {
-			t.Fatal(err)
-		}
-		r.await(t, "commit")
-		cancel()
-		if out, err := r.once(t, "committed first"); err != nil || out.Val != 1 {
-			t.Fatalf("post: %+v, %v; want the commit", out, err)
-		}
-	})
 }

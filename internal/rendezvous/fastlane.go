@@ -234,9 +234,8 @@ func (f *Fabric) SetFastFaults(ff FastFaults) { f.faults = ff }
 // eligible (s nil), or it parked and escalation struck (s holds it, out of
 // its cell, its seq kept). handled=true means the op committed with a parked
 // counterpart (s nil, the outcome in out) or is parked in its cell and
-// waits in s, its outcome to be delivered to s's group (see post for c and
-// watch).
-func (f *Fabric) postFast(owner ID, br *IDBranch, c Completer, watch bool, out *IDOutcome) (s *slot, handled bool, err error) {
+// waits in s, its outcome to be delivered to s's group (see post for c).
+func (f *Fabric) postFast(owner ID, br *IDBranch, c Completer, out *IDOutcome) (s *slot, handled bool, err error) {
 	if !f.fastOK.Load() {
 		return nil, false, nil
 	}
@@ -275,7 +274,7 @@ func (f *Fabric) postFast(owner ID, br *IDBranch, c Completer, watch bool, out *
 	}
 	// Park. The group and op share one pooled allocation; the seq is drawn
 	// inside the critical section so each cell stays sorted by post order.
-	s = takeSlot(c, watch, watch)
+	s = takeSlot(c, false)
 	o := s.newOp(me, peer, br, 0)
 	f.park(cl, o)
 	ff := f.faults
@@ -364,18 +363,16 @@ const slotOps = 4
 // ops after delivering to it.
 //
 // A posted op's slot is released by whoever delivers its outcome, before the
-// completer runs, unless own is set: then its owner releases it (a Scatter's
-// table, once every offer is in). A loose slot is not the pool's and is
-// never released: a posted op whose context is watched takes one, so that a
-// watcher firing late finds its group claimed rather than another op's.
-// parked says ops[0] went into a cell (park sets it) and was not taken back
-// out by its poster: withdraw looks for it there first.
+// completer runs. A Scatter offer's slot is owned (own is set): the table's
+// reap releases it, once every offer is in. parked says ops[0] went into a
+// cell (park sets it) and was not taken back out by its poster: withdraw
+// looks for it there first.
 type slot struct {
-	g                  group
-	n                  int // ops handed out of the inline array
-	ops                [slotOps]op
-	posted             [slotOps]*op // backing array of g.ops
-	own, loose, parked bool
+	g           group
+	n           int // ops handed out of the inline array
+	ops         [slotOps]op
+	posted      [slotOps]*op // backing array of g.ops
+	own, parked bool
 }
 
 var slotPool = sync.Pool{New: func() any {
@@ -397,15 +394,10 @@ func getSlot() *slot {
 	return s
 }
 
-// takeSlot returns the slot for an op new to the fabric, whose outcome goes
-// to c (nil: a goroutine waits for it), own and loose saying who releases it
-// (see slot): a pooled one, or a loose one of its own.
-func takeSlot(c Completer, own, loose bool) *slot {
-	if loose {
-		s := &slot{own: true, loose: true}
-		s.g.slot, s.g.ops, s.g.done = s, s.posted[:0], c
-		return s
-	}
+// takeSlot returns a pooled slot for an op new to the fabric, whose outcome
+// goes to c (nil: a goroutine waits for it), own saying who releases it (see
+// slot).
+func takeSlot(c Completer, own bool) *slot {
 	s := getSlot()
 	s.g.done, s.own = c, own
 	return s
@@ -426,12 +418,8 @@ func (s *slot) newOp(owner, peer *endpoint, br *IDBranch, index int) *op {
 	return o
 }
 
-// release returns s to the pool, dropping value references; a loose slot
-// stays as it is.
+// release returns s to the pool, dropping value references.
 func (s *slot) release() {
-	if s.loose {
-		return
-	}
 	clear(s.ops[:s.n])
 	clear(s.posted[:])
 	slotPool.Put(s)

@@ -384,9 +384,8 @@ func TestScatterPartialFailureStillDeliversRest(t *testing.T) {
 
 // TestScatterCancellationWithdrawsRemainder: a Scatter's cancellation
 // withdraws the offers still out, from the cell or the slow lane each waits
-// in; one that committed or failed first keeps its outcome, the blocking and
-// the posted Scatter report the same error, and a pooled table comes back
-// with nothing of the cancelled call left in it.
+// in; one that committed or failed first keeps its outcome, and a pooled
+// table comes back with nothing of the cancelled call left in it.
 func TestScatterCancellationWithdrawsRemainder(t *testing.T) {
 	lanes := map[string][]Option{"parked": nil, "slow lane": {WithoutFastPath()}}
 	for lane, opts := range lanes {
@@ -408,55 +407,38 @@ func TestScatterCancellationWithdrawsRemainder(t *testing.T) {
 		})
 	}
 
-	// A commits, T is terminated and X and Y are cancelled, through the
-	// blocking Scatter and then the posted one.
+	// A commits, T is terminated and X and Y are cancelled: the cancellation
+	// withdraws X's and Y's offers from the lane each waits in, so neither
+	// target ever receives.
 	for lane, opts := range lanes {
 		t.Run("mixed/"+lane, func(t *testing.T) {
-			var errs []error
-			for _, posted := range []bool{false, true} {
-				f, tctx := New(opts...), ctxT(t)
-				f.Declare("S", "A", "T", "X", "Y")
-				ctx, cancel := context.WithCancel(context.Background())
-				defer cancel()
-				r := newRecorder(f, nil)
-				errCh := make(chan error, 1)
-				if posted {
-					f.PostScatterID(ctx, 0, "t", []ID{1, 2, 3, 4}, []any{7}, r)
-				} else {
-					go func() { errCh <- f.Scatter(ctx, "S", "t", []Addr{"A", "T", "X", "Y"}, []any{7}) }()
-				}
-				waitPending(t, f, 4)
-				if v, err := f.RecvID(tctx, 1, 0, "t"); err != nil || v != 7 {
-					t.Fatalf("A received %v, %v; want 7", v, err)
-				}
-				owed := f.Terminate("T")
-				if !posted && len(owed) != 0 {
-					t.Fatalf("a termination owes a blocking Scatter %d outcomes", len(owed))
-				}
-				owed.Pay()
-				cancel()
-				var err error
-				if posted {
-					r.await(t, "posted")
-					_, err = r.once(t, "posted")
-				} else {
-					err = <-errCh
-				}
-				errs = append(errs, err)
-				for _, id := range []ID{2, 3, 4} {
-					rctx, rcancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-					v, rerr := f.RecvID(rctx, id, 0, "t")
-					rcancel()
-					if rerr == nil {
-						t.Fatalf("posted=%v: target %d received %v after the Scatter settled without it", posted, id, v)
-					}
-				}
-				if n := f.PendingCount(); n != 0 {
-					t.Fatalf("posted=%v: %d ops still pending", posted, n)
+			f, tctx := New(opts...), ctxT(t)
+			f.Declare("S", "A", "T", "X", "Y")
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			errCh := make(chan error, 1)
+			go func() { errCh <- f.Scatter(ctx, "S", "t", []Addr{"A", "T", "X", "Y"}, []any{7}) }()
+			waitPending(t, f, 4)
+			if v, err := f.RecvID(tctx, 1, 0, "t"); err != nil || v != 7 {
+				t.Fatalf("A received %v, %v; want 7", v, err)
+			}
+			if owed := f.Terminate("T"); len(owed) != 0 {
+				t.Fatalf("a termination owes a blocking Scatter %d outcomes", len(owed))
+			}
+			cancel()
+			if err := <-errCh; !errors.Is(err, context.Canceled) {
+				t.Fatalf("Scatter = %v, want context.Canceled", err)
+			}
+			for _, id := range []ID{2, 3, 4} {
+				rctx, rcancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+				v, rerr := f.RecvID(rctx, id, 0, "t")
+				rcancel()
+				if rerr == nil {
+					t.Fatalf("target %d received %v after the Scatter settled without it", id, v)
 				}
 			}
-			if !errors.Is(errs[0], context.Canceled) || errs[1] != errs[0] {
-				t.Fatalf("blocking Scatter = %v, posted = %v; want context.Canceled from both", errs[0], errs[1])
+			if n := f.PendingCount(); n != 0 {
+				t.Fatalf("%d ops still pending", n)
 			}
 		})
 	}

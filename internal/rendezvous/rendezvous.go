@@ -360,7 +360,7 @@ func (f *Fabric) Send(ctx context.Context, owner, peer Addr, tag Tag, v any) err
 // the handoff commits there, no group is ever taken.
 func (f *Fabric) SendID(ctx context.Context, owner, peer ID, tag Tag, v any) error {
 	var out IDOutcome
-	s, err := f.post(owner, []IDBranch{{Dir: DirSend, Peer: peer, Tag: tag, Val: v}}, nil, false, &out)
+	s, err := f.post(owner, []IDBranch{{Dir: DirSend, Peer: peer, Tag: tag, Val: v}}, nil, &out)
 	if s != nil {
 		_, err = f.wait(ctx, s)
 	}
@@ -376,7 +376,7 @@ func (f *Fabric) Recv(ctx context.Context, owner, peer Addr, tag Tag) (any, erro
 // RecvID is Recv between endpoints.
 func (f *Fabric) RecvID(ctx context.Context, owner, peer ID, tag Tag) (any, error) {
 	var out IDOutcome
-	s, err := f.post(owner, []IDBranch{{Dir: DirRecv, Peer: peer, Tag: tag}}, nil, false, &out)
+	s, err := f.post(owner, []IDBranch{{Dir: DirRecv, Peer: peer, Tag: tag}}, nil, &out)
 	if s != nil {
 		out, err = f.wait(ctx, s)
 	}
@@ -418,7 +418,7 @@ func (f *Fabric) Do(ctx context.Context, owner Addr, branches []Branch) (Outcome
 // resolved on the way in.
 func (f *Fabric) DoID(ctx context.Context, owner ID, branches []IDBranch) (IDOutcome, error) {
 	var out IDOutcome
-	s, err := f.post(owner, branches, nil, false, &out)
+	s, err := f.post(owner, branches, nil, &out)
 	if s == nil {
 		return out, err
 	}
@@ -427,30 +427,23 @@ func (f *Fabric) DoID(ctx context.Context, owner ID, branches []IDBranch) (IDOut
 
 // PostDoID is DoID without the wait: the alternative is posted and the call
 // returns, and c is told its outcome — before PostDoID returns, when the
-// alternative resolves on the way in. The branches are only read. While ctx
-// can end, its end withdraws the alternative if nothing committed it first,
-// and c is told ctx.Err(); a context that cannot end costs nothing.
-func (f *Fabric) PostDoID(ctx context.Context, owner ID, branches []IDBranch, c Completer) {
-	watch := ctx.Done() != nil
+// alternative resolves on the way in. The branches are only read. A posted op
+// has no context, and is never withdrawn: it ends in a commit or a failure —
+// its peers' termination, its owner's, Abort or Close.
+func (f *Fabric) PostDoID(owner ID, branches []IDBranch, c Completer) {
 	var out IDOutcome
-	s, err := f.post(owner, branches, c, watch, &out)
-	switch {
-	case s == nil:
+	if s, err := f.post(owner, branches, c, &out); s == nil {
 		c.Complete(out, err)
-	case watch:
-		context.AfterFunc(ctx, func() { f.withdrawPosted(s, ctx.Err()) })
 	}
 }
 
 // post places owner's alternative in the fabric: through the fast lane when
 // it is one eligible branch, else through the locked matcher. A nil slot
 // means it resolved on the way in, with the outcome in out and the error
-// returned; otherwise it
-// waits in the slot, whose group is delivered its outcome — to the channel
-// when c is nil, to c when not, in which case the caller may no longer touch
-// the slot unless watch had it take a loose one (see slot), which a watcher
-// of the op's context may then withdraw.
-func (f *Fabric) post(owner ID, branches []IDBranch, c Completer, watch bool, out *IDOutcome) (*slot, error) {
+// returned; otherwise it waits in the slot, whose group is delivered its
+// outcome — to the channel when c is nil, to c when not, in which case the
+// caller may no longer touch the slot.
+func (f *Fabric) post(owner ID, branches []IDBranch, c Completer, out *IDOutcome) (*slot, error) {
 	if len(branches) == 0 {
 		return nil, ErrNoBranches
 	}
@@ -459,7 +452,7 @@ func (f *Fabric) post(owner ID, branches []IDBranch, c Completer, watch bool, ou
 	if len(branches) == 1 {
 		var handled bool
 		var err error
-		if s, handled, err = f.postFast(owner, &branches[0], c, watch, out); handled {
+		if s, handled, err = f.postFast(owner, &branches[0], c, out); handled {
 			fastLaneOps.Inc()
 			return s, err
 		}
@@ -467,7 +460,7 @@ func (f *Fabric) post(owner ID, branches []IDBranch, c Completer, watch bool, ou
 			seq = s.ops[0].seq
 		}
 	}
-	return f.postSlow(f.table()[owner], branches, s, seq, c, watch, out)
+	return f.postSlow(f.table()[owner], branches, s, seq, c, out)
 }
 
 // wait blocks for the outcome of the op post left in slot s, withdrawing it
@@ -485,9 +478,8 @@ func (f *Fabric) wait(ctx context.Context, s *slot) (IDOutcome, error) {
 	return r.out, r.err
 }
 
-// withdrawPosted is wait's withdrawal for an op with a completer (a posted
-// op, or a Scatter's offer), whose slot s its poster kept: the completer is
-// told err, unless an outcome came first.
+// withdrawPosted is wait's withdrawal for a blocking Scatter's offer, whose
+// slot s its table kept: the offer is told err, unless an outcome came first.
 func (f *Fabric) withdrawPosted(s *slot, err error) {
 	if f.withdraw(s) {
 		s.g.deliver(result{err: err})
@@ -500,10 +492,10 @@ func (f *Fabric) withdrawPosted(s *slot, err error) {
 // (it keeps its place in the FIFO); nil for an op new to the fabric, which
 // takes a slot here. It returns as post does, and pays, once the lock is
 // let go, what the pass owes posted ops it committed with.
-func (f *Fabric) postSlow(me *endpoint, branches []IDBranch, s *slot, seq uint64, c Completer, watch bool, out *IDOutcome) (*slot, error) {
+func (f *Fabric) postSlow(me *endpoint, branches []IDBranch, s *slot, seq uint64, c Completer, out *IDOutcome) (*slot, error) {
 	slowLaneOps.Inc()
 	if s == nil {
-		s = takeSlot(c, watch, watch)
+		s = takeSlot(c, false)
 	}
 	var buf [1]due
 	// Entry guard: make the owner hot for the duration of the posting pass,
@@ -527,8 +519,8 @@ func (f *Fabric) postSlow(me *endpoint, branches []IDBranch, s *slot, seq uint64
 // owner's behalf, from wherever it is: its cell, if it is still parked there,
 // else the matcher. It reports whether it did; if not, a committer or a
 // failure claimed the group first, and its outcome is on its way to it. It is
-// the one withdrawal of every op: a blocking call's, a posted op's and a
-// Scatter offer's.
+// the one withdrawal of every op: a blocking call's and a blocking Scatter
+// offer's.
 func (f *Fabric) withdraw(s *slot) bool {
 	if s.parked && f.unpark(&s.ops[0]) {
 		return true

@@ -107,30 +107,15 @@ func (f *Fabric) ScatterID(ctx context.Context, owner ID, tag Tag, targets []ID,
 // PostScatterID is ScatterID without the wait: the offers are posted and the
 // call returns, and c is told, once every offer has resolved, the error the
 // blocking call would return (nil for a commit in every case) — before
-// PostScatterID returns, when all resolved on the way in. While ctx can end,
-// its end withdraws the offers nothing committed first, which report
-// ctx.Err().
-func (f *Fabric) PostScatterID(ctx context.Context, owner ID, tag Tag, targets []ID, vals []any, c Completer) {
+// PostScatterID returns, when all resolved on the way in. Like PostDoID's
+// alternative, the offers have no context to withdraw them.
+func (f *Fabric) PostScatterID(owner ID, tag Tag, targets []ID, vals []any, c Completer) {
 	t, me := f.scatterTo(owner, targets)
 	t.done = c
-	watch := ctx.Done() != nil
-	if err := f.postScatter(me, tag, t, vals, watch); err != nil {
+	if err := f.postScatter(me, tag, t, vals); err != nil {
 		t.put()
 		c.Complete(IDOutcome{}, err)
 		return
-	}
-	if watch {
-		var loose []*slot
-		for i := range t.slots {
-			if s := &t.slots[i]; s.fs != nil {
-				loose = append(loose, s.fs)
-			}
-		}
-		context.AfterFunc(ctx, func() {
-			for _, s := range loose {
-				f.withdrawPosted(s, ctx.Err())
-			}
-		})
 	}
 	t.countDown()
 }
@@ -151,7 +136,7 @@ func (f *Fabric) scatterTo(owner ID, targets []ID) (*scatterTable, *endpoint) {
 // race. Only the reap releases the slots the offers kept, so none is reused
 // while a withdrawal may look at it.
 func (f *Fabric) scatter(ctx context.Context, me *endpoint, tag Tag, t *scatterTable, vals []any) error {
-	if err := f.postScatter(me, tag, t, vals, false); err != nil {
+	if err := f.postScatter(me, tag, t, vals); err != nil {
 		t.put()
 		return err
 	}
@@ -212,9 +197,9 @@ func (t *scatterTable) reap() error {
 // postScatter places me's offers to the targets of t: the one posting path
 // of both Scatters. An offer that resolves on the way in is settled here; the
 // others wait in their slots, each the completer of its offer, with the
-// storage kept (loose, when watch says a context will withdraw them) until
-// the table is reaped. The error is a call that posted nothing.
-func (f *Fabric) postScatter(me *endpoint, tag Tag, t *scatterTable, vals []any, watch bool) error {
+// storage kept until the table is reaped. The error is a call that posted
+// nothing.
+func (f *Fabric) postScatter(me *endpoint, tag Tag, t *scatterTable, vals []any) error {
 	slots := t.slots
 	if n := len(slots); n != 0 && len(vals) != n && len(vals) != 1 {
 		return fmt.Errorf("rendezvous: Scatter with %d targets but %d values", n, len(vals))
@@ -254,7 +239,7 @@ func (f *Fabric) postScatter(me *endpoint, tag Tag, t *scatterTable, vals []any,
 			continue
 		}
 		// Park with backing storage of its own, exactly like postFast.
-		s.fs = takeSlot(s, true, watch)
+		s.fs = takeSlot(s, true)
 		f.park(c, s.fs.newOp(me, to, &br, 0))
 		to.mu.Unlock()
 	}
@@ -309,7 +294,7 @@ func (f *Fabric) postScatter(me *endpoint, tag Tag, t *scatterTable, vals []any,
 		}
 		seq := uint64(0)
 		if s.fs == nil {
-			s.fs = takeSlot(s, true, watch)
+			s.fs = takeSlot(s, true)
 		} else {
 			seq = s.fs.ops[0].seq // escalated offer keeps its FIFO place...
 			s.fs.n = 0            // ...and hands its storage back

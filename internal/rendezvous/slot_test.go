@@ -191,7 +191,7 @@ func TestEscalatedOpIsClearedWhenNothingIsPosted(t *testing.T) {
 	s := getSlot()
 	o := s.newOp(P, A, &br, 0)
 	f.Terminate("A")
-	if left, err := f.postSlow(P, []IDBranch{br}, s, 1, nil, false, new(IDOutcome)); left != nil || !errors.Is(err, ErrPeerTerminated) {
+	if left, err := f.postSlow(P, []IDBranch{br}, s, 1, nil, new(IDOutcome)); left != nil || !errors.Is(err, ErrPeerTerminated) {
 		t.Fatalf("postSlow = %v, want ErrPeerTerminated and the slot released", err)
 	}
 	if o.val != nil || o.g != nil || o.owner != nil {
