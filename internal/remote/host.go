@@ -471,10 +471,10 @@ func (h *Host) serveConn(nc net.Conn) {
 		if errors.As(err, &oe) {
 			// Shed before building any per-connection state: the OVERLOADED
 			// frame goes out in place of HELLO-ACK, without even reading the
-			// client's HELLO — rejection must stay cheaper than service.
+			// client's HELLO — rejection must stay cheaper than service —
+			// and Close's last pass writes it.
 			h.logf("remote: %s: connection cap (%d) reached, shedding", c.RemoteAddr(), h.cfg.MaxConns)
-			c.SetWriteTimeout(h.cfg.WriteTimeout)
-			_ = c.WriteSync(wire.MsgOverloaded, &wire.Overloaded{
+			_ = c.WriteFrame(wire.MsgOverloaded, 0, 0, &wire.Overloaded{
 				RetryAfterMS: oe.RetryAfter.Milliseconds(),
 				Msg:          oe.Reason,
 			})

@@ -250,7 +250,7 @@ func rawEnroll(t *testing.T, addr, script, pid, role string) *wire.Conn {
 	}
 	c := wire.NewConn(nc)
 	c.SetReadTimeout(10 * time.Second)
-	if err := c.WriteSync(wire.MsgHello, &wire.Hello{Magic: wire.Magic, Version: 1, Script: script}); err != nil {
+	if err := c.WriteFrame(wire.MsgHello, 0, 0, &wire.Hello{Magic: wire.Magic, Version: 1, Script: script}); err != nil {
 		t.Fatalf("hello: %v", err)
 	}
 	if _, _, _, m, err := c.ReadFrame(); err != nil {

@@ -569,7 +569,7 @@ type Conn struct {
 	nc net.Conn
 	br *bufio.Reader
 
-	// After the handshake the socket has one writer, the flusher goroutine.
+	// The socket has one writer, the flusher goroutine.
 	// WriteFrame appends its frame to out under wmu and returns, and the
 	// writer that finds out empty nudges the flusher via flushReq — one nudge
 	// per burst: the frames that follow it into out leave with the pass it
@@ -580,9 +580,8 @@ type Conn struct {
 	// the peer. flushErr latches the first failed write (which also closes
 	// the socket); every later write returns it. out and flushErr are guarded
 	// by wmu; flushReq and quit are safe channels. The flusher starts lazily
-	// on the first WriteFrame (a connection shed at the handshake, whose only
-	// frames go through WriteSync, never pays for it) and closes flushed when
-	// Close ends it.
+	// on the first WriteFrame — the handshake's, so it is the socket's only
+	// writer from the first byte — and closes flushed when Close ends it.
 	wmu      sync.Mutex
 	out      []byte
 	flushErr error
@@ -679,7 +678,8 @@ func (c *Conn) SetReadTimeout(d time.Duration) {
 }
 
 // SetWriteTimeout bounds each subsequent write to the socket (0 =
-// unbounded): each of the flusher's writes, and WriteSync's.
+// unbounded): each of the flusher's writes but Close's last, which closeGrace
+// bounds.
 func (c *Conn) SetWriteTimeout(d time.Duration) { c.writeTimeout = d }
 
 // SetFrameDelay injects fn's latency before every frame write; nil disables
@@ -690,8 +690,8 @@ func (c *Conn) SetFrameDelay(fn func() time.Duration) { c.frameDelay = fn }
 func (c *Conn) RemoteAddr() net.Addr { return c.nc.RemoteAddr() }
 
 // Close ends the flusher, gives its last pass — the frames still buffered,
-// a protocol-error frame written just before teardown say — at most
-// closeGrace, and closes the underlying connection. Safe concurrently with
+// a protocol-error frame written just before teardown say, or the only frame
+// of a connection shed or rejected at the handshake — at most closeGrace, and closes the underlying connection. Safe concurrently with
 // blocked reads and writes, which then fail; every later write returns
 // net.ErrClosed.
 func (c *Conn) Close() error {
@@ -763,25 +763,6 @@ func (c *Conn) writeRaw(frame []byte) error {
 	defer c.wmu.Unlock()
 	c.commit(append(c.out, frame...))
 	return nil
-}
-
-// WriteSync writes a stream-0 frame sent before the conversation starts —
-// the handshake's frames and the host's pre-handshake OVERLOADED — on the
-// caller's goroutine, so the frame is on the wire when the caller closes or
-// blocks on the reply, and a connection that is shed or rejected never
-// starts the flusher goroutine. It is the socket's only writer besides the
-// flusher, and must not follow the connection's first WriteFrame.
-func (c *Conn) WriteSync(t MsgType, m any) error {
-	frame, err := appendFrame(nil, c.version, t, 0, 0, m)
-	if err != nil {
-		return err
-	}
-	c.delay()
-	if err := c.armWrite(c.writeTimeout); err != nil {
-		return err
-	}
-	_, err = c.nc.Write(frame)
-	return err
 }
 
 // lockWrite takes the write mutex for one frame, honoring the chaos frame
@@ -1069,7 +1050,7 @@ func clampVersion(v int) int { return min(max(v, Version), MaxVersion) }
 func ClientHandshakeV(c *Conn, script string, maxVersion int) (HelloAck, error) {
 	maxVersion = clampVersion(maxVersion)
 	hello := &Hello{Magic: Magic, Version: Version, MaxVersion: maxVersion, Script: script, Resume: maxVersion >= 2}
-	if err := c.WriteSync(MsgHello, hello); err != nil {
+	if err := c.WriteFrame(MsgHello, 0, 0, hello); err != nil {
 		return HelloAck{}, err
 	}
 	t, _, _, m, err := c.ReadFrame()
@@ -1134,7 +1115,7 @@ func ServerHandshakeV(c *Conn, script string, maxVersion int, decorate func(h He
 	if decorate != nil {
 		decorate(h, &ack)
 	}
-	if err := c.WriteSync(MsgHelloAck, &ack); err != nil {
+	if err := c.WriteFrame(MsgHelloAck, 0, 0, &ack); err != nil {
 		return Hello{}, err
 	}
 	c.version = ack.Version
@@ -1143,7 +1124,7 @@ func ServerHandshakeV(c *Conn, script string, maxVersion int, decorate func(h He
 }
 
 func (c *Conn) reject(msg string) error {
-	_ = c.WriteSync(MsgError, &ProtoError{Msg: msg})
+	_ = c.WriteFrame(MsgError, 0, 0, &ProtoError{Msg: msg})
 	return fmt.Errorf("wire: handshake rejected: %s", msg)
 }
 

@@ -108,7 +108,7 @@ func TestHandshakeVersionMismatch(t *testing.T) {
 	ca, cb := pipeConns(t)
 	errCh := make(chan error, 1)
 	go func() { errCh <- serverHandshake(cb, "s", MaxVersion) }()
-	if err := ca.WriteSync(MsgHello, &Hello{Magic: Magic, Version: Version + 7}); err != nil {
+	if err := ca.WriteFrame(MsgHello, 0, 0, &Hello{Magic: Magic, Version: Version + 7}); err != nil {
 		t.Fatal(err)
 	}
 	typ, _, _, _, err := ca.ReadFrame()
@@ -357,8 +357,8 @@ func TestWithRoundTrip(t *testing.T) {
 func TestWriteAfterCloseFails(t *testing.T) {
 	ca, _ := pipeConns(t)
 	ca.Close()
-	if err := ca.WriteSync(MsgHeartbeat, &Heartbeat{}); err == nil {
-		t.Fatal("WriteSync on closed conn succeeded")
+	if err := ca.WriteFrame(MsgHeartbeat, 0, 0, &Heartbeat{}); err == nil {
+		t.Fatal("WriteFrame on closed conn succeeded")
 	}
 }
 
@@ -411,7 +411,7 @@ func TestHandshakeOverloaded(t *testing.T) {
 			done <- err
 			return
 		}
-		done <- cb.WriteSync(MsgOverloaded, &Overloaded{RetryAfterMS: 50, Msg: "connection cap reached"})
+		done <- cb.WriteFrame(MsgOverloaded, 0, 0, &Overloaded{RetryAfterMS: 50, Msg: "connection cap reached"})
 	}()
 	_, err := ClientHandshakeV(ca, "broadcast", MaxVersion)
 	if werr := <-done; werr != nil {
