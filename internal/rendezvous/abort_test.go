@@ -60,7 +60,8 @@ func TestAbortFailsBlockedAndFutureOps(t *testing.T) {
 }
 
 // TestAbortIdempotentAndOrderedWithClose: the first abort reason wins, and
-// Abort after Close is a no-op (closed stays closed).
+// Close counts as one: Abort after Close is a no-op (closed stays closed), and
+// Close after Abort keeps the abort's reason.
 func TestAbortIdempotentAndOrderedWithClose(t *testing.T) {
 	f := New()
 	first := errors.New("first reason")
@@ -76,6 +77,15 @@ func TestAbortIdempotentAndOrderedWithClose(t *testing.T) {
 	if err := g.Send(context.Background(), "a", "b", "", 1); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed (Abort after Close must not override)", err)
 	}
+
+	h := New()
+	h.Abort(first)
+	if owed := h.Close(); owed != nil {
+		t.Fatalf("Close after Abort owes %d outcomes", len(owed))
+	}
+	if err := h.Send(context.Background(), "a", "b", "", 1); !errors.Is(err, first) || errors.Is(err, ErrClosed) {
+		t.Fatalf("err = %v, want the abort reason (Close after Abort must not override)", err)
+	}
 }
 
 // TestAbortNilReasonDefaults: Abort(nil) uses ErrAborted.
@@ -87,18 +97,18 @@ func TestAbortNilReasonDefaults(t *testing.T) {
 	}
 }
 
-// TestWaitingReportsBlockedOwner: Waiting is true exactly while an address
-// owns a pending operation.
+// TestWaitingReportsBlockedOwner: WaitingIDs names an address exactly while
+// it owns a pending operation.
 func TestWaitingReportsBlockedOwner(t *testing.T) {
 	f := New()
-	if f.Waiting("a") {
-		t.Fatal("Waiting(a) true on empty fabric")
+	if waiting(f, "a") {
+		t.Fatal("a waiting on an empty fabric")
 	}
 	done := make(chan error, 1)
 	go func() { done <- f.Send(context.Background(), "a", "b", "", 1) }()
-	waitUntil(t, func() bool { return f.Waiting("a") })
-	if f.Waiting("b") {
-		t.Fatal("Waiting(b) true for an address that never posted")
+	waitUntil(t, func() bool { return waiting(f, "a") })
+	if waiting(f, "b") {
+		t.Fatal("b waiting, though it never posted")
 	}
 	if _, err := f.Recv(context.Background(), "b", "a", ""); err != nil {
 		t.Fatalf("recv: %v", err)
@@ -106,7 +116,7 @@ func TestWaitingReportsBlockedOwner(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("send: %v", err)
 	}
-	waitUntil(t, func() bool { return !f.Waiting("a") })
+	waitUntil(t, func() bool { return !waiting(f, "a") })
 }
 
 func waitUntil(t *testing.T, cond func() bool) {

@@ -10,8 +10,8 @@ import "fmt"
 func (f *Fabric) checkQuiescent() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.closed || f.aborted != nil {
-		return fmt.Errorf("closed=%v aborted=%v", f.closed, f.aborted)
+	if f.aborted != nil {
+		return fmt.Errorf("aborted=%v", f.aborted)
 	}
 	if u := f.used.Load(); u != nil {
 		return fmt.Errorf("endpoint %s still on the used list", u.addr)

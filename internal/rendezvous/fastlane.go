@@ -234,19 +234,20 @@ func (f *Fabric) SetFastFaults(ff FastFaults) { f.faults = ff }
 // eligible (s nil), or it parked and escalation struck (s holds it, out of
 // its cell, its seq kept). handled=true means the op committed with a parked
 // counterpart (s nil, the outcome in out) or is parked in its cell and
-// waits in s, its outcome to be delivered to s's group (see post for c).
-func (f *Fabric) postFast(owner ID, br *IDBranch, c Completer, out *IDOutcome) (s *slot, handled bool, err error) {
+// waits in s, its outcome to be delivered to s's group (see post for c, and
+// takeSlot for own).
+func (f *Fabric) postFast(owner ID, br *IDBranch, c Completer, own bool, out *IDOutcome) (s *slot, handled bool) {
 	if !f.fastOK.Load() {
-		return nil, false, nil
+		return nil, false
 	}
 	if br.AnyPeer || br.AnyTag || br.Peer < 0 || br.Peer == owner ||
 		(br.Dir != DirSend && br.Dir != DirRecv) {
-		return nil, false, nil // wildcards, self-sends and invalid branches: slow lane
+		return nil, false // wildcards, self-sends and invalid branches: slow lane
 	}
 	eps := f.table()
 	me, peer := eps[owner], eps[br.Peer]
 	if me.hot.Load() != 0 || peer.hot.Load() != 0 {
-		return nil, false, nil
+		return nil, false
 	}
 	from, to := me, peer
 	if br.Dir == DirRecv {
@@ -266,15 +267,15 @@ func (f *Fabric) postFast(owner ID, br *IDBranch, c Completer, out *IDOutcome) (
 		*out = IDOutcome{Peer: br.Peer, Tag: br.Tag}
 		if br.Dir == DirSend {
 			pg.deliver(result{out: IDOutcome{Index: p.index, Peer: owner, Tag: br.Tag, Val: br.Val}})
-			return nil, true, nil
+			return nil, true
 		}
 		out.Val = pVal
 		pg.deliver(result{out: IDOutcome{Index: p.index, Peer: owner, Tag: br.Tag}})
-		return nil, true, nil
+		return nil, true
 	}
 	// Park. The group and op share one pooled allocation; the seq is drawn
 	// inside the critical section so each cell stays sorted by post order.
-	s = takeSlot(c, false)
+	s = takeSlot(c, own)
 	o := s.newOp(me, peer, br, 0)
 	f.park(cl, o)
 	ff := f.faults
@@ -299,10 +300,10 @@ func (f *Fabric) postFast(owner ID, br *IDBranch, c Completer, out *IDOutcome) (
 	if escalate && to.unparkLocked(o) {
 		to.mu.Unlock()
 		s.parked = false
-		return s, false, nil
+		return s, false
 	}
 	to.mu.Unlock()
-	return s, true, nil
+	return s, true
 }
 
 // commitHead takes the FIFO head of cell c, which holds from's messages in

@@ -182,11 +182,11 @@ func TestWaitingAndPendingCountCoverCells(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- f.Send(ctx, "A", "B", "t", 1) }()
 	waitPending(t, f, 1)
-	if !f.Waiting("A") {
-		t.Fatal("Waiting(A) = false for a fast-parked op")
+	if !waiting(f, "A") {
+		t.Fatal("A not waiting with a fast-parked op")
 	}
-	if f.Waiting("B") {
-		t.Fatal("Waiting(B) = true; B has no pending op")
+	if waiting(f, "B") {
+		t.Fatal("B waiting, though it has no pending op")
 	}
 	if _, err := f.Recv(ctx, "B", "A", "t"); err != nil {
 		t.Fatalf("Recv: %v", err)
@@ -220,7 +220,7 @@ func TestContextCancellationUnparksFastOp(t *testing.T) {
 		t.Fatalf("Send after cancel = %v, want context.Canceled", err)
 	}
 	waitPending(t, f, 0)
-	if f.Waiting("A") {
+	if waiting(f, "A") {
 		t.Fatal("withdrawn op still reported Waiting")
 	}
 }
@@ -755,4 +755,64 @@ func TestEvictionLosesToACommit(t *testing.T) {
 		t.Fatalf("%d fast commits, want the send's", n)
 	}
 	checkPosted(t, f, "after the commit", 0)
+}
+
+// TestScatterUnderFastFaults: the eviction fault reaches a Scatter's offers
+// as it does any parked op, and reroutes them without changing what they
+// deliver. Every offer is evicted to the slow lane, keeping its place: a
+// Scatter to 24 targets delivers each value exactly once, ahead of a SendID
+// to the same target posted after it, and leaves nothing pending.
+func TestScatterUnderFastFaults(t *testing.T) {
+	const n = 24
+	for _, row := range []string{"blocking", "posted"} {
+		t.Run(row, func(t *testing.T) {
+			f, ctx := New(), ctxT(t)
+			f.Declare("S")
+			f.SetFastFaults(delayThenEvict{}) // no latency, every parked op evicted
+			targets, vals := make([]ID, n), make([]any, n)
+			for i := range targets {
+				targets[i], vals[i] = f.Endpoint(Addr(fmt.Sprintf("R%d", i))), i
+			}
+			scattered := make(doneChan, 2) // room for a second outcome, which would be a fault
+			if row == "posted" {
+				f.PostScatterID(0, "t", targets, vals, scattered)
+			} else {
+				go func() { scattered <- f.ScatterID(ctx, 0, "t", targets, vals) }()
+				waitPending(t, f, n)
+			}
+			checkPosted(t, f, "every offer evicted", n)
+
+			sent := make(chan error, n)
+			for i, id := range targets {
+				go func() { sent <- f.SendID(ctx, 0, id, "t", fmt.Sprint("after ", i)) }()
+			}
+			waitPending(t, f, 2*n)
+			got := make(chan string, n)
+			for i, id := range targets {
+				go func() {
+					first, err1 := f.RecvID(ctx, id, 0, "t")
+					second, err2 := f.RecvID(ctx, id, 0, "t")
+					if err1 != nil || err2 != nil || first != i || second != fmt.Sprint("after ", i) {
+						got <- fmt.Sprintf("R%d received %v (%v), then %v (%v); want %d, then the SendID's", i, first, err1, second, err2, i)
+						return
+					}
+					got <- ""
+				}()
+			}
+			for range targets {
+				if msg := <-got; msg != "" {
+					t.Error(msg)
+				}
+				if err := <-sent; err != nil {
+					t.Errorf("SendID: %v", err)
+				}
+			}
+			if err := <-scattered; err != nil {
+				t.Fatalf("Scatter: %v", err)
+			}
+			if p := f.PendingCount(); p != 0 || len(scattered) != 0 {
+				t.Fatalf("%d ops still pending, %d more outcomes of the Scatter", p, len(scattered))
+			}
+		})
+	}
 }

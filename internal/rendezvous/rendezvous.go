@@ -180,8 +180,7 @@ func WithoutFastPath() Option {
 // scope (one per script instance, one per CSP parallel command, ...).
 type Fabric struct {
 	mu      sync.Mutex
-	closed  bool
-	aborted error      // non-nil once Abort was called; the failure reason
+	aborted error      // non-nil once Abort or Close was called; the failure reason
 	rng     *rand.Rand // nil = FIFO matching
 	noFast  bool       // WithoutFastPath
 
@@ -451,10 +450,9 @@ func (f *Fabric) post(owner ID, branches []IDBranch, c Completer, out *IDOutcome
 	var seq uint64
 	if len(branches) == 1 {
 		var handled bool
-		var err error
-		if s, handled, err = f.postFast(owner, &branches[0], c, out); handled {
+		if s, handled = f.postFast(owner, &branches[0], c, false, out); handled {
 			fastLaneOps.Inc()
-			return s, err
+			return s, nil
 		}
 		if s != nil {
 			seq = s.ops[0].seq
@@ -539,9 +537,6 @@ func (f *Fabric) withdraw(s *slot) bool {
 // the fabric lock. It reports whether the op now waits in s for its outcome;
 // an outcome it has at once goes to out.
 func (f *Fabric) enqueueLocked(me *endpoint, branches []IDBranch, s *slot, fixedSeq uint64, out *IDOutcome) (wait bool, err error) {
-	if f.closed {
-		return false, ErrClosed
-	}
 	if f.aborted != nil {
 		return false, f.aborted
 	}
@@ -891,37 +886,28 @@ func (f *Fabric) Terminated(addr Addr) bool {
 	return e.terminated
 }
 
-// Close fails every pending operation with ErrClosed and rejects all future
-// operations. Close is idempotent. The outcomes it delivers to posted ops are
-// returned, as TerminateID's are.
-func (f *Fabric) Close() Owed {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed {
-		return nil
-	}
-	f.closed = true
-	f.fastOK.Store(false)
-	f.failAllLocked(ErrClosed)
-	return f.owing(nil)
-}
+// Close is Abort with ErrClosed: it fails every pending operation and every
+// future one with ErrClosed, until Reset. Like Abort it is idempotent and
+// keeps the first reason, so Close after Abort leaves the abort's. The
+// outcomes it delivers to posted ops are returned, as TerminateID's are.
+func (f *Fabric) Close() Owed { return f.Abort(ErrClosed) }
 
 // Abort fails every pending operation with the given reason and makes every
 // future operation fail with it too, until Reset. It is the communication
-// half of aborting one performance: unlike Close — which marks the fabric
-// unusable for good and is shared by instance shutdown — Abort carries a
-// caller-supplied reason (the script layer passes its *AbortError* naming
-// the culprit role), so blocked co-performers unwind with a diagnosis
-// instead of a generic closure. A nil reason defaults to ErrAborted. Abort
-// is idempotent: the first reason wins, and Abort after Close is a no-op.
-// The outcomes it delivers to posted ops are returned, as TerminateID's are.
+// half of aborting one performance: unlike Close — shared by instance
+// shutdown, whose reason is ErrClosed — Abort carries a caller-supplied
+// reason (the script layer passes its *AbortError* naming the culprit
+// role), so blocked co-performers unwind with a diagnosis instead of a
+// generic closure. A nil reason defaults to ErrAborted. Abort is
+// idempotent: the first reason wins, Close's included. The outcomes it
+// delivers to posted ops are returned, as TerminateID's are.
 func (f *Fabric) Abort(reason error) Owed {
 	if reason == nil {
 		reason = ErrAborted
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.closed || f.aborted != nil {
+	if f.aborted != nil {
 		return nil
 	}
 	f.aborted = reason
@@ -933,7 +919,7 @@ func (f *Fabric) Abort(reason error) Owed {
 // failAllLocked fails every pending operation — slow-lane and fast-parked —
 // with err and empties the posting indexes. The caller must already have
 // cleared fastOK so newly arriving fast ops escalate and observe the
-// closed/aborted state.
+// aborted state.
 func (f *Fabric) failAllLocked(err error) {
 	// Claim first, deliver after the walk: an owner that has its result may
 	// hand its slot to another scope at once, and the walk still has that
@@ -963,36 +949,20 @@ func (f *Fabric) failAllLocked(err error) {
 	}
 }
 
-// Waiting reports whether addr currently owns a pending (uncommitted)
-// operation — i.e. it is blocked inside the fabric trying to communicate,
-// in either lane. The script layer uses this to tell a wedged role (enrolled
-// but never communicating) apart from its blocked co-performers when picking
-// the culprit of a deadline abort.
-func (f *Fabric) Waiting(addr Addr) bool {
-	e := f.intern(addr)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return e.postedLocked() || f.parkedByLocked(e)
-}
-
-// postedLocked reports whether e owns an unclaimed op in the slow lane.
-func (e *endpoint) postedLocked() bool {
-	return slices.ContainsFunc(e.pending, func(o *op) bool { return !o.g.claimed() })
-}
-
 // WaitingIDs returns every endpoint that owns a pending (uncommitted)
 // operation — in either lane — as one consistent snapshot taken under the
-// fabric lock, in ascending ID order. Unlike probing Waiting once per address,
-// which takes and releases the lock between probes (an op can commit or park
-// between two probes, so the probe series is not a state the fabric was ever
-// in), the snapshot is a single linearization point. The script layer uses it
-// for abort-culprit attribution.
+// fabric lock, in ascending ID order: a single linearization point, where a
+// probe per address would take and release the lock between probes (an op
+// can commit or park between two, so the series is not a state the fabric
+// was ever in). The script layer uses it to tell a wedged role (enrolled but
+// never communicating) apart from its blocked co-performers when picking the
+// culprit of a deadline abort.
 func (f *Fabric) WaitingIDs() []ID {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	var ids []ID
 	for u := f.used.Load(); u != nil; u = u.next {
-		if u.postedLocked() {
+		if slices.ContainsFunc(u.pending, func(o *op) bool { return !o.g.claimed() }) {
 			ids = append(ids, u.id)
 		}
 		f.inboxLocked(u, false, func(o *op) {
@@ -1024,7 +994,6 @@ func (f *Fabric) WaitingIDs() []ID {
 func (f *Fabric) Reset() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.closed = false
 	f.aborted = nil
 	f.seq.Store(0)
 	for u := f.used.Swap(nil); u != nil; {

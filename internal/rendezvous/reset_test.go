@@ -121,6 +121,11 @@ func waitingAddrs(f *Fabric) []Addr {
 	return out
 }
 
+// waiting reports whether a owns a pending operation, by WaitingIDs.
+func waiting(f *Fabric, a Addr) bool {
+	return slices.Contains(f.WaitingIDs(), f.Endpoint(a))
+}
+
 // runScript drives script against f through via, closes f, and returns one
 // line per step: an op's outcome or error, or what the step did.
 func runScript(t *testing.T, f *Fabric, via front, script []step) []string {
@@ -156,7 +161,7 @@ func runScript(t *testing.T, f *Fabric, via front, script []step) []string {
 	}
 	withdraw := func(a Addr) bool {
 		fl := latest[a]
-		if fl == nil || !f.Waiting(a) {
+		if fl == nil || !waiting(f, a) {
 			return false
 		}
 		fl.cancel()
@@ -191,7 +196,7 @@ func runScript(t *testing.T, f *Fabric, via front, script []step) []string {
 				out, err := via.do(ctx, owner, branches)
 				log[i] = fmt.Sprintf("%s %+v: %+v, %v", owner, branches, out, err)
 			}()
-			await("the op to return or pend", func() bool { return isDone(fl) || f.Waiting(owner) })
+			await("the op to return or pend", func() bool { return isDone(fl) || waiting(f, owner) })
 		case "terminate":
 			via.terminate(st.addr)
 			log[i] = "terminated " + string(st.addr)

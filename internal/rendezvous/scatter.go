@@ -195,10 +195,11 @@ func (t *scatterTable) reap() error {
 }
 
 // postScatter places me's offers to the targets of t: the one posting path
-// of both Scatters. An offer that resolves on the way in is settled here; the
-// others wait in their slots, each the completer of its offer, with the
-// storage kept until the table is reaped. The error is a call that posted
-// nothing.
+// of both Scatters. Each offer is posted as a point op is — through the fast
+// lane, and what that does not take through one locked pass, each offer by
+// enqueueLocked — with its slot of t as its completer and its storage kept
+// until the table is reaped. An offer that resolves on the way in is settled
+// here. The error is a call that posted nothing.
 func (f *Fabric) postScatter(me *endpoint, tag Tag, t *scatterTable, vals []any) error {
 	slots := t.slots
 	if n := len(slots); n != 0 && len(vals) != n && len(vals) != 1 {
@@ -214,104 +215,35 @@ func (f *Fabric) postScatter(me *endpoint, tag Tag, t *scatterTable, vals []any)
 		}
 		return br
 	}
+	var out IDOutcome   // a send's outcome tells an offer nothing
 	var slowBuf [64]int // wider calls spill to the heap
-	slow := slowBuf[:0] // indexes that must go through the slow-lane pass
-
-	// Phase 1: fast-lane sweep. Offers whose target has a parked receive
-	// commit immediately; the rest park in their cells, all without the
-	// fabric lock.
-	fastOK := f.fastOK.Load()
+	slow := slowBuf[:0] // the offers the fast lane did not take
 	for i := range slots {
-		s := &slots[i]
-		to := s.to
-		if !fastOK || to == nil || to == me || me.hot.Load() != 0 || to.hot.Load() != 0 {
+		s, br := &slots[i], offer(i)
+		var handled bool
+		if s.fs, handled = f.postFast(me.id, &br, s, true, &out); !handled {
 			slow = append(slow, i)
-			continue
-		}
-		br := offer(i)
-		to.mu.Lock()
-		c := f.cellLocked(me, to, tag)
-		if len(c.ops) > 0 && c.ops[0].dir == DirRecv {
-			p := to.commitHead(c, me)
-			to.mu.Unlock()
-			p.g.deliver(result{out: IDOutcome{Index: p.index, Peer: me.id, Tag: tag, Val: br.Val}})
+		} else if s.fs == nil {
 			s.settle(nil)
-			continue
-		}
-		// Park with backing storage of its own, exactly like postFast.
-		s.fs = takeSlot(s, true)
-		f.park(c, s.fs.newOp(me, to, &br, 0))
-		to.mu.Unlock()
-	}
-
-	// Dekker re-check, as in postFast: any parked offer whose endpoints went
-	// hot is pulled back and retried through the slow-lane pass.
-	for i := range slots {
-		s := &slots[i]
-		if s.fs == nil { // resolved, or bound for the slow lane already
-			continue
-		}
-		if !f.fastOK.Load() || me.hot.Load() != 0 || s.to.hot.Load() != 0 {
-			if f.unpark(&s.fs.ops[0]) {
-				s.fs.parked = false
-				slow = append(slow, i)
-			}
-			// else: claimed or drained; its outcome is on its way.
 		}
 	}
-
-	// Phase 2: one slow-lane pass posts (or immediately matches) every
-	// remaining offer under a single acquisition of the fabric lock, instead
-	// of n serial lock round trips.
 	if len(slow) == 0 {
 		return nil
 	}
 	var buf [4]due
 	me.hot.Add(1)
 	f.mu.Lock()
-	var failAll error
-	switch {
-	case f.closed:
-		failAll = ErrClosed
-	case f.aborted != nil:
-		failAll = f.aborted
-	case me.terminated:
-		failAll = ErrSelfTerminated
-	}
 	for _, i := range slow {
 		s := &slots[i]
-		br := offer(i)
-		err := failAll
-		if err == nil {
-			err = validateBranch(&br)
-		}
-		if err == nil && s.to.terminated {
-			err = ErrPeerTerminated
-		}
-		if err != nil {
-			s.settle(err)
-			continue
-		}
-		seq := uint64(0)
+		var seq uint64
 		if s.fs == nil {
 			s.fs = takeSlot(s, true)
 		} else {
-			seq = s.fs.ops[0].seq // escalated offer keeps its FIFO place...
-			s.fs.n = 0            // ...and hands its storage back
+			seq = s.fs.ops[0].seq // escalated: it keeps its FIFO place
 		}
-		o := s.fs.newOp(me, s.to, &br, 0)
-		f.drainForLocked(me, s.to, &br)
-		if cand := f.findMatchLocked(o); cand != nil {
-			f.commitLocked(o, cand)
-			s.settle(nil)
-			continue
+		if wait, err := f.enqueueLocked(me, []IDBranch{offer(i)}, s.fs, seq, &out); !wait {
+			s.settle(err)
 		}
-		if seq != 0 {
-			o.seq = seq
-		} else {
-			o.seq = f.seq.Add(1)
-		}
-		f.postLocked(o)
 	}
 	owed := f.owing(buf[:0])
 	f.mu.Unlock()
