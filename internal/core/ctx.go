@@ -19,6 +19,10 @@ import (
 // Nested enrollment (EnrollIn) is deliberately not part of Ctx: it is a
 // native-runtime extension (Section V). Bodies that need it can type-assert
 // to *RoleCtx.
+//
+// A body's Ctx is valid while its body runs, and is not to be kept after: the
+// native runtime's belongs to the enrollment record, which the enrolling
+// goroutine's next Enroll may reuse once this one has returned.
 type Ctx interface {
 	// Context returns the enrolling process's context.
 	Context() context.Context

@@ -87,11 +87,14 @@ func TestNilPartnerSetIsNoConstraint(t *testing.T) {
 // allocates when the bodies do nothing: the three-role script of Figure 1,
 // two roles resident, one performance per foreground enrollment
 // (BenchmarkE01's loop, which measured 28 objects before the formation
-// tables, 12 before the cast table, 9 before wake-up channels were pooled).
-// What is left is an enrollment record per role — never recycled, because the
-// host's bridge, Result.Values and late co-performers may read one after its
-// Enroll returned — and the performance with its cast table and its done
-// channel, which is closed to release held roles and so cannot serve twice.
+// tables, 12 before the cast table, 9 before wake-up channels were pooled, 6
+// before an Enroll recycled its record). What is left is the performance with
+// its cast table, the header of the fabric's endpoint table, and an
+// enrollment record for each role that finished while the performance still
+// ran: under immediate termination such a role's Enroll returns while its
+// performance's cast still names its record, so the record is left there and
+// the next Enroll makes another; the role that ends the performance recycles
+// its own.
 func TestEmptyPerformanceAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
@@ -122,7 +125,7 @@ func TestEmptyPerformanceAllocs(t *testing.T) {
 	cancel()
 	in.Close()
 	wg.Wait()
-	if got > 7 { // 6 measured, plus 10%
+	if got > 7 { // 5 measured; the bound is 6, measured before, plus 10%
 		t.Fatalf("an empty three-role performance allocates %v objects, want <= 7", got)
 	}
 }

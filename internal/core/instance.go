@@ -264,11 +264,14 @@ const (
 	phaseClosed               // turned away by Close
 )
 
-// enrollState is the record of one enrollment, allocated once per Offer and
-// never recycled (DESIGN.md "Scheduler internals" says who may still read it
-// after its holder is done). The role, the process, the context, the
-// arguments and the performance are kept here only; the RoleCtx inside reads
-// them through its back pointer.
+// enrollState is the record of one enrollment. Offer allocates one per offer;
+// Enroll takes its record from the waker it borrows, and the record goes back
+// to the pool with the waker only when nothing but that Enroll can read it
+// any more (free, and no posted op owed an outcome): DESIGN.md "What a
+// performance leaves the collector" says who may read a record after its
+// Enroll returns. The role, the process, the context, the arguments and the
+// performance are kept here only; the RoleCtx inside reads them through its
+// back pointer.
 type enrollState struct {
 	offer match.Offer
 	slot  int32 // the role's slot in Instance.roles, -1 for an open-family member
@@ -288,6 +291,12 @@ type enrollState struct {
 	// of held roles.
 	h    Handoff
 	next *enrollState
+	// free is set under mu by the Look or Finish that ends the enrollment for
+	// its holder, when the performance it was cast in is done (or it was never
+	// cast): no co-performer reads the record again. posted counts the role's
+	// posted ops whose completer has not been told yet.
+	free   bool
+	posted atomic.Int32
 }
 
 // Handoff is how the holder of an offer placed with Offer learns what became
@@ -317,12 +326,25 @@ type Handoff interface {
 	Released()
 }
 
-// owedHandoff is one hand-off a critical section owes: the record and which
-// of its holder's calls. The kind is kept because an assigned or aborted
-// record's phase is not an end: its holder may move it on before the call.
+// owedHandoff is one hand-off a critical section owes: the record, which of
+// its holder's calls, and what the call reads of the record — its Handoff and
+// an abort's error — taken when owed. The kind is kept because an assigned or
+// aborted record's phase is not an end: its holder may move it on before the
+// call, and an Enroll's record may by then serve the enroller's next Enroll.
 type owedHandoff struct {
 	st   *enrollState
+	h    Handoff
 	kind owedKind
+	err  *AbortError // oweAborted's
+}
+
+// oweLocked owes st's holder the hand-off kind, made once mu is dropped.
+func (in *Instance) oweLocked(st *enrollState, kind owedKind) {
+	w := owedHandoff{st: st, h: st.h, kind: kind}
+	if kind == oweAborted {
+		w.err = st.perf.abortErr
+	}
+	in.owed = append(in.owed, w)
 }
 
 type owedKind uint8
@@ -355,14 +377,29 @@ func (w wakeCh) Released() { w.Settled(Offered{}, nil) }
 func (wakeCh) Aborted(Offered, *AbortError) {}
 
 // waker is what an enrollment borrows from wakePool for the length of its
-// Enroll call: the wake channel, and the entry that adds the channel to the
+// Enroll call: the wake channel, the entry that adds the channel to the
 // instance's watch, whose function leaves a token too — so under a context
-// the watch shares, the channel is all an enroller parks on. watched says the
-// entry is added, selects that the watch declined it.
+// the watch shares, the channel is all an enroller parks on — and rec, the
+// enrollment record. watched says the entry is added, selects that the watch
+// declined it. rec is nil when the last Enroll left its record to readers it
+// could not wait for (see keep); the next one makes another.
 type waker struct {
 	ch               wakeCh
 	entry            ctxwatch.Entry
 	watched, selects bool
+	rec              *enrollState
+}
+
+// keep decides, as Enroll returns, whether st, the record w lent it, goes back
+// to the pool with w: only if the enrollment ended after its performance did
+// — before, the performance's cast still names the record (an early finisher
+// under immediate termination), or its held list does (a role cut loose) —
+// and no posted op of the role is still to be told its outcome (the op's
+// completer reads the role's context).
+func (w *waker) keep(st *enrollState) {
+	if !st.free || st.posted.Load() != 0 {
+		w.rec = nil
+	}
 }
 
 // wakePool lends wakers to enrollments. A channel outlives the enrollment it
@@ -489,6 +526,23 @@ type performance struct {
 	constrained      bool
 	done             bool
 	released         bool
+	// results holds two result slots for each closed role, made by the first
+	// SetResult of any of them (resultsOnce) and never reused: a role's
+	// Result.Values stays valid after its enrollment record serves again.
+	resultsOnce sync.Once
+	results     []any
+}
+
+// resultsOf returns the empty result list of the closed role at slot, with
+// room for two in the performance's array (roles is the number of closed
+// roles), or nil for a member of an open family, whose results take a list
+// of their own.
+func (p *performance) resultsOf(slot, roles int) []any {
+	if slot < 0 {
+		return nil
+	}
+	p.resultsOnce.Do(func() { p.results = make([]any, 2*roles) })
+	return p.results[2*slot : 2*slot : 2*slot+2]
 }
 
 // entry returns the cast entry of role r, whose slot is slot (-1 for a
@@ -551,7 +605,7 @@ func (in *Instance) releaseHeldLocked(p *performance) {
 	for st := p.held.head; st != nil; st = st.next {
 		if st.phase == phaseHeld { // not cut loose
 			in.endLocked(st, phaseOver)
-			in.owed = append(in.owed, owedHandoff{st, oweReleased})
+			in.oweLocked(st, oweReleased)
 		}
 	}
 }
@@ -613,15 +667,15 @@ func (in *Instance) unlock() {
 		o := Offered{in, w.st}
 		switch w.kind {
 		case oweAssigned:
-			w.st.h.Settled(o, nil)
+			w.h.Settled(o, nil)
 		case oweDrained:
-			w.st.h.Settled(o, ErrDraining)
+			w.h.Settled(o, ErrDraining)
 		case oweClosed:
-			w.st.h.Settled(o, ErrClosed)
+			w.h.Settled(o, ErrClosed)
 		case oweAborted:
-			w.st.h.Aborted(o, w.st.perf.abortErr)
+			w.h.Aborted(o, w.err)
 		case oweReleased:
-			w.st.h.Released()
+			w.h.Released()
 		}
 	}
 	dues.Pay()
@@ -728,7 +782,7 @@ func (in *Instance) turnAwayLocked(phase enrollPhase) {
 		st.phase = phase
 		in.load.Add(-1)
 		in.countOfferLocked(st, -1)
-		in.owed = append(in.owed, owedHandoff{st, kind})
+		in.oweLocked(st, kind)
 	}
 	clear(in.pending)
 	in.pending = in.pending[:0]
@@ -826,13 +880,20 @@ func (in *Instance) notifyDrainLocked() {
 // delayed termination — releases a finished role early instead of holding
 // it until the whole performance ends (the enrollment then reports ctx's
 // error alongside the role's results).
+//
+// The body's Ctx is the enrollment record's, which the goroutine's next Enroll
+// may reuse: it is valid until Enroll returns.
 func (in *Instance) Enroll(ctx context.Context, e Enrollment) (Result, error) {
 	w := wakePool.Get().(*waker)
 	defer in.putWake(w)
-	o, err := in.Offer(ctx, e, w.ch)
+	if w.rec == nil {
+		w.rec = new(enrollState)
+	}
+	o, err := in.offer(ctx, e, w.ch, w.rec)
 	if err != nil {
 		return Result{}, err
 	}
+	defer w.keep(o.st)
 	for waiting := true; waiting; {
 		in.wait(ctx, w)
 		if waiting, err = o.Look(); err != nil {
@@ -865,6 +926,12 @@ type Offered struct {
 // passes a body to Perform. Enroll is Offer with a wake channel for h, which
 // the instance's watch also signals when a ctx it shares ends (Instance.wait).
 func (in *Instance) Offer(ctx context.Context, e Enrollment, h Handoff) (Offered, error) {
+	return in.offer(ctx, e, h, new(enrollState))
+}
+
+// offer is Offer into the record st: a fresh one, or the one Enroll's waker
+// lends, which nothing else reads any more (see waker.keep).
+func (in *Instance) offer(ctx context.Context, e Enrollment, h Handoff, st *enrollState) (Offered, error) {
 	if e.PID == ids.NoPID {
 		return Offered{}, fmt.Errorf("script %s: enrollment has empty PID", in.def.name)
 	}
@@ -891,7 +958,7 @@ func (in *Instance) Offer(ctx context.Context, e Enrollment, h Handoff) (Offered
 	}
 	in.load.Add(1)
 	in.nextOffer++
-	st := &enrollState{
+	*st = enrollState{
 		offer:    match.Offer{ID: in.nextOffer, PID: e.PID, Role: e.Role, With: clonePartners(e.With)},
 		slot:     int32(slot),
 		phase:    phasePending,
@@ -936,13 +1003,13 @@ func (o Offered) Look() (waiting bool, err error) {
 		} else { // it stays on its performance's held list, which skips it
 			in.endLocked(st, phaseLeft)
 		}
-		return false, err
 	case phaseDrained:
-		return false, ErrDraining
+		err = ErrDraining
 	case phaseClosed:
-		return false, ErrClosed
+		err = ErrClosed
 	}
-	return false, nil
+	st.free = st.perf == nil || st.perf.done
+	return false, err
 }
 
 // Perform runs the role body of an assigned offer on the calling goroutine —
@@ -957,7 +1024,11 @@ func (o Offered) Perform(body RoleBody) (Result, bool, error) {
 
 // Ctx is the role's context in its performance, for a holder that plays the
 // role itself rather than through Perform; valid once the offer is assigned,
-// for one goroutine at a time, until Finish.
+// for one goroutine at a time, until Finish. What RoleCtx says may be called
+// from any goroutine (AbortPerformance) may be, by a holder of an offer placed
+// with Offer, for as long as it holds the offer: its record is its own. An
+// Enroll body's Ctx is valid until that Enroll returns, after which its record
+// may serve the goroutine's next Enroll.
 func (o Offered) Ctx() *RoleCtx { return &o.st.rc }
 
 // Finish ends the role of an assigned offer, whose body returned bodyErr. It
@@ -991,6 +1062,7 @@ func (o Offered) Finish(bodyErr error) (res Result, held bool, err error) {
 		perf.held.push(st)
 	} else {
 		in.endLocked(st, phaseOver)
+		st.free = perf.done
 	}
 	abortErr := perf.abortErr
 	in.unlock()
@@ -1296,12 +1368,12 @@ func (in *Instance) abortAsLocked(p *performance, culprit ids.RoleRef, reason st
 	}
 	for slot := range p.cast { // the roles still playing are owed the abort
 		if e := &p.cast[slot]; e.state == castFilled {
-			in.owed = append(in.owed, owedHandoff{e.st, oweAborted})
+			in.oweLocked(e.st, oweAborted)
 		}
 	}
 	for _, e := range p.open {
 		if e.state == castFilled {
-			in.owed = append(in.owed, owedHandoff{e.st, oweAborted})
+			in.oweLocked(e.st, oweAborted)
 		}
 	}
 	p.stopTimer()
@@ -1351,10 +1423,13 @@ func (in *Instance) assignLocked(p *performance, st *enrollState) {
 	if delay > 0 {
 		// Injected fault: drop the owed hand-off and redeliver it late. The
 		// holder waits until the redelivery (an enroller also until its
-		// context ends); a correct scheduler tolerates the gap.
-		time.AfterFunc(delay, func() { st.h.Settled(Offered{in, st}, nil) })
+		// context ends); a correct scheduler tolerates the gap. The Handoff is
+		// taken now, as an owed one is: an enroller that woke on its context
+		// and performed may have returned, and its record moved on, by then.
+		h := st.h
+		time.AfterFunc(delay, func() { h.Settled(Offered{in, st}, nil) })
 	} else {
-		in.owed = append(in.owed, owedHandoff{st, oweAssigned})
+		in.oweLocked(st, oweAssigned)
 	}
 	in.recordPerf(p, trace.Event{
 		Kind: trace.KindStart, Script: in.def.name,

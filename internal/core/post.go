@@ -185,9 +185,13 @@ func (p *Post) outcome(out rendezvous.IDOutcome, err error) (Selected, error) {
 
 // Complete is the fabric telling the posted op its outcome
 // (rendezvous.Completer): mapped and traced, it goes to the op's completer.
+// The role's count of owed ops drops once the completer has been told; the
+// record is read first, for a poster may post its next op into p at once.
 func (p *Post) Complete(out rendezvous.IDOutcome, err error) {
+	st := p.rc.st
 	sel, err := p.outcome(out, err)
 	p.done.Complete(sel, err)
+	st.posted.Add(-1)
 }
 
 // PostSendTag is SendTag posted: the transfer is placed in the fabric and
@@ -230,6 +234,7 @@ func (rc *RoleCtx) PostSendAll(p *Post, tos []ids.RoleRef, v any, done Completer
 		return
 	}
 	fab := rc.st.perf.fabric
+	rc.st.posted.Add(1)
 	if rc.inst.faults == nil {
 		fab.PostScatterID(rc.id, "", targets, []any{v}, p)
 		return
@@ -246,6 +251,7 @@ func (p *Post) postDo(br []rendezvous.IDBranch, err error) {
 	}
 	rc := p.rc
 	fab := rc.st.perf.fabric
+	rc.st.posted.Add(1)
 	if rc.inst.faults == nil {
 		fab.PostDoID(rc.id, br, p)
 		return

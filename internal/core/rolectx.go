@@ -18,22 +18,24 @@ import (
 //
 // A RoleCtx is used by one goroutine at a time — the enroller's, or in turn
 // the remote host's goroutines that post the role's operations and complete
-// them (see Post) — and must not be retained after the body returns.
+// them (see Post) — and must not be retained after the body returns: it is
+// part of the enrollment record, which the enroller's next Enroll may reuse
+// once this one has returned.
 var _ Ctx = (*RoleCtx)(nil)
 
 type RoleCtx struct {
 	// st is the enrollment record this context is part of. The role and the
 	// process (st.offer), the enroller's context, the arguments and the
 	// performance are read from it: all are written before the enroller is
-	// woken and never after.
-	st      *enrollState
-	inst    *Instance
-	id      rendezvous.ID // the role's endpoint in the performance's fabric
+	// woken and not again while the enrollment lasts (a recycled record is
+	// filled anew for the enroller's next Enroll).
+	st   *enrollState
+	inst *Instance
+	id   rendezvous.ID // the role's endpoint in the performance's fabric
+	// results are the role's out parameters: a closed role's first two in
+	// its pair of the performance's result array (see performance.resultsOf),
+	// which the enroller's Result.Values may alias after Enroll returns.
 	results []any
-	// inline backs the first two results, so a role that sets one or two —
-	// every role of the patterns library — allocates nothing for them. The
-	// enroller's Result.Values may alias it after Enroll returns.
-	inline [2]any
 	// peerName and peerBase remember the last role name an operation
 	// resolved: peerBase is 1 + the slot of that name's scalar or member 1,
 	// 0 when the name has no slot (see resolve).
@@ -78,7 +80,7 @@ func (rc *RoleCtx) Args() []any { return append([]any(nil), rc.st.args...) }
 // released.
 func (rc *RoleCtx) SetResult(i int, v any) {
 	if rc.results == nil {
-		rc.results = rc.inline[:0]
+		rc.results = rc.st.perf.resultsOf(int(rc.st.slot), len(rc.inst.roles))
 	}
 	for len(rc.results) <= i {
 		rc.results = append(rc.results, nil)
@@ -355,7 +357,9 @@ func (rc *RoleCtx) TraceID() trace.TraceID { return rc.st.perf.traceID }
 // AbortPerformance aborts this role's performance, blaming this role with
 // the given reason. It is safe to call from any goroutine — the remote host
 // (internal/remote) calls it from a connection reader when the process
-// behind this role disconnects mid-performance — and is a no-op once the
+// behind this role disconnects mid-performance — for as long as the RoleCtx
+// is valid: while an Offer holder holds the offer, and for an Enroll body
+// until that Enroll returns (see Offered.Ctx). It is a no-op once the
 // performance has ended or the instance is closed. Co-performers blocked in
 // (or later attempting) communication fail with an *AbortError naming this
 // role as the culprit, and the instance moves on to the next cast.

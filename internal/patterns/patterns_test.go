@@ -571,12 +571,14 @@ func readRequests(t *testing.T, own bool) func() {
 }
 
 // TestLockRequestAllocs gates what one read request costs in objects. What
-// is left, and why: the four enrollment records (not recycled: the host's
-// bridge, Result.Values and late co-performers may still read one after its
-// Enroll returned — DESIGN.md "Scheduler internals"); the performance and its
-// cast table; the client's argument list and the boxed request in it (part of
-// the script's interface); and the header of the fabric's endpoint table,
-// stored anew when the performance ends. The client is alone on its context,
+// is left, and why: the performance, its cast table and its result array (read
+// through Result.Values after the enrollments return); the client's argument
+// list and the boxed request in it (part of the script's interface); and the
+// header of the fabric's endpoint table, stored anew when the performance
+// ends. The four enrollment records are recycled: under delayed termination
+// each Enroll returns after its performance has ended, and its record goes
+// back to the pool with its wake channel (DESIGN.md "What a performance
+// leaves the collector" says who may read a record after its Enroll returns). The client is alone on its context,
 // and its held wait adds it to the instance's watch: the set that context
 // gets, with its context.AfterFunc, is made once and kept as the watch's
 // spare between requests (DESIGN.md "One source per wait"), where a set per
@@ -585,17 +587,19 @@ func readRequests(t *testing.T, own bool) func() {
 // and argument lists (built once), the per-enrollment copy of a single
 // argument (kept in the record), the fabric's cell lists (the instance keeps
 // its fabric, and the fabric its declared endpoints' cells, from one
-// performance to the next), and the performance's done channel.
+// performance to the next), the performance's done channel, and the four
+// enrollment records (one array of result slots per performance instead).
 func TestLockRequestAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
 	}
 	request := readRequests(t, false)
-	// 9 measured, plus 10% rounded up; 12 with the done channel, 14 while every
-	// performance re-made its cells, 33 before alternatives were built once,
-	// wake-ups pooled and the matcher's scratch kept; 62 before the pooled slot.
-	if got := testing.AllocsPerRun(1000, request); got > 10 {
-		t.Fatalf("one read request allocates %v objects, want <= 10", got)
+	// 6 measured, plus 10% rounded up; 9 while every enrollment made its
+	// record, 12 with the done channel, 14 while every performance re-made its
+	// cells, 33 before alternatives were built once, wake-ups pooled and the
+	// matcher's scratch kept; 62 before the pooled slot.
+	if got := testing.AllocsPerRun(1000, request); got > 7 {
+		t.Fatalf("one read request allocates %v objects, want <= 7", got)
 	}
 }
 
@@ -609,19 +613,21 @@ func TestLockRequestAllocsPerRequestContext(t *testing.T) {
 		t.Skip("the race detector allocates on its own account")
 	}
 	request := readRequests(t, true)
-	// 12 measured, as when every wait selected, plus 10%; 18 while a set with
-	// its context.AfterFunc was made for every context and kept as the spare.
-	if got := testing.AllocsPerRun(1000, request); got > 13 {
-		t.Fatalf("one read request under its own context allocates %v objects, want <= 13", got)
+	// 9 measured, plus 10% rounded up; 12 while every enrollment made its
+	// record, as when every wait selected; 18 while a set with its
+	// context.AfterFunc was made for every context and kept as the spare.
+	if got := testing.AllocsPerRun(1000, request); got > 10 {
+		t.Fatalf("one read request under its own context allocates %v objects, want <= 10", got)
 	}
 }
 
 // TestLockRequestBytes gates the same request in bytes, the unit the
 // collector is paid in: it runs once per so many bytes of garbage, whatever
 // the number of objects, so this — not the count above — is what
-// `local_lock`'s throughput follows. Of the 1.5 KB left, 1 150 are the four
-// 288-byte enrollment records, about 220 the performance with its table; the
-// rest is the list above.
+// `local_lock`'s throughput follows. Of the half kilobyte left, about 220 are
+// the performance with its table; the rest is the list above. The four
+// 288-byte enrollment records, 1 150 bytes of the 1 468 the request left
+// before, are recycled.
 func TestLockRequestBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
@@ -634,10 +640,11 @@ func TestLockRequestBytes(t *testing.T) {
 		request()
 	}
 	runtime.ReadMemStats(&after)
-	// 1 470 measured, plus 10%; 1 731 with the done channel, 1 768 with
-	// per-performance cells, 4 320 before alternatives were built once.
-	if got := float64(after.TotalAlloc-before.TotalAlloc) / runs; got > 1617 {
-		t.Fatalf("one read request allocates %.0f bytes, want <= 1617", got)
+	// 521 measured, plus 10%; 1 468 while every enrollment made its record,
+	// 1 731 with the done channel, 1 768 with per-performance cells, 4 320
+	// before alternatives were built once.
+	if got := float64(after.TotalAlloc-before.TotalAlloc) / runs; got > 574 {
+		t.Fatalf("one read request allocates %.0f bytes, want <= 574", got)
 	}
 }
 
@@ -645,14 +652,14 @@ func TestLockRequestBytes(t *testing.T) {
 // recipients costs in objects — the `local_star` workload's unit of work —
 // since a performance's cast became a table indexed by role slot, the
 // matcher handed the cast over as offer indices on a scratch the instance
-// keeps, a role's first two results stayed in its enrollment record, and
-// wake-up channels came from a pool. What is left is an enrollment record per
-// role (25, never recycled: see TestLockRequestAllocs), the performance with
-// its table, the sender's argument list, role and endpoint lists and the
-// boxed value, and the header of the fabric's endpoint table. The fabric's
-// cell lists (23) went when the instance began to keep its fabric, and the
-// fabric its declared endpoints' cells; the performance's done channel when
-// the channel was deleted.
+// keeps, and wake-up channels came from a pool. What is left is the
+// performance with its table and its result array, the sender's argument
+// list, role and endpoint lists and the boxed value, and the header of the
+// fabric's endpoint table. The fabric's cell lists (23) went when the
+// instance began to keep its fabric, and the fabric its declared endpoints'
+// cells; the performance's done channel when the channel was deleted; the 25
+// enrollment records when an Enroll began to recycle its record (see
+// TestLockRequestAllocs).
 func TestStarPerformanceAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
@@ -683,10 +690,11 @@ func TestStarPerformanceAllocs(t *testing.T) {
 	cancel()
 	in.Close()
 	wg.Wait()
-	// 32 measured, plus 10%; 33 with the done channel, 56 with per-performance
-	// cells, 89 before wake-ups were pooled and the matcher's scratch kept, 120
-	// before the cast table.
-	if got > 35 {
-		t.Fatalf("one broadcast to %d recipients allocates %v objects, want <= 35", n, got)
+	// 8 measured, plus 10% rounded up; 32 while every enrollment made its
+	// record, 33 with the done channel, 56 with per-performance cells, 89 before
+	// wake-ups were pooled and the matcher's scratch kept, 120 before the cast
+	// table.
+	if got > 9 {
+		t.Fatalf("one broadcast to %d recipients allocates %v objects, want <= 9", n, got)
 	}
 }

@@ -264,13 +264,13 @@ func (f *Fabric) postFast(owner ID, br *IDBranch, c Completer, own bool, out *ID
 		// Copy p's fields before delivering its result — the counterpart may
 		// release its pooled slot the moment the result lands.
 		pg, pVal := p.g, p.val
+		fastLaneOps.Inc()
 		*out = IDOutcome{Peer: br.Peer, Tag: br.Tag}
-		if br.Dir == DirSend {
-			pg.deliver(result{out: IDOutcome{Index: p.index, Peer: owner, Tag: br.Tag, Val: br.Val}})
-			return nil, true
+		r := result{out: IDOutcome{Index: p.index, Peer: owner, Tag: br.Tag, Val: br.Val}}
+		if br.Dir == DirRecv { // the parked send's value comes here, nothing goes back
+			out.Val, r.out.Val = pVal, nil
 		}
-		out.Val = pVal
-		pg.deliver(result{out: IDOutcome{Index: p.index, Peer: owner, Tag: br.Tag}})
+		pg.deliver(r)
 		return nil, true
 	}
 	// Park. The group and op share one pooled allocation; the seq is drawn
@@ -303,6 +303,7 @@ func (f *Fabric) postFast(owner ID, br *IDBranch, c Completer, own bool, out *ID
 		return s, false
 	}
 	to.mu.Unlock()
+	fastLaneOps.Inc()
 	return s, true
 }
 

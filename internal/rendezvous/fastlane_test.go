@@ -816,3 +816,37 @@ func TestScatterUnderFastFaults(t *testing.T) {
 		})
 	}
 }
+
+// TestScatterCountsEachOfferInItsLane: the lane counters count a Scatter's
+// offers as they count point ops, each in the lane that took it. Twenty-four
+// receivers park in the fast lane, and a ScatterID to them commits each offer
+// there with its parked counterpart: 48 fast-lane ops, none slow.
+func TestScatterCountsEachOfferInItsLane(t *testing.T) {
+	const n = 24
+	f, ctx := New(), ctxT(t)
+	f.Declare("S")
+	targets := make([]ID, n)
+	for i := range targets {
+		targets[i] = f.Endpoint(Addr(fmt.Sprintf("R%d", i)))
+	}
+	fast0, slow0 := fastLaneOps.Load(), slowLaneOps.Load()
+	got := make(chan error, n)
+	for _, id := range targets {
+		go func() {
+			_, err := f.RecvID(ctx, id, 0, "")
+			got <- err
+		}()
+	}
+	waitPending(t, f, n)
+	if err := f.ScatterID(ctx, 0, "", targets, []any{1}); err != nil {
+		t.Fatalf("ScatterID: %v", err)
+	}
+	for range targets {
+		if err := <-got; err != nil {
+			t.Fatalf("RecvID: %v", err)
+		}
+	}
+	if fast, slow := fastLaneOps.Load()-fast0, slowLaneOps.Load()-slow0; fast != 2*n || slow != 0 {
+		t.Fatalf("the counters moved by fast %d, slow %d; want fast %d, slow 0", fast, slow, 2*n)
+	}
+}

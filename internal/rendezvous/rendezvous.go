@@ -53,8 +53,9 @@ import (
 	"github.com/scriptabs/goscript/internal/metrics"
 )
 
-// Always-on lane-hit counters: how many point operations committed in the
-// lock-free fast lane versus falling through to the locked matcher. The
+// Always-on lane-hit counters: how many ops — point ops and a Scatter's
+// offers alike — the lock-free fast lane took (postFast: committed or parked)
+// versus the locked matcher (enqueueLocked, escalations included). The
 // fast/slow ratio is the fabric's key health signal (a slow-lane-heavy
 // workload is paying the global lock on every op).
 var (
@@ -451,7 +452,6 @@ func (f *Fabric) post(owner ID, branches []IDBranch, c Completer, out *IDOutcome
 	if len(branches) == 1 {
 		var handled bool
 		if s, handled = f.postFast(owner, &branches[0], c, false, out); handled {
-			fastLaneOps.Inc()
 			return s, nil
 		}
 		if s != nil {
@@ -491,7 +491,6 @@ func (f *Fabric) withdrawPosted(s *slot, err error) {
 // takes a slot here. It returns as post does, and pays, once the lock is
 // let go, what the pass owes posted ops it committed with.
 func (f *Fabric) postSlow(me *endpoint, branches []IDBranch, s *slot, seq uint64, c Completer, out *IDOutcome) (*slot, error) {
-	slowLaneOps.Inc()
 	if s == nil {
 		s = takeSlot(c, false)
 	}
@@ -537,6 +536,7 @@ func (f *Fabric) withdraw(s *slot) bool {
 // the fabric lock. It reports whether the op now waits in s for its outcome;
 // an outcome it has at once goes to out.
 func (f *Fabric) enqueueLocked(me *endpoint, branches []IDBranch, s *slot, fixedSeq uint64, out *IDOutcome) (wait bool, err error) {
+	slowLaneOps.Inc()
 	if f.aborted != nil {
 		return false, f.aborted
 	}
