@@ -586,7 +586,7 @@ func runCastScenario(t *testing.T, seed int64) (started, aborted, blockedChecks 
 			}
 			want := ref.culprit(parkedRoles)
 			in.mu.Lock()
-			in.abortPerformanceLocked(in.active, "reference check")
+			in.abortLocked(in.active, ids.RoleRef{}, "reference check")
 			in.advanceLocked()
 			in.unlock()
 			for _, reply := range replies {

@@ -70,6 +70,18 @@ type Ctx interface {
 	FamilySize(name string) int
 }
 
+// SendEach is SendAll as a Send to each role of tos in turn, stopping at the
+// first failure: the fan-out of a host whose substrate has no vectorized
+// form, where a send is an entry call or a mailbox deposit.
+func SendEach(c Ctx, tos []ids.RoleRef, v any) error {
+	for _, to := range tos {
+		if err := c.Send(to, v); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // ParamBag implements the data-parameter half of Ctx (Args in, Results
 // out). Host adapters embed it.
 type ParamBag struct {

@@ -6,7 +6,7 @@ import (
 )
 
 // FaultInjector injects controlled faults into the runtime's hot paths for
-// robustness testing. The runtime consults it at three points:
+// robustness testing. The runtime consults it at two points:
 //
 //   - before every fabric communication a role body issues (OpDelay:
 //     latency; CancelAfter: a spurious cancellation of a blocking

@@ -477,9 +477,9 @@ const (
 )
 
 // castEntry is one role's line in a performance's cast: its state and, once
-// filled, the enrollment that fills it.
-// id is the endpoint of a member of an open family, handed out by the fabric
-// when the member is assigned; a closed role's endpoint is its slot.
+// filled, its endpoint and the enrollment that fills it. A closed role's
+// endpoint is its slot; a member of an open family's is handed out by the
+// fabric, when the member is assigned or an operation names it first.
 type castEntry struct {
 	state castState
 	id    rendezvous.ID
@@ -490,14 +490,16 @@ type castEntry struct {
 type performance struct {
 	number int
 	fabric *rendezvous.Fabric
-	// cast is the performance's role table, indexed by the slots of
-	// Instance.roles: the definition fixes the role collection, so who plays
-	// what and who has finished is a position, not a key. Members of open
-	// families, which have no slot, live in open, nil until one is assigned.
-	// nAssigned and nFinished count the filled and the finished entries of
-	// both.
+	// cast is the performance's role table: the closed roles at the slots of
+	// Instance.roles, for the definition fixes them, so who plays what and who
+	// has finished is a position, not a key; then a line for each member of an
+	// open family, appended when it is assigned. open maps such a member to
+	// one past its line, so that a member nobody plays reads 0 and a lookup
+	// costs the one map read (performance.entry stays cheap enough for its
+	// callers on the operation path to be inlined); nil until one is assigned.
+	// nAssigned and nFinished count the filled and the finished lines.
 	cast      []castEntry
-	open      map[ids.RoleRef]*castEntry
+	open      map[ids.RoleRef]int
 	nAssigned int
 	nFinished int
 	// While membership is open (immediate initiation): admitSeen is the ID
@@ -548,10 +550,12 @@ func (p *performance) resultsOf(slot, roles int) []any {
 // entry returns the cast entry of role r, whose slot is slot (-1 for a
 // member of an open family); nil for an open member nobody was assigned.
 func (p *performance) entry(slot int, r ids.RoleRef) *castEntry {
-	if slot >= 0 {
-		return &p.cast[slot]
+	if slot < 0 {
+		if slot = p.open[r] - 1; slot < 0 {
+			return nil
+		}
 	}
-	return p.open[r]
+	return &p.cast[slot]
 }
 
 // stateOf is the state of entry(slot, r), castUnfilled when there is none.
@@ -570,16 +574,16 @@ func (p *performance) endpointLocked(slot int, r ids.RoleRef) rendezvous.ID {
 	if slot >= 0 {
 		return rendezvous.ID(slot)
 	}
-	if e := p.open[r]; e != nil {
-		return e.id
+	if line := p.open[r]; line > 0 {
+		return p.cast[line-1].id
 	}
 	return p.fabric.Endpoint(rendezvous.Addr(r.String()))
 }
 
 // openRole names the member of an open family that plays at endpoint id.
 func (p *performance) openRole(id rendezvous.ID) (ids.RoleRef, bool) {
-	for r, e := range p.open {
-		if e.id == id {
+	for r, line := range p.open {
+		if p.cast[line-1].id == id {
 			return r, true
 		}
 	}
@@ -757,9 +761,14 @@ func (in *Instance) PendingOffers() int {
 func (in *Instance) Close() {
 	in.mu.Lock()
 	defer in.unlock()
-	if in.closed {
-		return
+	if !in.closed {
+		in.closeLocked()
 	}
+}
+
+// closeLocked closes the open instance, for Close and for a Drain that found
+// it idle.
+func (in *Instance) closeLocked() {
 	in.closed = true
 	in.watch.Close() // no context an enroller waited under keeps the instance
 	if p := in.active; p != nil {
@@ -833,14 +842,10 @@ func (in *Instance) Drain(ctx context.Context) error {
 		}
 	}
 	for {
-		if in.closed {
-			in.unlock()
-			return nil
+		if !in.closed && in.active == nil && len(in.pending) == 0 {
+			in.closeLocked()
 		}
-		if in.active == nil && len(in.pending) == 0 {
-			in.closed = true
-			in.watch.Close()
-			close(in.closedCh)
+		if in.closed {
 			in.unlock()
 			return nil
 		}
@@ -1298,56 +1303,43 @@ func (in *Instance) armDeadlineLocked(p *performance, t time.Time) {
 func (in *Instance) deadlineFired(p *performance) {
 	in.mu.Lock()
 	defer in.unlock()
-	if p.done || in.closed {
-		return
-	}
-	in.abortPerformanceLocked(p, "deadline exceeded")
+	in.abortLocked(p, ids.RoleRef{}, "deadline exceeded")
 	in.advanceLocked()
 }
 
-// abortPerformanceLocked reclaims a wedged performance: it picks the
-// culprit role, fails every blocked and future communication of the
-// performance's fabric with an *AbortError, and ends the performance so the
-// instance can accept the next cast. The culprit is the first (in role
-// order) assigned role that has neither finished nor is blocked inside the
-// fabric waiting to communicate — the paper's "partner that never
-// communicates"; if every unfinished role is blocked communicating (a
-// genuine cycle), the first unfinished role is blamed. The waiting set is
-// taken as one fabric snapshot (Fabric.WaitingIDs) so the attribution
-// reflects a state the fabric was actually in, rather than a series of
-// per-role probes that racing commits could interleave with.
-func (in *Instance) abortPerformanceLocked(p *performance, reason string) {
-	in.abortAsLocked(p, ids.RoleRef{}, reason)
-}
-
-// abortAsLocked aborts performance p blaming culprit; a zero culprit means
-// "attribute it" (see abortPerformanceLocked). The remote host passes an
-// explicit culprit when it *knows* which role's enroller disconnected.
+// abortLocked reclaims a wedged performance p: it fails every blocked and
+// future communication of the performance's fabric with an *AbortError
+// blaming culprit, and ends the performance so the instance can accept the
+// next cast. The remote host names the culprit when it knows which role's
+// enroller disconnected; a zero culprit is attributed here: the first (in
+// role order) assigned role that has neither finished nor is blocked inside
+// the fabric waiting to communicate — the paper's "partner that never
+// communicates"; if every unfinished role is blocked communicating (a genuine
+// cycle), the first unfinished role is blamed. The waiting set is taken as
+// one fabric snapshot (Fabric.WaitingIDs) so the attribution reflects a state
+// the fabric was actually in, rather than a series of per-role probes that
+// racing commits could interleave with. It is a no-op once p has ended or
+// the instance is closed.
 //
 // Unlike Close, which takes the whole instance down, an abort is scoped to
 // one performance. The performance keeps the fabric: a wedged role body may
 // call into it arbitrarily late, and it keeps answering with the abort
 // reason. The instance's next performance gets a new one.
-func (in *Instance) abortAsLocked(p *performance, culprit ids.RoleRef, reason string) {
-	if p.done {
+func (in *Instance) abortLocked(p *performance, culprit ids.RoleRef, reason string) {
+	if p.done || in.closed {
 		return
 	}
 	if culprit.Name == "" {
 		waiting := p.fabric.WaitingIDs()
-		// Slot order is role order; members of open families are merged in.
+		// The closed roles' lines are in role order; members of open families,
+		// after them in the order they were assigned, are merged in.
 		unfinished := make([]ids.RoleRef, 0, p.nAssigned-p.nFinished)
-		for slot := range p.cast {
-			if p.cast[slot].state == castFilled {
-				unfinished = append(unfinished, in.roles[slot])
-			}
-		}
-		closed := len(unfinished)
-		for r, e := range p.open {
+		for _, e := range p.cast {
 			if e.state == castFilled {
-				unfinished = append(unfinished, r)
+				unfinished = append(unfinished, e.st.offer.Role)
 			}
 		}
-		if len(unfinished) > closed {
+		if len(p.open) > 0 {
 			slices.SortFunc(unfinished, ids.RoleRef.Compare)
 		}
 		for _, r := range unfinished {
@@ -1366,12 +1358,7 @@ func (in *Instance) abortAsLocked(p *performance, culprit ids.RoleRef, reason st
 		Culprit:     culprit,
 		Reason:      reason,
 	}
-	for slot := range p.cast { // the roles still playing are owed the abort
-		if e := &p.cast[slot]; e.state == castFilled {
-			in.oweLocked(e.st, oweAborted)
-		}
-	}
-	for _, e := range p.open {
+	for _, e := range p.cast { // the roles still playing are owed the abort
 		if e.state == castFilled {
 			in.oweLocked(e.st, oweAborted)
 		}
@@ -1406,9 +1393,10 @@ func (in *Instance) assignLocked(p *performance, st *enrollState) {
 	id := p.endpointLocked(int(st.slot), r)
 	if st.slot < 0 { // a member of an open family gets its line now
 		if p.open == nil {
-			p.open = make(map[ids.RoleRef]*castEntry)
+			p.open = make(map[ids.RoleRef]int)
 		}
-		p.open[r] = new(castEntry)
+		p.cast = append(p.cast, castEntry{})
+		p.open[r] = len(p.cast)
 	}
 	*p.entry(int(st.slot), r) = castEntry{state: castFilled, id: id, st: st}
 	p.nAssigned++
@@ -1495,16 +1483,11 @@ func (in *Instance) admitLocked(p *performance) {
 // filled role with the process and the constraints of the offer filling it.
 func (in *Instance) assignmentLocked(p *performance) match.Assignment {
 	asg := make(match.Assignment, p.nAssigned)
-	member := func(r ids.RoleRef, e *castEntry) {
+	for _, e := range p.cast {
 		if e.state != castUnfilled {
-			asg[r] = match.Offer{PID: e.st.offer.PID, Role: r, With: e.st.offer.With}
+			o := &e.st.offer
+			asg[o.Role] = match.Offer{PID: o.PID, Role: o.Role, With: o.With}
 		}
-	}
-	for slot := range p.cast {
-		member(in.roles[slot], &p.cast[slot])
-	}
-	for r, e := range p.open {
-		member(r, e)
 	}
 	return asg
 }
@@ -1532,7 +1515,7 @@ func (in *Instance) closeMembershipLocked(p *performance) {
 	// the closed roles is a member of an open family: in the cast if it is
 	// played, and absent otherwise.
 	in.owe(p.fabric.TerminateAbsentID(func(id rendezvous.ID) bool {
-		if int(id) < len(p.cast) {
+		if int(id) < len(in.roles) {
 			return p.cast[id].state != castUnfilled
 		}
 		_, played := p.openRole(id)

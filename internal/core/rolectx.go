@@ -251,6 +251,13 @@ func (b SelectBranch) BranchValue() any { return b.val }
 // Enabled reports the boolean guard.
 func (b SelectBranch) Enabled() bool { return b.guard }
 
+// Accepts reports whether the branch is an enabled receive that takes a
+// message from role from under tag: the match a host makes itself when its
+// messages arrive in a mailbox rather than through a guarded alternative.
+func (b SelectBranch) Accepts(from ids.RoleRef, tag string) bool {
+	return b.guard && !b.send && (b.anyPeer || b.peer == from) && b.tag == tag
+}
+
 // Selected reports the outcome of a Select.
 type Selected struct {
 	// Index is the position of the committed branch in the Select call.
@@ -367,10 +374,7 @@ func (rc *RoleCtx) AbortPerformance(reason string) {
 	in := rc.inst
 	in.mu.Lock()
 	defer in.unlock()
-	if rc.st.perf.done || in.closed {
-		return
-	}
-	in.abortAsLocked(rc.st.perf, rc.st.offer.Role, reason)
+	in.abortLocked(rc.st.perf, rc.st.offer.Role, reason)
 	in.advanceLocked()
 }
 

@@ -3,6 +3,7 @@ package adax
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"github.com/scriptabs/goscript/internal/ada"
 	"github.com/scriptabs/goscript/internal/core"
@@ -66,30 +67,32 @@ func (rc *hostCtx) SendTag(to ids.RoleRef, tag string, v any) error {
 
 // SendAll calls each target's msg entry in turn: Ada entry calls are
 // inherently serial from one task, so there is no vectorized form.
-func (rc *hostCtx) SendAll(tos []ids.RoleRef, v any) error {
-	for _, to := range tos {
-		if err := rc.SendTag(to, "", v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func (rc *hostCtx) SendAll(tos []ids.RoleRef, v any) error { return core.SendEach(rc, tos, v) }
 
-// acceptOne accepts the next msg rendezvous on this role's task.
-func (rc *hostCtx) acceptOne() (message, error) {
-	var got message
-	err := rc.tk.Accept(rc.rt.msg, func(ins []any) ([]any, error) {
-		m, ok := ins[0].(message)
-		if !ok {
-			return nil, fmt.Errorf("adax: bad msg payload %T", ins[0])
-		}
-		got = m
-		return nil, nil
-	})
-	if err != nil {
-		return message{}, err
+// await returns the first message match takes: from the stash, where the
+// messages no receive has taken yet wait in arrival order, or else from the
+// next rendezvous on this role's msg entry, stashing each it does not take.
+func (rc *hostCtx) await(match func(message) bool) (message, error) {
+	if i := slices.IndexFunc(rc.stash, match); i >= 0 {
+		m := rc.stash[i]
+		rc.stash = slices.Delete(rc.stash, i, i+1)
+		return m, nil
 	}
-	return got, nil
+	for {
+		var got message
+		err := rc.tk.Accept(rc.rt.msg, func(ins []any) ([]any, error) {
+			m, ok := ins[0].(message)
+			if !ok {
+				return nil, fmt.Errorf("adax: bad msg payload %T", ins[0])
+			}
+			got = m
+			return nil, nil
+		})
+		if err != nil || match(got) {
+			return got, err
+		}
+		rc.stash = append(rc.stash, got)
+	}
 }
 
 func (rc *hostCtx) Recv(from ids.RoleRef) (any, error) { return rc.RecvTag(from, "") }
@@ -98,36 +101,13 @@ func (rc *hostCtx) RecvTag(from ids.RoleRef, tag string) (any, error) {
 	if _, ok := rc.rt.host.tasks[from]; !ok {
 		return nil, fmt.Errorf("%w: %s", core.ErrUnknownRole, from) // would block forever
 	}
-	match := func(m message) bool { return m.from == from && m.tag == tag }
-	for i, m := range rc.stash {
-		if match(m) {
-			rc.stash = append(rc.stash[:i], rc.stash[i+1:]...)
-			return m.val, nil
-		}
-	}
-	for {
-		m, err := rc.acceptOne()
-		if err != nil {
-			return nil, err
-		}
-		if match(m) {
-			return m.val, nil
-		}
-		rc.stash = append(rc.stash, m)
-	}
+	m, err := rc.await(func(m message) bool { return m.from == from && m.tag == tag })
+	return m.val, err
 }
 
 func (rc *hostCtx) RecvAny() (ids.RoleRef, string, any, error) {
-	if len(rc.stash) > 0 {
-		m := rc.stash[0]
-		rc.stash = rc.stash[1:]
-		return m.from, m.tag, m.val, nil
-	}
-	m, err := rc.acceptOne()
-	if err != nil {
-		return ids.RoleRef{}, "", nil, err
-	}
-	return m.from, m.tag, m.val, nil
+	m, err := rc.await(func(message) bool { return true })
+	return m.from, m.tag, m.val, err
 }
 
 // Select supports receive-only alternatives (Ada's selective wait) and, as
@@ -137,42 +117,29 @@ func (rc *hostCtx) RecvAny() (ids.RoleRef, string, any, error) {
 // between alternative calls", which is exactly why Figure 8's broadcast is
 // reversed.
 func (rc *hostCtx) Select(branches ...core.SelectBranch) (core.Selected, error) {
-	type recvBranch struct {
-		orig    int
-		peer    ids.RoleRef
-		anyPeer bool
-		tag     string
-	}
-	var (
-		recvs     []recvBranch
-		sendIdx   = -1
-		haveSends bool
-	)
+	receives, sendIdx := false, -1
 	for i, b := range branches {
-		if !b.Enabled() {
-			continue
-		}
-		if b.IsSend() {
-			haveSends = true
+		switch {
+		case !b.Enabled():
+		case b.IsSend():
 			if sendIdx < 0 {
 				sendIdx = i
 			}
-			continue
-		}
-		peer, anyPeer := b.BranchPeer()
-		if !anyPeer {
-			if _, ok := rc.rt.host.tasks[peer]; !ok {
-				return core.Selected{}, fmt.Errorf("%w: %s", core.ErrUnknownRole, peer)
+		default:
+			if peer, anyPeer := b.BranchPeer(); !anyPeer {
+				if _, ok := rc.rt.host.tasks[peer]; !ok {
+					return core.Selected{}, fmt.Errorf("%w: %s", core.ErrUnknownRole, peer)
+				}
 			}
+			receives = true
 		}
-		recvs = append(recvs, recvBranch{orig: i, peer: peer, anyPeer: anyPeer, tag: b.BranchTag()})
 	}
 	switch {
-	case len(recvs) == 0 && !haveSends:
+	case !receives && sendIdx < 0:
 		return core.Selected{}, core.ErrNoBranches
-	case len(recvs) > 0 && haveSends:
+	case receives && sendIdx >= 0:
 		return core.Selected{}, fmt.Errorf("%w: select mixing entry calls with accepts", ErrUnsupported)
-	case haveSends:
+	case sendIdx >= 0:
 		b := branches[sendIdx]
 		peer, _ := b.BranchPeer()
 		if err := rc.SendTag(peer, b.BranchTag(), b.BranchValue()); err != nil {
@@ -180,30 +147,15 @@ func (rc *hostCtx) Select(branches ...core.SelectBranch) (core.Selected, error) 
 		}
 		return core.Selected{Index: sendIdx, Peer: peer, Tag: b.BranchTag()}, nil
 	}
-	match := func(m message) (int, bool) {
-		for _, rb := range recvs {
-			if (rb.anyPeer || rb.peer == m.from) && rb.tag == m.tag {
-				return rb.orig, true
-			}
-		}
-		return 0, false
+	idx := -1
+	m, err := rc.await(func(m message) bool {
+		idx = slices.IndexFunc(branches, func(b core.SelectBranch) bool { return b.Accepts(m.from, m.tag) })
+		return idx >= 0
+	})
+	if err != nil {
+		return core.Selected{}, err
 	}
-	for i, m := range rc.stash {
-		if idx, ok := match(m); ok {
-			rc.stash = append(rc.stash[:i], rc.stash[i+1:]...)
-			return core.Selected{Index: idx, Peer: m.from, Tag: m.tag, Val: m.val}, nil
-		}
-	}
-	for {
-		m, err := rc.acceptOne()
-		if err != nil {
-			return core.Selected{}, err
-		}
-		if idx, ok := match(m); ok {
-			return core.Selected{Index: idx, Peer: m.from, Tag: m.tag, Val: m.val}, nil
-		}
-		rc.stash = append(rc.stash, m)
-	}
+	return core.Selected{Index: idx, Peer: m.from, Tag: m.tag, Val: m.val}, nil
 }
 
 // Terminated always reports false: the translation has no critical role

@@ -57,14 +57,7 @@ func (rc *hostCtx) SendTag(to ids.RoleRef, tag string, v any) error {
 
 // SendAll sends v to each target in turn: the CSP substrate has no
 // vectorized scatter, so the fan-out is the paper's serial loop.
-func (rc *hostCtx) SendAll(tos []ids.RoleRef, v any) error {
-	for _, to := range tos {
-		if err := rc.SendTag(to, "", v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func (rc *hostCtx) SendAll(tos []ids.RoleRef, v any) error { return core.SendEach(rc, tos, v) }
 
 func (rc *hostCtx) Recv(from ids.RoleRef) (any, error) { return rc.RecvTag(from, "") }
 

@@ -3,6 +3,7 @@ package monx
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"github.com/scriptabs/goscript/internal/core"
 	"github.com/scriptabs/goscript/internal/ids"
@@ -54,14 +55,7 @@ func (rc *hostCtx) SendTag(to ids.RoleRef, tag string, v any) error {
 // SendAll deposits v into each target's mailbox in turn; under the mailbox
 // scheme a send only blocks while the peer's box is full, so the serial loop
 // is already cheap.
-func (rc *hostCtx) SendAll(tos []ids.RoleRef, v any) error {
-	for _, to := range tos {
-		if err := rc.SendTag(to, "", v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func (rc *hostCtx) SendAll(tos []ids.RoleRef, v any) error { return core.SendEach(rc, tos, v) }
 
 func (rc *hostCtx) Recv(from ids.RoleRef) (any, error) { return rc.RecvTag(from, "") }
 
@@ -90,46 +84,34 @@ func (rc *hostCtx) RecvAny() (ids.RoleRef, string, any, error) {
 // the branch predicates). Send branches are rejected: one monitor cannot
 // wait on room in another monitor's mailbox.
 func (rc *hostCtx) Select(branches ...core.SelectBranch) (core.Selected, error) {
-	type recvBranch struct {
-		orig    int
-		peer    ids.RoleRef
-		anyPeer bool
-		tag     string
-	}
-	var recvs []recvBranch
-	for i, b := range branches {
+	receives := false
+	for _, b := range branches {
 		if !b.Enabled() {
 			continue
 		}
 		if b.IsSend() {
 			return core.Selected{}, fmt.Errorf("%w: select with send branches", ErrUnsupported)
 		}
-		peer, anyPeer := b.BranchPeer()
-		if !anyPeer {
+		if peer, anyPeer := b.BranchPeer(); !anyPeer {
 			if _, err := rc.mailboxOf(peer); err != nil {
 				return core.Selected{}, err
 			}
 		}
-		recvs = append(recvs, recvBranch{orig: i, peer: peer, anyPeer: anyPeer, tag: b.BranchTag()})
+		receives = true
 	}
-	if len(recvs) == 0 {
+	if !receives {
 		return core.Selected{}, core.ErrNoBranches
 	}
 	mb, err := rc.mailboxOf(rc.role)
 	if err != nil {
 		return core.Selected{}, err
 	}
-	matchIdx := -1
+	idx := -1
 	m := mb.get(func(m message) bool {
-		for _, rb := range recvs {
-			if (rb.anyPeer || rb.peer == m.from) && rb.tag == m.tag {
-				matchIdx = rb.orig
-				return true
-			}
-		}
-		return false
+		idx = slices.IndexFunc(branches, func(b core.SelectBranch) bool { return b.Accepts(m.from, m.tag) })
+		return idx >= 0
 	})
-	return core.Selected{Index: matchIdx, Peer: m.from, Tag: m.tag, Val: m.val}, nil
+	return core.Selected{Index: idx, Peer: m.from, Tag: m.tag, Val: m.val}, nil
 }
 
 // Terminated reports whether the role has finished in the current

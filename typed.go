@@ -22,18 +22,7 @@ func Arg[T any](rc Ctx, i int) (T, error) {
 }
 
 // Receive performs rc.Recv(from) and converts the value to T.
-func Receive[T any](rc Ctx, from RoleRef) (T, error) {
-	var zero T
-	v, err := rc.Recv(from)
-	if err != nil {
-		return zero, err
-	}
-	tv, ok := v.(T)
-	if !ok {
-		return zero, fmt.Errorf("script: %s received %T from %s, want %T", rc.Role(), v, from, zero)
-	}
-	return tv, nil
-}
+func Receive[T any](rc Ctx, from RoleRef) (T, error) { return ReceiveTag[T](rc, from, "") }
 
 // ReceiveTag performs rc.RecvTag(from, tag) and converts the value to T.
 func ReceiveTag[T any](rc Ctx, from RoleRef, tag string) (T, error) {
@@ -44,7 +33,11 @@ func ReceiveTag[T any](rc Ctx, from RoleRef, tag string) (T, error) {
 	}
 	tv, ok := v.(T)
 	if !ok {
-		return zero, fmt.Errorf("script: %s received %T from %s (%s), want %T", rc.Role(), v, from, tag, zero)
+		sender := from.String()
+		if tag != "" {
+			sender += " (" + tag + ")"
+		}
+		return zero, fmt.Errorf("script: %s received %T from %s, want %T", rc.Role(), v, sender, zero)
 	}
 	return tv, nil
 }
