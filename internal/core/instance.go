@@ -189,8 +189,8 @@ type Instance struct {
 	// on every ENROLL without contending with the scheduler.
 	pendingCount atomic.Int64
 	// watch holds the shared contexts of the enrollments Enroll has parked,
-	// each distinct one watched once (see Instance.wait); closed with the
-	// instance.
+	// each distinct one watched once (see Instance.wait), and the fabric's
+	// blocking calls under them; closed with the instance.
 	watch ctxwatch.Watch
 
 	mu       sync.Mutex
@@ -714,13 +714,15 @@ func NewInstance(def Definition, opts ...Option) *Instance {
 }
 
 // newFabric builds a fabric with the closed roles declared in slot order,
-// under their names in the paper's notation.
+// under their names in the paper's notation. It keeps its blocking calls'
+// contexts in the instance's watch: a role's op parks on its outcome alone
+// under a context an enrollment already brought there.
 func (in *Instance) newFabric() *rendezvous.Fabric {
 	addrs := make([]rendezvous.Addr, len(in.roles))
 	for slot, r := range in.roles {
 		addrs[slot] = rendezvous.Addr(r.String())
 	}
-	fab := rendezvous.New()
+	fab := rendezvous.New(rendezvous.WithWatch(&in.watch))
 	fab.Declare(addrs...)
 	return fab
 }

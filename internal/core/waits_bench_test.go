@@ -24,18 +24,32 @@ func idleStar(n int) core.Definition {
 		MustBuild()
 }
 
-// BenchmarkStarWaits forms one star per iteration, the sender in the
-// foreground and 24 recipients resident, under three kinds of context: one
-// that cannot end, shared by every enrollment; one shared one that can; and
-// one of its own for each Enroll call, cancelled when the call returns, as a
-// server's per-request context is. An enroller parks on its wake channel
-// alone under a shared context — the instance's watch, not the wait, looks
-// after it, once for all 25 — so the first two arms should cost the same,
-// and CI holds the second within 1.15x of the first. Under contexts of their
-// own the enrollers select on the channel and ctx.Done(), as every wait once
-// did: the third arm is the price of a context the watch does not share.
-// The roles do nothing: the fabric's own waits still select on the context,
-// and what is measured is formation and the enrollers' two waits. Close ends
+// broadcast is Figure 3's star with its bodies: the sender sends one value to
+// every recipient in one SendAll, and each recipient receives it.
+func broadcast(n int) core.Definition {
+	recipients := make([]ids.RoleRef, n)
+	for i := range recipients {
+		recipients[i] = ids.Member("recipient", i+1)
+	}
+	return core.NewScript("star").
+		Role("sender", func(rc core.Ctx) error { return rc.SendAll(recipients, 1) }).
+		Family("recipient", n, func(rc core.Ctx) error { _, err := rc.Recv(ids.Role("sender")); return err }).
+		Initiation(core.DelayedInitiation).Termination(core.DelayedTermination).
+		MustBuild()
+}
+
+// BenchmarkStarWaits performs one star broadcast per iteration, the sender
+// in the foreground and 24 recipients resident, under three kinds of context:
+// one that cannot end, shared by every enrollment; one shared one that can;
+// and one of its own for each Enroll call, cancelled when the call returns,
+// as a server's per-request context is. Under a shared context an enroller
+// parks on its wake channel alone, and each role's op on its outcome alone —
+// the instance's watch, not the wait, looks after the context, once for all
+// 25 — so the first two arms should cost about the same (an op's wait under
+// the second takes the watch's mutex twice), and CI holds the second within
+// 1.15x of the first. Under contexts of their own the enrollers and
+// the ops select on their channel and ctx.Done(), as every wait once did: the
+// third arm is the price of a context the watch does not share. Close ends
 // the residents.
 func BenchmarkStarWaits(b *testing.B) {
 	cancelable, cancel := context.WithCancel(context.Background())
@@ -52,7 +66,7 @@ func BenchmarkStarWaits(b *testing.B) {
 		{"ctx=per-enrollment", func() (context.Context, context.CancelFunc) { return context.WithCancel(context.Background()) }},
 	} {
 		b.Run(arm.name, func(b *testing.B) {
-			in := core.NewInstance(idleStar(residents))
+			in := core.NewInstance(broadcast(residents))
 			var wg sync.WaitGroup
 			for i := 1; i <= residents; i++ {
 				wg.Add(1)

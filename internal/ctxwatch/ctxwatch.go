@@ -19,8 +19,9 @@
 // last entry, and its memory serves the next such set: a context per call
 // costs Add what context.AfterFunc costs, and no more. Join declines a
 // channel met for the first time outright, for a caller with a cheaper way to
-// watch a context alone. The memory a Watch holds is bounded by the entries
-// added to it and two sets.
+// watch a context alone, and Attach every channel that has no set, for a
+// caller whose context another entry brings to the watch if anything does.
+// The memory a Watch holds is bounded by the entries added to it and two sets.
 package ctxwatch
 
 import (
@@ -86,15 +87,30 @@ type Watch struct {
 // Done channel registers the channel's context.AfterFunc; the entries that
 // follow, under that context or one that wraps it, join its set, or find it
 // as the spare. An entry is added at most once at a time.
-func (w *Watch) Add(ctx context.Context, e *Entry) { w.add(ctx, e, true) }
+func (w *Watch) Add(ctx context.Context, e *Entry) { w.add(ctx, e, addAlways) }
 
 // Join is Add for a caller that can watch ctx itself: it adds e as Add does
 // when ctx's Done channel has a set or was met before, and otherwise only
 // remembers the channel and reports false, e not added. A context whose Done
 // is nil needs no watching, and Join reports true.
-func (w *Watch) Join(ctx context.Context, e *Entry) bool { return w.add(ctx, e, false) }
+func (w *Watch) Join(ctx context.Context, e *Entry) bool { return w.add(ctx, e, addJoin) }
 
-func (w *Watch) add(ctx context.Context, e *Entry, always bool) bool {
+// Attach is Join for a caller whose context some other entry has already
+// brought to the watch: it adds e only into a set ctx's Done channel has —
+// one with entries, or the spare — and otherwise reports false, e not added
+// and nothing remembered. It never makes a set, so a context that only passes
+// through costs it a lookup, and what Join declines stays declined.
+func (w *Watch) Attach(ctx context.Context, e *Entry) bool { return w.add(ctx, e, addAttach) }
+
+// How add treats a Done channel that has no set: Add makes one, Join makes one
+// for the channel it met last, and Attach none.
+const (
+	addAlways = iota
+	addJoin
+	addAttach
+)
+
+func (w *Watch) add(ctx context.Context, e *Entry, mode int) bool {
 	if e.fired.Load() {
 		e.fired.Store(false)
 	}
@@ -106,8 +122,10 @@ func (w *Watch) add(ctx context.Context, e *Entry, always bool) bool {
 	s := w.sets[done]
 	if s == nil {
 		met := done == w.met
-		w.met = done
-		if !met && !always {
+		if mode != addAttach {
+			w.met = done
+		}
+		if mode == addAttach || !met && mode == addJoin {
 			w.mu.Unlock()
 			return false
 		}

@@ -344,3 +344,42 @@ func TestWatchAllocs(t *testing.T) {
 		t.Errorf("Add and Remove under a context met once allocate %v objects, want no more than AfterFunc's %v", got, alone)
 	}
 }
+
+// TestWatchAttachJoinsOnlyASetThatExists: Attach adds an entry into the set
+// its context's Done channel has, live or the spare, and otherwise declines
+// without making one or remembering the channel — so a context that only
+// passes through Attach is still met for the first time by Join.
+func TestWatchAttachJoinsOnlyASetThatExists(t *testing.T) {
+	var w Watch
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	op, opRan := signal()
+	enroller, _ := signal()
+	if w.Attach(ctx, op) || w.setCount() != 0 {
+		t.Fatal("Attach added an entry, or made a set, under a context with none")
+	}
+	if w.Join(ctx, enroller) {
+		t.Fatal("Attach remembered the context: Join took it as met")
+	}
+	if w.Attach(ctx, op) || w.setCount() != 0 {
+		t.Fatal("Attach made a set for the context Join met last")
+	}
+	if !w.Join(ctx, enroller) || !w.Attach(ctx, op) || w.setCount() != 1 {
+		t.Fatal("Attach declined a context that has a set")
+	}
+	if !w.Remove(op) || !w.Remove(enroller) || w.setCount() != 1 {
+		t.Fatal("the set Join made for a context met before was not kept as the spare")
+	}
+	if !w.Attach(ctx, op) {
+		t.Fatal("Attach declined a context whose set is the spare")
+	}
+	cancel()
+	waitRan(t, "an entry attached to the spare", opRan)
+	if w.Remove(op) {
+		t.Fatal("Remove reports that an entry whose function ran left before it")
+	}
+	eventuallyNoSets(t, &w)
+	if nop, _ := signal(); !w.Attach(context.Background(), nop) || w.setCount() != 0 {
+		t.Fatal("a context that cannot end was not taken as needing no watching")
+	}
+}

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/scriptabs/goscript/internal/ctxwatch"
 )
 
 // This file is the fabric's endpoint table and its fast lane: a directed,
@@ -362,7 +364,8 @@ const slotOps = 4
 // exactly one result is ever sent to a claimed group, and every sender
 // claims, removes the group's ops from the cells and indexes, and copies
 // what it needs out of them before it sends; nothing reads a group or its
-// ops after delivering to it.
+// ops after delivering to it. A withdrawal run for the owner by the fabric's
+// watch reads the slot too: await returns only once it has let go.
 //
 // A posted op's slot is released by whoever delivers its outcome, before the
 // completer runs. A Scatter offer's slot is owned (own is set): the table's
@@ -375,12 +378,17 @@ type slot struct {
 	ops         [slotOps]op
 	posted      [slotOps]*op // backing array of g.ops
 	own, parked bool
+	// entry withdraws a blocking call's op from f if its context ends (see
+	// await); g.res holds its word beside the outcome.
+	entry ctxwatch.Entry
+	f     *Fabric
 }
 
 var slotPool = sync.Pool{New: func() any {
 	s := &slot{}
-	s.g.res = make(chan result, 1)
+	s.g.res = make(chan result, 2)
 	s.g.slot = s
+	s.entry.Func = s.fire
 	return s
 }}
 
@@ -531,9 +539,9 @@ func (f *Fabric) drainForLocked(me, peer *endpoint, br *IDBranch) {
 func (f *Fabric) failParkedInvolvingLocked(e *endpoint) {
 	f.involvingLocked(e, true, func(o *op) {
 		if o.owner == e {
-			f.failLocked(o.g, ErrSelfTerminated)
+			f.failGroupLocked(o.g, ErrSelfTerminated)
 		} else {
-			f.failLocked(o.g, ErrPeerTerminated)
+			f.failGroupLocked(o.g, ErrPeerTerminated)
 		}
 	})
 }

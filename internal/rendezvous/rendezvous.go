@@ -50,6 +50,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"github.com/scriptabs/goscript/internal/ctxwatch"
 	"github.com/scriptabs/goscript/internal/metrics"
 )
 
@@ -114,6 +115,13 @@ var (
 	// ErrNoBranches reports a Do call with zero enabled branches, which can
 	// never commit (CSP: an alternative command with all guards false fails).
 	ErrNoBranches = errors.New("rendezvous: no enabled branches")
+
+	// A withdrawing function's word to the blocking call it withdraws for
+	// (see await), never returned: errWithdrawn says it withdrew the call's
+	// op, whose outcome is the end of the context; errLetGo that an outcome
+	// came first, and is the call's own.
+	errWithdrawn = errors.New("rendezvous: withdrawn as the context ended")
+	errLetGo     = errors.New("rendezvous: the outcome came first")
 )
 
 // Alt is one alternative of a generalized select, naming its peer by address
@@ -177,6 +185,13 @@ func WithoutFastPath() Option {
 	return func(f *Fabric) { f.noFast = true }
 }
 
+// WithWatch lends the fabric w, a watch its caller keeps the contexts of the
+// fabric's blocking calls in: a call whose context has a set in w parks on
+// its outcome alone, and w withdraws it if the context ends (see await).
+func WithWatch(w *ctxwatch.Watch) Option {
+	return func(f *Fabric) { f.watch = w }
+}
+
 // Fabric is a synchronous rendezvous domain. Create one per communication
 // scope (one per script instance, one per CSP parallel command, ...).
 type Fabric struct {
@@ -184,6 +199,7 @@ type Fabric struct {
 	aborted error      // non-nil once Abort or Close was called; the failure reason
 	rng     *rand.Rand // nil = FIFO matching
 	noFast  bool       // WithoutFastPath
+	watch   *ctxwatch.Watch
 
 	seq atomic.Uint64 // post order, for FIFO matching (shared by both lanes)
 	// fastOK gates the fast lane as a whole (false when closed, aborted,
@@ -230,7 +246,7 @@ func New(opts ...Option) *Fabric {
 // two lanes race safely for the same operation.
 type group struct {
 	state atomic.Int32 // 0 = pending; 1 = claimed
-	res   chan result  // buffered 1; receives the single outcome or failure
+	res   chan result  // buffered 2; receives the single outcome or failure, and await's word
 	// done is the completer of a posted op or of a Scatter's offer, nil when a
 	// goroutine waits on res; slot is the storage the group lives in.
 	done Completer
@@ -464,24 +480,57 @@ func (f *Fabric) post(owner ID, branches []IDBranch, c Completer, out *IDOutcome
 // wait blocks for the outcome of the op post left in slot s, withdrawing it
 // if ctx ends first unless an outcome won the race, and releases s.
 func (f *Fabric) wait(ctx context.Context, s *slot) (IDOutcome, error) {
-	var r result
-	select {
-	case r = <-s.g.res:
-	case <-ctx.Done():
-		if r.err = ctx.Err(); !f.withdraw(s) {
-			r = <-s.g.res
-		}
-	}
+	s.f = f
+	r := f.await(ctx, s.g.res, &s.entry)
 	s.release()
 	return r.out, r.err
 }
 
-// withdrawPosted is wait's withdrawal for a blocking Scatter's offer, whose
-// slot s its table kept: the offer is told err, unless an outcome came first.
-func (f *Fabric) withdrawPosted(s *slot, err error) {
-	if f.withdraw(s) {
-		s.g.deliver(result{err: err})
+// await receives the outcome of a blocking call from ch, which holds two.
+// While ctx cannot end, or while the fabric's watch has a set for it to add
+// e to, the call parks on ch alone; otherwise it selects on ch and
+// ctx.Done(). When ctx ends, e's function withdraws the call's op (or every
+// offer of a Scatter still out) — run by the watch's AfterFunc, or here once
+// the select sees ctx end — and sends its word on ch as its last touch of
+// the call: errWithdrawn, or errLetGo when an outcome won the race and comes
+// on ch too. A function that may have run is waited for, so the caller may
+// release what the function reads as soon as await returns.
+func (f *Fabric) await(ctx context.Context, ch <-chan result, e *ctxwatch.Entry) result {
+	done := ctx.Done()
+	if done == nil {
+		return <-ch
 	}
+	var r result
+	var ran bool
+	if f.watch != nil && f.watch.Attach(ctx, e) {
+		r = <-ch
+		ran = !f.watch.Remove(e)
+	} else {
+		select {
+		case r = <-ch:
+		case <-done:
+			e.Func()
+			r, ran = <-ch, true
+		}
+	}
+	switch {
+	case r.err == errLetGo:
+		r = <-ch
+	case r.err == errWithdrawn:
+		r.err = ctx.Err()
+	case ran:
+		<-ch // the function's word, after the outcome it lost to
+	}
+	return r
+}
+
+// fire is a blocking call's withdrawal, e's function in await.
+func (s *slot) fire() {
+	word := result{err: errWithdrawn}
+	if !s.f.withdraw(s) {
+		word.err = errLetGo
+	}
+	s.g.res <- word
 }
 
 // postSlow posts me's alternative through the locked matcher. s is the slot
@@ -823,20 +872,15 @@ func groupStuckOn(g *group, e *endpoint) bool {
 	return targets
 }
 
+// failGroupLocked claims g, takes its posted ops out of the indexes — a
+// parked op just taken out of its cell has none there — and delivers err; it
+// does nothing if g is claimed already.
 func (f *Fabric) failGroupLocked(g *group, err error) {
 	if !g.claim() {
 		return
 	}
 	f.removeGroupLocked(g)
 	f.deliverLocked(g, result{err: err})
-}
-
-// failLocked claims g, whose ops are in no index (a parked op just taken out
-// of its cell), and delivers err; it does nothing if g is claimed already.
-func (f *Fabric) failLocked(g *group, err error) {
-	if g.claim() {
-		f.deliverLocked(g, result{err: err})
-	}
 }
 
 // TerminateAbsentID terminates every endpoint that is the target of some
@@ -945,7 +989,7 @@ func (f *Fabric) failAllLocked(err error) {
 		f.deliverLocked(g, result{err: err})
 	}
 	for u := f.used.Load(); u != nil; u = u.next {
-		f.inboxLocked(u, true, func(o *op) { f.failLocked(o.g, err) })
+		f.inboxLocked(u, true, func(o *op) { f.failGroupLocked(o.g, err) })
 	}
 }
 

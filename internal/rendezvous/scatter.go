@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"github.com/scriptabs/goscript/internal/ctxwatch"
 )
 
 // scatterSlot tracks one target's offer through a Scatter call, and is the
@@ -33,16 +35,22 @@ func (s *scatterSlot) settle(err error) {
 
 // scatterTable is one Scatter call's offers, counted down in left: one for
 // each offer that resolves, and one for the post itself. The last count wakes
-// the poster of a blocking Scatter, or completes done for a posted one.
+// the poster of a blocking Scatter, or completes done for a posted one. entry
+// withdraws a blocking Scatter's offers from f if its context ends (see
+// await).
 type scatterTable struct {
 	slots []scatterSlot
 	left  atomic.Int32
-	wake  chan struct{} // buffered 1; the last count of a blocking Scatter
+	wake  chan result // buffered 2; the last count of a blocking Scatter, and await's word
 	done  Completer
+	entry ctxwatch.Entry
+	f     *Fabric
 }
 
 var scatterTblPool = sync.Pool{New: func() any {
-	return &scatterTable{slots: make([]scatterSlot, 0, 64), wake: make(chan struct{}, 1)}
+	t := &scatterTable{slots: make([]scatterSlot, 0, 64), wake: make(chan result, 2)}
+	t.entry.Func = t.fire
+	return t
 }}
 
 // newScatterTable returns a pooled table of n cleared slots, counting n
@@ -67,7 +75,7 @@ func newScatterTable(n int) *scatterTable {
 // put returns t to the pool.
 func (t *scatterTable) put() {
 	clear(t.slots)
-	t.slots, t.done = t.slots[:0], nil
+	t.slots, t.done, t.f = t.slots[:0], nil, nil
 	scatterTblPool.Put(t)
 }
 
@@ -132,27 +140,34 @@ func (f *Fabric) scatterTo(owner ID, targets []ID) (*scatterTable, *endpoint) {
 
 // scatter is the blocking Scatter: me's offers to the targets t names are
 // posted, and the caller waits for the table's last count. If ctx ends first,
-// every offer still out is withdrawn, and the wait is for those that won the
-// race. Only the reap releases the slots the offers kept, so none is reused
-// while a withdrawal may look at it.
+// every offer still out is withdrawn (fire), and the wait is for those that
+// won the race. Only the reap releases the slots the offers kept, so none is
+// reused while a withdrawal may look at it.
 func (f *Fabric) scatter(ctx context.Context, me *endpoint, tag Tag, t *scatterTable, vals []any) error {
 	if err := f.postScatter(me, tag, t, vals); err != nil {
 		t.put()
 		return err
 	}
 	if t.left.Add(-1) != 0 {
-		select {
-		case <-t.wake:
-		case <-ctx.Done():
-			for i := range t.slots {
-				if s := t.slots[i].fs; s != nil {
-					f.withdrawPosted(s, ctx.Err())
-				}
-			}
-			<-t.wake
+		t.f = f
+		f.await(ctx, t.wake, &t.entry)
+	}
+	if err := t.reap(); err != errWithdrawn {
+		return err
+	}
+	return ctx.Err()
+}
+
+// fire is a blocking Scatter's withdrawal, t.entry's function in await: the
+// last count comes on its own, after the offers withdrawn here report
+// errWithdrawn.
+func (t *scatterTable) fire() {
+	for i := range t.slots {
+		if s := t.slots[i].fs; s != nil && t.f.withdraw(s) {
+			s.g.deliver(result{err: errWithdrawn})
 		}
 	}
-	return t.reap()
+	t.wake <- result{err: errLetGo}
 }
 
 // Complete is a Scatter's offer resolving: its slot was kept for the table to
@@ -170,7 +185,7 @@ func (t *scatterTable) countDown() {
 		return
 	}
 	if t.done == nil {
-		t.wake <- struct{}{}
+		t.wake <- result{}
 		return
 	}
 	c := t.done // before reap puts t back
